@@ -6,7 +6,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scout_core::kmeans::kmeans;
 use scout_core::ResultGraph;
 use scout_geometry::hilbert::hilbert_index_3d;
-use scout_geometry::{Aspect, QueryRegion, Simplification, Vec3};
+use scout_geometry::intersect::shape_intersects_aabb;
+use scout_geometry::{Aspect, QueryRegion, Shape, Simplification, Vec3};
 use scout_index::{str_pack, FlatConfig, FlatIndex, OrderedSpatialIndex, RTree, SpatialIndex};
 use scout_synth::{generate_neurons, NeuronParams};
 use std::hint::black_box;
@@ -28,6 +29,31 @@ fn bench_components(c: &mut Criterion) {
 
     c.bench_function("rtree_range_query_80k_um3", |b| {
         b.iter(|| black_box(rtree.range_query(objects, &region).objects.len()))
+    });
+
+    c.bench_function("capsule_predicate_boundary_mix", |b| {
+        // Equal thirds of the cases the capsule predicate's tiers settle: an
+        // endpoint inside the region, the bounding box clear of it, and
+        // straddling its boundary. Only the last reach the distance kernel,
+        // and in a real range query they are the minority.
+        let aabb = region.aabb();
+        let mut thirds: [Vec<&Shape>; 3] = Default::default();
+        for o in objects {
+            let Shape::Cylinder(cyl) = &o.shape else { continue };
+            let class = if aabb.contains_point(cyl.a) || aabb.contains_point(cyl.b) {
+                0
+            } else if !cyl.aabb().intersects(aabb) {
+                1
+            } else {
+                2
+            };
+            thirds[class].push(&o.shape);
+        }
+        let per_class = thirds.iter().map(Vec::len).min().unwrap();
+        assert!(per_class > 0, "a class of the boundary mix is empty");
+        let mix: Vec<&Shape> =
+            (0..per_class).flat_map(|i| thirds.iter().map(move |t| t[i])).collect();
+        b.iter(|| black_box(mix.iter().filter(|s| shape_intersects_aabb(s, aabb)).count()))
     });
 
     c.bench_function("flat_crawl_80k_um3", |b| {

@@ -1,9 +1,20 @@
 //! Intersection predicates between shapes and axis-aligned boxes.
 //!
 //! These are the predicates range queries rely on: given a query region
-//! (an [`Aabb`]), decide which objects belong to the result. Segment and
-//! capsule tests are exact; the triangle test uses the standard
-//! separating-axis theorem (SAT) with 13 axes.
+//! (an [`Aabb`]), decide which objects belong to the result. Segments use
+//! the slab clip. Capsules compare the segment–box distance with the radius;
+//! that distance is a closed form (the squared distance is piecewise
+//! quadratic in the segment parameter and is minimised piece by piece), not
+//! an iteration to a tolerance. Triangles use the standard separating-axis
+//! theorem (SAT) with 13 axes.
+//!
+//! Contracts of the segment and capsule tests:
+//!
+//! * touching counts: every comparison is `≤`;
+//! * an empty box intersects nothing and is at distance `+∞`;
+//! * [`segment_aabb_distance`] is `0.0` iff [`segment_intersects_aabb`];
+//! * a capsule of negative or NaN radius intersects nothing, not even a box
+//!   its axis passes through.
 
 use crate::aabb::Aabb;
 use crate::shapes::{Segment, Shape, Sphere, Triangle};
@@ -50,38 +61,98 @@ pub fn segment_intersects_aabb(seg: &Segment, aabb: &Aabb) -> bool {
     clip_segment_to_aabb(seg, aabb).is_some()
 }
 
-/// Distance from a segment to a box (zero when they intersect).
+/// Squared distance from a segment to a box: `+∞` for an empty box, exactly
+/// `0.0` iff the slab clip hits.
 ///
-/// Computed by sampling-free convex optimization on the segment parameter:
-/// `f(t) = distance(seg.at(t), box)²` is convex piecewise-quadratic, so
-/// ternary search converges; we use a fixed iteration count that brings the
-/// parameter error below 1e-9 of the segment length.
-pub fn segment_aabb_distance(seg: &Segment, aabb: &Aabb) -> f64 {
+/// `f(t) = distance(seg.at(t), box)²` is a sum of one convex term per axis,
+/// each zero while the coordinate is inside its slab and quadratic outside,
+/// so `f` is convex and piecewise quadratic and its pieces can only change
+/// where the segment crosses one of the six slab planes: at most 6
+/// breakpoints inside (0, 1), at most 7 intervals. On an interval every axis
+/// stays on one side of its slab, `f` is one parabola there, and its minimum
+/// over the interval is at the clamped vertex; the smallest of those is the
+/// minimum of `f`.
+fn segment_aabb_distance_sq(seg: &Segment, aabb: &Aabb) -> f64 {
+    if aabb.is_empty() {
+        return f64::INFINITY;
+    }
     if segment_intersects_aabb(seg, aabb) {
         return 0.0;
     }
-    let mut lo = 0.0_f64;
-    let mut hi = 1.0_f64;
-    // 60 iterations of ternary search: interval shrinks by (2/3)^60 ≈ 3e-11.
-    for _ in 0..60 {
-        let m1 = lo + (hi - lo) / 3.0;
-        let m2 = hi - (hi - lo) / 3.0;
-        let d1 = aabb.distance_sq_to_point(seg.at(m1));
-        let d2 = aabb.distance_sq_to_point(seg.at(m2));
-        if d1 < d2 {
-            hi = m2;
-        } else {
-            lo = m1;
+    let d = seg.direction();
+    // Interval ends in ascending order: 0, the breakpoints, 1.
+    let mut cuts = [0.0_f64; 8];
+    let mut n = 1;
+    for axis in 0..3 {
+        if d[axis] != 0.0 {
+            for plane in [aabb.min[axis], aabb.max[axis]] {
+                let t = (plane - seg.a[axis]) / d[axis];
+                if t > 0.0 && t < 1.0 {
+                    cuts[n] = t;
+                    n += 1;
+                }
+            }
         }
     }
-    aabb.distance_sq_to_point(seg.at((lo + hi) * 0.5)).sqrt()
+    cuts[n] = 1.0;
+    let cuts = &mut cuts[..=n];
+    cuts.sort_unstable_by(f64::total_cmp);
+
+    let mut best = f64::INFINITY;
+    for w in cuts.windows(2) {
+        let (t0, t1) = (w[0], w[1]);
+        // The side of each slab the interval lies on, read off its midpoint,
+        // picks the plane `c` the axis measures its distance to; the parabola
+        // is Σ (a + t·d − c)² over the axes outside their slab.
+        let mid = seg.at(0.5 * (t0 + t1));
+        let (mut dd, mut od) = (0.0, 0.0);
+        for axis in 0..3 {
+            let c = if mid[axis] < aabb.min[axis] {
+                aabb.min[axis]
+            } else if mid[axis] > aabb.max[axis] {
+                aabb.max[axis]
+            } else {
+                continue;
+            };
+            dd += d[axis] * d[axis];
+            od += d[axis] * (seg.a[axis] - c);
+        }
+        let t = if dd > 0.0 { (-od / dd).clamp(t0, t1) } else { t0 };
+        // Evaluating `f` itself at the minimiser (not the parabola's
+        // coefficients) keeps a misread side harmless: the value is still a
+        // distance the segment attains.
+        best = best.min(aabb.distance_sq_to_point(seg.at(t)));
+    }
+    // The slab clip is the authority on contact: it reported a miss, so a
+    // minimum that rounds to zero must not read as a hit.
+    best.max(f64::MIN_POSITIVE)
+}
+
+/// Distance from a segment to a box: exactly `0.0` iff
+/// [`segment_intersects_aabb`], `+∞` for an empty box, otherwise the minimum
+/// of `distance(seg.at(t), box)` over `t ∈ [0, 1]` in closed form (at most
+/// 7 parabolas, one clamped vertex each), exact up to rounding.
+pub fn segment_aabb_distance(seg: &Segment, aabb: &Aabb) -> f64 {
+    segment_aabb_distance_sq(seg, aabb).sqrt()
 }
 
 /// True when a capsule (segment with radius) intersects the box — the exact
-/// test for the paper's cylinders treated as capsules.
+/// test for the paper's cylinders treated as capsules. Touching counts; a
+/// negative or NaN radius and an empty box intersect nothing.
+///
+/// Three tiers, each exact, cheapest first: the capsule's bounding box
+/// misses the region → `false`; an endpoint of the axis lies in the region
+/// → `true`; otherwise `distance² ≤ radius²`. Only capsules straddling the
+/// region's boundary reach the last one.
 #[inline]
 pub fn capsule_intersects_aabb(seg: &Segment, radius: f64, aabb: &Aabb) -> bool {
-    segment_aabb_distance(seg, aabb) <= radius
+    // `>=` is false for NaN too, and must come first: the endpoint tier
+    // would otherwise accept a capsule of negative radius.
+    radius >= 0.0
+        && seg.aabb().expanded(radius).intersects(aabb)
+        && (aabb.contains_point(seg.a)
+            || aabb.contains_point(seg.b)
+            || segment_aabb_distance_sq(seg, aabb) <= radius * radius)
 }
 
 /// True when a sphere intersects the box.

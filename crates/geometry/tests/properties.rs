@@ -6,7 +6,7 @@ use scout_geometry::dispatch::CpuTier;
 use scout_geometry::grid::UniformGrid;
 use scout_geometry::hilbert::{hilbert_coords_3d, hilbert_index_3d, hilbert_indices_3d_with};
 use scout_geometry::intersect::{
-    clip_segment_to_aabb, segment_aabb_distance, segment_intersects_aabb,
+    capsule_intersects_aabb, clip_segment_to_aabb, segment_aabb_distance, segment_intersects_aabb,
 };
 use scout_geometry::morton::{morton_coords_3d, morton_index_3d, morton_indices_3d_with};
 use scout_geometry::shapes::Segment;
@@ -275,5 +275,218 @@ proptest! {
             .collect();
         prop_assert_eq!(&scalar, &reference);
         prop_assert_eq!(&wide, &reference);
+    }
+}
+
+/// The oracle for [`segment_aabb_distance`]: the 60-iteration ternary search
+/// on the convex `distance(seg.at(t), box)²` that the closed form replaced.
+/// It brackets the minimiser to (2/3)^60 ≈ 3e-11 of the parameter range, so
+/// it can sit above the true distance by that share of the segment length,
+/// and below it by rounding only.
+fn ternary_distance(seg: &Segment, aabb: &Aabb) -> f64 {
+    if segment_intersects_aabb(seg, aabb) {
+        return 0.0;
+    }
+    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+    for _ in 0..60 {
+        let m1 = lo + (hi - lo) / 3.0;
+        let m2 = hi - (hi - lo) / 3.0;
+        if aabb.distance_sq_to_point(seg.at(m1)) < aabb.distance_sq_to_point(seg.at(m2)) {
+            hi = m2;
+        } else {
+            lo = m1;
+        }
+    }
+    aabb.distance_sq_to_point(seg.at((lo + hi) * 0.5)).sqrt()
+}
+
+/// Largest coordinate magnitude of the pair: what rounding errors scale with.
+fn scale_of(seg: &Segment, aabb: &Aabb) -> f64 {
+    [seg.a, seg.b, aabb.min, aabb.max]
+        .iter()
+        .flat_map(|v| [v.x, v.y, v.z])
+        .fold(0.0, |m: f64, c| m.max(c.abs()))
+}
+
+/// The kernel's contract on one (segment, non-empty box) pair: never above
+/// the oracle (bar a few ulps of the coordinates: both evaluate the same
+/// function, at different parameters), below it by no more than the oracle's
+/// own bracketing error, and exactly zero iff the slab clip hits.
+fn check_against_oracle(seg: &Segment, aabb: &Aabb) -> Result<(), TestCaseError> {
+    let got = segment_aabb_distance(seg, aabb);
+    let want = ternary_distance(seg, aabb);
+    let scale = scale_of(seg, aabb);
+    prop_assert!(
+        got <= want + 1e-12 + 8.0 * f64::EPSILON * scale,
+        "closed form {got:e} above oracle {want:e}"
+    );
+    prop_assert!(
+        got >= want - 1e-9 * (1.0 + scale),
+        "closed form {got:e} far below oracle {want:e}"
+    );
+    prop_assert_eq!(got == 0.0, segment_intersects_aabb(seg, aabb));
+    Ok(())
+}
+
+/// `v` with `from`'s coordinate on every axis whose bit is set in `mask`.
+fn copy_axes(mut v: Vec3, from: Vec3, mask: u8) -> Vec3 {
+    if mask & 1 != 0 {
+        v.x = from.x;
+    }
+    if mask & 2 != 0 {
+        v.y = from.y;
+    }
+    if mask & 4 != 0 {
+        v.z = from.z;
+    }
+    v
+}
+
+/// The corner with `aabb.max` on the axes set in `sides`, `aabb.min` elsewhere.
+fn box_corner(aabb: &Aabb, sides: u8) -> Vec3 {
+    copy_axes(aabb.min, aabb.max, sides)
+}
+
+// The closed-form segment–box distance against the ternary-search oracle, on
+// random pairs and on the degenerate families where breakpoints coincide,
+// vanish or sit on an endpoint.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn closed_form_distance_matches_oracle(
+        a in arb_vec3(50.0), b in arb_vec3(50.0), bx in arb_aabb(30.0)
+    ) {
+        check_against_oracle(&Segment::new(a, b), &bx)?;
+    }
+
+    #[test]
+    fn closed_form_distance_axis_parallel_components(
+        // One, two or three direction components exactly zero; three is the
+        // zero-length segment, whose distance is the point's, exactly.
+        a in arb_vec3(50.0), b in arb_vec3(50.0), bx in arb_aabb(30.0), mask in 1u8..8
+    ) {
+        let seg = Segment::new(a, copy_axes(b, a, mask));
+        check_against_oracle(&seg, &bx)?;
+        if mask == 7 {
+            prop_assert_eq!(segment_aabb_distance(&seg, &bx), bx.distance_sq_to_point(a).sqrt());
+        }
+    }
+
+    #[test]
+    fn closed_form_distance_endpoint_on_face_edge_corner(
+        // One, two or three coordinates of an endpoint exactly on a slab
+        // plane: with the rest inside their slabs the endpoint sits on a
+        // face, an edge or a corner, otherwise on the plane beside the box.
+        a in arb_vec3(50.0), b in arb_vec3(50.0), bx in arb_aabb(30.0),
+        mask in 1u8..8, sides in 0u8..8, rest_inside in 0u8..2,
+    ) {
+        let rest = if rest_inside == 1 { bx.closest_point(a) } else { a };
+        let a = copy_axes(rest, box_corner(&bx, sides), mask);
+        check_against_oracle(&Segment::new(a, b), &bx)?;
+        check_against_oracle(&Segment::new(b, a), &bx)?;
+    }
+
+    #[test]
+    fn closed_form_distance_segment_in_face_plane(
+        a in arb_vec3(50.0), b in arb_vec3(50.0), bx in arb_aabb(30.0),
+        axis in 0u8..3, sides in 0u8..8,
+    ) {
+        let plane = box_corner(&bx, sides);
+        let seg = Segment::new(copy_axes(a, plane, 1 << axis), copy_axes(b, plane, 1 << axis));
+        check_against_oracle(&seg, &bx)?;
+    }
+
+    #[test]
+    fn closed_form_distance_zero_thickness_box(
+        // A box flattened to a rectangle, a line or a point.
+        a in arb_vec3(50.0), b in arb_vec3(50.0), bx in arb_aabb(30.0), mask in 1u8..8
+    ) {
+        let flat = Aabb::new(bx.min, copy_axes(bx.max, bx.min, mask));
+        check_against_oracle(&Segment::new(a, b), &flat)?;
+    }
+
+    #[test]
+    fn closed_form_distance_at_1e6_scale(
+        a in arb_vec3(50.0), b in arb_vec3(50.0), bx in arb_aabb(30.0), origin in arb_vec3(1e6)
+    ) {
+        check_against_oracle(&Segment::new(a + origin, b + origin), &bx.translated(origin))?;
+    }
+
+    #[test]
+    fn empty_box_is_infinitely_far_and_intersects_nothing(
+        a in arb_vec3(50.0), b in arb_vec3(50.0), r in 0.0..100.0f64
+    ) {
+        let seg = Segment::new(a, b);
+        let inverted =
+            Aabb { min: Vec3::new(1.0, -60.0, -60.0), max: Vec3::new(-1.0, 60.0, 60.0) };
+        for empty in [Aabb::EMPTY, inverted] {
+            prop_assert_eq!(segment_aabb_distance(&seg, &empty), f64::INFINITY);
+            prop_assert!(!capsule_intersects_aabb(&seg, r, &empty));
+            prop_assert!(!capsule_intersects_aabb(&seg, f64::INFINITY, &empty));
+        }
+    }
+}
+
+// The capsule predicate's tiers (bounding-box reject, endpoint accept) are
+// shortcuts, never a different answer: it must equal the untiered
+// `distance ≤ radius`, judged here by the oracle. A radius within the
+// oracle's own error of the distance is the one place the two may differ.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn capsule_tiers_match_untiered_distance_test(
+        a in arb_vec3(50.0), b in arb_vec3(50.0), bx in arb_aabb(30.0), r in 0.0..25.0f64
+    ) {
+        let seg = Segment::new(a, b);
+        let d = ternary_distance(&seg, &bx);
+        if (d - r).abs() > 1e-9 * (1.0 + scale_of(&seg, &bx)) {
+            prop_assert_eq!(capsule_intersects_aabb(&seg, r, &bx), d <= r);
+        }
+    }
+
+    #[test]
+    fn capsule_passing_a_corner_is_not_decided_by_its_bounding_box(
+        // The family a prefilter-only predicate gets wrong. The axis crosses
+        // a corner's outward diagonal at right angles, `s` away from the
+        // corner, which is therefore its closest point; per axis it is only
+        // `s/√3` away, so a capsule of radius `0.9·s` misses the box while
+        // its bounding box reaches into it.
+        bx in arb_aabb(30.0), sides in 0u8..8,
+        s in 0.5..10.0f64, half_len in 0.0..40.0f64, turn in 0.0..std::f64::consts::TAU,
+    ) {
+        let out = copy_axes(Vec3::splat(-1.0), Vec3::ONE, sides) / 3f64.sqrt();
+        let u = out.any_orthogonal();
+        let across = u * turn.cos() + out.cross(u) * turn.sin();
+        let mid = box_corner(&bx, sides) + out * s;
+        let seg = Segment::new(mid - across * half_len, mid + across * half_len);
+        let d = ternary_distance(&seg, &bx);
+        prop_assert!((d - s).abs() < 1e-9 * (1.0 + scale_of(&seg, &bx)), "{d} is not {s}");
+        prop_assert!(seg.aabb().expanded(0.9 * s).intersects(&bx));
+        prop_assert!(!capsule_intersects_aabb(&seg, 0.9 * s, &bx));
+        prop_assert!(capsule_intersects_aabb(&seg, 1.1 * s, &bx));
+    }
+
+    #[test]
+    fn capsule_of_radius_zero_is_the_segment_test(
+        a in arb_vec3(20.0), b in arb_vec3(20.0), bx in arb_aabb(15.0)
+    ) {
+        let seg = Segment::new(a, b);
+        prop_assert_eq!(
+            capsule_intersects_aabb(&seg, 0.0, &bx),
+            segment_intersects_aabb(&seg, &bx)
+        );
+    }
+
+    #[test]
+    fn capsule_of_negative_or_nan_radius_intersects_nothing(
+        // Not even a box its axis starts in.
+        b in arb_vec3(50.0), bx in arb_aabb(30.0), r in 0.0..25.0f64
+    ) {
+        let seg = Segment::new(bx.center(), b);
+        prop_assert!(capsule_intersects_aabb(&seg, r, &bx));
+        prop_assert!(!capsule_intersects_aabb(&seg, -r - f64::MIN_POSITIVE, &bx));
+        prop_assert!(!capsule_intersects_aabb(&seg, f64::NAN, &bx));
     }
 }

@@ -130,24 +130,6 @@ impl SpatialIndex for FlatIndex {
         // center.
         self.crawl_region(region, region.center())
     }
-
-    fn range_query(
-        &self,
-        objects: &[SpatialObject],
-        region: &scout_geometry::QueryRegion,
-    ) -> crate::traits::QueryResult {
-        use scout_geometry::intersect::shape_intersects_aabb;
-        let pages = self.crawl_region(region.aabb(), region.center());
-        let mut out = crate::traits::QueryResult { pages, objects: Vec::new() };
-        for &pid in &out.pages {
-            for &oid in &self.layout().page(pid).objects {
-                if shape_intersects_aabb(&objects[oid.index()].shape, region.aabb()) {
-                    out.objects.push(oid);
-                }
-            }
-        }
-        out
-    }
 }
 
 impl OrderedSpatialIndex for FlatIndex {

@@ -3,9 +3,9 @@
 //! page set.
 
 use proptest::prelude::*;
-use scout_geometry::intersect::shape_intersects_aabb;
+use scout_geometry::intersect::segment_intersects_aabb;
 use scout_geometry::{
-    Aabb, Cylinder, ObjectId, QueryRegion, Shape, SpatialObject, StructureId, Vec3,
+    Aabb, Cylinder, ObjectId, QueryRegion, Segment, Shape, SpatialObject, StructureId, Vec3,
 };
 use scout_index::{FlatConfig, FlatIndex, RTree, SpatialIndex};
 
@@ -37,10 +37,35 @@ fn arb_region() -> impl Strategy<Value = QueryRegion> {
     })
 }
 
+/// The scan's own segment–box distance: the 60-iteration ternary search on
+/// the convex `distance(seg.at(t), box)²` that the geometry kernel used to
+/// be. Filtering with it, not with `shape_intersects_aabb`, keeps index ≡
+/// scan from comparing the kernel with itself; the two can only disagree on
+/// a capsule within ~1e-9 of touching the region.
+fn oracle_distance(seg: &Segment, aabb: &Aabb) -> f64 {
+    if segment_intersects_aabb(seg, aabb) {
+        return 0.0;
+    }
+    let (mut lo, mut hi) = (0.0_f64, 1.0_f64);
+    for _ in 0..60 {
+        let m1 = lo + (hi - lo) / 3.0;
+        let m2 = hi - (hi - lo) / 3.0;
+        if aabb.distance_sq_to_point(seg.at(m1)) < aabb.distance_sq_to_point(seg.at(m2)) {
+            hi = m2;
+        } else {
+            lo = m1;
+        }
+    }
+    aabb.distance_sq_to_point(seg.at((lo + hi) * 0.5)).sqrt()
+}
+
 fn brute_force(objects: &[SpatialObject], region: &QueryRegion) -> Vec<u32> {
     let mut out: Vec<u32> = objects
         .iter()
-        .filter(|o| shape_intersects_aabb(&o.shape, region.aabb()))
+        .filter(|o| match &o.shape {
+            Shape::Cylinder(c) => oracle_distance(&c.axis(), region.aabb()) <= c.max_radius(),
+            other => unreachable!("arb_objects generates cylinders only, got {other:?}"),
+        })
         .map(|o| o.id.0)
         .collect();
     out.sort_unstable();
