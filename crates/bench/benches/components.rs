@@ -1,16 +1,65 @@
 //! Criterion microbenchmarks of the core components: STR bulk loading,
-//! R-tree range queries, FLAT crawls, grid-hash graph building, connected
-//! components, k-means, and the Hilbert curve.
+//! R-tree range queries (cache-resident and cold), FLAT crawls, grid-hash
+//! graph building, connected components, SCOUT's whole observe step,
+//! k-means, and the Hilbert curve.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scout_core::kmeans::kmeans;
-use scout_core::ResultGraph;
+use scout_core::{ResultGraph, Scout};
 use scout_geometry::hilbert::hilbert_index_3d;
 use scout_geometry::intersect::shape_intersects_aabb;
 use scout_geometry::{Aspect, QueryRegion, Shape, Simplification, Vec3};
 use scout_index::{str_pack, FlatConfig, FlatIndex, OrderedSpatialIndex, RTree, SpatialIndex};
-use scout_synth::{generate_neurons, NeuronParams};
+use scout_sim::workloads::ADHOC_PATTERN;
+use scout_sim::{Prefetcher, QueryScratch, SimContext};
+use scout_synth::{generate_neurons, generate_sequences, NeuronParams};
 use std::hint::black_box;
+
+/// The two halves of a served `follow` query in isolation, on a bed of the
+/// benchmark's density (1.3 M neurons over the default tissue block — the
+/// 60 k bed above is 20× sparser and fits in the last-level cache).
+fn bench_follow_query(c: &mut Criterion) {
+    let dataset = generate_neurons(&NeuronParams::with_target_objects(1_300_000), 42);
+    let objects = &dataset.objects;
+    let rtree = RTree::bulk_load_with_capacity(objects, 87);
+    // Guided sequences as the workload issues them; flattened, they are a
+    // tour of distinct regions all over the block.
+    let tour: Vec<QueryRegion> = generate_sequences(&dataset, &ADHOC_PATTERN.sequence, 11, 7)
+        .into_iter()
+        .flat_map(|s| s.regions)
+        .take(256)
+        .collect();
+    assert_eq!(tour.len(), 256);
+
+    c.bench_function("rtree_range_query_cold", |b| {
+        // 256 regions × ~8.7 k tested records of 88 bytes: ~200 MB touched
+        // per lap, so no region finds its records cached from the last lap.
+        let mut next = 0;
+        b.iter(|| {
+            next = (next + 1) % tour.len();
+            black_box(rtree.range_query(objects, &tour[next]).objects.len())
+        })
+    });
+
+    c.bench_function("scout_observe_4k", |b| {
+        // The recorded result closest to the workload's mean size (4.3 k
+        // objects), observed over and over by one warmed prefetcher.
+        let (region, result) = tour
+            .iter()
+            .map(|r| (r, rtree.range_query(objects, r)))
+            .min_by_key(|(_, res)| res.objects.len().abs_diff(4_300))
+            .unwrap();
+        assert!(result.objects.len().abs_diff(4_300) < 500, "{} objects", result.objects.len());
+        let ctx = SimContext::new(objects, &rtree, dataset.bounds);
+        let mut scout = Scout::with_defaults();
+        scout.reset();
+        let mut scratch = QueryScratch::new();
+        b.iter(|| {
+            let stats = scout.observe_with_scratch(&ctx, region, &result, &mut scratch);
+            black_box((stats.candidates, scout.plan(&ctx).requests.len()))
+        })
+    });
+}
 
 fn bench_components(c: &mut Criterion) {
     let dataset = generate_neurons(&NeuronParams::with_target_objects(60_000), 42);
@@ -112,6 +161,6 @@ fn bench_components(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_components
+    targets = bench_components, bench_follow_query
 }
 criterion_main!(benches);

@@ -19,7 +19,7 @@
 //!   near one of the previous query's extrapolated exit locations.
 
 use crate::graph::ResultGraph;
-use scout_geometry::{ObjectId, SpatialObject, Vec3};
+use scout_geometry::{ObjectId, Vec3};
 use std::collections::HashSet;
 
 /// Cross-query candidate state.
@@ -38,13 +38,20 @@ pub struct CandidateTracker {
 }
 
 /// Result of matching the new graph against the previous candidates.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Continuation {
-    /// Components of the new graph that continue previous candidates
-    /// (empty ⇒ the caller must reset per §4.3).
-    pub components: HashSet<u32>,
+    /// How many components of the new graph continue previous candidates
+    /// (0 ⇒ the caller must reset per §4.3); which ones is in the flag
+    /// vector handed to [`CandidateTracker::continuing_components`].
+    pub components: usize,
     /// Pruning work performed (vertex/prediction comparisons).
     pub steps: u64,
+}
+
+/// Sets a component's candidate flag; 1 if it was not set before, so a
+/// caller summing the returns counts distinct components.
+pub(crate) fn flag_component(flags: &mut [bool], comp: u32) -> usize {
+    usize::from(!std::mem::replace(&mut flags[comp as usize], true))
 }
 
 impl CandidateTracker {
@@ -75,40 +82,52 @@ impl CandidateTracker {
         &self.prev_predictions
     }
 
-    /// Components of `graph` that continue the previous candidate set.
+    /// Flags the components of `graph` that continue the previous candidate
+    /// set: `flags` comes back with one entry per component (`comp_count`
+    /// of them), true for the continuing ones. `centroids` are the result
+    /// frame's per-vertex centroids.
+    ///
+    /// The previous exit objects are few (hundreds at most) and the graph
+    /// carries a dense object → vertex index, so shared-exit continuity
+    /// probes that index per previous exit instead of hashing every vertex
+    /// id into the exit set; the charged work is still one step per vertex,
+    /// the scan the cost model prices.
     pub fn continuing_components(
         &self,
-        objects: &[SpatialObject],
+        centroids: &[Vec3],
         graph: &ResultGraph,
         component_of: &[u32],
+        comp_count: usize,
         tolerance: f64,
+        flags: &mut Vec<bool>,
     ) -> Continuation {
-        let mut set = HashSet::new();
+        flags.clear();
+        flags.resize(comp_count, false);
+        let mut components = 0usize;
         let mut steps: u64 = 0;
         if self.is_empty() {
-            return Continuation { components: set, steps };
+            return Continuation { components, steps };
         }
         // Shared-exit-object continuity.
-        for v in 0..graph.vertex_count() as u32 {
-            steps += 1;
-            if self.prev_exit_ids.contains(&graph.object_id(v)) {
-                set.insert(component_of[v as usize]);
+        steps += graph.vertex_count() as u64;
+        for &oid in &self.prev_exit_ids {
+            if let Some(v) = graph.vertex_of(oid) {
+                components += flag_component(flags, component_of[v as usize]);
             }
         }
         // Predicted-location proximity (gap continuity).
-        if set.is_empty() && !self.prev_predictions.is_empty() {
-            for v in 0..graph.vertex_count() as u32 {
-                let c = objects[graph.object_id(v).index()].centroid();
+        if components == 0 && !self.prev_predictions.is_empty() {
+            for (&comp, c) in component_of.iter().zip(centroids) {
                 for p in &self.prev_predictions {
                     steps += 1;
                     if c.distance(*p) <= tolerance {
-                        set.insert(component_of[v as usize]);
+                        components += flag_component(flags, comp);
                         break;
                     }
                 }
             }
         }
-        Continuation { components: set, steps }
+        Continuation { components, steps }
     }
 
     /// Commits this query's (forward) exit objects and predictions as the
@@ -158,7 +177,9 @@ impl CandidateTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scout_geometry::{Aspect, QueryRegion, Segment, Shape, Simplification, StructureId};
+    use scout_geometry::{
+        Aspect, QueryRegion, Segment, Shape, Simplification, SpatialObject, StructureId,
+    };
 
     fn seg_object(id: u32, a: Vec3, b: Vec3) -> SpatialObject {
         SpatialObject::new(ObjectId(id), StructureId(0), Shape::Segment(Segment::new(a, b)))
@@ -190,12 +211,28 @@ mod tests {
         (objects, g, comp)
     }
 
+    /// The continuing components as a sorted list.
+    fn continuing(
+        t: &CandidateTracker,
+        objects: &[SpatialObject],
+        g: &ResultGraph,
+        comp: &[u32],
+        tolerance: f64,
+    ) -> Vec<u32> {
+        let centroids: Vec<Vec3> =
+            g.object_ids().iter().map(|o| objects[o.index()].centroid()).collect();
+        let mut flags = Vec::new();
+        let c = t.continuing_components(&centroids, g, comp, 2, tolerance, &mut flags);
+        let set: Vec<u32> = (0..2).filter(|&c| flags[c as usize]).collect();
+        assert_eq!(c.components, set.len());
+        set
+    }
+
     #[test]
     fn empty_tracker_continues_nothing() {
         let (objects, g, comp) = fixture();
         let t = CandidateTracker::new();
-        let c = t.continuing_components(&objects, &g, &comp, 1.0);
-        assert!(c.components.is_empty());
+        assert!(continuing(&t, &objects, &g, &comp, 1.0).is_empty());
     }
 
     #[test]
@@ -205,9 +242,7 @@ mod tests {
         // Previous exit object: object 1 on the lower chain.
         let lower_comp = comp[g.vertex_of(ObjectId(1)).unwrap() as usize];
         t.commit([ObjectId(1)].into_iter().collect(), &[], false);
-        let c = t.continuing_components(&objects, &g, &comp, 1.0);
-        assert_eq!(c.components.len(), 1);
-        assert!(c.components.contains(&lower_comp));
+        assert_eq!(continuing(&t, &objects, &g, &comp, 1.0), [lower_comp]);
     }
 
     #[test]
@@ -216,10 +251,8 @@ mod tests {
         let mut t = CandidateTracker::new();
         // No shared exit ids but a prediction near the upper chain at y=8.
         t.commit(HashSet::new(), &[Vec3::new(3.0, 8.0, 5.0)], false);
-        let c = t.continuing_components(&objects, &g, &comp, 2.0);
-        assert_eq!(c.components.len(), 1);
         let upper_comp = comp[g.vertex_of(ObjectId(5)).unwrap() as usize];
-        assert!(c.components.contains(&upper_comp));
+        assert_eq!(continuing(&t, &objects, &g, &comp, 2.0), [upper_comp]);
     }
 
     #[test]
@@ -227,8 +260,7 @@ mod tests {
         let (objects, g, comp) = fixture();
         let mut t = CandidateTracker::new();
         t.commit(HashSet::new(), &[Vec3::new(500.0, 500.0, 500.0)], false);
-        let c = t.continuing_components(&objects, &g, &comp, 2.0);
-        assert!(c.components.is_empty());
+        assert!(continuing(&t, &objects, &g, &comp, 2.0).is_empty());
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! yield better results" — §4.4.)
 
 use crate::graph::{ResultGraph, VertexId};
-use scout_geometry::{QueryRegion, Segment, Simplification, SpatialObject, Vec3};
-use std::collections::HashSet;
+use scout_geometry::{QueryRegion, Segment, Simplification, Simplified, SpatialObject, Vec3};
+use scout_sim::ResultFrame;
 
 /// A location where a candidate structure leaves the query region.
 #[derive(Debug, Clone, Copy)]
@@ -30,14 +30,20 @@ pub fn exit_of_object(
     region: &QueryRegion,
     simplification: Simplification,
 ) -> Option<(Vec3, Vec3)> {
-    match object.shape.simplified(simplification) {
-        scout_geometry::Simplified::Segment(seg) => exit_of_segment(&seg, region),
-        scout_geometry::Simplified::Point(_) => None, // points cannot cross
-        scout_geometry::Simplified::Box(b) => {
+    exit_of_simplified(&object.shape.simplified(simplification), region)
+}
+
+/// [`exit_of_object`] on geometry that is already simplified — what the
+/// hot path holds in its result frame.
+pub fn exit_of_simplified(simplified: &Simplified, region: &QueryRegion) -> Option<(Vec3, Vec3)> {
+    match simplified {
+        Simplified::Segment(seg) => exit_of_segment(seg, region),
+        Simplified::Point(_) => None, // points cannot cross
+        Simplified::Box(b) => {
             // MBR-simplified objects: crossing when intersecting but not
             // contained; exit at the nearest boundary point to the
             // centroid, pointing outward.
-            if !region.aabb().intersects(&b) || region.aabb().contains_aabb(&b) {
+            if !region.aabb().intersects(b) || region.aabb().contains_aabb(b) {
                 return None;
             }
             let c = b.center();
@@ -65,42 +71,16 @@ fn exit_of_segment(seg: &Segment, region: &QueryRegion) -> Option<(Vec3, Vec3)> 
     }
 }
 
-/// Finds all exits of the given components (or of every component when
-/// `components_filter` is `None`).
+/// Finds all exits of the flagged components (or of every component when
+/// `components_filter` is `None`), reading each vertex's centroid and
+/// simplified geometry from the result `frame` the graph build gathered.
 ///
-/// Returns the exits plus the number of traversal steps performed — the
-/// DFS over candidate structures whose cost Figure 16 measures.
-///
-/// Allocating wrapper around [`find_exits_into`] for one-shot callers.
-pub fn find_exits(
-    objects: &[SpatialObject],
-    graph: &ResultGraph,
-    component_of: &[u32],
-    region: &QueryRegion,
-    components_filter: Option<&HashSet<u32>>,
-    simplification: Simplification,
-) -> (Vec<Exit>, u64) {
-    let mut exits = Vec::new();
-    let mut centroid_sum = Vec::new();
-    let mut centroid_n = Vec::new();
-    let steps = find_exits_into(
-        objects,
-        graph,
-        component_of,
-        region,
-        components_filter,
-        simplification,
-        &mut centroid_sum,
-        &mut centroid_n,
-        &mut exits,
-    );
-    (exits, steps)
-}
-
-/// [`find_exits`] into caller-provided buffers: `out` receives the exits
-/// (cleared first), `centroid_sum`/`centroid_n` are per-component
-/// accumulator scratch — on the hot path all three come from the session's
-/// [`scout_sim::QueryScratch`] arena plus the prefetcher's exit buffer.
+/// `out` receives the exits (cleared first); `centroid_sum`/`centroid_n`
+/// are per-component accumulator scratch — on the hot path all of them
+/// come from the session's [`scout_sim::QueryScratch`] arena plus the
+/// prefetcher's exit buffer. Returns the number of traversal steps
+/// performed — the DFS over candidate structures whose cost Figure 16
+/// measures.
 ///
 /// The outward direction of each exit is smoothed: a single small object
 /// (a 3 µm cylinder) carries a very noisy local direction, so the reported
@@ -112,16 +92,16 @@ pub fn find_exits(
 // a bundleable configuration.
 #[allow(clippy::too_many_arguments)]
 pub fn find_exits_into(
-    objects: &[SpatialObject],
+    frame: &ResultFrame,
     graph: &ResultGraph,
     component_of: &[u32],
     region: &QueryRegion,
-    components_filter: Option<&HashSet<u32>>,
-    simplification: Simplification,
+    components_filter: Option<&[bool]>,
     centroid_sum: &mut Vec<Vec3>,
     centroid_n: &mut Vec<u32>,
     out: &mut Vec<Exit>,
 ) -> u64 {
+    debug_assert_eq!(frame.len(), graph.vertex_count(), "frame describes another result");
     out.clear();
     let mut steps: u64 = 0;
     // Pass 1: per-component interior centroids.
@@ -130,24 +110,19 @@ pub fn find_exits_into(
     centroid_sum.resize(comp_count, Vec3::ZERO);
     centroid_n.clear();
     centroid_n.resize(comp_count, 0u32);
-    for v in 0..graph.vertex_count() as VertexId {
-        let comp = component_of[v as usize] as usize;
-        centroid_sum[comp] += objects[graph.object_id(v).index()].centroid();
-        centroid_n[comp] += 1;
+    for (&comp, &centroid) in component_of.iter().zip(&frame.centroids) {
+        centroid_sum[comp as usize] += centroid;
+        centroid_n[comp as usize] += 1;
     }
     // Pass 2: boundary crossings.
     for v in 0..graph.vertex_count() as VertexId {
         let comp = component_of[v as usize];
-        if let Some(filter) = components_filter {
-            if !filter.contains(&comp) {
-                continue;
-            }
+        if components_filter.is_some_and(|flags| !flags[comp as usize]) {
+            continue;
         }
         // Each examined vertex plus its incident edges is traversal work.
         steps += 1 + graph.neighbors(v).len() as u64;
-        let oid = graph.object_id(v);
-        if let Some((point, local_dir)) =
-            exit_of_object(&objects[oid.index()], region, simplification)
+        if let Some((point, local_dir)) = exit_of_simplified(&frame.simplified[v as usize], region)
         {
             let centroid = centroid_sum[comp as usize] / centroid_n[comp as usize].max(1) as f64;
             let chord = (point - centroid).normalized().unwrap_or(local_dir);
@@ -217,6 +192,29 @@ mod tests {
         assert_eq!(extrapolate(&e, 7.0), Vec3::new(17.0, 5.0, 5.0));
     }
 
+    /// One-shot `find_exits_into` over a freshly gathered frame.
+    fn find_exits(
+        objects: &[SpatialObject],
+        graph: &ResultGraph,
+        component_of: &[u32],
+        filter: Option<&[bool]>,
+    ) -> (Vec<Exit>, u64) {
+        let mut frame = ResultFrame::default();
+        frame.gather(objects, graph.object_ids(), Simplification::Segment);
+        let mut exits = Vec::new();
+        let steps = find_exits_into(
+            &frame,
+            graph,
+            component_of,
+            &region(),
+            filter,
+            &mut Vec::new(),
+            &mut Vec::new(),
+            &mut exits,
+        );
+        (exits, steps)
+    }
+
     #[test]
     fn find_exits_filters_components() {
         // Two chains: one crossing the +x face, one fully inside.
@@ -230,15 +228,13 @@ mod tests {
             ResultGraph::grid_hash(&objects, &ids, &region(), 32_768, Simplification::Segment);
         let (comp, n) = g.components();
         assert_eq!(n, 2);
-        let (all, steps) =
-            find_exits(&objects, &g, &comp, &region(), None, Simplification::Segment);
+        let (all, steps) = find_exits(&objects, &g, &comp, None);
         assert_eq!(all.len(), 1);
         assert!(steps > 0);
         // Filtering to the inside component finds nothing.
         let inside_comp = comp[g.vertex_of(ObjectId(2)).unwrap() as usize];
-        let filter: HashSet<u32> = [inside_comp].into_iter().collect();
-        let (none, _) =
-            find_exits(&objects, &g, &comp, &region(), Some(&filter), Simplification::Segment);
+        let filter: Vec<bool> = (0..n as u32).map(|c| c == inside_comp).collect();
+        let (none, _) = find_exits(&objects, &g, &comp, Some(&filter));
         assert!(none.is_empty());
     }
 }

@@ -99,12 +99,30 @@ const DENSE_REMAP_SLACK: usize = 4;
 /// wins).
 const CELL_HISTOGRAM_SLACK: usize = 4;
 
-/// Below this many result vertices the fork-join build passes are not
-/// worth the dispatch handshake and auto-parallelism stays serial (an
-/// explicit [`ResultGraph::set_build_threads`] overrides the cutoff, which
-/// the byte-identity tests rely on to exercise the parallel passes on
-/// small inputs).
-const PARALLEL_BUILD_CUTOFF: usize = 4096;
+/// Below this many result vertices auto-parallelism keeps the grid-hash
+/// build serial (an explicit [`ResultGraph::set_build_threads`] overrides
+/// the cutoff, which the byte-identity tests rely on to exercise the
+/// parallel passes on small inputs).
+///
+/// Set from a measurement: the first size at which width 2 beats the
+/// serial build by at least 10 %. Full-result builds over neuron beds,
+/// default `ScoutConfig`, forced widths, median of 7 alternating rounds
+/// on the 2-core reference host (Xeon @ 2.10 GHz, `max_parallelism` 2):
+///
+/// | result objects | serial µs | width 2 µs | serial / width 2 |
+/// |---:|---:|---:|---:|
+/// | 3 603 | 826 | 907 | 0.91 |
+/// | 7 206 | 1 142 | 1 665 | 0.69 |
+/// | 15 613 | 2 879 | 3 162 | 0.91 |
+/// | 32 427 | 6 494 | 6 165 | 1.05 |
+/// | 64 854 | 14 740 | 12 603 | 1.17 |
+/// | 130 909 | 33 711 | 27 613 | 1.22 |
+///
+/// Below ~30 k vertices the dispatch handshake, the per-part histograms
+/// and the staging copies cost more than the second core returns — the
+/// 4 k-vertex results of a guided neuron sequence sat squarely there
+/// under the previous guess of 4 096.
+const PARALLEL_BUILD_CUTOFF: usize = 65_536;
 
 /// The per-query-result object graph, in CSR form.
 #[derive(Debug, Clone, Default)]
@@ -186,6 +204,19 @@ impl ResultGraph {
     /// All vertices' object ids.
     pub fn object_ids(&self) -> &[ObjectId] {
         &self.object_ids
+    }
+
+    /// The slots of vertex `v`'s row in [`ResultGraph::targets`]. A slot
+    /// names one *directed* edge, which is what exit scoring memoises on.
+    #[inline]
+    pub(crate) fn row(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+    }
+
+    /// The CSR neighbor array (all rows, concatenated).
+    #[inline]
+    pub(crate) fn targets(&self) -> &[VertexId] {
+        &self.targets
     }
 
     /// Resident size of the graph structures (CSR arrays, reverse index
@@ -355,6 +386,10 @@ impl ResultGraph {
     /// list yields, per cell run, the co-located vertex pairs, which are
     /// sorted and deduplicated into the CSR adjacency — replacing the
     /// seed's per-cell `HashMap` entries and O(degree) `contains` checks.
+    ///
+    /// Pass 1 is the one place the prediction loads the object records, so
+    /// it also leaves `scratch.frame` describing exactly this graph's
+    /// vertices (as does the incremental entry point, on either path).
     pub fn build_grid_hash(
         &mut self,
         scratch: &mut QueryScratch,
@@ -396,6 +431,7 @@ impl ResultGraph {
         self.clear();
         let mut units = CpuUnits::default();
         let grid = UniformGrid::with_resolution(*region.aabb(), resolution);
+        scratch.frame.clear();
         if result_ids.is_empty() {
             self.offsets.push(0);
             if let Some(cache) = capture.as_deref_mut() {
@@ -410,9 +446,12 @@ impl ResultGraph {
         }
 
         // Pass 1: vertices (result order — the numbering every consumer
-        // relies on) and (cell, vertex) pairs. Parallel: contiguous
-        // vertex ranges stage pairs per part, concatenated in fixed part
-        // order — identical to the serial append order.
+        // relies on) and (cell, vertex) pairs. This is the one loop of
+        // the prediction that loads the object records, so it also fills
+        // the result frame every later phase reads. Parallel: contiguous
+        // vertex ranges stage pairs and frame entries per part,
+        // concatenated in fixed part order — identical to the serial
+        // append order.
         let n = result_ids.len();
         let parts = self.build_parts(n);
         let pool = WorkerPool::global();
@@ -427,10 +466,11 @@ impl ResultGraph {
                 // SAFETY: part `p` touches only `workers[p]`.
                 let w = unsafe { &mut workers.slice_mut(p..p + 1)[0] };
                 w.pairs.clear();
+                w.frame.clear();
                 let hi = ((p + 1) * chunk).min(n);
                 let lo = (p * chunk).min(hi);
                 for (v, &oid) in (lo..).zip(&result_ids[lo..hi]) {
-                    let simplified = objects[oid.index()].shape.simplified(simplification);
+                    let simplified = w.frame.push(&objects[oid.index()], simplification);
                     w.cells.clear();
                     grid.cells_for_simplified(&simplified, &mut w.cells);
                     w.cells.sort_unstable();
@@ -442,10 +482,11 @@ impl ResultGraph {
             });
             for w in &scratch.workers[..parts] {
                 scratch.cell_pairs.extend_from_slice(&w.pairs);
+                scratch.frame.append(&w.frame);
             }
         } else {
             for (v, &oid) in result_ids.iter().enumerate() {
-                let simplified = objects[oid.index()].shape.simplified(simplification);
+                let simplified = scratch.frame.push(&objects[oid.index()], simplification);
                 scratch.cells.clear();
                 grid.cells_for_simplified(&simplified, &mut scratch.cells);
                 scratch.cells.sort_unstable();
@@ -795,6 +836,10 @@ impl ResultGraph {
     /// Rebuilds this graph in place from an explicit dataset adjacency,
     /// restricted to the result objects, reusing buffers like
     /// [`ResultGraph::build_grid_hash`].
+    ///
+    /// Never looks at an object, so it cannot fill `scratch.frame`: a
+    /// caller that goes on to predict gathers it
+    /// ([`ResultFrame::gather`](scout_sim::ResultFrame::gather)).
     pub fn build_explicit(
         &mut self,
         scratch: &mut QueryScratch,
@@ -1073,6 +1118,9 @@ impl ResultGraph {
         self.object_ids.clear();
         self.object_ids.extend_from_slice(result_ids);
         units.graph_object_inserts += new_n as u64;
+        // The repair hashes only entering objects, but the prediction
+        // reads the frame of every vertex: gather it once, up front.
+        scratch.frame.gather(objects, result_ids, simplification);
         cache.back_cell_offsets.clear();
         cache.back_cell_offsets.push(0);
         cache.back_cells.clear();
@@ -1100,10 +1148,8 @@ impl ResultGraph {
                     cache.back_cells.extend_from_slice(&cache.cells[s as usize..e as usize]);
                     v += len;
                 } else {
-                    let oid = result_ids[v];
-                    let simplified = objects[oid.index()].shape.simplified(simplification);
                     scratch.cells.clear();
-                    grid.cells_for_simplified(&simplified, &mut scratch.cells);
+                    grid.cells_for_simplified(&scratch.frame.simplified[v], &mut scratch.cells);
                     scratch.cells.sort_unstable();
                     scratch.cells.dedup();
                     for &c in &scratch.cells {

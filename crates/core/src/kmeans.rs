@@ -9,6 +9,23 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scout_geometry::Vec3;
 
+/// Buffers of one k-means run, so clustering the exit locations of every
+/// query allocates nothing once they have warmed.
+#[derive(Debug, Clone, Default)]
+pub struct KmeansScratch {
+    /// Cluster centroids.
+    pub centroids: Vec<Vec3>,
+    /// Cluster index of each input point.
+    pub assignment: Vec<u32>,
+    /// k-means++ seeding: each point's squared distance to its nearest
+    /// centroid so far.
+    nearest_sq: Vec<f64>,
+    /// Lloyd update: per-cluster coordinate sums.
+    sums: Vec<Vec3>,
+    /// Lloyd update: per-cluster member counts.
+    counts: Vec<u32>,
+}
+
 /// Result of clustering: centroid and member indices per cluster.
 #[derive(Debug, Clone)]
 pub struct Cluster {
@@ -20,29 +37,65 @@ pub struct Cluster {
 
 /// Lloyd's k-means with k-means++ seeding. Deterministic in `seed`.
 /// Returns at most `k` non-empty clusters.
+///
+/// Allocating wrapper around [`kmeans_into`] for one-shot callers.
 pub fn kmeans(points: &[Vec3], k: usize, seed: u64, iterations: usize) -> Vec<Cluster> {
+    let mut scratch = KmeansScratch::default();
+    kmeans_into(points, k, seed, iterations, &mut scratch);
+    let mut clusters: Vec<Cluster> = scratch
+        .centroids
+        .iter()
+        .map(|&centroid| Cluster { centroid, members: Vec::new() })
+        .collect();
+    for (i, &a) in scratch.assignment.iter().enumerate() {
+        clusters[a as usize].members.push(i);
+    }
+    clusters.retain(|c| !c.members.is_empty());
+    clusters
+}
+
+/// [`kmeans`] into caller-provided buffers (the hot path — the
+/// prefetcher keeps them): on return `scratch.centroids` holds the
+/// at most `k` centroids and `scratch.assignment[i]` the cluster of
+/// `points[i]`. A centroid may end up with no member.
+///
+/// Every point–centroid distance is evaluated once: seeding keeps each
+/// point's running minimum over the centroids chosen so far, and the
+/// assignment scan keeps the first strictly smaller distance — the tie
+/// rule of `Iterator::min_by`.
+pub fn kmeans_into(
+    points: &[Vec3],
+    k: usize,
+    seed: u64,
+    iterations: usize,
+    scratch: &mut KmeansScratch,
+) {
+    let KmeansScratch { centroids, assignment, nearest_sq, sums, counts } = scratch;
+    centroids.clear();
+    assignment.clear();
     if points.is_empty() || k == 0 {
-        return Vec::new();
+        return;
     }
     let k = k.min(points.len());
     let mut rng = SmallRng::seed_from_u64(seed);
 
     // k-means++ initialization.
-    let mut centroids: Vec<Vec3> = Vec::with_capacity(k);
     centroids.push(points[rng.random_range(0..points.len())]);
+    nearest_sq.clear();
+    nearest_sq.resize(points.len(), f64::INFINITY);
     while centroids.len() < k {
-        let d2: Vec<f64> = points
-            .iter()
-            .map(|p| centroids.iter().map(|c| p.distance_sq(*c)).fold(f64::INFINITY, f64::min))
-            .collect();
-        let total: f64 = d2.iter().sum();
+        let newest = centroids[centroids.len() - 1];
+        for (d, p) in nearest_sq.iter_mut().zip(points) {
+            *d = d.min(p.distance_sq(newest));
+        }
+        let total: f64 = nearest_sq.iter().sum();
         if total <= 0.0 {
             // All points coincide with existing centroids.
             break;
         }
         let mut pick = rng.random::<f64>() * total;
         let mut chosen = points.len() - 1;
-        for (i, &d) in d2.iter().enumerate() {
+        for (i, &d) in nearest_sq.iter().enumerate() {
             if pick <= d {
                 chosen = i;
                 break;
@@ -52,46 +105,43 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64, iterations: usize) -> Vec<Cl
         centroids.push(points[chosen]);
     }
 
-    let mut assignment = vec![0usize; points.len()];
+    assignment.resize(points.len(), 0);
     for _ in 0..iterations.max(1) {
         // Assign.
         let mut changed = false;
-        for (i, p) in points.iter().enumerate() {
-            let best = centroids
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| p.distance_sq(**a).total_cmp(&p.distance_sq(**b)))
-                .map(|(j, _)| j)
-                .expect("at least one centroid");
-            if assignment[i] != best {
-                assignment[i] = best;
+        for (slot, p) in assignment.iter_mut().zip(points) {
+            let mut best = 0u32;
+            let mut best_sq = p.distance_sq(centroids[0]);
+            for (j, c) in centroids.iter().enumerate().skip(1) {
+                let d = p.distance_sq(*c);
+                if d.total_cmp(&best_sq).is_lt() {
+                    best = j as u32;
+                    best_sq = d;
+                }
+            }
+            if *slot != best {
+                *slot = best;
                 changed = true;
             }
         }
         // Update.
-        let mut sums = vec![Vec3::ZERO; centroids.len()];
-        let mut counts = vec![0usize; centroids.len()];
-        for (i, p) in points.iter().enumerate() {
-            sums[assignment[i]] += *p;
-            counts[assignment[i]] += 1;
+        sums.clear();
+        sums.resize(centroids.len(), Vec3::ZERO);
+        counts.clear();
+        counts.resize(centroids.len(), 0);
+        for (&a, p) in assignment.iter().zip(points) {
+            sums[a as usize] += *p;
+            counts[a as usize] += 1;
         }
-        for (j, c) in centroids.iter_mut().enumerate() {
-            if counts[j] > 0 {
-                *c = sums[j] / counts[j] as f64;
+        for (c, (sum, &count)) in centroids.iter_mut().zip(sums.iter().zip(counts.iter())) {
+            if count > 0 {
+                *c = *sum / count as f64;
             }
         }
         if !changed {
             break;
         }
     }
-
-    let mut clusters: Vec<Cluster> =
-        centroids.iter().map(|&centroid| Cluster { centroid, members: Vec::new() }).collect();
-    for (i, &a) in assignment.iter().enumerate() {
-        clusters[a].members.push(i);
-    }
-    clusters.retain(|c| !c.members.is_empty());
-    clusters
 }
 
 #[cfg(test)]

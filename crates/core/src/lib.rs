@@ -20,6 +20,7 @@ pub mod kmeans;
 pub mod opt;
 pub mod prefetcher;
 pub mod reference;
+pub mod scoring;
 
 pub use config::{ScoutConfig, ScoutOptConfig, Strategy};
 pub use graph::ResultGraph;

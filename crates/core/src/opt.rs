@@ -132,7 +132,11 @@ impl ScoutOpt {
         // objects falls back automatically).
         let mut graph = std::mem::take(&mut self.inner.graph);
         let build_units = match ctx.adjacency {
-            Some(adj) => graph.build_explicit(scratch, adj, &reached_objects),
+            Some(adj) => {
+                let simplification = self.inner.config().simplification;
+                scratch.frame.gather(ctx.objects, &reached_objects, simplification);
+                graph.build_explicit(scratch, adj, &reached_objects)
+            }
             None => {
                 graph
                     .build_grid_hash_incremental(
@@ -259,9 +263,7 @@ impl ScoutOpt {
     ) -> PredictionStats {
         // §6.2: sparse construction when possible; full graph otherwise.
         let stats = match self.sparse_graph(ctx, region, result, scratch) {
-            Some((graph, units)) => {
-                self.inner.observe_with_graph(ctx, region, graph, units, scratch)
-            }
+            Some((graph, units)) => self.inner.observe_with_graph(region, graph, units, scratch),
             None => self.inner.observe_impl(ctx, region, result, scratch),
         };
 

@@ -8,11 +8,12 @@
 //! incremental prefetch plan (§5.1) — deep or broad across multiple
 //! candidates (§5.2), k-means-limited when there are too many.
 
-use crate::candidates::CandidateTracker;
+use crate::candidates::{flag_component, CandidateTracker};
 use crate::config::{ScoutConfig, Strategy};
 use crate::exits::{extrapolate, find_exits_into, Exit};
 use crate::graph::ResultGraph;
-use crate::kmeans::kmeans;
+use crate::kmeans::kmeans_into;
+use crate::scoring::{score_exits, ScoringScratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scout_geometry::{QueryRegion, Vec3};
@@ -20,7 +21,6 @@ use scout_index::QueryResult;
 use scout_sim::{
     CpuUnits, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
 };
-use std::collections::HashSet;
 
 /// The structure-aware prefetcher.
 #[derive(Debug, Clone)]
@@ -42,6 +42,8 @@ pub struct Scout {
     pub(crate) graph: ResultGraph,
     /// Reusable exit list (filled by `find_exits_into`).
     exits_buf: Vec<Exit>,
+    /// Reusable scoring and clustering buffers.
+    scoring: ScoringScratch,
     /// Fallback arena for direct `observe` calls; the executor path hands
     /// in the session-owned arena via `observe_with_scratch` instead.
     pub(crate) scratch: QueryScratch,
@@ -61,6 +63,7 @@ impl Scout {
             last_locations: Vec::new(),
             graph: ResultGraph::default(),
             exits_buf: Vec::new(),
+            scoring: ScoringScratch::default(),
             scratch: QueryScratch::new(),
         }
     }
@@ -132,114 +135,68 @@ impl Scout {
         }
     }
 
-    /// Plausibility score of an exit.
-    ///
-    /// Grid hashing can merge several structures into one candidate
-    /// component (excess edges, §4.2), giving a single candidate many
-    /// boundary exits. The structure the user follows, however, passes
-    /// through the query *center* — the user placed the query on it — so
-    /// the exit is scored by walking its chain of edges inward from the
-    /// boundary and measuring how close the walked thread comes to the
-    /// query center (plus a small direction-agreement term). The walk is
-    /// ordinary graph traversal and is charged as such.
-    fn exit_score(
-        &self,
-        graph: &ResultGraph,
-        objects: &[scout_geometry::SpatialObject],
-        exit: &Exit,
-        steps_out: &mut u64,
-    ) -> f64 {
-        let Some(last) = self.last_region else {
-            return 0.0;
-        };
-        let center = last.center();
-        let side = last.side().max(1e-9);
-
-        // Chain walk: from the exit vertex, repeatedly step to the
-        // neighbor that best continues the incoming direction, tracking
-        // the closest approach to the query center.
-        let mut cur = exit.vertex;
-        let mut dir = -exit.dir; // walking inward
-        let mut min_dist = objects[graph.object_id(cur).index()].centroid().distance(center);
-        let mut prev = u32::MAX;
-        for _ in 0..24 {
-            let cur_pos = objects[graph.object_id(cur).index()].centroid();
-            let mut best: Option<(u32, f64, scout_geometry::Vec3)> = None;
-            for &nb in graph.neighbors(cur) {
-                *steps_out += 1;
-                if nb == prev {
-                    continue;
-                }
-                let nb_pos = objects[graph.object_id(nb).index()].centroid();
-                let step = (nb_pos - cur_pos).normalized_or_x();
-                let align = step.dot(dir);
-                if align <= 0.1 {
-                    continue;
-                }
-                if best.is_none_or(|(_, a, _)| align > a) {
-                    best = Some((nb, align, step));
-                }
-            }
-            let Some((nb, _, step)) = best else { break };
-            prev = cur;
-            cur = nb;
-            dir = step;
-            let d = objects[graph.object_id(cur).index()].centroid().distance(center);
-            min_dist = min_dist.min(d);
-        }
-        let dir_term = match self.movement() {
-            Some(m) => 0.2 * exit.dir.dot(m),
-            None => 0.0,
-        };
-        -min_dist / side + dir_term
-    }
-
-    /// Picks prefetch locations from exits per the §5.2 strategy; returns
-    /// the exits ordered most-plausible-first, the CPU µs spent
-    /// clustering, and the traversal steps spent scoring.
+    /// Picks prefetch locations from exits per the §5.2 strategy into
+    /// `self.last_locations`, ordered most-plausible-first; returns the
+    /// CPU µs spent clustering and the traversal steps spent scoring.
+    /// `centroids` are the result frame's.
     fn choose_locations(
         &mut self,
         graph: &ResultGraph,
-        objects: &[scout_geometry::SpatialObject],
+        centroids: &[Vec3],
+        region: &QueryRegion,
         exits: &[Exit],
-    ) -> (Vec<Exit>, f64, u64) {
+    ) -> (f64, u64) {
+        self.last_locations.clear();
         match self.config.strategy {
             Strategy::Deep => {
-                let pick = exits[self.rng.random_range(0..exits.len())];
-                (vec![pick], 0.0, 0)
+                self.last_locations.push(exits[self.rng.random_range(0..exits.len())]);
+                (0.0, 0)
             }
             Strategy::Broad | Strategy::BroadEqual => {
                 let d = self.config.max_prefetch_locations.max(1);
-                let mut steps = 0u64;
-                let mut scored: Vec<(f64, Exit)> = exits
-                    .iter()
-                    .map(|e| (self.exit_score(graph, objects, e, &mut steps), *e))
-                    .collect();
-                scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-                let mut cost_us = 0.0;
-                let chosen: Vec<Exit> = if scored.len() <= d {
-                    scored.into_iter().map(|(_, e)| e).collect()
-                } else {
-                    // §5.2.2: k-means over exit locations to limit the
-                    // number of prefetch queries; keep the most plausible
-                    // exit of each cluster, then order clusters by that
-                    // plausibility.
-                    let points: Vec<Vec3> = scored.iter().map(|(_, e)| e.point).collect();
-                    let iters = 12;
-                    let clusters = kmeans(&points, d, self.rng.random(), iters);
-                    cost_us = (points.len() * d * iters) as f64 * 0.02;
-                    let mut picks: Vec<(f64, Exit)> = clusters
-                        .iter()
-                        .filter_map(|c| {
-                            // `scored` is sorted desc; the first member of
-                            // the cluster in that order is its best.
-                            c.members.iter().min().map(|&i| scored[i])
-                        })
-                        .collect();
-                    picks.sort_by(|a, b| b.0.total_cmp(&a.0));
-                    picks.into_iter().map(|(_, e)| e).collect()
-                };
-                (chosen, cost_us, steps)
+                let movement = self.movement();
+                let steps = score_exits(
+                    graph,
+                    centroids,
+                    region.center(),
+                    region.side(),
+                    movement,
+                    exits,
+                    &mut self.scoring,
+                );
+                let ScoringScratch { scores: scored, points, kmeans, cluster_picks, .. } =
+                    &mut self.scoring;
+                // Best first, equal scores in exit order.
+                scored.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                if scored.len() <= d {
+                    self.last_locations.extend(scored.iter().map(|&(_, i)| exits[i as usize]));
+                    return (0.0, steps);
+                }
+                // §5.2.2: k-means over exit locations to limit the
+                // number of prefetch queries; keep the most plausible
+                // exit of each cluster, then order clusters by that
+                // plausibility.
+                points.clear();
+                points.extend(scored.iter().map(|&(_, i)| exits[i as usize].point));
+                let iters = 12;
+                kmeans_into(points, d, self.rng.random(), iters, kmeans);
+                let cost_us = (points.len() * d * iters) as f64 * 0.02;
+                // `scored` is sorted desc; the first member of a cluster
+                // in that order is its best.
+                cluster_picks.clear();
+                cluster_picks.resize(kmeans.centroids.len(), (0.0, u32::MAX, u32::MAX));
+                for (rank, &cluster) in kmeans.assignment.iter().enumerate() {
+                    let pick = &mut cluster_picks[cluster as usize];
+                    if pick.1 == u32::MAX {
+                        *pick = (scored[rank].0, cluster, scored[rank].1);
+                    }
+                }
+                cluster_picks.retain(|pick| pick.1 != u32::MAX);
+                // Best first, equal scores in cluster order.
+                cluster_picks.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+                self.last_locations
+                    .extend(cluster_picks.iter().map(|&(_, _, i)| exits[i as usize]));
+                (cost_us, steps)
             }
         }
     }
@@ -312,15 +269,18 @@ impl Scout {
     /// Takes the graph by value and reclaims its storage into
     /// `self.graph` before returning, so the next query's in-place rebuild
     /// reuses the warmed buffers. Transient structures (component labels,
-    /// centroid accumulators, staged predictions) live in `scratch`.
+    /// centroid accumulators, candidate flags, staged predictions) live in
+    /// `scratch`, whose result frame the graph build has filled
+    /// for exactly this graph's vertices: nothing here goes back to the
+    /// dataset's object array.
     pub(crate) fn observe_with_graph(
         &mut self,
-        ctx: &SimContext<'_>,
         region: &QueryRegion,
         graph: ResultGraph,
         mut units: CpuUnits,
         scratch: &mut QueryScratch,
     ) -> PredictionStats {
+        debug_assert_eq!(scratch.frame.len(), graph.vertex_count(), "frame of another result");
         self.update_motion(region);
 
         let comp_count = graph.components_into(&mut scratch.components, &mut scratch.stack);
@@ -328,24 +288,29 @@ impl Scout {
 
         // §4.3 iterative candidate pruning.
         let tolerance = self.config.continuity_tolerance_frac * region.side() + self.gap_estimate;
-        let cont =
-            self.tracker.continuing_components(ctx.objects, &graph, &scratch.components, tolerance);
+        let cont = self.tracker.continuing_components(
+            &scratch.frame.centroids,
+            &graph,
+            &scratch.components,
+            comp_count,
+            tolerance,
+            &mut scratch.candidate_flags,
+        );
         units.traversal_steps += cont.steps;
 
         let mut was_reset = false;
-        let mut candidate_set = cont.components;
+        let mut candidates = cont.components;
         let mut exits = std::mem::take(&mut self.exits_buf);
         exits.clear();
-        if candidate_set.is_empty() {
+        if candidates == 0 {
             was_reset = true;
         } else {
             let steps = find_exits_into(
-                ctx.objects,
+                &scratch.frame,
                 &graph,
                 &scratch.components,
                 region,
-                Some(&candidate_set),
-                self.config.simplification,
+                Some(&scratch.candidate_flags),
                 &mut scratch.centroid_sums,
                 &mut scratch.centroid_counts,
                 &mut exits,
@@ -360,22 +325,22 @@ impl Scout {
             // §4.3 reset: candidates = all structures of this result (those
             // that exit the query are the only ones that can be followed).
             let steps = find_exits_into(
-                ctx.objects,
+                &scratch.frame,
                 &graph,
                 &scratch.components,
                 region,
                 None,
-                self.config.simplification,
                 &mut scratch.centroid_sums,
                 &mut scratch.centroid_counts,
                 &mut exits,
             );
             units.traversal_steps += steps;
-            candidate_set = exits.iter().map(|e| e.component).collect::<HashSet<u32>>();
+            let flags = &mut scratch.candidate_flags;
+            flags.fill(false);
+            candidates = exits.iter().map(|e| flag_component(flags, e.component)).sum();
         }
 
         self.forward_filter(&mut exits);
-        let candidates = candidate_set.len();
 
         // Build the plan now (so its CPU is charged to this prediction).
         scratch.predictions.clear();
@@ -383,14 +348,14 @@ impl Scout {
             self.last_locations.clear();
             (self.fallback_plan(), 0.0)
         } else {
-            let (locations, kmeans_us, score_steps) =
-                self.choose_locations(&graph, ctx.objects, &exits);
+            let (kmeans_us, score_steps) =
+                self.choose_locations(&graph, &scratch.frame.centroids, region, &exits);
             units.traversal_steps += score_steps;
             let predict_dist = self.gap_estimate + region.side() / 2.0;
-            scratch.predictions.extend(locations.iter().map(|e| extrapolate(e, predict_dist)));
-            let plan = self.incremental_plan(&locations, self.gap_estimate);
-            self.last_locations = locations;
-            (plan, kmeans_us)
+            scratch
+                .predictions
+                .extend(self.last_locations.iter().map(|e| extrapolate(e, predict_dist)));
+            (self.incremental_plan(&self.last_locations, self.gap_estimate), kmeans_us)
         };
         units.extra_us += kmeans_us;
         self.pending = plan;
@@ -404,6 +369,9 @@ impl Scout {
             was_reset,
         );
 
+        // Prediction *state* only (§8.2): the graph, the labels and the
+        // exits. The scratch arena — result frame included — is working
+        // memory any prefetcher would hand back, and stays out.
         let memory_bytes = graph.memory_bytes()
             + scratch.components.len() * std::mem::size_of::<u32>()
             + exits.len() * std::mem::size_of::<Exit>();
@@ -439,7 +407,10 @@ impl Scout {
         // allocates nothing.
         let mut graph = std::mem::take(&mut self.graph);
         let units = match ctx.adjacency {
-            Some(adj) => graph.build_explicit(scratch, adj, &result.objects),
+            Some(adj) => {
+                scratch.frame.gather(ctx.objects, &result.objects, self.config.simplification);
+                graph.build_explicit(scratch, adj, &result.objects)
+            }
             None => {
                 graph
                     .build_grid_hash_incremental(
@@ -454,7 +425,7 @@ impl Scout {
                     .0
             }
         };
-        self.observe_with_graph(ctx, region, graph, units, scratch)
+        self.observe_with_graph(region, graph, units, scratch)
     }
 }
 
@@ -502,7 +473,7 @@ impl Prefetcher for Scout {
         self.last_region = None;
         self.gap_estimate = 0.0;
         self.pending = PrefetchPlan::empty();
-        self.last_locations = Vec::new();
+        self.last_locations.clear();
         self.rng = SmallRng::seed_from_u64(self.config.seed);
         // The incremental graph cache carries *cross-query* state, so a
         // fresh sequence must start cold (§7.1 clears all caches between

@@ -21,7 +21,7 @@ pub mod soa;
 pub mod vec3;
 
 pub use aabb::Aabb;
-pub use dispatch::{cpu_tier, CpuTier};
+pub use dispatch::{cpu_tier, prefetch_read, CpuTier};
 pub use grid::{CellId, UniformGrid};
 pub use object::{ObjectAdjacency, ObjectId, SpatialObject, StructureId};
 pub use region::{Aspect, QueryRegion};

@@ -181,3 +181,113 @@ mod flat_layout_equivalence {
         }
     }
 }
+
+/// The range scan prefetches object records ahead of its predicate tests —
+/// eight ids ahead within a page, and the head of the next page. A hint
+/// must not show: pages and objects come out as the plain nested loop
+/// produces them, whatever the page lengths and the page list.
+mod prefetched_scan {
+    use super::*;
+    use scout_geometry::intersect::shape_intersects_aabb;
+    use scout_index::QueryResult;
+    use scout_storage::{Page, PageId, PageLayout};
+
+    /// An index that is nothing but a layout and a canned page list.
+    struct Canned {
+        layout: PageLayout,
+        pages: Vec<PageId>,
+    }
+
+    impl SpatialIndex for Canned {
+        fn layout(&self) -> &PageLayout {
+            &self.layout
+        }
+
+        fn pages_in_region(&self, _region: &Aabb) -> Vec<PageId> {
+            self.pages.clone()
+        }
+    }
+
+    /// Pages of the given lengths over `objects`, in id order (the last
+    /// page takes whatever remains).
+    fn layout_of(objects: &[SpatialObject], lengths: &[usize]) -> PageLayout {
+        let mut pages = Vec::new();
+        let mut next = 0usize;
+        let mut lengths = lengths.iter().copied().cycle();
+        while next < objects.len() {
+            let len = lengths.next().unwrap().clamp(1, objects.len() - next);
+            let ids: Vec<ObjectId> = (next..next + len).map(|i| ObjectId(i as u32)).collect();
+            let mbr = ids.iter().fold(Aabb::EMPTY, |b, o| b.union(&objects[o.index()].aabb()));
+            pages.push(Page { id: PageId(0), mbr, objects: ids });
+            next += len;
+        }
+        PageLayout::new(pages, objects.len(), 4096)
+    }
+
+    /// The scan without any look-ahead.
+    fn plain_scan(index: &Canned, objects: &[SpatialObject], region: &QueryRegion) -> QueryResult {
+        let mut out = QueryResult { pages: index.pages.clone(), objects: Vec::new() };
+        for &pid in &out.pages {
+            for &oid in &index.layout.page(pid).objects {
+                if shape_intersects_aabb(&objects[oid.index()].shape, region.aabb()) {
+                    out.objects.push(oid);
+                }
+            }
+        }
+        out
+    }
+
+    fn assert_same_scan(index: &Canned, objects: &[SpatialObject], region: &QueryRegion) {
+        let got = index.range_query(objects, region);
+        let want = plain_scan(index, objects, region);
+        assert_eq!(got.pages, want.pages);
+        assert_eq!(got.objects, want.objects);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any mix of page lengths around the prefetch distance, any page
+        /// list (subset, order, repeats).
+        #[test]
+        fn scan_equals_the_plain_loop(
+            objects in arb_objects(),
+            region in arb_region(),
+            lengths in prop::collection::vec(1usize..20, 1..6),
+            picks in prop::collection::vec(0usize..1000, 0..24),
+        ) {
+            let layout = layout_of(&objects, &lengths);
+            let count = layout.page_count();
+            let pages = picks.iter().map(|p| PageId((p % count) as u32)).collect();
+            assert_same_scan(&Canned { layout, pages }, &objects, &region);
+        }
+
+        /// Every page shorter than the prefetch distance: only page heads
+        /// are ever requested ahead.
+        #[test]
+        fn short_pages_scan_equals_the_plain_loop(
+            objects in arb_objects(),
+            region in arb_region(),
+            lengths in prop::collection::vec(1usize..8, 1..6),
+        ) {
+            let layout = layout_of(&objects, &lengths);
+            let pages = (0..layout.page_count() as u32).map(PageId).collect();
+            assert_same_scan(&Canned { layout, pages }, &objects, &region);
+        }
+
+        /// One page (no next page to look into) and no page at all.
+        #[test]
+        fn single_page_and_empty_page_list(
+            objects in arb_objects(),
+            region in arb_region(),
+            pick in 0usize..1000,
+        ) {
+            let layout = layout_of(&objects, &[5, 11]);
+            let single = vec![PageId((pick % layout.page_count()) as u32)];
+            assert_same_scan(&Canned { layout: layout.clone(), pages: single }, &objects, &region);
+            let empty = Canned { layout, pages: Vec::new() };
+            assert_same_scan(&empty, &objects, &region);
+            prop_assert!(empty.range_query(&objects, &region).objects.is_empty());
+        }
+    }
+}

@@ -38,7 +38,7 @@ pub use prefetcher::{
 };
 pub use report::{percentiles, percentiles_mut, LatencyPercentiles};
 pub use scheduler::{AdmissionControl, SchedulerReport, SessionScheduler};
-pub use scratch::{QueryScratch, WorkerScratch};
+pub use scratch::{QueryScratch, ResultFrame, WorkerScratch};
 pub use session::Session;
 pub use telemetry::TelemetryReport;
 pub use workloads::Microbenchmark;

@@ -16,7 +16,78 @@
 //! `Send`, migrates onto worker threads with its session, and its `clear`
 //! never releases capacity.
 
-use scout_geometry::Vec3;
+use scout_geometry::{ObjectId, Simplification, Simplified, SpatialObject, Vec3};
+
+/// What one query's prediction needs to know about each result object,
+/// gathered in the one loop that loads the object record: the graph
+/// build's pass 1 (DESIGN.md §6, "Result frame"). Indexed by result
+/// vertex. Everything downstream of the build — exit detection, candidate
+/// proximity, exit scoring — reads these two flat arrays instead of
+/// chasing `objects[graph.object_id(v).index()]` into the dataset array
+/// once per phase.
+#[derive(Debug, Clone, Default)]
+pub struct ResultFrame {
+    /// Centroid of each result object.
+    pub centroids: Vec<Vec3>,
+    /// Each result object's §4.2 simplification, as the grid hashed it.
+    pub simplified: Vec<Simplified>,
+}
+
+impl ResultFrame {
+    /// Number of result objects gathered.
+    pub fn len(&self) -> usize {
+        self.centroids.len()
+    }
+
+    /// True when nothing has been gathered.
+    pub fn is_empty(&self) -> bool {
+        self.centroids.is_empty()
+    }
+
+    /// Empties the frame, retaining capacity.
+    pub fn clear(&mut self) {
+        self.centroids.clear();
+        self.simplified.clear();
+    }
+
+    /// Appends one object's facts and hands back its simplification (what
+    /// the caller is about to hash).
+    #[inline]
+    pub fn push(&mut self, object: &SpatialObject, simplification: Simplification) -> Simplified {
+        let simplified = object.shape.simplified(simplification);
+        self.centroids.push(object.centroid());
+        self.simplified.push(simplified);
+        simplified
+    }
+
+    /// Refills the frame from a result-id list — for builds that have no
+    /// per-object loop of their own to ride along with (the explicit
+    /// adjacency build and the incremental repair).
+    pub fn gather(
+        &mut self,
+        objects: &[SpatialObject],
+        result_ids: &[ObjectId],
+        simplification: Simplification,
+    ) {
+        self.clear();
+        for &oid in result_ids {
+            self.push(&objects[oid.index()], simplification);
+        }
+    }
+
+    /// Appends another frame's entries (fork-join parts are concatenated
+    /// in part order, like their pair lists).
+    pub fn append(&mut self, part: &ResultFrame) {
+        self.centroids.extend_from_slice(&part.centroids);
+        self.simplified.extend_from_slice(&part.simplified);
+    }
+
+    /// Bytes of reserved capacity.
+    pub fn capacity_bytes(&self) -> usize {
+        self.centroids.capacity() * std::mem::size_of::<Vec3>()
+            + self.simplified.capacity() * std::mem::size_of::<Simplified>()
+    }
+}
 
 /// Per-worker staging buffers for the parallel grid-hash build passes.
 ///
@@ -29,6 +100,9 @@ pub struct WorkerScratch {
     /// Pass-1 staging: this part's `(cell, vertex)` pairs, concatenated
     /// into the global pair list in fixed part order.
     pub pairs: Vec<(u32, u32)>,
+    /// Pass-1 staging: this part's slice of the result frame, concatenated
+    /// in the same order.
+    pub frame: ResultFrame,
     /// Pass-1 per-object cell coverage buffer.
     pub cells: Vec<u32>,
     /// Pass-2 partial cell histogram, then (rewritten in place by the
@@ -48,6 +122,11 @@ pub struct WorkerScratch {
 /// by the graph it describes, not here.)
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
+    /// Per-vertex facts about the current result's objects, written by
+    /// the graph build and read by every later phase of the prediction.
+    /// Like the rest of the arena it is transient working memory, not
+    /// prediction state: `PredictionStats::memory_bytes` does not count it.
+    pub frame: ResultFrame,
     /// `(cell, vertex)` pairs grid hashing sorts to find co-located
     /// objects (CSR build pass 1).
     pub cell_pairs: Vec<(u32, u32)>,
@@ -70,6 +149,8 @@ pub struct QueryScratch {
     /// Predicted next-query locations staged before they are committed to
     /// the candidate tracker.
     pub predictions: Vec<Vec3>,
+    /// Per-component flag: is the component in the candidate set (§4.3).
+    pub candidate_flags: Vec<bool>,
     /// Incremental graph repair: previous vertex of each new vertex
     /// (`u32::MAX` = entering the region).
     pub map_new_to_old: Vec<u32>,
@@ -111,6 +192,7 @@ impl QueryScratch {
 
     /// Clears every buffer, retaining capacity.
     pub fn clear(&mut self) {
+        self.frame.clear();
         self.cell_pairs.clear();
         self.edges.clear();
         self.cells.clear();
@@ -120,6 +202,7 @@ impl QueryScratch {
         self.centroid_sums.clear();
         self.centroid_counts.clear();
         self.predictions.clear();
+        self.candidate_flags.clear();
         self.map_new_to_old.clear();
         self.map_old_to_new.clear();
         self.removed_counts.clear();
@@ -130,6 +213,7 @@ impl QueryScratch {
         self.markov_emitted.clear();
         for w in &mut self.workers {
             w.pairs.clear();
+            w.frame.clear();
             w.cells.clear();
             w.counts.clear();
         }
@@ -148,7 +232,8 @@ impl QueryScratch {
     /// Total bytes of reserved capacity across all buffers (diagnostics;
     /// the §8.2 memory measurements count the graph itself separately).
     pub fn capacity_bytes(&self) -> usize {
-        self.cell_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+        self.frame.capacity_bytes()
+            + self.cell_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.edges.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.cells.capacity() * std::mem::size_of::<u32>()
             + self.components.capacity() * std::mem::size_of::<u32>()
@@ -157,6 +242,7 @@ impl QueryScratch {
             + self.centroid_sums.capacity() * std::mem::size_of::<Vec3>()
             + self.centroid_counts.capacity() * std::mem::size_of::<u32>()
             + self.predictions.capacity() * std::mem::size_of::<Vec3>()
+            + self.candidate_flags.capacity() * std::mem::size_of::<bool>()
             + self.map_new_to_old.capacity() * std::mem::size_of::<u32>()
             + self.map_old_to_new.capacity() * std::mem::size_of::<u32>()
             + self.removed_counts.capacity() * std::mem::size_of::<u32>()
@@ -170,6 +256,7 @@ impl QueryScratch {
                 .iter()
                 .map(|w| {
                     w.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+                        + w.frame.capacity_bytes()
                         + (w.cells.capacity() + w.counts.capacity()) * std::mem::size_of::<u32>()
                 })
                 .sum::<usize>()
@@ -189,9 +276,13 @@ mod tests {
         s.cell_pairs.extend((0..100).map(|i| (i, i)));
         s.edges.extend((0..50).map(|i| (i, i + 1)));
         s.predictions.push(Vec3::ZERO);
+        s.frame.centroids.push(Vec3::ZERO);
+        s.frame.simplified.push(Simplified::Point(Vec3::ZERO));
+        s.candidate_flags.extend([true; 7]);
         let cap = s.capacity_bytes();
         s.clear();
         assert!(s.cell_pairs.is_empty() && s.edges.is_empty() && s.predictions.is_empty());
+        assert!(s.frame.is_empty() && s.candidate_flags.is_empty());
         assert_eq!(s.capacity_bytes(), cap);
     }
 
