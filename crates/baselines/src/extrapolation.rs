@@ -1,16 +1,16 @@
 //! Trajectory-extrapolation prefetchers (§2.2).
 //!
 //! All of them interpolate/extrapolate the positions of past queries:
-//! straight-line from the last two [26], polynomial of configurable degree
-//! over degree+1 recent positions [4, 5], velocity-scaled motion [30], and
-//! EWMA-weighted movement vectors [7].
+//! straight-line from the last two \[26\], polynomial of configurable degree
+//! over degree+1 recent positions [4, 5], velocity-scaled motion \[30\], and
+//! EWMA-weighted movement vectors \[7\].
 
 use crate::common::{plan_at_predicted_center, CenterHistory};
 use scout_geometry::{QueryRegion, Vec3};
 use scout_index::QueryResult;
 use scout_sim::{CpuUnits, PredictionStats, PrefetchPlan, Prefetcher, SimContext};
 
-/// Straight-line extrapolation from the last two query positions [26]:
+/// Straight-line extrapolation from the last two query positions \[26\]:
 /// `ĉ = cₙ + (cₙ − cₙ₋₁)`.
 #[derive(Debug, Clone)]
 pub struct StraightLine {
@@ -133,7 +133,7 @@ impl Prefetcher for Polynomial {
     }
 }
 
-/// Velocity-based motion prediction [30]: direction from the last movement,
+/// Velocity-based motion prediction \[30\]: direction from the last movement,
 /// magnitude from the mean speed over recent movements.
 #[derive(Debug, Clone)]
 pub struct Velocity {
@@ -190,7 +190,7 @@ impl Prefetcher for Velocity {
     }
 }
 
-/// EWMA movement prediction [7]: "the last query is weighted with λ, the
+/// EWMA movement prediction \[7\]: "the last query is weighted with λ, the
 /// second to last with (1 − λ)·λ, and so on" (§2.2) — the standard
 /// recursion `v ← λ·Δ + (1 − λ)·v`.
 #[derive(Debug, Clone)]

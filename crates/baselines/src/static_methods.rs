@@ -6,7 +6,7 @@ use scout_geometry::{QueryRegion, UniformGrid, Vec3};
 use scout_index::QueryResult;
 use scout_sim::{CpuUnits, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, SimContext};
 
-/// Hilbert-Prefetch [22]: overlays a grid on the dataset, assigns each cell
+/// Hilbert-Prefetch \[22\]: overlays a grid on the dataset, assigns each cell
 /// its Hilbert value, and prefetches cells whose values neighbor the value
 /// of the current query's cell (alternating +1, −1, +2, −2, …).
 #[derive(Debug, Clone)]
@@ -90,7 +90,7 @@ impl Prefetcher for HilbertPrefetch {
     }
 }
 
-/// Layered prefetching [31]: segments space into a grid and prefetches all
+/// Layered prefetching \[31\]: segments space into a grid and prefetches all
 /// 26 cells surrounding the current one (nearest shells first).
 #[derive(Debug, Clone)]
 pub struct Layered {

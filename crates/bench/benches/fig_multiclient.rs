@@ -6,8 +6,8 @@
 //! 1. sharing: how does one shared `ShardedCache` compare with giving each
 //!    of K clients an equal slice as a private cache?
 //! 2. sharding: how does the shard count affect hit accounting (it must
-//!    not) and threaded wall-clock time (it should, under contention)?
-//! 3. scheduling: round-robin vs. one-thread-per-session wall-clock, with
+//!    not) and multi-worker wall-clock time (it should, under contention)?
+//! 3. scheduling: round-robin vs. the work-stealing crew wall-clock, with
 //!    the shard-count grid itself fanned out via `run_parallel`.
 
 use scout_bench::{neuron_dataset_with_objects, seed};
@@ -93,7 +93,7 @@ fn main() {
         let engine = MultiSessionExecutor::new(MultiSessionConfig {
             exec,
             shards,
-            schedule: Schedule::Threaded,
+            schedule: Schedule::WorkStealing { workers: 0 },
             ..Default::default()
         });
         (shards, engine.run(&ctx, sessions(&streams)))
@@ -107,13 +107,14 @@ fn main() {
             report.cache.evictions.to_string(),
         ]);
     }
-    println!("-- threaded, by shard count --\n{}", sharding.render());
+    println!("-- work-stealing, by shard count --\n{}", sharding.render());
 
     // -- scheduling -----------------------------------------------------
     let mut sched = Table::new(["schedule", "hit %", "p99 ms", "wall ms"]);
-    for (name, schedule) in
-        [("round-robin", Schedule::RoundRobin), ("threaded", Schedule::Threaded)]
-    {
+    for (name, schedule) in [
+        ("round-robin", Schedule::RoundRobin),
+        ("work-stealing", Schedule::WorkStealing { workers: 0 }),
+    ] {
         let engine = MultiSessionExecutor::new(MultiSessionConfig {
             exec,
             shards: 8,

@@ -1,9 +1,9 @@
 //! Emits the M:N scheduler scaling artifact.
 //!
-//! Runs the `fig_scale` sweep ([`scout_bench::scale`]): 1k/10k/100k
+//! Runs the `fig_scale` sweep ([`mod@scout_bench::scale`]): 1k/10k/100k
 //! concurrent sessions × worker counts over the work-stealing
 //! [`SessionScheduler`](scout_sim::SessionScheduler), plus the
-//! thread-per-session baseline and the round-robin determinism guard.
+//! round-robin determinism guard.
 //! Prints the sweep table and writes `BENCH_scale.json` into the current
 //! directory (run from the repo root; CI uploads the file and fails the
 //! job when the `guard` block reports `mn_vs_rr_pages_hit_mismatches != 0`
@@ -42,13 +42,6 @@ fn main() {
         ]);
     }
     println!("{}", t.render());
-    println!(
-        "threaded baseline @ {} sessions: {:.0} windows/s ({:.0} ms) — M:N speedup {:.2}x",
-        report.baseline.sessions,
-        report.baseline.windows_per_sec,
-        report.baseline.wall_ms,
-        report.threaded_speedup()
-    );
     println!(
         "guard: mn_vs_rr_pages_hit_mismatches = {}, mn_w1_regressions = {}",
         report.mn_vs_rr_pages_hit_mismatches(),

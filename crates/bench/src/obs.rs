@@ -73,7 +73,7 @@ pub struct JsonlChecks {
 /// One arm of the overhead measurement.
 #[derive(Debug, Clone)]
 pub struct OverheadArm {
-    /// Best wall-clock time across [`OVERHEAD_RUNS`] runs, ms.
+    /// Best wall-clock time across `OVERHEAD_RUNS` runs, ms.
     pub wall_ms: f64,
     /// Prefetch windows (= queries) per wall-clock second at that best.
     pub windows_per_sec: f64,
@@ -108,7 +108,7 @@ pub struct ObsReport {
     pub windows_opened: u64,
     /// Pages prefetched per the armed run's telemetry counter.
     pub prefetch_pages: u64,
-    /// The first [`EXCERPT_LINES`] lines of the merged JSONL timeline.
+    /// The first `EXCERPT_LINES` lines of the merged JSONL timeline.
     pub excerpt: Vec<String>,
 }
 

@@ -6,9 +6,7 @@
 //! This sweep drives the ISSUE 7 work-stealing scheduler across session
 //! counts × worker counts and records throughput (prefetch windows per
 //! second — one window per query), residual latency percentiles, and the
-//! scheduler's steal/park/shed counters, plus a thread-per-session
-//! baseline at the smallest count (spawning 100k OS threads is the
-//! pathology the scheduler exists to avoid, so the baseline stays small).
+//! scheduler's steal/park/shed counters.
 //!
 //! Two guard values, checked by CI against `BENCH_scale.json`:
 //!
@@ -73,17 +71,6 @@ pub struct ScalePoint {
     pub rounds: u64,
 }
 
-/// The thread-per-session reference at the smallest session count.
-#[derive(Debug, Clone)]
-pub struct BaselinePoint {
-    /// Concurrent sessions (= OS threads spawned).
-    pub sessions: usize,
-    /// Wall-clock time, ms.
-    pub wall_ms: f64,
-    /// Windows per wall-clock second.
-    pub windows_per_sec: f64,
-}
-
 /// One width's determinism check at the smallest count (eviction-free
 /// config): M:N totals vs the round-robin oracle.
 #[derive(Debug, Clone)]
@@ -120,8 +107,6 @@ pub struct ScaleReport {
     pub max_parallelism: usize,
     /// One entry per (session count × worker count), sweep order.
     pub points: Vec<ScalePoint>,
-    /// Thread-per-session baseline at the smallest count.
-    pub baseline: BaselinePoint,
     /// One determinism check per width, at the smallest count.
     pub guards: Vec<GuardPoint>,
     /// Fault-injection plan of the sweep (always disabled here; recorded
@@ -144,23 +129,6 @@ impl ScaleReport {
             .iter()
             .filter(|g| g.workers == 1 && g.wall_ms > 2.0 * g.rr_wall_ms.max(1.0))
             .count() as u64
-    }
-
-    /// M:N (at machine parallelism) throughput over thread-per-session
-    /// throughput at the baseline's session count. Recorded, not
-    /// CI-guarded: single-core CI runners cannot measure parallelism.
-    pub fn threaded_speedup(&self) -> f64 {
-        let best = self
-            .points
-            .iter()
-            .filter(|p| p.sessions == self.baseline.sessions)
-            .map(|p| p.windows_per_sec)
-            .fold(0.0f64, f64::max);
-        if self.baseline.windows_per_sec > 0.0 {
-            best / self.baseline.windows_per_sec
-        } else {
-            0.0
-        }
     }
 
     /// Serializes the report as pretty-printed JSON (no external deps).
@@ -213,11 +181,6 @@ impl ScaleReport {
             ));
         }
         out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"baseline\": {{ \"schedule\": \"threaded\", \"sessions\": {}, \
-             \"wall_ms\": {:.1}, \"windows_per_sec\": {:.0} }},\n",
-            self.baseline.sessions, self.baseline.wall_ms, self.baseline.windows_per_sec
-        ));
         out.push_str("  \"guard\": {\n");
         for g in &self.guards {
             out.push_str(&format!(
@@ -227,9 +190,7 @@ impl ScaleReport {
             ));
         }
         out.push_str(&format!(
-            "    \"threaded_speedup\": {:.2},\n    \"mn_vs_rr_pages_hit_mismatches\": {},\n    \
-             \"mn_w1_regressions\": {}\n  }}\n}}\n",
-            self.threaded_speedup(),
+            "    \"mn_vs_rr_pages_hit_mismatches\": {},\n    \"mn_w1_regressions\": {}\n  }}\n}}\n",
             self.mn_vs_rr_pages_hit_mismatches(),
             self.mn_w1_regressions()
         ));
@@ -328,24 +289,7 @@ pub fn run(scale_factor: f64, seed: u64) -> ScaleReport {
         }
     }
 
-    // Thread-per-session baseline, smallest count only: the point of the
-    // M:N scheduler is that this does not scale.
     let smallest = counts[0];
-    let baseline = {
-        let engine = MultiSessionExecutor::new(MultiSessionConfig {
-            exec: pressure,
-            shards: 16,
-            schedule: Schedule::Threaded,
-            ..Default::default()
-        });
-        let (report, wall_ms) = run_timed(&engine, &bed, build_sessions(smallest, &streams));
-        BaselinePoint {
-            sessions: smallest,
-            wall_ms,
-            windows_per_sec: windows_per_sec(&report, wall_ms),
-        }
-    };
-
     // Determinism guard, smallest count, eviction-free config: the cache
     // holds the whole layout and uses a single shard, so per-shard capacity
     // equals the page count and eviction is structurally impossible (16
@@ -389,7 +333,6 @@ pub fn run(scale_factor: f64, seed: u64) -> ScaleReport {
         queries_per_session,
         max_parallelism: default_parallelism(),
         points,
-        baseline,
         guards,
         faults: pressure.faults,
     }

@@ -24,7 +24,7 @@ pub enum Strategy {
 pub struct ScoutConfig {
     /// Total grid-hashing cells per query region (§4.2). Figure 13e sweeps
     /// 32768 … 8; the paper's strategy "is to use a fine resolution and
-    /// work with [a] sparser approximate graph".
+    /// work with \[a\] sparser approximate graph".
     pub grid_resolution: u32,
     /// Geometry simplification used for cell mapping (§4.2); the paper
     /// reduces cylinders to their axis segment.

@@ -3,7 +3,7 @@
 //! After candidate pruning, SCOUT traverses the graph "to find the
 //! locations where the graph exits the query", then "uses the edges exiting
 //! the current query and extrapolates them linearly to predict the
-//! locations of the next queries". (Higher-order extrapolation "do[es] not
+//! locations of the next queries". (Higher-order extrapolation "do\[es\] not
 //! yield better results" — §4.4.)
 
 use crate::graph::{ResultGraph, VertexId};

@@ -16,7 +16,7 @@
 //! fallback for spread-out id ranges) — flat vectors only, no per-vertex
 //! allocations, no hash tables. Construction is counting-sort passes over
 //! scratch buffers borrowed from a
-//! [`QueryScratch`](scout_sim::QueryScratch) arena, so a warmed
+//! [`scout_sim::QueryScratch`] arena, so a warmed
 //! session rebuilds its graph every query without touching the allocator
 //! (DESIGN.md §6). The pre-CSR adjacency-list implementation survives as
 //! [`crate::reference::ReferenceGraph`], the property-test oracle and

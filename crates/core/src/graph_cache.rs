@@ -128,7 +128,8 @@ impl GraphCacheStats {
     }
 }
 
-/// The persistent incremental-build state of one [`ResultGraph`]
+/// The persistent incremental-build state of one
+/// [`ResultGraph`](crate::ResultGraph)
 /// (see the module docs). Owned by the graph itself so the
 /// cache-describes-this-graph pairing can never be violated from outside,
 /// and so [`ResultGraph::memory_bytes`](crate::ResultGraph::memory_bytes)

@@ -1,5 +1,5 @@
 //! SCOUT-OPT (§6): the optimizations available when the spatial index
-//! supports ordered retrieval and page neighborhoods (FLAT [27] / DLS [21]).
+//! supports ordered retrieval and page neighborhoods (FLAT \[27\] / DLS \[21\]).
 //!
 //! Two optimizations over plain SCOUT:
 //!

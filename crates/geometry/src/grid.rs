@@ -1,7 +1,7 @@
 //! Uniform spatial grids.
 //!
 //! Grid hashing (§4.2) "partitions the entire three-dimensional space of
-//! [the] range query into equi-volume grid cells and each object is mapped
+//! \[the\] range query into equi-volume grid cells and each object is mapped
 //! to grid cells based on how many grid cells it intersects with". The grid
 //! resolution — the total cell count — is SCOUT's main tuning knob
 //! (Figure 13e sweeps 32768 … 8 cells).

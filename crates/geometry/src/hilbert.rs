@@ -1,6 +1,6 @@
 //! Hilbert space-filling curves in 2-D and 3-D.
 //!
-//! The Hilbert-Prefetch baseline [22] assigns each grid cell a Hilbert value
+//! The Hilbert-Prefetch baseline \[22\] assigns each grid cell a Hilbert value
 //! and prefetches cells whose values neighbor the current cell's value.
 //! Encoding/decoding uses Skilling's transpose algorithm ("Programming the
 //! Hilbert curve", AIP 2004), which works for any dimension and bit depth.

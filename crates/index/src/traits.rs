@@ -6,7 +6,7 @@
 //! require an index that "a) allows the retrieval of pages from disk in a
 //! particular spatial order and b) stores the relative positions of objects
 //! (neighborhood information)" — that is [`OrderedSpatialIndex`], modeled
-//! after FLAT [27] and DLS [21].
+//! after FLAT \[27\] and DLS \[21\].
 
 use scout_geometry::intersect::shape_intersects_aabb;
 use scout_geometry::{prefetch_read, QueryRegion, SpatialObject, Vec3};
@@ -55,7 +55,7 @@ pub trait SpatialIndex {
     /// The id lists point all over the dataset array, so the scan is
     /// bound by the latency of loading each object record, not by the
     /// predicate's arithmetic. It therefore asks for the record
-    /// [`PREFETCH_DISTANCE`] ids ahead in the page's list, and for the
+    /// `PREFETCH_DISTANCE` ids ahead in the page's list, and for the
     /// first records of the next page, before it needs them
     /// ([`prefetch_read`] — a hint; pages and objects come out in exactly
     /// the order of the plain loop).

@@ -2,8 +2,8 @@
 //!
 //! Property 1 — schedule independence: a [`HybridPrefetcher`] fleet whose
 //! sessions touch disjoint page sets produces byte-identical per-session
-//! traces under the round-robin and the threaded
-//! [`MultiSessionExecutor`] schedules (and across repeated runs of either).
+//! traces under the round-robin and the work-stealing
+//! [`MultiSessionExecutor`] schedules (and across repeated round-robin runs).
 //! The fixture makes disjointness structural, not statistical: one point
 //! cluster per session, clusters 100 000 µm apart on the x axis, queries
 //! and prefetch overshoot confined deep inside each cluster — so no page
@@ -122,8 +122,9 @@ fn session_signature(report: &MultiSessionReport, id: usize) -> (usize, u64, u64
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Round-robin and threaded schedules agree bit-for-bit per session,
-    /// and each schedule is reproducible against itself.
+    /// Round-robin and work-stealing schedules (widths 1/2/4) agree
+    /// bit-for-bit per session, and round-robin is reproducible against
+    /// itself.
     #[test]
     fn hybrid_fleet_traces_are_schedule_independent(
         seed in 0u64..u64::MAX,
@@ -136,16 +137,13 @@ proptest! {
 
         let rr = run_fleet(&objects, &tree, Schedule::RoundRobin, &seeds, laps);
         let rr2 = run_fleet(&objects, &tree, Schedule::RoundRobin, &seeds, laps);
-        let th = run_fleet(&objects, &tree, Schedule::Threaded, &seeds, laps);
 
         // Precondition for exact equality: the runs never evicted.
         prop_assert_eq!(rr.cache.evictions, 0);
-        prop_assert_eq!(th.cache.evictions, 0);
 
         for id in 0..k {
             let a = session_signature(&rr, id);
             prop_assert_eq!(a, session_signature(&rr2, id), "round-robin not reproducible");
-            prop_assert_eq!(a, session_signature(&th, id), "threaded diverged from round-robin");
         }
 
         // The M:N work-stealing scheduler (ISSUE 7) extends the ladder:

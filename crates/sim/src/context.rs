@@ -4,7 +4,7 @@
 //!
 //! * **Shared, immutable** — the dataset, the index and the adjacency
 //!   graph. This is [`SimContext`]. Every trait object in it is `Sync`, so
-//!   one context is borrowed by all sessions at once (threaded sessions
+//!   one context is borrowed by all sessions at once (crew workers
 //!   read it concurrently without locks — it never changes during a run).
 //! * **Shared, mutable** — the page cache and the disk's shared clock.
 //!   These live *outside* the context: the cache is passed to the executor
@@ -23,7 +23,7 @@ use scout_index::{OrderedSpatialIndex, SpatialIndex};
 ///
 /// Prefetchers must not look at anything else; in particular the
 /// ground-truth guide graph and `StructureId`s are off limits (§7.1: SCOUT
-/// "do[es] not exploit any application specific information").
+/// "do\[es\] not exploit any application specific information").
 pub struct SimContext<'a> {
     /// All dataset objects, indexed by `ObjectId`.
     pub objects: &'a [SpatialObject],

@@ -17,8 +17,8 @@ use crate::scratch::QueryScratch;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
 use scout_storage::{
-    CircuitBreaker, DiskModel, DiskProfile, FaultPlan, FaultReport, IoBatcher, IoError, IoStats,
-    PageCache, PrefetchCache,
+    CircuitBreaker, DiskModel, DiskProfile, FailedRead, FaultPlan, FaultReport, IoBatcher, IoError,
+    IoStats, PageCache, PageId, PrefetchCache,
 };
 use scout_telemetry::TelemetryPlan;
 
@@ -194,7 +194,7 @@ impl SequenceTrace {
 }
 
 /// A query served but its prefetch window not yet run: the partial trace
-/// plus the remaining window budget. Produced by [`serve_and_observe`],
+/// plus the remaining window budget. Produced by [`observe_and_open`],
 /// consumed by [`run_prefetch_window`].
 ///
 /// Splitting the timeline here is what lets the multi-session executor
@@ -208,22 +208,15 @@ pub(crate) struct OpenWindow {
     pub(crate) budget_us: f64,
 }
 
-/// Phases (1) and (2) of the Figure-2 timeline for one query: serve the
-/// result from cache/disk, let the prefetcher digest it, and compute the
-/// prefetch-window budget.
-// Internal timeline phase; the parameters are the session's execution
-// state (cache, disk, trace, scratch), not a bundleable config.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn serve_and_observe<C: PageCache>(
+/// Opens a query's timeline: runs the range query and stamps the trace
+/// with the result's size and the paper's `d`. Every serve path — the
+/// immediate one, the batched stage/complete pair, [`run_sequence`] —
+/// starts here.
+pub(crate) fn begin_query(
     ctx: &SimContext<'_>,
-    prefetcher: &mut dyn Prefetcher,
     region: &QueryRegion,
-    cache: &mut C,
-    disk: &mut DiskModel,
     config: &ExecutorConfig,
-    io: &mut IoStats,
-    scratch: &mut QueryScratch,
-) -> OpenWindow {
+) -> (QueryTrace, QueryResult) {
     let mut q = QueryTrace::default();
     let result = ctx.index.range_query(ctx.objects, region);
     q.pages_total = result.pages.len();
@@ -236,41 +229,82 @@ pub(crate) fn serve_and_observe<C: PageCache>(
         let mut fresh = DiskModel::new(config.disk);
         result.pages.iter().map(|&p| fresh.read_page(p)).sum::<f64>()
     };
+    (q, result)
+}
 
-    // (1) Serve the query: cache hits are free I/O; misses are the
-    // residual I/O the user waits for. Only *prefetched* pages live in
-    // the cache (§7.1: the 4 GB cache holds prefetched data; result
-    // pages stream to the user's analysis memory), so the hit rate
-    // measures prediction accuracy, not incidental query overlap.
-    //
-    // Demand reads go through the retrying verified path: with fault
-    // injection disabled that is bit-for-bit a plain `read_page`; with it
-    // enabled, one per-query deadline budget spans all of the query's
-    // retries, and the first unrecoverable read fails the *query* (the
-    // remaining pages are skipped — the user got an error, not a page
-    // stream) instead of panicking the engine.
+/// Books one demand read's outcome: a served page adds its latency to the
+/// residual; the first unrecoverable read fails the *query* (the user got
+/// an error, not a page stream) instead of panicking the engine. Returns
+/// false when the query just failed, so the caller skips its remaining
+/// pages.
+pub(crate) fn charge_demand(
+    outcome: Result<f64, FailedRead>,
+    q: &mut QueryTrace,
+    io: &mut IoStats,
+) -> bool {
+    match outcome {
+        Ok(t) => {
+            q.residual_us += t;
+            io.result_pages_disk += 1;
+            io.residual_io_us += t;
+            true
+        }
+        Err(failed) => {
+            q.residual_us += failed.latency_us;
+            io.residual_io_us += failed.latency_us;
+            io.failed_pages += 1;
+            q.outcome = ServeOutcome::Failed(failed.error);
+            false
+        }
+    }
+}
+
+/// Phase (1), immediate submission: cache hits are free I/O; misses are
+/// the residual I/O the user waits for. Only *prefetched* pages live in
+/// the cache (§7.1: the 4 GB cache holds prefetched data; result pages
+/// stream to the user's analysis memory), so the hit rate measures
+/// prediction accuracy, not incidental query overlap.
+///
+/// Demand reads go through the retrying verified path: with fault
+/// injection disabled that is bit-for-bit a plain `read_page`; with it
+/// enabled, one per-query deadline budget spans all of the query's
+/// retries.
+pub(crate) fn serve_demand<C: PageCache>(
+    result: &QueryResult,
+    cache: &mut C,
+    disk: &mut DiskModel,
+    config: &ExecutorConfig,
+    q: &mut QueryTrace,
+    io: &mut IoStats,
+) {
     let mut retry_budget = config.faults.retry.deadline_us;
     for &page in &result.pages {
         if cache.access(page) {
             q.pages_hit += 1;
             io.result_pages_cache += 1;
         } else {
-            match disk.read_page_retrying(page, &config.faults.retry, &mut retry_budget) {
-                Ok(t) => {
-                    q.residual_us += t;
-                    io.result_pages_disk += 1;
-                    io.residual_io_us += t;
-                }
-                Err(failed) => {
-                    q.residual_us += failed.latency_us;
-                    io.residual_io_us += failed.latency_us;
-                    io.failed_pages += 1;
-                    q.outcome = ServeOutcome::Failed(failed.error);
-                    break;
-                }
+            let read = disk.read_page_retrying(page, &config.faults.retry, &mut retry_budget);
+            if !charge_demand(read, q, io) {
+                break;
             }
         }
     }
+}
+
+/// Phase (2) plus the window-budget computation: with every demand read
+/// booked, the result's processing cost lands on the response, the
+/// prefetcher digests the result and the window opens. Shared tail of
+/// every serve path (the batched one learns its residual I/O only after
+/// the demand batch resolves).
+pub(crate) fn observe_and_open(
+    ctx: &SimContext<'_>,
+    prefetcher: &mut dyn Prefetcher,
+    region: &QueryRegion,
+    result: &QueryResult,
+    config: &ExecutorConfig,
+    mut q: QueryTrace,
+    scratch: &mut QueryScratch,
+) -> OpenWindow {
     // CPU cost of processing the result pages (charged to response).
     q.residual_us += q.pages_total as f64 * config.costs.page_process_us;
 
@@ -281,22 +315,6 @@ pub(crate) fn serve_and_observe<C: PageCache>(
         return OpenWindow { q, budget_us: 0.0 };
     }
 
-    observe_and_open(ctx, prefetcher, region, &result, config, q, scratch)
-}
-
-/// Phase (2) plus the window-budget computation: the prefetcher digests
-/// the served result and the window opens. Shared tail of
-/// [`serve_and_observe`] and the batched serve-complete path (which
-/// learns its residual I/O only after the demand batch resolves).
-pub(crate) fn observe_and_open(
-    ctx: &SimContext<'_>,
-    prefetcher: &mut dyn Prefetcher,
-    region: &QueryRegion,
-    result: &QueryResult,
-    config: &ExecutorConfig,
-    mut q: QueryTrace,
-    scratch: &mut QueryScratch,
-) -> OpenWindow {
     // (2) Prediction. The session's scratch arena rides along so
     // allocation-free prefetchers reuse warmed buffers (DESIGN.md §6).
     q.prediction = prefetcher.observe_with_scratch(ctx, region, result, scratch);
@@ -318,15 +336,106 @@ pub(crate) fn observe_and_open(
     OpenWindow { q, budget_us }
 }
 
-/// Phase (3): executes the prefetcher's prioritized plan until the window
-/// budget runs out, completing the query's trace.
-pub(crate) fn run_prefetch_window<C: PageCache>(
+/// How a prefetch window's reads reach the device — the one thing the two
+/// submission modes of phase (3) disagree on. [`run_prefetch_window`]
+/// owns the plan walk and the budget; an implementation owns the cache,
+/// the disk and the bookkeeping of what a read cost.
+pub(crate) trait WindowIo {
+    /// True when `page` needs no read from this window.
+    fn resident(&self, page: PageId) -> bool;
+    /// What reading `page` next would cost, committing nothing.
+    fn peek_us(&self, page: PageId) -> f64;
+    /// Issues the read. `Ok(t)`: the page counts as prefetched and the
+    /// window spent `t`; `Err(t)`: the read failed, was dropped, and
+    /// still burned `t` of the window.
+    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64>;
+}
+
+/// Immediate submission: each read hits the session's disk now and a
+/// success is inserted into the cache on the spot.
+pub(crate) struct ImmediateIo<'a, C: PageCache> {
+    pub(crate) cache: &'a mut C,
+    pub(crate) disk: &'a mut DiskModel,
+    pub(crate) stats: &'a mut IoStats,
+}
+
+impl<C: PageCache> WindowIo for ImmediateIo<'_, C> {
+    fn resident(&self, page: PageId) -> bool {
+        self.cache.contains(page)
+    }
+
+    fn peek_us(&self, page: PageId) -> f64 {
+        self.disk.peek_read_us(page)
+    }
+
+    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64> {
+        // Verified single attempt (attempt 0 = the prefetch stream):
+        // prefetching is optional work, so a failed speculative read is
+        // dropped — never retried — and the page falls back to on-demand
+        // serving if the user actually needs it. The window still burned
+        // the failed attempt's device time. A straggler can overdraw the
+        // budget it was admitted under (the read was already issued when
+        // it straggled); the walk then closes.
+        match self.disk.try_read_page(page, 0) {
+            Ok(t) => {
+                self.cache.insert(page);
+                self.stats.prefetch_io_us += t;
+                self.stats.prefetch_pages_disk += 1;
+                if is_gap {
+                    self.stats.gap_pages_disk += 1;
+                }
+                Ok(t)
+            }
+            Err(failed) => {
+                self.disk.note_dropped_prefetch();
+                Err(failed.latency_us)
+            }
+        }
+    }
+}
+
+/// Phase-scoped submission: reads are staged into the fleet's window-lane
+/// batcher and the window spends seek *estimates* from the session's own
+/// head position ([`DiskModel::peek_read_us`]); the physical cost is paid
+/// once, by the elevator-ordered batch read at the phase flip. A page
+/// already staged by a sibling session this phase is resident — its batch
+/// insert makes it visible to every next-round serve, mirroring the
+/// immediate cache-`contains` skip. Staging never fails, so the trace's
+/// `prefetch_pages`/`gap_pages` count *staged* pages: a staged read that
+/// fails at submission is dropped like an immediate speculative failure,
+/// and the io totals (credited from the fleet's window ledgers) record
+/// actual successes.
+pub(crate) struct StagedIo<'a, C: PageCache> {
+    pub(crate) cache: &'a C,
+    pub(crate) disk: &'a DiskModel,
+    pub(crate) batcher: &'a mut IoBatcher,
+    pub(crate) owner: u32,
+}
+
+impl<C: PageCache> WindowIo for StagedIo<'_, C> {
+    fn resident(&self, page: PageId) -> bool {
+        self.cache.contains(page) || self.batcher.contains(page)
+    }
+
+    fn peek_us(&self, page: PageId) -> f64 {
+        self.disk.peek_read_us(page)
+    }
+
+    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64> {
+        let staged = self.batcher.try_stage(page, self.owner, is_gap);
+        debug_assert!(staged, "page was absent from the batcher a line ago");
+        Ok(self.disk.peek_read_us(page))
+    }
+}
+
+/// Phase (3): walks the prefetcher's prioritized plan, issuing reads
+/// through `io` until the window budget runs out, completing the query's
+/// trace.
+pub(crate) fn run_prefetch_window(
     ctx: &SimContext<'_>,
     prefetcher: &mut dyn Prefetcher,
     window: OpenWindow,
-    cache: &mut C,
-    disk: &mut DiskModel,
-    io: &mut IoStats,
+    io: &mut impl WindowIo,
 ) -> QueryTrace {
     let OpenWindow { mut q, budget_us: mut budget } = window;
     if q.outcome.is_failed() {
@@ -342,95 +451,30 @@ pub(crate) fn run_prefetch_window<C: PageCache>(
             PrefetchRequest::GapPages(p) => (p, true),
         };
         for page in pages {
-            if cache.contains(page) {
+            if io.resident(page) {
                 continue;
             }
             // Cost the read before committing it: a read the window cannot
             // afford never happens, so it must not move the head, count as
             // a device read, or advance the shared clock (which would
             // inflate the multi-session disk-busy metric).
-            let t = disk.peek_read_us(page);
-            if t > budget {
+            if io.peek_us(page) > budget {
                 break 'window; // the user issued the next query
             }
-            // Verified single attempt (attempt 0 = the prefetch stream):
-            // prefetching is optional work, so a failed speculative read
-            // is dropped — never retried — and the page falls back to
-            // on-demand serving if the user actually needs it. The window
-            // still burned the failed attempt's device time. A straggler
-            // can overdraw the budget it was admitted under (the read was
-            // already issued when it straggled); the loop then closes.
-            match disk.try_read_page(page, 0) {
+            match io.issue(page, is_gap) {
                 Ok(t) => {
                     budget -= t;
-                    cache.insert(page);
-                    io.prefetch_io_us += t;
-                    io.prefetch_pages_disk += 1;
                     q.prefetch_pages += 1;
                     if is_gap {
-                        io.gap_pages_disk += 1;
                         q.gap_pages += 1;
                     }
                 }
-                Err(failed) => {
-                    budget -= failed.latency_us;
-                    disk.note_dropped_prefetch();
+                Err(t) => {
+                    budget -= t;
                     if budget <= 0.0 {
                         break 'window;
                     }
                 }
-            }
-        }
-    }
-    q
-}
-
-/// Phase (3), batched: stages the prefetcher's prioritized plan into the
-/// fleet's window-lane batcher instead of reading pages one at a time.
-/// The window budget is costed with seek *estimates* from the session's
-/// own head position ([`DiskModel::peek_read_us`]); the physical cost is
-/// paid once, by the elevator-ordered batch read at the phase flip. A
-/// page already staged by a sibling session this phase is skipped without
-/// spending budget — its batch insert makes it visible to every
-/// next-round serve, mirroring the unbatched cache-`contains` skip.
-/// `q.prefetch_pages`/`q.gap_pages` count *staged* pages: a staged read
-/// that fails at submission is dropped like an unbatched speculative
-/// failure, and the io totals (credited from the fleet's window ledgers)
-/// record actual successes.
-pub(crate) fn stage_prefetch_window<C: PageCache>(
-    ctx: &SimContext<'_>,
-    prefetcher: &mut dyn Prefetcher,
-    window: OpenWindow,
-    cache: &C,
-    disk: &DiskModel,
-    batcher: &mut IoBatcher,
-    owner: u32,
-) -> QueryTrace {
-    let OpenWindow { mut q, budget_us: mut budget } = window;
-    if q.outcome.is_failed() {
-        return q;
-    }
-    let plan = prefetcher.plan(ctx);
-    'window: for request in plan.requests {
-        let (pages, is_gap) = match request {
-            PrefetchRequest::Region(r) => (ctx.index.pages_in_region(r.aabb()), false),
-            PrefetchRequest::Pages(p) => (p, false),
-            PrefetchRequest::GapPages(p) => (p, true),
-        };
-        for page in pages {
-            if cache.contains(page) || batcher.contains(page) {
-                continue;
-            }
-            let t = disk.peek_read_us(page);
-            if t > budget {
-                break 'window; // the user issued the next query
-            }
-            let staged = batcher.try_stage(page, owner, is_gap);
-            debug_assert!(staged, "page was absent from the batcher a line ago");
-            budget -= t;
-            q.prefetch_pages += 1;
-            if is_gap {
-                q.gap_pages += 1;
             }
         }
     }
@@ -540,19 +584,13 @@ pub fn run_sequence(
 
     for (epoch, region) in regions.iter().enumerate() {
         faultctl.begin_query(&mut disk, epoch as u64);
-        let window = serve_and_observe(
-            ctx,
-            prefetcher,
-            region,
-            &mut cache,
-            &mut disk,
-            config,
-            &mut trace.io,
-            &mut scratch,
-        );
+        let (mut q, result) = begin_query(ctx, region, config);
+        serve_demand(&result, &mut cache, &mut disk, config, &mut q, &mut trace.io);
+        let window = observe_and_open(ctx, prefetcher, region, &result, config, q, &mut scratch);
         faultctl.note_served(&window.q);
         let q = if faultctl.allow_window(&disk, &window.q) {
-            run_prefetch_window(ctx, prefetcher, window, &mut cache, &mut disk, &mut trace.io)
+            let mut io = ImmediateIo { cache: &mut cache, disk: &mut disk, stats: &mut trace.io };
+            run_prefetch_window(ctx, prefetcher, window, &mut io)
         } else {
             window.q
         };

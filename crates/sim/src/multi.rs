@@ -2,25 +2,26 @@
 //!
 //! K concurrent clients ([`Session`]s), one shared
 //! [`ShardedCache`], one simulated disk whose busy time accumulates on a
-//! [`SharedClock`]. Two schedules execute the same bulk-synchronous round
-//! structure — round *i* first serves every session's query *i* against
-//! the cache state left by round *i − 1*, then runs every session's
-//! prefetch window:
+//! [`SharedClock`]. Every schedule executes the same bulk-synchronous
+//! round — round *i* first serves every session's query *i* against the
+//! cache state left by round *i − 1*, then runs every session's prefetch
+//! window — through one round body; the schedule only picks who runs the
+//! steps:
 //!
-//! * [`Schedule::RoundRobin`] — one thread interleaves sessions in id
-//!   order. Fully deterministic: identical inputs produce byte-identical
+//! * [`Schedule::RoundRobin`] — the inline driver: one thread interleaves
+//!   sessions in admission order (session-id order for a single tenant).
+//!   Fully deterministic: identical inputs produce byte-identical
 //!   reports.
-//! * [`Schedule::Threaded`] — one OS thread per session, phase edges
-//!   aligned with a [`Barrier`]. Cache membership per round is the union of
-//!   all sessions' inserts, so totals (pages hit, hit rate) match
-//!   round-robin whenever the cache is not evicting under pressure; scalar
-//!   interleaving inside a phase is up to the scheduler.
 //! * [`Schedule::WorkStealing`] — the M:N
-//!   [`SessionScheduler`](crate::SessionScheduler): a fixed worker crew
+//!   [`SessionScheduler`]: a fixed worker crew
 //!   multiplexing any number of sessions via work-stealing run queues,
-//!   with admission control (see [`AdmissionControl`]). Width 1 is
-//!   byte-identical to round-robin; wider crews keep the threaded mode's
-//!   totals contract.
+//!   with admission control (see [`AdmissionControl`]). Width 1 *is* the
+//!   inline driver, so it is byte-identical to round-robin by
+//!   construction. Wider crews keep the totals contract: cache membership
+//!   per round is the union of all sessions' inserts, so totals (pages
+//!   hit, hit rate) match round-robin whenever the cache is not evicting
+//!   under pressure; scalar interleaving inside a phase is up to the
+//!   scheduler.
 //!
 //! See DESIGN.md §5 and §10 for the precise determinism guarantees of
 //! each mode.
@@ -33,25 +34,24 @@ use crate::prefetcher::GraphBuildCounters;
 use crate::report::{
     graph_cache_summary, pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table,
 };
-use crate::scheduler::{run_width1_batched, AdmissionControl, SchedulerReport, SessionScheduler};
+use crate::scheduler::{
+    run_inline, AdmissionControl, FleetOutcome, RoundBody, SchedulerReport, SessionScheduler,
+};
 use crate::session::Session;
 use crate::telemetry::{FleetTelemetry, TelemetryReport};
 use scout_storage::{
     hit_ratio, BatchPlan, BatchReport, CacheStats, FaultReport, ShardedCache, SharedClock,
 };
 use scout_telemetry::{CounterId, FlightLog, FlightRecorder, GaugeId};
-use std::sync::Barrier;
 
 /// How the engine schedules its sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Deterministic single-threaded interleaving in session-id order.
+    /// Deterministic single-threaded interleaving in admission order —
+    /// session-id order for a single tenant; tenant-fair, exactly like
+    /// width-1 work stealing, when the fleet spans tenants.
     #[default]
     RoundRobin,
-    /// One OS thread per session over the shared cache, with barriers at
-    /// phase edges. Caps out around hundreds of sessions; kept as the
-    /// reference implementation the M:N scheduler is measured against.
-    Threaded,
     /// M:N work-stealing over a fixed crew of `workers` threads
     /// (0 = [`default_parallelism`]). Scales to tens of thousands of
     /// sessions; honors [`MultiSessionConfig::admission`].
@@ -81,10 +81,7 @@ pub struct MultiSessionConfig {
     /// Batched I/O submission (DESIGN.md §12): collect each phase's page
     /// reads, single-flight cross-session duplicates, and submit them in
     /// seek-aware elevator order. Disabled by default, which keeps every
-    /// schedule on the exact pre-batching code path, byte for byte.
-    /// Supported by [`Schedule::RoundRobin`] and
-    /// [`Schedule::WorkStealing`]; [`Schedule::Threaded`] (the legacy
-    /// reference implementation) rejects it at construction.
+    /// schedule on immediate submission, byte for byte.
     pub batch: BatchPlan,
 }
 
@@ -112,10 +109,6 @@ impl MultiSessionExecutor {
     pub fn new(config: MultiSessionConfig) -> MultiSessionExecutor {
         config.exec.assert_valid();
         assert!(config.shards >= 1, "shard count must be >= 1");
-        assert!(
-            !(config.batch.enabled && matches!(config.schedule, Schedule::Threaded)),
-            "batched I/O requires the round-robin or work-stealing schedule"
-        );
         MultiSessionExecutor { config }
     }
 
@@ -144,7 +137,6 @@ impl MultiSessionExecutor {
         for session in &mut sessions {
             session.begin(&self.config.exec, Some(clock.clone()));
         }
-        let rounds = sessions.iter().map(Session::query_count).max().unwrap_or(0);
         let exec = &self.config.exec;
         // Arm telemetry strictly opt-in: `None` (the default) constructs
         // nothing, keeping every path byte-identical to a disarmed run.
@@ -159,84 +151,24 @@ impl MultiSessionExecutor {
             .batch
             .enabled
             .then(|| BatchCtl::new(exec, &clock, sessions.len(), telemetry.as_ref()));
-        let mut shed: Vec<bool> = vec![false; sessions.len()];
-        let mut scheduler: Option<SchedulerReport> = None;
-
-        match self.config.schedule {
-            Schedule::RoundRobin if batch.is_some() => {
-                // The deterministic in-order batched loop — the same code
-                // width-1 work-stealing runs. Its scheduler counters are
-                // an M:N artifact and are dropped here, exactly like the
-                // plain round-robin arm never produces any; round-robin
-                // keeps ignoring admission control, so the policy passed
-                // is the always-open default.
-                let ctl = batch.as_ref().expect("guarded by the arm");
-                sessions = run_width1_batched(
-                    ctx,
-                    exec,
-                    cache,
-                    sessions,
-                    AdmissionControl::unlimited(),
-                    ctl,
-                )
-                .sessions;
-            }
+        // One round body, two drivers (DESIGN.md §10): round-robin is the
+        // inline driver with the always-open admission policy (it keeps
+        // ignoring `config.admission`) and its scheduler counters — an
+        // M:N artifact — dropped.
+        let body = RoundBody { ctx, exec, cache, batch: batch.as_ref() };
+        let (outcome, scheduled) = match self.config.schedule {
             Schedule::RoundRobin => {
-                // Park exhausted sessions: the round loop only visits
-                // sessions with work left, instead of spinning no-op
-                // serve/finish calls on short streams. Byte-identical to
-                // visiting everyone (exhausted sub-phases were pure
-                // no-ops), just not O(K × max_rounds) for skewed fleets.
-                let mut active: Vec<usize> = (0..sessions.len()).collect();
-                while !active.is_empty() {
-                    for &i in &active {
-                        sessions[i].serve_observe(ctx, &mut &*cache, exec);
-                    }
-                    for &i in &active {
-                        sessions[i].finish_window(ctx, &mut &*cache, exec);
-                    }
-                    active.retain(|&i| !sessions[i].is_done());
-                }
-            }
-            Schedule::Threaded => {
-                // An empty fleet must assemble the same (empty) report as
-                // round-robin — explicitly, not by falling through a
-                // catch-all arm (a Barrier::new(0) would panic).
-                if !sessions.is_empty() {
-                    let barrier = Barrier::new(sessions.len());
-                    std::thread::scope(|scope| {
-                        for session in &mut sessions {
-                            let barrier = &barrier;
-                            scope.spawn(move || {
-                                for _ in 0..rounds {
-                                    session.serve_observe(ctx, &mut &*cache, exec);
-                                    barrier.wait();
-                                    session.finish_window(ctx, &mut &*cache, exec);
-                                    barrier.wait();
-                                }
-                            });
-                        }
-                    });
-                }
+                (run_inline(&body, sessions, AdmissionControl::unlimited()), false)
             }
             Schedule::WorkStealing { workers } => {
                 let width = if workers == 0 { default_parallelism() } else { workers };
-                let outcome = SessionScheduler::global().run_fleet(
-                    ctx,
-                    exec,
-                    cache,
-                    sessions,
-                    width,
-                    self.config.admission,
-                    batch.as_ref(),
-                    telemetry.as_ref(),
-                );
-                sessions = outcome.sessions;
-                shed = outcome.shed;
-                shed.resize(sessions.len(), false);
-                scheduler = Some(outcome.report);
+                let scheduler = SessionScheduler::global();
+                let admission = self.config.admission;
+                (scheduler.run_fleet(&body, sessions, width, admission, telemetry.as_ref()), true)
             }
-        }
+        };
+        let FleetOutcome { mut sessions, shed, report } = outcome;
+        let scheduler = scheduled.then_some(report);
 
         // Teardown of the batch lanes: credit window ledgers into the
         // sessions before assembly, and merge the lane disks' fault
@@ -271,11 +203,7 @@ impl MultiSessionExecutor {
             }
             flight.seal();
             let shed_count = shed.iter().filter(|&&s| s).count();
-            let crew = match self.config.schedule {
-                Schedule::RoundRobin => 1,
-                Schedule::Threaded => sessions.len().max(1),
-                Schedule::WorkStealing { .. } => scheduler.as_ref().map_or(1, |r| r.workers),
-            };
+            let crew = scheduler.as_ref().map_or(1, |r| r.workers);
             tm.registry.gauge_raise(GaugeId::WorkerCrew, crew as u64);
             tm.registry
                 .gauge_raise(GaugeId::ResidentSessions, (sessions.len() - shed_count) as u64);
@@ -392,7 +320,7 @@ pub struct MultiSessionReport {
     pub disk_busy_us: f64,
     /// Residual latency percentiles across *all* sessions' queries, µs.
     pub residual: LatencyPercentiles,
-    /// M:N scheduler counters; `None` for the other schedules. Never part
+    /// M:N scheduler counters; `None` under round-robin. Never part
     /// of [`MultiSessionReport::render`], so width-1 work-stealing renders
     /// byte-identically to round-robin.
     pub scheduler: Option<SchedulerReport>,
@@ -682,30 +610,12 @@ mod tests {
     }
 
     #[test]
-    fn threaded_runs_every_session_to_completion() {
-        let objs = dataset();
-        let tree = RTree::bulk_load_with_capacity(&objs, 8);
-        let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(300.0)));
-        let engine = MultiSessionExecutor::new(MultiSessionConfig {
-            schedule: Schedule::Threaded,
-            ..Default::default()
-        });
-        let report = engine.run(&ctx, sessions(4, 5));
-        assert_eq!(report.sessions.len(), 4);
-        for (i, s) in report.sessions.iter().enumerate() {
-            assert_eq!(s.id, i, "reports must be ordered by session id");
-            assert_eq!(s.queries, 5);
-        }
-    }
-
-    #[test]
     fn mixed_length_sessions_are_handled() {
         let objs = dataset();
         let tree = RTree::bulk_load_with_capacity(&objs, 8);
         let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(300.0)));
         for schedule in [
             Schedule::RoundRobin,
-            Schedule::Threaded,
             Schedule::WorkStealing { workers: 1 },
             Schedule::WorkStealing { workers: 3 },
         ] {
@@ -725,17 +635,13 @@ mod tests {
 
     #[test]
     fn empty_session_list_assembles_the_same_report_everywhere() {
-        // Regression: `Schedule::Threaded` used to fall through a silent
-        // `=> {}` arm for empty fleets; all schedules must reach the same
-        // assembled (empty) report.
+        // All schedules must reach the same assembled (empty) report.
         let objs = dataset();
         let tree = RTree::bulk_load_with_capacity(&objs, 8);
         let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(300.0)));
         let reference =
             MultiSessionExecutor::new(MultiSessionConfig::default()).run(&ctx, Vec::new()).render();
-        for schedule in
-            [Schedule::RoundRobin, Schedule::Threaded, Schedule::WorkStealing { workers: 2 }]
-        {
+        for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 2 }] {
             let engine =
                 MultiSessionExecutor::new(MultiSessionConfig { schedule, ..Default::default() });
             let report = engine.run(&ctx, Vec::new());

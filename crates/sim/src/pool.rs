@@ -57,20 +57,16 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A job handed to the workers: a type-erased `Fn(part)` living on the
 /// dispatching caller's stack. The raw pointer is only dereferenced
 /// between job publication and the final `remaining == 0` handshake, both
-/// of which happen while the dispatching call is still on the stack, so
-/// the pointee outlives every use.
-///
-/// Shared (`pub(crate)`) with the session scheduler, which drives the same
-/// epoch/condvar crew machinery with a blocking dispatch instead of the
-/// pool's inline-serial fallback (see `scheduler.rs`).
+/// of which happen inside [`Crew::dispatch`] while that call is still on
+/// the stack, so the pointee outlives every use.
 #[derive(Clone, Copy)]
-pub(crate) struct Job(pub(crate) *const (dyn Fn(usize) + Sync));
+struct Job(*const (dyn Fn(usize) + Sync));
 
 impl Job {
     /// Erases the borrow lifetime of `f` so workers can hold it. The
     /// caller must keep `f` alive until every participating worker has
     /// finished its part (the `remaining == 0` join handshake).
-    pub(crate) fn erase<'f>(f: &'f (dyn Fn(usize) + Sync)) -> Job {
+    fn erase<'f>(f: &'f (dyn Fn(usize) + Sync)) -> Job {
         Job(unsafe {
             std::mem::transmute::<
                 *const (dyn Fn(usize) + Sync + 'f),
@@ -84,38 +80,61 @@ impl Job {
 // the dispatch protocol bounds its lifetime as described above.
 unsafe impl Send for Job {}
 
-pub(crate) struct PoolState {
+struct PoolState {
     /// Monotone job counter; a worker runs a job exactly once by
     /// remembering the last epoch it served.
-    pub(crate) epoch: u64,
+    epoch: u64,
     /// The published job, `None` between dispatches.
-    pub(crate) job: Option<Job>,
+    job: Option<Job>,
     /// Worker ids `1..=active` participate in the current epoch.
-    pub(crate) active: usize,
+    active: usize,
     /// Participating workers that have not finished their part yet.
-    pub(crate) remaining: usize,
+    remaining: usize,
     /// First panic payload caught on a worker this epoch; the dispatcher
     /// re-raises it after the join.
-    pub(crate) panic: Option<Box<dyn Any + Send>>,
+    panic: Option<Box<dyn Any + Send>>,
     /// Set by `Drop`; workers exit their loop when they observe it.
-    pub(crate) shutdown: bool,
+    shutdown: bool,
 }
 
-pub(crate) struct PoolShared {
-    pub(crate) state: Mutex<PoolState>,
+struct PoolShared {
+    state: Mutex<PoolState>,
     /// Workers sleep here for the next epoch.
-    pub(crate) work_cv: Condvar,
+    work_cv: Condvar,
     /// The dispatcher sleeps here for `remaining == 0`.
-    pub(crate) done_cv: Condvar,
+    done_cv: Condvar,
 }
 
-impl PoolShared {
-    /// A fresh crew-state block, leaked to `'static` so an exiting worker
-    /// never dangles (the pool and the session scheduler both keep their
-    /// crews alive this way; the allocation is a few hundred bytes per
-    /// crew for the life of the process).
-    pub(crate) fn leak_new() -> &'static PoolShared {
-        Box::leak(Box::new(PoolShared {
+/// A lazily grown crew of parked worker threads and the one dispatch
+/// handshake that hands them a job: the mechanism under both the fork-join
+/// [`WorkerPool`] and the session scheduler (`scheduler.rs`). The two
+/// differ only in *policy* — who may dispatch when the crew is busy (the
+/// pool degrades to inline, the scheduler blocks) — which stays with them
+/// as a lock around [`Crew::dispatch`]; the crew itself assumes one
+/// dispatcher at a time.
+pub(crate) struct Crew {
+    /// Leaked to `'static` so an exiting worker never dangles (a few
+    /// hundred bytes per crew for the life of the process).
+    shared: &'static PoolShared,
+    /// Workers spawned so far (lazily grown, never shrunk).
+    spawned: Mutex<usize>,
+    /// Thread-name prefix; worker `id` is named `{name}-{id}`.
+    name: &'static str,
+}
+
+impl std::fmt::Debug for Crew {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Crew")
+            .field("name", &self.name)
+            .field("spawned", &*lock_unpoisoned(&self.spawned))
+            .finish()
+    }
+}
+
+impl Crew {
+    /// A crew with no workers yet.
+    pub(crate) fn new(name: &'static str) -> Crew {
+        let shared = Box::leak(Box::new(PoolShared {
             state: Mutex::new(PoolState {
                 epoch: 0,
                 job: None,
@@ -126,46 +145,104 @@ impl PoolShared {
             }),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-        }))
+        }));
+        Crew { shared, spawned: Mutex::new(0), name }
+    }
+
+    /// Grows the crew toward `wanted` workers and returns how many of
+    /// them exist (`<= wanted`). A failed spawn stops the growth instead
+    /// of panicking: resource exhaustion degrades the caller's width.
+    pub(crate) fn ensure(&self, wanted: usize) -> usize {
+        let mut spawned = lock_unpoisoned(&self.spawned);
+        while *spawned < wanted {
+            let id = *spawned + 1; // worker ids are 1-based; 0 is the caller
+            let shared = self.shared;
+            let builder = std::thread::Builder::new().name(format!("{}-{id}", self.name));
+            if builder.spawn(move || worker_loop(shared, id)).is_err() {
+                break;
+            }
+            *spawned += 1;
+        }
+        (*spawned).min(wanted)
+    }
+
+    /// Runs `f(1) … f(workers)` on the crew and `caller()` on this thread,
+    /// returning when all of them have finished. `workers` must not exceed
+    /// what [`Crew::ensure`] reported, and dispatches must not overlap
+    /// (the owners serialize them with their dispatch lock).
+    ///
+    /// A panic on either side is caught, the join still completes —
+    /// unwinding past it would destroy `f`'s stack frame while workers
+    /// still dereference the type-erased pointer — and the payload (the
+    /// caller's first) is re-raised afterwards. Workers survive job
+    /// panics; the crew remains usable. Performs no heap allocation.
+    pub(crate) fn dispatch(
+        &self,
+        workers: usize,
+        f: &(dyn Fn(usize) + Sync),
+        caller: impl FnOnce(),
+    ) {
+        // Erase the borrow lifetime for the workers; the join handshake
+        // below keeps the pointee alive across every dereference (see
+        // `Job`).
+        let job = Job::erase(f);
+        {
+            let mut state = lock_unpoisoned(&self.shared.state);
+            state.job = Some(job);
+            state.active = workers;
+            state.remaining = workers;
+            state.epoch += 1;
+            self.shared.work_cv.notify_all();
+        }
+        let caller = catch_unwind(AssertUnwindSafe(caller));
+        let mut state = lock_unpoisoned(&self.shared.state);
+        while state.remaining > 0 {
+            state = self.shared.done_cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+        state.job = None;
+        let worker_panic = state.panic.take();
+        drop(state);
+        if let Err(payload) = caller {
+            resume_unwind(payload);
+        }
+        if let Some(payload) = worker_panic {
+            resume_unwind(payload);
+        }
+    }
+}
+
+impl Drop for Crew {
+    /// Signals the workers to exit. `Drop` takes `&mut self`, so no
+    /// dispatch can be in flight: parked workers wake, observe
+    /// `shutdown`, and return. Only the `PoolShared` allocation itself
+    /// is leaked (so a worker mid-wakeup never dangles); a process-global
+    /// owner is never dropped and its workers live for the process.
+    fn drop(&mut self) {
+        let mut state = lock_unpoisoned(&self.shared.state);
+        state.shutdown = true;
+        self.shared.work_cv.notify_all();
     }
 }
 
 /// A persistent fork-join pool; see the module docs. One process-wide
 /// instance is usually enough ([`WorkerPool::global`]), but independent
 /// pools are fine — workers are lazy, so an unused pool costs one mutex.
+#[derive(Debug)]
 pub struct WorkerPool {
-    shared: &'static PoolShared,
+    crew: Crew,
     /// Serializes dispatchers; a contended `try_lock` falls back to
     /// running every part inline (see the module docs on determinism).
     dispatch: Mutex<()>,
-    /// Workers spawned so far (lazily grown, never shrunk).
-    spawned: Mutex<usize>,
     /// Hard cap on workers this pool will ever spawn.
     max_workers: usize,
-}
-
-impl std::fmt::Debug for WorkerPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WorkerPool")
-            .field("spawned", &*lock_unpoisoned(&self.spawned))
-            .field("max_workers", &self.max_workers)
-            .finish()
-    }
 }
 
 impl WorkerPool {
     /// A pool that will grow to at most `max_workers` parked workers.
     /// Workers are spawned lazily on the first dispatch that needs them
-    /// and exit when the pool is dropped (the small shared-state
-    /// allocation is leaked by design so an exiting worker never
-    /// dangles; the global pool's workers live for the process).
+    /// and exit when the pool is dropped.
     pub fn new(max_workers: usize) -> WorkerPool {
-        WorkerPool {
-            shared: PoolShared::leak_new(),
-            dispatch: Mutex::new(()),
-            spawned: Mutex::new(0),
-            max_workers,
-        }
+        WorkerPool { crew: Crew::new("scout-pool"), dispatch: Mutex::new(()), max_workers }
     }
 
     /// The process-wide pool, sized to [`default_parallelism`]` - 1`
@@ -194,98 +271,26 @@ impl WorkerPool {
     ///
     /// Performs no heap allocation once the workers are spawned.
     pub fn run(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
-        if parts <= 1 {
-            if parts == 1 {
-                f(0);
-            }
-            return;
-        }
-        let workers_wanted = (parts - 1).min(self.max_workers);
+        let workers = parts.saturating_sub(1).min(self.max_workers);
         // A second concurrent dispatcher runs serially instead of
         // waiting: callers guarantee output does not depend on `parts`,
-        // and the engine's sessions must not convoy on the pool.
-        let Ok(_guard) = self.dispatch.try_lock() else {
-            for p in 0..parts {
-                f(p);
-            }
-            return;
-        };
-        if workers_wanted == 0 || !self.ensure_workers(workers_wanted) {
-            for p in 0..parts {
-                f(p);
-            }
+        // and the engine's sessions must not convoy on the pool. So does
+        // a dispatch whose workers could not all be spawned.
+        let guard = if workers == 0 { None } else { self.dispatch.try_lock().ok() };
+        if guard.is_none() || self.crew.ensure(workers) < workers {
+            (0..parts).for_each(f);
             return;
         }
-        // Erase the borrow lifetime for the workers; the join handshake
-        // below keeps the pointee alive across every dereference (see
-        // `Job`).
-        let job = Job::erase(f);
-        {
-            let mut state = lock_unpoisoned(&self.shared.state);
-            state.job = Some(job);
-            state.active = workers_wanted;
-            state.remaining = workers_wanted;
-            state.epoch += 1;
-            self.shared.work_cv.notify_all();
-        }
-        // Workers run parts 1..=workers_wanted; the caller takes part 0
-        // plus any overflow parts beyond the crew size. The caller's
-        // parts run under `catch_unwind`: unwinding past the join below
-        // would destroy the closure's stack frame while workers still
-        // dereference the type-erased pointer, so the join must happen
-        // on the panic path too — the payload is re-raised after it.
-        let caller = catch_unwind(AssertUnwindSafe(|| {
+        // Workers run parts 1..=workers; the caller takes part 0 plus any
+        // overflow parts beyond the crew size.
+        self.crew.dispatch(workers, f, || {
             f(0);
-            for p in workers_wanted + 1..parts {
-                f(p);
-            }
-        }));
-        let mut state = lock_unpoisoned(&self.shared.state);
-        while state.remaining > 0 {
-            state = self.shared.done_cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        state.job = None;
-        let worker_panic = state.panic.take();
-        drop(state);
-        if let Err(payload) = caller {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = worker_panic {
-            resume_unwind(payload);
-        }
-    }
-
-    /// Ensures at least `wanted` workers exist; returns false when a
-    /// spawn failed (the caller then runs inline — resource exhaustion
-    /// degrades to serial, it does not panic the build).
-    fn ensure_workers(&self, wanted: usize) -> bool {
-        let mut spawned = lock_unpoisoned(&self.spawned);
-        while *spawned < wanted {
-            let id = *spawned + 1; // worker ids are 1-based; 0 is the caller
-            let shared = self.shared;
-            let builder = std::thread::Builder::new().name(format!("scout-pool-{id}"));
-            if builder.spawn(move || worker_loop(shared, id)).is_err() {
-                return false;
-            }
-            *spawned += 1;
-        }
-        true
+            (workers + 1..parts).for_each(f);
+        });
     }
 }
 
-impl Drop for WorkerPool {
-    /// Signals the workers to exit. `Drop` takes `&mut self`, so no
-    /// dispatch can be in flight: parked workers wake, observe
-    /// `shutdown`, and return. Only the `PoolShared` allocation itself
-    /// is leaked (so a worker mid-wakeup never dangles).
-    fn drop(&mut self) {
-        let mut state = lock_unpoisoned(&self.shared.state);
-        state.shutdown = true;
-        self.shared.work_cv.notify_all();
-    }
-}
-
-pub(crate) fn worker_loop(shared: &'static PoolShared, id: usize) {
+fn worker_loop(shared: &'static PoolShared, id: usize) {
     let mut last_epoch = 0u64;
     loop {
         let job = {
@@ -487,12 +492,12 @@ mod tests {
         let pool = WorkerPool::new(2);
         // Warm up, then check no new workers appear across further runs.
         pool.run(3, &|_| {});
-        let spawned = *pool.spawned.lock().unwrap();
+        let spawned = *pool.crew.spawned.lock().unwrap();
         assert_eq!(spawned, 2);
         for _ in 0..50 {
             pool.run(3, &|_| {});
         }
-        assert_eq!(*pool.spawned.lock().unwrap(), spawned);
+        assert_eq!(*pool.crew.spawned.lock().unwrap(), spawned);
     }
 
     #[test]

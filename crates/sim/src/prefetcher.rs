@@ -107,8 +107,8 @@ impl PrefetchPlan {
 /// A prefetching method driving the cache between queries.
 ///
 /// `Send` is a supertrait: a prefetcher is per-session mutable state, and
-/// the threaded [`MultiSessionExecutor`](crate::MultiSessionExecutor) moves
-/// each session — prefetcher included — onto its own thread. Prefetchers
+/// the work-stealing [`MultiSessionExecutor`](crate::MultiSessionExecutor)
+/// moves each session — prefetcher included — between worker threads. Prefetchers
 /// are plain owned data (history buffers, seeded RNGs), so this costs
 /// implementations nothing.
 pub trait Prefetcher: Send {

@@ -1,46 +1,50 @@
-//! The M:N work-stealing session scheduler.
+//! The round engine: one round body, the inline driver, and the M:N
+//! work-stealing session scheduler.
 //!
-//! [`Schedule::Threaded`](crate::Schedule) spawns one OS thread per
-//! session with two full barriers per round — fine for tens of clients,
-//! hopeless for tens of thousands. The [`SessionScheduler`] keeps the same
-//! bulk-synchronous round structure (every session's *serve* sub-phase,
-//! then every session's *window* sub-phase — the structure DESIGN.md §5's
-//! determinism ladder rests on) but multiplexes all K sessions over a
-//! fixed crew of W workers:
+//! Every multi-session run is the same bulk-synchronous round (every
+//! session's *serve* sub-phase, a phase edge, every session's *window*
+//! sub-phase, a phase edge — the structure DESIGN.md §5's determinism
+//! ladder rests on). `RoundBody` owns what those steps and edges *do*,
+//! including how I/O is submitted; a driver only decides *who runs a
+//! step*. `run_inline` is one thread running them in order — round-robin
+//! and width-1 work stealing. One OS thread per session would be the
+//! other obvious driver — fine for tens of clients, hopeless for tens of
+//! thousands — so the [`SessionScheduler`] instead multiplexes all K
+//! sessions over a fixed crew of W workers:
 //!
 //! * Each worker owns **two run queues per phase parity** — fixed-capacity
-//!   Chase–Lev deques ([`StealQueue`]) holding session indices. The owner
+//!   Chase–Lev deques (`StealQueue`) holding session indices. The owner
 //!   pushes and pops at the bottom (the LIFO end, so a session a worker
 //!   just served tends to run its window on the same warm core); thieves
 //!   steal from the top (FIFO) with a CAS.
-//! * A session is a **resumable state machine**: `serve_observe` leaves
-//!   its prefetch window open, so a worker can *park* it at the phase
-//!   boundary (push its index into the next-parity queue) and pick up
-//!   another. Finished sessions are retired instead of spinning no-op
+//! * A session is a **resumable state machine**: its serve sub-phase
+//!   leaves the prefetch window open, so a worker can *park* it at the
+//!   phase boundary (push its index into the next-parity queue) and pick
+//!   up another. Finished sessions are retired instead of spinning no-op
 //!   rounds.
 //! * Phase edges are a W-wide rendezvous on a mutex/condvar gate — the
-//!   last arriving worker flips the phase, and at round boundaries runs
+//!   last arriving worker flips the phase (running the round body's edge
+//!   while every sibling is parked), and at round boundaries runs
 //!   **admission control**: a bounded backlog (shed policy) drained
 //!   round-robin across tenants (fairness), gated on
-//!   [`ThrashMonitor`](scout_storage::ThrashMonitor) signals from the
+//!   [`ThrashMonitor`] signals from the
 //!   shared cache (delay policy).
-//! * The crew itself reuses PR 6's epoch/condvar machinery
-//!   (`pool::PoolShared`/`pool::worker_loop`) with one deliberate change:
-//!   dispatch **blocks** on the crew instead of degrading to inline
-//!   execution — a fleet drain job parks at the phase gate, so the pool's
-//!   run-parts-serially fallback would deadlock it.
+//! * The crew itself is PR 6's epoch/condvar machinery (`pool::Crew`,
+//!   shared with the fork-join pool) under one deliberately different
+//!   policy: the scheduler **blocks** on the crew instead of degrading to
+//!   inline execution — a fleet drain job parks at the phase gate, so the
+//!   pool's run-parts-serially fallback would deadlock it.
 //!
 //! ## Determinism contract (DESIGN.md §10)
 //!
-//! At width 1 the scheduler runs a dedicated in-order loop: the exact
-//! round-robin serve/window order, plus parking and admission accounting.
-//! With the default unlimited admission its reports are **byte-identical**
-//! to [`Schedule::RoundRobin`] — even under eviction pressure — because
-//! every cache access and clock addition happens in the same order. At
-//! width > 1 the eviction-free totals contract of threaded mode applies:
-//! per-round cache membership is order-independent, so pages-hit totals
-//! (and, with per-session disks, every per-session quantity) match
-//! round-robin at every width.
+//! Width 1 *is* the inline driver: the exact round-robin serve/window
+//! order, plus parking and admission accounting. With the default
+//! unlimited admission its reports are **byte-identical** to
+//! [`Schedule::RoundRobin`](crate::Schedule) — even under eviction
+//! pressure — by construction: it is the same loop. At width > 1 the
+//! eviction-free totals contract applies: per-round cache membership is
+//! order-independent, so pages-hit totals (and, with per-session disks,
+//! every per-session quantity) match the inline driver at every width.
 //!
 //! ## Panics
 //!
@@ -52,7 +56,7 @@
 use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
-use crate::pool::{lock_unpoisoned, worker_loop, Job, PoolShared};
+use crate::pool::{lock_unpoisoned, Crew};
 use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
 use scout_storage::{ShardedCache, ThrashMonitor};
@@ -69,7 +73,7 @@ use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 // ---------------------------------------------------------------------------
 
 /// Admission/backpressure policy of the M:N scheduler. Ignored by the
-/// round-robin and threaded schedules.
+/// round-robin schedule.
 ///
 /// Sessions wait in a per-tenant backlog and are admitted round-robin
 /// across tenants at round boundaries, up to `max_resident` concurrently
@@ -442,12 +446,9 @@ struct Gate {
 }
 
 struct FleetShared<'a, 'w> {
-    ctx: &'a SimContext<'w>,
-    exec: &'a ExecutorConfig,
-    cache: &'a ShardedCache,
-    /// Batched-I/O lanes; `None` runs the exact pre-batching phase
-    /// bodies, byte for byte.
-    batch: Option<&'a BatchCtl>,
+    /// What a step and a phase edge *do*; the crew only decides who runs
+    /// them.
+    body: &'a RoundBody<'a, 'w>,
     /// Fleet telemetry; `None` records nothing. The scheduler itself only
     /// uses it for the phase-flip span — steal/park events are recorded
     /// through the sessions' own rings.
@@ -565,24 +566,14 @@ impl FleetShared<'_, '_> {
             // the exclusive session borrow exists (no-op when disarmed).
             session.note_stolen(w as u32);
         }
-        let serving = epoch.is_multiple_of(2);
-        let outcome = catch_unwind(AssertUnwindSafe(|| match (self.batch, serving) {
-            (None, true) => {
-                // `false` = stream exhausted (only ever on a session with
-                // fewer queries than the fleet has rounds; it retires).
-                session.serve_observe(self.ctx, &mut &*self.cache, self.exec)
-            }
-            (None, false) => {
-                session.finish_window(self.ctx, &mut &*self.cache, self.exec);
-                !session.is_done()
-            }
-            (Some(batch), true) => {
-                session.serve_stage(self.ctx, &mut &*self.cache, self.exec, &batch.demand)
-            }
-            (Some(batch), false) => {
-                session.serve_complete(self.ctx, self.exec, &batch.demand);
-                session.window_stage(self.ctx, &self.cache, &batch.window, idx as u32);
-                !session.is_done()
+        // `Ok(true)` = the session has more to do and parks for the next
+        // phase; `Ok(false)` = it retires (from a serve only when it has
+        // fewer queries than the fleet has rounds).
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            if epoch.is_multiple_of(2) {
+                self.body.serve(session)
+            } else {
+                self.body.window(session, idx)
             }
         }));
         if matches!(outcome, Ok(true)) {
@@ -635,18 +626,16 @@ impl FleetShared<'_, '_> {
         if self.abort.load(Ordering::Relaxed) {
             g.done = true;
         } else {
-            if let Some(batch) = self.batch {
-                // The flip is where staged batches hit the disk: demand
-                // on entering a window phase (sessions consume the
-                // outcomes next), window on entering a serve phase (the
-                // next round serves against the published membership).
-                // Both run while every other worker is parked at the
-                // gate, keyed by the round ordinal `epoch / 2`.
-                if next.is_multiple_of(2) {
-                    batch.submit_window(self.cache, epoch / 2);
-                } else {
-                    batch.submit_demand(epoch / 2);
-                }
+            // The flip is where the round body's phase edges run: after
+            // the serves on entering a window phase (sessions consume the
+            // demand outcomes next), after the windows on entering a serve
+            // phase (the next round serves against the published
+            // membership). Both run while every other worker is parked at
+            // the gate, keyed by the round ordinal `epoch / 2`.
+            if next.is_multiple_of(2) {
+                self.body.close_window(epoch / 2);
+            } else {
+                self.body.close_serve(epoch / 2);
             }
             if next.is_multiple_of(2) {
                 // Entering a serve phase = starting a round.
@@ -666,15 +655,13 @@ impl FleetShared<'_, '_> {
         let done = g.done;
         self.gate_cv.notify_all();
         drop(g);
-        // Pipelined tail: the window batch's ledger accounting and buffer
-        // recycling need neither the cache nor any session, so they run
-        // *after* the gate released — overlapped with the serve phase the
-        // sibling workers are already executing. The next flip's window
-        // lock (or fleet teardown) is the drain point.
+        // Pipelined tail: the window edge's deferred half needs neither
+        // the cache nor any session, so it runs *after* the gate released
+        // — overlapped with the serve phase the sibling workers are
+        // already executing. The next flip's window lock (or fleet
+        // teardown) is the drain point.
         if next.is_multiple_of(2) && !self.abort.load(Ordering::Relaxed) {
-            if let Some(batch) = self.batch {
-                batch.finish_window();
-            }
+            self.body.after_close_window();
         }
         if done {
             None
@@ -693,7 +680,7 @@ impl FleetShared<'_, '_> {
         if q.backlog == 0 {
             return 0;
         }
-        if q.delay_admission(self.cache, &self.control, starving) {
+        if q.delay_admission(self.body.cache, &self.control, starving) {
             self.stats.delayed_rounds.fetch_add(1, Ordering::Relaxed);
             return 0;
         }
@@ -727,22 +714,13 @@ pub(crate) struct FleetOutcome {
 /// runs. One process-wide instance ([`SessionScheduler::global`]) backs
 /// [`Schedule::WorkStealing`](crate::Schedule); independent instances are
 /// only interesting for tests.
+#[derive(Debug)]
 pub struct SessionScheduler {
-    shared: &'static PoolShared,
+    crew: Crew,
     /// Serializes fleets. Unlike [`WorkerPool`](crate::WorkerPool)'s
     /// `try_lock`-and-degrade, this **blocks**: a fleet drain parks at
     /// phase gates, so running its parts sequentially would deadlock.
     dispatch: Mutex<()>,
-    /// Workers spawned so far (grown on demand, never shrunk).
-    spawned: Mutex<usize>,
-}
-
-impl std::fmt::Debug for SessionScheduler {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SessionScheduler")
-            .field("spawned", &*lock_unpoisoned(&self.spawned))
-            .finish()
-    }
 }
 
 impl Default for SessionScheduler {
@@ -755,11 +733,7 @@ impl SessionScheduler {
     /// A scheduler with no workers yet; the crew grows to each fleet's
     /// requested width on demand.
     pub fn new() -> SessionScheduler {
-        SessionScheduler {
-            shared: PoolShared::leak_new(),
-            dispatch: Mutex::new(()),
-            spawned: Mutex::new(0),
-        }
+        SessionScheduler { crew: Crew::new("scout-sched"), dispatch: Mutex::new(()) }
     }
 
     /// The process-wide scheduler used by
@@ -769,36 +743,15 @@ impl SessionScheduler {
         GLOBAL.get_or_init(SessionScheduler::new)
     }
 
-    /// Ensures up to `wanted` crew workers exist; returns how many are
-    /// actually available (spawn failure degrades the width, it does not
-    /// panic the run).
-    fn ensure_workers(&self, wanted: usize) -> usize {
-        let mut spawned = self.spawned.lock().unwrap_or_else(|e| e.into_inner());
-        while *spawned < wanted {
-            let id = *spawned + 1; // ids are 1-based; 0 is the caller
-            let shared = self.shared;
-            let builder = std::thread::Builder::new().name(format!("scout-sched-{id}"));
-            if builder.spawn(move || worker_loop(shared, id)).is_err() {
-                break;
-            }
-            *spawned += 1;
-        }
-        (*spawned).min(wanted)
-    }
-
     /// Runs a complete multi-session fleet. `workers` is clamped to at
-    /// least 1; width 1 takes the deterministic in-order path (the RR
-    /// oracle), width > 1 dispatches the work-stealing crew.
-    #[allow(clippy::too_many_arguments)] // one run's full environment
+    /// least 1; width 1 (asked for, or all the crew could spawn) is
+    /// [`run_inline`], width > 1 dispatches the work-stealing crew.
     pub(crate) fn run_fleet(
         &self,
-        ctx: &SimContext<'_>,
-        exec: &ExecutorConfig,
-        cache: &ShardedCache,
+        body: &RoundBody<'_, '_>,
         sessions: Vec<Session>,
         workers: usize,
         control: AdmissionControl,
-        batch: Option<&BatchCtl>,
         telemetry: Option<&FleetTelemetry>,
     ) -> FleetOutcome {
         control.assert_valid();
@@ -807,32 +760,23 @@ impl SessionScheduler {
             return FleetOutcome { sessions, shed: Vec::new(), report };
         }
         if workers <= 1 {
-            return match batch {
-                Some(batch) => run_width1_batched(ctx, exec, cache, sessions, control, batch),
-                None => run_width1(ctx, exec, cache, sessions, control),
-            };
+            return run_inline(body, sessions, control);
         }
         // Hold the crew for the whole fleet; concurrent fleets queue here.
         // A previous fleet's panic unwound through this guard; the lock
         // protects nothing but the crew's exclusivity, so poison is moot.
-        let _fleet = self.dispatch.lock().unwrap_or_else(|e| e.into_inner());
-        let extra = self.ensure_workers(workers - 1);
+        let fleet_guard = lock_unpoisoned(&self.dispatch);
+        let extra = self.crew.ensure(workers - 1);
         if extra == 0 {
-            drop(_fleet);
-            return match batch {
-                Some(batch) => run_width1_batched(ctx, exec, cache, sessions, control, batch),
-                None => run_width1(ctx, exec, cache, sessions, control),
-            };
+            drop(fleet_guard);
+            return run_inline(body, sessions, control);
         }
         let width = extra + 1;
         let n = sessions.len();
 
         let mut queue = AdmissionQueue::new(&sessions, &control);
         let fleet = FleetShared {
-            ctx,
-            exec,
-            cache,
-            batch,
+            body,
             telem: telemetry,
             control,
             width,
@@ -869,35 +813,11 @@ impl SessionScheduler {
         fleet.phase_items.store(seeded, Ordering::Release);
         fleet.stats.rounds.store(1, Ordering::Relaxed);
 
-        // Dispatch: workers 1..=extra drain via the parked crew, the
-        // caller drains as worker 0, then joins — the same handshake as
-        // WorkerPool::run, minus the inline fallback.
+        // Workers 1..=extra drain via the parked crew, the caller drains
+        // as worker 0. `drain` catches everything itself; the dispatch
+        // joins even if a panic escapes it.
         let drain = |w: usize| fleet.drain(w);
-        let job = Job::erase(&drain);
-        {
-            let mut state = lock_unpoisoned(&self.shared.state);
-            state.job = Some(job);
-            state.active = extra;
-            state.remaining = extra;
-            state.epoch += 1;
-            self.shared.work_cv.notify_all();
-        }
-        // `drain` catches everything itself, but the join must survive
-        // even a panic that escapes it (see WorkerPool::run).
-        let caller = catch_unwind(AssertUnwindSafe(|| drain(0)));
-        let mut state = lock_unpoisoned(&self.shared.state);
-        while state.remaining > 0 {
-            state = self.shared.done_cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-        }
-        state.job = None;
-        let crew_panic = state.panic.take();
-        drop(state);
-        if let Err(payload) = caller {
-            resume_unwind(payload);
-        }
-        if let Some(payload) = crew_panic {
-            resume_unwind(payload);
-        }
+        self.crew.dispatch(extra, &drain, || drain(0));
 
         let FleetShared { slots, stats, failure, .. } = fleet;
         if let Some(payload) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
@@ -911,30 +831,84 @@ impl SessionScheduler {
     }
 }
 
-impl Drop for SessionScheduler {
-    /// Signals crew workers to exit (the global instance is never
-    /// dropped). Mirrors `WorkerPool`'s shutdown.
-    fn drop(&mut self) {
-        let mut state = match self.shared.state.lock() {
-            Ok(state) => state,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        state.shutdown = true;
-        self.shared.work_cv.notify_all();
+// ---------------------------------------------------------------------------
+// The round: one body, and the inline driver
+// ---------------------------------------------------------------------------
+
+/// What one bulk-synchronous round *does*, and the only place that knows
+/// how I/O is submitted: immediately (`batch: None` — each read hits the
+/// session's own disk as it is issued, and the phase edges are empty) or
+/// phase-scoped (staged into the [`BatchCtl`] lanes and submitted at the
+/// edges, DESIGN.md §12). The two drivers — [`run_inline`] and the
+/// work-stealing crew — decide only *who runs a step*; both call exactly
+/// these five methods, in the same order per round.
+pub(crate) struct RoundBody<'a, 'w> {
+    pub(crate) ctx: &'a SimContext<'w>,
+    pub(crate) exec: &'a ExecutorConfig,
+    pub(crate) cache: &'a ShardedCache,
+    pub(crate) batch: Option<&'a BatchCtl>,
+}
+
+impl RoundBody<'_, '_> {
+    /// One session's serve sub-phase. False = its stream was exhausted
+    /// and the call did nothing.
+    fn serve(&self, session: &mut Session) -> bool {
+        match self.batch {
+            None => session.serve_observe(self.ctx, &mut &*self.cache, self.exec),
+            Some(b) => session.serve_stage(self.ctx, &mut &*self.cache, self.exec, &b.demand),
+        }
+    }
+
+    /// One session's window sub-phase (`idx` = its slot, the window
+    /// lane's ledger key). False = the session is done and retires.
+    fn window(&self, session: &mut Session, idx: usize) -> bool {
+        match self.batch {
+            None => session.finish_window(self.ctx, &mut &*self.cache, self.exec),
+            Some(b) => {
+                session.serve_complete(self.ctx, self.exec, &b.demand);
+                session.window_stage(self.ctx, &self.cache, &b.window, idx as u32);
+            }
+        }
+        !session.is_done()
+    }
+
+    /// Phase edge after every serve of `round`: the staged demand reads
+    /// hit the disk.
+    fn close_serve(&self, round: u64) {
+        if let Some(b) = self.batch {
+            b.submit_demand(round);
+        }
+    }
+
+    /// Phase edge after every window of `round`: the staged prefetch
+    /// reads hit the disk and publish into the cache. Must complete
+    /// before any serve of the next round starts.
+    fn close_window(&self, round: u64) {
+        if let Some(b) = self.batch {
+            b.submit_window(self.cache, round);
+        }
+    }
+
+    /// The deferred half of the window edge (ledgers, buffer recycling):
+    /// touches neither the cache nor any session, so it may overlap the
+    /// next round's serves.
+    fn after_close_window(&self) {
+        if let Some(b) = self.batch {
+            b.finish_window();
+        }
     }
 }
 
-/// The width-1 path: the exact round-robin interleaving (serve every
-/// resident session in admission order, then every window), plus parking,
-/// retirement and admission accounting. With unlimited admission and the
-/// default single tenant this is *byte-identical* to
-/// [`Schedule::RoundRobin`](crate::Schedule) — including under eviction
-/// pressure — which is the deterministic oracle the property suites pin
-/// the work-stealing widths against.
-fn run_width1(
-    ctx: &SimContext<'_>,
-    exec: &ExecutorConfig,
-    cache: &ShardedCache,
+/// The inline driver: one thread runs every step, in order — serve every
+/// resident session in admission order, the serve edge, every window, the
+/// window edge — plus parking, retirement and admission accounting. Fully
+/// deterministic, including under eviction pressure, which makes it the
+/// oracle the property suites pin the work-stealing widths against. It
+/// *is* width-1 work stealing, and [`Schedule::RoundRobin`](crate::Schedule)
+/// is this loop with [`AdmissionControl::unlimited`] and the report
+/// dropped.
+pub(crate) fn run_inline(
+    body: &RoundBody<'_, '_>,
     mut sessions: Vec<Session>,
     control: AdmissionControl,
 ) -> FleetOutcome {
@@ -954,19 +928,21 @@ fn run_width1(
         shed[idx] = true;
         report.shed += 1;
     }
+    // Exhausted sessions leave `active`: the round loop only visits
+    // sessions with work left instead of spinning no-op steps on short
+    // streams — not O(K × max_rounds) for skewed fleets.
     while !active.is_empty() {
+        let round = report.rounds;
         report.rounds += 1;
         let mut served = 0u64;
         for &i in &active {
-            if sessions[i].serve_observe(ctx, &mut &*cache, exec) {
-                served += 1;
-            }
+            served += u64::from(body.serve(&mut sessions[i]));
         }
-        for &i in &active {
-            sessions[i].finish_window(ctx, &mut &*cache, exec);
-        }
+        body.close_serve(round);
         let before = active.len();
-        active.retain(|&i| !sessions[i].is_done());
+        active.retain(|&i| body.window(&mut sessions[i], i));
+        body.close_window(round);
+        body.after_close_window();
         let finished = before - active.len();
         resident -= finished;
         report.retired += finished as u64;
@@ -974,76 +950,7 @@ fn run_width1(
         // serve (window boundary) + one per session surviving the round.
         report.parks += served + active.len() as u64;
         if queue.backlog > 0 {
-            if queue.delay_admission(cache, &control, resident == 0) {
-                report.delayed_rounds += 1;
-            } else {
-                while resident < control.max_resident {
-                    let Some(idx) = queue.take_fair() else { break };
-                    active.push(idx);
-                    resident += 1;
-                    report.admitted += 1;
-                }
-            }
-        }
-    }
-    FleetOutcome { sessions, shed, report }
-}
-
-/// The batched width-1 path: [`run_width1`]'s exact round scaffolding
-/// (admission, parking, retirement accounting) with the phase bodies
-/// replaced by the stage/submit/complete lifecycle. Fully deterministic —
-/// the oracle the batched work-stealing widths are pinned against, and
-/// what [`Schedule::RoundRobin`](crate::Schedule) runs when batching is
-/// enabled.
-pub(crate) fn run_width1_batched(
-    ctx: &SimContext<'_>,
-    exec: &ExecutorConfig,
-    cache: &ShardedCache,
-    mut sessions: Vec<Session>,
-    control: AdmissionControl,
-    batch: &BatchCtl,
-) -> FleetOutcome {
-    let n = sessions.len();
-    let mut queue = AdmissionQueue::new(&sessions, &control);
-    let mut report = SchedulerReport { workers: 1, ..Default::default() };
-    let mut active: Vec<usize> = Vec::new();
-    let mut resident = 0usize;
-    while resident < control.max_resident {
-        let Some(idx) = queue.take_fair() else { break };
-        active.push(idx);
-        resident += 1;
-        report.admitted += 1;
-    }
-    let mut shed = vec![false; n];
-    for idx in queue.shed_over(control.backlog_limit) {
-        shed[idx] = true;
-        report.shed += 1;
-    }
-    let mut round = 0u64;
-    while !active.is_empty() {
-        report.rounds += 1;
-        let mut served = 0u64;
-        for &i in &active {
-            if sessions[i].serve_stage(ctx, &mut &*cache, exec, &batch.demand) {
-                served += 1;
-            }
-        }
-        batch.submit_demand(round);
-        for &i in &active {
-            sessions[i].serve_complete(ctx, exec, &batch.demand);
-            sessions[i].window_stage(ctx, &cache, &batch.window, i as u32);
-        }
-        batch.submit_window(cache, round);
-        batch.finish_window();
-        round += 1;
-        let before = active.len();
-        active.retain(|&i| !sessions[i].is_done());
-        let finished = before - active.len();
-        resident -= finished;
-        report.retired += finished as u64;
-        report.parks += served + active.len() as u64;
-        if queue.backlog > 0 {
-            if queue.delay_admission(cache, &control, resident == 0) {
+            if queue.delay_admission(body.cache, &control, resident == 0) {
                 report.delayed_rounds += 1;
             } else {
                 while resident < control.max_resident {

@@ -7,7 +7,7 @@
 //! cursor, their disk handle (own head position, optionally a clock shared
 //! with every other session) and their accumulated trace. The world half —
 //! dataset, index, cache — stays in [`SimContext`] and the
-//! [`PageCache`](scout_storage::PageCache) passed to each step.
+//! [`PageCache`] passed to each step.
 //!
 //! A query executes in two sub-phases, mirroring the Figure-2 timeline:
 //! [`Session::serve_observe`] (serve the result, digest it, open the
@@ -18,8 +18,8 @@
 
 use crate::context::SimContext;
 use crate::executor::{
-    observe_and_open, run_prefetch_window, serve_and_observe, stage_prefetch_window,
-    ExecutorConfig, FaultCtl, OpenWindow, QueryTrace, SequenceTrace, ServeOutcome,
+    begin_query, charge_demand, observe_and_open, run_prefetch_window, serve_demand,
+    ExecutorConfig, FaultCtl, ImmediateIo, OpenWindow, QueryTrace, SequenceTrace, StagedIo,
 };
 use crate::pool::lock_unpoisoned;
 use crate::prefetcher::Prefetcher;
@@ -28,7 +28,7 @@ use crate::telemetry::SessionTelemetry;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
 use scout_storage::{
-    DiskModel, FailedRead, FaultReport, IoBatcher, PageCache, PageId, SharedClock,
+    DiskModel, FailedRead, FaultReport, IoBatcher, IoStats, PageCache, PageId, SharedClock,
 };
 use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer, TelemetryPlan};
 use std::sync::{Arc, Mutex};
@@ -36,9 +36,9 @@ use std::sync::{Arc, Mutex};
 /// One client: a prefetcher, a query stream, a disk handle and a trace.
 pub struct Session {
     id: usize,
-    /// Tenant (organization/user group) this session bills to. The M:N
-    /// scheduler admits round-robin across tenants and reports per-tenant
-    /// latency; the other schedules ignore it.
+    /// Tenant (organization/user group) this session bills to. Sessions
+    /// are admitted round-robin across tenants (which is also round-robin's
+    /// visiting order) and latency is reported per tenant.
     tenant: usize,
     prefetcher: Box<dyn Prefetcher>,
     regions: Vec<QueryRegion>,
@@ -67,12 +67,11 @@ pub struct Session {
 }
 
 /// A query served *into the batcher* but not yet completed: its partial
-/// trace, its result (the prefetcher digests it only after the demand
-/// batch resolves), and the remaining per-query retry deadline.
+/// trace and its result (the prefetcher digests it only after the demand
+/// batch resolves).
 struct PendingServe {
     q: QueryTrace,
     result: QueryResult,
-    deadline_us: f64,
 }
 
 impl Session {
@@ -101,7 +100,7 @@ impl Session {
     }
 
     /// The session id (stable reporting key, independent of completion
-    /// order in threaded runs).
+    /// order in multi-worker runs).
     pub fn id(&self) -> usize {
         self.id
     }
@@ -223,17 +222,19 @@ impl Session {
             let _span = self.telem.as_ref().and_then(|t| {
                 SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanServeUs))
             });
-            serve_and_observe(
-                ctx,
-                self.prefetcher.as_mut(),
-                region,
-                cache,
-                &mut self.disk,
-                config,
-                &mut self.trace.io,
-                &mut self.scratch,
-            )
+            let (mut q, result) = begin_query(ctx, region, config);
+            serve_demand(&result, cache, &mut self.disk, config, &mut q, &mut self.trace.io);
+            let prefetcher = self.prefetcher.as_mut();
+            observe_and_open(ctx, prefetcher, region, &result, config, q, &mut self.scratch)
         };
+        self.end_serve(window);
+        true
+    }
+
+    /// The serve epilogue every path ends in: the fault ladder learns the
+    /// outcome, telemetry records the served query and its retries, and
+    /// the window is left open for the window sub-phase.
+    fn end_serve(&mut self, window: OpenWindow) {
         self.faultctl.note_served(&window.q);
         if self.telem.is_some() {
             let t = self.now_us();
@@ -245,16 +246,32 @@ impl Session {
             }
         }
         self.open = Some(window);
-        true
     }
 
     /// Runs the open prefetch window to completion (timeline phase 3) and
     /// commits the query's trace. No-op when no window is open.
+    ///
+    /// `_config` is unused — the window's budget was fixed when the serve
+    /// opened it — and stays because the call is public surface: the
+    /// repo's benchmark adapter passes it.
     pub fn finish_window<C: PageCache>(
         &mut self,
         ctx: &SimContext<'_>,
         cache: &mut C,
         _config: &ExecutorConfig,
+    ) {
+        self.close_window(|prefetcher, window, disk, stats| {
+            run_prefetch_window(ctx, prefetcher, window, &mut ImmediateIo { cache, disk, stats })
+        });
+    }
+
+    /// The window sub-phase around `run` (which walks the plan through
+    /// one submission mode): the breaker gate before it, the breaker
+    /// update and the telemetry epilogue after it, then the query's trace
+    /// is committed. No-op when no window is open.
+    fn close_window(
+        &mut self,
+        run: impl FnOnce(&mut dyn Prefetcher, OpenWindow, &mut DiskModel, &mut IoStats) -> QueryTrace,
     ) {
         let Some(window) = self.open.take() else {
             return;
@@ -264,14 +281,7 @@ impl Session {
             let _span = self.telem.as_ref().and_then(|t| {
                 SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanWindowUs))
             });
-            run_prefetch_window(
-                ctx,
-                self.prefetcher.as_mut(),
-                window,
-                cache,
-                &mut self.disk,
-                &mut self.trace.io,
-            )
+            run(self.prefetcher.as_mut(), window, &mut self.disk, &mut self.trace.io)
         } else {
             // Breaker open: prefetching (optional work) is shed for this
             // query; demand serving continues unchanged.
@@ -316,14 +326,7 @@ impl Session {
             SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanServeUs))
         });
         self.faultctl.begin_query(&mut self.disk, self.next as u64);
-        let mut q = QueryTrace::default();
-        let result = ctx.index.range_query(ctx.objects, region);
-        q.pages_total = result.pages.len();
-        q.result_objects = result.objects.len();
-        q.d_ref_us = {
-            let mut fresh = DiskModel::new(config.disk);
-            result.pages.iter().map(|&p| fresh.read_page(p)).sum::<f64>()
-        };
+        let (mut q, result) = begin_query(ctx, region, config);
         self.staged_slots.clear();
         let mut coalesced = 0u64;
         {
@@ -351,8 +354,7 @@ impl Session {
         if coalesced > 0 {
             cache.note_coalesced_hits(coalesced);
         }
-        self.pending =
-            Some(PendingServe { q, result, deadline_us: config.faults.retry.deadline_us });
+        self.pending = Some(PendingServe { q, result });
         true
     }
 
@@ -367,57 +369,25 @@ impl Session {
         config: &ExecutorConfig,
         demand: &Mutex<IoBatcher>,
     ) {
-        let Some(PendingServe { mut q, result, mut deadline_us }) = self.pending.take() else {
+        let Some(PendingServe { mut q, result }) = self.pending.take() else {
             return;
         };
         lock_unpoisoned(demand).copy_outcomes(&self.staged_slots, &mut self.fetched);
-        let fetched = std::mem::take(&mut self.fetched);
-        for &(page, outcome) in &fetched {
+        let retry = &config.faults.retry;
+        let mut deadline_us = retry.deadline_us;
+        for &(page, outcome) in &self.fetched {
             let served = outcome.or_else(|first| {
-                self.disk.resume_read_retrying(page, first, &config.faults.retry, &mut deadline_us)
+                self.disk.resume_read_retrying(page, first, retry, &mut deadline_us)
             });
-            match served {
-                Ok(t) => {
-                    q.residual_us += t;
-                    self.trace.io.result_pages_disk += 1;
-                    self.trace.io.residual_io_us += t;
-                }
-                Err(failed) => {
-                    q.residual_us += failed.latency_us;
-                    self.trace.io.residual_io_us += failed.latency_us;
-                    self.trace.io.failed_pages += 1;
-                    q.outcome = ServeOutcome::Failed(failed.error);
-                    break;
-                }
+            if !charge_demand(served, &mut q, &mut self.trace.io) {
+                break;
             }
         }
-        self.fetched = fetched;
-        q.residual_us += q.pages_total as f64 * config.costs.page_process_us;
-        let window = if q.outcome.is_failed() {
-            OpenWindow { q, budget_us: 0.0 }
-        } else {
-            let region = self.regions[self.next];
-            observe_and_open(
-                ctx,
-                self.prefetcher.as_mut(),
-                &region,
-                &result,
-                config,
-                q,
-                &mut self.scratch,
-            )
-        };
-        self.faultctl.note_served(&window.q);
-        if self.telem.is_some() {
-            let t = self.now_us();
-            let faults = self.disk.fault_report();
-            if let Some(tm) = &mut self.telem {
-                tm.note_query_served(t, self.next as u32, &window.q);
-                tm.note_retries(t, faults);
-                tm.note_window_opened(t, window.budget_us);
-            }
-        }
-        self.open = Some(window);
+        let region = &self.regions[self.next];
+        let prefetcher = self.prefetcher.as_mut();
+        let window =
+            observe_and_open(ctx, prefetcher, region, &result, config, q, &mut self.scratch);
+        self.end_serve(window);
     }
 
     /// Batched phase 3: stages the open window's prefetch plan into the
@@ -431,43 +401,11 @@ impl Session {
         window_lane: &Mutex<IoBatcher>,
         owner: u32,
     ) {
-        let Some(window) = self.open.take() else {
-            return;
-        };
-        let allowed = self.faultctl.allow_window(&self.disk, &window.q);
-        let q = if allowed {
-            let _span = self.telem.as_ref().and_then(|t| {
-                SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanWindowUs))
-            });
-            let mut batch = lock_unpoisoned(window_lane);
-            stage_prefetch_window(
-                ctx,
-                self.prefetcher.as_mut(),
-                window,
-                cache,
-                &self.disk,
-                &mut batch,
-                owner,
-            )
-        } else {
-            // Breaker open: prefetching (optional work) is shed for this
-            // query; demand serving continues unchanged.
-            window.q
-        };
-        self.faultctl.end_query(&self.disk);
-        if self.telem.is_some() {
-            let t = self.now_us();
-            let trips = self.faultctl.breaker_trips();
-            if let Some(tm) = &mut self.telem {
-                if allowed {
-                    tm.note_window_closed(t, q.prefetch_pages, q.gap_pages);
-                } else {
-                    tm.note_window_shed(t, trips);
-                }
-            }
-        }
-        self.trace.queries.push(q);
-        self.next += 1;
+        self.close_window(|prefetcher, window, disk, _| {
+            let mut batcher = lock_unpoisoned(window_lane);
+            let mut io = StagedIo { cache, disk, batcher: &mut batcher, owner };
+            run_prefetch_window(ctx, prefetcher, window, &mut io)
+        });
     }
 
     /// Credits this session's share of the resolved window batches
@@ -526,7 +464,7 @@ impl Session {
     }
 }
 
-/// Sessions migrate onto worker threads in threaded mode. (Compile-time
+/// Sessions migrate between the crew's worker threads. (Compile-time
 /// check; holds because `Prefetcher: Send` and all other fields are owned
 /// plain data.)
 const _: fn() = || {

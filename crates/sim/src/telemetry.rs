@@ -4,8 +4,8 @@
 //! [`MetricsRegistry`], the bounded [`FlightRecorder`] rings, the
 //! [`SpanTimer`](scout_telemetry::SpanTimer) scoped timers. This module
 //! owns the *policy*: how a multi-session run arms them
-//! ([`FleetTelemetry`]), what each session records and when
-//! ([`SessionTelemetry`]), and the registry-backed view the run hands
+//! (`FleetTelemetry`), what each session records and when
+//! (`SessionTelemetry`), and the registry-backed view the run hands
 //! back ([`TelemetryReport`]).
 //!
 //! Arming is strictly opt-in: `ExecutorConfig.telemetry` is `None` by

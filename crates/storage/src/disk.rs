@@ -276,49 +276,11 @@ impl DiskModel {
         if self.faults.is_none() {
             return Ok(self.read_page_raw(page));
         }
-        let mut total = 0.0;
-        for attempt in 1..=policy.max_attempts {
-            match self.try_read_page(page, attempt) {
-                Ok(us) => {
-                    if attempt > 1 {
-                        if let Some(inj) = &mut self.faults {
-                            inj.report_mut().recovered += 1;
-                        }
-                    }
-                    return Ok(total + us);
-                }
-                Err(failed) => {
-                    total += failed.latency_us;
-                    *deadline_us -= failed.latency_us;
-                    let inj = self.faults.as_mut().expect("armed above");
-                    if failed.error.is_permanent() {
-                        // Retrying a stuck page is wasted deadline.
-                        return Err(FailedRead { latency_us: total, error: failed.error });
-                    }
-                    if attempt == policy.max_attempts {
-                        inj.report_mut().exhausted += 1;
-                        return Err(FailedRead {
-                            latency_us: total,
-                            error: IoError::AttemptsExhausted { page, attempts: attempt },
-                        });
-                    }
-                    let backoff = policy.backoff_us(inj, page, attempt);
-                    if *deadline_us <= 0.0 || backoff > *deadline_us {
-                        inj.report_mut().timed_out += 1;
-                        return Err(FailedRead {
-                            latency_us: total,
-                            error: IoError::DeadlineExceeded { page },
-                        });
-                    }
-                    total += backoff;
-                    *deadline_us -= backoff;
-                    let report = inj.report_mut();
-                    report.retries += 1;
-                    report.backoff_us += backoff;
-                }
-            }
-        }
-        unreachable!("loop returns on the final attempt");
+        // Attempt 1 here; everything after a failed first attempt is the
+        // continuation the batched waiters also run, so the ladder
+        // (backoff, deadline, exhaustion, counters) exists once.
+        self.try_read_page(page, 1)
+            .or_else(|first| self.resume_read_retrying(page, first, policy, deadline_us))
     }
 
     /// Reads a batch of unique pages in the caller-supplied elevator
@@ -363,19 +325,19 @@ impl DiskModel {
         total
     }
 
-    /// Continues a demand read whose *first* attempt failed elsewhere —
-    /// the per-waiter retry continuation of a coalesced batch read. The
-    /// batch disk made attempt 1 and fanned `first` out to every waiter;
-    /// each waiter then retries on its *own* disk (own salt, own epoch,
-    /// own breaker accounting), so retry schedules stay per-session
-    /// exactly as in the unbatched [`DiskModel::read_page_retrying`].
+    /// Continues a demand read whose *first* attempt already failed: the
+    /// retry ladder from "attempt 1 failed" on. [`DiskModel::read_page_retrying`]
+    /// enters it with its own attempt 1; a coalesced batch read enters it
+    /// per waiter — the batch disk made attempt 1 and fanned `first` out,
+    /// and each waiter then retries on its *own* disk (own salt, own
+    /// epoch, own breaker accounting), so retry schedules stay
+    /// per-session. Only that attempt-1 fault draw differs between the
+    /// two entries; the terminal error taxonomy (permanent / exhausted /
+    /// deadline) and all counters are this one loop's.
     ///
-    /// Mirrors the retrying loop from "attempt 1 already failed": charges
-    /// `first.latency_us` against the deadline, backs off, then runs
-    /// attempts `2..=max_attempts`. The terminal error taxonomy
-    /// (permanent / exhausted / deadline) and all counters match the
-    /// unbatched loop; only the attempt-1 fault draw came from the batch
-    /// disk's schedule instead of this one's.
+    /// Each failed attempt charges its latency against the deadline, then
+    /// backs off (exponential, jittered) before the next of attempts
+    /// `2..=max_attempts`.
     pub fn resume_read_retrying(
         &mut self,
         page: PageId,
@@ -383,33 +345,39 @@ impl DiskModel {
         policy: &RetryPolicy,
         deadline_us: &mut f64,
     ) -> Result<f64, FailedRead> {
-        let mut total = first.latency_us;
-        *deadline_us -= first.latency_us;
-        if first.error.is_permanent() || self.faults.is_none() {
-            return Err(FailedRead { latency_us: total, error: first.error });
-        }
-        let inj = self.faults.as_mut().expect("checked above");
-        if policy.max_attempts <= 1 {
-            inj.report_mut().exhausted += 1;
-            return Err(FailedRead {
-                latency_us: total,
-                error: IoError::AttemptsExhausted { page, attempts: 1 },
-            });
-        }
-        let backoff = policy.backoff_us(inj, page, 1);
-        if *deadline_us <= 0.0 || backoff > *deadline_us {
-            inj.report_mut().timed_out += 1;
-            return Err(FailedRead {
-                latency_us: total,
-                error: IoError::DeadlineExceeded { page },
-            });
-        }
-        total += backoff;
-        *deadline_us -= backoff;
-        let report = inj.report_mut();
-        report.retries += 1;
-        report.backoff_us += backoff;
-        for attempt in 2..=policy.max_attempts {
+        let mut total = 0.0;
+        let mut failed = first;
+        let mut attempt = 1;
+        loop {
+            total += failed.latency_us;
+            *deadline_us -= failed.latency_us;
+            let inj = match &mut self.faults {
+                Some(inj) if !failed.error.is_permanent() => inj,
+                // Retrying a stuck page is wasted deadline (and a
+                // fault-free disk has no ladder to climb).
+                _ => return Err(FailedRead { latency_us: total, error: failed.error }),
+            };
+            if attempt >= policy.max_attempts {
+                inj.report_mut().exhausted += 1;
+                return Err(FailedRead {
+                    latency_us: total,
+                    error: IoError::AttemptsExhausted { page, attempts: attempt },
+                });
+            }
+            let backoff = policy.backoff_us(inj, page, attempt);
+            if *deadline_us <= 0.0 || backoff > *deadline_us {
+                inj.report_mut().timed_out += 1;
+                return Err(FailedRead {
+                    latency_us: total,
+                    error: IoError::DeadlineExceeded { page },
+                });
+            }
+            total += backoff;
+            *deadline_us -= backoff;
+            let report = inj.report_mut();
+            report.retries += 1;
+            report.backoff_us += backoff;
+            attempt += 1;
             match self.try_read_page(page, attempt) {
                 Ok(us) => {
                     if let Some(inj) = &mut self.faults {
@@ -417,37 +385,9 @@ impl DiskModel {
                     }
                     return Ok(total + us);
                 }
-                Err(failed) => {
-                    total += failed.latency_us;
-                    *deadline_us -= failed.latency_us;
-                    let inj = self.faults.as_mut().expect("armed above");
-                    if failed.error.is_permanent() {
-                        return Err(FailedRead { latency_us: total, error: failed.error });
-                    }
-                    if attempt == policy.max_attempts {
-                        inj.report_mut().exhausted += 1;
-                        return Err(FailedRead {
-                            latency_us: total,
-                            error: IoError::AttemptsExhausted { page, attempts: attempt },
-                        });
-                    }
-                    let backoff = policy.backoff_us(inj, page, attempt);
-                    if *deadline_us <= 0.0 || backoff > *deadline_us {
-                        inj.report_mut().timed_out += 1;
-                        return Err(FailedRead {
-                            latency_us: total,
-                            error: IoError::DeadlineExceeded { page },
-                        });
-                    }
-                    total += backoff;
-                    *deadline_us -= backoff;
-                    let report = inj.report_mut();
-                    report.retries += 1;
-                    report.backoff_us += backoff;
-                }
+                Err(next) => failed = next,
             }
         }
-        unreachable!("loop returns on the final attempt");
     }
 
     /// Simulated time to read `n` pages in the best case (one seek, then

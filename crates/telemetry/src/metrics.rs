@@ -215,7 +215,7 @@ const BUCKETS: usize = SUB as usize + OCTAVES * SUB as usize + 1;
 /// A fixed-size log-bucketed histogram of non-negative µs samples.
 ///
 /// Values in `[0, SUB)` get exact unit buckets; above that, each
-/// power-of-two octave splits into [`SUB`] linear sub-buckets, so the
+/// power-of-two octave splits into `SUB` linear sub-buckets, so the
 /// relative bucket width never exceeds `1/SUB` (25 %). Recording is two
 /// relaxed `fetch_add`s; memory is `BUCKETS + 1` atomics (~1.3 KiB) no
 /// matter how many samples arrive. Percentile queries walk the bucket

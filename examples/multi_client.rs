@@ -84,19 +84,19 @@ fn main() {
         rr.render()
     );
 
-    // 3. Same fleet, one OS thread per session.
+    // 3. Same fleet over the work-stealing crew (machine-default width).
     let engine = MultiSessionExecutor::new(MultiSessionConfig {
         exec,
         shards: 8,
-        schedule: Schedule::Threaded,
+        schedule: Schedule::WorkStealing { workers: 0 },
         ..Default::default()
     });
-    let th = engine.run(&ctx, sessions(&streams));
+    let ws = engine.run(&ctx, sessions(&streams));
     println!(
-        "threaded ({} OS threads): hit rate {:.1} %, total pages hit {} (round-robin: {})",
-        CLIENTS,
-        100.0 * th.hit_rate(),
-        th.total_pages_hit(),
+        "work-stealing ({} workers): hit rate {:.1} %, total pages hit {} (round-robin: {})",
+        ws.scheduler.map_or(1, |s| s.workers),
+        100.0 * ws.hit_rate(),
+        ws.total_pages_hit(),
         rr.total_pages_hit()
     );
 

@@ -1,6 +1,5 @@
 //! Acceptance tests of the multi-session engine (ISSUE 2): round-robin
-//! determinism, round-robin vs. threaded accounting equivalence, and
-//! cross-session cache sharing. Extended for the M:N work-stealing
+//! determinism and cross-session cache sharing. Extended for the M:N work-stealing
 //! scheduler (ISSUE 7): width-1 byte-identity with round-robin, totals
 //! equality at every width, admission control, and fleet edge cases.
 
@@ -58,37 +57,6 @@ fn round_robin_is_deterministic_byte_for_byte() {
     let a = engine.run(&ctx, scout_sessions(&streams)).render();
     let b = engine.run(&ctx, scout_sessions(&streams)).render();
     assert_eq!(a, b, "two round-robin runs with the same seed diverged");
-}
-
-#[test]
-fn threaded_totals_match_round_robin() {
-    let (bed, streams) = bed_and_streams(8);
-    let ctx = bed.ctx_rtree();
-
-    let rr = MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::RoundRobin))
-        .run(&ctx, scout_sessions(&streams));
-    let th = MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::Threaded))
-        .run(&ctx, scout_sessions(&streams));
-
-    // The exact-equality guarantee below holds only under the DESIGN.md §5
-    // preconditions (no evictions; window budgets never binding). Assert
-    // the observable one so a workload drift fails loudly as a broken
-    // precondition instead of surfacing as a mysterious flake.
-    assert_eq!(rr.cache.evictions, 0, "precondition violated: round-robin run evicted");
-    assert_eq!(th.cache.evictions, 0, "precondition violated: threaded run evicted");
-
-    assert_eq!(rr.total_pages(), th.total_pages(), "result-page totals must be identical");
-    assert_eq!(
-        rr.total_pages_hit(),
-        th.total_pages_hit(),
-        "threaded K=8 must hit the same total pages as round-robin (order-independent \
-         accounting)"
-    );
-    // Per-session accounting also matches: reports are keyed by id.
-    for (a, b) in rr.sessions.iter().zip(&th.sessions) {
-        assert_eq!(a.id, b.id);
-        assert_eq!(a.pages_hit, b.pages_hit, "session {} hit accounting diverged", a.id);
-    }
 }
 
 #[test]
@@ -233,7 +201,6 @@ fn zero_query_fleet_terminates_instantly() {
     let ctx = bed.ctx_rtree();
     for schedule in [
         Schedule::RoundRobin,
-        Schedule::Threaded,
         Schedule::WorkStealing { workers: 1 },
         Schedule::WorkStealing { workers: 4 },
     ] {
