@@ -1,14 +1,16 @@
 //! Criterion microbenchmarks of the core components: STR bulk loading,
 //! R-tree range queries (cache-resident and cold), FLAT crawls, grid-hash
-//! graph building, connected components, SCOUT's whole observe step,
-//! k-means, and the Hilbert curve.
+//! graph building (whole, and its cell-walk kernel), connected components,
+//! SCOUT's whole observe step, k-means, and the Hilbert curve.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scout_core::kmeans::kmeans;
-use scout_core::{ResultGraph, Scout};
+use scout_core::{ResultGraph, Scout, ScoutConfig};
 use scout_geometry::hilbert::hilbert_index_3d;
 use scout_geometry::intersect::shape_intersects_aabb;
-use scout_geometry::{Aspect, QueryRegion, Shape, Simplification, Vec3};
+use scout_geometry::{
+    Aspect, QueryRegion, Segment, Shape, Simplification, Simplified, UniformGrid, Vec3,
+};
 use scout_index::{str_pack, FlatConfig, FlatIndex, OrderedSpatialIndex, RTree, SpatialIndex};
 use scout_sim::workloads::ADHOC_PATTERN;
 use scout_sim::{Prefetcher, QueryScratch, SimContext};
@@ -41,15 +43,17 @@ fn bench_follow_query(c: &mut Criterion) {
         })
     });
 
+    // The recorded result closest to the workload's mean size (4.3 k
+    // objects): the bed of the three entries below.
+    let (region, result) = tour
+        .iter()
+        .map(|r| (r, rtree.range_query(objects, r)))
+        .min_by_key(|(_, res)| res.objects.len().abs_diff(4_300))
+        .unwrap();
+    assert!(result.objects.len().abs_diff(4_300) < 500, "{} objects", result.objects.len());
+
     c.bench_function("scout_observe_4k", |b| {
-        // The recorded result closest to the workload's mean size (4.3 k
-        // objects), observed over and over by one warmed prefetcher.
-        let (region, result) = tour
-            .iter()
-            .map(|r| (r, rtree.range_query(objects, r)))
-            .min_by_key(|(_, res)| res.objects.len().abs_diff(4_300))
-            .unwrap();
-        assert!(result.objects.len().abs_diff(4_300) < 500, "{} objects", result.objects.len());
+        // Observed over and over by one warmed prefetcher.
         let ctx = SimContext::new(objects, &rtree, dataset.bounds);
         let mut scout = Scout::with_defaults();
         scout.reset();
@@ -57,6 +61,49 @@ fn bench_follow_query(c: &mut Criterion) {
         b.iter(|| {
             let stats = scout.observe_with_scratch(&ctx, region, &result, &mut scratch);
             black_box((stats.candidates, scout.plan(&ctx).requests.len()))
+        })
+    });
+
+    let config = ScoutConfig::default();
+
+    c.bench_function("grid_hash_build_4k", |b| {
+        // The full graph build alone — what `observe` spends most of its
+        // time in when the lattice moves every query, as it does on a
+        // guided sequence — warmed. (`scout_observe_4k` above repeats one
+        // region, so from its second lap on it times the repair path.)
+        let mut graph = ResultGraph::default();
+        let mut scratch = QueryScratch::new();
+        b.iter(|| {
+            black_box(graph.build_grid_hash(
+                &mut scratch,
+                objects,
+                &result.objects,
+                region,
+                config.grid_resolution,
+                config.simplification,
+            ))
+        })
+    });
+
+    c.bench_function("grid_cells_for_segment_4k", |b| {
+        // Pass 1's kernel alone: the cell walk over the same result's
+        // neuron-sized segments on the region's 32³ lattice.
+        let grid = UniformGrid::with_resolution(*region.aabb(), config.grid_resolution);
+        let segments: Vec<Segment> = result
+            .objects
+            .iter()
+            .filter_map(|o| match objects[o.index()].shape.simplified(config.simplification) {
+                Simplified::Segment(seg) => Some(seg),
+                _ => None, // a soma sphere simplifies to a point: no walk
+            })
+            .collect();
+        assert!(segments.len() * 10 > result.objects.len() * 9, "{} segments", segments.len());
+        b.iter(|| {
+            let mut sum = 0u32;
+            for seg in &segments {
+                grid.for_each_segment_cell(seg, |c| sum = sum.wrapping_add(c));
+            }
+            black_box(sum)
         })
     });
 }

@@ -12,11 +12,15 @@
 //!
 //! The graph is stored in **CSR** (compressed sparse row) form: one
 //! offsets array and one contiguous neighbor array, plus a dense
-//! `object → vertex` table built from the result-id slice (sorted-pair
-//! fallback for spread-out id ranges) — flat vectors only, no per-vertex
-//! allocations, no hash tables. Construction is counting-sort passes over
-//! scratch buffers borrowed from a
-//! [`scout_sim::QueryScratch`] arena, so a warmed
+//! `object → vertex` table built from the result-id slice (radix-sorted
+//! pairs for spread-out id ranges) — flat vectors only, no per-vertex
+//! allocations. Grid-hash construction hashes each result object once
+//! (pass 1: `(cell, vertex)` pairs straight off the cell walk), links the
+//! pairs into per-cell chains that yield every co-located pair exactly once
+//! (the *chain pass*), and writes each CSR row once, already ascending and
+//! duplicate-free, in two *transposes* — no sort, no dedup (see
+//! `ResultGraph::assemble_csr`). All of it runs over scratch buffers borrowed
+//! from a [`scout_sim::QueryScratch`] arena, so a warmed
 //! session rebuilds its graph every query without touching the allocator
 //! (DESIGN.md §6). The pre-CSR adjacency-list implementation survives as
 //! [`crate::reference::ReferenceGraph`], the property-test oracle and
@@ -30,8 +34,9 @@
 //! ## Incremental maintenance
 //!
 //! Consecutive latent-feature-following queries overlap heavily, so the
-//! graph also carries a [`GraphCache`]: the per-vertex cell lists and the
-//! cell-run index of its previous build. While the hashing lattice is
+//! graph also carries a [`GraphCache`]: a copy of its last full build's
+//! pass-1 pair list, from which the first repair derives per-vertex cell
+//! lists and a cell-run index. While the hashing lattice is
 //! unchanged, [`ResultGraph::build_grid_hash_incremental`] diffs the new
 //! result against the previous one, hashes only the entering objects, and
 //! repairs the CSR in place — producing bit-identical output to a fresh
@@ -93,11 +98,26 @@ fn renumber_new(map: &[u32], affine: AffineRemap, v: u32) -> u32 {
 /// and the sorted-pair fallback wins).
 const DENSE_REMAP_SLACK: usize = 4;
 
-/// Grid hashing groups its `(cell, vertex)` pairs with a counting sort
-/// when the cell count is at most this many times the pair count
-/// (otherwise the histogram would be mostly holes and a comparison sort
-/// wins).
+/// Whether `n` result ids spanning `min..=max` get the dense reverse index.
+fn remap_is_dense(n: usize, min: u32, max: u32) -> bool {
+    ((max - min) as usize) < n.max(1024) * DENSE_REMAP_SLACK
+}
+
+/// The chain pass indexes its `head` table by cell id when the cell count
+/// is at most this many times the pair count (and the fork-join build
+/// groups its pairs with a counting sort); beyond it a cell-indexed table
+/// would be mostly holes to clear every query, so the serial build hashes
+/// cells into a table sized by the pairs (and the fork-join build falls
+/// back to a comparison sort).
 const CELL_HISTOGRAM_SLACK: usize = 4;
+
+/// "No pair" in the chain pass's `head` table and links, "never met" in
+/// its stamps.
+const NONE: u32 = u32::MAX;
+
+/// The sparse reverse index is sorted by LSD radix, this many bits a pass
+/// (a 2 048-entry histogram: 8 KB of stack).
+const RADIX_BITS: u32 = 11;
 
 /// Below this many result vertices auto-parallelism keeps the grid-hash
 /// build serial (an explicit [`ResultGraph::set_build_threads`] overrides
@@ -107,22 +127,32 @@ const CELL_HISTOGRAM_SLACK: usize = 4;
 /// Set from a measurement: the first size at which width 2 beats the
 /// serial build by at least 10 %. Full-result builds over neuron beds,
 /// default `ScoutConfig`, forced widths, median of 7 alternating rounds
-/// on the 2-core reference host (Xeon @ 2.10 GHz, `max_parallelism` 2):
+/// on the 2-core reference host (Xeon @ 2.10 GHz, `max_parallelism` 2),
+/// re-measured against the chain-pass serial build of PR 16:
 ///
 /// | result objects | serial µs | width 2 µs | serial / width 2 |
 /// |---:|---:|---:|---:|
-/// | 3 603 | 826 | 907 | 0.91 |
-/// | 7 206 | 1 142 | 1 665 | 0.69 |
-/// | 15 613 | 2 879 | 3 162 | 0.91 |
-/// | 32 427 | 6 494 | 6 165 | 1.05 |
-/// | 64 854 | 14 740 | 12 603 | 1.17 |
-/// | 130 909 | 33 711 | 27 613 | 1.22 |
+/// | 3 603 | 380 | 720 | 0.53 |
+/// | 7 206 | 740 | 1 264 | 0.58 |
+/// | 15 613 | 1 917 | 2 929 | 0.65 |
+/// | 31 226 | 3 098 | 4 744 | 0.65 |
+/// | 64 854 | 7 465 | 11 181 | 0.67 |
+/// | 130 909 | 18 341 | 27 147 | 0.68 |
+/// | 261 818 | 51 980 | 64 414 | 0.81 |
+/// | 523 636 | 221 423 | 200 476 | 1.10 |
+/// | 1 047 272 | 1 017 760 | 737 792 | 1.38 |
 ///
-/// Below ~30 k vertices the dispatch handshake, the per-part histograms
-/// and the staging copies cost more than the second core returns — the
-/// 4 k-vertex results of a guided neuron sequence sat squarely there
-/// under the previous guess of 4 096.
-const PARALLEL_BUILD_CUTOFF: usize = 65_536;
+/// (Repeat sweeps read 0.87–1.32 at 261 818, 1.03–1.18 at 392 727,
+/// 1.07–1.38 at 523 636 over four, 1.42–1.44 at 785 454, and 0.84–1.04 at
+/// 99 683: the ratio is resolved from half a million vertices up, not
+/// below.) The fork-join passes keep a counting sort, a
+/// duplicate-inclusive scatter and a row dedup the serial build does
+/// without, so the second core pays for itself only where co-location
+/// work (quadratic in cell occupancy) dwarfs the staging copies. No
+/// result any benchmark workload produces is within two orders of
+/// magnitude of the cutoff: there the fork-join build runs only when
+/// `set_build_threads` forces it.
+const PARALLEL_BUILD_CUTOFF: usize = 524_288;
 
 /// The per-query-result object graph, in CSR form.
 #[derive(Debug, Clone, Default)]
@@ -142,14 +172,15 @@ pub struct ResultGraph {
     remap_dense: Vec<u32>,
     /// Lowest result object id (offset of `remap_dense`).
     remap_base: u32,
-    /// Sparse fallback: `(object, vertex)` pairs sorted by object id,
+    /// Sparse fallback: `(object id, vertex)` pairs sorted by object id,
     /// used (empty `remap_dense`) when the id range is too spread out.
-    remap_pairs: Vec<(ObjectId, VertexId)>,
+    remap_pairs: Vec<(u32, VertexId)>,
     /// Undirected edge count, fixed at construction (was an O(V) fold).
     edge_count: usize,
-    /// Persistent incremental-build state (previous build's cell lists and
-    /// cell runs, plus the repair double buffers). Owned by the graph so
-    /// the cache can only ever describe *this* graph's last build.
+    /// Persistent incremental-build state (the last full build's pair
+    /// list or, once a repair has run, cell lists, cell runs and the repair
+    /// double buffers). Owned by the graph so the cache can only ever
+    /// describe *this* graph's last build.
     cache: GraphCache,
     /// Fork-join width of the grid-hash build passes: `0` sizes from
     /// [`default_parallelism`] with a small-input serial cutoff, `1`
@@ -187,7 +218,7 @@ impl ResultGraph {
             }
         } else {
             self.remap_pairs
-                .binary_search_by_key(&o, |&(oid, _)| oid)
+                .binary_search_by_key(&o.0, |&(oid, _)| oid)
                 .ok()
                 .map(|i| self.remap_pairs[i].1)
         }
@@ -224,13 +255,17 @@ impl ResultGraph {
     /// measurements. Exact for the flat layout: no hash-bucket overhead,
     /// no per-vertex `Vec` headers. The incremental cache is counted by
     /// capacity (its buffers stay resident between queries), so
-    /// cache-pressure reporting sees the real footprint.
+    /// cache-pressure reporting sees the real footprint: one copy of the
+    /// `(cell, vertex)` pair list for a graph that is fully rebuilt every
+    /// query, plus the derived cell lists, cell runs and the repair's
+    /// double buffers once a repair has run
+    /// ([`GraphCache::memory_bytes`]).
     pub fn memory_bytes(&self) -> usize {
         self.object_ids.len() * std::mem::size_of::<ObjectId>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.targets.len() * std::mem::size_of::<VertexId>()
             + self.remap_dense.len() * std::mem::size_of::<u32>()
-            + self.remap_pairs.len() * std::mem::size_of::<(ObjectId, VertexId)>()
+            + self.remap_pairs.len() * std::mem::size_of::<(u32, VertexId)>()
             + self.cache.memory_bytes()
     }
 
@@ -381,11 +416,12 @@ impl ResultGraph {
     /// buffers and the scratch arena. Zero heap allocation once both have
     /// warmed to the workload's result sizes.
     ///
-    /// Two passes: (1) every object's simplified geometry is mapped to
-    /// grid cells, emitting `(cell, vertex)` pairs; (2) the sorted pair
-    /// list yields, per cell run, the co-located vertex pairs, which are
-    /// sorted and deduplicated into the CSR adjacency — replacing the
-    /// seed's per-cell `HashMap` entries and O(degree) `contains` checks.
+    /// Pass 1 maps every object's simplified geometry to grid cells,
+    /// emitting `(cell, vertex)` pairs; a chain pass over the pairs finds
+    /// each co-located vertex pair once, and two transposes write the CSR
+    /// rows, ascending and duplicate-free by construction (see
+    /// `assemble_csr`) — replacing the seed's per-cell `HashMap` entries
+    /// and O(degree) `contains` checks.
     ///
     /// Pass 1 is the one place the prediction loads the object records, so
     /// it also leaves `scratch.frame` describing exactly this graph's
@@ -410,10 +446,10 @@ impl ResultGraph {
         )
     }
 
-    /// The full grid-hash pipeline, optionally capturing the pass-1 cell
-    /// lists and the pass-2 cell runs into `capture` (the incremental
-    /// entry point's fallback path; see [`GraphCache`]). The capture is a
-    /// pair of flat copies — a few percent of the build — and the plain
+    /// The full grid-hash pipeline, optionally capturing the pass-1 pair
+    /// list into `capture` (the incremental entry point's fallback path;
+    /// see [`GraphCache`]). The capture is one flat copy — well under a
+    /// percent of the build — and the plain
     /// [`ResultGraph::build_grid_hash`] skips it entirely.
     // The trailing parameters are the hashing configuration the public
     // builders already take; bundling them would churn every caller.
@@ -421,7 +457,7 @@ impl ResultGraph {
     fn build_grid_hash_impl(
         &mut self,
         scratch: &mut QueryScratch,
-        mut capture: Option<&mut GraphCache>,
+        capture: Option<&mut GraphCache>,
         objects: &[SpatialObject],
         result_ids: &[ObjectId],
         region: &QueryRegion,
@@ -432,258 +468,279 @@ impl ResultGraph {
         let mut units = CpuUnits::default();
         let grid = UniformGrid::with_resolution(*region.aabb(), resolution);
         scratch.frame.clear();
-        if result_ids.is_empty() {
-            self.offsets.push(0);
-            if let Some(cache) = capture.as_deref_mut() {
-                cache.cell_offsets.clear();
-                cache.cell_offsets.push(0);
-                cache.cells.clear();
-                cache.runs.clear();
-                cache.sig = crate::graph_cache::GridSignature::of(&grid);
-                cache.valid = true;
-            }
-            return units;
-        }
+        scratch.cell_pairs.clear();
 
         // Pass 1: vertices (result order — the numbering every consumer
-        // relies on) and (cell, vertex) pairs. This is the one loop of
-        // the prediction that loads the object records, so it also fills
-        // the result frame every later phase reads. Parallel: contiguous
-        // vertex ranges stage pairs and frame entries per part,
-        // concatenated in fixed part order — identical to the serial
-        // append order.
+        // relies on) and (cell, vertex) pairs, pushed straight from the
+        // cell walk. This is the one loop of the prediction that loads the
+        // object records, so it also fills the result frame every later
+        // phase reads. Parallel: contiguous vertex ranges stage pairs and
+        // frame entries per part, concatenated in fixed part order.
         let n = result_ids.len();
         let parts = self.build_parts(n);
-        let pool = WorkerPool::global();
         self.object_ids.extend_from_slice(result_ids);
         units.graph_object_inserts += n as u64;
-        scratch.cell_pairs.clear();
         if parts > 1 {
-            scratch.ensure_workers(parts);
-            let chunk = n.div_ceil(parts);
-            let workers = SharedSlice::new(&mut scratch.workers[..parts]);
-            pool.run(parts, &|p| {
-                // SAFETY: part `p` touches only `workers[p]`.
-                let w = unsafe { &mut workers.slice_mut(p..p + 1)[0] };
-                w.pairs.clear();
-                w.frame.clear();
-                let hi = ((p + 1) * chunk).min(n);
-                let lo = (p * chunk).min(hi);
-                for (v, &oid) in (lo..).zip(&result_ids[lo..hi]) {
-                    let simplified = w.frame.push(&objects[oid.index()], simplification);
-                    w.cells.clear();
-                    grid.cells_for_simplified(&simplified, &mut w.cells);
-                    w.cells.sort_unstable();
-                    w.cells.dedup();
-                    for &c in &w.cells {
-                        w.pairs.push((c, v as u32));
-                    }
-                }
-            });
-            for w in &scratch.workers[..parts] {
-                scratch.cell_pairs.extend_from_slice(&w.pairs);
-                scratch.frame.append(&w.frame);
-            }
+            Self::hash_objects_parallel(scratch, parts, &grid, objects, result_ids, simplification);
         } else {
+            let QueryScratch { frame, cell_pairs, .. } = scratch;
             for (v, &oid) in result_ids.iter().enumerate() {
-                let simplified = scratch.frame.push(&objects[oid.index()], simplification);
-                scratch.cells.clear();
-                grid.cells_for_simplified(&simplified, &mut scratch.cells);
-                scratch.cells.sort_unstable();
-                scratch.cells.dedup();
-                for &c in &scratch.cells {
-                    scratch.cell_pairs.push((c, v as u32));
-                }
+                let simplified = frame.push(&objects[oid.index()], simplification);
+                grid.for_each_simplified_cell(&simplified, |c| cell_pairs.push((c, v as u32)));
             }
         }
-        self.rebuild_remap();
-        if let Some(cache) = capture.as_deref_mut() {
-            // The pass-1 pair list is grouped by vertex in ascending
-            // order (cells sorted + deduped within each group): exactly
-            // the per-vertex cell-list CSR the cache wants. Cells are
-            // copied in one bulk pass; the offsets walk only advances a
-            // cursor, so the capture stays a few percent of the build.
-            cache.cells.clear();
-            cache.cells.extend(scratch.cell_pairs.iter().map(|&(c, _)| c));
-            cache.cell_offsets.clear();
-            cache.cell_offsets.reserve(result_ids.len() + 1);
-            cache.cell_offsets.push(0);
-            let pairs = &scratch.cell_pairs[..];
-            let mut k = 0usize;
-            for v in 0..result_ids.len() as u32 {
-                while k < pairs.len() && pairs[k].1 == v {
-                    k += 1;
-                }
-                cache.cell_offsets.push(k as u32);
-            }
-            debug_assert_eq!(k, pairs.len());
-        }
-
-        // Pass 2: group pairs by cell — a counting sort over cell ids when
-        // the grid is small enough for a histogram (it always is for the
-        // Figure-13e resolutions), a comparison sort otherwise. Grouping
-        // is all the edge passes need; within a cell run the vertices stay
-        // in ascending (result) order either way.
-        let cell_count = grid.cell_count() as usize;
-        let pair_count = scratch.cell_pairs.len();
-        if cell_count <= pair_count.max(1024) * CELL_HISTOGRAM_SLACK {
-            if parts > 1 {
-                // Parallel stable counting sort: per-part histograms over
-                // contiguous pair chunks, merged in fixed part order into
-                // per-part scatter cursors. Within a cell the parts write
-                // in part order and each part in chunk order — exactly the
-                // serial stable scatter sequence.
-                let chunk = pair_count.div_ceil(parts);
-                let pairs = &scratch.cell_pairs;
-                {
-                    let workers = SharedSlice::new(&mut scratch.workers[..parts]);
-                    pool.run(parts, &|p| {
-                        // SAFETY: part `p` touches only `workers[p]`.
-                        let w = unsafe { &mut workers.slice_mut(p..p + 1)[0] };
-                        w.counts.clear();
-                        w.counts.resize(cell_count, 0);
-                        let hi = ((p + 1) * chunk).min(pair_count);
-                        for &(c, _) in &pairs[(p * chunk).min(hi)..hi] {
-                            w.counts[c as usize] += 1;
-                        }
-                    });
-                }
-                let mut start = 0u32;
-                for c in 0..cell_count {
-                    for w in &mut scratch.workers[..parts] {
-                        let count = w.counts[c];
-                        w.counts[c] = start;
-                        start += count;
-                    }
-                }
-                scratch.edges.clear();
-                scratch.edges.resize(pair_count, (0, 0));
-                let grouped = SharedSlice::new(&mut scratch.edges);
-                let pairs = &scratch.cell_pairs;
-                let workers = SharedSlice::new(&mut scratch.workers[..parts]);
-                pool.run(parts, &|p| {
-                    // SAFETY: part `p` touches only `workers[p]`; the
-                    // merged cursors give every (part, cell) pair a slot
-                    // range disjoint from all others.
-                    let w = unsafe { &mut workers.slice_mut(p..p + 1)[0] };
-                    let hi = ((p + 1) * chunk).min(pair_count);
-                    for &(c, v) in &pairs[(p * chunk).min(hi)..hi] {
-                        unsafe { grouped.write(w.counts[c as usize] as usize, (c, v)) };
-                        w.counts[c as usize] += 1;
-                    }
-                });
-                std::mem::swap(&mut scratch.cell_pairs, &mut scratch.edges);
-            } else {
-                // Histogram + stable scatter via the counts buffer; the
-                // edges buffer doubles as the same-typed scatter
-                // destination.
-                scratch.counts.clear();
-                scratch.counts.resize(cell_count, 0);
-                for &(c, _) in &scratch.cell_pairs {
-                    scratch.counts[c as usize] += 1;
-                }
-                let mut start = 0u32;
-                for c in scratch.counts.iter_mut() {
-                    let count = *c;
-                    *c = start;
-                    start += count;
-                }
-                scratch.edges.clear();
-                scratch.edges.resize(pair_count, (0, 0));
-                for &(c, v) in &scratch.cell_pairs {
-                    scratch.edges[scratch.counts[c as usize] as usize] = (c, v);
-                    scratch.counts[c as usize] += 1;
-                }
-                std::mem::swap(&mut scratch.cell_pairs, &mut scratch.edges);
-            }
-        } else {
-            // Histogram too sparse to pay for: comparison sort. Rare
-            // (pathological resolutions only) and left serial.
-            scratch.cell_pairs.sort_unstable();
-        }
-        if let Some(cache) = capture.as_deref_mut() {
-            // The grouped pair list is the cell-run index the repair
-            // co-walks on the next query.
-            cache.runs.clear();
-            cache.runs.extend_from_slice(&scratch.cell_pairs);
-        }
-
-        // Pass 3: degrees (duplicates included) straight off the cell
-        // runs — every member of a k-cell gains k−1 incidences.
-        if parts > 1 {
-            self.build_csr_parallel(scratch, parts, pool, &mut units);
-        } else {
-            scratch.counts.clear();
-            scratch.counts.resize(n, 0);
-            let pairs = &scratch.cell_pairs;
-            let mut i = 0;
-            while i < pairs.len() {
-                let cell = pairs[i].0;
-                let mut j = i + 1;
-                while j < pairs.len() && pairs[j].0 == cell {
-                    j += 1;
-                }
-                let k = (j - i) as u32;
-                for &(_, v) in &pairs[i..j] {
-                    scratch.counts[v as usize] += k - 1;
-                }
-                i = j;
-            }
-            let total = Self::prefix_sum_offsets(&mut self.offsets, &scratch.counts);
-            // Pass 4: scatter both directions of every co-located pair
-            // into the rows, reusing the histogram as per-row write
-            // cursors.
-            self.targets.clear();
-            self.targets.resize(total, 0);
-            for c in scratch.counts.iter_mut() {
-                *c = 0;
-            }
-            let mut i = 0;
-            while i < pairs.len() {
-                let cell = pairs[i].0;
-                let mut j = i + 1;
-                while j < pairs.len() && pairs[j].0 == cell {
-                    j += 1;
-                }
-                for a in i..j {
-                    for b in (a + 1)..j {
-                        let (va, vb) = (pairs[a].1, pairs[b].1);
-                        self.targets
-                            [(self.offsets[va as usize] + scratch.counts[va as usize]) as usize] =
-                            vb;
-                        scratch.counts[va as usize] += 1;
-                        self.targets
-                            [(self.offsets[vb as usize] + scratch.counts[vb as usize]) as usize] =
-                            va;
-                        scratch.counts[vb as usize] += 1;
-                    }
-                }
-                i = j;
-            }
-            self.dedup_rows(&mut units);
-        }
+        self.rebuild_remap(&mut scratch.edges);
         if let Some(cache) = capture {
-            cache.sig = crate::graph_cache::GridSignature::of(&grid);
-            cache.valid = true;
+            cache.capture(&scratch.cell_pairs, &grid);
+        }
+        let cell_count = grid.cell_count() as usize;
+        if parts > 1 {
+            self.build_csr_parallel(scratch, cell_count, parts, &mut units);
+        } else {
+            self.assemble_csr(scratch, cell_count, &mut units);
         }
         units
     }
 
-    /// Passes 3–4 and row dedup of the grid-hash build, fork-joined over
-    /// run-aligned chunks of the grouped pair list. Every write lands at
-    /// a slot derived from fixed-order prefix sums of per-part partials,
-    /// so the CSR comes out byte-identical to the serial passes (see
-    /// DESIGN.md §9); only the final compaction stays serial, because
-    /// shrinking rows slide left across part boundaries.
-    fn build_csr_parallel(
+    /// Passes 2–3 of the serial grid-hash build: the vertex-major pair list
+    /// in `scratch.cell_pairs` becomes the CSR adjacency in one *chain
+    /// pass* and two *transposes*, writing every target slot exactly once.
+    ///
+    /// **Chain pass.** Each pair is linked onto its cell's chain: `head`
+    /// names the cell's newest pair, a link is `(vertex, pair before)`.
+    /// The pairs arrive vertex-major with no `(cell, vertex)` repeated, so
+    /// the chain a pair of vertex `v` joins holds exactly the members of
+    /// its cell numbered below `v` — `v`'s *backward* neighbours. A
+    /// per-vertex stamp drops a neighbour met again through a second
+    /// shared cell; each first meeting is appended to `v`'s backward list
+    /// and bumps the neighbour's forward degree. Rows are therefore
+    /// duplicate-free before a single target is written: nothing to sort,
+    /// nothing to dedup.
+    ///
+    /// `head` is indexed by cell id when the grid is small against the pair
+    /// list ([`CELL_HISTOGRAM_SLACK`]); otherwise it is an open-addressed
+    /// table of 2 × pairs slots keyed by the head pair's own cell
+    /// (Fibonacci hashing, linear probing) — the side every sparse
+    /// SCOUT-OPT graph takes.
+    ///
+    /// **Transposes.** Row `v` is its backward part then its forward part.
+    /// Scattering `v` into the forward part of every backward neighbour,
+    /// for ascending `v`, fills the forward parts in ascending order;
+    /// scattering `u` into the backward part of every forward neighbour,
+    /// for ascending `u`, does the same for the backward parts.
+    ///
+    /// The working buffers are the repair's scratch vectors under local
+    /// names: a full build and a repair never share a call.
+    fn assemble_csr(
         &mut self,
         scratch: &mut QueryScratch,
-        parts: usize,
-        pool: &WorkerPool,
+        cell_count: usize,
         units: &mut CpuUnits,
     ) {
         let n = self.object_ids.len();
+        let QueryScratch {
+            cell_pairs: pairs,
+            counts: head,
+            edges: links,
+            map_new_to_old: stamp,
+            map_old_to_new: back_cursor,
+            removed_counts: forward,
+            delta_offsets: back_offsets,
+            delta_targets: back,
+            ..
+        } = scratch;
+        assert!(pairs.len() < NONE as usize, "pair list overflows the u32 chain links");
+        let direct = cell_count <= pairs.len().max(1024) * CELL_HISTOGRAM_SLACK;
+        let slots = if direct { cell_count } else { (2 * pairs.len()).next_power_of_two().max(2) };
+        let hash_shift = u32::BITS - slots.trailing_zeros();
+        head.clear();
+        head.resize(slots, NONE);
+        links.clear();
+        links.resize(pairs.len(), (0, NONE));
+        stamp.clear();
+        stamp.resize(n, NONE);
+        forward.clear();
+        forward.resize(n, 0);
+        back_offsets.clear();
+        back_offsets.reserve(n + 1);
+        back.clear();
+        let mut p = 0usize;
+        for v in 0..n as u32 {
+            back_offsets.push(back.len() as u32);
+            while p < pairs.len() && pairs[p].1 == v {
+                let cell = pairs[p].0;
+                let mut slot = cell as usize;
+                if !direct {
+                    slot = (cell.wrapping_mul(0x9E37_79B9) >> hash_shift) as usize;
+                    while head[slot] != NONE && pairs[head[slot] as usize].0 != cell {
+                        slot = (slot + 1) & (slots - 1);
+                    }
+                }
+                let mut q = head[slot];
+                head[slot] = p as u32;
+                links[p] = (v, q);
+                while q != NONE {
+                    let (u, before) = links[q as usize];
+                    debug_assert!(u < v, "pairs must be vertex-major, each (cell, vertex) once");
+                    if stamp[u as usize] != v {
+                        stamp[u as usize] = v;
+                        back.push(u);
+                        forward[u as usize] += 1;
+                    }
+                    q = before;
+                }
+                p += 1;
+            }
+        }
+        back_offsets.push(back.len() as u32);
+        debug_assert_eq!(p, pairs.len(), "pairs must be vertex-major");
+
+        // Row lengths → offsets; `forward` then turns into the write cursor
+        // of each row's forward part, `back_cursor` is that of its backward
+        // part.
+        let back_len = |v: usize| back_offsets[v + 1] - back_offsets[v];
+        for (v, degree) in forward.iter_mut().enumerate() {
+            *degree += back_len(v);
+        }
+        let total = Self::prefix_sum_offsets(&mut self.offsets, forward);
+        self.targets.clear();
+        self.targets.resize(total, 0);
+        for (v, cursor) in forward.iter_mut().enumerate() {
+            *cursor = self.offsets[v] + back_len(v);
+        }
+        for v in 0..n {
+            for &u in &back[back_offsets[v] as usize..back_offsets[v + 1] as usize] {
+                self.targets[forward[u as usize] as usize] = v as u32;
+                forward[u as usize] += 1;
+            }
+        }
+        back_cursor.clear();
+        back_cursor.extend_from_slice(&self.offsets[..n]);
+        for u in 0..n {
+            for i in (self.offsets[u] + back_len(u)) as usize..self.offsets[u + 1] as usize {
+                let w = self.targets[i] as usize;
+                self.targets[back_cursor[w] as usize] = u as u32;
+                back_cursor[w] += 1;
+            }
+        }
+        debug_assert!(
+            (0..n).all(|v| self.targets[self.row(v as u32)].windows(2).all(|w| w[0] < w[1])),
+            "rows must come out ascending and duplicate-free"
+        );
+        self.edge_count = total / 2;
+        units.graph_edge_inserts += self.edge_count as u64;
+    }
+
+    /// Pass 1 of the fork-join build: contiguous vertex ranges stage their
+    /// pairs (cells sorted within a vertex) and frame entries per part,
+    /// concatenated in fixed part order.
+    fn hash_objects_parallel(
+        scratch: &mut QueryScratch,
+        parts: usize,
+        grid: &UniformGrid,
+        objects: &[SpatialObject],
+        result_ids: &[ObjectId],
+        simplification: scout_geometry::Simplification,
+    ) {
+        let n = result_ids.len();
+        scratch.ensure_workers(parts);
+        let chunk = n.div_ceil(parts);
+        let workers = SharedSlice::new(&mut scratch.workers[..parts]);
+        WorkerPool::global().run(parts, &|p| {
+            // SAFETY: part `p` touches only `workers[p]`.
+            let w = unsafe { &mut workers.slice_mut(p..p + 1)[0] };
+            w.pairs.clear();
+            w.frame.clear();
+            let hi = ((p + 1) * chunk).min(n);
+            let lo = (p * chunk).min(hi);
+            for (v, &oid) in (lo..).zip(&result_ids[lo..hi]) {
+                let simplified = w.frame.push(&objects[oid.index()], simplification);
+                w.cells.clear();
+                grid.cells_for_simplified(&simplified, &mut w.cells);
+                w.cells.sort_unstable();
+                w.cells.dedup();
+                for &c in &w.cells {
+                    w.pairs.push((c, v as u32));
+                }
+            }
+        });
+        for w in &scratch.workers[..parts] {
+            scratch.cell_pairs.extend_from_slice(&w.pairs);
+            scratch.frame.append(&w.frame);
+        }
+    }
+
+    /// Passes 2–4 and row dedup of the fork-join grid-hash build (`parts >
+    /// 1`): the pair list is grouped by cell, then degrees, scatter and
+    /// row dedup run over run-aligned chunks of it. Every write lands at
+    /// a slot derived from fixed-order prefix sums of per-part partials,
+    /// so the CSR comes out byte-identical at every width and to the
+    /// serial [`ResultGraph::assemble_csr`] (see DESIGN.md §9); only the
+    /// final compaction stays serial, because shrinking rows slide left
+    /// across part boundaries.
+    fn build_csr_parallel(
+        &mut self,
+        scratch: &mut QueryScratch,
+        cell_count: usize,
+        parts: usize,
+        units: &mut CpuUnits,
+    ) {
+        let pool = WorkerPool::global();
+        let n = self.object_ids.len();
         let len = scratch.cell_pairs.len();
+        // Pass 2: group pairs by cell — a counting sort over cell ids when
+        // the grid is small enough for a histogram, a comparison sort
+        // otherwise (pathological resolutions only; left serial). Within a
+        // cell run the vertices stay in ascending (result) order either way.
+        if cell_count <= len.max(1024) * CELL_HISTOGRAM_SLACK {
+            // Parallel stable counting sort: per-part histograms over
+            // contiguous pair chunks, merged in fixed part order into
+            // per-part scatter cursors. Within a cell the parts write in
+            // part order and each part in chunk order — exactly the serial
+            // stable scatter sequence.
+            let chunk = len.div_ceil(parts);
+            let pairs = &scratch.cell_pairs;
+            {
+                let workers = SharedSlice::new(&mut scratch.workers[..parts]);
+                pool.run(parts, &|p| {
+                    // SAFETY: part `p` touches only `workers[p]`.
+                    let w = unsafe { &mut workers.slice_mut(p..p + 1)[0] };
+                    w.counts.clear();
+                    w.counts.resize(cell_count, 0);
+                    let hi = ((p + 1) * chunk).min(len);
+                    for &(c, _) in &pairs[(p * chunk).min(hi)..hi] {
+                        w.counts[c as usize] += 1;
+                    }
+                });
+            }
+            let mut start = 0u32;
+            for c in 0..cell_count {
+                for w in &mut scratch.workers[..parts] {
+                    let count = w.counts[c];
+                    w.counts[c] = start;
+                    start += count;
+                }
+            }
+            scratch.edges.clear();
+            scratch.edges.resize(len, (0, 0));
+            let grouped = SharedSlice::new(&mut scratch.edges);
+            let workers = SharedSlice::new(&mut scratch.workers[..parts]);
+            pool.run(parts, &|p| {
+                // SAFETY: part `p` touches only `workers[p]`; the merged
+                // cursors give every (part, cell) pair a slot range
+                // disjoint from all others.
+                let w = unsafe { &mut workers.slice_mut(p..p + 1)[0] };
+                let hi = ((p + 1) * chunk).min(len);
+                for &(c, v) in &pairs[(p * chunk).min(hi)..hi] {
+                    unsafe { grouped.write(w.counts[c as usize] as usize, (c, v)) };
+                    w.counts[c as usize] += 1;
+                }
+            });
+            std::mem::swap(&mut scratch.cell_pairs, &mut scratch.edges);
+        } else {
+            scratch.cell_pairs.sort_unstable();
+        }
+
         // Run-aligned part boundaries: a cell run never spans two parts,
         // so each part sees whole runs and the per-run double loops need
         // no cross-part coordination.
@@ -852,7 +909,7 @@ impl ResultGraph {
             self.object_ids.push(oid);
             units.graph_object_inserts += 1;
         }
-        self.rebuild_remap();
+        self.rebuild_remap(&mut scratch.edges);
         scratch.edges.clear();
         for (v, &oid) in result_ids.iter().enumerate() {
             let v = v as u32;
@@ -1066,8 +1123,8 @@ impl ResultGraph {
     /// [`ResultGraph::build_grid_hash_incremental`]).
     ///
     /// Preconditions (established by the caller): `self` is the previous
-    /// query's graph, `cache` its matching cell lists / runs on the same
-    /// lattice, `scratch.map_new_to_old` / `map_old_to_new` the monotone
+    /// query's graph, `cache` its capture (or, after a repair, its cell
+    /// lists / runs) on the same lattice, `scratch.map_new_to_old` / `map_old_to_new` the monotone
     /// renumbering between the two results (`affine` its constant-shift
     /// form when the renumbering is a contiguous range shift — the
     /// sliding-window common case — letting the hot loops renumber with
@@ -1110,6 +1167,8 @@ impl ResultGraph {
         // path guarantees they are sized.
         debug_assert!(affine.is_some() || prev_n == scratch.map_old_to_new.len());
         debug_assert!(affine.is_some() || new_n == scratch.map_new_to_old.len());
+        // After a full build the cache holds only the captured pair list.
+        cache.derive(prev_n);
 
         // Phase 1: vertex table; per-vertex cell lists (cached copy for
         // retained vertices — coalesced into one memcpy per run of
@@ -1148,14 +1207,11 @@ impl ResultGraph {
                     cache.back_cells.extend_from_slice(&cache.cells[s as usize..e as usize]);
                     v += len;
                 } else {
-                    scratch.cells.clear();
-                    grid.cells_for_simplified(&scratch.frame.simplified[v], &mut scratch.cells);
-                    scratch.cells.sort_unstable();
-                    scratch.cells.dedup();
-                    for &c in &scratch.cells {
+                    let QueryScratch { frame, cell_pairs, .. } = &mut *scratch;
+                    grid.for_each_simplified_cell(&frame.simplified[v], |c| {
                         cache.back_cells.push(c);
-                        scratch.cell_pairs.push((c, v as u32));
-                    }
+                        cell_pairs.push((c, v as u32));
+                    });
                     cache.back_cell_offsets.push(cache.back_cells.len() as u32);
                     v += 1;
                 }
@@ -1475,12 +1531,12 @@ impl ResultGraph {
         units
     }
 
-    /// Rebuilds the reverse index for the repaired graph. The dense-table
-    /// mode rebuilds directly (linear, cheap); the sorted-pair mode —
-    /// selected for spread-out id ranges, where the plain rebuild sorts
-    /// every result id — is repaired instead: the previous sorted pairs
-    /// are filter-renumbered (their id order is untouched) and merged
-    /// with the entering ids, so only the entering ids are sorted.
+    /// Rebuilds the reverse index for the repaired graph. The sorted-pair
+    /// mode — selected for spread-out id ranges — is repaired when the
+    /// previous index was in it too: the previous sorted pairs are
+    /// filter-renumbered (their id order is untouched) and merged with the
+    /// entering ids, so only the entering ids are sorted. Everything else
+    /// (dense table, mode transition, empty result) is the plain rebuild.
     fn repair_remap(
         &mut self,
         scratch: &mut QueryScratch,
@@ -1488,40 +1544,10 @@ impl ResultGraph {
         affine: AffineRemap,
     ) {
         let n = self.object_ids.len();
-        self.remap_dense.clear();
-        self.remap_base = 0;
-        if n == 0 {
-            self.remap_pairs.clear();
-            return;
-        }
-        let mut min = u32::MAX;
-        let mut max = 0u32;
-        for &o in &self.object_ids {
-            min = min.min(o.0);
-            max = max.max(o.0);
-        }
-        let range = (max - min) as usize + 1;
-        if range <= n.max(1024) * DENSE_REMAP_SLACK {
-            // Dense mode: the plain rebuild is already linear.
-            self.remap_pairs.clear();
-            self.remap_base = min;
-            self.remap_dense.resize(range, u32::MAX);
-            for (v, &o) in self.object_ids.iter().enumerate() {
-                debug_assert_eq!(
-                    self.remap_dense[(o.0 - min) as usize],
-                    u32::MAX,
-                    "result ids must be unique"
-                );
-                self.remap_dense[(o.0 - min) as usize] = v as u32;
-            }
-            return;
-        }
-        if self.remap_pairs.is_empty() {
-            // Mode transition (the previous index was dense): full rebuild.
-            self.remap_pairs
-                .extend(self.object_ids.iter().enumerate().map(|(v, &o)| (o, v as u32)));
-            self.remap_pairs.sort_unstable();
-            return;
+        if self.remap_pairs.is_empty()
+            || self.id_span().is_none_or(|(min, max)| remap_is_dense(n, min, max))
+        {
+            return self.rebuild_remap(&mut scratch.edges);
         }
         // Sorted-pair repair: sort only the entering ids, then one merge.
         let QueryScratch { edges, map_new_to_old, map_old_to_new, .. } = scratch;
@@ -1539,16 +1565,13 @@ impl ResultGraph {
             if nv == u32::MAX {
                 continue;
             }
-            while j < edges.len() && edges[j].0 < oid.0 {
-                cache.back_remap_pairs.push((ObjectId(edges[j].0), edges[j].1));
+            while j < edges.len() && edges[j].0 < oid {
+                cache.back_remap_pairs.push(edges[j]);
                 j += 1;
             }
             cache.back_remap_pairs.push((oid, nv));
         }
-        while j < edges.len() {
-            cache.back_remap_pairs.push((ObjectId(edges[j].0), edges[j].1));
-            j += 1;
-        }
+        cache.back_remap_pairs.extend_from_slice(&edges[j..]);
         std::mem::swap(&mut self.remap_pairs, &mut cache.back_remap_pairs);
         debug_assert!(
             self.remap_pairs.windows(2).all(|w| w[0].0 < w[1].0),
@@ -1556,26 +1579,28 @@ impl ResultGraph {
         );
     }
 
+    /// Lowest and highest result object id; `None` for an empty result.
+    fn id_span(&self) -> Option<(u32, u32)> {
+        let ids = self.object_ids.iter().map(|o| o.0);
+        ids.clone().min().zip(ids.max())
+    }
+
     /// Rebuilds the reverse index from `object_ids`: a dense offset table
     /// when the result-id range is compact (query results are spatially
-    /// local, so it almost always is), sorted pairs otherwise.
-    fn rebuild_remap(&mut self) {
+    /// local, so it often is), sorted pairs otherwise — neuron ids are
+    /// spread, so a guided neuron query takes this side every time. The
+    /// pairs are sorted by LSD radix on `id − min`, [`RADIX_BITS`] a pass
+    /// over as many passes as the id span has digits, ping-ponging with
+    /// `spare`; ids are unique, so the outcome is *the* sorted vector.
+    fn rebuild_remap(&mut self, spare: &mut Vec<(u32, u32)>) {
         self.remap_dense.clear();
+        self.remap_base = 0;
         self.remap_pairs.clear();
         let n = self.object_ids.len();
-        if n == 0 {
-            return;
-        }
-        let mut min = u32::MAX;
-        let mut max = 0u32;
-        for &o in &self.object_ids {
-            min = min.min(o.0);
-            max = max.max(o.0);
-        }
-        let range = (max - min) as usize + 1;
-        if range <= n.max(1024) * DENSE_REMAP_SLACK {
+        let Some((min, max)) = self.id_span() else { return };
+        if remap_is_dense(n, min, max) {
             self.remap_base = min;
-            self.remap_dense.resize(range, u32::MAX);
+            self.remap_dense.resize((max - min) as usize + 1, u32::MAX);
             for (v, &o) in self.object_ids.iter().enumerate() {
                 debug_assert_eq!(
                     self.remap_dense[(o.0 - min) as usize],
@@ -1584,21 +1609,47 @@ impl ResultGraph {
                 );
                 self.remap_dense[(o.0 - min) as usize] = v as u32;
             }
-        } else {
-            self.remap_pairs
-                .extend(self.object_ids.iter().enumerate().map(|(v, &o)| (o, v as u32)));
-            self.remap_pairs.sort_unstable();
-            debug_assert!(
-                self.remap_pairs.windows(2).all(|w| w[0].0 != w[1].0),
-                "result ids must be unique"
-            );
+            return;
         }
+        let passes = (u32::BITS - (max - min).leading_zeros()).div_ceil(RADIX_BITS);
+        // The passes alternate buffers; start so that the last one lands
+        // in `remap_pairs`.
+        let (mut src, mut dst) = (&mut self.remap_pairs, spare);
+        if passes % 2 == 1 {
+            std::mem::swap(&mut src, &mut dst);
+        }
+        src.clear();
+        src.extend(self.object_ids.iter().enumerate().map(|(v, &o)| (o.0, v as u32)));
+        dst.clear();
+        dst.resize(n, (0, 0));
+        for pass in 0..passes {
+            let digit =
+                |oid: u32| ((oid - min) >> (pass * RADIX_BITS)) as usize % (1 << RADIX_BITS);
+            let mut starts = [0u32; 1 << RADIX_BITS];
+            for &(oid, _) in src.iter() {
+                starts[digit(oid)] += 1;
+            }
+            let mut sum = 0u32;
+            for s in starts.iter_mut() {
+                sum += std::mem::replace(s, sum);
+            }
+            for &(oid, v) in src.iter() {
+                let slot = &mut starts[digit(oid)];
+                dst[*slot as usize] = (oid, v);
+                *slot += 1;
+            }
+            std::mem::swap(&mut src, &mut dst);
+        }
+        debug_assert!(
+            self.remap_pairs.windows(2).all(|w| w[0].0 < w[1].0),
+            "result ids must be unique"
+        );
     }
 
     /// Lays the scratch edge multiset (both directions present) out as
     /// CSR: degree histogram, scatter, then [`ResultGraph::dedup_rows`].
-    /// Used by the explicit-adjacency build; the grid build scatters
-    /// straight from its cell runs without materializing an edge list.
+    /// Used by the explicit-adjacency build; the grid build never
+    /// materializes an edge list ([`ResultGraph::assemble_csr`]).
     fn finish_csr(&mut self, scratch: &mut QueryScratch, units: &mut CpuUnits) {
         let n = self.object_ids.len();
         let edges = &scratch.edges;
@@ -1684,7 +1735,73 @@ impl ResultGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use scout_geometry::{Aspect, Segment, Shape, Simplification, StructureId, Vec3};
+    use std::collections::HashMap;
+
+    // The reverse index against a `HashMap`, on id spans of one, two and
+    // three radix digits and on both sides of the dense/sparse switch. A
+    // unit test because ids this spread cannot be reached through a build
+    // without a dataset array as long as the largest id.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn csr_grid_hash_reverse_index_matches_hashmap_oracle(
+            inner in prop_oneof![
+                prop::collection::vec(0.0..1.0f64, 0..300),
+                prop::collection::vec(0.0..1.0f64, 1_100..1_600),
+            ],
+            base in 0u32..1_000_000,
+            kind in 0usize..6,
+            wide in 0.0..1.0f64,
+        ) {
+            let between = |lo: u32, hi: u32| lo + (wide * (hi - lo) as f64) as u32;
+            // Where the index turns sparse for the largest result these ids
+            // can make; spans at, beside and far from it.
+            let switch = ((inner.len() + 2).max(1024) * DENSE_REMAP_SLACK) as u32;
+            let (span, sparse) = [
+                (between(2, 1 << RADIX_BITS), false), // one digit
+                (switch - 1, false),
+                (switch, true),
+                (between(switch, 1 << (2 * RADIX_BITS)), true), // two digits
+                (between(1 << (2 * RADIX_BITS), 1 << 31), true), // three
+                (u32::MAX - base, true),
+            ][kind];
+            // Unique ids over exactly [base, base + span], in no order.
+            let mut ids: Vec<u32> =
+                inner.iter().map(|f| base + 1 + (f * (span - 2) as f64) as u32).collect();
+            ids.extend([base + span, base]);
+            ids.sort_unstable();
+            ids.dedup();
+            ids.sort_unstable_by_key(|&id| id.wrapping_mul(0x9E37_79B9));
+
+            let mut graph = ResultGraph {
+                object_ids: ids.iter().map(|&id| ObjectId(id)).collect(),
+                ..Default::default()
+            };
+            let mut spare = vec![(7, 7); 3];
+            graph.rebuild_remap(&mut spare);
+            // Duplicates among `inner` can only shrink the result, which
+            // moves the switch down: never up past a sparse span.
+            if sparse || ids.len() == inner.len() + 2 {
+                prop_assert_eq!(graph.remap_dense.is_empty(), sparse);
+            }
+            prop_assert!(graph.remap_dense.is_empty() != graph.remap_pairs.is_empty());
+            if sparse {
+                prop_assert!(graph.remap_pairs.windows(2).all(|w| w[0].0 < w[1].0));
+                prop_assert_eq!(graph.remap_pairs.len(), ids.len());
+            }
+            let oracle: HashMap<u32, u32> =
+                ids.iter().enumerate().map(|(v, &id)| (id, v as u32)).collect();
+            for &id in &ids {
+                for probe in [id, id.wrapping_sub(1), id.wrapping_add(1)] {
+                    prop_assert_eq!(
+                        graph.vertex_of(ObjectId(probe)), oracle.get(&probe).copied());
+                }
+            }
+        }
+    }
 
     /// A chain of collinear segments plus one far-away point.
     fn chain_dataset() -> (Vec<SpatialObject>, Vec<ObjectId>) {

@@ -3,30 +3,34 @@
 //! Latent-feature-following workloads slide the query region along a
 //! structure, so consecutive result sets overlap heavily — yet the seed
 //! pipeline re-hashed every result object and rebuilt the whole CSR graph
-//! from scratch on every `observe`. A [`GraphCache`] keeps the products of
-//! the previous build that stay valid while the hashing lattice is
-//! unchanged:
+//! from scratch on every `observe`. A [`GraphCache`] keeps what stays valid
+//! while the hashing lattice is unchanged:
 //!
-//! * the **per-vertex cell lists** (which grid cells each result object's
-//!   simplified geometry covers) — a pure function of `(lattice, object)`,
-//!   so a retained object's list is bit-identical across queries;
-//! * the **cell-run index** (the `(cell, vertex)` pair list grouped by
-//!   cell) — the co-location structure edges are derived from.
+//! * a full build through the incremental entry point captures **one
+//!   thing**: a copy of its pass-1 `(cell, vertex)` pair list — which grid
+//!   cells each result object's simplified geometry covers, a pure function
+//!   of `(lattice, object)`;
+//! * the first repair after it **derives** the two forms the repair walks
+//!   from that copy: the **per-vertex cell lists** (the pair list split at
+//!   vertex boundaries) and the **cell-run index** (the pairs sorted, i.e.
+//!   grouped by cell with vertices ascending) — the co-location structure
+//!   edges come from. Chained repairs keep both current; a workload whose
+//!   lattice moves every query never pays for, or holds, either.
 //!
 //! [`ResultGraph::build_grid_hash_incremental`](crate::ResultGraph::build_grid_hash_incremental)
 //! diffs each incoming result against the previous one, re-hashes only the
 //! objects entering the region, and repairs the CSR arrays from the cached
-//! state — falling back to the full build (and refreshing the cache) when
+//! state — falling back to the full build (and refreshing the capture) when
 //! the lattice moved, the overlap is below the configured threshold, the
 //! retained objects were re-ordered, or the cache is cold. The fallback
 //! *is* the pre-existing full build, so the worst case never regresses
-//! beyond the cost of the capture copies.
+//! beyond the cost of the one capture copy.
 //!
 //! The cache also owns the double buffers the repair writes into (the old
 //! CSR must stay readable while the new one is assembled), so a warmed
 //! session repairs its graph without touching the allocator.
 
-use scout_geometry::{ObjectId, UniformGrid};
+use scout_geometry::UniformGrid;
 
 /// Bit-exact identity of a hashing lattice: grid bounds (as f64 bit
 /// patterns — incremental reuse demands the *exact* lattice, not an
@@ -136,17 +140,23 @@ impl GraphCacheStats {
 /// naturally accounts for it.
 #[derive(Debug, Clone, Default)]
 pub struct GraphCache {
-    /// True when `cells`/`runs` describe the graph's current state (set by
-    /// capturing/repairing builds, cleared by every other mutation).
+    /// True when the cached state describes the graph's current result (set
+    /// by capturing/repairing builds, cleared by every other mutation).
     pub(crate) valid: bool,
-    /// Lattice the cached cell lists were computed on.
+    /// Lattice the cached cells were computed on.
     pub(crate) sig: GridSignature,
+    /// The last full build's pass-1 `(cell, vertex)` pairs, vertex-major.
+    /// All a full build leaves here; stale once a repair has run.
+    pub(crate) pairs: Vec<(u32, u32)>,
+    /// True when `cell_offsets`/`cells`/`runs` describe the current result:
+    /// derived from `pairs` by the first repair, kept by later ones.
+    pub(crate) derived: bool,
     /// Per-vertex cell-list offsets into `cells`; length `V + 1`.
     pub(crate) cell_offsets: Vec<u32>,
-    /// Concatenated sorted, deduped cell lists of every vertex.
+    /// Concatenated duplicate-free cell lists of every vertex.
     pub(crate) cells: Vec<u32>,
-    /// `(cell, vertex)` pairs grouped by cell — the co-location runs the
-    /// edge passes consume.
+    /// `(cell, vertex)` pairs grouped by cell, vertices ascending within a
+    /// cell — the co-location runs the repair co-walks.
     pub(crate) runs: Vec<(u32, u32)>,
     /// Double buffers: the repair reads the front arrays (and the graph's
     /// old CSR) while writing the next state here, then swaps.
@@ -156,7 +166,7 @@ pub struct GraphCache {
     pub(crate) back_offsets: Vec<u32>,
     pub(crate) back_targets: Vec<u32>,
     /// Double buffer for the graph's sorted-pair reverse index.
-    pub(crate) back_remap_pairs: Vec<(ObjectId, u32)>,
+    pub(crate) back_remap_pairs: Vec<(u32, u32)>,
     /// Build-path counters.
     pub(crate) stats: GraphCacheStats,
 }
@@ -184,9 +194,11 @@ impl GraphCache {
     }
 
     /// Resident bytes of the persistent incremental state, **capacity**
-    /// based: the double buffers stay allocated between builds, so their
-    /// reserved capacity — not the momentary length — is what cache
-    /// pressure sees.
+    /// based: every buffer stays allocated between builds, so reserved
+    /// capacity — not the momentary length — is what cache pressure sees.
+    /// A graph that has only ever been fully built holds the captured pair
+    /// list alone; the derived forms and the double buffers appear with
+    /// the first repair.
     pub fn memory_bytes(&self) -> usize {
         let u32s = self.cell_offsets.capacity()
             + self.cells.capacity()
@@ -194,13 +206,51 @@ impl GraphCache {
             + self.back_cells.capacity()
             + self.back_offsets.capacity()
             + self.back_targets.capacity();
-        let pairs = self.runs.capacity() + self.back_runs.capacity();
-        u32s * std::mem::size_of::<u32>()
-            + pairs * std::mem::size_of::<(u32, u32)>()
-            + self.back_remap_pairs.capacity() * std::mem::size_of::<(ObjectId, u32)>()
+        let pairs = self.pairs.capacity()
+            + self.runs.capacity()
+            + self.back_runs.capacity()
+            + self.back_remap_pairs.capacity();
+        u32s * std::mem::size_of::<u32>() + pairs * std::mem::size_of::<(u32, u32)>()
     }
 
-    /// Publishes the repaired back state (cell lists + runs) as the front.
+    /// Records a full build on `grid`: one copy of its pass-1 pair list.
+    pub(crate) fn capture(&mut self, pairs: &[(u32, u32)], grid: &UniformGrid) {
+        self.pairs.clear();
+        self.pairs.extend_from_slice(pairs);
+        self.derived = false;
+        self.sig = GridSignature::of(grid);
+        self.valid = true;
+    }
+
+    /// Makes `cell_offsets`/`cells`/`runs` describe the current result of
+    /// `vertices` vertices: a no-op after a repair, one split and one sort
+    /// of the captured pair list after a full build (lexicographic order
+    /// is grouped by cell, vertices ascending).
+    pub(crate) fn derive(&mut self, vertices: usize) {
+        if self.derived {
+            return;
+        }
+        self.cells.clear();
+        self.cells.extend(self.pairs.iter().map(|&(c, _)| c));
+        self.cell_offsets.clear();
+        self.cell_offsets.reserve(vertices + 1);
+        self.cell_offsets.push(0);
+        let mut k = 0usize;
+        for v in 0..vertices as u32 {
+            while k < self.pairs.len() && self.pairs[k].1 == v {
+                k += 1;
+            }
+            self.cell_offsets.push(k as u32);
+        }
+        debug_assert_eq!(k, self.pairs.len(), "captured pairs must be vertex-major");
+        self.runs.clear();
+        self.runs.extend_from_slice(&self.pairs);
+        self.runs.sort_unstable();
+        self.derived = true;
+    }
+
+    /// Publishes the repaired back state (cell lists + runs) as the front;
+    /// it describes the repaired result, so the cache stays derived.
     pub(crate) fn publish_repair(&mut self) {
         std::mem::swap(&mut self.cell_offsets, &mut self.back_cell_offsets);
         std::mem::swap(&mut self.cells, &mut self.back_cells);

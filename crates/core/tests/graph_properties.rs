@@ -224,3 +224,148 @@ fn assert_graphs_equal(g: &ResultGraph, r: &ReferenceGraph) -> Result<(), TestCa
     prop_assert_eq!(gc, rc);
     Ok(())
 }
+
+/// Builds both graphs over every object and asserts they are the same
+/// graph charging the same units.
+fn assert_build_matches_reference(
+    objects: &[SpatialObject],
+    region: &QueryRegion,
+    res: u32,
+    simplification: Simplification,
+) -> Result<ResultGraph, TestCaseError> {
+    let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
+    let (g, gu) = ResultGraph::grid_hash(objects, &ids, region, res, simplification);
+    let (r, ru) = ReferenceGraph::grid_hash(objects, &ids, region, res, simplification);
+    assert_graphs_equal(&g, &r)?;
+    prop_assert_eq!(gu.graph_object_inserts, ru.graph_object_inserts);
+    prop_assert_eq!(gu.graph_edge_inserts, ru.graph_edge_inserts);
+    Ok(g)
+}
+
+fn cylinder(i: usize, a: Vec3, b: Vec3) -> SpatialObject {
+    SpatialObject::new(
+        ObjectId(i as u32),
+        StructureId(0),
+        Shape::Cylinder(Cylinder::new(a, b, 0.3, 0.3)),
+    )
+}
+
+// The chain-pass assembly against the seed build, on the inputs that steer
+// it: both `head` tables, vertices without cells, crowded cells, and pairs
+// of vertices that meet in several cells.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// A small result is chained through the cell-indexed `head` up to
+    /// 4 096 cells and through the open-addressed one beyond — at the
+    /// default 32 768 cells and at 2³⁰, where a segment covers hundreds of
+    /// cells and no histogram could be afforded.
+    #[test]
+    fn csr_grid_hash_matches_reference_under_both_head_tables(
+        objects in arb_objects(),
+        res in prop_oneof![
+            8u32..4_097, 4_097u32..40_000, Just(32_768u32), Just(1u32 << 30)
+        ],
+    ) {
+        let region = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::splat(40.0)));
+        assert_build_matches_reference(&objects, &region, res, Simplification::Segment)?;
+    }
+
+    /// MBR-simplified objects whose box misses the region cover no cell: their
+    /// rows are empty, wherever they sit in the result — last included,
+    /// which reads the final offset.
+    #[test]
+    fn csr_grid_hash_matches_reference_with_boxes_outside_the_region(
+        objects in arb_objects(), res in 8u32..40_000, lo in 5.0..20.0f64, side in 1.0..20.0f64,
+    ) {
+        let region = QueryRegion::from_aabb(Aabb::new(Vec3::splat(lo), Vec3::splat(lo + side)));
+        let g = assert_build_matches_reference(&objects, &region, res, Simplification::Mbr)?;
+        for (v, o) in objects.iter().enumerate() {
+            if !o.aabb().intersects(region.aabb()) {
+                prop_assert!(g.neighbors(v as u32).is_empty(), "vertex {} has no cell", v);
+            }
+        }
+    }
+
+    /// One cell with more than 64 members is a clique, each pair found
+    /// once; a few stragglers elsewhere keep it from being the whole graph.
+    #[test]
+    fn csr_grid_hash_matches_reference_in_a_crowded_cell(
+        crowd in prop::collection::vec((0.0..4.9, 0.0..4.9, 0.0..4.9), 65..130),
+        others in arb_objects(),
+        res in prop_oneof![Just(512u32), Just(32_768u32)],
+    ) {
+        // Points in the first cell of the 8³ lattice (27 cells of the 32³).
+        let mut objects: Vec<SpatialObject> = others;
+        for (x, y, z) in crowd {
+            let p = Vec3::new(x, y, z);
+            objects.push(cylinder(objects.len(), p, p));
+        }
+        let region = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::splat(40.0)));
+        assert_build_matches_reference(&objects, &region, res, Simplification::Segment)?;
+    }
+
+    /// Bundles of near-parallel segments share two to four cells with each
+    /// other: every such pair must still be one edge.
+    #[test]
+    fn csr_grid_hash_matches_reference_when_vertices_share_several_cells(
+        bundles in prop::collection::vec(
+            ((2.0..30.0, 2.0..30.0, 2.0..30.0), (-9.0..9.0, -9.0..9.0, -9.0..9.0), 2usize..6),
+            1..12,
+        ),
+        jitter in prop::collection::vec((-0.4..0.4, -0.4..0.4, -0.4..0.4), 60),
+        res in prop_oneof![Just(512u32), Just(4_096u32), Just(32_768u32)],
+    ) {
+        let mut objects = Vec::new();
+        for ((x, y, z), (dx, dy, dz), strands) in bundles {
+            for _ in 0..strands {
+                let j = jitter[objects.len() % jitter.len()];
+                let a = Vec3::new(x + j.0, y + j.1, z + j.2);
+                objects.push(cylinder(objects.len(), a, a + Vec3::new(dx, dy, dz)));
+            }
+        }
+        let region = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::splat(40.0)));
+        let g = assert_build_matches_reference(&objects, &region, res, Simplification::Segment)?;
+        // The family is what it claims: some pair of vertices meets in at
+        // least two cells (checked on the coarse lattices, where a strand
+        // spans a cell or two).
+        if res == 512 {
+            let grid = UniformGrid::with_resolution(*region.aabb(), res);
+            let cells_of = |o: &SpatialObject| {
+                let mut cells = Vec::new();
+                grid.cells_for_simplified(&o.shape.simplified(Simplification::Segment), &mut cells);
+                cells
+            };
+            let shared = (0..objects.len()).flat_map(|a| (0..a).map(move |b| (a, b))).any(|(a, b)| {
+                let cb = cells_of(&objects[b]);
+                cells_of(&objects[a]).iter().filter(|c| cb.contains(c)).count() >= 2
+            });
+            prop_assert!(shared || g.edge_count() == 0 || objects.len() < 4);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A result dense enough for the cell-indexed `head` at the default
+    /// resolution (≥ 8 192 pairs over 32 768 cells) — the `follow` side.
+    #[test]
+    fn csr_grid_hash_matches_reference_on_a_dense_result(
+        raw in prop::collection::vec(
+            ((0.0..40.0, 0.0..40.0, 0.0..40.0), (-2.5..2.5, -2.5..2.5, -2.5..2.5)),
+            2_600..3_200,
+        ),
+    ) {
+        let objects: Vec<SpatialObject> = raw
+            .into_iter()
+            .enumerate()
+            .map(|(i, ((x, y, z), (dx, dy, dz)))| {
+                let a = Vec3::new(x, y, z);
+                cylinder(i, a, a + Vec3::new(dx, dy, dz))
+            })
+            .collect();
+        let region = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::splat(40.0)));
+        assert_build_matches_reference(&objects, &region, 32_768, Simplification::Segment)?;
+    }
+}

@@ -379,3 +379,67 @@ fn memory_bytes_includes_the_incremental_cache() {
     cached.invalidate_cache();
     assert_eq!(cached.cache_memory_bytes(), before);
 }
+
+#[test]
+fn the_first_repair_after_a_full_build_derives_and_later_ones_do_not() {
+    // A full build leaves one pair list in the cache; the repair after it
+    // derives cell lists and runs from that (the cache grows, once), the
+    // next repair finds them current, and every later full build → repair
+    // transition — empty results included — derives again into buffers
+    // that are already there.
+    //
+    // Five objects per 2.5-wide cell column, each crossing the y = 5 cell
+    // boundary (two cells a vertex, every neighbour met twice); windows
+    // slide by whole columns, so every populated result has the same
+    // number of vertices, pairs and edges and no buffer ever needs to grow
+    // for size alone.
+    let objects: Vec<SpatialObject> = (0..80)
+        .map(|i| {
+            let a = Vec3::new(0.25 + i as f64 * 0.5, 4.0, 5.5);
+            SpatialObject::new(
+                ObjectId(i),
+                StructureId(0),
+                Shape::Cylinder(Cylinder::new(a, a + Vec3::new(0.0, 2.0, 0.0), 0.1, 0.1)),
+            )
+        })
+        .collect();
+    let region = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::splat(40.0)));
+    let window = |a: u32| (a..a + 60).map(ObjectId).collect::<Vec<_>>();
+    let full = |r| GraphBuildKind::Full(r);
+    let steps = [
+        (window(0), full(FullBuildReason::Cold), false),
+        (window(5), GraphBuildKind::Incremental, true),
+        (window(15), GraphBuildKind::Incremental, false),
+        (Vec::new(), full(FullBuildReason::LowOverlap), false),
+        (Vec::new(), GraphBuildKind::Incremental, false),
+        (window(15), full(FullBuildReason::LowOverlap), false),
+        (window(20), GraphBuildKind::Incremental, false),
+        (window(10), GraphBuildKind::Incremental, false),
+    ];
+    let mut scratch = QueryScratch::new();
+    let mut g = ResultGraph::default();
+    for (step, (ids, kind, grows)) in steps.iter().enumerate() {
+        let before = g.cache_memory_bytes();
+        let (units, got) = g.build_grid_hash_incremental(
+            &mut scratch,
+            &objects,
+            ids,
+            &region,
+            4096,
+            Simplification::Segment,
+            0.5,
+        );
+        assert_eq!(got, *kind, "step {step}");
+        let (fresh, fresh_units) =
+            ResultGraph::grid_hash(&objects, ids, &region, 4096, Simplification::Segment);
+        assert_same_graph(&g, &fresh).unwrap_or_else(|e| panic!("step {step}: {e}"));
+        assert_eq!(units, fresh_units, "step {step}");
+        assert_eq!(g.edge_count(), if ids.is_empty() { 0 } else { 120 }, "step {step}");
+        let after = g.cache_memory_bytes();
+        if step == 0 {
+            assert!(after > 0, "the capture holds the pair list");
+        } else {
+            assert_eq!(after > before, *grows, "step {step}: cache {before} -> {after} bytes");
+        }
+    }
+}

@@ -21,6 +21,30 @@ pub struct UniformGrid {
     cell_size: Vec3,
 }
 
+/// One moving axis of a segment's cell walk.
+#[derive(Clone, Copy, Default)]
+struct WalkAxis {
+    /// Segment parameter at which the walk crosses this axis's next cell
+    /// boundary.
+    t_max: f64,
+    /// Parameter distance between consecutive boundaries of this axis.
+    t_delta: f64,
+    /// Cells still to cross.
+    left: u32,
+    /// What one step adds to the flattened cell id.
+    stride: u32,
+}
+
+impl WalkAxis {
+    /// Crosses one boundary of this axis; returns the new cell id.
+    #[inline(always)]
+    fn step(&mut self, id: CellId) -> CellId {
+        self.left -= 1;
+        self.t_max += self.t_delta;
+        id.wrapping_add(self.stride)
+    }
+}
+
 impl UniformGrid {
     /// Grid over `bounds` with explicit per-axis cell counts (each ≥ 1).
     pub fn new(bounds: Aabb, dims: [u32; 3]) -> UniformGrid {
@@ -74,12 +98,17 @@ impl UniformGrid {
     }
 
     /// Per-axis cell coordinates of a point, clamped into the grid.
+    ///
+    /// After `max(0.0)` the saturating `as u32` cast truncates toward zero,
+    /// which on a non-negative quotient is the cell a rounding-down would
+    /// name; negatives and NaN clamp to cell 0, +∞ and quotients beyond
+    /// `u32::MAX` to the last cell — no libm call on the hashing path.
+    #[inline]
     pub fn coords_of(&self, p: Vec3) -> [u32; 3] {
         let rel = p - self.bounds.min;
         let mut out = [0u32; 3];
         for a in 0..3 {
-            let c =
-                if self.cell_size[a] <= 0.0 { 0.0 } else { (rel[a] / self.cell_size[a]).floor() };
+            let c = if self.cell_size[a] <= 0.0 { 0.0 } else { rel[a] / self.cell_size[a] };
             out[a] = (c.max(0.0) as u32).min(self.dims[a] - 1);
         }
         out
@@ -115,73 +144,106 @@ impl UniformGrid {
         [x, y, z]
     }
 
-    /// Appends the ids of all cells a segment passes through (3-D DDA /
-    /// Amanatides–Woo traversal, with endpoints clamped into the grid).
-    pub fn cells_for_segment(&self, seg: &Segment, out: &mut Vec<CellId>) {
+    /// Calls `emit` with the id of every cell a segment passes through, in
+    /// walk order from `seg.a`'s cell to `seg.b`'s (3-D DDA / Amanatides–Woo
+    /// traversal, endpoints clamped into the grid).
+    ///
+    /// Every step moves one axis one cell toward the far end, so the walk
+    /// takes exactly `|Δx|+|Δy|+|Δz|` steps, ends on `seg.b`'s cell and
+    /// never reports a cell twice — whatever the floating-point boundary
+    /// times say. They only choose *which* unfinished axis steps next: the
+    /// one with the nearest cell boundary, the lowest axis on a tie. An axis
+    /// that has reached its endpoint coordinate is frozen: a segment is
+    /// monotone per axis, so no further cells can lie beyond it, and
+    /// accumulated `t_max` error at an exact corner crossing could otherwise
+    /// re-step it and walk off the lattice. Only the axes that move at all
+    /// get boundary times, and a lone moving axis needs none.
+    #[inline]
+    pub fn for_each_segment_cell(&self, seg: &Segment, mut emit: impl FnMut(CellId)) {
         let start = self.coords_of(seg.a);
         let end = self.coords_of(seg.b);
-        if start == end {
-            out.push(self.cell_id(start));
-            return;
-        }
-        // Amanatides–Woo: step cell-by-cell along the ray from a to b.
+        let mut id = self.cell_id(start);
+        emit(id);
+        let strides = [1, self.dims[0], self.dims[0] * self.dims[1]];
         let dir = seg.direction();
-        let mut cur = start;
-        let mut step = [0i64; 3];
-        let mut t_max = [f64::INFINITY; 3];
-        let mut t_delta = [f64::INFINITY; 3];
+        let mut axes = [WalkAxis::default(); 3];
+        let mut moving = 0;
         for a in 0..3 {
-            if dir[a] > 0.0 {
-                step[a] = 1;
-                let next_boundary = self.bounds.min[a] + (cur[a] as f64 + 1.0) * self.cell_size[a];
-                t_max[a] = (next_boundary - seg.a[a]) / dir[a];
-                t_delta[a] = self.cell_size[a] / dir[a];
-            } else if dir[a] < 0.0 {
-                step[a] = -1;
-                let next_boundary = self.bounds.min[a] + cur[a] as f64 * self.cell_size[a];
-                t_max[a] = (next_boundary - seg.a[a]) / dir[a];
-                t_delta[a] = self.cell_size[a] / -dir[a];
+            if start[a] == end[a] {
+                continue;
+            }
+            // The boundary ahead of the start cell, as a parameter along
+            // the segment; the id stride is signed in two's complement.
+            let forward = start[a] < end[a];
+            let next_boundary =
+                self.bounds.min[a] + (start[a] as f64 + forward as u8 as f64) * self.cell_size[a];
+            let left = start[a].abs_diff(end[a]);
+            axes[moving] = WalkAxis {
+                t_max: (next_boundary - seg.a[a]) / dir[a],
+                // Read only after this axis has stepped and is still short
+                // of its end: never, for the usual single crossing.
+                t_delta: if left == 1 {
+                    0.0
+                } else if forward {
+                    self.cell_size[a] / dir[a]
+                } else {
+                    self.cell_size[a] / -dir[a]
+                },
+                left,
+                stride: if forward { strides[a] } else { strides[a].wrapping_neg() },
+            };
+            moving += 1;
+        }
+        let [mut p, mut q, mut r] = axes;
+        // Three unfinished axes, then two, then a strided run. `p`, `q`,
+        // `r` stay in axis order, so a tie goes to the lowest axis.
+        if moving == 3 {
+            while p.left != 0 && q.left != 0 && r.left != 0 {
+                let nearest = if q.t_max < p.t_max {
+                    if r.t_max < q.t_max {
+                        &mut r
+                    } else {
+                        &mut q
+                    }
+                } else if r.t_max < p.t_max {
+                    &mut r
+                } else {
+                    &mut p
+                };
+                id = nearest.step(id);
+                emit(id);
+            }
+            if p.left == 0 {
+                (p, q) = (q, r);
+            } else if q.left == 0 {
+                q = r;
             }
         }
-        out.push(self.cell_id(cur));
-        // Every step moves one axis one cell toward `end`, so the walk
-        // needs exactly |Δx|+|Δy|+|Δz| ≤ Σ(dims−1) steps; the cap is pure
-        // defense against floating-point stalls, not a correctness bound.
-        let max_steps = (self.dims[0] + self.dims[1] + self.dims[2]) as usize + 3;
-        for _ in 0..max_steps {
-            if cur == end {
-                break;
+        if moving >= 2 {
+            while p.left != 0 && q.left != 0 {
+                id = if q.t_max < p.t_max { q.step(id) } else { p.step(id) };
+                emit(id);
             }
-            // Advance along the *unfinished* axis with the nearest cell
-            // boundary. An axis that has reached its endpoint coordinate
-            // is frozen: a segment is monotone per axis, so no further
-            // cells can lie beyond it, and accumulated t_max error at an
-            // exact corner crossing could otherwise re-step a finished
-            // axis, walk off the lattice, and drop the endpoint cell.
-            let mut axis = usize::MAX;
-            let mut best = f64::INFINITY;
-            for a in 0..3 {
-                if cur[a] != end[a] && (axis == usize::MAX || t_max[a] < best) {
-                    axis = a;
-                    best = t_max[a];
-                }
+            if p.left == 0 {
+                p = q;
             }
-            // `cur != end` guarantees an unfinished axis, and stepping it
-            // toward `end` stays inside the grid by construction.
-            cur[axis] = (cur[axis] as i64 + step[axis]) as u32;
-            t_max[axis] += t_delta[axis];
-            out.push(self.cell_id(cur));
         }
-        if cur != end {
-            // Unreachable under the step-count argument above, but the
-            // contract — the endpoint cell is always reported — must hold
-            // even if floating point misbehaves.
-            out.push(self.cell_id(end));
+        for _ in 0..p.left {
+            id = id.wrapping_add(p.stride);
+            emit(id);
         }
     }
 
-    /// Appends the ids of all cells overlapping a box (clamped to the grid).
-    pub fn cells_for_aabb(&self, aabb: &Aabb, out: &mut Vec<CellId>) {
+    /// Appends the ids of all cells a segment passes through, in walk order
+    /// (see [`UniformGrid::for_each_segment_cell`]).
+    pub fn cells_for_segment(&self, seg: &Segment, out: &mut Vec<CellId>) {
+        self.for_each_segment_cell(seg, |c| out.push(c));
+    }
+
+    /// Calls `emit` with the id of every cell overlapping a box (clamped to
+    /// the grid; none when the box misses it).
+    #[inline]
+    pub fn for_each_aabb_cell(&self, aabb: &Aabb, mut emit: impl FnMut(CellId)) {
         if !aabb.intersects(&self.bounds) {
             return;
         }
@@ -190,19 +252,31 @@ impl UniformGrid {
         for z in lo[2]..=hi[2] {
             for y in lo[1]..=hi[1] {
                 for x in lo[0]..=hi[0] {
-                    out.push(self.cell_id([x, y, z]));
+                    emit(self.cell_id([x, y, z]));
                 }
             }
         }
     }
 
+    /// Appends the ids of all cells overlapping a box (clamped to the grid).
+    pub fn cells_for_aabb(&self, aabb: &Aabb, out: &mut Vec<CellId>) {
+        self.for_each_aabb_cell(aabb, |c| out.push(c));
+    }
+
+    /// Calls `emit` with each cell covered by a simplified object geometry
+    /// (§4.2), each cell once.
+    #[inline]
+    pub fn for_each_simplified_cell(&self, s: &Simplified, mut emit: impl FnMut(CellId)) {
+        match s {
+            Simplified::Point(p) => emit(self.cell_of(*p)),
+            Simplified::Segment(seg) => self.for_each_segment_cell(seg, emit),
+            Simplified::Box(b) => self.for_each_aabb_cell(b, emit),
+        }
+    }
+
     /// Appends the cells covered by a simplified object geometry (§4.2).
     pub fn cells_for_simplified(&self, s: &Simplified, out: &mut Vec<CellId>) {
-        match s {
-            Simplified::Point(p) => out.push(self.cell_of(*p)),
-            Simplified::Segment(seg) => self.cells_for_segment(seg, out),
-            Simplified::Box(b) => self.cells_for_aabb(b, out),
-        }
+        self.for_each_simplified_cell(s, |c| out.push(c));
     }
 }
 

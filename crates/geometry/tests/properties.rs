@@ -490,3 +490,225 @@ proptest! {
         prop_assert!(!capsule_intersects_aabb(&seg, f64::NAN, &bx));
     }
 }
+
+/// The oracle for [`UniformGrid::coords_of`]: the `floor`-then-clamp form the
+/// truncating cast replaced.
+fn reference_coords_of(g: &UniformGrid, p: Vec3) -> [u32; 3] {
+    let rel = p - g.bounds().min;
+    let (size, dims) = (g.cell_size(), g.dims());
+    let mut out = [0u32; 3];
+    for a in 0..3 {
+        let c = if size[a] <= 0.0 { 0.0 } else { (rel[a] / size[a]).floor() };
+        out[a] = (c.max(0.0) as u32).min(dims[a] - 1);
+    }
+    out
+}
+
+/// The oracle for [`UniformGrid::for_each_segment_cell`]: the three-axis
+/// Amanatides–Woo walk over per-axis coordinates it replaced, step cap and
+/// endpoint fallback included.
+fn reference_cells_for_segment(g: &UniformGrid, seg: &Segment, out: &mut Vec<u32>) {
+    let start = reference_coords_of(g, seg.a);
+    let end = reference_coords_of(g, seg.b);
+    if start == end {
+        out.push(g.cell_id(start));
+        return;
+    }
+    let (min, size, dims) = (g.bounds().min, g.cell_size(), g.dims());
+    let dir = seg.direction();
+    let mut cur = start;
+    let mut step = [0i64; 3];
+    let mut t_max = [f64::INFINITY; 3];
+    let mut t_delta = [f64::INFINITY; 3];
+    for a in 0..3 {
+        if dir[a] > 0.0 {
+            step[a] = 1;
+            let next_boundary = min[a] + (cur[a] as f64 + 1.0) * size[a];
+            t_max[a] = (next_boundary - seg.a[a]) / dir[a];
+            t_delta[a] = size[a] / dir[a];
+        } else if dir[a] < 0.0 {
+            step[a] = -1;
+            let next_boundary = min[a] + cur[a] as f64 * size[a];
+            t_max[a] = (next_boundary - seg.a[a]) / dir[a];
+            t_delta[a] = size[a] / -dir[a];
+        }
+    }
+    out.push(g.cell_id(cur));
+    let max_steps = (dims[0] + dims[1] + dims[2]) as usize + 3;
+    for _ in 0..max_steps {
+        if cur == end {
+            break;
+        }
+        let mut axis = usize::MAX;
+        let mut best = f64::INFINITY;
+        for a in 0..3 {
+            if cur[a] != end[a] && (axis == usize::MAX || t_max[a] < best) {
+                axis = a;
+                best = t_max[a];
+            }
+        }
+        cur[axis] = (cur[axis] as i64 + step[axis]) as u32;
+        t_max[axis] += t_delta[axis];
+        out.push(g.cell_id(cur));
+    }
+    if cur != end {
+        out.push(g.cell_id(end));
+    }
+}
+
+/// The walk must report the oracle's cells in the oracle's order, through
+/// the sink and through its `Vec` caller, and none of them twice.
+fn check_walk_against_reference(g: &UniformGrid, seg: &Segment) -> Result<(), TestCaseError> {
+    let mut want = Vec::new();
+    reference_cells_for_segment(g, seg, &mut want);
+    let mut sunk = Vec::new();
+    g.for_each_segment_cell(seg, |c| sunk.push(c));
+    prop_assert_eq!(&sunk, &want, "walk differs on {:?} over {:?}", seg, g);
+    let mut pushed = vec![u32::MAX];
+    g.cells_for_segment(seg, &mut pushed);
+    prop_assert_eq!(&pushed[1..], &want[..]);
+    let mut unique = want.clone();
+    unique.sort_unstable();
+    unique.dedup();
+    prop_assert_eq!(unique.len(), want.len(), "a cell was reported twice: {:?}", want);
+    Ok(())
+}
+
+/// Lattices of every shape the walk meets: cubic and not, a single cell, a
+/// single slab, bounds away from the origin.
+fn arb_grid() -> impl Strategy<Value = UniformGrid> {
+    let dims = prop_oneof![
+        (1u32..40, 1u32..40, 1u32..40),
+        (1u32..4, 1u32..4, 1u32..4),
+        (32u32..33, 32u32..33, 32u32..33),
+        (1u32..2, 1u32..2, 1u32..2),
+    ];
+    (arb_vec3(50.0), (0.5..40.0, 0.5..40.0, 0.5..40.0), dims).prop_map(|(min, (x, y, z), d)| {
+        UniformGrid::new(Aabb::new(min, min + Vec3::new(x, y, z)), [d.0, d.1, d.2])
+    })
+}
+
+/// The point `u ∈ [0, 1]³` of the way across the grid's bounds.
+fn at_fraction(g: &UniformGrid, u: Vec3) -> Vec3 {
+    let e = g.bounds().extent();
+    g.bounds().min + Vec3::new(u.x * e.x, u.y * e.y, u.z * e.z)
+}
+
+/// A point whose coordinates, on the axes set in `mask`, sit exactly on the
+/// lattice planes numbered `k` (so on a plane, an edge or a corner), computed
+/// the way the walk computes its boundaries.
+fn on_lattice(g: &UniformGrid, p: Vec3, k: [u32; 3], mask: u8) -> Vec3 {
+    let (min, size) = (g.bounds().min, g.cell_size());
+    let plane = Vec3::new(
+        min.x + k[0] as f64 * size.x,
+        min.y + k[1] as f64 * size.y,
+        min.z + k[2] as f64 * size.z,
+    );
+    copy_axes(p, plane, mask)
+}
+
+// The sink-form cell walk against the walk it replaced: same cells, same
+// order, on random segments and on the families where the boundary times tie,
+// vanish or are never computed.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    #[test]
+    fn cell_walk_matches_reference_on_random_segments(
+        g in arb_grid(), a in arb_vec3(1.0), b in arb_vec3(1.0)
+    ) {
+        // Endpoints over [-0.5, 1.5]³ of the bounds: inside, outside, across.
+        let seg = Segment::new(
+            at_fraction(&g, a + Vec3::splat(0.5)),
+            at_fraction(&g, b + Vec3::splat(0.5)),
+        );
+        check_walk_against_reference(&g, &seg)?;
+    }
+
+    #[test]
+    fn cell_walk_matches_reference_on_neuron_sized_segments(
+        // What pass 1 hashes: segments of under two cells per axis on the
+        // 32³ lattice of the default resolution (≤ 7 cells, ≈ 4 typical).
+        origin in arb_vec3(1e3), side in 10.0..500.0f64,
+        a in (0.0..1.0, 0.0..1.0, 0.0..1.0), d in arb_vec3(1.7),
+    ) {
+        let g = UniformGrid::with_resolution(
+            Aabb::new(origin, origin + Vec3::splat(side)), 32_768);
+        let a = at_fraction(&g, Vec3::new(a.0, a.1, a.2));
+        let seg = Segment::new(a, a + d * (side / 32.0));
+        check_walk_against_reference(&g, &seg)?;
+        let mut cells = Vec::new();
+        g.cells_for_segment(&seg, &mut cells);
+        prop_assert!(cells.len() <= 7, "{} cells", cells.len());
+    }
+
+    #[test]
+    fn cell_walk_matches_reference_on_lattice_planes_edges_corners(
+        g in arb_grid(), a in arb_vec3(1.0), b in arb_vec3(1.0),
+        ka in (0u32..41, 0u32..41, 0u32..41), kb in (0u32..41, 0u32..41, 0u32..41),
+        mask_a in 1u8..8, mask_b in 0u8..8,
+    ) {
+        let d = g.dims();
+        let a = on_lattice(&g, at_fraction(&g, (a + Vec3::ONE) * 0.5),
+            [ka.0 % (d[0] + 1), ka.1 % (d[1] + 1), ka.2 % (d[2] + 1)], mask_a);
+        let b = on_lattice(&g, at_fraction(&g, (b + Vec3::ONE) * 0.5),
+            [kb.0 % (d[0] + 1), kb.1 % (d[1] + 1), kb.2 % (d[2] + 1)], mask_b);
+        check_walk_against_reference(&g, &Segment::new(a, b))?;
+        check_walk_against_reference(&g, &Segment::new(b, a))?;
+    }
+
+    #[test]
+    fn cell_walk_matches_reference_on_integer_sublattice(
+        // The corner-tie family of `grid_segment_traversal_covers_interior_
+        // crossings`: diagonals through shared corners and edges.
+        ax in -9i32..10, ay in -9i32..10, az in -9i32..10,
+        bx in -9i32..10, by in -9i32..10, bz in -9i32..10,
+        dims in (1u32..17, 1u32..17, 1u32..17),
+    ) {
+        let g = UniformGrid::new(
+            Aabb::new(Vec3::splat(-8.0), Vec3::splat(8.0)), [dims.0, dims.1, dims.2]);
+        let seg = Segment::new(
+            Vec3::new(ax as f64, ay as f64, az as f64),
+            Vec3::new(bx as f64, by as f64, bz as f64),
+        );
+        check_walk_against_reference(&g, &seg)?;
+    }
+
+    #[test]
+    fn cell_walk_matches_reference_on_axis_parallel_and_two_axis_segments(
+        // One, two or three direction components exactly zero: the strided
+        // run, the two-axis walk, the single cell.
+        g in arb_grid(), a in arb_vec3(1.0), b in arb_vec3(1.0), mask in 1u8..8
+    ) {
+        let a = at_fraction(&g, a + Vec3::splat(0.5));
+        let b = copy_axes(at_fraction(&g, b + Vec3::splat(0.5)), a, mask);
+        check_walk_against_reference(&g, &Segment::new(a, b))?;
+    }
+
+    #[test]
+    fn cell_walk_matches_reference_with_endpoints_outside_the_bounds(
+        g in arb_grid(), a in arb_vec3(1.0), b in arb_vec3(1.0),
+        reach in 1.0..1e6f64, sides in 0u8..8,
+    ) {
+        // `a` beyond the bounds by up to a million extents on every axis,
+        // `b` anywhere: the clamped walk runs along the boundary cells.
+        let out = copy_axes(Vec3::splat(-reach), Vec3::splat(1.0 + reach), sides);
+        let a = at_fraction(&g, out + a);
+        let b = at_fraction(&g, b + Vec3::splat(0.5));
+        check_walk_against_reference(&g, &Segment::new(a, b))?;
+        check_walk_against_reference(&g, &Segment::new(b, a))?;
+    }
+
+    #[test]
+    fn cell_walk_coords_of_matches_floor_form(
+        g in arb_grid(), p in arb_vec3(1.0), big in 1.0..1e30f64, pick in 0u8..6, mask in 0u8..8
+    ) {
+        // Quotients that are negative, NaN, ±∞ or beyond 2³², on any subset
+        // of the axes, beside ordinary ones.
+        let odd = [-big, big, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0][pick as usize];
+        let p = copy_axes(at_fraction(&g, p + Vec3::splat(0.5)), Vec3::splat(odd), mask);
+        prop_assert_eq!(g.coords_of(p), reference_coords_of(&g, p));
+        let c = g.coords_of(p);
+        prop_assert!((0..3).all(|a| c[a] < g.dims()[a]));
+    }
+}

@@ -1,7 +1,7 @@
 //! The per-session query scratch arena.
 //!
 //! Every query in a guided sequence rebuilds the same transient
-//! structures: the (cell, vertex) pair list grid hashing sorts into a CSR
+//! structures: the (cell, vertex) pair list grid hashing chains into a CSR
 //! adjacency, the edge list, the component labeling, the per-component
 //! centroid accumulators of exit detection, and the staged prediction
 //! points. Allocating them afresh per query puts the allocator on the hot
@@ -127,18 +127,22 @@ pub struct QueryScratch {
     /// Like the rest of the arena it is transient working memory, not
     /// prediction state: `PredictionStats::memory_bytes` does not count it.
     pub frame: ResultFrame,
-    /// `(cell, vertex)` pairs grid hashing sorts to find co-located
-    /// objects (CSR build pass 1).
+    /// `(cell, vertex)` pairs grid hashing emits, vertex-major, straight
+    /// off the cell walk (CSR build pass 1) and then links into per-cell
+    /// chains to find co-located objects.
     pub cell_pairs: Vec<(u32, u32)>,
-    /// Directed edge list `(source, target)`; sorted + deduped into the
-    /// CSR adjacency (CSR build pass 2).
+    /// Directed edge list `(source, target)` of the explicit-adjacency
+    /// build and the incremental repair. In the grid-hash build: the spare
+    /// of the reverse index's radix sort, then the `(vertex, pair before)`
+    /// chain links.
     pub edges: Vec<(u32, u32)>,
-    /// Cell ids covered by one object's simplified geometry.
+    /// Incremental graph repair: surviving members of one cell run.
     pub cells: Vec<u32>,
     /// Connected-component label per vertex.
     pub components: Vec<u32>,
-    /// Per-vertex counters (degree histogram / scatter cursors of the CSR
-    /// build).
+    /// Per-vertex counters (degree histogram / scatter cursors of the
+    /// explicit build and the repair); per-cell chain heads of the
+    /// grid-hash build.
     pub counts: Vec<u32>,
     /// DFS stack for component labeling.
     pub stack: Vec<u32>,
@@ -152,18 +156,25 @@ pub struct QueryScratch {
     /// Per-component flag: is the component in the candidate set (§4.3).
     pub candidate_flags: Vec<bool>,
     /// Incremental graph repair: previous vertex of each new vertex
-    /// (`u32::MAX` = entering the region).
+    /// (`u32::MAX` = entering the region). A full grid-hash build and a
+    /// repair never share a call, so the full build's chain pass and
+    /// transposes borrow this and the next four buffers as working memory
+    /// — here, the last vertex each vertex was met by.
     pub map_new_to_old: Vec<u32>,
     /// Incremental graph repair: new vertex of each previous vertex
-    /// (`u32::MAX` = leaving the region).
+    /// (`u32::MAX` = leaving the region). Full build: write cursor of each
+    /// row's backward part.
     pub map_old_to_new: Vec<u32>,
     /// Incremental graph repair: incidences each previous vertex loses to
-    /// leaving neighbors.
+    /// leaving neighbors. Full build: forward degrees, then the write
+    /// cursor of each row's forward part.
     pub removed_counts: Vec<u32>,
     /// Incremental graph repair: offsets of the per-vertex delta rows
-    /// (entering neighbors gained).
+    /// (entering neighbors gained). Full build: offsets of the per-vertex
+    /// backward-neighbor lists.
     pub delta_offsets: Vec<u32>,
-    /// Incremental graph repair: concatenated sorted delta rows.
+    /// Incremental graph repair: concatenated sorted delta rows. Full
+    /// build: concatenated backward-neighbor lists.
     pub delta_targets: Vec<u32>,
     /// Sorted copy of the current query's result pages (membership probes
     /// for the adaptive layer's per-source precision accounting).
