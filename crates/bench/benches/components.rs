@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the core components: STR bulk loading,
-//! R-tree range queries (cache-resident and cold), FLAT crawls, grid-hash
-//! graph building (whole, and its cell-walk kernel), connected components,
-//! SCOUT's whole observe step, k-means, and the Hilbert curve.
+//! R-tree range queries (cache-resident and cold) and nearest-page probes,
+//! FLAT crawls, grid-hash graph building (whole, and its cell-walk kernel),
+//! connected components, SCOUT's whole observe step, k-means, and the
+//! Hilbert curve.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scout_core::kmeans::kmeans;
@@ -11,7 +12,9 @@ use scout_geometry::intersect::shape_intersects_aabb;
 use scout_geometry::{
     Aspect, QueryRegion, Segment, Shape, Simplification, Simplified, UniformGrid, Vec3,
 };
-use scout_index::{str_pack, FlatConfig, FlatIndex, OrderedSpatialIndex, RTree, SpatialIndex};
+use scout_index::{
+    str_pack, FlatConfig, FlatIndex, KnnScratch, OrderedSpatialIndex, RTree, SpatialIndex,
+};
 use scout_sim::workloads::ADHOC_PATTERN;
 use scout_sim::{Prefetcher, QueryScratch, SimContext};
 use scout_synth::{generate_neurons, generate_sequences, NeuronParams};
@@ -67,10 +70,8 @@ fn bench_follow_query(c: &mut Criterion) {
     let config = ScoutConfig::default();
 
     c.bench_function("grid_hash_build_4k", |b| {
-        // The full graph build alone — what `observe` spends most of its
-        // time in when the lattice moves every query, as it does on a
-        // guided sequence — warmed. (`scout_observe_4k` above repeats one
-        // region, so from its second lap on it times the repair path.)
+        // The graph build alone — what `observe` spends most of its time
+        // in — warmed.
         let mut graph = ResultGraph::default();
         let mut scratch = QueryScratch::new();
         b.iter(|| {
@@ -125,6 +126,14 @@ fn bench_components(c: &mut Criterion) {
 
     c.bench_function("rtree_range_query_80k_um3", |b| {
         b.iter(|| black_box(rtree.range_query(objects, &region).objects.len()))
+    });
+
+    c.bench_function("rtree_k_nearest_pages_16", |b| {
+        let (mut knn, mut pages) = (KnnScratch::new(), Vec::new());
+        b.iter(|| {
+            rtree.k_nearest_pages_into(center, 16, &mut knn, &mut pages);
+            black_box(pages.len())
+        })
     });
 
     c.bench_function("capsule_predicate_boundary_mix", |b| {

@@ -12,7 +12,6 @@
 pub mod adaptive;
 pub mod batch;
 pub mod faults;
-pub mod hotpath;
 pub mod obs;
 pub mod scale;
 

@@ -40,13 +40,9 @@ pub struct ScoutConfig {
     /// Exit/entry matching tolerance for candidate continuity across a
     /// gap, as a fraction of the query side.
     pub continuity_tolerance_frac: f64,
-    /// Minimum result-set overlap `|retained| / max(|prev|, |new|)` for
-    /// the incremental graph build to repair the previous CSR instead of
-    /// rebuilding (see
-    /// [`ResultGraph::build_grid_hash_incremental`](crate::ResultGraph::build_grid_hash_incremental)
-    /// and DESIGN.md §7). Below it, or whenever the hashing lattice moved,
-    /// SCOUT falls back to the full build — so the worst case never
-    /// regresses. Values above 1.0 disable the delta path entirely.
+    // Read by nothing. Pinned by `benchmark/src/adapter.rs` line 862, which
+    // a non-`benchmark` PR may not edit; ROADMAP item 2 removes it.
+    #[doc(hidden)]
     pub incremental_overlap_threshold: f64,
     /// Seed for the strategy's random choices (deep picks, k-means init).
     pub seed: u64,

@@ -15,7 +15,6 @@ pub mod candidates;
 pub mod config;
 pub mod exits;
 pub mod graph;
-pub mod graph_cache;
 pub mod kmeans;
 pub mod opt;
 pub mod prefetcher;
@@ -24,6 +23,5 @@ pub mod scoring;
 
 pub use config::{ScoutConfig, ScoutOptConfig, Strategy};
 pub use graph::ResultGraph;
-pub use graph_cache::{FullBuildReason, GraphBuildKind, GraphCacheStats};
 pub use opt::ScoutOpt;
 pub use prefetcher::Scout;

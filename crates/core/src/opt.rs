@@ -124,12 +124,7 @@ impl ScoutOpt {
         }
 
         // Rebuild in place over the inner prefetcher's recycled graph
-        // storage, exactly like the full-graph path — including the
-        // incremental entry point: consecutive sparse result sets along
-        // one structure overlap heavily too, so when the crawl yields
-        // them in a stable relative order the previous sparse graph is
-        // repaired instead of rebuilt (a crawl that reorders retained
-        // objects falls back automatically).
+        // storage, exactly like the full-graph path.
         let mut graph = std::mem::take(&mut self.inner.graph);
         let build_units = match ctx.adjacency {
             Some(adj) => {
@@ -137,19 +132,14 @@ impl ScoutOpt {
                 scratch.frame.gather(ctx.objects, &reached_objects, simplification);
                 graph.build_explicit(scratch, adj, &reached_objects)
             }
-            None => {
-                graph
-                    .build_grid_hash_incremental(
-                        scratch,
-                        ctx.objects,
-                        &reached_objects,
-                        region,
-                        self.inner.config().grid_resolution,
-                        self.inner.config().simplification,
-                        self.inner.config().incremental_overlap_threshold,
-                    )
-                    .0
-            }
+            None => graph.build_grid_hash(
+                scratch,
+                ctx.objects,
+                &reached_objects,
+                region,
+                self.inner.config().grid_resolution,
+                self.inner.config().simplification,
+            ),
         };
         units.merge(&build_units);
         Some((graph, units))
@@ -357,10 +347,6 @@ impl Prefetcher for ScoutOpt {
 
     fn plan(&mut self, ctx: &SimContext<'_>) -> PrefetchPlan {
         self.inner.plan(ctx)
-    }
-
-    fn graph_cache_counters(&self) -> Option<scout_sim::GraphBuildCounters> {
-        Prefetcher::graph_cache_counters(&self.inner)
     }
 
     fn reset(&mut self) {

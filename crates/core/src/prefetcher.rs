@@ -89,13 +89,6 @@ impl Scout {
         self.tracker.resets()
     }
 
-    /// How the graph builds of this prefetcher were resolved (incremental
-    /// repair vs full rebuild, by fallback reason) — diagnostics for the
-    /// amortized-cost benches and regression guards.
-    pub fn graph_cache_stats(&self) -> crate::graph_cache::GraphCacheStats {
-        self.graph.cache_stats()
-    }
-
     fn update_motion(&mut self, region: &QueryRegion) {
         let c = region.center();
         if let Some(&prev) = self.centers.last() {
@@ -399,31 +392,22 @@ impl Scout {
         scratch: &mut QueryScratch,
     ) -> PredictionStats {
         // §4.1/§4.2: use the explicit structure graph when the dataset has
-        // one, grid hashing otherwise. The grid path goes through the
-        // incremental entry point: heavy inter-query overlap under an
-        // unchanged lattice repairs the previous graph in place instead of
-        // rebuilding it (bit-identical output; DESIGN.md §7). Either way
-        // the storage is recycled, so a warmed session's graph-build phase
-        // allocates nothing.
+        // one, grid hashing otherwise. Either way the storage is recycled,
+        // so a warmed session's graph-build phase allocates nothing.
         let mut graph = std::mem::take(&mut self.graph);
         let units = match ctx.adjacency {
             Some(adj) => {
                 scratch.frame.gather(ctx.objects, &result.objects, self.config.simplification);
                 graph.build_explicit(scratch, adj, &result.objects)
             }
-            None => {
-                graph
-                    .build_grid_hash_incremental(
-                        scratch,
-                        ctx.objects,
-                        &result.objects,
-                        region,
-                        self.config.grid_resolution,
-                        self.config.simplification,
-                        self.config.incremental_overlap_threshold,
-                    )
-                    .0
-            }
+            None => graph.build_grid_hash(
+                scratch,
+                ctx.objects,
+                &result.objects,
+                region,
+                self.config.grid_resolution,
+                self.config.simplification,
+            ),
         };
         self.observe_with_graph(region, graph, units, scratch)
     }
@@ -463,10 +447,6 @@ impl Prefetcher for Scout {
         std::mem::take(&mut self.pending)
     }
 
-    fn graph_cache_counters(&self) -> Option<scout_sim::GraphBuildCounters> {
-        Some(self.graph.cache_stats().to_counters())
-    }
-
     fn reset(&mut self) {
         self.tracker.clear();
         self.centers.clear();
@@ -475,12 +455,8 @@ impl Prefetcher for Scout {
         self.pending = PrefetchPlan::empty();
         self.last_locations.clear();
         self.rng = SmallRng::seed_from_u64(self.config.seed);
-        // The incremental graph cache carries *cross-query* state, so a
-        // fresh sequence must start cold (§7.1 clears all caches between
-        // sequences); buffer capacity survives the invalidation. The
-        // graph, exit and scratch buffers are transient per-query state
-        // and keep their warmed capacity as well.
-        self.graph.invalidate_cache();
+        // The graph, exit and scratch buffers are transient per-query
+        // state and keep their warmed capacity.
     }
 }
 

@@ -3,13 +3,9 @@
 //! [`ReferenceGraph`] is the seed implementation of
 //! [`crate::graph::ResultGraph`] verbatim: per-cell `HashMap` entries,
 //! per-vertex `Vec` adjacency lists with `contains()`-based edge dedup, and
-//! a `HashMap` reverse index. It exists for two jobs only:
-//!
-//! * **property-test oracle** — `tests/graph_properties.rs` asserts the
-//!   CSR build produces identical vertex numbering, edge sets and
-//!   component labels on random datasets;
-//! * **bench baseline** — the `hotpath` bench measures it against the CSR
-//!   build and records both numbers in `BENCH_hotpath.json`.
+//! a `HashMap` reverse index. It exists as the property-test oracle:
+//! `tests/graph_properties.rs` asserts the CSR build produces identical
+//! vertex numbering, edge sets and component labels on random datasets.
 //!
 //! The free functions are the prediction half as it ran before the result
 //! frame: exit detection, candidate continuity, exit scoring and k-means

@@ -10,7 +10,6 @@ use scout_geometry::{
     Aabb, Cylinder, ObjectAdjacency, ObjectId, QueryRegion, Shape, Simplification, SpatialObject,
     StructureId, UniformGrid, Vec3,
 };
-use scout_sim::QueryScratch;
 
 fn arb_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
     prop::collection::vec(
@@ -113,38 +112,6 @@ proptest! {
             ResultGraph::grid_hash(&objects, &ids, &region, 4_096, Simplification::Segment);
         prop_assert_eq!(a.edge_count(), b.edge_count());
         prop_assert_eq!(ua.graph_edge_inserts, ub.graph_edge_inserts);
-    }
-
-    /// The fork-join grid-hash build is byte-identical to the serial
-    /// build at every part width (the DESIGN.md §9 determinism
-    /// contract): same vertex numbering, same rows, same edge counts,
-    /// same charged units. `set_build_threads` overrides the small-input
-    /// serial cutoff, so these inputs do exercise the parallel passes.
-    #[test]
-    fn parallel_grid_hash_matches_serial(objects in arb_objects(), res in 8u32..40_000) {
-        let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
-        let region = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::splat(40.0)));
-        let mut scratch = QueryScratch::new();
-        let mut serial = ResultGraph::default();
-        serial.set_build_threads(1);
-        let su = serial.build_grid_hash(
-            &mut scratch, &objects, &ids, &region, res, Simplification::Segment);
-        for threads in [2usize, 3, 4, 8] {
-            let mut par = ResultGraph::default();
-            par.set_build_threads(threads);
-            let pu = par.build_grid_hash(
-                &mut scratch, &objects, &ids, &region, res, Simplification::Segment);
-            prop_assert_eq!(par.vertex_count(), serial.vertex_count());
-            prop_assert_eq!(par.edge_count(), serial.edge_count());
-            for v in 0..serial.vertex_count() as u32 {
-                prop_assert_eq!(par.object_id(v), serial.object_id(v));
-                prop_assert_eq!(
-                    par.neighbors(v), serial.neighbors(v),
-                    "row {} differs at {} threads", v, threads);
-            }
-            prop_assert_eq!(pu.graph_object_inserts, su.graph_object_inserts);
-            prop_assert_eq!(pu.graph_edge_inserts, su.graph_edge_inserts);
-        }
     }
 
     /// The CSR grid-hash build is equivalent to the seed adjacency-list

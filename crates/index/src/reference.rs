@@ -4,9 +4,8 @@
 //! heap-allocated directory nodes with an `enum` of child vectors, and an
 //! unpruned best-first k-NN. It exists so `tests/index_properties.rs` can
 //! assert the flat SoA directory returns equal results for
-//! `pages_in_region` / `k_nearest_pages`, and so the `hotpath` bench can
-//! record the before/after numbers. Nothing on a simulation path may use
-//! it.
+//! `pages_in_region` / `k_nearest_pages`. Nothing on a simulation path may
+//! use it.
 
 use crate::str_pack::{str_pack, DEFAULT_PAGE_CAPACITY};
 use scout_geometry::{Aabb, SpatialObject, Vec3};

@@ -33,8 +33,7 @@ use scout_core::{Scout, ScoutConfig};
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
 use scout_sim::{
-    GraphBuildCounters, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch,
-    SimContext,
+    PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
 };
 use scout_storage::PageId;
 
@@ -292,10 +291,6 @@ impl Prefetcher for HybridPrefetcher {
         // stays for the next coverage round.
         self.markov_pages.clear();
         PrefetchPlan { requests }
-    }
-
-    fn graph_cache_counters(&self) -> Option<GraphBuildCounters> {
-        Prefetcher::graph_cache_counters(&self.scout)
     }
 
     fn reset(&mut self) {

@@ -32,13 +32,13 @@ pub use multi::{
     MultiSessionConfig, MultiSessionExecutor, MultiSessionReport, Schedule, SessionReport,
     TenantReport,
 };
-pub use pool::{default_parallelism, SharedSlice, WorkerPool};
+pub use pool::default_parallelism;
 pub use prefetcher::{
     GraphBuildCounters, NoPrefetch, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher,
 };
 pub use report::{percentiles, percentiles_mut, LatencyPercentiles};
 pub use scheduler::{AdmissionControl, SchedulerReport, SessionScheduler};
-pub use scratch::{QueryScratch, ResultFrame, WorkerScratch};
+pub use scratch::{QueryScratch, ResultFrame};
 pub use session::Session;
 pub use telemetry::TelemetryReport;
 pub use workloads::Microbenchmark;

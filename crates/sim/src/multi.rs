@@ -30,10 +30,7 @@ use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
 use crate::pool::default_parallelism;
-use crate::prefetcher::GraphBuildCounters;
-use crate::report::{
-    graph_cache_summary, pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table,
-};
+use crate::report::{pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table};
 use crate::scheduler::{
     run_inline, AdmissionControl, FleetOutcome, RoundBody, SchedulerReport, SessionScheduler,
 };
@@ -261,10 +258,6 @@ pub struct SessionReport {
     pub residual: LatencyPercentiles,
     /// Total user-visible response time, µs.
     pub response_us: f64,
-    /// This session's cross-query graph-build counters (incremental repair
-    /// vs full rebuild), when its prefetcher keeps an incremental graph
-    /// cache; `None` for history-only baselines.
-    pub graph_cache: Option<GraphBuildCounters>,
     /// This session's fault-layer counters (injection, retries, breaker);
     /// `None` when fault injection was disabled.
     pub faults: Option<FaultReport>,
@@ -354,7 +347,6 @@ impl MultiSessionReport {
             .into_iter()
             .zip(shed)
             .map(|(session, shed)| {
-                let graph_cache = session.graph_cache_counters();
                 let tenant = session.tenant();
                 let (id, trace) = session.into_trace();
                 let faults = trace.faults;
@@ -373,7 +365,6 @@ impl MultiSessionReport {
                     pages_hit: trace.io.result_pages_cache,
                     residual: percentiles_mut(&mut residuals),
                     response_us: trace.total_response_us(),
-                    graph_cache,
                     faults,
                 }
             })
@@ -427,18 +418,6 @@ impl MultiSessionReport {
     /// Shared-cache hit rate over all sessions' result pages.
     pub fn hit_rate(&self) -> f64 {
         hit_ratio(self.total_pages_hit(), self.total_pages())
-    }
-
-    /// Fleet-wide graph-build counters: the merge of every session that
-    /// reported some (`None` when no session keeps an incremental cache).
-    pub fn graph_cache_total(&self) -> Option<GraphBuildCounters> {
-        let mut total: Option<GraphBuildCounters> = None;
-        for s in &self.sessions {
-            if let Some(c) = &s.graph_cache {
-                total.get_or_insert_with(GraphBuildCounters::default).merge(c);
-            }
-        }
-        total
     }
 
     /// Total user-visible response time across sessions, µs.
@@ -508,16 +487,6 @@ impl MultiSessionReport {
             }
             out.push_str(&tt.render());
             out.push('\n');
-        }
-        // Incremental graph-cache behavior (PR 4), per session and
-        // aggregate — only when at least one prefetcher keeps the cache.
-        if let Some(total) = self.graph_cache_total() {
-            for s in &self.sessions {
-                if let Some(c) = &s.graph_cache {
-                    out.push_str(&format!("graph builds #{}: {}\n", s.id, graph_cache_summary(c)));
-                }
-            }
-            out.push_str(&format!("graph builds all: {}\n", graph_cache_summary(&total)));
         }
         // Fault-layer counters — only when fault injection ran, so
         // fault-free renders stay byte-identical to pre-fault ones (the
@@ -691,7 +660,6 @@ mod tests {
                 pages_hit: 0,
                 residual: LatencyPercentiles::default(),
                 response_us: 0.0,
-                graph_cache: Some(GraphBuildCounters::default()),
                 faults: None,
             }],
             tenants: Vec::new(),
@@ -705,10 +673,9 @@ mod tests {
         };
         let s = report.render();
         assert!(s.contains("accesses (n/a)"), "shared-cache line: {s}");
-        assert!(s.contains("(n/a inc;"), "graph-build line: {s}");
-        // Session row, aggregate row, shared-cache line, and the
-        // per-session + aggregate graph-build lines all carry the marker.
-        assert_eq!(s.matches("n/a").count(), 5, "{s}");
+        // Session row, aggregate row and shared-cache line carry the
+        // marker.
+        assert_eq!(s.matches("n/a").count(), 3, "{s}");
     }
 
     #[test]

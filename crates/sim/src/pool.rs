@@ -1,40 +1,27 @@
-//! A persistent fork-join worker pool for the data-parallel build passes.
+//! The scheduler's crew of parked worker threads.
 //!
 //! `std::thread::scope` would be the obvious std-only primitive, but it
-//! spawns (and therefore heap-allocates) worker threads on every call —
-//! the zero-allocation steady-state contract of the query hot path (see
-//! DESIGN.md §6/§9) rules that out. Instead the pool keeps a fixed crew of
-//! parked workers alive (until the pool is dropped; the global pool's crew
-//! lives for the process) and hands them one job at a time through a
-//! mutex/condvar pair: dispatching a job performs no allocation at all, so
-//! a warmed `grid_hash` build stays allocation-free end to end.
+//! spawns (and therefore heap-allocates) worker threads on every call.
+//! Instead a `Crew` keeps its workers parked (until it is dropped; the
+//! global scheduler's crew lives for the process) and hands them one job
+//! at a time through a mutex/condvar pair: dispatching a job performs no
+//! allocation at all.
 //!
 //! ## Panics
 //!
-//! A panic anywhere in a job — on the caller's parts or a worker's — is
-//! caught, the dispatch still joins every part (the closure lives on the
+//! A panic anywhere in a job — on the caller's side or a worker's — is
+//! caught, the dispatch still joins every worker (the closure lives on the
 //! caller's stack, so unwinding past the join would leave workers
 //! dereferencing a dead frame), and the payload is then re-raised on the
-//! caller. Workers survive job panics; the pool remains usable.
-//!
-//! ## Determinism
-//!
-//! The pool provides *fork-join* parallelism only: `run(parts, f)` calls
-//! `f(0) … f(parts-1)` exactly once each — part 0 inline on the caller,
-//! the rest on workers — and returns after all parts finish. Callers are
-//! written so the result is a pure function of the inputs and `parts`
-//! partitioning is merge-ordered (fixed chunk order), making parallel
-//! output byte-identical to serial; on that basis the pool is free to run
-//! every part inline on the caller whenever workers are unavailable —
-//! e.g. when another thread already holds the pool (K concurrent sessions
-//! of the multi-session engine) — without changing any result.
+//! caller. Workers survive job panics; the crew remains usable.
 //!
 //! ## Thread count
 //!
-//! [`default_parallelism`] resolves the pool size: the `SCOUT_THREADS`
-//! environment variable when set (`1` pins everything serial — the CI
-//! equivalence job; a set-but-invalid value warns and pins serial too),
-//! otherwise `std::thread::available_parallelism`.
+//! [`default_parallelism`] resolves the width
+//! [`Schedule::WorkStealing { workers: 0 }`](crate::Schedule) runs at: the
+//! `SCOUT_THREADS` environment variable when set (`1` selects the inline
+//! driver — the CI equivalence job; a set-but-invalid value warns and pins
+//! 1 too), otherwise `std::thread::available_parallelism`.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -106,12 +93,9 @@ struct PoolShared {
 }
 
 /// A lazily grown crew of parked worker threads and the one dispatch
-/// handshake that hands them a job: the mechanism under both the fork-join
-/// [`WorkerPool`] and the session scheduler (`scheduler.rs`). The two
-/// differ only in *policy* — who may dispatch when the crew is busy (the
-/// pool degrades to inline, the scheduler blocks) — which stays with them
-/// as a lock around [`Crew::dispatch`]; the crew itself assumes one
-/// dispatcher at a time.
+/// handshake that hands them a job: the mechanism under the session
+/// scheduler (`scheduler.rs`), which serializes fleets with a lock around
+/// [`Crew::dispatch`]; the crew itself assumes one dispatcher at a time.
 pub(crate) struct Crew {
     /// Leaked to `'static` so an exiting worker never dangles (a few
     /// hundred bytes per crew for the life of the process).
@@ -169,7 +153,7 @@ impl Crew {
     /// Runs `f(1) … f(workers)` on the crew and `caller()` on this thread,
     /// returning when all of them have finished. `workers` must not exceed
     /// what [`Crew::ensure`] reported, and dispatches must not overlap
-    /// (the owners serialize them with their dispatch lock).
+    /// (the owner serializes them with its dispatch lock).
     ///
     /// A panic on either side is caught, the join still completes —
     /// unwinding past it would destroy `f`'s stack frame while workers
@@ -224,72 +208,6 @@ impl Drop for Crew {
     }
 }
 
-/// A persistent fork-join pool; see the module docs. One process-wide
-/// instance is usually enough ([`WorkerPool::global`]), but independent
-/// pools are fine — workers are lazy, so an unused pool costs one mutex.
-#[derive(Debug)]
-pub struct WorkerPool {
-    crew: Crew,
-    /// Serializes dispatchers; a contended `try_lock` falls back to
-    /// running every part inline (see the module docs on determinism).
-    dispatch: Mutex<()>,
-    /// Hard cap on workers this pool will ever spawn.
-    max_workers: usize,
-}
-
-impl WorkerPool {
-    /// A pool that will grow to at most `max_workers` parked workers.
-    /// Workers are spawned lazily on the first dispatch that needs them
-    /// and exit when the pool is dropped.
-    pub fn new(max_workers: usize) -> WorkerPool {
-        WorkerPool { crew: Crew::new("scout-pool"), dispatch: Mutex::new(()), max_workers }
-    }
-
-    /// The process-wide pool, sized to [`default_parallelism`]` - 1`
-    /// workers (part 0 always runs on the caller).
-    pub fn global() -> &'static WorkerPool {
-        static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-        GLOBAL.get_or_init(|| WorkerPool::new(default_parallelism().saturating_sub(1)))
-    }
-
-    /// The largest `parts` this pool can truly run concurrently
-    /// (`max_workers + 1` — the caller is always a worker too).
-    pub fn max_parallelism(&self) -> usize {
-        self.max_workers + 1
-    }
-
-    /// Runs `f(0) … f(parts-1)`, each exactly once, returning when all
-    /// parts have finished. Part 0 runs inline on the caller; parts
-    /// beyond `max_parallelism` and dispatches that lose the pool to a
-    /// concurrent caller also run inline, in ascending order. `f` must
-    /// therefore be correct for *any* interleaving — the intended use is
-    /// writing disjoint data per part.
-    ///
-    /// If `f` panics on any part — caller or worker — the dispatch still
-    /// joins every part before the panic is re-raised on the caller, so
-    /// the closure outlives all uses and the pool stays usable.
-    ///
-    /// Performs no heap allocation once the workers are spawned.
-    pub fn run(&self, parts: usize, f: &(dyn Fn(usize) + Sync)) {
-        let workers = parts.saturating_sub(1).min(self.max_workers);
-        // A second concurrent dispatcher runs serially instead of
-        // waiting: callers guarantee output does not depend on `parts`,
-        // and the engine's sessions must not convoy on the pool. So does
-        // a dispatch whose workers could not all be spawned.
-        let guard = if workers == 0 { None } else { self.dispatch.try_lock().ok() };
-        if guard.is_none() || self.crew.ensure(workers) < workers {
-            (0..parts).for_each(f);
-            return;
-        }
-        // Workers run parts 1..=workers; the caller takes part 0 plus any
-        // overflow parts beyond the crew size.
-        self.crew.dispatch(workers, f, || {
-            f(0);
-            (workers + 1..parts).for_each(f);
-        });
-    }
-}
-
 fn worker_loop(shared: &'static PoolShared, id: usize) {
     let mut last_epoch = 0u64;
     loop {
@@ -327,64 +245,7 @@ fn worker_loop(shared: &'static PoolShared, id: usize) {
     }
 }
 
-/// A raw view of a mutable slice that can be captured by the per-part
-/// closures of [`WorkerPool::run`]. The pool gives no aliasing guarantees,
-/// so every write is `unsafe`: the caller must ensure each part touches a
-/// disjoint set of indices (the build passes derive disjoint ranges from
-/// per-part prefix sums, which is exactly what makes their output
-/// byte-identical to serial).
-pub struct SharedSlice<'a, T> {
-    ptr: *mut T,
-    len: usize,
-    _life: std::marker::PhantomData<&'a mut [T]>,
-}
-
-// SAFETY: access is delegated to the caller's disjointness contract; the
-// wrapper itself only carries the pointer across threads.
-unsafe impl<T: Send> Send for SharedSlice<'_, T> {}
-unsafe impl<T: Send> Sync for SharedSlice<'_, T> {}
-
-impl<'a, T> SharedSlice<'a, T> {
-    /// Wraps a slice for disjoint multi-part writes.
-    pub fn new(slice: &'a mut [T]) -> SharedSlice<'a, T> {
-        SharedSlice { ptr: slice.as_mut_ptr(), len: slice.len(), _life: std::marker::PhantomData }
-    }
-
-    /// Length of the underlying slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the underlying slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Writes `value` at `idx`.
-    ///
-    /// # Safety
-    /// `idx` must be in bounds and no other part may read or write it
-    /// during this `run`.
-    #[inline]
-    pub unsafe fn write(&self, idx: usize, value: T) {
-        debug_assert!(idx < self.len);
-        unsafe { self.ptr.add(idx).write(value) };
-    }
-
-    /// Mutable sub-slice `range`.
-    ///
-    /// # Safety
-    /// `range` must be in bounds and no other part may touch any index in
-    /// it during this `run`.
-    #[inline]
-    #[allow(clippy::mut_from_ref)] // the disjointness contract is the caller's
-    pub unsafe fn slice_mut(&self, range: std::ops::Range<usize>) -> &mut [T] {
-        debug_assert!(range.start <= range.end && range.end <= self.len);
-        unsafe { std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len()) }
-    }
-}
-
-/// The thread count parallel builds size themselves for: `SCOUT_THREADS`
+/// The crew width a work-stealing fleet defaults to: `SCOUT_THREADS`
 /// when set to a positive integer, otherwise the machine's available
 /// parallelism. A `SCOUT_THREADS` that is set but not a positive integer
 /// (`0`, empty, non-numeric) pins serial with a warning — a botched pin
@@ -423,81 +284,49 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Runs `f(0)` on the caller and `f(1) … f(workers)` on the crew — the
+    /// shape the scheduler dispatches its drain in.
+    fn run(crew: &Crew, workers: usize, f: &(dyn Fn(usize) + Sync)) {
+        assert_eq!(crew.ensure(workers), workers);
+        crew.dispatch(workers, f, || f(0));
+    }
+
     #[test]
     fn runs_every_part_exactly_once() {
-        let pool = WorkerPool::new(3);
-        for parts in [0usize, 1, 2, 4, 9] {
-            let hits: Vec<AtomicUsize> = (0..parts).map(|_| AtomicUsize::new(0)).collect();
-            pool.run(parts, &|p| {
+        let crew = Crew::new("test-crew");
+        // Widths in no order: a crew grown to 3 also serves 0 and 2, the
+        // surplus workers sitting the epoch out.
+        for workers in [1usize, 3, 2, 0, 3] {
+            let hits: Vec<AtomicUsize> = (0..=workers).map(|_| AtomicUsize::new(0)).collect();
+            run(&crew, workers, &|p| {
                 hits[p].fetch_add(1, Ordering::Relaxed);
             });
-            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "parts={parts}");
+            assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "workers={workers}");
         }
     }
 
     #[test]
     fn zero_worker_pool_runs_inline() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.max_parallelism(), 1);
+        // Width 0 never spawns: the dispatch is the caller's closure.
+        let crew = Crew::new("test-crew");
         let sum = AtomicUsize::new(0);
-        pool.run(5, &|p| {
+        run(&crew, 0, &|p| {
             sum.fetch_add(p + 1, Ordering::Relaxed);
         });
-        assert_eq!(sum.load(Ordering::Relaxed), 15);
-    }
-
-    #[test]
-    fn disjoint_writes_partition_a_slice() {
-        let pool = WorkerPool::new(2);
-        let mut data = vec![0u32; 90];
-        let n = data.len();
-        let parts = 3usize;
-        {
-            let shared = SharedSlice::new(&mut data);
-            pool.run(parts, &|p| {
-                let chunk = n.div_ceil(parts);
-                let range = p * chunk..((p + 1) * chunk).min(n);
-                // SAFETY: ranges of distinct parts are disjoint.
-                let slice = unsafe { shared.slice_mut(range.clone()) };
-                for (off, slot) in range.zip(slice.iter_mut()) {
-                    *slot = off as u32;
-                }
-            });
-        }
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u32));
-    }
-
-    #[test]
-    fn reentrant_and_concurrent_dispatch_fall_back_inline() {
-        // Two threads hammering one pool: whichever loses try_lock runs
-        // inline; every part of every run must still execute once.
-        let pool = WorkerPool::new(2);
-        let total = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    for _ in 0..100 {
-                        pool.run(4, &|_p| {
-                            total.fetch_add(1, Ordering::Relaxed);
-                        });
-                    }
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 2 * 100 * 4);
+        assert_eq!(sum.load(Ordering::Relaxed), 1);
+        assert_eq!(*crew.spawned.lock().unwrap(), 0);
     }
 
     #[test]
     fn sequential_runs_reuse_workers() {
-        let pool = WorkerPool::new(2);
+        let crew = Crew::new("test-crew");
         // Warm up, then check no new workers appear across further runs.
-        pool.run(3, &|_| {});
-        let spawned = *pool.crew.spawned.lock().unwrap();
-        assert_eq!(spawned, 2);
+        run(&crew, 2, &|_| {});
+        assert_eq!(*crew.spawned.lock().unwrap(), 2);
         for _ in 0..50 {
-            pool.run(3, &|_| {});
+            run(&crew, 2, &|_| {});
         }
-        assert_eq!(*pool.crew.spawned.lock().unwrap(), spawned);
+        assert_eq!(*crew.spawned.lock().unwrap(), 2);
     }
 
     #[test]
@@ -532,18 +361,18 @@ mod tests {
 
     #[test]
     fn caller_panic_joins_workers_and_propagates() {
-        let pool = WorkerPool::new(2);
+        let crew = Crew::new("test-crew");
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.run(3, &|p| {
+            run(&crew, 2, &|p| {
                 if p == 0 {
                     panic!("caller part");
                 }
             });
         }));
         assert!(caught.is_err());
-        // The pool must stay usable after the re-raise.
+        // The crew must stay usable after the re-raise.
         let hits = AtomicUsize::new(0);
-        pool.run(3, &|_| {
+        run(&crew, 2, &|_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 3);
@@ -551,12 +380,11 @@ mod tests {
 
     #[test]
     fn worker_panic_propagates_without_deadlock() {
-        let pool = WorkerPool::new(2);
-        pool.run(3, &|_| {}); // warm the crew
+        let crew = Crew::new("test-crew");
+        run(&crew, 2, &|_| {}); // warm the crew
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            // Parts 1..=2 run on workers; a worker panic must surface on
-            // the caller, not hang the join.
-            pool.run(3, &|p| {
+            // A worker panic must surface on the caller, not hang the join.
+            run(&crew, 2, &|p| {
                 if p == 2 {
                     panic!("worker part");
                 }
@@ -566,7 +394,7 @@ mod tests {
         // The worker survived and later dispatches still run every part.
         let hits = AtomicUsize::new(0);
         for _ in 0..10 {
-            pool.run(3, &|_| {
+            run(&crew, 2, &|_| {
                 hits.fetch_add(1, Ordering::Relaxed);
             });
         }
@@ -575,8 +403,8 @@ mod tests {
 
     #[test]
     fn dropping_a_pool_shuts_workers_down() {
-        let pool = WorkerPool::new(2);
-        pool.run(3, &|_| {}); // spawn the crew
-        drop(pool); // must not hang; workers observe shutdown and exit
+        let crew = Crew::new("test-crew");
+        run(&crew, 2, &|_| {}); // spawn the workers
+        drop(crew); // must not hang; workers observe shutdown and exit
     }
 }

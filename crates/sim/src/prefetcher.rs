@@ -25,54 +25,18 @@ pub struct PredictionStats {
     pub candidates: usize,
 }
 
-/// Cross-query graph-build counters a structure-aware prefetcher may
-/// expose: how many of its graph builds were served by incremental delta
-/// repair vs a full rebuild, by fallback reason. Mirrors
-/// `scout_core::GraphCacheStats` without the crate dependency (core
-/// depends on sim, not the other way around), so multi-session reports can
-/// surface cache behavior for any prefetcher that opts in.
+// Pinned by `benchmark/src/adapter.rs` lines 470-474 and 834-837, which a
+// non-`benchmark` PR may not edit; ROADMAP item 2 removes it. No prefetcher
+// repairs a graph across queries, so nothing constructs one.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBuildCounters {
-    /// Builds served by delta repair.
     pub incremental: u64,
-    /// Full rebuilds because the cache was cold.
-    pub full_cold: u64,
-    /// Full rebuilds because the hashing lattice changed.
-    pub full_grid_changed: u64,
-    /// Full rebuilds because the result overlap was below the threshold.
-    pub full_low_overlap: u64,
-    /// Full rebuilds because retained objects were re-ordered.
-    pub full_reordered: u64,
 }
 
 impl GraphBuildCounters {
-    /// Total full rebuilds.
-    pub fn full(&self) -> u64 {
-        self.full_cold + self.full_grid_changed + self.full_low_overlap + self.full_reordered
-    }
-
-    /// Total builds recorded.
     pub fn total(&self) -> u64 {
-        self.incremental + self.full()
-    }
-
-    /// Fraction of builds served incrementally (0 when none were recorded).
-    pub fn incremental_ratio(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            0.0
-        } else {
-            self.incremental as f64 / total as f64
-        }
-    }
-
-    /// Component-wise accumulation (aggregate report rows).
-    pub fn merge(&mut self, other: &GraphBuildCounters) {
-        self.incremental += other.incremental;
-        self.full_cold += other.full_cold;
-        self.full_grid_changed += other.full_grid_changed;
-        self.full_low_overlap += other.full_low_overlap;
-        self.full_reordered += other.full_reordered;
+        self.incremental
     }
 }
 
@@ -156,9 +120,8 @@ pub trait Prefetcher: Send {
     /// Clears all history (start of a fresh sequence).
     fn reset(&mut self);
 
-    /// Cross-query graph-build counters, when this prefetcher maintains an
-    /// incremental graph cache (SCOUT family). `None` for methods without
-    /// one; the multi-session report then omits the cache-behavior rows.
+    // Pinned like `GraphBuildCounters`; no prefetcher overrides it.
+    #[doc(hidden)]
     fn graph_cache_counters(&self) -> Option<GraphBuildCounters> {
         None
     }

@@ -1,7 +1,5 @@
 //! Paper-style text tables for the bench harnesses.
 
-use crate::prefetcher::GraphBuildCounters;
-
 /// A simple fixed-width table printer.
 #[derive(Debug, Default)]
 pub struct Table {
@@ -144,26 +142,6 @@ pub fn percentiles_mut(samples: &mut [f64]) -> LatencyPercentiles {
     LatencyPercentiles { p50: out[0], p95: out[1], p99: out[2] }
 }
 
-/// One-line summary of cross-query graph-build counters: incremental
-/// share plus the full-rebuild breakdown by fallback reason. Used for both
-/// the per-session and the aggregate cache-behavior rows of the
-/// multi-session report.
-pub fn graph_cache_summary(c: &GraphBuildCounters) -> String {
-    format!(
-        "{} inc / {} full ({} inc; cold {}, grid {}, overlap {}, reorder {})",
-        c.incremental,
-        c.full(),
-        match c.total() {
-            0 => "n/a".to_string(),
-            _ => format!("{} %", pct(c.incremental_ratio())),
-        },
-        c.full_cold,
-        c.full_grid_changed,
-        c.full_low_overlap,
-        c.full_reordered,
-    )
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
@@ -262,14 +240,6 @@ mod tests {
         assert_eq!(pct_or_na(0.0, 0), "n/a");
         assert_eq!(pct_or_na(0.0, 10), "0.0");
         assert_eq!(pct_or_na(0.75, 4), "75.0");
-    }
-
-    #[test]
-    fn graph_cache_summary_without_builds_is_na() {
-        let none = GraphBuildCounters::default();
-        assert!(graph_cache_summary(&none).contains("(n/a inc;"));
-        let some = GraphBuildCounters { incremental: 3, full_cold: 1, ..Default::default() };
-        assert!(graph_cache_summary(&some).contains("(75.0 % inc;"));
     }
 
     /// The historical clone-and-sort implementation, kept verbatim as the

@@ -29,11 +29,9 @@
 //!   round-robin across tenants (fairness), gated on
 //!   [`ThrashMonitor`] signals from the
 //!   shared cache (delay policy).
-//! * The crew itself is PR 6's epoch/condvar machinery (`pool::Crew`,
-//!   shared with the fork-join pool) under one deliberately different
-//!   policy: the scheduler **blocks** on the crew instead of degrading to
-//!   inline execution — a fleet drain job parks at the phase gate, so the
-//!   pool's run-parts-serially fallback would deadlock it.
+//! * The crew itself is an epoch/condvar dispatch (`pool::Crew`); the
+//!   scheduler **blocks** on it — a fleet drain job parks at the phase
+//!   gate, so running a fleet's parts one after another would deadlock.
 //!
 //! ## Determinism contract (DESIGN.md §10)
 //!
@@ -717,9 +715,8 @@ pub(crate) struct FleetOutcome {
 #[derive(Debug)]
 pub struct SessionScheduler {
     crew: Crew,
-    /// Serializes fleets. Unlike [`WorkerPool`](crate::WorkerPool)'s
-    /// `try_lock`-and-degrade, this **blocks**: a fleet drain parks at
-    /// phase gates, so running its parts sequentially would deadlock.
+    /// Serializes fleets. This **blocks**: a fleet drain parks at phase
+    /// gates, so running its parts sequentially would deadlock.
     dispatch: Mutex<()>,
 }
 

@@ -62,7 +62,7 @@ impl ResultFrame {
 
     /// Refills the frame from a result-id list — for builds that have no
     /// per-object loop of their own to ride along with (the explicit
-    /// adjacency build and the incremental repair).
+    /// adjacency build).
     pub fn gather(
         &mut self,
         objects: &[SpatialObject],
@@ -75,13 +75,6 @@ impl ResultFrame {
         }
     }
 
-    /// Appends another frame's entries (fork-join parts are concatenated
-    /// in part order, like their pair lists).
-    pub fn append(&mut self, part: &ResultFrame) {
-        self.centroids.extend_from_slice(&part.centroids);
-        self.simplified.extend_from_slice(&part.simplified);
-    }
-
     /// Bytes of reserved capacity.
     pub fn capacity_bytes(&self) -> usize {
         self.centroids.capacity() * std::mem::size_of::<Vec3>()
@@ -89,37 +82,12 @@ impl ResultFrame {
     }
 }
 
-/// Per-worker staging buffers for the parallel grid-hash build passes.
-///
-/// Each pool part owns exactly one `WorkerScratch` for the duration of a
-/// [`WorkerPool::run`](crate::pool::WorkerPool::run), so the parallel
-/// passes stay allocation-free in steady state just like the serial path:
-/// capacity warms over the first builds and `clear`/`resize` reuse it.
-#[derive(Debug, Clone, Default)]
-pub struct WorkerScratch {
-    /// Pass-1 staging: this part's `(cell, vertex)` pairs, concatenated
-    /// into the global pair list in fixed part order.
-    pub pairs: Vec<(u32, u32)>,
-    /// Pass-1 staging: this part's slice of the result frame, concatenated
-    /// in the same order.
-    pub frame: ResultFrame,
-    /// Pass-1 per-object cell coverage buffer.
-    pub cells: Vec<u32>,
-    /// Pass-2 partial cell histogram, then (rewritten in place by the
-    /// fixed-order merge) this part's scatter cursors; reused in passes
-    /// 3–4 as the partial degree histogram and per-row write cursors.
-    pub counts: Vec<u32>,
-}
-
 /// Reusable flat buffers for one session's query hot path.
 ///
-/// Fields are public: the consumers (the CSR graph build and incremental
-/// repair in `scout-core`, exit detection, prediction staging) borrow
-/// individual buffers mutably and disjointly. Every consumer clears the
-/// buffers it uses on entry; contents never carry meaning across calls,
-/// only capacity does. (State that *does* persist across queries — the
-/// incremental graph cache — lives in `scout_core`'s `GraphCache`, owned
-/// by the graph it describes, not here.)
+/// Fields are public: the consumers (the CSR graph build in `scout-core`,
+/// exit detection, prediction staging) borrow individual buffers mutably
+/// and disjointly. Every consumer clears the buffers it uses on entry;
+/// contents never carry meaning across calls, only capacity does.
 #[derive(Debug, Clone, Default)]
 pub struct QueryScratch {
     /// Per-vertex facts about the current result's objects, written by
@@ -132,17 +100,13 @@ pub struct QueryScratch {
     /// chains to find co-located objects.
     pub cell_pairs: Vec<(u32, u32)>,
     /// Directed edge list `(source, target)` of the explicit-adjacency
-    /// build and the incremental repair. In the grid-hash build: the spare
-    /// of the reverse index's radix sort, then the `(vertex, pair before)`
-    /// chain links.
+    /// build. In the grid-hash build: the spare of the reverse index's
+    /// radix sort, then the `(vertex, pair before)` chain links.
     pub edges: Vec<(u32, u32)>,
-    /// Incremental graph repair: surviving members of one cell run.
-    pub cells: Vec<u32>,
     /// Connected-component label per vertex.
     pub components: Vec<u32>,
     /// Per-vertex counters (degree histogram / scatter cursors of the
-    /// explicit build and the repair); per-cell chain heads of the
-    /// grid-hash build.
+    /// explicit build); per-cell chain heads of the grid-hash build.
     pub counts: Vec<u32>,
     /// DFS stack for component labeling.
     pub stack: Vec<u32>,
@@ -155,27 +119,19 @@ pub struct QueryScratch {
     pub predictions: Vec<Vec3>,
     /// Per-component flag: is the component in the candidate set (§4.3).
     pub candidate_flags: Vec<bool>,
-    /// Incremental graph repair: previous vertex of each new vertex
-    /// (`u32::MAX` = entering the region). A full grid-hash build and a
-    /// repair never share a call, so the full build's chain pass and
-    /// transposes borrow this and the next four buffers as working memory
-    /// — here, the last vertex each vertex was met by.
-    pub map_new_to_old: Vec<u32>,
-    /// Incremental graph repair: new vertex of each previous vertex
-    /// (`u32::MAX` = leaving the region). Full build: write cursor of each
-    /// row's backward part.
-    pub map_old_to_new: Vec<u32>,
-    /// Incremental graph repair: incidences each previous vertex loses to
-    /// leaving neighbors. Full build: forward degrees, then the write
-    /// cursor of each row's forward part.
-    pub removed_counts: Vec<u32>,
-    /// Incremental graph repair: offsets of the per-vertex delta rows
-    /// (entering neighbors gained). Full build: offsets of the per-vertex
-    /// backward-neighbor lists.
-    pub delta_offsets: Vec<u32>,
-    /// Incremental graph repair: concatenated sorted delta rows. Full
-    /// build: concatenated backward-neighbor lists.
-    pub delta_targets: Vec<u32>,
+    /// Grid-hash chain pass: the last vertex each vertex was met by, so a
+    /// neighbour shared through a second cell is counted once.
+    pub met_stamp: Vec<u32>,
+    /// Grid-hash transposes: write cursor of each row's backward part.
+    pub back_cursor: Vec<u32>,
+    /// Grid-hash chain pass: forward degree per vertex; in the transposes,
+    /// the write cursor of each row's forward part.
+    pub forward_cursor: Vec<u32>,
+    /// Grid-hash chain pass: offsets of the per-vertex backward-neighbour
+    /// lists.
+    pub back_offsets: Vec<u32>,
+    /// Grid-hash chain pass: concatenated backward-neighbour lists.
+    pub back_lists: Vec<u32>,
     /// Sorted copy of the current query's result pages (membership probes
     /// for the adaptive layer's per-source precision accounting).
     pub pages_sorted: Vec<u32>,
@@ -184,14 +140,6 @@ pub struct QueryScratch {
     pub markov_frontier: Vec<(f64, u32, u32)>,
     /// Sorted pages already emitted during one Markov extraction (dedup).
     pub markov_emitted: Vec<u32>,
-    /// Per-part staging buffers of the parallel grid-hash build; sized by
-    /// [`QueryScratch::ensure_workers`] to the build's part count.
-    pub workers: Vec<WorkerScratch>,
-    /// Parallel CSR dedup: unique neighbor count per row.
-    pub row_lens: Vec<u32>,
-    /// Parallel build passes 3–4: run-aligned part boundaries into the
-    /// grouped pair list.
-    pub part_starts: Vec<usize>,
 }
 
 impl QueryScratch {
@@ -206,7 +154,6 @@ impl QueryScratch {
         self.frame.clear();
         self.cell_pairs.clear();
         self.edges.clear();
-        self.cells.clear();
         self.components.clear();
         self.counts.clear();
         self.stack.clear();
@@ -214,30 +161,14 @@ impl QueryScratch {
         self.centroid_counts.clear();
         self.predictions.clear();
         self.candidate_flags.clear();
-        self.map_new_to_old.clear();
-        self.map_old_to_new.clear();
-        self.removed_counts.clear();
-        self.delta_offsets.clear();
-        self.delta_targets.clear();
+        self.met_stamp.clear();
+        self.back_cursor.clear();
+        self.forward_cursor.clear();
+        self.back_offsets.clear();
+        self.back_lists.clear();
         self.pages_sorted.clear();
         self.markov_frontier.clear();
         self.markov_emitted.clear();
-        for w in &mut self.workers {
-            w.pairs.clear();
-            w.frame.clear();
-            w.cells.clear();
-            w.counts.clear();
-        }
-        self.row_lens.clear();
-        self.part_starts.clear();
-    }
-
-    /// Grows the per-part staging set to at least `parts` workers
-    /// (existing workers keep their warmed capacity).
-    pub fn ensure_workers(&mut self, parts: usize) {
-        if self.workers.len() < parts {
-            self.workers.resize_with(parts, WorkerScratch::default);
-        }
     }
 
     /// Total bytes of reserved capacity across all buffers (diagnostics;
@@ -246,7 +177,6 @@ impl QueryScratch {
         self.frame.capacity_bytes()
             + self.cell_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.edges.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.cells.capacity() * std::mem::size_of::<u32>()
             + self.components.capacity() * std::mem::size_of::<u32>()
             + self.counts.capacity() * std::mem::size_of::<u32>()
             + self.stack.capacity() * std::mem::size_of::<u32>()
@@ -254,26 +184,14 @@ impl QueryScratch {
             + self.centroid_counts.capacity() * std::mem::size_of::<u32>()
             + self.predictions.capacity() * std::mem::size_of::<Vec3>()
             + self.candidate_flags.capacity() * std::mem::size_of::<bool>()
-            + self.map_new_to_old.capacity() * std::mem::size_of::<u32>()
-            + self.map_old_to_new.capacity() * std::mem::size_of::<u32>()
-            + self.removed_counts.capacity() * std::mem::size_of::<u32>()
-            + self.delta_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.delta_targets.capacity() * std::mem::size_of::<u32>()
+            + self.met_stamp.capacity() * std::mem::size_of::<u32>()
+            + self.back_cursor.capacity() * std::mem::size_of::<u32>()
+            + self.forward_cursor.capacity() * std::mem::size_of::<u32>()
+            + self.back_offsets.capacity() * std::mem::size_of::<u32>()
+            + self.back_lists.capacity() * std::mem::size_of::<u32>()
             + self.pages_sorted.capacity() * std::mem::size_of::<u32>()
             + self.markov_frontier.capacity() * std::mem::size_of::<(f64, u32, u32)>()
             + self.markov_emitted.capacity() * std::mem::size_of::<u32>()
-            + self
-                .workers
-                .iter()
-                .map(|w| {
-                    w.pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-                        + w.frame.capacity_bytes()
-                        + (w.cells.capacity() + w.counts.capacity()) * std::mem::size_of::<u32>()
-                })
-                .sum::<usize>()
-            + self.workers.capacity() * std::mem::size_of::<WorkerScratch>()
-            + self.row_lens.capacity() * std::mem::size_of::<u32>()
-            + self.part_starts.capacity() * std::mem::size_of::<usize>()
     }
 }
 

@@ -131,13 +131,8 @@ impl Session {
     /// cursor at the first query, fresh trace, and a disk built from
     /// `config` (sharing `clock` with sibling sessions when given).
     ///
-    /// "History" includes cross-query *derived* state, not just
-    /// prediction inputs: the prefetcher's `reset` must invalidate any
-    /// incremental caches it keeps (SCOUT's graph repairs itself across
-    /// queries, DESIGN.md §7), so a restarted sequence begins with a cold
-    /// full build exactly like the seed executor did. Buffer capacity —
-    /// the scratch arena and the prefetcher's recycled buffers — survives
-    /// across `begin` calls by design.
+    /// Buffer capacity — the scratch arena and the prefetcher's recycled
+    /// buffers — survives across `begin` calls by design.
     pub fn begin(&mut self, config: &ExecutorConfig, clock: Option<SharedClock>) {
         config.assert_valid();
         self.disk = match clock {
@@ -441,11 +436,9 @@ impl Session {
         &self.disk
     }
 
-    /// This session's prefetcher graph-build counters (incremental repair
-    /// vs full rebuild), when the prefetcher keeps an incremental graph
-    /// cache. Surfaced per session in
-    /// [`MultiSessionReport`](crate::MultiSessionReport) so cache behavior
-    /// is visible in multi-session runs, not only in the hotpath bench.
+    // Pinned like `GraphBuildCounters` (`benchmark/src/adapter.rs` line
+    // 471); always `None`.
+    #[doc(hidden)]
     pub fn graph_cache_counters(&self) -> Option<crate::prefetcher::GraphBuildCounters> {
         self.prefetcher.graph_cache_counters()
     }

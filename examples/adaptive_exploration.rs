@@ -8,8 +8,7 @@
 //! the start, and nothing inside the current result predicts that jump.
 //! The demo compares plain SCOUT, the pure history Markov prefetcher, and
 //! the adaptive hybrid on that loop, shows the feedback controller's
-//! learned state, and finishes with a multi-session run whose report now
-//! surfaces the incremental graph-cache behavior per session.
+//! learned state, and finishes with a multi-session run of a hybrid fleet.
 
 use scout::prelude::*;
 use scout::sim::workloads::revisit_loop;
@@ -65,8 +64,7 @@ fn main() {
         hybrid.markov().memory_bytes() / 1024
     );
 
-    // Multi-session: a hybrid fleet over one shared cache. The report now
-    // also shows each session's incremental graph-cache behavior.
+    // Multi-session: a hybrid fleet over one shared cache.
     let streams: Vec<_> =
         (0..3).map(|i| revisit_loop(&bed.dataset, &params, 8, 3, 11 + i)).collect();
     let engine = MultiSessionExecutor::new(MultiSessionConfig {

@@ -4,13 +4,12 @@
 //! The graph-build phase of `Session::step` — `ResultGraph::build_grid_hash`
 //! / `build_explicit` plus `components_into` against the session's
 //! [`QueryScratch`] arena — must perform **zero** heap allocations once the
-//! buffers have warmed to the workload. The same holds for the
-//! *incremental* build path (ISSUE 4): steady-state delta repairs over
-//! sliding result windows, for both SCOUT-style full result sets and
-//! SCOUT-OPT-style sparse reached subsets, including the overlap-fallback
-//! full-rebuild-with-capture case. A counting global allocator wraps the
-//! system allocator; after a warmup tour over every query of the
-//! sequence, re-running the builds must leave the counter untouched.
+//! buffers have warmed to the workload: over a guided sweep of range-query
+//! results, and over sliding full and sparse (SCOUT-OPT-style) result
+//! windows on both sides of the chain pass's `head`-table switch. A
+//! counting global allocator wraps the system allocator; after a warmup
+//! tour over every query of the sequence, re-running the builds must leave
+//! the counter untouched.
 //!
 //! The prediction half (ISSUE 13) is held to a small constant instead of
 //! zero: a warmed `Scout::observe_with_scratch` allocates only the
@@ -21,7 +20,7 @@
 //! the measured window.
 
 use scout::core::ResultGraph;
-use scout::geometry::{Aspect, ObjectAdjacency, QueryRegion};
+use scout::geometry::{Aspect, ObjectAdjacency, QueryRegion, UniformGrid};
 use scout::index::{RTree, SpatialIndex};
 use scout::predict::HybridPrefetcher;
 use scout::sim::{Prefetcher, QueryScratch, SimContext};
@@ -131,61 +130,13 @@ fn steady_state_graph_build_allocates_nothing() {
         after - before
     );
 
-    // --- Fork-join build passes (ISSUE 6) ----------------------------------
+    // --- Sliding windows, both `head` tables -------------------------------
     //
-    // The same grid-hash tour through the parallel passes: a forced part
-    // width routes every build through per-worker staging, the fixed-order
-    // histogram merges and the parallel row dedup. After the warmup tour
-    // (which also pays any one-time pool/worker spawn cost) the staging
-    // buffers have warmed like every other arena buffer and steady-state
-    // parallel builds must allocate nothing either.
-    let mut par_graph = ResultGraph::default();
-    par_graph.set_build_threads(4);
-    for (region, ids) in regions.iter().zip(&results) {
-        par_graph.build_grid_hash(&mut scratch, objects, ids, region, resolution, simplification);
-        par_graph.components_into(&mut scratch.components, &mut scratch.stack);
-    }
-    let before = allocations();
-    for _ in 0..3 {
-        for (region, ids) in regions.iter().zip(&results) {
-            par_graph.build_grid_hash(
-                &mut scratch,
-                objects,
-                ids,
-                region,
-                resolution,
-                simplification,
-            );
-            let n = par_graph.components_into(&mut scratch.components, &mut scratch.stack);
-            std::hint::black_box(n);
-        }
-    }
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "parallel graph-build passes allocated {} times in steady state",
-        after - before
-    );
-    // And the parallel build produced the same graph as the serial one.
-    graph.build_grid_hash(
-        &mut scratch,
-        objects,
-        &results[regions.len() - 1],
-        &regions[regions.len() - 1],
-        resolution,
-        simplification,
-    );
-    assert_eq!(par_graph.vertex_count(), graph.vertex_count());
-    assert_eq!(par_graph.edge_count(), graph.edge_count());
-
-    // --- Incremental maintenance (ISSUE 4) ---------------------------------
-    //
-    // Sliding result windows under one fixed lattice: the region stays
-    // put (a fixed analysis viewport), the result membership slides along
-    // the tissue. SCOUT's path uses the full windows; SCOUT-OPT's sparse
-    // construction is modeled by every-other-object subsets of the same
-    // windows (a thinner reached set in the same stable relative order).
+    // Result windows sliding along the tissue under one viewport: the full
+    // windows stand for SCOUT's result sets, every-other-object subsets of
+    // them for SCOUT-OPT's sparse reached sets. Each is built on a fine
+    // lattice (more cells than 4 × pairs: the chain pass hashes cells into
+    // its `head` table) and on a coarse one (`head` indexed by cell id).
     let all_ids: Vec<scout::geometry::ObjectId> = objects.iter().map(|o| o.id).collect();
     let n = all_ids.len();
     let w = n / 2;
@@ -197,70 +148,48 @@ fn steady_state_graph_build_allocates_nothing() {
         .map(|win| win.iter().copied().filter(|o| o.0 % 2 == 0).collect())
         .collect();
     let viewport = QueryRegion::from_aabb(dataset.bounds);
-
-    let mut scout_graph = ResultGraph::default();
-    let mut opt_graph = ResultGraph::default();
-    let tour =
-        |scout_graph: &mut ResultGraph, opt_graph: &mut ResultGraph, scratch: &mut QueryScratch| {
-            for (win, sparse) in full_windows.iter().zip(&sparse_windows) {
-                scout_graph.build_grid_hash_incremental(
-                    scratch,
-                    objects,
-                    win,
-                    &viewport,
-                    resolution,
-                    simplification,
-                    0.5,
-                );
-                let c = scout_graph.components_into(&mut scratch.components, &mut scratch.stack);
-                std::hint::black_box(c);
-                opt_graph.build_grid_hash_incremental(
-                    scratch,
-                    objects,
-                    sparse,
-                    &viewport,
-                    resolution,
-                    simplification,
-                    0.5,
-                );
-                let c = opt_graph.components_into(&mut scratch.components, &mut scratch.stack);
-                std::hint::black_box(c);
-            }
-        };
-
-    // Warmup tours: grow the graph buffers, the persistent caches and the
-    // delta scratch to the workload's high-water capacity. Two tours, not
-    // one: the cache's repair double buffers swap roles every query, and
-    // window sizes vary, so each of the two buffers behind `runs`/`cells`
-    // must see the largest window at least once.
-    for _ in 0..2 {
-        tour(&mut scout_graph, &mut opt_graph, &mut scratch);
+    let coarse = 512;
+    for (res, direct) in [(resolution, false), (coarse, true)] {
+        graph.build_grid_hash(
+            &mut scratch,
+            objects,
+            full_windows[0],
+            &viewport,
+            res,
+            simplification,
+        );
+        let cells = UniformGrid::with_resolution(*viewport.aabb(), res).cell_count() as usize;
+        assert_eq!(
+            cells <= scratch.cell_pairs.len().max(1024) * 4,
+            direct,
+            "resolution {res} is on the wrong side of the `head`-table switch: \
+             {cells} cells, {} pairs",
+            scratch.cell_pairs.len()
+        );
     }
 
-    // Steady state: repeated tours — repairs within a tour, plus the
-    // low-overlap fallback (full rebuild + cache capture) when a tour
-    // wraps from the last window back to the first — allocate nothing.
+    let tour = |graph: &mut ResultGraph, scratch: &mut QueryScratch| {
+        for (win, sparse) in full_windows.iter().zip(&sparse_windows) {
+            for ids in [win, sparse.as_slice()] {
+                for res in [resolution, coarse] {
+                    graph.build_grid_hash(scratch, objects, ids, &viewport, res, simplification);
+                    let c = graph.components_into(&mut scratch.components, &mut scratch.stack);
+                    std::hint::black_box(c);
+                }
+            }
+        }
+    };
+    tour(&mut graph, &mut scratch);
     let before = allocations();
     for _ in 0..3 {
-        tour(&mut scout_graph, &mut opt_graph, &mut scratch);
+        tour(&mut graph, &mut scratch);
     }
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "incremental graph maintenance allocated {} times in steady state",
+        "sliding-window graph builds allocated {} times in steady state",
         after - before
-    );
-    // And the steady-state tours actually exercised the repair path.
-    assert!(
-        scout_graph.cache_stats().incremental_builds >= 3 * (full_windows.len() as u64 - 1),
-        "SCOUT windows unexpectedly fell back: {:?}",
-        scout_graph.cache_stats()
-    );
-    assert!(
-        opt_graph.cache_stats().incremental_builds >= 3 * (full_windows.len() as u64 - 1),
-        "sparse windows unexpectedly fell back: {:?}",
-        opt_graph.cache_stats()
     );
 
     // --- Hybrid adaptive layer (ISSUE 5) -----------------------------------
