@@ -9,17 +9,8 @@
 //! to shrink/grow datasets and sequence counts, and `SCOUT_BENCH_SEED`
 //! (u64, default 42) for reproducible randomness.
 
-pub mod adaptive;
-pub mod batch;
-pub mod faults;
-pub mod obs;
-pub mod scale;
-
-use scout_storage::{BatchPlan, FaultPlan};
-
-use scout_baselines::{Ewma, HilbertPrefetch, MarkovPrefetcher, Polynomial, StraightLine};
+use scout_baselines::{Ewma, HilbertPrefetch, Polynomial, StraightLine};
 use scout_core::{Scout, ScoutOpt};
-use scout_predict::HybridPrefetcher;
 use scout_sim::{
     evaluate, region_lists, AggregateMetrics, ExecutorConfig, NoPrefetch, Prefetcher, TestBed,
 };
@@ -47,70 +38,6 @@ pub fn dataset_scale() -> f64 {
 /// Reads the global seed from `SCOUT_BENCH_SEED`.
 pub fn seed() -> u64 {
     std::env::var("SCOUT_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(42)
-}
-
-/// Schema version of the shared `meta` block in every BENCH_*.json
-/// artifact. Bump when the block's fields change.
-pub const BENCH_SCHEMA_VERSION: u32 = 1;
-
-/// The shared `meta` block every BENCH_*.json artifact opens with
-/// (ISSUE 10): schema version, bench name, the scale/seed knobs, and the
-/// thread environment — enough to tell two artifacts' provenance apart
-/// without diffing their `config` blocks.
-pub fn meta_json(bench: &str) -> String {
-    format!(
-        "  \"meta\": {{ \"schema_version\": {}, \"bench\": \"{}\", \"scale\": {}, \
-         \"dataset_scale\": {}, \"seed\": {}, \"workers\": {}, \"threads_env\": {} }},\n",
-        BENCH_SCHEMA_VERSION,
-        bench,
-        scale(),
-        dataset_scale(),
-        seed(),
-        scout_sim::default_parallelism(),
-        match std::env::var("SCOUT_THREADS") {
-            Ok(v) => format!("{v:?}"),
-            Err(_) => "null".to_string(),
-        },
-    )
-}
-
-/// JSON fragment recording a run's fault-injection knobs. Every bench
-/// artifact's `config` block embeds this (ISSUE 8), so a reader can tell
-/// a clean measurement from a chaos run — and reproduce the chaos run's
-/// exact fault schedule — from the JSON alone.
-pub fn faults_json(plan: &FaultPlan) -> String {
-    match &plan.inject {
-        None => "\"faults\": { \"enabled\": false }".to_string(),
-        Some(c) => format!(
-            "\"faults\": {{ \"enabled\": true, \"seed\": {}, \"transient_rate\": {}, \
-             \"corrupt_rate\": {}, \"stuck_rate\": {}, \"slow_rate\": {}, \
-             \"slow_multiplier\": {}, \"max_attempts\": {}, \"backoff_base_us\": {}, \
-             \"backoff_multiplier\": {}, \"jitter\": {}, \"deadline_us\": {}, \
-             \"breaker_alpha\": {}, \"breaker_threshold\": {}, \"breaker_cooldown\": {} }}",
-            c.seed,
-            c.transient_rate,
-            c.corrupt_rate,
-            c.stuck_rate,
-            c.slow_rate,
-            c.slow_multiplier,
-            plan.retry.max_attempts,
-            plan.retry.backoff_base_us,
-            plan.retry.backoff_multiplier,
-            plan.retry.jitter,
-            plan.retry.deadline_us,
-            plan.breaker.alpha,
-            plan.breaker.trip_threshold,
-            plan.breaker.cooldown_queries,
-        ),
-    }
-}
-
-/// JSON fragment recording a run's batched-I/O submission knobs
-/// (ISSUE 9). Every bench artifact's `config` block embeds this next to
-/// the fault fragment, so artifacts state whether cross-session
-/// coalescing and elevator submission were in play.
-pub fn batch_json(plan: &BatchPlan) -> String {
-    format!("\"batch\": {{ \"enabled\": {} }}", plan.enabled)
 }
 
 /// Number of sequences per experiment, scaled (paper: 30 for Figure 11/12,
@@ -166,17 +93,6 @@ pub fn figure11_roster() -> Vec<Box<dyn Prefetcher>> {
         Box::new(StraightLine::new()),
         Box::new(HilbertPrefetch::default()),
         Box::new(Scout::with_defaults()),
-    ]
-}
-
-/// The adaptive-prediction roster (ISSUE 5): the no-prefetching floor,
-/// plain SCOUT, the pure history baseline, and the hybrid.
-pub fn adaptive_roster() -> Vec<Box<dyn Prefetcher>> {
-    vec![
-        Box::new(NoPrefetch),
-        Box::new(Scout::with_defaults()),
-        Box::new(MarkovPrefetcher::with_defaults()),
-        Box::new(HybridPrefetcher::with_defaults()),
     ]
 }
 

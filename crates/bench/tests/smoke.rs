@@ -1,8 +1,8 @@
-//! Tier-1 versions of the manual smoke binaries (`src/bin/smoke.rs`,
-//! `src/bin/smoke_gaps.rs`): the same pipelines at a reduced scale, with
-//! the eyeballed diagnostics turned into assertions so regressions in the
-//! end-to-end bench path fail `cargo test` instead of waiting for a manual
-//! run.
+//! Tier-1 versions of the full-scale `follow`/`gaps` beds (`scout-benchmark
+//! --workload follow|gaps` runs those on 1.3 M neurons, with its own
+//! checks): the same pipelines at a reduced scale, asserting the
+//! invariants of the end-to-end bench path so a regression fails
+//! `cargo test`.
 
 use scout_bench::{figure11_roster, no_prefetch, run_roster, scout_opt};
 use scout_core::{Scout, ScoutConfig};
@@ -85,123 +85,4 @@ fn smoke_gaps_pipeline_invariants() {
     // plain SCOUT has no gap-traversal path at all.
     let plain = &results[0];
     assert_eq!(plain.gap_pages, 0, "plain SCOUT cannot traverse gaps");
-}
-
-#[test]
-fn adaptive_sweep_guard_holds_at_reduced_scale() {
-    // The CI guard on BENCH_adaptive.json, as a tier-1 assertion: the
-    // hybrid must never hit fewer pages than plain SCOUT on the
-    // revisit-loop workload (all quantities are simulated, so this is
-    // deterministic, not a flaky perf check). Scale 0.4 matches the
-    // fig_adaptive bench target.
-    let report = scout_bench::adaptive::run(0.4, 42);
-    assert_eq!(report.datasets.len(), 3);
-    assert_eq!(
-        report.revisit_regressions(),
-        0,
-        "hybrid fell below plain SCOUT on a revisit loop:\n{}",
-        report.to_json()
-    );
-    for d in &report.datasets {
-        assert_eq!(d.workloads.len(), 4, "{}: missing workloads", d.name);
-        for w in &d.workloads {
-            for m in &w.methods {
-                assert!(
-                    (0.0..=1.0).contains(&m.hit_rate()),
-                    "{} / {} / {}: hit rate {} outside [0, 1]",
-                    d.name,
-                    w.workload,
-                    m.name,
-                    m.hit_rate()
-                );
-            }
-            let np = w.method("No Prefetching").expect("roster has the floor");
-            assert_eq!(np.pages_hit, 0, "NoPrefetch cannot hit");
-        }
-    }
-    // The JSON artifact carries the guard block CI greps for.
-    assert!(report.to_json().contains("\"revisit_regressions\": 0"));
-}
-
-#[test]
-fn scale_sweep_guard_holds_at_reduced_scale() {
-    // The CI guard on BENCH_scale.json, as a tier-1 assertion: the M:N
-    // work-stealing scheduler must hit exactly the pages round-robin hits
-    // at every worker width (the eviction-free determinism contract of
-    // DESIGN.md §10). Everything here is simulated page accounting, so the
-    // check is deterministic; only wall-clock columns vary run to run.
-    let report = scout_bench::scale::run(0.01, 42);
-    assert!(!report.points.is_empty(), "sweep produced no points");
-    assert!(!report.guards.is_empty(), "guard runs missing");
-    assert_eq!(
-        report.mn_vs_rr_pages_hit_mismatches(),
-        0,
-        "M:N pages-hit diverged from round-robin:\n{}",
-        report.to_json()
-    );
-    for g in &report.guards {
-        assert_eq!(g.evictions, 0, "width {}: guard run must stay eviction-free", g.workers);
-    }
-    for p in &report.points {
-        assert!(p.pages_total > 0, "{} sessions / {} workers: no pages", p.sessions, p.workers);
-        assert!(p.windows_per_sec > 0.0, "{} sessions: zero throughput", p.sessions);
-        // Parks are schedule-independent bookkeeping (served + survivors
-        // per round), so every width at a given session count agrees.
-        let twin = report.points.iter().find(|q| q.sessions == p.sessions).unwrap();
-        assert_eq!(p.parks, twin.parks, "{} sessions: parks differ across widths", p.sessions);
-    }
-    // The JSON artifact carries the guard block CI greps for.
-    let json = report.to_json();
-    assert!(json.contains("\"mn_vs_rr_pages_hit_mismatches\": 0"));
-    assert!(json.contains("\"schedule\""), "config block must record the schedule");
-    // Every bench artifact records its fault knobs (ISSUE 8); this sweep
-    // runs with injection off.
-    assert!(json.contains("\"faults\": { \"enabled\": false }"));
-}
-
-#[test]
-fn faults_sweep_guards_hold_at_reduced_scale() {
-    // The CI guards on BENCH_faults.json, as tier-1 assertions: the
-    // engine must never serve a page past checksum verification, and a
-    // run with fault injection disabled must be observably identical to a
-    // zero-rate armed run (the byte-identity contract of ISSUE 8). All
-    // quantities are simulated, so both checks are deterministic.
-    let report = scout_bench::faults::run(0.35, 42);
-    assert_eq!(report.points.len(), scout_bench::faults::FAULT_SCALES.len() * 3);
-    assert_eq!(report.corruption_served(), 0, "corrupt page served:\n{}", report.to_json());
-    assert_eq!(
-        report.zero_fault_trace_mismatches,
-        0,
-        "fault layer taxed a clean run:\n{}",
-        report.to_json()
-    );
-    for p in &report.points {
-        assert!((0.0..=1.0).contains(&p.hit_rate), "{}: bad hit rate {}", p.method, p.hit_rate);
-        if p.fault_scale == 0.0 {
-            assert_eq!(p.faults.injected(), 0, "{}: clean level injected faults", p.method);
-            assert_eq!(p.failed_queries, 0, "{}: clean level failed queries", p.method);
-        } else {
-            assert!(
-                p.faults.injected() > 0,
-                "{}: level {} injected nothing",
-                p.method,
-                p.fault_scale
-            );
-        }
-    }
-    // Rough weather must actually exercise the recovery ledger somewhere.
-    let worst: u64 = report
-        .points
-        .iter()
-        .filter(|p| p.fault_scale >= 2.0)
-        .map(|p| p.faults.retries + p.faults.dropped_prefetch)
-        .sum();
-    assert!(worst > 0, "heavy fault levels never retried or dropped anything");
-    // The JSON artifact carries the guard block and the fault knobs CI
-    // and readers grep for.
-    let json = report.to_json();
-    assert!(json.contains("\"corruption_served\": 0"));
-    assert!(json.contains("\"zero_fault_trace_mismatches\": 0"));
-    assert!(json.contains("\"enabled\": true"));
-    assert!(json.contains("\"transient_rate\""));
 }

@@ -1,23 +1,18 @@
-//! The Figure 10 microbenchmarks, plus the adaptive-scenario generators.
+//! The Figure 10 microbenchmarks, plus the revisit-loop generator.
 //!
 //! "Our microbenchmarks are designed based on query templates used in the
 //! real use cases" (§7.2). Each row of Figure 10 maps to one
 //! [`Microbenchmark`]: sequence length, query volume, aspect, gap distance
 //! and prefetch-window ratio.
 //!
-//! The adaptive generators ([`revisit_loop`], [`teleport_hotspots`],
-//! [`branchy_exploration`]) script the cross-query-history scenarios the
-//! paper's structure-only benchmarks cannot express: users looping over
-//! the same tour, jumping between a handful of hotspots, and repeatedly
-//! returning to one branch point to explore its arms. They exist to
-//! exercise the history/structure trade-off of the prediction subsystem
-//! (`scout-predict`): structure following alone is blind to the teleports
-//! these streams contain.
+//! [`revisit_loop`] scripts the cross-query-history scenario the paper's
+//! structure-only benchmarks cannot express: a user looping over the same
+//! tour. It exists to exercise the history/structure trade-off of the
+//! prediction subsystem (`scout-predict`): structure following alone is
+//! blind to the teleport at every lap boundary.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use scout_geometry::{Aspect, QueryRegion, Vec3};
-use scout_synth::{generate_sequences, Dataset, GuideNodeId, SequenceParams};
+use scout_geometry::{Aspect, QueryRegion};
+use scout_synth::{generate_sequences, Dataset, SequenceParams};
 
 /// One microbenchmark row of Figure 10.
 #[derive(Debug, Clone, Copy)]
@@ -152,7 +147,7 @@ pub fn all_benchmarks() -> Vec<Microbenchmark> {
 }
 
 // ---------------------------------------------------------------------------
-// Adaptive-scenario generators (cross-query history workloads)
+// Adaptive-scenario generator (cross-query history workload)
 // ---------------------------------------------------------------------------
 
 /// A guided tour revisited over and over: one `cycle`-query sequence is
@@ -173,145 +168,6 @@ pub fn revisit_loop(
     let mut out = Vec::with_capacity(cycle * laps);
     for _ in 0..laps {
         out.extend(tour.iter().copied());
-    }
-    out
-}
-
-/// A user bouncing between a few hotspots: `hotspots` short guided
-/// segments are generated across the dataset, and the stream plays one
-/// whole segment, teleports to a different hotspot, plays that one, and so
-/// on for `visits` segments. Segments repeat across visits (the user
-/// returns to the same places), so history can learn them; the teleports
-/// between distant hotspots defeat extrapolation and structure following
-/// alike.
-pub fn teleport_hotspots(
-    dataset: &Dataset,
-    params: &SequenceParams,
-    hotspots: usize,
-    segment: usize,
-    visits: usize,
-    seed: u64,
-) -> Vec<QueryRegion> {
-    assert!(
-        hotspots >= 2 && segment >= 1 && visits >= 1,
-        "teleport_hotspots needs hotspots >= 2, segment >= 1, visits >= 1"
-    );
-    let seg_params = SequenceParams { length: segment, ..*params };
-    let segments: Vec<Vec<QueryRegion>> = generate_sequences(dataset, &seg_params, hotspots, seed)
-        .into_iter()
-        .map(|s| s.regions)
-        .collect();
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x7E1E_9087);
-    let mut out = Vec::with_capacity(segment * visits);
-    let mut prev = usize::MAX;
-    for _ in 0..visits {
-        // Always teleport: never replay the hotspot just visited.
-        let mut pick = rng.random_range(0..segments.len());
-        if pick == prev {
-            pick = (pick + 1) % segments.len();
-        }
-        out.extend(segments[pick].iter().copied());
-        prev = pick;
-    }
-    out
-}
-
-/// Walks the guide graph from `start` along `first`, never backtracking,
-/// until `needed` arc length is accumulated (deterministic: the
-/// lowest-numbered eligible neighbor continues the walk).
-fn arm_path(dataset: &Dataset, start: GuideNodeId, first: GuideNodeId, needed: f64) -> Vec<Vec3> {
-    let guide = &dataset.guide;
-    let mut path = vec![guide.position(start), guide.position(first)];
-    let mut len = guide.position(start).distance(guide.position(first));
-    let mut prev = start;
-    let mut cur = first;
-    for _ in 0..100_000 {
-        if len >= needed {
-            break;
-        }
-        let Some(&next) = guide.neighbors(cur).iter().find(|&&n| n != prev) else {
-            break;
-        };
-        let p = guide.position(next);
-        // Invariant: `path` starts with two points and only grows.
-        len += p.distance(*path.last().expect("path is non-empty"));
-        path.push(p);
-        prev = cur;
-        cur = next;
-    }
-    path
-}
-
-/// The point at arc length `s` along a polyline (clamped to its ends).
-fn point_at_arc(path: &[Vec3], s: f64) -> Vec3 {
-    let mut remaining = s.max(0.0);
-    for w in path.windows(2) {
-        let seg_len = w[0].distance(w[1]);
-        if seg_len <= 0.0 {
-            continue;
-        }
-        if remaining <= seg_len {
-            return w[0].lerp(w[1], remaining / seg_len);
-        }
-        remaining -= seg_len;
-    }
-    // Invariant: callers build paths with at least one point (arm_path
-    // seeds two), so past-the-end arc lengths clamp to the final vertex.
-    *path.last().expect("path is non-empty")
-}
-
-/// Branch-point ambiguity: the stream repeatedly returns to one
-/// high-degree node of the guide graph and walks a different arm each
-/// round (round-robin over up to `arms` arms, `arm_len` queries per walk,
-/// `rounds` visits per arm). At the branch point the local structure is
-/// identical every time — a structural predictor cannot know which arm
-/// comes next, while the periodic arm order is exactly what a transition
-/// model learns.
-pub fn branchy_exploration(
-    dataset: &Dataset,
-    params: &SequenceParams,
-    arms: usize,
-    arm_len: usize,
-    rounds: usize,
-    seed: u64,
-) -> Vec<QueryRegion> {
-    assert!(
-        arms >= 2 && arm_len >= 1 && rounds >= 1,
-        "branchy_exploration needs arms >= 2, arm_len >= 1, rounds >= 1"
-    );
-    let guide = &dataset.guide;
-    assert!(guide.node_count() > 1, "dataset has no guide graph to walk");
-
-    // The branch point: a node of maximal degree, chosen deterministically
-    // among the candidates by the seed.
-    let max_degree =
-        (0..guide.node_count() as u32).map(|n| guide.neighbors(n).len()).max().unwrap_or(0);
-    let wanted = max_degree.min(arms).max(2);
-    let candidates: Vec<u32> =
-        (0..guide.node_count() as u32).filter(|&n| guide.neighbors(n).len() >= wanted).collect();
-    assert!(!candidates.is_empty(), "guide graph has no branch points");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0xB4A2_C4E1);
-    let branch = candidates[rng.random_range(0..candidates.len())];
-
-    let side = params.volume.cbrt();
-    let arm_params = SequenceParams { length: arm_len, ..*params };
-    let step = arm_params.center_step();
-    let needed = arm_params.required_path_len();
-    let arm_paths: Vec<Vec<Vec3>> = guide
-        .neighbors(branch)
-        .iter()
-        .take(arms)
-        .map(|&first| arm_path(dataset, branch, first, needed))
-        .collect();
-
-    let mut out = Vec::with_capacity(arm_len * rounds * arm_paths.len());
-    for _ in 0..rounds {
-        for path in &arm_paths {
-            for k in 0..arm_len {
-                let center = point_at_arc(path, side / 2.0 + k as f64 * step);
-                out.push(QueryRegion::new(center, params.volume, params.aspect));
-            }
-        }
     }
     out
 }
@@ -376,65 +232,5 @@ mod tests {
         let again = revisit_loop(&d, &small_params(), 6, 4, 9);
         assert_eq!(regions.len(), again.len());
         assert_eq!(regions[13].center(), again[13].center());
-    }
-
-    #[test]
-    fn teleport_hotspots_jump_and_revisit() {
-        let d = fixture();
-        let regions = teleport_hotspots(&d, &small_params(), 3, 4, 8, 21);
-        assert_eq!(regions.len(), 32);
-        // Segment boundaries teleport: the jump between visit k's last
-        // query and visit k+1's first must dwarf the intra-segment step.
-        let step = small_params().center_step();
-        let mut big_jumps = 0;
-        for v in 0..7 {
-            let a = regions[v * 4 + 3].center();
-            let b = regions[(v + 1) * 4].center();
-            if a.distance(b) > 3.0 * step {
-                big_jumps += 1;
-            }
-        }
-        assert!(big_jumps >= 4, "only {big_jumps} teleports in 7 boundaries");
-        // Hotspots repeat across the stream (history has something to
-        // learn): some later visit replays an earlier segment.
-        let mut repeated = false;
-        for a in 0..8 {
-            for b in (a + 1)..8 {
-                if regions[a * 4].center() == regions[b * 4].center() {
-                    repeated = true;
-                }
-            }
-        }
-        assert!(repeated, "no hotspot was ever revisited");
-    }
-
-    #[test]
-    fn branchy_exploration_returns_to_the_branch_point() {
-        let d = fixture();
-        let arms = 2;
-        let arm_len = 4;
-        let rounds = 3;
-        let regions = branchy_exploration(&d, &small_params(), arms, arm_len, rounds, 5);
-        assert_eq!(regions.len(), arms * arm_len * rounds);
-        // Every walk starts near the same branch point …
-        let first = regions[0].center();
-        for walk in 1..arms * rounds {
-            let start = regions[walk * arm_len].center();
-            assert!(
-                first.distance(start) < 4.0 * small_params().volume.cbrt(),
-                "walk {walk} started {} µm from the branch point",
-                first.distance(start)
-            );
-        }
-        // … and the arm schedule is periodic: round r replays round 0.
-        for r in 1..rounds {
-            for k in 0..arms * arm_len {
-                assert_eq!(regions[r * arms * arm_len + k].center(), regions[k].center());
-            }
-        }
-        // Distinct arms actually diverge.
-        let end_a = regions[arm_len - 1].center();
-        let end_b = regions[2 * arm_len - 1].center();
-        assert!(end_a.distance(end_b) > 1e-6, "arms never diverged");
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! 1. private caches — every client simulated alone (the seed behavior),
 //! 2. one shared `ShardedCache`, deterministic round-robin schedule,
-//! 3. the same shared cache on one OS thread per session.
+//! 3. the same shared cache over the work-stealing crew (machine-default width).
 //!
 //! The report shows per-session residual-latency percentiles (p50/p95/p99)
 //! and the shared-cache hit rate; a final pass adds a prefetch-less

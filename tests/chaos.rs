@@ -146,6 +146,45 @@ fn zero_rate_injection_matches_the_plain_run_exactly() {
     // byte-identical to the pre-fault (PR 7) report format.
     assert!(!plain.render().contains("faults:"));
     assert!(armed.render().contains("faults:"));
+
+    // The single-client executor has its own fault epilogue (`FaultCtl` in
+    // `run_sequence`), so the same contract is checked there, per
+    // prefetcher and under a binding window: disabled ≡ zero-rate armed in
+    // the I/O ledger and, per query, in pages, hits and latency bits — and
+    // under rough weather that path too injects and never serves a
+    // corrupt page.
+    let exec = |faults| ExecutorConfig {
+        window_ratio: 1.6,
+        cache_pages: 512,
+        faults,
+        ..ExecutorConfig::default()
+    };
+    let roster: [Box<dyn Prefetcher>; 3] = [
+        Box::new(NoPrefetch),
+        Box::new(Scout::with_defaults()),
+        Box::new(HybridPrefetcher::with_defaults()),
+    ];
+    let per_query = |t: &scout::sim::SequenceTrace| -> Vec<(usize, usize, u64)> {
+        t.queries.iter().map(|q| (q.pages_total, q.pages_hit, q.residual_us.to_bits())).collect()
+    };
+    // `run_sequence` resets the prefetcher, so one instance serves all runs.
+    for mut p in roster {
+        let name = p.name();
+        let mut trace = |faults| run_sequences(&ctx, p.as_mut(), &streams, &exec(faults));
+        let plain = trace(FaultPlan::default());
+        let armed = trace(FaultPlan::injecting(FaultConfig::none(99)));
+        for (p, z) in plain.iter().zip(&armed) {
+            assert_eq!(p.io, z.io, "{name}: I/O ledger");
+            assert_eq!(per_query(p), per_query(z), "{name}: per-query trace");
+            assert!(p.faults.is_none(), "{name}: plain trace grew a fault report");
+        }
+        let mut faults = FaultReport::default();
+        for t in trace(FaultPlan::injecting(rough_weather(99))) {
+            faults.merge(&t.faults.expect("injection was enabled"));
+        }
+        assert_eq!(faults.corruption_served, 0, "{name}: corrupt page served");
+        assert!(faults.injected() > 0, "{name}: no faults injected");
+    }
 }
 
 #[test]

@@ -6,16 +6,28 @@
 use scout::prelude::*;
 use scout_synth::{generate_sequences, SequenceParams};
 
-/// A small neuron bed with K guided sequences, one per session — each
-/// client follows its own latent structure through the same tissue block.
-fn bed_and_streams(k: usize) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
+/// The workload seed of every test that is not a leg of the CI chaos
+/// matrix.
+const WORKLOAD_SEED: u64 = 23;
+
+/// The CI chaos matrix's workload seed, read exactly as `tests/chaos.rs`
+/// reads it, so the matrix marches the panic-containment tests over
+/// different query streams too.
+fn chaos_matrix_seed() -> u64 {
+    std::env::var("SCOUT_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(WORKLOAD_SEED)
+}
+
+/// A small neuron bed with K guided sequences (drawn from `seed`), one per
+/// session — each client follows its own latent structure through the same
+/// tissue block.
+fn bed_and_streams(k: usize, seed: u64) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
     let dataset = scout_synth::generate_neurons(
         &scout_synth::NeuronParams { neuron_count: 8, fiber_steps: 220, ..Default::default() },
         11,
     );
     let bed = TestBed::with_page_capacity(dataset, 32);
     let params = SequenceParams { length: 8, ..SequenceParams::sensitivity_default() };
-    let sequences = generate_sequences(&bed.dataset, &params, k, 23);
+    let sequences = generate_sequences(&bed.dataset, &params, k, seed);
     let regions = region_lists(&sequences);
     (bed, regions)
 }
@@ -51,7 +63,7 @@ fn ample_config(bed: &TestBed, shards: usize, schedule: Schedule) -> MultiSessio
 
 #[test]
 fn round_robin_is_deterministic_byte_for_byte() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let engine = MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::RoundRobin));
     let a = engine.run(&ctx, scout_sessions(&streams)).render();
@@ -64,7 +76,7 @@ fn sessions_following_the_same_structure_share_the_cache() {
     // Two clients on the *same* fiber: a SCOUT leader and a rider that
     // never prefetches. With a private cache the rider hits nothing; over
     // the shared cache it rides the leader's prefetches.
-    let (bed, streams) = bed_and_streams(1);
+    let (bed, streams) = bed_and_streams(1, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let shared_stream = streams[0].clone();
 
@@ -92,7 +104,7 @@ fn sessions_following_the_same_structure_share_the_cache() {
 
 #[test]
 fn report_exposes_percentiles_and_cache_stats() {
-    let (bed, streams) = bed_and_streams(3);
+    let (bed, streams) = bed_and_streams(3, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let engine = MultiSessionExecutor::new(ample_config(&bed, 4, Schedule::RoundRobin));
     let report = engine.run(&ctx, scout_sessions(&streams));
@@ -113,7 +125,7 @@ fn report_exposes_percentiles_and_cache_stats() {
 
 #[test]
 fn warm_cache_rerun_improves_and_resets_stats() {
-    let (bed, streams) = bed_and_streams(2);
+    let (bed, streams) = bed_and_streams(2, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let config = ample_config(&bed, 8, Schedule::RoundRobin);
     let engine = MultiSessionExecutor::new(config);
@@ -139,7 +151,7 @@ fn warm_cache_rerun_improves_and_resets_stats() {
 
 #[test]
 fn work_stealing_totals_match_round_robin_at_every_width() {
-    let (bed, streams) = bed_and_streams(8);
+    let (bed, streams) = bed_and_streams(8, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let rr = MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::RoundRobin))
         .run(&ctx, scout_sessions(&streams));
@@ -175,7 +187,7 @@ fn work_stealing_width1_is_byte_identical_to_round_robin() {
     // The width-1 oracle holds even under eviction pressure — a cache far
     // smaller than the dataset — because it runs the exact round-robin
     // interleaving, not merely an equivalent one.
-    let (bed, streams) = bed_and_streams(5);
+    let (bed, streams) = bed_and_streams(5, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let mut pressure = ample_config(&bed, 8, Schedule::RoundRobin);
     pressure.exec.window_ratio = 1.6;
@@ -197,7 +209,7 @@ fn work_stealing_width1_is_byte_identical_to_round_robin() {
 
 #[test]
 fn zero_query_fleet_terminates_instantly() {
-    let (bed, _) = bed_and_streams(1);
+    let (bed, _) = bed_and_streams(1, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     for schedule in [
         Schedule::RoundRobin,
@@ -254,7 +266,7 @@ fn one_session_with_a_hundred_thousand_queries() {
 
 #[test]
 fn unequal_query_counts_park_instead_of_spinning() {
-    let (bed, streams) = bed_and_streams(2);
+    let (bed, streams) = bed_and_streams(2, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let mut per_width: Vec<(u64, u64, u64)> = Vec::new();
     for workers in [1, 2, 4] {
@@ -316,7 +328,7 @@ impl Prefetcher for Detonator {
 
 #[test]
 fn panicking_session_does_not_deadlock_the_fleet() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     for workers in [1, 2, 4] {
         let engine =
@@ -347,7 +359,7 @@ fn panicking_session_does_not_deadlock_the_fleet() {
 /// neither may mask or amplify the other.
 #[test]
 fn panicking_session_under_fault_injection_is_still_contained() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     let weather = FaultConfig {
         seed: 0xBAD5EED,
@@ -388,7 +400,7 @@ fn panicking_session_under_fault_injection_is_still_contained() {
 
 #[test]
 fn bounded_admission_staggers_but_completes_everyone() {
-    let (bed, streams) = bed_and_streams(6);
+    let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     for workers in [1, 3] {
         let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
@@ -420,7 +432,7 @@ fn bounded_admission_staggers_but_completes_everyone() {
 
 #[test]
 fn backlog_limit_sheds_the_flooding_tenant_first() {
-    let (bed, streams) = bed_and_streams(6);
+    let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     for workers in [1, 2] {
         let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
@@ -448,7 +460,7 @@ fn backlog_limit_sheds_the_flooding_tenant_first() {
 
 #[test]
 fn thrash_delay_cannot_livelock_the_fleet() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     for workers in [1, 2] {
         let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
