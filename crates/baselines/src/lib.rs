@@ -7,6 +7,8 @@
 //! prefetching literature ([`history`]). The no-prefetching baseline lives
 //! in `scout_sim::NoPrefetch`.
 
+#![forbid(unsafe_code)]
+
 pub mod common;
 pub mod extrapolation;
 pub mod static_methods;

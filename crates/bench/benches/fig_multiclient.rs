@@ -7,15 +7,14 @@
 //!    of K clients an equal slice as a private cache?
 //! 2. sharding: how does the shard count affect hit accounting (it must
 //!    not) and multi-worker wall-clock time (it should, under contention)?
-//! 3. scheduling: round-robin vs. the work-stealing crew wall-clock, with
-//!    the shard-count grid itself fanned out via `run_parallel`.
+//! 3. scheduling: round-robin vs. the work-stealing crew wall-clock.
 
 use scout_bench::{neuron_dataset_with_objects, seed};
 use scout_core::Scout;
 use scout_sim::report::{pct, Table};
 use scout_sim::{
-    run_parallel, ExecutorConfig, MultiSessionConfig, MultiSessionExecutor, MultiSessionReport,
-    Schedule, Session, TestBed,
+    ExecutorConfig, MultiSessionConfig, MultiSessionExecutor, MultiSessionReport, Schedule,
+    Session, TestBed,
 };
 use scout_synth::{generate_sequences, SequenceParams};
 use std::time::Instant;
@@ -84,22 +83,17 @@ fn main() {
     ]);
     println!("{}", sharing.render());
 
-    // -- sharding (grid fanned across threads via run_parallel) ---------
-    // No wall-clock column here on purpose: concurrent grid points contend
-    // for cores, so timing them would measure scheduling noise, not shard
-    // lock contention. Wall-clock is measured in the sequential pass below.
-    let shard_grid = vec![1usize, 2, 4, 8, 16, 32];
-    let results = run_parallel(shard_grid, 4, |shards| {
+    // -- sharding ------------------------------------------------------
+    // Hit accounting only; wall-clock is measured in the pass below.
+    let mut sharding = Table::new(["shards", "hit %", "pages hit", "evictions"]);
+    for shards in [1usize, 2, 4, 8, 16, 32] {
         let engine = MultiSessionExecutor::new(MultiSessionConfig {
             exec,
             shards,
             schedule: Schedule::WorkStealing { workers: 0 },
             ..Default::default()
         });
-        (shards, engine.run(&ctx, sessions(&streams)))
-    });
-    let mut sharding = Table::new(["shards", "hit %", "pages hit", "evictions"]);
-    for (shards, report) in &results {
+        let report = engine.run(&ctx, sessions(&streams));
         sharding.row([
             shards.to_string(),
             pct(report.hit_rate()),

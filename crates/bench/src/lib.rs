@@ -9,6 +9,8 @@
 //! to shrink/grow datasets and sequence counts, and `SCOUT_BENCH_SEED`
 //! (u64, default 42) for reproducible randomness.
 
+#![forbid(unsafe_code)]
+
 use scout_baselines::{Ewma, HilbertPrefetch, Polynomial, StraightLine};
 use scout_core::{Scout, ScoutOpt};
 use scout_sim::{

@@ -11,6 +11,8 @@
 //! linearly ([`exits`]), and prefetches incrementally at the predicted
 //! locations ([`prefetcher`]).
 
+#![forbid(unsafe_code)]
+
 pub mod candidates;
 pub mod config;
 pub mod exits;

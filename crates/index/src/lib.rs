@@ -4,6 +4,8 @@
 //! couples with plain SCOUT, and a FLAT-style neighborhood index providing
 //! the ordered page retrieval SCOUT-OPT requires (§6).
 
+#![forbid(unsafe_code)]
+
 pub mod flat;
 pub mod reference;
 pub mod rtree;

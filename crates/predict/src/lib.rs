@@ -29,6 +29,8 @@
 //! (`Session` + `MultiSessionExecutor`) unchanged. Determinism and the
 //! zero-allocation observe contract are documented in DESIGN.md §8.
 
+#![forbid(unsafe_code)]
+
 pub mod feedback;
 pub mod hybrid;
 pub mod markov;

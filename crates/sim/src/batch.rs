@@ -7,13 +7,10 @@
 //! [`SharedClock`], so physical batch reads charge the device like any
 //! other read while per-session disks stay free for retry continuations.
 //!
-//! The scheduler drives the round as: every session `serve_stage`s →
-//! **demand submit** at the phase flip → every session `serve_complete`s
-//! and `window_stage`s → **window submit** (and cache publication) at the
-//! flip. Ledger accounting and buffer recycling are deferred past the
-//! gate ([`BatchCtl::finish_window`]), overlapping the next serve phase's
-//! compute — the pipelining half of the tentpole; the next flip's lock
-//! acquisition is the drain point.
+//! The round loop drives the round as: every session `serve_stage`s →
+//! **demand submit** at the serve edge → every session `serve_complete`s
+//! and `window_stage`s → **window submit** (cache publication, ledger
+//! accounting and buffer recycling) at the window edge.
 
 use crate::executor::ExecutorConfig;
 use crate::pool::lock_unpoisoned;
@@ -126,12 +123,14 @@ impl BatchCtl {
         }
     }
 
-    /// Submits the round's window batch and publishes every successful
-    /// page into the shared cache. Must complete before the next serve
-    /// phase begins — round *i + 1* serves against the membership round
-    /// *i*'s windows left — so the scheduler calls this under the phase
-    /// gate. Also recycles the demand lane (its outcomes were consumed
-    /// during the phase that just ended).
+    /// Submits the round's window batch, publishes every successful page
+    /// into the shared cache and settles the batch: per-owner ledger
+    /// accounting, dropped-prefetch notes for failed speculative reads,
+    /// buffer recycling. Must complete before the next serve phase begins
+    /// — round *i + 1* serves against the membership round *i*'s windows
+    /// left — so the round loop calls this between the two. Also recycles
+    /// the demand lane (its outcomes were consumed during the phase that
+    /// just ended).
     pub(crate) fn submit_window(&self, cache: &ShardedCache, round: u64) {
         lock_unpoisoned(&self.demand).begin_phase();
         let mut lane = lock_unpoisoned(&self.window);
@@ -143,33 +142,12 @@ impl BatchCtl {
         });
         let pages = lane.len() as u32;
         lane.submit(0, round);
-        for slot in 0..lane.len() as u32 {
-            if lane.outcome_at(slot).is_ok() {
-                cache.insert(lane.page_at(slot));
-            }
-        }
-        if let Some(t) = &self.telem {
-            // The window lane skips duplicates at staging, so nothing
-            // coalesces here by construction.
-            let now = lane.disk().clock().map_or(0.0, |c| c.now_us());
-            lock_unpoisoned(&t.recorder)
-                .record(now, Event::BatchSubmitted { lane: Lane::Window, pages, coalesced: 0 });
-        }
-    }
-
-    /// The deferred half of the window flip: per-owner ledger accounting,
-    /// dropped-prefetch notes for failed speculative reads, and buffer
-    /// recycling. Touches neither the cache nor any session, so the
-    /// scheduler runs it *after* releasing the phase gate — overlapped
-    /// with the next serve phase — and the next flip's lock acquisition
-    /// is the drain point.
-    pub(crate) fn finish_window(&self) {
-        let mut lane = lock_unpoisoned(&self.window);
         let mut ledgers = lock_unpoisoned(&self.ledgers);
         for slot in 0..lane.len() as u32 {
             let (owner, gap) = lane.owner_at(slot);
             match lane.outcome_at(slot) {
                 Ok(t) => {
+                    cache.insert(lane.page_at(slot));
                     let ledger = &mut ledgers[owner as usize];
                     ledger.io_us += t;
                     ledger.pages += 1;
@@ -179,6 +157,13 @@ impl BatchCtl {
                 }
                 Err(_) => lane.disk_mut().note_dropped_prefetch(),
             }
+        }
+        if let Some(t) = &self.telem {
+            // The window lane skips duplicates at staging, so nothing
+            // coalesces here by construction.
+            let now = lane.disk().clock().map_or(0.0, |c| c.now_us());
+            lock_unpoisoned(&t.recorder)
+                .record(now, Event::BatchSubmitted { lane: Lane::Window, pages, coalesced: 0 });
         }
         lane.begin_phase();
     }

@@ -155,61 +155,6 @@ pub fn region_lists(sequences: &[scout_synth::GuidedSequence]) -> Vec<Vec<QueryR
     sequences.iter().map(|s| s.regions.clone()).collect()
 }
 
-/// Fans independent experiment-grid points across `threads` OS threads.
-///
-/// Grid points are pulled from a shared queue (so an expensive point does
-/// not stall a whole stripe of cheap ones) and results land in input
-/// order, making the output independent of scheduling. With `threads <= 1`
-/// the points run inline on the caller's thread — the fully deterministic
-/// path, also used as the reference in tests.
-///
-/// The closure only needs `Sync` (it is shared by the workers), which every
-/// capture of `&SimContext`, `&TestBed` or plain config data satisfies;
-/// grid points and results move between threads, hence `Send`.
-pub fn run_parallel<T, R, F>(points: Vec<T>, threads: usize, run: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let n = points.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
-    if threads == 1 {
-        return points.into_iter().map(run).collect();
-    }
-    let queue = std::sync::Mutex::new(points.into_iter().enumerate());
-    let slots: Vec<std::sync::Mutex<Option<R>>> =
-        (0..n).map(|_| std::sync::Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                // Pop before running so the queue lock is never held
-                // across a grid-point evaluation. Locks recover from
-                // poison: a panicked sibling's grid point is lost, but
-                // its panic propagates through the scope join below —
-                // double-panicking here would abort the process instead.
-                let next = crate::pool::lock_unpoisoned(&queue).next();
-                let Some((i, point)) = next else { break };
-                *crate::pool::lock_unpoisoned(&slots[i]) = Some(run(point));
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            // Invariant, not an error path: the scope join re-raises any
-            // worker panic, so reaching this line means every slot was
-            // filled by exactly one worker.
-            slot.into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .expect("every grid point produces a result")
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,50 +177,6 @@ mod tests {
         assert!((m.speedup - 1.0).abs() < 1e-9);
         assert!(m.response_us > 0.0);
         assert!(m.result_objects > 0);
-    }
-
-    #[test]
-    fn run_parallel_preserves_input_order() {
-        let points: Vec<usize> = (0..40).collect();
-        let sequential = run_parallel(points.clone(), 1, |p| p * p);
-        let parallel = run_parallel(points, 4, |p| p * p);
-        assert_eq!(sequential, parallel);
-        assert_eq!(parallel[7], 49);
-    }
-
-    #[test]
-    fn run_parallel_edge_cases() {
-        assert!(run_parallel(Vec::<usize>::new(), 8, |p| p).is_empty());
-        // More threads than points.
-        assert_eq!(run_parallel(vec![1, 2], 16, |p| p + 1), vec![2, 3]);
-    }
-
-    #[test]
-    fn run_parallel_evaluates_a_real_grid() {
-        let dataset = generate_neurons(
-            &NeuronParams { neuron_count: 4, fiber_steps: 150, ..Default::default() },
-            5,
-        );
-        let bed = TestBed::with_page_capacity(dataset, 32);
-        let params = SequenceParams { length: 5, ..SequenceParams::sensitivity_default() };
-        let seqs = generate_sequences(&bed.dataset, &params, 2, 3);
-        let regions = region_lists(&seqs);
-        let ctx = bed.ctx_rtree();
-        let ratios = vec![0.5, 1.0, 2.0];
-        let metrics = run_parallel(ratios.clone(), 3, |r| {
-            let config = ExecutorConfig { window_ratio: r, ..ExecutorConfig::default() };
-            evaluate(&ctx, &mut NoPrefetch, &regions, &config)
-        });
-        assert_eq!(metrics.len(), ratios.len());
-        // Same grid evaluated inline must agree exactly (simulated time).
-        let inline = run_parallel(ratios, 1, |r| {
-            let config = ExecutorConfig { window_ratio: r, ..ExecutorConfig::default() };
-            evaluate(&ctx, &mut NoPrefetch, &regions, &config)
-        });
-        for (a, b) in metrics.iter().zip(&inline) {
-            assert_eq!(a.response_us, b.response_us);
-            assert_eq!(a.hit_rate, b.hit_rate);
-        }
     }
 
     #[test]

@@ -7,12 +7,15 @@
 //! shared sharded cache, the Figure-10 microbenchmark definitions, and
 //! experiment/reporting plumbing.
 
+#![deny(unsafe_code)]
+
 pub(crate) mod batch;
 pub mod context;
 pub mod costs;
 pub mod executor;
 pub mod experiment;
 pub mod multi;
+#[allow(unsafe_code)] // the crew's erased job pointer, nothing else
 pub mod pool;
 pub mod prefetcher;
 pub mod report;
@@ -27,7 +30,7 @@ pub use costs::{CpuCostModel, CpuUnits};
 pub use executor::{
     run_sequence, run_sequences, ExecutorConfig, QueryTrace, SequenceTrace, ServeOutcome,
 };
-pub use experiment::{aggregate, evaluate, region_lists, run_parallel, AggregateMetrics, TestBed};
+pub use experiment::{aggregate, evaluate, region_lists, AggregateMetrics, TestBed};
 pub use multi::{
     MultiSessionConfig, MultiSessionExecutor, MultiSessionReport, Schedule, SessionReport,
     TenantReport,
@@ -37,7 +40,7 @@ pub use prefetcher::{
     GraphBuildCounters, NoPrefetch, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher,
 };
 pub use report::{percentiles, percentiles_mut, LatencyPercentiles};
-pub use scheduler::{AdmissionControl, SchedulerReport, SessionScheduler};
+pub use scheduler::{AdmissionControl, SchedulerReport};
 pub use scratch::{QueryScratch, ResultFrame};
 pub use session::Session;
 pub use telemetry::TelemetryReport;

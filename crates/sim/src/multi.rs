@@ -5,23 +5,22 @@
 //! [`SharedClock`]. Every schedule executes the same bulk-synchronous
 //! round — round *i* first serves every session's query *i* against the
 //! cache state left by round *i − 1*, then runs every session's prefetch
-//! window — through one round body; the schedule only picks who runs the
-//! steps:
+//! window — through one round body and one round loop
+//! (`scheduler.rs`); the schedule only picks how many threads share each
+//! phase's steps:
 //!
-//! * [`Schedule::RoundRobin`] — the inline driver: one thread interleaves
-//!   sessions in admission order (session-id order for a single tenant).
-//!   Fully deterministic: identical inputs produce byte-identical
-//!   reports.
-//! * [`Schedule::WorkStealing`] — the M:N
-//!   [`SessionScheduler`]: a fixed worker crew
-//!   multiplexing any number of sessions via work-stealing run queues,
-//!   with admission control (see [`AdmissionControl`]). Width 1 *is* the
-//!   inline driver, so it is byte-identical to round-robin by
-//!   construction. Wider crews keep the totals contract: cache membership
-//!   per round is the union of all sessions' inserts, so totals (pages
-//!   hit, hit rate) match round-robin whenever the cache is not evicting
-//!   under pressure; scalar interleaving inside a phase is up to the
-//!   scheduler.
+//! * [`Schedule::RoundRobin`] — one thread interleaves sessions in
+//!   admission order (session-id order for a single tenant). Fully
+//!   deterministic: identical inputs produce byte-identical reports.
+//! * [`Schedule::WorkStealing`] — the same loop with `workers` threads
+//!   claiming each phase's steps from one cursor, any number of sessions
+//!   over a fixed crew, with admission control (see
+//!   [`AdmissionControl`]). Width 1 is the round-robin call, so it is
+//!   byte-identical to it by construction. Wider crews keep the totals
+//!   contract: cache membership per round is the union of all sessions'
+//!   inserts, so totals (pages hit, hit rate) match round-robin whenever
+//!   the cache is not evicting under pressure; scalar interleaving inside
+//!   a phase is up to the claim order.
 //!
 //! See DESIGN.md §5 and §10 for the precise determinism guarantees of
 //! each mode.
@@ -32,7 +31,7 @@ use crate::executor::ExecutorConfig;
 use crate::pool::default_parallelism;
 use crate::report::{pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table};
 use crate::scheduler::{
-    run_inline, AdmissionControl, FleetOutcome, RoundBody, SchedulerReport, SessionScheduler,
+    AdmissionControl, FleetOutcome, RoundBody, SchedulerReport, SessionScheduler,
 };
 use crate::session::Session;
 use crate::telemetry::{FleetTelemetry, TelemetryReport};
@@ -49,9 +48,12 @@ pub enum Schedule {
     /// width-1 work stealing, when the fleet spans tenants.
     #[default]
     RoundRobin,
-    /// M:N work-stealing over a fixed crew of `workers` threads
-    /// (0 = [`default_parallelism`]). Scales to tens of thousands of
-    /// sessions; honors [`MultiSessionConfig::admission`].
+    /// `workers` threads (0 = [`default_parallelism`]) share each phase
+    /// of the round: every thread claims the next unserved session from
+    /// one cursor, so a session's steps migrate between threads. (The
+    /// name predates the cursor; nothing is stolen from a queue.) Scales
+    /// to tens of thousands of sessions; honors
+    /// [`MultiSessionConfig::admission`].
     WorkStealing {
         /// Crew width; 0 picks the machine default (`SCOUT_THREADS`).
         workers: usize,
@@ -148,24 +150,23 @@ impl MultiSessionExecutor {
             .batch
             .enabled
             .then(|| BatchCtl::new(exec, &clock, sessions.len(), telemetry.as_ref()));
-        // One round body, two drivers (DESIGN.md §10): round-robin is the
-        // inline driver with the always-open admission policy (it keeps
-        // ignoring `config.admission`) and its scheduler counters — an
-        // M:N artifact — dropped.
+        // One round body, one round loop (DESIGN.md §10): round-robin is
+        // width 1 with the always-open admission policy (it keeps ignoring
+        // `config.admission`) and the scheduler counters dropped.
         let body = RoundBody { ctx, exec, cache, batch: batch.as_ref() };
-        let (outcome, scheduled) = match self.config.schedule {
-            Schedule::RoundRobin => {
-                (run_inline(&body, sessions, AdmissionControl::unlimited()), false)
-            }
-            Schedule::WorkStealing { workers } => {
-                let width = if workers == 0 { default_parallelism() } else { workers };
-                let scheduler = SessionScheduler::global();
-                let admission = self.config.admission;
-                (scheduler.run_fleet(&body, sessions, width, admission, telemetry.as_ref()), true)
-            }
+        let (width, admission) = match self.config.schedule {
+            Schedule::RoundRobin => (1, AdmissionControl::unlimited()),
+            Schedule::WorkStealing { workers: 0 } => (default_parallelism(), self.config.admission),
+            Schedule::WorkStealing { workers } => (workers, self.config.admission),
         };
-        let FleetOutcome { mut sessions, shed, report } = outcome;
-        let scheduler = scheduled.then_some(report);
+        let FleetOutcome { mut sessions, shed, report } = SessionScheduler::global().run_fleet(
+            &body,
+            sessions,
+            width,
+            admission,
+            telemetry.as_ref(),
+        );
+        let scheduler = (self.config.schedule != Schedule::RoundRobin).then_some(report);
 
         // Teardown of the batch lanes: credit window ledgers into the
         // sessions before assembly, and merge the lane disks' fault
@@ -271,7 +272,7 @@ impl SessionReport {
 }
 
 /// One tenant's aggregate slice of a multi-session run: the fairness
-/// accounting the M:N scheduler's per-tenant admission is judged by.
+/// accounting the scheduler's per-tenant admission is judged by.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     /// Tenant id.
@@ -313,7 +314,7 @@ pub struct MultiSessionReport {
     pub disk_busy_us: f64,
     /// Residual latency percentiles across *all* sessions' queries, µs.
     pub residual: LatencyPercentiles,
-    /// M:N scheduler counters; `None` under round-robin. Never part
+    /// Scheduler counters; `None` under round-robin. Never part
     /// of [`MultiSessionReport::render`], so width-1 work-stealing renders
     /// byte-identically to round-robin.
     pub scheduler: Option<SchedulerReport>,

@@ -1,11 +1,13 @@
 //! The scheduler's crew of parked worker threads.
 //!
-//! `std::thread::scope` would be the obvious std-only primitive, but it
-//! spawns (and therefore heap-allocates) worker threads on every call.
+//! The round loop (`scheduler.rs`) runs each phase of a fleet wider than
+//! 1 — two per round — as one job on W threads. `std::thread::scope`
+//! would be the obvious std-only primitive, but it spawns (and therefore
+//! heap-allocates) worker threads on every call: a spawn per phase.
 //! Instead a `Crew` keeps its workers parked (until it is dropped; the
 //! global scheduler's crew lives for the process) and hands them one job
 //! at a time through a mutex/condvar pair: dispatching a job performs no
-//! allocation at all.
+//! allocation at all, and a job for zero workers is a plain call.
 //!
 //! ## Panics
 //!
@@ -19,9 +21,9 @@
 //!
 //! [`default_parallelism`] resolves the width
 //! [`Schedule::WorkStealing { workers: 0 }`](crate::Schedule) runs at: the
-//! `SCOUT_THREADS` environment variable when set (`1` selects the inline
-//! driver — the CI equivalence job; a set-but-invalid value warns and pins
-//! 1 too), otherwise `std::thread::available_parallelism`.
+//! `SCOUT_THREADS` environment variable when set (`1` keeps every phase on
+//! the calling thread — the CI equivalence job; a set-but-invalid value
+//! warns and pins 1 too), otherwise `std::thread::available_parallelism`.
 
 use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -94,8 +96,9 @@ struct PoolShared {
 
 /// A lazily grown crew of parked worker threads and the one dispatch
 /// handshake that hands them a job: the mechanism under the session
-/// scheduler (`scheduler.rs`), which serializes fleets with a lock around
-/// [`Crew::dispatch`]; the crew itself assumes one dispatcher at a time.
+/// scheduler (`scheduler.rs`), which dispatches once per phase and
+/// serializes wide fleets with a lock held across their dispatches; the
+/// crew itself assumes one dispatcher at a time.
 pub(crate) struct Crew {
     /// Leaked to `'static` so an exiting worker never dangles (a few
     /// hundred bytes per crew for the life of the process).
@@ -166,6 +169,10 @@ impl Crew {
         f: &(dyn Fn(usize) + Sync),
         caller: impl FnOnce(),
     ) {
+        if workers == 0 {
+            // Nobody to wake: the job is the caller's part.
+            return caller();
+        }
         // Erase the borrow lifetime for the workers; the join handshake
         // below keeps the pointee alive across every dereference (see
         // `Job`).
@@ -285,7 +292,7 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Runs `f(0)` on the caller and `f(1) … f(workers)` on the crew — the
-    /// shape the scheduler dispatches its drain in.
+    /// shape the scheduler dispatches a phase in.
     fn run(crew: &Crew, workers: usize, f: &(dyn Fn(usize) + Sync)) {
         assert_eq!(crew.ensure(workers), workers);
         crew.dispatch(workers, f, || f(0));

@@ -1,55 +1,53 @@
-//! The round engine: one round body, the inline driver, and the M:N
-//! work-stealing session scheduler.
+//! The round engine: one round body and the one loop that drives it, at
+//! every width.
 //!
 //! Every multi-session run is the same bulk-synchronous round (every
 //! session's *serve* sub-phase, a phase edge, every session's *window*
 //! sub-phase, a phase edge — the structure DESIGN.md §5's determinism
 //! ladder rests on). `RoundBody` owns what those steps and edges *do*,
-//! including how I/O is submitted; a driver only decides *who runs a
-//! step*. `run_inline` is one thread running them in order — round-robin
-//! and width-1 work stealing. One OS thread per session would be the
-//! other obvious driver — fine for tens of clients, hopeless for tens of
-//! thousands — so the [`SessionScheduler`] instead multiplexes all K
-//! sessions over a fixed crew of W workers:
+//! including how I/O is submitted; `SessionScheduler::run_fleet` owns
+//! everything else, once, on the calling thread: the active list (an
+//! ordered `Vec` of slot indices), **admission control** — a bounded
+//! backlog (shed policy) drained round-robin across tenants (fairness),
+//! gated on [`ThrashMonitor`] signals from the shared cache (delay
+//! policy) — the round counter, the edge calls, retirement and the
+//! counters of [`SchedulerReport`].
 //!
-//! * Each worker owns **two run queues per phase parity** — fixed-capacity
-//!   Chase–Lev deques (`StealQueue`) holding session indices. The owner
-//!   pushes and pops at the bottom (the LIFO end, so a session a worker
-//!   just served tends to run its window on the same warm core); thieves
-//!   steal from the top (FIFO) with a CAS.
-//! * A session is a **resumable state machine**: its serve sub-phase
-//!   leaves the prefetch window open, so a worker can *park* it at the
-//!   phase boundary (push its index into the next-parity queue) and pick
-//!   up another. Finished sessions are retired instead of spinning no-op
-//!   rounds.
-//! * Phase edges are a W-wide rendezvous on a mutex/condvar gate — the
-//!   last arriving worker flips the phase (running the round body's edge
-//!   while every sibling is parked), and at round boundaries runs
-//!   **admission control**: a bounded backlog (shed policy) drained
-//!   round-robin across tenants (fairness), gated on
-//!   [`ThrashMonitor`] signals from the
-//!   shared cache (delay policy).
-//! * The crew itself is an epoch/condvar dispatch (`pool::Crew`); the
-//!   scheduler **blocks** on it — a fleet drain job parks at the phase
-//!   gate, so running a fleet's parts one after another would deadlock.
+//! One OS thread per session would be the obvious way to go wide — fine
+//! for tens of clients, hopeless for tens of thousands — so width > 1
+//! parallelises nothing but the two per-session sweeps inside that loop.
+//! A phase is "run the step on every entry of the active list": every
+//! participating thread (the caller plus helpers from the parked
+//! `pool::Crew`, dispatched once per phase) claims the next *position*
+//! with one `fetch_add` on a shared cursor, takes that session out of its
+//! `Mutex` slot with `try_lock` — a held lock means two threads claimed
+//! one session, and panics — runs the step and stores its verdict at the
+//! claimed position. A session is a **resumable state machine** (its
+//! serve leaves the prefetch window open), so "parking" one at a phase
+//! edge is simply not calling it; finished sessions are retired instead
+//! of spinning no-op rounds. Width 1, and any phase with a single step,
+//! is the same claim loop on the caller alone: no helper is woken.
 //!
 //! ## Determinism contract (DESIGN.md §10)
 //!
-//! Width 1 *is* the inline driver: the exact round-robin serve/window
-//! order, plus parking and admission accounting. With the default
-//! unlimited admission its reports are **byte-identical** to
-//! [`Schedule::RoundRobin`](crate::Schedule) — even under eviction
-//! pressure — by construction: it is the same loop. At width > 1 the
-//! eviction-free totals contract applies: per-round cache membership is
-//! order-independent, so pages-hit totals (and, with per-session disks,
-//! every per-session quantity) match the inline driver at every width.
+//! Width 1 visits sessions in active-list order — the exact round-robin
+//! serve/window order — so with the default unlimited admission its
+//! reports are **byte-identical** to
+//! [`Schedule::RoundRobin`](crate::Schedule), even under eviction
+//! pressure, by construction: it is the same call. At width > 1 only the
+//! interleaving *inside* a phase is free; the active list, and so every
+//! admission, retirement and park count, stays the width-1 one whenever
+//! the cache is not evicting. There the eviction-free totals contract
+//! applies: per-round cache membership is order-independent, so
+//! pages-hit totals (and, with per-session disks, every per-session
+//! quantity) match width 1.
 //!
 //! ## Panics
 //!
-//! A panicking session step aborts the fleet: the payload is recorded,
-//! every worker drains its remaining items as no-ops, the gate releases
-//! all waiters, and the payload is re-raised on the caller. The crew
-//! survives and the scheduler stays usable.
+//! A panicking session step raises a flag every claim checks, so the
+//! phase's remaining positions are not started; the dispatch joins every
+//! helper and re-raises the first payload on the caller, no later phase
+//! runs, and the crew and the scheduler stay usable.
 
 use crate::batch::BatchCtl;
 use crate::context::SimContext;
@@ -59,18 +57,16 @@ use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
 use scout_storage::{ShardedCache, ThrashMonitor};
 use scout_telemetry::{HistogramId, SpanTimer};
-use std::any::Any;
-use std::cell::UnsafeCell;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{fence, AtomicBool, AtomicIsize, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Admission control configuration
 // ---------------------------------------------------------------------------
 
-/// Admission/backpressure policy of the M:N scheduler. Ignored by the
+/// Admission/backpressure policy of a work-stealing fleet. Ignored by the
 /// round-robin schedule.
 ///
 /// Sessions wait in a per-tenant backlog and are admitted round-robin
@@ -148,7 +144,7 @@ impl Default for AdmissionControl {
 // Scheduler counters
 // ---------------------------------------------------------------------------
 
-/// What the M:N scheduler did during one fleet run. Carried on
+/// What the scheduler did during one fleet run. Carried on
 /// [`MultiSessionReport`](crate::MultiSessionReport) (not rendered into
 /// the base report, which stays byte-comparable with round-robin).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -157,9 +153,14 @@ pub struct SchedulerReport {
     pub workers: usize,
     /// Bulk-synchronous rounds executed.
     pub rounds: u64,
-    /// Sessions taken from another worker's queue.
+    /// Migrations: steps run by another thread than the one that ran the
+    /// same session's previous step (admission counts as the caller's).
+    /// Threads claim positions from one cursor, so there is no home queue
+    /// to steal from; 0 at width 1, about half of all steps at width 2. A
+    /// per-layer count (`sim.sched.steals_wmax`), not an end-to-end metric.
     pub steals: u64,
-    /// Sessions parked at a phase boundary (pushed for the next phase).
+    /// Sessions parked at a phase boundary: steps that left their session
+    /// with more to do.
     pub parks: u64,
     /// Sessions admitted out of the backlog.
     pub admitted: u64,
@@ -186,160 +187,6 @@ impl SchedulerReport {
             self.shed,
             self.delayed_rounds
         )
-    }
-}
-
-#[derive(Default)]
-struct FleetStats {
-    rounds: AtomicU64,
-    steals: AtomicU64,
-    parks: AtomicU64,
-    admitted: AtomicU64,
-    retired: AtomicU64,
-    delayed_rounds: AtomicU64,
-}
-
-impl FleetStats {
-    fn snapshot(&self, workers: usize, shed: u64) -> SchedulerReport {
-        SchedulerReport {
-            workers,
-            rounds: self.rounds.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            parks: self.parks.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-            shed,
-            delayed_rounds: self.delayed_rounds.load(Ordering::Relaxed),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fixed-capacity Chase–Lev work-stealing deque
-// ---------------------------------------------------------------------------
-
-/// Result of a steal attempt.
-enum Steal {
-    /// Got an item.
-    Taken(usize),
-    /// Queue observed empty.
-    Empty,
-    /// Lost a race; the queue may still hold items.
-    Retry,
-}
-
-/// A fixed-capacity Chase–Lev deque over session indices. The owner pushes
-/// and pops at the bottom (LIFO); thieves take from the top (FIFO) with a
-/// CAS. `std`-only — a `Box<[AtomicUsize]>` ring plus two atomic cursors.
-///
-/// Capacity is fixed at construction and must exceed the maximum number of
-/// simultaneously queued items (the fleet sizes every queue to
-/// `sessions + 1`), so the ring never wraps onto a live slot and the
-/// dynamic algorithm's grow path is unnecessary. Owner operations take
-/// `&self` but must only ever be called from the owning worker; the fleet
-/// upholds this by construction (worker *w* touches `deques[w]`'s owner
-/// end only).
-struct StealQueue {
-    buf: Box<[AtomicUsize]>,
-    mask: isize,
-    /// Next slot thieves take from (grows monotonically).
-    top: AtomicIsize,
-    /// Next slot the owner pushes to (grows monotonically).
-    bottom: AtomicIsize,
-}
-
-impl StealQueue {
-    fn with_capacity(cap: usize) -> StealQueue {
-        let cap = cap.max(2).next_power_of_two();
-        StealQueue {
-            buf: std::iter::repeat_with(|| AtomicUsize::new(0)).take(cap).collect(),
-            mask: cap as isize - 1,
-            top: AtomicIsize::new(0),
-            bottom: AtomicIsize::new(0),
-        }
-    }
-
-    fn slot(&self, i: isize) -> &AtomicUsize {
-        &self.buf[(i & self.mask) as usize]
-    }
-
-    /// Owner-only: push at the bottom.
-    fn push(&self, item: usize) {
-        let b = self.bottom.load(Ordering::Relaxed);
-        let t = self.top.load(Ordering::Acquire);
-        debug_assert!(b - t < self.buf.len() as isize, "StealQueue over capacity");
-        self.slot(b).store(item, Ordering::Relaxed);
-        // Release-publish the slot write together with the new bottom:
-        // a thief acquiring `bottom` sees the item (and everything the
-        // owner wrote before parking the session it indexes).
-        self.bottom.store(b + 1, Ordering::Release);
-    }
-
-    /// Owner-only: pop at the bottom (LIFO).
-    fn pop(&self) -> Option<usize> {
-        let b = self.bottom.load(Ordering::Relaxed) - 1;
-        self.bottom.store(b, Ordering::Relaxed);
-        // The SeqCst fence orders the bottom decrement against thieves'
-        // top reads — the classic Chase–Lev race on the last item.
-        fence(Ordering::SeqCst);
-        let t = self.top.load(Ordering::Relaxed);
-        if t > b {
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return None;
-        }
-        let item = self.slot(b).load(Ordering::Relaxed);
-        if t == b {
-            // Single item left: race the thieves for it.
-            let won =
-                self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_ok();
-            self.bottom.store(b + 1, Ordering::Relaxed);
-            return won.then_some(item);
-        }
-        Some(item)
-    }
-
-    /// Thief: take from the top (FIFO).
-    fn steal(&self) -> Steal {
-        let t = self.top.load(Ordering::Acquire);
-        fence(Ordering::SeqCst);
-        let b = self.bottom.load(Ordering::Acquire);
-        if t >= b {
-            return Steal::Empty;
-        }
-        let item = self.slot(t).load(Ordering::Relaxed);
-        if self.top.compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed).is_err() {
-            return Steal::Retry;
-        }
-        Steal::Taken(item)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Session slots
-// ---------------------------------------------------------------------------
-
-/// One session in the fleet's slot table. At any instant at most one
-/// worker holds a given index (it lives in exactly one queue, or in one
-/// worker's hands); the `owned` flag turns any violation of that invariant
-/// into a panic instead of undefined behavior.
-struct SessionSlot {
-    cell: UnsafeCell<Session>,
-    owned: AtomicBool,
-}
-
-// SAFETY: access to `cell` is serialized by the index-exclusivity
-// invariant above. Hand-off between workers synchronizes through the
-// queues (release push / acquire steal and pop) and the phase-gate mutex,
-// with the `owned` acquire-swap / release-store as a second fence.
-unsafe impl Sync for SessionSlot {}
-
-impl SessionSlot {
-    fn new(session: Session) -> SessionSlot {
-        SessionSlot { cell: UnsafeCell::new(session), owned: AtomicBool::new(false) }
-    }
-
-    fn into_session(self) -> Session {
-        self.cell.into_inner()
     }
 }
 
@@ -394,6 +241,18 @@ impl AdmissionQueue {
         }
     }
 
+    /// Admits sessions, tenant-fair, while fewer than `max_resident` are
+    /// resident (`active` holds exactly the resident ones). Returns how
+    /// many it admitted.
+    fn admit(&mut self, active: &mut Vec<usize>, max_resident: usize) -> u64 {
+        let before = active.len();
+        while active.len() < max_resident {
+            let Some(idx) = self.take_fair() else { break };
+            active.push(idx);
+        }
+        (active.len() - before) as u64
+    }
+
     /// Sheds queued sessions down to `limit`, trimming from the back of
     /// the longest tenant queue first (ties to the lowest tenant), so one
     /// flooding tenant pays before the others. Returns the shed indices.
@@ -431,414 +290,16 @@ impl AdmissionQueue {
 }
 
 // ---------------------------------------------------------------------------
-// The fleet: one M:N run's shared state
-// ---------------------------------------------------------------------------
-
-struct Gate {
-    /// Phase counter; even epochs serve, odd epochs run windows.
-    epoch: u64,
-    /// Workers arrived at the current phase edge.
-    arrived: usize,
-    /// Terminal: no more phases (all work done, or the fleet aborted).
-    done: bool,
-}
-
-struct FleetShared<'a, 'w> {
-    /// What a step and a phase edge *do*; the crew only decides who runs
-    /// them.
-    body: &'a RoundBody<'a, 'w>,
-    /// Fleet telemetry; `None` records nothing. The scheduler itself only
-    /// uses it for the phase-flip span — steal/park events are recorded
-    /// through the sessions' own rings.
-    telem: Option<&'a FleetTelemetry>,
-    control: AdmissionControl,
-    width: usize,
-    slots: Vec<SessionSlot>,
-    /// Per-worker run queues, indexed by phase parity (`epoch & 1`).
-    /// Pushes always target the *next* parity, so a queue is never pushed
-    /// and stolen from concurrently.
-    deques: Vec<[StealQueue; 2]>,
-    /// Unprocessed items of the current phase (claimed or still queued).
-    phase_items: AtomicUsize,
-    /// Items already parked for the next phase.
-    next_items: AtomicUsize,
-    gate: Mutex<Gate>,
-    gate_cv: Condvar,
-    abort: AtomicBool,
-    failure: Mutex<Option<Box<dyn Any + Send>>>,
-    admission: Mutex<AdmissionQueue>,
-    stats: FleetStats,
-}
-
-impl FleetShared<'_, '_> {
-    fn resident(&self) -> usize {
-        (self.stats.admitted.load(Ordering::Relaxed) - self.stats.retired.load(Ordering::Relaxed))
-            as usize
-    }
-
-    /// Records the first failure and releases everyone: workers spinning
-    /// for work observe `abort`, workers parked at the gate observe
-    /// `done`.
-    fn fail(&self, payload: Box<dyn Any + Send>) {
-        lock_unpoisoned(&self.failure).get_or_insert(payload);
-        self.abort.store(true, Ordering::SeqCst);
-        let mut g = lock_unpoisoned(&self.gate);
-        g.done = true;
-        self.gate_cv.notify_all();
-    }
-
-    /// Worker `w`'s drain loop; every worker (the caller is worker 0)
-    /// runs this until the gate reports the fleet done.
-    fn drain(&self, w: usize) {
-        let outcome = catch_unwind(AssertUnwindSafe(|| self.drain_inner(w)));
-        if let Err(payload) = outcome {
-            // A panic outside a session step (a scheduler bug) must still
-            // release the fleet, not hang the sibling workers.
-            self.fail(payload);
-        }
-    }
-
-    fn drain_inner(&self, w: usize) {
-        let mut epoch = 0u64;
-        loop {
-            while let Some((idx, stolen)) = self.find_work(w, epoch) {
-                self.step(w, idx, stolen, epoch);
-            }
-            match self.arrive(w, epoch) {
-                Some(next) => epoch = next,
-                None => return,
-            }
-        }
-    }
-
-    /// Pops the worker's own queue (LIFO), then tries to steal (FIFO)
-    /// from siblings. Returns the claimed index plus whether it was
-    /// stolen, or `None` when the phase has no more work for this worker
-    /// — every remaining item is in some other worker's hands.
-    fn find_work(&self, w: usize, epoch: u64) -> Option<(usize, bool)> {
-        let parity = (epoch & 1) as usize;
-        if let Some(idx) = self.deques[w][parity].pop() {
-            return Some((idx, false));
-        }
-        loop {
-            if self.abort.load(Ordering::Relaxed) || self.phase_items.load(Ordering::Acquire) == 0 {
-                return None;
-            }
-            let mut contended = false;
-            for off in 1..self.width {
-                match self.deques[(w + off) % self.width][parity].steal() {
-                    Steal::Taken(idx) => {
-                        self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                        return Some((idx, true));
-                    }
-                    Steal::Retry => contended = true,
-                    Steal::Empty => {}
-                }
-            }
-            if !contended {
-                // Nothing visible anywhere; outstanding items are being
-                // executed right now. Head to the gate and wait there
-                // instead of burning the core.
-                return None;
-            }
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Runs one session sub-phase and re-queues, retires or aborts.
-    fn step(&self, w: usize, idx: usize, stolen: bool, epoch: u64) {
-        if self.abort.load(Ordering::Relaxed) {
-            // Aborting: drain the item without touching the session.
-            self.phase_items.fetch_sub(1, Ordering::Release);
-            return;
-        }
-        let slot = &self.slots[idx];
-        let aliased = slot.owned.swap(true, Ordering::Acquire);
-        assert!(!aliased, "session slot {idx} owned twice — scheduler invariant broken");
-        // SAFETY: the acquire-swap above (plus the queue/gate hand-off
-        // synchronization) guarantees this worker is the only one holding
-        // index `idx`, so the exclusive borrow is unique.
-        let session = unsafe { &mut *slot.cell.get() };
-        if stolen {
-            // Recorded here — not in `find_work` — because this is where
-            // the exclusive session borrow exists (no-op when disarmed).
-            session.note_stolen(w as u32);
-        }
-        // `Ok(true)` = the session has more to do and parks for the next
-        // phase; `Ok(false)` = it retires (from a serve only when it has
-        // fewer queries than the fleet has rounds).
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if epoch.is_multiple_of(2) {
-                self.body.serve(session)
-            } else {
-                self.body.window(session, idx)
-            }
-        }));
-        if matches!(outcome, Ok(true)) {
-            // Park event before the ownership release: once `owned` drops
-            // and the index is pushed, a sibling may claim the session.
-            session.note_parked(w as u32);
-        }
-        slot.owned.store(false, Ordering::Release);
-        match outcome {
-            Ok(true) => {
-                self.deques[w][((epoch + 1) & 1) as usize].push(idx);
-                self.next_items.fetch_add(1, Ordering::Relaxed);
-                self.stats.parks.fetch_add(1, Ordering::Relaxed);
-            }
-            Ok(false) => {
-                self.stats.retired.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(payload) => self.fail(payload),
-        }
-        self.phase_items.fetch_sub(1, Ordering::Release);
-    }
-
-    /// The W-wide phase rendezvous. The last worker to arrive flips the
-    /// phase (running admission at round boundaries) and wakes the rest.
-    /// Returns the next epoch, or `None` when the fleet is done.
-    fn arrive(&self, w: usize, epoch: u64) -> Option<u64> {
-        let mut g = lock_unpoisoned(&self.gate);
-        if g.done {
-            return None;
-        }
-        g.arrived += 1;
-        if g.arrived < self.width {
-            while g.epoch == epoch && !g.done {
-                g = self.gate_cv.wait(g).unwrap_or_else(PoisonError::into_inner);
-            }
-            return if g.done { None } else { Some(g.epoch) };
-        }
-        // Everyone is here; this worker flips the phase. All pushes for
-        // the next parity happened before their workers arrived, so
-        // `next_items` is final.
-        g.arrived = 0;
-        let next = epoch + 1;
-        let mut items = self.next_items.swap(0, Ordering::AcqRel);
-        // The flip's critical section — batch submits plus admission, run
-        // while every sibling is parked — is one of the profiled hot
-        // phases (no-op when telemetry is disarmed or spans are off).
-        let _flip_span = self.telem.and_then(|t| {
-            SpanTimer::start_if(t.plan.spans, t.registry.histogram(HistogramId::SpanPhaseFlipUs))
-        });
-        if self.abort.load(Ordering::Relaxed) {
-            g.done = true;
-        } else {
-            // The flip is where the round body's phase edges run: after
-            // the serves on entering a window phase (sessions consume the
-            // demand outcomes next), after the windows on entering a serve
-            // phase (the next round serves against the published
-            // membership). Both run while every other worker is parked at
-            // the gate, keyed by the round ordinal `epoch / 2`.
-            if next.is_multiple_of(2) {
-                self.body.close_window(epoch / 2);
-            } else {
-                self.body.close_serve(epoch / 2);
-            }
-            if next.is_multiple_of(2) {
-                // Entering a serve phase = starting a round.
-                items += self.admit(w, (next & 1) as usize, items == 0);
-                if items > 0 {
-                    self.stats.rounds.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            if items == 0 {
-                g.done = true;
-            } else {
-                self.phase_items.store(items, Ordering::Release);
-            }
-        }
-        drop(_flip_span);
-        g.epoch = next;
-        let done = g.done;
-        self.gate_cv.notify_all();
-        drop(g);
-        // Pipelined tail: the window edge's deferred half needs neither
-        // the cache nor any session, so it runs *after* the gate released
-        // — overlapped with the serve phase the sibling workers are
-        // already executing. The next flip's window lock (or fleet
-        // teardown) is the drain point.
-        if next.is_multiple_of(2) && !self.abort.load(Ordering::Relaxed) {
-            self.body.after_close_window();
-        }
-        if done {
-            None
-        } else {
-            Some(next)
-        }
-    }
-
-    /// Round-boundary admission, run by the flipping worker while every
-    /// other worker is parked at the gate (hence effectively serial).
-    /// Admitted sessions go into the flipper's own serve queue; thieves
-    /// spread them. `starving` (no survivors from the previous round)
-    /// overrides the thrash delay so backpressure cannot live-lock.
-    fn admit(&self, w: usize, parity: usize, starving: bool) -> usize {
-        let mut q = lock_unpoisoned(&self.admission);
-        if q.backlog == 0 {
-            return 0;
-        }
-        if q.delay_admission(self.body.cache, &self.control, starving) {
-            self.stats.delayed_rounds.fetch_add(1, Ordering::Relaxed);
-            return 0;
-        }
-        let mut admitted = 0usize;
-        while self.resident() + admitted < self.control.max_resident {
-            let Some(idx) = q.take_fair() else { break };
-            self.deques[w][parity].push(idx);
-            admitted += 1;
-        }
-        self.stats.admitted.fetch_add(admitted as u64, Ordering::Relaxed);
-        admitted
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The long-lived scheduler (crew owner)
-// ---------------------------------------------------------------------------
-
-/// Outcome of one fleet run, consumed by the multi-session engine's
-/// report assembly.
-pub(crate) struct FleetOutcome {
-    /// The sessions, in their original order.
-    pub(crate) sessions: Vec<Session>,
-    /// `shed[i]` marks `sessions[i]` as shed by admission control.
-    pub(crate) shed: Vec<bool>,
-    pub(crate) report: SchedulerReport,
-}
-
-/// The long-lived M:N scheduler: a lazily-grown crew of worker threads
-/// (parked between fleets) plus the dispatch lock that serializes fleet
-/// runs. One process-wide instance ([`SessionScheduler::global`]) backs
-/// [`Schedule::WorkStealing`](crate::Schedule); independent instances are
-/// only interesting for tests.
-#[derive(Debug)]
-pub struct SessionScheduler {
-    crew: Crew,
-    /// Serializes fleets. This **blocks**: a fleet drain parks at phase
-    /// gates, so running its parts sequentially would deadlock.
-    dispatch: Mutex<()>,
-}
-
-impl Default for SessionScheduler {
-    fn default() -> SessionScheduler {
-        SessionScheduler::new()
-    }
-}
-
-impl SessionScheduler {
-    /// A scheduler with no workers yet; the crew grows to each fleet's
-    /// requested width on demand.
-    pub fn new() -> SessionScheduler {
-        SessionScheduler { crew: Crew::new("scout-sched"), dispatch: Mutex::new(()) }
-    }
-
-    /// The process-wide scheduler used by
-    /// [`Schedule::WorkStealing`](crate::Schedule).
-    pub fn global() -> &'static SessionScheduler {
-        static GLOBAL: OnceLock<SessionScheduler> = OnceLock::new();
-        GLOBAL.get_or_init(SessionScheduler::new)
-    }
-
-    /// Runs a complete multi-session fleet. `workers` is clamped to at
-    /// least 1; width 1 (asked for, or all the crew could spawn) is
-    /// [`run_inline`], width > 1 dispatches the work-stealing crew.
-    pub(crate) fn run_fleet(
-        &self,
-        body: &RoundBody<'_, '_>,
-        sessions: Vec<Session>,
-        workers: usize,
-        control: AdmissionControl,
-        telemetry: Option<&FleetTelemetry>,
-    ) -> FleetOutcome {
-        control.assert_valid();
-        if sessions.is_empty() {
-            let report = SchedulerReport { workers: workers.max(1), ..Default::default() };
-            return FleetOutcome { sessions, shed: Vec::new(), report };
-        }
-        if workers <= 1 {
-            return run_inline(body, sessions, control);
-        }
-        // Hold the crew for the whole fleet; concurrent fleets queue here.
-        // A previous fleet's panic unwound through this guard; the lock
-        // protects nothing but the crew's exclusivity, so poison is moot.
-        let fleet_guard = lock_unpoisoned(&self.dispatch);
-        let extra = self.crew.ensure(workers - 1);
-        if extra == 0 {
-            drop(fleet_guard);
-            return run_inline(body, sessions, control);
-        }
-        let width = extra + 1;
-        let n = sessions.len();
-
-        let mut queue = AdmissionQueue::new(&sessions, &control);
-        let fleet = FleetShared {
-            body,
-            telem: telemetry,
-            control,
-            width,
-            slots: sessions.into_iter().map(SessionSlot::new).collect(),
-            deques: (0..width)
-                .map(|_| [StealQueue::with_capacity(n + 1), StealQueue::with_capacity(n + 1)])
-                .collect(),
-            phase_items: AtomicUsize::new(0),
-            next_items: AtomicUsize::new(0),
-            gate: Mutex::new(Gate { epoch: 0, arrived: 0, done: false }),
-            gate_cv: Condvar::new(),
-            abort: AtomicBool::new(false),
-            failure: Mutex::new(None),
-            admission: Mutex::new(AdmissionQueue::new(&[], &control)), // replaced below
-            stats: FleetStats::default(),
-        };
-        // Initial admission: the monitor is cold (never thrashing), so
-        // this fills up to `max_resident` into worker 0's serve queue.
-        let mut seeded = 0usize;
-        while seeded < control.max_resident {
-            let Some(idx) = queue.take_fair() else { break };
-            fleet.deques[0][0].push(idx);
-            seeded += 1;
-        }
-        fleet.stats.admitted.store(seeded as u64, Ordering::Relaxed);
-        // The ready queue is bounded: whatever exceeds the backlog limit
-        // after initial admission is shed up front.
-        let mut shed = vec![false; n];
-        for idx in queue.shed_over(control.backlog_limit) {
-            shed[idx] = true;
-        }
-        let shed_count = shed.iter().filter(|&&s| s).count() as u64;
-        *lock_unpoisoned(&fleet.admission) = queue;
-        fleet.phase_items.store(seeded, Ordering::Release);
-        fleet.stats.rounds.store(1, Ordering::Relaxed);
-
-        // Workers 1..=extra drain via the parked crew, the caller drains
-        // as worker 0. `drain` catches everything itself; the dispatch
-        // joins even if a panic escapes it.
-        let drain = |w: usize| fleet.drain(w);
-        self.crew.dispatch(extra, &drain, || drain(0));
-
-        let FleetShared { slots, stats, failure, .. } = fleet;
-        if let Some(payload) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
-            resume_unwind(payload);
-        }
-        FleetOutcome {
-            sessions: slots.into_iter().map(SessionSlot::into_session).collect(),
-            report: stats.snapshot(width, shed_count),
-            shed,
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The round: one body, and the inline driver
+// The round: one body
 // ---------------------------------------------------------------------------
 
 /// What one bulk-synchronous round *does*, and the only place that knows
 /// how I/O is submitted: immediately (`batch: None` — each read hits the
 /// session's own disk as it is issued, and the phase edges are empty) or
 /// phase-scoped (staged into the [`BatchCtl`] lanes and submitted at the
-/// edges, DESIGN.md §12). The two drivers — [`run_inline`] and the
-/// work-stealing crew — decide only *who runs a step*; both call exactly
-/// these five methods, in the same order per round.
+/// edges, DESIGN.md §12). [`SessionScheduler::run_fleet`] decides only
+/// *who runs a step*; it calls exactly these four methods, in the same
+/// order per round, at every width.
 pub(crate) struct RoundBody<'a, 'w> {
     pub(crate) ctx: &'a SimContext<'w>,
     pub(crate) exec: &'a ExecutorConfig,
@@ -878,88 +339,253 @@ impl RoundBody<'_, '_> {
     }
 
     /// Phase edge after every window of `round`: the staged prefetch
-    /// reads hit the disk and publish into the cache. Must complete
-    /// before any serve of the next round starts.
+    /// reads hit the disk, publish into the cache and are credited to
+    /// their owners' ledgers. Must complete before any serve of the next
+    /// round starts.
     fn close_window(&self, round: u64) {
         if let Some(b) = self.batch {
             b.submit_window(self.cache, round);
         }
     }
+}
 
-    /// The deferred half of the window edge (ledgers, buffer recycling):
-    /// touches neither the cache nor any session, so it may overlap the
-    /// next round's serves.
-    fn after_close_window(&self) {
-        if let Some(b) = self.batch {
-            b.finish_window();
+// ---------------------------------------------------------------------------
+// One phase: a claim cursor over the active list
+// ---------------------------------------------------------------------------
+
+/// One session in the fleet's slot table, behind the `Mutex` whose
+/// `try_lock` is the double-claim guard.
+struct Slot {
+    session: Session,
+    /// The thread (0 = the caller) that ran this session's previous step;
+    /// admission counts as the caller's.
+    last_worker: u32,
+}
+
+/// Outcome of one phase.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct PhaseTally {
+    /// Steps that returned true.
+    more: u64,
+    /// Steps run by another thread than the session's previous step.
+    migrations: u64,
+}
+
+/// What a phase needs besides the active list and the step.
+struct Fleet<'a> {
+    crew: &'a Crew,
+    /// Helpers available besides the caller (fleet width − 1).
+    helpers: usize,
+    slots: Vec<Mutex<Slot>>,
+    /// `more[k]` = the verdict of the step at position `k` of the active
+    /// list in the phase that ran last.
+    more: Vec<AtomicBool>,
+}
+
+impl<'a> Fleet<'a> {
+    fn new(crew: &'a Crew, helpers: usize, sessions: Vec<Session>) -> Fleet<'a> {
+        Fleet {
+            crew,
+            helpers,
+            more: std::iter::repeat_with(|| AtomicBool::new(false)).take(sessions.len()).collect(),
+            slots: sessions
+                .into_iter()
+                .map(|session| Mutex::new(Slot { session, last_worker: 0 }))
+                .collect(),
+        }
+    }
+
+    /// Runs `step(session, idx)` once for every `idx` in `active`, on the
+    /// caller plus `min(helpers, active.len() − 1)` crew threads, and
+    /// stores its return in `more[position]`. Threads claim positions
+    /// from one cursor; nothing else in the scheduler is concurrent.
+    fn run_phase(
+        &self,
+        active: &[usize],
+        step: &(dyn Fn(&mut Session, usize) -> bool + Sync),
+    ) -> PhaseTally {
+        // Park and migration events are a wide fleet's: width 1 keeps the
+        // round-robin timeline byte for byte (DESIGN.md §13).
+        let events = self.helpers > 0;
+        // Every atomic below is `Relaxed`: none publishes other data. A
+        // session travels between threads under its slot's `Mutex`, and
+        // the verdicts and tallies are read after the dispatch's join
+        // (the crew's state mutex orders them).
+        let cursor = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let (more, migrations) = (AtomicU64::new(0), AtomicU64::new(0));
+        let claim_all = |w: usize| {
+            let mut tally = PhaseTally::default();
+            while !failed.load(Ordering::Relaxed) {
+                let k = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&idx) = active.get(k) else { break };
+                let Ok(mut slot) = self.slots[idx].try_lock() else {
+                    panic!("session slot {idx} owned twice — scheduler invariant broken");
+                };
+                let Slot { session, last_worker } = &mut *slot;
+                if *last_worker != w as u32 {
+                    *last_worker = w as u32;
+                    tally.migrations += 1;
+                    if events {
+                        session.note_stolen(w as u32);
+                    }
+                }
+                // True = the session has more to do and parks until the
+                // next phase; false = it is exhausted (from a window: it
+                // retires).
+                let verdict = step(session, idx);
+                if verdict {
+                    tally.more += 1;
+                    if events {
+                        session.note_parked(w as u32);
+                    }
+                }
+                self.more[k].store(verdict, Ordering::Relaxed);
+            }
+            more.fetch_add(tally.more, Ordering::Relaxed);
+            migrations.fetch_add(tally.migrations, Ordering::Relaxed);
+        };
+        // A panic (a step's, or the double-claim guard's) stops the other
+        // threads' claims before it continues to the dispatch's join.
+        let claim = |w: usize| {
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| claim_all(w))) {
+                failed.store(true, Ordering::Relaxed);
+                resume_unwind(payload);
+            }
+        };
+        let extra = self.helpers.min(active.len().saturating_sub(1));
+        self.crew.dispatch(extra, &claim, || claim(0));
+        PhaseTally {
+            more: more.load(Ordering::Relaxed),
+            migrations: migrations.load(Ordering::Relaxed),
         }
     }
 }
 
-/// The inline driver: one thread runs every step, in order — serve every
-/// resident session in admission order, the serve edge, every window, the
-/// window edge — plus parking, retirement and admission accounting. Fully
-/// deterministic, including under eviction pressure, which makes it the
-/// oracle the property suites pin the work-stealing widths against. It
-/// *is* width-1 work stealing, and [`Schedule::RoundRobin`](crate::Schedule)
-/// is this loop with [`AdmissionControl::unlimited`] and the report
-/// dropped.
-pub(crate) fn run_inline(
-    body: &RoundBody<'_, '_>,
-    mut sessions: Vec<Session>,
-    control: AdmissionControl,
-) -> FleetOutcome {
-    let n = sessions.len();
-    let mut queue = AdmissionQueue::new(&sessions, &control);
-    let mut report = SchedulerReport { workers: 1, ..Default::default() };
-    let mut active: Vec<usize> = Vec::new();
-    let mut resident = 0usize;
-    while resident < control.max_resident {
-        let Some(idx) = queue.take_fair() else { break };
-        active.push(idx);
-        resident += 1;
-        report.admitted += 1;
+// ---------------------------------------------------------------------------
+// The long-lived scheduler (crew owner) and the round loop
+// ---------------------------------------------------------------------------
+
+/// Outcome of one fleet run, consumed by the multi-session engine's
+/// report assembly.
+pub(crate) struct FleetOutcome {
+    /// The sessions, in their original order.
+    pub(crate) sessions: Vec<Session>,
+    /// `shed[i]` marks `sessions[i]` as shed by admission control.
+    pub(crate) shed: Vec<bool>,
+    pub(crate) report: SchedulerReport,
+}
+
+/// The long-lived scheduler: a lazily-grown crew of helper threads
+/// (parked between phases and between fleets) plus the lock that
+/// serializes the fleets using it. One process-wide instance
+/// ([`SessionScheduler::global`]) runs every schedule.
+#[derive(Debug)]
+pub(crate) struct SessionScheduler {
+    crew: Crew,
+    /// Held by a fleet wider than 1 for its whole run: the crew assumes
+    /// one dispatcher at a time.
+    dispatch: Mutex<()>,
+}
+
+impl SessionScheduler {
+    fn new() -> SessionScheduler {
+        SessionScheduler { crew: Crew::new("scout-sched"), dispatch: Mutex::new(()) }
     }
-    let mut shed = vec![false; n];
-    for idx in queue.shed_over(control.backlog_limit) {
-        shed[idx] = true;
-        report.shed += 1;
+
+    /// The process-wide scheduler.
+    pub(crate) fn global() -> &'static SessionScheduler {
+        static GLOBAL: OnceLock<SessionScheduler> = OnceLock::new();
+        GLOBAL.get_or_init(SessionScheduler::new)
     }
-    // Exhausted sessions leave `active`: the round loop only visits
-    // sessions with work left instead of spinning no-op steps on short
-    // streams — not O(K × max_rounds) for skewed fleets.
-    while !active.is_empty() {
-        let round = report.rounds;
-        report.rounds += 1;
-        let mut served = 0u64;
-        for &i in &active {
-            served += u64::from(body.serve(&mut sessions[i]));
+
+    /// Runs a complete multi-session fleet: the one round loop (module
+    /// docs), on the caller, its two sweeps shared by `workers` threads —
+    /// clamped to at least 1 and to what the crew could spawn. Width 1 is
+    /// the oracle the property suites pin the wider runs against, and
+    /// [`Schedule::RoundRobin`](crate::Schedule) is this call at width 1
+    /// with [`AdmissionControl::unlimited`] and the report dropped.
+    pub(crate) fn run_fleet(
+        &self,
+        body: &RoundBody<'_, '_>,
+        sessions: Vec<Session>,
+        workers: usize,
+        control: AdmissionControl,
+        telemetry: Option<&FleetTelemetry>,
+    ) -> FleetOutcome {
+        control.assert_valid();
+        // Concurrent wide fleets queue here. A previous fleet's panic
+        // unwound through this guard; the lock protects nothing but the
+        // crew's exclusivity, so poison is moot.
+        let (_crew_guard, helpers) = match workers {
+            0 | 1 => (None, 0),
+            _ => (Some(lock_unpoisoned(&self.dispatch)), self.crew.ensure(workers - 1)),
+        };
+        let mut shed = vec![false; sessions.len()];
+        let mut queue = AdmissionQueue::new(&sessions, &control);
+        let fleet = Fleet::new(&self.crew, helpers, sessions);
+        let mut report = SchedulerReport { workers: helpers + 1, ..Default::default() };
+        // The resident sessions' slot indices, in admission order.
+        // Exhausted sessions leave it, so a skewed fleet is not
+        // O(K × max_rounds) no-op steps.
+        let mut active: Vec<usize> = Vec::new();
+        // Initial admission: the monitor is cold (never thrashing), so
+        // this fills up to `max_resident`. The ready queue is bounded:
+        // whatever then exceeds the backlog limit is shed up front.
+        report.admitted += queue.admit(&mut active, control.max_resident);
+        for idx in queue.shed_over(control.backlog_limit) {
+            shed[idx] = true;
+            report.shed += 1;
         }
-        body.close_serve(round);
-        let before = active.len();
-        active.retain(|&i| body.window(&mut sessions[i], i));
-        body.close_window(round);
-        body.after_close_window();
-        let finished = before - active.len();
-        resident -= finished;
-        report.retired += finished as u64;
-        // Park accounting matches the W>1 fleet: one park per successful
-        // serve (window boundary) + one per session surviving the round.
-        report.parks += served + active.len() as u64;
-        if queue.backlog > 0 {
-            if queue.delay_admission(body.cache, &control, resident == 0) {
-                report.delayed_rounds += 1;
-            } else {
-                while resident < control.max_resident {
-                    let Some(idx) = queue.take_fair() else { break };
-                    active.push(idx);
-                    resident += 1;
-                    report.admitted += 1;
+        // The edges — batch submits plus admission, run while no step is
+        // in flight — are one of the profiled hot phases (no-op when
+        // telemetry is disarmed or spans are off).
+        let edge_span = || {
+            telemetry.and_then(|t| {
+                SpanTimer::start_if(
+                    t.plan.spans,
+                    t.registry.histogram(HistogramId::SpanPhaseFlipUs),
+                )
+            })
+        };
+        while !active.is_empty() {
+            let round = report.rounds;
+            report.rounds += 1;
+            let serves = fleet.run_phase(&active, &|session, _| body.serve(session));
+            {
+                // Sessions consume the demand outcomes in their windows.
+                let _span = edge_span();
+                body.close_serve(round);
+            }
+            let windows = fleet.run_phase(&active, &|session, idx| body.window(session, idx));
+            let _span = edge_span();
+            // The next round serves against the published membership.
+            body.close_window(round);
+            let before = active.len();
+            let mut verdicts = fleet.more.iter();
+            active.retain(|_| verdicts.next().is_some_and(|more| more.load(Ordering::Relaxed)));
+            report.retired += (before - active.len()) as u64;
+            // One park per successful serve (the window boundary) plus
+            // one per session surviving the round.
+            report.parks += serves.more + windows.more;
+            report.steals += serves.migrations + windows.migrations;
+            // Round-boundary admission. An empty resident set overrides
+            // the thrash delay so backpressure cannot live-lock.
+            if queue.backlog > 0 {
+                if queue.delay_admission(body.cache, &control, active.is_empty()) {
+                    report.delayed_rounds += 1;
+                } else {
+                    report.admitted += queue.admit(&mut active, control.max_resident);
                 }
             }
         }
+        let sessions = fleet
+            .slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).session)
+            .collect();
+        FleetOutcome { sessions, shed, report }
     }
-    FleetOutcome { sessions, shed, report }
 }
 
 #[cfg(test)]
@@ -967,61 +593,55 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    #[test]
-    fn steal_queue_owner_is_lifo_thief_is_fifo() {
-        let q = StealQueue::with_capacity(8);
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        assert!(matches!(q.steal(), Steal::Taken(1)));
-        assert_eq!(q.pop(), Some(3));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.pop(), None);
-        assert!(matches!(q.steal(), Steal::Empty));
-        // Reusable after emptying (the ring wraps across phases).
-        for i in 0..20 {
-            q.push(i);
-            assert_eq!(q.pop(), Some(i));
-        }
+    /// A fleet of `n` idle sessions over `helpers` crew threads.
+    fn idle_fleet(crew: &Crew, helpers: usize, n: usize) -> Fleet<'_> {
+        use crate::prefetcher::NoPrefetch;
+        assert_eq!(crew.ensure(helpers), helpers);
+        let sessions = (0..n).map(|i| Session::new(i, Box::new(NoPrefetch), Vec::new()));
+        Fleet::new(crew, helpers, sessions.collect())
     }
 
     #[test]
-    fn steal_queue_stress_delivers_every_item_once() {
-        // One owner pushing + popping, three thieves stealing: every item
-        // must be seen exactly once across all consumers.
-        const ITEMS: usize = 20_000;
-        const THIEVES: usize = 3;
-        let q = StealQueue::with_capacity(ITEMS + 1);
-        let seen: Vec<AtomicU32> = (0..ITEMS).map(|_| AtomicU32::new(0)).collect();
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..THIEVES {
-                scope.spawn(|| loop {
-                    match q.steal() {
-                        Steal::Taken(i) => {
-                            seen[i].fetch_add(1, Ordering::Relaxed);
-                        }
-                        Steal::Empty if stop.load(Ordering::Acquire) => return,
-                        _ => std::hint::spin_loop(),
-                    }
-                });
-            }
-            for i in 0..ITEMS {
-                q.push(i);
-                if i % 3 == 0 {
-                    if let Some(j) = q.pop() {
-                        seen[j].fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            }
-            while let Some(j) = q.pop() {
-                seen[j].fetch_add(1, Ordering::Relaxed);
-            }
-            stop.store(true, Ordering::Release);
+    fn phase_steps_every_position_exactly_once() {
+        // Four threads on one cursor. The active list is the slot table
+        // reversed, so a verdict filed under the slot index instead of
+        // the claimed position cannot pass.
+        const POSITIONS: usize = 20_000;
+        let crew = Crew::new("test-phase");
+        let fleet = idle_fleet(&crew, 3, POSITIONS);
+        let active: Vec<usize> = (0..POSITIONS).rev().collect();
+        let calls: Vec<AtomicU32> = (0..POSITIONS).map(|_| AtomicU32::new(0)).collect();
+        let tally = fleet.run_phase(&active, &|_, idx| {
+            calls[idx].fetch_add(1, Ordering::Relaxed);
+            idx % 3 == 0
         });
-        for (i, s) in seen.iter().enumerate() {
-            assert_eq!(s.load(Ordering::Relaxed), 1, "item {i}");
+        for (k, &idx) in active.iter().enumerate() {
+            assert_eq!(calls[idx].load(Ordering::Relaxed), 1, "slot {idx}");
+            assert_eq!(fleet.more[k].load(Ordering::Relaxed), idx % 3 == 0, "position {k}");
         }
+        assert_eq!(tally.more, active.iter().filter(|&&idx| idx % 3 == 0).count() as u64);
+        // Admission counts as the caller's, so the caller alone migrates
+        // nothing, and a one-step phase is the caller alone.
+        let narrow = idle_fleet(&crew, 0, 9);
+        let tally = narrow.run_phase(&[8, 0, 3], &|_, idx| idx != 0);
+        assert_eq!(tally, PhaseTally { more: 2, migrations: 0 });
+        assert_eq!(fleet.run_phase(&[7], &|_, _| true).more, 1);
+    }
+
+    #[test]
+    fn held_slot_panics_on_the_caller_and_the_crew_survives() {
+        let crew = Crew::new("test-phase");
+        let fleet = idle_fleet(&crew, 2, 64);
+        let active: Vec<usize> = (0..64).collect();
+        let held = fleet.slots[40].lock().unwrap();
+        let caught = catch_unwind(AssertUnwindSafe(|| fleet.run_phase(&active, &|_, _| true)));
+        let payload = caught.expect_err("a doubly-owned slot must abort the phase");
+        let message = payload.downcast_ref::<String>().expect("formatted panic message");
+        assert!(message.contains("slot 40 owned twice"), "{message}");
+        drop(held);
+        // Same crew, same fleet: the next phase runs every position.
+        let tally = fleet.run_phase(&active, &|_, _| true);
+        assert_eq!(tally.more, 64);
     }
 
     #[test]

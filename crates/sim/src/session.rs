@@ -174,7 +174,7 @@ impl Session {
         self.disk.clock().map_or(0.0, |c| c.now_us())
     }
 
-    /// Scheduler hook: the session was stolen onto `worker`'s queue.
+    /// Scheduler hook: the session migrated onto `worker`.
     pub(crate) fn note_stolen(&mut self, worker: u32) {
         let t = self.now_us();
         if let Some(tm) = &mut self.telem {

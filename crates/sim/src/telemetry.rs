@@ -129,7 +129,7 @@ impl SessionTelemetry {
             .record(t_us, Event::WindowClosed { prefetched: prefetched as u32, gaps: gaps as u32 });
     }
 
-    /// The session was stolen onto `worker`'s queue (event only; the
+    /// The session migrated onto `worker` (event only; the
     /// counter mirrors the scheduler report at teardown so the two can
     /// never drift apart).
     pub(crate) fn note_stolen(&mut self, t_us: f64, worker: u32) {

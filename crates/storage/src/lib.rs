@@ -9,6 +9,8 @@
 //! in for the paper's 4-disk SAS stripe (see DESIGN.md §2 for why this
 //! substitution preserves the evaluation's shape).
 
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod cache;
 pub mod disk;

@@ -6,6 +6,8 @@
 //! sequence generator that scripts the §7.2 microbenchmarks. DESIGN.md §2
 //! documents why each substitution preserves the evaluated behavior.
 
+#![forbid(unsafe_code)]
+
 pub mod arterial;
 pub mod dataset;
 pub mod guide;

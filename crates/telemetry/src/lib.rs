@@ -14,6 +14,8 @@
 //! an engine run with [`TelemetryPlan`] unset constructs none of this and
 //! stays byte-identical to an untelemetered run.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod recorder;
 pub mod span;

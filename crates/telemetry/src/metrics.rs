@@ -36,7 +36,8 @@ pub enum CounterId {
     PrefetchPages,
     /// Overhead pages read for gap traversal.
     GapPages,
-    /// Sessions taken from another worker's queue.
+    /// Session migrations: steps run by another worker than the session's
+    /// previous step.
     SessionsStolen,
     /// Sessions parked at a phase boundary.
     SessionsParked,
@@ -160,7 +161,7 @@ pub enum HistogramId {
     SpanWindowUs,
     /// Wall-clock span: one batch submission.
     SpanBatchSubmitUs,
-    /// Wall-clock span: one phase-flip critical section.
+    /// Wall-clock span: one phase edge of the round loop.
     SpanPhaseFlipUs,
 }
 

@@ -61,7 +61,7 @@ pub enum Event {
         /// Overhead pages read for gap traversal.
         gaps: u32,
     },
-    /// The session was stolen off another worker's queue.
+    /// The session migrated: its previous step ran on another worker.
     SessionStolen {
         /// Worker that took it.
         worker: u32,

@@ -9,7 +9,8 @@
 //!
 //! 1. private caches — every client simulated alone (the seed behavior),
 //! 2. one shared `ShardedCache`, deterministic round-robin schedule,
-//! 3. the same shared cache over the work-stealing crew (machine-default width).
+//! 3. the same shared cache and round loop, each phase shared by the
+//!    machine-default number of threads (`Schedule::WorkStealing`).
 //!
 //! The report shows per-session residual-latency percentiles (p50/p95/p99)
 //! and the shared-cache hit rate; a final pass adds a prefetch-less
@@ -84,7 +85,8 @@ fn main() {
         rr.render()
     );
 
-    // 3. Same fleet over the work-stealing crew (machine-default width).
+    // 3. Same fleet, each phase shared by the machine-default number of
+    //    threads.
     let engine = MultiSessionExecutor::new(MultiSessionConfig {
         exec,
         shards: 8,

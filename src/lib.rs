@@ -49,6 +49,8 @@
 //! | [`scout_sim`] | prefetcher trait, Figure-2 executor, workloads, experiments |
 //! | [`scout_telemetry`] | mergeable metrics registry, flight recorder, span timers |
 
+#![forbid(unsafe_code)]
+
 pub use scout_baselines as baselines;
 pub use scout_core as core;
 pub use scout_geometry as geometry;
@@ -70,11 +72,10 @@ pub mod prelude {
         MarkovPrefetcher, MarkovPrefetcherConfig, TransitionPredictor,
     };
     pub use scout_sim::{
-        evaluate, percentiles, region_lists, run_parallel, run_sequence, run_sequences,
-        AdmissionControl, ExecutorConfig, LatencyPercentiles, MultiSessionConfig,
-        MultiSessionExecutor, MultiSessionReport, NoPrefetch, Prefetcher, Schedule,
-        SchedulerReport, ServeOutcome, Session, SessionReport, SessionScheduler, SimContext,
-        TelemetryReport, TenantReport, TestBed,
+        evaluate, percentiles, region_lists, run_sequence, run_sequences, AdmissionControl,
+        ExecutorConfig, LatencyPercentiles, MultiSessionConfig, MultiSessionExecutor,
+        MultiSessionReport, NoPrefetch, Prefetcher, Schedule, SchedulerReport, ServeOutcome,
+        Session, SessionReport, SimContext, TelemetryReport, TenantReport, TestBed,
     };
     pub use scout_storage::{
         BatchPlan, BatchReport, BreakerPolicy, CacheStats, DiskProfile, FaultConfig, FaultPlan,

@@ -398,10 +398,21 @@ fn panicking_session_under_fault_injection_is_still_contained() {
     }
 }
 
+/// The active list is one ordered `Vec` at every width, so with nothing
+/// evicting every scheduler counter but the width itself and the
+/// migration count is the width-1 one. Remembers the first (width-1)
+/// report and compares each later width against it.
+fn assert_width_invariant(oracle: &mut Option<SchedulerReport>, sched: &SchedulerReport) {
+    let w1 = *oracle.get_or_insert(*sched);
+    let same = SchedulerReport { workers: w1.workers, steals: w1.steals, ..*sched };
+    assert_eq!(same, w1, "width {} diverged from width {}", sched.workers, w1.workers);
+}
+
 #[test]
 fn bounded_admission_staggers_but_completes_everyone() {
     let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
+    let mut width1 = None;
     for workers in [1, 3] {
         let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
         config.admission = AdmissionControl::bounded(2);
@@ -423,6 +434,7 @@ fn bounded_admission_staggers_but_completes_everyone() {
         // 6 sessions through a 2-wide door, 8 queries each: at least three
         // waves of rounds.
         assert!(sched.rounds >= 24, "width {workers}: only {} rounds", sched.rounds);
+        assert_width_invariant(&mut width1, &sched);
         // Two tenants, reported separately.
         assert_eq!(report.tenants.len(), 2, "width {workers}");
         assert!(report.tenants.iter().all(|t| t.sessions == 3), "width {workers}");
@@ -434,6 +446,7 @@ fn bounded_admission_staggers_but_completes_everyone() {
 fn backlog_limit_sheds_the_flooding_tenant_first() {
     let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
+    let mut width1 = None;
     for workers in [1, 2] {
         let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
         config.admission = AdmissionControl::bounded(2).with_backlog_limit(1);
@@ -454,7 +467,9 @@ fn backlog_limit_sheds_the_flooding_tenant_first() {
         for s in &report.sessions {
             assert_eq!(s.queries == 0, s.shed, "width {workers}: session {}", s.id);
         }
-        assert_eq!(report.scheduler.unwrap().shed, 3, "width {workers}");
+        let sched = report.scheduler.unwrap();
+        assert_eq!(sched.shed, 3, "width {workers}");
+        assert_width_invariant(&mut width1, &sched);
     }
 }
 
@@ -462,6 +477,7 @@ fn backlog_limit_sheds_the_flooding_tenant_first() {
 fn thrash_delay_cannot_livelock_the_fleet() {
     let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
+    let mut width1 = None;
     for workers in [1, 2] {
         let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
         // Thresholds no real cache can satisfy: every observed window
@@ -477,5 +493,7 @@ fn thrash_delay_cannot_livelock_the_fleet() {
         let sched = report.scheduler.unwrap();
         assert_eq!(sched.admitted, 4, "width {workers}");
         assert!(sched.delayed_rounds > 0, "width {workers}: delay policy never engaged");
+        // Every boundary reads "thrashing", so the delay count is exact.
+        assert_width_invariant(&mut width1, &sched);
     }
 }
