@@ -114,56 +114,6 @@ pub fn hilbert_coords_3d(index: u64, order: u32) -> [u32; 3] {
     x
 }
 
-/// The shared bulk-encoding loop both compiled tiers inline. Skilling's
-/// transpose is branchy per element, so the win of the wide tier is
-/// mostly better scalar codegen; the loop shape still keeps elements
-/// independent so the compiler may interleave them.
-#[inline(always)]
-fn hilbert_slice_body(coords: &[[u32; 3]], order: u32, out: &mut [u64]) {
-    for (c, slot) in coords.iter().zip(out.iter_mut()) {
-        let mut x = *c;
-        axes_to_transpose(&mut x, order);
-        *slot = pack(&x, order);
-    }
-}
-
-#[cfg(scout_dispatch_x86_64)]
-#[target_feature(enable = "avx2")]
-fn hilbert_slice_avx2(coords: &[[u32; 3]], order: u32, out: &mut [u64]) {
-    hilbert_slice_body(coords, order, out);
-}
-
-/// Encodes a slice of cell coordinates with an explicit dispatch tier;
-/// unavailable tiers fall back to scalar. All tiers produce identical
-/// output (property-tested) — the tier only selects compiled code.
-pub fn hilbert_indices_3d_with(
-    tier: crate::dispatch::CpuTier,
-    coords: &[[u32; 3]],
-    order: u32,
-    out: &mut Vec<u64>,
-) {
-    assert!((1..=MAX_ORDER_3D).contains(&order), "order out of range: {order}");
-    debug_assert!(coords.iter().all(|c| c.iter().all(|&v| v < (1u32 << order))));
-    out.clear();
-    out.resize(coords.len(), 0);
-    match tier {
-        #[cfg(scout_dispatch_x86_64)]
-        crate::dispatch::CpuTier::Avx2 if crate::dispatch::tier_available(tier) => {
-            // SAFETY: AVX2 support was just verified at runtime.
-            unsafe { hilbert_slice_avx2(coords, order, out) }
-        }
-        _ => hilbert_slice_body(coords, order, out),
-    }
-}
-
-/// Encodes a slice of cell coordinates into `out` (cleared first) using
-/// the best compiled tier this machine supports — the bulk counterpart of
-/// [`hilbert_index_3d`] for SoA encoding loops (e.g. keying a whole
-/// dataset's centroids for a Hilbert tour).
-pub fn hilbert_indices_3d(coords: &[[u32; 3]], order: u32, out: &mut Vec<u64>) {
-    hilbert_indices_3d_with(crate::dispatch::cpu_tier(), coords, order, out);
-}
-
 /// Hilbert index of 2-D cell coordinates with `order` bits per axis.
 pub fn hilbert_index_2d(coords: [u32; 2], order: u32) -> u64 {
     assert!((1..=MAX_ORDER_2D).contains(&order), "order out of range: {order}");

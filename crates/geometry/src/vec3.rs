@@ -122,12 +122,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Smallest component.
-    #[inline]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// True when every component is finite.
     #[inline]
     pub fn is_finite(self) -> bool {

@@ -2,15 +2,12 @@
 
 use proptest::prelude::*;
 use scout_geometry::aabb::Aabb;
-use scout_geometry::dispatch::CpuTier;
 use scout_geometry::grid::UniformGrid;
-use scout_geometry::hilbert::{hilbert_coords_3d, hilbert_index_3d, hilbert_indices_3d_with};
+use scout_geometry::hilbert::{hilbert_coords_3d, hilbert_index_3d};
 use scout_geometry::intersect::{
     capsule_intersects_aabb, clip_segment_to_aabb, segment_aabb_distance, segment_intersects_aabb,
 };
-use scout_geometry::morton::{morton_coords_3d, morton_index_3d, morton_indices_3d_with};
 use scout_geometry::shapes::Segment;
-use scout_geometry::soa::AabbSoA;
 use scout_geometry::vec3::Vec3;
 
 fn arb_vec3(range: f64) -> impl Strategy<Value = Vec3> {
@@ -121,11 +118,6 @@ proptest! {
     }
 
     #[test]
-    fn morton_round_trip(x in 0u32..(1 << 21), y in 0u32..(1 << 21), z in 0u32..(1 << 21)) {
-        prop_assert_eq!(morton_coords_3d(morton_index_3d([x, y, z])), [x, y, z]);
-    }
-
-    #[test]
     fn grid_cell_of_is_consistent_with_cell_aabb(
         p in arb_vec3(10.0),
         dims in (1u32..8, 1u32..8, 1u32..8),
@@ -214,67 +206,6 @@ proptest! {
             let dist: u32 = ca.iter().zip(cb.iter()).map(|(&p, &q)| p.abs_diff(q)).sum();
             prop_assert!(dist <= 1, "non-adjacent cells {ca:?} -> {cb:?}");
         }
-    }
-
-    // Dispatch-tier determinism: every compiled tier of every slice kernel
-    // must agree bit-for-bit with the per-element scalar API. The tier is
-    // a pure performance choice (DESIGN.md §9).
-
-    #[test]
-    fn morton_slice_tiers_match_per_element(
-        raw in proptest::collection::vec(
-            (0u32..(1 << 21), 0u32..(1 << 21), 0u32..(1 << 21)), 0..300),
-    ) {
-        let coords: Vec<[u32; 3]> = raw.iter().map(|&(x, y, z)| [x, y, z]).collect();
-        let mut scalar = Vec::new();
-        let mut wide = Vec::new();
-        morton_indices_3d_with(CpuTier::Scalar, &coords, &mut scalar);
-        morton_indices_3d_with(CpuTier::Avx2, &coords, &mut wide);
-        let reference: Vec<u64> = coords.iter().map(|&c| morton_index_3d(c)).collect();
-        prop_assert_eq!(&scalar, &reference);
-        prop_assert_eq!(&wide, &reference);
-    }
-
-    #[test]
-    fn hilbert_slice_tiers_match_per_element(
-        order in 1u32..11,
-        raw in proptest::collection::vec((0u32..1024, 0u32..1024, 0u32..1024), 0..200),
-    ) {
-        let mask = (1u32 << order) - 1;
-        let coords: Vec<[u32; 3]> =
-            raw.iter().map(|&(x, y, z)| [x & mask, y & mask, z & mask]).collect();
-        let mut scalar = Vec::new();
-        let mut wide = Vec::new();
-        hilbert_indices_3d_with(CpuTier::Scalar, &coords, order, &mut scalar);
-        hilbert_indices_3d_with(CpuTier::Avx2, &coords, order, &mut wide);
-        let reference: Vec<u64> =
-            coords.iter().map(|&c| hilbert_index_3d(c, order)).collect();
-        prop_assert_eq!(&scalar, &reference);
-        prop_assert_eq!(&wide, &reference);
-    }
-
-    #[test]
-    fn soa_overlap_tiers_match_aabb_intersects(
-        raw in proptest::collection::vec(
-            (arb_vec3(8.0), arb_vec3(8.0)), 0..200),
-        qa in arb_vec3(8.0), qb in arb_vec3(8.0),
-    ) {
-        let boxes: Vec<Aabb> =
-            raw.iter().map(|&(p, q)| Aabb::from_corners(p, q)).collect();
-        let query = Aabb::from_corners(qa, qb);
-        let soa = AabbSoA::from_aabbs(&boxes);
-        let mut scalar = Vec::new();
-        let mut wide = Vec::new();
-        soa.overlap_into_with(CpuTier::Scalar, &query, &mut scalar);
-        soa.overlap_into_with(CpuTier::Avx2, &query, &mut wide);
-        let reference: Vec<u32> = boxes
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.intersects(&query))
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(&scalar, &reference);
-        prop_assert_eq!(&wide, &reference);
     }
 }
 

@@ -13,7 +13,7 @@
 //! accounting and buffer recycling) at the window edge.
 
 use crate::executor::ExecutorConfig;
-use crate::pool::lock_unpoisoned;
+use crate::scheduler::lock_unpoisoned;
 use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
 use scout_storage::{BatchReport, DiskModel, FaultReport, IoBatcher, ShardedCache, SharedClock};

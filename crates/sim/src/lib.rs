@@ -7,7 +7,7 @@
 //! shared sharded cache, the Figure-10 microbenchmark definitions, and
 //! experiment/reporting plumbing.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub(crate) mod batch;
 pub mod context;
@@ -15,8 +15,6 @@ pub mod costs;
 pub mod executor;
 pub mod experiment;
 pub mod multi;
-#[allow(unsafe_code)] // the crew's erased job pointer, nothing else
-pub mod pool;
 pub mod prefetcher;
 pub mod report;
 pub mod scheduler;
@@ -35,12 +33,11 @@ pub use multi::{
     MultiSessionConfig, MultiSessionExecutor, MultiSessionReport, Schedule, SessionReport,
     TenantReport,
 };
-pub use pool::default_parallelism;
 pub use prefetcher::{
     GraphBuildCounters, NoPrefetch, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher,
 };
 pub use report::{percentiles, percentiles_mut, LatencyPercentiles};
-pub use scheduler::{AdmissionControl, SchedulerReport};
+pub use scheduler::{default_parallelism, AdmissionControl, SchedulerReport};
 pub use scratch::{QueryScratch, ResultFrame};
 pub use session::Session;
 pub use telemetry::TelemetryReport;

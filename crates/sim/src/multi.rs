@@ -14,9 +14,9 @@
 //!   deterministic: identical inputs produce byte-identical reports.
 //! * [`Schedule::WorkStealing`] — the same loop with `workers` threads
 //!   claiming each phase's steps from one cursor, any number of sessions
-//!   over a fixed crew, with admission control (see
+//!   over a fixed width, with admission control (see
 //!   [`AdmissionControl`]). Width 1 is the round-robin call, so it is
-//!   byte-identical to it by construction. Wider crews keep the totals
+//!   byte-identical to it by construction. Wider fleets keep the totals
 //!   contract: cache membership per round is the union of all sessions'
 //!   inserts, so totals (pages hit, hit rate) match round-robin whenever
 //!   the cache is not evicting under pressure; scalar interleaving inside
@@ -28,10 +28,9 @@
 use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
-use crate::pool::default_parallelism;
 use crate::report::{pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table};
 use crate::scheduler::{
-    AdmissionControl, FleetOutcome, RoundBody, SchedulerReport, SessionScheduler,
+    default_parallelism, run_fleet, AdmissionControl, FleetOutcome, RoundBody, SchedulerReport,
 };
 use crate::session::Session;
 use crate::telemetry::{FleetTelemetry, TelemetryReport};
@@ -55,7 +54,7 @@ pub enum Schedule {
     /// to tens of thousands of sessions; honors
     /// [`MultiSessionConfig::admission`].
     WorkStealing {
-        /// Crew width; 0 picks the machine default (`SCOUT_THREADS`).
+        /// Threads per phase; 0 picks the machine default (`SCOUT_THREADS`).
         workers: usize,
     },
 }
@@ -159,13 +158,8 @@ impl MultiSessionExecutor {
             Schedule::WorkStealing { workers: 0 } => (default_parallelism(), self.config.admission),
             Schedule::WorkStealing { workers } => (workers, self.config.admission),
         };
-        let FleetOutcome { mut sessions, shed, report } = SessionScheduler::global().run_fleet(
-            &body,
-            sessions,
-            width,
-            admission,
-            telemetry.as_ref(),
-        );
+        let FleetOutcome { mut sessions, shed, report } =
+            run_fleet(&body, sessions, width, admission, telemetry.as_ref());
         let scheduler = (self.config.schedule != Schedule::RoundRobin).then_some(report);
 
         // Teardown of the batch lanes: credit window ledgers into the

@@ -5,9 +5,9 @@
 //! session's *serve* sub-phase, a phase edge, every session's *window*
 //! sub-phase, a phase edge — the structure DESIGN.md §5's determinism
 //! ladder rests on). `RoundBody` owns what those steps and edges *do*,
-//! including how I/O is submitted; `SessionScheduler::run_fleet` owns
-//! everything else, once, on the calling thread: the active list (an
-//! ordered `Vec` of slot indices), **admission control** — a bounded
+//! including how I/O is submitted; `run_fleet` owns everything else,
+//! once, on the calling thread: the active list (an ordered `Vec` of
+//! slot indices), **admission control** — a bounded
 //! backlog (shed policy) drained round-robin across tenants (fairness),
 //! gated on [`ThrashMonitor`] signals from the shared cache (delay
 //! policy) — the round counter, the edge calls, retirement and the
@@ -17,16 +17,16 @@
 //! for tens of clients, hopeless for tens of thousands — so width > 1
 //! parallelises nothing but the two per-session sweeps inside that loop.
 //! A phase is "run the step on every entry of the active list": every
-//! participating thread (the caller plus helpers from the parked
-//! `pool::Crew`, dispatched once per phase) claims the next *position*
-//! with one `fetch_add` on a shared cursor, takes that session out of its
-//! `Mutex` slot with `try_lock` — a held lock means two threads claimed
-//! one session, and panics — runs the step and stores its verdict at the
-//! claimed position. A session is a **resumable state machine** (its
+//! participating thread (the caller plus helper threads scoped to the
+//! phase: spawned at its start, joined at its end) claims the next
+//! *position* with one `fetch_add` on a shared cursor, takes that session
+//! out of its `Mutex` slot with `try_lock` — a held lock means two threads
+//! claimed one session, and panics — runs the step and stores its verdict
+//! at the claimed position. A session is a **resumable state machine** (its
 //! serve leaves the prefetch window open), so "parking" one at a phase
 //! edge is simply not calling it; finished sessions are retired instead
 //! of spinning no-op rounds. Width 1, and any phase with a single step,
-//! is the same claim loop on the caller alone: no helper is woken.
+//! is the same claim loop on the caller alone: no thread is spawned.
 //!
 //! ## Determinism contract (DESIGN.md §10)
 //!
@@ -45,14 +45,22 @@
 //! ## Panics
 //!
 //! A panicking session step raises a flag every claim checks, so the
-//! phase's remaining positions are not started; the dispatch joins every
-//! helper and re-raises the first payload on the caller, no later phase
-//! runs, and the crew and the scheduler stay usable.
+//! phase's remaining positions are not started; `Fleet::run_phase` joins
+//! every helper and re-raises the first payload (the caller's own first)
+//! on the caller, and no later phase runs. No thread, lock or pointer
+//! outlives the phase that made it, so there is nothing left to clean up.
+//!
+//! ## Thread count
+//!
+//! [`default_parallelism`] resolves the width
+//! [`Schedule::WorkStealing { workers: 0 }`](crate::Schedule) runs at: the
+//! `SCOUT_THREADS` environment variable when set (`1` keeps every phase on
+//! the calling thread — the CI equivalence job; a set-but-invalid value
+//! warns and pins 1 too), otherwise `std::thread::available_parallelism`.
 
 use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
-use crate::pool::{lock_unpoisoned, Crew};
 use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
 use scout_storage::{ShardedCache, ThrashMonitor};
@@ -60,7 +68,55 @@ use scout_telemetry::{HistogramId, SpanTimer};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// Locks `m`, recovering the guard when a previous holder panicked.
+///
+/// Every critical section in this crate's batch lanes leaves its state
+/// consistent at each point it could unwind (single-field writes, counter
+/// updates completed before any call that can panic), so a poisoned mutex
+/// only records *that* a sibling died, not a broken invariant. Recovering
+/// instead of unwrapping keeps one session's panic from cascading into a
+/// second panic on every later lock — the containment contract the
+/// scheduler tests (`panicking_session_does_not_deadlock_the_fleet`)
+/// pin down.
+pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The width a work-stealing fleet defaults to: `SCOUT_THREADS`
+/// when set to a positive integer, otherwise the machine's available
+/// parallelism. A `SCOUT_THREADS` that is set but not a positive integer
+/// (`0`, empty, non-numeric) pins serial with a warning — a botched pin
+/// must never silently re-enable full parallelism. Cached — the
+/// environment is read once per process.
+pub fn default_parallelism() -> usize {
+    static CACHED: OnceLock<usize> = OnceLock::new();
+    *CACHED.get_or_init(|| resolve_parallelism(std::env::var("SCOUT_THREADS").ok().as_deref()))
+}
+
+fn resolve_parallelism(pin: Option<&str>) -> usize {
+    match pin {
+        Some(v) => match v.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => {
+                // Routed through the telemetry warning hook: counted
+                // always, recorded as an event when a sink is armed, and
+                // — the disarmed default — printed to stderr with the
+                // exact bytes the historical `eprintln!` produced.
+                scout_telemetry::emit_warning(
+                    scout_telemetry::WARN_INVALID_SCOUT_THREADS,
+                    &format!(
+                        "SCOUT_THREADS={v:?} is not a positive integer; \
+                         pinning serial (SCOUT_THREADS=1)"
+                    ),
+                );
+                1
+            }
+        },
+        None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Admission control configuration
@@ -149,7 +205,8 @@ impl Default for AdmissionControl {
 /// the base report, which stays byte-comparable with round-robin).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedulerReport {
-    /// Crew width the fleet ran at.
+    /// The width asked for, at least 1: the caller plus the helper
+    /// threads each phase may spawn.
     pub workers: usize,
     /// Bulk-synchronous rounds executed.
     pub rounds: u64,
@@ -297,9 +354,9 @@ impl AdmissionQueue {
 /// how I/O is submitted: immediately (`batch: None` — each read hits the
 /// session's own disk as it is issued, and the phase edges are empty) or
 /// phase-scoped (staged into the [`BatchCtl`] lanes and submitted at the
-/// edges, DESIGN.md §12). [`SessionScheduler::run_fleet`] decides only
-/// *who runs a step*; it calls exactly these four methods, in the same
-/// order per round, at every width.
+/// edges, DESIGN.md §12). [`run_fleet`] decides only *who runs a step*;
+/// it calls exactly these four methods, in the same order per round, at
+/// every width.
 pub(crate) struct RoundBody<'a, 'w> {
     pub(crate) ctx: &'a SimContext<'w>,
     pub(crate) exec: &'a ExecutorConfig,
@@ -372,9 +429,8 @@ struct PhaseTally {
 }
 
 /// What a phase needs besides the active list and the step.
-struct Fleet<'a> {
-    crew: &'a Crew,
-    /// Helpers available besides the caller (fleet width − 1).
+struct Fleet {
+    /// Helpers a phase may spawn besides the caller (fleet width − 1).
     helpers: usize,
     slots: Vec<Mutex<Slot>>,
     /// `more[k]` = the verdict of the step at position `k` of the active
@@ -382,10 +438,9 @@ struct Fleet<'a> {
     more: Vec<AtomicBool>,
 }
 
-impl<'a> Fleet<'a> {
-    fn new(crew: &'a Crew, helpers: usize, sessions: Vec<Session>) -> Fleet<'a> {
+impl Fleet {
+    fn new(helpers: usize, sessions: Vec<Session>) -> Fleet {
         Fleet {
-            crew,
             helpers,
             more: std::iter::repeat_with(|| AtomicBool::new(false)).take(sessions.len()).collect(),
             slots: sessions
@@ -396,7 +451,7 @@ impl<'a> Fleet<'a> {
     }
 
     /// Runs `step(session, idx)` once for every `idx` in `active`, on the
-    /// caller plus `min(helpers, active.len() − 1)` crew threads, and
+    /// caller plus `min(helpers, active.len() − 1)` scoped threads, and
     /// stores its return in `more[position]`. Threads claim positions
     /// from one cursor; nothing else in the scheduler is concurrent.
     fn run_phase(
@@ -409,8 +464,8 @@ impl<'a> Fleet<'a> {
         let events = self.helpers > 0;
         // Every atomic below is `Relaxed`: none publishes other data. A
         // session travels between threads under its slot's `Mutex`, and
-        // the verdicts and tallies are read after the dispatch's join
-        // (the crew's state mutex orders them).
+        // the verdicts and tallies are read after every helper is joined
+        // (the join orders them).
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
         let (more, migrations) = (AtomicU64::new(0), AtomicU64::new(0));
@@ -446,15 +501,37 @@ impl<'a> Fleet<'a> {
             migrations.fetch_add(tally.migrations, Ordering::Relaxed);
         };
         // A panic (a step's, or the double-claim guard's) stops the other
-        // threads' claims before it continues to the dispatch's join.
+        // threads' claims and becomes the thread's result.
         let claim = |w: usize| {
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| claim_all(w))) {
-                failed.store(true, Ordering::Relaxed);
-                resume_unwind(payload);
-            }
+            catch_unwind(AssertUnwindSafe(|| claim_all(w)))
+                .inspect_err(|_| failed.store(true, Ordering::Relaxed))
         };
         let extra = self.helpers.min(active.len().saturating_sub(1));
-        self.crew.dispatch(extra, &claim, || claim(0));
+        let outcome = if extra == 0 {
+            claim(0)
+        } else {
+            // A spawn the OS refuses is skipped: the cursor hands that
+            // thread's positions to whoever is running. Every helper is
+            // joined before the first payload (the caller's own first) is
+            // re-raised, so one panic leaves the phase, never two. The
+            // scope would join on its own; keeping the payloads fixes
+            // *which* one leaves, which `thread::scope` does not document.
+            std::thread::scope(|scope| {
+                let spawn = |w| {
+                    let name = format!("scout-sched-{w}");
+                    std::thread::Builder::new().name(name).spawn_scoped(scope, move || claim(w))
+                };
+                let helpers: Vec<_> = (1..=extra).filter_map(|w| spawn(w).ok()).collect();
+                let mut first = claim(0);
+                for helper in helpers {
+                    first = first.and(helper.join().and_then(|claimed| claimed));
+                }
+                first
+            })
+        };
+        if let Err(payload) = outcome {
+            resume_unwind(payload);
+        }
         PhaseTally {
             more: more.load(Ordering::Relaxed),
             migrations: migrations.load(Ordering::Relaxed),
@@ -463,7 +540,7 @@ impl<'a> Fleet<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// The long-lived scheduler (crew owner) and the round loop
+// The round loop
 // ---------------------------------------------------------------------------
 
 /// Outcome of one fleet run, consumed by the multi-session engine's
@@ -476,116 +553,83 @@ pub(crate) struct FleetOutcome {
     pub(crate) report: SchedulerReport,
 }
 
-/// The long-lived scheduler: a lazily-grown crew of helper threads
-/// (parked between phases and between fleets) plus the lock that
-/// serializes the fleets using it. One process-wide instance
-/// ([`SessionScheduler::global`]) runs every schedule.
-#[derive(Debug)]
-pub(crate) struct SessionScheduler {
-    crew: Crew,
-    /// Held by a fleet wider than 1 for its whole run: the crew assumes
-    /// one dispatcher at a time.
-    dispatch: Mutex<()>,
-}
-
-impl SessionScheduler {
-    fn new() -> SessionScheduler {
-        SessionScheduler { crew: Crew::new("scout-sched"), dispatch: Mutex::new(()) }
+/// Runs a complete multi-session fleet: the one round loop (module
+/// docs), on the caller, its two sweeps shared by `workers` threads —
+/// clamped to at least 1. Width 1 is the oracle the property suites pin
+/// the wider runs against, and
+/// [`Schedule::RoundRobin`](crate::Schedule) is this call at width 1
+/// with [`AdmissionControl::unlimited`] and the report dropped. Fleets
+/// share nothing: concurrent calls overlap.
+pub(crate) fn run_fleet(
+    body: &RoundBody<'_, '_>,
+    sessions: Vec<Session>,
+    workers: usize,
+    control: AdmissionControl,
+    telemetry: Option<&FleetTelemetry>,
+) -> FleetOutcome {
+    control.assert_valid();
+    let helpers = workers.saturating_sub(1);
+    let mut shed = vec![false; sessions.len()];
+    let mut queue = AdmissionQueue::new(&sessions, &control);
+    let fleet = Fleet::new(helpers, sessions);
+    let mut report = SchedulerReport { workers: helpers + 1, ..Default::default() };
+    // The resident sessions' slot indices, in admission order.
+    // Exhausted sessions leave it, so a skewed fleet is not
+    // O(K × max_rounds) no-op steps.
+    let mut active: Vec<usize> = Vec::new();
+    // Initial admission: the monitor is cold (never thrashing), so
+    // this fills up to `max_resident`. The ready queue is bounded:
+    // whatever then exceeds the backlog limit is shed up front.
+    report.admitted += queue.admit(&mut active, control.max_resident);
+    for idx in queue.shed_over(control.backlog_limit) {
+        shed[idx] = true;
+        report.shed += 1;
     }
-
-    /// The process-wide scheduler.
-    pub(crate) fn global() -> &'static SessionScheduler {
-        static GLOBAL: OnceLock<SessionScheduler> = OnceLock::new();
-        GLOBAL.get_or_init(SessionScheduler::new)
-    }
-
-    /// Runs a complete multi-session fleet: the one round loop (module
-    /// docs), on the caller, its two sweeps shared by `workers` threads —
-    /// clamped to at least 1 and to what the crew could spawn. Width 1 is
-    /// the oracle the property suites pin the wider runs against, and
-    /// [`Schedule::RoundRobin`](crate::Schedule) is this call at width 1
-    /// with [`AdmissionControl::unlimited`] and the report dropped.
-    pub(crate) fn run_fleet(
-        &self,
-        body: &RoundBody<'_, '_>,
-        sessions: Vec<Session>,
-        workers: usize,
-        control: AdmissionControl,
-        telemetry: Option<&FleetTelemetry>,
-    ) -> FleetOutcome {
-        control.assert_valid();
-        // Concurrent wide fleets queue here. A previous fleet's panic
-        // unwound through this guard; the lock protects nothing but the
-        // crew's exclusivity, so poison is moot.
-        let (_crew_guard, helpers) = match workers {
-            0 | 1 => (None, 0),
-            _ => (Some(lock_unpoisoned(&self.dispatch)), self.crew.ensure(workers - 1)),
-        };
-        let mut shed = vec![false; sessions.len()];
-        let mut queue = AdmissionQueue::new(&sessions, &control);
-        let fleet = Fleet::new(&self.crew, helpers, sessions);
-        let mut report = SchedulerReport { workers: helpers + 1, ..Default::default() };
-        // The resident sessions' slot indices, in admission order.
-        // Exhausted sessions leave it, so a skewed fleet is not
-        // O(K × max_rounds) no-op steps.
-        let mut active: Vec<usize> = Vec::new();
-        // Initial admission: the monitor is cold (never thrashing), so
-        // this fills up to `max_resident`. The ready queue is bounded:
-        // whatever then exceeds the backlog limit is shed up front.
-        report.admitted += queue.admit(&mut active, control.max_resident);
-        for idx in queue.shed_over(control.backlog_limit) {
-            shed[idx] = true;
-            report.shed += 1;
-        }
-        // The edges — batch submits plus admission, run while no step is
-        // in flight — are one of the profiled hot phases (no-op when
-        // telemetry is disarmed or spans are off).
-        let edge_span = || {
-            telemetry.and_then(|t| {
-                SpanTimer::start_if(
-                    t.plan.spans,
-                    t.registry.histogram(HistogramId::SpanPhaseFlipUs),
-                )
-            })
-        };
-        while !active.is_empty() {
-            let round = report.rounds;
-            report.rounds += 1;
-            let serves = fleet.run_phase(&active, &|session, _| body.serve(session));
-            {
-                // Sessions consume the demand outcomes in their windows.
-                let _span = edge_span();
-                body.close_serve(round);
-            }
-            let windows = fleet.run_phase(&active, &|session, idx| body.window(session, idx));
+    // The edges — batch submits plus admission, run while no step is
+    // in flight — are one of the profiled hot phases (no-op when
+    // telemetry is disarmed or spans are off).
+    let edge_span = || {
+        telemetry.and_then(|t| {
+            SpanTimer::start_if(t.plan.spans, t.registry.histogram(HistogramId::SpanPhaseFlipUs))
+        })
+    };
+    while !active.is_empty() {
+        let round = report.rounds;
+        report.rounds += 1;
+        let serves = fleet.run_phase(&active, &|session, _| body.serve(session));
+        {
+            // Sessions consume the demand outcomes in their windows.
             let _span = edge_span();
-            // The next round serves against the published membership.
-            body.close_window(round);
-            let before = active.len();
-            let mut verdicts = fleet.more.iter();
-            active.retain(|_| verdicts.next().is_some_and(|more| more.load(Ordering::Relaxed)));
-            report.retired += (before - active.len()) as u64;
-            // One park per successful serve (the window boundary) plus
-            // one per session surviving the round.
-            report.parks += serves.more + windows.more;
-            report.steals += serves.migrations + windows.migrations;
-            // Round-boundary admission. An empty resident set overrides
-            // the thrash delay so backpressure cannot live-lock.
-            if queue.backlog > 0 {
-                if queue.delay_admission(body.cache, &control, active.is_empty()) {
-                    report.delayed_rounds += 1;
-                } else {
-                    report.admitted += queue.admit(&mut active, control.max_resident);
-                }
+            body.close_serve(round);
+        }
+        let windows = fleet.run_phase(&active, &|session, idx| body.window(session, idx));
+        let _span = edge_span();
+        // The next round serves against the published membership.
+        body.close_window(round);
+        let before = active.len();
+        let mut verdicts = fleet.more.iter();
+        active.retain(|_| verdicts.next().is_some_and(|more| more.load(Ordering::Relaxed)));
+        report.retired += (before - active.len()) as u64;
+        // One park per successful serve (the window boundary) plus
+        // one per session surviving the round.
+        report.parks += serves.more + windows.more;
+        report.steals += serves.migrations + windows.migrations;
+        // Round-boundary admission. An empty resident set overrides
+        // the thrash delay so backpressure cannot live-lock.
+        if queue.backlog > 0 {
+            if queue.delay_admission(body.cache, &control, active.is_empty()) {
+                report.delayed_rounds += 1;
+            } else {
+                report.admitted += queue.admit(&mut active, control.max_resident);
             }
         }
-        let sessions = fleet
-            .slots
-            .into_iter()
-            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).session)
-            .collect();
-        FleetOutcome { sessions, shed, report }
     }
+    let sessions = fleet
+        .slots
+        .into_iter()
+        .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).session)
+        .collect();
+    FleetOutcome { sessions, shed, report }
 }
 
 #[cfg(test)]
@@ -593,12 +637,11 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    /// A fleet of `n` idle sessions over `helpers` crew threads.
-    fn idle_fleet(crew: &Crew, helpers: usize, n: usize) -> Fleet<'_> {
+    /// A fleet of `n` idle sessions, `helpers` threads wide besides the caller.
+    fn idle_fleet(helpers: usize, n: usize) -> Fleet {
         use crate::prefetcher::NoPrefetch;
-        assert_eq!(crew.ensure(helpers), helpers);
         let sessions = (0..n).map(|i| Session::new(i, Box::new(NoPrefetch), Vec::new()));
-        Fleet::new(crew, helpers, sessions.collect())
+        Fleet::new(helpers, sessions.collect())
     }
 
     #[test]
@@ -607,8 +650,7 @@ mod tests {
         // reversed, so a verdict filed under the slot index instead of
         // the claimed position cannot pass.
         const POSITIONS: usize = 20_000;
-        let crew = Crew::new("test-phase");
-        let fleet = idle_fleet(&crew, 3, POSITIONS);
+        let fleet = idle_fleet(3, POSITIONS);
         let active: Vec<usize> = (0..POSITIONS).rev().collect();
         let calls: Vec<AtomicU32> = (0..POSITIONS).map(|_| AtomicU32::new(0)).collect();
         let tally = fleet.run_phase(&active, &|_, idx| {
@@ -622,7 +664,7 @@ mod tests {
         assert_eq!(tally.more, active.iter().filter(|&&idx| idx % 3 == 0).count() as u64);
         // Admission counts as the caller's, so the caller alone migrates
         // nothing, and a one-step phase is the caller alone.
-        let narrow = idle_fleet(&crew, 0, 9);
+        let narrow = idle_fleet(0, 9);
         let tally = narrow.run_phase(&[8, 0, 3], &|_, idx| idx != 0);
         assert_eq!(tally, PhaseTally { more: 2, migrations: 0 });
         assert_eq!(fleet.run_phase(&[7], &|_, _| true).more, 1);
@@ -630,8 +672,7 @@ mod tests {
 
     #[test]
     fn held_slot_panics_on_the_caller_and_the_crew_survives() {
-        let crew = Crew::new("test-phase");
-        let fleet = idle_fleet(&crew, 2, 64);
+        let fleet = idle_fleet(2, 64);
         let active: Vec<usize> = (0..64).collect();
         let held = fleet.slots[40].lock().unwrap();
         let caught = catch_unwind(AssertUnwindSafe(|| fleet.run_phase(&active, &|_, _| true)));
@@ -639,9 +680,79 @@ mod tests {
         let message = payload.downcast_ref::<String>().expect("formatted panic message");
         assert!(message.contains("slot 40 owned twice"), "{message}");
         drop(held);
-        // Same crew, same fleet: the next phase runs every position.
+        // Same fleet: the next phase runs every position.
         let tally = fleet.run_phase(&active, &|_, _| true);
         assert_eq!(tally.more, 64);
+    }
+
+    #[test]
+    fn panicking_threads_raise_one_payload_the_callers_first() {
+        // A four-thread phase in which every helper step panics and, unless
+        // `spare_caller`, the caller's too. The barrier holds each thread
+        // inside its first step until all four are there, so the `failed`
+        // flag stops none of them early: three or four panics, every time.
+        let fleet = idle_fleet(3, 64);
+        let active: Vec<usize> = (0..64).collect();
+        let name = || std::thread::current().name().unwrap_or("?").to_owned();
+        let run = |spare_caller: bool| {
+            let all_in = std::sync::Barrier::new(4);
+            let caller_in = AtomicBool::new(false);
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                fleet.run_phase(&active, &|_, idx| {
+                    let helper = name().starts_with("scout-sched-");
+                    if helper || !caller_in.swap(true, Ordering::Relaxed) {
+                        all_in.wait();
+                    }
+                    if helper || !spare_caller {
+                        panic!("step {idx} on {}", name());
+                    }
+                    true
+                })
+            }));
+            let payload = caught.expect_err("a panicking step must fail the phase");
+            // What is left of the failed phase is the poison on the slots
+            // whose steps died; a fleet never reruns them, this test does.
+            fleet.slots.iter().for_each(Mutex::clear_poison);
+            *payload.downcast::<String>().expect("a step's own formatted payload")
+        };
+        // One payload comes out, a step's own: a helper's when only
+        // helpers died, the caller's whenever the caller died too.
+        let message = run(true);
+        assert!(message.starts_with("step ") && message.contains("scout-sched-"), "{message}");
+        let message = run(false);
+        assert!(message.starts_with("step ") && !message.contains("scout-sched-"), "{message}");
+        // The same fleet then runs all 64 cleanly.
+        assert_eq!(fleet.run_phase(&active, &|_, idx| idx % 2 == 0).more, 32);
+    }
+
+    #[test]
+    fn default_parallelism_is_positive() {
+        assert!(default_parallelism() >= 1);
+    }
+
+    #[test]
+    fn default_parallelism_reads_the_environment_once() {
+        // Hot-path dispatch must never touch the env: the first call pins
+        // the value for the process, later env changes are invisible.
+        let first = default_parallelism();
+        std::env::set_var("SCOUT_THREADS", "9731");
+        assert_eq!(default_parallelism(), first);
+        std::env::remove_var("SCOUT_THREADS");
+        assert_eq!(default_parallelism(), first);
+    }
+
+    #[test]
+    fn bad_thread_pins_degrade_to_serial() {
+        assert_eq!(resolve_parallelism(Some("4")), 4);
+        assert_eq!(resolve_parallelism(Some(" 2 ")), 2);
+        // A set-but-broken pin must mean serial, never full parallelism —
+        // and each botched pin must land in the telemetry warning counter.
+        let before = scout_telemetry::warning_count();
+        assert_eq!(resolve_parallelism(Some("0")), 1);
+        assert_eq!(resolve_parallelism(Some("")), 1);
+        assert_eq!(resolve_parallelism(Some("two")), 1);
+        assert_eq!(scout_telemetry::warning_count() - before, 3);
+        assert!(resolve_parallelism(None) >= 1);
     }
 
     #[test]

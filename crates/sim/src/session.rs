@@ -21,8 +21,8 @@ use crate::executor::{
     begin_query, charge_demand, observe_and_open, run_prefetch_window, serve_demand,
     ExecutorConfig, FaultCtl, ImmediateIo, OpenWindow, QueryTrace, SequenceTrace, StagedIo,
 };
-use crate::pool::lock_unpoisoned;
 use crate::prefetcher::Prefetcher;
+use crate::scheduler::lock_unpoisoned;
 use crate::scratch::QueryScratch;
 use crate::telemetry::SessionTelemetry;
 use scout_geometry::QueryRegion;

@@ -197,10 +197,4 @@ impl TelemetryReport {
     pub fn to_jsonl(&self) -> String {
         self.flight.to_jsonl()
     }
-
-    /// The registry's deterministic JSON object (counters, gauges,
-    /// histogram percentiles).
-    pub fn metrics_json(&self) -> String {
-        self.registry.to_json()
-    }
 }

@@ -53,11 +53,6 @@ impl Microbenchmark {
     }
 }
 
-/// Number of sequences per benchmark in the paper (§7.2: "We use 30
-/// sequences for all the benchmarks"). Harnesses may scale this down for
-/// quick runs.
-pub const PAPER_SEQUENCES_PER_BENCHMARK: usize = 30;
-
 /// Ad-hoc queries, statistical analysis variant (r = 0.8).
 pub const ADHOC_STAT: Microbenchmark = Microbenchmark::new(
     "adhoc_stat",

@@ -39,7 +39,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`scout_geometry`] | vectors, boxes, shapes, intersections, grids, Hilbert/Morton curves |
+//! | [`scout_geometry`] | vectors, boxes, shapes, intersections, grids, Hilbert curves |
 //! | [`scout_storage`] | pages, simulated disk, LRU prefetch cache, I/O stats |
 //! | [`scout_index`] | STR R-tree and FLAT-style neighborhood index |
 //! | [`scout_synth`] | synthetic datasets + guided query sequences |

@@ -183,6 +183,44 @@ fn work_stealing_totals_match_round_robin_at_every_width() {
 }
 
 #[test]
+fn concurrent_wide_fleets_share_nothing() {
+    // Two OS threads each run a width-2 fleet over the same bed at the
+    // same time (the barrier releases them together). A fleet owns its
+    // cursor, flags and helper threads, so each must keep the
+    // eviction-free contract against its own streams alone at width 1:
+    // per-session page accounting and every scheduler count but
+    // migrations. (Not the whole render: at width 2 two sessions can race
+    // to fetch one page, which moves the simulated disk-busy total.)
+    let (bed, streams) = bed_and_streams(8, WORKLOAD_SEED);
+    let ctx = bed.ctx_rtree();
+    let run = |streams: &[Vec<scout::geometry::QueryRegion>], workers| {
+        let report =
+            MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::WorkStealing { workers }))
+                .run(&ctx, scout_sessions(streams));
+        assert_eq!(report.cache.evictions, 0, "precondition violated: width-{workers} run evicted");
+        let pages: Vec<_> =
+            report.sessions.iter().map(|s| (s.id, s.queries, s.pages_total, s.pages_hit)).collect();
+        let sched = report.scheduler.expect("work-stealing runs attach scheduler counters");
+        (pages, SchedulerReport { workers: 0, steals: 0, ..sched })
+    };
+    let halves = [&streams[..5], &streams[3..]];
+    let together = std::sync::Barrier::new(halves.len());
+    let wide = std::thread::scope(|scope| {
+        let fleets = halves.map(|half| {
+            scope.spawn(|| {
+                together.wait();
+                run(half, 2)
+            })
+        });
+        fleets.map(|fleet| fleet.join().expect("a concurrent fleet panicked"))
+    });
+    for (half, wide) in halves.iter().zip(wide) {
+        assert_eq!(wide, run(half, 1));
+        assert_eq!(wide.1.retired, half.len() as u64);
+    }
+}
+
+#[test]
 fn work_stealing_width1_is_byte_identical_to_round_robin() {
     // The width-1 oracle holds even under eviction pressure — a cache far
     // smaller than the dataset — because it runs the exact round-robin
@@ -345,8 +383,8 @@ fn panicking_session_does_not_deadlock_the_fleet() {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .expect("panic payload is a message");
         assert!(message.contains("detonated"), "width {workers}: {message}");
-        // The crew survives: the same schedule must run a healthy fleet
-        // to completion immediately afterwards.
+        // Nothing of the dead fleet is left behind: the same schedule must
+        // run a healthy fleet to completion immediately afterwards.
         let report = engine.run(&ctx, scout_sessions(&streams));
         assert_eq!(report.sessions.len(), 4, "width {workers}");
         assert!(report.sessions.iter().all(|s| s.queries == 8), "width {workers}");
@@ -385,9 +423,9 @@ fn panicking_session_under_fault_injection_is_still_contained() {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .expect("panic payload is a message");
         assert!(message.contains("detonated"), "width {workers}: {message}");
-        // Crew and sibling fleets survive: the same engine then runs a
-        // healthy fleet over the same faulty device to completion, and the
-        // report (fault block included) still renders.
+        // Nothing of the dead fleet is left behind: the same engine then
+        // runs a healthy fleet over the same faulty device to completion,
+        // and the report (fault block included) still renders.
         let report = engine.run(&ctx, scout_sessions(&streams));
         assert_eq!(report.sessions.len(), 4, "width {workers}");
         assert!(report.sessions.iter().all(|s| s.queries == 8), "width {workers}");
