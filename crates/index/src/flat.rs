@@ -18,7 +18,6 @@ use crate::rtree::RTree;
 use crate::traits::{OrderedSpatialIndex, SpatialIndex};
 use scout_geometry::{Aabb, SpatialObject, Vec3};
 use scout_storage::{PageId, PageLayout};
-use std::collections::VecDeque;
 
 /// Tuning parameters for neighborhood construction.
 #[derive(Debug, Clone, Copy)]
@@ -118,6 +117,69 @@ impl FlatIndex {
         }
         self.neighbors.iter().map(Vec::len).sum::<usize>() as f64 / self.neighbors.len() as f64
     }
+
+    /// [`OrderedSpatialIndex::crawl_region`] into `out`, replacing its
+    /// contents.
+    ///
+    /// `out` is the crawl's queue as well as its result: a page is
+    /// appended when the crawl discovers it and expanded when the read
+    /// cursor reaches it, which is the order a separate breadth-first
+    /// queue would have popped. The only allocation is the page marks,
+    /// one byte per page id between the lowest and the highest overlapping
+    /// page.
+    fn crawl_region_into(&self, region: &Aabb, start: Vec3, out: &mut Vec<PageId>) {
+        // The overlapping pages, ascending by id (the R-tree's order).
+        self.rtree.pages_in_region_into(region, out);
+        let (Some(&lowest), Some(&highest)) = (out.first(), out.last()) else {
+            return;
+        };
+        // Seed with the overlapping page nearest the start point.
+        let distance = |p: PageId| self.layout().page(p).mbr.distance_sq_to_point(start);
+        let seed = out
+            .iter()
+            .copied()
+            .min_by(|&a, &b| distance(a).total_cmp(&distance(b)))
+            .expect("non-empty overlap set");
+
+        const WANTED: u8 = 1; // overlaps the region, not yet discovered
+        const FOUND: u8 = 2;
+        let mark_of = |p: PageId| p.index().wrapping_sub(lowest.index());
+        let mut marks = vec![0u8; highest.index() - lowest.index() + 1];
+        for &p in out.iter() {
+            marks[mark_of(p)] = WANTED;
+        }
+        let wanted = out.len();
+        out.clear();
+
+        marks[mark_of(seed)] = FOUND;
+        out.push(seed);
+        let mut expanded = 0;
+        // Where the search for the next re-seed resumes.
+        let mut reseed = 0;
+        loop {
+            while let Some(&p) = out.get(expanded) {
+                expanded += 1;
+                for &nb in &self.neighbors[p.index()] {
+                    let mark = mark_of(nb);
+                    if marks.get(mark) == Some(&WANTED) {
+                        marks[mark] = FOUND;
+                        out.push(nb);
+                    }
+                }
+            }
+            if out.len() == wanted {
+                break;
+            }
+            // Disconnected result cluster: re-seed on the lowest
+            // undiscovered overlapping page (multi-seed crawl).
+            reseed += marks[reseed..]
+                .iter()
+                .position(|&m| m == WANTED)
+                .expect("fewer pages found than wanted implies a wanted mark");
+            marks[reseed] = FOUND;
+            out.push(PageId((lowest.index() + reseed) as u32));
+        }
+    }
 }
 
 impl SpatialIndex for FlatIndex {
@@ -126,9 +188,15 @@ impl SpatialIndex for FlatIndex {
     }
 
     fn pages_in_region(&self, region: &Aabb) -> Vec<PageId> {
-        // Natural retrieval order for FLAT is the crawl from the region
-        // center.
-        self.crawl_region(region, region.center())
+        let mut out = Vec::new();
+        self.pages_in_region_into(region, &mut out);
+        out
+    }
+
+    /// Natural retrieval order for FLAT is the crawl from the region
+    /// center.
+    fn pages_in_region_into(&self, region: &Aabb, out: &mut Vec<PageId>) {
+        self.crawl_region_into(region, region.center(), out);
     }
 }
 
@@ -142,59 +210,9 @@ impl OrderedSpatialIndex for FlatIndex {
     }
 
     fn crawl_region(&self, region: &Aabb, start: Vec3) -> Vec<PageId> {
-        let overlapping = self.rtree.pages_in_region(region);
-        if overlapping.is_empty() {
-            return Vec::new();
-        }
-        let mut in_region = vec![false; self.layout().page_count()];
-        for &p in &overlapping {
-            in_region[p.index()] = true;
-        }
-        let mut visited = vec![false; self.layout().page_count()];
-        let mut order: Vec<PageId> = Vec::with_capacity(overlapping.len());
-        let mut queue: VecDeque<PageId> = VecDeque::new();
-
-        // Seed with the overlapping page nearest the start point.
-        let seed = overlapping
-            .iter()
-            .copied()
-            .min_by(|&a, &b| {
-                self.layout()
-                    .page(a)
-                    .mbr
-                    .distance_sq_to_point(start)
-                    .total_cmp(&self.layout().page(b).mbr.distance_sq_to_point(start))
-            })
-            .expect("non-empty overlap set");
-        queue.push_back(seed);
-        visited[seed.index()] = true;
-
-        let mut remaining = overlapping.len();
-        loop {
-            while let Some(p) = queue.pop_front() {
-                order.push(p);
-                remaining -= 1;
-                for &nb in &self.neighbors[p.index()] {
-                    if in_region[nb.index()] && !visited[nb.index()] {
-                        visited[nb.index()] = true;
-                        queue.push_back(nb);
-                    }
-                }
-            }
-            if remaining == 0 {
-                break;
-            }
-            // Disconnected result cluster: re-seed on the next unvisited
-            // overlapping page (multi-seed crawl).
-            let next = overlapping
-                .iter()
-                .copied()
-                .find(|p| !visited[p.index()])
-                .expect("remaining > 0 implies an unvisited page");
-            visited[next.index()] = true;
-            queue.push_back(next);
-        }
-        order
+        let mut out = Vec::new();
+        self.crawl_region_into(region, start, &mut out);
+        out
     }
 }
 

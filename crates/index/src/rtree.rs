@@ -9,12 +9,15 @@
 //! ## Memory layout
 //!
 //! The directory is stored as an **implicit flat layout**: one contiguous
-//! array of fixed-size node records `{mbr, child_start, child_len,
-//! is_leaf}` plus one contiguous child-id array every record slices into —
-//! no per-node heap allocations, no `enum` children vectors to chase.
-//! Traversals walk two flat arrays, and [`RTree::k_nearest_pages_into`]
-//! reuses a caller-owned [`KnnScratch`] so repeated nearest-page probes
-//! (FLAT neighborhood construction, SCOUT-OPT seed pages) never touch the
+//! array of fixed-size node records `{child_start, child_len, is_leaf,
+//! live}` plus two parallel arrays every record slices into — the child
+//! ids and, slot for slot, the children's boxes. No per-node heap
+//! allocations, no `enum` children vectors to chase, and no walk reads a
+//! [`scout_storage::Page`] record to learn a page's box.
+//! [`SpatialIndex::pages_in_region_into`] tests all of a node's slots
+//! without branching into one `u64` hit mask and descends over its set
+//! bits; [`RTree::k_nearest_pages_into`] reads its distances from the same
+//! slots and reuses a caller-owned [`KnnScratch`], so neither touches the
 //! allocator once warm. The seed pointer-style directory survives as
 //! [`crate::reference::ReferenceRTree`], the property-test oracle.
 
@@ -28,17 +31,24 @@ use std::collections::BinaryHeap;
 /// Internal-node fanout (how many children each directory node packs).
 pub const INTERNAL_FANOUT: usize = 64;
 
+// A node's hit mask is one `u64`, one bit per child slot.
+const _: () = assert!(INTERNAL_FANOUT <= 64);
+
 /// One directory node record in the flat layout.
 ///
-/// `child_start .. child_start + child_len` indexes [`RTree::children`]:
-/// node indices for inner nodes, raw [`PageId`] values for leaf-level
-/// nodes (`is_leaf`).
+/// `child_start .. child_start + child_len` indexes [`RTree::children`]
+/// and [`RTree::boxes`]: node indices for inner nodes, raw [`PageId`]
+/// values for leaf-level nodes (`is_leaf`).
 #[derive(Debug, Clone, Copy)]
 struct NodeRec {
-    mbr: Aabb,
     child_start: u32,
     child_len: u32,
     is_leaf: bool,
+    /// Bit `i` is set when slot `i`'s box is not empty. ANDed into every
+    /// hit mask, it is the `!is_empty()` of [`Aabb::intersects`] decided
+    /// once at build time: six comparisons alone would let an inverted
+    /// box through.
+    live: u64,
 }
 
 /// An immutable, bulk-loaded R-tree.
@@ -49,7 +59,12 @@ pub struct RTree {
     nodes: Vec<NodeRec>,
     /// Concatenated child arrays of every node.
     children: Vec<u32>,
+    /// The box of each child, parallel to `children`: the child's MBR
+    /// verbatim, six `f64` a slot (`min.x min.y min.z max.x max.y max.z`).
+    boxes: Vec<Aabb>,
     root: u32,
+    /// The root's own box (it is nobody's child slot).
+    bounds: Aabb,
     height: usize,
 }
 
@@ -134,48 +149,55 @@ impl RTree {
     }
 
     /// Builds the directory over an existing page layout.
+    ///
+    /// A layout with no pages builds the empty tree — one childless leaf
+    /// node under [`Aabb::EMPTY`] bounds — on which both walks return
+    /// nothing.
     pub fn from_layout(layout: PageLayout) -> RTree {
         let mut nodes: Vec<NodeRec> = Vec::new();
         let mut children: Vec<u32> = Vec::new();
-        // Level 0: directory nodes over consecutive pages.
-        let mut level: Vec<u32> = layout
-            .pages()
-            .chunks(INTERNAL_FANOUT)
-            .map(|chunk| {
-                let mbr = chunk.iter().fold(Aabb::EMPTY, |acc, p| acc.union(&p.mbr));
-                let child_start = children.len() as u32;
-                children.extend(chunk.iter().map(|p| p.id.0));
-                nodes.push(NodeRec {
-                    mbr,
-                    child_start,
-                    child_len: chunk.len() as u32,
-                    is_leaf: true,
-                });
-                (nodes.len() - 1) as u32
-            })
-            .collect();
-        let mut height = 1;
-        while level.len() > 1 {
-            level = level
+        let mut boxes: Vec<Aabb> = Vec::new();
+        // Packs consecutive (already STR-ordered) `(child id, box)` entries
+        // into the nodes of the next level up, returned the same way.
+        let mut pack = |entries: &[(u32, Aabb)], is_leaf: bool| -> Vec<(u32, Aabb)> {
+            entries
                 .chunks(INTERNAL_FANOUT)
                 .map(|chunk| {
-                    let mbr =
-                        chunk.iter().fold(Aabb::EMPTY, |acc, &n| acc.union(&nodes[n as usize].mbr));
                     let child_start = children.len() as u32;
-                    children.extend_from_slice(chunk);
+                    let mut mbr = Aabb::EMPTY;
+                    let mut live = 0u64;
+                    for (i, (child, b)) in chunk.iter().enumerate() {
+                        children.push(*child);
+                        boxes.push(*b);
+                        live |= u64::from(!b.is_empty()) << i;
+                        mbr = mbr.union(b);
+                    }
                     nodes.push(NodeRec {
-                        mbr,
                         child_start,
                         child_len: chunk.len() as u32,
-                        is_leaf: false,
+                        is_leaf,
+                        live,
                     });
-                    (nodes.len() - 1) as u32
+                    ((nodes.len() - 1) as u32, mbr)
                 })
-                .collect();
+                .collect()
+        };
+        let pages: Vec<(u32, Aabb)> = layout.pages().iter().map(|p| (p.id.0, p.mbr)).collect();
+        let mut level = pack(&pages, true);
+        let mut height = 1;
+        while level.len() > 1 {
+            level = pack(&level, false);
             height += 1;
         }
-        let root = level[0];
-        RTree { layout, nodes, children, root, height }
+        let (root, bounds) = match level.first() {
+            Some(&top) => top,
+            // No pages, so no node: root the tree in a childless leaf.
+            None => {
+                nodes.push(NodeRec { child_start: 0, child_len: 0, is_leaf: true, live: 0 });
+                (0, Aabb::EMPTY)
+            }
+        };
+        RTree { layout, nodes, children, boxes, root, bounds, height }
     }
 
     /// Tree height in directory levels (excludes the page level).
@@ -185,22 +207,16 @@ impl RTree {
 
     /// MBR of the whole dataset.
     pub fn bounds(&self) -> Aabb {
-        self.nodes[self.root as usize].mbr
+        self.bounds
     }
 
-    /// Resident size of the directory (node records + child array), for
-    /// index-memory diagnostics. Excludes the page layout itself.
+    /// Resident size of the directory (node records, child ids and slot
+    /// boxes), for index-memory diagnostics. Excludes the page layout
+    /// itself.
     pub fn directory_bytes(&self) -> usize {
         self.nodes.len() * std::mem::size_of::<NodeRec>()
             + self.children.len() * std::mem::size_of::<u32>()
-    }
-
-    /// The child slice of a node.
-    #[inline]
-    fn children_of(&self, n: u32) -> &[u32] {
-        let rec = &self.nodes[n as usize];
-        let start = rec.child_start as usize;
-        &self.children[start..start + rec.child_len as usize]
+            + self.boxes.len() * std::mem::size_of::<Aabb>()
     }
 
     /// The page whose MBR is nearest to `p` (contains it when possible).
@@ -238,7 +254,7 @@ impl RTree {
         out.clear();
         scratch.frontier.clear();
         scratch.best.clear();
-        if k == 0 || self.layout.page_count() == 0 {
+        if k == 0 {
             return;
         }
         let bound = |best: &BinaryHeap<TotalF64>| {
@@ -254,13 +270,10 @@ impl RTree {
                 if e.dist > bound(&scratch.best) {
                     continue; // no page below this node can make the k best
                 }
-                let leaf = self.nodes[e.id as usize].is_leaf;
-                for &c in self.children_of(e.id) {
-                    let (d, is_node) = if leaf {
-                        (self.layout.page(PageId(c)).mbr.distance_sq_to_point(p), false)
-                    } else {
-                        (self.nodes[c as usize].mbr.distance_sq_to_point(p), true)
-                    };
+                let node = &self.nodes[e.id as usize];
+                let is_node = !node.is_leaf;
+                for slot in node.slots() {
+                    let d = self.boxes[slot].distance_sq_to_point(p);
                     if d > bound(&scratch.best) {
                         continue;
                     }
@@ -270,7 +283,8 @@ impl RTree {
                             scratch.best.pop();
                         }
                     }
-                    scratch.frontier.push(Reverse(KnnEntry { dist: d, is_node, id: c }));
+                    let id = self.children[slot];
+                    scratch.frontier.push(Reverse(KnnEntry { dist: d, is_node, id }));
                 }
             } else {
                 out.push(PageId(e.id));
@@ -279,6 +293,49 @@ impl RTree {
                 }
             }
         }
+    }
+
+    /// The walk under [`SpatialIndex::pages_in_region_into`]: appends the
+    /// pages below node `n` whose boxes meet the query box `q`, in
+    /// ascending slot order at every level.
+    ///
+    /// Each slot is tested with six comparisons and no branch — a slot
+    /// hits when `min ≤ q.max` and `max ≥ q.min` on every axis, boundary
+    /// included — and the verdicts of a node fold into one mask, so the
+    /// only data-dependent branches are the ones that follow a hit.
+    fn walk(&self, n: u32, q: &Aabb, out: &mut Vec<PageId>) {
+        let node = &self.nodes[n as usize];
+        let slots = node.slots();
+        let mut hits = 0u64;
+        for (i, b) in self.boxes[slots.clone()].iter().enumerate() {
+            let hit = (b.min.x <= q.max.x)
+                & (b.min.y <= q.max.y)
+                & (b.min.z <= q.max.z)
+                & (b.max.x >= q.min.x)
+                & (b.max.y >= q.min.y)
+                & (b.max.z >= q.min.z);
+            hits |= u64::from(hit) << i;
+        }
+        hits &= node.live;
+        let children = &self.children[slots];
+        while hits != 0 {
+            let child = children[hits.trailing_zeros() as usize];
+            hits &= hits - 1;
+            if node.is_leaf {
+                out.push(PageId(child));
+            } else {
+                self.walk(child, q, out);
+            }
+        }
+    }
+}
+
+impl NodeRec {
+    /// This node's range of child slots.
+    #[inline]
+    fn slots(&self) -> std::ops::Range<usize> {
+        let start = self.child_start as usize;
+        start..start + self.child_len as usize
     }
 }
 
@@ -289,28 +346,19 @@ impl SpatialIndex for RTree {
 
     fn pages_in_region(&self, region: &Aabb) -> Vec<PageId> {
         let mut out = Vec::new();
-        let mut stack = vec![self.root];
-        while let Some(n) = stack.pop() {
-            let node = &self.nodes[n as usize];
-            if !node.mbr.intersects(region) {
-                continue;
-            }
-            if node.is_leaf {
-                for &raw in self.children_of(n) {
-                    let pid = PageId(raw);
-                    if self.layout.page(pid).mbr.intersects(region) {
-                        out.push(pid);
-                    }
-                }
-            } else {
-                // Push in reverse so traversal visits children in
-                // packed (spatial) order.
-                for &c in self.children_of(n).iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
+        self.pages_in_region_into(region, &mut out);
         out
+    }
+
+    /// Pages come out in ascending id order: every level was packed from
+    /// consecutive entries, and every node is walked in slot order.
+    fn pages_in_region_into(&self, region: &Aabb, out: &mut Vec<PageId>) {
+        out.clear();
+        // The other `!is_empty()` of `Aabb::intersects`, once per walk: an
+        // inverted region could still pass a slot's six comparisons.
+        if !region.is_empty() {
+            self.walk(self.root, region, out);
+        }
     }
 }
 
@@ -443,6 +491,88 @@ mod tests {
         let n = tree.layout().page_count();
         let near = tree.k_nearest_pages(Vec3::splat(1.0), n + 10);
         assert_eq!(near.len(), n);
+    }
+
+    /// A layout of one-object pages with exactly the given boxes.
+    fn layout_of_boxes(boxes: &[Aabb]) -> PageLayout {
+        let pages = boxes
+            .iter()
+            .enumerate()
+            .map(|(i, &mbr)| scout_storage::Page {
+                id: PageId(0),
+                mbr,
+                objects: vec![ObjectId(i as u32)],
+            })
+            .collect();
+        PageLayout::new(pages, boxes.len(), 4096)
+    }
+
+    /// The mask walk answers every slot as `Aabb::intersects` does: for an
+    /// empty and an inverted region, for a region touching a page box on
+    /// one face only, and for page boxes that are `Aabb::EMPTY` or
+    /// inverted on one axis.
+    #[test]
+    fn walk_agrees_with_aabb_intersects_slot_for_slot() {
+        // 150 unit boxes along x (three leaf nodes under one inner node),
+        // every seventh page box empty, every eleventh inverted on y.
+        let boxes: Vec<Aabb> = (0..150)
+            .map(|i| {
+                let lo = Vec3::new(2.0 * i as f64, 0.0, 0.0);
+                match i {
+                    _ if i % 7 == 3 => Aabb::EMPTY,
+                    _ if i % 11 == 5 => Aabb {
+                        min: lo + Vec3::new(0.0, 1.0, 0.0),
+                        max: lo + Vec3::new(1.0, 0.0, 1.0),
+                    },
+                    _ => Aabb::new(lo, lo + Vec3::ONE),
+                }
+            })
+            .collect();
+        let tree = RTree::from_layout(layout_of_boxes(&boxes));
+        assert_eq!(tree.height(), 2);
+        let everything = Aabb::new(Vec3::splat(-1.0), Vec3::splat(400.0));
+        let regions = [
+            everything,
+            Aabb::new(Vec3::splat(f64::NEG_INFINITY), Vec3::splat(f64::INFINITY)),
+            Aabb::EMPTY,
+            // Inverted on x only, and spanned by page 12's box [24, 25].
+            Aabb { min: Vec3::new(24.75, 0.0, 0.0), max: Vec3::new(24.25, 1.0, 1.0) },
+            // Touches page 1 ([2, 3]) on its low-x face and page 0 on its
+            // high-x face, and nothing else.
+            Aabb::new(Vec3::new(1.0, 0.0, 0.0), Vec3::new(2.0, 1.0, 1.0)),
+            // Touches page 2 ([4, 5]) on its high-z face only.
+            Aabb::new(Vec3::new(4.25, 0.25, 1.0), Vec3::new(4.75, 0.75, 3.0)),
+            // Misses by a hair on y.
+            Aabb::new(Vec3::new(0.0, 1.0 + 1e-12, 0.0), Vec3::new(300.0, 2.0, 1.0)),
+            Aabb::new(Vec3::new(100.5, 0.5, 0.5), Vec3::new(170.5, 0.6, 0.6)),
+        ];
+        let mut into = vec![PageId(77); 5];
+        for region in &regions {
+            let want: Vec<PageId> = boxes
+                .iter()
+                .zip(0..)
+                .filter(|(b, _)| b.intersects(region))
+                .map(|(_, i)| PageId(i))
+                .collect();
+            assert_eq!(tree.pages_in_region(region), want, "region {region:?}");
+            tree.pages_in_region_into(region, &mut into);
+            assert_eq!(into, want, "region {region:?}, into a used buffer");
+        }
+        assert_eq!(tree.pages_in_region(&regions[4]), [PageId(0), PageId(1)]);
+        assert_eq!(tree.pages_in_region(&regions[5]), [PageId(2)]);
+        // 21 empty page boxes, 12 more inverted ones.
+        assert_eq!(tree.pages_in_region(&everything).len(), 150 - 21 - 12);
+    }
+
+    #[test]
+    fn a_layout_without_pages_builds_the_empty_tree() {
+        let tree = RTree::from_layout(PageLayout::new(Vec::new(), 0, 4096));
+        assert_eq!(tree.height(), 1);
+        assert!(tree.bounds().is_empty());
+        let all = Aabb::new(Vec3::splat(f64::NEG_INFINITY), Vec3::splat(f64::INFINITY));
+        assert!(tree.pages_in_region(&all).is_empty());
+        assert!(tree.k_nearest_pages(Vec3::ZERO, 3).is_empty());
+        assert_eq!(tree.nearest_page(Vec3::ZERO), None);
     }
 
     #[test]

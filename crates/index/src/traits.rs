@@ -9,7 +9,7 @@
 //! after FLAT \[27\] and DLS \[21\].
 
 use scout_geometry::intersect::shape_intersects_aabb;
-use scout_geometry::{prefetch_read, QueryRegion, SpatialObject, Vec3};
+use scout_geometry::{prefetch_read, Aabb, QueryRegion, SpatialObject, Vec3};
 use scout_storage::{PageId, PageLayout};
 
 /// How many ids ahead of the one under test [`SpatialIndex::range_query`]
@@ -41,16 +41,30 @@ impl QueryResult {
 }
 
 /// A spatial index able to execute range queries over a page layout.
+///
+/// The `_into` forms do the work and write into caller-owned buffers,
+/// which they clear first — only capacity carries over, so a warmed buffer
+/// makes the call allocation-free. [`SpatialIndex::pages_in_region`] and
+/// [`SpatialIndex::range_query`] are their allocating conveniences.
 pub trait SpatialIndex {
     /// The physical page layout this index was bulk-loaded into.
     fn layout(&self) -> &PageLayout;
 
     /// Pages whose MBR intersects `region`, in the index's natural
     /// retrieval order.
-    fn pages_in_region(&self, region: &scout_geometry::Aabb) -> Vec<PageId>;
+    fn pages_in_region(&self, region: &Aabb) -> Vec<PageId>;
 
-    /// Executes a range query: touches every page overlapping the region
-    /// and filters the contained objects with exact geometry tests.
+    /// [`SpatialIndex::pages_in_region`] into `out`, replacing its
+    /// contents. The default goes through the allocating call; an index
+    /// with a walk of its own overrides this and wraps it the other way.
+    fn pages_in_region_into(&self, region: &Aabb, out: &mut Vec<PageId>) {
+        out.clear();
+        out.extend(self.pages_in_region(region));
+    }
+
+    /// Executes a range query into `out`, replacing its contents: touches
+    /// every page overlapping the region and filters the contained objects
+    /// with exact geometry tests.
     ///
     /// The id lists point all over the dataset array, so the scan is
     /// bound by the latency of loading each object record, not by the
@@ -59,15 +73,20 @@ pub trait SpatialIndex {
     /// first records of the next page, before it needs them
     /// ([`prefetch_read`] — a hint; pages and objects come out in exactly
     /// the order of the plain loop).
-    fn range_query(&self, objects: &[SpatialObject], region: &QueryRegion) -> QueryResult {
-        let pages = self.pages_in_region(region.aabb());
+    fn range_query_into(
+        &self,
+        objects: &[SpatialObject],
+        region: &QueryRegion,
+        out: &mut QueryResult,
+    ) {
+        self.pages_in_region_into(region.aabb(), &mut out.pages);
+        out.objects.clear();
         let layout = self.layout();
         let prefetch_head = |pid: PageId| {
             for &oid in layout.page(pid).objects.iter().take(PREFETCH_DISTANCE) {
                 prefetch_read(&objects[oid.index()]);
             }
         };
-        let mut out = QueryResult { pages, objects: Vec::new() };
         if let Some(&first) = out.pages.first() {
             prefetch_head(first);
         }
@@ -85,6 +104,12 @@ pub trait SpatialIndex {
                 }
             }
         }
+    }
+
+    /// [`SpatialIndex::range_query_into`] into a fresh [`QueryResult`].
+    fn range_query(&self, objects: &[SpatialObject], region: &QueryRegion) -> QueryResult {
+        let mut out = QueryResult::default();
+        self.range_query_into(objects, region, &mut out);
         out
     }
 }
@@ -100,5 +125,5 @@ pub trait OrderedSpatialIndex: SpatialIndex {
 
     /// Pages overlapping `region` retrieved by crawling neighbor links
     /// from the page nearest `start`, in breadth-first (spatial) order.
-    fn crawl_region(&self, region: &scout_geometry::Aabb, start: Vec3) -> Vec<PageId>;
+    fn crawl_region(&self, region: &Aabb, start: Vec3) -> Vec<PageId>;
 }

@@ -7,7 +7,9 @@ use scout_geometry::intersect::segment_intersects_aabb;
 use scout_geometry::{
     Aabb, Cylinder, ObjectId, QueryRegion, Segment, Shape, SpatialObject, StructureId, Vec3,
 };
-use scout_index::{FlatConfig, FlatIndex, RTree, SpatialIndex};
+use scout_index::{FlatConfig, FlatIndex, OrderedSpatialIndex, RTree, SpatialIndex};
+use scout_storage::PageId;
+use std::collections::VecDeque;
 
 fn arb_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
     prop::collection::vec(
@@ -35,6 +37,10 @@ fn arb_region() -> impl Strategy<Value = QueryRegion> {
         let c = Vec3::new(x, y, z);
         QueryRegion::from_aabb(Aabb::from_center_extent(c, Vec3::splat(side)))
     })
+}
+
+fn arb_point() -> impl Strategy<Value = Vec3> {
+    (-70.0..70.0, -70.0..70.0, -70.0..70.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
 }
 
 /// The scan's own segment–box distance: the 60-iteration ternary search on
@@ -112,6 +118,56 @@ proptest! {
         dedup.dedup();
         prop_assert_eq!(dedup.len(), pages.len());
     }
+
+    /// The crawl marks pages in a window of the id space and queues them
+    /// in its own output; it must emit the order of the plain crawl —
+    /// flags over every page, a queue of its own, re-seeding on the first
+    /// overlapping page left — from any start point, connected or not.
+    #[test]
+    fn crawl_order_equals_the_plain_crawl(
+        objects in arb_objects(),
+        center in arb_point(),
+        side in 10.0..150.0f64,
+        start in arb_point(),
+        knn in 0usize..3,
+    ) {
+        // Small pages, thin neighborhoods and regions up to the whole
+        // dataset: most cases re-seed, many more than once.
+        let config = FlatConfig { epsilon_factor: 0.05, knn };
+        let flat = FlatIndex::bulk_load_with(&objects, 4, config);
+        let region = Aabb::from_center_extent(center, Vec3::splat(side));
+        prop_assert_eq!(flat.crawl_region(&region, start), plain_crawl(&flat, &region, start));
+    }
+}
+
+fn plain_crawl(flat: &FlatIndex, region: &Aabb, start: Vec3) -> Vec<PageId> {
+    let overlapping = flat.rtree().pages_in_region(region);
+    let page_count = flat.layout().page_count();
+    let mut in_region = vec![false; page_count];
+    for p in &overlapping {
+        in_region[p.index()] = true;
+    }
+    let mut visited = vec![false; page_count];
+    let mut order = Vec::new();
+    let mut queue = VecDeque::new();
+    let distance = |p: &PageId| flat.layout().page(*p).mbr.distance_sq_to_point(start);
+    // `min_by`: the first of equally near pages.
+    let mut next = overlapping.iter().copied().min_by(|a, b| distance(a).total_cmp(&distance(b)));
+    while let Some(seed) = next {
+        visited[seed.index()] = true;
+        queue.push_back(seed);
+        while let Some(p) = queue.pop_front() {
+            order.push(p);
+            for &nb in flat.page_neighbors(p) {
+                if in_region[nb.index()] && !visited[nb.index()] {
+                    visited[nb.index()] = true;
+                    queue.push_back(nb);
+                }
+            }
+        }
+        next = overlapping.iter().copied().find(|p| !visited[p.index()]);
+    }
+    order
 }
 
 /// Flat-vs-seed R-tree equivalence: the SoA directory must return the
@@ -120,10 +176,6 @@ mod flat_layout_equivalence {
     use super::*;
     use scout_index::reference::ReferenceRTree;
     use scout_index::KnnScratch;
-
-    fn arb_point() -> impl Strategy<Value = Vec3> {
-        (-70.0..70.0, -70.0..70.0, -70.0..70.0).prop_map(|(x, y, z)| Vec3::new(x, y, z))
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -190,7 +242,7 @@ mod prefetched_scan {
     use super::*;
     use scout_geometry::intersect::shape_intersects_aabb;
     use scout_index::QueryResult;
-    use scout_storage::{Page, PageId, PageLayout};
+    use scout_storage::{Page, PageLayout};
 
     /// An index that is nothing but a layout and a canned page list.
     struct Canned {
@@ -273,6 +325,41 @@ mod prefetched_scan {
             let layout = layout_of(&objects, &lengths);
             let pages = (0..layout.page_count() as u32).map(PageId).collect();
             assert_same_scan(&Canned { layout, pages }, &objects, &region);
+        }
+
+        /// The `_into` forms write what the allocating calls return,
+        /// pages and objects, whatever the buffer held before: on the
+        /// R-tree's mask walk, on FLAT's crawl, and on the trait's
+        /// defaults (`Canned` implements `pages_in_region` alone).
+        #[test]
+        fn into_forms_equal_the_allocating_calls(
+            objects in arb_objects(),
+            region in arb_region(),
+            picks in prop::collection::vec(0usize..1000, 0..24),
+            junk in prop::collection::vec(0u32..1000, 0..40),
+        ) {
+            let tree = RTree::bulk_load_with_capacity(&objects, 8);
+            let flat = FlatIndex::bulk_load_with(&objects, 8, FlatConfig::default());
+            let layout = layout_of(&objects, &[5, 11]);
+            let count = layout.page_count();
+            let pages = picks.iter().map(|p| PageId((p % count) as u32)).collect();
+            let canned = Canned { layout, pages };
+            let indexes: [&dyn SpatialIndex; 3] = [&tree, &flat, &canned];
+            for index in indexes {
+                let mut pages: Vec<PageId> = junk.iter().copied().map(PageId).collect();
+                index.pages_in_region_into(region.aabb(), &mut pages);
+                prop_assert_eq!(&pages, &index.pages_in_region(region.aabb()));
+
+                let mut got = QueryResult {
+                    pages: junk.iter().copied().map(PageId).collect(),
+                    objects: junk.iter().copied().map(ObjectId).collect(),
+                };
+                index.range_query_into(&objects, &region, &mut got);
+                let want = index.range_query(&objects, &region);
+                prop_assert_eq!(&got.pages, &pages);
+                prop_assert_eq!(&got.pages, &want.pages);
+                prop_assert_eq!(&got.objects, &want.objects);
+            }
         }
 
         /// One page (no next page to look into) and no page at all.

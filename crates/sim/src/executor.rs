@@ -208,17 +208,18 @@ pub(crate) struct OpenWindow {
     pub(crate) budget_us: f64,
 }
 
-/// Opens a query's timeline: runs the range query and stamps the trace
-/// with the result's size and the paper's `d`. Every serve path — the
-/// immediate one, the batched stage/complete pair, [`run_sequence`] —
-/// starts here.
+/// Opens a query's timeline: runs the range query into `result`
+/// (replacing its contents) and stamps the trace with the result's size
+/// and the paper's `d`. Every serve path — the immediate one, the batched
+/// stage/complete pair, [`run_sequence`] — starts here.
 pub(crate) fn begin_query(
     ctx: &SimContext<'_>,
     region: &QueryRegion,
     config: &ExecutorConfig,
-) -> (QueryTrace, QueryResult) {
+    result: &mut QueryResult,
+) -> QueryTrace {
     let mut q = QueryTrace::default();
-    let result = ctx.index.range_query(ctx.objects, region);
+    ctx.index.range_query_into(ctx.objects, region, result);
     q.pages_total = result.pages.len();
     q.result_objects = result.objects.len();
 
@@ -229,7 +230,7 @@ pub(crate) fn begin_query(
         let mut fresh = DiskModel::new(config.disk);
         result.pages.iter().map(|&p| fresh.read_page(p)).sum::<f64>()
     };
-    (q, result)
+    q
 }
 
 /// Books one demand read's outcome: a served page adds its latency to the
@@ -430,12 +431,15 @@ impl<C: PageCache> WindowIo for StagedIo<'_, C> {
 
 /// Phase (3): walks the prefetcher's prioritized plan, issuing reads
 /// through `io` until the window budget runs out, completing the query's
-/// trace.
+/// trace. `region_pages` is where a [`PrefetchRequest::Region`] is
+/// resolved to pages: caller-owned so its capacity outlives the window,
+/// its contents mean nothing on entry or exit.
 pub(crate) fn run_prefetch_window(
     ctx: &SimContext<'_>,
     prefetcher: &mut dyn Prefetcher,
     window: OpenWindow,
     io: &mut impl WindowIo,
+    region_pages: &mut Vec<PageId>,
 ) -> QueryTrace {
     let OpenWindow { mut q, budget_us: mut budget } = window;
     if q.outcome.is_failed() {
@@ -444,13 +448,16 @@ pub(crate) fn run_prefetch_window(
         return q;
     }
     let plan = prefetcher.plan(ctx);
-    'window: for request in plan.requests {
+    'window: for request in &plan.requests {
         let (pages, is_gap) = match request {
-            PrefetchRequest::Region(r) => (ctx.index.pages_in_region(r.aabb()), false),
+            PrefetchRequest::Region(r) => {
+                ctx.index.pages_in_region_into(r.aabb(), region_pages);
+                (&*region_pages, false)
+            }
             PrefetchRequest::Pages(p) => (p, false),
             PrefetchRequest::GapPages(p) => (p, true),
         };
-        for page in pages {
+        for &page in pages {
             if io.resident(page) {
                 continue;
             }
@@ -578,19 +585,22 @@ pub fn run_sequence(
     }
     let mut faultctl = FaultCtl::new(config);
     let mut trace = SequenceTrace::default();
-    // One scratch arena for the whole sequence, like one Session owns one.
+    // One scratch arena for the whole sequence, like one Session owns one,
+    // and one result and one window page list refilled by every query.
     let mut scratch = QueryScratch::new();
+    let mut result = QueryResult::default();
+    let mut region_pages = Vec::new();
     prefetcher.reset();
 
     for (epoch, region) in regions.iter().enumerate() {
         faultctl.begin_query(&mut disk, epoch as u64);
-        let (mut q, result) = begin_query(ctx, region, config);
+        let mut q = begin_query(ctx, region, config, &mut result);
         serve_demand(&result, &mut cache, &mut disk, config, &mut q, &mut trace.io);
         let window = observe_and_open(ctx, prefetcher, region, &result, config, q, &mut scratch);
         faultctl.note_served(&window.q);
         let q = if faultctl.allow_window(&disk, &window.q) {
             let mut io = ImmediateIo { cache: &mut cache, disk: &mut disk, stats: &mut trace.io };
-            run_prefetch_window(ctx, prefetcher, window, &mut io)
+            run_prefetch_window(ctx, prefetcher, window, &mut io, &mut region_pages)
         } else {
             window.q
         };

@@ -31,7 +31,22 @@ use scout_storage::{
     DiskModel, FailedRead, FaultReport, IoBatcher, IoStats, PageCache, PageId, SharedClock,
 };
 use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer, TelemetryPlan};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex};
+
+// The two buffers a step fills and forgets — the served query's result and
+// the page list a window resolves a `Region` request into — belong to the
+// thread, not to the session: a fleet is thousands of sessions stepped by a
+// handful of threads, and only the stepping one needs them. A step takes
+// the buffer out and puts it back when done. Under `QueryScratch`'s
+// contract — capacity carries over, contents never do — a step that
+// panics, or one that runs inside another on the same thread, costs the
+// thread its warmed capacity and nothing else.
+thread_local! {
+    static SERVE_RESULT: Cell<QueryResult> =
+        const { Cell::new(QueryResult { pages: Vec::new(), objects: Vec::new() }) };
+    static WINDOW_PAGES: Cell<Vec<PageId>> = const { Cell::new(Vec::new()) };
+}
 
 /// One client: a prefetcher, a query stream, a disk handle and a trace.
 pub struct Session {
@@ -217,10 +232,14 @@ impl Session {
             let _span = self.telem.as_ref().and_then(|t| {
                 SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanServeUs))
             });
-            let (mut q, result) = begin_query(ctx, region, config);
+            let mut result = SERVE_RESULT.take();
+            let mut q = begin_query(ctx, region, config, &mut result);
             serve_demand(&result, cache, &mut self.disk, config, &mut q, &mut self.trace.io);
             let prefetcher = self.prefetcher.as_mut();
-            observe_and_open(ctx, prefetcher, region, &result, config, q, &mut self.scratch)
+            let window =
+                observe_and_open(ctx, prefetcher, region, &result, config, q, &mut self.scratch);
+            SERVE_RESULT.set(result);
+            window
         };
         self.end_serve(window);
         true
@@ -255,8 +274,9 @@ impl Session {
         cache: &mut C,
         _config: &ExecutorConfig,
     ) {
-        self.close_window(|prefetcher, window, disk, stats| {
-            run_prefetch_window(ctx, prefetcher, window, &mut ImmediateIo { cache, disk, stats })
+        self.close_window(|prefetcher, window, disk, stats, region_pages| {
+            let mut io = ImmediateIo { cache, disk, stats };
+            run_prefetch_window(ctx, prefetcher, window, &mut io, region_pages)
         });
     }
 
@@ -266,7 +286,13 @@ impl Session {
     /// is committed. No-op when no window is open.
     fn close_window(
         &mut self,
-        run: impl FnOnce(&mut dyn Prefetcher, OpenWindow, &mut DiskModel, &mut IoStats) -> QueryTrace,
+        run: impl FnOnce(
+            &mut dyn Prefetcher,
+            OpenWindow,
+            &mut DiskModel,
+            &mut IoStats,
+            &mut Vec<PageId>,
+        ) -> QueryTrace,
     ) {
         let Some(window) = self.open.take() else {
             return;
@@ -276,7 +302,16 @@ impl Session {
             let _span = self.telem.as_ref().and_then(|t| {
                 SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanWindowUs))
             });
-            run(self.prefetcher.as_mut(), window, &mut self.disk, &mut self.trace.io)
+            let mut region_pages = WINDOW_PAGES.take();
+            let q = run(
+                self.prefetcher.as_mut(),
+                window,
+                &mut self.disk,
+                &mut self.trace.io,
+                &mut region_pages,
+            );
+            WINDOW_PAGES.set(region_pages);
+            q
         } else {
             // Breaker open: prefetching (optional work) is shed for this
             // query; demand serving continues unchanged.
@@ -321,7 +356,10 @@ impl Session {
             SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanServeUs))
         });
         self.faultctl.begin_query(&mut self.disk, self.next as u64);
-        let (mut q, result) = begin_query(ctx, region, config);
+        // The result waits in `pending` for the demand batch to resolve, so
+        // this path owns it outright.
+        let mut result = QueryResult::default();
+        let mut q = begin_query(ctx, region, config, &mut result);
         self.staged_slots.clear();
         let mut coalesced = 0u64;
         {
@@ -396,10 +434,10 @@ impl Session {
         window_lane: &Mutex<IoBatcher>,
         owner: u32,
     ) {
-        self.close_window(|prefetcher, window, disk, _| {
+        self.close_window(|prefetcher, window, disk, _, region_pages| {
             let mut batcher = lock_unpoisoned(window_lane);
             let mut io = StagedIo { cache, disk, batcher: &mut batcher, owner };
-            run_prefetch_window(ctx, prefetcher, window, &mut io)
+            run_prefetch_window(ctx, prefetcher, window, &mut io, region_pages)
         });
     }
 

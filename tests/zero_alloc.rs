@@ -15,6 +15,9 @@
 //! zero: a warmed `Scout::observe_with_scratch` allocates only the
 //! `PrefetchPlan` it hands out, however large the result.
 //!
+//! The index calls under a served query (ISSUE 23) — `range_query_into`
+//! and `pages_in_region_into` on the R-tree — are held to zero as well.
+//!
 //! This binary holds exactly one `#[test]` on purpose: the counter is
 //! process-global, so a concurrently running sibling test would pollute
 //! the measured window.
@@ -127,6 +130,37 @@ fn steady_state_graph_build_allocates_nothing() {
         after - before,
         0,
         "graph-build phase allocated {} times in steady state",
+        after - before
+    );
+
+    // --- Range scan and page walk (ISSUE 23) -------------------------------
+    //
+    // What a served query and a `Region` prefetch request ask of the index:
+    // `range_query_into` and `pages_in_region_into` refill caller-owned
+    // buffers, and the R-tree's mask walk keeps no stack of its own, so
+    // once the buffers have held the sweep's largest result neither call
+    // allocates.
+    let mut result = scout::index::QueryResult::default();
+    let mut pages = Vec::new();
+    let index_tour = |result: &mut scout::index::QueryResult,
+                      pages: &mut Vec<scout::storage::PageId>| {
+        for (region, ids) in regions.iter().zip(&results) {
+            tree.range_query_into(objects, region, result);
+            assert_eq!(&result.objects, ids);
+            tree.pages_in_region_into(region.aabb(), pages);
+            assert_eq!(pages, &result.pages);
+        }
+    };
+    index_tour(&mut result, &mut pages);
+    let before = allocations();
+    for _ in 0..3 {
+        index_tour(&mut result, &mut pages);
+    }
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "range scan and page walk allocated {} times in steady state",
         after - before
     );
 
