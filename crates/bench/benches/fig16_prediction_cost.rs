@@ -3,8 +3,15 @@
 //! "We use 50 sequences with 10 queries each and measure the time taken
 //! for prediction divided by the number of elements in the result of each
 //! query." Iterative candidate pruning shrinks the traversed subgraph, so
-//! the per-element prediction time falls as the sequence progresses;
-//! SCOUT-OPT sits below SCOUT thanks to sparse construction.
+//! the per-element prediction time falls as the sequence progresses; in
+//! the paper SCOUT-OPT sits below SCOUT thanks to §6.2's sparse
+//! construction.
+//!
+//! **Not reproduced: the SCOUT-OPT gap.** On the synthetic beds a result
+//! is one or two connected structures (the continuing components hold
+//! 99.5 % of its vertices), so SCOUT-OPT builds SCOUT's graph; what still
+//! differs between the two columns is the index (R-tree vs FLAT order) —
+//! the overlapped prediction shortens no prediction and does not show here.
 
 use scout_bench::{neuron_dataset, sequences};
 use scout_core::{Scout, ScoutOpt};
@@ -50,4 +57,8 @@ fn main() {
     }
     println!("{}", t.render());
     println!("(paper: per-element prediction time decreases along the sequence; SCOUT-OPT lower)");
+    println!(
+        "(reproduced, query 1 -> 10: SCOUT {:.4} -> {:.4}, SCOUT-OPT {:.4} -> {:.4}; §6.2 not reproduced)",
+        s[0], s[9], o[0], o[9]
+    );
 }

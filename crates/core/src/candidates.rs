@@ -71,8 +71,7 @@ impl CandidateTracker {
     }
 
     /// The previous query's forward exit objects — where the candidate
-    /// structures crossed into the current query. SCOUT-OPT uses these to
-    /// find the entry pages for sparse graph construction (§6.2).
+    /// structures crossed into the current query.
     pub fn previous_exit_objects(&self) -> &HashSet<ObjectId> {
         &self.prev_exit_ids
     }

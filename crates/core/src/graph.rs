@@ -325,8 +325,8 @@ impl ResultGraph {
     /// `head` is indexed by cell id when the grid is small against the pair
     /// list ([`CELL_HISTOGRAM_SLACK`]); otherwise it is an open-addressed
     /// table of 2 × pairs slots keyed by the head pair's own cell
-    /// (Fibonacci hashing, linear probing) — the side every sparse
-    /// SCOUT-OPT graph takes.
+    /// (Fibonacci hashing, linear probing) — the side small results take
+    /// (`gaps`: ≈ 1.7 k objects a query against 32 768 cells).
     ///
     /// **Transposes.** Row `v` is its backward part then its forward part.
     /// Scattering `v` into the forward part of every backward neighbour,

@@ -1,26 +1,30 @@
 //! SCOUT-OPT (§6): the optimizations available when the spatial index
 //! supports ordered retrieval and page neighborhoods (FLAT \[27\] / DLS \[21\]).
 //!
-//! Two optimizations over plain SCOUT:
+//! SCOUT-OPT here is SCOUT plus two things:
 //!
-//! - **Sparse graph construction (§6.2)** — instead of grid-hashing every
-//!   result object, pages are crawled in spatial order starting from the
-//!   previous query's exit locations, and the graph is built only over the
-//!   pages reachable along the candidate structures. Prediction finishes by
-//!   the time the result is retrieved, so its CPU cost never eats into the
-//!   prefetch window ([`Prefetcher::overlaps_prediction`]).
+//! - **Overlapped prediction (§6.2)** — ordered retrieval lets the graph
+//!   grow as the pages arrive, so prediction finishes by the time the
+//!   result is retrieved; the simulator models it by charging none of its
+//!   CPU cost against the prefetch window
+//!   ([`Prefetcher::overlaps_prediction`]).
 //! - **Gap traversal (§6.3)** — with gaps between queries, linear
 //!   extrapolation degrades; SCOUT-OPT crawls exactly the pages that follow
 //!   the candidate structure through the gap (bounded by an I/O budget of
 //!   10 % of the last query's pages) and predicts from the refined exit,
 //!   falling back to linear extrapolation when the budget is exhausted.
+//!
+//! **Not reproduced: §6.2's sparse graph.** The graph is SCOUT's, over
+//! every result object: FLAT's neighbour links join a result's own pages
+//! into one cluster, and the structures the user may follow hold 99.5 % of
+//! a result's vertices, so a sparse build has nothing to leave out
+//! (DESIGN.md, *Why SCOUT-OPT builds the full graph*).
 
 use crate::config::ScoutOptConfig;
 use crate::exits::{extrapolate, Exit};
-use crate::graph::ResultGraph;
 use crate::prefetcher::Scout;
 use scout_geometry::intersect::segment_aabb_distance;
-use scout_geometry::{ObjectId, QueryRegion, Segment, Vec3};
+use scout_geometry::{QueryRegion, Segment, Vec3};
 use scout_index::QueryResult;
 use scout_sim::{
     CpuUnits, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
@@ -48,127 +52,24 @@ impl ScoutOpt {
         ScoutOpt::new(ScoutOptConfig::default())
     }
 
-    /// §6.2 sparse graph construction: BFS over result pages along the
-    /// page-neighborhood graph, seeded at the pages containing objects
-    /// that continue the previous candidates; the graph covers only the
-    /// objects of reached pages.
-    ///
-    /// Returns `None` when no prior candidate information exists (first
-    /// query of a sequence — SCOUT-OPT then equals SCOUT, §7.1 fn. 2).
-    fn sparse_graph(
-        &mut self,
-        ctx: &SimContext<'_>,
-        region: &QueryRegion,
-        result: &QueryResult,
-        scratch: &mut QueryScratch,
-    ) -> Option<(ResultGraph, CpuUnits)> {
-        let ordered = ctx.ordered?;
-        if self.inner.tracker.is_empty() {
-            return None;
-        }
-        let layout = ordered.layout();
-        let result_ids: HashSet<ObjectId> = result.objects.iter().copied().collect();
-        let result_pages: HashSet<PageId> = result.pages.iter().copied().collect();
-
-        // Seed pages: pages of result objects continuing the previous
-        // candidates (shared-object continuity), else pages nearest the
-        // previous predictions (gap continuity).
-        let prev = self.inner.tracker.previous_exit_objects();
-        let mut seeds: Vec<PageId> = result
-            .objects
-            .iter()
-            .filter(|o| prev.contains(o))
-            .map(|&o| layout.page_of(o))
-            .collect();
-        if seeds.is_empty() {
-            for p in self.inner.tracker.previous_predictions() {
-                if let Some(pg) = ordered.seed_page(*p) {
-                    if result_pages.contains(&pg) {
-                        seeds.push(pg);
-                    }
-                }
-            }
-        }
-        if seeds.is_empty() {
-            return None; // lost the trail: rebuild the full graph
-        }
-        seeds.sort_unstable();
-        seeds.dedup();
-
-        // Page-level BFS restricted to result pages.
-        let mut units = CpuUnits::default();
-        let mut visited: HashSet<PageId> = HashSet::new();
-        let mut queue: VecDeque<PageId> = VecDeque::new();
-        for s in seeds {
-            if visited.insert(s) {
-                queue.push_back(s);
-            }
-        }
-        let mut reached_objects: Vec<ObjectId> = Vec::new();
-        while let Some(pg) = queue.pop_front() {
-            units.traversal_steps += 1;
-            for &oid in &layout.page(pg).objects {
-                if result_ids.contains(&oid) {
-                    reached_objects.push(oid);
-                }
-            }
-            for &nb in ordered.page_neighbors(pg) {
-                units.traversal_steps += 1;
-                if result_pages.contains(&nb) && visited.insert(nb) {
-                    queue.push_back(nb);
-                }
-            }
-        }
-        if reached_objects.is_empty() {
-            return None;
-        }
-
-        // Rebuild in place over the inner prefetcher's recycled graph
-        // storage, exactly like the full-graph path.
-        let mut graph = std::mem::take(&mut self.inner.graph);
-        let build_units = match ctx.adjacency {
-            Some(adj) => {
-                let simplification = self.inner.config().simplification;
-                scratch.frame.gather(ctx.objects, &reached_objects, simplification);
-                graph.build_explicit(scratch, adj, &reached_objects)
-            }
-            None => graph.build_grid_hash(
-                scratch,
-                ctx.objects,
-                &reached_objects,
-                region,
-                self.inner.config().grid_resolution,
-                self.inner.config().simplification,
-            ),
-        };
-        units.merge(&build_units);
-        Some((graph, units))
-    }
-
     /// §6.3 gap traversal: crawl the pages following one exit's structure
     /// through the gap (within a corridor around the extrapolated axis,
     /// bounded by `budget` pages). Returns the crawled pages and the
     /// refined prediction (point + direction) if the trail was followed.
-    // Internal helper on SCOUT-OPT's hot path; the parameters are the
-    // traversal state, not a bundleable config.
-    #[allow(clippy::too_many_arguments)]
     fn traverse_gap(
         &self,
         ctx: &SimContext<'_>,
         exit: &Exit,
-        gap: f64,
         side: f64,
-        result_pages: &HashSet<PageId>,
+        result_pages: &[PageId],
         budget: usize,
         units: &mut CpuUnits,
     ) -> (Vec<PageId>, Option<(Vec3, Vec3)>) {
         let Some(ordered) = ctx.ordered else {
             return (Vec::new(), None);
         };
-        if budget == 0 {
-            return (Vec::new(), None);
-        }
         let layout = ordered.layout();
+        let gap = self.inner.gap_estimate;
         let corridor = self.config.gap_corridor_frac * side;
         let axis = Segment::new(exit.point, extrapolate(exit, gap + side * 0.5));
 
@@ -242,71 +143,53 @@ impl ScoutOpt {
         }
     }
 
-    /// The full SCOUT-OPT observe pipeline against a caller-provided
-    /// scratch arena.
-    fn observe_impl(
+    /// §6.3: re-plans the inner SCOUT's latest prediction through the gap
+    /// and charges the traversal to `stats`; a no-op without a gap.
+    fn refine_through_gap(
         &mut self,
         ctx: &SimContext<'_>,
         region: &QueryRegion,
         result: &QueryResult,
-        scratch: &mut QueryScratch,
+        mut stats: PredictionStats,
     ) -> PredictionStats {
-        // §6.2: sparse construction when possible; full graph otherwise.
-        let stats = match self.sparse_graph(ctx, region, result, scratch) {
-            Some((graph, units)) => self.inner.observe_with_graph(region, graph, units, scratch),
-            None => self.inner.observe_impl(ctx, region, result, scratch),
-        };
-
-        // §6.3: refine predictions through the gap.
         let gap = self.inner.gap_estimate;
         let side = region.side();
-        if gap > 0.05 * side && !self.inner.last_locations.is_empty() {
-            let mut units = CpuUnits::default();
-            let result_pages: HashSet<PageId> = result.pages.iter().copied().collect();
-            let total_budget = ((self.config.gap_io_budget_frac * result.pages.len() as f64).ceil()
-                as usize)
-                .max(1);
-            let per_exit = (total_budget / self.inner.last_locations.len()).max(1);
+        let locations = &self.inner.last_locations;
+        if gap <= 0.05 * side || locations.is_empty() {
+            return stats;
+        }
+        let total_budget =
+            ((self.config.gap_io_budget_frac * result.pages.len() as f64).ceil() as usize).max(1);
+        let per_exit = (total_budget / locations.len()).max(1);
 
-            let mut gap_pages: Vec<PageId> = Vec::new();
-            let mut refined: Vec<Exit> = Vec::new();
-            let mut fallback: Vec<Exit> = Vec::new();
-            let locations = self.inner.last_locations.clone();
-            for exit in &locations {
-                let (pages, refined_prediction) =
-                    self.traverse_gap(ctx, exit, gap, side, &result_pages, per_exit, &mut units);
-                gap_pages.extend(pages);
-                match refined_prediction {
-                    Some((point, dir)) => refined.push(Exit {
-                        point,
-                        dir,
-                        vertex: exit.vertex,
-                        component: exit.component,
-                    }),
-                    // §6.3: "we resort to a backup mechanism, e.g., linear
-                    // extrapolation from the point where the traversal was
-                    // stopped".
-                    None => fallback.push(*exit),
-                }
+        let mut gap_pages: Vec<PageId> = Vec::new();
+        let mut refined: Vec<Exit> = Vec::new();
+        let mut fallback: Vec<Exit> = Vec::new();
+        for exit in locations {
+            let (pages, refined_prediction) =
+                self.traverse_gap(ctx, exit, side, &result.pages, per_exit, &mut stats.cpu);
+            gap_pages.extend(pages);
+            match refined_prediction {
+                Some((point, dir)) => refined.push(Exit { point, dir, ..*exit }),
+                // §6.3: "we resort to a backup mechanism, e.g., linear
+                // extrapolation from the point where the traversal was
+                // stopped".
+                None => fallback.push(*exit),
             }
+        }
 
-            // Rebuild the plan: gap pages first (they are the I/O already
-            // spent following the structure), then prefetch at refined
-            // locations (offset 0: the refined point is at the next
-            // query's near boundary), then fallback extrapolations.
-            let mut plan = PrefetchPlan::empty();
-            if !gap_pages.is_empty() {
-                plan.requests.push(PrefetchRequest::GapPages(gap_pages));
-            }
-            plan.requests.extend(self.inner.incremental_plan(&refined, 0.0).requests);
-            plan.requests.extend(self.inner.incremental_plan(&fallback, gap).requests);
-            if !plan.requests.is_empty() {
-                self.inner.pending = plan;
-            }
-
-            let mut out = stats;
-            out.cpu.merge(&units);
-            return out;
+        // Rebuild the plan: gap pages first (they are the I/O already
+        // spent following the structure), then prefetch at refined
+        // locations (offset 0: the refined point is at the next
+        // query's near boundary), then fallback extrapolations.
+        let mut plan = PrefetchPlan::empty();
+        if !gap_pages.is_empty() {
+            plan.requests.push(PrefetchRequest::GapPages(gap_pages));
+        }
+        plan.requests.extend(self.inner.incremental_plan(&refined, 0.0).requests);
+        plan.requests.extend(self.inner.incremental_plan(&fallback, gap).requests);
+        if !plan.requests.is_empty() {
+            self.inner.pending = plan;
         }
         stats
     }
@@ -327,12 +210,8 @@ impl Prefetcher for ScoutOpt {
         region: &QueryRegion,
         result: &QueryResult,
     ) -> PredictionStats {
-        // Direct calls borrow the inner prefetcher's own arena, like
-        // `Scout::observe` does.
-        let mut scratch = std::mem::take(&mut self.inner.scratch);
-        let stats = self.observe_impl(ctx, region, result, &mut scratch);
-        self.inner.scratch = scratch;
-        stats
+        let stats = self.inner.observe(ctx, region, result);
+        self.refine_through_gap(ctx, region, result, stats)
     }
 
     fn observe_with_scratch(
@@ -342,7 +221,8 @@ impl Prefetcher for ScoutOpt {
         result: &QueryResult,
         scratch: &mut QueryScratch,
     ) -> PredictionStats {
-        self.observe_impl(ctx, region, result, scratch)
+        let stats = self.inner.observe_with_scratch(ctx, region, result, scratch);
+        self.refine_through_gap(ctx, region, result, stats)
     }
 
     fn plan(&mut self, ctx: &SimContext<'_>) -> PrefetchPlan {
@@ -357,8 +237,10 @@ impl Prefetcher for ScoutOpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scout_geometry::{Aabb, Aspect, Shape, SpatialObject, StructureId};
+    use scout_geometry::{Aabb, Aspect, ObjectId, Shape, SpatialObject, StructureId};
     use scout_index::{FlatConfig, FlatIndex, SpatialIndex};
+    use scout_sim::TestBed;
+    use scout_synth::{generate_neurons, generate_sequences, NeuronParams, SequenceParams};
 
     /// A single long fiber along x in a sea of clutter points.
     fn fiber_dataset() -> Vec<SpatialObject> {
@@ -397,44 +279,40 @@ mod tests {
         QueryRegion::new(Vec3::new(x, 100.0, 100.0), 8_000.0, Aspect::Cube)
     }
 
-    #[test]
-    fn first_query_falls_back_to_full_graph() {
-        let objects = fiber_dataset();
-        let flat = FlatIndex::bulk_load_with(&objects, 8, FlatConfig::default());
-        let ctx = make_ctx(&objects, &flat);
-        let mut opt = ScoutOpt::with_defaults();
-        opt.reset();
-        let r = query_at(30.0);
-        let result = flat.range_query(&objects, &r);
-        let stats = opt.observe(&ctx, &r, &result);
-        // Full graph: every result object inserted.
-        assert_eq!(stats.cpu.graph_object_inserts as usize, result.objects.len());
+    /// Fresh `Scout` and `ScoutOpt` fed the same `(region, result)` pairs
+    /// report the same stats and plan the same requests on every query.
+    fn assert_opt_equals_scout(ctx: &SimContext<'_>, regions: &[QueryRegion]) {
+        let (mut opt, mut scout) = (ScoutOpt::with_defaults(), Scout::with_defaults());
+        for (q, r) in regions.iter().enumerate() {
+            let result = ctx.index.range_query(ctx.objects, r);
+            let a = opt.observe(ctx, r, &result);
+            let b = scout.observe(ctx, r, &result);
+            assert_eq!(a.graph_vertices, result.objects.len(), "query {q}");
+            // `Debug` prints every field, each `f64` round-trip exact.
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "query {q}");
+            assert_eq!(
+                format!("{:?}", opt.plan(ctx)),
+                format!("{:?}", scout.plan(ctx)),
+                "query {q}"
+            );
+        }
     }
 
+    /// SCOUT-OPT without a gap is SCOUT: the ordered index changes when the
+    /// prediction is charged, not what is predicted.
     #[test]
-    fn sparse_construction_inserts_fewer_objects() {
+    fn scout_opt_prediction_equals_scouts_without_gaps() {
         let objects = fiber_dataset();
         let flat = FlatIndex::bulk_load_with(&objects, 8, FlatConfig::default());
-        let ctx = make_ctx(&objects, &flat);
-        let mut opt = ScoutOpt::with_defaults();
-        opt.reset();
-        let mut scout = Scout::with_defaults();
-        scout.reset();
-
-        let mut opt_inserts = 0u64;
-        let mut full_inserts = 0u64;
-        for x in [20.0, 38.0, 56.0] {
-            let r = query_at(x);
-            let result = flat.range_query(&objects, &r);
-            opt_inserts = opt.observe(&ctx, &r, &result).cpu.graph_object_inserts;
-            full_inserts = scout.observe(&ctx, &r, &result).cpu.graph_object_inserts;
-            let _ = opt.plan(&ctx);
-            let _ = scout.plan(&ctx);
-        }
-        assert!(
-            opt_inserts <= full_inserts,
-            "sparse {opt_inserts} should not exceed full {full_inserts}"
+        assert_opt_equals_scout(
+            &make_ctx(&objects, &flat),
+            &[20.0, 38.0, 56.0, 74.0].map(query_at),
         );
+
+        let bed = TestBed::new(generate_neurons(&NeuronParams::with_target_objects(40_000), 7));
+        for seq in generate_sequences(&bed.dataset, &SequenceParams::sensitivity_default(), 2, 7) {
+            assert_opt_equals_scout(&bed.ctx_flat(), &seq.regions);
+        }
     }
 
     #[test]

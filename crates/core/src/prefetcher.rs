@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use scout_geometry::{QueryRegion, Vec3};
 use scout_index::QueryResult;
 use scout_sim::{
-    CpuUnits, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
+    PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
 };
 
 /// The structure-aware prefetcher.
@@ -27,10 +27,10 @@ use scout_sim::{
 pub struct Scout {
     config: ScoutConfig,
     rng: SmallRng,
-    pub(crate) tracker: CandidateTracker,
+    tracker: CandidateTracker,
     /// Past query centers (movement vector + gap estimation, §5.3).
     centers: Vec<Vec3>,
-    pub(crate) last_region: Option<QueryRegion>,
+    last_region: Option<QueryRegion>,
     pub(crate) gap_estimate: f64,
     /// Plan computed in `observe`, handed out by `plan`.
     pub(crate) pending: PrefetchPlan,
@@ -39,14 +39,14 @@ pub struct Scout {
     pub(crate) last_locations: Vec<Exit>,
     /// The result graph's storage, recycled query to query — `observe`
     /// rebuilds it in place, so a warmed session never reallocates it.
-    pub(crate) graph: ResultGraph,
+    graph: ResultGraph,
     /// Reusable exit list (filled by `find_exits_into`).
     exits_buf: Vec<Exit>,
     /// Reusable scoring and clustering buffers.
     scoring: ScoringScratch,
     /// Fallback arena for direct `observe` calls; the executor path hands
     /// in the session-owned arena via `observe_with_scratch` instead.
-    pub(crate) scratch: QueryScratch,
+    scratch: QueryScratch,
 }
 
 impl Scout {
@@ -134,7 +134,6 @@ impl Scout {
     /// `centroids` are the result frame's.
     fn choose_locations(
         &mut self,
-        graph: &ResultGraph,
         centroids: &[Vec3],
         region: &QueryRegion,
         exits: &[Exit],
@@ -149,7 +148,7 @@ impl Scout {
                 let d = self.config.max_prefetch_locations.max(1);
                 let movement = self.movement();
                 let steps = score_exits(
-                    graph,
+                    &self.graph,
                     centroids,
                     region.center(),
                     region.side(),
@@ -257,33 +256,49 @@ impl Scout {
         }
     }
 
-    /// Shared observe logic, also used by SCOUT-OPT with a pre-built graph.
+    /// The full observe pipeline against a caller-provided scratch arena:
+    /// graph build (§4.1/§4.2) + prediction.
     ///
-    /// Takes the graph by value and reclaims its storage into
-    /// `self.graph` before returning, so the next query's in-place rebuild
-    /// reuses the warmed buffers. Transient structures (component labels,
-    /// centroid accumulators, candidate flags, staged predictions) live in
-    /// `scratch`, whose result frame the graph build has filled
-    /// for exactly this graph's vertices: nothing here goes back to the
-    /// dataset's object array.
-    pub(crate) fn observe_with_graph(
+    /// Transient structures (component labels, centroid accumulators,
+    /// candidate flags, staged predictions) live in `scratch`, whose result
+    /// frame the graph build fills for exactly this graph's vertices:
+    /// nothing after the build goes back to the dataset's object array.
+    fn observe_impl(
         &mut self,
+        ctx: &SimContext<'_>,
         region: &QueryRegion,
-        graph: ResultGraph,
-        mut units: CpuUnits,
+        result: &QueryResult,
         scratch: &mut QueryScratch,
     ) -> PredictionStats {
-        debug_assert_eq!(scratch.frame.len(), graph.vertex_count(), "frame of another result");
+        // §4.1/§4.2: use the explicit structure graph when the dataset has
+        // one, grid hashing otherwise. Either way `self.graph` is rebuilt
+        // in place, so a warmed session's graph-build phase allocates
+        // nothing.
+        let mut units = match ctx.adjacency {
+            Some(adj) => {
+                scratch.frame.gather(ctx.objects, &result.objects, self.config.simplification);
+                self.graph.build_explicit(scratch, adj, &result.objects)
+            }
+            None => self.graph.build_grid_hash(
+                scratch,
+                ctx.objects,
+                &result.objects,
+                region,
+                self.config.grid_resolution,
+                self.config.simplification,
+            ),
+        };
+        debug_assert_eq!(scratch.frame.len(), self.graph.vertex_count(), "frame of another result");
         self.update_motion(region);
 
-        let comp_count = graph.components_into(&mut scratch.components, &mut scratch.stack);
-        units.traversal_steps += graph.vertex_count() as u64; // labeling pass
+        let comp_count = self.graph.components_into(&mut scratch.components, &mut scratch.stack);
+        units.traversal_steps += self.graph.vertex_count() as u64; // labeling pass
 
         // §4.3 iterative candidate pruning.
         let tolerance = self.config.continuity_tolerance_frac * region.side() + self.gap_estimate;
         let cont = self.tracker.continuing_components(
             &scratch.frame.centroids,
-            &graph,
+            &self.graph,
             &scratch.components,
             comp_count,
             tolerance,
@@ -300,7 +315,7 @@ impl Scout {
         } else {
             let steps = find_exits_into(
                 &scratch.frame,
-                &graph,
+                &self.graph,
                 &scratch.components,
                 region,
                 Some(&scratch.candidate_flags),
@@ -319,7 +334,7 @@ impl Scout {
             // that exit the query are the only ones that can be followed).
             let steps = find_exits_into(
                 &scratch.frame,
-                &graph,
+                &self.graph,
                 &scratch.components,
                 region,
                 None,
@@ -342,7 +357,7 @@ impl Scout {
             (self.fallback_plan(), 0.0)
         } else {
             let (kmeans_us, score_steps) =
-                self.choose_locations(&graph, &scratch.frame.centroids, region, &exits);
+                self.choose_locations(&scratch.frame.centroids, region, &exits);
             units.traversal_steps += score_steps;
             let predict_dist = self.gap_estimate + region.side() / 2.0;
             scratch
@@ -357,7 +372,7 @@ impl Scout {
         // objects of this query's candidate structures. Committed through
         // the tracker's recycled set, so no per-query `HashSet` is built.
         self.tracker.commit_ids(
-            exits.iter().map(|e| graph.object_id(e.vertex)),
+            exits.iter().map(|e| self.graph.object_id(e.vertex)),
             &scratch.predictions,
             was_reset,
         );
@@ -365,51 +380,19 @@ impl Scout {
         // Prediction *state* only (§8.2): the graph, the labels and the
         // exits. The scratch arena — result frame included — is working
         // memory any prefetcher would hand back, and stays out.
-        let memory_bytes = graph.memory_bytes()
+        let memory_bytes = self.graph.memory_bytes()
             + scratch.components.len() * std::mem::size_of::<u32>()
             + exits.len() * std::mem::size_of::<Exit>();
         let stats = PredictionStats {
             cpu: units,
-            graph_vertices: graph.vertex_count(),
-            graph_edges: graph.edge_count(),
+            graph_vertices: self.graph.vertex_count(),
+            graph_edges: self.graph.edge_count(),
             graph_components: comp_count,
             memory_bytes,
             candidates,
         };
-        // Reclaim the buffers for the next query.
         self.exits_buf = exits;
-        self.graph = graph;
         stats
-    }
-
-    /// The full observe pipeline against a caller-provided scratch arena:
-    /// graph build (§4.1/§4.2) + prediction.
-    pub(crate) fn observe_impl(
-        &mut self,
-        ctx: &SimContext<'_>,
-        region: &QueryRegion,
-        result: &QueryResult,
-        scratch: &mut QueryScratch,
-    ) -> PredictionStats {
-        // §4.1/§4.2: use the explicit structure graph when the dataset has
-        // one, grid hashing otherwise. Either way the storage is recycled,
-        // so a warmed session's graph-build phase allocates nothing.
-        let mut graph = std::mem::take(&mut self.graph);
-        let units = match ctx.adjacency {
-            Some(adj) => {
-                scratch.frame.gather(ctx.objects, &result.objects, self.config.simplification);
-                graph.build_explicit(scratch, adj, &result.objects)
-            }
-            None => graph.build_grid_hash(
-                scratch,
-                ctx.objects,
-                &result.objects,
-                region,
-                self.config.grid_resolution,
-                self.config.simplification,
-            ),
-        };
-        self.observe_with_graph(region, graph, units, scratch)
     }
 }
 

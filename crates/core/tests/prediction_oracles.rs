@@ -77,7 +77,7 @@ fn case(seed: u64) -> Case {
     let region = QueryRegion::new(center, side * side * side, Aspect::Cube);
     let mut ids = bed.tree.range_query(objects, &region).objects;
     if rng.random_bool(0.5) {
-        // A sparse result, as SCOUT-OPT's crawl reaches it.
+        // A thinned result: the builds take any subset of the ids.
         let keep = rng.random_range(0.2..0.9);
         ids.retain(|_| rng.random_bool(keep));
     }

@@ -4,8 +4,9 @@
 //! inside the query region (here via a packed R-tree over page MBRs) — and
 //! *crawl* — recursively visit precomputed page neighborhoods until no more
 //! overlapping pages are found. The crawl retrieves pages in spatial order
-//! radiating from the seed, which is exactly the property SCOUT-OPT exploits
-//! for sparse graph construction (§6.2) and gap traversal (§6.3).
+//! radiating from the seed: the property SCOUT-OPT's overlapped prediction
+//! (§6.2) rests on; its gap traversal (§6.3) walks the same neighborhoods.
+//! (No sparse graph comes of it: they join all of a result's own pages.)
 //!
 //! Neighborhoods are precomputed as: every page within distance ε of a
 //! page's MBR, unioned with its `k` nearest pages (the k-NN union keeps the

@@ -5,7 +5,7 @@
 //! / `build_explicit` plus `components_into` against the session's
 //! [`QueryScratch`] arena — must perform **zero** heap allocations once the
 //! buffers have warmed to the workload: over a guided sweep of range-query
-//! results, and over sliding full and sparse (SCOUT-OPT-style) result
+//! results, and over sliding full and thinned (every other object) result
 //! windows on both sides of the chain pass's `head`-table switch. A
 //! counting global allocator wraps the system allocator; after a warmup
 //! tour over every query of the sequence, re-running the builds must leave
@@ -168,7 +168,7 @@ fn steady_state_graph_build_allocates_nothing() {
     //
     // Result windows sliding along the tissue under one viewport: the full
     // windows stand for SCOUT's result sets, every-other-object subsets of
-    // them for SCOUT-OPT's sparse reached sets. Each is built on a fine
+    // them for the thinner graphs a subset build gives. Each is built on a fine
     // lattice (more cells than 4 × pairs: the chain pass hashes cells into
     // its `head` table) and on a coarse one (`head` indexed by cell id).
     let all_ids: Vec<scout::geometry::ObjectId> = objects.iter().map(|o| o.id).collect();
