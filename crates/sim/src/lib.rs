@@ -37,7 +37,7 @@ pub use prefetcher::{
     GraphBuildCounters, NoPrefetch, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher,
 };
 pub use report::{percentiles, percentiles_mut, LatencyPercentiles};
-pub use scheduler::{default_parallelism, AdmissionControl, SchedulerReport};
+pub use scheduler::{default_parallelism, SchedulerReport};
 pub use scratch::{QueryScratch, ResultFrame};
 pub use session::Session;
 pub use telemetry::TelemetryReport;

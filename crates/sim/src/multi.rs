@@ -9,15 +9,15 @@
 //! (`scheduler.rs`); the schedule only picks how many threads share each
 //! phase's steps:
 //!
-//! * [`Schedule::RoundRobin`] — one thread interleaves sessions in
-//!   admission order (session-id order for a single tenant). Fully
-//!   deterministic: identical inputs produce byte-identical reports.
+//! * [`Schedule::RoundRobin`] — one thread interleaves sessions in slot
+//!   order (the order they were handed in). Fully deterministic:
+//!   identical inputs produce byte-identical reports.
 //! * [`Schedule::WorkStealing`] — the same loop with `workers` threads
 //!   claiming each phase's steps from one cursor, any number of sessions
-//!   over a fixed width, with admission control (see
-//!   [`AdmissionControl`]). Width 1 is the round-robin call, so it is
-//!   byte-identical to it by construction. Wider fleets keep the totals
-//!   contract: cache membership per round is the union of all sessions'
+//!   over a fixed width. `WorkStealing { workers: 1 }` differs from
+//!   round-robin only in attaching the [`SchedulerReport`]: it is the
+//!   same call, so its render is byte-identical. Wider fleets keep the
+//!   totals contract: cache membership per round is the union of all sessions'
 //!   inserts, so totals (pages hit, hit rate) match round-robin whenever
 //!   the cache is not evicting under pressure; scalar interleaving inside
 //!   a phase is up to the claim order.
@@ -29,9 +29,7 @@ use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
 use crate::report::{pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table};
-use crate::scheduler::{
-    default_parallelism, run_fleet, AdmissionControl, FleetOutcome, RoundBody, SchedulerReport,
-};
+use crate::scheduler::{default_parallelism, run_fleet, RoundBody, SchedulerReport};
 use crate::session::Session;
 use crate::telemetry::{FleetTelemetry, TelemetryReport};
 use scout_storage::{
@@ -42,17 +40,15 @@ use scout_telemetry::{CounterId, FlightLog, FlightRecorder, GaugeId};
 /// How the engine schedules its sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Deterministic single-threaded interleaving in admission order —
-    /// session-id order for a single tenant; tenant-fair, exactly like
-    /// width-1 work stealing, when the fleet spans tenants.
+    /// Deterministic single-threaded interleaving in slot order — exactly
+    /// width-1 work stealing, without the scheduler counters.
     #[default]
     RoundRobin,
     /// `workers` threads (0 = [`default_parallelism`]) share each phase
     /// of the round: every thread claims the next unserved session from
     /// one cursor, so a session's steps migrate between threads. (The
     /// name predates the cursor; nothing is stolen from a queue.) Scales
-    /// to tens of thousands of sessions; honors
-    /// [`MultiSessionConfig::admission`].
+    /// to tens of thousands of sessions.
     WorkStealing {
         /// Threads per phase; 0 picks the machine default (`SCOUT_THREADS`).
         workers: usize,
@@ -72,10 +68,6 @@ pub struct MultiSessionConfig {
     pub shards: usize,
     /// Session schedule.
     pub schedule: Schedule,
-    /// Admission/backpressure policy; only [`Schedule::WorkStealing`]
-    /// honors it. The default admits everything immediately, preserving
-    /// width-1 byte-identity with round-robin.
-    pub admission: AdmissionControl,
     /// Batched I/O submission (DESIGN.md §12): collect each phase's page
     /// reads, single-flight cross-session duplicates, and submit them in
     /// seek-aware elevator order. Disabled by default, which keeps every
@@ -89,7 +81,6 @@ impl Default for MultiSessionConfig {
             exec: ExecutorConfig::default(),
             shards: 8,
             schedule: Schedule::RoundRobin,
-            admission: AdmissionControl::unlimited(),
             batch: BatchPlan::default(),
         }
     }
@@ -150,16 +141,14 @@ impl MultiSessionExecutor {
             .enabled
             .then(|| BatchCtl::new(exec, &clock, sessions.len(), telemetry.as_ref()));
         // One round body, one round loop (DESIGN.md §10): round-robin is
-        // width 1 with the always-open admission policy (it keeps ignoring
-        // `config.admission`) and the scheduler counters dropped.
+        // width 1 with the scheduler counters dropped.
         let body = RoundBody { ctx, exec, cache, batch: batch.as_ref() };
-        let (width, admission) = match self.config.schedule {
-            Schedule::RoundRobin => (1, AdmissionControl::unlimited()),
-            Schedule::WorkStealing { workers: 0 } => (default_parallelism(), self.config.admission),
-            Schedule::WorkStealing { workers } => (workers, self.config.admission),
+        let width = match self.config.schedule {
+            Schedule::RoundRobin => 1,
+            Schedule::WorkStealing { workers: 0 } => default_parallelism(),
+            Schedule::WorkStealing { workers } => workers,
         };
-        let FleetOutcome { mut sessions, shed, report } =
-            run_fleet(&body, sessions, width, admission, telemetry.as_ref());
+        let (mut sessions, report) = run_fleet(&body, sessions, width, telemetry.as_ref());
         let scheduler = (self.config.schedule != Schedule::RoundRobin).then_some(report);
 
         // Teardown of the batch lanes: credit window ledgers into the
@@ -182,10 +171,7 @@ impl MultiSessionExecutor {
         // drift apart mid-run.
         let telemetry_report = telemetry.map(|tm| {
             let mut flight = FlightLog::default();
-            for (i, session) in sessions.iter_mut().enumerate() {
-                if shed.get(i).copied().unwrap_or(false) {
-                    session.note_shed();
-                }
+            for session in &mut sessions {
                 if let Some(mut st) = session.take_telemetry() {
                     flight.absorb(&mut st.recorder);
                 }
@@ -194,16 +180,11 @@ impl MultiSessionExecutor {
                 flight.absorb(&mut rec);
             }
             flight.seal();
-            let shed_count = shed.iter().filter(|&&s| s).count();
             let crew = scheduler.as_ref().map_or(1, |r| r.workers);
             tm.registry.gauge_raise(GaugeId::WorkerCrew, crew as u64);
-            tm.registry
-                .gauge_raise(GaugeId::ResidentSessions, (sessions.len() - shed_count) as u64);
             if let Some(r) = &scheduler {
                 tm.registry.add(CounterId::SessionsStolen, r.steals);
                 tm.registry.add(CounterId::SessionsParked, r.parks);
-                tm.registry.add(CounterId::SessionsShed, r.shed);
-                tm.registry.add(CounterId::AdmissionDelays, r.delayed_rounds);
             }
             if let Some(b) = &batch_report {
                 tm.registry.add(CounterId::BatchesSubmitted, b.batches);
@@ -214,7 +195,7 @@ impl MultiSessionExecutor {
             TelemetryReport { registry: tm.registry, flight }
         });
         let mut report =
-            MultiSessionReport::assemble(sessions, shed, cache.stats(), clock.now_us(), scheduler);
+            MultiSessionReport::assemble(sessions, cache.stats(), clock.now_us(), scheduler);
         report.batch = batch_report;
         if let Some(bf) = batch_faults {
             report.faults.get_or_insert_with(FaultReport::default).merge(&bf);
@@ -239,8 +220,8 @@ pub struct SessionReport {
     pub id: usize,
     /// Tenant the session billed to (0 unless assigned).
     pub tenant: usize,
-    /// True when admission control shed this session: it never ran, and
-    /// all its counters are zero.
+    /// Always false: every session runs. Kept because the benchmark
+    /// adapter reads and hashes it.
     pub shed: bool,
     /// Queries executed.
     pub queries: usize,
@@ -265,15 +246,16 @@ impl SessionReport {
     }
 }
 
-/// One tenant's aggregate slice of a multi-session run: the fairness
-/// accounting the scheduler's per-tenant admission is judged by.
+/// One tenant's aggregate slice of a multi-session run: per-tenant
+/// latency and hit accounting.
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     /// Tenant id.
     pub tenant: usize,
-    /// Sessions billed to this tenant (including shed ones).
+    /// Sessions billed to this tenant.
     pub sessions: usize,
-    /// Sessions of this tenant shed by admission control.
+    /// Always 0: every session runs. Kept because the benchmark adapter
+    /// hashes the render's tenant `shed` column.
     pub shed: usize,
     /// Queries executed across this tenant's sessions.
     pub queries: usize,
@@ -320,7 +302,7 @@ pub struct MultiSessionReport {
     /// disabled. Never part of [`MultiSessionReport::render`], so batched
     /// runs stay render-comparable with unbatched ones.
     pub batch: Option<BatchReport>,
-    /// The armed run's telemetry view (DESIGN.md §13): merged metrics
+    /// The armed run's telemetry view (DESIGN.md §13): the shared metrics
     /// registry plus the sealed flight log. `None` when
     /// `ExecutorConfig.telemetry` was `None` — the default — and never
     /// part of [`MultiSessionReport::render`], so armed runs stay
@@ -331,7 +313,6 @@ pub struct MultiSessionReport {
 impl MultiSessionReport {
     fn assemble(
         sessions: Vec<Session>,
-        shed: Vec<bool>,
         cache: CacheStats,
         disk_busy_us: f64,
         scheduler: Option<SchedulerReport>,
@@ -340,8 +321,7 @@ impl MultiSessionReport {
         let mut per_tenant: Vec<(usize, Vec<f64>)> = Vec::new();
         let mut reports: Vec<SessionReport> = sessions
             .into_iter()
-            .zip(shed)
-            .map(|(session, shed)| {
+            .map(|session| {
                 let tenant = session.tenant();
                 let (id, trace) = session.into_trace();
                 let faults = trace.faults;
@@ -354,7 +334,7 @@ impl MultiSessionReport {
                 SessionReport {
                     id,
                     tenant,
-                    shed,
+                    shed: false,
                     queries: trace.queries.len(),
                     pages_total: trace.io.result_pages_total(),
                     pages_hit: trace.io.result_pages_cache,
@@ -373,7 +353,7 @@ impl MultiSessionReport {
                 TenantReport {
                     tenant,
                     sessions: mine.clone().count(),
-                    shed: mine.clone().filter(|s| s.shed).count(),
+                    shed: 0,
                     queries: mine.clone().map(|s| s.queries).sum(),
                     pages_total: mine.clone().map(|s| s.pages_total).sum(),
                     pages_hit: mine.map(|s| s.pages_hit).sum(),
@@ -506,7 +486,8 @@ impl MultiSessionReport {
         out
     }
 
-    /// Sessions shed by admission control (0 outside work-stealing runs).
+    /// Always 0: every session runs. Kept because the benchmark adapter
+    /// reads it.
     pub fn total_shed(&self) -> usize {
         self.sessions.iter().filter(|s| s.shed).count()
     }
@@ -634,9 +615,6 @@ mod tests {
         }
         let sched = report.scheduler.expect("work-stealing attaches scheduler counters");
         assert_eq!(sched.rounds, 5);
-        assert_eq!(sched.admitted, 6);
-        assert_eq!(sched.retired, 6);
-        assert_eq!(sched.shed, 0);
         assert!(report.scheduler_summary().unwrap().contains("rounds"));
     }
 

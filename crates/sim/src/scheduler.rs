@@ -7,11 +7,10 @@
 //! ladder rests on). `RoundBody` owns what those steps and edges *do*,
 //! including how I/O is submitted; `run_fleet` owns everything else,
 //! once, on the calling thread: the active list (an ordered `Vec` of
-//! slot indices), **admission control** — a bounded
-//! backlog (shed policy) drained round-robin across tenants (fairness),
-//! gated on [`ThrashMonitor`] signals from the shared cache (delay
-//! policy) — the round counter, the edge calls, retirement and the
-//! counters of [`SchedulerReport`].
+//! slot indices that starts as every session in slot order and only
+//! shrinks), the round counter, the edge calls, retirement and the
+//! counters of [`SchedulerReport`]. Every session is admitted up front:
+//! there is no admission control (DESIGN.md §10 says why).
 //!
 //! One OS thread per session would be the obvious way to go wide — fine
 //! for tens of clients, hopeless for tens of thousands — so width > 1
@@ -31,13 +30,12 @@
 //! ## Determinism contract (DESIGN.md §10)
 //!
 //! Width 1 visits sessions in active-list order — the exact round-robin
-//! serve/window order — so with the default unlimited admission its
-//! reports are **byte-identical** to
+//! serve/window order — so its reports are **byte-identical** to
 //! [`Schedule::RoundRobin`](crate::Schedule), even under eviction
 //! pressure, by construction: it is the same call. At width > 1 only the
 //! interleaving *inside* a phase is free; the active list, and so every
-//! admission, retirement and park count, stays the width-1 one whenever
-//! the cache is not evicting. There the eviction-free totals contract
+//! retirement, round and park count, stays the width-1 one whenever the
+//! cache is not evicting. There the eviction-free totals contract
 //! applies: per-round cache membership is order-independent, so
 //! pages-hit totals (and, with per-session disks, every per-session
 //! quantity) match width 1.
@@ -63,9 +61,8 @@ use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
 use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
-use scout_storage::{ShardedCache, ThrashMonitor};
+use scout_storage::ShardedCache;
 use scout_telemetry::{HistogramId, SpanTimer};
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
@@ -100,99 +97,14 @@ fn resolve_parallelism(pin: Option<&str>) -> usize {
         Some(v) => match v.trim().parse::<usize>() {
             Ok(n) if n >= 1 => n,
             _ => {
-                // Routed through the telemetry warning hook: counted
-                // always, recorded as an event when a sink is armed, and
-                // — the disarmed default — printed to stderr with the
-                // exact bytes the historical `eprintln!` produced.
-                scout_telemetry::emit_warning(
-                    scout_telemetry::WARN_INVALID_SCOUT_THREADS,
-                    &format!(
-                        "SCOUT_THREADS={v:?} is not a positive integer; \
-                         pinning serial (SCOUT_THREADS=1)"
-                    ),
+                eprintln!(
+                    "warning: SCOUT_THREADS={v:?} is not a positive integer; \
+                     pinning serial (SCOUT_THREADS=1)"
                 );
                 1
             }
         },
         None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Admission control configuration
-// ---------------------------------------------------------------------------
-
-/// Admission/backpressure policy of a work-stealing fleet. Ignored by the
-/// round-robin schedule.
-///
-/// Sessions wait in a per-tenant backlog and are admitted round-robin
-/// across tenants at round boundaries, up to `max_resident` concurrently
-/// resident sessions. The backlog itself is bounded: anything beyond
-/// `backlog_limit` after the initial admission is **shed** (reported, never
-/// run). While the shared cache looks thrashed — hit-ratio EWMA below
-/// `hit_floor` *and* eviction-per-insert EWMA above `eviction_ceiling` —
-/// admission is **delayed**; delay yields only while admitted work exists,
-/// so a thrashed cache degrades throughput but never live-locks the fleet.
-///
-/// The default is fully open (admit everything immediately), which is what
-/// preserves the width-1 byte-identity contract with round-robin.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionControl {
-    /// Maximum sessions resident (admitted, not yet finished) at once.
-    pub max_resident: usize,
-    /// Maximum sessions waiting in the backlog; the excess is shed.
-    pub backlog_limit: usize,
-    /// Smoothing factor of the thrash EWMAs, in `(0, 1]`.
-    pub ewma_alpha: f64,
-    /// Hit-ratio EWMA below this counts toward "thrashing".
-    pub hit_floor: f64,
-    /// Eviction-per-insert EWMA above this counts toward "thrashing".
-    pub eviction_ceiling: f64,
-}
-
-impl AdmissionControl {
-    /// No limits, no thrash gating: every session is admitted up front.
-    pub fn unlimited() -> AdmissionControl {
-        AdmissionControl {
-            max_resident: usize::MAX,
-            backlog_limit: usize::MAX,
-            ewma_alpha: 0.25,
-            hit_floor: 0.0,
-            eviction_ceiling: f64::INFINITY,
-        }
-    }
-
-    /// At most `max_resident` sessions in flight; unbounded backlog.
-    pub fn bounded(max_resident: usize) -> AdmissionControl {
-        AdmissionControl { max_resident, ..AdmissionControl::unlimited() }
-    }
-
-    /// Enables thrash-driven delay with the given thresholds.
-    pub fn with_thrash_policy(mut self, hit_floor: f64, eviction_ceiling: f64) -> AdmissionControl {
-        self.hit_floor = hit_floor;
-        self.eviction_ceiling = eviction_ceiling;
-        self
-    }
-
-    /// Bounds the backlog; sessions beyond `max_resident + backlog_limit`
-    /// are shed at fleet start.
-    pub fn with_backlog_limit(mut self, backlog_limit: usize) -> AdmissionControl {
-        self.backlog_limit = backlog_limit;
-        self
-    }
-
-    fn assert_valid(&self) {
-        assert!(self.max_resident >= 1, "admission control: max_resident must be >= 1");
-        assert!(
-            self.ewma_alpha > 0.0 && self.ewma_alpha <= 1.0,
-            "admission control: ewma_alpha must be in (0, 1]"
-        );
-    }
-}
-
-impl Default for AdmissionControl {
-    fn default() -> AdmissionControl {
-        AdmissionControl::unlimited()
     }
 }
 
@@ -211,7 +123,7 @@ pub struct SchedulerReport {
     /// Bulk-synchronous rounds executed.
     pub rounds: u64,
     /// Migrations: steps run by another thread than the one that ran the
-    /// same session's previous step (admission counts as the caller's).
+    /// same session's previous step (a session starts as the caller's).
     /// Threads claim positions from one cursor, so there is no home queue
     /// to steal from; 0 at width 1, about half of all steps at width 2. A
     /// per-layer count (`sim.sched.steals_wmax`), not an end-to-end metric.
@@ -219,130 +131,15 @@ pub struct SchedulerReport {
     /// Sessions parked at a phase boundary: steps that left their session
     /// with more to do.
     pub parks: u64,
-    /// Sessions admitted out of the backlog.
-    pub admitted: u64,
-    /// Sessions retired (stream finished).
-    pub retired: u64,
-    /// Sessions shed by the backlog bound (reported, never run).
-    pub shed: u64,
-    /// Round boundaries where thrash signals delayed all admission.
-    pub delayed_rounds: u64,
 }
 
 impl SchedulerReport {
     /// One-line human summary for logs and benches.
     pub fn summary(&self) -> String {
         format!(
-            "scheduler: {} workers, {} rounds, {} steals, {} parks, \
-             {} admitted, {} retired, {} shed, {} delayed rounds",
-            self.workers,
-            self.rounds,
-            self.steals,
-            self.parks,
-            self.admitted,
-            self.retired,
-            self.shed,
-            self.delayed_rounds
+            "scheduler: {} workers, {} rounds, {} steals, {} parks",
+            self.workers, self.rounds, self.steals, self.parks
         )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Per-tenant admission backlog
-// ---------------------------------------------------------------------------
-
-struct AdmissionQueue {
-    /// Per-tenant FIFOs of slot indices, ordered by tenant id.
-    queues: Vec<VecDeque<usize>>,
-    /// Round-robin cursor over tenants.
-    cursor: usize,
-    /// Total sessions still queued.
-    backlog: usize,
-    monitor: ThrashMonitor,
-}
-
-impl AdmissionQueue {
-    fn new(sessions: &[Session], control: &AdmissionControl) -> AdmissionQueue {
-        let mut tenants: Vec<usize> = sessions.iter().map(Session::tenant).collect();
-        tenants.sort_unstable();
-        tenants.dedup();
-        let mut queues: Vec<VecDeque<usize>> = vec![VecDeque::new(); tenants.len().max(1)];
-        for (idx, session) in sessions.iter().enumerate() {
-            // Invariant, not an error path: `tenants` was just built as the
-            // sorted dedup of these same sessions' tenant ids, so the
-            // search cannot miss.
-            let dense = tenants.binary_search(&session.tenant()).expect("tenant mapped");
-            queues[dense].push_back(idx);
-        }
-        AdmissionQueue {
-            queues,
-            cursor: 0,
-            backlog: sessions.len(),
-            monitor: ThrashMonitor::new(control.ewma_alpha),
-        }
-    }
-
-    /// Next session to admit, round-robin across tenants (fairness: a
-    /// tenant with many queued sessions cannot starve one with few).
-    fn take_fair(&mut self) -> Option<usize> {
-        if self.backlog == 0 {
-            return None;
-        }
-        loop {
-            let t = self.cursor;
-            self.cursor = (self.cursor + 1) % self.queues.len();
-            if let Some(idx) = self.queues[t].pop_front() {
-                self.backlog -= 1;
-                return Some(idx);
-            }
-        }
-    }
-
-    /// Admits sessions, tenant-fair, while fewer than `max_resident` are
-    /// resident (`active` holds exactly the resident ones). Returns how
-    /// many it admitted.
-    fn admit(&mut self, active: &mut Vec<usize>, max_resident: usize) -> u64 {
-        let before = active.len();
-        while active.len() < max_resident {
-            let Some(idx) = self.take_fair() else { break };
-            active.push(idx);
-        }
-        (active.len() - before) as u64
-    }
-
-    /// Sheds queued sessions down to `limit`, trimming from the back of
-    /// the longest tenant queue first (ties to the lowest tenant), so one
-    /// flooding tenant pays before the others. Returns the shed indices.
-    fn shed_over(&mut self, limit: usize) -> Vec<usize> {
-        let mut shed = Vec::new();
-        while self.backlog > limit {
-            // Invariants, not error paths: `queues` is constructed with at
-            // least one tenant FIFO, and `backlog > limit >= 0` means some
-            // FIFO is non-empty, so the longest one cannot be empty.
-            let (t, _) = self
-                .queues
-                .iter()
-                .enumerate()
-                .max_by_key(|(i, q)| (q.len(), std::cmp::Reverse(*i)))
-                .expect("non-empty tenant list");
-            let idx = self.queues[t].pop_back().expect("longest queue non-empty");
-            self.backlog -= 1;
-            shed.push(idx);
-        }
-        shed
-    }
-
-    /// True when thrash signals say the cache cannot absorb more load.
-    /// Never delays when nothing is resident (`starving`): backpressure
-    /// must not become a live-lock.
-    fn delay_admission(
-        &mut self,
-        cache: &ShardedCache,
-        control: &AdmissionControl,
-        starving: bool,
-    ) -> bool {
-        self.monitor.observe(&cache.stats());
-        !starving && self.monitor.is_thrashing(control.hit_floor, control.eviction_ceiling)
     }
 }
 
@@ -415,7 +212,7 @@ impl RoundBody<'_, '_> {
 struct Slot {
     session: Session,
     /// The thread (0 = the caller) that ran this session's previous step;
-    /// admission counts as the caller's.
+    /// a session starts as the caller's.
     last_worker: u32,
 }
 
@@ -543,51 +340,29 @@ impl Fleet {
 // The round loop
 // ---------------------------------------------------------------------------
 
-/// Outcome of one fleet run, consumed by the multi-session engine's
-/// report assembly.
-pub(crate) struct FleetOutcome {
-    /// The sessions, in their original order.
-    pub(crate) sessions: Vec<Session>,
-    /// `shed[i]` marks `sessions[i]` as shed by admission control.
-    pub(crate) shed: Vec<bool>,
-    pub(crate) report: SchedulerReport,
-}
-
 /// Runs a complete multi-session fleet: the one round loop (module
 /// docs), on the caller, its two sweeps shared by `workers` threads —
-/// clamped to at least 1. Width 1 is the oracle the property suites pin
-/// the wider runs against, and
-/// [`Schedule::RoundRobin`](crate::Schedule) is this call at width 1
-/// with [`AdmissionControl::unlimited`] and the report dropped. Fleets
-/// share nothing: concurrent calls overlap.
+/// clamped to at least 1. Returns the sessions in their original order
+/// and the run's counters. Width 1 is the oracle the property suites pin
+/// the wider runs against, and [`Schedule::RoundRobin`](crate::Schedule)
+/// is this call at width 1 with the report dropped. Fleets share
+/// nothing: concurrent calls overlap.
 pub(crate) fn run_fleet(
     body: &RoundBody<'_, '_>,
     sessions: Vec<Session>,
     workers: usize,
-    control: AdmissionControl,
     telemetry: Option<&FleetTelemetry>,
-) -> FleetOutcome {
-    control.assert_valid();
+) -> (Vec<Session>, SchedulerReport) {
     let helpers = workers.saturating_sub(1);
-    let mut shed = vec![false; sessions.len()];
-    let mut queue = AdmissionQueue::new(&sessions, &control);
+    // The unfinished sessions' slot indices, in slot order. Exhausted
+    // sessions leave it, so a skewed fleet is not O(K × max_rounds)
+    // no-op steps.
+    let mut active: Vec<usize> = (0..sessions.len()).collect();
     let fleet = Fleet::new(helpers, sessions);
     let mut report = SchedulerReport { workers: helpers + 1, ..Default::default() };
-    // The resident sessions' slot indices, in admission order.
-    // Exhausted sessions leave it, so a skewed fleet is not
-    // O(K × max_rounds) no-op steps.
-    let mut active: Vec<usize> = Vec::new();
-    // Initial admission: the monitor is cold (never thrashing), so
-    // this fills up to `max_resident`. The ready queue is bounded:
-    // whatever then exceeds the backlog limit is shed up front.
-    report.admitted += queue.admit(&mut active, control.max_resident);
-    for idx in queue.shed_over(control.backlog_limit) {
-        shed[idx] = true;
-        report.shed += 1;
-    }
-    // The edges — batch submits plus admission, run while no step is
-    // in flight — are one of the profiled hot phases (no-op when
-    // telemetry is disarmed or spans are off).
+    // The edges — batch submits, run while no step is in flight — are
+    // one of the profiled hot phases (no-op when telemetry is disarmed
+    // or spans are off).
     let edge_span = || {
         telemetry.and_then(|t| {
             SpanTimer::start_if(t.plan.spans, t.registry.histogram(HistogramId::SpanPhaseFlipUs))
@@ -606,30 +381,19 @@ pub(crate) fn run_fleet(
         let _span = edge_span();
         // The next round serves against the published membership.
         body.close_window(round);
-        let before = active.len();
         let mut verdicts = fleet.more.iter();
         active.retain(|_| verdicts.next().is_some_and(|more| more.load(Ordering::Relaxed)));
-        report.retired += (before - active.len()) as u64;
         // One park per successful serve (the window boundary) plus
         // one per session surviving the round.
         report.parks += serves.more + windows.more;
         report.steals += serves.migrations + windows.migrations;
-        // Round-boundary admission. An empty resident set overrides
-        // the thrash delay so backpressure cannot live-lock.
-        if queue.backlog > 0 {
-            if queue.delay_admission(body.cache, &control, active.is_empty()) {
-                report.delayed_rounds += 1;
-            } else {
-                report.admitted += queue.admit(&mut active, control.max_resident);
-            }
-        }
     }
     let sessions = fleet
         .slots
         .into_iter()
         .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner).session)
         .collect();
-    FleetOutcome { sessions, shed, report }
+    (sessions, report)
 }
 
 #[cfg(test)]
@@ -662,7 +426,7 @@ mod tests {
             assert_eq!(fleet.more[k].load(Ordering::Relaxed), idx % 3 == 0, "position {k}");
         }
         assert_eq!(tally.more, active.iter().filter(|&&idx| idx % 3 == 0).count() as u64);
-        // Admission counts as the caller's, so the caller alone migrates
+        // A session starts as the caller's, so the caller alone migrates
         // nothing, and a one-step phase is the caller alone.
         let narrow = idle_fleet(0, 9);
         let tally = narrow.run_phase(&[8, 0, 3], &|_, idx| idx != 0);
@@ -745,61 +509,10 @@ mod tests {
     fn bad_thread_pins_degrade_to_serial() {
         assert_eq!(resolve_parallelism(Some("4")), 4);
         assert_eq!(resolve_parallelism(Some(" 2 ")), 2);
-        // A set-but-broken pin must mean serial, never full parallelism —
-        // and each botched pin must land in the telemetry warning counter.
-        let before = scout_telemetry::warning_count();
+        // A set-but-broken pin must mean serial, never full parallelism.
         assert_eq!(resolve_parallelism(Some("0")), 1);
         assert_eq!(resolve_parallelism(Some("")), 1);
         assert_eq!(resolve_parallelism(Some("two")), 1);
-        assert_eq!(scout_telemetry::warning_count() - before, 3);
         assert!(resolve_parallelism(None) >= 1);
-    }
-
-    #[test]
-    fn admission_queue_is_tenant_fair() {
-        use crate::prefetcher::NoPrefetch;
-        // Tenant 0 floods (4 sessions), tenant 7 has 2: take order must
-        // alternate tenants while both are non-empty.
-        let sessions: Vec<Session> = (0..6)
-            .map(|i| {
-                Session::new(i, Box::new(NoPrefetch), Vec::new()).with_tenant(if i < 4 {
-                    0
-                } else {
-                    7
-                })
-            })
-            .collect();
-        let control = AdmissionControl::unlimited();
-        let mut q = AdmissionQueue::new(&sessions, &control);
-        let order: Vec<usize> = std::iter::from_fn(|| q.take_fair()).collect();
-        assert_eq!(order, vec![0, 4, 1, 5, 2, 3]);
-    }
-
-    #[test]
-    fn admission_queue_sheds_from_the_flooding_tenant() {
-        use crate::prefetcher::NoPrefetch;
-        let sessions: Vec<Session> = (0..5)
-            .map(|i| {
-                Session::new(i, Box::new(NoPrefetch), Vec::new()).with_tenant(if i < 4 {
-                    0
-                } else {
-                    1
-                })
-            })
-            .collect();
-        let control = AdmissionControl::unlimited();
-        let mut q = AdmissionQueue::new(&sessions, &control);
-        // Trim 5 -> 2: all three sheds must come off tenant 0's tail.
-        let shed = q.shed_over(2);
-        assert_eq!(shed, vec![3, 2, 1]);
-        assert_eq!(q.backlog, 2);
-        assert_eq!(q.take_fair(), Some(0));
-        assert_eq!(q.take_fair(), Some(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "max_resident")]
-    fn zero_max_resident_rejected() {
-        AdmissionControl::bounded(0).assert_valid();
     }
 }

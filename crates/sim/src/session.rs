@@ -51,9 +51,9 @@ thread_local! {
 /// One client: a prefetcher, a query stream, a disk handle and a trace.
 pub struct Session {
     id: usize,
-    /// Tenant (organization/user group) this session bills to. Sessions
-    /// are admitted round-robin across tenants (which is also round-robin's
-    /// visiting order) and latency is reported per tenant.
+    /// Tenant (organization/user group) this session bills to: a report
+    /// label only — latency is reported per tenant, and the label never
+    /// changes the order sessions run in.
     tenant: usize,
     prefetcher: Box<dyn Prefetcher>,
     regions: Vec<QueryRegion>,
@@ -202,14 +202,6 @@ impl Session {
         let t = self.now_us();
         if let Some(tm) = &mut self.telem {
             tm.note_parked(t, worker);
-        }
-    }
-
-    /// Teardown hook: admission control shed this session.
-    pub(crate) fn note_shed(&mut self) {
-        let t = self.now_us();
-        if let Some(tm) = &mut self.telem {
-            tm.note_shed(t);
         }
     }
 

@@ -1,6 +1,6 @@
 //! Sim-side telemetry glue (DESIGN.md §13).
 //!
-//! The `scout-telemetry` crate provides the mechanisms — the mergeable
+//! The `scout-telemetry` crate provides the mechanisms — the shared
 //! [`MetricsRegistry`], the bounded [`FlightRecorder`] rings, the
 //! [`SpanTimer`](scout_telemetry::SpanTimer) scoped timers. This module
 //! owns the *policy*: how a multi-session run arms them
@@ -141,12 +141,6 @@ impl SessionTelemetry {
     pub(crate) fn note_parked(&mut self, t_us: f64, worker: u32) {
         self.recorder.record(t_us, Event::SessionParked { worker });
     }
-
-    /// Admission control shed the session (event only; the counter
-    /// mirrors the scheduler report).
-    pub(crate) fn note_shed(&mut self, t_us: f64) {
-        self.recorder.record(t_us, Event::AdmissionShed);
-    }
 }
 
 /// The telemetry view of one armed run, attached to
@@ -154,7 +148,7 @@ impl SessionTelemetry {
 /// disarmed runs stay byte-identical.
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
-    /// The run's merged metrics registry.
+    /// The run's metrics registry, shared by every session and worker.
     pub registry: Arc<MetricsRegistry>,
     /// The merged, sealed flight log across all streams.
     pub flight: FlightLog,

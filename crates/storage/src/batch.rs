@@ -7,8 +7,8 @@
 //! [`IoBatcher`] collects the page requests of one scheduler phase,
 //! single-flights duplicates across sessions (one physical read fans its
 //! result — or its `IoError` — out to every waiter), and submits them to
-//! [`DiskModel::read_batch`] in seek-aware elevator order (ascending page
-//! ids, so physically adjacent pages earn the sequential discount).
+//! its [`DiskModel`] in seek-aware elevator order (ascending page ids, so
+//! physically adjacent pages earn the sequential discount).
 //!
 //! Ownership model: the batcher owns its own [`DiskModel`] (sharing the
 //! fleet's [`SharedClock`](crate::SharedClock)), so physical batch reads
@@ -163,7 +163,6 @@ pub struct IoBatcher {
     disk: DiskModel,
     index: PageTable,
     pages: Vec<PageId>,
-    waiters: Vec<u32>,
     /// Window lane only: `(owner slot, is_gap)` of the staging session.
     owners: Vec<(u32, bool)>,
     outcomes: Vec<Result<f64, FailedRead>>,
@@ -179,7 +178,6 @@ impl IoBatcher {
             disk,
             index: PageTable::default(),
             pages: Vec::new(),
-            waiters: Vec::new(),
             owners: Vec::new(),
             outcomes: Vec::new(),
             order: Vec::new(),
@@ -196,13 +194,11 @@ impl IoBatcher {
         let slot = self.pages.len() as u32;
         match self.index.get_or_insert(page, slot) {
             Some(existing) => {
-                self.waiters[existing as usize] += 1;
                 self.report.coalesced += 1;
                 (existing, true)
             }
             None => {
                 self.pages.push(page);
-                self.waiters.push(1);
                 self.owners.push((0, false));
                 self.report.unique_pages += 1;
                 (slot, false)
@@ -223,7 +219,6 @@ impl IoBatcher {
         self.report.staged += 1;
         self.report.unique_pages += 1;
         self.pages.push(page);
-        self.waiters.push(1);
         self.owners.push((owner, gap));
         true
     }
@@ -253,11 +248,6 @@ impl IoBatcher {
         self.owners[slot as usize]
     }
 
-    /// Waiters registered on a slot.
-    pub fn waiters_at(&self, slot: u32) -> u32 {
-        self.waiters[slot as usize]
-    }
-
     /// The submitted outcome of a slot. Panics before `submit`.
     pub fn outcome_at(&self, slot: u32) -> Result<f64, FailedRead> {
         self.outcomes[slot as usize]
@@ -265,17 +255,31 @@ impl IoBatcher {
 
     /// Submits the staged pages to the disk in elevator order (ascending
     /// page id — consecutive ids earn the sequential discount) and
-    /// records one outcome per unique page. `attempt` keys the fault
+    /// records one outcome per unique page, filed under its staging slot.
+    /// Each page goes through [`DiskModel::try_read_page`]: successes move
+    /// the head and advance the clock like any read, failures charge
+    /// their latency but leave the head in place. `attempt` keys the fault
     /// draws (1 for demand first attempts, 0 for never-retried prefetch
     /// reads); `epoch` is the fleet round ordinal, so a fault schedule is
     /// a pure function of (config, page, round, attempt) — independent of
-    /// staging order and crew width. Returns the batch's device time.
+    /// staging order and crew width. Returns the batch's device time
+    /// (failed attempts included).
     pub fn submit(&mut self, attempt: u32, epoch: u64) -> f64 {
         self.order.clear();
         self.order.extend(0..self.pages.len() as u32);
         self.order.sort_unstable_by_key(|&i| self.pages[i as usize].0);
         self.disk.set_fault_epoch(epoch);
-        let us = self.disk.read_batch(&self.pages, &self.order, attempt, &mut self.outcomes);
+        self.outcomes.clear();
+        self.outcomes.resize(self.pages.len(), Ok(0.0));
+        let mut us = 0.0;
+        for &slot in &self.order {
+            let outcome = self.disk.try_read_page(self.pages[slot as usize], attempt);
+            us += match &outcome {
+                Ok(read_us) => *read_us,
+                Err(failed) => failed.latency_us,
+            };
+            self.outcomes[slot as usize] = outcome;
+        }
         self.report.batches += 1;
         self.report.io_us += us;
         self.report.failed_reads += self.outcomes.iter().filter(|o| o.is_err()).count() as u64;
@@ -296,7 +300,6 @@ impl IoBatcher {
     pub fn begin_phase(&mut self) {
         self.index.clear();
         self.pages.clear();
-        self.waiters.clear();
         self.owners.clear();
         self.outcomes.clear();
         self.order.clear();
@@ -338,7 +341,6 @@ mod tests {
         assert_eq!((s1, c1), (0, true), "second waiter coalesces onto the first");
         assert_eq!((s2, c2), (1, false));
         assert_eq!(b.len(), 2, "two unique pages, three stage requests");
-        assert_eq!(b.waiters_at(0), 2);
         b.submit(1, 0);
         assert_eq!(b.disk().random_reads() + b.disk().sequential_reads(), 2);
         let r = b.report();
@@ -372,6 +374,65 @@ mod tests {
         b.stage(PageId(2));
         let us = b.submit(1, 0);
         assert!((clock.now_us() - us).abs() < 1e-9);
+    }
+
+    #[test]
+    fn submit_costs_the_elevator_order_and_reports_per_slot() {
+        let clock = SharedClock::new();
+        let mut b = IoBatcher::new(DiskModel::with_clock(DiskProfile::default(), clock.clone()));
+        // Staged out of order; submit reads 10, 11, 12, 30, 31.
+        for p in [30, 10, 31, 11, 12] {
+            b.stage(PageId(p));
+        }
+        let total = b.submit(1, 0);
+        let profile = b.disk().profile();
+        assert_eq!(b.disk().random_reads(), 2, "two ascending runs, two seeks");
+        assert_eq!(b.disk().sequential_reads(), 3);
+        let expect = 2.0 * profile.random_read_us + 3.0 * profile.sequential_read_us;
+        assert_eq!(total, expect);
+        assert!((clock.now_us() - expect).abs() < 1e-9);
+        // Outcomes line up with staging order, not read order.
+        assert_eq!(b.outcome_at(0).unwrap(), profile.random_read_us); // 30: new run
+        assert_eq!(b.outcome_at(1).unwrap(), profile.random_read_us); // 10: first read
+        assert_eq!(b.outcome_at(2).unwrap(), profile.sequential_read_us); // 31 follows 30
+        assert_eq!(b.outcome_at(3).unwrap(), profile.sequential_read_us); // 11 follows 10
+        assert_eq!(b.outcome_at(4).unwrap(), profile.sequential_read_us); // 12 follows 11
+    }
+
+    #[test]
+    fn submit_failures_charge_time_but_keep_the_run_going() {
+        // Page `stuck` fails mid-run, charging latency without moving the
+        // head, so the page after it pays a random read, exactly like
+        // back-to-back try_read_page.
+        let faulty = || {
+            let mut d = DiskModel::default();
+            d.enable_faults(FaultConfig { stuck_rate: 0.8, ..FaultConfig::none(17) }, 0);
+            d
+        };
+        let mut oracle = faulty();
+        let stuck = (1u32..64)
+            .find(|&p| oracle.try_read_page(PageId(p), 1).is_err())
+            .expect("80 % stuck rate must hit one of 63 pages");
+
+        let mut b = IoBatcher::new(faulty());
+        let mut expect = faulty();
+        let pages: Vec<PageId> = (0..=stuck + 1).map(PageId).collect();
+        for &page in &pages {
+            b.stage(page);
+        }
+        let total = b.submit(1, 0);
+        let mut expect_total = 0.0;
+        for (slot, &page) in pages.iter().enumerate() {
+            let one = expect.try_read_page(page, 1);
+            expect_total += match &one {
+                Ok(us) => *us,
+                Err(f) => f.latency_us,
+            };
+            assert_eq!(b.outcome_at(slot as u32), one, "batch read of page {} diverged", page.0);
+        }
+        assert_eq!(total, expect_total);
+        assert_eq!(b.disk().random_reads(), expect.random_reads());
+        assert_eq!(b.disk().sequential_reads(), expect.sequential_reads());
     }
 
     #[test]

@@ -283,48 +283,6 @@ impl DiskModel {
             .or_else(|first| self.resume_read_retrying(page, first, policy, deadline_us))
     }
 
-    /// Reads a batch of unique pages in the caller-supplied elevator
-    /// order, recording one verified outcome per page. `pages` holds the
-    /// batch in staging order; `order` is a permutation of its indices
-    /// sorted ascending by page id, so runs of physically adjacent pages
-    /// earn the sequential discount regardless of which session staged
-    /// them first. `outcomes[i]` is the result for `pages[i]` (staging
-    /// order, not read order), so waiters resolve by their staged slot.
-    ///
-    /// Each page goes through [`DiskModel::try_read_page`] with the given
-    /// `attempt`: successes move the head and advance the clock like any
-    /// read, failures charge their latency but leave the head in place —
-    /// exactly the single-read contract, just costed in elevator order.
-    /// Returns the batch's total device time (failed attempts included).
-    pub fn read_batch(
-        &mut self,
-        pages: &[PageId],
-        order: &[u32],
-        attempt: u32,
-        outcomes: &mut Vec<Result<f64, FailedRead>>,
-    ) -> f64 {
-        debug_assert_eq!(order.len(), pages.len());
-        outcomes.clear();
-        outcomes.resize(pages.len(), Ok(0.0));
-        let mut total = 0.0;
-        let mut prev = None;
-        for &slot in order {
-            let page = pages[slot as usize];
-            debug_assert!(
-                prev.is_none_or(|p: PageId| p.0 <= page.0),
-                "read_batch order must ascend by page id"
-            );
-            prev = Some(page);
-            let outcome = self.try_read_page(page, attempt);
-            total += match &outcome {
-                Ok(us) => *us,
-                Err(failed) => failed.latency_us,
-            };
-            outcomes[slot as usize] = outcome;
-        }
-        total
-    }
-
     /// Continues a demand read whose *first* attempt already failed: the
     /// retry ladder from "attempt 1 failed" on. [`DiskModel::read_page_retrying`]
     /// enters it with its own attempt 1; a coalesced batch read enters it
@@ -388,21 +346,6 @@ impl DiskModel {
                 Err(next) => failed = next,
             }
         }
-    }
-
-    /// Simulated time to read `n` pages in the best case (one seek, then
-    /// streaming) — used to estimate the paper's `d` (time to retrieve one
-    /// query's data from disk) without moving the head.
-    pub fn bulk_read_time(&self, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.profile.random_read_us + (n as f64 - 1.0) * self.profile.sequential_read_us
-    }
-
-    /// Pessimistic time to read `n` scattered pages (all random).
-    pub fn scattered_read_time(&self, n: usize) -> f64 {
-        n as f64 * self.profile.random_read_us
     }
 
     /// Number of random (seek-charged) reads so far.
@@ -478,32 +421,6 @@ impl SharedClock {
     }
 }
 
-/// A simulated clock accumulating microseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SimClock {
-    now_us: f64,
-}
-
-impl SimClock {
-    /// Clock at time zero.
-    pub fn new() -> SimClock {
-        SimClock { now_us: 0.0 }
-    }
-
-    /// Current simulated time in µs.
-    #[inline]
-    pub fn now_us(&self) -> f64 {
-        self.now_us
-    }
-
-    /// Advances the clock.
-    #[inline]
-    pub fn advance(&mut self, us: f64) {
-        debug_assert!(us >= 0.0, "cannot advance clock by negative time: {us}");
-        self.now_us += us;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,16 +443,6 @@ mod tests {
         let mut d = DiskModel::default();
         d.read_page(PageId(5));
         assert_eq!(d.read_page(PageId(5)), d.profile().random_read_us);
-    }
-
-    #[test]
-    fn bulk_read_time_is_linear() {
-        let d = DiskModel::default();
-        assert_eq!(d.bulk_read_time(0), 0.0);
-        assert_eq!(d.bulk_read_time(1), d.profile().random_read_us);
-        let t10 = d.bulk_read_time(10);
-        assert_eq!(t10, d.profile().random_read_us + 9.0 * d.profile().sequential_read_us);
-        assert!(d.scattered_read_time(10) > t10);
     }
 
     #[test]
@@ -623,14 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_advances() {
-        let mut c = SimClock::new();
-        c.advance(10.0);
-        c.advance(2.5);
-        assert!((c.now_us() - 12.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn faultless_fallible_reads_are_byte_identical_to_plain_reads() {
         let mut plain = DiskModel::default();
         let mut fallible = DiskModel::default();
@@ -710,61 +609,6 @@ mod tests {
         // sequential, and the failing page itself still peeks random.
         assert_eq!(d.peek_read_us(PageId(10)), d.profile().sequential_read_us);
         assert_eq!(d.peek_read_us(PageId(11)), d.profile().random_read_us);
-    }
-
-    #[test]
-    fn read_batch_costs_the_elevator_order_and_reports_per_slot() {
-        let clock = SharedClock::new();
-        let mut d = DiskModel::with_clock(DiskProfile::default(), clock.clone());
-        // Staged out of order; order indices sort them ascending.
-        let pages = [PageId(30), PageId(10), PageId(31), PageId(11), PageId(12)];
-        let order = [1u32, 3, 4, 0, 2]; // 10, 11, 12, 30, 31
-        let mut outcomes = Vec::new();
-        let total = d.read_batch(&pages, &order, 1, &mut outcomes);
-        assert_eq!(d.random_reads(), 2, "two ascending runs, two seeks");
-        assert_eq!(d.sequential_reads(), 3);
-        let expect = 2.0 * d.profile().random_read_us + 3.0 * d.profile().sequential_read_us;
-        assert_eq!(total, expect);
-        assert!((clock.now_us() - expect).abs() < 1e-9);
-        // Outcomes line up with staging order, not read order.
-        assert_eq!(outcomes[0].unwrap(), d.profile().random_read_us); // 30: new run
-        assert_eq!(outcomes[1].unwrap(), d.profile().random_read_us); // 10: first read
-        assert_eq!(outcomes[2].unwrap(), d.profile().sequential_read_us); // 31 follows 30
-        assert_eq!(outcomes[3].unwrap(), d.profile().sequential_read_us); // 11 follows 10
-        assert_eq!(outcomes[4].unwrap(), d.profile().sequential_read_us); // 12 follows 11
-    }
-
-    #[test]
-    fn read_batch_failures_charge_time_but_keep_the_run_going() {
-        // Page 1 stuck: its read fails mid-run, charging latency without
-        // moving the head, so page 2 pays a random read (the head is
-        // still on page 0), exactly like back-to-back try_read_page.
-        let mut oracle = DiskModel::default();
-        oracle.enable_faults(FaultConfig { stuck_rate: 0.8, ..FaultConfig::none(17) }, 0);
-        let stuck = (1u32..64)
-            .find(|&p| oracle.try_read_page(PageId(p), 1).is_err())
-            .expect("80 % stuck rate must hit one of 63 pages");
-
-        let mut d = DiskModel::default();
-        d.enable_faults(FaultConfig { stuck_rate: 0.8, ..FaultConfig::none(17) }, 0);
-        let mut expect = DiskModel::default();
-        expect.enable_faults(FaultConfig { stuck_rate: 0.8, ..FaultConfig::none(17) }, 0);
-        let pages: Vec<PageId> = (0..=stuck + 1).map(PageId).collect();
-        let order: Vec<u32> = (0..pages.len() as u32).collect();
-        let mut outcomes = Vec::new();
-        let total = d.read_batch(&pages, &order, 1, &mut outcomes);
-        let mut expect_total = 0.0;
-        for (i, &page) in pages.iter().enumerate() {
-            let one = expect.try_read_page(page, 1);
-            expect_total += match &one {
-                Ok(us) => *us,
-                Err(f) => f.latency_us,
-            };
-            assert_eq!(outcomes[i], one, "batch read of page {} diverged", page.0);
-        }
-        assert_eq!(total, expect_total);
-        assert_eq!(d.random_reads(), expect.random_reads());
-        assert_eq!(d.sequential_reads(), expect.sequential_reads());
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! * [`RetryPolicy`] — bounded attempts with exponential backoff and
 //!   deterministic jitter, all costed in *simulated* microseconds against
 //!   a per-query deadline budget.
-//! * [`CircuitBreaker`] — an EWMA fault-rate breaker (same delta-EWMA
-//!   shape as [`ThrashMonitor`](crate::ThrashMonitor)) that disables
-//!   prefetching under sustained faults and half-opens to re-probe.
+//! * [`CircuitBreaker`] — an EWMA fault-rate breaker over per-query
+//!   fault deltas that disables prefetching under sustained faults and
+//!   half-opens to re-probe.
 //! * [`FaultReport`] — the counters every layer above surfaces.
 //!
 //! ## Fault taxonomy
@@ -493,8 +493,8 @@ impl CircuitBreaker {
     }
 
     /// Feeds one query's fault window: `faults` injected across `attempts`
-    /// read attempts. Windows with no attempts contribute nothing (the
-    /// same zero-window rule as the thrash monitor's cold-start guard).
+    /// read attempts. Windows with no attempts contribute nothing: an
+    /// empty window is no evidence either way.
     pub fn observe(&mut self, faults: u64, attempts: u64) {
         if attempts == 0 {
             return;

@@ -19,11 +19,10 @@ pub mod page;
 pub mod page_cache;
 pub mod sharded;
 pub mod stats;
-pub mod thrash;
 
 pub use batch::{BatchPlan, BatchReport, IoBatcher};
 pub use cache::PrefetchCache;
-pub use disk::{DiskModel, DiskProfile, SharedClock, SimClock};
+pub use disk::{DiskModel, DiskProfile, SharedClock};
 pub use fault::{
     BreakerPolicy, CircuitBreaker, FailedRead, FaultConfig, FaultInjector, FaultPlan, FaultReport,
     IoError, RetryPolicy,
@@ -32,4 +31,3 @@ pub use page::{Page, PageId, PageLayout};
 pub use page_cache::{CacheStats, PageCache};
 pub use sharded::ShardedCache;
 pub use stats::{hit_ratio, IoStats};
-pub use thrash::ThrashMonitor;

@@ -4,9 +4,9 @@
 //! Memory is bounded and fixed at construction — one `AtomicU64` per
 //! counter/gauge and a fixed bucket array per histogram — so a registry
 //! costs a few kilobytes regardless of how many samples it absorbs.
-//! Recording is lock-free (`fetch_add` with relaxed ordering); registries
-//! merge bucket-wise, so per-worker or per-run registries can be combined
-//! without ever having held a shared lock on the hot path.
+//! Recording is lock-free (`fetch_add` with relaxed ordering), so one
+//! registry behind an `Arc` serves a whole fleet's sessions and workers
+//! without a shared lock on the hot path.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -41,10 +41,6 @@ pub enum CounterId {
     SessionsStolen,
     /// Sessions parked at a phase boundary.
     SessionsParked,
-    /// Sessions shed by admission control.
-    SessionsShed,
-    /// Round boundaries where thrash signals delayed admission.
-    AdmissionDelays,
     /// Demand-read retry attempts beyond the first.
     RetryAttempts,
     /// Circuit-breaker open transitions.
@@ -57,12 +53,10 @@ pub enum CounterId {
     PagesCoalesced,
     /// Flight-recorder events overwritten by ring wrap-around.
     EventsDropped,
-    /// Engine warnings emitted.
-    Warnings,
 }
 
 /// Number of [`CounterId`] variants.
-pub const COUNTER_COUNT: usize = 20;
+pub const COUNTER_COUNT: usize = 17;
 
 impl CounterId {
     /// Every counter, in declaration order (export order).
@@ -78,15 +72,12 @@ impl CounterId {
         CounterId::GapPages,
         CounterId::SessionsStolen,
         CounterId::SessionsParked,
-        CounterId::SessionsShed,
-        CounterId::AdmissionDelays,
         CounterId::RetryAttempts,
         CounterId::BreakerTrips,
         CounterId::BatchesSubmitted,
         CounterId::BatchPagesSubmitted,
         CounterId::PagesCoalesced,
         CounterId::EventsDropped,
-        CounterId::Warnings,
     ];
 
     /// The counter's stable export name (snake_case).
@@ -103,41 +94,35 @@ impl CounterId {
             CounterId::GapPages => "gap_pages",
             CounterId::SessionsStolen => "sessions_stolen",
             CounterId::SessionsParked => "sessions_parked",
-            CounterId::SessionsShed => "sessions_shed",
-            CounterId::AdmissionDelays => "admission_delays",
             CounterId::RetryAttempts => "retry_attempts",
             CounterId::BreakerTrips => "breaker_trips",
             CounterId::BatchesSubmitted => "batches_submitted",
             CounterId::BatchPagesSubmitted => "batch_pages_submitted",
             CounterId::PagesCoalesced => "pages_coalesced",
             CounterId::EventsDropped => "events_dropped",
-            CounterId::Warnings => "warnings",
         }
     }
 }
 
-/// Last-written level gauges. Merging keeps the maximum — the only
+/// High-water level gauges: raising keeps the maximum — the only
 /// combination that is order-independent for level samples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum GaugeId {
-    /// Sessions resident (admitted, not yet retired) — high-water mark.
-    ResidentSessions,
     /// Worker crew width of the run.
     WorkerCrew,
 }
 
 /// Number of [`GaugeId`] variants.
-pub const GAUGE_COUNT: usize = 2;
+pub const GAUGE_COUNT: usize = 1;
 
 impl GaugeId {
     /// Every gauge, in declaration order.
-    pub const ALL: [GaugeId; GAUGE_COUNT] = [GaugeId::ResidentSessions, GaugeId::WorkerCrew];
+    pub const ALL: [GaugeId; GAUGE_COUNT] = [GaugeId::WorkerCrew];
 
     /// The gauge's stable export name.
     pub fn name(&self) -> &'static str {
         match self {
-            GaugeId::ResidentSessions => "resident_sessions",
             GaugeId::WorkerCrew => "worker_crew",
         }
     }
@@ -308,17 +293,6 @@ impl LogHistogram {
         }
         Self::bucket_upper_us(BUCKETS - 1)
     }
-
-    /// Adds `other`'s buckets into `self` (cross-worker merge).
-    pub fn merge(&self, other: &LogHistogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            let t = theirs.load(Ordering::Relaxed);
-            if t > 0 {
-                mine.fetch_add(t, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count(), Ordering::Relaxed);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -406,54 +380,6 @@ impl MetricsRegistry {
     pub fn histogram(&self, id: HistogramId) -> &LogHistogram {
         &self.histograms[id as usize]
     }
-
-    /// Adds `other`'s counters, gauges (max) and histogram buckets into
-    /// `self` — the cross-run/cross-worker merge.
-    pub fn merge(&self, other: &MetricsRegistry) {
-        for id in CounterId::ALL {
-            self.add(id, other.counter(id));
-        }
-        for id in GaugeId::ALL {
-            self.gauge_raise(id, other.gauge(id));
-        }
-        for id in HistogramId::ALL {
-            self.histogram(id).merge(other.histogram(id));
-        }
-    }
-
-    /// Deterministic JSON object of every counter, gauge and histogram
-    /// percentile triple (only histograms with samples are listed).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{ ");
-        for id in CounterId::ALL {
-            out.push_str(&format!("\"{}\": {}, ", id.name(), self.counter(id)));
-        }
-        for id in GaugeId::ALL {
-            out.push_str(&format!("\"{}\": {}, ", id.name(), self.gauge(id)));
-        }
-        let mut first = true;
-        out.push_str("\"histograms\": { ");
-        for id in HistogramId::ALL {
-            let h = self.histogram(id);
-            if h.count() == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\": {{ \"count\": {}, \"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1} }}",
-                id.name(),
-                h.count(),
-                h.percentile(50.0),
-                h.percentile(95.0),
-                h.percentile(99.0)
-            ));
-        }
-        out.push_str(" } }");
-        out
-    }
 }
 
 #[cfg(test)]
@@ -525,24 +451,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_equals_union() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        let all = LogHistogram::new();
-        for i in 0..500u64 {
-            let v = (i * 37 % 9973) as f64;
-            if i % 2 == 0 { &a } else { &b }.record(v);
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        for p in [10.0, 50.0, 90.0, 99.0] {
-            assert_eq!(a.percentile(p), all.percentile(p), "p{p}");
-        }
-    }
-
-    #[test]
-    fn registry_counters_gauges_and_merge() {
+    fn registry_counters_and_gauges() {
         let r = MetricsRegistry::new();
         r.incr(CounterId::QueriesServed);
         r.add(CounterId::PagesHit, 41);
@@ -553,19 +462,7 @@ mod tests {
         assert_eq!(r.counter(CounterId::QueriesServed), 1);
         assert_eq!(r.counter(CounterId::PagesHit), 41);
         assert_eq!(r.gauge(GaugeId::WorkerCrew), 4);
-
-        let other = MetricsRegistry::new();
-        other.add(CounterId::PagesHit, 9);
-        other.gauge_raise(GaugeId::WorkerCrew, 8);
-        other.record(HistogramId::ResidualUs, 123.0);
-        r.merge(&other);
-        assert_eq!(r.counter(CounterId::PagesHit), 50);
-        assert_eq!(r.gauge(GaugeId::WorkerCrew), 8);
-        assert_eq!(r.histogram(HistogramId::ResidualUs).count(), 2);
-
-        let json = r.to_json();
-        assert!(json.contains("\"pages_hit\": 50"));
-        assert!(json.contains("\"residual_us\""));
+        assert_eq!(r.histogram(HistogramId::ResidualUs).count(), 1);
     }
 
     #[test]

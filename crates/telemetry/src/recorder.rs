@@ -1,8 +1,7 @@
 //! The flight recorder: a bounded per-session ring of typed,
 //! clock-stamped events with a deterministic JSONL export.
 //!
-//! Each session (and the batch engine, and the process-global warning
-//! sink) owns one [`FlightRecorder`]. Recording writes a preallocated
+//! Each session (and the batch engine) owns one [`FlightRecorder`]. Recording writes a preallocated
 //! ring slot — no allocation, no locking — and when the ring is full the
 //! oldest event is overwritten and counted as dropped. At teardown the
 //! per-stream rings merge into a [`FlightLog`] ordered by
@@ -71,8 +70,6 @@ pub enum Event {
         /// Worker that parked it.
         worker: u32,
     },
-    /// Admission control shed the session before it ran.
-    AdmissionShed,
     /// Demand reads climbed the retry ladder during a serve.
     RetryLadder {
         /// Retry attempts beyond first tries.
@@ -89,11 +86,6 @@ pub enum Event {
         /// Duplicate requests coalesced into already-queued slots.
         coalesced: u32,
     },
-    /// An engine warning (see the `WARN_*` codes in the crate root).
-    Warning {
-        /// Stable warning code.
-        code: u32,
-    },
 }
 
 impl Event {
@@ -106,10 +98,8 @@ impl Event {
             Event::WindowClosed { .. } => "window_closed",
             Event::SessionStolen { .. } => "session_stolen",
             Event::SessionParked { .. } => "session_parked",
-            Event::AdmissionShed => "admission_shed",
             Event::RetryLadder { .. } => "retry_ladder",
             Event::BatchSubmitted { .. } => "batch_submitted",
-            Event::Warning { .. } => "warning",
         }
     }
 
@@ -135,7 +125,6 @@ impl Event {
             Event::SessionStolen { worker } | Event::SessionParked { worker } => {
                 let _ = write!(out, ", \"worker\": {worker}");
             }
-            Event::AdmissionShed => {}
             Event::RetryLadder { attempts, recovered } => {
                 let _ = write!(out, ", \"attempts\": {attempts}, \"recovered\": {recovered}");
             }
@@ -146,9 +135,6 @@ impl Event {
                     lane.tag()
                 );
             }
-            Event::Warning { code } => {
-                let _ = write!(out, ", \"code\": {code}");
-            }
         }
     }
 }
@@ -157,8 +143,7 @@ impl Event {
 /// number.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedEvent {
-    /// Simulated µs when the event was recorded (0 for clock-less
-    /// streams such as the warning sink).
+    /// Simulated µs when the event was recorded.
     pub t_us: f64,
     /// Stream (session id; reserved high values for engine streams).
     pub stream: u32,
@@ -191,8 +176,6 @@ impl TimedEvent {
 
 /// Stream id of the batch-engine recorder (not a session).
 pub const ENGINE_STREAM: u32 = u32::MAX - 1;
-/// Stream id of the process-global warning sink.
-pub const WARNING_STREAM: u32 = u32::MAX;
 
 /// A bounded ring of [`TimedEvent`]s for one stream. Records are
 /// allocation-free after construction: the ring `Vec` is filled once and
@@ -323,21 +306,21 @@ mod tests {
     fn ring_retains_newest_and_counts_drops() {
         let mut rec = FlightRecorder::with_capacity(3, 2);
         for i in 0..5u32 {
-            rec.record(i as f64, Event::Warning { code: i });
+            rec.record(i as f64, Event::SessionParked { worker: i });
         }
         assert_eq!(rec.len(), 2);
         assert_eq!(rec.dropped(), 3);
         assert_eq!(rec.recorded(), 5);
         let events = rec.drain();
         assert_eq!(events.len(), 2);
-        // Oldest-first, newest retained: codes 3 and 4, seq 3 and 4.
-        assert!(matches!(events[0].event, Event::Warning { code: 3 }));
-        assert!(matches!(events[1].event, Event::Warning { code: 4 }));
+        // Oldest-first, newest retained: workers 3 and 4, seq 3 and 4.
+        assert!(matches!(events[0].event, Event::SessionParked { worker: 3 }));
+        assert!(matches!(events[1].event, Event::SessionParked { worker: 4 }));
         assert_eq!(events[0].seq, 3);
         assert_eq!(events[1].seq, 4);
         assert!(rec.is_empty());
         // Sequence numbering continues after a drain.
-        rec.record(9.0, Event::AdmissionShed);
+        rec.record(9.0, Event::SessionParked { worker: 9 });
         assert_eq!(rec.drain()[0].seq, 5);
     }
 
@@ -345,10 +328,11 @@ mod tests {
     fn merge_orders_by_time_then_stream_then_seq() {
         let mut a = FlightRecorder::with_capacity(1, 8);
         let mut b = FlightRecorder::with_capacity(0, 8);
-        a.record(5.0, Event::AdmissionShed);
-        a.record(5.0, Event::AdmissionShed);
-        b.record(5.0, Event::AdmissionShed);
-        b.record(2.0, Event::AdmissionShed);
+        let parked = Event::SessionParked { worker: 0 };
+        a.record(5.0, parked);
+        a.record(5.0, parked);
+        b.record(5.0, parked);
+        b.record(2.0, parked);
         let mut log = FlightLog::new();
         log.absorb(&mut a);
         log.absorb(&mut b);
@@ -397,10 +381,8 @@ mod tests {
             Event::WindowClosed { prefetched: 5, gaps: 1 },
             Event::SessionStolen { worker: 3 },
             Event::SessionParked { worker: 0 },
-            Event::AdmissionShed,
             Event::RetryLadder { attempts: 2, recovered: 1 },
             Event::BatchSubmitted { lane: Lane::Demand, pages: 8, coalesced: 0 },
-            Event::Warning { code: 42 },
         ];
         for (i, event) in variants.into_iter().enumerate() {
             let line = TimedEvent { t_us: i as f64, stream: 0, seq: i as u64, event }.to_json();

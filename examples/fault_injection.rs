@@ -41,7 +41,6 @@ fn engine(bed: &TestBed, faults: FaultPlan, workers: usize) -> MultiSessionExecu
         },
         shards: 8,
         schedule: Schedule::WorkStealing { workers },
-        admission: AdmissionControl::unlimited(),
         ..Default::default()
     })
 }

@@ -39,7 +39,6 @@ fn engine(armed: bool) -> MultiSessionExecutor {
         },
         shards: 8,
         schedule: Schedule::RoundRobin,
-        admission: AdmissionControl::unlimited(),
         ..Default::default()
     })
 }

@@ -47,7 +47,7 @@
 //! | [`scout_predict`] | Markov history prefetcher, SCOUT hybrid, feedback control |
 //! | [`scout_baselines`] | EWMA, straight line, polynomial, velocity, Hilbert, layered, Markov |
 //! | [`scout_sim`] | prefetcher trait, Figure-2 executor, workloads, experiments |
-//! | [`scout_telemetry`] | mergeable metrics registry, flight recorder, span timers |
+//! | [`scout_telemetry`] | metrics registry, flight recorder, span timers |
 
 #![forbid(unsafe_code)]
 
@@ -72,10 +72,10 @@ pub mod prelude {
         MarkovPrefetcher, MarkovPrefetcherConfig, TransitionPredictor,
     };
     pub use scout_sim::{
-        evaluate, percentiles, region_lists, run_sequence, run_sequences, AdmissionControl,
-        ExecutorConfig, LatencyPercentiles, MultiSessionConfig, MultiSessionExecutor,
-        MultiSessionReport, NoPrefetch, Prefetcher, Schedule, SchedulerReport, ServeOutcome,
-        Session, SessionReport, SimContext, TelemetryReport, TenantReport, TestBed,
+        evaluate, percentiles, region_lists, run_sequence, run_sequences, ExecutorConfig,
+        LatencyPercentiles, MultiSessionConfig, MultiSessionExecutor, MultiSessionReport,
+        NoPrefetch, Prefetcher, Schedule, SchedulerReport, ServeOutcome, Session, SessionReport,
+        SimContext, TelemetryReport, TenantReport, TestBed,
     };
     pub use scout_storage::{
         BatchPlan, BatchReport, BreakerPolicy, CacheStats, DiskProfile, FaultConfig, FaultPlan,

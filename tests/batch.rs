@@ -40,7 +40,6 @@ fn ample_config(bed: &TestBed, schedule: Schedule, batched: bool) -> MultiSessio
         },
         shards: 8,
         schedule,
-        admission: AdmissionControl::unlimited(),
         batch: BatchPlan { enabled: batched },
     }
 }
@@ -206,67 +205,4 @@ fn identical_streams_coalesce_into_single_flight_reads() {
         assert_eq!(s.pages_total, report.sessions[0].pages_total);
         assert_eq!(s.pages_hit, report.sessions[0].pages_hit);
     }
-}
-
-#[test]
-fn batched_admission_sheds_and_counts_like_the_unbatched_engine() {
-    // Batching × admission is one path through the round engine (the
-    // inline driver and the crew call the same round body whether or not
-    // a batch is attached), so a bounded door must admit, retire and shed
-    // exactly the same sessions with the lanes on as with them off.
-    let (bed, streams) = bed_and_streams(8);
-    let ctx = bed.ctx_rtree();
-    let run = |schedule: Schedule, batched: bool| {
-        let mut config = ample_config(&bed, schedule, batched);
-        config.admission = AdmissionControl::bounded(3).with_backlog_limit(2);
-        let fleet = scout_sessions(&streams).into_iter().map(|s| {
-            let tenant = s.id() % 2;
-            s.with_tenant(tenant)
-        });
-        MultiSessionExecutor::new(config).run(&ctx, fleet.collect())
-    };
-    let shed_ids = |r: &MultiSessionReport| -> Vec<usize> {
-        r.sessions.iter().filter(|s| s.shed).map(|s| s.id).collect()
-    };
-
-    let oracle = run(Schedule::WorkStealing { workers: 1 }, false);
-    assert_eq!(oracle.cache.evictions, 0, "precondition violated: oracle run evicted");
-    // 3 through the door + 2 queued; the other 3 of 8 are shed.
-    assert_eq!(oracle.total_shed(), 3);
-
-    for workers in [1usize, 2, 4] {
-        let schedule = Schedule::WorkStealing { workers };
-        let plain = run(schedule, false);
-        let batched = run(schedule, true);
-        assert_eq!(batched.cache.evictions, 0, "precondition violated: width {workers} evicted");
-        assert_eq!(shed_ids(&batched), shed_ids(&plain), "width {workers}: shed set");
-        let (b, p) = (batched.scheduler.unwrap(), plain.scheduler.unwrap());
-        assert_eq!(
-            (b.admitted, b.retired, b.shed),
-            (p.admitted, p.retired, p.shed),
-            "width {workers}: admission counters"
-        );
-        assert_eq!((b.admitted, b.retired, b.shed), (5, 5, 3), "width {workers}");
-        assert_eq!(
-            batched.total_pages_hit(),
-            oracle.total_pages_hit(),
-            "width {workers}: batched pages-hit drifted from the unbatched width-1 run"
-        );
-        for s in batched.sessions.iter().filter(|s| s.shed) {
-            assert_eq!(
-                (s.queries, s.pages_total, s.pages_hit, s.response_us),
-                (0, 0, 0, 0.0),
-                "width {workers}: shed session {} ran",
-                s.id
-            );
-        }
-        if workers == 1 {
-            assert_eq!(batched.render(), run(schedule, true).render(), "batched rerun diverged");
-        }
-    }
-
-    // Round-robin ignores the admission policy, batched or not.
-    let rr = run(Schedule::RoundRobin, true);
-    assert_eq!(rr.total_shed(), 0);
-    assert!(rr.sessions.iter().all(|s| s.queries == 8));
 }

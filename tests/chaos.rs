@@ -47,7 +47,6 @@ fn chaos_config(bed: &TestBed, schedule: Schedule, faults: FaultPlan) -> MultiSe
         },
         shards: 8,
         schedule,
-        admission: AdmissionControl::unlimited(),
         ..Default::default()
     }
 }

@@ -1,7 +1,7 @@
 //! Acceptance tests of the multi-session engine (ISSUE 2): round-robin
 //! determinism and cross-session cache sharing. Extended for the M:N work-stealing
 //! scheduler (ISSUE 7): width-1 byte-identity with round-robin, totals
-//! equality at every width, admission control, and fleet edge cases.
+//! equality at every width, and fleet edge cases.
 
 use scout::prelude::*;
 use scout_synth::{generate_sequences, SequenceParams};
@@ -56,7 +56,6 @@ fn ample_config(bed: &TestBed, shards: usize, schedule: Schedule) -> MultiSessio
         },
         shards,
         schedule,
-        admission: AdmissionControl::unlimited(),
         ..Default::default()
     }
 }
@@ -177,8 +176,7 @@ fn work_stealing_totals_match_round_robin_at_every_width() {
             );
         }
         let sched = ws.scheduler.expect("work-stealing runs attach scheduler counters");
-        assert_eq!(sched.retired, 8, "width {workers}");
-        assert_eq!(sched.shed, 0, "width {workers}");
+        assert_eq!(sched.rounds, 8, "width {workers}");
     }
 }
 
@@ -216,7 +214,7 @@ fn concurrent_wide_fleets_share_nothing() {
     });
     for (half, wide) in halves.iter().zip(wide) {
         assert_eq!(wide, run(half, 1));
-        assert_eq!(wide.1.retired, half.len() as u64);
+        assert_eq!(wide.0.len(), half.len());
     }
 }
 
@@ -243,6 +241,39 @@ fn work_stealing_width1_is_byte_identical_to_round_robin() {
         );
         assert!((rr.disk_busy_us - ws.disk_busy_us).abs() < 1e-12);
     }
+}
+
+#[test]
+fn tenant_labels_do_not_reorder_the_fleet() {
+    // Tenants are report labels: a fleet that spans two of them runs in
+    // slot order like an unlabelled one, so under eviction pressure —
+    // where visiting order decides who hits — every session's accounting
+    // is the unlabelled run's, bit for bit.
+    let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
+    let ctx = bed.ctx_rtree();
+    let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers: 1 });
+    config.exec.window_ratio = 1.6;
+    config.exec.cache_pages = 24;
+    let engine = MultiSessionExecutor::new(config);
+    let signature = |report: &MultiSessionReport| -> Vec<_> {
+        let r =
+            |s: &SessionReport| [s.residual.p50, s.residual.p95, s.residual.p99].map(f64::to_bits);
+        report
+            .sessions
+            .iter()
+            .map(|s| (s.id, s.queries, s.pages_total, s.pages_hit, r(s)))
+            .collect()
+    };
+    let plain = engine.run(&ctx, scout_sessions(&streams));
+    let tenants = [0, 0, 0, 0, 7, 7];
+    let labelled = engine.run(
+        &ctx,
+        scout_sessions(&streams).into_iter().zip(tenants).map(|(s, t)| s.with_tenant(t)).collect(),
+    );
+    assert!(plain.cache.evictions > 0, "precondition violated: the cache never evicted");
+    assert_eq!(signature(&labelled), signature(&plain));
+    assert_eq!(labelled.tenants.len(), 2);
+    assert!(labelled.render().contains("tenant"));
 }
 
 #[test]
@@ -298,7 +329,6 @@ fn one_session_with_a_hundred_thousand_queries() {
         assert_eq!(report.sessions[0].queries, 100_000, "width {workers}");
         let sched = report.scheduler.unwrap();
         assert_eq!(sched.rounds, 100_000, "width {workers}");
-        assert_eq!(sched.retired, 1, "width {workers}");
     }
 }
 
@@ -306,7 +336,7 @@ fn one_session_with_a_hundred_thousand_queries() {
 fn unequal_query_counts_park_instead_of_spinning() {
     let (bed, streams) = bed_and_streams(2, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
-    let mut per_width: Vec<(u64, u64, u64)> = Vec::new();
+    let mut per_width: Vec<(u64, u64)> = Vec::new();
     for workers in [1, 2, 4] {
         let engine =
             MultiSessionExecutor::new(ample_config(&bed, 8, Schedule::WorkStealing { workers }));
@@ -326,9 +356,8 @@ fn unequal_query_counts_park_instead_of_spinning() {
             "parks must track work, not rounds × fleet size: {} at width {workers}",
             sched.parks
         );
-        assert_eq!(sched.retired, 3, "width {workers}");
         assert_eq!(sched.rounds, 8, "width {workers}");
-        per_width.push((sched.rounds, sched.parks, sched.retired));
+        per_width.push((sched.rounds, sched.parks));
     }
     // Park accounting is schedule-invariant: every width does the same
     // serves and carries the same survivors.
@@ -433,105 +462,5 @@ fn panicking_session_under_fault_injection_is_still_contained() {
         assert_eq!(faults.corruption_served, 0, "width {workers}: corrupt page served");
         assert!(faults.injected() > 0, "width {workers}: weather never materialized");
         assert!(report.render().contains("faults:"), "width {workers}");
-    }
-}
-
-/// The active list is one ordered `Vec` at every width, so with nothing
-/// evicting every scheduler counter but the width itself and the
-/// migration count is the width-1 one. Remembers the first (width-1)
-/// report and compares each later width against it.
-fn assert_width_invariant(oracle: &mut Option<SchedulerReport>, sched: &SchedulerReport) {
-    let w1 = *oracle.get_or_insert(*sched);
-    let same = SchedulerReport { workers: w1.workers, steals: w1.steals, ..*sched };
-    assert_eq!(same, w1, "width {} diverged from width {}", sched.workers, w1.workers);
-}
-
-#[test]
-fn bounded_admission_staggers_but_completes_everyone() {
-    let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
-    let ctx = bed.ctx_rtree();
-    let mut width1 = None;
-    for workers in [1, 3] {
-        let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
-        config.admission = AdmissionControl::bounded(2);
-        let report = MultiSessionExecutor::new(config).run(
-            &ctx,
-            scout_sessions(&streams)
-                .into_iter()
-                .map(|s| {
-                    let t = s.id() % 2;
-                    s.with_tenant(t)
-                })
-                .collect(),
-        );
-        assert!(report.sessions.iter().all(|s| s.queries == 8), "width {workers}");
-        assert_eq!(report.total_shed(), 0, "width {workers}");
-        let sched = report.scheduler.unwrap();
-        assert_eq!(sched.admitted, 6, "width {workers}");
-        assert_eq!(sched.retired, 6, "width {workers}");
-        // 6 sessions through a 2-wide door, 8 queries each: at least three
-        // waves of rounds.
-        assert!(sched.rounds >= 24, "width {workers}: only {} rounds", sched.rounds);
-        assert_width_invariant(&mut width1, &sched);
-        // Two tenants, reported separately.
-        assert_eq!(report.tenants.len(), 2, "width {workers}");
-        assert!(report.tenants.iter().all(|t| t.sessions == 3), "width {workers}");
-        assert!(report.render().contains("tenant"), "width {workers}");
-    }
-}
-
-#[test]
-fn backlog_limit_sheds_the_flooding_tenant_first() {
-    let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
-    let ctx = bed.ctx_rtree();
-    let mut width1 = None;
-    for workers in [1, 2] {
-        let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
-        config.admission = AdmissionControl::bounded(2).with_backlog_limit(1);
-        // Tenant 0 floods with 5 sessions; tenant 1 brings one.
-        let sessions: Vec<Session> = scout_sessions(&streams)
-            .into_iter()
-            .map(|s| {
-                let t = usize::from(s.id() == 5);
-                s.with_tenant(t)
-            })
-            .collect();
-        let report = MultiSessionExecutor::new(config).run(&ctx, sessions);
-        // 2 admitted up front + 1 queued: 3 shed, all from tenant 0.
-        assert_eq!(report.total_shed(), 3, "width {workers}");
-        let t0 = &report.tenants[0];
-        assert_eq!((t0.tenant, t0.shed), (0, 3), "width {workers}");
-        assert_eq!(report.tenants[1].shed, 0, "width {workers}");
-        for s in &report.sessions {
-            assert_eq!(s.queries == 0, s.shed, "width {workers}: session {}", s.id);
-        }
-        let sched = report.scheduler.unwrap();
-        assert_eq!(sched.shed, 3, "width {workers}");
-        assert_width_invariant(&mut width1, &sched);
-    }
-}
-
-#[test]
-fn thrash_delay_cannot_livelock_the_fleet() {
-    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
-    let ctx = bed.ctx_rtree();
-    let mut width1 = None;
-    for workers in [1, 2] {
-        let mut config = ample_config(&bed, 8, Schedule::WorkStealing { workers });
-        // Thresholds no real cache can satisfy: every observed window
-        // reads as thrashing, so admission is delayed at every boundary —
-        // except the starvation override, which must still drip sessions
-        // through one wave at a time.
-        config.admission = AdmissionControl::bounded(1).with_thrash_policy(2.0, -1.0);
-        let report = MultiSessionExecutor::new(config).run(&ctx, scout_sessions(&streams));
-        assert!(
-            report.sessions.iter().all(|s| s.queries == 8),
-            "width {workers}: a permanently-thrashed cache starved the backlog"
-        );
-        let sched = report.scheduler.unwrap();
-        assert_eq!(sched.admitted, 4, "width {workers}");
-        assert!(sched.delayed_rounds > 0, "width {workers}: delay policy never engaged");
-        // Every boundary reads "thrashing", so the delay count is exact.
-        assert_width_invariant(&mut width1, &sched);
     }
 }

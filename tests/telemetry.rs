@@ -43,7 +43,6 @@ fn config(schedule: Schedule, batched: bool, armed: bool) -> MultiSessionConfig 
         },
         shards: 8,
         schedule,
-        admission: AdmissionControl::unlimited(),
         batch: BatchPlan { enabled: batched },
     }
 }

@@ -396,7 +396,7 @@ fn steady_state_graph_build_allocates_nothing() {
     for i in 0..1_000u64 {
         registry.incr(CounterId::QueriesServed);
         registry.add(CounterId::PagesRequested, 7);
-        registry.gauge_raise(GaugeId::ResidentSessions, i);
+        registry.gauge_raise(GaugeId::WorkerCrew, i);
         registry.record(HistogramId::ResidualUs, (i * 37) as f64);
         ring.record(i as f64, Event::WindowOpened { budget_us: i as f64 });
         ring.record(i as f64, Event::SessionParked { worker: (i % 4) as u32 });
