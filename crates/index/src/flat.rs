@@ -68,14 +68,15 @@ impl FlatIndex {
         let mean_diag = pages.iter().map(|p| p.mbr.extent().norm()).sum::<f64>() / n.max(1) as f64;
         let eps = config.epsilon_factor * mean_diag;
 
-        let mut neighbors: Vec<Vec<PageId>> = vec![Vec::new(); n];
-        // One k-NN scratch + output buffer for the whole build: the probe
-        // loop is the hottest part of FLAT construction.
+        let mut neighbors: Vec<Vec<PageId>> = Vec::with_capacity(n);
+        // One probe buffer, k-NN scratch and k-NN output for the whole
+        // build: the probe loop is the hottest part of FLAT construction.
+        let mut near: Vec<PageId> = Vec::new();
         let mut knn_scratch = crate::rtree::KnnScratch::new();
         let mut knn_out: Vec<PageId> = Vec::new();
         for page in pages {
             let probe = page.mbr.expanded(eps.max(1e-12));
-            let mut near = rtree.pages_in_region(&probe);
+            rtree.pages_in_region_into(&probe, &mut near);
             // k-NN union for connectivity across sparse areas.
             rtree.k_nearest_pages_into(
                 page.mbr.center(),
@@ -83,23 +84,23 @@ impl FlatIndex {
                 &mut knn_scratch,
                 &mut knn_out,
             );
-            for &knn_page in &knn_out {
-                if !near.contains(&knn_page) {
-                    near.push(knn_page);
-                }
-            }
+            near.extend_from_slice(&knn_out);
             near.retain(|&p| p != page.id);
             near.sort_unstable();
             near.dedup();
-            neighbors[page.id.index()] = near;
+            neighbors.push(near.clone());
         }
         // Symmetrize: k-NN links are directed; neighborhoods must not be.
-        let snapshot: Vec<Vec<PageId>> = neighbors.clone();
-        for (i, ns) in snapshot.iter().enumerate() {
-            for &p in ns {
-                let back = &mut neighbors[p.index()];
-                if !back.contains(&PageId(i as u32)) {
-                    back.push(PageId(i as u32));
+        // Page `p` gains, in ascending `i`, every `i` that lists `p` but is
+        // not in `p`'s own sorted directed list — its first `directed[p]`
+        // entries, which the appended back links never disturb.
+        let directed: Vec<usize> = neighbors.iter().map(Vec::len).collect();
+        for i in 0..n {
+            let back = PageId(i as u32);
+            for j in 0..directed[i] {
+                let p = neighbors[i][j].index();
+                if neighbors[p][..directed[p]].binary_search(&back).is_err() {
+                    neighbors[p].push(back);
                 }
             }
         }

@@ -30,26 +30,36 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
     // runs, each cut into pages.
     let sx = (page_count as f64).cbrt().ceil() as usize;
 
+    // The comparators read one centroid coordinate per object from `key`
+    // (x, then y, then z) rather than recomputing centroids from the object
+    // records. Slabs are disjoint, so sorting every slab by y before any run
+    // by z gives the order of the interleaved sorts: each stable sort's
+    // output depends only on its own input and comparator.
+    let mut key: Vec<f64> = objects.iter().map(|o| o.centroid().x).collect();
+    let by_key = |key: &[f64], a: &u32, b: &u32| {
+        key[*a as usize].partial_cmp(&key[*b as usize]).expect("non-finite coordinate in dataset")
+    };
     let mut order: Vec<u32> = (0..n as u32).collect();
-    let centroid = |i: &u32| objects[*i as usize].centroid();
-    order.sort_by(|a, b| {
-        centroid(a).x.partial_cmp(&centroid(b).x).expect("non-finite coordinate in dataset")
-    });
+    order.sort_by(|a, b| by_key(&key, a, b));
 
-    let slab_len = n.div_ceil(sx);
+    let slab_len = n.div_ceil(sx).max(1);
+    for (k, o) in key.iter_mut().zip(objects) {
+        *k = o.centroid().y;
+    }
+    for slab in order.chunks_mut(slab_len) {
+        slab.sort_by(|a, b| by_key(&key, a, b));
+    }
+
+    for (k, o) in key.iter_mut().zip(objects) {
+        *k = o.centroid().z;
+    }
     let mut pages: Vec<Page> = Vec::with_capacity(page_count);
-
-    for slab in order.chunks_mut(slab_len.max(1)) {
+    for slab in order.chunks_mut(slab_len) {
         let slab_pages = slab.len().div_ceil(capacity);
         let sy = (slab_pages as f64).sqrt().ceil() as usize;
-        slab.sort_by(|a, b| {
-            centroid(a).y.partial_cmp(&centroid(b).y).expect("non-finite coordinate in dataset")
-        });
         let run_len = slab.len().div_ceil(sy.max(1));
         for run in slab.chunks_mut(run_len.max(1)) {
-            run.sort_by(|a, b| {
-                centroid(a).z.partial_cmp(&centroid(b).z).expect("non-finite coordinate in dataset")
-            });
+            run.sort_by(|a, b| by_key(&key, a, b));
             for chunk in run.chunks(capacity) {
                 let mut mbr = Aabb::EMPTY;
                 let mut ids = Vec::with_capacity(chunk.len());

@@ -138,6 +138,59 @@ proptest! {
         let region = Aabb::from_center_extent(center, Vec3::splat(side));
         prop_assert_eq!(flat.crawl_region(&region, start), plain_crawl(&flat, &region, start));
     }
+
+    /// The neighborhood pass reuses one probe buffer and symmetrizes by
+    /// binary search on each page's directed list; every list must come
+    /// out as the plain pass builds it, order included.
+    #[test]
+    fn neighbors_equal_the_plain_pass(
+        objects in arb_objects(),
+        epsilon_factor in 0.0..0.5f64,
+        knn in 0usize..5,
+    ) {
+        let config = FlatConfig { epsilon_factor, knn };
+        let flat = FlatIndex::bulk_load_with(&objects, 4, config);
+        let want = plain_neighbors(flat.rtree(), config);
+        for page in flat.layout().pages() {
+            prop_assert_eq!(flat.page_neighbors(page.id), want[page.id.index()].as_slice());
+        }
+    }
+}
+
+/// The plain neighborhood pass: per page, the ε-probe's pages plus the
+/// k-NN pages not among them, less the page itself, sorted; then each
+/// directed link `i → p` appends `i` to `p`'s list unless already there,
+/// reading a snapshot of the directed lists.
+fn plain_neighbors(rtree: &RTree, config: FlatConfig) -> Vec<Vec<PageId>> {
+    let pages = rtree.layout().pages();
+    let mean_diag = pages.iter().map(|p| p.mbr.extent().norm()).sum::<f64>() / pages.len() as f64;
+    let eps = config.epsilon_factor * mean_diag;
+    let mut scratch = scout_index::KnnScratch::new();
+    let mut knn = Vec::new();
+    let mut neighbors: Vec<Vec<PageId>> = Vec::new();
+    for page in pages {
+        let mut near = rtree.pages_in_region(&page.mbr.expanded(eps.max(1e-12)));
+        rtree.k_nearest_pages_into(page.mbr.center(), config.knn + 1, &mut scratch, &mut knn);
+        for &p in &knn {
+            if !near.contains(&p) {
+                near.push(p);
+            }
+        }
+        near.retain(|&p| p != page.id);
+        near.sort_unstable();
+        near.dedup();
+        neighbors.push(near);
+    }
+    let snapshot = neighbors.clone();
+    for (i, ns) in snapshot.iter().enumerate() {
+        for &p in ns {
+            let back = &mut neighbors[p.index()];
+            if !back.contains(&PageId(i as u32)) {
+                back.push(PageId(i as u32));
+            }
+        }
+    }
+    neighbors
 }
 
 fn plain_crawl(flat: &FlatIndex, region: &Aabb, start: Vec3) -> Vec<PageId> {
@@ -376,5 +429,129 @@ mod prefetched_scan {
             assert_same_scan(&empty, &objects, &region);
             prop_assert!(empty.range_query(&objects, &region).objects.is_empty());
         }
+    }
+}
+
+/// `str_pack` sorts over one reused key buffer (x, then y, then z) and
+/// finishes every slab's y-sort before any run's z-sort. Neither may show:
+/// pages, their objects and their MBR bits come out as from the plain
+/// interleaved pack that recomputes centroids in every comparison.
+mod str_pack_oracle {
+    use super::*;
+    use scout_index::str_pack;
+
+    /// The plain STR pack: each page's objects and MBR, in page-id order.
+    fn plain_pack(objects: &[SpatialObject], capacity: usize) -> Vec<(Vec<ObjectId>, Aabb)> {
+        let n = objects.len();
+        let page_count = n.div_ceil(capacity);
+        let sx = (page_count as f64).cbrt().ceil() as usize;
+        let centroid = |i: &u32| objects[*i as usize].centroid();
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        order.sort_by(|a, b| {
+            centroid(a).x.partial_cmp(&centroid(b).x).expect("non-finite coordinate in dataset")
+        });
+        let slab_len = n.div_ceil(sx);
+        let mut pages = Vec::new();
+        for slab in order.chunks_mut(slab_len.max(1)) {
+            let slab_pages = slab.len().div_ceil(capacity);
+            let sy = (slab_pages as f64).sqrt().ceil() as usize;
+            slab.sort_by(|a, b| {
+                centroid(a).y.partial_cmp(&centroid(b).y).expect("non-finite coordinate in dataset")
+            });
+            let run_len = slab.len().div_ceil(sy.max(1));
+            for run in slab.chunks_mut(run_len.max(1)) {
+                run.sort_by(|a, b| {
+                    centroid(a)
+                        .z
+                        .partial_cmp(&centroid(b).z)
+                        .expect("non-finite coordinate in dataset")
+                });
+                for chunk in run.chunks(capacity) {
+                    let mut mbr = Aabb::EMPTY;
+                    let mut ids = Vec::with_capacity(chunk.len());
+                    for &i in chunk {
+                        let obj = &objects[i as usize];
+                        mbr = mbr.union(&obj.aabb());
+                        ids.push(obj.id);
+                    }
+                    pages.push((ids, mbr));
+                }
+            }
+        }
+        pages
+    }
+
+    /// A coordinate on a 5-step integer grid, zero of either sign: most
+    /// centroids tie on some axis, many on all three.
+    fn arb_coord() -> impl Strategy<Value = f64> {
+        prop_oneof![(-2i32..=2).prop_map(f64::from), Just(-0.0), Just(0.0)]
+    }
+
+    fn arb_grid_point() -> impl Strategy<Value = Vec3> {
+        (arb_coord(), arb_coord(), arb_coord()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+    }
+
+    fn arb_grid_shape() -> impl Strategy<Value = Shape> {
+        prop_oneof![
+            arb_grid_point().prop_map(Shape::Point),
+            (arb_grid_point(), arb_grid_point())
+                .prop_map(|(a, b)| Shape::Segment(Segment::new(a, b))),
+            (arb_grid_point(), arb_grid_point(), 1u8..4).prop_map(|(a, b, r)| Shape::Cylinder(
+                Cylinder::new(a, b, 0.25 * f64::from(r), 0.5)
+            )),
+        ]
+    }
+
+    /// Grid shapes, each present once or twice (duplicates tie on every
+    /// key and every stable sort must keep them in input order).
+    fn arb_grid_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
+        prop::collection::vec((arb_grid_shape(), 0usize..2), 1..400).prop_map(|raw| {
+            raw.into_iter()
+                .flat_map(|(shape, extra)| std::iter::repeat_n(shape, 1 + extra))
+                .enumerate()
+                .map(|(i, shape)| SpatialObject::new(ObjectId(i as u32), StructureId(0), shape))
+                .collect()
+        })
+    }
+
+    fn mbr_bits(b: &Aabb) -> [u64; 6] {
+        [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f64::to_bits)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn str_pack_equals_the_plain_pack(
+            objects in arb_grid_objects(),
+            capacity in prop_oneof![Just(1usize), Just(4), Just(7), Just(87)],
+        ) {
+            let layout = str_pack(&objects, capacity);
+            let want = plain_pack(&objects, capacity);
+            prop_assert_eq!(layout.page_count(), want.len());
+            for (i, (page, (ids, mbr))) in layout.pages().iter().zip(&want).enumerate() {
+                prop_assert_eq!(page.id, PageId(i as u32));
+                prop_assert_eq!(&page.objects, ids);
+                prop_assert_eq!(mbr_bits(&page.mbr), mbr_bits(mbr));
+            }
+        }
+    }
+
+    /// A NaN centroid reaches the z-sort of a one-run pack.
+    #[test]
+    #[should_panic(expected = "non-finite coordinate in dataset")]
+    fn nan_centroid_rejected() {
+        let objects: Vec<SpatialObject> = [0.0, f64::NAN]
+            .into_iter()
+            .enumerate()
+            .map(|(i, z)| {
+                SpatialObject::new(
+                    ObjectId(i as u32),
+                    StructureId(0),
+                    Shape::Point(Vec3::new(0.0, 0.0, z)),
+                )
+            })
+            .collect();
+        let _ = str_pack(&objects, 87);
     }
 }

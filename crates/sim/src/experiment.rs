@@ -27,9 +27,12 @@ impl TestBed {
     }
 
     /// Bulk loads both indexes with an explicit page capacity.
+    ///
+    /// One STR pack serves both: FLAT builds its neighborhoods over a clone
+    /// of the R-tree, which equals a second pack of the same objects.
     pub fn with_page_capacity(dataset: Dataset, capacity: usize) -> TestBed {
         let rtree = RTree::bulk_load_with_capacity(&dataset.objects, capacity);
-        let flat = FlatIndex::bulk_load_with(&dataset.objects, capacity, FlatConfig::default());
+        let flat = FlatIndex::from_rtree(rtree.clone(), FlatConfig::default());
         TestBed { dataset, rtree, flat }
     }
 
@@ -188,5 +191,33 @@ mod tests {
         let bed = TestBed::with_page_capacity(dataset, 32);
         assert!(bed.ctx_flat().ordered.is_some());
         assert!(bed.ctx_rtree().ordered.is_none());
+    }
+
+    /// The bed packs once and hands FLAT a clone of its R-tree: FLAT's
+    /// pages and neighborhoods must equal those of a FLAT index that packs
+    /// the objects itself.
+    #[test]
+    fn bed_flat_equals_a_standalone_flat() {
+        use scout_index::{OrderedSpatialIndex, SpatialIndex};
+        use scout_synth::{generate_roads, RoadParams};
+        let datasets = [
+            generate_neurons(&NeuronParams::with_target_objects(40_000), 5),
+            generate_roads(&RoadParams { grid_n: 32, ..Default::default() }, 6),
+        ];
+        for dataset in datasets {
+            let bed = TestBed::with_page_capacity(dataset, 4);
+            let standalone =
+                FlatIndex::bulk_load_with(&bed.dataset.objects, 4, FlatConfig::default());
+            let (flat, tree) = (bed.flat.rtree().layout(), bed.rtree.layout());
+            assert_eq!(flat.page_count(), tree.page_count());
+            for (a, b) in flat.pages().iter().zip(tree.pages()) {
+                assert_eq!(a.id, b.id);
+                assert_eq!(a.objects, b.objects);
+                assert_eq!(a.mbr, b.mbr);
+            }
+            for page in flat.pages() {
+                assert_eq!(bed.flat.page_neighbors(page.id), standalone.page_neighbors(page.id));
+            }
+        }
     }
 }
