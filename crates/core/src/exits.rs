@@ -7,7 +7,7 @@
 //! yield better results" — §4.4.)
 
 use crate::graph::{ResultGraph, VertexId};
-use scout_geometry::{QueryRegion, Segment, Simplification, Simplified, SpatialObject, Vec3};
+use scout_geometry::{Aabb, QueryRegion, Segment, Simplification, Simplified, SpatialObject, Vec3};
 use scout_sim::ResultFrame;
 
 /// A location where a candidate structure leaves the query region.
@@ -75,12 +75,14 @@ fn exit_of_segment(seg: &Segment, region: &QueryRegion) -> Option<(Vec3, Vec3)> 
 /// `components_filter` is `None`), reading each vertex's centroid and
 /// simplified geometry from the result `frame` the graph build gathered.
 ///
-/// `out` receives the exits (cleared first); `centroid_sum`/`centroid_n`
-/// are per-component accumulator scratch — on the hot path all of them
-/// come from the session's [`scout_sim::QueryScratch`] arena plus the
+/// `component_of` labels the vertices `0..comp_count`. `out` receives the
+/// exits (cleared first); `centroid_sum` and `component_tally` are
+/// per-component accumulator scratch — on the hot path all of them come
+/// from the session's [`scout_sim::QueryScratch`] arena plus the
 /// prefetcher's exit buffer. Returns the number of traversal steps
 /// performed — the DFS over candidate structures whose cost Figure 16
-/// measures.
+/// measures: one per examined vertex plus one per incident edge, summed
+/// per component in the centroid pass.
 ///
 /// The outward direction of each exit is smoothed: a single small object
 /// (a 3 µm cylinder) carries a very noisy local direction, so the reported
@@ -95,36 +97,45 @@ pub fn find_exits_into(
     frame: &ResultFrame,
     graph: &ResultGraph,
     component_of: &[u32],
+    comp_count: usize,
     region: &QueryRegion,
     components_filter: Option<&[bool]>,
     centroid_sum: &mut Vec<Vec3>,
-    centroid_n: &mut Vec<u32>,
+    component_tally: &mut Vec<(u32, u32)>,
     out: &mut Vec<Exit>,
 ) -> u64 {
     debug_assert_eq!(frame.len(), graph.vertex_count(), "frame describes another result");
     out.clear();
-    let mut steps: u64 = 0;
-    // Pass 1: per-component interior centroids.
-    let comp_count = component_of.iter().copied().max().map_or(0, |m| m as usize + 1);
+    // Pass 1: per-component interior centroids, member counts and steps.
     centroid_sum.clear();
     centroid_sum.resize(comp_count, Vec3::ZERO);
-    centroid_n.clear();
-    centroid_n.resize(comp_count, 0u32);
-    for (&comp, &centroid) in component_of.iter().zip(&frame.centroids) {
+    component_tally.clear();
+    component_tally.resize(comp_count, (0, 0));
+    for (v, (&comp, &centroid)) in component_of.iter().zip(&frame.centroids).enumerate() {
         centroid_sum[comp as usize] += centroid;
-        centroid_n[comp as usize] += 1;
+        let (members, steps) = &mut component_tally[comp as usize];
+        *members += 1;
+        *steps += 1 + graph.row(v as VertexId).len() as u32;
     }
+    let steps = component_tally
+        .iter()
+        .enumerate()
+        .filter(|&(comp, _)| components_filter.is_none_or(|flags| flags[comp]))
+        .map(|(_, &(_, steps))| steps as u64)
+        .sum();
     // Pass 2: boundary crossings.
-    for v in 0..graph.vertex_count() as VertexId {
-        let comp = component_of[v as usize];
+    let bounds = region.aabb();
+    for (v, simplified) in frame.simplified.iter().enumerate() {
+        if surely_inside(simplified, bounds) {
+            continue;
+        }
+        let comp = component_of[v];
         if components_filter.is_some_and(|flags| !flags[comp as usize]) {
             continue;
         }
-        // Each examined vertex plus its incident edges is traversal work.
-        steps += 1 + graph.neighbors(v).len() as u64;
-        if let Some((point, local_dir)) = exit_of_simplified(&frame.simplified[v as usize], region)
-        {
-            let centroid = centroid_sum[comp as usize] / centroid_n[comp as usize].max(1) as f64;
+        if let Some((point, local_dir)) = exit_of_simplified(simplified, region) {
+            let members = component_tally[comp as usize].0;
+            let centroid = centroid_sum[comp as usize] / members.max(1) as f64;
             let chord = (point - centroid).normalized().unwrap_or(local_dir);
             // Never let the chord flip the direction inward.
             let dir = if chord.dot(local_dir) > 0.0 {
@@ -132,10 +143,30 @@ pub fn find_exits_into(
             } else {
                 local_dir
             };
-            out.push(Exit { point, dir, vertex: v, component: comp });
+            out.push(Exit { point, dir, vertex: v as VertexId, component: comp });
         }
     }
     steps
+}
+
+/// True for geometry that cannot cross the boundary: a point, or a segment
+/// with both ends in the box — [`exit_of_simplified`]'s `None` cases it
+/// can decide with six comparisons an end and no branch.
+#[inline]
+fn surely_inside(simplified: &Simplified, bounds: &Aabb) -> bool {
+    let inside = |p: Vec3| {
+        (p.x >= bounds.min.x)
+            & (p.x <= bounds.max.x)
+            & (p.y >= bounds.min.y)
+            & (p.y <= bounds.max.y)
+            & (p.z >= bounds.min.z)
+            & (p.z <= bounds.max.z)
+    };
+    match simplified {
+        Simplified::Segment(seg) => inside(seg.a) & inside(seg.b),
+        Simplified::Point(_) => true,
+        Simplified::Box(_) => false,
+    }
 }
 
 /// Linear extrapolation of an exit: the predicted point `distance` beyond
@@ -202,10 +233,12 @@ mod tests {
         let mut frame = ResultFrame::default();
         frame.gather(objects, graph.object_ids(), Simplification::Segment);
         let mut exits = Vec::new();
+        let comp_count = component_of.iter().max().map_or(0, |&c| c as usize + 1);
         let steps = find_exits_into(
             &frame,
             graph,
             component_of,
+            comp_count,
             &region(),
             filter,
             &mut Vec::new(),

@@ -17,8 +17,9 @@
 //! allocations. Grid-hash construction hashes each result object once
 //! (pass 1: `(cell, vertex)` pairs straight off the cell walk), links the
 //! pairs into per-cell chains that yield every co-located pair exactly once
-//! (the *chain pass*), and writes each CSR row once, already ascending and
-//! duplicate-free, in two *transposes* — no sort, no dedup (see
+//! (the *chain pass*, which also unites them into components), and writes
+//! each CSR row once, already ascending and duplicate-free, from one counting
+//! sort of those pairs — no sort within a row, no dedup (see
 //! `ResultGraph::assemble_csr`). All of it runs over scratch buffers borrowed
 //! from a [`scout_sim::QueryScratch`] arena, so a warmed
 //! session rebuilds its graph every query without touching the allocator
@@ -35,6 +36,7 @@ use scout_geometry::{
     ObjectAdjacency, ObjectId, QueryRegion, Simplification, SpatialObject, UniformGrid,
 };
 use scout_sim::{CpuUnits, QueryScratch};
+use std::hint::select_unpredictable;
 
 /// Local vertex index within one result graph.
 pub type VertexId = u32;
@@ -62,6 +64,45 @@ const NONE: u32 = u32::MAX;
 /// The sparse reverse index is sorted by LSD radix, this many bits a pass
 /// (a 2 048-entry histogram: 8 KB of stack).
 const RADIX_BITS: u32 = 11;
+
+/// The root of `x`'s set. Every set is rooted at its lowest vertex and a
+/// parent is always lower than its child; path halving keeps it so, since
+/// a grandparent is lower still.
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        let grand = parent[parent[x as usize] as usize];
+        parent[x as usize] = grand;
+        x = grand;
+    }
+    x
+}
+
+/// Unites the set whose root is `root` with `u`'s set by linking the
+/// higher root under the lower, and returns the lower: the merged root.
+#[inline]
+fn unite(parent: &mut [u32], root: u32, u: u32) -> u32 {
+    let r = find(parent, u);
+    parent[r.max(root) as usize] = r.min(root);
+    r.min(root)
+}
+
+/// Turns union-find parents — each set rooted at its lowest vertex, every
+/// other vertex's parent below it — into component labels in place and
+/// returns the count. One ascending sweep: a root opens the next label,
+/// any other vertex copies the label its parent already holds. A
+/// component's label is therefore the rank of its lowest vertex among the
+/// roots — the first-encounter numbering of a DFS started from every
+/// unlabeled vertex in ascending order.
+pub(crate) fn label_components(parent: &mut [u32]) -> usize {
+    let mut next = 0u32;
+    for v in 0..parent.len() {
+        let up = parent[v] as usize;
+        let root = up == v;
+        parent[v] = if root { next } else { parent[up] };
+        next += u32::from(root);
+    }
+    next as usize
+}
 
 /// The per-query-result object graph, in CSR form.
 #[derive(Debug, Clone, Default)]
@@ -178,42 +219,40 @@ impl ResultGraph {
     /// Allocating wrapper around [`ResultGraph::components_into`].
     pub fn components(&self) -> (Vec<u32>, usize) {
         let mut comp = Vec::new();
-        let mut stack = Vec::new();
-        let count = self.components_into(&mut comp, &mut stack);
+        let count = self.components_into(&mut comp);
         (comp, count)
     }
 
-    /// Connected components into caller-provided buffers (the hot path —
-    /// `comp` and `stack` come from the session's scratch arena). Returns
-    /// the component count; `comp[v]` is vertex `v`'s label.
+    /// Connected components into a caller-provided buffer. Returns the
+    /// component count; `comp[v]` is vertex `v`'s label.
     ///
     /// Labels are assigned in first-encounter order over ascending vertex
     /// ids, so the labeling depends only on the edge *set* — identical to
-    /// the reference implementation.
-    pub fn components_into(&self, comp: &mut Vec<u32>, stack: &mut Vec<u32>) -> usize {
-        let n = self.vertex_count();
-        comp.clear();
-        comp.resize(n, u32::MAX);
-        stack.clear();
-        let mut next = 0u32;
-        for v in 0..n as u32 {
-            if comp[v as usize] != u32::MAX {
-                continue;
-            }
-            comp[v as usize] = next;
-            stack.push(v);
-            while let Some(u) = stack.pop() {
-                for &w in self.neighbors(u) {
-                    if comp[w as usize] == u32::MAX {
-                        comp[w as usize] = next;
-                        stack.push(w);
-                    }
+    /// the reference implementation's DFS. Union-find over each row's
+    /// backward part, then the labelling sweep. The hot path skips the
+    /// unions: both builds leave them done in `QueryScratch::components`.
+    pub fn components_into(&self, comp: &mut Vec<u32>) -> usize {
+        self.unite_rows(comp);
+        label_components(comp)
+    }
+
+    /// Union-find parents of this graph's components into `parent`. Rows
+    /// are ascending, so a row's backward part — its edges to lower
+    /// vertices — is its prefix, and each undirected edge is united once,
+    /// from its higher end. A row's own vertex is still a singleton when
+    /// its row comes up: every earlier union linked roots below it.
+    fn unite_rows(&self, parent: &mut Vec<u32>) {
+        parent.clear();
+        parent.extend(0..self.vertex_count() as u32);
+        for v in 0..self.vertex_count() as u32 {
+            let mut root = v;
+            for &u in self.neighbors(v) {
+                if u >= v {
+                    break;
                 }
+                root = unite(parent, root, u);
             }
-            next += 1;
         }
-        debug_assert!(stack.is_empty(), "component stack must drain");
-        next as usize
     }
 
     /// Builds the graph by grid hashing (§4.2) over the given result
@@ -264,14 +303,16 @@ impl ResultGraph {
     ///
     /// Pass 1 maps every object's simplified geometry to grid cells,
     /// emitting `(cell, vertex)` pairs; a chain pass over the pairs finds
-    /// each co-located vertex pair once, and two transposes write the CSR
-    /// rows, ascending and duplicate-free by construction (see
-    /// `assemble_csr`) — replacing the seed's per-cell `HashMap` entries
-    /// and O(degree) `contains` checks.
+    /// each co-located vertex pair once, and a counting sort and one
+    /// scatter write the CSR rows, ascending and duplicate-free by
+    /// construction (see `assemble_csr`) — replacing the seed's per-cell
+    /// `HashMap` entries and O(degree) `contains` checks.
     ///
     /// Pass 1 is the one place the prediction loads the object records, so
     /// it also leaves `scratch.frame` describing exactly this graph's
-    /// vertices.
+    /// vertices. The chain pass unites each pair it finds, so
+    /// `scratch.components` comes back holding the union-find parents
+    /// the labelling sweep turns into labels.
     pub fn build_grid_hash(
         &mut self,
         scratch: &mut QueryScratch,
@@ -309,7 +350,9 @@ impl ResultGraph {
 
     /// Passes 2–3 of the grid-hash build: the vertex-major pair list
     /// in `scratch.cell_pairs` becomes the CSR adjacency in one *chain
-    /// pass* and two *transposes*, writing every target slot exactly once.
+    /// pass*, a counting sort and one scatter, writing every target slot
+    /// exactly once. Every loop is flat — over the pairs, the edges or the
+    /// vertices — so none pays a mispredicted exit per row.
     ///
     /// **Chain pass.** Each pair is linked onto its cell's chain: `head`
     /// names the cell's newest pair, a link is `(vertex, pair before)`.
@@ -317,10 +360,11 @@ impl ResultGraph {
     /// the chain a pair of vertex `v` joins holds exactly the members of
     /// its cell numbered below `v` — `v`'s *backward* neighbours. A
     /// per-vertex stamp drops a neighbour met again through a second
-    /// shared cell; each first meeting is appended to `v`'s backward list
-    /// and bumps the neighbour's forward degree. Rows are therefore
-    /// duplicate-free before a single target is written: nothing to sort,
-    /// nothing to dedup.
+    /// shared cell; each first meeting `(u, v)` is recorded, counted into
+    /// both degrees, and united into `v`'s set (`v` starts its pairs as a
+    /// singleton: every earlier union linked roots below it). Rows are
+    /// therefore duplicate-free before a single target is written: nothing
+    /// to sort within a row, nothing to dedup.
     ///
     /// `head` is indexed by cell id when the grid is small against the pair
     /// list ([`CELL_HISTOGRAM_SLACK`]); otherwise it is an open-addressed
@@ -328,11 +372,11 @@ impl ResultGraph {
     /// (Fibonacci hashing, linear probing) — the side small results take
     /// (`gaps`: ≈ 1.7 k objects a query against 32 768 cells).
     ///
-    /// **Transposes.** Row `v` is its backward part then its forward part.
-    /// Scattering `v` into the forward part of every backward neighbour,
-    /// for ascending `v`, fills the forward parts in ascending order;
-    /// scattering `u` into the backward part of every forward neighbour,
-    /// for ascending `u`, does the same for the backward parts.
+    /// **Sort and scatter.** Row `v` is its backward part then its forward
+    /// part. The first meetings arrive sorted by `v`; a stable counting
+    /// sort by `u` orders them by `(u, v)`. Scattering them in that order —
+    /// `v` into `u`'s forward part, `u` into `v`'s backward part — fills
+    /// both parts of every row in ascending order.
     fn assemble_csr(
         &mut self,
         scratch: &mut QueryScratch,
@@ -344,11 +388,12 @@ impl ResultGraph {
             cell_pairs: pairs,
             counts: head,
             edges: links,
+            components: parent,
             met_stamp: stamp,
-            back_cursor,
+            met_pairs: met,
+            met_cursor: sort_cursor,
+            back_cursor: backward,
             forward_cursor: forward,
-            back_offsets,
-            back_lists: back,
             ..
         } = scratch;
         assert!(pairs.len() < NONE as usize, "pair list overflows the u32 chain links");
@@ -363,67 +408,73 @@ impl ResultGraph {
         stamp.resize(n, NONE);
         forward.clear();
         forward.resize(n, 0);
-        back_offsets.clear();
-        back_offsets.reserve(n + 1);
-        back.clear();
-        let mut p = 0usize;
-        for v in 0..n as u32 {
-            back_offsets.push(back.len() as u32);
-            while p < pairs.len() && pairs[p].1 == v {
-                let cell = pairs[p].0;
-                let mut slot = cell as usize;
-                if !direct {
-                    slot = (cell.wrapping_mul(0x9E37_79B9) >> hash_shift) as usize;
-                    while head[slot] != NONE && pairs[head[slot] as usize].0 != cell {
-                        slot = (slot + 1) & (slots - 1);
-                    }
+        backward.clear();
+        backward.resize(n, 0);
+        parent.clear();
+        parent.extend(0..n as u32);
+        met.clear();
+        let (mut last, mut root) = (NONE, NONE);
+        for (p, &(cell, v)) in pairs.iter().enumerate() {
+            debug_assert!(last == NONE || last <= v, "pairs must be vertex-major");
+            let mut slot = cell as usize;
+            if !direct {
+                slot = (cell.wrapping_mul(0x9E37_79B9) >> hash_shift) as usize;
+                while head[slot] != NONE && pairs[head[slot] as usize].0 != cell {
+                    slot = (slot + 1) & (slots - 1);
                 }
-                let mut q = head[slot];
-                head[slot] = p as u32;
-                links[p] = (v, q);
-                while q != NONE {
-                    let (u, before) = links[q as usize];
-                    debug_assert!(u < v, "pairs must be vertex-major, each (cell, vertex) once");
-                    if stamp[u as usize] != v {
-                        stamp[u as usize] = v;
-                        back.push(u);
-                        forward[u as usize] += 1;
-                    }
-                    q = before;
+            }
+            let mut q = head[slot];
+            head[slot] = p as u32;
+            links[p] = (v, q);
+            root = select_unpredictable(v == last, root, v);
+            last = v;
+            while q != NONE {
+                let (u, before) = links[q as usize];
+                debug_assert!(u < v, "pairs must be vertex-major, each (cell, vertex) once");
+                if stamp[u as usize] != v {
+                    stamp[u as usize] = v;
+                    met.push((u, v));
+                    forward[u as usize] += 1;
+                    backward[v as usize] += 1;
+                    root = unite(parent, root, u);
                 }
-                p += 1;
+                q = before;
             }
         }
-        back_offsets.push(back.len() as u32);
-        debug_assert_eq!(p, pairs.len(), "pairs must be vertex-major");
 
-        // Row lengths → offsets; `forward` then turns into the write cursor
-        // of each row's forward part, `back_cursor` is that of its backward
-        // part.
-        let back_len = |v: usize| back_offsets[v + 1] - back_offsets[v];
-        for (v, degree) in forward.iter_mut().enumerate() {
-            *degree += back_len(v);
+        // Where each `u`'s first meetings start in `(u, v)` order; then row
+        // lengths → offsets, and the write cursor of each row's forward
+        // part (`forward`) and backward part (`backward`).
+        sort_cursor.clear();
+        let mut start = 0u32;
+        sort_cursor.extend(forward.iter().map(|&f| {
+            start += f;
+            start - f
+        }));
+        for (degree, &back) in forward.iter_mut().zip(backward.iter()) {
+            *degree += back;
         }
         let total = Self::prefix_sum_offsets(&mut self.offsets, forward);
+        for (v, (fwd, back)) in forward.iter_mut().zip(backward.iter_mut()).enumerate() {
+            *fwd = self.offsets[v] + *back;
+            *back = self.offsets[v];
+        }
+        // The chain links are spent: they take the meetings in `(u, v)`
+        // order.
+        links.clear();
+        links.resize(met.len(), (0, 0));
+        for &(u, v) in met.iter() {
+            let at = &mut sort_cursor[u as usize];
+            links[*at as usize] = (u, v);
+            *at += 1;
+        }
         self.targets.clear();
         self.targets.resize(total, 0);
-        for (v, cursor) in forward.iter_mut().enumerate() {
-            *cursor = self.offsets[v] + back_len(v);
-        }
-        for v in 0..n {
-            for &u in &back[back_offsets[v] as usize..back_offsets[v + 1] as usize] {
-                self.targets[forward[u as usize] as usize] = v as u32;
-                forward[u as usize] += 1;
-            }
-        }
-        back_cursor.clear();
-        back_cursor.extend_from_slice(&self.offsets[..n]);
-        for u in 0..n {
-            for i in (self.offsets[u] + back_len(u)) as usize..self.offsets[u + 1] as usize {
-                let w = self.targets[i] as usize;
-                self.targets[back_cursor[w] as usize] = u as u32;
-                back_cursor[w] += 1;
-            }
+        for &(u, v) in links.iter() {
+            self.targets[forward[u as usize] as usize] = v;
+            forward[u as usize] += 1;
+            self.targets[backward[v as usize] as usize] = u;
+            backward[v as usize] += 1;
         }
         debug_assert!(
             (0..n).all(|v| self.targets[self.row(v as u32)].windows(2).all(|w| w[0] < w[1])),
@@ -439,7 +490,8 @@ impl ResultGraph {
     ///
     /// Never looks at an object, so it cannot fill `scratch.frame`: a
     /// caller that goes on to predict gathers it
-    /// ([`ResultFrame::gather`](scout_sim::ResultFrame::gather)).
+    /// ([`ResultFrame::gather`](scout_sim::ResultFrame::gather)). Like the
+    /// grid build it leaves union-find parents in `scratch.components`.
     pub fn build_explicit(
         &mut self,
         scratch: &mut QueryScratch,
@@ -469,6 +521,7 @@ impl ResultGraph {
             }
         }
         self.finish_csr(scratch, &mut units);
+        self.unite_rows(&mut scratch.components);
         units
     }
 
@@ -709,6 +762,54 @@ mod tests {
                     prop_assert_eq!(
                         graph.vertex_of(ObjectId(probe)), oracle.get(&probe).copied());
                 }
+            }
+        }
+    }
+
+    // What `observe` labels — the union-find parents a build leaves in the
+    // scratch arena — against `components_into` on the graph it built, for
+    // both builds, into a reused arena.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn builds_leave_their_components_united(
+            raw in prop::collection::vec(
+                ((0.0..40.0f64, 0.0..40.0f64, 0.0..40.0f64), (-4.0..4.0f64, -4.0..4.0f64, -4.0..4.0f64)),
+                1..120,
+            ),
+            res in prop_oneof![8u32..512, 512u32..40_000],
+            stride in 1usize..6,
+        ) {
+            let objects: Vec<SpatialObject> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &((x, y, z), (dx, dy, dz)))| {
+                    let a = Vec3::new(x, y, z);
+                    let shape = Shape::Segment(Segment::new(a, a + Vec3::new(dx, dy, dz)));
+                    SpatialObject::new(ObjectId(i as u32), StructureId(0), shape)
+                })
+                .collect();
+            let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
+            let region = QueryRegion::new(Vec3::splat(20.0), 64_000.0, Aspect::Cube);
+            let lists: Vec<Vec<ObjectId>> = (0..objects.len())
+                .map(|i| (i + stride..objects.len()).step_by(stride * 3).map(|j| ObjectId(j as u32)).collect())
+                .collect();
+            let adjacency = ObjectAdjacency::from_lists(&lists);
+            let mut scratch = QueryScratch::new();
+            let mut graph = ResultGraph::default();
+            for explicit in [false, true, false] {
+                if explicit {
+                    graph.build_explicit(&mut scratch, &adjacency, &ids);
+                } else {
+                    graph.build_grid_hash(
+                        &mut scratch, &objects, &ids, &region, res, Simplification::Segment,
+                    );
+                }
+                let count = label_components(&mut scratch.components);
+                let (comp, expected) = graph.components();
+                prop_assert_eq!(count, expected);
+                prop_assert_eq!(&scratch.components, &comp);
             }
         }
     }

@@ -8,6 +8,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scout_geometry::Vec3;
+use std::hint::select_unpredictable;
 
 /// Buffers of one k-means run, so clustering the exit locations of every
 /// query allocates nothing once they have warmed.
@@ -24,6 +25,21 @@ pub struct KmeansScratch {
     sums: Vec<Vec3>,
     /// Lloyd update: per-cluster member counts.
     counts: Vec<u32>,
+    /// Assign step: the centroids as x, y and z lanes, [`LANES`] to a
+    /// block; the last block is padded with copies of the last centroid.
+    blocks: Vec<[[f64; LANES]; 3]>,
+}
+
+/// Centroids one assign-step block compares a point against.
+const LANES: usize = 4;
+
+/// `d`'s rank in `f64::total_cmp` order, as an integer (the transform
+/// `total_cmp` itself compares). `i64::MAX` is the rank of the greatest
+/// NaN: the running minimum of the assign step before any centroid.
+#[inline]
+fn total_key(d: f64) -> i64 {
+    let bits = d.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// Result of clustering: centroid and member indices per cluster.
@@ -61,8 +77,15 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64, iterations: usize) -> Vec<Cl
 ///
 /// Every point–centroid distance is evaluated once: seeding keeps each
 /// point's running minimum over the centroids chosen so far, and the
-/// assignment scan keeps the first strictly smaller distance — the tie
-/// rule of `Iterator::min_by`.
+/// assignment scan keeps the first strictly smaller distance in
+/// `total_cmp` order — the tie rule of `Iterator::min_by`.
+///
+/// The assign step computes a block of four distances from the
+/// centroid lanes, in `distance_sq`'s operation order, then keeps the
+/// running minimum with `select_unpredictable`: a branch here is taken at
+/// random and mispredicted about as often. Blocks are taken in centroid
+/// order and a padding lane repeats the last centroid, whose equal
+/// distance never beats its earlier twin, so one loop serves every `k`.
 pub fn kmeans_into(
     points: &[Vec3],
     k: usize,
@@ -70,7 +93,7 @@ pub fn kmeans_into(
     iterations: usize,
     scratch: &mut KmeansScratch,
 ) {
-    let KmeansScratch { centroids, assignment, nearest_sq, sums, counts } = scratch;
+    let KmeansScratch { centroids, assignment, nearest_sq, sums, counts, blocks } = scratch;
     centroids.clear();
     assignment.clear();
     if points.is_empty() || k == 0 {
@@ -108,21 +131,31 @@ pub fn kmeans_into(
     assignment.resize(points.len(), 0);
     for _ in 0..iterations.max(1) {
         // Assign.
+        let last = centroids[centroids.len() - 1];
+        blocks.clear();
+        for chunk in centroids.chunks(LANES) {
+            let c: [Vec3; LANES] = std::array::from_fn(|j| chunk.get(j).copied().unwrap_or(last));
+            blocks.push([c.map(|c| c.x), c.map(|c| c.y), c.map(|c| c.z)]);
+        }
         let mut changed = false;
         for (slot, p) in assignment.iter_mut().zip(points) {
             let mut best = 0u32;
-            let mut best_sq = p.distance_sq(centroids[0]);
-            for (j, c) in centroids.iter().enumerate().skip(1) {
-                let d = p.distance_sq(*c);
-                if d.total_cmp(&best_sq).is_lt() {
-                    best = j as u32;
-                    best_sq = d;
+            let mut best_key = i64::MAX;
+            for (b, [xs, ys, zs]) in blocks.iter().enumerate() {
+                let mut d = [0.0; LANES];
+                for j in 0..LANES {
+                    let (dx, dy, dz) = (p.x - xs[j], p.y - ys[j], p.z - zs[j]);
+                    d[j] = dx * dx + dy * dy + dz * dz;
+                }
+                for (j, &d) in d.iter().enumerate() {
+                    let key = total_key(d);
+                    let take = key < best_key;
+                    best_key = select_unpredictable(take, key, best_key);
+                    best = select_unpredictable(take, (b * LANES + j) as u32, best);
                 }
             }
-            if *slot != best {
-                *slot = best;
-                changed = true;
-            }
+            changed |= *slot != best;
+            *slot = best;
         }
         // Update.
         sums.clear();

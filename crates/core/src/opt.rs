@@ -39,108 +39,39 @@ use std::collections::{HashSet, VecDeque};
 pub struct ScoutOpt {
     inner: Scout,
     config: ScoutOptConfig,
+    /// The gap crawl's buffers, recycled across exits and queries.
+    crawl: GapCrawl,
+}
+
+/// Working buffers of §6.3 gap traversal; contents never carry over.
+#[derive(Debug, Clone, Default)]
+struct GapCrawl {
+    /// The current query's result pages, sorted: pages the crawl must
+    /// not hand out again.
+    result_pages: Vec<PageId>,
+    /// Pages one crawl has queued.
+    visited: HashSet<PageId>,
+    /// Breadth-first crawl frontier.
+    queue: VecDeque<PageId>,
+    /// One exit's crawled pages.
+    crawled: Vec<PageId>,
+    /// Centroids of the crawled pages' objects not yet chained.
+    remaining: Vec<Vec3>,
+    /// Exits re-planned from their refined prediction.
+    refined: Vec<Exit>,
+    /// Exits left to linear extrapolation.
+    fallback: Vec<Exit>,
 }
 
 impl ScoutOpt {
     /// SCOUT-OPT with explicit configuration.
     pub fn new(config: ScoutOptConfig) -> ScoutOpt {
-        ScoutOpt { inner: Scout::new(config.base), config }
+        ScoutOpt { inner: Scout::new(config.base), config, crawl: GapCrawl::default() }
     }
 
     /// SCOUT-OPT with the paper's default configuration.
     pub fn with_defaults() -> ScoutOpt {
         ScoutOpt::new(ScoutOptConfig::default())
-    }
-
-    /// §6.3 gap traversal: crawl the pages following one exit's structure
-    /// through the gap (within a corridor around the extrapolated axis,
-    /// bounded by `budget` pages). Returns the crawled pages and the
-    /// refined prediction (point + direction) if the trail was followed.
-    fn traverse_gap(
-        &self,
-        ctx: &SimContext<'_>,
-        exit: &Exit,
-        side: f64,
-        result_pages: &[PageId],
-        budget: usize,
-        units: &mut CpuUnits,
-    ) -> (Vec<PageId>, Option<(Vec3, Vec3)>) {
-        let Some(ordered) = ctx.ordered else {
-            return (Vec::new(), None);
-        };
-        let layout = ordered.layout();
-        let gap = self.inner.gap_estimate;
-        let corridor = self.config.gap_corridor_frac * side;
-        let axis = Segment::new(exit.point, extrapolate(exit, gap + side * 0.5));
-
-        let Some(seed) = ordered.seed_page(extrapolate(exit, corridor.min(gap).max(1e-6))) else {
-            return (Vec::new(), None);
-        };
-        let mut visited: HashSet<PageId> = HashSet::new();
-        let mut crawled: Vec<PageId> = Vec::new();
-        let mut queue: VecDeque<PageId> = VecDeque::new();
-        visited.insert(seed);
-        queue.push_back(seed);
-        while let Some(pg) = queue.pop_front() {
-            if crawled.len() >= budget {
-                break;
-            }
-            units.traversal_steps += 1;
-            let mbr = &layout.page(pg).mbr;
-            if segment_aabb_distance(&axis, mbr) > corridor {
-                continue;
-            }
-            if !result_pages.contains(&pg) {
-                crawled.push(pg);
-            }
-            for &nb in ordered.page_neighbors(pg) {
-                units.traversal_steps += 1;
-                if visited.insert(nb) {
-                    queue.push_back(nb);
-                }
-            }
-        }
-        if crawled.is_empty() {
-            return (Vec::new(), None);
-        }
-
-        // Follow the structure through the crawled pages: walk object
-        // centroids outward from the exit, chaining nearest-forward
-        // objects, up to the gap distance.
-        let step_limit = corridor.max(side * 0.25);
-        let mut frontier = exit.point;
-        let mut dir = exit.dir;
-        let mut travelled = 0.0;
-        let mut remaining: Vec<Vec3> = crawled
-            .iter()
-            .flat_map(|&pg| layout.page(pg).objects.iter())
-            .map(|&oid| ctx.objects[oid.index()].centroid())
-            .collect();
-        while travelled < gap && !remaining.is_empty() {
-            // Nearest forward centroid.
-            let mut best: Option<(usize, f64)> = None;
-            for (i, c) in remaining.iter().enumerate() {
-                units.traversal_steps += 1;
-                let v = *c - frontier;
-                let d = v.norm();
-                if d < 1e-9 || d > step_limit || v.dot(dir) <= 0.0 {
-                    continue;
-                }
-                if best.is_none_or(|(_, bd)| d < bd) {
-                    best = Some((i, d));
-                }
-            }
-            let Some((i, d)) = best else { break };
-            let c = remaining.swap_remove(i);
-            dir = (c - frontier).normalized_or_x();
-            frontier = c;
-            travelled += d;
-        }
-        if travelled > 0.0 {
-            (crawled, Some((frontier, dir)))
-        } else {
-            (crawled, None)
-        }
     }
 
     /// §6.3: re-plans the inner SCOUT's latest prediction through the gap
@@ -161,20 +92,25 @@ impl ScoutOpt {
         let total_budget =
             ((self.config.gap_io_budget_frac * result.pages.len() as f64).ceil() as usize).max(1);
         let per_exit = (total_budget / locations.len()).max(1);
+        let corridor = self.config.gap_corridor_frac * side;
 
+        let crawl = &mut self.crawl;
+        crawl.result_pages.clear();
+        crawl.result_pages.extend_from_slice(&result.pages);
+        crawl.result_pages.sort_unstable();
+        crawl.refined.clear();
+        crawl.fallback.clear();
         let mut gap_pages: Vec<PageId> = Vec::new();
-        let mut refined: Vec<Exit> = Vec::new();
-        let mut fallback: Vec<Exit> = Vec::new();
         for exit in locations {
-            let (pages, refined_prediction) =
-                self.traverse_gap(ctx, exit, side, &result.pages, per_exit, &mut stats.cpu);
-            gap_pages.extend(pages);
+            let refined_prediction =
+                crawl.traverse_gap(ctx, exit, gap, side, corridor, per_exit, &mut stats.cpu);
+            gap_pages.extend_from_slice(&crawl.crawled);
             match refined_prediction {
-                Some((point, dir)) => refined.push(Exit { point, dir, ..*exit }),
+                Some((point, dir)) => crawl.refined.push(Exit { point, dir, ..*exit }),
                 // §6.3: "we resort to a backup mechanism, e.g., linear
                 // extrapolation from the point where the traversal was
                 // stopped".
-                None => fallback.push(*exit),
+                None => crawl.fallback.push(*exit),
             }
         }
 
@@ -186,12 +122,103 @@ impl ScoutOpt {
         if !gap_pages.is_empty() {
             plan.requests.push(PrefetchRequest::GapPages(gap_pages));
         }
-        plan.requests.extend(self.inner.incremental_plan(&refined, 0.0).requests);
-        plan.requests.extend(self.inner.incremental_plan(&fallback, gap).requests);
+        plan.requests.extend(self.inner.incremental_plan(&crawl.refined, 0.0).requests);
+        plan.requests.extend(self.inner.incremental_plan(&crawl.fallback, gap).requests);
         if !plan.requests.is_empty() {
             self.inner.pending = plan;
         }
         stats
+    }
+}
+
+impl GapCrawl {
+    /// §6.3 gap traversal: crawl the pages following one exit's structure
+    /// through the gap (within a `corridor` around the extrapolated axis,
+    /// bounded by `budget` pages), leaving the pages it adds in `crawled`.
+    /// Returns the refined prediction (point + direction) if the trail was
+    /// followed.
+    // The crawl's inputs: the query's geometry and the exit, nothing to
+    // bundle.
+    #[allow(clippy::too_many_arguments)]
+    fn traverse_gap(
+        &mut self,
+        ctx: &SimContext<'_>,
+        exit: &Exit,
+        gap: f64,
+        side: f64,
+        corridor: f64,
+        budget: usize,
+        units: &mut CpuUnits,
+    ) -> Option<(Vec3, Vec3)> {
+        let GapCrawl { result_pages, visited, queue, crawled, remaining, .. } = self;
+        crawled.clear();
+        let ordered = ctx.ordered?;
+        let layout = ordered.layout();
+        let axis = Segment::new(exit.point, extrapolate(exit, gap + side * 0.5));
+
+        let seed = ordered.seed_page(extrapolate(exit, corridor.min(gap).max(1e-6)))?;
+        visited.clear();
+        queue.clear();
+        visited.insert(seed);
+        queue.push_back(seed);
+        while let Some(pg) = queue.pop_front() {
+            if crawled.len() >= budget {
+                break;
+            }
+            units.traversal_steps += 1;
+            let mbr = &layout.page(pg).mbr;
+            if segment_aabb_distance(&axis, mbr) > corridor {
+                continue;
+            }
+            if result_pages.binary_search(&pg).is_err() {
+                crawled.push(pg);
+            }
+            for &nb in ordered.page_neighbors(pg) {
+                units.traversal_steps += 1;
+                if visited.insert(nb) {
+                    queue.push_back(nb);
+                }
+            }
+        }
+        if crawled.is_empty() {
+            return None;
+        }
+
+        // Follow the structure through the crawled pages: walk object
+        // centroids outward from the exit, chaining nearest-forward
+        // objects, up to the gap distance.
+        let step_limit = corridor.max(side * 0.25);
+        let mut frontier = exit.point;
+        let mut dir = exit.dir;
+        let mut travelled = 0.0;
+        remaining.clear();
+        remaining.extend(
+            crawled
+                .iter()
+                .flat_map(|&pg| layout.page(pg).objects.iter())
+                .map(|&oid| ctx.objects[oid.index()].centroid()),
+        );
+        while travelled < gap && !remaining.is_empty() {
+            // Nearest forward centroid.
+            let mut best: Option<(usize, f64)> = None;
+            for (i, c) in remaining.iter().enumerate() {
+                units.traversal_steps += 1;
+                let v = *c - frontier;
+                let d = v.norm();
+                if d < 1e-9 || d > step_limit || v.dot(dir) <= 0.0 {
+                    continue;
+                }
+                if best.is_none_or(|(_, bd)| d < bd) {
+                    best = Some((i, d));
+                }
+            }
+            let Some((i, d)) = best else { break };
+            let c = remaining.swap_remove(i);
+            dir = (c - frontier).normalized_or_x();
+            frontier = c;
+            travelled += d;
+        }
+        (travelled > 0.0).then_some((frontier, dir))
     }
 }
 

@@ -11,7 +11,7 @@
 use crate::candidates::{flag_component, CandidateTracker};
 use crate::config::{ScoutConfig, Strategy};
 use crate::exits::{extrapolate, find_exits_into, Exit};
-use crate::graph::ResultGraph;
+use crate::graph::{label_components, ResultGraph};
 use crate::kmeans::kmeans_into;
 use crate::scoring::{score_exits, ScoringScratch};
 use rand::rngs::SmallRng;
@@ -291,7 +291,8 @@ impl Scout {
         debug_assert_eq!(scratch.frame.len(), self.graph.vertex_count(), "frame of another result");
         self.update_motion(region);
 
-        let comp_count = self.graph.components_into(&mut scratch.components, &mut scratch.stack);
+        // Both builds leave the components united; label them.
+        let comp_count = label_components(&mut scratch.components);
         units.traversal_steps += self.graph.vertex_count() as u64; // labeling pass
 
         // §4.3 iterative candidate pruning.
@@ -317,10 +318,11 @@ impl Scout {
                 &scratch.frame,
                 &self.graph,
                 &scratch.components,
+                comp_count,
                 region,
                 Some(&scratch.candidate_flags),
                 &mut scratch.centroid_sums,
-                &mut scratch.centroid_counts,
+                &mut scratch.component_tally,
                 &mut exits,
             );
             units.traversal_steps += steps;
@@ -336,10 +338,11 @@ impl Scout {
                 &scratch.frame,
                 &self.graph,
                 &scratch.components,
+                comp_count,
                 region,
                 None,
                 &mut scratch.centroid_sums,
-                &mut scratch.centroid_counts,
+                &mut scratch.component_tally,
                 &mut exits,
             );
             units.traversal_steps += steps;

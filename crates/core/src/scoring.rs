@@ -17,24 +17,37 @@
 //! computed once per query and every later walk follows the memo. Scores
 //! and charged steps are those of walking each exit on its own; the
 //! un-memoised walk survives as [`crate::reference::exit_score`].
+//!
+//! The directions a walk compares are normalised once per query, not once
+//! per look: a first pass writes every slot's centroid difference into
+//! three per-slot lanes (so each row's directions lie contiguous), and a
+//! second, branch-free pass normalises all of them — each exactly the
+//! `normalized_or_x` the un-memoised walk computes at that slot. The scan
+//! that picks a continuation is branch-free too: on a walk's data every
+//! branch in it is a coin toss.
 
 use crate::exits::Exit;
 use crate::graph::{ResultGraph, VertexId};
 use crate::kmeans::KmeansScratch;
 use scout_geometry::Vec3;
+use std::hint::select_unpredictable;
 
 /// Working buffers of choosing prefetch locations among the exits (§5.2):
-/// scores, the walk memo, the k-means input and state. Owned by the
-/// prefetcher and recycled query to query; contents never carry over.
+/// scores, slot directions, the walk memo, the k-means input and state.
+/// Owned by the prefetcher and recycled query to query; contents never
+/// carry over.
 #[derive(Debug, Clone, Default)]
 pub struct ScoringScratch {
     /// `(plausibility score, exit index)` per exit — in exit order as
     /// [`score_exits`] leaves them.
     pub scores: Vec<(f64, u32)>,
-    /// Per-vertex distance of the object's centroid to the query center.
-    dist_to_center: Vec<f64>,
+    /// Per CSR slot, the unit direction from the row's vertex to the
+    /// slot's target, as x, y and z lanes. Only ever grown: each query
+    /// overwrites the prefix its graph uses, and reads nothing past it.
+    units: [Vec<f64>; 3],
     /// Per CSR slot, the slot a chain walk that arrived along that
-    /// directed edge continues through.
+    /// directed edge continues through; before the walks, the vertex whose
+    /// row holds the slot.
     walk_next: Vec<u32>,
     /// Exit locations in score order (the k-means input).
     pub(crate) points: Vec<Vec3>,
@@ -67,11 +80,10 @@ pub fn score_exits(
     exits: &[Exit],
     scratch: &mut ScoringScratch,
 ) -> u64 {
-    let ScoringScratch { scores, dist_to_center, walk_next, .. } = scratch;
+    let ScoringScratch { scores, units, walk_next, .. } = scratch;
     debug_assert_eq!(centroids.len(), graph.vertex_count(), "frame describes another result");
     debug_assert!(graph.targets().len() < DEAD_END as usize);
-    dist_to_center.clear();
-    dist_to_center.extend(centroids.iter().map(|c| c.distance(center)));
+    slot_units(graph, centroids, walk_next, units);
     walk_next.clear();
     walk_next.resize(graph.targets().len(), UNWALKED);
 
@@ -79,80 +91,135 @@ pub fn score_exits(
     let mut steps = 0u64;
     scores.clear();
     for (i, exit) in exits.iter().enumerate() {
-        let min_dist = walk(graph, centroids, dist_to_center, walk_next, exit, &mut steps);
+        let min_dist = walk(graph, centroids, center, units, walk_next, exit, &mut steps);
         let dir_term = movement.map_or(0.0, |m| 0.2 * exit.dir.dot(m));
         scores.push((-min_dist / side + dir_term, i as u32));
     }
     steps
 }
 
+/// Fills `units` with `(centroids[target] − centroids[v]).normalized_or_x()`
+/// for every slot of every row `v`, in three flat loops — a loop per row
+/// would pay a mispredicted exit per row, more than the arithmetic of its
+/// three or four slots. The slot owners come from marking each row's first
+/// slot and summing the marks; then the differences; then one straight,
+/// vectorised pass of square roots and divisions with the `+x` fallback
+/// selected, not branched to.
+fn slot_units(
+    graph: &ResultGraph,
+    centroids: &[Vec3],
+    owner: &mut Vec<u32>,
+    units: &mut [Vec<f64>; 3],
+) {
+    let targets = graph.targets();
+    let len = targets.len();
+    owner.clear();
+    owner.resize(len + 1, 0);
+    for v in 0..centroids.len() as VertexId {
+        owner[graph.row(v).start] += 1;
+    }
+    owner.truncate(len);
+    let mut rows = 0u32;
+    for o in owner.iter_mut() {
+        rows += *o;
+        *o = rows - 1;
+    }
+    for lane in units.iter_mut() {
+        if lane.len() < len {
+            lane.resize(len, 0.0);
+        }
+    }
+    let [ux, uy, uz] = units;
+    let (ux, uy, uz) = (&mut ux[..len], &mut uy[..len], &mut uz[..len]);
+    for s in 0..len {
+        let d = centroids[targets[s] as usize] - centroids[owner[s] as usize];
+        [ux[s], uy[s], uz[s]] = [d.x, d.y, d.z];
+    }
+    for s in 0..len {
+        let (x, y, z) = (ux[s], uy[s], uz[s]);
+        let norm = (x * x + y * y + z * z).sqrt();
+        let degenerate = norm <= f64::EPSILON;
+        ux[s] = if degenerate { 1.0 } else { x / norm };
+        uy[s] = if degenerate { 0.0 } else { y / norm };
+        uz[s] = if degenerate { 0.0 } else { z / norm };
+    }
+}
+
 /// Walks inward from `exit` — repeatedly stepping to the neighbor that
 /// best continues the incoming direction — and returns the closest
-/// approach of the walked vertices to the query center.
+/// approach of the walked vertices to `center`: the root of the least
+/// squared distance, which is the least distance bit for bit (`sqrt` is
+/// monotone and correctly rounded).
 fn walk(
     graph: &ResultGraph,
     centroids: &[Vec3],
-    dist_to_center: &[f64],
+    center: Vec3,
+    units: &[Vec<f64>; 3],
     walk_next: &mut [u32],
     exit: &Exit,
     steps: &mut u64,
 ) -> f64 {
     let targets = graph.targets();
+    let dist_sq = |v: VertexId| centroids[v as usize].distance_sq(center);
     let mut cur = exit.vertex;
-    let mut min_dist = dist_to_center[cur as usize];
+    let mut min_sq = dist_sq(cur);
     // First step: against the exit direction, nowhere to come back from.
     *steps += graph.row(cur).len() as u64;
-    let Some(mut slot) = continuation(graph, centroids, cur, VertexId::MAX, -exit.dir) else {
-        return min_dist;
-    };
+    let mut slot = continuation(graph, units, cur, VertexId::MAX, -exit.dir);
+    if slot == DEAD_END {
+        return min_sq.sqrt();
+    }
     let mut prev = cur;
-    cur = targets[slot];
-    min_dist = min_dist.min(dist_to_center[cur as usize]);
+    cur = targets[slot as usize];
+    min_sq = min_sq.min(dist_sq(cur));
     for _ in 1..WALK_STEPS {
         *steps += graph.row(cur).len() as u64;
-        let mut next = walk_next[slot];
+        let mut next = walk_next[slot as usize];
         if next == UNWALKED {
-            let dir = (centroids[cur as usize] - centroids[prev as usize]).normalized_or_x();
-            next = continuation(graph, centroids, cur, prev, dir).map_or(DEAD_END, |s| s as u32);
-            walk_next[slot] = next;
+            let s = slot as usize;
+            let dir = Vec3::new(units[0][s], units[1][s], units[2][s]);
+            next = continuation(graph, units, cur, prev, dir);
+            walk_next[s] = next;
         }
         if next == DEAD_END {
             break;
         }
-        slot = next as usize;
+        slot = next;
         prev = cur;
-        cur = targets[slot];
-        min_dist = min_dist.min(dist_to_center[cur as usize]);
+        cur = targets[slot as usize];
+        min_sq = min_sq.min(dist_sq(cur));
     }
-    min_dist
+    min_sq.sqrt()
 }
 
 /// The CSR slot of the neighbor of `cur` whose direction from `cur` best
 /// agrees with `dir` — never `prev`, never one turning more than ~84°
-/// away; the first of equally aligned neighbors.
+/// away; the first of equally aligned neighbors — or [`DEAD_END`].
+///
+/// A first-maximum scan with no branch in it (for finite centroids): the
+/// bar starts at the 0.1 floor, a slot takes it only by beating it
+/// strictly, and `prev`'s slot is scaled to zero — by `min(nb ^ prev, 1)`
+/// as a float, since a compare-and-select on it compiles to a branch —
+/// so it cannot beat the floor.
 fn continuation(
     graph: &ResultGraph,
-    centroids: &[Vec3],
+    units: &[Vec<f64>; 3],
     cur: VertexId,
     prev: VertexId,
     dir: Vec3,
-) -> Option<usize> {
-    let cur_pos = centroids[cur as usize];
-    let targets = graph.targets();
-    let mut best: Option<(usize, f64)> = None;
-    for slot in graph.row(cur) {
-        let nb = targets[slot];
-        if nb == prev {
-            continue;
-        }
-        let step = (centroids[nb as usize] - cur_pos).normalized_or_x();
-        let align = step.dot(dir);
-        if align <= 0.1 {
-            continue;
-        }
-        if best.is_none_or(|(_, a)| align > a) {
-            best = Some((slot, align));
-        }
+) -> u32 {
+    let row = graph.row(cur);
+    let targets = &graph.targets()[row.clone()];
+    let [ux, uy, uz] = units.each_ref().map(|lane| &lane[row.clone()]);
+    let mut best = 0.1;
+    let mut pick = DEAD_END;
+    for (i, &nb) in targets.iter().enumerate() {
+        let align = ux[i] * dir.x + uy[i] * dir.y + uz[i] * dir.z;
+        let align = align * f64::from(nb ^ prev).min(1.0);
+        let take = align > best;
+        // A compare-and-select on the same two floats: one `maxsd`.
+        best = if take { align } else { best };
+        pick = select_unpredictable(take, (row.start + i) as u32, pick);
     }
-    best.map(|(slot, _)| slot)
+    pick
 }

@@ -336,3 +336,95 @@ proptest! {
         assert_build_matches_reference(&objects, &region, 32_768, Simplification::Segment)?;
     }
 }
+
+/// The depth-first labeller union-find replaced, as it stood: labels in
+/// first-encounter order over ascending vertex ids.
+fn dfs_components(g: &ResultGraph) -> (Vec<u32>, usize) {
+    let n = g.vertex_count();
+    let mut comp = vec![u32::MAX; n];
+    let mut stack = Vec::new();
+    let mut next = 0u32;
+    for v in 0..n as u32 {
+        if comp[v as usize] != u32::MAX {
+            continue;
+        }
+        comp[v as usize] = next;
+        stack.push(v);
+        while let Some(u) = stack.pop() {
+            for &w in g.neighbors(u) {
+                if comp[w as usize] == u32::MAX {
+                    comp[w as usize] = next;
+                    stack.push(w);
+                }
+            }
+        }
+        next += 1;
+    }
+    (comp, next as usize)
+}
+
+/// `components_into` — into a buffer holding an earlier graph's labels —
+/// equals the DFS labeller label for label and in count.
+fn assert_components_match_dfs(g: &ResultGraph) -> Result<(), TestCaseError> {
+    let mut comp = vec![7; 3];
+    let count = g.components_into(&mut comp);
+    let (dfs, dfs_count) = dfs_components(g);
+    prop_assert_eq!(count, dfs_count);
+    prop_assert_eq!(comp, dfs);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Union-find labels equal the DFS's on grid builds, from a few
+    /// crowded cells at coarse resolutions to scattered singletons at fine.
+    #[test]
+    fn components_match_the_dfs_labeller_on_grid_builds(
+        objects in arb_objects(),
+        res in prop_oneof![8u32..512, 512u32..40_000],
+    ) {
+        let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
+        let region = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::splat(40.0)));
+        let (g, _) = ResultGraph::grid_hash(&objects, &ids, &region, res, Simplification::Segment);
+        assert_components_match_dfs(&g)?;
+    }
+
+    /// … and on explicit builds over random adjacencies and result subsets,
+    /// where an edge may join any two vertices however far apart.
+    #[test]
+    fn components_match_the_dfs_labeller_on_explicit_builds(
+        n in 1usize..120,
+        raw_edges in prop::collection::vec((0usize..120, 0usize..120), 0..200),
+        keep in prop::collection::vec(0u8..5, 120),
+    ) {
+        let mut lists: Vec<Vec<ObjectId>> = vec![Vec::new(); n];
+        for &(a, b) in &raw_edges {
+            let (a, b) = (a % n, b % n);
+            if a != b {
+                lists[a].push(ObjectId(b as u32));
+            }
+        }
+        let ids: Vec<ObjectId> =
+            (0..n).filter(|&i| i == 0 || keep[i] != 0).map(|i| ObjectId(i as u32)).collect();
+        let (g, _) = ResultGraph::from_explicit(&ObjectAdjacency::from_lists(&lists), &ids);
+        assert_components_match_dfs(&g)?;
+    }
+}
+
+/// Vertices 0 and 3, and 1 and 4, are joined first; the edge 3–4 merges
+/// the two sets only at vertex 4. A labeller that gives each vertex the
+/// least label among its lower neighbours leaves vertex 1 on label 1 and
+/// counts three components; there are two.
+#[test]
+fn a_late_edge_merges_two_earlier_components() {
+    let lists: Vec<Vec<ObjectId>> = [&[3][..], &[4], &[], &[0, 4], &[1, 3]]
+        .iter()
+        .map(|l| l.iter().map(|&i| ObjectId(i)).collect())
+        .collect();
+    let ids: Vec<ObjectId> = (0..5).map(ObjectId).collect();
+    let (g, _) = ResultGraph::from_explicit(&ObjectAdjacency::from_lists(&lists), &ids);
+    let (comp, count) = g.components();
+    assert_eq!((comp, count), (vec![0, 0, 1, 0, 0], 2));
+    assert_components_match_dfs(&g).unwrap();
+}

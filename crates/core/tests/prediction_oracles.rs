@@ -109,10 +109,11 @@ impl Case {
             &self.scratch.frame,
             &self.graph,
             &self.component_of,
+            self.comp_count,
             &self.region,
             None,
             &mut self.scratch.centroid_sums,
-            &mut self.scratch.centroid_counts,
+            &mut self.scratch.component_tally,
             &mut exits,
         );
         exits
@@ -176,10 +177,11 @@ proptest! {
             &c.scratch.frame,
             &c.graph,
             &c.component_of,
+            c.comp_count,
             &c.region,
             filter.as_deref(),
             &mut c.scratch.centroid_sums,
-            &mut c.scratch.centroid_counts,
+            &mut c.scratch.component_tally,
             &mut exits,
         );
         let (oracle, oracle_steps) = reference::find_exits(
@@ -345,12 +347,13 @@ fn chain(n: u32) -> (Vec<SpatialObject>, ResultGraph, QueryScratch, QueryRegion)
 /// The exit of the chain's last segment, walked through both paths.
 fn chain_walk_steps(n: u32) -> u64 {
     let (objects, graph, scratch, region) = chain(n);
-    let (component_of, _) = graph.components();
+    let (component_of, comp_count) = graph.components();
     let mut exits = Vec::new();
     find_exits_into(
         &scratch.frame,
         &graph,
         &component_of,
+        comp_count,
         &region,
         None,
         &mut Vec::new(),
@@ -392,4 +395,131 @@ fn memoised_walk_stops_at_dead_ends() {
     assert_eq!(chain_walk_steps(5), 1 + 3 * 2 + 1);
     // A lone segment has nowhere to go at all.
     assert_eq!(chain_walk_steps(1), 0);
+}
+
+/// A hand-built graph: one point object per centroid, `edges` as the
+/// explicit adjacency, the frame gathered.
+fn fixture(
+    centroids: &[Vec3],
+    edges: &[(u32, u32)],
+) -> (Vec<SpatialObject>, ResultGraph, QueryScratch) {
+    let objects: Vec<SpatialObject> = centroids
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| SpatialObject::new(ObjectId(i as u32), StructureId(0), Shape::Point(c)))
+        .collect();
+    let mut lists = vec![Vec::new(); centroids.len()];
+    for &(a, b) in edges {
+        lists[a as usize].push(ObjectId(b));
+        lists[b as usize].push(ObjectId(a));
+    }
+    let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
+    let mut scratch = QueryScratch::new();
+    scratch.frame.gather(&objects, &ids, Simplification::Segment);
+    let mut graph = ResultGraph::default();
+    graph.build_explicit(&mut scratch, &ObjectAdjacency::from_lists(&lists), &ids);
+    (objects, graph, scratch)
+}
+
+/// An exit at `vertex` whose walk sets off against `dir`.
+fn exit_at(vertex: u32, dir: Vec3) -> Exit {
+    Exit { point: Vec3::ZERO, dir, vertex, component: 0 }
+}
+
+/// Scores `exits` on the fixture through both paths (side 1, no movement)
+/// and returns the hot path's scores.
+fn fixture_scores(
+    (objects, graph, scratch): &(Vec<SpatialObject>, ResultGraph, QueryScratch),
+    center: Vec3,
+    exits: &[Exit],
+) -> Vec<f64> {
+    assert_scores_match(graph, objects, center, 1.0, None, exits, scratch).unwrap();
+    let mut scoring = ScoringScratch::default();
+    score_exits(graph, &scratch.frame.centroids, center, 1.0, None, exits, &mut scoring);
+    scoring.scores.iter().map(|&(s, _)| s).collect()
+}
+
+#[test]
+fn walks_cross_coincident_centroids_along_plus_x() {
+    // v1 and v2 share a centroid: the edge between them has no direction,
+    // and both of its slots read +x. The walk from v0 runs +x into v1,
+    // takes the zero-length edge (+x agrees), arrives at v2 along +x, must
+    // not turn back to v1 (whose slot also reads +x), and so reaches v3
+    // rather than v4 behind it. The walk from v3 comes down to v2 heading
+    // -x and -y; v1's slot, +x, turns away from that, so it takes v4.
+    let x = |x, y| Vec3::new(x, y, 0.0);
+    let v = [x(0.0, 0.0), x(1.0, 0.0), x(1.0, 0.0), x(2.0, 1.0), x(0.0, 0.2)];
+    let bed = fixture(&v, &[(0, 1), (1, 2), (2, 3), (2, 4)]);
+    let from_v0 = exit_at(0, x(-1.0, 0.0));
+    assert_eq!(fixture_scores(&bed, v[3], &[from_v0]), [-0.0], "the walk reaches v3");
+    let from_v3 = exit_at(3, (v[3] - v[2]).normalized_or_x());
+    assert_eq!(fixture_scores(&bed, v[4], &[from_v3]), [-0.0], "the walk reaches v4");
+}
+
+#[test]
+fn equally_aligned_neighbours_go_to_the_first_slot() {
+    // From v0 along +x, v1 and v2 are mirror images: their alignments are
+    // the same bits. The first slot (v1) wins, so the walk never comes
+    // near the center beside v4, at the end of v2's branch.
+    let x = |x, y| Vec3::new(x, y, 0.0);
+    let bed = fixture(
+        &[x(0.0, 0.0), x(1.0, 1.0), x(1.0, -1.0), x(2.0, 2.0), x(2.0, -2.0)],
+        &[(0, 1), (0, 2), (1, 3), (2, 4)],
+    );
+    let centroids = &bed.2.frame.centroids;
+    let align = |v: usize| (centroids[v] - centroids[0]).normalized_or_x().dot(x(1.0, 0.0));
+    assert_eq!(align(1).to_bits(), align(2).to_bits(), "the fixture must tie");
+    let center = x(2.0, -2.0);
+    let scores = fixture_scores(&bed, center, &[exit_at(0, x(-1.0, 0.0))]);
+    assert_eq!(scores, [-center.norm()], "the walk takes v1's branch");
+}
+
+#[test]
+fn walks_enter_a_vertex_from_each_side() {
+    // A chain v0 v1 v2 v3 v4 that bends at v2, and a spur v5 off v2 that
+    // carries straight on from the left. Arriving at v2 from the left, the
+    // walk turns into the spur; from the right it carries on to v1; down
+    // the spur it turns to v1 too. Each walk runs twice, the second time
+    // off the memo.
+    let x = |x, y| Vec3::new(x, y, 0.0);
+    let v = [x(0.0, 0.0), x(1.0, 0.0), x(2.0, 0.0), x(3.0, -1.0), x(4.0, -2.0), x(3.0, 0.2)];
+    let bed = fixture(&v, &[(0, 1), (1, 2), (2, 3), (3, 4), (2, 5)]);
+    let out = |from: usize, to: usize| (v[to] - v[from]).normalized_or_x();
+    let (left, right, spur) = (exit_at(0, out(1, 0)), exit_at(4, out(3, 4)), exit_at(5, out(2, 5)));
+    let center = x(3.0, 1.0);
+    let scores = fixture_scores(&bed, center, &[left, right, spur, left, right, spur]);
+    let walked =
+        |path: &[usize]| -path.iter().map(|&i| v[i].distance(center)).fold(f64::MAX, f64::min);
+    assert_eq!(
+        scores[..3],
+        [walked(&[0, 1, 2, 5]), walked(&[4, 3, 2, 1, 0]), walked(&[5, 2, 1, 0])]
+    );
+    assert_ne!(scores[0], scores[1], "the two sides must part at v2");
+    assert_eq!(scores[..3], scores[3..], "memoised walks score as fresh ones");
+}
+
+#[test]
+fn kmeans_breaks_exact_ties_across_the_lane_block_boundary() {
+    // Five sites on a line, twenty copies each, and the midpoints between
+    // neighbouring sites: with `k` = 5, one past the assign step's
+    // four-centroid block, k-means++ seeds the five sites in a random
+    // order, and every midpoint is an exact tie between two of them — for
+    // many seeds between centroid 3 (end of the first block) and centroid
+    // 4 (the padded second block). The first centroid in order must win.
+    let mut points: Vec<Vec3> = Vec::new();
+    for site in 0..5 {
+        points.extend(std::iter::repeat_n(Vec3::new(10.0 * site as f64, 0.0, 0.0), 20));
+    }
+    points.extend((0..4).map(|m| Vec3::new(10.0 * m as f64 + 5.0, 0.0, 0.0)));
+    for seed in 0..256 {
+        for iterations in [1, 12] {
+            let clusters = kmeans(&points, 5, seed, iterations);
+            let oracle = reference::kmeans(&points, 5, seed, iterations);
+            assert_eq!(clusters.len(), oracle.len(), "seed {seed}");
+            for (a, b) in clusters.iter().zip(&oracle) {
+                assert_eq!(a.members, b.members, "seed {seed}, {iterations} iterations");
+                assert_eq!(bits(a.centroid), bits(b.centroid), "seed {seed}");
+            }
+        }
+    }
 }

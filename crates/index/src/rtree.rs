@@ -25,6 +25,7 @@ use crate::str_pack::{str_pack, DEFAULT_PAGE_CAPACITY};
 use crate::traits::SpatialIndex;
 use scout_geometry::{Aabb, SpatialObject, Vec3};
 use scout_storage::{PageId, PageLayout};
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -130,9 +131,17 @@ pub struct KnnScratch {
 
 impl KnnScratch {
     /// A fresh scratch with no reserved capacity.
-    pub fn new() -> KnnScratch {
-        KnnScratch::default()
+    pub const fn new() -> KnnScratch {
+        KnnScratch { frontier: BinaryHeap::new(), best: BinaryHeap::new() }
     }
+}
+
+// `nearest_page`'s search state belongs to the thread, as the serve buffers
+// in `scout-sim`'s session do: taken for the probe and put back, so only
+// capacity carries over from one probe to the next.
+thread_local! {
+    static NEAREST_PAGE: Cell<(KnnScratch, Vec<PageId>)> =
+        const { Cell::new((KnnScratch::new(), Vec::new())) };
 }
 
 impl RTree {
@@ -221,9 +230,15 @@ impl RTree {
 
     /// The page whose MBR is nearest to `p` (contains it when possible).
     ///
-    /// Exact best-first search over MBR distances.
+    /// Exact best-first search over MBR distances, in the calling thread's
+    /// [`KnnScratch`]: SCOUT-OPT seeds every gap crawl here, so a warmed
+    /// thread probes without allocating.
     pub fn nearest_page(&self, p: Vec3) -> Option<PageId> {
-        self.k_nearest_pages(p, 1).into_iter().next()
+        let (mut scratch, mut out) = NEAREST_PAGE.take();
+        self.k_nearest_pages_into(p, 1, &mut scratch, &mut out);
+        let page = out.first().copied();
+        NEAREST_PAGE.set((scratch, out));
+        page
     }
 
     /// The `k` pages with smallest MBR distance to `p`, nearest first.

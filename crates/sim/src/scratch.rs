@@ -101,19 +101,21 @@ pub struct QueryScratch {
     pub cell_pairs: Vec<(u32, u32)>,
     /// Directed edge list `(source, target)` of the explicit-adjacency
     /// build. In the grid-hash build: the spare of the reverse index's
-    /// radix sort, then the `(vertex, pair before)` chain links.
+    /// radix sort, then the `(vertex, pair before)` chain links, then the
+    /// chain pass's meetings sorted by their lower vertex.
     pub edges: Vec<(u32, u32)>,
-    /// Connected-component label per vertex.
+    /// Connected components: the builds leave union-find parents here
+    /// (every set rooted at its lowest vertex), labelling turns them into
+    /// one label per vertex.
     pub components: Vec<u32>,
     /// Per-vertex counters (degree histogram / scatter cursors of the
     /// explicit build); per-cell chain heads of the grid-hash build.
     pub counts: Vec<u32>,
-    /// DFS stack for component labeling.
-    pub stack: Vec<u32>,
     /// Per-component centroid sums (exit-direction smoothing).
     pub centroid_sums: Vec<Vec3>,
-    /// Per-component centroid sample counts.
-    pub centroid_counts: Vec<u32>,
+    /// Per-component member count and exit-detection steps (one per
+    /// member plus one per incident edge).
+    pub component_tally: Vec<(u32, u32)>,
     /// Predicted next-query locations staged before they are committed to
     /// the candidate tracker.
     pub predictions: Vec<Vec3>,
@@ -122,16 +124,18 @@ pub struct QueryScratch {
     /// Grid-hash chain pass: the last vertex each vertex was met by, so a
     /// neighbour shared through a second cell is counted once.
     pub met_stamp: Vec<u32>,
-    /// Grid-hash transposes: write cursor of each row's backward part.
+    /// Grid-hash chain pass: each first meeting `(lower vertex, higher
+    /// vertex)`, in the order the higher vertices come.
+    pub met_pairs: Vec<(u32, u32)>,
+    /// Grid-hash counting sort: the next position of each lower vertex's
+    /// meetings in `(lower, higher)` order.
+    pub met_cursor: Vec<u32>,
+    /// Grid-hash build: backward degree per vertex, then the write cursor
+    /// of each row's backward part.
     pub back_cursor: Vec<u32>,
-    /// Grid-hash chain pass: forward degree per vertex; in the transposes,
-    /// the write cursor of each row's forward part.
+    /// Grid-hash build: forward degree per vertex, then the write cursor of
+    /// each row's forward part.
     pub forward_cursor: Vec<u32>,
-    /// Grid-hash chain pass: offsets of the per-vertex backward-neighbour
-    /// lists.
-    pub back_offsets: Vec<u32>,
-    /// Grid-hash chain pass: concatenated backward-neighbour lists.
-    pub back_lists: Vec<u32>,
     /// Sorted copy of the current query's result pages (membership probes
     /// for the adaptive layer's per-source precision accounting).
     pub pages_sorted: Vec<u32>,
@@ -156,16 +160,15 @@ impl QueryScratch {
         self.edges.clear();
         self.components.clear();
         self.counts.clear();
-        self.stack.clear();
         self.centroid_sums.clear();
-        self.centroid_counts.clear();
+        self.component_tally.clear();
         self.predictions.clear();
         self.candidate_flags.clear();
         self.met_stamp.clear();
         self.back_cursor.clear();
         self.forward_cursor.clear();
-        self.back_offsets.clear();
-        self.back_lists.clear();
+        self.met_pairs.clear();
+        self.met_cursor.clear();
         self.pages_sorted.clear();
         self.markov_frontier.clear();
         self.markov_emitted.clear();
@@ -179,16 +182,15 @@ impl QueryScratch {
             + self.edges.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.components.capacity() * std::mem::size_of::<u32>()
             + self.counts.capacity() * std::mem::size_of::<u32>()
-            + self.stack.capacity() * std::mem::size_of::<u32>()
             + self.centroid_sums.capacity() * std::mem::size_of::<Vec3>()
-            + self.centroid_counts.capacity() * std::mem::size_of::<u32>()
+            + self.component_tally.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.predictions.capacity() * std::mem::size_of::<Vec3>()
             + self.candidate_flags.capacity() * std::mem::size_of::<bool>()
             + self.met_stamp.capacity() * std::mem::size_of::<u32>()
             + self.back_cursor.capacity() * std::mem::size_of::<u32>()
             + self.forward_cursor.capacity() * std::mem::size_of::<u32>()
-            + self.back_offsets.capacity() * std::mem::size_of::<u32>()
-            + self.back_lists.capacity() * std::mem::size_of::<u32>()
+            + self.met_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
+            + self.met_cursor.capacity() * std::mem::size_of::<u32>()
             + self.pages_sorted.capacity() * std::mem::size_of::<u32>()
             + self.markov_frontier.capacity() * std::mem::size_of::<(f64, u32, u32)>()
             + self.markov_emitted.capacity() * std::mem::size_of::<u32>()

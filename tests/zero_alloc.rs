@@ -2,7 +2,7 @@
 //! ISSUE 4).
 //!
 //! The graph-build phase of `Session::step` — `ResultGraph::build_grid_hash`
-//! / `build_explicit` plus `components_into` against the session's
+//! / `build_explicit` plus component labelling against the session's
 //! [`QueryScratch`] arena — must perform **zero** heap allocations once the
 //! buffers have warmed to the workload: over a guided sweep of range-query
 //! results, and over sliding full and thinned (every other object) result
@@ -17,6 +17,9 @@
 //!
 //! The index calls under a served query (ISSUE 23) — `range_query_into`
 //! and `pages_in_region_into` on the R-tree — are held to zero as well.
+//!
+//! SCOUT-OPT's gap crawl (§6.3) over a FLAT index is held to the same
+//! small constant as SCOUT's prediction: it recycles its crawl buffers.
 //!
 //! This binary holds exactly one `#[test]` on purpose: the counter is
 //! process-global, so a concurrently running sibling test would pollute
@@ -108,9 +111,9 @@ fn steady_state_graph_build_allocates_nothing() {
     let simplification = scout::geometry::Simplification::Segment;
     for (region, ids) in regions.iter().zip(&results) {
         graph.build_grid_hash(&mut scratch, objects, ids, region, resolution, simplification);
-        graph.components_into(&mut scratch.components, &mut scratch.stack);
+        graph.components_into(&mut scratch.components);
         graph.build_explicit(&mut scratch, &adjacency, ids);
-        graph.components_into(&mut scratch.components, &mut scratch.stack);
+        graph.components_into(&mut scratch.components);
     }
 
     // Steady state: the same tour must not allocate at all.
@@ -118,10 +121,10 @@ fn steady_state_graph_build_allocates_nothing() {
     for _ in 0..3 {
         for (region, ids) in regions.iter().zip(&results) {
             graph.build_grid_hash(&mut scratch, objects, ids, region, resolution, simplification);
-            let n = graph.components_into(&mut scratch.components, &mut scratch.stack);
+            let n = graph.components_into(&mut scratch.components);
             std::hint::black_box(n);
             graph.build_explicit(&mut scratch, &adjacency, ids);
-            let n = graph.components_into(&mut scratch.components, &mut scratch.stack);
+            let n = graph.components_into(&mut scratch.components);
             std::hint::black_box(n);
         }
     }
@@ -207,7 +210,7 @@ fn steady_state_graph_build_allocates_nothing() {
             for ids in [win, sparse.as_slice()] {
                 for res in [resolution, coarse] {
                     graph.build_grid_hash(scratch, objects, ids, &viewport, res, simplification);
-                    let c = graph.components_into(&mut scratch.components, &mut scratch.stack);
+                    let c = graph.components_into(&mut scratch.components);
                     std::hint::black_box(c);
                 }
             }
@@ -322,6 +325,50 @@ fn steady_state_graph_build_allocates_nothing() {
         wide_allocs <= sweep_allocs,
         "allocations grew with the result size: {wide_allocs} over {wide_objects} objects \
          vs {sweep_allocs} over {sweep_objects}"
+    );
+
+    // --- SCOUT-OPT gap tour --------------------------------------------------
+    //
+    // The sweep's queries leave gaps between them (centers ≈ 0.29 of the
+    // extent apart, sides 0.2), so over a FLAT index SCOUT-OPT crawls
+    // through every gap (§6.3). The crawl's visited set, queue, page and
+    // centroid lists live in the prefetcher, the result-page lookup is a
+    // recycled sorted copy, and the crawl's seed probe searches in the
+    // thread's k-NN scratch: a warmed query allocates only the plan it
+    // hands out — the request vector, its gap-page list and the two series
+    // the plan is assembled from, about four allocations a query (a crawl
+    // that built its own buffers took about 32).
+    use scout::core::ScoutOpt;
+    use scout::index::{FlatConfig, FlatIndex};
+    use scout::sim::PrefetchRequest;
+    let flat = FlatIndex::bulk_load_with(objects, 16, FlatConfig::default());
+    let flat_ctx = SimContext::new(objects, &flat, dataset.bounds).with_ordered(&flat);
+    let flat_results: Vec<scout::index::QueryResult> =
+        regions.iter().map(|r| flat.range_query(objects, r)).collect();
+    let mut opt = ScoutOpt::with_defaults();
+    opt.reset();
+    let mut gap_plans = 0;
+    let mut gap_lap = |opt: &mut ScoutOpt, scratch: &mut QueryScratch| {
+        for (region, result) in regions.iter().zip(&flat_results) {
+            let stats = opt.observe_with_scratch(&flat_ctx, region, result, scratch);
+            let plan = opt.plan(&flat_ctx);
+            gap_plans +=
+                plan.requests.iter().any(|r| matches!(r, PrefetchRequest::GapPages(_))) as usize;
+            std::hint::black_box((stats.candidates, plan.requests.len()));
+        }
+    };
+    for _ in 0..4 {
+        gap_lap(&mut opt, &mut scratch);
+    }
+    let before = allocations();
+    for _ in 0..3 {
+        gap_lap(&mut opt, &mut scratch);
+    }
+    let gap_allocs = allocations() - before;
+    assert!(gap_plans >= 7 * 2, "the tour must cross gaps: {gap_plans} gap plans");
+    assert!(
+        gap_allocs <= 6 * queries,
+        "SCOUT-OPT's gap tour allocated {gap_allocs} times over {queries} warmed queries"
     );
 
     // --- Batch queue steady state (ISSUE 9) --------------------------------
