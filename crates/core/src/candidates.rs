@@ -20,17 +20,17 @@
 
 use crate::graph::ResultGraph;
 use scout_geometry::{ObjectId, Vec3};
-use std::collections::HashSet;
+use scout_storage::IdSet;
 
 /// Cross-query candidate state.
 #[derive(Debug, Clone, Default)]
 pub struct CandidateTracker {
     /// Forward exit objects of the previous query's candidate components.
-    prev_exit_ids: HashSet<ObjectId>,
+    prev_exit_ids: IdSet<ObjectId>,
     /// Spare set the previous generation's buffer is recycled into, so
-    /// [`CandidateTracker::commit_ids`] never builds a fresh `HashSet`
+    /// [`CandidateTracker::commit_ids`] never builds a fresh set
     /// once both buffers have warmed to the workload.
-    spare_exit_ids: HashSet<ObjectId>,
+    spare_exit_ids: IdSet<ObjectId>,
     /// Predicted next-query locations from the previous query's exits.
     prev_predictions: Vec<Vec3>,
     /// Number of resets observed (diagnostics).
@@ -72,7 +72,7 @@ impl CandidateTracker {
 
     /// The previous query's forward exit objects — where the candidate
     /// structures crossed into the current query.
-    pub fn previous_exit_objects(&self) -> &HashSet<ObjectId> {
+    pub fn previous_exit_objects(&self) -> &IdSet<ObjectId> {
         &self.prev_exit_ids
     }
 
@@ -135,19 +135,14 @@ impl CandidateTracker {
     /// Predictions are passed as a slice and copied into the tracker's own
     /// buffer, so the caller can stage them in reusable scratch and the
     /// tracker's capacity amortizes across queries.
-    pub fn commit(
-        &mut self,
-        exit_objects: HashSet<ObjectId>,
-        predictions: &[Vec3],
-        was_reset: bool,
-    ) {
+    pub fn commit(&mut self, exit_objects: IdSet<ObjectId>, predictions: &[Vec3], was_reset: bool) {
         self.commit_ids(exit_objects, predictions, was_reset);
     }
 
     /// [`CandidateTracker::commit`] from an id iterator, recycling the
     /// tracker's two exit-set buffers: the outgoing generation's set
     /// becomes the next commit's target, so steady-state commits perform
-    /// no `HashSet` construction.
+    /// no set construction.
     pub fn commit_ids<I: IntoIterator<Item = ObjectId>>(
         &mut self,
         exit_objects: I,
@@ -249,7 +244,7 @@ mod tests {
         let (objects, g, comp) = fixture();
         let mut t = CandidateTracker::new();
         // No shared exit ids but a prediction near the upper chain at y=8.
-        t.commit(HashSet::new(), &[Vec3::new(3.0, 8.0, 5.0)], false);
+        t.commit(IdSet::default(), &[Vec3::new(3.0, 8.0, 5.0)], false);
         let upper_comp = comp[g.vertex_of(ObjectId(5)).unwrap() as usize];
         assert_eq!(continuing(&t, &objects, &g, &comp, 2.0), [upper_comp]);
     }
@@ -258,7 +253,7 @@ mod tests {
     fn far_prediction_matches_nothing() {
         let (objects, g, comp) = fixture();
         let mut t = CandidateTracker::new();
-        t.commit(HashSet::new(), &[Vec3::new(500.0, 500.0, 500.0)], false);
+        t.commit(IdSet::default(), &[Vec3::new(500.0, 500.0, 500.0)], false);
         assert!(continuing(&t, &objects, &g, &comp, 2.0).is_empty());
     }
 
@@ -266,8 +261,8 @@ mod tests {
     fn reset_counter_and_clear() {
         let (_, _g, _comp) = fixture();
         let mut t = CandidateTracker::new();
-        t.commit(HashSet::new(), &[], true);
-        t.commit(HashSet::new(), &[], true);
+        t.commit(IdSet::default(), &[], true);
+        t.commit(IdSet::default(), &[], true);
         assert_eq!(t.resets(), 2);
         t.clear();
         assert_eq!(t.resets(), 0);

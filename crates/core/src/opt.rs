@@ -29,8 +29,8 @@ use scout_index::QueryResult;
 use scout_sim::{
     CpuUnits, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
 };
-use scout_storage::PageId;
-use std::collections::{HashSet, VecDeque};
+use scout_storage::{IdSet, PageId};
+use std::collections::VecDeque;
 
 /// The optimized prefetcher; requires an ordered index in the context
 /// (`SimContext::ordered`), and behaves exactly like plain SCOUT when one
@@ -50,7 +50,7 @@ struct GapCrawl {
     /// not hand out again.
     result_pages: Vec<PageId>,
     /// Pages one crawl has queued.
-    visited: HashSet<PageId>,
+    visited: IdSet<PageId>,
     /// Breadth-first crawl frontier.
     queue: VecDeque<PageId>,
     /// One exit's crawled pages.

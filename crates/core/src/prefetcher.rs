@@ -373,7 +373,7 @@ impl Scout {
 
         // §4.3 continuity anchor for the next query: the (forward) exit
         // objects of this query's candidate structures. Committed through
-        // the tracker's recycled set, so no per-query `HashSet` is built.
+        // the tracker's recycled set, so no per-query set is built.
         self.tracker.commit_ids(
             exits.iter().map(|e| self.graph.object_id(e.vertex)),
             &scratch.predictions,

@@ -20,7 +20,8 @@
 
 use crate::disk::DiskModel;
 use crate::fault::FailedRead;
-use crate::page::PageId;
+use crate::page::{IdMap, PageId};
+use std::collections::hash_map::Entry;
 
 /// Batched-I/O configuration of a fleet run. Disabled by default: the
 /// engine then takes the exact pre-batching code path, byte for byte.
@@ -69,90 +70,6 @@ impl BatchReport {
     }
 }
 
-/// Open-addressed page → slot table with Fibonacci hashing and linear
-/// probing. `HashMap`'s SipHash is the single largest per-duplicate cost
-/// in the staging hot loop; this table cuts a probe to a multiply, a
-/// shift and (almost always) one cache line. Entries pack
-/// `(page id << 32) | (slot + 1)`; 0 marks an empty bucket, so `clear`
-/// is one memset and steady-state phases never allocate.
-#[derive(Debug, Default)]
-struct PageTable {
-    entries: Vec<u64>,
-    mask: usize,
-    len: usize,
-}
-
-/// Same multiplier as the sharded cache: 2^64 / φ, odd.
-const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-impl PageTable {
-    #[inline]
-    fn bucket(&self, page: PageId) -> usize {
-        debug_assert!(!self.entries.is_empty());
-        ((page.0 as u64).wrapping_mul(HASH_MUL) >> 33) as usize & self.mask
-    }
-
-    /// Looks `page` up; on a miss inserts it mapped to `slot` and returns
-    /// `None`, on a hit returns the existing slot.
-    fn get_or_insert(&mut self, page: PageId, slot: u32) -> Option<u32> {
-        if self.entries.len() < (self.len + 1) * 2 {
-            self.grow();
-        }
-        let mut i = self.bucket(page);
-        loop {
-            let e = self.entries[i];
-            if e == 0 {
-                self.entries[i] = ((page.0 as u64) << 32) | (slot as u64 + 1);
-                self.len += 1;
-                return None;
-            }
-            if (e >> 32) as u32 == page.0 {
-                return Some((e as u32) - 1);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// The slot `page` maps to, if staged.
-    fn get(&self, page: PageId) -> Option<u32> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let mut i = self.bucket(page);
-        loop {
-            let e = self.entries[i];
-            if e == 0 {
-                return None;
-            }
-            if (e >> 32) as u32 == page.0 {
-                return Some((e as u32) - 1);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    fn grow(&mut self) {
-        let cap = (self.entries.len() * 2).max(64);
-        let old = std::mem::replace(&mut self.entries, vec![0; cap]);
-        self.mask = cap - 1;
-        for e in old {
-            if e == 0 {
-                continue;
-            }
-            let mut i = self.bucket(PageId((e >> 32) as u32));
-            while self.entries[i] != 0 {
-                i = (i + 1) & self.mask;
-            }
-            self.entries[i] = e;
-        }
-    }
-
-    fn clear(&mut self) {
-        self.entries.fill(0);
-        self.len = 0;
-    }
-}
-
 /// Collects the page requests of one scheduler phase and submits them as
 /// one seek-aware batch. Two lanes exist per fleet — demand (coalescing,
 /// every waiter records its slot) and prefetch window (single-owner,
@@ -161,7 +78,8 @@ impl PageTable {
 #[derive(Debug)]
 pub struct IoBatcher {
     disk: DiskModel,
-    index: PageTable,
+    /// Staged page → its slot; `clear` keeps the table's capacity.
+    index: IdMap<PageId, u32>,
     pages: Vec<PageId>,
     /// Window lane only: `(owner slot, is_gap)` of the staging session.
     owners: Vec<(u32, bool)>,
@@ -176,7 +94,7 @@ impl IoBatcher {
     pub fn new(disk: DiskModel) -> IoBatcher {
         IoBatcher {
             disk,
-            index: PageTable::default(),
+            index: IdMap::default(),
             pages: Vec::new(),
             owners: Vec::new(),
             outcomes: Vec::new(),
@@ -192,12 +110,13 @@ impl IoBatcher {
     pub fn stage(&mut self, page: PageId) -> (u32, bool) {
         self.report.staged += 1;
         let slot = self.pages.len() as u32;
-        match self.index.get_or_insert(page, slot) {
-            Some(existing) => {
+        match self.index.entry(page) {
+            Entry::Occupied(staged) => {
                 self.report.coalesced += 1;
-                (existing, true)
+                (*staged.get(), true)
             }
-            None => {
+            Entry::Vacant(fresh) => {
+                fresh.insert(slot);
                 self.pages.push(page);
                 self.owners.push((0, false));
                 self.report.unique_pages += 1;
@@ -212,10 +131,10 @@ impl IoBatcher {
     /// cache-`contains` skip (the first stager's insert would have made
     /// the page visible to later windows).
     pub fn try_stage(&mut self, page: PageId, owner: u32, gap: bool) -> bool {
-        let slot = self.pages.len() as u32;
-        if self.index.get_or_insert(page, slot).is_some() {
+        let Entry::Vacant(fresh) = self.index.entry(page) else {
             return false;
-        }
+        };
+        fresh.insert(self.pages.len() as u32);
         self.report.staged += 1;
         self.report.unique_pages += 1;
         self.pages.push(page);
@@ -225,7 +144,7 @@ impl IoBatcher {
 
     /// True when `page` is staged in the current phase.
     pub fn contains(&self, page: PageId) -> bool {
-        self.index.get(page).is_some()
+        self.index.contains_key(&page)
     }
 
     /// Staged unique pages in the current phase.

@@ -6,11 +6,12 @@
 //! prefetch window has the same effect as varying the prefetch cache size".
 //!
 //! Implemented as a classic hash-map + intrusive doubly-linked list so that
-//! lookup, touch, insert and evict are all O(1).
+//! lookup, touch, insert and evict are all O(1). The map is keyed through
+//! [`IdHasher`](crate::IdHasher), and recency lives only in the list, so
+//! nothing depends on the map's iteration order.
 
-use crate::page::PageId;
+use crate::page::{IdMap, PageId};
 use crate::page_cache::{CacheStats, PageCache};
-use std::collections::HashMap;
 
 const NIL: u32 = u32::MAX;
 
@@ -25,7 +26,7 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct PrefetchCache {
     capacity: usize,
-    map: HashMap<PageId, u32>,
+    map: IdMap<PageId, u32>,
     nodes: Vec<Node>,
     free: Vec<u32>,
     /// Most recently used.
@@ -45,7 +46,7 @@ impl PrefetchCache {
         assert!(capacity >= 1, "cache capacity must be >= 1");
         PrefetchCache {
             capacity,
-            map: HashMap::with_capacity(capacity.min(1 << 20)),
+            map: IdMap::with_capacity_and_hasher(capacity.min(1 << 20), Default::default()),
             nodes: Vec::new(),
             free: Vec::new(),
             head: NIL,

@@ -27,7 +27,7 @@ pub use fault::{
     BreakerPolicy, CircuitBreaker, FailedRead, FaultConfig, FaultInjector, FaultPlan, FaultReport,
     IoError, RetryPolicy,
 };
-pub use page::{Page, PageId, PageLayout};
+pub use page::{IdHasher, IdMap, IdSet, Page, PageId, PageLayout};
 pub use page_cache::{CacheStats, PageCache};
 pub use sharded::ShardedCache;
 pub use stats::{hit_ratio, IoStats};

@@ -6,6 +6,8 @@
 //! prefetches read whole pages, and the cache holds whole pages.
 
 use scout_geometry::{Aabb, ObjectId};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a disk page. Ids are dense and reflect the physical
 /// placement order on disk: pages with consecutive ids are physically
@@ -20,6 +22,45 @@ impl PageId {
         self.0 as usize
     }
 }
+
+/// Fibonacci multiplier (2⁶⁴ / φ, odd), the usual mixer for dense ids.
+pub(crate) const FIBONACCI_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Hasher of the tables keyed by dense internal `u32` ids ([`PageId`],
+/// [`ObjectId`]): one multiply, then the product's halves swap places.
+///
+/// The default SipHash protects a table from keys crafted to collide;
+/// these ids are assigned by the bulk load, never read from outside
+/// input, so that protection buys nothing. The swap matters:
+/// [`ShardedCache`](crate::ShardedCache) picks a page's shard from the
+/// product's top bits, and hashbrown takes its 7-bit group tag from the
+/// top of the hash, so the unswapped product would give every page of
+/// one shard the same leading tag bits. Deterministic: equal inserts give
+/// equal iteration order on every run.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        panic!("IdHasher hashes u32 ids only");
+    }
+
+    #[inline]
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(FIBONACCI_MUL).rotate_left(32);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by a dense `u32` id, hashed by [`IdHasher`].
+pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A set of dense `u32` ids, hashed by [`IdHasher`].
+pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// One disk page: a set of objects plus their minimum bounding rectangle.
 #[derive(Debug, Clone)]

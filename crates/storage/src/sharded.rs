@@ -7,14 +7,14 @@
 //! a page can never be duplicated across shards, and a page can never
 //! migrate — operations on different shards are completely independent.
 //!
-//! Hit/miss/insertion/eviction counters live outside the shard locks as
-//! atomics so an aggregate [`CacheStats`] snapshot never has to stop the
-//! world. The price of sharding is that LRU recency is per-shard rather
+//! Each shard counts its own hits, misses, insertions and evictions under
+//! its lock; an aggregate [`CacheStats`] snapshot sums the shards. The
+//! price of sharding is that LRU recency is per-shard rather
 //! than global — with S shards the eviction victim is the oldest page *of
 //! the hashed shard*, an approximation that converges to true LRU as
 //! accesses spread across shards (same trade as `DashMap`-style maps).
 
-use crate::page::PageId;
+use crate::page::{PageId, FIBONACCI_MUL};
 use crate::page_cache::{CacheStats, PageCache};
 use crate::PrefetchCache;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,12 +31,9 @@ fn lock_shard(shard: &Mutex<PrefetchCache>) -> MutexGuard<'_, PrefetchCache> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Fibonacci-hash multiplier (2⁶⁴ / φ), the usual mixer for sequential ids.
-const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
-
-/// A concurrent page cache: N independently-locked LRU shards plus atomic
-/// counters. All operations take `&self`; `&ShardedCache` implements
-/// [`PageCache`], so many sessions can drive one instance.
+/// A concurrent page cache: N independently-locked LRU shards. All
+/// operations take `&self`; `&ShardedCache` implements [`PageCache`], so
+/// many sessions can drive one instance.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<Mutex<PrefetchCache>>,
@@ -45,11 +42,8 @@ pub struct ShardedCache {
     /// Total capacity in pages — exactly the constructor's request (the
     /// per-shard capacities sum to it).
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    /// Coalesced waiters belong to no shard, so they are counted here.
     coalesced_hits: AtomicU64,
-    insertions: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl ShardedCache {
@@ -79,11 +73,7 @@ impl ShardedCache {
             shards: (0..shards).map(|i| Mutex::new(PrefetchCache::new(per_shard(i)))).collect(),
             shard_bits: shards.trailing_zeros(),
             capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
             coalesced_hits: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -104,34 +94,19 @@ impl ShardedCache {
         if self.shard_bits == 0 {
             return 0;
         }
-        ((page.0 as u64).wrapping_mul(HASH_MUL) >> (64 - self.shard_bits)) as usize
+        ((page.0 as u64).wrapping_mul(FIBONACCI_MUL) >> (64 - self.shard_bits)) as usize
     }
 
     /// Records an access: a hit promotes within its shard. Returns whether
     /// the page was cached.
     pub fn access(&self, page: PageId) -> bool {
-        let hit = lock_shard(&self.shards[self.shard_of(page)]).access(page);
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-        }
-        hit
+        lock_shard(&self.shards[self.shard_of(page)]).access(page)
     }
 
     /// Inserts a page into its shard, evicting that shard's LRU page when
     /// the shard is full. Returns the evicted page, if any.
     pub fn insert(&self, page: PageId) -> Option<PageId> {
-        let mut shard = lock_shard(&self.shards[self.shard_of(page)]);
-        let fresh = !shard.contains(page);
-        let evicted = shard.insert(page);
-        if fresh {
-            self.insertions.fetch_add(1, Ordering::Relaxed);
-        }
-        if evicted.is_some() {
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        evicted
+        lock_shard(&self.shards[self.shard_of(page)]).insert(page)
     }
 
     /// True when the page is cached (no recency or counter effect).
@@ -164,29 +139,34 @@ impl ShardedCache {
         for shard in &self.shards {
             lock_shard(shard).clear();
         }
-        self.reset_stats();
-    }
-
-    /// Zeroes the aggregate counters while keeping the cached pages.
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
         self.coalesced_hits.store(0, Ordering::Relaxed);
-        self.insertions.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
     }
 
-    /// Aggregate snapshot across all shards.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced_hits: self.coalesced_hits.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            len: self.len(),
-            capacity: self.capacity(),
+    /// Zeroes every shard's counters while keeping the cached pages.
+    pub fn reset_stats(&self) {
+        for shard in &self.shards {
+            lock_shard(shard).reset_stats();
         }
+        self.coalesced_hits.store(0, Ordering::Relaxed);
+    }
+
+    /// Aggregate snapshot: the shards' counters summed, one lock at a time
+    /// (under concurrent mutation a momentary sum, like [`Self::len`]).
+    pub fn stats(&self) -> CacheStats {
+        let mut total = CacheStats {
+            coalesced_hits: self.coalesced_hits.load(Ordering::Relaxed),
+            capacity: self.capacity,
+            ..CacheStats::default()
+        };
+        for shard in &self.shards {
+            let s = lock_shard(shard).stats();
+            total.hits += s.hits;
+            total.misses += s.misses;
+            total.insertions += s.insertions;
+            total.evictions += s.evictions;
+            total.len += s.len;
+        }
+        total
     }
 
     /// The cached pages of every shard, MRU-first (test/diagnostic helper:
@@ -301,6 +281,31 @@ mod tests {
             assert_eq!(c.shard_of(PageId(i)), c.shard_of(PageId(i)));
             assert!(c.shard_of(PageId(i)) < 8);
         }
+    }
+
+    /// The shard's pages share the top bits of the id product; the map
+    /// hash inside a shard must not, or hashbrown's 7-bit group tags
+    /// (the hash's top bits) and its low-bit buckets would crowd.
+    #[test]
+    fn id_hash_spreads_the_pages_of_one_shard() {
+        use std::hash::{BuildHasher, BuildHasherDefault};
+        let c = ShardedCache::new(1 << 16, 16);
+        let hashes: Vec<u64> = (0u32..)
+            .map(PageId)
+            .filter(|&p| c.shard_of(p) == 0)
+            .take(4_096)
+            .map(|p| BuildHasherDefault::<crate::IdHasher>::default().hash_one(p))
+            .collect();
+        let mut tags = [false; 128];
+        let mut buckets = [0u32; 1_024];
+        for h in hashes {
+            tags[(h >> 57) as usize] = true;
+            buckets[(h & 1_023) as usize] += 1;
+        }
+        let distinct = tags.iter().filter(|&&t| t).count();
+        assert!(distinct >= 120, "only {distinct} of 128 group tags occur");
+        let worst = *buckets.iter().max().unwrap();
+        assert!(worst <= 16, "one of 1 024 buckets holds {worst} of 4 096 pages");
     }
 
     #[test]

@@ -4,75 +4,128 @@
 //! sharded cache.
 
 use proptest::prelude::*;
-use scout_storage::{PageId, PrefetchCache, ShardedCache};
+use scout_storage::{CacheStats, PageId, PrefetchCache, ShardedCache};
 
-/// Naive LRU used as the oracle: a vector ordered MRU-first.
-#[derive(Default)]
+/// Naive LRU used as the oracle: a vector ordered MRU-first, with the
+/// counters `PrefetchCache::stats` reports.
 struct OracleLru {
     cap: usize,
     pages: Vec<PageId>,
+    stats: CacheStats,
 }
 
 impl OracleLru {
     fn new(cap: usize) -> Self {
-        OracleLru { cap, pages: Vec::new() }
+        OracleLru {
+            cap,
+            pages: Vec::new(),
+            stats: CacheStats { capacity: cap, ..CacheStats::default() },
+        }
+    }
+    fn promote(&mut self, p: PageId) -> bool {
+        match self.pages.iter().position(|&q| q == p) {
+            Some(pos) => {
+                let v = self.pages.remove(pos);
+                self.pages.insert(0, v);
+                true
+            }
+            None => false,
+        }
     }
     fn access(&mut self, p: PageId) -> bool {
-        if let Some(pos) = self.pages.iter().position(|&q| q == p) {
-            let v = self.pages.remove(pos);
-            self.pages.insert(0, v);
-            true
+        let hit = self.promote(p);
+        if hit {
+            self.stats.hits += 1;
         } else {
-            false
+            self.stats.misses += 1;
         }
+        hit
     }
     fn insert(&mut self, p: PageId) -> Option<PageId> {
-        if let Some(pos) = self.pages.iter().position(|&q| q == p) {
-            let v = self.pages.remove(pos);
-            self.pages.insert(0, v);
+        if self.promote(p) {
             return None;
         }
+        self.stats.insertions += 1;
         let evicted = if self.pages.len() >= self.cap { self.pages.pop() } else { None };
+        self.stats.evictions += u64::from(evicted.is_some());
         self.pages.insert(0, p);
         evicted
+    }
+    fn reset_stats(&mut self) {
+        self.stats = CacheStats { capacity: self.cap, ..CacheStats::default() };
+    }
+    fn clear(&mut self) {
+        self.pages.clear();
+        self.reset_stats();
+    }
+    fn stats(&self) -> CacheStats {
+        CacheStats { len: self.pages.len(), ..self.stats }
     }
 }
 
 #[derive(Debug, Clone)]
 enum Op {
-    Access(u32),
-    Insert(u32),
+    Access(PageId),
+    Insert(PageId),
+    Contains(PageId),
+    ResetStats,
+    Clear,
 }
 
+/// Operation streams over 64 page ids spaced `stride` apart — stride 1
+/// is a narrow dense range, a larger one a wide range up to `u32::MAX`.
+/// Of 100 ops, 40 access, 40 insert, 14 probe, 5 reset the counters and 1
+/// clears.
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
-    prop::collection::vec(
-        prop_oneof![(0u32..40).prop_map(Op::Access), (0u32..40).prop_map(Op::Insert),],
-        0..200,
-    )
+    let ops = prop::collection::vec((0u32..100, 0u32..64), 0..400);
+    (prop_oneof![Just(1u32), 2u32..=u32::MAX / 64], ops).prop_map(|(stride, ops)| {
+        ops.into_iter()
+            .map(|(kind, i)| {
+                let page = PageId(i * stride);
+                match kind {
+                    0..40 => Op::Access(page),
+                    40..80 => Op::Insert(page),
+                    80..94 => Op::Contains(page),
+                    94..99 => Op::ResetStats,
+                    _ => Op::Clear,
+                }
+            })
+            .collect()
+    })
 }
 
 proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// Every return value, the MRU order and the counters equal the
+    /// oracle's after every operation.
     #[test]
-    fn cache_matches_oracle(cap in 1usize..12, ops in arb_ops()) {
+    fn cache_matches_oracle(cap in 1usize..=64, ops in arb_ops()) {
         let mut cache = PrefetchCache::new(cap);
         let mut oracle = OracleLru::new(cap);
         for op in ops {
             match op {
-                Op::Access(p) => {
-                    let (a, b) = (cache.access(PageId(p)), oracle.access(PageId(p)));
-                    prop_assert_eq!(a, b, "access({}) disagreed", p);
+                Op::Access(p) => prop_assert_eq!(cache.access(p), oracle.access(p), "access({:?})", p),
+                Op::Insert(p) => prop_assert_eq!(cache.insert(p), oracle.insert(p), "insert({:?})", p),
+                Op::Contains(p) => {
+                    prop_assert_eq!(cache.contains(p), oracle.pages.contains(&p), "contains({:?})", p)
                 }
-                Op::Insert(p) => {
-                    let (a, b) = (cache.insert(PageId(p)), oracle.insert(PageId(p)));
-                    prop_assert_eq!(a, b, "insert({}) evicted differently", p);
+                Op::ResetStats => {
+                    cache.reset_stats();
+                    oracle.reset_stats();
+                }
+                Op::Clear => {
+                    cache.clear();
+                    oracle.clear();
                 }
             }
-            prop_assert!(cache.len() <= cap);
-            prop_assert_eq!(cache.len(), oracle.pages.len());
             prop_assert_eq!(cache.pages_mru_order(), oracle.pages.clone());
+            prop_assert_eq!(cache.stats(), oracle.stats());
         }
     }
+}
 
+proptest! {
     /// §ISSUE 2: a sharded cache degenerated to one shard is
     /// observationally equivalent to the single-threaded LRU — same access
     /// and eviction results, same counters, same MRU order — over
@@ -83,44 +136,67 @@ proptest! {
         let mut lru = PrefetchCache::new(cap);
         for op in ops {
             match op {
-                Op::Access(p) => {
-                    let (a, b) = (sharded.access(PageId(p)), lru.access(PageId(p)));
-                    prop_assert_eq!(a, b, "access({}) disagreed", p);
+                Op::Access(p) => prop_assert_eq!(sharded.access(p), lru.access(p), "access({:?})", p),
+                Op::Insert(p) => prop_assert_eq!(sharded.insert(p), lru.insert(p), "insert({:?})", p),
+                Op::Contains(p) => prop_assert_eq!(sharded.contains(p), lru.contains(p)),
+                Op::ResetStats => {
+                    sharded.reset_stats();
+                    lru.reset_stats();
                 }
-                Op::Insert(p) => {
-                    let (a, b) = (sharded.insert(PageId(p)), lru.insert(PageId(p)));
-                    prop_assert_eq!(a, b, "insert({}) evicted differently", p);
+                Op::Clear => {
+                    sharded.clear();
+                    lru.clear();
                 }
             }
             prop_assert_eq!(sharded.len(), lru.len());
         }
-        let s = sharded.stats();
-        let l = lru.stats();
-        prop_assert_eq!(s.hits, l.hits);
-        prop_assert_eq!(s.misses, l.misses);
-        prop_assert_eq!(s.insertions, l.insertions);
-        prop_assert_eq!(s.evictions, l.evictions);
-        prop_assert_eq!(s.capacity, l.capacity);
+        prop_assert_eq!(sharded.stats(), lru.stats());
         prop_assert_eq!(sharded.shard_pages().remove(0), lru.pages_mru_order());
     }
+}
 
-    #[test]
-    fn hits_plus_misses_equals_accesses(cap in 1usize..8, ops in arb_ops()) {
-        let mut cache = PrefetchCache::new(cap);
-        let mut accesses = 0u64;
-        for op in ops {
-            match op {
-                Op::Access(p) => {
-                    cache.access(PageId(p));
-                    accesses += 1;
-                }
-                Op::Insert(p) => {
-                    cache.insert(PageId(p));
-                }
-            }
-        }
-        prop_assert_eq!(cache.hits() + cache.misses(), accesses);
-    }
+/// Two threads released together hammer overlapping pages of one sharded
+/// cache: the summed shard counters account for every access and every
+/// eviction the threads saw.
+#[test]
+fn sharded_stats_count_what_two_threads_did() {
+    use std::sync::Barrier;
+
+    const OPS: u32 = 20_000;
+    let cache = ShardedCache::new(64, 4);
+    let start = Barrier::new(2);
+    let per_thread: Vec<(u64, u64)> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..2u32)
+            .map(|t| {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let (mut accesses, mut evictions) = (0u64, 0u64);
+                    for i in 0..OPS {
+                        // Both threads walk the same 256 pages at different
+                        // strides, so they meet on pages and on shards.
+                        let page = PageId(i * (3 + 2 * t) % 256);
+                        if i % 3 == 0 {
+                            evictions += u64::from(cache.insert(page).is_some());
+                        } else {
+                            cache.access(page);
+                            accesses += 1;
+                        }
+                    }
+                    (accesses, evictions)
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+    let accesses: u64 = per_thread.iter().map(|t| t.0).sum();
+    let evictions: u64 = per_thread.iter().map(|t| t.1).sum();
+    let s = cache.stats();
+    assert!(s.hits > 0 && evictions > 0, "the threads must hit and evict: {s:?}");
+    assert_eq!(s.hits + s.misses, accesses);
+    assert_eq!(s.evictions, evictions);
+    assert_eq!(s.insertions, evictions + s.len as u64, "every fresh insert is resident or evicted");
+    assert_eq!(s.len, cache.shard_pages().iter().map(Vec::len).sum::<usize>());
 }
 
 /// §ISSUE 2: 8 threads hammering a sharded cache concurrently never lose
