@@ -1,8 +1,9 @@
 //! Criterion microbenchmarks of the core components: STR bulk loading,
 //! R-tree range queries (cache-resident and cold) and nearest-page probes,
 //! FLAT crawls, grid-hash graph building (whole, and its cell-walk kernel),
-//! connected components, SCOUT's whole observe step, k-means, and the
-//! Hilbert curve.
+//! connected components, SCOUT's whole observe step, k-means, the
+//! Hilbert curve, and the sharded cache's fleet-shaped traffic through its
+//! owned and its shared handle.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use scout_core::kmeans::kmeans;
@@ -17,6 +18,7 @@ use scout_index::{
 };
 use scout_sim::workloads::ADHOC_PATTERN;
 use scout_sim::{Prefetcher, QueryScratch, SimContext};
+use scout_storage::{PageCache, PageId, ShardedCache};
 use scout_synth::{generate_neurons, generate_sequences, NeuronParams};
 use std::hint::black_box;
 
@@ -214,9 +216,59 @@ fn bench_components(c: &mut Criterion) {
     });
 }
 
+/// The `fleet` workload's cache traffic without the fleet: a 16 384-page
+/// cache in 16 shards, 43-page queries. Per query, every page is
+/// `access`ed, then each miss is probed with `contains` and `insert`ed, as
+/// a served query and its window do. 256 sessions take turns, one query
+/// each a round, and each walks 20 pages a query, so 23 of a query's pages
+/// were inserted by the session's previous query one round ago and still
+/// hit. One iteration is one query: divide by 43 for the cost of a page.
+/// The two benches differ only in how they reach a shard — the owned
+/// cache through `Mutex::get_mut` (a fleet phase one thread runs alone)
+/// and `&ShardedCache` under the shard lock (a phase shared with helpers).
+fn bench_sharded_cache(c: &mut Criterion) {
+    const PAGES_PER_QUERY: usize = 43;
+    const SESSIONS: u32 = 256;
+    const ROUNDS: u32 = 16;
+    let stream: Vec<PageId> = (0..ROUNDS)
+        .flat_map(|round| (0..SESSIONS).map(move |s| s * 512 + round * 20))
+        .flat_map(|start| (start..start + PAGES_PER_QUERY as u32).map(PageId))
+        .collect();
+    let queries: Vec<&[PageId]> = stream.chunks_exact(PAGES_PER_QUERY).collect();
+
+    fn replay<C: PageCache>(cache: &mut C, query: &[PageId], misses: &mut Vec<PageId>) -> usize {
+        misses.clear();
+        misses.extend(query.iter().copied().filter(|&p| !cache.access(p)));
+        for &page in misses.iter() {
+            if !cache.contains(page) {
+                cache.insert(page);
+            }
+        }
+        misses.len()
+    }
+
+    c.bench_function("sharded_cache_fleet_ops_exclusive", |b| {
+        let mut cache = ShardedCache::new(16_384, 16);
+        let (mut next, mut misses) = (0, Vec::new());
+        b.iter(|| {
+            next = (next + 1) % queries.len();
+            replay(&mut cache, queries[next], &mut misses)
+        })
+    });
+
+    c.bench_function("sharded_cache_fleet_ops_shared", |b| {
+        let cache = ShardedCache::new(16_384, 16);
+        let (mut handle, mut next, mut misses) = (&cache, 0, Vec::new());
+        b.iter(|| {
+            next = (next + 1) % queries.len();
+            replay(&mut handle, queries[next], &mut misses)
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_components, bench_follow_query
+    targets = bench_sharded_cache, bench_components, bench_follow_query
 }
 criterion_main!(benches);

@@ -16,7 +16,9 @@ use crate::executor::ExecutorConfig;
 use crate::scheduler::lock_unpoisoned;
 use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
-use scout_storage::{BatchReport, DiskModel, FaultReport, IoBatcher, ShardedCache, SharedClock};
+use scout_storage::{
+    BatchReport, DiskModel, FaultReport, IoBatcher, PageCache, ShardedCache, SharedClock,
+};
 use scout_telemetry::{
     recorder::ENGINE_STREAM, Event, FlightRecorder, HistogramId, Lane, MetricsRegistry, SpanTimer,
 };
@@ -130,8 +132,9 @@ impl BatchCtl {
     /// — round *i + 1* serves against the membership round *i*'s windows
     /// left — so the round loop calls this between the two. Also recycles
     /// the demand lane (its outcomes were consumed during the phase that
-    /// just ended).
-    pub(crate) fn submit_window(&self, cache: &ShardedCache, round: u64) {
+    /// just ended). No step is in flight at an edge, so it publishes
+    /// through the owned cache, taking no shard lock.
+    pub(crate) fn submit_window(&self, cache: &mut ShardedCache, round: u64) {
         lock_unpoisoned(&self.demand).begin_phase();
         let mut lane = lock_unpoisoned(&self.window);
         if lane.is_empty() {
@@ -147,7 +150,7 @@ impl BatchCtl {
             let (owner, gap) = lane.owner_at(slot);
             match lane.outcome_at(slot) {
                 Ok(t) => {
-                    cache.insert(lane.page_at(slot));
+                    PageCache::insert(cache, lane.page_at(slot));
                     let ledger = &mut ledgers[owner as usize];
                     ledger.io_us += t;
                     ledger.pages += 1;

@@ -342,8 +342,9 @@ pub(crate) fn observe_and_open(
 /// owns the plan walk and the budget; an implementation owns the cache,
 /// the disk and the bookkeeping of what a read cost.
 pub(crate) trait WindowIo {
-    /// True when `page` needs no read from this window.
-    fn resident(&self, page: PageId) -> bool;
+    /// True when `page` needs no read from this window. `&mut` to match
+    /// [`PageCache::contains`], so an owned cache probes without a lock.
+    fn resident(&mut self, page: PageId) -> bool;
     /// What reading `page` next would cost, committing nothing.
     fn peek_us(&self, page: PageId) -> f64;
     /// Issues the read. `Ok(t)`: the page counts as prefetched and the
@@ -361,7 +362,7 @@ pub(crate) struct ImmediateIo<'a, C: PageCache> {
 }
 
 impl<C: PageCache> WindowIo for ImmediateIo<'_, C> {
-    fn resident(&self, page: PageId) -> bool {
+    fn resident(&mut self, page: PageId) -> bool {
         self.cache.contains(page)
     }
 
@@ -407,14 +408,14 @@ impl<C: PageCache> WindowIo for ImmediateIo<'_, C> {
 /// and the io totals (credited from the fleet's window ledgers) record
 /// actual successes.
 pub(crate) struct StagedIo<'a, C: PageCache> {
-    pub(crate) cache: &'a C,
+    pub(crate) cache: &'a mut C,
     pub(crate) disk: &'a DiskModel,
     pub(crate) batcher: &'a mut IoBatcher,
     pub(crate) owner: u32,
 }
 
 impl<C: PageCache> WindowIo for StagedIo<'_, C> {
-    fn resident(&self, page: PageId) -> bool {
+    fn resident(&mut self, page: PageId) -> bool {
         self.cache.contains(page) || self.batcher.contains(page)
     }
 

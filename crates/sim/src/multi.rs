@@ -108,18 +108,20 @@ impl MultiSessionExecutor {
 
     /// Runs the sessions over a fresh shared cache.
     pub fn run(&self, ctx: &SimContext<'_>, sessions: Vec<Session>) -> MultiSessionReport {
-        let cache = ShardedCache::new(self.config.exec.cache_pages, self.config.shards);
-        self.run_on(ctx, sessions, &cache)
+        let mut cache = ShardedCache::new(self.config.exec.cache_pages, self.config.shards);
+        self.run_on(ctx, sessions, &mut cache)
     }
 
     /// Runs the sessions over a caller-provided cache — e.g. one pre-warmed
     /// by an earlier run. The cache's counters are reset first so the
-    /// report measures only this run; its *contents* are kept.
+    /// report measures only this run; its *contents* are kept. The run
+    /// borrows the cache exclusively: a phase one thread runs alone
+    /// reaches the shards without their locks (DESIGN.md §10).
     pub fn run_on(
         &self,
         ctx: &SimContext<'_>,
         mut sessions: Vec<Session>,
-        cache: &ShardedCache,
+        cache: &mut ShardedCache,
     ) -> MultiSessionReport {
         cache.reset_stats();
         let clock = SharedClock::new();
@@ -142,13 +144,13 @@ impl MultiSessionExecutor {
             .then(|| BatchCtl::new(exec, &clock, sessions.len(), telemetry.as_ref()));
         // One round body, one round loop (DESIGN.md §10): round-robin is
         // width 1 with the scheduler counters dropped.
-        let body = RoundBody { ctx, exec, cache, batch: batch.as_ref() };
+        let body = RoundBody { ctx, exec, batch: batch.as_ref() };
         let width = match self.config.schedule {
             Schedule::RoundRobin => 1,
             Schedule::WorkStealing { workers: 0 } => default_parallelism(),
             Schedule::WorkStealing { workers } => workers,
         };
-        let (mut sessions, report) = run_fleet(&body, sessions, width, telemetry.as_ref());
+        let (mut sessions, report) = run_fleet(&body, cache, sessions, width, telemetry.as_ref());
         let scheduler = (self.config.schedule != Schedule::RoundRobin).then_some(report);
 
         // Teardown of the batch lanes: credit window ledgers into the

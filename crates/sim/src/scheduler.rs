@@ -25,7 +25,10 @@
 //! serve leaves the prefetch window open), so "parking" one at a phase
 //! edge is simply not calling it; finished sessions are retired instead
 //! of spinning no-op rounds. Width 1, and any phase with a single step,
-//! is the same claim loop on the caller alone: no thread is spawned.
+//! is the same claim loop on the caller alone: no thread is spawned, and
+//! the caller steps through an exclusive handle on the fleet's cache that
+//! reaches each shard with `Mutex::get_mut` instead of its lock. A phase
+//! shared with helpers hands every thread the locking `&ShardedCache`.
 //!
 //! ## Determinism contract (DESIGN.md §10)
 //!
@@ -61,7 +64,7 @@ use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
 use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
-use scout_storage::ShardedCache;
+use scout_storage::{CacheStats, PageCache, PageId, ShardedCache};
 use scout_telemetry::{HistogramId, SpanTimer};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -147,38 +150,108 @@ impl SchedulerReport {
 // The round: one body
 // ---------------------------------------------------------------------------
 
+/// How a thread running a phase's steps reaches the fleet's cache. A phase
+/// the caller runs alone gets `Exclusive`: it holds the cache as `&mut`,
+/// so every probe, promotion and insert goes through `Mutex::get_mut` and
+/// takes no shard lock. When helpers share the phase, every thread gets
+/// `Shared`, which locks the page's shard. Both run the same shard
+/// operations in the same order, so the variant changes no outcome.
+pub(crate) enum CacheHandle<'c> {
+    Exclusive(&'c mut ShardedCache),
+    Shared(&'c ShardedCache),
+}
+
+impl CacheHandle<'_> {
+    /// The cache behind either handle, for the whole-cache calls, which
+    /// go to the `&self` inherent methods whichever handle a thread holds
+    /// (as both `PageCache` impls of `ShardedCache` send them).
+    fn whole(&self) -> &ShardedCache {
+        match self {
+            CacheHandle::Exclusive(c) => c,
+            CacheHandle::Shared(c) => c,
+        }
+    }
+}
+
+impl PageCache for CacheHandle<'_> {
+    fn access(&mut self, page: PageId) -> bool {
+        match self {
+            CacheHandle::Exclusive(c) => PageCache::access(&mut **c, page),
+            CacheHandle::Shared(c) => PageCache::access(c, page),
+        }
+    }
+
+    fn insert(&mut self, page: PageId) -> Option<PageId> {
+        match self {
+            CacheHandle::Exclusive(c) => PageCache::insert(&mut **c, page),
+            CacheHandle::Shared(c) => PageCache::insert(c, page),
+        }
+    }
+
+    fn contains(&mut self, page: PageId) -> bool {
+        match self {
+            CacheHandle::Exclusive(c) => PageCache::contains(&mut **c, page),
+            CacheHandle::Shared(c) => PageCache::contains(c, page),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.whole().len()
+    }
+
+    fn capacity(&self) -> usize {
+        self.whole().capacity()
+    }
+
+    fn clear(&mut self) {
+        self.whole().clear()
+    }
+
+    fn stats(&self) -> CacheStats {
+        self.whole().stats()
+    }
+
+    fn reset_stats(&mut self) {
+        self.whole().reset_stats()
+    }
+
+    fn note_coalesced_hits(&mut self, n: u64) {
+        self.whole().note_coalesced_hits(n)
+    }
+}
+
 /// What one bulk-synchronous round *does*, and the only place that knows
 /// how I/O is submitted: immediately (`batch: None` — each read hits the
 /// session's own disk as it is issued, and the phase edges are empty) or
 /// phase-scoped (staged into the [`BatchCtl`] lanes and submitted at the
-/// edges, DESIGN.md §12). [`run_fleet`] decides only *who runs a step*;
-/// it calls exactly these four methods, in the same order per round, at
-/// every width.
+/// edges, DESIGN.md §12). [`run_fleet`] decides only *who runs a step*,
+/// and with which cache handle; it calls exactly these four methods, in
+/// the same order per round, at every width.
 pub(crate) struct RoundBody<'a, 'w> {
     pub(crate) ctx: &'a SimContext<'w>,
     pub(crate) exec: &'a ExecutorConfig,
-    pub(crate) cache: &'a ShardedCache,
     pub(crate) batch: Option<&'a BatchCtl>,
 }
 
 impl RoundBody<'_, '_> {
-    /// One session's serve sub-phase. False = its stream was exhausted
-    /// and the call did nothing.
-    fn serve(&self, session: &mut Session) -> bool {
+    /// One session's serve sub-phase, through the stepping thread's
+    /// `cache` handle. False = its stream was exhausted and the call did
+    /// nothing.
+    fn serve(&self, session: &mut Session, cache: &mut CacheHandle<'_>) -> bool {
         match self.batch {
-            None => session.serve_observe(self.ctx, &mut &*self.cache, self.exec),
-            Some(b) => session.serve_stage(self.ctx, &mut &*self.cache, self.exec, &b.demand),
+            None => session.serve_observe(self.ctx, cache, self.exec),
+            Some(b) => session.serve_stage(self.ctx, cache, self.exec, &b.demand),
         }
     }
 
     /// One session's window sub-phase (`idx` = its slot, the window
     /// lane's ledger key). False = the session is done and retires.
-    fn window(&self, session: &mut Session, idx: usize) -> bool {
+    fn window(&self, session: &mut Session, idx: usize, cache: &mut CacheHandle<'_>) -> bool {
         match self.batch {
-            None => session.finish_window(self.ctx, &mut &*self.cache, self.exec),
+            None => session.finish_window(self.ctx, cache, self.exec),
             Some(b) => {
                 session.serve_complete(self.ctx, self.exec, &b.demand);
-                session.window_stage(self.ctx, &self.cache, &b.window, idx as u32);
+                session.window_stage(self.ctx, cache, &b.window, idx as u32);
             }
         }
         !session.is_done()
@@ -195,10 +268,10 @@ impl RoundBody<'_, '_> {
     /// Phase edge after every window of `round`: the staged prefetch
     /// reads hit the disk, publish into the cache and are credited to
     /// their owners' ledgers. Must complete before any serve of the next
-    /// round starts.
-    fn close_window(&self, round: u64) {
+    /// round starts. No step is in flight, so the edge owns the cache.
+    fn close_window(&self, cache: &mut ShardedCache, round: u64) {
         if let Some(b) = self.batch {
-            b.submit_window(self.cache, round);
+            b.submit_window(cache, round);
         }
     }
 }
@@ -247,14 +320,17 @@ impl Fleet {
         }
     }
 
-    /// Runs `step(session, idx)` once for every `idx` in `active`, on the
-    /// caller plus `min(helpers, active.len() − 1)` scoped threads, and
-    /// stores its return in `more[position]`. Threads claim positions
-    /// from one cursor; nothing else in the scheduler is concurrent.
+    /// Runs `step(session, idx, cache)` once for every `idx` in `active`,
+    /// on the caller plus `min(helpers, active.len() − 1)` scoped threads,
+    /// and stores its return in `more[position]`. Threads claim positions
+    /// from one cursor; nothing else in the scheduler is concurrent. A
+    /// caller running the phase alone steps through the exclusive handle
+    /// on `cache`; otherwise every thread gets the shared, locking one.
     fn run_phase(
         &self,
         active: &[usize],
-        step: &(dyn Fn(&mut Session, usize) -> bool + Sync),
+        cache: &mut ShardedCache,
+        step: &(dyn Fn(&mut Session, usize, &mut CacheHandle<'_>) -> bool + Sync),
     ) -> PhaseTally {
         // Park and migration events are a wide fleet's: width 1 keeps the
         // round-robin timeline byte for byte (DESIGN.md §13).
@@ -266,7 +342,7 @@ impl Fleet {
         let cursor = AtomicUsize::new(0);
         let failed = AtomicBool::new(false);
         let (more, migrations) = (AtomicU64::new(0), AtomicU64::new(0));
-        let claim_all = |w: usize| {
+        let claim_all = |w: usize, mut cache: CacheHandle<'_>| {
             let mut tally = PhaseTally::default();
             while !failed.load(Ordering::Relaxed) {
                 let k = cursor.fetch_add(1, Ordering::Relaxed);
@@ -285,7 +361,7 @@ impl Fleet {
                 // True = the session has more to do and parks until the
                 // next phase; false = it is exhausted (from a window: it
                 // retires).
-                let verdict = step(session, idx);
+                let verdict = step(session, idx, &mut cache);
                 if verdict {
                     tally.more += 1;
                     if events {
@@ -299,14 +375,17 @@ impl Fleet {
         };
         // A panic (a step's, or the double-claim guard's) stops the other
         // threads' claims and becomes the thread's result.
-        let claim = |w: usize| {
-            catch_unwind(AssertUnwindSafe(|| claim_all(w)))
+        let claim = |w: usize, cache: CacheHandle<'_>| {
+            catch_unwind(AssertUnwindSafe(|| claim_all(w, cache)))
                 .inspect_err(|_| failed.store(true, Ordering::Relaxed))
         };
         let extra = self.helpers.min(active.len().saturating_sub(1));
         let outcome = if extra == 0 {
-            claim(0)
+            // The caller alone: no other thread can reach the cache, so
+            // the phase owns it and takes no shard lock.
+            claim(0, CacheHandle::Exclusive(cache))
         } else {
+            let shared: &ShardedCache = cache;
             // A spawn the OS refuses is skipped: the cursor hands that
             // thread's positions to whoever is running. Every helper is
             // joined before the first payload (the caller's own first) is
@@ -316,10 +395,12 @@ impl Fleet {
             std::thread::scope(|scope| {
                 let spawn = |w| {
                     let name = format!("scout-sched-{w}");
-                    std::thread::Builder::new().name(name).spawn_scoped(scope, move || claim(w))
+                    std::thread::Builder::new()
+                        .name(name)
+                        .spawn_scoped(scope, move || claim(w, CacheHandle::Shared(shared)))
                 };
                 let helpers: Vec<_> = (1..=extra).filter_map(|w| spawn(w).ok()).collect();
-                let mut first = claim(0);
+                let mut first = claim(0, CacheHandle::Shared(shared));
                 for helper in helpers {
                     first = first.and(helper.join().and_then(|claimed| claimed));
                 }
@@ -346,9 +427,12 @@ impl Fleet {
 /// and the run's counters. Width 1 is the oracle the property suites pin
 /// the wider runs against, and [`Schedule::RoundRobin`](crate::Schedule)
 /// is this call at width 1 with the report dropped. Fleets share
-/// nothing: concurrent calls overlap.
+/// nothing: concurrent calls overlap. `cache` is the fleet's: each phase
+/// hands every stepping thread a handle on it, and the edges, which run
+/// while no step is in flight, use it directly.
 pub(crate) fn run_fleet(
     body: &RoundBody<'_, '_>,
+    cache: &mut ShardedCache,
     sessions: Vec<Session>,
     workers: usize,
     telemetry: Option<&FleetTelemetry>,
@@ -371,16 +455,17 @@ pub(crate) fn run_fleet(
     while !active.is_empty() {
         let round = report.rounds;
         report.rounds += 1;
-        let serves = fleet.run_phase(&active, &|session, _| body.serve(session));
+        let serves = fleet.run_phase(&active, cache, &|session, _, c| body.serve(session, c));
         {
             // Sessions consume the demand outcomes in their windows.
             let _span = edge_span();
             body.close_serve(round);
         }
-        let windows = fleet.run_phase(&active, &|session, idx| body.window(session, idx));
+        let windows =
+            fleet.run_phase(&active, cache, &|session, idx, c| body.window(session, idx, c));
         let _span = edge_span();
         // The next round serves against the published membership.
-        body.close_window(round);
+        body.close_window(cache, round);
         let mut verdicts = fleet.more.iter();
         active.retain(|_| verdicts.next().is_some_and(|more| more.load(Ordering::Relaxed)));
         // One park per successful serve (the window boundary) plus
@@ -415,9 +500,13 @@ mod tests {
         // the claimed position cannot pass.
         const POSITIONS: usize = 20_000;
         let fleet = idle_fleet(3, POSITIONS);
+        let mut cache = ShardedCache::new(64, 4);
         let active: Vec<usize> = (0..POSITIONS).rev().collect();
         let calls: Vec<AtomicU32> = (0..POSITIONS).map(|_| AtomicU32::new(0)).collect();
-        let tally = fleet.run_phase(&active, &|_, idx| {
+        let exclusive = |c: &CacheHandle<'_>| matches!(c, CacheHandle::Exclusive(_));
+        let tally = fleet.run_phase(&active, &mut cache, &|_, idx, c| {
+            // Helpers share the phase, so every thread locks.
+            assert!(!exclusive(c), "a shared phase handed out the exclusive handle");
             calls[idx].fetch_add(1, Ordering::Relaxed);
             idx % 3 == 0
         });
@@ -427,25 +516,32 @@ mod tests {
         }
         assert_eq!(tally.more, active.iter().filter(|&&idx| idx % 3 == 0).count() as u64);
         // A session starts as the caller's, so the caller alone migrates
-        // nothing, and a one-step phase is the caller alone.
+        // nothing, and a one-step phase is the caller alone — both own the
+        // cache.
         let narrow = idle_fleet(0, 9);
-        let tally = narrow.run_phase(&[8, 0, 3], &|_, idx| idx != 0);
+        let tally = narrow.run_phase(&[8, 0, 3], &mut cache, &|_, idx, c| {
+            assert!(exclusive(c), "the caller alone got the locking handle");
+            idx != 0
+        });
         assert_eq!(tally, PhaseTally { more: 2, migrations: 0 });
-        assert_eq!(fleet.run_phase(&[7], &|_, _| true).more, 1);
+        assert_eq!(fleet.run_phase(&[7], &mut cache, &|_, _, c| exclusive(c)).more, 1);
     }
 
     #[test]
     fn held_slot_panics_on_the_caller_and_the_crew_survives() {
         let fleet = idle_fleet(2, 64);
+        let mut cache = ShardedCache::new(64, 4);
         let active: Vec<usize> = (0..64).collect();
         let held = fleet.slots[40].lock().unwrap();
-        let caught = catch_unwind(AssertUnwindSafe(|| fleet.run_phase(&active, &|_, _| true)));
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            fleet.run_phase(&active, &mut cache, &|_, _, _| true)
+        }));
         let payload = caught.expect_err("a doubly-owned slot must abort the phase");
         let message = payload.downcast_ref::<String>().expect("formatted panic message");
         assert!(message.contains("slot 40 owned twice"), "{message}");
         drop(held);
-        // Same fleet: the next phase runs every position.
-        let tally = fleet.run_phase(&active, &|_, _| true);
+        // Same fleet and cache: the next phase runs every position.
+        let tally = fleet.run_phase(&active, &mut cache, &|_, _, _| true);
         assert_eq!(tally.more, 64);
     }
 
@@ -456,13 +552,14 @@ mod tests {
         // inside its first step until all four are there, so the `failed`
         // flag stops none of them early: three or four panics, every time.
         let fleet = idle_fleet(3, 64);
+        let mut cache = ShardedCache::new(64, 4);
         let active: Vec<usize> = (0..64).collect();
         let name = || std::thread::current().name().unwrap_or("?").to_owned();
-        let run = |spare_caller: bool| {
+        let mut run = |spare_caller: bool| {
             let all_in = std::sync::Barrier::new(4);
             let caller_in = AtomicBool::new(false);
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                fleet.run_phase(&active, &|_, idx| {
+                fleet.run_phase(&active, &mut cache, &|_, idx, _| {
                     let helper = name().starts_with("scout-sched-");
                     if helper || !caller_in.swap(true, Ordering::Relaxed) {
                         all_in.wait();
@@ -486,7 +583,7 @@ mod tests {
         let message = run(false);
         assert!(message.starts_with("step ") && !message.contains("scout-sched-"), "{message}");
         // The same fleet then runs all 64 cleanly.
-        assert_eq!(fleet.run_phase(&active, &|_, idx| idx % 2 == 0).more, 32);
+        assert_eq!(fleet.run_phase(&active, &mut cache, &|_, idx, _| idx % 2 == 0).more, 32);
     }
 
     #[test]

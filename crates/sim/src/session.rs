@@ -360,7 +360,7 @@ impl Session {
                 // Batcher first: a staged page cannot be cached (its
                 // first toucher just missed it, and inserts only land at
                 // phase flips), so a duplicate costs one table probe
-                // instead of a shard lock.
+                // instead of a cache access.
                 if batch.contains(page) {
                     let (slot, _) = batch.stage(page);
                     coalesced += 1;
@@ -422,7 +422,7 @@ impl Session {
     pub(crate) fn window_stage<C: PageCache>(
         &mut self,
         ctx: &SimContext<'_>,
-        cache: &C,
+        cache: &mut C,
         window_lane: &Mutex<IoBatcher>,
         owner: u32,
     ) {

@@ -251,7 +251,7 @@ impl PageCache for PrefetchCache {
         PrefetchCache::insert(self, page)
     }
 
-    fn contains(&self, page: PageId) -> bool {
+    fn contains(&mut self, page: PageId) -> bool {
         PrefetchCache::contains(self, page)
     }
 

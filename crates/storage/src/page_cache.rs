@@ -6,11 +6,13 @@
 //! [`ShardedCache`](crate::ShardedCache), and both are driven through this
 //! trait so the executor's serve/prefetch loops are written once.
 //!
-//! All methods take `&mut self` for the benefit of the single-threaded LRU;
-//! implementations with interior locking (the sharded cache) additionally
-//! implement the trait for their shared references, so a borrowed
-//! `&ShardedCache` is itself a `PageCache` and K sessions can drive one
-//! cache concurrently.
+//! Every per-page method — the residency probe included — takes
+//! `&mut self`, so an owner that holds the cache exclusively never pays
+//! for sharing it: the single-threaded LRU, and an owned sharded cache,
+//! which reaches its shards through `Mutex::get_mut`. The sharded cache
+//! additionally implements the trait for its shared reference, which
+//! locks the page's shard, so a borrowed `&ShardedCache` is itself a
+//! `PageCache` and K sessions can drive one cache concurrently.
 
 use crate::page::PageId;
 
@@ -78,8 +80,10 @@ pub trait PageCache {
     /// Inserts a page, returning the page evicted to make room, if any.
     fn insert(&mut self, page: PageId) -> Option<PageId>;
 
-    /// True when the page is cached (no recency or counter effect).
-    fn contains(&self, page: PageId) -> bool;
+    /// True when the page is cached (no recency or counter effect). Takes
+    /// `&mut self` like [`access`](PageCache::access), so an exclusive
+    /// owner probes without a lock.
+    fn contains(&mut self, page: PageId) -> bool;
 
     /// Number of cached pages.
     fn len(&self) -> usize;

@@ -1,4 +1,4 @@
-//! The shard-locked concurrent prefetch cache.
+//! The sharded concurrent prefetch cache.
 //!
 //! K sessions hammering one global LRU lock would serialize the whole
 //! multi-session engine, so the shared cache is split into N independently
@@ -7,8 +7,16 @@
 //! a page can never be duplicated across shards, and a page can never
 //! migrate — operations on different shards are completely independent.
 //!
-//! Each shard counts its own hits, misses, insertions and evictions under
-//! its lock; an aggregate [`CacheStats`] snapshot sums the shards. The
+//! Who locks: every `&self` operation, and so every session driving the
+//! shared handle `&ShardedCache`, locks the page's shard. An exclusive
+//! owner — `&mut ShardedCache`, as a fleet phase that one thread runs
+//! alone holds it — probes, promotes and inserts through the owned
+//! [`PageCache`] impl, which reaches the shard with `Mutex::get_mut` and
+//! takes no lock. Both run the same `PrefetchCache` call on the same shard,
+//! so the two paths agree op for op.
+//!
+//! Each shard counts its own hits, misses, insertions and evictions;
+//! an aggregate [`CacheStats`] snapshot sums the shards. The
 //! price of sharding is that LRU recency is per-shard rather
 //! than global — with S shards the eviction victim is the oldest page *of
 //! the hashed shard*, an approximation that converges to true LRU as
@@ -31,9 +39,10 @@ fn lock_shard(shard: &Mutex<PrefetchCache>) -> MutexGuard<'_, PrefetchCache> {
     shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// A concurrent page cache: N independently-locked LRU shards. All
-/// operations take `&self`; `&ShardedCache` implements [`PageCache`], so
-/// many sessions can drive one instance.
+/// A concurrent page cache: N LRU shards, each behind its own `Mutex`.
+/// The inherent operations take `&self` and lock; `&ShardedCache`
+/// implements [`PageCache`] the same way, so many sessions can drive one
+/// instance, while the owned impl's per-page calls lock nothing.
 #[derive(Debug)]
 pub struct ShardedCache {
     shards: Vec<Mutex<PrefetchCache>>,
@@ -97,21 +106,36 @@ impl ShardedCache {
         ((page.0 as u64).wrapping_mul(FIBONACCI_MUL) >> (64 - self.shard_bits)) as usize
     }
 
+    /// The page's shard, locked.
+    #[inline]
+    fn shard_locked(&self, page: PageId) -> MutexGuard<'_, PrefetchCache> {
+        lock_shard(&self.shards[self.shard_of(page)])
+    }
+
+    /// The page's shard through `Mutex::get_mut`: `&mut self` proves no
+    /// one else can hold it, so no lock is taken. Poison is recovered as
+    /// [`lock_shard`] recovers it.
+    #[inline]
+    fn shard_mut(&mut self, page: PageId) -> &mut PrefetchCache {
+        let i = self.shard_of(page);
+        self.shards[i].get_mut().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Records an access: a hit promotes within its shard. Returns whether
     /// the page was cached.
     pub fn access(&self, page: PageId) -> bool {
-        lock_shard(&self.shards[self.shard_of(page)]).access(page)
+        self.shard_locked(page).access(page)
     }
 
     /// Inserts a page into its shard, evicting that shard's LRU page when
     /// the shard is full. Returns the evicted page, if any.
     pub fn insert(&self, page: PageId) -> Option<PageId> {
-        lock_shard(&self.shards[self.shard_of(page)]).insert(page)
+        self.shard_locked(page).insert(page)
     }
 
     /// True when the page is cached (no recency or counter effect).
     pub fn contains(&self, page: PageId) -> bool {
-        lock_shard(&self.shards[self.shard_of(page)]).contains(page)
+        self.shard_locked(page).contains(page)
     }
 
     /// Records `n` accesses absorbed by an in-flight read of the same
@@ -176,23 +200,26 @@ impl ShardedCache {
     }
 }
 
-/// Delegates the whole `PageCache` surface to the `&self` inherent
-/// methods. Instantiated for the owned type and for `&ShardedCache` — a
-/// shared reference is itself a cache handle, which is how sessions on
-/// separate threads drive one cache — so the two impls cannot diverge.
+/// The `PageCache` surface, instantiated for the owned type and for
+/// `&ShardedCache` — a shared reference is itself a cache handle, which is
+/// how sessions on separate threads drive one cache. Both run the same
+/// `PrefetchCache` call on the same shard; they differ only in how the
+/// per-page calls reach it (`$shard`): the owned cache through
+/// `Mutex::get_mut`, the shared handle under the shard lock. Whole-cache
+/// calls go to the `&self` inherent methods in both.
 macro_rules! delegate_page_cache {
-    ($ty:ty) => {
+    ($ty:ty, $shard:ident) => {
         impl PageCache for $ty {
             fn access(&mut self, page: PageId) -> bool {
-                ShardedCache::access(self, page)
+                self.$shard(page).access(page)
             }
 
             fn insert(&mut self, page: PageId) -> Option<PageId> {
-                ShardedCache::insert(self, page)
+                self.$shard(page).insert(page)
             }
 
-            fn contains(&self, page: PageId) -> bool {
-                ShardedCache::contains(self, page)
+            fn contains(&mut self, page: PageId) -> bool {
+                self.$shard(page).contains(page)
             }
 
             fn len(&self) -> usize {
@@ -222,8 +249,8 @@ macro_rules! delegate_page_cache {
     };
 }
 
-delegate_page_cache!(ShardedCache);
-delegate_page_cache!(&ShardedCache);
+delegate_page_cache!(ShardedCache, shard_mut);
+delegate_page_cache!(&ShardedCache, shard_locked);
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,11 @@
 //! Property tests for the page caches: the LRU compared against a naive
 //! reference implementation under arbitrary operation sequences, the
-//! sharded cache compared against the LRU, and concurrent hammering of the
+//! sharded cache compared against the LRU, its owned (lock-free) handle
+//! against its shared (locking) one, and concurrent hammering of the
 //! sharded cache.
 
 use proptest::prelude::*;
-use scout_storage::{CacheStats, PageId, PrefetchCache, ShardedCache};
+use scout_storage::{CacheStats, PageCache, PageId, PrefetchCache, ShardedCache};
 
 /// Naive LRU used as the oracle: a vector ordered MRU-first, with the
 /// counters `PrefetchCache::stats` reports.
@@ -121,6 +122,51 @@ proptest! {
             }
             prop_assert_eq!(cache.pages_mru_order(), oracle.pages.clone());
             prop_assert_eq!(cache.stats(), oracle.stats());
+        }
+    }
+
+    /// The owned sharded cache reaches a page's shard through
+    /// `Mutex::get_mut`, the shared handle `&ShardedCache` under the shard
+    /// lock. Driven through `PageCache` by the same stream, the two return,
+    /// count and order exactly the same after every operation — so a fleet
+    /// phase may take either without moving a hit, a miss or a victim.
+    #[test]
+    fn exclusive_handle_matches_the_locked_handle(
+        shards in prop_oneof![Just(1usize), Just(2), Just(16)],
+        cap in 1usize..=256,
+        ops in arb_ops(),
+    ) {
+        let mut owned = ShardedCache::new(cap, shards);
+        let twin = ShardedCache::new(cap, shards);
+        let mut locked = &twin;
+        for op in ops {
+            match op {
+                Op::Access(p) => prop_assert_eq!(
+                    PageCache::access(&mut owned, p),
+                    PageCache::access(&mut locked, p),
+                    "access({:?})", p
+                ),
+                Op::Insert(p) => prop_assert_eq!(
+                    PageCache::insert(&mut owned, p),
+                    PageCache::insert(&mut locked, p),
+                    "insert({:?})", p
+                ),
+                Op::Contains(p) => prop_assert_eq!(
+                    PageCache::contains(&mut owned, p),
+                    PageCache::contains(&mut locked, p),
+                    "contains({:?})", p
+                ),
+                Op::ResetStats => {
+                    PageCache::reset_stats(&mut owned);
+                    PageCache::reset_stats(&mut locked);
+                }
+                Op::Clear => {
+                    PageCache::clear(&mut owned);
+                    PageCache::clear(&mut locked);
+                }
+            }
+            prop_assert_eq!(PageCache::stats(&owned), PageCache::stats(&locked));
+            prop_assert_eq!(owned.shard_pages(), twin.shard_pages());
         }
     }
 }

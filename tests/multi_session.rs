@@ -128,10 +128,10 @@ fn warm_cache_rerun_improves_and_resets_stats() {
     let ctx = bed.ctx_rtree();
     let config = ample_config(&bed, 8, Schedule::RoundRobin);
     let engine = MultiSessionExecutor::new(config);
-    let cache = ShardedCache::new(config.exec.cache_pages, config.shards);
+    let mut cache = ShardedCache::new(config.exec.cache_pages, config.shards);
 
-    let cold = engine.run_on(&ctx, scout_sessions(&streams), &cache);
-    let warm = engine.run_on(&ctx, scout_sessions(&streams), &cache);
+    let cold = engine.run_on(&ctx, scout_sessions(&streams), &mut cache);
+    let warm = engine.run_on(&ctx, scout_sessions(&streams), &mut cache);
     // run_on resets counters but keeps contents: the warm run starts with
     // every previously prefetched page already cached, so it hits at least
     // as often and has little left to insert.
@@ -240,6 +240,63 @@ fn work_stealing_width1_is_byte_identical_to_round_robin() {
             config.exec.cache_pages
         );
         assert!((rr.disk_busy_us - ws.disk_busy_us).abs() < 1e-12);
+    }
+}
+
+#[test]
+fn width_one_fleet_equals_a_loop_over_the_locked_cache() {
+    // At width 1 the engine owns its cache and reaches the shards without
+    // their locks. A serve-all/finish-all loop over `&ShardedCache`, the
+    // locking handle, must see the same cache: under eviction pressure,
+    // where any difference in a probe, a promotion or an insert moves who
+    // hits, every session's accounting and the cache's counters are equal
+    // bit for bit.
+    let (bed, streams) = bed_and_streams(5, WORKLOAD_SEED);
+    let ctx = bed.ctx_rtree();
+    let mut config = ample_config(&bed, 8, Schedule::RoundRobin);
+    config.exec.window_ratio = 1.6;
+    config.exec.cache_pages = 24;
+    let exec = &config.exec;
+
+    let cache = ShardedCache::new(exec.cache_pages, config.shards);
+    let clock = SharedClock::new();
+    let mut sessions = scout_sessions(&streams);
+    for session in &mut sessions {
+        session.begin(exec, Some(clock.clone()));
+    }
+    let mut active: Vec<usize> = (0..sessions.len()).collect();
+    while !active.is_empty() {
+        for &i in &active {
+            sessions[i].serve_observe(&ctx, &mut &cache, exec);
+        }
+        for &i in &active {
+            sessions[i].finish_window(&ctx, &mut &cache, exec);
+        }
+        active.retain(|&i| !sessions[i].is_done());
+    }
+    let bits = |p: LatencyPercentiles| [p.p50, p.p95, p.p99].map(f64::to_bits);
+    let looped: Vec<_> = sessions
+        .iter()
+        .map(|s| {
+            let trace = s.trace();
+            let residuals: Vec<f64> = trace.queries.iter().map(|q| q.residual_us).collect();
+            let response = trace.total_response_us().to_bits();
+            (s.id(), trace.io.result_pages_cache, bits(percentiles(&residuals)), response)
+        })
+        .collect();
+    assert!(cache.stats().evictions > 0, "precondition violated: the cache never evicted");
+
+    for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 1 }] {
+        let engine = MultiSessionExecutor::new(MultiSessionConfig { schedule, ..config });
+        let report = engine.run(&ctx, scout_sessions(&streams));
+        let engine: Vec<_> = report
+            .sessions
+            .iter()
+            .map(|s| (s.id, s.pages_hit, bits(s.residual), s.response_us.to_bits()))
+            .collect();
+        assert_eq!(engine, looped, "{schedule:?}: per-session accounting diverged");
+        assert_eq!(report.cache, cache.stats(), "{schedule:?}: cache counters diverged");
+        assert_eq!(report.disk_busy_us.to_bits(), clock.now_us().to_bits(), "{schedule:?}");
     }
 }
 
