@@ -8,7 +8,7 @@
 use crate::common::{plan_at_predicted_center, CenterHistory};
 use scout_geometry::{QueryRegion, Vec3};
 use scout_index::QueryResult;
-use scout_sim::{CpuUnits, PredictionStats, PrefetchPlan, Prefetcher, SimContext};
+use scout_sim::{CpuUnits, PredictionStats, PrefetchPlan, Prefetcher, QueryScratch, SimContext};
 
 /// Straight-line extrapolation from the last two query positions \[26\]:
 /// `ĉ = cₙ + (cₙ − cₙ₋₁)`.
@@ -35,11 +35,12 @@ impl Prefetcher for StraightLine {
         "Straight Line".to_string()
     }
 
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         self.history.push(region);
         PredictionStats {
@@ -101,11 +102,12 @@ impl Prefetcher for Polynomial {
         format!("Polynomial Degree {}", self.degree)
     }
 
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         self.history.push(region);
         PredictionStats {
@@ -158,11 +160,12 @@ impl Prefetcher for Velocity {
         "Velocity".to_string()
     }
 
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         self.history.push(region);
         PredictionStats {
@@ -219,11 +222,12 @@ impl Prefetcher for Ewma {
         format!("EWMA (λ = {})", self.lambda)
     }
 
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         self.history.push(region);
         if let Some(delta) = self.history.last_delta() {
@@ -275,9 +279,10 @@ mod tests {
         let (objs, tree) = ctx_fixture();
         let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(100.0)));
         let empty = QueryResult::default();
+        let mut scratch = QueryScratch::new();
         for &c in centers {
             let r = QueryRegion::new(c, 1000.0, Aspect::Cube);
-            p.observe(&ctx, &r, &empty);
+            p.observe_with_scratch(&ctx, &r, &empty, &mut scratch);
         }
         match p.plan(&ctx).requests.first() {
             Some(scout_sim::PrefetchRequest::Region(r)) => Some(r.center()),

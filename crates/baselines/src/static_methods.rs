@@ -4,7 +4,9 @@
 use scout_geometry::hilbert::{hilbert_coords_3d, hilbert_index_3d};
 use scout_geometry::{QueryRegion, UniformGrid, Vec3};
 use scout_index::QueryResult;
-use scout_sim::{CpuUnits, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, SimContext};
+use scout_sim::{
+    CpuUnits, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
+};
 
 /// Hilbert-Prefetch \[22\]: overlays a grid on the dataset, assigns each cell
 /// its Hilbert value, and prefetches cells whose values neighbor the value
@@ -39,11 +41,12 @@ impl Prefetcher for HilbertPrefetch {
         "Hilbert".to_string()
     }
 
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         self.last_center = Some(region.center());
         PredictionStats {
@@ -118,11 +121,12 @@ impl Prefetcher for Layered {
         "Layered".to_string()
     }
 
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         self.last_center = Some(region.center());
         PredictionStats {
@@ -196,7 +200,7 @@ mod tests {
         let ctx = SimContext::new(&objs, &tree, bounds);
         let mut p = HilbertPrefetch::new(3, 8);
         let region = QueryRegion::new(Vec3::splat(50.0), 1000.0, Aspect::Cube);
-        p.observe(&ctx, &region, &QueryResult::default());
+        p.observe_with_scratch(&ctx, &region, &QueryResult::default(), &mut QueryScratch::new());
         let plan = p.plan(&ctx);
         assert!(!plan.requests.is_empty());
         assert!(plan.requests.len() <= 8);
@@ -215,7 +219,7 @@ mod tests {
         let ctx = SimContext::new(&objs, &tree, bounds);
         let mut p = Layered::new(4);
         let region = QueryRegion::new(Vec3::splat(50.0), 1000.0, Aspect::Cube);
-        p.observe(&ctx, &region, &QueryResult::default());
+        p.observe_with_scratch(&ctx, &region, &QueryResult::default(), &mut QueryScratch::new());
         let plan = p.plan(&ctx);
         assert_eq!(plan.requests.len(), 26);
     }
@@ -227,7 +231,7 @@ mod tests {
         let ctx = SimContext::new(&objs, &tree, bounds);
         let mut p = Layered::new(4);
         let region = QueryRegion::new(Vec3::splat(1.0), 100.0, Aspect::Cube);
-        p.observe(&ctx, &region, &QueryResult::default());
+        p.observe_with_scratch(&ctx, &region, &QueryResult::default(), &mut QueryScratch::new());
         // Corner cell has only 7 neighbors.
         assert_eq!(p.plan(&ctx).requests.len(), 7);
     }

@@ -231,16 +231,6 @@ impl Prefetcher for ScoutOpt {
         true
     }
 
-    fn observe(
-        &mut self,
-        ctx: &SimContext<'_>,
-        region: &QueryRegion,
-        result: &QueryResult,
-    ) -> PredictionStats {
-        let stats = self.inner.observe(ctx, region, result);
-        self.refine_through_gap(ctx, region, result, stats)
-    }
-
     fn observe_with_scratch(
         &mut self,
         ctx: &SimContext<'_>,
@@ -310,10 +300,11 @@ mod tests {
     /// report the same stats and plan the same requests on every query.
     fn assert_opt_equals_scout(ctx: &SimContext<'_>, regions: &[QueryRegion]) {
         let (mut opt, mut scout) = (ScoutOpt::with_defaults(), Scout::with_defaults());
+        let mut scratch = QueryScratch::new();
         for (q, r) in regions.iter().enumerate() {
             let result = ctx.index.range_query(ctx.objects, r);
-            let a = opt.observe(ctx, r, &result);
-            let b = scout.observe(ctx, r, &result);
+            let a = opt.observe_with_scratch(ctx, r, &result, &mut scratch);
+            let b = scout.observe_with_scratch(ctx, r, &result, &mut scratch);
             assert_eq!(a.graph_vertices, result.objects.len(), "query {q}");
             // `Debug` prints every field, each `f64` round-trip exact.
             assert_eq!(format!("{a:?}"), format!("{b:?}"), "query {q}");
@@ -349,13 +340,14 @@ mod tests {
         let ctx = make_ctx(&objects, &flat);
         let mut opt = ScoutOpt::with_defaults();
         opt.reset();
+        let mut scratch = QueryScratch::new();
 
         // Queries with a 30 µm gap along the fiber (side 20 cube).
         let mut saw_gap_pages = false;
         for x in [20.0, 70.0, 120.0] {
             let r = query_at(x);
             let result = flat.range_query(&objects, &r);
-            opt.observe(&ctx, &r, &result);
+            opt.observe_with_scratch(&ctx, &r, &result, &mut scratch);
             let plan = opt.plan(&ctx);
             for req in &plan.requests {
                 if let PrefetchRequest::GapPages(pages) = req {
@@ -375,11 +367,12 @@ mod tests {
         let mut opt =
             ScoutOpt::new(ScoutOptConfig { gap_io_budget_frac: 0.10, ..ScoutOptConfig::default() });
         opt.reset();
+        let mut scratch = QueryScratch::new();
         for x in [20.0, 70.0, 120.0] {
             let r = query_at(x);
             let result = flat.range_query(&objects, &r);
             let budget = ((0.10 * result.pages.len() as f64).ceil() as usize).max(1);
-            opt.observe(&ctx, &r, &result);
+            opt.observe_with_scratch(&ctx, &r, &result, &mut scratch);
             let plan = opt.plan(&ctx);
             for req in &plan.requests {
                 if let PrefetchRequest::GapPages(pages) = req {
@@ -406,11 +399,12 @@ mod tests {
         let mut scout = Scout::with_defaults();
         opt.reset();
         scout.reset();
+        let mut scratch = QueryScratch::new();
         for x in [20.0, 38.0] {
             let r = query_at(x);
             let result = flat.range_query(&objects, &r);
-            let a = opt.observe(&ctx, &r, &result);
-            let b = scout.observe(&ctx, &r, &result);
+            let a = opt.observe_with_scratch(&ctx, &r, &result, &mut scratch);
+            let b = scout.observe_with_scratch(&ctx, &r, &result, &mut scratch);
             assert_eq!(a.cpu.graph_object_inserts, b.cpu.graph_object_inserts);
             assert_eq!(a.graph_vertices, b.graph_vertices);
         }

@@ -44,9 +44,6 @@ pub struct Scout {
     exits_buf: Vec<Exit>,
     /// Reusable scoring and clustering buffers.
     scoring: ScoringScratch,
-    /// Fallback arena for direct `observe` calls; the executor path hands
-    /// in the session-owned arena via `observe_with_scratch` instead.
-    scratch: QueryScratch,
 }
 
 impl Scout {
@@ -64,7 +61,6 @@ impl Scout {
             graph: ResultGraph::default(),
             exits_buf: Vec::new(),
             scoring: ScoringScratch::default(),
-            scratch: QueryScratch::new(),
         }
     }
 
@@ -404,21 +400,6 @@ impl Prefetcher for Scout {
         "SCOUT".to_string()
     }
 
-    fn observe(
-        &mut self,
-        ctx: &SimContext<'_>,
-        region: &QueryRegion,
-        result: &QueryResult,
-    ) -> PredictionStats {
-        // Direct calls (tests, one-shot evaluations) fall back to the
-        // prefetcher-owned arena; the executor provides the session's via
-        // `observe_with_scratch`.
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let stats = self.observe_impl(ctx, region, result, &mut scratch);
-        self.scratch = scratch;
-        stats
-    }
-
     fn observe_with_scratch(
         &mut self,
         ctx: &SimContext<'_>,
@@ -441,8 +422,8 @@ impl Prefetcher for Scout {
         self.pending = PrefetchPlan::empty();
         self.last_locations.clear();
         self.rng = SmallRng::seed_from_u64(self.config.seed);
-        // The graph, exit and scratch buffers are transient per-query
-        // state and keep their warmed capacity.
+        // The graph and exit buffers are transient per-query state and
+        // keep their warmed capacity.
     }
 }
 
@@ -499,7 +480,7 @@ mod tests {
             let r = region_at(x);
             let result = tree.range_query(&objects, &r);
             assert!(!result.is_empty());
-            let stats = scout.observe(&ctx, &r, &result);
+            let stats = scout.observe_with_scratch(&ctx, &r, &result, &mut QueryScratch::new());
             assert!(stats.graph_vertices > 0);
         }
         // The plan must target the +x continuation (x ≈ 48..66), not the
@@ -537,7 +518,7 @@ mod tests {
         for x in [50.0, 68.0, 86.0, 104.0] {
             let r = region_at(x);
             let result = tree.range_query(&objects, &r);
-            let stats = scout.observe(&ctx, &r, &result);
+            let stats = scout.observe_with_scratch(&ctx, &r, &result, &mut QueryScratch::new());
             candidate_counts.push(stats.candidates);
             let _ = scout.plan(&ctx);
         }
@@ -562,7 +543,7 @@ mod tests {
         // Query at the crossing: two structures exit, deep picks one.
         let r = region_at(50.0);
         let result = tree.range_query(&objects, &r);
-        scout.observe(&ctx, &r, &result);
+        scout.observe_with_scratch(&ctx, &r, &result, &mut QueryScratch::new());
         let plan = scout.plan(&ctx);
         assert_eq!(plan.requests.len(), 4, "deep must emit steps × 1 location");
     }
@@ -579,7 +560,7 @@ mod tests {
             let r = QueryRegion::new(Vec3::new(x, 300.0, 300.0), 8_000.0, Aspect::Cube);
             let result = tree.range_query(&objects, &r);
             assert!(result.is_empty());
-            scout.observe(&ctx, &r, &result);
+            scout.observe_with_scratch(&ctx, &r, &result, &mut QueryScratch::new());
         }
         let plan = scout.plan(&ctx);
         assert!(!plan.requests.is_empty(), "fallback should extrapolate");
@@ -597,7 +578,7 @@ mod tests {
         scout.reset();
         let r = region_at(20.0);
         let result = tree.range_query(&objects, &r);
-        scout.observe(&ctx, &r, &result);
+        scout.observe_with_scratch(&ctx, &r, &result, &mut QueryScratch::new());
         assert!(!scout.plan(&ctx).requests.is_empty());
         assert!(scout.plan(&ctx).requests.is_empty());
     }
@@ -614,7 +595,7 @@ mod tests {
             for x in [20.0, 38.0, 56.0] {
                 let r = region_at(x);
                 let result = tree.range_query(&objects, &r);
-                scout.observe(&ctx, &r, &result);
+                scout.observe_with_scratch(&ctx, &r, &result, &mut QueryScratch::new());
                 for req in scout.plan(&ctx).requests {
                     if let PrefetchRequest::Region(reg) = req {
                         centers.push(reg.center());

@@ -102,9 +102,6 @@ pub struct HybridPrefetcher {
     /// Arbitration decided at observe time: history spends the window
     /// first when its recent precision leads.
     markov_first: bool,
-    /// Fallback arena for direct `observe` calls; the executor hands in
-    /// the session-owned arena via `observe_with_scratch`.
-    scratch: QueryScratch,
 }
 
 impl HybridPrefetcher {
@@ -126,7 +123,6 @@ impl HybridPrefetcher {
             markov_predicted: Vec::with_capacity(cap),
             scout_regions: Vec::new(),
             markov_first: false,
-            scratch: QueryScratch::new(),
         }
     }
 
@@ -222,8 +218,14 @@ impl HybridPrefetcher {
 
         updates + self.markov_pages.len() as u64 + pages.len() as u64
     }
+}
 
-    fn observe_impl(
+impl Prefetcher for HybridPrefetcher {
+    fn name(&self) -> String {
+        "Hybrid (SCOUT+Markov)".to_string()
+    }
+
+    fn observe_with_scratch(
         &mut self,
         ctx: &SimContext<'_>,
         region: &QueryRegion,
@@ -238,34 +240,6 @@ impl HybridPrefetcher {
             + self.markov_predicted.capacity() * std::mem::size_of::<u32>()
             + self.scout_regions.capacity() * std::mem::size_of::<QueryRegion>();
         stats
-    }
-}
-
-impl Prefetcher for HybridPrefetcher {
-    fn name(&self) -> String {
-        "Hybrid (SCOUT+Markov)".to_string()
-    }
-
-    fn observe(
-        &mut self,
-        ctx: &SimContext<'_>,
-        region: &QueryRegion,
-        result: &QueryResult,
-    ) -> PredictionStats {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let stats = self.observe_impl(ctx, region, result, &mut scratch);
-        self.scratch = scratch;
-        stats
-    }
-
-    fn observe_with_scratch(
-        &mut self,
-        ctx: &SimContext<'_>,
-        region: &QueryRegion,
-        result: &QueryResult,
-        scratch: &mut QueryScratch,
-    ) -> PredictionStats {
-        self.observe_impl(ctx, region, result, scratch)
     }
 
     fn plan(&mut self, ctx: &SimContext<'_>) -> PrefetchPlan {
@@ -435,7 +409,7 @@ mod tests {
         let mut hybrid = HybridPrefetcher::with_defaults();
         let r = QueryRegion::new(Vec3::new(30.0, 0.5, 0.5), 1_000.0, Aspect::Cube);
         let result = tree.range_query(&objs, &r);
-        hybrid.observe(&ctx, &r, &result);
+        hybrid.observe_with_scratch(&ctx, &r, &result, &mut QueryScratch::new());
         let _ = hybrid.plan(&ctx);
         hybrid.reset();
         assert_eq!(hybrid.markov().transitions(), 0);
@@ -451,15 +425,16 @@ mod tests {
         let regions = regions_along_x(8, 20.0, 15.0);
         let mut hybrid = HybridPrefetcher::with_defaults();
         hybrid.reset();
+        let mut scratch = QueryScratch::new();
         for r in &regions {
             let result = tree.range_query(&objs, r);
-            hybrid.observe(&ctx, r, &result);
+            hybrid.observe_with_scratch(&ctx, r, &result, &mut scratch);
             let _ = hybrid.plan(&ctx);
         }
         // One more observe so both sources have staged predictions.
         let r = regions[0];
         let result = tree.range_query(&objs, &r);
-        hybrid.observe(&ctx, &r, &result);
+        hybrid.observe_with_scratch(&ctx, &r, &result, &mut scratch);
         let plan = hybrid.plan(&ctx);
         let has_regions = plan.requests.iter().any(|r| matches!(r, PrefetchRequest::Region(_)));
         let has_pages = plan.requests.iter().any(|r| matches!(r, PrefetchRequest::Pages(_)));

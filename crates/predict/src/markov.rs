@@ -456,8 +456,6 @@ pub struct MarkovPrefetcher {
     model: TransitionPredictor,
     /// Pages staged for the coming window, most plausible first.
     predicted: Vec<PageId>,
-    /// Fallback arena for direct `observe` calls.
-    scratch: QueryScratch,
 }
 
 impl MarkovPrefetcher {
@@ -467,7 +465,6 @@ impl MarkovPrefetcher {
             config,
             model: TransitionPredictor::new(config.model),
             predicted: Vec::new(),
-            scratch: QueryScratch::new(),
         }
     }
 
@@ -488,33 +485,11 @@ impl MarkovPrefetcher {
     pub fn model(&self) -> &TransitionPredictor {
         &self.model
     }
-
-    fn observe_pages(&mut self, pages: &[PageId], scratch: &mut QueryScratch) -> u64 {
-        let updates = self.model.record_result(pages);
-        self.model.predict_into(self.config.page_budget, scratch, &mut self.predicted);
-        updates + self.predicted.len() as u64
-    }
 }
 
 impl scout_sim::Prefetcher for MarkovPrefetcher {
     fn name(&self) -> String {
         format!("Markov (order {})", self.config.model.order)
-    }
-
-    fn observe(
-        &mut self,
-        _ctx: &scout_sim::SimContext<'_>,
-        _region: &scout_geometry::QueryRegion,
-        result: &scout_index::QueryResult,
-    ) -> scout_sim::PredictionStats {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let work = self.observe_pages(&result.pages, &mut scratch);
-        self.scratch = scratch;
-        scout_sim::PredictionStats {
-            cpu: scout_sim::CpuUnits { traversal_steps: work, ..Default::default() },
-            memory_bytes: self.model.memory_bytes(),
-            ..Default::default()
-        }
     }
 
     fn observe_with_scratch(
@@ -524,7 +499,9 @@ impl scout_sim::Prefetcher for MarkovPrefetcher {
         result: &scout_index::QueryResult,
         scratch: &mut QueryScratch,
     ) -> scout_sim::PredictionStats {
-        let work = self.observe_pages(&result.pages, scratch);
+        let updates = self.model.record_result(&result.pages);
+        self.model.predict_into(self.config.page_budget, scratch, &mut self.predicted);
+        let work = updates + self.predicted.len() as u64;
         scout_sim::PredictionStats {
             cpu: scout_sim::CpuUnits { traversal_steps: work, ..Default::default() },
             memory_bytes: self.model.memory_bytes(),

@@ -27,8 +27,8 @@ use scout_geometry::{
 use scout_index::{RTree, SpatialIndex};
 use scout_predict::{HybridConfig, HybridPrefetcher, MarkovConfig};
 use scout_sim::{
-    MultiSessionConfig, MultiSessionExecutor, MultiSessionReport, Prefetcher, Schedule, Session,
-    SimContext,
+    MultiSessionConfig, MultiSessionExecutor, MultiSessionReport, Prefetcher, QueryScratch,
+    Schedule, Session, SimContext,
 };
 
 /// Distance between cluster origins — far beyond any query or prefetch
@@ -247,10 +247,11 @@ fn with_seed_decorrelates_the_ambiguous_choice() {
         });
         hybrid.reset();
         let mut centers = Vec::new();
+        let mut scratch = QueryScratch::new();
         for _ in 0..6 {
             let r = QueryRegion::new(Vec3::new(50.0, 50.0, 50.0), 8_000.0, Aspect::Cube);
             let result = tree.range_query(&objects, &r);
-            hybrid.observe(&ctx, &r, &result);
+            hybrid.observe_with_scratch(&ctx, &r, &result, &mut scratch);
             for req in hybrid.plan(&ctx).requests {
                 if let scout_sim::PrefetchRequest::Region(reg) = req {
                     let c = reg.center();

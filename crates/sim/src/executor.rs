@@ -21,6 +21,15 @@ use scout_storage::{
     IoStats, PageCache, PageId, PrefetchCache,
 };
 use scout_telemetry::TelemetryPlan;
+use std::cell::Cell;
+
+// The query scratch arena belongs to the stepping thread, like the serve
+// buffers in `session.rs`: a prefetcher's digest fills it and forgets it
+// (DESIGN.md §6), so whichever session the thread steps next reuses its
+// warmed capacity.
+thread_local! {
+    static SCRATCH: Cell<QueryScratch> = const { Cell::new(QueryScratch::new()) };
+}
 
 /// Executor configuration (one microbenchmark's environment).
 #[derive(Debug, Clone, Copy)]
@@ -304,7 +313,6 @@ pub(crate) fn observe_and_open(
     result: &QueryResult,
     config: &ExecutorConfig,
     mut q: QueryTrace,
-    scratch: &mut QueryScratch,
 ) -> OpenWindow {
     // CPU cost of processing the result pages (charged to response).
     q.residual_us += q.pages_total as f64 * config.costs.page_process_us;
@@ -316,9 +324,10 @@ pub(crate) fn observe_and_open(
         return OpenWindow { q, budget_us: 0.0 };
     }
 
-    // (2) Prediction. The session's scratch arena rides along so
-    // allocation-free prefetchers reuse warmed buffers (DESIGN.md §6).
-    q.prediction = prefetcher.observe_with_scratch(ctx, region, result, scratch);
+    // (2) Prediction, in the thread's scratch arena.
+    let mut scratch = SCRATCH.take();
+    q.prediction = prefetcher.observe_with_scratch(ctx, region, result, &mut scratch);
+    SCRATCH.set(scratch);
     q.graph_build_us = config.costs.graph_build_us(&q.prediction.cpu);
     q.prediction_us = config.costs.prediction_us(&q.prediction.cpu);
 
@@ -586,9 +595,7 @@ pub fn run_sequence(
     }
     let mut faultctl = FaultCtl::new(config);
     let mut trace = SequenceTrace::default();
-    // One scratch arena for the whole sequence, like one Session owns one,
-    // and one result and one window page list refilled by every query.
-    let mut scratch = QueryScratch::new();
+    // One result and one window page list refilled by every query.
     let mut result = QueryResult::default();
     let mut region_pages = Vec::new();
     prefetcher.reset();
@@ -597,7 +604,7 @@ pub fn run_sequence(
         faultctl.begin_query(&mut disk, epoch as u64);
         let mut q = begin_query(ctx, region, config, &mut result);
         serve_demand(&result, &mut cache, &mut disk, config, &mut q, &mut trace.io);
-        let window = observe_and_open(ctx, prefetcher, region, &result, config, q, &mut scratch);
+        let window = observe_and_open(ctx, prefetcher, region, &result, config, q);
         faultctl.note_served(&window.q);
         let q = if faultctl.allow_window(&disk, &window.q) {
             let mut io = ImmediateIo { cache: &mut cache, disk: &mut disk, stats: &mut trace.io };
@@ -738,11 +745,12 @@ mod tests {
         fn name(&self) -> String {
             "Oracle".into()
         }
-        fn observe(
+        fn observe_with_scratch(
             &mut self,
             _ctx: &SimContext<'_>,
             _region: &QueryRegion,
             _result: &scout_index::QueryResult,
+            _scratch: &mut QueryScratch,
         ) -> PredictionStats {
             self.next += 1;
             PredictionStats::default()

@@ -74,37 +74,28 @@ impl PrefetchPlan {
 /// the work-stealing [`MultiSessionExecutor`](crate::MultiSessionExecutor)
 /// moves each session — prefetcher included — between worker threads. Prefetchers
 /// are plain owned data (history buffers, seeded RNGs), so this costs
-/// implementations nothing.
+/// implementations nothing. A prefetcher owns no per-query working memory:
+/// [`Prefetcher::observe_with_scratch`] borrows the stepping thread's
+/// [`QueryScratch`].
 pub trait Prefetcher: Send {
     /// Display name used in reports (e.g. `"SCOUT"`, `"EWMA (λ = 0.3)"`).
     fn name(&self) -> String;
 
     /// Digests the result of the query that just executed and computes the
     /// prediction for the next one.
-    fn observe(
-        &mut self,
-        ctx: &SimContext<'_>,
-        region: &QueryRegion,
-        result: &QueryResult,
-    ) -> PredictionStats;
-
-    /// [`Prefetcher::observe`] with a caller-provided [`QueryScratch`].
     ///
-    /// The executor always calls this entry point, handing each session's
-    /// long-lived arena down so allocation-free prefetchers (SCOUT's CSR
-    /// graph build) reuse warmed buffers across queries. The default
-    /// implementation ignores the scratch and delegates to `observe`, so
-    /// baselines that allocate nothing on this path need no change.
+    /// `scratch` is working memory: its contents mean nothing on entry or
+    /// exit, only its capacity carries over. The executor hands in the
+    /// stepping thread's arena, so allocation-free prefetchers (SCOUT's CSR
+    /// graph build) reuse warmed buffers; a direct caller makes a
+    /// [`QueryScratch::new`]. Prefetchers that need no buffers ignore it.
     fn observe_with_scratch(
         &mut self,
         ctx: &SimContext<'_>,
         region: &QueryRegion,
         result: &QueryResult,
         scratch: &mut QueryScratch,
-    ) -> PredictionStats {
-        let _ = scratch;
-        self.observe(ctx, region, result)
-    }
+    ) -> PredictionStats;
 
     /// Produces the prioritized prefetch plan for the coming window.
     fn plan(&mut self, ctx: &SimContext<'_>) -> PrefetchPlan;
@@ -136,11 +127,12 @@ impl Prefetcher for NoPrefetch {
         "No Prefetching".to_string()
     }
 
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         _region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         PredictionStats::default()
     }

@@ -1,20 +1,21 @@
-//! The per-session query scratch arena.
+//! The query scratch arena.
 //!
 //! Every query in a guided sequence rebuilds the same transient
 //! structures: the (cell, vertex) pair list grid hashing chains into a CSR
 //! adjacency, the edge list, the component labeling, the per-component
 //! centroid accumulators of exit detection, and the staged prediction
 //! points. Allocating them afresh per query puts the allocator on the hot
-//! path the paper measures (Figures 15/16); instead each
-//! [`Session`](crate::session::Session) owns one [`QueryScratch`] for its
-//! whole lifetime and threads it through
+//! path the paper measures (Figures 15/16); instead one [`QueryScratch`]
+//! per stepping thread is threaded through
 //! [`Prefetcher::observe_with_scratch`](crate::prefetcher::Prefetcher::observe_with_scratch),
 //! so steady-state queries reuse warmed capacity and perform no heap
 //! allocation in the graph-build phase (see DESIGN.md §6).
 //!
-//! The buffers are plain flat vectors of primitive data — the arena is
-//! `Send`, migrates onto worker threads with its session, and its `clear`
-//! never releases capacity.
+//! Contents never carry meaning across calls, only capacity does, so the
+//! arena belongs to the thread that steps a query, not to a session: any
+//! session that thread steps next reuses the same warmed buffers. The
+//! buffers are plain flat vectors of primitive data, and `clear` never
+//! releases capacity.
 
 use scout_geometry::{ObjectId, Simplification, Simplified, SpatialObject, Vec3};
 
@@ -82,7 +83,7 @@ impl ResultFrame {
     }
 }
 
-/// Reusable flat buffers for one session's query hot path.
+/// Reusable flat buffers for the query hot path.
 ///
 /// Fields are public: the consumers (the CSR graph build in `scout-core`,
 /// exit detection, prediction staging) borrow individual buffers mutably
@@ -148,9 +149,27 @@ pub struct QueryScratch {
 
 impl QueryScratch {
     /// A fresh arena with no reserved capacity (buffers warm up over the
-    /// first queries of a session).
-    pub fn new() -> QueryScratch {
-        QueryScratch::default()
+    /// first queries a thread steps).
+    pub const fn new() -> QueryScratch {
+        QueryScratch {
+            frame: ResultFrame { centroids: Vec::new(), simplified: Vec::new() },
+            cell_pairs: Vec::new(),
+            edges: Vec::new(),
+            components: Vec::new(),
+            counts: Vec::new(),
+            centroid_sums: Vec::new(),
+            component_tally: Vec::new(),
+            predictions: Vec::new(),
+            candidate_flags: Vec::new(),
+            met_stamp: Vec::new(),
+            met_pairs: Vec::new(),
+            met_cursor: Vec::new(),
+            back_cursor: Vec::new(),
+            forward_cursor: Vec::new(),
+            pages_sorted: Vec::new(),
+            markov_frontier: Vec::new(),
+            markov_emitted: Vec::new(),
+        }
     }
 
     /// Clears every buffer, retaining capacity.

@@ -23,7 +23,6 @@ use crate::executor::{
 };
 use crate::prefetcher::Prefetcher;
 use crate::scheduler::lock_unpoisoned;
-use crate::scratch::QueryScratch;
 use crate::telemetry::SessionTelemetry;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
@@ -34,17 +33,20 @@ use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer, TelemetryPlan};
 use std::cell::Cell;
 use std::sync::{Arc, Mutex};
 
-// The two buffers a step fills and forgets — the served query's result and
-// the page list a window resolves a `Region` request into — belong to the
-// thread, not to the session: a fleet is thousands of sessions stepped by a
-// handful of threads, and only the stepping one needs them. A step takes
-// the buffer out and puts it back when done. Under `QueryScratch`'s
-// contract — capacity carries over, contents never do — a step that
-// panics, or one that runs inside another on the same thread, costs the
-// thread its warmed capacity and nothing else.
+// The buffers a step fills and forgets — the served query's result, the
+// batched serve's fan-in of demand outcomes, and the page list a window
+// resolves a `Region` request into — belong to the thread, not to the
+// session: a fleet is thousands of sessions stepped by a handful of
+// threads, and only the stepping one needs them. (The query scratch arena
+// is a fourth, in `executor.rs`.) A step takes the buffer out and puts it
+// back when done. Under `QueryScratch`'s contract — capacity carries over,
+// contents never do — a step that panics, or one that runs inside another
+// on the same thread, costs the thread its warmed capacity and nothing
+// else.
 thread_local! {
     static SERVE_RESULT: Cell<QueryResult> =
         const { Cell::new(QueryResult { pages: Vec::new(), objects: Vec::new() }) };
+    static FAN_IN: Cell<Vec<(PageId, Result<f64, FailedRead>)>> = const { Cell::new(Vec::new()) };
     static WINDOW_PAGES: Cell<Vec<PageId>> = const { Cell::new(Vec::new()) };
 }
 
@@ -61,9 +63,6 @@ pub struct Session {
     disk: DiskModel,
     trace: SequenceTrace,
     open: Option<OpenWindow>,
-    /// Reusable query-hot-path buffers; lives as long as the session so
-    /// steady-state queries allocate nothing in the graph-build phase.
-    scratch: QueryScratch,
     /// Degradation-ladder state (circuit breaker, failed-query counters).
     /// Every touch is a no-op while the disk is fault-free.
     faultctl: FaultCtl,
@@ -73,8 +72,6 @@ pub struct Session {
     /// Batched mode only: demand-lane slots this session recorded in the
     /// current phase (recycled across rounds).
     staged_slots: Vec<u32>,
-    /// Batched mode only: fan-in buffer for the slots' outcomes.
-    fetched: Vec<(PageId, Result<f64, FailedRead>)>,
     /// Flight-recorder arm (DESIGN.md §13); `None` (the default) records
     /// nothing and keeps every path byte-identical to an untelemetered
     /// session.
@@ -105,11 +102,9 @@ impl Session {
             disk: DiskModel::default(),
             trace: SequenceTrace::default(),
             open: None,
-            scratch: QueryScratch::new(),
             faultctl: FaultCtl::new(&ExecutorConfig::default()),
             pending: None,
             staged_slots: Vec::new(),
-            fetched: Vec::new(),
             telem: None,
         }
     }
@@ -146,8 +141,8 @@ impl Session {
     /// cursor at the first query, fresh trace, and a disk built from
     /// `config` (sharing `clock` with sibling sessions when given).
     ///
-    /// Buffer capacity — the scratch arena and the prefetcher's recycled
-    /// buffers — survives across `begin` calls by design.
+    /// The prefetcher's recycled buffers keep their capacity across
+    /// `begin` calls by design.
     pub fn begin(&mut self, config: &ExecutorConfig, clock: Option<SharedClock>) {
         config.assert_valid();
         self.disk = match clock {
@@ -227,9 +222,8 @@ impl Session {
             let mut result = SERVE_RESULT.take();
             let mut q = begin_query(ctx, region, config, &mut result);
             serve_demand(&result, cache, &mut self.disk, config, &mut q, &mut self.trace.io);
-            let prefetcher = self.prefetcher.as_mut();
             let window =
-                observe_and_open(ctx, prefetcher, region, &result, config, q, &mut self.scratch);
+                observe_and_open(ctx, self.prefetcher.as_mut(), region, &result, config, q);
             SERVE_RESULT.set(result);
             window
         };
@@ -397,10 +391,11 @@ impl Session {
         let Some(PendingServe { mut q, result }) = self.pending.take() else {
             return;
         };
-        lock_unpoisoned(demand).copy_outcomes(&self.staged_slots, &mut self.fetched);
+        let mut fetched = FAN_IN.take();
+        lock_unpoisoned(demand).copy_outcomes(&self.staged_slots, &mut fetched);
         let retry = &config.faults.retry;
         let mut deadline_us = retry.deadline_us;
-        for &(page, outcome) in &self.fetched {
+        for &(page, outcome) in &fetched {
             let served = outcome.or_else(|first| {
                 self.disk.resume_read_retrying(page, first, retry, &mut deadline_us)
             });
@@ -408,10 +403,9 @@ impl Session {
                 break;
             }
         }
+        FAN_IN.set(fetched);
         let region = &self.regions[self.next];
-        let prefetcher = self.prefetcher.as_mut();
-        let window =
-            observe_and_open(ctx, prefetcher, region, &result, config, q, &mut self.scratch);
+        let window = observe_and_open(ctx, self.prefetcher.as_mut(), region, &result, config, q);
         self.end_serve(window);
     }
 

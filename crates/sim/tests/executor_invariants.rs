@@ -8,7 +8,7 @@ use scout_geometry::{
 use scout_index::{QueryResult, RTree};
 use scout_sim::{
     run_sequence, ExecutorConfig, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher,
-    SimContext,
+    QueryScratch, SimContext,
 };
 
 /// Emits pseudo-random region plans derived from a seed list.
@@ -21,11 +21,12 @@ impl Prefetcher for ChaosPrefetcher {
     fn name(&self) -> String {
         "Chaos".into()
     }
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         _region: &QueryRegion,
         _result: &QueryResult,
+        _scratch: &mut QueryScratch,
     ) -> PredictionStats {
         PredictionStats::default()
     }

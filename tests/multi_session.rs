@@ -4,6 +4,7 @@
 //! equality at every width, and fleet edge cases.
 
 use scout::prelude::*;
+use scout::sim::{QueryScratch, QueryTrace};
 use scout_synth::{generate_sequences, SequenceParams};
 
 /// The workload seed of every test that is not a leg of the CI chaos
@@ -301,6 +302,82 @@ fn width_one_fleet_equals_a_loop_over_the_locked_cache() {
 }
 
 #[test]
+fn fleet_predictions_equal_solo_predictions() {
+    // The stepping thread lends one scratch arena to every session it
+    // steps, so a width-1 fleet interleaves its sessions' digests on one
+    // arena. A buffer a prefetcher forgot to clear would carry another
+    // query into this one's prediction. Each query's prediction and the
+    // CPU it charges must therefore be what the same prefetcher computes
+    // alone, and what it computes from a fresh arena on every query; none
+    // of it depends on the shared cache.
+    //
+    // Each stream is walked twice, so the hybrid's history side predicts
+    // on the second lap, and its page budget is small enough to bind: only
+    // then does the coverage it scores from the arena reach its stats.
+    let bed = TestBed::new(generate_neurons(&NeuronParams::with_target_objects(20_000), 11));
+    let params = SequenceParams { length: 8, ..SequenceParams::sensitivity_default() };
+    let streams: Vec<Vec<QueryRegion>> =
+        generate_sequences(&bed.dataset, &params, 4, WORKLOAD_SEED)
+            .iter()
+            .map(|s| s.regions.repeat(2))
+            .collect();
+    let ctx = bed.ctx_rtree();
+    let exec = ExecutorConfig { window_ratio: 1.6, cache_pages: 24, ..ExecutorConfig::default() };
+    let seeded: [fn(u64) -> Box<dyn Prefetcher>; 2] = [
+        |seed| Box::new(Scout::with_seed(seed)),
+        |seed| {
+            let config = HybridConfig { page_budget: 32, ..HybridConfig::with_seed(seed) };
+            Box::new(HybridPrefetcher::new(config))
+        },
+    ];
+    // `Debug` prints every field, each `f64` round-trip exact.
+    let signature = |q: &QueryTrace| {
+        let model = [q.graph_build_us, q.prediction_us, q.window_us].map(f64::to_bits);
+        (format!("{:?}", q.prediction), model)
+    };
+    for make in seeded {
+        let cache = ShardedCache::new(exec.cache_pages, 8);
+        let clock = SharedClock::new();
+        let mut sessions: Vec<Session> = streams
+            .iter()
+            .enumerate()
+            .map(|(id, regions)| Session::new(id, make(0xBEEF + id as u64), regions.clone()))
+            .collect();
+        for session in &mut sessions {
+            session.begin(&exec, Some(clock.clone()));
+        }
+        while !sessions.iter().all(Session::is_done) {
+            for session in &mut sessions {
+                session.serve_observe(&ctx, &mut &cache, &exec);
+            }
+            for session in &mut sessions {
+                session.finish_window(&ctx, &mut &cache, &exec);
+            }
+        }
+        for (id, session) in sessions.iter().enumerate() {
+            let seed = 0xBEEF + id as u64;
+            let solo = run_sequence(&ctx, make(seed).as_mut(), &streams[id], &exec);
+            let mut fresh = make(seed);
+            fresh.reset();
+            let fleet = &session.trace().queries;
+            assert_eq!(fleet.len(), solo.queries.len());
+            for (n, (a, b)) in fleet.iter().zip(&solo.queries).enumerate() {
+                assert_eq!(signature(a), signature(b), "session {id} query {n}: fleet vs solo");
+                let region = &streams[id][n];
+                let result = ctx.index.range_query(ctx.objects, region);
+                let c = fresh.observe_with_scratch(&ctx, region, &result, &mut QueryScratch::new());
+                let _ = fresh.plan(&ctx);
+                assert_eq!(
+                    format!("{:?}", a.prediction),
+                    format!("{c:?}"),
+                    "session {id} query {n}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
 fn tenant_labels_do_not_reorder_the_fleet() {
     // Tenants are report labels: a fleet that spans two of them runs in
     // slot order like an unlabelled one, so under eviction pressure —
@@ -432,11 +509,12 @@ impl Prefetcher for Detonator {
     fn name(&self) -> String {
         "Detonator".to_string()
     }
-    fn observe(
+    fn observe_with_scratch(
         &mut self,
         _ctx: &SimContext<'_>,
         _region: &QueryRegion,
         _result: &scout::index::QueryResult,
+        _scratch: &mut scout::sim::QueryScratch,
     ) -> scout::sim::PredictionStats {
         self.seen += 1;
         assert!(self.seen < self.detonate_at, "session detonated on schedule");
