@@ -78,7 +78,7 @@ fn exit_of_segment(seg: &Segment, region: &QueryRegion) -> Option<(Vec3, Vec3)> 
 /// `component_of` labels the vertices `0..comp_count`. `out` receives the
 /// exits (cleared first); `centroid_sum` and `component_tally` are
 /// per-component accumulator scratch — on the hot path all of them come
-/// from the session's [`scout_sim::QueryScratch`] arena plus the
+/// from the stepping thread's [`scout_sim::QueryScratch`] arena plus the
 /// prefetcher's exit buffer. Returns the number of traversal steps
 /// performed — the DFS over candidate structures whose cost Figure 16
 /// measures: one per examined vertex plus one per incident edge, summed

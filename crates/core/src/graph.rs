@@ -22,7 +22,7 @@
 //! sort of those pairs — no sort within a row, no dedup (see
 //! `ResultGraph::assemble_csr`). All of it runs over scratch buffers borrowed
 //! from a [`scout_sim::QueryScratch`] arena, so a warmed
-//! session rebuilds its graph every query without touching the allocator
+//! thread rebuilds a graph every query without touching the allocator
 //! (DESIGN.md §6). The pre-CSR adjacency-list implementation survives as
 //! [`crate::reference::ReferenceGraph`], the property-test oracle and
 //! bench baseline.

@@ -22,7 +22,7 @@
 //! * **Prediction** — a best-first expansion from the current tail context:
 //!   emit the strongest successors, descend into their contexts with
 //!   multiplied scores, stop at the page budget. The expansion works out of
-//!   the session's [`QueryScratch`] buffers and a reusable output vector,
+//!   the stepping thread's [`QueryScratch`] buffers and a reusable output vector,
 //!   so the extraction is allocation-free after warmup too. An order-2
 //!   context that was never seen backs off to its order-1 suffix at a
 //!   score penalty.

@@ -74,7 +74,8 @@ impl PrefetchPlan {
 /// the work-stealing [`MultiSessionExecutor`](crate::MultiSessionExecutor)
 /// moves each session — prefetcher included — between worker threads. Prefetchers
 /// are plain owned data (history buffers, seeded RNGs), so this costs
-/// implementations nothing. A prefetcher owns no per-query working memory:
+/// implementations nothing. The working memory a digest shares with every
+/// other prefetcher is not prefetcher state:
 /// [`Prefetcher::observe_with_scratch`] borrows the stepping thread's
 /// [`QueryScratch`].
 pub trait Prefetcher: Send {

@@ -2,8 +2,9 @@
 //! ISSUE 4).
 //!
 //! The graph-build phase of `Session::step` — `ResultGraph::build_grid_hash`
-//! / `build_explicit` plus component labelling against the session's
-//! [`QueryScratch`] arena — must perform **zero** heap allocations once the
+//! / `build_explicit` plus component labelling against the stepping
+//! thread's [`QueryScratch`] arena, which this test holds as one local —
+//! must perform **zero** heap allocations once the
 //! buffers have warmed to the workload: over a guided sweep of range-query
 //! results, and over sliding full and thinned (every other object) result
 //! windows on both sides of the chain pass's `head`-table switch. A
