@@ -358,7 +358,6 @@ fn fleet_predictions_equal_solo_predictions() {
             let seed = 0xBEEF + id as u64;
             let solo = run_sequence(&ctx, make(seed).as_mut(), &streams[id], &exec);
             let mut fresh = make(seed);
-            fresh.reset();
             let fleet = &session.trace().queries;
             assert_eq!(fleet.len(), solo.queries.len());
             for (n, (a, b)) in fleet.iter().zip(&solo.queries).enumerate() {
