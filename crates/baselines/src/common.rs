@@ -10,7 +10,7 @@ use scout_sim::{PrefetchPlan, PrefetchRequest};
 
 /// Rolling history of query centers (and the latest region geometry).
 #[derive(Debug, Clone, Default)]
-pub struct CenterHistory {
+pub(crate) struct CenterHistory {
     centers: Vec<Vec3>,
     last_region: Option<QueryRegion>,
     capacity: usize,
@@ -18,12 +18,12 @@ pub struct CenterHistory {
 
 impl CenterHistory {
     /// History retaining the last `capacity` centers (≥ 2).
-    pub fn new(capacity: usize) -> CenterHistory {
+    pub(crate) fn new(capacity: usize) -> CenterHistory {
         CenterHistory { centers: Vec::new(), last_region: None, capacity: capacity.max(2) }
     }
 
     /// Records a query.
-    pub fn push(&mut self, region: &QueryRegion) {
+    pub(crate) fn push(&mut self, region: &QueryRegion) {
         self.centers.push(region.center());
         if self.centers.len() > self.capacity {
             self.centers.remove(0);
@@ -32,17 +32,17 @@ impl CenterHistory {
     }
 
     /// Recorded centers, oldest first.
-    pub fn centers(&self) -> &[Vec3] {
+    pub(crate) fn centers(&self) -> &[Vec3] {
         &self.centers
     }
 
     /// The most recent query region.
-    pub fn last_region(&self) -> Option<&QueryRegion> {
+    pub(crate) fn last_region(&self) -> Option<&QueryRegion> {
         self.last_region.as_ref()
     }
 
     /// The latest movement vector (cₙ − cₙ₋₁), if ≥ 2 queries were seen.
-    pub fn last_delta(&self) -> Option<Vec3> {
+    pub(crate) fn last_delta(&self) -> Option<Vec3> {
         let n = self.centers.len();
         if n >= 2 {
             Some(self.centers[n - 1] - self.centers[n - 2])
@@ -52,7 +52,7 @@ impl CenterHistory {
     }
 
     /// Clears the history.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.centers.clear();
         self.last_region = None;
     }
@@ -66,7 +66,7 @@ impl CenterHistory {
 /// incremental prefetching, is SCOUT's §5.1 contribution). All
 /// extrapolation baselines share this shape, so comparisons are
 /// apples-to-apples.
-pub fn plan_at_predicted_center(last_region: &QueryRegion, predicted: Vec3) -> PrefetchPlan {
+pub(crate) fn plan_at_predicted_center(last_region: &QueryRegion, predicted: Vec3) -> PrefetchPlan {
     let delta = predicted - last_region.center();
     let at = last_region.translated(delta);
     PrefetchPlan { requests: vec![PrefetchRequest::Region(at)] }

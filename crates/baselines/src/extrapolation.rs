@@ -206,7 +206,7 @@ pub struct Ewma {
 impl Ewma {
     /// EWMA with weight `lambda ∈ (0, 1]`; the paper's best configuration
     /// is λ = 0.3 (§3.3).
-    pub fn new(lambda: f64) -> Ewma {
+    pub(crate) fn new(lambda: f64) -> Ewma {
         assert!(lambda > 0.0 && lambda <= 1.0, "lambda must be in (0, 1], got {lambda}");
         Ewma { lambda, history: CenterHistory::new(2), velocity: None }
     }

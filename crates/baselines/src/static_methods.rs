@@ -23,7 +23,7 @@ pub struct HilbertPrefetch {
 impl HilbertPrefetch {
     /// Hilbert prefetcher with grid `2^order` cells per axis, requesting up
     /// to `fan` neighboring cells.
-    pub fn new(order: u32, fan: usize) -> HilbertPrefetch {
+    pub(crate) fn new(order: u32, fan: usize) -> HilbertPrefetch {
         assert!((1..=scout_geometry::hilbert::MAX_ORDER_3D).contains(&order));
         HilbertPrefetch { order, fan, last_center: None }
     }
@@ -104,7 +104,7 @@ pub struct Layered {
 
 impl Layered {
     /// Layered prefetcher over a `cells_per_axis³` grid.
-    pub fn new(cells_per_axis: u32) -> Layered {
+    pub(crate) fn new(cells_per_axis: u32) -> Layered {
         assert!(cells_per_axis >= 2);
         Layered { cells_per_axis, last_center: None }
     }

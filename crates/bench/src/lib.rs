@@ -23,7 +23,7 @@ use scout_synth::{
 
 /// Reads the global scale factor from `SCOUT_BENCH_SCALE` (scales the
 /// number of sequences per experiment; default 1.0).
-pub fn scale() -> f64 {
+pub(crate) fn scale() -> f64 {
     std::env::var("SCOUT_BENCH_SCALE").ok().and_then(|s| s.parse().ok()).unwrap_or(1.0)
 }
 

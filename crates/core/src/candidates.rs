@@ -33,8 +33,6 @@ pub struct CandidateTracker {
     spare_exit_ids: IdSet<ObjectId>,
     /// Predicted next-query locations from the previous query's exits.
     prev_predictions: Vec<Vec3>,
-    /// Number of resets observed (diagnostics).
-    resets: usize,
 }
 
 /// Result of matching the new graph against the previous candidates.
@@ -61,23 +59,18 @@ impl CandidateTracker {
     }
 
     /// True before any query has been committed.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.prev_exit_ids.is_empty() && self.prev_predictions.is_empty()
-    }
-
-    /// Number of resets since the last [`CandidateTracker::clear`].
-    pub fn resets(&self) -> usize {
-        self.resets
     }
 
     /// The previous query's forward exit objects — where the candidate
     /// structures crossed into the current query.
-    pub fn previous_exit_objects(&self) -> &IdSet<ObjectId> {
+    pub(crate) fn previous_exit_objects(&self) -> &IdSet<ObjectId> {
         &self.prev_exit_ids
     }
 
     /// The previous query's predicted locations (gap continuity anchors).
-    pub fn previous_predictions(&self) -> &[Vec3] {
+    pub(crate) fn previous_predictions(&self) -> &[Vec3] {
         &self.prev_predictions
     }
 
@@ -134,37 +127,27 @@ impl CandidateTracker {
     ///
     /// Predictions are passed as a slice and copied into the tracker's own
     /// buffer, so the caller can stage them in reusable scratch and the
-    /// tracker's capacity amortizes across queries.
-    pub fn commit(&mut self, exit_objects: IdSet<ObjectId>, predictions: &[Vec3], was_reset: bool) {
-        self.commit_ids(exit_objects, predictions, was_reset);
-    }
-
-    /// [`CandidateTracker::commit`] from an id iterator, recycling the
-    /// tracker's two exit-set buffers: the outgoing generation's set
+    /// tracker's capacity amortizes across queries. The exit ids recycle
+    /// the tracker's two exit-set buffers: the outgoing generation's set
     /// becomes the next commit's target, so steady-state commits perform
     /// no set construction.
     pub fn commit_ids<I: IntoIterator<Item = ObjectId>>(
         &mut self,
         exit_objects: I,
         predictions: &[Vec3],
-        was_reset: bool,
     ) {
         std::mem::swap(&mut self.prev_exit_ids, &mut self.spare_exit_ids);
         self.prev_exit_ids.clear();
         self.prev_exit_ids.extend(exit_objects);
         self.prev_predictions.clear();
         self.prev_predictions.extend_from_slice(predictions);
-        if was_reset {
-            self.resets += 1;
-        }
     }
 
     /// Clears all state (sequence boundary).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.prev_exit_ids.clear();
         self.spare_exit_ids.clear();
         self.prev_predictions.clear();
-        self.resets = 0;
     }
 }
 
@@ -213,8 +196,9 @@ mod tests {
         comp: &[u32],
         tolerance: f64,
     ) -> Vec<u32> {
-        let centroids: Vec<Vec3> =
-            g.object_ids().iter().map(|o| objects[o.index()].centroid()).collect();
+        let centroids: Vec<Vec3> = (0..g.vertex_count() as u32)
+            .map(|v| objects[g.object_id(v).index()].centroid())
+            .collect();
         let mut flags = Vec::new();
         let c = t.continuing_components(&centroids, g, comp, 2, tolerance, &mut flags);
         let set: Vec<u32> = (0..2).filter(|&c| flags[c as usize]).collect();
@@ -235,7 +219,7 @@ mod tests {
         let mut t = CandidateTracker::new();
         // Previous exit object: object 1 on the lower chain.
         let lower_comp = comp[g.vertex_of(ObjectId(1)).unwrap() as usize];
-        t.commit([ObjectId(1)].into_iter().collect(), &[], false);
+        t.commit_ids([ObjectId(1)], &[]);
         assert_eq!(continuing(&t, &objects, &g, &comp, 1.0), [lower_comp]);
     }
 
@@ -244,7 +228,7 @@ mod tests {
         let (objects, g, comp) = fixture();
         let mut t = CandidateTracker::new();
         // No shared exit ids but a prediction near the upper chain at y=8.
-        t.commit(IdSet::default(), &[Vec3::new(3.0, 8.0, 5.0)], false);
+        t.commit_ids([], &[Vec3::new(3.0, 8.0, 5.0)]);
         let upper_comp = comp[g.vertex_of(ObjectId(5)).unwrap() as usize];
         assert_eq!(continuing(&t, &objects, &g, &comp, 2.0), [upper_comp]);
     }
@@ -253,19 +237,21 @@ mod tests {
     fn far_prediction_matches_nothing() {
         let (objects, g, comp) = fixture();
         let mut t = CandidateTracker::new();
-        t.commit(IdSet::default(), &[Vec3::new(500.0, 500.0, 500.0)], false);
+        t.commit_ids([], &[Vec3::new(500.0, 500.0, 500.0)]);
         assert!(continuing(&t, &objects, &g, &comp, 2.0).is_empty());
     }
 
     #[test]
     fn reset_counter_and_clear() {
-        let (_, _g, _comp) = fixture();
+        // A cleared tracker continues nothing, so the next query resets
+        // (§4.3) exactly as a sequence's first query does.
+        let (objects, g, comp) = fixture();
         let mut t = CandidateTracker::new();
-        t.commit(IdSet::default(), &[], true);
-        t.commit(IdSet::default(), &[], true);
-        assert_eq!(t.resets(), 2);
+        t.commit_ids([ObjectId(1)], &[Vec3::ZERO]);
+        assert!(!t.is_empty());
+        assert!(!continuing(&t, &objects, &g, &comp, 1.0).is_empty());
         t.clear();
-        assert_eq!(t.resets(), 0);
         assert!(t.is_empty());
+        assert!(continuing(&t, &objects, &g, &comp, 1.0).is_empty());
     }
 }

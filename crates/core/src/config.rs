@@ -41,7 +41,7 @@ pub struct ScoutConfig {
     /// gap, as a fraction of the query side.
     pub continuity_tolerance_frac: f64,
     // Read by nothing. Pinned by `benchmark/src/adapter.rs` line 862, which
-    // a non-`benchmark` PR may not edit; ROADMAP item 2 removes it.
+    // a non-`benchmark` PR may not edit; ROADMAP item 1(b) removes it.
     #[doc(hidden)]
     pub incremental_overlap_threshold: f64,
     /// Seed for the strategy's random choices (deep picks, k-means init).
@@ -74,16 +74,16 @@ impl ScoutConfig {
 
 /// Extra knobs of SCOUT-OPT (§6).
 #[derive(Debug, Clone, Copy)]
-pub struct ScoutOptConfig {
+pub(crate) struct ScoutOptConfig {
     /// Base configuration shared with plain SCOUT.
-    pub base: ScoutConfig,
+    pub(crate) base: ScoutConfig,
     /// Gap-traversal I/O budget as a fraction of the last query's pages
     /// (§7.4.6: "a fixed I/O budget of 10% of the pages used in the recent
     /// query").
-    pub gap_io_budget_frac: f64,
+    pub(crate) gap_io_budget_frac: f64,
     /// Half-width of the corridor around the extrapolated exit axis within
     /// which gap pages are crawled, as a fraction of the query side.
-    pub gap_corridor_frac: f64,
+    pub(crate) gap_corridor_frac: f64,
 }
 
 impl Default for ScoutOptConfig {

@@ -25,7 +25,7 @@ pub struct Exit {
 
 /// Finds the exit of one object's simplified geometry from the region, if
 /// it crosses the boundary outward.
-pub fn exit_of_object(
+pub(crate) fn exit_of_object(
     object: &SpatialObject,
     region: &QueryRegion,
     simplification: Simplification,
@@ -35,7 +35,10 @@ pub fn exit_of_object(
 
 /// [`exit_of_object`] on geometry that is already simplified — what the
 /// hot path holds in its result frame.
-pub fn exit_of_simplified(simplified: &Simplified, region: &QueryRegion) -> Option<(Vec3, Vec3)> {
+pub(crate) fn exit_of_simplified(
+    simplified: &Simplified,
+    region: &QueryRegion,
+) -> Option<(Vec3, Vec3)> {
     match simplified {
         Simplified::Segment(seg) => exit_of_segment(seg, region),
         Simplified::Point(_) => None, // points cannot cross
@@ -172,7 +175,7 @@ fn surely_inside(simplified: &Simplified, bounds: &Aabb) -> bool {
 /// Linear extrapolation of an exit: the predicted point `distance` beyond
 /// the boundary along the structure's outward direction.
 #[inline]
-pub fn extrapolate(exit: &Exit, distance: f64) -> Vec3 {
+pub(crate) fn extrapolate(exit: &Exit, distance: f64) -> Vec3 {
     exit.point + exit.dir * distance
 }
 
@@ -231,7 +234,9 @@ mod tests {
         filter: Option<&[bool]>,
     ) -> (Vec<Exit>, u64) {
         let mut frame = ResultFrame::default();
-        frame.gather(objects, graph.object_ids(), Simplification::Segment);
+        let ids: Vec<ObjectId> =
+            (0..graph.vertex_count() as VertexId).map(|v| graph.object_id(v)).collect();
+        frame.gather(objects, &ids, Simplification::Segment);
         let mut exits = Vec::new();
         let comp_count = component_of.iter().max().map_or(0, |&c| c as usize + 1);
         let steps = find_exits_into(

@@ -39,7 +39,7 @@ use scout_sim::{CpuUnits, QueryScratch};
 use std::hint::select_unpredictable;
 
 /// Local vertex index within one result graph.
-pub type VertexId = u32;
+pub(crate) type VertexId = u32;
 
 /// The dense reverse index is used when the result ids span at most this
 /// many times the result size (otherwise the table would be mostly holes
@@ -172,11 +172,6 @@ impl ResultGraph {
         &self.targets[start..end]
     }
 
-    /// All vertices' object ids.
-    pub fn object_ids(&self) -> &[ObjectId] {
-        &self.object_ids
-    }
-
     /// The slots of vertex `v`'s row in [`ResultGraph::targets`]. A slot
     /// names one *directed* edge, which is what exit scoring memoises on.
     #[inline]
@@ -195,7 +190,7 @@ impl ResultGraph {
     /// layout: no hash-bucket overhead, no per-vertex `Vec` headers. The
     /// graph holds nothing else — the build's working buffers belong to
     /// the caller's [`QueryScratch`] and are not counted.
-    pub fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         self.object_ids.len() * std::mem::size_of::<ObjectId>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.targets.len() * std::mem::size_of::<VertexId>()
@@ -204,7 +199,7 @@ impl ResultGraph {
     }
 
     /// Empties the graph, retaining every buffer's capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.object_ids.clear();
         self.offsets.clear();
         self.targets.clear();
@@ -525,8 +520,8 @@ impl ResultGraph {
         units
     }
 
-    // Pinned by `benchmark/src/adapter.rs` lines 855-863, which a
-    // non-`benchmark` PR may not edit; ROADMAP item 2 removes it.
+    // Pinned by `benchmark/src/adapter.rs` lines 855-862, which a
+    // non-`benchmark` PR may not edit; ROADMAP item 1(b) removes it.
     #[doc(hidden)]
     #[allow(clippy::too_many_arguments)]
     pub fn build_grid_hash_incremental(

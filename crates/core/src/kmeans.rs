@@ -13,11 +13,11 @@ use std::hint::select_unpredictable;
 /// Buffers of one k-means run, so clustering the exit locations of every
 /// query allocates nothing once they have warmed.
 #[derive(Debug, Clone, Default)]
-pub struct KmeansScratch {
+pub(crate) struct KmeansScratch {
     /// Cluster centroids.
-    pub centroids: Vec<Vec3>,
+    pub(crate) centroids: Vec<Vec3>,
     /// Cluster index of each input point.
-    pub assignment: Vec<u32>,
+    pub(crate) assignment: Vec<u32>,
     /// k-means++ seeding: each point's squared distance to its nearest
     /// centroid so far.
     nearest_sq: Vec<f64>,
@@ -54,7 +54,7 @@ pub struct Cluster {
 /// Lloyd's k-means with k-means++ seeding. Deterministic in `seed`.
 /// Returns at most `k` non-empty clusters.
 ///
-/// Allocating wrapper around [`kmeans_into`] for one-shot callers.
+/// Allocating wrapper around `kmeans_into` for one-shot callers.
 pub fn kmeans(points: &[Vec3], k: usize, seed: u64, iterations: usize) -> Vec<Cluster> {
     let mut scratch = KmeansScratch::default();
     kmeans_into(points, k, seed, iterations, &mut scratch);
@@ -86,7 +86,7 @@ pub fn kmeans(points: &[Vec3], k: usize, seed: u64, iterations: usize) -> Vec<Cl
 /// random and mispredicted about as often. Blocks are taken in centroid
 /// order and a padding lane repeats the last centroid, whose equal
 /// distance never beats its earlier twin, so one loop serves every `k`.
-pub fn kmeans_into(
+pub(crate) fn kmeans_into(
     points: &[Vec3],
     k: usize,
     seed: u64,

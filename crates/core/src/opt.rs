@@ -65,7 +65,7 @@ struct GapCrawl {
 
 impl ScoutOpt {
     /// SCOUT-OPT with explicit configuration.
-    pub fn new(config: ScoutOptConfig) -> ScoutOpt {
+    pub(crate) fn new(config: ScoutOptConfig) -> ScoutOpt {
         ScoutOpt { inner: Scout::new(config.base), config, crawl: GapCrawl::default() }
     }
 

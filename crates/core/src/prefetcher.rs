@@ -75,16 +75,6 @@ impl Scout {
         Scout::new(ScoutConfig::with_seed(seed))
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &ScoutConfig {
-        &self.config
-    }
-
-    /// Candidate-set resets observed so far (diagnostics).
-    pub fn resets(&self) -> usize {
-        self.tracker.resets()
-    }
-
     fn update_motion(&mut self, region: &QueryRegion) {
         let c = region.center();
         if let Some(&prev) = self.centers.last() {
@@ -370,11 +360,8 @@ impl Scout {
         // §4.3 continuity anchor for the next query: the (forward) exit
         // objects of this query's candidate structures. Committed through
         // the tracker's recycled set, so no per-query set is built.
-        self.tracker.commit_ids(
-            exits.iter().map(|e| self.graph.object_id(e.vertex)),
-            &scratch.predictions,
-            was_reset,
-        );
+        self.tracker
+            .commit_ids(exits.iter().map(|e| self.graph.object_id(e.vertex)), &scratch.predictions);
 
         // Prediction *state* only (§8.2): the graph, the labels and the
         // exits. The scratch arena — result frame included — is working

@@ -310,7 +310,7 @@ pub fn exit_score(
 /// Lloyd's k-means with k-means++ seeding as first written: seeding
 /// re-derives every point's nearest centroid each round, the assignment
 /// evaluates each distance twice inside `min_by`, buffers are allocated
-/// per call and per iteration. Oracle of [`crate::kmeans::kmeans_into`].
+/// per call and per iteration. Oracle of `crate::kmeans::kmeans_into`.
 pub fn kmeans(points: &[Vec3], k: usize, seed: u64, iterations: usize) -> Vec<Cluster> {
     if points.is_empty() || k == 0 {
         return Vec::new();

@@ -252,7 +252,7 @@ proptest! {
             predictions.push(anchor + Vec3::splat(c.rng.random_range(-2.0..2.0)));
         }
         if c.rng.random_bool(0.9) {
-            tracker.commit_ids(prev_ids, &predictions, false);
+            tracker.commit_ids(prev_ids, &predictions);
         }
         let tolerance = c.rng.random_range(0.0..0.2) * c.region.side();
 

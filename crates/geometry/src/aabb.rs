@@ -34,7 +34,7 @@ impl Aabb {
 
     /// Box around a single point.
     #[inline]
-    pub fn from_point(p: Vec3) -> Aabb {
+    pub(crate) fn from_point(p: Vec3) -> Aabb {
         Aabb { min: p, max: p }
     }
 
@@ -52,7 +52,7 @@ impl Aabb {
     }
 
     /// Smallest box containing every point in the iterator; `EMPTY` if none.
-    pub fn from_points<I: IntoIterator<Item = Vec3>>(points: I) -> Aabb {
+    pub(crate) fn from_points<I: IntoIterator<Item = Vec3>>(points: I) -> Aabb {
         points.into_iter().fold(Aabb::EMPTY, |acc, p| acc.union(&Aabb::from_point(p)))
     }
 
@@ -79,16 +79,6 @@ impl Aabb {
     pub fn volume(&self) -> f64 {
         let e = self.extent();
         e.x * e.y * e.z
-    }
-
-    /// Surface area; zero for empty boxes.
-    #[inline]
-    pub fn surface_area(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let e = self.extent();
-        2.0 * (e.x * e.y + e.y * e.z + e.z * e.x)
     }
 
     /// True when `p` lies inside or on the boundary.
@@ -170,29 +160,6 @@ impl Aabb {
     pub fn distance_sq_to_point(&self, p: Vec3) -> f64 {
         self.closest_point(p).distance_sq(p)
     }
-
-    /// Minimum distance between two boxes (zero when intersecting).
-    pub fn distance_to_aabb(&self, other: &Aabb) -> f64 {
-        let dx = (other.min.x - self.max.x).max(self.min.x - other.max.x).max(0.0);
-        let dy = (other.min.y - self.max.y).max(self.min.y - other.max.y).max(0.0);
-        let dz = (other.min.z - self.max.z).max(self.min.z - other.max.z).max(0.0);
-        (dx * dx + dy * dy + dz * dz).sqrt()
-    }
-
-    /// The eight corner points (garbage for empty boxes).
-    pub fn corners(&self) -> [Vec3; 8] {
-        let (lo, hi) = (self.min, self.max);
-        [
-            Vec3::new(lo.x, lo.y, lo.z),
-            Vec3::new(hi.x, lo.y, lo.z),
-            Vec3::new(lo.x, hi.y, lo.z),
-            Vec3::new(hi.x, hi.y, lo.z),
-            Vec3::new(lo.x, lo.y, hi.z),
-            Vec3::new(hi.x, lo.y, hi.z),
-            Vec3::new(lo.x, hi.y, hi.z),
-            Vec3::new(hi.x, hi.y, hi.z),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -207,7 +174,6 @@ mod tests {
     fn empty_properties() {
         assert!(Aabb::EMPTY.is_empty());
         assert_eq!(Aabb::EMPTY.volume(), 0.0);
-        assert_eq!(Aabb::EMPTY.surface_area(), 0.0);
         assert!(!Aabb::EMPTY.intersects(&unit()));
         assert!(unit().contains_aabb(&Aabb::EMPTY));
     }
@@ -223,7 +189,6 @@ mod tests {
     fn volume_and_surface() {
         let b = Aabb::new(Vec3::ZERO, Vec3::new(2.0, 3.0, 4.0));
         assert_eq!(b.volume(), 24.0);
-        assert_eq!(b.surface_area(), 2.0 * (6.0 + 12.0 + 8.0));
     }
 
     #[test]
@@ -264,18 +229,6 @@ mod tests {
         assert_eq!(b.closest_point(Vec3::splat(0.5)), Vec3::splat(0.5));
         assert_eq!(b.closest_point(Vec3::new(2.0, 0.5, 0.5)), Vec3::new(1.0, 0.5, 0.5));
         assert!((b.distance_sq_to_point(Vec3::new(2.0, 0.5, 0.5)) - 1.0).abs() < 1e-12);
-
-        let far = Aabb::new(Vec3::new(3.0, 0.0, 0.0), Vec3::new(4.0, 1.0, 1.0));
-        assert!((b.distance_to_aabb(&far) - 2.0).abs() < 1e-12);
-        assert_eq!(b.distance_to_aabb(&unit()), 0.0);
-    }
-
-    #[test]
-    fn corners_are_contained() {
-        let b = Aabb::new(Vec3::new(-1.0, 0.0, 2.0), Vec3::new(1.0, 1.0, 5.0));
-        for c in b.corners() {
-            assert!(b.contains_point(c));
-        }
     }
 
     #[test]

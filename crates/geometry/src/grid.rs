@@ -11,7 +11,7 @@ use crate::shapes::{Segment, Simplified};
 use crate::vec3::Vec3;
 
 /// Identifier of a cell within a [`UniformGrid`] (flattened x-major index).
-pub type CellId = u32;
+pub(crate) type CellId = u32;
 
 /// A uniform grid over a bounding box with `dims[0]×dims[1]×dims[2]` cells.
 #[derive(Debug, Clone)]
@@ -243,7 +243,7 @@ impl UniformGrid {
     /// Calls `emit` with the id of every cell overlapping a box (clamped to
     /// the grid; none when the box misses it).
     #[inline]
-    pub fn for_each_aabb_cell(&self, aabb: &Aabb, mut emit: impl FnMut(CellId)) {
+    pub(crate) fn for_each_aabb_cell(&self, aabb: &Aabb, mut emit: impl FnMut(CellId)) {
         if !aabb.intersects(&self.bounds) {
             return;
         }
@@ -256,11 +256,6 @@ impl UniformGrid {
                 }
             }
         }
-    }
-
-    /// Appends the ids of all cells overlapping a box (clamped to the grid).
-    pub fn cells_for_aabb(&self, aabb: &Aabb, out: &mut Vec<CellId>) {
-        self.for_each_aabb_cell(aabb, |c| out.push(c));
     }
 
     /// Calls `emit` with each cell covered by a simplified object geometry
@@ -374,10 +369,9 @@ mod tests {
     fn aabb_cells_cover_box() {
         let g = grid4();
         let mut cells = Vec::new();
-        g.cells_for_aabb(
-            &Aabb::new(Vec3::new(0.5, 0.5, 0.5), Vec3::new(2.5, 1.5, 0.9)),
-            &mut cells,
-        );
+        g.for_each_aabb_cell(&Aabb::new(Vec3::new(0.5, 0.5, 0.5), Vec3::new(2.5, 1.5, 0.9)), |c| {
+            cells.push(c)
+        });
         // x: cells 0..=2, y: 0..=1, z: 0 => 3*2*1 = 6 cells
         assert_eq!(cells.len(), 6);
     }
@@ -386,7 +380,7 @@ mod tests {
     fn disjoint_aabb_yields_no_cells() {
         let g = grid4();
         let mut cells = Vec::new();
-        g.cells_for_aabb(&Aabb::new(Vec3::splat(5.0), Vec3::splat(6.0)), &mut cells);
+        g.for_each_aabb_cell(&Aabb::new(Vec3::splat(5.0), Vec3::splat(6.0)), |c| cells.push(c));
         assert!(cells.is_empty());
     }
 }

@@ -1,4 +1,4 @@
-//! Hilbert space-filling curves in 2-D and 3-D.
+//! Hilbert space-filling curves in 3-D.
 //!
 //! The Hilbert-Prefetch baseline \[22\] assigns each grid cell a Hilbert value
 //! and prefetches cells whose values neighbor the current cell's value.
@@ -7,8 +7,6 @@
 
 /// Maximum bits per axis for a 3-D curve so the index fits in `u64`.
 pub const MAX_ORDER_3D: u32 = 21;
-/// Maximum bits per axis for a 2-D curve so the index fits in `u64`.
-pub const MAX_ORDER_2D: u32 = 32;
 
 #[inline]
 fn axes_to_transpose<const N: usize>(x: &mut [u32; N], bits: u32) {
@@ -114,23 +112,6 @@ pub fn hilbert_coords_3d(index: u64, order: u32) -> [u32; 3] {
     x
 }
 
-/// Hilbert index of 2-D cell coordinates with `order` bits per axis.
-pub fn hilbert_index_2d(coords: [u32; 2], order: u32) -> u64 {
-    assert!((1..=MAX_ORDER_2D).contains(&order), "order out of range: {order}");
-    debug_assert!(order == 32 || coords.iter().all(|&c| (c as u64) < (1u64 << order)));
-    let mut x = coords;
-    axes_to_transpose(&mut x, order);
-    pack(&x, order)
-}
-
-/// Inverse of [`hilbert_index_2d`].
-pub fn hilbert_coords_2d(index: u64, order: u32) -> [u32; 2] {
-    assert!((1..=MAX_ORDER_2D).contains(&order), "order out of range: {order}");
-    let mut x = unpack::<2>(index, order);
-    transpose_to_axes(&mut x, order);
-    x
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,19 +149,6 @@ mod tests {
     }
 
     #[test]
-    fn round_trip_2d() {
-        for order in [1u32, 2, 4, 8] {
-            let n: u32 = 1 << order;
-            for x in (0..n).step_by(5) {
-                for y in (0..n).step_by(7) {
-                    let c = [x, y];
-                    assert_eq!(hilbert_coords_2d(hilbert_index_2d(c, order), order), c);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn consecutive_indices_are_adjacent_cells_3d() {
         // The defining Hilbert property: cells with consecutive indices are
         // neighbors (Manhattan distance exactly 1).
@@ -191,18 +159,6 @@ mod tests {
             let b = hilbert_coords_3d(i + 1, order);
             let dist: u32 = a.iter().zip(b.iter()).map(|(&p, &q)| p.abs_diff(q)).sum();
             assert_eq!(dist, 1, "indices {i},{} map to {a:?},{b:?}", i + 1);
-        }
-    }
-
-    #[test]
-    fn consecutive_indices_are_adjacent_cells_2d() {
-        let order = 4;
-        let total = 1u64 << (2 * order);
-        for i in 0..total - 1 {
-            let a = hilbert_coords_2d(i, order);
-            let b = hilbert_coords_2d(i + 1, order);
-            let dist: u32 = a.iter().zip(b.iter()).map(|(&p, &q)| p.abs_diff(q)).sum();
-            assert_eq!(dist, 1);
         }
     }
 

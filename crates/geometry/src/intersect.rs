@@ -157,13 +157,13 @@ pub fn capsule_intersects_aabb(seg: &Segment, radius: f64, aabb: &Aabb) -> bool 
 
 /// True when a sphere intersects the box.
 #[inline]
-pub fn sphere_intersects_aabb(s: &Sphere, aabb: &Aabb) -> bool {
+pub(crate) fn sphere_intersects_aabb(s: &Sphere, aabb: &Aabb) -> bool {
     aabb.distance_sq_to_point(s.center) <= s.radius * s.radius
 }
 
 /// Separating-axis test between a triangle and a box (13 axes: 3 box face
 /// normals, 1 triangle normal, 9 edge cross products).
-pub fn triangle_intersects_aabb(tri: &Triangle, aabb: &Aabb) -> bool {
+pub(crate) fn triangle_intersects_aabb(tri: &Triangle, aabb: &Aabb) -> bool {
     if aabb.is_empty() {
         return false;
     }
@@ -224,29 +224,6 @@ pub fn shape_intersects_aabb(shape: &Shape, aabb: &Aabb) -> bool {
         Shape::Triangle(t) => triangle_intersects_aabb(t, aabb),
         Shape::Sphere(s) => sphere_intersects_aabb(s, aabb),
     }
-}
-
-/// True when the shape lies entirely inside the box (conservative: uses the
-/// shape's bounding box).
-#[inline]
-pub fn shape_inside_aabb(shape: &Shape, aabb: &Aabb) -> bool {
-    aabb.contains_aabb(&shape.aabb())
-}
-
-/// True when the cylinder's *axis* crosses the box boundary, i.e. the shape
-/// both intersects the region and extends beyond it. This is how exit/entry
-/// objects are detected on the simplified geometry.
-pub fn segment_crosses_boundary(seg: &Segment, aabb: &Aabb) -> bool {
-    let inside_a = aabb.contains_point(seg.a);
-    let inside_b = aabb.contains_point(seg.b);
-    if inside_a != inside_b {
-        return true;
-    }
-    if inside_a && inside_b {
-        return false;
-    }
-    // Both endpoints outside: crosses only if it passes through the box.
-    segment_intersects_aabb(seg, aabb)
 }
 
 #[cfg(test)]
@@ -363,19 +340,6 @@ mod tests {
     }
 
     #[test]
-    fn crosses_boundary_cases() {
-        let b = unit();
-        let crossing = Segment::new(Vec3::splat(0.5), Vec3::splat(1.5));
-        assert!(segment_crosses_boundary(&crossing, &b));
-        let inside = Segment::new(Vec3::splat(0.2), Vec3::splat(0.8));
-        assert!(!segment_crosses_boundary(&inside, &b));
-        let through = Segment::new(Vec3::new(-1.0, 0.5, 0.5), Vec3::new(2.0, 0.5, 0.5));
-        assert!(segment_crosses_boundary(&through, &b));
-        let outside = Segment::new(Vec3::splat(2.0), Vec3::splat(3.0));
-        assert!(!segment_crosses_boundary(&outside, &b));
-    }
-
-    #[test]
     fn shape_dispatch() {
         let b = unit();
         assert!(shape_intersects_aabb(&Shape::Point(Vec3::splat(0.5)), &b));
@@ -387,7 +351,5 @@ mod tests {
             0.3,
         ));
         assert!(shape_intersects_aabb(&cyl, &b));
-        assert!(shape_inside_aabb(&Shape::Point(Vec3::splat(0.5)), &b));
-        assert!(!shape_inside_aabb(&cyl, &b));
     }
 }

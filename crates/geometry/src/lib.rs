@@ -10,19 +10,19 @@
 
 #![deny(unsafe_code)] // one exception: `dispatch::prefetch_read`
 
-pub mod aabb;
-pub mod dispatch;
-pub mod grid;
+mod aabb;
+mod dispatch;
+mod grid;
 pub mod hilbert;
 pub mod intersect;
-pub mod object;
-pub mod region;
-pub mod shapes;
-pub mod vec3;
+mod object;
+mod region;
+mod shapes;
+mod vec3;
 
 pub use aabb::Aabb;
 pub use dispatch::prefetch_read;
-pub use grid::{CellId, UniformGrid};
+pub use grid::UniformGrid;
 pub use object::{ObjectAdjacency, ObjectId, SpatialObject, StructureId};
 pub use region::{Aspect, QueryRegion};
 pub use shapes::{Cylinder, Segment, Shape, Simplification, Simplified, Sphere, Triangle};

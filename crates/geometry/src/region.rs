@@ -26,7 +26,7 @@ pub enum Aspect {
 
 impl Aspect {
     /// Side-length ratios, normalized so their product is 1.
-    pub fn ratios(&self) -> Vec3 {
+    pub(crate) fn ratios(&self) -> Vec3 {
         let r = match self {
             Aspect::Cube => Vec3::ONE,
             Aspect::Frustum => Vec3::new(1.0, 1.0, 2.25),
@@ -77,7 +77,7 @@ impl QueryRegion {
 
     /// Side lengths.
     #[inline]
-    pub fn extent(&self) -> Vec3 {
+    pub(crate) fn extent(&self) -> Vec3 {
         self.aabb.extent()
     }
 
@@ -111,20 +111,6 @@ impl QueryRegion {
             return None;
         }
         let point = seg.at(t_exit);
-        let dir = seg.direction().normalized()?;
-        Some((point, dir))
-    }
-
-    /// Where a segment enters the region from outside.
-    ///
-    /// Returns the boundary point at the *entry* parameter and the inward
-    /// direction, or `None` when the segment starts inside or misses.
-    pub fn entry_of_segment(&self, seg: &Segment) -> Option<(Vec3, Vec3)> {
-        let (t_enter, _) = clip_segment_to_aabb(seg, &self.aabb)?;
-        if t_enter <= 0.0 {
-            return None;
-        }
-        let point = seg.at(t_enter);
         let dir = seg.direction().normalized()?;
         Some((point, dir))
     }
@@ -183,18 +169,6 @@ mod tests {
         let q = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::ONE));
         let seg = Segment::new(Vec3::splat(0.3), Vec3::splat(0.7));
         assert!(q.exit_of_segment(&seg).is_none());
-    }
-
-    #[test]
-    fn entry_point_on_boundary() {
-        let q = QueryRegion::from_aabb(Aabb::new(Vec3::ZERO, Vec3::ONE));
-        let seg = Segment::new(Vec3::new(-1.0, 0.5, 0.5), Vec3::splat(0.5));
-        let (p, d) = q.entry_of_segment(&seg).unwrap();
-        assert!((p.x - 0.0).abs() < 1e-12);
-        assert!(d.x > 0.0);
-        // Starting inside -> no entry.
-        let inside = Segment::new(Vec3::splat(0.5), Vec3::new(2.0, 0.5, 0.5));
-        assert!(q.entry_of_segment(&inside).is_none());
     }
 
     #[test]

@@ -26,15 +26,9 @@ impl Segment {
         Segment { a, b }
     }
 
-    /// Segment length.
-    #[inline]
-    pub fn length(&self) -> f64 {
-        self.a.distance(self.b)
-    }
-
     /// Midpoint.
     #[inline]
-    pub fn midpoint(&self) -> Vec3 {
+    pub(crate) fn midpoint(&self) -> Vec3 {
         (self.a + self.b) * 0.5
     }
 
@@ -66,12 +60,6 @@ impl Segment {
         let t = ((p - self.a).dot(d) / len_sq).clamp(0.0, 1.0);
         self.at(t)
     }
-
-    /// Distance from `p` to the segment.
-    #[inline]
-    pub fn distance_to_point(&self, p: Vec3) -> f64 {
-        self.closest_point(p).distance(p)
-    }
 }
 
 /// A truncated cone ("cylinder" in the paper's terminology): two endpoints
@@ -87,7 +75,7 @@ pub struct Cylinder {
     /// Radius at `a`.
     pub ra: f64,
     /// Radius at `b`.
-    pub rb: f64,
+    pub(crate) rb: f64,
 }
 
 impl Cylinder {
@@ -122,11 +110,11 @@ impl Cylinder {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Triangle {
     /// First vertex.
-    pub a: Vec3,
+    pub(crate) a: Vec3,
     /// Second vertex.
-    pub b: Vec3,
+    pub(crate) b: Vec3,
     /// Third vertex.
-    pub c: Vec3,
+    pub(crate) c: Vec3,
 }
 
 impl Triangle {
@@ -138,13 +126,13 @@ impl Triangle {
 
     /// Centroid.
     #[inline]
-    pub fn centroid(&self) -> Vec3 {
+    pub(crate) fn centroid(&self) -> Vec3 {
         (self.a + self.b + self.c) / 3.0
     }
 
     /// Tight bounding box.
     #[inline]
-    pub fn aabb(&self) -> Aabb {
+    pub(crate) fn aabb(&self) -> Aabb {
         Aabb::from_points([self.a, self.b, self.c])
     }
 }
@@ -153,9 +141,9 @@ impl Triangle {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Sphere {
     /// Center.
-    pub center: Vec3,
+    pub(crate) center: Vec3,
     /// Radius.
-    pub radius: f64,
+    pub(crate) radius: f64,
 }
 
 impl Sphere {
@@ -167,7 +155,7 @@ impl Sphere {
 
     /// Tight bounding box.
     #[inline]
-    pub fn aabb(&self) -> Aabb {
+    pub(crate) fn aabb(&self) -> Aabb {
         Aabb::from_center_extent(self.center, Vec3::splat(2.0 * self.radius))
     }
 }
@@ -215,7 +203,7 @@ pub enum Simplification {
 
 impl Shape {
     /// Tight (or conservatively tight) bounding box.
-    pub fn aabb(&self) -> Aabb {
+    pub(crate) fn aabb(&self) -> Aabb {
         match self {
             Shape::Point(p) => Aabb::from_point(*p),
             Shape::Segment(s) => s.aabb(),
@@ -226,7 +214,7 @@ impl Shape {
     }
 
     /// Representative center point.
-    pub fn centroid(&self) -> Vec3 {
+    pub(crate) fn centroid(&self) -> Vec3 {
         match self {
             Shape::Point(p) => *p,
             Shape::Segment(s) => s.midpoint(),
@@ -270,7 +258,6 @@ mod tests {
     #[test]
     fn segment_basics() {
         let s = Segment::new(Vec3::ZERO, Vec3::new(2.0, 0.0, 0.0));
-        assert_eq!(s.length(), 2.0);
         assert_eq!(s.midpoint(), Vec3::new(1.0, 0.0, 0.0));
         assert_eq!(s.at(0.25), Vec3::new(0.5, 0.0, 0.0));
     }
@@ -281,7 +268,6 @@ mod tests {
         assert_eq!(s.closest_point(Vec3::new(-5.0, 3.0, 0.0)), Vec3::ZERO);
         assert_eq!(s.closest_point(Vec3::new(9.0, 3.0, 0.0)), Vec3::new(1.0, 0.0, 0.0));
         assert_eq!(s.closest_point(Vec3::new(0.5, 3.0, 0.0)), Vec3::new(0.5, 0.0, 0.0));
-        assert!((s.distance_to_point(Vec3::new(0.5, 3.0, 0.0)) - 3.0).abs() < 1e-12);
     }
 
     #[test]

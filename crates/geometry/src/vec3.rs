@@ -94,13 +94,13 @@ impl Vec3 {
 
     /// Component-wise minimum.
     #[inline]
-    pub fn min(self, other: Vec3) -> Vec3 {
+    pub(crate) fn min(self, other: Vec3) -> Vec3 {
         Vec3 { x: self.x.min(other.x), y: self.y.min(other.y), z: self.z.min(other.z) }
     }
 
     /// Component-wise maximum.
     #[inline]
-    pub fn max(self, other: Vec3) -> Vec3 {
+    pub(crate) fn max(self, other: Vec3) -> Vec3 {
         Vec3 { x: self.x.max(other.x), y: self.y.max(other.y), z: self.z.max(other.z) }
     }
 
@@ -120,12 +120,6 @@ impl Vec3 {
     #[inline]
     pub fn max_component(self) -> f64 {
         self.x.max(self.y).max(self.z)
-    }
-
-    /// True when every component is finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.x.is_finite() && self.y.is_finite() && self.z.is_finite()
     }
 
     /// An arbitrary unit vector orthogonal to `self` (which must be nonzero).

@@ -1,14 +1,11 @@
 //! Property-based tests for the geometry substrate.
 
 use proptest::prelude::*;
-use scout_geometry::aabb::Aabb;
-use scout_geometry::grid::UniformGrid;
 use scout_geometry::hilbert::{hilbert_coords_3d, hilbert_index_3d};
 use scout_geometry::intersect::{
     capsule_intersects_aabb, clip_segment_to_aabb, segment_aabb_distance, segment_intersects_aabb,
 };
-use scout_geometry::shapes::Segment;
-use scout_geometry::vec3::Vec3;
+use scout_geometry::{Aabb, Segment, UniformGrid, Vec3};
 
 fn arb_vec3(range: f64) -> impl Strategy<Value = Vec3> {
     (-range..range, -range..range, -range..range).prop_map(|(x, y, z)| Vec3::new(x, y, z))

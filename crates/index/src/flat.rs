@@ -45,11 +45,6 @@ pub struct FlatIndex {
 }
 
 impl FlatIndex {
-    /// Bulk loads a dataset (STR packing) and precomputes neighborhoods.
-    pub fn bulk_load(objects: &[SpatialObject]) -> FlatIndex {
-        Self::bulk_load_with(objects, crate::str_pack::DEFAULT_PAGE_CAPACITY, FlatConfig::default())
-    }
-
     /// Bulk loads with explicit page capacity and neighborhood config.
     pub fn bulk_load_with(
         objects: &[SpatialObject],

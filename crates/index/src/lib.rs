@@ -6,13 +6,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod flat;
+mod flat;
 pub mod reference;
-pub mod rtree;
-pub mod str_pack;
-pub mod traits;
+mod rtree;
+mod str_pack;
+mod traits;
 
 pub use flat::{FlatConfig, FlatIndex};
 pub use rtree::{KnnScratch, RTree};
-pub use str_pack::{str_pack, DEFAULT_PAGE_BYTES, DEFAULT_PAGE_CAPACITY};
+pub use str_pack::{str_pack, DEFAULT_PAGE_CAPACITY};
 pub use traits::{OrderedSpatialIndex, QueryResult, SpatialIndex};

@@ -7,7 +7,7 @@
 //! `pages_in_region` / `k_nearest_pages`. Nothing on a simulation path may
 //! use it.
 
-use crate::str_pack::{str_pack, DEFAULT_PAGE_CAPACITY};
+use crate::str_pack::str_pack;
 use scout_geometry::{Aabb, SpatialObject, Vec3};
 use scout_storage::{PageId, PageLayout};
 use std::cmp::Reverse;
@@ -38,19 +38,13 @@ pub struct ReferenceRTree {
 }
 
 impl ReferenceRTree {
-    /// Bulk loads a dataset with STR packing and the default §7.1 page
-    /// capacity (87 objects).
-    pub fn bulk_load(objects: &[SpatialObject]) -> ReferenceRTree {
-        Self::bulk_load_with_capacity(objects, DEFAULT_PAGE_CAPACITY)
-    }
-
     /// Bulk loads with an explicit page capacity.
     pub fn bulk_load_with_capacity(objects: &[SpatialObject], capacity: usize) -> ReferenceRTree {
         Self::from_layout(str_pack(objects, capacity))
     }
 
     /// Builds the directory over an existing page layout.
-    pub fn from_layout(layout: PageLayout) -> ReferenceRTree {
+    pub(crate) fn from_layout(layout: PageLayout) -> ReferenceRTree {
         let mut nodes: Vec<Node> = Vec::new();
         let mut level: Vec<u32> = layout
             .pages()
@@ -75,11 +69,6 @@ impl ReferenceRTree {
         }
         let root = level[0];
         ReferenceRTree { layout, nodes, root }
-    }
-
-    /// The page layout this directory was built over.
-    pub fn layout(&self) -> &PageLayout {
-        &self.layout
     }
 
     /// The `k` pages with smallest MBR distance to `p`, nearest first

@@ -21,7 +21,7 @@
 //! allocator once warm. The seed pointer-style directory survives as
 //! [`crate::reference::ReferenceRTree`], the property-test oracle.
 
-use crate::str_pack::{str_pack, DEFAULT_PAGE_CAPACITY};
+use crate::str_pack::str_pack;
 use crate::traits::SpatialIndex;
 use scout_geometry::{Aabb, SpatialObject, Vec3};
 use scout_storage::{PageId, PageLayout};
@@ -30,7 +30,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Internal-node fanout (how many children each directory node packs).
-pub const INTERNAL_FANOUT: usize = 64;
+pub(crate) const INTERNAL_FANOUT: usize = 64;
 
 // A node's hit mask is one `u64`, one bit per child slot.
 const _: () = assert!(INTERNAL_FANOUT <= 64);
@@ -64,8 +64,6 @@ pub struct RTree {
     /// verbatim, six `f64` a slot (`min.x min.y min.z max.x max.y max.z`).
     boxes: Vec<Aabb>,
     root: u32,
-    /// The root's own box (it is nobody's child slot).
-    bounds: Aabb,
     height: usize,
 }
 
@@ -145,12 +143,6 @@ thread_local! {
 }
 
 impl RTree {
-    /// Bulk loads a dataset with STR packing and the default §7.1 page
-    /// capacity (87 objects).
-    pub fn bulk_load(objects: &[SpatialObject]) -> RTree {
-        Self::bulk_load_with_capacity(objects, DEFAULT_PAGE_CAPACITY)
-    }
-
     /// Bulk loads with an explicit page capacity.
     pub fn bulk_load_with_capacity(objects: &[SpatialObject], capacity: usize) -> RTree {
         let layout = str_pack(objects, capacity);
@@ -160,9 +152,8 @@ impl RTree {
     /// Builds the directory over an existing page layout.
     ///
     /// A layout with no pages builds the empty tree — one childless leaf
-    /// node under [`Aabb::EMPTY`] bounds — on which both walks return
-    /// nothing.
-    pub fn from_layout(layout: PageLayout) -> RTree {
+    /// node — on which both walks return nothing.
+    pub(crate) fn from_layout(layout: PageLayout) -> RTree {
         let mut nodes: Vec<NodeRec> = Vec::new();
         let mut children: Vec<u32> = Vec::new();
         let mut boxes: Vec<Aabb> = Vec::new();
@@ -198,15 +189,15 @@ impl RTree {
             level = pack(&level, false);
             height += 1;
         }
-        let (root, bounds) = match level.first() {
-            Some(&top) => top,
+        let root = match level.first() {
+            Some(&(top, _)) => top,
             // No pages, so no node: root the tree in a childless leaf.
             None => {
                 nodes.push(NodeRec { child_start: 0, child_len: 0, is_leaf: true, live: 0 });
-                (0, Aabb::EMPTY)
+                0
             }
         };
-        RTree { layout, nodes, children, boxes, root, bounds, height }
+        RTree { layout, nodes, children, boxes, root, height }
     }
 
     /// Tree height in directory levels (excludes the page level).
@@ -214,26 +205,12 @@ impl RTree {
         self.height
     }
 
-    /// MBR of the whole dataset.
-    pub fn bounds(&self) -> Aabb {
-        self.bounds
-    }
-
-    /// Resident size of the directory (node records, child ids and slot
-    /// boxes), for index-memory diagnostics. Excludes the page layout
-    /// itself.
-    pub fn directory_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<NodeRec>()
-            + self.children.len() * std::mem::size_of::<u32>()
-            + self.boxes.len() * std::mem::size_of::<Aabb>()
-    }
-
     /// The page whose MBR is nearest to `p` (contains it when possible).
     ///
     /// Exact best-first search over MBR distances, in the calling thread's
     /// [`KnnScratch`]: SCOUT-OPT seeds every gap crawl here, so a warmed
     /// thread probes without allocating.
-    pub fn nearest_page(&self, p: Vec3) -> Option<PageId> {
+    pub(crate) fn nearest_page(&self, p: Vec3) -> Option<PageId> {
         let (mut scratch, mut out) = NEAREST_PAGE.take();
         self.k_nearest_pages_into(p, 1, &mut scratch, &mut out);
         let page = out.first().copied();
@@ -241,18 +218,8 @@ impl RTree {
         page
     }
 
-    /// The `k` pages with smallest MBR distance to `p`, nearest first.
-    ///
-    /// Allocating wrapper around [`RTree::k_nearest_pages_into`].
-    pub fn k_nearest_pages(&self, p: Vec3, k: usize) -> Vec<PageId> {
-        let mut scratch = KnnScratch::new();
-        let mut out = Vec::with_capacity(k);
-        self.k_nearest_pages_into(p, k, &mut scratch, &mut out);
-        out
-    }
-
-    /// [`RTree::k_nearest_pages`] into a caller-provided output buffer,
-    /// reusing `scratch` across calls.
+    /// The `k` pages with smallest MBR distance to `p`, nearest first,
+    /// into a caller-provided output buffer, reusing `scratch` across calls.
     ///
     /// Best-first search with k-th-best pruning: once `k` page candidates
     /// have been seen, children whose MBR distance exceeds the current
@@ -438,8 +405,6 @@ mod tests {
         let objs = grid_objects(20, 1.0); // 8000 objects
         let tree = RTree::bulk_load_with_capacity(&objs, 4); // 2000 pages
         assert!(tree.height() >= 2, "height {}", tree.height());
-        assert!(tree.bounds().contains_point(Vec3::splat(19.0)));
-        assert!(tree.directory_bytes() > 0);
     }
 
     #[test]
@@ -459,12 +424,19 @@ mod tests {
         }
     }
 
+    /// The `k` nearest pages through a fresh scratch and output buffer.
+    fn k_nearest_pages(tree: &RTree, p: Vec3, k: usize) -> Vec<PageId> {
+        let mut out = Vec::with_capacity(k);
+        tree.k_nearest_pages_into(p, k, &mut KnnScratch::new(), &mut out);
+        out
+    }
+
     #[test]
     fn k_nearest_pages_sorted_by_distance() {
         let objs = grid_objects(8, 1.0);
         let tree = RTree::bulk_load_with_capacity(&objs, 8);
         let p = Vec3::new(20.0, 20.0, 20.0); // outside; distances all > 0
-        let near = tree.k_nearest_pages(p, 5);
+        let near = k_nearest_pages(&tree, p, 5);
         assert_eq!(near.len(), 5);
         let dists: Vec<f64> =
             near.iter().map(|&pid| tree.layout().page(pid).mbr.distance_sq_to_point(p)).collect();
@@ -495,7 +467,7 @@ mod tests {
         {
             let k = 1 + 2 * i;
             tree.k_nearest_pages_into(p, k, &mut scratch, &mut out);
-            assert_eq!(out, tree.k_nearest_pages(p, k), "probe {i} diverged");
+            assert_eq!(out, k_nearest_pages(&tree, p, k), "probe {i} diverged");
         }
     }
 
@@ -504,7 +476,7 @@ mod tests {
         let objs = grid_objects(3, 1.0);
         let tree = RTree::bulk_load_with_capacity(&objs, 8);
         let n = tree.layout().page_count();
-        let near = tree.k_nearest_pages(Vec3::splat(1.0), n + 10);
+        let near = k_nearest_pages(&tree, Vec3::splat(1.0), n + 10);
         assert_eq!(near.len(), n);
     }
 
@@ -519,7 +491,7 @@ mod tests {
                 objects: vec![ObjectId(i as u32)],
             })
             .collect();
-        PageLayout::new(pages, boxes.len(), 4096)
+        PageLayout::new(pages, boxes.len())
     }
 
     /// The mask walk answers every slot as `Aabb::intersects` does: for an
@@ -581,12 +553,11 @@ mod tests {
 
     #[test]
     fn a_layout_without_pages_builds_the_empty_tree() {
-        let tree = RTree::from_layout(PageLayout::new(Vec::new(), 0, 4096));
+        let tree = RTree::from_layout(PageLayout::new(Vec::new(), 0));
         assert_eq!(tree.height(), 1);
-        assert!(tree.bounds().is_empty());
         let all = Aabb::new(Vec3::splat(f64::NEG_INFINITY), Vec3::splat(f64::INFINITY));
         assert!(tree.pages_in_region(&all).is_empty());
-        assert!(tree.k_nearest_pages(Vec3::ZERO, 3).is_empty());
+        assert!(k_nearest_pages(&tree, Vec3::ZERO, 3).is_empty());
         assert_eq!(tree.nearest_page(Vec3::ZERO), None);
     }
 

@@ -13,9 +13,6 @@ use scout_storage::{Page, PageId, PageLayout};
 /// page … bulk loaded using a fill factor of 100%").
 pub const DEFAULT_PAGE_CAPACITY: usize = 87;
 
-/// Default page size in bytes (§7.1).
-pub const DEFAULT_PAGE_BYTES: u32 = 4096;
-
 /// Packs objects into pages with STR and returns the physical layout.
 ///
 /// # Panics
@@ -73,7 +70,7 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
         }
     }
 
-    PageLayout::new(pages, n, DEFAULT_PAGE_BYTES)
+    PageLayout::new(pages, n)
 }
 
 #[cfg(test)]

@@ -29,11 +29,6 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Number of result objects.
-    pub fn len(&self) -> usize {
-        self.objects.len()
-    }
-
     /// True when no objects matched.
     pub fn is_empty(&self) -> bool {
         self.objects.is_empty()

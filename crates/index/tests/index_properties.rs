@@ -326,7 +326,7 @@ mod prefetched_scan {
             pages.push(Page { id: PageId(0), mbr, objects: ids });
             next += len;
         }
-        PageLayout::new(pages, objects.len(), 4096)
+        PageLayout::new(pages, objects.len())
     }
 
     /// The scan without any look-ahead.

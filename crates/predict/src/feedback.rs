@@ -26,24 +26,24 @@
 pub struct FeedbackConfig {
     /// EWMA smoothing factor for the per-source coverage signals, in
     /// (0, 1]. Higher adapts faster; 1 keeps only the latest query.
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Lower bound of the Markov budget share — keeps a small exploration
     /// budget flowing to the history side even when it has not scored yet
     /// (it cannot earn precision on zero predictions).
-    pub min_markov_share: f64,
+    pub(crate) min_markov_share: f64,
     /// Upper bound of the Markov budget share — SCOUT's structural
     /// predictions are never starved completely.
-    pub max_markov_share: f64,
+    pub(crate) max_markov_share: f64,
     /// Aggressiveness when nothing is landing (scales staged page volume).
-    pub min_aggressiveness: f64,
+    pub(crate) min_aggressiveness: f64,
     /// Aggressiveness when predictions land reliably.
-    pub max_aggressiveness: f64,
+    pub(crate) max_aggressiveness: f64,
     /// Initial (prior) coverage credited to SCOUT: optimistic, because the
     /// structural method works from the very first query.
-    pub initial_scout: f64,
+    pub(crate) initial_scout: f64,
     /// Initial coverage credited to the Markov side: pessimistic, because
     /// a cold history model cannot predict anything yet.
-    pub initial_markov: f64,
+    pub(crate) initial_markov: f64,
 }
 
 impl Default for FeedbackConfig {
@@ -64,7 +64,7 @@ impl FeedbackConfig {
     /// Checks the knobs are usable: `alpha` in (0, 1], shares ordered
     /// within [0, 1], aggressiveness bounds positive and ordered, priors
     /// in [0, 1].
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(format!("FeedbackConfig.alpha must be in (0, 1], got {}", self.alpha));
         }
@@ -115,7 +115,7 @@ pub struct FeedbackController {
 
 impl FeedbackController {
     /// A controller with the given knobs (validated here).
-    pub fn new(config: FeedbackConfig) -> FeedbackController {
+    pub(crate) fn new(config: FeedbackConfig) -> FeedbackController {
         if let Err(e) = config.validate() {
             panic!("invalid FeedbackConfig: {e}");
         }
@@ -128,21 +128,11 @@ impl FeedbackController {
         }
     }
 
-    /// A controller with the default knobs.
-    pub fn with_defaults() -> FeedbackController {
-        FeedbackController::new(FeedbackConfig::default())
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &FeedbackConfig {
-        &self.config
-    }
-
     /// Feeds one query's per-source coverage (fraction of the query's
     /// result pages that source had predicted, in [0, 1]). `None` means
     /// the source staged no prediction for this query — its EWMA is left
     /// untouched rather than punished for abstaining.
-    pub fn observe(&mut self, scout_coverage: Option<f64>, markov_coverage: Option<f64>) {
+    pub(crate) fn observe(&mut self, scout_coverage: Option<f64>, markov_coverage: Option<f64>) {
         let a = self.config.alpha;
         let clamp = |x: f64| if x.is_finite() { x.clamp(0.0, 1.0) } else { 0.0 };
         if let Some(s) = scout_coverage {
@@ -184,7 +174,7 @@ impl FeedbackController {
 
     /// Whether the history side's staged pages should spend the prefetch
     /// window before SCOUT's structural requests.
-    pub fn markov_leads(&self) -> bool {
+    pub(crate) fn markov_leads(&self) -> bool {
         self.markov_ewma > self.scout_ewma
     }
 
@@ -201,7 +191,7 @@ impl FeedbackController {
     }
 
     /// Back to the priors (start of a fresh sequence).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.scout_ewma = self.config.initial_scout;
         self.markov_ewma = self.config.initial_markov;
         self.overall_ewma = self.config.initial_scout;
@@ -215,7 +205,7 @@ mod tests {
 
     #[test]
     fn starts_with_scout_leading() {
-        let c = FeedbackController::with_defaults();
+        let c = FeedbackController::new(FeedbackConfig::default());
         assert!(!c.markov_leads());
         assert!(c.markov_share() < 0.5);
         assert_eq!(c.observations(), 0);
@@ -223,7 +213,7 @@ mod tests {
 
     #[test]
     fn sustained_markov_hits_shift_share_and_lead() {
-        let mut c = FeedbackController::with_defaults();
+        let mut c = FeedbackController::new(FeedbackConfig::default());
         for _ in 0..12 {
             c.observe(Some(0.2), Some(0.95));
         }
@@ -235,7 +225,7 @@ mod tests {
 
     #[test]
     fn absent_source_is_not_punished() {
-        let mut c = FeedbackController::with_defaults();
+        let mut c = FeedbackController::new(FeedbackConfig::default());
         let before = c.markov_precision();
         c.observe(Some(0.8), None);
         assert_eq!(c.markov_precision(), before);
@@ -244,7 +234,7 @@ mod tests {
 
     #[test]
     fn share_respects_bounds() {
-        let mut c = FeedbackController::with_defaults();
+        let mut c = FeedbackController::new(FeedbackConfig::default());
         for _ in 0..50 {
             c.observe(Some(0.0), Some(1.0));
         }
@@ -257,7 +247,7 @@ mod tests {
 
     #[test]
     fn unpredictable_phase_lowers_aggressiveness() {
-        let mut c = FeedbackController::with_defaults();
+        let mut c = FeedbackController::new(FeedbackConfig::default());
         for _ in 0..20 {
             c.observe(Some(0.0), Some(0.0));
         }
@@ -266,7 +256,7 @@ mod tests {
 
     #[test]
     fn reset_restores_priors() {
-        let mut c = FeedbackController::with_defaults();
+        let mut c = FeedbackController::new(FeedbackConfig::default());
         c.observe(Some(1.0), Some(1.0));
         c.reset();
         assert_eq!(c.scout_precision(), FeedbackConfig::default().initial_scout);
@@ -276,7 +266,7 @@ mod tests {
 
     #[test]
     fn non_finite_coverage_is_clamped() {
-        let mut c = FeedbackController::with_defaults();
+        let mut c = FeedbackController::new(FeedbackConfig::default());
         c.observe(Some(f64::NAN), Some(f64::INFINITY));
         assert!(c.scout_precision().is_finite());
         assert!(c.markov_precision().is_finite() && c.markov_precision() <= 1.0);

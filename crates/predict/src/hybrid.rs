@@ -75,7 +75,7 @@ impl HybridConfig {
 
     /// Checks the knobs are usable (delegates to each side; the budget
     /// must allow at least one page).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         self.markov.validate()?;
         self.feedback.validate()?;
         if self.page_budget == 0 {
@@ -134,11 +134,6 @@ impl HybridPrefetcher {
     /// Default knobs with a per-instance seed (both sources seeded).
     pub fn with_seed(seed: u64) -> HybridPrefetcher {
         HybridPrefetcher::new(HybridConfig::with_seed(seed))
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &HybridConfig {
-        &self.config
     }
 
     /// The feedback controller (inspect the learned share/precision).

@@ -12,7 +12,7 @@
 //! Predictive Prefetching Engine, arXiv:1109.6206) close exactly that gap
 //! with page-transition history. This crate brings both worlds together:
 //!
-//! * [`TransitionPredictor`] — an online, bounded-memory page-level Markov
+//! * `TransitionPredictor` — an online, bounded-memory page-level Markov
 //!   model (order 1–2, frequency-decayed counts, deterministic top-k
 //!   extraction through the stepping thread's `QueryScratch`), trained from the
 //!   pages each query actually touched.
@@ -21,7 +21,7 @@
 //! * [`HybridPrefetcher`] — SCOUT and the Markov model merged under a
 //!   shared page budget, the window spent leader-first by recent
 //!   per-source precision.
-//! * [`FeedbackController`] — per-source hit-rate EWMAs adapting the
+//! * `FeedbackController` — per-source hit-rate EWMAs adapting the
 //!   budget split and prefetch aggressiveness across the run.
 //!
 //! All three prefetchers implement `scout_sim::Prefetcher`, so they drop
@@ -31,10 +31,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod feedback;
-pub mod hybrid;
-pub mod markov;
+mod feedback;
+mod hybrid;
+mod markov;
 
-pub use feedback::{FeedbackConfig, FeedbackController};
 pub use hybrid::{HybridConfig, HybridPrefetcher};
-pub use markov::{MarkovConfig, MarkovPrefetcher, MarkovPrefetcherConfig, TransitionPredictor};
+pub use markov::{MarkovConfig, MarkovPrefetcher};

@@ -27,8 +27,8 @@
 //!   context that was never seen backs off to its order-1 suffix at a
 //!   score penalty.
 //! * **Determinism** — no randomness on any query path. The seed only
-//!   perturbs the context hash, so per-session instances built with
-//!   [`TransitionPredictor::with_seed`] place their contexts differently
+//!   perturbs the context hash, so per-session instances built
+//!   from [`MarkovConfig::with_seed`] place their contexts differently
 //!   under table pressure (decorrelated eviction) while any one instance
 //!   remains bit-reproducible.
 
@@ -46,21 +46,21 @@ pub struct MarkovConfig {
     /// Model order: 1 conditions on the last page, 2 on the last two.
     /// Order 2 disambiguates the repeated pages of overlapping queries and
     /// revisit loops; order 1 halves the table pressure.
-    pub order: usize,
+    pub(crate) order: usize,
     /// Context-table capacity in slots (rounded up to a power of two).
     /// Together with `successors` this bounds the model's memory.
-    pub contexts: usize,
+    pub(crate) contexts: usize,
     /// Successor slots per context; the weakest successor is evicted when
     /// a context sees more distinct followers than slots.
-    pub successors: usize,
+    pub(crate) successors: usize,
     /// Multiplicative weight decay applied to a context's successors on
     /// each of its updates, in (0, 1]. 1 disables decay (pure counts).
-    pub decay: f64,
+    pub(crate) decay: f64,
     /// Branching factor of the best-first extraction: how many successors
     /// of each popped context are emitted/descended into.
-    pub top_k: usize,
+    pub(crate) top_k: usize,
     /// Hash seed (decorrelates eviction across per-session instances).
-    pub seed: u64,
+    pub(crate) seed: u64,
 }
 
 impl Default for MarkovConfig {
@@ -85,7 +85,7 @@ impl MarkovConfig {
     /// Checks the knobs are usable: order 1 or 2, at least a probe window
     /// of contexts, at least one successor slot, decay in (0, 1], top-k of
     /// at least one.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(1..=2).contains(&self.order) {
             return Err(format!("MarkovConfig.order must be 1 or 2, got {}", self.order));
         }
@@ -142,7 +142,7 @@ pub struct TransitionPredictor {
 impl TransitionPredictor {
     /// A predictor with explicit configuration (validated here). All table
     /// storage is allocated now; no later call touches the allocator.
-    pub fn new(config: MarkovConfig) -> TransitionPredictor {
+    pub(crate) fn new(config: MarkovConfig) -> TransitionPredictor {
         if let Err(e) = config.validate() {
             panic!("invalid MarkovConfig: {e}");
         }
@@ -160,22 +160,6 @@ impl TransitionPredictor {
             h2: NONE,
             transitions: 0,
         }
-    }
-
-    /// A predictor with the paper-default knobs.
-    pub fn with_defaults() -> TransitionPredictor {
-        TransitionPredictor::new(MarkovConfig::default())
-    }
-
-    /// Default knobs with a per-instance hash seed (one decorrelated model
-    /// per session in multi-session fleets).
-    pub fn with_seed(seed: u64) -> TransitionPredictor {
-        TransitionPredictor::new(MarkovConfig::with_seed(seed))
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MarkovConfig {
-        &self.config
     }
 
     /// Transition samples recorded since the last reset.
@@ -199,7 +183,7 @@ impl TransitionPredictor {
 
     /// Forgets all history (start of a fresh sequence). Keeps the
     /// allocated table.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.keys.fill((NONE, NONE));
         self.succ.fill((NONE, 0.0));
         self.weight.fill(0.0);
@@ -315,7 +299,7 @@ impl TransitionPredictor {
     /// Feeds one page of the stream: records the order-1 transition (and,
     /// for an order-2 model, the order-2 transition) from the current
     /// history registers, then shifts them.
-    pub fn record_page(&mut self, page: PageId) {
+    pub(crate) fn record_page(&mut self, page: PageId) {
         let p = page.0;
         if self.h1 != NONE {
             self.record_transition(NONE, self.h1, p);
@@ -330,7 +314,7 @@ impl TransitionPredictor {
     /// Feeds one query's touched pages, in retrieval order, into the
     /// stream. Returns the number of transition samples recorded (the
     /// caller charges them as prediction CPU).
-    pub fn record_result(&mut self, pages: &[PageId]) -> u64 {
+    pub(crate) fn record_result(&mut self, pages: &[PageId]) -> u64 {
         let before = self.transitions;
         for &p in pages {
             self.record_page(p);
@@ -342,7 +326,12 @@ impl TransitionPredictor {
     /// best-first expansion from the current tail context (see the module
     /// docs). Works entirely out of `scratch` and `out`; allocation-free
     /// once their capacity has warmed to the workload.
-    pub fn predict_into(&self, budget: usize, scratch: &mut QueryScratch, out: &mut Vec<PageId>) {
+    pub(crate) fn predict_into(
+        &self,
+        budget: usize,
+        scratch: &mut QueryScratch,
+        out: &mut Vec<PageId>,
+    ) {
         out.clear();
         scratch.markov_frontier.clear();
         scratch.markov_emitted.clear();
@@ -430,11 +419,11 @@ impl TransitionPredictor {
 
 /// Knobs of the standalone history-only prefetcher.
 #[derive(Debug, Clone, Copy)]
-pub struct MarkovPrefetcherConfig {
+pub(crate) struct MarkovPrefetcherConfig {
     /// The underlying transition model.
-    pub model: MarkovConfig,
+    pub(crate) model: MarkovConfig,
     /// Pages staged per prefetch window.
-    pub page_budget: usize,
+    pub(crate) page_budget: usize,
 }
 
 impl Default for MarkovPrefetcherConfig {
@@ -443,7 +432,7 @@ impl Default for MarkovPrefetcherConfig {
     }
 }
 
-/// The pure history baseline: a [`TransitionPredictor`] driving the cache
+/// The pure history baseline: a `TransitionPredictor` driving the cache
 /// on its own, with no structural information at all. The §2-style
 /// counterpart of the extrapolation baselines — where those replay query
 /// *positions*, this replays page *transitions* (the Predictive
@@ -460,7 +449,7 @@ pub struct MarkovPrefetcher {
 
 impl MarkovPrefetcher {
     /// A history prefetcher with explicit configuration.
-    pub fn new(config: MarkovPrefetcherConfig) -> MarkovPrefetcher {
+    pub(crate) fn new(config: MarkovPrefetcherConfig) -> MarkovPrefetcher {
         MarkovPrefetcher {
             config,
             model: TransitionPredictor::new(config.model),
@@ -471,19 +460,6 @@ impl MarkovPrefetcher {
     /// A history prefetcher with the default knobs.
     pub fn with_defaults() -> MarkovPrefetcher {
         MarkovPrefetcher::new(MarkovPrefetcherConfig::default())
-    }
-
-    /// Default knobs with a per-instance hash seed.
-    pub fn with_seed(seed: u64) -> MarkovPrefetcher {
-        MarkovPrefetcher::new(MarkovPrefetcherConfig {
-            model: MarkovConfig::with_seed(seed),
-            ..MarkovPrefetcherConfig::default()
-        })
-    }
-
-    /// The underlying model (diagnostics).
-    pub fn model(&self) -> &TransitionPredictor {
-        &self.model
     }
 }
 
@@ -546,7 +522,7 @@ mod tests {
     fn learns_a_revisited_tour() {
         // A tour is walked once, then the user teleports back to its
         // start: the chain from the tail context replays the tour.
-        let mut m = TransitionPredictor::with_defaults();
+        let mut m = TransitionPredictor::new(MarkovConfig::default());
         m.record_result(&pages(&[3, 4, 5, 9, 10, 11]));
         m.record_result(&pages(&[3, 4]));
         // Tail is ... 3, 4 → the continuation is 5, 9, 10, 11.
@@ -603,7 +579,7 @@ mod tests {
     #[test]
     fn deterministic_and_seed_independent_without_pressure() {
         let run = |seed: u64| {
-            let mut m = TransitionPredictor::with_seed(seed);
+            let mut m = TransitionPredictor::new(MarkovConfig::with_seed(seed));
             for _ in 0..3 {
                 m.record_result(&pages(&[5, 6, 7, 8, 5, 6]));
             }
@@ -617,16 +593,16 @@ mod tests {
 
     #[test]
     fn empty_model_predicts_nothing() {
-        let m = TransitionPredictor::with_defaults();
+        let m = TransitionPredictor::new(MarkovConfig::default());
         assert!(predict(&m, 8).is_empty());
-        let mut m = TransitionPredictor::with_defaults();
+        let mut m = TransitionPredictor::new(MarkovConfig::default());
         m.record_page(PageId(1)); // a single page: no transition yet
         assert!(predict(&m, 0).is_empty());
     }
 
     #[test]
     fn reset_forgets_history_but_keeps_the_table() {
-        let mut m = TransitionPredictor::with_defaults();
+        let mut m = TransitionPredictor::new(MarkovConfig::default());
         m.record_result(&pages(&[1, 2, 3, 1, 2, 3]));
         assert!(!predict(&m, 2).is_empty());
         let bytes = m.memory_bytes();
@@ -638,7 +614,7 @@ mod tests {
 
     #[test]
     fn predictions_do_not_repeat_pages() {
-        let mut m = TransitionPredictor::with_defaults();
+        let mut m = TransitionPredictor::new(MarkovConfig::default());
         for _ in 0..5 {
             m.record_result(&pages(&[1, 2, 1, 2, 1, 2]));
         }

@@ -20,7 +20,7 @@ use scout_storage::{
     BatchReport, DiskModel, FaultReport, IoBatcher, PageCache, ShardedCache, SharedClock,
 };
 use scout_telemetry::{
-    recorder::ENGINE_STREAM, Event, FlightRecorder, HistogramId, Lane, MetricsRegistry, SpanTimer,
+    Event, FlightRecorder, HistogramId, Lane, MetricsRegistry, SpanTimer, ENGINE_STREAM,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};

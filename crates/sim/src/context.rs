@@ -55,7 +55,7 @@ impl<'a> SimContext<'a> {
     }
 
     /// Attaches an explicit object adjacency graph.
-    pub fn with_adjacency(mut self, adjacency: &'a ObjectAdjacency) -> SimContext<'a> {
+    pub(crate) fn with_adjacency(mut self, adjacency: &'a ObjectAdjacency) -> SimContext<'a> {
         self.adjacency = Some(adjacency);
         self
     }

@@ -20,25 +20,15 @@ pub struct CpuUnits {
     pub extra_us: f64,
 }
 
-impl CpuUnits {
-    /// Component-wise accumulation.
-    pub fn merge(&mut self, other: &CpuUnits) {
-        self.graph_object_inserts += other.graph_object_inserts;
-        self.graph_edge_inserts += other.graph_edge_inserts;
-        self.traversal_steps += other.traversal_steps;
-        self.extra_us += other.extra_us;
-    }
-}
-
 /// Conversion rates from work units to simulated µs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCostModel {
     /// µs per object inserted into the graph (hashing + cell mapping).
-    pub graph_insert_us: f64,
+    pub(crate) graph_insert_us: f64,
     /// µs per graph edge created.
-    pub graph_edge_us: f64,
+    pub(crate) graph_edge_us: f64,
     /// µs per traversal step.
-    pub traversal_step_us: f64,
+    pub(crate) traversal_step_us: f64,
     /// µs of CPU to process one result page (decode, copy to user).
     pub page_process_us: f64,
 }
@@ -57,7 +47,7 @@ impl Default for CpuCostModel {
 impl CpuCostModel {
     /// Checks every rate is a non-negative finite number (zero is allowed:
     /// it models free CPU, useful for I/O-only ablations).
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, v) in [
             ("graph_insert_us", self.graph_insert_us),
             ("graph_edge_us", self.graph_edge_us),
@@ -100,13 +90,5 @@ mod tests {
         };
         assert!((m.graph_build_us(&u) - (300.0 + 30.0)).abs() < 1e-9);
         assert!((m.prediction_us(&u) - (4.0 + 5.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = CpuUnits { graph_object_inserts: 1, ..Default::default() };
-        a.merge(&CpuUnits { graph_object_inserts: 2, traversal_steps: 3, ..Default::default() });
-        assert_eq!(a.graph_object_inserts, 3);
-        assert_eq!(a.traversal_steps, 3);
     }
 }

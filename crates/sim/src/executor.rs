@@ -71,7 +71,7 @@ impl ExecutorConfig {
     /// Checks the configuration is executable: a non-negative finite
     /// prefetch-window ratio, at least one cache page, and valid disk and
     /// CPU cost models. Returns a descriptive error otherwise.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.window_ratio.is_finite() && self.window_ratio >= 0.0) {
             return Err(format!(
                 "ExecutorConfig.window_ratio must be a non-negative finite ratio, got {}",
@@ -94,7 +94,7 @@ impl ExecutorConfig {
 
     /// Panics with a descriptive message when the configuration is invalid
     /// (every executor entry point calls this before running).
-    pub fn assert_valid(&self) {
+    pub(crate) fn assert_valid(&self) {
         if let Err(e) = self.validate() {
             panic!("invalid ExecutorConfig: {e}");
         }
@@ -194,11 +194,6 @@ impl SequenceTrace {
     /// Total result objects across all queries.
     pub fn total_result_objects(&self) -> usize {
         self.queries.iter().map(|q| q.result_objects).sum()
-    }
-
-    /// Queries that surfaced an unrecoverable I/O error.
-    pub fn failed_queries(&self) -> usize {
-        self.queries.iter().filter(|q| q.outcome.is_failed()).count()
     }
 }
 

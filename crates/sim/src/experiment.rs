@@ -69,8 +69,6 @@ pub struct AggregateMetrics {
     pub response_us: f64,
     /// Total graph-building CPU, µs.
     pub graph_build_us: f64,
-    /// Total prediction CPU, µs.
-    pub prediction_us: f64,
     /// Total result objects.
     pub result_objects: usize,
     /// Total prefetched pages read from disk.
@@ -84,8 +82,6 @@ pub struct AggregateMetrics {
     /// 1/|C|" and so "the prefetch accuracy varies widely"; broad
     /// prefetching lowers the variance.
     pub hit_rate_std: f64,
-    /// Standard deviation of per-query response times, µs.
-    pub response_std_us: f64,
 }
 
 /// Runs a prefetcher over the sequences and aggregates against the
@@ -120,16 +116,6 @@ pub fn aggregate(
             / (traces.len() - 1) as f64;
         var.sqrt()
     };
-    let responses: Vec<f64> =
-        traces.iter().flat_map(|t| t.queries.iter().map(|q| q.residual_us)).collect();
-    let response_std_us = if responses.len() < 2 {
-        0.0
-    } else {
-        let mean = responses.iter().sum::<f64>() / responses.len() as f64;
-        let var = responses.iter().map(|r| (r - mean).powi(2)).sum::<f64>()
-            / (responses.len() - 1) as f64;
-        var.sqrt()
-    };
     let response: f64 = traces.iter().map(SequenceTrace::total_response_us).sum();
     let base_response: f64 = base.iter().map(SequenceTrace::total_response_us).sum();
     let speedup = if response > 0.0 { base_response / response } else { f64::INFINITY };
@@ -139,7 +125,6 @@ pub fn aggregate(
         speedup,
         response_us: response,
         graph_build_us: traces.iter().map(SequenceTrace::total_graph_build_us).sum(),
-        prediction_us: traces.iter().map(SequenceTrace::total_prediction_us).sum(),
         result_objects: traces.iter().map(SequenceTrace::total_result_objects).sum(),
         prefetch_pages: traces.iter().map(|t| t.io.prefetch_pages_disk).sum(),
         gap_pages: traces.iter().map(|t| t.io.gap_pages_disk).sum(),
@@ -149,7 +134,6 @@ pub fn aggregate(
             .max()
             .unwrap_or(0),
         hit_rate_std,
-        response_std_us,
     }
 }
 

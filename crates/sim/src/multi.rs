@@ -44,7 +44,7 @@ pub enum Schedule {
     /// width-1 work stealing, without the scheduler counters.
     #[default]
     RoundRobin,
-    /// `workers` threads (0 = [`default_parallelism`]) share each phase
+    /// `workers` threads (0 = `default_parallelism`) share each phase
     /// of the round: every thread claims the next unserved session from
     /// one cursor, so a session's steps migrate between threads. (The
     /// name predates the cursor; nothing is stolen from a queue.) Scales
@@ -99,11 +99,6 @@ impl MultiSessionExecutor {
         config.exec.assert_valid();
         assert!(config.shards >= 1, "shard count must be >= 1");
         MultiSessionExecutor { config }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &MultiSessionConfig {
-        &self.config
     }
 
     /// Runs the sessions over a fresh shared cache.
@@ -253,25 +248,25 @@ impl SessionReport {
 #[derive(Debug, Clone)]
 pub struct TenantReport {
     /// Tenant id.
-    pub tenant: usize,
+    pub(crate) tenant: usize,
     /// Sessions billed to this tenant.
-    pub sessions: usize,
+    pub(crate) sessions: usize,
     /// Always 0: every session runs. Kept because the benchmark adapter
     /// hashes the render's tenant `shed` column.
-    pub shed: usize,
+    pub(crate) shed: usize,
     /// Queries executed across this tenant's sessions.
-    pub queries: usize,
+    pub(crate) queries: usize,
     /// Result pages requested by this tenant.
-    pub pages_total: u64,
+    pub(crate) pages_total: u64,
     /// Result pages served from the shared cache.
-    pub pages_hit: u64,
+    pub(crate) pages_hit: u64,
     /// Residual latency percentiles across this tenant's queries, µs.
-    pub residual: LatencyPercentiles,
+    pub(crate) residual: LatencyPercentiles,
 }
 
 impl TenantReport {
     /// This tenant's cache-hit rate over result pages.
-    pub fn hit_rate(&self) -> f64 {
+    pub(crate) fn hit_rate(&self) -> f64 {
         hit_ratio(self.pages_hit, self.pages_total)
     }
 }
@@ -433,7 +428,7 @@ impl MultiSessionReport {
         // not a cold one.
         let shared_hit = match self.cache.accesses() {
             0 => "n/a".to_string(),
-            _ => format!("{} %", pct(self.cache.hit_ratio())),
+            _ => format!("{} %", pct(self.cache.hit_rate())),
         };
         let mut out = format!(
             "{}\nshared cache: {} hits / {} accesses ({}), {} of {} pages used, {} evictions\n\
@@ -492,11 +487,6 @@ impl MultiSessionReport {
     /// reads it.
     pub fn total_shed(&self) -> usize {
         self.sessions.iter().filter(|s| s.shed).count()
-    }
-
-    /// One-line scheduler summary, or `None` outside work-stealing runs.
-    pub fn scheduler_summary(&self) -> Option<String> {
-        self.scheduler.as_ref().map(SchedulerReport::summary)
     }
 }
 
@@ -617,7 +607,6 @@ mod tests {
         }
         let sched = report.scheduler.expect("work-stealing attaches scheduler counters");
         assert_eq!(sched.rounds, 5);
-        assert!(report.scheduler_summary().unwrap().contains("rounds"));
     }
 
     #[test]

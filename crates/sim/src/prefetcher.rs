@@ -25,9 +25,9 @@ pub struct PredictionStats {
     pub candidates: usize,
 }
 
-// Pinned by `benchmark/src/adapter.rs` lines 470-474 and 834-837, which a
-// non-`benchmark` PR may not edit; ROADMAP item 2 removes it. No prefetcher
-// repairs a graph across queries, so nothing constructs one.
+// Pinned by `benchmark/src/adapter.rs` lines 471-473 and 834-836, which a
+// non-`benchmark` PR may not edit; ROADMAP item 1(b) removes it. No
+// prefetcher repairs a graph across queries, so nothing constructs one.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphBuildCounters {
@@ -112,7 +112,8 @@ pub trait Prefetcher: Send {
     /// Clears all history (start of a fresh sequence).
     fn reset(&mut self);
 
-    // Pinned like `GraphBuildCounters`; no prefetcher overrides it.
+    // Pinned like `GraphBuildCounters` (`benchmark/src/adapter.rs` line
+    // 834); no prefetcher overrides it.
     #[doc(hidden)]
     fn graph_cache_counters(&self) -> Option<GraphBuildCounters> {
         None

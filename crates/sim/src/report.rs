@@ -21,29 +21,6 @@ impl Table {
         self
     }
 
-    /// Renders the table as CSV (RFC-4180 quoting for cells containing
-    /// commas or quotes) — for piping bench output into plotting tools.
-    pub fn to_csv(&self) -> String {
-        let quote = |cell: &str| -> String {
-            if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_string()
-            }
-        };
-        let mut out = String::new();
-        let write_row = |cells: &[String], out: &mut String| {
-            let line: Vec<String> = cells.iter().map(|c| quote(c)).collect();
-            out.push_str(&line.join(","));
-            out.push('\n');
-        };
-        write_row(&self.header, &mut out);
-        for row in &self.rows {
-            write_row(row, &mut out);
-        }
-        out
-    }
-
     /// Renders the table with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -101,7 +78,7 @@ pub struct LatencyPercentiles {
 
 /// Nearest-rank percentiles of `samples` (0 everywhere when empty).
 ///
-/// Copies once and delegates to [`percentiles_mut`]; callers holding an
+/// Copies once and delegates to `percentiles_mut`; callers holding an
 /// owned buffer they no longer need sorted should call that directly.
 pub fn percentiles(samples: &[f64]) -> LatencyPercentiles {
     let mut scratch = samples.to_vec();
@@ -114,7 +91,7 @@ pub fn percentiles(samples: &[f64]) -> LatencyPercentiles {
 /// arbitrarily. Selects the same element a `total_cmp` sort would put at
 /// each nearest-rank index, so results are bit-identical to the
 /// historical clone-and-sort implementation (pinned by a property test).
-pub fn percentiles_mut(samples: &mut [f64]) -> LatencyPercentiles {
+pub(crate) fn percentiles_mut(samples: &mut [f64]) -> LatencyPercentiles {
     if samples.is_empty() {
         return LatencyPercentiles::default();
     }
@@ -150,7 +127,7 @@ pub fn pct(x: f64) -> String {
 /// Formats a fraction as a percentage, or `n/a` when no events backed it:
 /// a ratio over zero events renders as `0.0`, indistinguishable from a
 /// genuinely cold cache, so reports must show that no measurement exists.
-pub fn pct_or_na(x: f64, events: u64) -> String {
+pub(crate) fn pct_or_na(x: f64, events: u64) -> String {
     if events == 0 {
         "n/a".to_string()
     } else {
@@ -285,17 +262,5 @@ mod tests {
             let same = scratch.iter().zip(&resorted).all(|(a, b)| a.total_cmp(b).is_eq());
             proptest::prop_assert!(same, "percentiles_mut must only permute");
         }
-    }
-
-    #[test]
-    fn csv_quotes_special_cells() {
-        let mut t = Table::new(["name", "value"]);
-        t.row(["plain", "1"]);
-        t.row(["with,comma", "with\"quote"]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "name,value");
-        assert_eq!(lines[1], "plain,1");
-        assert_eq!(lines[2], "\"with,comma\",\"with\"\"quote\"");
     }
 }

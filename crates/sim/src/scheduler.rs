@@ -64,7 +64,7 @@ use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
 use crate::session::Session;
 use crate::telemetry::FleetTelemetry;
-use scout_storage::{CacheStats, PageCache, PageId, ShardedCache};
+use scout_storage::{PageCache, PageId, ShardedCache};
 use scout_telemetry::{HistogramId, SpanTimer};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -90,7 +90,7 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// (`0`, empty, non-numeric) pins serial with a warning — a botched pin
 /// must never silently re-enable full parallelism. Cached — the
 /// environment is read once per process.
-pub fn default_parallelism() -> usize {
+pub(crate) fn default_parallelism() -> usize {
     static CACHED: OnceLock<usize> = OnceLock::new();
     *CACHED.get_or_init(|| resolve_parallelism(std::env::var("SCOUT_THREADS").ok().as_deref()))
 }
@@ -136,16 +136,6 @@ pub struct SchedulerReport {
     pub parks: u64,
 }
 
-impl SchedulerReport {
-    /// One-line human summary for logs and benches.
-    pub fn summary(&self) -> String {
-        format!(
-            "scheduler: {} workers, {} rounds, {} steals, {} parks",
-            self.workers, self.rounds, self.steals, self.parks
-        )
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The round: one body
 // ---------------------------------------------------------------------------
@@ -159,18 +149,6 @@ impl SchedulerReport {
 pub(crate) enum CacheHandle<'c> {
     Exclusive(&'c mut ShardedCache),
     Shared(&'c ShardedCache),
-}
-
-impl CacheHandle<'_> {
-    /// The cache behind either handle, for the whole-cache calls, which
-    /// go to the `&self` inherent methods whichever handle a thread holds
-    /// (as both `PageCache` impls of `ShardedCache` send them).
-    fn whole(&self) -> &ShardedCache {
-        match self {
-            CacheHandle::Exclusive(c) => c,
-            CacheHandle::Shared(c) => c,
-        }
-    }
 }
 
 impl PageCache for CacheHandle<'_> {
@@ -195,28 +173,11 @@ impl PageCache for CacheHandle<'_> {
         }
     }
 
-    fn len(&self) -> usize {
-        self.whole().len()
-    }
-
-    fn capacity(&self) -> usize {
-        self.whole().capacity()
-    }
-
-    fn clear(&mut self) {
-        self.whole().clear()
-    }
-
-    fn stats(&self) -> CacheStats {
-        self.whole().stats()
-    }
-
-    fn reset_stats(&mut self) {
-        self.whole().reset_stats()
-    }
-
     fn note_coalesced_hits(&mut self, n: u64) {
-        self.whole().note_coalesced_hits(n)
+        match self {
+            CacheHandle::Exclusive(c) => ShardedCache::note_coalesced_hits(c, n),
+            CacheHandle::Shared(c) => ShardedCache::note_coalesced_hits(c, n),
+        }
     }
 }
 

@@ -75,12 +75,6 @@ impl ResultFrame {
             self.push(&objects[oid.index()], simplification);
         }
     }
-
-    /// Bytes of reserved capacity.
-    pub fn capacity_bytes(&self) -> usize {
-        self.centroids.capacity() * std::mem::size_of::<Vec3>()
-            + self.simplified.capacity() * std::mem::size_of::<Simplified>()
-    }
 }
 
 /// Reusable flat buffers for the query hot path.
@@ -173,7 +167,8 @@ impl QueryScratch {
     }
 
     /// Clears every buffer, retaining capacity.
-    pub fn clear(&mut self) {
+    #[cfg(test)]
+    fn clear(&mut self) {
         self.frame.clear();
         self.cell_pairs.clear();
         self.edges.clear();
@@ -192,28 +187,6 @@ impl QueryScratch {
         self.markov_frontier.clear();
         self.markov_emitted.clear();
     }
-
-    /// Total bytes of reserved capacity across all buffers (diagnostics;
-    /// the §8.2 memory measurements count the graph itself separately).
-    pub fn capacity_bytes(&self) -> usize {
-        self.frame.capacity_bytes()
-            + self.cell_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.edges.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.components.capacity() * std::mem::size_of::<u32>()
-            + self.counts.capacity() * std::mem::size_of::<u32>()
-            + self.centroid_sums.capacity() * std::mem::size_of::<Vec3>()
-            + self.component_tally.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.predictions.capacity() * std::mem::size_of::<Vec3>()
-            + self.candidate_flags.capacity() * std::mem::size_of::<bool>()
-            + self.met_stamp.capacity() * std::mem::size_of::<u32>()
-            + self.back_cursor.capacity() * std::mem::size_of::<u32>()
-            + self.forward_cursor.capacity() * std::mem::size_of::<u32>()
-            + self.met_pairs.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.met_cursor.capacity() * std::mem::size_of::<u32>()
-            + self.pages_sorted.capacity() * std::mem::size_of::<u32>()
-            + self.markov_frontier.capacity() * std::mem::size_of::<(f64, u32, u32)>()
-            + self.markov_emitted.capacity() * std::mem::size_of::<u32>()
-    }
 }
 
 #[cfg(test)]
@@ -229,11 +202,21 @@ mod tests {
         s.frame.centroids.push(Vec3::ZERO);
         s.frame.simplified.push(Simplified::Point(Vec3::ZERO));
         s.candidate_flags.extend([true; 7]);
-        let cap = s.capacity_bytes();
+        let capacities = |s: &QueryScratch| {
+            [
+                s.cell_pairs.capacity(),
+                s.edges.capacity(),
+                s.predictions.capacity(),
+                s.frame.centroids.capacity(),
+                s.frame.simplified.capacity(),
+                s.candidate_flags.capacity(),
+            ]
+        };
+        let cap = capacities(&s);
         s.clear();
         assert!(s.cell_pairs.is_empty() && s.edges.is_empty() && s.predictions.is_empty());
         assert!(s.frame.is_empty() && s.candidate_flags.is_empty());
-        assert_eq!(s.capacity_bytes(), cap);
+        assert_eq!(capacities(&s), cap);
     }
 
     #[test]

@@ -123,13 +123,8 @@ impl Session {
     }
 
     /// The tenant this session bills to.
-    pub fn tenant(&self) -> usize {
+    pub(crate) fn tenant(&self) -> usize {
         self.tenant
-    }
-
-    /// Number of queries in this session's stream.
-    pub fn query_count(&self) -> usize {
-        self.regions.len()
     }
 
     /// True when every query has fully executed.
@@ -455,13 +450,8 @@ impl Session {
         &self.trace
     }
 
-    /// The per-session disk handle (head position, read counters, clock).
-    pub fn disk(&self) -> &DiskModel {
-        &self.disk
-    }
-
     // Pinned like `GraphBuildCounters` (`benchmark/src/adapter.rs` line
-    // 471); always `None`.
+    // 471, ROADMAP item 1(b)); always `None`.
     #[doc(hidden)]
     pub fn graph_cache_counters(&self) -> Option<crate::prefetcher::GraphBuildCounters> {
         self.prefetcher.graph_cache_counters()
@@ -475,7 +465,7 @@ impl Session {
 
     /// Consumes the session, yielding its id and trace (with the fault
     /// report stamped in when injection was enabled).
-    pub fn into_trace(mut self) -> (usize, SequenceTrace) {
+    pub(crate) fn into_trace(mut self) -> (usize, SequenceTrace) {
         self.trace.faults = self.faultctl.report(&self.disk);
         (self.id, self.trace)
     }

@@ -149,9 +149,9 @@ impl SessionTelemetry {
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
     /// The run's metrics registry, shared by every session and worker.
-    pub registry: Arc<MetricsRegistry>,
+    pub(crate) registry: Arc<MetricsRegistry>,
     /// The merged, sealed flight log across all streams.
-    pub flight: FlightLog,
+    pub(crate) flight: FlightLog,
 }
 
 impl TelemetryReport {

@@ -17,8 +17,6 @@ use scout_synth::{generate_sequences, Dataset, SequenceParams};
 /// One microbenchmark row of Figure 10.
 #[derive(Debug, Clone, Copy)]
 pub struct Microbenchmark {
-    /// Machine-friendly identifier.
-    pub id: &'static str,
     /// The label used in Figure 11/12.
     pub label: &'static str,
     /// Sequence shape (length, volume, aspect, gaps).
@@ -29,7 +27,6 @@ pub struct Microbenchmark {
 
 impl Microbenchmark {
     const fn new(
-        id: &'static str,
         label: &'static str,
         length: usize,
         volume: f64,
@@ -38,7 +35,6 @@ impl Microbenchmark {
         window_ratio: f64,
     ) -> Microbenchmark {
         Microbenchmark {
-            id,
             label,
             sequence: SequenceParams {
                 length,
@@ -54,57 +50,28 @@ impl Microbenchmark {
 }
 
 /// Ad-hoc queries, statistical analysis variant (r = 0.8).
-pub const ADHOC_STAT: Microbenchmark = Microbenchmark::new(
-    "adhoc_stat",
-    "Ad-hoc Queries (Stat. Analysis)",
-    25,
-    80_000.0,
-    Aspect::Cube,
-    0.0,
-    0.8,
-);
+pub(crate) const ADHOC_STAT: Microbenchmark =
+    Microbenchmark::new("Ad-hoc Queries (Stat. Analysis)", 25, 80_000.0, Aspect::Cube, 0.0, 0.8);
 
 /// Ad-hoc queries, pattern-matching variant (r = 1.4).
-pub const ADHOC_PATTERN: Microbenchmark = Microbenchmark::new(
-    "adhoc_pattern",
-    "Ad-hoc Queries (Pattern Matching)",
-    25,
-    80_000.0,
-    Aspect::Cube,
-    0.0,
-    1.4,
-);
+pub const ADHOC_PATTERN: Microbenchmark =
+    Microbenchmark::new("Ad-hoc Queries (Pattern Matching)", 25, 80_000.0, Aspect::Cube, 0.0, 1.4);
 
 /// Model building: synapse placement (r = 2).
 pub const MODEL_BUILDING: Microbenchmark =
-    Microbenchmark::new("model_building", "Model Building", 35, 20_000.0, Aspect::Cube, 0.0, 2.0);
+    Microbenchmark::new("Model Building", 35, 20_000.0, Aspect::Cube, 0.0, 2.0);
 
 /// Walkthrough visualization, low quality / fast rendering (r = 1.2).
-pub const VIS_LOW: Microbenchmark = Microbenchmark::new(
-    "vis_low",
-    "Visualization (Low Quality)",
-    65,
-    30_000.0,
-    Aspect::Frustum,
-    0.0,
-    1.2,
-);
+pub(crate) const VIS_LOW: Microbenchmark =
+    Microbenchmark::new("Visualization (Low Quality)", 65, 30_000.0, Aspect::Frustum, 0.0, 1.2);
 
 /// Walkthrough visualization, high quality / ray tracing (r = 1.6).
-pub const VIS_HIGH: Microbenchmark = Microbenchmark::new(
-    "vis_high",
-    "Visualization (High Quality)",
-    65,
-    30_000.0,
-    Aspect::Frustum,
-    0.0,
-    1.6,
-);
+pub const VIS_HIGH: Microbenchmark =
+    Microbenchmark::new("Visualization (High Quality)", 65, 30_000.0, Aspect::Frustum, 0.0, 1.6);
 
 /// Visualization with gaps, high quality (gap 25 µm, r = 1.2 — as printed
 /// in Figure 10).
 pub const VIS_GAPS_HIGH: Microbenchmark = Microbenchmark::new(
-    "vis_gaps_high",
     "Visualization with Gaps (High Quality)",
     65,
     30_000.0,
@@ -114,8 +81,7 @@ pub const VIS_GAPS_HIGH: Microbenchmark = Microbenchmark::new(
 );
 
 /// Visualization with gaps, low quality (gap 25 µm, r = 1.6).
-pub const VIS_GAPS_LOW: Microbenchmark = Microbenchmark::new(
-    "vis_gaps_low",
+pub(crate) const VIS_GAPS_LOW: Microbenchmark = Microbenchmark::new(
     "Visualization with Gaps (Low Quality)",
     65,
     30_000.0,
@@ -191,10 +157,10 @@ mod tests {
     #[test]
     fn gap_benchmarks_have_gaps_others_do_not() {
         for b in figure11_benchmarks() {
-            assert_eq!(b.sequence.gap, 0.0, "{}", b.id);
+            assert_eq!(b.sequence.gap, 0.0, "{}", b.label);
         }
         for b in figure12_benchmarks() {
-            assert!(b.sequence.gap > 0.0, "{}", b.id);
+            assert!(b.sequence.gap > 0.0, "{}", b.label);
         }
     }
 

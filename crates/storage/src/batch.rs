@@ -52,7 +52,7 @@ pub struct BatchReport {
     pub coalesced: u64,
     /// Simulated device time spent reading batches, µs (failed attempts
     /// included — the device was busy failing).
-    pub io_us: f64,
+    pub(crate) io_us: f64,
     /// Physical batch reads that returned an error (each fans one
     /// [`IoError`](crate::IoError) out to every waiter of that page).
     pub failed_reads: u64,
@@ -260,8 +260,8 @@ mod tests {
         assert_eq!((s1, c1), (0, true), "second waiter coalesces onto the first");
         assert_eq!((s2, c2), (1, false));
         assert_eq!(b.len(), 2, "two unique pages, three stage requests");
-        b.submit(1, 0);
-        assert_eq!(b.disk().random_reads() + b.disk().sequential_reads(), 2);
+        // Pages 7 and 9: two physical reads, each a seek.
+        assert_eq!(b.submit(1, 0), 2.0 * DiskProfile::default().random_read_us);
         let r = b.report();
         assert_eq!((r.staged, r.unique_pages, r.coalesced), (3, 2, 1));
     }
@@ -275,9 +275,8 @@ mod tests {
             b.stage(PageId(p));
         }
         let us = b.submit(1, 0);
-        let profile = b.disk().profile();
-        assert_eq!(b.disk().random_reads(), 1, "one seek for the whole ascending run");
-        assert_eq!(b.disk().sequential_reads(), 4);
+        let profile = DiskProfile::default();
+        // One seek for the whole ascending run.
         assert_eq!(us, profile.random_read_us + 4.0 * profile.sequential_read_us);
         // Every slot's outcome carries its own latency.
         for slot in 0..5 {
@@ -304,9 +303,8 @@ mod tests {
             b.stage(PageId(p));
         }
         let total = b.submit(1, 0);
-        let profile = b.disk().profile();
-        assert_eq!(b.disk().random_reads(), 2, "two ascending runs, two seeks");
-        assert_eq!(b.disk().sequential_reads(), 3);
+        let profile = DiskProfile::default();
+        // Two ascending runs, two seeks.
         let expect = 2.0 * profile.random_read_us + 3.0 * profile.sequential_read_us;
         assert_eq!(total, expect);
         assert!((clock.now_us() - expect).abs() < 1e-9);
@@ -350,8 +348,9 @@ mod tests {
             assert_eq!(b.outcome_at(slot as u32), one, "batch read of page {} diverged", page.0);
         }
         assert_eq!(total, expect_total);
-        assert_eq!(b.disk().random_reads(), expect.random_reads());
-        assert_eq!(b.disk().sequential_reads(), expect.sequential_reads());
+        // Both heads rest on the same page.
+        let next = PageId(stuck + 2);
+        assert_eq!(b.disk().peek_read_us(next), expect.peek_read_us(next));
     }
 
     #[test]

@@ -140,35 +140,9 @@ impl PrefetchCache {
         out
     }
 
-    /// Cache hits recorded by [`PrefetchCache::access`].
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Cache misses recorded by [`PrefetchCache::access`].
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Accesses absorbed by an in-flight read of the same page (batched
-    /// single-flight; see [`CacheStats::coalesced_hits`]).
-    pub fn coalesced_hits(&self) -> u64 {
-        self.coalesced_hits
-    }
-
     /// Records `n` coalesced-waiter accesses.
     pub fn note_coalesced_hits(&mut self, n: u64) {
         self.coalesced_hits += n;
-    }
-
-    /// Total insertions (excluding promotions of already-cached pages).
-    pub fn insertions(&self) -> u64 {
-        self.insertions
-    }
-
-    /// Total evictions.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
     }
 
     /// Snapshot of counters and occupancy.
@@ -255,26 +229,6 @@ impl PageCache for PrefetchCache {
         PrefetchCache::contains(self, page)
     }
 
-    fn len(&self) -> usize {
-        PrefetchCache::len(self)
-    }
-
-    fn capacity(&self) -> usize {
-        PrefetchCache::capacity(self)
-    }
-
-    fn clear(&mut self) {
-        PrefetchCache::clear(self)
-    }
-
-    fn stats(&self) -> CacheStats {
-        PrefetchCache::stats(self)
-    }
-
-    fn reset_stats(&mut self) {
-        PrefetchCache::reset_stats(self)
-    }
-
     fn note_coalesced_hits(&mut self, n: u64) {
         PrefetchCache::note_coalesced_hits(self, n)
     }
@@ -290,8 +244,8 @@ mod tests {
         assert!(!c.access(PageId(1)));
         c.insert(PageId(1));
         assert!(c.access(PageId(1)));
-        assert_eq!(c.hits(), 1);
-        assert_eq!(c.misses(), 1);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -347,9 +301,8 @@ mod tests {
         c.access(PageId(9));
         c.clear();
         assert!(c.is_empty());
-        assert_eq!(c.hits(), 0);
-        assert_eq!(c.misses(), 0);
-        assert_eq!(c.evictions(), 0);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 0));
         assert!(!c.contains(PageId(1)));
     }
 
@@ -378,10 +331,7 @@ mod tests {
         c.access(PageId(3));
         c.access(PageId(7));
         let s = c.stats();
-        assert_eq!(s.hits, c.hits());
-        assert_eq!(s.misses, c.misses());
-        assert_eq!(s.insertions, c.insertions());
-        assert_eq!(s.evictions, c.evictions());
+        assert_eq!((s.hits, s.misses, s.insertions, s.evictions), (1, 1, 3, 1));
         assert_eq!(s.len, c.len());
         assert_eq!(s.capacity, c.capacity());
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
@@ -392,12 +342,11 @@ mod tests {
         let mut c = PrefetchCache::new(2);
         c.access(PageId(1)); // miss
         c.note_coalesced_hits(2);
-        assert_eq!(c.coalesced_hits(), 2);
         let s = c.stats();
         assert_eq!(s.coalesced_hits, 2);
         assert_eq!(s.accesses(), 3);
         c.reset_stats();
-        assert_eq!(c.coalesced_hits(), 0);
+        assert_eq!(c.stats().coalesced_hits, 0);
         c.note_coalesced_hits(1);
         c.clear();
         assert_eq!(c.stats().coalesced_hits, 0);

@@ -61,7 +61,7 @@ impl DiskProfile {
 /// position to grant the sequential discount.
 ///
 /// In the multi-session engine every session clones one prototype disk:
-/// the clone carries its own head position and counters (each session's
+/// the clone carries its own head position (each session's
 /// access pattern earns its own sequential discounts), while an optional
 /// [`SharedClock`] — shared across clones through an `Arc` — accumulates
 /// the *total* busy time of the underlying device, so the aggregate report
@@ -71,8 +71,6 @@ impl DiskProfile {
 pub struct DiskModel {
     profile: DiskProfile,
     last_page: Option<PageId>,
-    random_reads: u64,
-    sequential_reads: u64,
     clock: Option<SharedClock>,
     /// Chaos source; `None` (the default) keeps every read infallible and
     /// the fallible entry points byte-identical to the plain ones.
@@ -88,14 +86,7 @@ impl DiskModel {
         if let Err(e) = profile.validate() {
             panic!("invalid DiskProfile: {e}");
         }
-        DiskModel {
-            profile,
-            last_page: None,
-            random_reads: 0,
-            sequential_reads: 0,
-            clock: None,
-            faults: None,
-        }
+        DiskModel { profile, last_page: None, clock: None, faults: None }
     }
 
     /// Disk charging every read against a shared clock (multi-session
@@ -156,11 +147,6 @@ impl DiskModel {
         }
     }
 
-    /// The latency profile.
-    pub fn profile(&self) -> DiskProfile {
-        self.profile
-    }
-
     /// The latency a [`DiskModel::read_page`] of `page` *would* cost right
     /// now, without moving the head, counting the read or advancing any
     /// clock. The executor uses this to decide whether a prefetch read
@@ -198,14 +184,9 @@ impl DiskModel {
         self.read_page_raw(page)
     }
 
-    /// The latency/head/counter/clock bookkeeping of a successful read.
+    /// The latency/head/clock bookkeeping of a successful read.
     fn read_page_raw(&mut self, page: PageId) -> f64 {
         let us = self.peek_read_us(page);
-        if self.is_sequential(page) {
-            self.sequential_reads += 1;
-        } else {
-            self.random_reads += 1;
-        }
         self.last_page = Some(page);
         if let Some(clock) = &self.clock {
             clock.advance(us);
@@ -221,8 +202,8 @@ impl DiskModel {
     /// `attempt` keys the fault draw: the demand-read retry loop passes
     /// 1, 2, …; prefetch reads pass 0 (they never retry). A failed
     /// attempt charges its latency to the shared clock (the device was
-    /// busy failing) but moves neither the head nor the read counters —
-    /// the retry re-issues the whole read.
+    /// busy failing) but does not move the head — the retry re-issues the
+    /// whole read.
     pub fn try_read_page(&mut self, page: PageId, attempt: u32) -> Result<f64, FailedRead> {
         let Some(inj) = &mut self.faults else {
             return Ok(self.read_page_raw(page));
@@ -348,26 +329,16 @@ impl DiskModel {
         }
     }
 
-    /// Number of random (seek-charged) reads so far.
-    pub fn random_reads(&self) -> u64 {
-        self.random_reads
-    }
-
-    /// Number of sequential reads so far.
-    pub fn sequential_reads(&self) -> u64 {
-        self.sequential_reads
-    }
-
-    /// Forgets the head position and counters (used between sequences:
-    /// §7.1 "After executing each sequence of queries, we clear the prefetch
-    /// cache, the operating system cache and the disk buffers").
-    pub fn reset(&mut self) {
+    /// Forgets the head position and the fault counters. The engine builds
+    /// a fresh disk per sequence instead (§7.1 "After executing each
+    /// sequence of queries, we clear the prefetch cache, the operating
+    /// system cache and the disk buffers").
+    #[cfg(test)]
+    fn reset(&mut self) {
         self.last_page = None;
-        self.random_reads = 0;
-        self.sequential_reads = 0;
         if let Some(inj) = &mut self.faults {
-            // The schedule stays armed (it is a device property), but the
-            // counters measure one sequence like every other counter here.
+            // The schedule stays armed (it is a device property), but its
+            // counters measure one sequence.
             *inj.report_mut() = FaultReport::default();
         }
     }
@@ -403,7 +374,7 @@ impl SharedClock {
     }
 
     /// Atomically advances the clock, returning the time after the advance.
-    pub fn advance(&self, us: f64) -> f64 {
+    pub(crate) fn advance(&self, us: f64) -> f64 {
         debug_assert!(us >= 0.0, "cannot advance clock by negative time: {us}");
         let mut cur = self.bits.load(Ordering::Relaxed);
         loop {
@@ -413,11 +384,6 @@ impl SharedClock {
                 Err(seen) => cur = seen,
             }
         }
-    }
-
-    /// Rewinds the clock to zero.
-    pub fn reset(&self) {
-        self.bits.store(0f64.to_bits(), Ordering::Release);
     }
 }
 
@@ -431,30 +397,26 @@ mod tests {
         let t1 = d.read_page(PageId(10));
         let t2 = d.read_page(PageId(11));
         let t3 = d.read_page(PageId(13)); // skips one -> random
-        assert_eq!(t1, d.profile().random_read_us);
-        assert_eq!(t2, d.profile().sequential_read_us);
-        assert_eq!(t3, d.profile().random_read_us);
-        assert_eq!(d.random_reads(), 2);
-        assert_eq!(d.sequential_reads(), 1);
+        assert_eq!(t1, d.profile.random_read_us);
+        assert_eq!(t2, d.profile.sequential_read_us);
+        assert_eq!(t3, d.profile.random_read_us);
     }
 
     #[test]
     fn rereading_same_page_is_random() {
         let mut d = DiskModel::default();
         d.read_page(PageId(5));
-        assert_eq!(d.read_page(PageId(5)), d.profile().random_read_us);
+        assert_eq!(d.read_page(PageId(5)), d.profile.random_read_us);
     }
 
     #[test]
     fn reset_clears_state() {
         let mut d = DiskModel::default();
         d.read_page(PageId(1));
-        d.read_page(PageId(2));
+        assert_eq!(d.read_page(PageId(2)), d.profile.sequential_read_us);
         d.reset();
-        assert_eq!(d.random_reads(), 0);
-        assert_eq!(d.sequential_reads(), 0);
         // After reset the next read is random even if "sequential" by id.
-        assert_eq!(d.read_page(PageId(3)), d.profile().random_read_us);
+        assert_eq!(d.read_page(PageId(3)), d.profile.random_read_us);
     }
 
     #[test]
@@ -465,11 +427,9 @@ mod tests {
         let busy = clock.now_us();
         // Peeking the sequential successor predicts the discount but
         // moves nothing.
-        assert_eq!(d.peek_read_us(PageId(11)), d.profile().sequential_read_us);
-        assert_eq!(d.peek_read_us(PageId(13)), d.profile().random_read_us);
+        assert_eq!(d.peek_read_us(PageId(11)), d.profile.sequential_read_us);
+        assert_eq!(d.peek_read_us(PageId(13)), d.profile.random_read_us);
         assert_eq!(clock.now_us(), busy);
-        assert_eq!(d.random_reads(), 1);
-        assert_eq!(d.sequential_reads(), 0);
         // The committed read then costs exactly what the peek promised.
         let peek = d.peek_read_us(PageId(11));
         assert_eq!(d.read_page(PageId(11)), peek);
@@ -501,16 +461,12 @@ mod tests {
         let clock = SharedClock::new();
         let mut a = DiskModel::with_clock(DiskProfile::default(), clock.clone());
         let mut b = a.clone();
-        a.read_page(PageId(10)); // random
-        b.read_page(PageId(11)); // b's head is fresh: random, not sequential
-        assert_eq!(a.random_reads(), 1);
-        assert_eq!(b.random_reads(), 1);
-        assert_eq!(b.sequential_reads(), 0);
+        assert_eq!(a.read_page(PageId(10)), a.profile.random_read_us);
+        // b's head is fresh: random, not sequential.
+        assert_eq!(b.read_page(PageId(11)), b.profile.random_read_us);
         // Both reads landed on the one shared clock.
-        let expect = 2.0 * a.profile().random_read_us;
+        let expect = 2.0 * a.profile.random_read_us;
         assert!((clock.now_us() - expect).abs() < 1e-9);
-        clock.reset();
-        assert_eq!(clock.now_us(), 0.0);
     }
 
     #[test]
@@ -541,8 +497,6 @@ mod tests {
                 .expect("no injector, no failure");
             assert_eq!(a, b);
         }
-        assert_eq!(plain.random_reads(), fallible.random_reads());
-        assert_eq!(plain.sequential_reads(), fallible.sequential_reads());
         assert_eq!(fallible.fault_report(), None);
         assert_eq!(deadline, RetryPolicy::default().deadline_us, "no retry overhead spent");
     }
@@ -570,11 +524,11 @@ mod tests {
         d.enable_faults(cfg, 0);
         let failed = d.try_read_page(PageId(10), 1).expect_err("must fail");
         assert_eq!(failed.error, IoError::Transient { page: PageId(10) });
-        assert_eq!(failed.latency_us, d.profile().random_read_us);
-        assert_eq!(clock.now_us(), d.profile().random_read_us, "device was busy failing");
-        assert_eq!(d.random_reads(), 0, "a failed read is not a completed read");
-        // Head did not move: the next successful read elsewhere is random.
-        assert_eq!(d.peek_read_us(PageId(11)), d.profile().random_read_us);
+        assert_eq!(failed.latency_us, d.profile.random_read_us);
+        assert_eq!(clock.now_us(), d.profile.random_read_us, "device was busy failing");
+        // A failed read is not a completed read: the head did not move,
+        // so the next successful read elsewhere is random.
+        assert_eq!(d.peek_read_us(PageId(11)), d.profile.random_read_us);
     }
 
     #[test]
@@ -600,15 +554,13 @@ mod tests {
         // head parked on page 9, each attempt at page 10 peeks (and
         // charges) the sequential rate — and keeps doing so, because no
         // failed attempt ever moves the head.
-        let attempts_us = policy.max_attempts as f64 * d.profile().sequential_read_us;
+        let attempts_us = policy.max_attempts as f64 * d.profile.sequential_read_us;
         assert_eq!(clock.now_us() - busy, attempts_us, "device busy failing, idle backing off");
         assert!(failed.latency_us > attempts_us, "user-visible latency includes backoff");
-        assert_eq!(d.random_reads(), 1, "failed reads never complete");
-        assert_eq!(d.sequential_reads(), 0);
         // The head never moved off page 9: its successor still peeks
         // sequential, and the failing page itself still peeks random.
-        assert_eq!(d.peek_read_us(PageId(10)), d.profile().sequential_read_us);
-        assert_eq!(d.peek_read_us(PageId(11)), d.profile().random_read_us);
+        assert_eq!(d.peek_read_us(PageId(10)), d.profile.sequential_read_us);
+        assert_eq!(d.peek_read_us(PageId(11)), d.profile.random_read_us);
     }
 
     #[test]
@@ -727,9 +679,10 @@ mod tests {
         let mut d = DiskModel::with_clock(DiskProfile::default(), clock.clone());
         d.enable_faults(cfg, 0);
         let t = d.try_read_page(PageId(20), 1).expect("slow reads succeed");
-        assert_eq!(t, 8.0 * d.profile().random_read_us);
+        assert_eq!(t, 8.0 * d.profile.random_read_us);
         assert!((clock.now_us() - t).abs() < 1e-9, "full straggle charged to the device");
-        assert_eq!(d.random_reads(), 1, "a slow read is still a completed read");
+        // A slow read is still a completed read: the head moved to page 20.
+        assert_eq!(d.peek_read_us(PageId(21)), d.profile.sequential_read_us);
         assert_eq!(d.fault_report().unwrap().injected_slow, 1);
     }
 

@@ -78,19 +78,8 @@ pub enum IoError {
 }
 
 impl IoError {
-    /// The page the failing read addressed.
-    pub fn page(&self) -> PageId {
-        match *self {
-            IoError::Transient { page }
-            | IoError::Corrupted { page }
-            | IoError::Stuck { page }
-            | IoError::DeadlineExceeded { page }
-            | IoError::AttemptsExhausted { page, .. } => page,
-        }
-    }
-
     /// True when retrying the same read can never succeed.
-    pub fn is_permanent(&self) -> bool {
+    pub(crate) fn is_permanent(&self) -> bool {
         matches!(self, IoError::Stuck { .. })
     }
 }
@@ -177,7 +166,7 @@ impl FaultConfig {
 
     /// Checks every rate is a probability and the straggler multiplier is
     /// at least 1. Returns a descriptive error otherwise.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (name, rate) in [
             ("transient_rate", self.transient_rate),
             ("corrupt_rate", self.corrupt_rate),
@@ -239,7 +228,7 @@ const STREAM_JITTER: u64 = 4;
 /// The seeded fault source a [`DiskModel`](crate::DiskModel) carries when
 /// chaos is enabled. See the module docs for the determinism contract.
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     config: FaultConfig,
     /// Per-session decorrelation: sibling sessions sharing one seed see
     /// different (but each deterministic) fault streams.
@@ -254,7 +243,7 @@ impl FaultInjector {
     /// An injector for `config`, decorrelated by `salt` (sessions pass
     /// their id). Panics on an invalid config — the executor validates
     /// configs at the boundary, so reaching here with a bad one is a bug.
-    pub fn new(config: FaultConfig, salt: u64) -> FaultInjector {
+    pub(crate) fn new(config: FaultConfig, salt: u64) -> FaultInjector {
         if let Err(e) = config.validate() {
             panic!("invalid FaultConfig: {e}");
         }
@@ -262,17 +251,17 @@ impl FaultInjector {
     }
 
     /// The schedule this injector draws from.
-    pub fn config(&self) -> &FaultConfig {
+    pub(crate) fn config(&self) -> &FaultConfig {
         &self.config
     }
 
     /// Sets the query ordinal that keys subsequent draws.
-    pub fn set_epoch(&mut self, epoch: u64) {
+    pub(crate) fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
     }
 
     /// Counters accumulated so far.
-    pub fn report(&self) -> &FaultReport {
+    pub(crate) fn report(&self) -> &FaultReport {
         &self.report
     }
 
@@ -283,7 +272,7 @@ impl FaultInjector {
 
     /// Whether `page` is permanently unreadable under this seed. A device
     /// property: independent of session salt, epoch and attempt.
-    pub fn is_stuck(&self, page: PageId) -> bool {
+    pub(crate) fn is_stuck(&self, page: PageId) -> bool {
         self.config.stuck_rate > 0.0
             && draw(&[self.config.seed, page.0 as u64]) < self.config.stuck_rate
     }
@@ -371,7 +360,7 @@ impl Default for RetryPolicy {
 impl RetryPolicy {
     /// Checks the policy is executable. Returns a descriptive error
     /// otherwise.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.max_attempts == 0 {
             return Err(
                 "RetryPolicy.max_attempts must be >= 1 (the first read is an attempt)".to_string()
@@ -419,11 +408,11 @@ impl RetryPolicy {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BreakerPolicy {
     /// EWMA smoothing factor in `(0, 1]` (weight of the newest window).
-    pub alpha: f64,
+    pub(crate) alpha: f64,
     /// Fault-per-attempt EWMA above which the breaker opens.
-    pub trip_threshold: f64,
+    pub(crate) trip_threshold: f64,
     /// Queries to keep prefetching disabled before a half-open probe.
-    pub cooldown_queries: u32,
+    pub(crate) cooldown_queries: u32,
 }
 
 impl Default for BreakerPolicy {
@@ -437,7 +426,7 @@ impl Default for BreakerPolicy {
 impl BreakerPolicy {
     /// Checks the thresholds are meaningful. Returns a descriptive error
     /// otherwise.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if !(self.alpha.is_finite() && self.alpha > 0.0 && self.alpha <= 1.0) {
             return Err(format!("BreakerPolicy.alpha must be in (0, 1], got {}", self.alpha));
         }
@@ -543,19 +532,9 @@ impl CircuitBreaker {
         }
     }
 
-    /// Smoothed fault-per-attempt rate.
-    pub fn fault_ewma(&self) -> f64 {
-        self.fault_ewma
-    }
-
     /// Times the breaker has tripped (closed/half-open → open).
     pub fn trips(&self) -> u64 {
         self.trips
-    }
-
-    /// True while prefetching is disabled (open, cooling down).
-    pub fn is_open(&self) -> bool {
-        matches!(self.state, BreakerState::Open { .. })
     }
 }
 
@@ -565,10 +544,10 @@ impl CircuitBreaker {
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FaultReport {
     /// Transient read errors injected.
-    pub injected_transient: u64,
+    pub(crate) injected_transient: u64,
     /// Corrupt reads injected (all detected by checksum on the verified
     /// path).
-    pub injected_corrupt: u64,
+    pub(crate) injected_corrupt: u64,
     /// Read attempts that hit a stuck page.
     pub injected_stuck: u64,
     /// Straggling (slow but successful) reads injected.
@@ -581,16 +560,16 @@ pub struct FaultReport {
     pub recovered: u64,
     /// Demand reads abandoned because the per-query deadline budget ran
     /// out.
-    pub timed_out: u64,
+    pub(crate) timed_out: u64,
     /// Demand reads abandoned after every allowed attempt failed.
-    pub exhausted: u64,
+    pub(crate) exhausted: u64,
     /// Corrupt reads served unverified. The engine's serve path always
     /// verifies, so CI pins this at zero; a nonzero value means some code
     /// path read a fault-enabled disk without checksumming.
     pub corruption_served: u64,
     /// Simulated µs spent sleeping in retry backoff (user-visible wait,
     /// not device time).
-    pub backoff_us: f64,
+    pub(crate) backoff_us: f64,
     /// Prefetch reads dropped on fault (prefetching never retries).
     pub dropped_prefetch: u64,
     /// Queries that failed: an unrecoverable demand read surfaced to the
@@ -814,6 +793,11 @@ mod tests {
         assert_eq!(b1, policy.backoff_us(&inj, p, 1));
     }
 
+    /// True while the breaker is open (prefetching disabled, cooling down).
+    fn is_open(b: &CircuitBreaker) -> bool {
+        matches!(b.state, BreakerState::Open { .. })
+    }
+
     #[test]
     fn breaker_trips_cools_down_and_reprobes() {
         let policy = BreakerPolicy { alpha: 0.5, trip_threshold: 0.4, cooldown_queries: 3 };
@@ -822,7 +806,7 @@ mod tests {
         // Sustained faults trip it.
         b.observe(8, 10);
         b.observe(8, 10);
-        assert!(b.is_open(), "ewma {}", b.fault_ewma());
+        assert!(is_open(&b), "ewma {}", b.fault_ewma);
         assert_eq!(b.trips(), 1);
         // Cooldown: 3 queries without prefetching...
         assert!(!b.allow_prefetch());
@@ -832,17 +816,17 @@ mod tests {
         assert!(b.allow_prefetch());
         // A clean probe closes it again.
         b.observe(0, 10);
-        assert!(!b.is_open());
+        assert!(!is_open(&b));
         assert!(b.allow_prefetch());
         // A sick probe re-trips immediately.
         b.observe(9, 10);
         b.observe(9, 10);
-        assert!(b.is_open());
+        assert!(is_open(&b));
         for _ in 0..3 {
             b.allow_prefetch();
         }
         b.observe(10, 10); // probe fails
-        assert!(b.is_open());
+        assert!(is_open(&b));
         assert!(b.trips() >= 3);
     }
 
@@ -852,8 +836,8 @@ mod tests {
         for _ in 0..100 {
             b.observe(0, 0);
         }
-        assert_eq!(b.fault_ewma(), 0.0);
-        assert!(!b.is_open());
+        assert_eq!(b.fault_ewma, 0.0);
+        assert!(!is_open(&b));
     }
 
     #[test]
@@ -884,7 +868,6 @@ mod tests {
     fn io_error_display_and_helpers() {
         let e = IoError::Stuck { page: PageId(4) };
         assert!(e.is_permanent());
-        assert_eq!(e.page(), PageId(4));
         assert!(e.to_string().contains("page 4"));
         let e = IoError::AttemptsExhausted { page: PageId(9), attempts: 4 };
         assert!(!e.is_permanent());

@@ -11,23 +11,22 @@
 
 #![forbid(unsafe_code)]
 
-pub mod batch;
-pub mod cache;
-pub mod disk;
-pub mod fault;
-pub mod page;
-pub mod page_cache;
-pub mod sharded;
-pub mod stats;
+mod batch;
+mod cache;
+mod disk;
+mod fault;
+mod page;
+mod page_cache;
+mod sharded;
+mod stats;
 
 pub use batch::{BatchPlan, BatchReport, IoBatcher};
 pub use cache::PrefetchCache;
 pub use disk::{DiskModel, DiskProfile, SharedClock};
 pub use fault::{
-    BreakerPolicy, CircuitBreaker, FailedRead, FaultConfig, FaultInjector, FaultPlan, FaultReport,
-    IoError, RetryPolicy,
+    CircuitBreaker, FailedRead, FaultConfig, FaultPlan, FaultReport, IoError, RetryPolicy,
 };
-pub use page::{IdHasher, IdMap, IdSet, Page, PageId, PageLayout};
+pub use page::{IdSet, Page, PageId, PageLayout};
 pub use page_cache::{CacheStats, PageCache};
 pub use sharded::ShardedCache;
 pub use stats::{hit_ratio, IoStats};

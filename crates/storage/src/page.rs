@@ -57,9 +57,9 @@ impl Hasher for IdHasher {
 }
 
 /// A map keyed by a dense `u32` id, hashed by [`IdHasher`].
-pub type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
-/// A set of dense `u32` ids, hashed by [`IdHasher`].
+/// A set of dense `u32` ids, hashed by `IdHasher`.
 pub type IdSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 /// One disk page: a set of objects plus their minimum bounding rectangle.
@@ -80,7 +80,6 @@ pub struct PageLayout {
     pages: Vec<Page>,
     /// Object index → page, for O(1) reverse lookup.
     object_page: Vec<PageId>,
-    page_bytes: u32,
 }
 
 impl PageLayout {
@@ -89,7 +88,7 @@ impl PageLayout {
     /// `object_count` is the total number of objects in the dataset; every
     /// object id referenced by a page must be `< object_count`, and each
     /// object must appear in exactly one page.
-    pub fn new(mut pages: Vec<Page>, object_count: usize, page_bytes: u32) -> PageLayout {
+    pub fn new(mut pages: Vec<Page>, object_count: usize) -> PageLayout {
         let mut object_page = vec![PageId(u32::MAX); object_count];
         for (i, page) in pages.iter_mut().enumerate() {
             page.id = PageId(i as u32);
@@ -108,19 +107,13 @@ impl PageLayout {
             object_page.iter().all(|p| p.0 != u32::MAX),
             "some objects are not assigned to any page"
         );
-        PageLayout { pages, object_page, page_bytes }
+        PageLayout { pages, object_page }
     }
 
     /// Number of pages.
     #[inline]
     pub fn page_count(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Page size in bytes (accounting only; content is not serialized).
-    #[inline]
-    pub fn page_bytes(&self) -> u32 {
-        self.page_bytes
     }
 
     /// The page with the given id.
@@ -133,12 +126,6 @@ impl PageLayout {
     #[inline]
     pub fn pages(&self) -> &[Page] {
         &self.pages
-    }
-
-    /// The page an object lives in.
-    #[inline]
-    pub fn page_of(&self, oid: ObjectId) -> PageId {
-        self.object_page[oid.index()]
     }
 
     /// Total number of objects across all pages.
@@ -162,24 +149,23 @@ mod tests {
 
     #[test]
     fn layout_assigns_dense_ids_and_reverse_map() {
-        let layout = PageLayout::new(vec![page(&[0, 2]), page(&[1, 3, 4])], 5, 4096);
+        let layout = PageLayout::new(vec![page(&[0, 2]), page(&[1, 3, 4])], 5);
         assert_eq!(layout.page_count(), 2);
         assert_eq!(layout.page(PageId(1)).objects.len(), 3);
-        assert_eq!(layout.page_of(ObjectId(0)), PageId(0));
-        assert_eq!(layout.page_of(ObjectId(3)), PageId(1));
+        assert_eq!(layout.object_page[0], PageId(0));
+        assert_eq!(layout.object_page[3], PageId(1));
         assert_eq!(layout.object_count(), 5);
-        assert_eq!(layout.page_bytes(), 4096);
     }
 
     #[test]
     #[should_panic(expected = "two pages")]
     fn duplicate_assignment_rejected() {
-        let _ = PageLayout::new(vec![page(&[0, 1]), page(&[1])], 2, 4096);
+        let _ = PageLayout::new(vec![page(&[0, 1]), page(&[1])], 2);
     }
 
     #[test]
     #[should_panic(expected = "not assigned")]
     fn unassigned_object_rejected() {
-        let _ = PageLayout::new(vec![page(&[0])], 2, 4096);
+        let _ = PageLayout::new(vec![page(&[0])], 2);
     }
 }

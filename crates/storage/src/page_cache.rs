@@ -55,23 +55,14 @@ impl CacheStats {
     pub fn hit_rate(&self) -> f64 {
         crate::stats::hit_ratio(self.hits + self.coalesced_hits, self.accesses())
     }
-
-    /// Fraction of the capacity in use.
-    pub fn occupancy(&self) -> f64 {
-        if self.capacity == 0 {
-            0.0
-        } else {
-            self.len as f64 / self.capacity as f64
-        }
-    }
 }
 
 /// A page cache the executor can serve queries from and prefetch into.
 ///
 /// The contract mirrors the original LRU: [`access`](PageCache::access)
 /// counts a hit or a miss and promotes on hit, [`insert`](PageCache::insert)
-/// adds a page evicting if necessary, and the counters behind
-/// [`stats`](PageCache::stats) only move through those two calls —
+/// adds a page evicting if necessary, and the hit, miss, insertion and
+/// eviction counters only move through those two calls —
 /// [`contains`](PageCache::contains) is a pure membership probe.
 pub trait PageCache {
     /// Records an access; returns whether the page was cached.
@@ -84,28 +75,6 @@ pub trait PageCache {
     /// `&mut self` like [`access`](PageCache::access), so an exclusive
     /// owner probes without a lock.
     fn contains(&mut self, page: PageId) -> bool;
-
-    /// Number of cached pages.
-    fn len(&self) -> usize;
-
-    /// True when nothing is cached.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Capacity in pages.
-    fn capacity(&self) -> usize;
-
-    /// Empties the cache and zeroes all counters.
-    fn clear(&mut self);
-
-    /// Snapshot of counters and occupancy.
-    fn stats(&self) -> CacheStats;
-
-    /// Zeroes the counters while keeping the cached pages — the
-    /// multi-session reporter uses this to measure a run over a pre-warmed
-    /// cache without the warm-up skewing the numbers.
-    fn reset_stats(&mut self);
 
     /// Records `n` accesses absorbed by an in-flight read of the same
     /// page (batched single-flight). Implementations without a coalescing
@@ -124,7 +93,6 @@ mod tests {
         let s = CacheStats { hits: 3, misses: 1, len: 8, capacity: 16, ..Default::default() };
         assert_eq!(s.accesses(), 4);
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert!((s.occupancy() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -146,6 +114,5 @@ mod tests {
     fn stats_empty_edge_cases() {
         let s = CacheStats::default();
         assert_eq!(s.hit_rate(), 0.0);
-        assert_eq!(s.occupancy(), 0.0);
     }
 }

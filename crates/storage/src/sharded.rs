@@ -86,11 +86,6 @@ impl ShardedCache {
         }
     }
 
-    /// Number of shards (a power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Total capacity in pages — exactly what the constructor was asked
     /// for (the remainder of `capacity / shards` is spread over the low
     /// shards instead of rounding every shard up).
@@ -205,8 +200,8 @@ impl ShardedCache {
 /// how sessions on separate threads drive one cache. Both run the same
 /// `PrefetchCache` call on the same shard; they differ only in how the
 /// per-page calls reach it (`$shard`): the owned cache through
-/// `Mutex::get_mut`, the shared handle under the shard lock. Whole-cache
-/// calls go to the `&self` inherent methods in both.
+/// `Mutex::get_mut`, the shared handle under the shard lock.
+/// `note_coalesced_hits` goes to the `&self` inherent method in both.
 macro_rules! delegate_page_cache {
     ($ty:ty, $shard:ident) => {
         impl PageCache for $ty {
@@ -220,26 +215,6 @@ macro_rules! delegate_page_cache {
 
             fn contains(&mut self, page: PageId) -> bool {
                 self.$shard(page).contains(page)
-            }
-
-            fn len(&self) -> usize {
-                ShardedCache::len(self)
-            }
-
-            fn capacity(&self) -> usize {
-                ShardedCache::capacity(self)
-            }
-
-            fn clear(&mut self) {
-                ShardedCache::clear(self)
-            }
-
-            fn stats(&self) -> CacheStats {
-                ShardedCache::stats(self)
-            }
-
-            fn reset_stats(&mut self) {
-                ShardedCache::reset_stats(self)
             }
 
             fn note_coalesced_hits(&mut self, n: u64) {
@@ -259,7 +234,7 @@ mod tests {
     #[test]
     fn shard_count_rounds_to_power_of_two() {
         let c = ShardedCache::new(64, 3);
-        assert_eq!(c.shard_count(), 4);
+        assert_eq!(c.shards.len(), 4);
         assert_eq!(c.capacity(), 64); // 16 per shard × 4
         let c = ShardedCache::new(10, 4);
         assert_eq!(c.capacity(), 10); // 3+3+2+2 over 4 shards
@@ -294,10 +269,10 @@ mod tests {
         // capacity < shards: the shard count halves (staying a power of
         // two) until every shard holds at least one page.
         let c = ShardedCache::new(3, 8);
-        assert_eq!(c.shard_count(), 2);
+        assert_eq!(c.shards.len(), 2);
         assert_eq!(c.capacity(), 3);
         let c = ShardedCache::new(1, 8);
-        assert_eq!(c.shard_count(), 1);
+        assert_eq!(c.shards.len(), 1);
         assert_eq!(c.capacity(), 1);
     }
 
@@ -321,7 +296,7 @@ mod tests {
             .map(PageId)
             .filter(|&p| c.shard_of(p) == 0)
             .take(4_096)
-            .map(|p| BuildHasherDefault::<crate::IdHasher>::default().hash_one(p))
+            .map(|p| BuildHasherDefault::<crate::page::IdHasher>::default().hash_one(p))
             .collect();
         let mut tags = [false; 128];
         let mut buckets = [0u32; 1_024];

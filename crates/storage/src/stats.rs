@@ -1,7 +1,5 @@
 //! I/O accounting shared by the executor and the prefetchers.
 
-use crate::page_cache::CacheStats;
-
 /// Safe `hits / total` ratio, guarding the zero-lookup case (returns 0
 /// when `total` is 0). Every report that derives a hit rate — I/O stats,
 /// cache snapshots, per-query and per-session traces — goes through this
@@ -11,16 +9,6 @@ pub fn hit_ratio(hits: u64, total: u64) -> f64 {
         0.0
     } else {
         hits as f64 / total as f64
-    }
-}
-
-impl CacheStats {
-    /// Fraction of accesses served without a device read (cache hits plus
-    /// coalesced waiters), 0 when none were recorded. Alias of
-    /// [`CacheStats::hit_rate`] expressed through the shared [`hit_ratio`]
-    /// helper.
-    pub fn hit_ratio(&self) -> f64 {
-        hit_ratio(self.hits + self.coalesced_hits, self.accesses())
     }
 }
 
@@ -63,17 +51,6 @@ impl IoStats {
     pub fn hit_rate(&self) -> f64 {
         hit_ratio(self.result_pages_cache, self.result_pages_total())
     }
-
-    /// Merges another stats record into this one.
-    pub fn merge(&mut self, other: &IoStats) {
-        self.result_pages_cache += other.result_pages_cache;
-        self.result_pages_disk += other.result_pages_disk;
-        self.prefetch_pages_disk += other.prefetch_pages_disk;
-        self.gap_pages_disk += other.gap_pages_disk;
-        self.residual_io_us += other.residual_io_us;
-        self.prefetch_io_us += other.prefetch_io_us;
-        self.failed_pages += other.failed_pages;
-    }
 }
 
 #[cfg(test)]
@@ -89,41 +66,11 @@ mod tests {
     fn hit_ratio_guards_zero_total() {
         assert_eq!(hit_ratio(0, 0), 0.0);
         assert_eq!(hit_ratio(3, 4), 0.75);
-        // CacheStats alias agrees with hit_rate on the same counters,
-        // coalesced waiters included.
-        let s = CacheStats { hits: 3, misses: 1, ..Default::default() };
-        assert_eq!(s.hit_ratio(), s.hit_rate());
-        let s = CacheStats { hits: 1, misses: 1, coalesced_hits: 2, ..Default::default() };
-        assert_eq!(s.hit_ratio(), s.hit_rate());
-        assert_eq!(s.hit_ratio(), 0.75);
-        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
     }
 
     #[test]
     fn hit_rate_fraction() {
         let s = IoStats { result_pages_cache: 3, result_pages_disk: 1, ..IoStats::default() };
         assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = IoStats {
-            result_pages_cache: 1,
-            result_pages_disk: 2,
-            prefetch_pages_disk: 3,
-            gap_pages_disk: 4,
-            residual_io_us: 5.0,
-            prefetch_io_us: 6.0,
-            failed_pages: 7,
-        };
-        let b = a;
-        a.merge(&b);
-        assert_eq!(a.result_pages_cache, 2);
-        assert_eq!(a.result_pages_disk, 4);
-        assert_eq!(a.prefetch_pages_disk, 6);
-        assert_eq!(a.gap_pages_disk, 8);
-        assert!((a.residual_io_us - 10.0).abs() < 1e-12);
-        assert!((a.prefetch_io_us - 12.0).abs() < 1e-12);
-        assert_eq!(a.failed_pages, 14);
     }
 }

@@ -127,7 +127,8 @@ proptest! {
 
     /// The owned sharded cache reaches a page's shard through
     /// `Mutex::get_mut`, the shared handle `&ShardedCache` under the shard
-    /// lock. Driven through `PageCache` by the same stream, the two return,
+    /// lock. Driven through `PageCache` by the same stream (the whole-cache
+    /// calls through the inherent methods both reach), the two return,
     /// count and order exactly the same after every operation — so a fleet
     /// phase may take either without moving a hit, a miss or a victim.
     #[test]
@@ -157,15 +158,15 @@ proptest! {
                     "contains({:?})", p
                 ),
                 Op::ResetStats => {
-                    PageCache::reset_stats(&mut owned);
-                    PageCache::reset_stats(&mut locked);
+                    owned.reset_stats();
+                    twin.reset_stats();
                 }
                 Op::Clear => {
-                    PageCache::clear(&mut owned);
-                    PageCache::clear(&mut locked);
+                    owned.clear();
+                    twin.clear();
                 }
             }
-            prop_assert_eq!(PageCache::stats(&owned), PageCache::stats(&locked));
+            prop_assert_eq!(owned.stats(), twin.stats());
             prop_assert_eq!(owned.shard_pages(), twin.shard_pages());
         }
     }

@@ -57,8 +57,9 @@ impl Dataset {
     }
 
     /// Validates internal invariants (dense ids, objects inside bounds,
-    /// adjacency covering all objects). Used by tests and examples.
-    pub fn validate(&self) -> Result<(), String> {
+    /// adjacency covering all objects).
+    #[cfg(test)]
+    pub(crate) fn validate(&self) -> Result<(), String> {
         for (i, o) in self.objects.iter().enumerate() {
             if o.id.index() != i {
                 return Err(format!("object at position {i} has id {:?}", o.id));

@@ -11,7 +11,7 @@ use scout_geometry::Vec3;
 pub use scout_geometry::ObjectAdjacency;
 
 /// Index of a node within a [`GuideGraph`].
-pub type GuideNodeId = u32;
+pub(crate) type GuideNodeId = u32;
 
 /// An undirected spatial graph of structure skeletons.
 #[derive(Debug, Clone, Default)]
@@ -27,14 +27,14 @@ impl GuideGraph {
     }
 
     /// Adds a node, returning its id.
-    pub fn add_node(&mut self, pos: Vec3) -> GuideNodeId {
+    pub(crate) fn add_node(&mut self, pos: Vec3) -> GuideNodeId {
         self.positions.push(pos);
         self.adjacency.push(Vec::new());
         (self.positions.len() - 1) as GuideNodeId
     }
 
     /// Adds an undirected edge (idempotent).
-    pub fn add_edge(&mut self, a: GuideNodeId, b: GuideNodeId) {
+    pub(crate) fn add_edge(&mut self, a: GuideNodeId, b: GuideNodeId) {
         assert_ne!(a, b, "self loops are not allowed in guide graphs");
         if !self.adjacency[a as usize].contains(&b) {
             self.adjacency[a as usize].push(b);
@@ -54,19 +54,14 @@ impl GuideGraph {
 
     /// Position of a node.
     #[inline]
-    pub fn position(&self, n: GuideNodeId) -> Vec3 {
+    pub(crate) fn position(&self, n: GuideNodeId) -> Vec3 {
         self.positions[n as usize]
     }
 
     /// Neighbors of a node.
     #[inline]
-    pub fn neighbors(&self, n: GuideNodeId) -> &[GuideNodeId] {
+    pub(crate) fn neighbors(&self, n: GuideNodeId) -> &[GuideNodeId] {
         &self.adjacency[n as usize]
-    }
-
-    /// All node positions.
-    pub fn positions(&self) -> &[Vec3] {
-        &self.positions
     }
 }
 

@@ -8,19 +8,19 @@
 
 #![forbid(unsafe_code)]
 
-pub mod arterial;
-pub mod dataset;
-pub mod guide;
-pub mod lung;
-pub mod neuron;
-pub mod rng_util;
-pub mod roads;
-pub mod skeleton;
-pub mod walk;
+mod arterial;
+mod dataset;
+mod guide;
+mod lung;
+mod neuron;
+mod rng_util;
+mod roads;
+mod skeleton;
+mod walk;
 
 pub use arterial::{generate_arterial, ArterialParams};
 pub use dataset::{Dataset, Domain};
-pub use guide::{GuideGraph, GuideNodeId, ObjectAdjacency};
+pub use guide::{GuideGraph, ObjectAdjacency};
 pub use lung::{generate_lung, LungParams};
 pub use neuron::{generate_neurons, NeuronParams};
 pub use roads::{generate_roads, RoadParams};

@@ -73,7 +73,7 @@ impl NeuronParams {
     }
 
     /// Approximate number of objects this configuration will generate.
-    pub fn approx_objects(&self) -> usize {
+    pub(crate) fn approx_objects(&self) -> usize {
         self.neuron_count * (1 + self.fibers_per_neuron * self.fiber_steps)
     }
 }

@@ -5,7 +5,7 @@ use scout_geometry::Vec3;
 
 /// Standard-normal sample via Box–Muller (keeps the dependency set to
 /// `rand` alone; `rand_distr` is not needed for this).
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.random::<f64>();
         if u1 <= f64::MIN_POSITIVE {
@@ -17,7 +17,7 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 }
 
 /// Uniform point inside an axis-aligned box.
-pub fn point_in_box<R: Rng + ?Sized>(rng: &mut R, min: Vec3, max: Vec3) -> Vec3 {
+pub(crate) fn point_in_box<R: Rng + ?Sized>(rng: &mut R, min: Vec3, max: Vec3) -> Vec3 {
     Vec3::new(
         rng.random_range(min.x..=max.x),
         rng.random_range(min.y..=max.y),
@@ -26,7 +26,7 @@ pub fn point_in_box<R: Rng + ?Sized>(rng: &mut R, min: Vec3, max: Vec3) -> Vec3 
 }
 
 /// Uniform direction on the unit sphere.
-pub fn unit_vector<R: Rng + ?Sized>(rng: &mut R) -> Vec3 {
+pub(crate) fn unit_vector<R: Rng + ?Sized>(rng: &mut R) -> Vec3 {
     loop {
         let v = Vec3::new(
             rng.random_range(-1.0..=1.0),
@@ -42,7 +42,7 @@ pub fn unit_vector<R: Rng + ?Sized>(rng: &mut R) -> Vec3 {
 
 /// Perturbs a unit direction by a random rotation with angular magnitude
 /// drawn from `N(0, sigma)`; result is renormalized.
-pub fn perturb_direction<R: Rng + ?Sized>(rng: &mut R, dir: Vec3, sigma: f64) -> Vec3 {
+pub(crate) fn perturb_direction<R: Rng + ?Sized>(rng: &mut R, dir: Vec3, sigma: f64) -> Vec3 {
     if sigma <= 0.0 {
         return dir;
     }

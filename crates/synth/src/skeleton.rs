@@ -17,21 +17,21 @@ use std::collections::VecDeque;
 
 /// Parameters controlling subtree growth.
 #[derive(Debug, Clone, Copy)]
-pub struct GrowthParams {
+pub(crate) struct GrowthParams {
     /// Length of each skeleton step (= cylinder length), µm.
-    pub step_len: f64,
+    pub(crate) step_len: f64,
     /// Std-dev of per-step direction noise, radians. Low values produce
     /// smooth, polynomial-friendly fibers (arteries); high values produce
     /// jagged fibers (neuron dendrites).
-    pub angle_sigma: f64,
+    pub(crate) angle_sigma: f64,
     /// Probability of bifurcating at any given step.
-    pub bifurcation_prob: f64,
+    pub(crate) bifurcation_prob: f64,
     /// Angle between the two children at a bifurcation, radians.
-    pub bifurcation_angle: f64,
+    pub(crate) bifurcation_angle: f64,
     /// Steps a fresh branch grows before it may bifurcate.
-    pub min_steps_before_split: usize,
+    pub(crate) min_steps_before_split: usize,
     /// Total step budget for the whole subtree.
-    pub max_total_steps: usize,
+    pub(crate) max_total_steps: usize,
 }
 
 impl Default for GrowthParams {
@@ -49,15 +49,13 @@ impl Default for GrowthParams {
 
 /// One skeleton edge produced by growth, in creation order.
 #[derive(Debug, Clone, Copy)]
-pub struct GrownEdge {
+pub(crate) struct GrownEdge {
     /// Parent node.
-    pub from: GuideNodeId,
+    pub(crate) from: GuideNodeId,
     /// Child node.
-    pub to: GuideNodeId,
-    /// Bifurcation generation (0 = trunk).
-    pub generation: u32,
+    pub(crate) to: GuideNodeId,
     /// Step count from the subtree root along this path.
-    pub depth: u32,
+    pub(crate) depth: u32,
 }
 
 /// Reflects `dir` so a step from `pos` stays inside `bounds`.
@@ -80,7 +78,7 @@ fn reflect(pos: Vec3, dir: Vec3, step: f64, bounds: &Aabb) -> Vec3 {
 
 /// Grows a branching subtree rooted at `root` (which must already exist in
 /// `graph`) heading `dir`. Returns the created edges in creation order.
-pub fn grow_subtree<R: Rng + ?Sized>(
+pub(crate) fn grow_subtree<R: Rng + ?Sized>(
     graph: &mut GuideGraph,
     rng: &mut R,
     root: GuideNodeId,
@@ -90,11 +88,11 @@ pub fn grow_subtree<R: Rng + ?Sized>(
 ) -> Vec<GrownEdge> {
     let mut edges = Vec::new();
     let mut budget = params.max_total_steps;
-    // Tips queue: (node, direction, generation, depth, steps on this branch).
-    let mut tips: VecDeque<(GuideNodeId, Vec3, u32, u32, usize)> = VecDeque::new();
-    tips.push_back((root, dir.normalized_or_x(), 0, 0, 0));
+    // Tips queue: (node, direction, depth, steps on this branch).
+    let mut tips: VecDeque<(GuideNodeId, Vec3, u32, usize)> = VecDeque::new();
+    tips.push_back((root, dir.normalized_or_x(), 0, 0));
 
-    while let Some((mut node, mut d, generation, mut depth, mut branch_steps)) = tips.pop_front() {
+    while let Some((mut node, mut d, mut depth, mut branch_steps)) = tips.pop_front() {
         loop {
             if budget == 0 {
                 return edges;
@@ -107,7 +105,7 @@ pub fn grow_subtree<R: Rng + ?Sized>(
             graph.add_edge(node, next);
             depth += 1;
             branch_steps += 1;
-            edges.push(GrownEdge { from: node, to: next, generation, depth });
+            edges.push(GrownEdge { from: node, to: next, depth });
             node = next;
 
             let may_split = branch_steps >= params.min_steps_before_split;
@@ -119,39 +117,13 @@ pub fn grow_subtree<R: Rng + ?Sized>(
                 let axis = ortho * phi.cos() + d.cross(ortho) * phi.sin();
                 let child_a = (d * half.cos() + axis * half.sin()).normalized_or_x();
                 let child_b = (d * half.cos() - axis * half.sin()).normalized_or_x();
-                tips.push_back((node, child_a, generation + 1, depth, 0));
-                tips.push_back((node, child_b, generation + 1, depth, 0));
+                tips.push_back((node, child_a, depth, 0));
+                tips.push_back((node, child_b, depth, 0));
                 break;
             }
         }
     }
     edges
-}
-
-/// Grows a single unbranched chain of `steps` steps (used for axons).
-// The argument list mirrors `GrowthParams` flattened for the one caller
-// that doesn't need bifurcation; bundling them back up would just move
-// the same names one level down.
-#[allow(clippy::too_many_arguments)]
-pub fn grow_chain<R: Rng + ?Sized>(
-    graph: &mut GuideGraph,
-    rng: &mut R,
-    root: GuideNodeId,
-    dir: Vec3,
-    steps: usize,
-    step_len: f64,
-    angle_sigma: f64,
-    bounds: &Aabb,
-) -> Vec<GrownEdge> {
-    let params = GrowthParams {
-        step_len,
-        angle_sigma,
-        bifurcation_prob: 0.0,
-        bifurcation_angle: 0.0,
-        min_steps_before_split: usize::MAX,
-        max_total_steps: steps,
-    };
-    grow_subtree(graph, rng, root, dir, &params, bounds)
 }
 
 #[cfg(test)]
@@ -164,16 +136,46 @@ mod tests {
         Aabb::new(Vec3::ZERO, Vec3::splat(100.0))
     }
 
+    /// Grows an unbranched chain of `steps` steps from `root`.
+    fn grow_chain(
+        g: &mut GuideGraph,
+        rng: &mut StdRng,
+        root: GuideNodeId,
+        dir: Vec3,
+        (steps, step_len, angle_sigma): (usize, f64, f64),
+        bounds: &Aabb,
+    ) -> Vec<GrownEdge> {
+        let params = GrowthParams {
+            step_len,
+            angle_sigma,
+            bifurcation_prob: 0.0,
+            max_total_steps: steps,
+            ..GrowthParams::default()
+        };
+        grow_subtree(g, rng, root, dir, &params, bounds)
+    }
+
+    /// Every node position of the graph.
+    fn positions(g: &GuideGraph) -> Vec<Vec3> {
+        (0..g.node_count() as GuideNodeId).map(|n| g.position(n)).collect()
+    }
+
     #[test]
     fn chain_has_exact_length_and_stays_inside() {
         let mut g = GuideGraph::new();
         let mut rng = StdRng::seed_from_u64(1);
         let root = g.add_node(Vec3::splat(50.0));
-        let edges =
-            grow_chain(&mut g, &mut rng, root, Vec3::new(1.0, 0.0, 0.0), 500, 3.0, 0.1, &bounds());
+        let edges = grow_chain(
+            &mut g,
+            &mut rng,
+            root,
+            Vec3::new(1.0, 0.0, 0.0),
+            (500, 3.0, 0.1),
+            &bounds(),
+        );
         assert_eq!(edges.len(), 500);
-        for p in g.positions() {
-            assert!(bounds().expanded(1e-9).contains_point(*p));
+        for p in positions(&g) {
+            assert!(bounds().expanded(1e-9).contains_point(p));
         }
         // Edge lengths all equal step_len.
         for e in &edges {
@@ -192,9 +194,8 @@ mod tests {
         let edges =
             grow_subtree(&mut g, &mut rng, root, Vec3::new(0.0, 0.0, 1.0), &params, &bounds());
         assert_eq!(edges.len(), 300);
-        let max_gen = edges.iter().map(|e| e.generation).max().unwrap();
-        assert!(max_gen >= 1, "no bifurcation with prob 0.1 over 300 steps");
-        // Branch points have degree 3+ in the graph.
+        // Branch points have degree 3+ in the graph: a bifurcation with
+        // prob 0.1 over 300 steps.
         let branch_nodes =
             (0..g.node_count() as u32).filter(|&n| g.neighbors(n).len() >= 3).count();
         assert!(branch_nodes >= 1);
@@ -206,7 +207,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let root = g.add_node(Vec3::new(1.0, 50.0, 50.0));
         let edges =
-            grow_chain(&mut g, &mut rng, root, Vec3::new(1.0, 0.0, 0.0), 20, 2.0, 0.0, &bounds());
+            grow_chain(&mut g, &mut rng, root, Vec3::new(1.0, 0.0, 0.0), (20, 2.0, 0.0), &bounds());
         // 20 straight steps of 2.0 from x=1: all ys and zs unchanged.
         for e in &edges {
             let p = g.position(e.to);
@@ -223,10 +224,10 @@ mod tests {
         let small = Aabb::new(Vec3::ZERO, Vec3::splat(10.0));
         let root = g.add_node(Vec3::splat(5.0));
         let edges =
-            grow_chain(&mut g, &mut rng, root, Vec3::new(1.0, 0.2, 0.1), 2000, 1.0, 0.05, &small);
+            grow_chain(&mut g, &mut rng, root, Vec3::new(1.0, 0.2, 0.1), (2000, 1.0, 0.05), &small);
         assert_eq!(edges.len(), 2000);
-        for p in g.positions() {
-            assert!(small.expanded(1e-9).contains_point(*p), "escaped: {p:?}");
+        for p in positions(&g) {
+            assert!(small.expanded(1e-9).contains_point(p), "escaped: {p:?}");
         }
     }
 }

@@ -59,7 +59,7 @@ impl SequenceParams {
     }
 
     /// Total guide-path arc length needed for the full sequence.
-    pub fn required_path_len(&self) -> f64 {
+    pub(crate) fn required_path_len(&self) -> f64 {
         self.center_step() * (self.length.max(1) - 1) as f64 + self.volume.cbrt()
     }
 }
@@ -69,8 +69,6 @@ impl SequenceParams {
 pub struct GuidedSequence {
     /// The range queries, in issue order.
     pub regions: Vec<QueryRegion>,
-    /// The walked guide path (polyline).
-    pub path: Vec<Vec3>,
 }
 
 /// Walks the guide graph from `start`: a non-backtracking random walk that
@@ -164,7 +162,7 @@ pub fn generate_sequence(
                 QueryRegion::new(center, params.volume, params.aspect)
             })
             .collect();
-        return GuidedSequence { regions, path };
+        return GuidedSequence { regions };
     }
 
     // With resets: split the sequence into runs; each reset re-walks from
@@ -192,7 +190,7 @@ pub fn generate_sequence(
             arc = side / 2.0;
         }
     }
-    GuidedSequence { regions, path: full_path }
+    GuidedSequence { regions }
 }
 
 /// Generates `count` independent sequences, deterministically from `seed`.
@@ -286,9 +284,11 @@ mod tests {
         let params = SequenceParams::sensitivity_default();
         let seq = generate_sequences(&d, &params, 1, 11).remove(0);
         for r in &seq.regions {
-            // Each center must be within one step of some path vertex.
-            let min_d =
-                seq.path.iter().map(|p| p.distance(r.center())).fold(f64::INFINITY, f64::min);
+            // Each center must be within one step of some path vertex, and
+            // every path vertex is a guide node.
+            let min_d = (0..d.guide.node_count() as u32)
+                .map(|n| d.guide.position(n).distance(r.center()))
+                .fold(f64::INFINITY, f64::min);
             assert!(min_d < 4.0, "center {min_d} µm off the path");
         }
     }

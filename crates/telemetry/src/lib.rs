@@ -16,15 +16,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod metrics;
-pub mod recorder;
-pub mod span;
+mod metrics;
+mod recorder;
+mod span;
 
-pub use metrics::{
-    CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry, COUNTER_COUNT, GAUGE_COUNT,
-    HISTOGRAM_COUNT,
-};
-pub use recorder::{Event, FlightLog, FlightRecorder, Lane, TimedEvent};
+pub use metrics::{CounterId, GaugeId, HistogramId, LogHistogram, MetricsRegistry};
+pub use recorder::{Event, FlightLog, FlightRecorder, Lane, TimedEvent, ENGINE_STREAM};
 pub use span::SpanTimer;
 
 /// How a run records telemetry. Carried as `Option<TelemetryPlan>` on the
@@ -47,12 +44,6 @@ impl Default for TelemetryPlan {
 }
 
 impl TelemetryPlan {
-    /// A plan recording events only (no wall-clock span timers), which
-    /// keeps every recorded quantity deterministic.
-    pub fn events_only() -> TelemetryPlan {
-        TelemetryPlan { spans: false, ..TelemetryPlan::default() }
-    }
-
     /// Checks the plan is usable: at least one ring slot.
     pub fn validate(&self) -> Result<(), String> {
         if self.ring_capacity == 0 {
@@ -74,7 +65,6 @@ mod tests {
         assert_eq!(plan.ring_capacity, 1024);
         assert!(plan.spans);
         assert!(plan.validate().is_ok());
-        assert!(!TelemetryPlan::events_only().spans);
         let bad = TelemetryPlan { ring_capacity: 0, ..Default::default() };
         assert!(bad.validate().unwrap_err().contains("ring_capacity"));
     }

@@ -56,11 +56,11 @@ pub enum CounterId {
 }
 
 /// Number of [`CounterId`] variants.
-pub const COUNTER_COUNT: usize = 17;
+pub(crate) const COUNTER_COUNT: usize = 17;
 
 impl CounterId {
     /// Every counter, in declaration order (export order).
-    pub const ALL: [CounterId; COUNTER_COUNT] = [
+    pub(crate) const ALL: [CounterId; COUNTER_COUNT] = [
         CounterId::QueriesServed,
         CounterId::QueriesFailed,
         CounterId::PagesRequested,
@@ -81,7 +81,7 @@ impl CounterId {
     ];
 
     /// The counter's stable export name (snake_case).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             CounterId::QueriesServed => "queries_served",
             CounterId::QueriesFailed => "queries_failed",
@@ -114,19 +114,7 @@ pub enum GaugeId {
 }
 
 /// Number of [`GaugeId`] variants.
-pub const GAUGE_COUNT: usize = 1;
-
-impl GaugeId {
-    /// Every gauge, in declaration order.
-    pub const ALL: [GaugeId; GAUGE_COUNT] = [GaugeId::WorkerCrew];
-
-    /// The gauge's stable export name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GaugeId::WorkerCrew => "worker_crew",
-        }
-    }
-}
+pub(crate) const GAUGE_COUNT: usize = 1;
 
 /// Log-bucketed latency histograms, all in µs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -151,35 +139,7 @@ pub enum HistogramId {
 }
 
 /// Number of [`HistogramId`] variants.
-pub const HISTOGRAM_COUNT: usize = 8;
-
-impl HistogramId {
-    /// Every histogram, in declaration order.
-    pub const ALL: [HistogramId; HISTOGRAM_COUNT] = [
-        HistogramId::ResidualUs,
-        HistogramId::GraphBuildUs,
-        HistogramId::PredictionUs,
-        HistogramId::WindowBudgetUs,
-        HistogramId::SpanServeUs,
-        HistogramId::SpanWindowUs,
-        HistogramId::SpanBatchSubmitUs,
-        HistogramId::SpanPhaseFlipUs,
-    ];
-
-    /// The histogram's stable export name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            HistogramId::ResidualUs => "residual_us",
-            HistogramId::GraphBuildUs => "graph_build_us",
-            HistogramId::PredictionUs => "prediction_us",
-            HistogramId::WindowBudgetUs => "window_budget_us",
-            HistogramId::SpanServeUs => "span_serve_us",
-            HistogramId::SpanWindowUs => "span_window_us",
-            HistogramId::SpanBatchSubmitUs => "span_batch_submit_us",
-            HistogramId::SpanPhaseFlipUs => "span_phase_flip_us",
-        }
-    }
-}
+pub(crate) const HISTOGRAM_COUNT: usize = 8;
 
 // ---------------------------------------------------------------------------
 // Log-bucketed histogram
@@ -232,7 +192,7 @@ impl std::fmt::Debug for LogHistogram {
 impl LogHistogram {
     /// An empty histogram.
     #[allow(clippy::declare_interior_mutable_const)] // per-element array init
-    pub fn new() -> LogHistogram {
+    pub(crate) fn new() -> LogHistogram {
         const ZERO: AtomicU64 = AtomicU64::new(0);
         LogHistogram { buckets: [ZERO; BUCKETS], count: AtomicU64::new(0) }
     }
@@ -265,13 +225,13 @@ impl LogHistogram {
 
     /// Records one sample. Lock-free, allocation-free.
     #[inline]
-    pub fn record(&self, us: f64) {
+    pub(crate) fn record(&self, us: f64) {
         self.buckets[Self::bucket_index(us)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Samples recorded so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
@@ -365,7 +325,8 @@ impl MetricsRegistry {
     }
 
     /// A gauge's current level.
-    pub fn gauge(&self, id: GaugeId) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn gauge(&self, id: GaugeId) -> u64 {
         self.gauges[id as usize].load(Ordering::Relaxed)
     }
 
@@ -468,8 +429,6 @@ mod tests {
     #[test]
     fn every_key_has_a_distinct_name() {
         let mut names: Vec<&str> = CounterId::ALL.iter().map(|c| c.name()).collect();
-        names.extend(GaugeId::ALL.iter().map(|g| g.name()));
-        names.extend(HistogramId::ALL.iter().map(|h| h.name()));
         let total = names.len();
         names.sort_unstable();
         names.dedup();

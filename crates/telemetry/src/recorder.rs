@@ -90,7 +90,7 @@ pub enum Event {
 
 impl Event {
     /// The event's stable snake_case type tag.
-    pub fn tag(&self) -> &'static str {
+    pub(crate) fn tag(&self) -> &'static str {
         match self {
             Event::QueryServed { .. } => "query_served",
             Event::WindowOpened { .. } => "window_opened",
@@ -144,20 +144,20 @@ impl Event {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedEvent {
     /// Simulated µs when the event was recorded.
-    pub t_us: f64,
+    pub(crate) t_us: f64,
     /// Stream (session id; reserved high values for engine streams).
-    pub stream: u32,
+    pub(crate) stream: u32,
     /// Monotonic per-stream sequence number, counted from 0 across the
     /// stream's lifetime — dropped events leave gaps at the front, never
     /// in the middle.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The event itself.
-    pub event: Event,
+    pub(crate) event: Event,
 }
 
 impl TimedEvent {
     /// One deterministic JSON line (no trailing newline).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(self) -> String {
         let mut out = String::with_capacity(96);
         use std::fmt::Write;
         let _ = write!(
@@ -196,11 +196,6 @@ impl FlightRecorder {
         FlightRecorder { stream, ring: Vec::with_capacity(capacity), head: 0, seq: 0, dropped: 0 }
     }
 
-    /// The stream id this recorder stamps onto events.
-    pub fn stream(&self) -> u32 {
-        self.stream
-    }
-
     /// Records one event at simulated time `t_us`. O(1), allocation-free
     /// once the ring has filled.
     pub fn record(&mut self, t_us: f64, event: Event) {
@@ -215,29 +210,14 @@ impl FlightRecorder {
         }
     }
 
-    /// Events currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
     /// Events overwritten by ring wrap-around.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
-    /// Events ever recorded (retained + dropped).
-    pub fn recorded(&self) -> u64 {
-        self.seq
-    }
-
     /// Copies out the retained events oldest-first and clears the ring
     /// (sequence numbering continues where it left off).
-    pub fn drain(&mut self) -> Vec<TimedEvent> {
+    pub(crate) fn drain(&mut self) -> Vec<TimedEvent> {
         let mut out = Vec::with_capacity(self.ring.len());
         out.extend_from_slice(&self.ring[self.head..]);
         out.extend_from_slice(&self.ring[..self.head]);
@@ -256,11 +236,6 @@ pub struct FlightLog {
 }
 
 impl FlightLog {
-    /// An empty log.
-    pub fn new() -> FlightLog {
-        FlightLog::default()
-    }
-
     /// Absorbs a recorder's retained events and drop count.
     pub fn absorb(&mut self, recorder: &mut FlightRecorder) {
         self.dropped += recorder.dropped();
@@ -308,9 +283,9 @@ mod tests {
         for i in 0..5u32 {
             rec.record(i as f64, Event::SessionParked { worker: i });
         }
-        assert_eq!(rec.len(), 2);
+        assert_eq!(rec.ring.len(), 2);
         assert_eq!(rec.dropped(), 3);
-        assert_eq!(rec.recorded(), 5);
+        assert_eq!(rec.seq, 5);
         let events = rec.drain();
         assert_eq!(events.len(), 2);
         // Oldest-first, newest retained: workers 3 and 4, seq 3 and 4.
@@ -318,7 +293,7 @@ mod tests {
         assert!(matches!(events[1].event, Event::SessionParked { worker: 4 }));
         assert_eq!(events[0].seq, 3);
         assert_eq!(events[1].seq, 4);
-        assert!(rec.is_empty());
+        assert!(rec.ring.is_empty());
         // Sequence numbering continues after a drain.
         rec.record(9.0, Event::SessionParked { worker: 9 });
         assert_eq!(rec.drain()[0].seq, 5);
@@ -333,7 +308,7 @@ mod tests {
         a.record(5.0, parked);
         b.record(5.0, parked);
         b.record(2.0, parked);
-        let mut log = FlightLog::new();
+        let mut log = FlightLog::default();
         log.absorb(&mut a);
         log.absorb(&mut b);
         log.seal();
@@ -348,7 +323,7 @@ mod tests {
         rec.record(1.5, Event::QueryServed { query: 0, pages: 12, hits: 9, failed: false });
         rec.record(2.25, Event::WindowOpened { budget_us: 800.0 });
         rec.record(3.0, Event::BatchSubmitted { lane: Lane::Window, pages: 64, coalesced: 3 });
-        let mut log = FlightLog::new();
+        let mut log = FlightLog::default();
         log.absorb(&mut rec);
         log.seal();
         let jsonl = log.to_jsonl();
@@ -366,7 +341,7 @@ mod tests {
         rec2.record(1.5, Event::QueryServed { query: 0, pages: 12, hits: 9, failed: false });
         rec2.record(2.25, Event::WindowOpened { budget_us: 800.0 });
         rec2.record(3.0, Event::BatchSubmitted { lane: Lane::Window, pages: 64, coalesced: 3 });
-        let mut log2 = FlightLog::new();
+        let mut log2 = FlightLog::default();
         log2.absorb(&mut rec2);
         log2.seal();
         assert_eq!(log2.to_jsonl(), jsonl);

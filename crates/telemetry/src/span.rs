@@ -10,7 +10,7 @@ use std::time::Instant;
 ///
 /// Span durations are host wall-clock and therefore *not* deterministic;
 /// runs that need fully reproducible telemetry disable spans via
-/// `TelemetryPlan::events_only()`.
+/// `TelemetryPlan { spans: false, ..Default::default() }`.
 pub struct SpanTimer<'a> {
     sink: &'a LogHistogram,
     start: Instant,
@@ -19,7 +19,7 @@ pub struct SpanTimer<'a> {
 impl<'a> SpanTimer<'a> {
     /// Starts timing into `sink`.
     #[inline]
-    pub fn start(sink: &'a LogHistogram) -> SpanTimer<'a> {
+    pub(crate) fn start(sink: &'a LogHistogram) -> SpanTimer<'a> {
         SpanTimer { sink, start: Instant::now() }
     }
 

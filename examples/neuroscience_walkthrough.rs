@@ -40,7 +40,10 @@ fn main() {
     );
 }
 
-fn generate_sequence_for(bed: &TestBed, bench: &scout::sim::Microbenchmark) -> Vec<QueryRegion> {
+fn generate_sequence_for(
+    bed: &TestBed,
+    bench: &scout::sim::workloads::Microbenchmark,
+) -> Vec<QueryRegion> {
     let sequences = generate_sequences(&bed.dataset, &bench.sequence, 1, 99);
     sequences.into_iter().next().expect("one sequence").regions
 }

@@ -37,54 +37,52 @@
 //!
 //! ## Crate map
 //!
-//! | crate | contents |
-//! |---|---|
-//! | [`scout_geometry`] | vectors, boxes, shapes, intersections, grids, Hilbert curves |
-//! | [`scout_storage`] | pages, simulated disk, LRU prefetch cache, I/O stats |
-//! | [`scout_index`] | STR R-tree and FLAT-style neighborhood index |
-//! | [`scout_synth`] | synthetic datasets + guided query sequences |
-//! | [`scout_core`] | SCOUT and SCOUT-OPT |
-//! | [`scout_predict`] | Markov history prefetcher, SCOUT hybrid, feedback control |
-//! | [`scout_baselines`] | EWMA, straight line, polynomial, velocity, Hilbert, layered, Markov |
-//! | [`scout_sim`] | prefetcher trait, Figure-2 executor, workloads, experiments |
-//! | [`scout_telemetry`] | metrics registry, flight recorder, span timers |
+//! Each crate is reached as `scout::<name>` or, for `scout_synth` and
+//! `scout_baselines`, through the [`prelude`] only.
+//!
+//! | crate | facade path | contents |
+//! |---|---|---|
+//! | [`scout_geometry`] | `scout::geometry` | vectors, boxes, shapes, intersections, grids, 3-D Hilbert curve |
+//! | [`scout_storage`] | `scout::storage` | pages, simulated disk, LRU prefetch cache, I/O stats |
+//! | [`scout_index`] | `scout::index` | STR R-tree and FLAT-style neighborhood index |
+//! | [`scout_synth`] | `prelude` | synthetic datasets + guided query sequences |
+//! | [`scout_core`] | `scout::core` | SCOUT and SCOUT-OPT |
+//! | [`scout_predict`] | `scout::predict` | Markov history prefetcher, SCOUT hybrid, feedback control |
+//! | [`scout_baselines`] | `prelude` | EWMA, straight line, polynomial, velocity, Hilbert, layered |
+//! | [`scout_sim`] | `scout::sim` | prefetcher trait, Figure-2 executor, workloads, experiments |
+//! | [`scout_telemetry`] | `scout::telemetry` | metrics registry, flight recorder, span timers |
 
 #![forbid(unsafe_code)]
 
-pub use scout_baselines as baselines;
 pub use scout_core as core;
 pub use scout_geometry as geometry;
 pub use scout_index as index;
 pub use scout_predict as predict;
 pub use scout_sim as sim;
 pub use scout_storage as storage;
-pub use scout_synth as synth;
 pub use scout_telemetry as telemetry;
 
 /// One-stop imports for examples and downstream users.
 pub mod prelude {
     pub use scout_baselines::{Ewma, HilbertPrefetch, Layered, Polynomial, StraightLine, Velocity};
-    pub use scout_core::{Scout, ScoutConfig, ScoutOpt, ScoutOptConfig, Strategy};
+    pub use scout_core::{Scout, ScoutConfig, ScoutOpt, Strategy};
     pub use scout_geometry::{Aabb, Aspect, QueryRegion, Shape, SpatialObject, Vec3};
-    pub use scout_index::{FlatIndex, OrderedSpatialIndex, RTree, SpatialIndex};
-    pub use scout_predict::{
-        FeedbackConfig, FeedbackController, HybridConfig, HybridPrefetcher, MarkovConfig,
-        MarkovPrefetcher, MarkovPrefetcherConfig, TransitionPredictor,
-    };
+    pub use scout_index::{FlatIndex, RTree, SpatialIndex};
+    pub use scout_predict::{HybridConfig, HybridPrefetcher, MarkovPrefetcher};
+    pub use scout_sim::report::{percentiles, LatencyPercentiles};
     pub use scout_sim::{
-        evaluate, percentiles, region_lists, run_sequence, run_sequences, ExecutorConfig,
-        LatencyPercentiles, MultiSessionConfig, MultiSessionExecutor, MultiSessionReport,
-        NoPrefetch, Prefetcher, Schedule, SchedulerReport, ServeOutcome, Session, SessionReport,
-        SimContext, TelemetryReport, TenantReport, TestBed,
+        evaluate, region_lists, run_sequence, run_sequences, ExecutorConfig, MultiSessionConfig,
+        MultiSessionExecutor, MultiSessionReport, NoPrefetch, Prefetcher, Schedule,
+        SchedulerReport, ServeOutcome, Session, SessionReport, SimContext, TelemetryReport,
+        TestBed,
     };
     pub use scout_storage::{
-        BatchPlan, BatchReport, BreakerPolicy, CacheStats, DiskProfile, FaultConfig, FaultPlan,
-        FaultReport, IoError, PageCache, PrefetchCache, RetryPolicy, ShardedCache, SharedClock,
+        BatchPlan, CacheStats, DiskProfile, FaultConfig, FaultPlan, FaultReport, IoError,
+        PageCache, PrefetchCache, RetryPolicy, ShardedCache, SharedClock,
     };
     pub use scout_synth::{
-        generate_arterial, generate_lung, generate_neurons, generate_roads, generate_sequence,
-        generate_sequences, ArterialParams, Dataset, Domain, LungParams, NeuronParams, RoadParams,
-        SequenceParams,
+        generate_arterial, generate_lung, generate_neurons, generate_roads, generate_sequences,
+        ArterialParams, Dataset, Domain, LungParams, NeuronParams, RoadParams, SequenceParams,
     };
     pub use scout_telemetry::{CounterId, GaugeId, HistogramId, TelemetryPlan};
 }
