@@ -1,15 +1,18 @@
 //! Golden traces: the model's fingerprint under `cargo test`.
 //!
-//! Smoke-scale versions of the benchmark's four workloads run through the
-//! public engine, and every simulated number they produce is written out
-//! as text and compared with a committed file under `tests/golden/`:
+//! Smoke-scale versions of the benchmark's four workloads, plus a faulty
+//! run of the sequence executor, go through the public engine, and every
+//! simulated number they produce is written out as text and compared with
+//! a committed file under `tests/golden/`:
 //!
 //! * `follow` — SCOUT on the R-tree, one `Session` per guided sequence,
 //!   over the neuron bed and over a street grid;
 //! * `gaps` — SCOUT-OPT over FLAT on gapped sequences;
 //! * `fleet` — a width-1 `StraightLine` fleet over an evicting
 //!   `ShardedCache`;
-//! * `fleet_degraded` — the same fleet, batched, on a faulty device.
+//! * `fleet_degraded` — the same fleet, batched, on a faulty device;
+//! * `sequence_faults` — `follow`'s streams through `run_sequences` on a
+//!   faulty device, the immediate serve path's fault ladder.
 //!
 //! Each query writes one line holding every field the benchmark's
 //! `model_digest` hashes per query, `f64`s as `{:?}` (which round-trips
@@ -31,7 +34,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
-/// The neuron bed `follow` and `gaps` share.
+/// The neuron bed `follow`, `gaps` and `sequence_faults` share.
 fn neuron_bed() -> &'static TestBed {
     static BED: OnceLock<TestBed> = OnceLock::new();
     BED.get_or_init(|| {
@@ -289,4 +292,59 @@ fn fleet_degraded_matches_its_golden_trace() {
     };
     let actual = fleet_trace(exec, Schedule::RoundRobin, BatchPlan::enabled());
     check("fleet_degraded", &actual);
+}
+
+/// `follow`'s streams through `run_sequences` on a faulty device: the
+/// immediate serve path's retry ladder, dropped prefetches and circuit
+/// breaker, one fresh cache and fault stream per sequence.
+#[test]
+fn sequence_faults_matches_its_golden_trace() {
+    let bed = neuron_bed();
+    let streams = region_lists(&generate_sequences(&bed.dataset, &ADHOC_PATTERN.sequence, 3, 7));
+    let exec = ExecutorConfig {
+        window_ratio: ADHOC_PATTERN.window_ratio,
+        cache_pages: 512,
+        faults: FaultPlan {
+            inject: Some(FaultConfig {
+                seed: 99,
+                transient_rate: 0.30,
+                corrupt_rate: 0.03,
+                stuck_rate: 0.02,
+                slow_rate: 0.05,
+                slow_multiplier: 8.0,
+            }),
+            ..FaultPlan::default()
+        },
+        ..ExecutorConfig::default()
+    };
+    let traces = run_sequences(&bed.ctx_rtree(), &mut Scout::with_defaults(), &streams, &exec);
+    let mut actual = String::new();
+    let mut total = FaultReport::default();
+    for (id, trace) in traces.iter().enumerate() {
+        for (n, q) in trace.queries.iter().enumerate() {
+            write_query(&mut actual, id, n, q);
+        }
+        let faults = trace.faults.as_ref().expect("injection was enabled");
+        let _ = writeln!(actual, "s{id} {}", faults.summary());
+        total.merge(faults);
+    }
+    // Every rung of the ladder must fire, or the trace pins nothing. The
+    // summary is the one public view of the exhausted-read count.
+    let summary = total.summary();
+    for rung in [
+        "retries",
+        "exhausted",
+        "prefetch dropped",
+        "windows degraded",
+        "breaker trips",
+        "failed queries",
+    ] {
+        let count = summary
+            .split([',', ';'])
+            .find_map(|part| part.trim().strip_suffix(rung))
+            .and_then(|n| n.trim().parse::<u64>().ok())
+            .unwrap_or_else(|| panic!("no `{rung}` count in {summary:?}"));
+        assert!(count > 0, "no {rung} over the run: {summary}");
+    }
+    check("sequence_faults", &actual);
 }
