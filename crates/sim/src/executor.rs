@@ -14,6 +14,7 @@ use crate::context::SimContext;
 use crate::costs::CpuCostModel;
 use crate::prefetcher::{PredictionStats, PrefetchRequest, Prefetcher};
 use crate::scratch::QueryScratch;
+use crate::session::Session;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
 use scout_storage::{
@@ -214,8 +215,8 @@ pub(crate) struct OpenWindow {
 
 /// Opens a query's timeline: runs the range query into `result`
 /// (replacing its contents) and stamps the trace with the result's size
-/// and the paper's `d`. Every serve path — the immediate one, the batched
-/// stage/complete pair, [`run_sequence`] — starts here.
+/// and the paper's `d`. Both serve paths — the immediate one and the
+/// batched stage/complete pair — start here.
 pub(crate) fn begin_query(
     ctx: &SimContext<'_>,
     region: &QueryRegion,
@@ -496,9 +497,9 @@ pub(crate) fn run_prefetch_window(
 /// The per-client fault-control state threading the degradation ladder
 /// through a query's two timeline phases: epoch bookkeeping before the
 /// serve, the circuit-breaker gate before the window, and the breaker's
-/// EWMA update after it. Owned by [`Session`](crate::Session) and by
-/// [`run_sequence`]; every method is a no-op on a fault-free disk, which
-/// is what keeps the zero-fault paths byte-identical.
+/// EWMA update after it. Owned by [`Session`]; every method is a no-op on
+/// a fault-free disk, which is what keeps the zero-fault paths
+/// byte-identical.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct FaultCtl {
     breaker: CircuitBreaker,
@@ -572,7 +573,8 @@ impl FaultCtl {
     }
 }
 
-/// Runs one guided query sequence against a fresh cache and disk.
+/// Runs one guided query sequence against a fresh cache and disk: one
+/// [`Session`] over `prefetcher`, stepped to its end.
 ///
 /// The prefetcher is `reset()` first; cache, disk head and counters start
 /// cold (§7.1 clears all caches between sequences).
@@ -582,36 +584,11 @@ pub fn run_sequence(
     regions: &[QueryRegion],
     config: &ExecutorConfig,
 ) -> SequenceTrace {
-    config.assert_valid();
+    let mut session = Session::with_prefetcher(0, prefetcher, regions.to_vec());
+    session.begin(config, None);
     let mut cache = PrefetchCache::new(config.cache_pages);
-    let mut disk = DiskModel::new(config.disk);
-    if let Some(faults) = config.faults.inject {
-        disk.enable_faults(faults, 0);
-    }
-    let mut faultctl = FaultCtl::new(config);
-    let mut trace = SequenceTrace::default();
-    // One result and one window page list refilled by every query.
-    let mut result = QueryResult::default();
-    let mut region_pages = Vec::new();
-    prefetcher.reset();
-
-    for (epoch, region) in regions.iter().enumerate() {
-        faultctl.begin_query(&mut disk, epoch as u64);
-        let mut q = begin_query(ctx, region, config, &mut result);
-        serve_demand(&result, &mut cache, &mut disk, config, &mut q, &mut trace.io);
-        let window = observe_and_open(ctx, prefetcher, region, &result, config, q);
-        faultctl.note_served(&window.q);
-        let q = if faultctl.allow_window(&disk, &window.q) {
-            let mut io = ImmediateIo { cache: &mut cache, disk: &mut disk, stats: &mut trace.io };
-            run_prefetch_window(ctx, prefetcher, window, &mut io, &mut region_pages)
-        } else {
-            window.q
-        };
-        faultctl.end_query(&disk);
-        trace.queries.push(q);
-    }
-    trace.faults = faultctl.report(&disk);
-    trace
+    while session.step(ctx, &mut cache, config) {}
+    session.into_trace().1
 }
 
 /// Runs `sequences` independently (fresh cache per sequence) and merges.

@@ -1,8 +1,6 @@
 //! One client's seat at the simulator.
 //!
-//! The seed executor fused "a client" and "the world" into one function:
-//! `run_sequence` owned the prefetcher, the cache, the disk and the trace.
-//! A [`Session`] is the client half of that split — everything one user
+//! A [`Session`] is one client's half of the simulation — everything one user
 //! carries: their prefetcher (prediction history), their query stream and
 //! cursor, their disk handle (own head position, optionally a clock shared
 //! with every other session) and their accumulated trace. The world half —
@@ -14,7 +12,8 @@
 //! window) and [`Session::finish_window`] (run the prefetch plan until the
 //! window closes). The multi-session executor interleaves these across
 //! sessions; [`Session::step`] runs both back-to-back for the
-//! single-session case.
+//! single-session case, and [`run_sequence`](crate::run_sequence) is one
+//! session stepped to its end over a fresh cache.
 
 use crate::context::SimContext;
 use crate::executor::{
@@ -31,6 +30,7 @@ use scout_storage::{
 };
 use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer, TelemetryPlan};
 use std::cell::Cell;
+use std::ops::DerefMut;
 use std::sync::{Arc, Mutex};
 
 // The buffers a step fills and forgets — the served query's result, the
@@ -51,13 +51,17 @@ thread_local! {
 }
 
 /// One client: a prefetcher, a query stream, a disk handle and a trace.
-pub struct Session {
+///
+/// `P` is how the session holds its prefetcher: owned (`Box`, what every
+/// public constructor builds) or borrowed from a caller that keeps it
+/// across sequences (`&mut dyn Prefetcher`, in `run_sequence`).
+pub struct Session<P = Box<dyn Prefetcher>> {
     id: usize,
     /// Tenant (organization/user group) this session bills to: a report
     /// label only — latency is reported per tenant, and the label never
     /// changes the order sessions run in.
     tenant: usize,
-    prefetcher: Box<dyn Prefetcher>,
+    prefetcher: P,
     regions: Vec<QueryRegion>,
     next: usize,
     disk: DiskModel,
@@ -93,6 +97,20 @@ impl Session {
     /// [`Session::begin`] before the first step to install the configured
     /// disk (and, in multi-session runs, the shared clock).
     pub fn new(id: usize, prefetcher: Box<dyn Prefetcher>, regions: Vec<QueryRegion>) -> Session {
+        Session::with_prefetcher(id, prefetcher, regions)
+    }
+
+    /// Assigns this session to a tenant (default 0). Builder-style so
+    /// fleet constructors can chain it.
+    pub fn with_tenant(mut self, tenant: usize) -> Session {
+        self.tenant = tenant;
+        self
+    }
+}
+
+impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
+    /// [`Session::new`] over any handle on the prefetcher.
+    pub(crate) fn with_prefetcher(id: usize, prefetcher: P, regions: Vec<QueryRegion>) -> Self {
         Session {
             id,
             tenant: 0,
@@ -113,13 +131,6 @@ impl Session {
     /// order in multi-worker runs).
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// Assigns this session to a tenant (default 0). Builder-style so
-    /// fleet constructors can chain it.
-    pub fn with_tenant(mut self, tenant: usize) -> Session {
-        self.tenant = tenant;
-        self
     }
 
     /// The tenant this session bills to.
@@ -217,8 +228,7 @@ impl Session {
             let mut result = SERVE_RESULT.take();
             let mut q = begin_query(ctx, region, config, &mut result);
             serve_demand(&result, cache, &mut self.disk, config, &mut q, &mut self.trace.io);
-            let window =
-                observe_and_open(ctx, self.prefetcher.as_mut(), region, &result, config, q);
+            let window = observe_and_open(ctx, &mut *self.prefetcher, region, &result, config, q);
             SERVE_RESULT.set(result);
             window
         };
@@ -285,7 +295,7 @@ impl Session {
             });
             let mut region_pages = WINDOW_PAGES.take();
             let q = run(
-                self.prefetcher.as_mut(),
+                &mut *self.prefetcher,
                 window,
                 &mut self.disk,
                 &mut self.trace.io,
@@ -400,7 +410,7 @@ impl Session {
         }
         FAN_IN.set(fetched);
         let region = &self.regions[self.next];
-        let window = observe_and_open(ctx, self.prefetcher.as_mut(), region, &result, config, q);
+        let window = observe_and_open(ctx, &mut *self.prefetcher, region, &result, config, q);
         self.end_serve(window);
     }
 
@@ -482,7 +492,6 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::run_sequence;
     use crate::prefetcher::NoPrefetch;
     use scout_geometry::{Aabb, Aspect, ObjectId, Shape, SpatialObject, StructureId, Vec3};
     use scout_index::RTree;
@@ -506,32 +515,6 @@ mod tests {
                 QueryRegion::new(Vec3::new(10.0 + i as f64 * 15.0, 0.5, 0.5), 1_000.0, Aspect::Cube)
             })
             .collect()
-    }
-
-    #[test]
-    fn stepping_a_session_matches_run_sequence() {
-        let objs = dataset();
-        let tree = RTree::bulk_load_with_capacity(&objs, 8);
-        let ctx = SimContext::new(&objs, &tree, Aabb::new(Vec3::ZERO, Vec3::splat(200.0)));
-        let config = ExecutorConfig::default();
-        let regions = regions(6);
-
-        let reference = run_sequence(&ctx, &mut NoPrefetch, &regions, &config);
-
-        let mut session = Session::new(0, Box::new(NoPrefetch), regions);
-        session.begin(&config, None);
-        let mut cache = PrefetchCache::new(config.cache_pages);
-        while session.step(&ctx, &mut cache, &config) {}
-        assert!(session.is_done());
-
-        let (_, trace) = session.into_trace();
-        assert_eq!(trace.queries.len(), reference.queries.len());
-        assert_eq!(trace.io, reference.io);
-        for (a, b) in trace.queries.iter().zip(&reference.queries) {
-            assert_eq!(a.pages_total, b.pages_total);
-            assert_eq!(a.pages_hit, b.pages_hit);
-            assert!((a.residual_us - b.residual_us).abs() < 1e-9);
-        }
     }
 
     #[test]

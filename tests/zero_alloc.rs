@@ -22,6 +22,10 @@
 //! SCOUT-OPT's gap crawl (§6.3) over a FLAT index is held to the same
 //! small constant as SCOUT's prediction: it recycles its crawl buffers.
 //!
+//! A whole `Session::step` — serve, digest, window — with `NoPrefetch`
+//! over a `PrefetchCache` allocates only when the session's trace grows
+//! its query list: the serve and window buffers belong to the thread.
+//!
 //! This binary holds exactly one `#[test]` on purpose: the counter is
 //! process-global, so a concurrently running sibling test would pollute
 //! the measured window.
@@ -30,7 +34,7 @@ use scout::core::ResultGraph;
 use scout::geometry::{Aspect, ObjectAdjacency, QueryRegion, UniformGrid};
 use scout::index::{RTree, SpatialIndex};
 use scout::predict::HybridPrefetcher;
-use scout::sim::{Prefetcher, QueryScratch, SimContext};
+use scout::sim::{ExecutorConfig, NoPrefetch, Prefetcher, QueryScratch, Session, SimContext};
 use scout_synth::{generate_neurons, NeuronParams};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -370,6 +374,37 @@ fn steady_state_graph_build_allocates_nothing() {
     assert!(
         gap_allocs <= 6 * queries,
         "SCOUT-OPT's gap tour allocated {gap_allocs} times over {queries} warmed queries"
+    );
+
+    // --- A whole step of the timeline ---------------------------------------
+    //
+    // `Session::step` with a prefetcher that predicts nothing: range query
+    // into the thread's result buffer, demand reads, the empty window. Once
+    // one pass over the stream has warmed the thread's buffers, a step
+    // allocates exactly when the trace's query list outgrows its capacity.
+    use scout::storage::PrefetchCache;
+    let exec = ExecutorConfig::default();
+    let stream: Vec<QueryRegion> = regions.iter().cycle().take(24).copied().collect();
+    let mut session = Session::new(0, Box::new(NoPrefetch), stream);
+    let mut cache = PrefetchCache::new(exec.cache_pages);
+    session.begin(&exec, None);
+    while session.step(&ctx, &mut cache, &exec) {}
+    session.begin(&exec, None);
+    assert!(session.step(&ctx, &mut cache, &exec));
+    let (mut steps, mut growths, mut capacity) = (0, 0, session.trace().queries.capacity());
+    let before = allocations();
+    while session.step(&ctx, &mut cache, &exec) {
+        steps += 1;
+        let grown = session.trace().queries.capacity();
+        growths += (grown != capacity) as u64;
+        capacity = grown;
+    }
+    let step_allocs = allocations() - before;
+    assert_eq!(steps, 23);
+    assert!(growths > 0, "the measured steps never grew the trace");
+    assert_eq!(
+        step_allocs, growths,
+        "{steps} warmed steps allocated {step_allocs} times; the trace grew {growths} times"
     );
 
     // --- Batch queue steady state (ISSUE 9) --------------------------------
