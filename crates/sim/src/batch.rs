@@ -15,7 +15,7 @@
 use crate::executor::ExecutorConfig;
 use crate::scheduler::lock_unpoisoned;
 use crate::session::Session;
-use crate::telemetry::FleetTelemetry;
+use crate::telemetry::RING_CAPACITY;
 use scout_storage::{
     BatchReport, DiskModel, FaultReport, IoBatcher, PageCache, ShardedCache, SharedClock,
 };
@@ -50,7 +50,6 @@ struct WindowLedger {
 struct BatchTelemetry {
     registry: Arc<MetricsRegistry>,
     recorder: Mutex<FlightRecorder>,
-    spans: bool,
     /// Demand-lane coalesced total at the last submit; the per-batch
     /// delta rides on each [`Event::BatchSubmitted`].
     demand_coalesced: AtomicU64,
@@ -72,7 +71,7 @@ impl BatchCtl {
         config: &ExecutorConfig,
         clock: &SharedClock,
         sessions: usize,
-        telemetry: Option<&FleetTelemetry>,
+        registry: Option<&Arc<MetricsRegistry>>,
     ) -> BatchCtl {
         let lane = |salt: u64| {
             let mut disk = DiskModel::with_clock(config.disk, clock.clone());
@@ -85,16 +84,18 @@ impl BatchCtl {
             demand: Mutex::new(lane(DEMAND_SALT)),
             window: Mutex::new(lane(WINDOW_SALT)),
             ledgers: Mutex::new(vec![WindowLedger::default(); sessions]),
-            telem: telemetry.map(|t| BatchTelemetry {
-                registry: Arc::clone(&t.registry),
-                recorder: Mutex::new(FlightRecorder::with_capacity(
-                    ENGINE_STREAM,
-                    t.plan.ring_capacity,
-                )),
-                spans: t.plan.spans,
+            telem: registry.map(|registry| BatchTelemetry {
+                registry: Arc::clone(registry),
+                recorder: Mutex::new(FlightRecorder::with_capacity(ENGINE_STREAM, RING_CAPACITY)),
                 demand_coalesced: AtomicU64::new(0),
             }),
         }
+    }
+
+    /// Times one batch submission (`None` when telemetry is disarmed).
+    fn submit_span(&self) -> Option<SpanTimer<'_>> {
+        let t = self.telem.as_ref()?;
+        Some(SpanTimer::start(t.registry.histogram(HistogramId::SpanBatchSubmitUs)))
     }
 
     /// Submits the round's demand batch: first attempts for every staged
@@ -104,9 +105,7 @@ impl BatchCtl {
     pub(crate) fn submit_demand(&self, round: u64) {
         let mut lane = lock_unpoisoned(&self.demand);
         if !lane.is_empty() {
-            let _span = self.telem.as_ref().and_then(|t| {
-                SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanBatchSubmitUs))
-            });
+            let _span = self.submit_span();
             let pages = lane.len() as u32;
             lane.submit(1, round);
             if let Some(t) = &self.telem {
@@ -140,9 +139,7 @@ impl BatchCtl {
         if lane.is_empty() {
             return;
         }
-        let _span = self.telem.as_ref().and_then(|t| {
-            SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanBatchSubmitUs))
-        });
+        let _span = self.submit_span();
         let pages = lane.len() as u32;
         lane.submit(0, round);
         let mut ledgers = lock_unpoisoned(&self.ledgers);

@@ -50,7 +50,7 @@ pub struct ExecutorConfig {
     /// Flight-recorder telemetry (DESIGN.md §13). `None` (the default)
     /// constructs nothing — no registry, no rings, no span timers — and
     /// keeps every run byte-identical to an untelemetered one; `Some`
-    /// arms per-session event rings and the shared metrics registry in
+    /// arms per-session event rings and the shared span registry in
     /// multi-session runs.
     pub telemetry: Option<TelemetryPlan>,
 }
@@ -86,11 +86,7 @@ impl ExecutorConfig {
         }
         self.disk.validate()?;
         self.costs.validate()?;
-        self.faults.validate()?;
-        if let Some(telemetry) = &self.telemetry {
-            telemetry.validate()?;
-        }
-        Ok(())
+        self.faults.validate()
     }
 
     /// Panics with a descriptive message when the configuration is invalid

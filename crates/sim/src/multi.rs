@@ -31,11 +31,12 @@ use crate::executor::ExecutorConfig;
 use crate::report::{pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table};
 use crate::scheduler::{default_parallelism, run_fleet, RoundBody, SchedulerReport};
 use crate::session::Session;
-use crate::telemetry::{FleetTelemetry, TelemetryReport};
+use crate::telemetry::TelemetryReport;
 use scout_storage::{
     hit_ratio, BatchPlan, BatchReport, CacheStats, FaultReport, ShardedCache, SharedClock,
 };
-use scout_telemetry::{CounterId, FlightLog, FlightRecorder, GaugeId};
+use scout_telemetry::{FlightLog, FlightRecorder, MetricsRegistry};
+use std::sync::Arc;
 
 /// How the engine schedules its sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,7 +51,7 @@ pub enum Schedule {
     /// name predates the cursor; nothing is stolen from a queue.) Scales
     /// to tens of thousands of sessions.
     WorkStealing {
-        /// Threads per phase; 0 picks the machine default (`SCOUT_THREADS`).
+        /// Threads per phase; 0 picks the machine's available parallelism.
         workers: usize,
     },
 }
@@ -126,17 +127,17 @@ impl MultiSessionExecutor {
         let exec = &self.config.exec;
         // Arm telemetry strictly opt-in: `None` (the default) constructs
         // nothing, keeping every path byte-identical to a disarmed run.
-        let telemetry = exec.telemetry.map(FleetTelemetry::new);
-        if let Some(tm) = &telemetry {
+        let spans = exec.telemetry.map(|_| Arc::new(MetricsRegistry::new()));
+        if let Some(registry) = &spans {
             for session in &mut sessions {
-                session.arm_telemetry(tm.plan, std::sync::Arc::clone(&tm.registry));
+                session.arm_telemetry(Arc::clone(registry));
             }
         }
         let batch = self
             .config
             .batch
             .enabled
-            .then(|| BatchCtl::new(exec, &clock, sessions.len(), telemetry.as_ref()));
+            .then(|| BatchCtl::new(exec, &clock, sessions.len(), spans.as_ref()));
         // One round body, one round loop (DESIGN.md §10): round-robin is
         // width 1 with the scheduler counters dropped.
         let body = RoundBody { ctx, exec, batch: batch.as_ref() };
@@ -145,7 +146,7 @@ impl MultiSessionExecutor {
             Schedule::WorkStealing { workers: 0 } => default_parallelism(),
             Schedule::WorkStealing { workers } => workers,
         };
-        let (mut sessions, report) = run_fleet(&body, cache, sessions, width, telemetry.as_ref());
+        let (mut sessions, report) = run_fleet(&body, cache, sessions, width, spans.as_deref());
         let scheduler = (self.config.schedule != Schedule::RoundRobin).then_some(report);
 
         // Teardown of the batch lanes: credit window ledgers into the
@@ -162,11 +163,8 @@ impl MultiSessionExecutor {
             batch_recorder = recorder;
         }
         // Telemetry teardown: merge every session's event ring (plus the
-        // batch engine's) into one sealed flight log, then mirror the
-        // counters whose source of truth lives in the scheduler / batch /
-        // fault reports — mirrored once here so the two views can never
-        // drift apart mid-run.
-        let telemetry_report = telemetry.map(|tm| {
+        // batch engine's) into one sealed flight log.
+        let telemetry = spans.map(|registry| {
             let mut flight = FlightLog::default();
             for session in &mut sessions {
                 if let Some(mut st) = session.take_telemetry() {
@@ -177,19 +175,7 @@ impl MultiSessionExecutor {
                 flight.absorb(&mut rec);
             }
             flight.seal();
-            let crew = scheduler.as_ref().map_or(1, |r| r.workers);
-            tm.registry.gauge_raise(GaugeId::WorkerCrew, crew as u64);
-            if let Some(r) = &scheduler {
-                tm.registry.add(CounterId::SessionsStolen, r.steals);
-                tm.registry.add(CounterId::SessionsParked, r.parks);
-            }
-            if let Some(b) = &batch_report {
-                tm.registry.add(CounterId::BatchesSubmitted, b.batches);
-                tm.registry.add(CounterId::BatchPagesSubmitted, b.unique_pages);
-                tm.registry.add(CounterId::PagesCoalesced, b.coalesced);
-            }
-            tm.registry.add(CounterId::EventsDropped, flight.dropped());
-            TelemetryReport { registry: tm.registry, flight }
+            TelemetryReport { registry, flight }
         });
         let mut report =
             MultiSessionReport::assemble(sessions, cache.stats(), clock.now_us(), scheduler);
@@ -197,15 +183,7 @@ impl MultiSessionExecutor {
         if let Some(bf) = batch_faults {
             report.faults.get_or_insert_with(FaultReport::default).merge(&bf);
         }
-        if let Some(tr) = telemetry_report {
-            // Retry/breaker totals come from the assembled fault merge
-            // (per-session disks plus batch lanes), the authoritative sum.
-            if let Some(f) = &report.faults {
-                tr.registry.add(CounterId::RetryAttempts, f.retries);
-                tr.registry.add(CounterId::BreakerTrips, f.breaker_trips);
-            }
-            report.telemetry = Some(tr);
-        }
+        report.telemetry = telemetry;
         report
     }
 }
@@ -299,7 +277,7 @@ pub struct MultiSessionReport {
     /// disabled. Never part of [`MultiSessionReport::render`], so batched
     /// runs stay render-comparable with unbatched ones.
     pub batch: Option<BatchReport>,
-    /// The armed run's telemetry view (DESIGN.md §13): the shared metrics
+    /// The armed run's telemetry view (DESIGN.md §13): the shared span
     /// registry plus the sealed flight log. `None` when
     /// `ExecutorConfig.telemetry` was `None` — the default — and never
     /// part of [`MultiSessionReport::render`], so armed runs stay

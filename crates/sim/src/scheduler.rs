@@ -54,21 +54,18 @@
 //! ## Thread count
 //!
 //! [`default_parallelism`] resolves the width
-//! [`Schedule::WorkStealing { workers: 0 }`](crate::Schedule) runs at: the
-//! `SCOUT_THREADS` environment variable when set (`1` keeps every phase on
-//! the calling thread — the CI equivalence job; a set-but-invalid value
-//! warns and pins 1 too), otherwise `std::thread::available_parallelism`.
+//! [`Schedule::WorkStealing { workers: 0 }`](crate::Schedule) runs at:
+//! `std::thread::available_parallelism`.
 
 use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
 use crate::session::Session;
-use crate::telemetry::FleetTelemetry;
 use scout_storage::{PageCache, PageId, ShardedCache};
-use scout_telemetry::{HistogramId, SpanTimer};
+use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Locks `m`, recovering the guard when a previous holder panicked.
 ///
@@ -84,31 +81,10 @@ pub(crate) fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The width a work-stealing fleet defaults to: `SCOUT_THREADS`
-/// when set to a positive integer, otherwise the machine's available
-/// parallelism. A `SCOUT_THREADS` that is set but not a positive integer
-/// (`0`, empty, non-numeric) pins serial with a warning — a botched pin
-/// must never silently re-enable full parallelism. Cached — the
-/// environment is read once per process.
+/// The width a work-stealing fleet defaults to: the machine's available
+/// parallelism (1 when it cannot be determined).
 pub(crate) fn default_parallelism() -> usize {
-    static CACHED: OnceLock<usize> = OnceLock::new();
-    *CACHED.get_or_init(|| resolve_parallelism(std::env::var("SCOUT_THREADS").ok().as_deref()))
-}
-
-fn resolve_parallelism(pin: Option<&str>) -> usize {
-    match pin {
-        Some(v) => match v.trim().parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!(
-                    "warning: SCOUT_THREADS={v:?} is not a positive integer; \
-                     pinning serial (SCOUT_THREADS=1)"
-                );
-                1
-            }
-        },
-        None => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    }
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 // ---------------------------------------------------------------------------
@@ -396,7 +372,7 @@ pub(crate) fn run_fleet(
     cache: &mut ShardedCache,
     sessions: Vec<Session>,
     workers: usize,
-    telemetry: Option<&FleetTelemetry>,
+    spans: Option<&MetricsRegistry>,
 ) -> (Vec<Session>, SchedulerReport) {
     let helpers = workers.saturating_sub(1);
     // The unfinished sessions' slot indices, in slot order. Exhausted
@@ -406,13 +382,8 @@ pub(crate) fn run_fleet(
     let fleet = Fleet::new(helpers, sessions);
     let mut report = SchedulerReport { workers: helpers + 1, ..Default::default() };
     // The edges — batch submits, run while no step is in flight — are
-    // one of the profiled hot phases (no-op when telemetry is disarmed
-    // or spans are off).
-    let edge_span = || {
-        telemetry.and_then(|t| {
-            SpanTimer::start_if(t.plan.spans, t.registry.histogram(HistogramId::SpanPhaseFlipUs))
-        })
-    };
+    // one of the profiled hot phases (no-op when telemetry is disarmed).
+    let edge_span = || spans.map(|r| SpanTimer::start(r.histogram(HistogramId::SpanPhaseFlipUs)));
     while !active.is_empty() {
         let round = report.rounds;
         report.rounds += 1;
@@ -550,27 +521,5 @@ mod tests {
     #[test]
     fn default_parallelism_is_positive() {
         assert!(default_parallelism() >= 1);
-    }
-
-    #[test]
-    fn default_parallelism_reads_the_environment_once() {
-        // Hot-path dispatch must never touch the env: the first call pins
-        // the value for the process, later env changes are invisible.
-        let first = default_parallelism();
-        std::env::set_var("SCOUT_THREADS", "9731");
-        assert_eq!(default_parallelism(), first);
-        std::env::remove_var("SCOUT_THREADS");
-        assert_eq!(default_parallelism(), first);
-    }
-
-    #[test]
-    fn bad_thread_pins_degrade_to_serial() {
-        assert_eq!(resolve_parallelism(Some("4")), 4);
-        assert_eq!(resolve_parallelism(Some(" 2 ")), 2);
-        // A set-but-broken pin must mean serial, never full parallelism.
-        assert_eq!(resolve_parallelism(Some("0")), 1);
-        assert_eq!(resolve_parallelism(Some("")), 1);
-        assert_eq!(resolve_parallelism(Some("two")), 1);
-        assert!(resolve_parallelism(None) >= 1);
     }
 }

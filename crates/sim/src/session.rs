@@ -28,7 +28,7 @@ use scout_index::QueryResult;
 use scout_storage::{
     DiskModel, FailedRead, FaultReport, IoBatcher, IoStats, PageCache, PageId, SharedClock,
 };
-use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer, TelemetryPlan};
+use scout_telemetry::{HistogramId, MetricsRegistry};
 use std::cell::Cell;
 use std::ops::DerefMut;
 use std::sync::{Arc, Mutex};
@@ -167,16 +167,16 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         self.open = None;
         self.pending = None;
         // Telemetry is armed per run (after `begin`), so a reused session
-        // never records into a previous run's registry.
+        // never records into a previous run's ring or registry.
         self.telem = None;
     }
 
     /// Arms flight-recorder telemetry for this run: events go into a
-    /// private ring (stream = session id), counters and histograms into
-    /// the fleet's shared `registry`. Called by the multi-session engine
-    /// after [`Session::begin`]; disarmed sessions record nothing.
-    pub(crate) fn arm_telemetry(&mut self, plan: TelemetryPlan, registry: Arc<MetricsRegistry>) {
-        self.telem = Some(SessionTelemetry::new(plan, registry, self.id as u32));
+    /// private ring (stream = session id), spans into the fleet's shared
+    /// `registry`. Called by the multi-session engine after
+    /// [`Session::begin`]; disarmed sessions record nothing.
+    pub(crate) fn arm_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
+        self.telem = Some(SessionTelemetry::new(registry, self.id as u32));
     }
 
     /// Detaches the telemetry arm (fleet teardown collects the ring).
@@ -222,9 +222,7 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         };
         self.faultctl.begin_query(&mut self.disk, self.next as u64);
         let window = {
-            let _span = self.telem.as_ref().and_then(|t| {
-                SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanServeUs))
-            });
+            let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
             let mut result = SERVE_RESULT.take();
             let mut q = begin_query(ctx, region, config, &mut result);
             serve_demand(&result, cache, &mut self.disk, config, &mut q, &mut self.trace.io);
@@ -290,9 +288,7 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         };
         let allowed = self.faultctl.allow_window(&self.disk, &window.q);
         let q = if allowed {
-            let _span = self.telem.as_ref().and_then(|t| {
-                SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanWindowUs))
-            });
+            let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanWindowUs));
             let mut region_pages = WINDOW_PAGES.take();
             let q = run(
                 &mut *self.prefetcher,
@@ -343,9 +339,7 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         let Some(region) = self.regions.get(self.next) else {
             return false;
         };
-        let _span = self.telem.as_ref().and_then(|t| {
-            SpanTimer::start_if(t.spans, t.registry.histogram(HistogramId::SpanServeUs))
-        });
+        let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
         self.faultctl.begin_query(&mut self.disk, self.next as u64);
         // The result waits in `pending` for the demand batch to resolve, so
         // this path owns it outright.

@@ -1,9 +1,9 @@
-//! The metrics registry: enum-keyed atomic counters and gauges plus
-//! fixed-size log-bucketed latency histograms.
+//! The metrics registry: enum-keyed, fixed-size log-bucketed histograms
+//! of wall-clock span durations.
 //!
-//! Memory is bounded and fixed at construction — one `AtomicU64` per
-//! counter/gauge and a fixed bucket array per histogram — so a registry
-//! costs a few kilobytes regardless of how many samples it absorbs.
+//! Memory is bounded and fixed at construction — a fixed bucket array per
+//! histogram — so a registry costs a few kilobytes regardless of how many
+//! samples it absorbs.
 //! Recording is lock-free (`fetch_add` with relaxed ordering), so one
 //! registry behind an `Arc` serves a whole fleet's sessions and workers
 //! without a shared lock on the hot path.
@@ -14,120 +14,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 // Keys
 // ---------------------------------------------------------------------------
 
-/// Monotonic event counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum CounterId {
-    /// Queries whose serve phase completed (served or failed).
-    QueriesServed,
-    /// Queries that surfaced an unrecoverable I/O error.
-    QueriesFailed,
-    /// Result pages requested.
-    PagesRequested,
-    /// Result pages served from the cache.
-    PagesHit,
-    /// Result pages read from the simulated disk.
-    PagesMissed,
-    /// Prefetch windows opened after a serve.
-    WindowsOpened,
-    /// Prefetch windows shed by the circuit breaker.
-    WindowsShed,
-    /// Pages prefetched (staged or read) during windows.
-    PrefetchPages,
-    /// Overhead pages read for gap traversal.
-    GapPages,
-    /// Session migrations: steps run by another worker than the session's
-    /// previous step.
-    SessionsStolen,
-    /// Sessions parked at a phase boundary.
-    SessionsParked,
-    /// Demand-read retry attempts beyond the first.
-    RetryAttempts,
-    /// Circuit-breaker open transitions.
-    BreakerTrips,
-    /// Physical I/O batches submitted.
-    BatchesSubmitted,
-    /// Pages submitted across all batches.
-    BatchPagesSubmitted,
-    /// Duplicate page requests coalesced into an in-flight batch slot.
-    PagesCoalesced,
-    /// Flight-recorder events overwritten by ring wrap-around.
-    EventsDropped,
-}
-
-/// Number of [`CounterId`] variants.
-pub(crate) const COUNTER_COUNT: usize = 17;
-
-impl CounterId {
-    /// Every counter, in declaration order (export order).
-    pub(crate) const ALL: [CounterId; COUNTER_COUNT] = [
-        CounterId::QueriesServed,
-        CounterId::QueriesFailed,
-        CounterId::PagesRequested,
-        CounterId::PagesHit,
-        CounterId::PagesMissed,
-        CounterId::WindowsOpened,
-        CounterId::WindowsShed,
-        CounterId::PrefetchPages,
-        CounterId::GapPages,
-        CounterId::SessionsStolen,
-        CounterId::SessionsParked,
-        CounterId::RetryAttempts,
-        CounterId::BreakerTrips,
-        CounterId::BatchesSubmitted,
-        CounterId::BatchPagesSubmitted,
-        CounterId::PagesCoalesced,
-        CounterId::EventsDropped,
-    ];
-
-    /// The counter's stable export name (snake_case).
-    pub(crate) fn name(&self) -> &'static str {
-        match self {
-            CounterId::QueriesServed => "queries_served",
-            CounterId::QueriesFailed => "queries_failed",
-            CounterId::PagesRequested => "pages_requested",
-            CounterId::PagesHit => "pages_hit",
-            CounterId::PagesMissed => "pages_missed",
-            CounterId::WindowsOpened => "windows_opened",
-            CounterId::WindowsShed => "windows_shed",
-            CounterId::PrefetchPages => "prefetch_pages",
-            CounterId::GapPages => "gap_pages",
-            CounterId::SessionsStolen => "sessions_stolen",
-            CounterId::SessionsParked => "sessions_parked",
-            CounterId::RetryAttempts => "retry_attempts",
-            CounterId::BreakerTrips => "breaker_trips",
-            CounterId::BatchesSubmitted => "batches_submitted",
-            CounterId::BatchPagesSubmitted => "batch_pages_submitted",
-            CounterId::PagesCoalesced => "pages_coalesced",
-            CounterId::EventsDropped => "events_dropped",
-        }
-    }
-}
-
-/// High-water level gauges: raising keeps the maximum — the only
-/// combination that is order-independent for level samples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(usize)]
-pub enum GaugeId {
-    /// Worker crew width of the run.
-    WorkerCrew,
-}
-
-/// Number of [`GaugeId`] variants.
-pub(crate) const GAUGE_COUNT: usize = 1;
-
-/// Log-bucketed latency histograms, all in µs.
+/// Wall-clock span histograms, all in µs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum HistogramId {
-    /// Residual (user-visible) latency per query — simulated.
-    ResidualUs,
-    /// Graph-build CPU per query — simulated.
-    GraphBuildUs,
-    /// Prediction CPU per query — simulated.
-    PredictionUs,
-    /// Prefetch-window budget per opened window — simulated.
-    WindowBudgetUs,
     /// Wall-clock span: one serve sub-phase.
     SpanServeUs,
     /// Wall-clock span: one window sub-phase.
@@ -139,7 +29,7 @@ pub enum HistogramId {
 }
 
 /// Number of [`HistogramId`] variants.
-pub(crate) const HISTOGRAM_COUNT: usize = 8;
+pub(crate) const HISTOGRAM_COUNT: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Log-bucketed histogram
@@ -151,8 +41,8 @@ const SUB: u64 = 4;
 /// log2 of [`SUB`].
 const SUB_BITS: u32 = 2;
 /// Octaves above the exact linear range `[0, SUB)`. The top finite bucket
-/// ends just below `SUB << (OCTAVES + SUB_BITS - 1)` ≈ 2^43 µs ≈ 101 days
-/// of simulated latency; anything larger lands in the overflow bucket.
+/// ends just below `SUB << (OCTAVES + SUB_BITS - 1)` ≈ 2^43 µs ≈ 101 days;
+/// anything larger lands in the overflow bucket.
 const OCTAVES: usize = 40;
 /// Total buckets: `SUB` exact small-value buckets, `OCTAVES × SUB`
 /// log-linear buckets, one overflow bucket.
@@ -198,9 +88,8 @@ impl LogHistogram {
     }
 
     /// The bucket index a µs value lands in (negatives clamp to 0; huge
-    /// values clamp to the overflow bucket). Exposed so accuracy tests can
-    /// assert the "within one bucket" contract directly.
-    pub fn bucket_index(us: f64) -> usize {
+    /// values clamp to the overflow bucket).
+    pub(crate) fn bucket_index(us: f64) -> usize {
         let v = if us > 0.0 { us as u64 } else { 0 };
         if v < SUB {
             return v as usize;
@@ -213,7 +102,7 @@ impl LogHistogram {
 
     /// The inclusive upper edge of bucket `index` in µs — the value
     /// percentile queries report for samples in that bucket.
-    pub fn bucket_upper_us(index: usize) -> f64 {
+    pub(crate) fn bucket_upper_us(index: usize) -> f64 {
         if index < SUB as usize {
             return index as f64;
         }
@@ -259,81 +148,17 @@ impl LogHistogram {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// One run's metrics: every counter, gauge and histogram, shareable across
-/// sessions and workers behind an `Arc`. All operations are lock-free.
+/// One run's span histograms, shareable across sessions and workers
+/// behind an `Arc`. All operations are lock-free.
+#[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: [AtomicU64; COUNTER_COUNT],
-    gauges: [AtomicU64; GAUGE_COUNT],
     histograms: [LogHistogram; HISTOGRAM_COUNT],
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> MetricsRegistry {
-        MetricsRegistry::new()
-    }
-}
-
-impl std::fmt::Debug for MetricsRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("MetricsRegistry");
-        for id in CounterId::ALL {
-            let v = self.counter(id);
-            if v > 0 {
-                s.field(id.name(), &v);
-            }
-        }
-        s.finish()
-    }
 }
 
 impl MetricsRegistry {
     /// A zeroed registry.
-    #[allow(clippy::declare_interior_mutable_const)] // per-element array init
     pub fn new() -> MetricsRegistry {
-        const ZERO: AtomicU64 = AtomicU64::new(0);
-        MetricsRegistry {
-            counters: [ZERO; COUNTER_COUNT],
-            gauges: [ZERO; GAUGE_COUNT],
-            histograms: std::array::from_fn(|_| LogHistogram::new()),
-        }
-    }
-
-    /// Adds `n` to a counter.
-    #[inline]
-    pub fn add(&self, id: CounterId, n: u64) {
-        if n > 0 {
-            self.counters[id as usize].fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Increments a counter by one.
-    #[inline]
-    pub fn incr(&self, id: CounterId) {
-        self.counters[id as usize].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A counter's current value.
-    pub fn counter(&self, id: CounterId) -> u64 {
-        self.counters[id as usize].load(Ordering::Relaxed)
-    }
-
-    /// Raises a gauge to at least `level` (high-water semantics: the only
-    /// order-independent combination under concurrent writers).
-    #[inline]
-    pub fn gauge_raise(&self, id: GaugeId, level: u64) {
-        self.gauges[id as usize].fetch_max(level, Ordering::Relaxed);
-    }
-
-    /// A gauge's current level.
-    #[cfg(test)]
-    pub(crate) fn gauge(&self, id: GaugeId) -> u64 {
-        self.gauges[id as usize].load(Ordering::Relaxed)
-    }
-
-    /// Records a µs sample into a histogram.
-    #[inline]
-    pub fn record(&self, id: HistogramId, us: f64) {
-        self.histograms[id as usize].record(us);
+        MetricsRegistry::default()
     }
 
     /// Direct access to one histogram (for span timers and percentile
@@ -409,29 +234,5 @@ mod tests {
         // 7 µs lands in the bucket [6, 7]; the reported upper edge is 7.
         assert_eq!(h.percentile(50.0), 7.0);
         assert_eq!(h.count(), 1);
-    }
-
-    #[test]
-    fn registry_counters_and_gauges() {
-        let r = MetricsRegistry::new();
-        r.incr(CounterId::QueriesServed);
-        r.add(CounterId::PagesHit, 41);
-        r.add(CounterId::PagesHit, 0); // no-op
-        r.gauge_raise(GaugeId::WorkerCrew, 4);
-        r.gauge_raise(GaugeId::WorkerCrew, 2); // max semantics
-        r.record(HistogramId::ResidualUs, 123.0);
-        assert_eq!(r.counter(CounterId::QueriesServed), 1);
-        assert_eq!(r.counter(CounterId::PagesHit), 41);
-        assert_eq!(r.gauge(GaugeId::WorkerCrew), 4);
-        assert_eq!(r.histogram(HistogramId::ResidualUs).count(), 1);
-    }
-
-    #[test]
-    fn every_key_has_a_distinct_name() {
-        let mut names: Vec<&str> = CounterId::ALL.iter().map(|c| c.name()).collect();
-        let total = names.len();
-        names.sort_unstable();
-        names.dedup();
-        assert_eq!(names.len(), total, "duplicate metric name");
     }
 }

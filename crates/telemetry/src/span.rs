@@ -8,9 +8,8 @@ use std::time::Instant;
 /// `Instant::now()` on entry and one on exit plus two relaxed atomic adds
 /// — no allocation, no locking — so it is safe to arm on per-query paths.
 ///
-/// Span durations are host wall-clock and therefore *not* deterministic;
-/// runs that need fully reproducible telemetry disable spans via
-/// `TelemetryPlan { spans: false, ..Default::default() }`.
+/// Span durations are host wall-clock and therefore *not* deterministic:
+/// they are measurements, never model outputs.
 pub struct SpanTimer<'a> {
     sink: &'a LogHistogram,
     start: Instant,
@@ -19,14 +18,8 @@ pub struct SpanTimer<'a> {
 impl<'a> SpanTimer<'a> {
     /// Starts timing into `sink`.
     #[inline]
-    pub(crate) fn start(sink: &'a LogHistogram) -> SpanTimer<'a> {
+    pub fn start(sink: &'a LogHistogram) -> SpanTimer<'a> {
         SpanTimer { sink, start: Instant::now() }
-    }
-
-    /// Starts timing only when `enabled` — the armed-with-spans gate.
-    #[inline]
-    pub fn start_if(enabled: bool, sink: &'a LogHistogram) -> Option<SpanTimer<'a>> {
-        enabled.then(|| SpanTimer::start(sink))
     }
 }
 
@@ -48,11 +41,5 @@ mod tests {
             let _span = SpanTimer::start(&h);
         }
         assert_eq!(h.count(), 1);
-        assert!(SpanTimer::start_if(false, &h).is_none());
-        assert_eq!(h.count(), 1);
-        {
-            let _span = SpanTimer::start_if(true, &h);
-        }
-        assert_eq!(h.count(), 2);
     }
 }

@@ -7,9 +7,9 @@
 //!
 //! 1. disarmed (the default) — telemetry constructs nothing and the
 //!    report is byte-identical to an untelemetered engine,
-//! 2. armed — the same run attaches a metrics registry (counters,
-//!    gauges, log-bucketed latency histograms) and a flight log of
-//!    typed, simulated-clock-stamped events,
+//! 2. armed — the same run attaches a registry of wall-clock span
+//!    histograms (measurements) and a flight log of typed,
+//!    simulated-clock-stamped events; the counts stay in the report,
 //!
 //! then reruns the armed fleet to show the width-1 event stream is
 //! byte-identical, and prints the tail of the JSONL export.
@@ -64,29 +64,26 @@ fn main() {
     assert_eq!(plain.render(), armed.render(), "telemetry must be invisible in the report");
     let telem = armed.telemetry.as_ref().expect("armed runs attach a TelemetryReport");
 
-    // Counters: one shared lock-free registry, bumped by every session.
-    println!("== counters ==");
-    for (label, id) in [
-        ("queries served", CounterId::QueriesServed),
-        ("pages requested", CounterId::PagesRequested),
-        ("pages hit", CounterId::PagesHit),
-        ("windows opened", CounterId::WindowsOpened),
-        ("prefetch pages", CounterId::PrefetchPages),
-        ("gap pages", CounterId::GapPages),
-    ] {
-        println!("  {label:>16}: {}", telem.counter(id));
-    }
+    // Counts are model outputs: the report holds them, exactly.
+    println!("== report totals ==");
+    let queries: usize = armed.sessions.iter().map(|s| s.queries).sum();
+    println!("  {:>16}: {queries}", "queries served");
+    println!("  {:>16}: {}", "pages requested", armed.total_pages());
+    println!("  {:>16}: {}", "pages hit", armed.total_pages_hit());
 
-    // Histograms: bounded log-bucketed views of the latency tails. The
-    // percentile is the bucket's upper edge, within one bucket (≤ 25%
-    // relative width) of the exact sort-based statistic the report
-    // renders above.
-    println!("== residual latency (histogram vs exact) ==");
-    let view = telem.residual_percentiles();
-    let exact = armed.residual;
-    println!("  p50 {:>8.1} µs   (exact {:.1})", view.p50, exact.p50);
-    println!("  p95 {:>8.1} µs   (exact {:.1})", view.p95, exact.p95);
-    println!("  p99 {:>8.1} µs   (exact {:.1})", view.p99, exact.p99);
+    // Spans are measurements: host wall-clock time per serve and window
+    // sub-phase, in bounded log-bucketed histograms. The percentile is
+    // the bucket's upper edge (≤ 25% relative width), and it varies from
+    // run to run and host to host.
+    println!("== wall-clock spans ==");
+    for (label, id) in [("serve", HistogramId::SpanServeUs), ("window", HistogramId::SpanWindowUs)]
+    {
+        println!(
+            "  {label:>6}: p50 {:>6.0} µs   p99 {:>6.0} µs",
+            telem.percentile(id, 50.0),
+            telem.percentile(id, 99.0)
+        );
+    }
 
     // The flight log: every session's ring, merged and sealed into one
     // timeline ordered by (t_us, stream, seq).

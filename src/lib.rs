@@ -50,7 +50,7 @@
 //! | [`scout_predict`] | `scout::predict` | Markov history prefetcher, SCOUT hybrid, feedback control |
 //! | [`scout_baselines`] | `prelude` | EWMA, straight line, polynomial, velocity, Hilbert, layered |
 //! | [`scout_sim`] | `scout::sim` | prefetcher trait, Figure-2 executor, workloads, experiments |
-//! | [`scout_telemetry`] | `scout::telemetry` | metrics registry, flight recorder, span timers |
+//! | [`scout_telemetry`] | `scout::telemetry` | span histograms, span timers, flight recorder |
 
 #![forbid(unsafe_code)]
 
@@ -84,5 +84,5 @@ pub mod prelude {
         generate_arterial, generate_lung, generate_neurons, generate_roads, generate_sequences,
         ArterialParams, Dataset, Domain, LungParams, NeuronParams, RoadParams, SequenceParams,
     };
-    pub use scout_telemetry::{CounterId, GaugeId, HistogramId, TelemetryPlan};
+    pub use scout_telemetry::{HistogramId, TelemetryPlan};
 }
