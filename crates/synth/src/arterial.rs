@@ -171,6 +171,14 @@ mod tests {
     }
 
     #[test]
+    fn digest_is_pinned() {
+        // Recorded from the generator as first written: a changed draw
+        // order or growth step moves it, which two same-code runs cannot.
+        let d = generate_arterial(&small(), 11);
+        assert_eq!((d.len(), d.digest()), (1350, 0x5dc5_7447_99db_4f5c));
+    }
+
+    #[test]
     fn deterministic_in_seed() {
         let a = generate_arterial(&small(), 11);
         let b = generate_arterial(&small(), 11);

@@ -80,6 +80,32 @@ impl Dataset {
         Ok(())
     }
 
+    /// FNV-1a digest of the object count, every object (its `Debug` form
+    /// prints each `f64` exactly) and the explicit adjacency lists — a
+    /// fingerprint that moves when any generated bit or draw order does.
+    #[cfg(test)]
+    pub(crate) fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(&(self.objects.len() as u64).to_le_bytes());
+        for o in &self.objects {
+            eat(format!("{o:?}").as_bytes());
+        }
+        if let Some(adj) = &self.adjacency {
+            for o in &self.objects {
+                for nb in adj.neighbors(o.id) {
+                    eat(&nb.0.to_le_bytes());
+                }
+                eat(&[0xFF]);
+            }
+        }
+        h
+    }
+
     /// Mean object density, objects per µm³.
     pub fn density(&self) -> f64 {
         self.objects.len() as f64 / self.bounds.volume()

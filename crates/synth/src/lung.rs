@@ -270,6 +270,14 @@ mod tests {
     }
 
     #[test]
+    fn digest_is_pinned() {
+        // Recorded from the generator as first written: a changed draw
+        // order or growth step moves it, which two same-code runs cannot.
+        let d = generate_lung(&small(), 5);
+        assert_eq!((d.len(), d.digest()), (2472, 0x7935_8eff_bf0b_69df));
+    }
+
+    #[test]
     fn deterministic_in_seed() {
         let a = generate_lung(&small(), 5);
         let b = generate_lung(&small(), 5);
