@@ -8,9 +8,9 @@
 
 use crate::dataset::{Dataset, Domain};
 use crate::guide::GuideGraph;
-use crate::rng_util::perturb_direction;
+use crate::skeleton::{split, step};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use scout_geometry::{Aabb, Cylinder, ObjectId, Shape, SpatialObject, StructureId, Vec3};
 
 /// Parameters of the arterial-tree generator.
@@ -55,6 +55,7 @@ pub fn generate_arterial(params: &ArterialParams, seed: u64) -> Dataset {
     let bounds = Aabb::new(Vec3::ZERO, Vec3::splat(params.bounds_side));
     let mut guide = GuideGraph::new();
     let mut objects: Vec<SpatialObject> = Vec::new();
+    let growth = (params.step_len, params.angle_sigma);
 
     // Root enters from the center of the -z face heading +z.
     let root_pos = Vec3::new(params.bounds_side / 2.0, params.bounds_side / 2.0, 1.0);
@@ -73,42 +74,22 @@ pub fn generate_arterial(params: &ArterialParams, seed: u64) -> Dataset {
         let mut node = start;
         let mut dir = dir0;
         for _ in 0..steps {
-            dir = perturb_direction(&mut rng, dir, params.angle_sigma);
-            // Reflect at the domain boundary.
-            let pos = guide.position(node);
-            for axis in 0..3 {
-                let next = pos[axis] + dir[axis] * params.step_len;
-                if next < bounds.min[axis] || next > bounds.max[axis] {
-                    match axis {
-                        0 => dir.x = -dir.x,
-                        1 => dir.y = -dir.y,
-                        _ => dir.z = -dir.z,
-                    }
-                }
-            }
-            let next_pos =
-                (guide.position(node) + dir * params.step_len).clamp(bounds.min, bounds.max);
-            let next = guide.add_node(next_pos);
-            guide.add_edge(node, next);
+            let from = node;
+            (node, dir) = step(&mut guide, &mut rng, from, dir, growth, &bounds);
             objects.push(SpatialObject::new(
                 ObjectId(objects.len() as u32),
                 StructureId(0), // one arterial tree = one structure system
                 Shape::Cylinder(Cylinder::new(
+                    guide.position(from),
                     guide.position(node),
-                    next_pos,
                     radius,
                     radius * 0.995,
                 )),
             ));
-            node = next;
         }
-        // Bifurcate into two children.
-        let ortho = dir.any_orthogonal();
-        let phi = rng.random_range(0.0..std::f64::consts::TAU);
-        let axis = ortho * phi.cos() + dir.cross(ortho) * phi.sin();
-        let (s, c) = params.bifurcation_half_angle.sin_cos();
-        work.push((node, (dir * c + axis * s).normalized_or_x(), generation + 1));
-        work.push((node, (dir * c - axis * s).normalized_or_x(), generation + 1));
+        let (child_a, child_b) = split(&mut rng, dir, params.bifurcation_half_angle);
+        work.push((node, child_a, generation + 1));
+        work.push((node, child_b, generation + 1));
     }
 
     Dataset { domain: Domain::Arterial, objects, bounds, guide, adjacency: None }

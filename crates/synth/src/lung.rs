@@ -10,9 +10,9 @@
 
 use crate::dataset::{Dataset, Domain};
 use crate::guide::{GuideGraph, ObjectAdjacency};
-use crate::rng_util::perturb_direction;
+use crate::skeleton::{split, step};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use scout_geometry::{Aabb, ObjectId, Shape, SpatialObject, StructureId, Triangle, Vec3};
 
 /// Parameters of the airway generator.
@@ -62,6 +62,7 @@ pub fn generate_lung(params: &LungParams, seed: u64) -> Dataset {
     let mut objects: Vec<SpatialObject> = Vec::new();
     let mut adjacency: Vec<Vec<ObjectId>> = Vec::new();
     let m = params.ring_vertices;
+    let growth = (params.step_len, params.angle_sigma);
 
     let link = |adj: &mut Vec<Vec<ObjectId>>, a: ObjectId, b: ObjectId| {
         if a != b && !adj[a.index()].contains(&b) {
@@ -88,27 +89,10 @@ pub fn generate_lung(params: &LungParams, seed: u64) -> Dataset {
 
         // Grow the skeleton polyline for this branch.
         let mut nodes = vec![start];
-        let mut dir = dir0;
-        let mut node = start;
+        let (mut node, mut dir) = (start, dir0);
         for _ in 0..steps {
-            dir = perturb_direction(&mut rng, dir, params.angle_sigma);
-            let pos = guide.position(node);
-            for axis in 0..3 {
-                let next = pos[axis] + dir[axis] * params.step_len;
-                if next < bounds.min[axis] || next > bounds.max[axis] {
-                    match axis {
-                        0 => dir.x = -dir.x,
-                        1 => dir.y = -dir.y,
-                        _ => dir.z = -dir.z,
-                    }
-                }
-            }
-            let next_pos =
-                (guide.position(node) + dir * params.step_len).clamp(bounds.min, bounds.max);
-            let next = guide.add_node(next_pos);
-            guide.add_edge(node, next);
-            nodes.push(next);
-            node = next;
+            (node, dir) = step(&mut guide, &mut rng, node, dir, growth, &bounds);
+            nodes.push(node);
         }
 
         // Triangulate the tube: rings of `m` vertices at each node, two
@@ -189,18 +173,10 @@ pub fn generate_lung(params: &LungParams, seed: u64) -> Dataset {
         let end = *nodes.last().expect("branch has nodes");
         let d_end = (guide.position(end) - guide.position(nodes[nodes.len().saturating_sub(2)]))
             .normalized_or_x();
-        let ortho = d_end.any_orthogonal();
-        let phi = rng.random_range(0.0..std::f64::consts::TAU);
-        let axis = ortho * phi.cos() + d_end.cross(ortho) * phi.sin();
-        let (s, c) = params.bifurcation_half_angle.sin_cos();
+        let (child_a, child_b) = split(&mut rng, d_end, params.bifurcation_half_angle);
         branch_id += 1;
-        work.push((
-            end,
-            (d_end * c + axis * s).normalized_or_x(),
-            generation + 1,
-            prev_band.clone(),
-        ));
-        work.push((end, (d_end * c - axis * s).normalized_or_x(), generation + 1, prev_band));
+        work.push((end, child_a, generation + 1, prev_band.clone()));
+        work.push((end, child_b, generation + 1, prev_band));
     }
 
     let adjacency = ObjectAdjacency::from_lists(&adjacency);

@@ -76,6 +76,35 @@ fn reflect(pos: Vec3, dir: Vec3, step: f64, bounds: &Aabb) -> Vec3 {
     d
 }
 
+/// One growth step from `node` heading `dir`: perturbs the heading by
+/// `angle_sigma`, reflects it off `bounds`, and adds the node `step_len`
+/// on (clamped inside `bounds`) with the edge to it. Returns the new node
+/// and its heading.
+pub(crate) fn step<R: Rng + ?Sized>(
+    graph: &mut GuideGraph,
+    rng: &mut R,
+    node: GuideNodeId,
+    dir: Vec3,
+    (step_len, angle_sigma): (f64, f64),
+    bounds: &Aabb,
+) -> (GuideNodeId, Vec3) {
+    let pos = graph.position(node);
+    let d = reflect(pos, perturb_direction(rng, dir, angle_sigma), step_len, bounds);
+    let next = graph.add_node((pos + d * step_len).clamp(bounds.min, bounds.max));
+    graph.add_edge(node, next);
+    (next, d)
+}
+
+/// Splits heading `d` into the two child headings of a bifurcation,
+/// `half_angle` either side of it in a plane at a random roll.
+pub(crate) fn split<R: Rng + ?Sized>(rng: &mut R, d: Vec3, half_angle: f64) -> (Vec3, Vec3) {
+    let ortho = d.any_orthogonal();
+    let phi = rng.random_range(0.0..std::f64::consts::TAU);
+    let axis = ortho * phi.cos() + d.cross(ortho) * phi.sin();
+    let (s, c) = half_angle.sin_cos();
+    ((d * c + axis * s).normalized_or_x(), (d * c - axis * s).normalized_or_x())
+}
+
 /// Grows a branching subtree rooted at `root` (which must already exist in
 /// `graph`) heading `dir`. Returns the created edges in creation order.
 pub(crate) fn grow_subtree<R: Rng + ?Sized>(
@@ -98,25 +127,15 @@ pub(crate) fn grow_subtree<R: Rng + ?Sized>(
                 return edges;
             }
             budget -= 1;
-            d = perturb_direction(rng, d, params.angle_sigma);
-            d = reflect(graph.position(node), d, params.step_len, bounds);
-            let next_pos = graph.position(node) + d * params.step_len;
-            let next = graph.add_node(next_pos.clamp(bounds.min, bounds.max));
-            graph.add_edge(node, next);
+            let from = node;
+            (node, d) = step(graph, rng, node, d, (params.step_len, params.angle_sigma), bounds);
             depth += 1;
             branch_steps += 1;
-            edges.push(GrownEdge { from: node, to: next, depth });
-            node = next;
+            edges.push(GrownEdge { from, to: node, depth });
 
             let may_split = branch_steps >= params.min_steps_before_split;
             if may_split && rng.random::<f64>() < params.bifurcation_prob {
-                // Split into two children separated by bifurcation_angle.
-                let half = params.bifurcation_angle / 2.0;
-                let ortho = d.any_orthogonal();
-                let phi = rng.random_range(0.0..std::f64::consts::TAU);
-                let axis = ortho * phi.cos() + d.cross(ortho) * phi.sin();
-                let child_a = (d * half.cos() + axis * half.sin()).normalized_or_x();
-                let child_b = (d * half.cos() - axis * half.sin()).normalized_or_x();
+                let (child_a, child_b) = split(rng, d, params.bifurcation_angle / 2.0);
                 tips.push_back((node, child_a, depth, 0));
                 tips.push_back((node, child_b, depth, 0));
                 break;
