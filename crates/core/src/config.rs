@@ -37,9 +37,6 @@ pub struct ScoutConfig {
     pub max_prefetch_locations: usize,
     /// Number of growing incremental prefetch queries per location (§5.1).
     pub incremental_steps: usize,
-    /// Exit/entry matching tolerance for candidate continuity across a
-    /// gap, as a fraction of the query side.
-    pub continuity_tolerance_frac: f64,
     // Read by nothing. Pinned by `benchmark/src/adapter.rs` line 862, which
     // a non-`benchmark` PR may not edit; ROADMAP item 1(b) removes it.
     #[doc(hidden)]
@@ -56,7 +53,6 @@ impl Default for ScoutConfig {
             strategy: Strategy::Broad,
             max_prefetch_locations: 8,
             incremental_steps: 5,
-            continuity_tolerance_frac: 0.35,
             incremental_overlap_threshold: 0.5,
             seed: 0xC0FFEE,
         }
@@ -69,29 +65,5 @@ impl ScoutConfig {
     /// decorrelated yet reproducible.
     pub fn with_seed(seed: u64) -> ScoutConfig {
         ScoutConfig { seed, ..ScoutConfig::default() }
-    }
-}
-
-/// Extra knobs of SCOUT-OPT (§6).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct ScoutOptConfig {
-    /// Base configuration shared with plain SCOUT.
-    pub(crate) base: ScoutConfig,
-    /// Gap-traversal I/O budget as a fraction of the last query's pages
-    /// (§7.4.6: "a fixed I/O budget of 10% of the pages used in the recent
-    /// query").
-    pub(crate) gap_io_budget_frac: f64,
-    /// Half-width of the corridor around the extrapolated exit axis within
-    /// which gap pages are crawled, as a fraction of the query side.
-    pub(crate) gap_corridor_frac: f64,
-}
-
-impl Default for ScoutOptConfig {
-    fn default() -> Self {
-        ScoutOptConfig {
-            base: ScoutConfig::default(),
-            gap_io_budget_frac: 0.10,
-            gap_corridor_frac: 0.5,
-        }
     }
 }

@@ -20,7 +20,6 @@
 //! a result's vertices, so a sparse build has nothing to leave out
 //! (DESIGN.md, *Why SCOUT-OPT builds the full graph*).
 
-use crate::config::ScoutOptConfig;
 use crate::exits::{extrapolate, Exit};
 use crate::prefetcher::Scout;
 use scout_geometry::intersect::segment_aabb_distance;
@@ -32,13 +31,21 @@ use scout_sim::{
 use scout_storage::{IdSet, PageId};
 use std::collections::VecDeque;
 
+/// Gap-traversal I/O budget as a fraction of the last query's pages
+/// (§7.4.6: "a fixed I/O budget of 10% of the pages used in the recent
+/// query").
+const GAP_IO_BUDGET_FRAC: f64 = 0.10;
+
+/// Half-width of the corridor around the extrapolated exit axis within
+/// which gap pages are crawled, as a fraction of the query side.
+const GAP_CORRIDOR_FRAC: f64 = 0.5;
+
 /// The optimized prefetcher; requires an ordered index in the context
 /// (`SimContext::ordered`), and behaves exactly like plain SCOUT when one
 /// is missing.
 #[derive(Debug, Clone)]
 pub struct ScoutOpt {
     inner: Scout,
-    config: ScoutOptConfig,
     /// The gap crawl's buffers, recycled across exits and queries.
     crawl: GapCrawl,
 }
@@ -64,14 +71,9 @@ struct GapCrawl {
 }
 
 impl ScoutOpt {
-    /// SCOUT-OPT with explicit configuration.
-    pub(crate) fn new(config: ScoutOptConfig) -> ScoutOpt {
-        ScoutOpt { inner: Scout::new(config.base), config, crawl: GapCrawl::default() }
-    }
-
     /// SCOUT-OPT with the paper's default configuration.
     pub fn with_defaults() -> ScoutOpt {
-        ScoutOpt::new(ScoutOptConfig::default())
+        ScoutOpt { inner: Scout::with_defaults(), crawl: GapCrawl::default() }
     }
 
     /// §6.3: re-plans the inner SCOUT's latest prediction through the gap
@@ -90,9 +92,9 @@ impl ScoutOpt {
             return stats;
         }
         let total_budget =
-            ((self.config.gap_io_budget_frac * result.pages.len() as f64).ceil() as usize).max(1);
+            ((GAP_IO_BUDGET_FRAC * result.pages.len() as f64).ceil() as usize).max(1);
         let per_exit = (total_budget / locations.len()).max(1);
-        let corridor = self.config.gap_corridor_frac * side;
+        let corridor = GAP_CORRIDOR_FRAC * side;
 
         let crawl = &mut self.crawl;
         crawl.result_pages.clear();
@@ -364,8 +366,7 @@ mod tests {
         let objects = fiber_dataset();
         let flat = FlatIndex::bulk_load_with(&objects, 8, FlatConfig::default());
         let ctx = make_ctx(&objects, &flat);
-        let mut opt =
-            ScoutOpt::new(ScoutOptConfig { gap_io_budget_frac: 0.10, ..ScoutOptConfig::default() });
+        let mut opt = ScoutOpt::with_defaults();
         opt.reset();
         let mut scratch = QueryScratch::new();
         for x in [20.0, 70.0, 120.0] {

@@ -22,6 +22,10 @@ use scout_sim::{
     PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher, QueryScratch, SimContext,
 };
 
+/// Exit/entry matching tolerance for candidate continuity across a gap,
+/// as a fraction of the query side.
+const CONTINUITY_TOLERANCE_FRAC: f64 = 0.35;
+
 /// The structure-aware prefetcher.
 #[derive(Debug, Clone)]
 pub struct Scout {
@@ -282,7 +286,7 @@ impl Scout {
         units.traversal_steps += self.graph.vertex_count() as u64; // labeling pass
 
         // §4.3 iterative candidate pruning.
-        let tolerance = self.config.continuity_tolerance_frac * region.side() + self.gap_estimate;
+        let tolerance = CONTINUITY_TOLERANCE_FRAC * region.side() + self.gap_estimate;
         let cont = self.tracker.continuing_components(
             &scratch.frame.centroids,
             &self.graph,
