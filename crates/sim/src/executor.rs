@@ -18,8 +18,8 @@ use crate::session::Session;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
 use scout_storage::{
-    CircuitBreaker, DiskModel, DiskProfile, FailedRead, FaultPlan, FaultReport, IoBatcher, IoError,
-    IoStats, PageCache, PageId, PrefetchCache,
+    DiskModel, DiskProfile, FailedRead, FaultPlan, FaultReport, IoBatcher, IoError, IoStats,
+    PageCache, PageId, PrefetchCache,
 };
 use scout_telemetry::TelemetryPlan;
 use std::cell::Cell;
@@ -43,9 +43,9 @@ pub struct ExecutorConfig {
     pub disk: DiskProfile,
     /// CPU cost model for prediction work.
     pub costs: CpuCostModel,
-    /// Fault injection, retry and circuit-breaker policy. The default
-    /// injects nothing, keeping every path byte-identical to the
-    /// infallible executor (DESIGN.md §11).
+    /// Fault injection and retry policy. The default injects nothing,
+    /// keeping every path byte-identical to the infallible executor
+    /// (DESIGN.md §11).
     pub faults: FaultPlan,
     /// Flight-recorder telemetry (DESIGN.md §13). `None` (the default)
     /// constructs nothing — no registry, no rings, no span timers — and
@@ -488,85 +488,6 @@ pub(crate) fn run_prefetch_window(
         }
     }
     q
-}
-
-/// The per-client fault-control state threading the degradation ladder
-/// through a query's two timeline phases: epoch bookkeeping before the
-/// serve, the circuit-breaker gate before the window, and the breaker's
-/// EWMA update after it. Owned by [`Session`]; every method is a no-op on
-/// a fault-free disk, which is what keeps the zero-fault paths
-/// byte-identical.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FaultCtl {
-    breaker: CircuitBreaker,
-    failed_queries: u64,
-    degraded_windows: u64,
-    /// `(faults injected, reads attempted)` at the start of the current
-    /// query; the end-of-query delta feeds the breaker.
-    mark: (u64, u64),
-}
-
-impl FaultCtl {
-    pub(crate) fn new(config: &ExecutorConfig) -> FaultCtl {
-        FaultCtl {
-            breaker: CircuitBreaker::new(config.faults.breaker),
-            failed_queries: 0,
-            degraded_windows: 0,
-            mark: (0, 0),
-        }
-    }
-
-    /// Arms the disk for query `epoch` and marks the breaker baseline.
-    pub(crate) fn begin_query(&mut self, disk: &mut DiskModel, epoch: u64) {
-        disk.set_fault_epoch(epoch);
-        self.mark = disk.fault_totals();
-    }
-
-    /// Records the serve phase's outcome.
-    pub(crate) fn note_served(&mut self, q: &QueryTrace) {
-        if q.outcome.is_failed() {
-            self.failed_queries += 1;
-        }
-    }
-
-    /// Whether this query's prefetch window may run. Failed queries pass
-    /// through (their window is already a no-op and must not burn breaker
-    /// cooldown); on a faulty disk an open breaker sheds the window.
-    pub(crate) fn allow_window(&mut self, disk: &DiskModel, q: &QueryTrace) -> bool {
-        if !disk.has_faults() || q.outcome.is_failed() {
-            return true;
-        }
-        let allow = self.breaker.allow_prefetch();
-        if !allow {
-            self.degraded_windows += 1;
-        }
-        allow
-    }
-
-    /// Feeds the query's fault window (serve + prefetch) to the breaker.
-    pub(crate) fn end_query(&mut self, disk: &DiskModel) {
-        if !disk.has_faults() {
-            return;
-        }
-        let (faults, attempts) = disk.fault_totals();
-        self.breaker.observe(faults - self.mark.0, attempts - self.mark.1);
-    }
-
-    /// Circuit-breaker trips so far (the [`Event::WindowShed`] payload;
-    /// see `scout_telemetry::Event`).
-    pub(crate) fn breaker_trips(&self) -> u64 {
-        self.breaker.trips()
-    }
-
-    /// The complete fault report for this client, `None` when the disk
-    /// never injected.
-    pub(crate) fn report(&self, disk: &DiskModel) -> Option<FaultReport> {
-        let mut report = disk.fault_report()?;
-        report.failed_queries = self.failed_queries;
-        report.degraded_windows = self.degraded_windows;
-        report.breaker_trips = self.breaker.trips();
-        Some(report)
-    }
 }
 
 /// Runs one guided query sequence against a fresh cache and disk: one

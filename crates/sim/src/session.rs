@@ -18,7 +18,7 @@
 use crate::context::SimContext;
 use crate::executor::{
     begin_query, charge_demand, observe_and_open, run_prefetch_window, serve_demand,
-    ExecutorConfig, FaultCtl, ImmediateIo, OpenWindow, QueryTrace, SequenceTrace, StagedIo,
+    ExecutorConfig, ImmediateIo, OpenWindow, QueryTrace, SequenceTrace, StagedIo,
 };
 use crate::prefetcher::Prefetcher;
 use crate::scheduler::lock_unpoisoned;
@@ -67,9 +67,6 @@ pub struct Session<P = Box<dyn Prefetcher>> {
     disk: DiskModel,
     trace: SequenceTrace,
     open: Option<OpenWindow>,
-    /// Degradation-ladder state (circuit breaker, failed-query counters).
-    /// Every touch is a no-op while the disk is fault-free.
-    faultctl: FaultCtl,
     /// Batched mode only: the query parked between `serve_stage` and
     /// `serve_complete` while its demand batch is in flight.
     pending: Option<PendingServe>,
@@ -120,7 +117,6 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             disk: DiskModel::default(),
             trace: SequenceTrace::default(),
             open: None,
-            faultctl: FaultCtl::new(&ExecutorConfig::default()),
             pending: None,
             staged_slots: Vec::new(),
             telem: None,
@@ -160,7 +156,6 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             // distinct (but individually deterministic) fault streams.
             self.disk.enable_faults(faults, self.id as u64);
         }
-        self.faultctl = FaultCtl::new(config);
         self.prefetcher.reset();
         self.trace = SequenceTrace::default();
         self.next = 0;
@@ -220,7 +215,7 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         let Some(region) = self.regions.get(self.next) else {
             return false;
         };
-        self.faultctl.begin_query(&mut self.disk, self.next as u64);
+        self.disk.begin_query(self.next as u64);
         let window = {
             let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
             let mut result = SERVE_RESULT.take();
@@ -234,11 +229,10 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         true
     }
 
-    /// The serve epilogue every path ends in: the fault ladder learns the
-    /// outcome, telemetry records the served query and its retries, and
-    /// the window is left open for the window sub-phase.
+    /// The serve epilogue every path ends in: telemetry records the
+    /// served query and its retries, and the window is left open for the
+    /// window sub-phase.
     fn end_serve(&mut self, window: OpenWindow) {
-        self.faultctl.note_served(&window.q);
         if self.telem.is_some() {
             let t = self.now_us();
             let faults = self.disk.fault_report();
@@ -270,9 +264,9 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     }
 
     /// The window sub-phase around `run` (which walks the plan through
-    /// one submission mode): the breaker gate before it, the breaker
-    /// update and the telemetry epilogue after it, then the query's trace
-    /// is committed. No-op when no window is open.
+    /// one submission mode): the disk's breaker gate before it, the end of
+    /// the disk's query and the telemetry epilogue after it, then the
+    /// query's trace is committed. No-op when no window is open.
     fn close_window(
         &mut self,
         run: impl FnOnce(
@@ -286,7 +280,7 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         let Some(window) = self.open.take() else {
             return;
         };
-        let allowed = self.faultctl.allow_window(&self.disk, &window.q);
+        let allowed = self.disk.allow_prefetch(window.q.outcome.is_failed());
         let q = if allowed {
             let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanWindowUs));
             let mut region_pages = WINDOW_PAGES.take();
@@ -304,14 +298,14 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             // query; demand serving continues unchanged.
             window.q
         };
-        self.faultctl.end_query(&self.disk);
+        self.disk.end_query();
         if self.telem.is_some() {
             let t = self.now_us();
-            let trips = self.faultctl.breaker_trips();
             if let Some(tm) = &mut self.telem {
                 if allowed {
                     tm.note_window_closed(t, q.prefetch_pages, q.gap_pages);
                 } else {
+                    let trips = self.disk.fault_report().map_or(0, |f| f.breaker_trips);
                     tm.note_window_shed(t, trips);
                 }
             }
@@ -340,7 +334,7 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             return false;
         };
         let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
-        self.faultctl.begin_query(&mut self.disk, self.next as u64);
+        self.disk.begin_query(self.next as u64);
         // The result waits in `pending` for the demand batch to resolve, so
         // this path owns it outright.
         let mut result = QueryResult::default();
@@ -464,13 +458,13 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     /// This session's fault-layer counters, `None` while fault injection
     /// is disabled.
     pub fn fault_report(&self) -> Option<FaultReport> {
-        self.faultctl.report(&self.disk)
+        self.disk.fault_report()
     }
 
     /// Consumes the session, yielding its id and trace (with the fault
     /// report stamped in when injection was enabled).
     pub(crate) fn into_trace(mut self) -> (usize, SequenceTrace) {
-        self.trace.faults = self.faultctl.report(&self.disk);
+        self.trace.faults = self.disk.fault_report();
         (self.id, self.trace)
     }
 }

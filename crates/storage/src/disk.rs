@@ -8,7 +8,7 @@
 //! preserved regardless of host hardware. See DESIGN.md §2.
 
 use crate::fault::{
-    Decision, FailedRead, FaultConfig, FaultInjector, FaultReport, IoError, RetryPolicy,
+    backoff_us, Decision, FailedRead, FaultConfig, FaultInjector, FaultReport, IoError, RetryPolicy,
 };
 use crate::page::PageId;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -112,31 +112,53 @@ impl DiskModel {
     }
 
     /// True when a fault injector is armed.
-    pub fn has_faults(&self) -> bool {
+    #[cfg(test)]
+    fn has_faults(&self) -> bool {
         self.faults.is_some()
     }
 
-    /// Sets the query ordinal keying subsequent fault draws. No-op
-    /// without an injector, so fault-free paths pay one branch.
-    pub fn set_fault_epoch(&mut self, epoch: u64) {
+    /// Sets the query ordinal keying subsequent fault draws (the batch
+    /// disks' round). No-op without an injector.
+    pub(crate) fn set_fault_epoch(&mut self, epoch: u64) {
         if let Some(inj) = &mut self.faults {
             inj.set_epoch(epoch);
         }
     }
 
-    /// The injector's counters so far, `None` when faults are disabled.
-    pub fn fault_report(&self) -> Option<FaultReport> {
-        self.faults.as_ref().map(|inj| *inj.report())
+    /// Opens query `epoch` on the degradation ladder: its ordinal keys the
+    /// fault draws, and the fault counters so far become the baseline
+    /// [`DiskModel::end_query`] measures the query against. No-op without
+    /// an injector, like the other two ladder calls, so fault-free paths
+    /// pay one branch each.
+    pub fn begin_query(&mut self, epoch: u64) {
+        if let Some(inj) = &mut self.faults {
+            inj.begin_query(epoch);
+        }
     }
 
-    /// `(faults injected, reads attempted)` so far on the verified path —
-    /// the delta pair the per-session circuit breaker smooths. `(0, 0)`
-    /// when faults are disabled.
-    pub fn fault_totals(&self) -> (u64, u64) {
-        match &self.faults {
-            Some(inj) => (inj.report().injected(), inj.report().reads_attempted),
-            None => (0, 0),
+    /// Asks once per query, after its serve, whether its prefetch window
+    /// may run. A failed query is counted and passes (its window is
+    /// already a no-op); otherwise an open circuit breaker sheds the
+    /// window and counts it degraded. Always true without an injector.
+    pub fn allow_prefetch(&mut self, query_failed: bool) -> bool {
+        match &mut self.faults {
+            Some(inj) => inj.allow_prefetch(query_failed),
+            None => true,
         }
+    }
+
+    /// Closes the query opened by [`DiskModel::begin_query`]: its faults
+    /// per read attempt (serve and prefetch) feed the circuit breaker.
+    pub fn end_query(&mut self) {
+        if let Some(inj) = &mut self.faults {
+            inj.end_query();
+        }
+    }
+
+    /// Every fault-layer counter so far, the ladder's included; `None`
+    /// when faults are disabled.
+    pub fn fault_report(&self) -> Option<FaultReport> {
+        self.faults.as_ref().map(|inj| *inj.report())
     }
 
     /// Counts a prefetch read dropped on fault (the executor's graceful
@@ -303,7 +325,7 @@ impl DiskModel {
                     error: IoError::AttemptsExhausted { page, attempts: attempt },
                 });
             }
-            let backoff = policy.backoff_us(inj, page, attempt);
+            let backoff = backoff_us(inj, page, attempt);
             if *deadline_us <= 0.0 || backoff > *deadline_us {
                 inj.report_mut().timed_out += 1;
                 return Err(FailedRead {
@@ -719,6 +741,44 @@ mod tests {
         let (v2, r2) = run();
         assert_eq!(v1, v2, "same seed, same salt, same schedule");
         assert_eq!(r1, r2);
+    }
+
+    #[test]
+    fn the_degradation_ladder_counts_itself() {
+        // Twenty queries on an all-transient disk: every fourth misses the
+        // cache and its demand read fails the query; the rest are served
+        // from cache and try one (dropped) prefetch read when allowed.
+        let ladder = |d: &mut DiskModel| {
+            let policy = RetryPolicy::default();
+            let (mut failed, mut shed) = (0, 0);
+            for q in 0..20u32 {
+                d.begin_query(q as u64);
+                let mut deadline = policy.deadline_us;
+                let query_failed =
+                    q % 4 == 0 && d.read_page_retrying(PageId(q), &policy, &mut deadline).is_err();
+                failed += query_failed as u64;
+                if d.allow_prefetch(query_failed) {
+                    let _ = d.try_read_page(PageId(100 + q), 0);
+                } else {
+                    shed += 1;
+                }
+                d.end_query();
+            }
+            (failed, shed)
+        };
+        let mut d = DiskModel::default();
+        d.enable_faults(FaultConfig { transient_rate: 1.0, ..FaultConfig::none(8) }, 0);
+        let (failed, shed) = ladder(&mut d);
+        let report = d.fault_report().expect("armed disk reports");
+        assert_eq!((failed, report.failed_queries), (5, 5));
+        assert!(shed > 0, "an all-transient disk must open the breaker");
+        assert_eq!(report.degraded_windows, shed);
+        assert!(report.breaker_trips >= 1);
+
+        // Disarmed, nothing fails, nothing is shed, nothing is counted.
+        let mut plain = DiskModel::default();
+        assert_eq!(ladder(&mut plain), (0, 0));
+        assert_eq!(plain.fault_report(), None);
     }
 
     #[test]

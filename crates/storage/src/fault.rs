@@ -14,12 +14,14 @@
 //!   global call order, the schedule is reproducible at any scheduler
 //!   width: the same session issuing the same attempt for the same query
 //!   always sees the same fault, regardless of thread interleaving.
-//! * [`RetryPolicy`] — bounded attempts with exponential backoff and
-//!   deterministic jitter, all costed in *simulated* microseconds against
-//!   a per-query deadline budget.
-//! * [`CircuitBreaker`] — an EWMA fault-rate breaker over per-query
-//!   fault deltas that disables prefetching under sustained faults and
-//!   half-opens to re-probe.
+//!   It also carries the rest of the degradation ladder: the per-query
+//!   fault mark, the circuit breaker and every ladder counter.
+//! * [`RetryPolicy`] — bounded attempts against a per-query deadline
+//!   budget, with exponential backoff (200 µs, ×2 per retry, up to 25 %
+//!   deterministic jitter), all costed in *simulated* microseconds.
+//! * `CircuitBreaker` — an EWMA fault-rate breaker (α 0.3) over per-query
+//!   fault deltas that disables prefetching for 8 queries once a smoothed
+//!   half of read attempts fault, then half-opens to re-probe.
 //! * [`FaultReport`] — the counters every layer above surfaces.
 //!
 //! ## Fault taxonomy
@@ -219,6 +221,22 @@ fn draw(words: &[u64]) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// Backoff before the first retry, µs.
+const BACKOFF_BASE_US: f64 = 200.0;
+/// Factor the backoff grows by after each failed retry.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Jitter fraction: each backoff is scaled by a deterministic factor in
+/// `[1, 1 + BACKOFF_JITTER]`.
+const BACKOFF_JITTER: f64 = 0.25;
+
+/// Breaker EWMA smoothing factor (weight of the newest query).
+const BREAKER_ALPHA: f64 = 0.3;
+/// Fault-per-attempt EWMA above which the breaker opens.
+const BREAKER_TRIP_THRESHOLD: f64 = 0.5;
+/// Queries an open breaker keeps prefetching disabled before a half-open
+/// probe.
+const BREAKER_COOLDOWN_QUERIES: u32 = 8;
+
 /// Per-category stream tags so the categories draw independently.
 const STREAM_TRANSIENT: u64 = 1;
 const STREAM_CORRUPT: u64 = 2;
@@ -226,7 +244,9 @@ const STREAM_SLOW: u64 = 3;
 const STREAM_JITTER: u64 = 4;
 
 /// The seeded fault source a [`DiskModel`](crate::DiskModel) carries when
-/// chaos is enabled. See the module docs for the determinism contract.
+/// chaos is enabled, and the degradation ladder's state: the breaker, the
+/// query's fault mark and every counter. See the module docs for the
+/// determinism contract.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultInjector {
     config: FaultConfig,
@@ -237,6 +257,11 @@ pub(crate) struct FaultInjector {
     /// in a later query re-rolls its faults.
     epoch: u64,
     report: FaultReport,
+    /// Sheds prefetch windows under sustained faults.
+    breaker: CircuitBreaker,
+    /// `(faults injected, reads attempted)` at the start of the current
+    /// query; the end-of-query delta feeds the breaker.
+    mark: (u64, u64),
 }
 
 impl FaultInjector {
@@ -247,7 +272,14 @@ impl FaultInjector {
         if let Err(e) = config.validate() {
             panic!("invalid FaultConfig: {e}");
         }
-        FaultInjector { config, salt, epoch: 0, report: FaultReport::default() }
+        FaultInjector {
+            config,
+            salt,
+            epoch: 0,
+            report: FaultReport::default(),
+            breaker: CircuitBreaker::default(),
+            mark: (0, 0),
+        }
     }
 
     /// The schedule this injector draws from.
@@ -258,6 +290,37 @@ impl FaultInjector {
     /// Sets the query ordinal that keys subsequent draws.
     pub(crate) fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
+    }
+
+    /// Opens query `epoch`: keys its draws and marks the breaker's
+    /// baseline.
+    pub(crate) fn begin_query(&mut self, epoch: u64) {
+        self.epoch = epoch;
+        self.mark = (self.report.injected(), self.report.reads_attempted);
+    }
+
+    /// Whether this query's prefetch window may run. A failed query is
+    /// counted and passes (its window is already a no-op and must not
+    /// burn breaker cooldown); otherwise an open breaker sheds the window.
+    pub(crate) fn allow_prefetch(&mut self, query_failed: bool) -> bool {
+        if query_failed {
+            self.report.failed_queries += 1;
+            return true;
+        }
+        let allow = self.breaker.allow_prefetch();
+        if !allow {
+            self.report.degraded_windows += 1;
+        }
+        allow
+    }
+
+    /// Feeds the query's fault window (serve + prefetch) to the breaker.
+    pub(crate) fn end_query(&mut self) {
+        let faults = self.report.injected() - self.mark.0;
+        let attempts = self.report.reads_attempted - self.mark.1;
+        if self.breaker.observe(faults, attempts) {
+            self.report.breaker_trips += 1;
+        }
     }
 
     /// Counters accumulated so far.
@@ -325,18 +388,12 @@ impl FaultInjector {
 
 /// Bounded-retry policy for *demand* reads (prefetch reads never retry:
 /// prefetching is optional work, so a failed speculative read is simply
-/// dropped). All costs are simulated µs.
+/// dropped). All costs are simulated µs; the backoff between attempts is
+/// fixed (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Attempts per read, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Backoff before the first retry, µs.
-    pub backoff_base_us: f64,
-    /// Multiplier applied to the backoff after each failed retry (≥ 1).
-    pub backoff_multiplier: f64,
-    /// Jitter fraction in `[0, 1]`: each backoff is scaled by a
-    /// deterministic factor in `[1, 1 + jitter]`.
-    pub jitter: f64,
     /// Per-query budget of *retry overhead* (failed-attempt latency plus
     /// backoff), µs. When spent, further failures surface immediately as
     /// [`IoError::DeadlineExceeded`].
@@ -344,16 +401,9 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Up to 4 attempts, 200 µs base backoff doubling each retry with up
-    /// to 25 % jitter, 50 ms of retry overhead per query.
+    /// Up to 4 attempts, 50 ms of retry overhead per query.
     fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base_us: 200.0,
-            backoff_multiplier: 2.0,
-            jitter: 0.25,
-            deadline_us: 50_000.0,
-        }
+        RetryPolicy { max_attempts: 4, deadline_us: 50_000.0 }
     }
 }
 
@@ -366,24 +416,6 @@ impl RetryPolicy {
                 "RetryPolicy.max_attempts must be >= 1 (the first read is an attempt)".to_string()
             );
         }
-        if !(self.backoff_base_us.is_finite() && self.backoff_base_us >= 0.0) {
-            return Err(format!(
-                "RetryPolicy.backoff_base_us must be non-negative and finite, got {}",
-                self.backoff_base_us
-            ));
-        }
-        if !(self.backoff_multiplier.is_finite() && self.backoff_multiplier >= 1.0) {
-            return Err(format!(
-                "RetryPolicy.backoff_multiplier must be a finite factor >= 1, got {}",
-                self.backoff_multiplier
-            ));
-        }
-        if !(self.jitter.is_finite() && (0.0..=1.0).contains(&self.jitter)) {
-            return Err(format!(
-                "RetryPolicy.jitter must be a fraction in [0, 1], got {}",
-                self.jitter
-            ));
-        }
         if !(self.deadline_us.is_finite() && self.deadline_us >= 0.0) {
             return Err(format!(
                 "RetryPolicy.deadline_us must be non-negative and finite, got {}",
@@ -392,62 +424,19 @@ impl RetryPolicy {
         }
         Ok(())
     }
-
-    /// The backoff charged before retrying `page` after failed `attempt`,
-    /// with deterministic jitter drawn from the injector's schedule.
-    pub(crate) fn backoff_us(&self, injector: &FaultInjector, page: PageId, attempt: u32) -> f64 {
-        let exp =
-            self.backoff_base_us * self.backoff_multiplier.powi(attempt.saturating_sub(1) as i32);
-        exp * (1.0 + self.jitter * injector.jitter_draw(page, attempt))
-    }
 }
 
-/// Breaker thresholds: when the per-query EWMA of fault-per-attempt rates
-/// crosses `trip_threshold`, prefetching is disabled for
-/// `cooldown_queries` queries, then re-probed (half-open).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BreakerPolicy {
-    /// EWMA smoothing factor in `(0, 1]` (weight of the newest window).
-    pub(crate) alpha: f64,
-    /// Fault-per-attempt EWMA above which the breaker opens.
-    pub(crate) trip_threshold: f64,
-    /// Queries to keep prefetching disabled before a half-open probe.
-    pub(crate) cooldown_queries: u32,
+/// The backoff charged before retrying `page` after failed `attempt`,
+/// with deterministic jitter drawn from the injector's schedule.
+pub(crate) fn backoff_us(injector: &FaultInjector, page: PageId, attempt: u32) -> f64 {
+    let exp = BACKOFF_BASE_US * BACKOFF_MULTIPLIER.powi(attempt.saturating_sub(1) as i32);
+    exp * (1.0 + BACKOFF_JITTER * injector.jitter_draw(page, attempt))
 }
 
-impl Default for BreakerPolicy {
-    /// Trips when a smoothed half of read attempts fault; probes again
-    /// after 8 queries.
-    fn default() -> Self {
-        BreakerPolicy { alpha: 0.3, trip_threshold: 0.5, cooldown_queries: 8 }
-    }
-}
-
-impl BreakerPolicy {
-    /// Checks the thresholds are meaningful. Returns a descriptive error
-    /// otherwise.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(self.alpha.is_finite() && self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(format!("BreakerPolicy.alpha must be in (0, 1], got {}", self.alpha));
-        }
-        if !(self.trip_threshold.is_finite() && self.trip_threshold > 0.0) {
-            return Err(format!(
-                "BreakerPolicy.trip_threshold must be a positive finite rate, got {}",
-                self.trip_threshold
-            ));
-        }
-        if self.cooldown_queries == 0 {
-            return Err("BreakerPolicy.cooldown_queries must be >= 1 (an open breaker must stay \
-                 open for at least one query)"
-                .to_string());
-        }
-        Ok(())
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum BreakerState {
     /// Healthy: prefetching allowed.
+    #[default]
     Closed,
     /// Tripped: prefetching disabled for `remaining` more queries.
     Open { remaining: u32 },
@@ -463,62 +452,43 @@ enum BreakerState {
 ///
 /// Deterministic: state is a pure function of the `observe`/`allow_prefetch`
 /// call sequence, which is itself deterministic per session.
-#[derive(Debug, Clone, Copy)]
-pub struct CircuitBreaker {
-    policy: BreakerPolicy,
+#[derive(Debug, Clone, Copy, Default)]
+struct CircuitBreaker {
     fault_ewma: f64,
     state: BreakerState,
-    trips: u64,
 }
 
 impl CircuitBreaker {
-    /// A closed (healthy) breaker. Panics on an invalid policy — configs
-    /// are validated at the executor boundary.
-    pub fn new(policy: BreakerPolicy) -> CircuitBreaker {
-        if let Err(e) = policy.validate() {
-            panic!("invalid BreakerPolicy: {e}");
-        }
-        CircuitBreaker { policy, fault_ewma: 0.0, state: BreakerState::Closed, trips: 0 }
-    }
-
     /// Feeds one query's fault window: `faults` injected across `attempts`
-    /// read attempts. Windows with no attempts contribute nothing: an
-    /// empty window is no evidence either way.
-    pub fn observe(&mut self, faults: u64, attempts: u64) {
+    /// read attempts, returning true when the breaker tripped. Windows with
+    /// no attempts contribute nothing: an empty window is no evidence
+    /// either way.
+    fn observe(&mut self, faults: u64, attempts: u64) -> bool {
         if attempts == 0 {
-            return;
+            return false;
         }
         let rate = (faults as f64 / attempts as f64).min(1.0);
-        self.fault_ewma += self.policy.alpha * (rate - self.fault_ewma);
-        match self.state {
-            BreakerState::Closed => {
-                if self.fault_ewma > self.policy.trip_threshold {
-                    self.trip();
-                }
-            }
-            BreakerState::HalfOpen => {
-                // The probe window's own (unsmoothed) rate decides: a
-                // still-sick device re-opens immediately instead of
-                // waiting for the EWMA to climb back.
-                if rate > self.policy.trip_threshold {
-                    self.trip();
-                } else {
-                    self.state = BreakerState::Closed;
-                }
-            }
-            BreakerState::Open { .. } => {}
-        }
-    }
-
-    fn trip(&mut self) {
-        self.state = BreakerState::Open { remaining: self.policy.cooldown_queries };
-        self.trips += 1;
+        self.fault_ewma += BREAKER_ALPHA * (rate - self.fault_ewma);
+        let trip = match self.state {
+            BreakerState::Closed => self.fault_ewma > BREAKER_TRIP_THRESHOLD,
+            // The probe window's own (unsmoothed) rate decides: a
+            // still-sick device re-opens immediately instead of waiting
+            // for the EWMA to climb back.
+            BreakerState::HalfOpen => rate > BREAKER_TRIP_THRESHOLD,
+            BreakerState::Open { .. } => return false,
+        };
+        self.state = if trip {
+            BreakerState::Open { remaining: BREAKER_COOLDOWN_QUERIES }
+        } else {
+            BreakerState::Closed
+        };
+        trip
     }
 
     /// Asks once per query whether the prefetch window may run. Open
     /// breakers burn one cooldown query per call and half-open when the
     /// cooldown elapses (that call runs the probe window).
-    pub fn allow_prefetch(&mut self) -> bool {
+    fn allow_prefetch(&mut self) -> bool {
         match self.state {
             BreakerState::Closed | BreakerState::HalfOpen => true,
             BreakerState::Open { remaining } => {
@@ -530,11 +500,6 @@ impl CircuitBreaker {
                 false
             }
         }
-    }
-
-    /// Times the breaker has tripped (closed/half-open → open).
-    pub fn trips(&self) -> u64 {
-        self.trips
     }
 }
 
@@ -634,33 +599,29 @@ impl FaultReport {
 }
 
 /// The complete fault-handling plan an executor carries: whether to
-/// inject (and from which schedule), how demand reads retry, and when the
-/// breaker sheds prefetching. `inject: None` — the default — makes every
-/// fallible path collapse to the infallible one, byte for byte.
+/// inject (and from which schedule) and how demand reads retry.
+/// `inject: None` — the default — makes every fallible path collapse to
+/// the infallible one, byte for byte.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultPlan {
     /// The fault schedule; `None` disables injection entirely.
     pub inject: Option<FaultConfig>,
     /// Demand-read retry policy (unused without injection).
     pub retry: RetryPolicy,
-    /// Prefetch circuit-breaker thresholds (unused without injection).
-    pub breaker: BreakerPolicy,
 }
 
 impl FaultPlan {
-    /// A plan injecting `config` with default retry/breaker policies.
+    /// A plan injecting `config` with the default retry policy.
     pub fn injecting(config: FaultConfig) -> FaultPlan {
-        FaultPlan { inject: Some(config), ..FaultPlan::default() }
+        FaultPlan { inject: Some(config), retry: RetryPolicy::default() }
     }
 
-    /// Validates the schedule (when present) and both policies.
+    /// Validates the schedule (when present) and the retry policy.
     pub fn validate(&self) -> Result<(), String> {
         if let Some(config) = &self.inject {
             config.validate()?;
         }
-        self.retry.validate()?;
-        self.breaker.validate()?;
-        Ok(())
+        self.retry.validate()
     }
 }
 
@@ -767,12 +728,8 @@ mod tests {
         assert!(bad.validate().unwrap_err().contains("slow_multiplier"));
         let bad = RetryPolicy { max_attempts: 0, ..RetryPolicy::default() };
         assert!(bad.validate().unwrap_err().contains("max_attempts"));
-        let bad = RetryPolicy { backoff_multiplier: 0.0, ..RetryPolicy::default() };
-        assert!(bad.validate().unwrap_err().contains("backoff_multiplier"));
-        let bad = BreakerPolicy { alpha: 0.0, ..BreakerPolicy::default() };
-        assert!(bad.validate().unwrap_err().contains("alpha"));
-        let bad = BreakerPolicy { cooldown_queries: 0, ..BreakerPolicy::default() };
-        assert!(bad.validate().unwrap_err().contains("cooldown_queries"));
+        let bad = RetryPolicy { deadline_us: f64::NAN, ..RetryPolicy::default() };
+        assert!(bad.validate().unwrap_err().contains("deadline_us"));
         assert!(FaultPlan::default().validate().is_ok());
         assert!(FaultPlan::injecting(FaultConfig::default()).validate().is_ok());
     }
@@ -780,17 +737,16 @@ mod tests {
     #[test]
     fn backoff_grows_exponentially_with_bounded_jitter() {
         let inj = FaultInjector::new(FaultConfig::default(), 0);
-        let policy = RetryPolicy::default();
         let p = PageId(5);
-        let b1 = policy.backoff_us(&inj, p, 1);
-        let b2 = policy.backoff_us(&inj, p, 2);
-        let b3 = policy.backoff_us(&inj, p, 3);
+        let b1 = backoff_us(&inj, p, 1);
+        let b2 = backoff_us(&inj, p, 2);
+        let b3 = backoff_us(&inj, p, 3);
         // Base 200 doubling: nominal 200/400/800, jitter at most +25 %.
         assert!((200.0..200.0 * 1.25).contains(&b1), "b1 {b1}");
         assert!((400.0..400.0 * 1.25).contains(&b2), "b2 {b2}");
         assert!((800.0..800.0 * 1.25).contains(&b3), "b3 {b3}");
         // Deterministic.
-        assert_eq!(b1, policy.backoff_us(&inj, p, 1));
+        assert_eq!(b1, backoff_us(&inj, p, 1));
     }
 
     /// True while the breaker is open (prefetching disabled, cooling down).
@@ -800,41 +756,40 @@ mod tests {
 
     #[test]
     fn breaker_trips_cools_down_and_reprobes() {
-        let policy = BreakerPolicy { alpha: 0.5, trip_threshold: 0.4, cooldown_queries: 3 };
-        let mut b = CircuitBreaker::new(policy);
+        let mut b = CircuitBreaker::default();
         assert!(b.allow_prefetch());
-        // Sustained faults trip it.
-        b.observe(8, 10);
-        b.observe(8, 10);
-        assert!(is_open(&b), "ewma {}", b.fault_ewma);
-        assert_eq!(b.trips(), 1);
-        // Cooldown: 3 queries without prefetching...
-        assert!(!b.allow_prefetch());
-        assert!(!b.allow_prefetch());
-        assert!(!b.allow_prefetch());
+        // Sustained faults trip it: the EWMA (α 0.3) of a 0.8 fault rate
+        // passes the 0.5 threshold on the third query.
+        assert!(!b.observe(8, 10));
+        assert!(!b.observe(8, 10));
+        assert!(b.observe(8, 10), "ewma {}", b.fault_ewma);
+        assert!(is_open(&b));
+        // An open breaker learns nothing until it half-opens.
+        assert!(!b.observe(10, 10));
+        // Cooldown: 8 queries without prefetching...
+        for _ in 0..BREAKER_COOLDOWN_QUERIES {
+            assert!(!b.allow_prefetch());
+        }
         // ...then the half-open probe runs.
         assert!(b.allow_prefetch());
-        // A clean probe closes it again.
-        b.observe(0, 10);
+        // A clean probe closes it again, whatever the EWMA still says.
+        assert!(!b.observe(0, 10));
         assert!(!is_open(&b));
         assert!(b.allow_prefetch());
-        // A sick probe re-trips immediately.
-        b.observe(9, 10);
-        b.observe(9, 10);
-        assert!(is_open(&b));
-        for _ in 0..3 {
+        // A sick device re-trips it, and a sick probe re-trips it at once.
+        assert!((0..10).any(|_| b.observe(9, 10)));
+        for _ in 0..BREAKER_COOLDOWN_QUERIES {
             b.allow_prefetch();
         }
-        b.observe(10, 10); // probe fails
+        assert!(b.observe(10, 10), "failed probe re-opens");
         assert!(is_open(&b));
-        assert!(b.trips() >= 3);
     }
 
     #[test]
     fn breaker_ignores_empty_windows() {
-        let mut b = CircuitBreaker::new(BreakerPolicy::default());
+        let mut b = CircuitBreaker::default();
         for _ in 0..100 {
-            b.observe(0, 0);
+            assert!(!b.observe(0, 0));
         }
         assert_eq!(b.fault_ewma, 0.0);
         assert!(!is_open(&b));

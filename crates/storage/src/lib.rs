@@ -23,9 +23,7 @@ mod stats;
 pub use batch::{BatchPlan, BatchReport, IoBatcher};
 pub use cache::PrefetchCache;
 pub use disk::{DiskModel, DiskProfile, SharedClock};
-pub use fault::{
-    CircuitBreaker, FailedRead, FaultConfig, FaultPlan, FaultReport, IoError, RetryPolicy,
-};
+pub use fault::{FailedRead, FaultConfig, FaultPlan, FaultReport, IoError, RetryPolicy};
 pub use page::{IdSet, Page, PageId, PageLayout};
 pub use page_cache::{CacheStats, PageCache};
 pub use sharded::ShardedCache;

@@ -146,12 +146,12 @@ fn zero_rate_injection_matches_the_plain_run_exactly() {
     assert!(!plain.render().contains("faults:"));
     assert!(armed.render().contains("faults:"));
 
-    // The single-client executor has its own fault epilogue (`FaultCtl` in
-    // `run_sequence`), so the same contract is checked there, per
-    // prefetcher and under a binding window: disabled ≡ zero-rate armed in
-    // the I/O ledger and, per query, in pages, hits and latency bits — and
-    // under rough weather that path too injects and never serves a
-    // corrupt page.
+    // The single-client entry point `run_sequence` steps one session over
+    // a private cache instead of a fleet's shared one, so the same
+    // contract is checked there, per prefetcher and under a binding
+    // window: disabled ≡ zero-rate armed in the I/O ledger and, per query,
+    // in pages, hits and latency bits — and under rough weather that path
+    // too injects and never serves a corrupt page.
     let exec = |faults| ExecutorConfig {
         window_ratio: 1.6,
         cache_pages: 512,

@@ -286,7 +286,6 @@ fn fleet_degraded_matches_its_golden_trace() {
         faults: FaultPlan {
             inject: Some(FaultConfig { seed: 45, ..FaultConfig::default() }),
             retry: RetryPolicy { max_attempts: 8, ..RetryPolicy::default() },
-            ..FaultPlan::default()
         },
         ..ExecutorConfig::default()
     };
