@@ -14,11 +14,23 @@
 //! is split across disconnected page clusters, the crawl re-seeds — the
 //! multi-seed behavior of the original system — so the result set always
 //! equals the R-tree's.
+//!
+//! Building the neighborhoods is FLAT's bulk-load cost, and most of it
+//! was the k-NN walks. The ε-probe usually holds a page's k nearest
+//! already. A page the probe missed has a squared distance of at least
+//! `r²` to the page's centre, `r` being the centre's distance to the
+//! nearest probe face. So when `k` hits lie *strictly* below `r²`, the walk
+//! could return only hits, and it is skipped. A hit at exactly `r²` does
+//! not count, since a missed page may tie it. Ties at the k-th place need
+//! no rule: every tied page is a hit. The lists equal those of walking
+//! every page, so no model output moves. On a 2-core Xeon at seed 42 the
+//! probe settles 47 719 of the roads bed's 47 734 pages and all 15 000 of
+//! the 1.3 M-neuron bed's.
 
-use crate::rtree::RTree;
+use crate::rtree::{KnnScratch, RTree};
 use crate::traits::{OrderedSpatialIndex, SpatialIndex};
 use scout_geometry::{Aabb, SpatialObject, Vec3};
-use scout_storage::{PageId, PageLayout};
+use scout_storage::{Page, PageId, PageLayout};
 
 /// Tuning parameters for neighborhood construction.
 #[derive(Debug, Clone, Copy)]
@@ -56,35 +68,25 @@ impl FlatIndex {
     }
 
     /// Builds neighborhoods over an existing R-tree.
+    ///
+    /// Each page's directed list is its ε-probe's pages united with its
+    /// `knn + 1` nearest (itself included). The probe usually holds those
+    /// already, and then the k-NN walk is skipped (see the module docs).
+    /// On `fleet`'s roads bed (2-core Xeon, seed 42, alternating pairs)
+    /// that took `index.bulk_load_s` from 0.43–0.57 s to 0.17–0.21 s and
+    /// the median `setup_s` from 0.477 s to 0.225 s.
     pub fn from_rtree(rtree: RTree, config: FlatConfig) -> FlatIndex {
-        let pages = rtree.layout().pages();
-        let n = pages.len();
-        // ε from the mean page MBR diagonal.
-        let mean_diag = pages.iter().map(|p| p.mbr.extent().norm()).sum::<f64>() / n.max(1) as f64;
-        let eps = config.epsilon_factor * mean_diag;
-
-        let mut neighbors: Vec<Vec<PageId>> = Vec::with_capacity(n);
-        // One probe buffer, k-NN scratch and k-NN output for the whole
-        // build: the probe loop is the hottest part of FLAT construction.
-        let mut near: Vec<PageId> = Vec::new();
-        let mut knn_scratch = crate::rtree::KnnScratch::new();
-        let mut knn_out: Vec<PageId> = Vec::new();
-        for page in pages {
-            let probe = page.mbr.expanded(eps.max(1e-12));
-            rtree.pages_in_region_into(&probe, &mut near);
-            // k-NN union for connectivity across sparse areas.
-            rtree.k_nearest_pages_into(
-                page.mbr.center(),
-                config.knn + 1,
-                &mut knn_scratch,
-                &mut knn_out,
-            );
-            near.extend_from_slice(&knn_out);
-            near.retain(|&p| p != page.id);
-            near.sort_unstable();
-            near.dedup();
-            neighbors.push(near.clone());
-        }
+        let mut pass = DirectedPass::new(&rtree, config);
+        let mut neighbors: Vec<Vec<PageId>> = rtree
+            .layout()
+            .pages()
+            .iter()
+            .map(|page| {
+                pass.run(page);
+                pass.near.clone()
+            })
+            .collect();
+        let n = neighbors.len();
         // Symmetrize: k-NN links are directed; neighborhoods must not be.
         // Page `p` gains, in ascending `i`, every `i` that lists `p` but is
         // not in `p`'s own sorted directed list — its first `directed[p]`
@@ -179,6 +181,87 @@ impl FlatIndex {
     }
 }
 
+/// The directed half of the neighborhood pass, one page at a time, with
+/// the buffers it reuses across pages.
+struct DirectedPass<'a> {
+    rtree: &'a RTree,
+    /// The ε-probe's margin: `epsilon_factor ×` the mean page MBR
+    /// diagonal, floored so a probe box always exceeds its page's MBR.
+    margin: f64,
+    /// The k-NN set's size: `knn` plus the page itself.
+    k: usize,
+    /// Whether every page box is finite with `min ≤ max` on each axis, as
+    /// the bound in [`DirectedPass::run`] needs. A NaN box meets no probe
+    /// and an inverted one is no live slot, yet the k-NN walk still ranks
+    /// both.
+    probes_settle: bool,
+    /// The last page's directed list.
+    near: Vec<PageId>,
+    knn_scratch: KnnScratch,
+    knn_out: Vec<PageId>,
+}
+
+impl<'a> DirectedPass<'a> {
+    fn new(rtree: &'a RTree, config: FlatConfig) -> Self {
+        let pages = rtree.layout().pages();
+        let mean_diag =
+            pages.iter().map(|p| p.mbr.extent().norm()).sum::<f64>() / pages.len().max(1) as f64;
+        let proper = |b: &Aabb| {
+            let coords = [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z];
+            coords.iter().all(|v| v.is_finite()) && !b.is_empty()
+        };
+        DirectedPass {
+            rtree,
+            margin: (config.epsilon_factor * mean_diag).max(1e-12),
+            k: config.knn + 1,
+            probes_settle: pages.iter().all(|p| proper(&p.mbr)),
+            near: Vec::new(),
+            knn_scratch: KnnScratch::new(),
+            knn_out: Vec::new(),
+        }
+    }
+
+    /// Sets `near` to `page`'s directed list — the pages its ε-probe
+    /// meets and its `k` nearest, less the page itself, ascending — and
+    /// returns whether the probe settled the `k` nearest, so that the tree
+    /// was not walked for them.
+    ///
+    /// The probe box holds the page's centre `c`. A page it missed lies
+    /// strictly beyond one of its faces, so that page's squared distance
+    /// to `c` is at least `r²`, the least of the six squared distances from
+    /// `c` to a face: `f64` rounding and sums of non-negative terms are
+    /// monotone. If `k` hits lie strictly below `r²`, so does the k-th
+    /// nearest page of all, and so does every page the walk would return:
+    /// all are hits already, and the union adds nothing. A tie at the k-th
+    /// place does not matter, since every tied page is a hit. Fewer than
+    /// `k` hits below `r²`: walk.
+    fn run(&mut self, page: &Page) -> bool {
+        let probe = page.mbr.expanded(self.margin);
+        self.rtree.pages_in_region_into(&probe, &mut self.near);
+        let c = page.mbr.center();
+        let (below, above) = (c - probe.min, probe.max - c);
+        let faces = [below.x, below.y, below.z, above.x, above.y, above.z];
+        let r_sq = faces.iter().map(|f| f * f).fold(f64::INFINITY, f64::min);
+        let layout = self.rtree.layout();
+        let settled = self.probes_settle
+            && self
+                .near
+                .iter()
+                .filter(|&&p| layout.page(p).mbr.distance_sq_to_point(c) < r_sq)
+                .nth(self.k - 1)
+                .is_some();
+        if !settled {
+            // k-NN union for connectivity across sparse areas.
+            self.rtree.k_nearest_pages_into(c, self.k, &mut self.knn_scratch, &mut self.knn_out);
+            self.near.extend_from_slice(&self.knn_out);
+        }
+        self.near.retain(|&p| p != page.id);
+        self.near.sort_unstable();
+        self.near.dedup();
+        settled
+    }
+}
+
 impl SpatialIndex for FlatIndex {
     fn layout(&self) -> &PageLayout {
         self.rtree.layout()
@@ -216,7 +299,7 @@ impl OrderedSpatialIndex for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scout_geometry::{ObjectId, QueryRegion, Shape, StructureId};
+    use scout_geometry::{ObjectId, QueryRegion, Segment, Shape, StructureId};
 
     fn grid_objects(n_per_axis: usize, spacing: f64) -> Vec<SpatialObject> {
         let mut out = Vec::new();
@@ -336,6 +419,42 @@ mod tests {
         crawl.sort_unstable();
         tree.sort_unstable();
         assert_eq!(crawl, tree);
+    }
+
+    /// A pass that always walked the tree would equal the plain pass in
+    /// every property test and lose the gain: on a dense jittered bed,
+    /// the probe must settle at least 90 % of the pages. A pass that never
+    /// walked would settle the sparse lattice too.
+    #[test]
+    fn probes_settle_most_pages() {
+        let tree = |objs: &[SpatialObject]| RTree::bulk_load_with_capacity(objs, 8);
+        let settled_share = |tree: &RTree| {
+            let mut pass = DirectedPass::new(tree, FlatConfig::default());
+            let pages = tree.layout().pages();
+            pages.iter().filter(|page| pass.run(page)).count() as f64 / pages.len() as f64
+        };
+        // 16³ segments, each starting up to ±0.4 a side off its lattice
+        // site and reaching up to ±0.8 a side from there.
+        let mut state = 42u64;
+        let mut jitter = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 0.8
+        };
+        let jittered: Vec<SpatialObject> = (0..16u32.pow(3))
+            .map(|i| {
+                let site = Vec3::new(f64::from(i % 16), f64::from(i / 16 % 16), f64::from(i / 256));
+                let a = site + Vec3::new(jitter(), jitter(), jitter());
+                let b = a + Vec3::new(jitter(), jitter(), jitter()) * 2.0;
+                SpatialObject::new(ObjectId(i), StructureId(0), Shape::Segment(Segment::new(a, b)))
+            })
+            .collect();
+        let share = settled_share(&tree(&jittered));
+        assert!(share >= 0.9, "the probe settled {:.1} % of the jittered pages", 100.0 * share);
+        // Pages of lattice points lie a spacing apart, beyond most probes.
+        let share = settled_share(&tree(&grid_objects(16, 1.0)));
+        assert!(share < 0.5, "the probe settled {:.1} % of the lattice pages", 100.0 * share);
     }
 
     #[test]

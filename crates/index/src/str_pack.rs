@@ -16,7 +16,8 @@ pub const DEFAULT_PAGE_CAPACITY: usize = 87;
 /// Packs objects into pages with STR and returns the physical layout.
 ///
 /// # Panics
-/// Panics when `objects` is empty or `capacity` is zero.
+/// Panics when `objects` is empty, `capacity` is zero or a centroid has a
+/// non-finite coordinate.
 pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
     assert!(!objects.is_empty(), "cannot bulk load an empty dataset");
     assert!(capacity >= 1, "page capacity must be >= 1");
@@ -31,24 +32,30 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
     // (x, then y, then z) rather than recomputing centroids from the object
     // records. Slabs are disjoint, so sorting every slab by y before any run
     // by z gives the order of the interleaved sorts: each stable sort's
-    // output depends only on its own input and comparator.
-    let mut key: Vec<f64> = objects.iter().map(|o| o.centroid().x).collect();
+    // output depends only on its own input and comparator. Every key is
+    // checked as it is filled, before a sort reads it: an infinite one
+    // would sort, but give its page an infinite MBR.
+    let finite = |v: f64| {
+        assert!(v.is_finite(), "non-finite coordinate in dataset");
+        v
+    };
+    let mut key: Vec<f64> = objects.iter().map(|o| finite(o.centroid().x)).collect();
     let by_key = |key: &[f64], a: &u32, b: &u32| {
-        key[*a as usize].partial_cmp(&key[*b as usize]).expect("non-finite coordinate in dataset")
+        key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys")
     };
     let mut order: Vec<u32> = (0..n as u32).collect();
     order.sort_by(|a, b| by_key(&key, a, b));
 
     let slab_len = n.div_ceil(sx).max(1);
     for (k, o) in key.iter_mut().zip(objects) {
-        *k = o.centroid().y;
+        *k = finite(o.centroid().y);
     }
     for slab in order.chunks_mut(slab_len) {
         slab.sort_by(|a, b| by_key(&key, a, b));
     }
 
     for (k, o) in key.iter_mut().zip(objects) {
-        *k = o.centroid().z;
+        *k = finite(o.centroid().z);
     }
     let mut pages: Vec<Page> = Vec::with_capacity(page_count);
     for slab in order.chunks_mut(slab_len) {

@@ -32,6 +32,37 @@ fn arb_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
     })
 }
 
+/// A coordinate on a 5-step integer grid, zero of either sign: most
+/// centroids tie on some axis, many on all three.
+fn arb_coord() -> impl Strategy<Value = f64> {
+    prop_oneof![(-2i32..=2).prop_map(f64::from), Just(-0.0), Just(0.0)]
+}
+
+fn arb_grid_point() -> impl Strategy<Value = Vec3> {
+    (arb_coord(), arb_coord(), arb_coord()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
+}
+
+fn arb_grid_shape() -> impl Strategy<Value = Shape> {
+    prop_oneof![
+        arb_grid_point().prop_map(Shape::Point),
+        (arb_grid_point(), arb_grid_point()).prop_map(|(a, b)| Shape::Segment(Segment::new(a, b))),
+        (arb_grid_point(), arb_grid_point(), 1u8..4)
+            .prop_map(|(a, b, r)| Shape::Cylinder(Cylinder::new(a, b, 0.25 * f64::from(r), 0.5))),
+    ]
+}
+
+/// Grid shapes, each present once or twice (duplicates tie on every
+/// key and every stable sort must keep them in input order).
+fn arb_grid_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
+    prop::collection::vec((arb_grid_shape(), 0usize..2), 1..400).prop_map(|raw| {
+        raw.into_iter()
+            .flat_map(|(shape, extra)| std::iter::repeat_n(shape, 1 + extra))
+            .enumerate()
+            .map(|(i, shape)| SpatialObject::new(ObjectId(i as u32), StructureId(0), shape))
+            .collect()
+    })
+}
+
 fn arb_region() -> impl Strategy<Value = QueryRegion> {
     ((-60.0..60.0, -60.0..60.0, -60.0..60.0), 1.0..30.0f64).prop_map(|((x, y, z), side)| {
         let c = Vec3::new(x, y, z);
@@ -139,12 +170,15 @@ proptest! {
         prop_assert_eq!(flat.crawl_region(&region, start), plain_crawl(&flat, &region, start));
     }
 
-    /// The neighborhood pass reuses one probe buffer and symmetrizes by
+    /// The neighborhood pass reuses one probe buffer, skips the k-NN walk
+    /// when the probe already holds the k nearest pages and symmetrizes by
     /// binary search on each page's directed list; every list must come
-    /// out as the plain pass builds it, order included.
+    /// out as the plain pass builds it, order included. The cylinder beds
+    /// are sparse, so many pages walk; on the lattice beds distances tie
+    /// at the k-th place and at the probe's faces.
     #[test]
     fn neighbors_equal_the_plain_pass(
-        objects in arb_objects(),
+        objects in prop_oneof![arb_objects(), arb_grid_objects()],
         epsilon_factor in 0.0..0.5f64,
         knn in 0usize..5,
     ) {
@@ -153,6 +187,44 @@ proptest! {
         let want = plain_neighbors(flat.rtree(), config);
         for page in flat.layout().pages() {
             prop_assert_eq!(flat.page_neighbors(page.id), want[page.id.index()].as_slice());
+        }
+    }
+}
+
+/// A page box with a NaN coordinate meets no ε-probe, and an inverted
+/// one is no live slot of the walk the probe takes, yet the k-NN walk
+/// still ranks both: on a bed holding one, every page's k nearest must
+/// come from the walk.
+#[test]
+fn improper_page_boxes_neighbors_equal_the_plain_pass() {
+    // One segment a page, a lattice of them 0.1 apart: each probe meets
+    // the six face neighbours, well inside its faces, and no other page
+    // box holds the page's centre.
+    let lattice = (0..64).map(|i| {
+        let a = Vec3::new(f64::from(i % 4), f64::from(i / 4 % 4), f64::from(i / 16));
+        let shape = Shape::Segment(Segment::new(a, a + Vec3::splat(0.9)));
+        SpatialObject::new(ObjectId(i), StructureId(0), shape)
+    });
+    // A zero-length cylinder at (3.45, 3.45, 3.45). A NaN radius gives it
+    // a NaN box, which every walk places at distance 0. A radius of −2
+    // inverts it to [5.45, 1.45] on each axis, which the walk places at
+    // (1.45, 1.45, 1.45): the centre of the page at lattice site (1, 1, 1).
+    for radius in [f64::NAN, -2.0] {
+        let at = Vec3::splat(3.45);
+        let odd = Shape::Cylinder(Cylinder::new(at, at, radius, radius));
+        let objects: Vec<SpatialObject> = lattice
+            .clone()
+            .chain([SpatialObject::new(ObjectId(64), StructureId(0), odd)])
+            .collect();
+        let config = FlatConfig::default();
+        let flat = FlatIndex::bulk_load_with(&objects, 1, config);
+        let want = plain_neighbors(flat.rtree(), config);
+        for page in flat.layout().pages() {
+            assert_eq!(
+                flat.page_neighbors(page.id),
+                want[page.id.index()].as_slice(),
+                "radius {radius}"
+            );
         }
     }
 }
@@ -481,39 +553,6 @@ mod str_pack_oracle {
         pages
     }
 
-    /// A coordinate on a 5-step integer grid, zero of either sign: most
-    /// centroids tie on some axis, many on all three.
-    fn arb_coord() -> impl Strategy<Value = f64> {
-        prop_oneof![(-2i32..=2).prop_map(f64::from), Just(-0.0), Just(0.0)]
-    }
-
-    fn arb_grid_point() -> impl Strategy<Value = Vec3> {
-        (arb_coord(), arb_coord(), arb_coord()).prop_map(|(x, y, z)| Vec3::new(x, y, z))
-    }
-
-    fn arb_grid_shape() -> impl Strategy<Value = Shape> {
-        prop_oneof![
-            arb_grid_point().prop_map(Shape::Point),
-            (arb_grid_point(), arb_grid_point())
-                .prop_map(|(a, b)| Shape::Segment(Segment::new(a, b))),
-            (arb_grid_point(), arb_grid_point(), 1u8..4).prop_map(|(a, b, r)| Shape::Cylinder(
-                Cylinder::new(a, b, 0.25 * f64::from(r), 0.5)
-            )),
-        ]
-    }
-
-    /// Grid shapes, each present once or twice (duplicates tie on every
-    /// key and every stable sort must keep them in input order).
-    fn arb_grid_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
-        prop::collection::vec((arb_grid_shape(), 0usize..2), 1..400).prop_map(|raw| {
-            raw.into_iter()
-                .flat_map(|(shape, extra)| std::iter::repeat_n(shape, 1 + extra))
-                .enumerate()
-                .map(|(i, shape)| SpatialObject::new(ObjectId(i as u32), StructureId(0), shape))
-                .collect()
-        })
-    }
-
     fn mbr_bits(b: &Aabb) -> [u64; 6] {
         [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f64::to_bits)
     }
@@ -537,11 +576,30 @@ mod str_pack_oracle {
         }
     }
 
-    /// A NaN centroid reaches the z-sort of a one-run pack.
+    /// A NaN centroid is caught as the z keys of a one-run pack are filled.
     #[test]
     #[should_panic(expected = "non-finite coordinate in dataset")]
     fn nan_centroid_rejected() {
         let objects: Vec<SpatialObject> = [0.0, f64::NAN]
+            .into_iter()
+            .enumerate()
+            .map(|(i, z)| {
+                SpatialObject::new(
+                    ObjectId(i as u32),
+                    StructureId(0),
+                    Shape::Point(Vec3::new(0.0, 0.0, z)),
+                )
+            })
+            .collect();
+        let _ = str_pack(&objects, 87);
+    }
+
+    /// An infinite centroid sorts without complaint, but its page's MBR
+    /// makes FLAT's ε infinite: every probe would return every page.
+    #[test]
+    #[should_panic(expected = "non-finite coordinate in dataset")]
+    fn infinite_centroid_rejected() {
+        let objects: Vec<SpatialObject> = [0.0, f64::INFINITY]
             .into_iter()
             .enumerate()
             .map(|(i, z)| {
