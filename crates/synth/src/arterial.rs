@@ -160,6 +160,17 @@ mod tests {
     }
 
     #[test]
+    fn guide_is_pinned() {
+        // Recorded before the guide's adjacency moved to one CSR array:
+        // node positions, edges and each row's order are unchanged.
+        let g = generate_arterial(&small(), 11).guide;
+        assert_eq!(
+            (g.node_count(), g.edge_count(), g.digest()),
+            (1351, 1350, 0xae38_dd5c_e72b_e88e)
+        );
+    }
+
+    #[test]
     fn deterministic_in_seed() {
         let a = generate_arterial(&small(), 11);
         let b = generate_arterial(&small(), 11);

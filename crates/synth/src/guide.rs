@@ -66,6 +66,35 @@ impl GuideGraph {
 }
 
 #[cfg(test)]
+impl GuideGraph {
+    /// FNV-1a digest of the node count, every position's bits and every
+    /// row in order, each row closed by a separator — a fingerprint that
+    /// moves when any node, edge or row order does.
+    pub(crate) fn digest(&self) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ b as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        eat(&(self.node_count() as u64).to_le_bytes());
+        for n in 0..self.node_count() as GuideNodeId {
+            let p = self.position(n);
+            for c in [p.x, p.y, p.z] {
+                eat(&c.to_bits().to_le_bytes());
+            }
+        }
+        for n in 0..self.node_count() as GuideNodeId {
+            for &nb in self.neighbors(n) {
+                eat(&nb.to_le_bytes());
+            }
+            eat(&[0xFF]);
+        }
+        h
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use scout_geometry::ObjectId;

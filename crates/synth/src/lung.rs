@@ -254,6 +254,14 @@ mod tests {
     }
 
     #[test]
+    fn guide_is_pinned() {
+        // Recorded before the guide's adjacency moved to one CSR array:
+        // node positions, edges and each row's order are unchanged.
+        let g = generate_lung(&small(), 5).guide;
+        assert_eq!((g.node_count(), g.edge_count(), g.digest()), (207, 206, 0x530c_9648_43c8_0238));
+    }
+
+    #[test]
     fn deterministic_in_seed() {
         let a = generate_lung(&small(), 5);
         let b = generate_lung(&small(), 5);

@@ -141,6 +141,25 @@ mod tests {
     }
 
     #[test]
+    fn digest_is_pinned() {
+        // Recorded from the generator as first written: a changed draw
+        // order or growth step moves it, which two same-code runs cannot.
+        let d = generate_neurons(&small(), 42);
+        assert_eq!((d.len(), d.digest()), (2255, 0x0fa4_742e_df2d_06b2));
+    }
+
+    #[test]
+    fn guide_is_pinned() {
+        // Recorded before the guide's adjacency moved to one CSR array:
+        // node positions, edges and each row's order are unchanged.
+        let g = generate_neurons(&small(), 42).guide;
+        assert_eq!(
+            (g.node_count(), g.edge_count(), g.digest()),
+            (2255, 2250, 0x369c_5a6f_7a2f_1299)
+        );
+    }
+
+    #[test]
     fn generates_expected_scale() {
         let d = generate_neurons(&small(), 42);
         d.validate().expect("invalid dataset");

@@ -187,6 +187,22 @@ mod tests {
     }
 
     #[test]
+    fn digest_is_pinned() {
+        // Recorded from the generator as first written: a changed draw
+        // order or growth step moves it, which two same-code runs cannot.
+        let d = generate_roads(&small(), 9);
+        assert_eq!((d.len(), d.digest()), (408, 0x0da4_d364_1883_bf2a));
+    }
+
+    #[test]
+    fn guide_is_pinned() {
+        // Recorded before the guide's adjacency moved to one CSR array:
+        // node positions, edges and each row's order are unchanged.
+        let g = generate_roads(&small(), 9).guide;
+        assert_eq!((g.node_count(), g.edge_count(), g.digest()), (370, 408, 0x0697_e409_8a24_469a));
+    }
+
+    #[test]
     fn network_scale_and_validity() {
         let d = generate_roads(&small(), 1);
         d.validate().expect("invalid dataset");
