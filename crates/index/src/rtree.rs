@@ -28,6 +28,7 @@ use scout_storage::{PageId, PageLayout};
 use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 /// Internal-node fanout (how many children each directory node packs).
 pub(crate) const INTERNAL_FANOUT: usize = 64;
@@ -53,9 +54,14 @@ struct NodeRec {
 }
 
 /// An immutable, bulk-loaded R-tree.
+///
+/// The page layout sits behind an `Arc`: a clone shares it and copies only
+/// the directory. A bed that hands FLAT a clone of its R-tree (one STR
+/// pack serving both indexes) therefore holds one layout, not two; the
+/// pages' object lists are the largest part of an index.
 #[derive(Debug, Clone)]
 pub struct RTree {
-    layout: PageLayout,
+    layout: Arc<PageLayout>,
     /// Directory records, leaf level first (construction order).
     nodes: Vec<NodeRec>,
     /// Concatenated child arrays of every node.
@@ -197,7 +203,7 @@ impl RTree {
                 0
             }
         };
-        RTree { layout, nodes, children, boxes, root, height }
+        RTree { layout: Arc::new(layout), nodes, children, boxes, root, height }
     }
 
     /// Tree height in directory levels (excludes the page level).

@@ -29,7 +29,8 @@ impl TestBed {
     /// Bulk loads both indexes with an explicit page capacity.
     ///
     /// One STR pack serves both: FLAT builds its neighborhoods over a clone
-    /// of the R-tree, which equals a second pack of the same objects.
+    /// of the R-tree, which equals a second pack of the same objects. The
+    /// clone shares the R-tree's page layout, so the bed holds it once.
     pub fn with_page_capacity(dataset: Dataset, capacity: usize) -> TestBed {
         let rtree = RTree::bulk_load_with_capacity(&dataset.objects, capacity);
         let flat = FlatIndex::from_rtree(rtree.clone(), FlatConfig::default());
@@ -175,6 +176,19 @@ mod tests {
         let bed = TestBed::with_page_capacity(dataset, 32);
         assert!(bed.ctx_flat().ordered.is_some());
         assert!(bed.ctx_rtree().ordered.is_none());
+    }
+
+    /// FLAT's clone of the bed's R-tree shares its page layout: a bed
+    /// holds one copy of the pages' object lists, not two.
+    #[test]
+    fn bed_indexes_share_one_layout() {
+        use scout_index::SpatialIndex;
+        let dataset = generate_neurons(
+            &NeuronParams { neuron_count: 3, fiber_steps: 150, ..Default::default() },
+            4,
+        );
+        let bed = TestBed::with_page_capacity(dataset, 32);
+        assert!(std::ptr::eq(bed.rtree.layout(), bed.flat.layout()));
     }
 
     /// The bed packs once and hands FLAT a clone of its R-tree: FLAT's

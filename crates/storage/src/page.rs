@@ -75,11 +75,15 @@ pub struct Page {
 
 /// The physical layout of a dataset: every object assigned to exactly one
 /// page.
+///
+/// Built once per bulk load and never changed, so indexes over the same
+/// pack share one layout behind an `Arc` rather than copying it. It holds
+/// the pages and the object count, nothing derived: no reader asks which
+/// page an object is on.
 #[derive(Debug, Clone)]
 pub struct PageLayout {
     pages: Vec<Page>,
-    /// Object index → page, for O(1) reverse lookup.
-    object_page: Vec<PageId>,
+    object_count: usize,
 }
 
 impl PageLayout {
@@ -89,25 +93,25 @@ impl PageLayout {
     /// object id referenced by a page must be `< object_count`, and each
     /// object must appear in exactly one page.
     pub fn new(mut pages: Vec<Page>, object_count: usize) -> PageLayout {
-        let mut object_page = vec![PageId(u32::MAX); object_count];
+        // One bit per object, set when a page claims it.
+        let mut seen = vec![0u64; object_count.div_ceil(64)];
+        let mut assigned = 0usize;
         for (i, page) in pages.iter_mut().enumerate() {
             page.id = PageId(i as u32);
             for &oid in &page.objects {
-                let slot = &mut object_page[oid.index()];
-                assert_eq!(
-                    slot.0,
-                    u32::MAX,
-                    "object {oid:?} assigned to two pages ({} and {i})",
-                    slot.0
+                let o = oid.index();
+                assert!(
+                    o < object_count,
+                    "page {i} holds object {oid:?}, outside the layout's {object_count} objects"
                 );
-                *slot = page.id;
+                let (word, bit) = (o / 64, 1u64 << (o % 64));
+                assert!(seen[word] & bit == 0, "object {oid:?} assigned to two pages (one is {i})");
+                seen[word] |= bit;
+                assigned += 1;
             }
         }
-        assert!(
-            object_page.iter().all(|p| p.0 != u32::MAX),
-            "some objects are not assigned to any page"
-        );
-        PageLayout { pages, object_page }
+        assert_eq!(assigned, object_count, "some objects are not assigned to any page");
+        PageLayout { pages, object_count }
     }
 
     /// Number of pages.
@@ -130,7 +134,7 @@ impl PageLayout {
 
     /// Total number of objects across all pages.
     pub fn object_count(&self) -> usize {
-        self.object_page.len()
+        self.object_count
     }
 }
 
@@ -148,13 +152,22 @@ mod tests {
     }
 
     #[test]
-    fn layout_assigns_dense_ids_and_reverse_map() {
-        let layout = PageLayout::new(vec![page(&[0, 2]), page(&[1, 3, 4])], 5);
+    fn layout_assigns_dense_page_ids() {
+        let mut first = page(&[0, 2]);
+        first.id = PageId(7);
+        let layout = PageLayout::new(vec![first, page(&[1, 3, 4])], 5);
         assert_eq!(layout.page_count(), 2);
+        let ids: Vec<PageId> = layout.pages().iter().map(|p| p.id).collect();
+        assert_eq!(ids, [PageId(0), PageId(1)]);
         assert_eq!(layout.page(PageId(1)).objects.len(), 3);
-        assert_eq!(layout.object_page[0], PageId(0));
-        assert_eq!(layout.object_page[3], PageId(1));
         assert_eq!(layout.object_count(), 5);
+        assert_eq!(PageLayout::new(Vec::new(), 0).object_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the layout's 2 objects")]
+    fn out_of_range_object_rejected() {
+        let _ = PageLayout::new(vec![page(&[0, 1]), page(&[2])], 2);
     }
 
     #[test]

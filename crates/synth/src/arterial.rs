@@ -7,7 +7,7 @@
 //! reach bifurcations where SCOUT wins again.
 
 use crate::dataset::{Dataset, Domain};
-use crate::guide::GuideGraph;
+use crate::guide::GuideBuilder;
 use crate::skeleton::{split, step};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,7 +53,7 @@ impl Default for ArterialParams {
 pub fn generate_arterial(params: &ArterialParams, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let bounds = Aabb::new(Vec3::ZERO, Vec3::splat(params.bounds_side));
-    let mut guide = GuideGraph::new();
+    let mut guide = GuideBuilder::new();
     let mut objects: Vec<SpatialObject> = Vec::new();
     let growth = (params.step_len, params.angle_sigma);
 
@@ -92,7 +92,7 @@ pub fn generate_arterial(params: &ArterialParams, seed: u64) -> Dataset {
         work.push((node, child_b, generation + 1));
     }
 
-    Dataset { domain: Domain::Arterial, objects, bounds, guide, adjacency: None }
+    Dataset { domain: Domain::Arterial, objects, bounds, guide: guide.finish(), adjacency: None }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! graph" instead of grid hashing.
 
 use crate::dataset::{Dataset, Domain};
-use crate::guide::{GuideGraph, ObjectAdjacency};
+use crate::guide::{GuideBuilder, ObjectAdjacency};
 use crate::skeleton::{split, step};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,7 +58,7 @@ impl Default for LungParams {
 pub fn generate_lung(params: &LungParams, seed: u64) -> Dataset {
     let mut rng = StdRng::seed_from_u64(seed);
     let bounds = Aabb::new(Vec3::ZERO, Vec3::splat(params.bounds_side));
-    let mut guide = GuideGraph::new();
+    let mut guide = GuideBuilder::new();
     let mut objects: Vec<SpatialObject> = Vec::new();
     let mut adjacency: Vec<Vec<ObjectId>> = Vec::new();
     let m = params.ring_vertices;
@@ -99,7 +99,7 @@ pub fn generate_lung(params: &LungParams, seed: u64) -> Dataset {
         // triangles per (band, sector). The orthonormal frame is carried
         // along the branch to avoid twist.
         let mut u = dir0.any_orthogonal();
-        let ring_at = |guide: &GuideGraph, n: u32, u: Vec3, v: Vec3| -> Vec<Vec3> {
+        let ring_at = |guide: &GuideBuilder, n: u32, u: Vec3, v: Vec3| -> Vec<Vec3> {
             let c = guide.position(n);
             (0..m)
                 .map(|s| {
@@ -180,6 +180,7 @@ pub fn generate_lung(params: &LungParams, seed: u64) -> Dataset {
     }
 
     let adjacency = ObjectAdjacency::from_lists(&adjacency);
+    let guide = guide.finish();
     Dataset { domain: Domain::LungAirway, objects, bounds, guide, adjacency: Some(adjacency) }
 }
 

@@ -11,7 +11,7 @@
 //! well").
 
 use crate::dataset::{Dataset, Domain};
-use crate::guide::GuideGraph;
+use crate::guide::GuideBuilder;
 use crate::rng_util::{point_in_box, unit_vector};
 use crate::skeleton::{grow_subtree, GrowthParams};
 use rand::rngs::StdRng;
@@ -83,7 +83,7 @@ pub fn generate_neurons(params: &NeuronParams, seed: u64) -> Dataset {
     assert!(params.neuron_count >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
     let bounds = Aabb::new(Vec3::ZERO, Vec3::splat(params.bounds_side));
-    let mut guide = GuideGraph::new();
+    let mut guide = GuideBuilder::new();
     let mut objects: Vec<SpatialObject> = Vec::with_capacity(params.approx_objects());
 
     let push = |objects: &mut Vec<SpatialObject>, structure: u32, shape: Shape| {
@@ -129,7 +129,7 @@ pub fn generate_neurons(params: &NeuronParams, seed: u64) -> Dataset {
         }
     }
 
-    Dataset { domain: Domain::Neuron, objects, bounds, guide, adjacency: None }
+    Dataset { domain: Domain::Neuron, objects, bounds, guide: guide.finish(), adjacency: None }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //! path on a 2-D dataset and the mobile-navigation use case.
 
 use crate::dataset::{Dataset, Domain};
-use crate::guide::{GuideGraph, ObjectAdjacency};
+use crate::guide::{GuideBuilder, ObjectAdjacency};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use scout_geometry::{Aabb, ObjectId, Segment, Shape, SpatialObject, StructureId, Vec3};
@@ -59,7 +59,7 @@ pub fn generate_roads(params: &RoadParams, seed: u64) -> Dataset {
     );
 
     // Jittered intersections.
-    let mut guide = GuideGraph::new();
+    let mut guide = GuideBuilder::new();
     let mut nodes = vec![0u32; n * n];
     for gy in 0..n {
         for gx in 0..n {
@@ -80,7 +80,7 @@ pub fn generate_roads(params: &RoadParams, seed: u64) -> Dataset {
 
     let mut road_id = 0u32;
     let mut add_road = |rng: &mut StdRng,
-                        guide: &mut GuideGraph,
+                        guide: &mut GuideBuilder,
                         objects: &mut Vec<SpatialObject>,
                         adjacency: &mut Vec<Vec<ObjectId>>,
                         incident: &mut Vec<Vec<ObjectId>>,
@@ -175,6 +175,7 @@ pub fn generate_roads(params: &RoadParams, seed: u64) -> Dataset {
     }
 
     let adjacency = ObjectAdjacency::from_lists(&adjacency);
+    let guide = guide.finish();
     Dataset { domain: Domain::RoadNetwork, objects, bounds, guide, adjacency: Some(adjacency) }
 }
 

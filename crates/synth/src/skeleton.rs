@@ -9,7 +9,7 @@
 //! boundary so long fibers wander through the volume like real tissue
 //! does rather than escaping it.
 
-use crate::guide::{GuideGraph, GuideNodeId};
+use crate::guide::{GuideBuilder, GuideNodeId};
 use crate::rng_util::perturb_direction;
 use rand::Rng;
 use scout_geometry::{Aabb, Vec3};
@@ -81,7 +81,7 @@ fn reflect(pos: Vec3, dir: Vec3, step: f64, bounds: &Aabb) -> Vec3 {
 /// on (clamped inside `bounds`) with the edge to it. Returns the new node
 /// and its heading.
 pub(crate) fn step<R: Rng + ?Sized>(
-    graph: &mut GuideGraph,
+    graph: &mut GuideBuilder,
     rng: &mut R,
     node: GuideNodeId,
     dir: Vec3,
@@ -108,7 +108,7 @@ pub(crate) fn split<R: Rng + ?Sized>(rng: &mut R, d: Vec3, half_angle: f64) -> (
 /// Grows a branching subtree rooted at `root` (which must already exist in
 /// `graph`) heading `dir`. Returns the created edges in creation order.
 pub(crate) fn grow_subtree<R: Rng + ?Sized>(
-    graph: &mut GuideGraph,
+    graph: &mut GuideBuilder,
     rng: &mut R,
     root: GuideNodeId,
     dir: Vec3,
@@ -148,6 +148,7 @@ pub(crate) fn grow_subtree<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guide::GuideGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -157,7 +158,7 @@ mod tests {
 
     /// Grows an unbranched chain of `steps` steps from `root`.
     fn grow_chain(
-        g: &mut GuideGraph,
+        g: &mut GuideBuilder,
         rng: &mut StdRng,
         root: GuideNodeId,
         dir: Vec3,
@@ -181,7 +182,7 @@ mod tests {
 
     #[test]
     fn chain_has_exact_length_and_stays_inside() {
-        let mut g = GuideGraph::new();
+        let mut g = GuideBuilder::new();
         let mut rng = StdRng::seed_from_u64(1);
         let root = g.add_node(Vec3::splat(50.0));
         let edges = grow_chain(
@@ -193,6 +194,7 @@ mod tests {
             &bounds(),
         );
         assert_eq!(edges.len(), 500);
+        let g = g.finish();
         for p in positions(&g) {
             assert!(bounds().expanded(1e-9).contains_point(p));
         }
@@ -205,7 +207,7 @@ mod tests {
 
     #[test]
     fn subtree_respects_budget_and_bifurcates() {
-        let mut g = GuideGraph::new();
+        let mut g = GuideBuilder::new();
         let mut rng = StdRng::seed_from_u64(2);
         let root = g.add_node(Vec3::splat(50.0));
         let params =
@@ -213,6 +215,7 @@ mod tests {
         let edges =
             grow_subtree(&mut g, &mut rng, root, Vec3::new(0.0, 0.0, 1.0), &params, &bounds());
         assert_eq!(edges.len(), 300);
+        let g = g.finish();
         // Branch points have degree 3+ in the graph: a bifurcation with
         // prob 0.1 over 300 steps.
         let branch_nodes =
@@ -222,7 +225,7 @@ mod tests {
 
     #[test]
     fn zero_sigma_grows_straight_until_reflection() {
-        let mut g = GuideGraph::new();
+        let mut g = GuideBuilder::new();
         let mut rng = StdRng::seed_from_u64(3);
         let root = g.add_node(Vec3::new(1.0, 50.0, 50.0));
         let edges =
@@ -238,13 +241,14 @@ mod tests {
 
     #[test]
     fn reflection_keeps_long_walk_inside() {
-        let mut g = GuideGraph::new();
+        let mut g = GuideBuilder::new();
         let mut rng = StdRng::seed_from_u64(4);
         let small = Aabb::new(Vec3::ZERO, Vec3::splat(10.0));
         let root = g.add_node(Vec3::splat(5.0));
         let edges =
             grow_chain(&mut g, &mut rng, root, Vec3::new(1.0, 0.2, 0.1), (2000, 1.0, 0.05), &small);
         assert_eq!(edges.len(), 2000);
+        let g = g.finish();
         for p in positions(&g) {
             assert!(small.expanded(1e-9).contains_point(p), "escaped: {p:?}");
         }

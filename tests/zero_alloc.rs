@@ -26,6 +26,10 @@
 //! over a `PrefetchCache` allocates only when the session's trace grows
 //! its query list: the serve and window buffers belong to the thread.
 //!
+//! Generating a neuron dataset is held to fewer allocations than one per
+//! ten guide nodes: the guide's adjacency is one CSR array, not a list per
+//! node.
+//!
 //! This binary holds exactly one `#[test]` on purpose: the counter is
 //! process-global, so a concurrently running sibling test would pollute
 //! the measured window.
@@ -490,4 +494,20 @@ fn steady_state_graph_build_allocates_nothing() {
         after - before
     );
     assert!(ring.dropped() > 0, "the ring must have wrapped during the tour");
+
+    // --- Guide graph bookkeeping --------------------------------------------
+    //
+    // Not a steady state but a budget: a generator grows its guide skeleton
+    // into two flat lists and scatters them into CSR rows once, so the
+    // allocations of a whole generation scale with its fiber subtrees, not
+    // with its guide nodes. Per-node adjacency lists would take about one
+    // block per node.
+    let before = allocations();
+    let tissue = generate_neurons(&NeuronParams { neuron_count: 8, ..Default::default() }, 23);
+    let blocks = allocations() - before;
+    let nodes = tissue.guide.node_count() as u64;
+    assert!(
+        blocks * 10 < nodes,
+        "generating {nodes} guide nodes allocated {blocks} blocks, not fewer than one per ten"
+    );
 }
