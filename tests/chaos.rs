@@ -14,6 +14,14 @@ use scout_synth::{generate_sequences, SequenceParams};
 fn bed_and_streams(k: usize) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
     let workload_seed =
         std::env::var("SCOUT_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(23u64);
+    bed_and_seeded_streams(k, workload_seed)
+}
+
+/// [`bed_and_streams`] with the workload seed given.
+fn bed_and_seeded_streams(
+    k: usize,
+    workload_seed: u64,
+) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
     let dataset = scout_synth::generate_neurons(
         &scout_synth::NeuronParams { neuron_count: 8, fiber_steps: 220, ..Default::default() },
         11,
@@ -203,6 +211,28 @@ fn same_fault_seed_reruns_byte_identically_at_width_one() {
         MultiSessionExecutor::new(chaos_config(&bed, Schedule::WorkStealing { workers: 1 }, plan));
     let c = ws.run(&ctx, scout_sessions(&streams)).render();
     assert_eq!(a, c, "width-1 work stealing diverged from round-robin under faults");
+}
+
+/// FNV-1a over `bytes`: a digest that pins a report's exact bytes.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[test]
+fn faulted_width_one_replays_its_pinned_digest() {
+    // One fault seed's width-1 render, bytes and disk-busy bits, on a
+    // fixed workload seed (the CI matrix's seed would move the streams).
+    let (bed, streams) = bed_and_seeded_streams(4, 23);
+    let ctx = bed.ctx_rtree();
+    let plan = FaultPlan::injecting(rough_weather(0xFEED));
+    let report = MultiSessionExecutor::new(chaos_config(&bed, Schedule::RoundRobin, plan))
+        .run(&ctx, scout_sessions(&streams));
+    assert!(report.faults.expect("fault injection was enabled").injected() > 0);
+    let busy = report.disk_busy_us.to_bits().to_le_bytes();
+    let digest = fnv1a(report.render().bytes().chain(busy));
+    assert_eq!(digest, 0x07fa_e67c_7649_2118, "{digest:#x}");
 }
 
 #[test]

@@ -244,6 +244,49 @@ fn work_stealing_width1_is_byte_identical_to_round_robin() {
     }
 }
 
+/// FNV-1a over `bytes`: a digest that pins a report's exact bytes.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// The digest of a fleet's render followed by its disk-busy bits.
+fn report_digest(report: &MultiSessionReport) -> u64 {
+    let busy = report.disk_busy_us.to_bits().to_le_bytes();
+    fnv1a(report.render().bytes().chain(busy))
+}
+
+/// `ample_config` squeezed until the cache evicts and windows bind: 24
+/// cache pages and a window ratio of 1.6.
+fn pressure_config(bed: &TestBed, schedule: Schedule, batched: bool) -> MultiSessionConfig {
+    let mut config = ample_config(bed, 8, schedule);
+    config.exec.window_ratio = 1.6;
+    config.exec.cache_pages = 24;
+    config.batch = BatchPlan { enabled: batched };
+    config
+}
+
+#[test]
+fn width_one_under_pressure_replays_its_pinned_digest() {
+    // The width-1 fleet's exact bytes under eviction pressure, unbatched
+    // and batched: a change to how the round engine orders its work that
+    // moves one probe, promotion, insert or clock advance moves these.
+    let (bed, streams) = bed_and_streams(5, WORKLOAD_SEED);
+    let ctx = bed.ctx_rtree();
+    for (batched, pinned) in [(false, 0x253a_dbb6_5c45_6389), (true, 0x886a_462a_9213_61b1)] {
+        let config = pressure_config(&bed, Schedule::RoundRobin, batched);
+        let report = MultiSessionExecutor::new(config).run(&ctx, scout_sessions(&streams));
+        assert!(report.cache.evictions > 0, "precondition violated: the cache never evicted");
+        assert_eq!(
+            report_digest(&report),
+            pinned,
+            "batched = {batched}: {:#x}",
+            report_digest(&report)
+        );
+    }
+}
+
 #[test]
 fn width_one_fleet_equals_a_loop_over_the_locked_cache() {
     // At width 1 the engine owns its cache and reaches the shards without

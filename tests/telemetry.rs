@@ -106,6 +106,26 @@ fn armed_width1_event_streams_are_byte_identical_across_reruns() {
     );
 }
 
+/// FNV-1a over `bytes`: a digest that pins an export's exact bytes.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+#[test]
+fn armed_width1_flight_log_replays_its_pinned_digest() {
+    // The armed width-1 timeline's exact bytes, unbatched and batched:
+    // every event, its simulated timestamp and its order.
+    let (bed, streams) = bed_and_streams(4);
+    for (batched, pinned) in [(false, 0x00a0_3c3d_a125_94fb), (true, 0xd77d_90ba_ff7c_e54e)] {
+        let report = run(&bed, &streams, Schedule::RoundRobin, batched, true);
+        let jsonl = report.telemetry.as_ref().expect("armed").to_jsonl();
+        let digest = fnv1a(jsonl.bytes());
+        assert_eq!(digest, pinned, "batched = {batched}: {digest:#x}");
+    }
+}
+
 /// The integer value of `"key": <n>` in one JSONL line.
 fn field(line: &str, key: &str) -> u64 {
     let tag = format!("\"{key}\": ");
