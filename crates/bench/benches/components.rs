@@ -223,9 +223,8 @@ fn bench_components(c: &mut Criterion) {
 /// each a round, and each walks 20 pages a query, so 23 of a query's pages
 /// were inserted by the session's previous query one round ago and still
 /// hit. One iteration is one query: divide by 43 for the cost of a page.
-/// The two benches differ only in how they reach a shard — the owned
-/// cache through `Mutex::get_mut` (a fleet phase one thread runs alone)
-/// and `&ShardedCache` under the shard lock (a phase shared with helpers).
+/// It drives `&ShardedCache`, the handle the benchmark's fleet loops use;
+/// the owned cache reaches a shard through the same accessor.
 fn bench_sharded_cache(c: &mut Criterion) {
     const PAGES_PER_QUERY: usize = 43;
     const SESSIONS: u32 = 256;
@@ -246,15 +245,6 @@ fn bench_sharded_cache(c: &mut Criterion) {
         }
         misses.len()
     }
-
-    c.bench_function("sharded_cache_fleet_ops_exclusive", |b| {
-        let mut cache = ShardedCache::new(16_384, 16);
-        let (mut next, mut misses) = (0, Vec::new());
-        b.iter(|| {
-            next = (next + 1) % queries.len();
-            replay(&mut cache, queries[next], &mut misses)
-        })
-    });
 
     c.bench_function("sharded_cache_fleet_ops_shared", |b| {
         let cache = ShardedCache::new(16_384, 16);

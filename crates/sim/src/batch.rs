@@ -13,17 +13,13 @@
 //! accounting and buffer recycling) at the window edge.
 
 use crate::executor::ExecutorConfig;
-use crate::scheduler::lock_unpoisoned;
 use crate::session::Session;
 use crate::telemetry::RING_CAPACITY;
-use scout_storage::{
-    BatchReport, DiskModel, FaultReport, IoBatcher, PageCache, ShardedCache, SharedClock,
-};
+use scout_storage::{BatchReport, DiskModel, FaultReport, IoBatcher, ShardedCache, SharedClock};
 use scout_telemetry::{
     Event, FlightRecorder, HistogramId, Lane, MetricsRegistry, SpanTimer, ENGINE_STREAM,
 };
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Fault-injection salt of the demand-lane batch disk. Session disks are
 /// salted by session id; the reserved top values cannot collide with a
@@ -44,24 +40,33 @@ struct WindowLedger {
     gaps: u64,
 }
 
-/// The batch engine's telemetry arm: submit events go into one shared
-/// ring (stream = [`ENGINE_STREAM`]) and submit spans into the fleet
+/// The batch engine's telemetry arm: submit events go into one ring
+/// (stream = [`ENGINE_STREAM`]) and submit spans into the fleet
 /// registry. `None` — the default — records nothing.
 struct BatchTelemetry {
     registry: Arc<MetricsRegistry>,
-    recorder: Mutex<FlightRecorder>,
+    recorder: FlightRecorder,
     /// Demand-lane coalesced total at the last submit; the per-batch
     /// delta rides on each [`Event::BatchSubmitted`].
-    demand_coalesced: AtomicU64,
+    demand_coalesced: u64,
 }
 
-/// The batched-I/O state of one fleet run.
+impl BatchTelemetry {
+    /// Times one batch submission.
+    fn submit_span(&self) -> SpanTimer<'_> {
+        SpanTimer::start(self.registry.histogram(HistogramId::SpanBatchSubmitUs))
+    }
+}
+
+/// The batched-I/O state of one fleet run. Every lane operation runs on
+/// the engine's calling thread (DESIGN.md §10), so the lanes are plain
+/// fields.
 pub(crate) struct BatchCtl {
     /// Demand lane: coalescing, every waiter records its slot.
-    pub(crate) demand: Mutex<IoBatcher>,
+    pub(crate) demand: IoBatcher,
     /// Window lane: single-owner, duplicates skipped at staging.
-    pub(crate) window: Mutex<IoBatcher>,
-    ledgers: Mutex<Vec<WindowLedger>>,
+    pub(crate) window: IoBatcher,
+    ledgers: Vec<WindowLedger>,
     telem: Option<BatchTelemetry>,
 }
 
@@ -81,46 +86,38 @@ impl BatchCtl {
             IoBatcher::new(disk)
         };
         BatchCtl {
-            demand: Mutex::new(lane(DEMAND_SALT)),
-            window: Mutex::new(lane(WINDOW_SALT)),
-            ledgers: Mutex::new(vec![WindowLedger::default(); sessions]),
+            demand: lane(DEMAND_SALT),
+            window: lane(WINDOW_SALT),
+            ledgers: vec![WindowLedger::default(); sessions],
             telem: registry.map(|registry| BatchTelemetry {
                 registry: Arc::clone(registry),
-                recorder: Mutex::new(FlightRecorder::with_capacity(ENGINE_STREAM, RING_CAPACITY)),
-                demand_coalesced: AtomicU64::new(0),
+                recorder: FlightRecorder::with_capacity(ENGINE_STREAM, RING_CAPACITY),
+                demand_coalesced: 0,
             }),
         }
-    }
-
-    /// Times one batch submission (`None` when telemetry is disarmed).
-    fn submit_span(&self) -> Option<SpanTimer<'_>> {
-        let t = self.telem.as_ref()?;
-        Some(SpanTimer::start(t.registry.histogram(HistogramId::SpanBatchSubmitUs)))
     }
 
     /// Submits the round's demand batch: first attempts for every staged
     /// page, elevator order, fault epoch = the round ordinal (so the
     /// schedule is a pure function of (config, page, round, attempt),
-    /// independent of staging order and crew width).
-    pub(crate) fn submit_demand(&self, round: u64) {
-        let mut lane = lock_unpoisoned(&self.demand);
-        if !lane.is_empty() {
-            let _span = self.submit_span();
-            let pages = lane.len() as u32;
+    /// independent of staging order and fleet width).
+    pub(crate) fn submit_demand(&mut self, round: u64) {
+        let lane = &mut self.demand;
+        if lane.is_empty() {
+            return;
+        }
+        let pages = lane.len() as u32;
+        {
+            let _span = self.telem.as_ref().map(BatchTelemetry::submit_span);
             lane.submit(1, round);
-            if let Some(t) = &self.telem {
-                let total = lane.report().coalesced;
-                let coalesced = total - t.demand_coalesced.swap(total, Ordering::Relaxed);
-                let now = lane.disk().clock().map_or(0.0, |c| c.now_us());
-                lock_unpoisoned(&t.recorder).record(
-                    now,
-                    Event::BatchSubmitted {
-                        lane: Lane::Demand,
-                        pages,
-                        coalesced: coalesced as u32,
-                    },
-                );
-            }
+        }
+        if let Some(t) = &mut self.telem {
+            let total = lane.report().coalesced;
+            let coalesced = total - std::mem::replace(&mut t.demand_coalesced, total);
+            let now = lane.disk().clock().map_or(0.0, |c| c.now_us());
+            let event =
+                Event::BatchSubmitted { lane: Lane::Demand, pages, coalesced: coalesced as u32 };
+            t.recorder.record(now, event);
         }
     }
 
@@ -131,23 +128,22 @@ impl BatchCtl {
     /// — round *i + 1* serves against the membership round *i*'s windows
     /// left — so the round loop calls this between the two. Also recycles
     /// the demand lane (its outcomes were consumed during the phase that
-    /// just ended). No step is in flight at an edge, so it publishes
-    /// through the owned cache, taking no shard lock.
-    pub(crate) fn submit_window(&self, cache: &mut ShardedCache, round: u64) {
-        lock_unpoisoned(&self.demand).begin_phase();
-        let mut lane = lock_unpoisoned(&self.window);
+    /// just ended).
+    pub(crate) fn submit_window(&mut self, cache: &ShardedCache, round: u64) {
+        self.demand.begin_phase();
+        let lane = &mut self.window;
         if lane.is_empty() {
             return;
         }
-        let _span = self.submit_span();
+        let span = self.telem.as_ref().map(BatchTelemetry::submit_span);
         let pages = lane.len() as u32;
         lane.submit(0, round);
-        let mut ledgers = lock_unpoisoned(&self.ledgers);
+        let ledgers = &mut self.ledgers;
         for slot in 0..lane.len() as u32 {
             let (owner, gap) = lane.owner_at(slot);
             match lane.outcome_at(slot) {
                 Ok(t) => {
-                    PageCache::insert(cache, lane.page_at(slot));
+                    cache.insert(lane.page_at(slot));
                     let ledger = &mut ledgers[owner as usize];
                     ledger.io_us += t;
                     ledger.pages += 1;
@@ -158,14 +154,15 @@ impl BatchCtl {
                 Err(_) => lane.disk_mut().note_dropped_prefetch(),
             }
         }
-        if let Some(t) = &self.telem {
+        lane.begin_phase();
+        drop(span);
+        if let Some(t) = &mut self.telem {
             // The window lane skips duplicates at staging, so nothing
             // coalesces here by construction.
             let now = lane.disk().clock().map_or(0.0, |c| c.now_us());
-            lock_unpoisoned(&t.recorder)
+            t.recorder
                 .record(now, Event::BatchSubmitted { lane: Lane::Window, pages, coalesced: 0 });
         }
-        lane.begin_phase();
     }
 
     /// Fleet teardown: credits the window ledgers into the sessions'
@@ -176,9 +173,7 @@ impl BatchCtl {
         self,
         sessions: &mut [Session],
     ) -> (BatchReport, Option<FaultReport>, Option<FlightRecorder>) {
-        let demand = self.demand.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let window = self.window.into_inner().unwrap_or_else(PoisonError::into_inner);
-        let ledgers = self.ledgers.into_inner().unwrap_or_else(PoisonError::into_inner);
+        let BatchCtl { demand, window, ledgers, telem } = self;
         for (session, ledger) in sessions.iter_mut().zip(ledgers) {
             session.absorb_window_io(ledger.io_us, ledger.pages, ledger.gaps);
         }
@@ -190,8 +185,6 @@ impl BatchCtl {
                 faults.get_or_insert_with(FaultReport::default).merge(&f);
             }
         }
-        let recorder =
-            self.telem.map(|t| t.recorder.into_inner().unwrap_or_else(PoisonError::into_inner));
-        (report, faults, recorder)
+        (report, faults, telem.map(|t| t.recorder))
     }
 }

@@ -6,24 +6,19 @@
 //! round — round *i* first serves every session's query *i* against the
 //! cache state left by round *i − 1*, then runs every session's prefetch
 //! window — through one round body and one round loop
-//! (`scheduler.rs`); the schedule only picks how many threads share each
-//! phase's steps:
+//! (`scheduler.rs`). Every cache, disk and batch-lane operation runs on
+//! the calling thread in slot order (the order the sessions were handed
+//! in); the schedule only picks how many threads share the pure parts of
+//! each serve, the range queries and the predictions:
 //!
-//! * [`Schedule::RoundRobin`] — one thread interleaves sessions in slot
-//!   order (the order they were handed in). Fully deterministic:
-//!   identical inputs produce byte-identical reports.
-//! * [`Schedule::WorkStealing`] — the same loop with `workers` threads
-//!   claiming each phase's steps from one cursor, any number of sessions
-//!   over a fixed width. `WorkStealing { workers: 1 }` differs from
-//!   round-robin only in attaching the [`SchedulerReport`]: it is the
-//!   same call, so its render is byte-identical. Wider fleets keep the
-//!   totals contract: cache membership per round is the union of all sessions'
-//!   inserts, so totals (pages hit, hit rate) match round-robin whenever
-//!   the cache is not evicting under pressure; scalar interleaving inside
-//!   a phase is up to the claim order.
+//! * [`Schedule::RoundRobin`] — the caller alone.
+//! * [`Schedule::WorkStealing`] — the same loop with up to `workers`
+//!   threads sharing the pure parts, any number of sessions over a fixed
+//!   width. It differs from round-robin only in attaching the
+//!   [`SchedulerReport`].
 //!
-//! See DESIGN.md §5 and §10 for the precise determinism guarantees of
-//! each mode.
+//! Identical inputs produce byte-identical reports at every width, under
+//! eviction, faults and batching alike. See DESIGN.md §5 and §10.
 
 use crate::batch::BatchCtl;
 use crate::context::SimContext;
@@ -41,17 +36,19 @@ use std::sync::Arc;
 /// How the engine schedules its sessions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Deterministic single-threaded interleaving in slot order — exactly
-    /// width-1 work stealing, without the scheduler counters.
+    /// Single-threaded interleaving in slot order — exactly width-1 work
+    /// stealing, without the scheduler counters.
     #[default]
     RoundRobin,
-    /// `workers` threads (0 = `default_parallelism`) share each phase
-    /// of the round: every thread claims the next unserved session from
-    /// one cursor, so a session's steps migrate between threads. (The
-    /// name predates the cursor; nothing is stolen from a queue.) Scales
-    /// to tens of thousands of sessions.
+    /// `workers` threads (0 = `default_parallelism`) share the range
+    /// queries and predictions of each serve, in contiguous chunks of the
+    /// active sessions; everything else stays on the calling thread, so
+    /// the run is byte-identical to round-robin. (The name predates the
+    /// chunks; nothing is stolen from a queue.) Scales to tens of
+    /// thousands of sessions.
     WorkStealing {
-        /// Threads per phase; 0 picks the machine's available parallelism.
+        /// Threads per pure pass; 0 picks the machine's available
+        /// parallelism.
         workers: usize,
     },
 }
@@ -110,9 +107,7 @@ impl MultiSessionExecutor {
 
     /// Runs the sessions over a caller-provided cache — e.g. one pre-warmed
     /// by an earlier run. The cache's counters are reset first so the
-    /// report measures only this run; its *contents* are kept. The run
-    /// borrows the cache exclusively: a phase one thread runs alone
-    /// reaches the shards without their locks (DESIGN.md §10).
+    /// report measures only this run; its *contents* are kept.
     pub fn run_on(
         &self,
         ctx: &SimContext<'_>,
@@ -133,20 +128,20 @@ impl MultiSessionExecutor {
                 session.arm_telemetry(Arc::clone(registry));
             }
         }
-        let batch = self
+        let mut batch = self
             .config
             .batch
             .enabled
             .then(|| BatchCtl::new(exec, &clock, sessions.len(), spans.as_ref()));
         // One round body, one round loop (DESIGN.md §10): round-robin is
         // width 1 with the scheduler counters dropped.
-        let body = RoundBody { ctx, exec, batch: batch.as_ref() };
+        let mut body = RoundBody { ctx, exec, batch: batch.as_mut() };
         let width = match self.config.schedule {
             Schedule::RoundRobin => 1,
             Schedule::WorkStealing { workers: 0 } => default_parallelism(),
             Schedule::WorkStealing { workers } => workers,
         };
-        let (mut sessions, report) = run_fleet(&body, cache, sessions, width, spans.as_deref());
+        let (mut sessions, report) = run_fleet(&mut body, cache, sessions, width, spans.as_deref());
         let scheduler = (self.config.schedule != Schedule::RoundRobin).then_some(report);
 
         // Teardown of the batch lanes: credit window ledgers into the

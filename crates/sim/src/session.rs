@@ -10,10 +10,16 @@
 //! A query executes in two sub-phases, mirroring the Figure-2 timeline:
 //! [`Session::serve_observe`] (serve the result, digest it, open the
 //! window) and [`Session::finish_window`] (run the prefetch plan until the
-//! window closes). The multi-session executor interleaves these across
-//! sessions; [`Session::step`] runs both back-to-back for the
+//! window closes). [`Session::step`] runs both back-to-back for the
 //! single-session case, and [`run_sequence`](crate::run_sequence) is one
 //! session stepped to its end over a fresh cache.
+//!
+//! The multi-session engine takes the serve apart (DESIGN.md §10): the
+//! range query (`begin_serve`) and the prediction (`observe`) touch only
+//! the session and the read-only context, so any thread may run them; the
+//! demand reads between them (`serve`, or the batched `serve_stage`) and
+//! the windows touch the shared cache, disk clock and batch lanes, and run
+//! on the engine's calling thread in session order.
 
 use crate::context::SimContext;
 use crate::executor::{
@@ -21,7 +27,6 @@ use crate::executor::{
     ExecutorConfig, ImmediateIo, OpenWindow, QueryTrace, SequenceTrace, StagedIo,
 };
 use crate::prefetcher::Prefetcher;
-use crate::scheduler::lock_unpoisoned;
 use crate::telemetry::SessionTelemetry;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
@@ -31,13 +36,14 @@ use scout_storage::{
 use scout_telemetry::{HistogramId, MetricsRegistry};
 use std::cell::Cell;
 use std::ops::DerefMut;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-// The buffers a step fills and forgets — the served query's result, the
-// batched serve's fan-in of demand outcomes, and the page list a window
-// resolves a `Region` request into — belong to the thread, not to the
-// session: a fleet is thousands of sessions stepped by a handful of
-// threads, and only the stepping one needs them. (The query scratch arena
+// The buffers a step fills and forgets — `serve_observe`'s query result,
+// the batched serve's fan-in of demand outcomes, and the page list a
+// window resolves a `Region` request into — belong to the thread, not to
+// the session: a fleet is thousands of sessions, and only the stepping
+// thread needs them. (The engine's own serves keep their results in a
+// block-sized pool instead, `scheduler.rs`.) (The query scratch arena
 // is a fourth, in `executor.rs`.) A step takes the buffer out and puts it
 // back when done. Under `QueryScratch`'s contract — capacity carries over,
 // contents never do — a step that panics, or one that runs inside another
@@ -185,22 +191,6 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         self.disk.clock().map_or(0.0, |c| c.now_us())
     }
 
-    /// Scheduler hook: the session migrated onto `worker`.
-    pub(crate) fn note_stolen(&mut self, worker: u32) {
-        let t = self.now_us();
-        if let Some(tm) = &mut self.telem {
-            tm.note_stolen(t, worker);
-        }
-    }
-
-    /// Scheduler hook: the session parked at a phase boundary on `worker`.
-    pub(crate) fn note_parked(&mut self, worker: u32) {
-        let t = self.now_us();
-        if let Some(tm) = &mut self.telem {
-            tm.note_parked(t, worker);
-        }
-    }
-
     /// Serves the next query and lets the prefetcher digest it (timeline
     /// phases 1–2), leaving the prefetch window open. Returns false when
     /// the stream is exhausted (the call is then a no-op, so mixed-length
@@ -211,30 +201,72 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         cache: &mut C,
         config: &ExecutorConfig,
     ) -> bool {
-        debug_assert!(self.open.is_none(), "serve_observe called with a window still open");
-        let Some(region) = self.regions.get(self.next) else {
-            return false;
-        };
+        let mut result = SERVE_RESULT.take();
+        let begun = self.begin_serve(ctx, config, &mut result);
+        let served = begun.is_some();
+        if let Some(mut q) = begun {
+            let t_us = self.serve(&result, cache, config, &mut q);
+            self.observe(ctx, &result, config, q, t_us);
+        }
+        SERVE_RESULT.set(result);
+        served
+    }
+
+    /// The serve's first, pure piece: the next query's range query into
+    /// `result` (replacing its contents), returning the query's opened
+    /// trace, or `None` when the stream is exhausted. Reads only the
+    /// session's stream and the read-only context.
+    pub(crate) fn begin_serve(
+        &self,
+        ctx: &SimContext<'_>,
+        config: &ExecutorConfig,
+        result: &mut QueryResult,
+    ) -> Option<QueryTrace> {
+        debug_assert!(
+            self.open.is_none() && self.pending.is_none(),
+            "a serve began with a query still in flight"
+        );
+        let region = self.regions.get(self.next)?;
+        Some(begin_query(ctx, region, config, result))
+    }
+
+    /// The serve's shared piece: the begun query's demand probes and
+    /// reads through `cache` and the session's disk. Returns the clock
+    /// reading its telemetry events carry.
+    pub(crate) fn serve<C: PageCache>(
+        &mut self,
+        result: &QueryResult,
+        cache: &mut C,
+        config: &ExecutorConfig,
+        q: &mut QueryTrace,
+    ) -> f64 {
+        let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
         self.disk.begin_query(self.next as u64);
-        let window = {
-            let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
-            let mut result = SERVE_RESULT.take();
-            let mut q = begin_query(ctx, region, config, &mut result);
-            serve_demand(&result, cache, &mut self.disk, config, &mut q, &mut self.trace.io);
-            let window = observe_and_open(ctx, &mut *self.prefetcher, region, &result, config, q);
-            SERVE_RESULT.set(result);
-            window
-        };
-        self.end_serve(window);
-        true
+        serve_demand(result, cache, &mut self.disk, config, q, &mut self.trace.io);
+        self.now_us()
+    }
+
+    /// The serve's last, pure piece: the prefetcher digests the served
+    /// result and the window opens; telemetry stamps the serve's events
+    /// with `t_us`, the clock its shared piece read.
+    pub(crate) fn observe(
+        &mut self,
+        ctx: &SimContext<'_>,
+        result: &QueryResult,
+        config: &ExecutorConfig,
+        q: QueryTrace,
+        t_us: f64,
+    ) {
+        let region = &self.regions[self.next];
+        let window = observe_and_open(ctx, &mut *self.prefetcher, region, result, config, q);
+        self.end_serve(window, t_us);
     }
 
     /// The serve epilogue every path ends in: telemetry records the
-    /// served query and its retries, and the window is left open for the
-    /// window sub-phase.
-    fn end_serve(&mut self, window: OpenWindow) {
+    /// served query and its retries at `t`, and the window is left open
+    /// for the window sub-phase.
+    fn end_serve(&mut self, window: OpenWindow, t: f64) {
         if self.telem.is_some() {
-            let t = self.now_us();
             let faults = self.disk.fault_report();
             if let Some(tm) = &mut self.telem {
                 tm.note_query_served(t, self.next as u32, &window.q);
@@ -314,60 +346,45 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         self.next += 1;
     }
 
-    /// Batched timeline phase 1a: classifies the next query's result
-    /// pages — cache hits count immediately; misses are staged into the
-    /// fleet's demand batcher, coalescing with siblings' requests for the
-    /// same page — and parks the query until the batch resolves. Returns
-    /// false when the stream is exhausted (the call is then a no-op).
+    /// Batched timeline phase 1a, the shared piece of a begun query
+    /// (`begin_serve`): classifies its result pages — cache hits count
+    /// immediately; misses are staged into the fleet's demand batcher,
+    /// coalescing with siblings' requests for the same page — and parks
+    /// the query, result and all, until the batch resolves.
     pub(crate) fn serve_stage<C: PageCache>(
         &mut self,
-        ctx: &SimContext<'_>,
         cache: &mut C,
-        config: &ExecutorConfig,
-        demand: &Mutex<IoBatcher>,
-    ) -> bool {
-        debug_assert!(
-            self.open.is_none() && self.pending.is_none(),
-            "serve_stage called with a query still in flight"
-        );
-        let Some(region) = self.regions.get(self.next) else {
-            return false;
-        };
+        batch: &mut IoBatcher,
+        result: QueryResult,
+        mut q: QueryTrace,
+    ) {
         let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
         self.disk.begin_query(self.next as u64);
-        // The result waits in `pending` for the demand batch to resolve, so
-        // this path owns it outright.
-        let mut result = QueryResult::default();
-        let mut q = begin_query(ctx, region, config, &mut result);
         self.staged_slots.clear();
         let mut coalesced = 0u64;
-        {
-            let mut batch = lock_unpoisoned(demand);
-            for &page in &result.pages {
-                // Batcher first: a staged page cannot be cached (its
-                // first toucher just missed it, and inserts only land at
-                // phase flips), so a duplicate costs one table probe
-                // instead of a cache access.
-                if batch.contains(page) {
-                    let (slot, _) = batch.stage(page);
-                    coalesced += 1;
-                    self.staged_slots.push(slot);
-                } else if cache.access(page) {
-                    q.pages_hit += 1;
-                    self.trace.io.result_pages_cache += 1;
-                } else {
-                    // `access` above counted the unique physical miss;
-                    // the waiters behind it count as coalesced hits.
-                    let (slot, _) = batch.stage(page);
-                    self.staged_slots.push(slot);
-                }
+        for &page in &result.pages {
+            // Batcher first: a staged page cannot be cached (its
+            // first toucher just missed it, and inserts only land at
+            // phase flips), so a duplicate costs one table probe
+            // instead of a cache access.
+            if batch.contains(page) {
+                let (slot, _) = batch.stage(page);
+                coalesced += 1;
+                self.staged_slots.push(slot);
+            } else if cache.access(page) {
+                q.pages_hit += 1;
+                self.trace.io.result_pages_cache += 1;
+            } else {
+                // `access` above counted the unique physical miss;
+                // the waiters behind it count as coalesced hits.
+                let (slot, _) = batch.stage(page);
+                self.staged_slots.push(slot);
             }
         }
         if coalesced > 0 {
             cache.note_coalesced_hits(coalesced);
         }
         self.pending = Some(PendingServe { q, result });
-        true
     }
 
     /// Batched phase 1b, after the demand batch resolved: fans this
@@ -379,13 +396,13 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         &mut self,
         ctx: &SimContext<'_>,
         config: &ExecutorConfig,
-        demand: &Mutex<IoBatcher>,
+        demand: &IoBatcher,
     ) {
         let Some(PendingServe { mut q, result }) = self.pending.take() else {
             return;
         };
         let mut fetched = FAN_IN.take();
-        lock_unpoisoned(demand).copy_outcomes(&self.staged_slots, &mut fetched);
+        demand.copy_outcomes(&self.staged_slots, &mut fetched);
         let retry = &config.faults.retry;
         let mut deadline_us = retry.deadline_us;
         for &(page, outcome) in &fetched {
@@ -397,9 +414,8 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             }
         }
         FAN_IN.set(fetched);
-        let region = &self.regions[self.next];
-        let window = observe_and_open(ctx, &mut *self.prefetcher, region, &result, config, q);
-        self.end_serve(window);
+        let t_us = self.now_us();
+        self.observe(ctx, &result, config, q, t_us);
     }
 
     /// Batched phase 3: stages the open window's prefetch plan into the
@@ -410,12 +426,11 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         &mut self,
         ctx: &SimContext<'_>,
         cache: &mut C,
-        window_lane: &Mutex<IoBatcher>,
+        batcher: &mut IoBatcher,
         owner: u32,
     ) {
         self.close_window(|prefetcher, window, disk, _, region_pages| {
-            let mut batcher = lock_unpoisoned(window_lane);
-            let mut io = StagedIo { cache, disk, batcher: &mut batcher, owner };
+            let mut io = StagedIo { cache, disk, batcher, owner };
             run_prefetch_window(ctx, prefetcher, window, &mut io, region_pages)
         });
     }
@@ -469,7 +484,7 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     }
 }
 
-/// Sessions migrate between the crew's worker threads. (Compile-time
+/// Sessions cross threads in the engine's pure passes. (Compile-time
 /// check; holds because `Prefetcher: Send` and all other fields are owned
 /// plain data.)
 const _: fn() = || {

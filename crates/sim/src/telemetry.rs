@@ -26,8 +26,9 @@ pub(crate) const RING_CAPACITY: usize = 1024;
 
 /// One session's telemetry arm: the fleet's shared span registry plus a
 /// private event ring (stream = session id). Sessions record into it at
-/// the same timeline points in every schedule, so the W1 event stream is
-/// a pure function of the workload.
+/// the same timeline points at every width, stamped with the clock their
+/// shared serve or window step read, so the event stream is a pure
+/// function of the workload.
 pub(crate) struct SessionTelemetry {
     registry: Arc<MetricsRegistry>,
     pub(crate) recorder: FlightRecorder,
@@ -95,16 +96,6 @@ impl SessionTelemetry {
         self.recorder
             .record(t_us, Event::WindowClosed { prefetched: prefetched as u32, gaps: gaps as u32 });
     }
-
-    /// The session migrated onto `worker`.
-    pub(crate) fn note_stolen(&mut self, t_us: f64, worker: u32) {
-        self.recorder.record(t_us, Event::SessionStolen { worker });
-    }
-
-    /// The session parked at a phase boundary on `worker`.
-    pub(crate) fn note_parked(&mut self, t_us: f64, worker: u32) {
-        self.recorder.record(t_us, Event::SessionParked { worker });
-    }
 }
 
 /// The telemetry view of one armed run, attached to
@@ -112,7 +103,7 @@ impl SessionTelemetry {
 /// disarmed runs stay byte-identical.
 #[derive(Debug, Clone)]
 pub struct TelemetryReport {
-    /// The run's span registry, shared by every session and worker.
+    /// The run's span registry, shared by every session.
     pub(crate) registry: Arc<MetricsRegistry>,
     /// The merged, sealed flight log across all streams.
     pub(crate) flight: FlightLog,

@@ -370,9 +370,10 @@ impl Default for DiskModel {
 /// microseconds, cheap to clone (clones observe and advance the same time).
 ///
 /// The value is stored as `f64` bits in an `AtomicU64` and advanced with a
-/// compare-exchange loop, so concurrent `advance` calls never lose time —
-/// the final reading is the same regardless of thread interleaving (up to
-/// floating-point addition order, which only perturbs the last ulps).
+/// compare-exchange loop. The multi-session engine advances it from its
+/// calling thread only, in session order, but the sessions holding clones
+/// cross threads between those advances (DESIGN.md §10), so the clock is
+/// `Sync` and an `advance` from any thread is never lost.
 #[derive(Debug, Clone, Default)]
 pub struct SharedClock {
     bits: Arc<AtomicU64>,

@@ -3,7 +3,7 @@
 //! Paged storage substrate: disk pages and layouts, a calibrated simulated
 //! disk with a simulated clock, the [`PageCache`] abstraction with its two
 //! implementations (single-threaded LRU [`PrefetchCache`] and sharded
-//! concurrent [`ShardedCache`]), and I/O accounting.
+//! [`ShardedCache`]), and I/O accounting.
 //!
 //! All I/O in the reproduction is page-granular. Simulated latencies stand
 //! in for the paper's 4-disk SAS stripe (see DESIGN.md §2 for why this

@@ -2,25 +2,22 @@
 //!
 //! The seed reproduction had exactly one cache — the single-threaded LRU
 //! [`PrefetchCache`](crate::PrefetchCache). The multi-session engine adds a
-//! second implementation, the shard-locked
+//! second implementation, the sharded
 //! [`ShardedCache`](crate::ShardedCache), and both are driven through this
 //! trait so the executor's serve/prefetch loops are written once.
 //!
 //! Every per-page method — the residency probe included — takes
-//! `&mut self`, so an owner that holds the cache exclusively never pays
-//! for sharing it: the single-threaded LRU, and an owned sharded cache,
-//! which reaches its shards through `Mutex::get_mut`. The sharded cache
-//! additionally implements the trait for its shared reference, which
-//! locks the page's shard, so a borrowed `&ShardedCache` is itself a
-//! `PageCache` and K sessions can drive one cache concurrently.
+//! `&mut self`, the shape of a cache its driver holds exclusively. The
+//! sharded cache additionally implements the trait for its shared
+//! reference, so a borrowed `&ShardedCache` is itself a `PageCache` and
+//! K sessions stepped in turn by one thread can drive one cache.
 
 use crate::page::PageId;
 
 /// A point-in-time snapshot of a cache's counters and occupancy.
 ///
-/// Snapshots are plain data: they can be taken from a live concurrently
-/// accessed cache (counter reads are atomic per field, the snapshot as a
-/// whole is not) and compared, merged or printed afterwards.
+/// Snapshots are plain data: they can be compared, merged or printed
+/// after the cache has moved on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Accesses that found their page cached.
@@ -72,8 +69,7 @@ pub trait PageCache {
     fn insert(&mut self, page: PageId) -> Option<PageId>;
 
     /// True when the page is cached (no recency or counter effect). Takes
-    /// `&mut self` like [`access`](PageCache::access), so an exclusive
-    /// owner probes without a lock.
+    /// `&mut self` like [`access`](PageCache::access).
     fn contains(&mut self, page: PageId) -> bool;
 
     /// Records `n` accesses absorbed by an in-flight read of the same

@@ -1,19 +1,18 @@
-//! The sharded concurrent prefetch cache.
+//! The sharded prefetch cache.
 //!
-//! K sessions hammering one global LRU lock would serialize the whole
-//! multi-session engine, so the shared cache is split into N independently
-//! mutex-locked LRU shards. A page's shard is a pure function of its id
-//! (multiplicative hash), which gives two structural guarantees for free:
-//! a page can never be duplicated across shards, and a page can never
-//! migrate — operations on different shards are completely independent.
+//! The fleet's shared cache is split into N LRU shards. A page's shard is
+//! a pure function of its id (multiplicative hash), which gives two
+//! structural guarantees for free: a page can never be duplicated across
+//! shards, and a page can never migrate — operations on different shards
+//! are completely independent.
 //!
-//! Who locks: every `&self` operation, and so every session driving the
-//! shared handle `&ShardedCache`, locks the page's shard. An exclusive
-//! owner — `&mut ShardedCache`, as a fleet phase that one thread runs
-//! alone holds it — probes, promotes and inserts through the owned
-//! [`PageCache`] impl, which reaches the shard with `Mutex::get_mut` and
-//! takes no lock. Both run the same `PrefetchCache` call on the same shard,
-//! so the two paths agree op for op.
+//! One thread drives the cache. The multi-session engine runs every
+//! cache operation on its calling thread, in session order, and hands
+//! only pure work to helper threads (DESIGN.md §10), so the shards need
+//! no lock: each is a `RefCell<PrefetchCache>`, reached through one
+//! accessor by the inherent `&self` operations and by both
+//! [`PageCache`] impls, the owned cache's and `&ShardedCache`'s. The
+//! cache is `Send`, not `Sync`.
 //!
 //! Each shard counts its own hits, misses, insertions and evictions;
 //! an aggregate [`CacheStats`] snapshot sums the shards. The
@@ -21,38 +20,26 @@
 //! than global — with S shards the eviction victim is the oldest page *of
 //! the hashed shard*, an approximation that converges to true LRU as
 //! accesses spread across shards (same trade as `DashMap`-style maps).
+//! The shard count is a parameter of the model, not of its speed.
 
 use crate::page::{PageId, FIBONACCI_MUL};
 use crate::page_cache::{CacheStats, PageCache};
 use crate::PrefetchCache;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::cell::{Cell, RefCell, RefMut};
 
-/// Locks a shard, recovering the guard when a previous holder panicked.
-/// Shard mutations are single `PrefetchCache` calls whose internal state
-/// stays consistent under unwind (worst case: a promotion or insertion
-/// that never happened), so poison only records *that* a sibling session
-/// died — recovering keeps its panic from cascading a second panic into
-/// every surviving session that shares the cache (the fleet-containment
-/// contract of the multi-session engine).
-fn lock_shard(shard: &Mutex<PrefetchCache>) -> MutexGuard<'_, PrefetchCache> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// A concurrent page cache: N LRU shards, each behind its own `Mutex`.
-/// The inherent operations take `&self` and lock; `&ShardedCache`
-/// implements [`PageCache`] the same way, so many sessions can drive one
-/// instance, while the owned impl's per-page calls lock nothing.
+/// A page cache of N LRU shards. The operations take `&self`, and
+/// `&ShardedCache` implements [`PageCache`] as the owned cache does, so
+/// several sessions on one thread can drive one instance.
 #[derive(Debug)]
 pub struct ShardedCache {
-    shards: Vec<Mutex<PrefetchCache>>,
+    shards: Vec<RefCell<PrefetchCache>>,
     /// log₂(shard count); the shard index is the top bits of the hash.
     shard_bits: u32,
     /// Total capacity in pages — exactly the constructor's request (the
     /// per-shard capacities sum to it).
     capacity: usize,
     /// Coalesced waiters belong to no shard, so they are counted here.
-    coalesced_hits: AtomicU64,
+    coalesced_hits: Cell<u64>,
 }
 
 impl ShardedCache {
@@ -79,10 +66,10 @@ impl ShardedCache {
         let per_shard = |i: usize| base + usize::from(i < remainder);
         debug_assert_eq!((0..shards).map(per_shard).sum::<usize>(), capacity);
         ShardedCache {
-            shards: (0..shards).map(|i| Mutex::new(PrefetchCache::new(per_shard(i)))).collect(),
+            shards: (0..shards).map(|i| RefCell::new(PrefetchCache::new(per_shard(i)))).collect(),
             shard_bits: shards.trailing_zeros(),
             capacity,
-            coalesced_hits: AtomicU64::new(0),
+            coalesced_hits: Cell::new(0),
         }
     }
 
@@ -101,51 +88,39 @@ impl ShardedCache {
         ((page.0 as u64).wrapping_mul(FIBONACCI_MUL) >> (64 - self.shard_bits)) as usize
     }
 
-    /// The page's shard, locked.
+    /// The page's shard: the one way any operation reaches it.
     #[inline]
-    fn shard_locked(&self, page: PageId) -> MutexGuard<'_, PrefetchCache> {
-        lock_shard(&self.shards[self.shard_of(page)])
-    }
-
-    /// The page's shard through `Mutex::get_mut`: `&mut self` proves no
-    /// one else can hold it, so no lock is taken. Poison is recovered as
-    /// [`lock_shard`] recovers it.
-    #[inline]
-    fn shard_mut(&mut self, page: PageId) -> &mut PrefetchCache {
-        let i = self.shard_of(page);
-        self.shards[i].get_mut().unwrap_or_else(PoisonError::into_inner)
+    fn shard(&self, page: PageId) -> RefMut<'_, PrefetchCache> {
+        self.shards[self.shard_of(page)].borrow_mut()
     }
 
     /// Records an access: a hit promotes within its shard. Returns whether
     /// the page was cached.
     pub fn access(&self, page: PageId) -> bool {
-        self.shard_locked(page).access(page)
+        self.shard(page).access(page)
     }
 
     /// Inserts a page into its shard, evicting that shard's LRU page when
     /// the shard is full. Returns the evicted page, if any.
     pub fn insert(&self, page: PageId) -> Option<PageId> {
-        self.shard_locked(page).insert(page)
+        self.shard(page).insert(page)
     }
 
     /// True when the page is cached (no recency or counter effect).
     pub fn contains(&self, page: PageId) -> bool {
-        self.shard_locked(page).contains(page)
+        self.shard(page).contains(page)
     }
 
     /// Records `n` accesses absorbed by an in-flight read of the same
     /// page (batched single-flight; see [`CacheStats::coalesced_hits`]).
-    /// Counter-only — touches no shard lock.
+    /// Counter-only — touches no shard.
     pub fn note_coalesced_hits(&self, n: u64) {
-        self.coalesced_hits.fetch_add(n, Ordering::Relaxed);
+        self.coalesced_hits.set(self.coalesced_hits.get() + n);
     }
 
     /// Number of cached pages, summed over shards.
-    ///
-    /// Under concurrent mutation this is a momentary sum, not a linearizable
-    /// snapshot.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock_shard(s).len()).sum()
+        self.shards.iter().map(|s| s.borrow().len()).sum()
     }
 
     /// True when nothing is cached.
@@ -156,29 +131,28 @@ impl ShardedCache {
     /// Empties every shard and zeroes all counters.
     pub fn clear(&self) {
         for shard in &self.shards {
-            lock_shard(shard).clear();
+            shard.borrow_mut().clear();
         }
-        self.coalesced_hits.store(0, Ordering::Relaxed);
+        self.coalesced_hits.set(0);
     }
 
     /// Zeroes every shard's counters while keeping the cached pages.
     pub fn reset_stats(&self) {
         for shard in &self.shards {
-            lock_shard(shard).reset_stats();
+            shard.borrow_mut().reset_stats();
         }
-        self.coalesced_hits.store(0, Ordering::Relaxed);
+        self.coalesced_hits.set(0);
     }
 
-    /// Aggregate snapshot: the shards' counters summed, one lock at a time
-    /// (under concurrent mutation a momentary sum, like [`Self::len`]).
+    /// Aggregate snapshot: the shards' counters summed.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats {
-            coalesced_hits: self.coalesced_hits.load(Ordering::Relaxed),
+            coalesced_hits: self.coalesced_hits.get(),
             capacity: self.capacity,
             ..CacheStats::default()
         };
         for shard in &self.shards {
-            let s = lock_shard(shard).stats();
+            let s = shard.borrow().stats();
             total.hits += s.hits;
             total.misses += s.misses;
             total.insertions += s.insertions;
@@ -191,30 +165,26 @@ impl ShardedCache {
     /// The cached pages of every shard, MRU-first (test/diagnostic helper:
     /// the cross-shard property tests assert no page appears twice).
     pub fn shard_pages(&self) -> Vec<Vec<PageId>> {
-        self.shards.iter().map(|s| lock_shard(s).pages_mru_order()).collect()
+        self.shards.iter().map(|s| s.borrow().pages_mru_order()).collect()
     }
 }
 
 /// The `PageCache` surface, instantiated for the owned type and for
-/// `&ShardedCache` — a shared reference is itself a cache handle, which is
-/// how sessions on separate threads drive one cache. Both run the same
-/// `PrefetchCache` call on the same shard; they differ only in how the
-/// per-page calls reach it (`$shard`): the owned cache through
-/// `Mutex::get_mut`, the shared handle under the shard lock.
-/// `note_coalesced_hits` goes to the `&self` inherent method in both.
+/// `&ShardedCache` — a shared reference is itself a cache handle. Both
+/// are the inherent operations, so the two handles agree op for op.
 macro_rules! delegate_page_cache {
-    ($ty:ty, $shard:ident) => {
+    ($ty:ty) => {
         impl PageCache for $ty {
             fn access(&mut self, page: PageId) -> bool {
-                self.$shard(page).access(page)
+                ShardedCache::access(self, page)
             }
 
             fn insert(&mut self, page: PageId) -> Option<PageId> {
-                self.$shard(page).insert(page)
+                ShardedCache::insert(self, page)
             }
 
             fn contains(&mut self, page: PageId) -> bool {
-                self.$shard(page).contains(page)
+                ShardedCache::contains(self, page)
             }
 
             fn note_coalesced_hits(&mut self, n: u64) {
@@ -224,8 +194,8 @@ macro_rules! delegate_page_cache {
     };
 }
 
-delegate_page_cache!(ShardedCache, shard_mut);
-delegate_page_cache!(&ShardedCache, shard_locked);
+delegate_page_cache!(ShardedCache);
+delegate_page_cache!(&ShardedCache);
 
 #[cfg(test)]
 mod tests {

@@ -60,16 +60,6 @@ pub enum Event {
         /// Overhead pages read for gap traversal.
         gaps: u32,
     },
-    /// The session migrated: its previous step ran on another worker.
-    SessionStolen {
-        /// Worker that took it.
-        worker: u32,
-    },
-    /// The session parked at a phase boundary.
-    SessionParked {
-        /// Worker that parked it.
-        worker: u32,
-    },
     /// Demand reads climbed the retry ladder during a serve.
     RetryLadder {
         /// Retry attempts beyond first tries.
@@ -96,8 +86,6 @@ impl Event {
             Event::WindowOpened { .. } => "window_opened",
             Event::WindowShed { .. } => "window_shed",
             Event::WindowClosed { .. } => "window_closed",
-            Event::SessionStolen { .. } => "session_stolen",
-            Event::SessionParked { .. } => "session_parked",
             Event::RetryLadder { .. } => "retry_ladder",
             Event::BatchSubmitted { .. } => "batch_submitted",
         }
@@ -121,9 +109,6 @@ impl Event {
             }
             Event::WindowClosed { prefetched, gaps } => {
                 let _ = write!(out, ", \"prefetched\": {prefetched}, \"gaps\": {gaps}");
-            }
-            Event::SessionStolen { worker } | Event::SessionParked { worker } => {
-                let _ = write!(out, ", \"worker\": {worker}");
             }
             Event::RetryLadder { attempts, recovered } => {
                 let _ = write!(out, ", \"attempts\": {attempts}, \"recovered\": {recovered}");
@@ -281,21 +266,21 @@ mod tests {
     fn ring_retains_newest_and_counts_drops() {
         let mut rec = FlightRecorder::with_capacity(3, 2);
         for i in 0..5u32 {
-            rec.record(i as f64, Event::SessionParked { worker: i });
+            rec.record(i as f64, Event::WindowClosed { prefetched: i, gaps: 0 });
         }
         assert_eq!(rec.ring.len(), 2);
         assert_eq!(rec.dropped(), 3);
         assert_eq!(rec.seq, 5);
         let events = rec.drain();
         assert_eq!(events.len(), 2);
-        // Oldest-first, newest retained: workers 3 and 4, seq 3 and 4.
-        assert!(matches!(events[0].event, Event::SessionParked { worker: 3 }));
-        assert!(matches!(events[1].event, Event::SessionParked { worker: 4 }));
+        // Oldest-first, newest retained: windows 3 and 4, seq 3 and 4.
+        assert!(matches!(events[0].event, Event::WindowClosed { prefetched: 3, .. }));
+        assert!(matches!(events[1].event, Event::WindowClosed { prefetched: 4, .. }));
         assert_eq!(events[0].seq, 3);
         assert_eq!(events[1].seq, 4);
         assert!(rec.ring.is_empty());
         // Sequence numbering continues after a drain.
-        rec.record(9.0, Event::SessionParked { worker: 9 });
+        rec.record(9.0, Event::WindowClosed { prefetched: 9, gaps: 0 });
         assert_eq!(rec.drain()[0].seq, 5);
     }
 
@@ -303,11 +288,11 @@ mod tests {
     fn merge_orders_by_time_then_stream_then_seq() {
         let mut a = FlightRecorder::with_capacity(1, 8);
         let mut b = FlightRecorder::with_capacity(0, 8);
-        let parked = Event::SessionParked { worker: 0 };
-        a.record(5.0, parked);
-        a.record(5.0, parked);
-        b.record(5.0, parked);
-        b.record(2.0, parked);
+        let opened = Event::WindowOpened { budget_us: 0.0 };
+        a.record(5.0, opened);
+        a.record(5.0, opened);
+        b.record(5.0, opened);
+        b.record(2.0, opened);
         let mut log = FlightLog::default();
         log.absorb(&mut a);
         log.absorb(&mut b);
@@ -354,8 +339,6 @@ mod tests {
             Event::WindowOpened { budget_us: 1.0 },
             Event::WindowShed { trips: 2 },
             Event::WindowClosed { prefetched: 5, gaps: 1 },
-            Event::SessionStolen { worker: 3 },
-            Event::SessionParked { worker: 0 },
             Event::RetryLadder { attempts: 2, recovered: 1 },
             Event::BatchSubmitted { lane: Lane::Demand, pages: 8, coalesced: 0 },
         ];

@@ -1,7 +1,7 @@
-//! Acceptance tests of batched I/O submission (ISSUE 9): cross-session
-//! read coalescing, determinism of the batched width-1 schedule, and
-//! pages-hit parity with the unbatched engine at every crew width under
-//! the eviction-free guard (DESIGN.md §5/§12).
+//! Acceptance tests of batched I/O submission: cross-session read
+//! coalescing, determinism of the batched schedule at every width, and
+//! pages-hit parity with the unbatched engine under the eviction-free
+//! guard (DESIGN.md §5/§12).
 
 use scout::prelude::*;
 use scout_synth::{generate_sequences, SequenceParams};
@@ -58,12 +58,14 @@ fn disabled_batching_is_the_default_and_reports_no_batch_block() {
 #[test]
 fn batched_off_render_is_byte_identical_to_the_default_config() {
     // `BatchPlan { enabled: false }` must select the exact pre-batching
-    // code path — same code, same bytes at the deterministic widths, and
-    // the same totals at wider crews (where even the unbatched engine's
-    // disk-busy line is interleave-dependent).
+    // code path — same code, same bytes at every width.
     let (bed, streams) = bed_and_streams(4);
     let ctx = bed.ctx_rtree();
-    for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 1 }] {
+    for schedule in [
+        Schedule::RoundRobin,
+        Schedule::WorkStealing { workers: 1 },
+        Schedule::WorkStealing { workers: 4 },
+    ] {
         let mut default_config = ample_config(&bed, schedule, false);
         default_config.batch = BatchPlan::default();
         let baseline =
@@ -73,14 +75,6 @@ fn batched_off_render_is_byte_identical_to_the_default_config() {
             .render();
         assert_eq!(off, baseline, "{schedule:?}");
     }
-    let mut default_config = ample_config(&bed, Schedule::WorkStealing { workers: 4 }, false);
-    default_config.batch = BatchPlan::default();
-    let baseline = MultiSessionExecutor::new(default_config).run(&ctx, scout_sessions(&streams));
-    let off =
-        MultiSessionExecutor::new(ample_config(&bed, Schedule::WorkStealing { workers: 4 }, false))
-            .run(&ctx, scout_sessions(&streams));
-    assert_eq!(off.total_pages(), baseline.total_pages());
-    assert_eq!(off.total_pages_hit(), baseline.total_pages_hit());
 }
 
 #[test]
@@ -92,7 +86,7 @@ fn batched_width1_reruns_are_byte_identical() {
         let a = engine.run(&ctx, scout_sessions(&streams));
         let b = engine.run(&ctx, scout_sessions(&streams));
         assert_eq!(a.render(), b.render(), "{schedule:?}: batched rerun diverged");
-        assert!((a.disk_busy_us - b.disk_busy_us).abs() < 1e-12, "{schedule:?}");
+        assert_eq!(a.disk_busy_us.to_bits(), b.disk_busy_us.to_bits(), "{schedule:?}");
         let (ra, rb) = (a.batch.expect("batch report"), b.batch.expect("batch report"));
         assert_eq!(
             (ra.batches, ra.staged, ra.unique_pages, ra.coalesced, ra.failed_reads),
@@ -114,7 +108,7 @@ fn batched_round_robin_matches_width1_work_stealing_byte_for_byte() {
         MultiSessionExecutor::new(ample_config(&bed, Schedule::WorkStealing { workers: 1 }, true))
             .run(&ctx, scout_sessions(&streams));
     assert_eq!(rr.render(), ws.render(), "batched width-1 M:N diverged from batched round-robin");
-    assert!((rr.disk_busy_us - ws.disk_busy_us).abs() < 1e-12);
+    assert_eq!(rr.disk_busy_us.to_bits(), ws.disk_busy_us.to_bits());
 }
 
 #[test]
@@ -122,12 +116,15 @@ fn batched_pages_hit_matches_the_unbatched_oracle_at_every_width() {
     // Under the eviction-free guard, coalescing and elevator reordering
     // change *when* pages are read, never *whether* a result page was in
     // the shared cache — totals and per-session hit accounting must be
-    // exactly the unbatched engine's (DESIGN.md §12).
+    // exactly the unbatched engine's (DESIGN.md §12). And every batched
+    // width replays the batched width-1 run byte for byte.
     let (bed, streams) = bed_and_streams(8);
     let ctx = bed.ctx_rtree();
     let oracle = MultiSessionExecutor::new(ample_config(&bed, Schedule::RoundRobin, false))
         .run(&ctx, scout_sessions(&streams));
     assert_eq!(oracle.cache.evictions, 0, "precondition violated: oracle run evicted");
+    let width_one = MultiSessionExecutor::new(ample_config(&bed, Schedule::RoundRobin, true))
+        .run(&ctx, scout_sessions(&streams));
 
     let mut schedules = vec![Schedule::RoundRobin];
     schedules.extend([1usize, 2, 4].map(|workers| Schedule::WorkStealing { workers }));
@@ -135,6 +132,9 @@ fn batched_pages_hit_matches_the_unbatched_oracle_at_every_width() {
         let batched = MultiSessionExecutor::new(ample_config(&bed, schedule, true))
             .run(&ctx, scout_sessions(&streams));
         assert_eq!(batched.cache.evictions, 0, "precondition violated: {schedule:?} evicted");
+        assert_eq!(batched.render(), width_one.render(), "{schedule:?}");
+        let busy = |r: &MultiSessionReport| r.disk_busy_us.to_bits();
+        assert_eq!(busy(&batched), busy(&width_one), "{schedule:?}");
         assert_eq!(batched.total_pages(), oracle.total_pages(), "{schedule:?}");
         assert_eq!(
             batched.total_pages_hit(),

@@ -1,7 +1,7 @@
 //! Acceptance tests of the flight-recorder telemetry layer: the disarmed
 //! byte-identity contract (telemetry `None` must be invisible
-//! everywhere), armed width-1 event-stream determinism, and a flight log
-//! that accounts for every query the report counts at every width.
+//! everywhere), armed event-stream determinism at every width, and a
+//! flight log that accounts for every query the report counts.
 
 use scout::prelude::*;
 use scout_storage::BatchPlan;
@@ -119,10 +119,12 @@ fn armed_width1_flight_log_replays_its_pinned_digest() {
     // every event, its simulated timestamp and its order.
     let (bed, streams) = bed_and_streams(4);
     for (batched, pinned) in [(false, 0x00a0_3c3d_a125_94fb), (true, 0xd77d_90ba_ff7c_e54e)] {
-        let report = run(&bed, &streams, Schedule::RoundRobin, batched, true);
-        let jsonl = report.telemetry.as_ref().expect("armed").to_jsonl();
-        let digest = fnv1a(jsonl.bytes());
-        assert_eq!(digest, pinned, "batched = {batched}: {digest:#x}");
+        for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 2 }] {
+            let report = run(&bed, &streams, schedule, batched, true);
+            let jsonl = report.telemetry.as_ref().expect("armed").to_jsonl();
+            let digest = fnv1a(jsonl.bytes());
+            assert_eq!(digest, pinned, "{schedule:?}, batched = {batched}: {digest:#x}");
+        }
     }
 }
 
@@ -136,12 +138,17 @@ fn field(line: &str, key: &str) -> u64 {
 
 #[test]
 fn flight_log_sees_every_query_at_every_width() {
+    // Every event is stamped with the clock its shared step read on the
+    // fleet's calling thread, so widths 2 and 4 export width 1's JSONL.
     let (bed, streams) = bed_and_streams(6);
+    let mut width_one = None;
     for workers in [1usize, 2, 4] {
         let report = run(&bed, &streams, Schedule::WorkStealing { workers }, false, true);
         let telem = report.telemetry.as_ref().expect("armed");
         assert_eq!(telem.dropped_events(), 0, "the ring wrapped, so the log is partial");
         let jsonl = telem.to_jsonl();
+        let expected = width_one.get_or_insert_with(|| jsonl.clone());
+        assert_eq!(&jsonl, expected, "width {workers} exported another timeline");
         let served: Vec<&str> =
             jsonl.lines().filter(|l| l.contains("\"type\": \"query_served\"")).collect();
         let queries: usize = report.sessions.iter().map(|s| s.queries).sum();

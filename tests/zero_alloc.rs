@@ -484,7 +484,7 @@ fn steady_state_graph_build_allocates_nothing() {
             let _span = SpanTimer::start(registry.histogram(HistogramId::SpanServeUs));
             ring.record(i as f64, Event::WindowOpened { budget_us: i as f64 });
         }
-        ring.record(i as f64, Event::SessionParked { worker: (i % 4) as u32 });
+        ring.record(i as f64, Event::WindowClosed { prefetched: (i % 4) as u32, gaps: 0 });
     }
     let after = allocations();
     assert_eq!(
