@@ -7,7 +7,7 @@
 //!    of K clients an equal slice as a private cache?
 //! 2. sharding: how does the shard count affect hit accounting (it must
 //!    not) and multi-worker wall-clock time (it should, under contention)?
-//! 3. scheduling: round-robin vs. the work-stealing crew wall-clock.
+//! 3. scheduling: round-robin vs. the work-stealing schedule wall-clock.
 
 use scout_bench::{neuron_dataset_with_objects, seed};
 use scout_core::Scout;

@@ -4,12 +4,13 @@
 //!
 //! * **Shared, immutable** — the dataset, the index and the adjacency
 //!   graph. This is [`SimContext`]. Every trait object in it is `Sync`, so
-//!   one context is borrowed by all sessions at once (crew workers
-//!   read it concurrently without locks — it never changes during a run).
+//!   one context is borrowed by all sessions at once (the threads of a
+//!   wide fleet's pure passes read it concurrently without locks — it
+//!   never changes during a run).
 //! * **Shared, mutable** — the page cache and the disk's shared clock.
 //!   These live *outside* the context: the cache is passed to the executor
-//!   separately (see [`PageCache`](scout_storage::PageCache)) and handles
-//!   its own synchronization.
+//!   separately (see [`PageCache`](scout_storage::PageCache)), and only
+//!   the engine's calling thread touches either.
 //! * **Per-session** — the prefetcher's history, the disk head, the query
 //!   stream cursor and the trace. These belong to
 //!   [`Session`](crate::session::Session), one per client.

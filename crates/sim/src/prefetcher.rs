@@ -71,8 +71,9 @@ impl PrefetchPlan {
 /// A prefetching method driving the cache between queries.
 ///
 /// `Send` is a supertrait: a prefetcher is per-session mutable state, and
-/// the work-stealing [`MultiSessionExecutor`](crate::MultiSessionExecutor)
-/// moves each session — prefetcher included — between worker threads. Prefetchers
+/// a wide [`MultiSessionExecutor`](crate::MultiSessionExecutor) lends each
+/// session — prefetcher included — to a helper thread to digest its
+/// result. Prefetchers
 /// are plain owned data (history buffers, seeded RNGs), so this costs
 /// implementations nothing. The working memory a digest shares with every
 /// other prefetcher is not prefetcher state:

@@ -42,13 +42,13 @@ use std::sync::Arc;
 // the batched serve's fan-in of demand outcomes, and the page list a
 // window resolves a `Region` request into — belong to the thread, not to
 // the session: a fleet is thousands of sessions, and only the stepping
-// thread needs them. (The engine's own serves keep their results in a
-// block-sized pool instead, `scheduler.rs`.) (The query scratch arena
-// is a fourth, in `executor.rs`.) A step takes the buffer out and puts it
-// back when done. Under `QueryScratch`'s contract — capacity carries over,
-// contents never do — a step that panics, or one that runs inside another
-// on the same thread, costs the thread its warmed capacity and nothing
-// else.
+// thread needs them. (The query scratch arena is a fourth, in
+// `executor.rs`; the engine's own serves keep their results in a
+// block-sized pool, in `scheduler.rs`.) A step takes the buffer out and
+// puts it back when done. Under `QueryScratch`'s contract — capacity
+// carries over, contents never do — a step that panics, or one that runs
+// inside another on the same thread, costs the thread its warmed
+// capacity and nothing else.
 thread_local! {
     static SERVE_RESULT: Cell<QueryResult> =
         const { Cell::new(QueryResult { pages: Vec::new(), objects: Vec::new() }) };

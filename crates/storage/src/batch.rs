@@ -181,7 +181,7 @@ impl IoBatcher {
     /// draws (1 for demand first attempts, 0 for never-retried prefetch
     /// reads); `epoch` is the fleet round ordinal, so a fault schedule is
     /// a pure function of (config, page, round, attempt) — independent of
-    /// staging order and crew width. Returns the batch's device time
+    /// staging order and fleet width. Returns the batch's device time
     /// (failed attempts included).
     pub fn submit(&mut self, attempt: u32, epoch: u64) -> f64 {
         self.order.clear();

@@ -235,24 +235,53 @@ fn width_two_and_four_preserve_the_interleaving_invariants() {
     // advance happens on the fleet's calling thread in slot order, at any
     // width; helper threads run only range queries and predictions. So
     // under rough weather widths 2 and 4 replay width 1 byte for byte —
-    // render and disk-busy bits, unbatched and batched.
+    // render, disk-busy bits and fault tallies, unbatched and batched,
+    // with ample capacity and with a cache squeezed until it evicts (24
+    // pages, window ratio 1.6), where any reordered probe, promotion or
+    // insert would move a hit. A slow-only schedule rides along:
+    // stragglers fire, and a slow read never fails a query.
     let (bed, streams) = bed_and_streams(4);
     let ctx = bed.ctx_rtree();
-    let plan = FaultPlan::injecting(rough_weather(0xFEED));
-    for batched in [false, true] {
-        let config = |schedule| MultiSessionConfig {
-            batch: BatchPlan { enabled: batched },
-            ..chaos_config(&bed, schedule, plan)
+    let rough = FaultPlan::injecting(rough_weather(0xFEED));
+    let slow_only = FaultPlan::injecting(FaultConfig {
+        slow_rate: 0.2,
+        slow_multiplier: 2.0,
+        ..FaultConfig::none(0xFEED)
+    });
+    let legs = [
+        (rough, false, false),
+        (rough, true, false),
+        (rough, false, true),
+        (rough, true, true),
+        (slow_only, false, false),
+    ];
+    for (plan, batched, squeezed) in legs {
+        let config = |schedule| {
+            let mut config = MultiSessionConfig {
+                batch: BatchPlan { enabled: batched },
+                ..chaos_config(&bed, schedule, plan)
+            };
+            if squeezed {
+                config.exec.cache_pages = 24;
+                config.exec.window_ratio = 1.6;
+            }
+            config
         };
         let rr = MultiSessionExecutor::new(config(Schedule::RoundRobin))
             .run(&ctx, scout_sessions(&streams));
+        assert_eq!(rr.cache.evictions > 0, squeezed, "{:?}", rr.cache);
         let faults = rr.faults.expect("fault injection was enabled");
-        assert!(faults.retries > 0 && faults.dropped_prefetch > 0, "{faults:?}");
+        if plan == slow_only {
+            assert!(faults.injected_slow > 0, "the slow schedule never fired");
+            assert_eq!(faults.failed_queries, 0, "a slow read failed a query");
+        } else {
+            assert!(faults.retries > 0 && faults.dropped_prefetch > 0, "{faults:?}");
+        }
         for workers in [2usize, 4] {
             for rerun in 0..2 {
                 let report = MultiSessionExecutor::new(config(Schedule::WorkStealing { workers }))
                     .run(&ctx, scout_sessions(&streams));
-                let at = format!("width {workers} rerun {rerun} batched {batched}");
+                let at = format!("width {workers} rerun {rerun} {plan:?} {batched} {squeezed}");
                 assert_eq!(report.render(), rr.render(), "{at}");
                 assert_eq!(report.disk_busy_us.to_bits(), rr.disk_busy_us.to_bits(), "{at}");
                 assert_eq!(report.faults, rr.faults, "{at}");
