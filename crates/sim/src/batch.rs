@@ -1,19 +1,20 @@
 //! Fleet-level batched-I/O control (DESIGN.md §12).
 //!
 //! One [`BatchCtl`] per batched fleet run holds the two phase batchers —
-//! the coalescing *demand* lane and the single-owner *window* lane — plus
-//! the per-session window ledgers. Each lane owns its own
-//! [`DiskModel`](scout_storage::DiskModel) sharing the fleet's
-//! [`SharedClock`], so physical batch reads charge the device like any
-//! other read while per-session disks stay free for retry continuations.
+//! the coalescing *demand* lane and the duplicate-skipping *window* lane.
+//! Each lane owns its own [`DiskModel`](scout_storage::DiskModel) sharing
+//! the fleet's [`SharedClock`], so physical batch reads charge the device
+//! like any other read while per-session disks stay free for retry
+//! continuations.
 //!
 //! The round loop drives the round as: every session `serve_stage`s →
 //! **demand submit** at the serve edge → every session `serve_complete`s
-//! and `window_stage`s → **window submit** (cache publication, ledger
-//! accounting and buffer recycling) at the window edge.
+//! and `window_stage`s → **window submit** (cache publication, dropped
+//! prefetches and buffer recycling) at the window edge. The window lane
+//! credits no session: its counters and faults merge into the fleet's at
+//! teardown.
 
 use crate::executor::ExecutorConfig;
-use crate::session::Session;
 use crate::telemetry::RING_CAPACITY;
 use scout_storage::{BatchReport, DiskModel, FaultReport, IoBatcher, ShardedCache, SharedClock};
 use scout_telemetry::{
@@ -29,16 +30,6 @@ use std::sync::Arc;
 const DEMAND_SALT: u64 = u64::MAX;
 /// Fault-injection salt of the window-lane batch disk.
 const WINDOW_SALT: u64 = u64::MAX - 1;
-
-/// One session's share of the window batches resolved so far: actual
-/// successful prefetch reads, credited into the session's `IoStats` at
-/// fleet teardown.
-#[derive(Debug, Clone, Copy, Default)]
-struct WindowLedger {
-    io_us: f64,
-    pages: u64,
-    gaps: u64,
-}
 
 /// The batch engine's telemetry arm: submit events go into one ring
 /// (stream = [`ENGINE_STREAM`]) and submit spans into the fleet
@@ -64,18 +55,16 @@ impl BatchTelemetry {
 pub(crate) struct BatchCtl {
     /// Demand lane: coalescing, every waiter records its slot.
     pub(crate) demand: IoBatcher,
-    /// Window lane: single-owner, duplicates skipped at staging.
+    /// Window lane: duplicates skipped at staging.
     pub(crate) window: IoBatcher,
-    ledgers: Vec<WindowLedger>,
     telem: Option<BatchTelemetry>,
 }
 
 impl BatchCtl {
-    /// Batch lanes for a fleet of `sessions` sessions, charging `clock`.
+    /// Batch lanes for one fleet, charging `clock`.
     pub(crate) fn new(
         config: &ExecutorConfig,
         clock: &SharedClock,
-        sessions: usize,
         registry: Option<&Arc<MetricsRegistry>>,
     ) -> BatchCtl {
         let lane = |salt: u64| {
@@ -88,7 +77,6 @@ impl BatchCtl {
         BatchCtl {
             demand: lane(DEMAND_SALT),
             window: lane(WINDOW_SALT),
-            ledgers: vec![WindowLedger::default(); sessions],
             telem: registry.map(|registry| BatchTelemetry {
                 registry: Arc::clone(registry),
                 recorder: FlightRecorder::with_capacity(ENGINE_STREAM, RING_CAPACITY),
@@ -122,13 +110,12 @@ impl BatchCtl {
     }
 
     /// Submits the round's window batch, publishes every successful page
-    /// into the shared cache and settles the batch: per-owner ledger
-    /// accounting, dropped-prefetch notes for failed speculative reads,
-    /// buffer recycling. Must complete before the next serve phase begins
-    /// — round *i + 1* serves against the membership round *i*'s windows
-    /// left — so the round loop calls this between the two. Also recycles
-    /// the demand lane (its outcomes were consumed during the phase that
-    /// just ended).
+    /// into the shared cache and settles the batch: dropped-prefetch notes
+    /// for failed speculative reads, buffer recycling. Must complete
+    /// before the next serve phase begins — round *i + 1* serves against
+    /// the membership round *i*'s windows left — so the round loop calls
+    /// this between the two. Also recycles the demand lane (its outcomes
+    /// were consumed during the phase that just ended).
     pub(crate) fn submit_window(&mut self, cache: &ShardedCache, round: u64) {
         self.demand.begin_phase();
         let lane = &mut self.window;
@@ -138,20 +125,11 @@ impl BatchCtl {
         let span = self.telem.as_ref().map(BatchTelemetry::submit_span);
         let pages = lane.len() as u32;
         lane.submit(0, round);
-        let ledgers = &mut self.ledgers;
         for slot in 0..lane.len() as u32 {
-            let (owner, gap) = lane.owner_at(slot);
-            match lane.outcome_at(slot) {
-                Ok(t) => {
-                    cache.insert(lane.page_at(slot));
-                    let ledger = &mut ledgers[owner as usize];
-                    ledger.io_us += t;
-                    ledger.pages += 1;
-                    if gap {
-                        ledger.gaps += 1;
-                    }
-                }
-                Err(_) => lane.disk_mut().note_dropped_prefetch(),
+            if lane.outcome_at(slot).is_ok() {
+                cache.insert(lane.page_at(slot));
+            } else {
+                lane.disk_mut().note_dropped_prefetch();
             }
         }
         lane.begin_phase();
@@ -165,18 +143,11 @@ impl BatchCtl {
         }
     }
 
-    /// Fleet teardown: credits the window ledgers into the sessions'
-    /// traces and returns the merged lane counters, the lanes' fault
+    /// Fleet teardown: returns the merged lane counters, the lanes' fault
     /// report (`None` when injection was disabled), and the engine's
     /// flight-recorder ring (`None` when telemetry was disarmed).
-    pub(crate) fn finish(
-        self,
-        sessions: &mut [Session],
-    ) -> (BatchReport, Option<FaultReport>, Option<FlightRecorder>) {
-        let BatchCtl { demand, window, ledgers, telem } = self;
-        for (session, ledger) in sessions.iter_mut().zip(ledgers) {
-            session.absorb_window_io(ledger.io_us, ledger.pages, ledger.gaps);
-        }
+    pub(crate) fn finish(self) -> (BatchReport, Option<FaultReport>, Option<FlightRecorder>) {
+        let BatchCtl { demand, window, telem } = self;
         let mut report = *demand.report();
         report.merge(window.report());
         let mut faults: Option<FaultReport> = None;

@@ -1,36 +1,25 @@
-//! The execution timeline of Figure 2.
+//! The executor's configuration, its traces, and `run_sequence`.
 //!
-//! For every query in a guided sequence the executor: (1) serves result
-//! pages from the prefetch cache, reading misses from the simulated disk —
-//! the *residual I/O* that constitutes the user-visible response time;
-//! (2) lets the prefetcher digest the result (prediction computation,
-//! charged CPU time); (3) opens the prefetch window `u = r · d` (§7.2,
-//! where `d` is the simulated time to read the whole result from disk and
-//! `r` the workload's prefetch-window ratio) and executes the prefetcher's
-//! prioritized plan until the window closes — the *incremental prefetching*
-//! contract of §5.1.
+//! The timeline of Figure 2 is [`Session`]'s own steps: for every query
+//! in a guided sequence it (1) serves result pages from the prefetch
+//! cache, reading misses from the simulated disk — the *residual I/O*
+//! that constitutes the user-visible response time; (2) lets the
+//! prefetcher digest the result (prediction computation, charged CPU
+//! time); (3) opens the prefetch window `u = r · d` (§7.2, where `d` is
+//! the simulated time to read the whole result from disk and `r` the
+//! workload's prefetch-window ratio) and executes the prefetcher's
+//! prioritized plan until the window closes — the *incremental
+//! prefetching* contract of §5.1. [`run_sequence`] is one session
+//! stepped to its end; this module holds what it is configured with and
+//! what it records.
 
 use crate::context::SimContext;
 use crate::costs::CpuCostModel;
-use crate::prefetcher::{PredictionStats, PrefetchRequest, Prefetcher};
-use crate::scratch::QueryScratch;
+use crate::prefetcher::{PredictionStats, Prefetcher};
 use crate::session::Session;
 use scout_geometry::QueryRegion;
-use scout_index::QueryResult;
-use scout_storage::{
-    DiskModel, DiskProfile, FailedRead, FaultPlan, FaultReport, IoBatcher, IoError, IoStats,
-    PageCache, PageId, PrefetchCache,
-};
+use scout_storage::{DiskProfile, FaultPlan, FaultReport, IoError, IoStats, PrefetchCache};
 use scout_telemetry::TelemetryPlan;
-use std::cell::Cell;
-
-// The query scratch arena belongs to the stepping thread, like the serve
-// buffers in `session.rs`: a prefetcher's digest fills it and forgets it
-// (DESIGN.md §6), so whichever session the thread steps next reuses its
-// warmed capacity.
-thread_local! {
-    static SCRATCH: Cell<QueryScratch> = const { Cell::new(QueryScratch::new()) };
-}
 
 /// Executor configuration (one microbenchmark's environment).
 #[derive(Debug, Clone, Copy)]
@@ -194,302 +183,6 @@ impl SequenceTrace {
     }
 }
 
-/// A query served but its prefetch window not yet run: the partial trace
-/// plus the remaining window budget. Produced by [`observe_and_open`],
-/// consumed by [`run_prefetch_window`].
-///
-/// Splitting the timeline here is what lets the multi-session executor
-/// schedule all sessions' serve phases before any prefetch phase (see
-/// DESIGN.md §5): within one round every session's query is served against
-/// the cache state left by the *previous* round, independent of session
-/// order.
-#[derive(Debug)]
-pub(crate) struct OpenWindow {
-    pub(crate) q: QueryTrace,
-    pub(crate) budget_us: f64,
-}
-
-/// Opens a query's timeline: runs the range query into `result`
-/// (replacing its contents) and stamps the trace with the result's size
-/// and the paper's `d`. Both serve paths — the immediate one and the
-/// batched stage/complete pair — start here.
-pub(crate) fn begin_query(
-    ctx: &SimContext<'_>,
-    region: &QueryRegion,
-    config: &ExecutorConfig,
-    result: &mut QueryResult,
-) -> QueryTrace {
-    let mut q = QueryTrace::default();
-    ctx.index.range_query_into(ctx.objects, region, result);
-    q.pages_total = result.pages.len();
-    q.result_objects = result.objects.len();
-
-    // The paper's d: reading the whole result from disk in retrieval
-    // order with a fresh head (independent of cache state). Measured on a
-    // clock-less disk — it is a hypothetical, not actual device time.
-    q.d_ref_us = {
-        let mut fresh = DiskModel::new(config.disk);
-        result.pages.iter().map(|&p| fresh.read_page(p)).sum::<f64>()
-    };
-    q
-}
-
-/// Books one demand read's outcome: a served page adds its latency to the
-/// residual; the first unrecoverable read fails the *query* (the user got
-/// an error, not a page stream) instead of panicking the engine. Returns
-/// false when the query just failed, so the caller skips its remaining
-/// pages.
-pub(crate) fn charge_demand(
-    outcome: Result<f64, FailedRead>,
-    q: &mut QueryTrace,
-    io: &mut IoStats,
-) -> bool {
-    match outcome {
-        Ok(t) => {
-            q.residual_us += t;
-            io.result_pages_disk += 1;
-            io.residual_io_us += t;
-            true
-        }
-        Err(failed) => {
-            q.residual_us += failed.latency_us;
-            io.residual_io_us += failed.latency_us;
-            io.failed_pages += 1;
-            q.outcome = ServeOutcome::Failed(failed.error);
-            false
-        }
-    }
-}
-
-/// Phase (1), immediate submission: cache hits are free I/O; misses are
-/// the residual I/O the user waits for. Only *prefetched* pages live in
-/// the cache (§7.1: the 4 GB cache holds prefetched data; result pages
-/// stream to the user's analysis memory), so the hit rate measures
-/// prediction accuracy, not incidental query overlap.
-///
-/// Demand reads go through the retrying verified path: with fault
-/// injection disabled that is bit-for-bit a plain `read_page`; with it
-/// enabled, one per-query deadline budget spans all of the query's
-/// retries.
-pub(crate) fn serve_demand<C: PageCache>(
-    result: &QueryResult,
-    cache: &mut C,
-    disk: &mut DiskModel,
-    config: &ExecutorConfig,
-    q: &mut QueryTrace,
-    io: &mut IoStats,
-) {
-    let mut retry_budget = config.faults.retry.deadline_us;
-    for &page in &result.pages {
-        if cache.access(page) {
-            q.pages_hit += 1;
-            io.result_pages_cache += 1;
-        } else {
-            let read = disk.read_page_retrying(page, &config.faults.retry, &mut retry_budget);
-            if !charge_demand(read, q, io) {
-                break;
-            }
-        }
-    }
-}
-
-/// Phase (2) plus the window-budget computation: with every demand read
-/// booked, the result's processing cost lands on the response, the
-/// prefetcher digests the result and the window opens. Shared tail of
-/// every serve path (the batched one learns its residual I/O only after
-/// the demand batch resolves).
-pub(crate) fn observe_and_open(
-    ctx: &SimContext<'_>,
-    prefetcher: &mut dyn Prefetcher,
-    region: &QueryRegion,
-    result: &QueryResult,
-    config: &ExecutorConfig,
-    mut q: QueryTrace,
-) -> OpenWindow {
-    // CPU cost of processing the result pages (charged to response).
-    q.residual_us += q.pages_total as f64 * config.costs.page_process_us;
-
-    // A failed query ends its timeline here: the user saw an error, so
-    // there is no result to digest and no window to run (phase 3 is a
-    // no-op on failed traces).
-    if q.outcome.is_failed() {
-        return OpenWindow { q, budget_us: 0.0 };
-    }
-
-    // (2) Prediction, in the thread's scratch arena.
-    let mut scratch = SCRATCH.take();
-    q.prediction = prefetcher.observe_with_scratch(ctx, region, result, &mut scratch);
-    SCRATCH.set(scratch);
-    q.graph_build_us = config.costs.graph_build_us(&q.prediction.cpu);
-    q.prediction_us = config.costs.prediction_us(&q.prediction.cpu);
-
-    // Open the prefetch window. Graph building is interleaved with result
-    // retrieval (§4: "while the result is read, the graph is already
-    // assembled"), so only the part exceeding the retrieval time delays
-    // the window; traversal/prediction always does — unless the method
-    // overlaps prediction with retrieval entirely (SCOUT-OPT, §6.2).
-    q.window_us = config.window_ratio * q.d_ref_us;
-    let prediction_delay = if prefetcher.overlaps_prediction() {
-        0.0
-    } else {
-        (q.graph_build_us - q.residual_us).max(0.0) + q.prediction_us
-    };
-    let budget_us = (q.window_us - prediction_delay).max(0.0);
-    OpenWindow { q, budget_us }
-}
-
-/// How a prefetch window's reads reach the device — the one thing the two
-/// submission modes of phase (3) disagree on. [`run_prefetch_window`]
-/// owns the plan walk and the budget; an implementation owns the cache,
-/// the disk and the bookkeeping of what a read cost.
-pub(crate) trait WindowIo {
-    /// True when `page` needs no read from this window. `&mut` to match
-    /// [`PageCache::contains`], so an owned cache probes without a lock.
-    fn resident(&mut self, page: PageId) -> bool;
-    /// What reading `page` next would cost, committing nothing.
-    fn peek_us(&self, page: PageId) -> f64;
-    /// Issues the read. `Ok(t)`: the page counts as prefetched and the
-    /// window spent `t`; `Err(t)`: the read failed, was dropped, and
-    /// still burned `t` of the window.
-    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64>;
-}
-
-/// Immediate submission: each read hits the session's disk now and a
-/// success is inserted into the cache on the spot.
-pub(crate) struct ImmediateIo<'a, C: PageCache> {
-    pub(crate) cache: &'a mut C,
-    pub(crate) disk: &'a mut DiskModel,
-    pub(crate) stats: &'a mut IoStats,
-}
-
-impl<C: PageCache> WindowIo for ImmediateIo<'_, C> {
-    fn resident(&mut self, page: PageId) -> bool {
-        self.cache.contains(page)
-    }
-
-    fn peek_us(&self, page: PageId) -> f64 {
-        self.disk.peek_read_us(page)
-    }
-
-    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64> {
-        // Verified single attempt (attempt 0 = the prefetch stream):
-        // prefetching is optional work, so a failed speculative read is
-        // dropped — never retried — and the page falls back to on-demand
-        // serving if the user actually needs it. The window still burned
-        // the failed attempt's device time. A straggler can overdraw the
-        // budget it was admitted under (the read was already issued when
-        // it straggled); the walk then closes.
-        match self.disk.try_read_page(page, 0) {
-            Ok(t) => {
-                self.cache.insert(page);
-                self.stats.prefetch_io_us += t;
-                self.stats.prefetch_pages_disk += 1;
-                if is_gap {
-                    self.stats.gap_pages_disk += 1;
-                }
-                Ok(t)
-            }
-            Err(failed) => {
-                self.disk.note_dropped_prefetch();
-                Err(failed.latency_us)
-            }
-        }
-    }
-}
-
-/// Phase-scoped submission: reads are staged into the fleet's window-lane
-/// batcher and the window spends seek *estimates* from the session's own
-/// head position ([`DiskModel::peek_read_us`]); the physical cost is paid
-/// once, by the elevator-ordered batch read at the phase flip. A page
-/// already staged by a sibling session this phase is resident — its batch
-/// insert makes it visible to every next-round serve, mirroring the
-/// immediate cache-`contains` skip. Staging never fails, so the trace's
-/// `prefetch_pages`/`gap_pages` count *staged* pages: a staged read that
-/// fails at submission is dropped like an immediate speculative failure,
-/// and the io totals (credited from the fleet's window ledgers) record
-/// actual successes.
-pub(crate) struct StagedIo<'a, C: PageCache> {
-    pub(crate) cache: &'a mut C,
-    pub(crate) disk: &'a DiskModel,
-    pub(crate) batcher: &'a mut IoBatcher,
-    pub(crate) owner: u32,
-}
-
-impl<C: PageCache> WindowIo for StagedIo<'_, C> {
-    fn resident(&mut self, page: PageId) -> bool {
-        self.cache.contains(page) || self.batcher.contains(page)
-    }
-
-    fn peek_us(&self, page: PageId) -> f64 {
-        self.disk.peek_read_us(page)
-    }
-
-    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64> {
-        let staged = self.batcher.try_stage(page, self.owner, is_gap);
-        debug_assert!(staged, "page was absent from the batcher a line ago");
-        Ok(self.disk.peek_read_us(page))
-    }
-}
-
-/// Phase (3): walks the prefetcher's prioritized plan, issuing reads
-/// through `io` until the window budget runs out, completing the query's
-/// trace. `region_pages` is where a [`PrefetchRequest::Region`] is
-/// resolved to pages: caller-owned so its capacity outlives the window,
-/// its contents mean nothing on entry or exit.
-pub(crate) fn run_prefetch_window(
-    ctx: &SimContext<'_>,
-    prefetcher: &mut dyn Prefetcher,
-    window: OpenWindow,
-    io: &mut impl WindowIo,
-    region_pages: &mut Vec<PageId>,
-) -> QueryTrace {
-    let OpenWindow { mut q, budget_us: mut budget } = window;
-    if q.outcome.is_failed() {
-        // The serve phase aborted the query; there is no prediction state
-        // to plan from.
-        return q;
-    }
-    let plan = prefetcher.plan(ctx);
-    'window: for request in &plan.requests {
-        let (pages, is_gap) = match request {
-            PrefetchRequest::Region(r) => {
-                ctx.index.pages_in_region_into(r.aabb(), region_pages);
-                (&*region_pages, false)
-            }
-            PrefetchRequest::Pages(p) => (p, false),
-            PrefetchRequest::GapPages(p) => (p, true),
-        };
-        for &page in pages {
-            if io.resident(page) {
-                continue;
-            }
-            // Cost the read before committing it: a read the window cannot
-            // afford never happens, so it must not move the head, count as
-            // a device read, or advance the shared clock (which would
-            // inflate the multi-session disk-busy metric).
-            if io.peek_us(page) > budget {
-                break 'window; // the user issued the next query
-            }
-            match io.issue(page, is_gap) {
-                Ok(t) => {
-                    budget -= t;
-                    q.prefetch_pages += 1;
-                    if is_gap {
-                        q.gap_pages += 1;
-                    }
-                }
-                Err(t) => {
-                    budget -= t;
-                    if budget <= 0.0 {
-                        break 'window;
-                    }
-                }
-            }
-        }
-    }
-    q
-}
-
 /// Runs one guided query sequence against a fresh cache and disk: one
 /// [`Session`] over `prefetcher`, stepped to its end.
 ///
@@ -521,7 +214,8 @@ pub fn run_sequences(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefetcher::{NoPrefetch, PrefetchPlan};
+    use crate::prefetcher::{NoPrefetch, PrefetchPlan, PrefetchRequest};
+    use crate::scratch::QueryScratch;
     use scout_geometry::{Aabb, ObjectId, Shape, SpatialObject, StructureId, Vec3};
     use scout_index::RTree;
 

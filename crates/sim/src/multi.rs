@@ -30,7 +30,7 @@ use crate::telemetry::TelemetryReport;
 use scout_storage::{
     hit_ratio, BatchPlan, BatchReport, CacheStats, FaultReport, ShardedCache, SharedClock,
 };
-use scout_telemetry::{FlightLog, FlightRecorder, MetricsRegistry};
+use scout_telemetry::{FlightLog, MetricsRegistry};
 use std::sync::Arc;
 
 /// How the engine schedules its sessions.
@@ -99,22 +99,10 @@ impl MultiSessionExecutor {
         MultiSessionExecutor { config }
     }
 
-    /// Runs the sessions over a fresh shared cache.
-    pub fn run(&self, ctx: &SimContext<'_>, sessions: Vec<Session>) -> MultiSessionReport {
+    /// Runs the sessions over a fresh shared cache (§7.1 clears every
+    /// cache between sequences).
+    pub fn run(&self, ctx: &SimContext<'_>, mut sessions: Vec<Session>) -> MultiSessionReport {
         let mut cache = ShardedCache::new(self.config.exec.cache_pages, self.config.shards);
-        self.run_on(ctx, sessions, &mut cache)
-    }
-
-    /// Runs the sessions over a caller-provided cache — e.g. one pre-warmed
-    /// by an earlier run. The cache's counters are reset first so the
-    /// report measures only this run; its *contents* are kept.
-    pub fn run_on(
-        &self,
-        ctx: &SimContext<'_>,
-        mut sessions: Vec<Session>,
-        cache: &mut ShardedCache,
-    ) -> MultiSessionReport {
-        cache.reset_stats();
         let clock = SharedClock::new();
         for session in &mut sessions {
             session.begin(&self.config.exec, Some(clock.clone()));
@@ -128,11 +116,8 @@ impl MultiSessionExecutor {
                 session.arm_telemetry(Arc::clone(registry));
             }
         }
-        let mut batch = self
-            .config
-            .batch
-            .enabled
-            .then(|| BatchCtl::new(exec, &clock, sessions.len(), spans.as_ref()));
+        let mut batch =
+            self.config.batch.enabled.then(|| BatchCtl::new(exec, &clock, spans.as_ref()));
         // One round body, one round loop (DESIGN.md §10): round-robin is
         // width 1 with the scheduler counters dropped.
         let mut body = RoundBody { ctx, exec, batch: batch.as_mut() };
@@ -141,22 +126,17 @@ impl MultiSessionExecutor {
             Schedule::WorkStealing { workers: 0 } => default_parallelism(),
             Schedule::WorkStealing { workers } => workers,
         };
-        let (mut sessions, report) = run_fleet(&mut body, cache, sessions, width, spans.as_deref());
+        let (mut sessions, report) =
+            run_fleet(&mut body, &mut cache, sessions, width, spans.as_deref());
         let scheduler = (self.config.schedule != Schedule::RoundRobin).then_some(report);
 
-        // Teardown of the batch lanes: credit window ledgers into the
-        // sessions before assembly, and merge the lane disks' fault
-        // counters into the fleet total (retry continuations already live
-        // in the per-session reports).
-        let mut batch_report: Option<BatchReport> = None;
-        let mut batch_faults: Option<FaultReport> = None;
-        let mut batch_recorder: Option<FlightRecorder> = None;
-        if let Some(ctl) = batch {
-            let (report, faults, recorder) = ctl.finish(&mut sessions);
-            batch_report = Some(report);
-            batch_faults = faults;
-            batch_recorder = recorder;
-        }
+        // Teardown of the batch lanes: their counters, and their disks'
+        // fault counters for the fleet total (retry continuations already
+        // live in the per-session reports).
+        let (batch_report, batch_faults, batch_recorder) = match batch.map(BatchCtl::finish) {
+            Some((report, faults, recorder)) => (Some(report), faults, recorder),
+            None => (None, None, None),
+        };
         // Telemetry teardown: merge every session's event ring (plus the
         // batch engine's) into one sealed flight log.
         let telemetry = spans.map(|registry| {

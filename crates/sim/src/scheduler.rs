@@ -134,14 +134,14 @@ impl RoundBody<'_, '_> {
         true
     }
 
-    /// One session's window sub-phase (`idx` = its slot, the window
-    /// lane's ledger key). False = the session is done and retires.
-    fn window(&mut self, session: &mut Session, idx: usize, cache: &mut ShardedCache) -> bool {
+    /// One session's window sub-phase. False = the session is done and
+    /// retires.
+    fn window(&mut self, session: &mut Session, cache: &mut ShardedCache) -> bool {
         match &mut self.batch {
             None => session.finish_window(self.ctx, cache, self.exec),
             Some(b) => {
                 session.serve_complete(self.ctx, self.exec, &b.demand);
-                session.window_stage(self.ctx, cache, &mut b.window, idx as u32);
+                session.window_stage(self.ctx, cache, &mut b.window);
             }
         }
         !session.is_done()
@@ -156,9 +156,8 @@ impl RoundBody<'_, '_> {
     }
 
     /// Phase edge after every window of `round`: the staged prefetch
-    /// reads hit the disk, publish into the cache and are credited to
-    /// their owners' ledgers. Must complete before any serve of the next
-    /// round starts.
+    /// reads hit the disk and publish into the cache. Must complete before
+    /// any serve of the next round starts.
     fn close_window(&mut self, cache: &ShardedCache, round: u64) {
         if let Some(b) = &mut self.batch {
             b.submit_window(cache, round);
@@ -292,9 +291,9 @@ pub(crate) fn run_fleet(
             let _span = edge_span();
             body.close_serve(round);
         }
-        for (idx, session) in &mut active {
+        for (_, session) in &mut active {
             // One park per session surviving the round.
-            report.parks += u64::from(body.window(session, *idx, cache));
+            report.parks += u64::from(body.window(session, cache));
         }
         let _span = edge_span();
         // The next round serves against the published membership.

@@ -1,4 +1,4 @@
-//! One client's seat at the simulator.
+//! One client's seat at the simulator, and the query timeline it steps.
 //!
 //! A [`Session`] is one client's half of the simulation — everything one user
 //! carries: their prefetcher (prediction history), their query stream and
@@ -12,7 +12,8 @@
 //! window) and [`Session::finish_window`] (run the prefetch plan until the
 //! window closes). [`Session::step`] runs both back-to-back for the
 //! single-session case, and [`run_sequence`](crate::run_sequence) is one
-//! session stepped to its end over a fresh cache.
+//! session stepped to its end over a fresh cache. These steps are the
+//! timeline itself; no other module keeps a copy of it.
 //!
 //! The multi-session engine takes the serve apart (DESIGN.md §10): the
 //! range query (`begin_serve`) and the prediction (`observe`) touch only
@@ -22,16 +23,15 @@
 //! on the engine's calling thread in session order.
 
 use crate::context::SimContext;
-use crate::executor::{
-    begin_query, charge_demand, observe_and_open, run_prefetch_window, serve_demand,
-    ExecutorConfig, ImmediateIo, OpenWindow, QueryTrace, SequenceTrace, StagedIo,
-};
-use crate::prefetcher::Prefetcher;
+use crate::executor::{ExecutorConfig, QueryTrace, SequenceTrace, ServeOutcome};
+use crate::prefetcher::{PrefetchRequest, Prefetcher};
+use crate::scratch::QueryScratch;
 use crate::telemetry::SessionTelemetry;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
 use scout_storage::{
-    DiskModel, FailedRead, FaultReport, IoBatcher, IoStats, PageCache, PageId, SharedClock,
+    DiskModel, FailedRead, FaultReport, IoBatcher, IoStats, PageCache, PageId, ShardedCache,
+    SharedClock,
 };
 use scout_telemetry::{HistogramId, MetricsRegistry};
 use std::cell::Cell;
@@ -39,11 +39,11 @@ use std::ops::DerefMut;
 use std::sync::Arc;
 
 // The buffers a step fills and forgets — `serve_observe`'s query result,
-// the batched serve's fan-in of demand outcomes, and the page list a
-// window resolves a `Region` request into — belong to the thread, not to
+// the batched serve's fan-in of demand outcomes, the page list a window
+// resolves a `Region` request into, and the query scratch arena a
+// prefetcher's digest fills (DESIGN.md §6) — belong to the thread, not to
 // the session: a fleet is thousands of sessions, and only the stepping
-// thread needs them. (The query scratch arena is a fourth, in
-// `executor.rs`; the engine's own serves keep their results in a
+// thread needs them. (The engine's own serves keep their results in a
 // block-sized pool, in `scheduler.rs`.) A step takes the buffer out and
 // puts it back when done. Under `QueryScratch`'s contract — capacity
 // carries over, contents never do — a step that panics, or one that runs
@@ -54,6 +54,7 @@ thread_local! {
         const { Cell::new(QueryResult { pages: Vec::new(), objects: Vec::new() }) };
     static FAN_IN: Cell<Vec<(PageId, Result<f64, FailedRead>)>> = const { Cell::new(Vec::new()) };
     static WINDOW_PAGES: Cell<Vec<PageId>> = const { Cell::new(Vec::new()) };
+    static SCRATCH: Cell<QueryScratch> = const { Cell::new(QueryScratch::new()) };
 }
 
 /// One client: a prefetcher, a query stream, a disk handle and a trace.
@@ -83,6 +84,21 @@ pub struct Session<P = Box<dyn Prefetcher>> {
     /// nothing and keeps every path byte-identical to an untelemetered
     /// session.
     telem: Option<SessionTelemetry>,
+}
+
+/// A query served but its prefetch window not yet run: the partial trace
+/// plus the remaining window budget. `observe` opens it, the window
+/// sub-phase runs it.
+///
+/// Splitting the timeline here is what lets the multi-session executor
+/// schedule all sessions' serve phases before any prefetch phase (see
+/// DESIGN.md §5): within one round every session's query is served against
+/// the cache state left by the *previous* round, independent of session
+/// order.
+#[derive(Debug)]
+struct OpenWindow {
+    q: QueryTrace,
+    budget_us: f64,
 }
 
 /// A query served *into the batcher* but not yet completed: its partial
@@ -212,9 +228,11 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         served
     }
 
-    /// The serve's first, pure piece: the next query's range query into
-    /// `result` (replacing its contents), returning the query's opened
-    /// trace, or `None` when the stream is exhausted. Reads only the
+    /// The serve's first, pure piece, where both serve paths — the
+    /// immediate one and the batched stage/complete pair — start: the next
+    /// query's range query into `result` (replacing its contents),
+    /// returning the query's trace stamped with the result's size and the
+    /// paper's `d`, or `None` when the stream is exhausted. Reads only the
     /// session's stream and the read-only context.
     pub(crate) fn begin_serve(
         &self,
@@ -227,12 +245,30 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             "a serve began with a query still in flight"
         );
         let region = self.regions.get(self.next)?;
-        Some(begin_query(ctx, region, config, result))
+        ctx.index.range_query_into(ctx.objects, region, result);
+        // The paper's d: reading the whole result from disk in retrieval
+        // order with a fresh head (independent of cache state). Measured on
+        // a clock-less disk — it is a hypothetical, not actual device time.
+        let mut fresh = DiskModel::new(config.disk);
+        Some(QueryTrace {
+            pages_total: result.pages.len(),
+            result_objects: result.objects.len(),
+            d_ref_us: result.pages.iter().map(|&p| fresh.read_page(p)).sum::<f64>(),
+            ..QueryTrace::default()
+        })
     }
 
-    /// The serve's shared piece: the begun query's demand probes and
-    /// reads through `cache` and the session's disk. Returns the clock
-    /// reading its telemetry events carry.
+    /// The serve's shared piece, immediate submission: the begun query's
+    /// demand probes and reads through `cache` and the session's disk.
+    /// Cache hits are free I/O; misses are the residual I/O the user waits
+    /// for. Only *prefetched* pages live in the cache (§7.1: the 4 GB
+    /// cache holds prefetched data; result pages stream to the user's
+    /// analysis memory), so the hit rate measures prediction accuracy, not
+    /// incidental query overlap. Demand reads go through the retrying
+    /// verified path: with fault injection disabled that is bit-for-bit a
+    /// plain `read_page`; with it enabled, one per-query deadline budget
+    /// spans all of the query's retries. Returns the clock reading its
+    /// telemetry events carry.
     pub(crate) fn serve<C: PageCache>(
         &mut self,
         result: &QueryResult,
@@ -242,39 +278,73 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     ) -> f64 {
         let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
         self.disk.begin_query(self.next as u64);
-        serve_demand(result, cache, &mut self.disk, config, q, &mut self.trace.io);
+        let retry = &config.faults.retry;
+        let mut deadline_us = retry.deadline_us;
+        for &page in &result.pages {
+            if cache.access(page) {
+                q.pages_hit += 1;
+                self.trace.io.result_pages_cache += 1;
+            } else {
+                let read = self.disk.read_page_retrying(page, retry, &mut deadline_us);
+                if !charge_demand(read, q, &mut self.trace.io) {
+                    break;
+                }
+            }
+        }
         self.now_us()
     }
 
-    /// The serve's last, pure piece: the prefetcher digests the served
-    /// result and the window opens; telemetry stamps the serve's events
-    /// with `t_us`, the clock its shared piece read.
+    /// The serve's last, pure piece (phase 2 plus the window budget), the
+    /// tail of every serve path: with every demand read booked, the
+    /// result's processing cost lands on the response, the prefetcher
+    /// digests the served result and the window opens; telemetry stamps
+    /// the serve's events with `t_us`, the clock its shared piece read.
     pub(crate) fn observe(
         &mut self,
         ctx: &SimContext<'_>,
         result: &QueryResult,
         config: &ExecutorConfig,
-        q: QueryTrace,
+        mut q: QueryTrace,
         t_us: f64,
     ) {
-        let region = &self.regions[self.next];
-        let window = observe_and_open(ctx, &mut *self.prefetcher, region, result, config, q);
-        self.end_serve(window, t_us);
-    }
+        // CPU cost of processing the result pages (charged to response).
+        q.residual_us += q.pages_total as f64 * config.costs.page_process_us;
+        // A failed query ends its timeline here: the user saw an error, so
+        // there is no result to digest and no window to run.
+        let budget_us = if q.outcome.is_failed() {
+            0.0
+        } else {
+            // (2) Prediction, in the thread's scratch arena.
+            let region = &self.regions[self.next];
+            let mut scratch = SCRATCH.take();
+            q.prediction = self.prefetcher.observe_with_scratch(ctx, region, result, &mut scratch);
+            SCRATCH.set(scratch);
+            q.graph_build_us = config.costs.graph_build_us(&q.prediction.cpu);
+            q.prediction_us = config.costs.prediction_us(&q.prediction.cpu);
 
-    /// The serve epilogue every path ends in: telemetry records the
-    /// served query and its retries at `t`, and the window is left open
-    /// for the window sub-phase.
-    fn end_serve(&mut self, window: OpenWindow, t: f64) {
+            // Open the prefetch window. Graph building is interleaved with
+            // result retrieval (§4: "while the result is read, the graph is
+            // already assembled"), so only the part exceeding the retrieval
+            // time delays the window; traversal/prediction always does —
+            // unless the method overlaps prediction with retrieval entirely
+            // (SCOUT-OPT, §6.2).
+            q.window_us = config.window_ratio * q.d_ref_us;
+            let prediction_delay = if self.prefetcher.overlaps_prediction() {
+                0.0
+            } else {
+                (q.graph_build_us - q.residual_us).max(0.0) + q.prediction_us
+            };
+            (q.window_us - prediction_delay).max(0.0)
+        };
         if self.telem.is_some() {
             let faults = self.disk.fault_report();
             if let Some(tm) = &mut self.telem {
-                tm.note_query_served(t, self.next as u32, &window.q);
-                tm.note_retries(t, faults);
-                tm.note_window_opened(t, window.budget_us);
+                tm.note_query_served(t_us, self.next as u32, &q);
+                tm.note_retries(t_us, faults);
+                tm.note_window_opened(t_us, budget_us);
             }
         }
-        self.open = Some(window);
+        self.open = Some(OpenWindow { q, budget_us });
     }
 
     /// Runs the open prefetch window to completion (timeline phase 3) and
@@ -351,9 +421,9 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     /// immediately; misses are staged into the fleet's demand batcher,
     /// coalescing with siblings' requests for the same page — and parks
     /// the query, result and all, until the batch resolves.
-    pub(crate) fn serve_stage<C: PageCache>(
+    pub(crate) fn serve_stage(
         &mut self,
-        cache: &mut C,
+        cache: &ShardedCache,
         batch: &mut IoBatcher,
         result: QueryResult,
         mut q: QueryTrace,
@@ -422,25 +492,16 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     /// fleet's window batcher and commits the query's trace; the physical
     /// reads (and cache inserts) land at the phase flip. No-op when no
     /// window is open.
-    pub(crate) fn window_stage<C: PageCache>(
+    pub(crate) fn window_stage(
         &mut self,
         ctx: &SimContext<'_>,
-        cache: &mut C,
+        cache: &ShardedCache,
         batcher: &mut IoBatcher,
-        owner: u32,
     ) {
         self.close_window(|prefetcher, window, disk, _, region_pages| {
-            let mut io = StagedIo { cache, disk, batcher, owner };
+            let mut io = StagedIo { cache, disk, batcher };
             run_prefetch_window(ctx, prefetcher, window, &mut io, region_pages)
         });
-    }
-
-    /// Credits this session's share of the resolved window batches
-    /// (called once at fleet teardown from the per-owner ledgers).
-    pub(crate) fn absorb_window_io(&mut self, io_us: f64, pages: u64, gaps: u64) {
-        self.trace.io.prefetch_io_us += io_us;
-        self.trace.io.prefetch_pages_disk += pages;
-        self.trace.io.gap_pages_disk += gaps;
     }
 
     /// Executes one full query (both sub-phases). Returns false when the
@@ -482,6 +543,178 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         self.trace.faults = self.disk.fault_report();
         (self.id, self.trace)
     }
+}
+
+/// Books one demand read's outcome: a served page adds its latency to the
+/// residual; the first unrecoverable read fails the *query* (the user got
+/// an error, not a page stream) instead of panicking the engine. Returns
+/// false when the query just failed, so the caller skips its remaining
+/// pages.
+fn charge_demand(outcome: Result<f64, FailedRead>, q: &mut QueryTrace, io: &mut IoStats) -> bool {
+    match outcome {
+        Ok(t) => {
+            q.residual_us += t;
+            io.result_pages_disk += 1;
+            io.residual_io_us += t;
+            true
+        }
+        Err(failed) => {
+            q.residual_us += failed.latency_us;
+            io.residual_io_us += failed.latency_us;
+            q.outcome = ServeOutcome::Failed(failed.error);
+            false
+        }
+    }
+}
+
+/// How a prefetch window's reads reach the device — the one thing the two
+/// submission modes of phase (3) disagree on. [`run_prefetch_window`]
+/// owns the plan walk and the budget; an implementation owns the cache,
+/// the disk and the bookkeeping of what a read cost.
+trait WindowIo {
+    /// True when `page` needs no read from this window. `&mut` to match
+    /// [`PageCache::contains`], so an owned cache probes without a lock.
+    fn resident(&mut self, page: PageId) -> bool;
+    /// What reading `page` next would cost, committing nothing.
+    fn peek_us(&self, page: PageId) -> f64;
+    /// Issues the read. `Ok(t)`: the page counts as prefetched and the
+    /// window spent `t`; `Err(t)`: the read failed, was dropped, and
+    /// still burned `t` of the window.
+    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64>;
+}
+
+/// Immediate submission: each read hits the session's disk now and a
+/// success is inserted into the cache on the spot.
+struct ImmediateIo<'a, C: PageCache> {
+    cache: &'a mut C,
+    disk: &'a mut DiskModel,
+    stats: &'a mut IoStats,
+}
+
+impl<C: PageCache> WindowIo for ImmediateIo<'_, C> {
+    fn resident(&mut self, page: PageId) -> bool {
+        self.cache.contains(page)
+    }
+
+    fn peek_us(&self, page: PageId) -> f64 {
+        self.disk.peek_read_us(page)
+    }
+
+    fn issue(&mut self, page: PageId, is_gap: bool) -> Result<f64, f64> {
+        // Verified single attempt (attempt 0 = the prefetch stream):
+        // prefetching is optional work, so a failed speculative read is
+        // dropped — never retried — and the page falls back to on-demand
+        // serving if the user actually needs it. The window still burned
+        // the failed attempt's device time. A straggler can overdraw the
+        // budget it was admitted under (the read was already issued when
+        // it straggled); the walk then closes.
+        match self.disk.try_read_page(page, 0) {
+            Ok(t) => {
+                self.cache.insert(page);
+                self.stats.prefetch_io_us += t;
+                self.stats.prefetch_pages_disk += 1;
+                if is_gap {
+                    self.stats.gap_pages_disk += 1;
+                }
+                Ok(t)
+            }
+            Err(failed) => {
+                self.disk.note_dropped_prefetch();
+                Err(failed.latency_us)
+            }
+        }
+    }
+}
+
+/// Phase-scoped submission: reads are staged into the fleet's window-lane
+/// batcher and the window spends seek *estimates* from the session's own
+/// head position ([`DiskModel::peek_read_us`]); the physical cost is paid
+/// once, by the elevator-ordered batch read at the phase flip. A page
+/// already staged by a sibling session this phase is resident — its batch
+/// insert makes it visible to every next-round serve, mirroring the
+/// immediate cache-`contains` skip. Staging never fails, so the trace's
+/// `prefetch_pages`/`gap_pages` count *staged* pages: a staged read that
+/// fails at submission is dropped like an immediate speculative failure.
+/// No session's `IoStats` are credited with the batch's reads.
+struct StagedIo<'a> {
+    cache: &'a ShardedCache,
+    disk: &'a DiskModel,
+    batcher: &'a mut IoBatcher,
+}
+
+impl WindowIo for StagedIo<'_> {
+    fn resident(&mut self, page: PageId) -> bool {
+        self.cache.contains(page) || self.batcher.contains(page)
+    }
+
+    fn peek_us(&self, page: PageId) -> f64 {
+        self.disk.peek_read_us(page)
+    }
+
+    fn issue(&mut self, page: PageId, _is_gap: bool) -> Result<f64, f64> {
+        let staged = self.batcher.try_stage(page, 0, false);
+        debug_assert!(staged, "page was absent from the batcher a line ago");
+        Ok(self.disk.peek_read_us(page))
+    }
+}
+
+/// Phase (3): walks the prefetcher's prioritized plan, issuing reads
+/// through `io` until the window budget runs out, completing the query's
+/// trace. `region_pages` is where a [`PrefetchRequest::Region`] is
+/// resolved to pages: caller-owned so its capacity outlives the window,
+/// its contents mean nothing on entry or exit.
+fn run_prefetch_window(
+    ctx: &SimContext<'_>,
+    prefetcher: &mut dyn Prefetcher,
+    window: OpenWindow,
+    io: &mut impl WindowIo,
+    region_pages: &mut Vec<PageId>,
+) -> QueryTrace {
+    let OpenWindow { mut q, budget_us: mut budget } = window;
+    if q.outcome.is_failed() {
+        // The serve phase aborted the query; there is no prediction state
+        // to plan from.
+        return q;
+    }
+    let plan = prefetcher.plan(ctx);
+    'window: for request in &plan.requests {
+        let (pages, is_gap) = match request {
+            PrefetchRequest::Region(r) => {
+                ctx.index.pages_in_region_into(r.aabb(), region_pages);
+                (&*region_pages, false)
+            }
+            PrefetchRequest::Pages(p) => (p, false),
+            PrefetchRequest::GapPages(p) => (p, true),
+        };
+        for &page in pages {
+            if io.resident(page) {
+                continue;
+            }
+            // Cost the read before committing it: a read the window cannot
+            // afford never happens, so it must not move the head, count as
+            // a device read, or advance the shared clock (which would
+            // inflate the multi-session disk-busy metric).
+            if io.peek_us(page) > budget {
+                break 'window; // the user issued the next query
+            }
+            match io.issue(page, is_gap) {
+                Ok(t) => {
+                    budget -= t;
+                    q.prefetch_pages += 1;
+                    if is_gap {
+                        q.gap_pages += 1;
+                    }
+                }
+                Err(t) => {
+                    budget -= t;
+                    if budget <= 0.0 {
+                        break 'window;
+                    }
+                }
+            }
+        }
+    }
+    q
 }
 
 /// Sessions cross threads in the engine's pure passes. (Compile-time

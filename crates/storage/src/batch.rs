@@ -50,9 +50,6 @@ pub struct BatchReport {
     /// Stage requests absorbed by an already-pending page (single-flight
     /// duplicates: `staged - unique_pages` for the demand lane).
     pub coalesced: u64,
-    /// Simulated device time spent reading batches, µs (failed attempts
-    /// included — the device was busy failing).
-    pub(crate) io_us: f64,
     /// Physical batch reads that returned an error (each fans one
     /// [`IoError`](crate::IoError) out to every waiter of that page).
     pub failed_reads: u64,
@@ -65,24 +62,20 @@ impl BatchReport {
         self.staged += other.staged;
         self.unique_pages += other.unique_pages;
         self.coalesced += other.coalesced;
-        self.io_us += other.io_us;
         self.failed_reads += other.failed_reads;
     }
 }
 
 /// Collects the page requests of one scheduler phase and submits them as
 /// one seek-aware batch. Two lanes exist per fleet — demand (coalescing,
-/// every waiter records its slot) and prefetch window (single-owner,
-/// duplicates skipped like the unbatched `contains` check) — each lane
-/// is one `IoBatcher`.
+/// every waiter records its slot) and prefetch window (duplicates skipped
+/// like the unbatched `contains` check) — each lane is one `IoBatcher`.
 #[derive(Debug)]
 pub struct IoBatcher {
     disk: DiskModel,
     /// Staged page → its slot; `clear` keeps the table's capacity.
     index: IdMap<PageId, u32>,
     pages: Vec<PageId>,
-    /// Window lane only: `(owner slot, is_gap)` of the staging session.
-    owners: Vec<(u32, bool)>,
     outcomes: Vec<Result<f64, FailedRead>>,
     order: Vec<u32>,
     report: BatchReport,
@@ -96,7 +89,6 @@ impl IoBatcher {
             disk,
             index: IdMap::default(),
             pages: Vec::new(),
-            owners: Vec::new(),
             outcomes: Vec::new(),
             order: Vec::new(),
             report: BatchReport::default(),
@@ -118,19 +110,21 @@ impl IoBatcher {
             Entry::Vacant(fresh) => {
                 fresh.insert(slot);
                 self.pages.push(page);
-                self.owners.push((0, false));
                 self.report.unique_pages += 1;
                 (slot, false)
             }
         }
     }
 
-    /// Stages a prefetch-window read with a single owner. Returns false
-    /// when the page is already staged this phase — the duplicate is
-    /// skipped entirely, mirroring the unbatched executor's
-    /// cache-`contains` skip (the first stager's insert would have made
-    /// the page visible to later windows).
-    pub fn try_stage(&mut self, page: PageId, owner: u32, gap: bool) -> bool {
+    /// Stages a prefetch-window read. Returns false when the page is
+    /// already staged this phase — the duplicate is skipped entirely,
+    /// mirroring the unbatched executor's cache-`contains` skip (the first
+    /// stager's insert would have made the page visible to later windows).
+    ///
+    /// `_owner` and `_gap` are unused — no session is credited with a
+    /// window read — and stay because the call is public surface: the
+    /// repo's benchmark adapter passes them (ROADMAP item 1(b)).
+    pub fn try_stage(&mut self, page: PageId, _owner: u32, _gap: bool) -> bool {
         let Entry::Vacant(fresh) = self.index.entry(page) else {
             return false;
         };
@@ -138,7 +132,6 @@ impl IoBatcher {
         self.report.staged += 1;
         self.report.unique_pages += 1;
         self.pages.push(page);
-        self.owners.push((owner, gap));
         true
     }
 
@@ -160,11 +153,6 @@ impl IoBatcher {
     /// The page behind a slot.
     pub fn page_at(&self, slot: u32) -> PageId {
         self.pages[slot as usize]
-    }
-
-    /// The window lane's `(owner, is_gap)` tag of a slot.
-    pub fn owner_at(&self, slot: u32) -> (u32, bool) {
-        self.owners[slot as usize]
     }
 
     /// The submitted outcome of a slot. Panics before `submit`.
@@ -200,7 +188,6 @@ impl IoBatcher {
             self.outcomes[slot as usize] = outcome;
         }
         self.report.batches += 1;
-        self.report.io_us += us;
         self.report.failed_reads += self.outcomes.iter().filter(|o| o.is_err()).count() as u64;
         us
     }
@@ -219,7 +206,6 @@ impl IoBatcher {
     pub fn begin_phase(&mut self) {
         self.index.clear();
         self.pages.clear();
-        self.owners.clear();
         self.outcomes.clear();
         self.order.clear();
     }
@@ -381,10 +367,10 @@ mod tests {
     fn window_lane_skips_duplicates_entirely() {
         let mut b = batcher();
         assert!(b.try_stage(PageId(4), 0, false));
-        assert!(!b.try_stage(PageId(4), 1, true), "second owner skips like a cache hit");
+        assert!(!b.try_stage(PageId(4), 1, true), "second stager skips like a cache hit");
         assert!(b.try_stage(PageId(5), 1, true));
-        assert_eq!(b.owner_at(0), (0, false), "first stager keeps ownership");
-        assert_eq!(b.owner_at(1), (1, true));
+        assert_eq!(b.len(), 2, "the duplicate took no slot");
+        assert_eq!((b.page_at(0), b.page_at(1)), (PageId(4), PageId(5)));
         assert_eq!(b.report().coalesced, 0, "window lane never coalesces");
     }
 

@@ -35,7 +35,6 @@ pub struct PrefetchCache {
     tail: u32,
     hits: u64,
     misses: u64,
-    coalesced_hits: u64,
     insertions: u64,
     evictions: u64,
 }
@@ -53,7 +52,6 @@ impl PrefetchCache {
             tail: NIL,
             hits: 0,
             misses: 0,
-            coalesced_hits: 0,
             insertions: 0,
             evictions: 0,
         }
@@ -140,17 +138,13 @@ impl PrefetchCache {
         out
     }
 
-    /// Records `n` coalesced-waiter accesses.
-    pub fn note_coalesced_hits(&mut self, n: u64) {
-        self.coalesced_hits += n;
-    }
-
-    /// Snapshot of counters and occupancy.
+    /// Snapshot of counters and occupancy. An LRU has no coalescing
+    /// front end, so `coalesced_hits` is 0.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
             hits: self.hits,
             misses: self.misses,
-            coalesced_hits: self.coalesced_hits,
+            coalesced_hits: 0,
             insertions: self.insertions,
             evictions: self.evictions,
             len: self.len(),
@@ -163,7 +157,6 @@ impl PrefetchCache {
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
-        self.coalesced_hits = 0;
         self.insertions = 0;
         self.evictions = 0;
     }
@@ -178,7 +171,6 @@ impl PrefetchCache {
         self.tail = NIL;
         self.hits = 0;
         self.misses = 0;
-        self.coalesced_hits = 0;
         self.insertions = 0;
         self.evictions = 0;
     }
@@ -227,10 +219,6 @@ impl PageCache for PrefetchCache {
 
     fn contains(&mut self, page: PageId) -> bool {
         PrefetchCache::contains(self, page)
-    }
-
-    fn note_coalesced_hits(&mut self, n: u64) {
-        PrefetchCache::note_coalesced_hits(self, n)
     }
 }
 
@@ -335,21 +323,6 @@ mod tests {
         assert_eq!(s.len, c.len());
         assert_eq!(s.capacity, c.capacity());
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coalesced_hits_survive_until_reset() {
-        let mut c = PrefetchCache::new(2);
-        c.access(PageId(1)); // miss
-        c.note_coalesced_hits(2);
-        let s = c.stats();
-        assert_eq!(s.coalesced_hits, 2);
-        assert_eq!(s.accesses(), 3);
-        c.reset_stats();
-        assert_eq!(c.stats().coalesced_hits, 0);
-        c.note_coalesced_hits(1);
-        c.clear();
-        assert_eq!(c.stats().coalesced_hits, 0);
     }
 
     #[test]

@@ -71,13 +71,6 @@ pub trait PageCache {
     /// True when the page is cached (no recency or counter effect). Takes
     /// `&mut self` like [`access`](PageCache::access).
     fn contains(&mut self, page: PageId) -> bool;
-
-    /// Records `n` accesses absorbed by an in-flight read of the same
-    /// page (batched single-flight). Implementations without a coalescing
-    /// front end keep the default no-op.
-    fn note_coalesced_hits(&mut self, n: u64) {
-        let _ = n;
-    }
 }
 
 #[cfg(test)]

@@ -186,10 +186,6 @@ macro_rules! delegate_page_cache {
             fn contains(&mut self, page: PageId) -> bool {
                 ShardedCache::contains(self, page)
             }
-
-            fn note_coalesced_hits(&mut self, n: u64) {
-                ShardedCache::note_coalesced_hits(self, n)
-            }
         }
     };
 }

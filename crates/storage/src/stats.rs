@@ -27,11 +27,6 @@ pub struct IoStats {
     pub residual_io_us: f64,
     /// Simulated µs spent reading prefetch pages.
     pub prefetch_io_us: f64,
-    /// Result pages whose demand read failed unrecoverably (fault
-    /// injection only; the query surfaced the error and skipped its
-    /// remaining pages, so `result_pages_cache + result_pages_disk +
-    /// failed_pages` can undercount the requested total).
-    pub failed_pages: u64,
 }
 
 impl IoStats {

@@ -1,10 +1,9 @@
 //! Property tests for the page caches: the LRU compared against a naive
-//! reference implementation under arbitrary operation sequences, the
-//! sharded cache compared against the LRU, and its owned handle against
-//! its shared one.
+//! reference implementation under arbitrary operation sequences, and the
+//! sharded cache compared against the LRU.
 
 use proptest::prelude::*;
-use scout_storage::{CacheStats, PageCache, PageId, PrefetchCache, ShardedCache};
+use scout_storage::{CacheStats, PageId, PrefetchCache, ShardedCache};
 
 /// Naive LRU used as the oracle: a vector ordered MRU-first, with the
 /// counters `PrefetchCache::stats` reports.
@@ -121,52 +120,6 @@ proptest! {
             }
             prop_assert_eq!(cache.pages_mru_order(), oracle.pages.clone());
             prop_assert_eq!(cache.stats(), oracle.stats());
-        }
-    }
-
-    /// The owned sharded cache and the shared handle `&ShardedCache` (the
-    /// one the benchmark's fleet loops drive) are two `PageCache` impls.
-    /// Driven by the same stream (the whole-cache calls through the
-    /// inherent methods both reach), they return, count and order exactly
-    /// the same after every operation — so a driver may take either
-    /// without moving a hit, a miss or a victim.
-    #[test]
-    fn exclusive_handle_matches_the_locked_handle(
-        shards in prop_oneof![Just(1usize), Just(2), Just(16)],
-        cap in 1usize..=256,
-        ops in arb_ops(),
-    ) {
-        let mut owned = ShardedCache::new(cap, shards);
-        let twin = ShardedCache::new(cap, shards);
-        let mut locked = &twin;
-        for op in ops {
-            match op {
-                Op::Access(p) => prop_assert_eq!(
-                    PageCache::access(&mut owned, p),
-                    PageCache::access(&mut locked, p),
-                    "access({:?})", p
-                ),
-                Op::Insert(p) => prop_assert_eq!(
-                    PageCache::insert(&mut owned, p),
-                    PageCache::insert(&mut locked, p),
-                    "insert({:?})", p
-                ),
-                Op::Contains(p) => prop_assert_eq!(
-                    PageCache::contains(&mut owned, p),
-                    PageCache::contains(&mut locked, p),
-                    "contains({:?})", p
-                ),
-                Op::ResetStats => {
-                    owned.reset_stats();
-                    twin.reset_stats();
-                }
-                Op::Clear => {
-                    owned.clear();
-                    twin.clear();
-                }
-            }
-            prop_assert_eq!(owned.stats(), twin.stats());
-            prop_assert_eq!(owned.shard_pages(), twin.shard_pages());
         }
     }
 }

@@ -3,31 +3,10 @@
 //! pages-hit parity with the unbatched engine under the eviction-free
 //! guard (DESIGN.md §5/§12).
 
+mod common;
+
+use common::{bed_and_streams, scout_sessions, WORKLOAD_SEED};
 use scout::prelude::*;
-use scout_synth::{generate_sequences, SequenceParams};
-
-/// A small neuron bed with K guided sequences, one per session.
-fn bed_and_streams(k: usize) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
-    let dataset = scout_synth::generate_neurons(
-        &scout_synth::NeuronParams { neuron_count: 8, fiber_steps: 220, ..Default::default() },
-        11,
-    );
-    let bed = TestBed::with_page_capacity(dataset, 32);
-    let params = SequenceParams { length: 8, ..SequenceParams::sensitivity_default() };
-    let sequences = generate_sequences(&bed.dataset, &params, k, 23);
-    let regions = region_lists(&sequences);
-    (bed, regions)
-}
-
-fn scout_sessions(streams: &[Vec<scout::geometry::QueryRegion>]) -> Vec<Session> {
-    streams
-        .iter()
-        .enumerate()
-        .map(|(id, regions)| {
-            Session::new(id, Box::new(Scout::with_seed(0xBEEF + id as u64)), regions.clone())
-        })
-        .collect()
-}
 
 /// Eviction-free config (ample windows + a cache holding the whole
 /// dataset), the precondition for order-independent pages-hit totals.
@@ -46,7 +25,7 @@ fn ample_config(bed: &TestBed, schedule: Schedule, batched: bool) -> MultiSessio
 
 #[test]
 fn disabled_batching_is_the_default_and_reports_no_batch_block() {
-    let (bed, streams) = bed_and_streams(3);
+    let (bed, streams) = bed_and_streams(3, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let config = MultiSessionConfig::default();
     assert!(!config.batch.enabled, "batching must be opt-in");
@@ -59,7 +38,7 @@ fn disabled_batching_is_the_default_and_reports_no_batch_block() {
 fn batched_off_render_is_byte_identical_to_the_default_config() {
     // `BatchPlan { enabled: false }` must select the exact pre-batching
     // code path — same code, same bytes at every width.
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     for schedule in [
         Schedule::RoundRobin,
@@ -79,7 +58,7 @@ fn batched_off_render_is_byte_identical_to_the_default_config() {
 
 #[test]
 fn batched_width1_reruns_are_byte_identical() {
-    let (bed, streams) = bed_and_streams(5);
+    let (bed, streams) = bed_and_streams(5, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 1 }] {
         let engine = MultiSessionExecutor::new(ample_config(&bed, schedule, true));
@@ -100,7 +79,7 @@ fn batched_width1_reruns_are_byte_identical() {
 fn batched_round_robin_matches_width1_work_stealing_byte_for_byte() {
     // The batched width-1 oracle: round-robin and a one-worker crew run
     // the exact same in-order batched loop.
-    let (bed, streams) = bed_and_streams(5);
+    let (bed, streams) = bed_and_streams(5, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let rr = MultiSessionExecutor::new(ample_config(&bed, Schedule::RoundRobin, true))
         .run(&ctx, scout_sessions(&streams));
@@ -118,7 +97,7 @@ fn batched_pages_hit_matches_the_unbatched_oracle_at_every_width() {
     // the shared cache — totals and per-session hit accounting must be
     // exactly the unbatched engine's (DESIGN.md §12). And every batched
     // width replays the batched width-1 run byte for byte.
-    let (bed, streams) = bed_and_streams(8);
+    let (bed, streams) = bed_and_streams(8, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let oracle = MultiSessionExecutor::new(ample_config(&bed, Schedule::RoundRobin, false))
         .run(&ctx, scout_sessions(&streams));
@@ -174,7 +153,7 @@ fn identical_streams_coalesce_into_single_flight_reads() {
     // by all K sessions each round. The demand lane must read each page
     // once and fan it out — K−1 coalesced waiters per staged page — and
     // the cache must book those waiters as coalesced hits.
-    let (bed, streams) = bed_and_streams(1);
+    let (bed, streams) = bed_and_streams(1, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let shared = streams[0].clone();
     let k = 6usize;

@@ -5,44 +5,10 @@
 //! executor; and a fault schedule is a pure function of its seed, so
 //! same-seed reruns reproduce the same outcomes.
 
+mod common;
+
+use common::{bed_and_streams, chaos_matrix_seed, fnv1a, scout_sessions, WORKLOAD_SEED};
 use scout::prelude::*;
-use scout_synth::{generate_sequences, SequenceParams};
-
-/// The same small neuron bed the multi-session acceptance tests use: K
-/// guided sequences over one tissue block, one per session. The workload
-/// seed honors `SCOUT_BENCH_SEED` so the CI chaos matrix marches the
-/// fault schedules over different query streams, not just one.
-fn bed_and_streams(k: usize) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
-    let workload_seed =
-        std::env::var("SCOUT_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(23u64);
-    bed_and_seeded_streams(k, workload_seed)
-}
-
-/// [`bed_and_streams`] with the workload seed given.
-fn bed_and_seeded_streams(
-    k: usize,
-    workload_seed: u64,
-) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
-    let dataset = scout_synth::generate_neurons(
-        &scout_synth::NeuronParams { neuron_count: 8, fiber_steps: 220, ..Default::default() },
-        11,
-    );
-    let bed = TestBed::with_page_capacity(dataset, 32);
-    let params = SequenceParams { length: 8, ..SequenceParams::sensitivity_default() };
-    let sequences = generate_sequences(&bed.dataset, &params, k, workload_seed);
-    let regions = region_lists(&sequences);
-    (bed, regions)
-}
-
-fn scout_sessions(streams: &[Vec<scout::geometry::QueryRegion>]) -> Vec<Session> {
-    streams
-        .iter()
-        .enumerate()
-        .map(|(id, regions)| {
-            Session::new(id, Box::new(Scout::with_seed(0xBEEF + id as u64)), regions.clone())
-        })
-        .collect()
-}
 
 /// Eviction-free fleet config (see DESIGN.md §5) with the given fault
 /// plan installed.
@@ -76,7 +42,7 @@ fn rough_weather(seed: u64) -> FaultConfig {
 
 #[test]
 fn any_fault_seed_survives_every_width() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     for seed in [1u64, 2, 3, 5, 8, 13, 0xDEAD, 0xC0FFEE] {
         let mut width_one = None;
@@ -115,7 +81,7 @@ fn any_fault_seed_survives_every_width() {
 
 #[test]
 fn zero_rate_injection_matches_the_plain_run_exactly() {
-    let (bed, streams) = bed_and_streams(3);
+    let (bed, streams) = bed_and_streams(3, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     let plain =
         MultiSessionExecutor::new(chaos_config(&bed, Schedule::RoundRobin, FaultPlan::default()))
@@ -190,7 +156,7 @@ fn zero_rate_injection_matches_the_plain_run_exactly() {
 
 #[test]
 fn same_fault_seed_reruns_byte_identically_at_width_one() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     let plan = FaultPlan::injecting(rough_weather(0xFEED));
     let rr = MultiSessionExecutor::new(chaos_config(&bed, Schedule::RoundRobin, plan));
@@ -207,18 +173,11 @@ fn same_fault_seed_reruns_byte_identically_at_width_one() {
     assert_eq!(a, c, "width-1 work stealing diverged from round-robin under faults");
 }
 
-/// FNV-1a over `bytes`: a digest that pins a report's exact bytes.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
 #[test]
 fn faulted_width_one_replays_its_pinned_digest() {
     // One fault seed's width-1 render, bytes and disk-busy bits, on a
     // fixed workload seed (the CI matrix's seed would move the streams).
-    let (bed, streams) = bed_and_seeded_streams(4, 23);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     let ctx = bed.ctx_rtree();
     let plan = FaultPlan::injecting(rough_weather(0xFEED));
     let report = MultiSessionExecutor::new(chaos_config(&bed, Schedule::RoundRobin, plan))
@@ -240,7 +199,7 @@ fn width_two_and_four_preserve_the_interleaving_invariants() {
     // pages, window ratio 1.6), where any reordered probe, promotion or
     // insert would move a hit. A slow-only schedule rides along:
     // stragglers fire, and a slow read never fails a query.
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     let rough = FaultPlan::injecting(rough_weather(0xFEED));
     let slow_only = FaultPlan::injecting(FaultConfig {
@@ -310,7 +269,7 @@ fn batched_any_fault_seed_survives_every_width() {
     // sweep with the demand/window lanes turned on. Coalesced failures fan out to every
     // waiter as a clean `ServeOutcome::Failed`, never a stall, and the
     // verified read path still catches every corrupt page.
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     for seed in [1u64, 2, 3, 5, 8, 13, 0xDEAD, 0xC0FFEE] {
         let mut width_one = None;
@@ -344,7 +303,7 @@ fn batched_any_fault_seed_survives_every_width() {
 
 #[test]
 fn batched_fault_seed_reruns_byte_identically_at_width_one() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     let plan = FaultPlan::injecting(rough_weather(0xFEED));
     let rr = MultiSessionExecutor::new(batched_chaos_config(&bed, Schedule::RoundRobin, plan));
@@ -370,7 +329,7 @@ fn coalesced_failure_fans_one_error_to_every_waiter() {
     // fail the *same* queries: one `IoError` per waiter, identical
     // per-session failure counts, and retries charged per waiter (K
     // sessions × own retry ladder), not once per batch.
-    let (bed, streams) = bed_and_streams(1);
+    let (bed, streams) = bed_and_streams(1, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     let shared = streams[0].clone();
     let k = 4usize;
@@ -429,7 +388,7 @@ fn coalesced_failure_fans_one_error_to_every_waiter() {
 
 #[test]
 fn stuck_heavy_weather_degrades_instead_of_hanging() {
-    let (bed, streams) = bed_and_streams(2);
+    let (bed, streams) = bed_and_streams(2, chaos_matrix_seed());
     let ctx = bed.ctx_rtree();
     // A device where a third of all pages never read back: most queries
     // fail, the breaker should open, and the run must still terminate.

@@ -2,46 +2,12 @@
 //! and cross-session cache sharing; byte-identity with round-robin at
 //! every fleet width, under eviction pressure too; and fleet edge cases.
 
+mod common;
+
+use common::{bed_and_streams, chaos_matrix_seed, fnv1a, scout_sessions, WORKLOAD_SEED};
 use scout::prelude::*;
 use scout::sim::{QueryScratch, QueryTrace};
 use scout_synth::{generate_sequences, SequenceParams};
-
-/// The workload seed of every test that is not a leg of the CI chaos
-/// matrix.
-const WORKLOAD_SEED: u64 = 23;
-
-/// The CI chaos matrix's workload seed, read exactly as `tests/chaos.rs`
-/// reads it, so the matrix marches the panic-containment tests over
-/// different query streams too.
-fn chaos_matrix_seed() -> u64 {
-    std::env::var("SCOUT_BENCH_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(WORKLOAD_SEED)
-}
-
-/// A small neuron bed with K guided sequences (drawn from `seed`), one per
-/// session — each client follows its own latent structure through the same
-/// tissue block.
-fn bed_and_streams(k: usize, seed: u64) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
-    let dataset = scout_synth::generate_neurons(
-        &scout_synth::NeuronParams { neuron_count: 8, fiber_steps: 220, ..Default::default() },
-        11,
-    );
-    let bed = TestBed::with_page_capacity(dataset, 32);
-    let params = SequenceParams { length: 8, ..SequenceParams::sensitivity_default() };
-    let sequences = generate_sequences(&bed.dataset, &params, k, seed);
-    let regions = region_lists(&sequences);
-    (bed, regions)
-}
-
-/// K sessions, each with its own seeded SCOUT instance.
-fn scout_sessions(streams: &[Vec<scout::geometry::QueryRegion>]) -> Vec<Session> {
-    streams
-        .iter()
-        .enumerate()
-        .map(|(id, regions)| {
-            Session::new(id, Box::new(Scout::with_seed(0xBEEF + id as u64)), regions.clone())
-        })
-        .collect()
-}
 
 /// An eviction-free executor config: the shared cache holds the whole
 /// dataset and the window is generous, which makes cache membership per
@@ -58,13 +24,6 @@ fn ample_config(bed: &TestBed, shards: usize, schedule: Schedule) -> MultiSessio
         schedule,
         ..Default::default()
     }
-}
-
-/// FNV-1a over `bytes`: a digest that pins a report's exact bytes.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
 
 /// The digest of a fleet's render followed by its disk-busy bits.
@@ -143,28 +102,6 @@ fn report_exposes_percentiles_and_cache_stats() {
     let rendered = report.render();
     assert!(rendered.contains("p99"));
     assert!(rendered.contains("shared cache"));
-}
-
-#[test]
-fn warm_cache_rerun_improves_and_resets_stats() {
-    let (bed, streams) = bed_and_streams(2, WORKLOAD_SEED);
-    let ctx = bed.ctx_rtree();
-    let config = ample_config(&bed, 8, Schedule::RoundRobin);
-    let engine = MultiSessionExecutor::new(config);
-    let mut cache = ShardedCache::new(config.exec.cache_pages, config.shards);
-
-    let cold = engine.run_on(&ctx, scout_sessions(&streams), &mut cache);
-    let warm = engine.run_on(&ctx, scout_sessions(&streams), &mut cache);
-    // run_on resets counters but keeps contents: the warm run starts with
-    // every previously prefetched page already cached, so it hits at least
-    // as often and has little left to insert.
-    assert!(warm.hit_rate() >= cold.hit_rate());
-    assert!(
-        warm.cache.insertions < cold.cache.insertions,
-        "warm run re-inserted pages the cold run already cached ({} vs {})",
-        warm.cache.insertions,
-        cold.cache.insertions
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -3,33 +3,11 @@
 //! everywhere), armed event-stream determinism at every width, and a
 //! flight log that accounts for every query the report counts.
 
+mod common;
+
+use common::{bed_and_streams, fnv1a, scout_sessions, WORKLOAD_SEED};
 use scout::prelude::*;
 use scout_storage::BatchPlan;
-use scout_synth::{generate_sequences, SequenceParams};
-
-/// A small neuron bed with K guided sequences, one per session.
-fn bed_and_streams(k: usize) -> (TestBed, Vec<Vec<scout::geometry::QueryRegion>>) {
-    let dataset = scout_synth::generate_neurons(
-        &scout_synth::NeuronParams { neuron_count: 8, fiber_steps: 220, ..Default::default() },
-        11,
-    );
-    let bed = TestBed::with_page_capacity(dataset, 32);
-    let params = SequenceParams { length: 8, ..SequenceParams::sensitivity_default() };
-    let sequences = generate_sequences(&bed.dataset, &params, k, 23);
-    let regions = region_lists(&sequences);
-    (bed, regions)
-}
-
-/// K sessions, each with its own seeded SCOUT instance.
-fn scout_sessions(streams: &[Vec<scout::geometry::QueryRegion>]) -> Vec<Session> {
-    streams
-        .iter()
-        .enumerate()
-        .map(|(id, regions)| {
-            Session::new(id, Box::new(Scout::with_seed(0xBEEF + id as u64)), regions.clone())
-        })
-        .collect()
-}
 
 fn config(schedule: Schedule, batched: bool, armed: bool) -> MultiSessionConfig {
     MultiSessionConfig {
@@ -58,7 +36,7 @@ fn run(
 
 #[test]
 fn disarmed_run_is_byte_identical_and_attaches_nothing() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     let a = run(&bed, &streams, Schedule::RoundRobin, false, false);
     let b = run(&bed, &streams, Schedule::RoundRobin, false, false);
     assert!(a.telemetry.is_none(), "disarmed runs must not attach a TelemetryReport");
@@ -67,7 +45,7 @@ fn disarmed_run_is_byte_identical_and_attaches_nothing() {
 
 #[test]
 fn armed_run_renders_byte_identically_to_disarmed() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     let disarmed = run(&bed, &streams, Schedule::RoundRobin, false, false).render();
     for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 1 }] {
         let armed = run(&bed, &streams, schedule, false, true);
@@ -82,7 +60,7 @@ fn armed_run_renders_byte_identically_to_disarmed() {
 
 #[test]
 fn armed_width1_event_streams_are_byte_identical_across_reruns() {
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     for (schedule, batched) in [
         (Schedule::RoundRobin, false),
         (Schedule::WorkStealing { workers: 1 }, false),
@@ -106,18 +84,11 @@ fn armed_width1_event_streams_are_byte_identical_across_reruns() {
     );
 }
 
-/// FNV-1a over `bytes`: a digest that pins an export's exact bytes.
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
-}
-
 #[test]
 fn armed_width1_flight_log_replays_its_pinned_digest() {
     // The armed width-1 timeline's exact bytes, unbatched and batched:
     // every event, its simulated timestamp and its order.
-    let (bed, streams) = bed_and_streams(4);
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
     for (batched, pinned) in [(false, 0x00a0_3c3d_a125_94fb), (true, 0xd77d_90ba_ff7c_e54e)] {
         for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 2 }] {
             let report = run(&bed, &streams, schedule, batched, true);
@@ -140,7 +111,7 @@ fn field(line: &str, key: &str) -> u64 {
 fn flight_log_sees_every_query_at_every_width() {
     // Every event is stamped with the clock its shared step read on the
     // fleet's calling thread, so widths 2 and 4 export width 1's JSONL.
-    let (bed, streams) = bed_and_streams(6);
+    let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
     let mut width_one = None;
     for workers in [1usize, 2, 4] {
         let report = run(&bed, &streams, Schedule::WorkStealing { workers }, false, true);

@@ -414,7 +414,7 @@ fn steady_state_graph_build_allocates_nothing() {
     // --- Batch queue steady state (ISSUE 9) --------------------------------
     //
     // One round of the batched I/O lane — stage a phase's pages (unique
-    // misses, coalesced duplicates, and owner-tagged window requests),
+    // misses, coalesced duplicates, and window requests),
     // submit in elevator order, fan outcomes back out, recycle — must
     // allocate nothing once the slot/waiter/outcome buffers and the
     // single-flight page table have warmed to the phase's high-water
