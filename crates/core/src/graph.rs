@@ -20,12 +20,14 @@
 //! (the *chain pass*, which also unites them into components), and writes
 //! each CSR row once, already ascending and duplicate-free, from one counting
 //! sort of those pairs — no sort within a row, no dedup (see
-//! `ResultGraph::assemble_csr`). All of it runs over scratch buffers borrowed
-//! from a [`scout_sim::QueryScratch`] arena, so a warmed
-//! thread rebuilds a graph every query without touching the allocator
-//! (DESIGN.md §6). The pre-CSR adjacency-list implementation survives as
-//! [`crate::reference::ReferenceGraph`], the property-test oracle and
-//! bench baseline.
+//! `ResultGraph::assemble_csr`). The explicit build makes each adjacency
+//! entry a cell holding just its two objects and shares everything after
+//! pass 1. All of it runs over scratch buffers borrowed from a
+//! [`scout_sim::QueryScratch`] arena, so a warmed thread rebuilds a graph
+//! every query without touching the allocator (DESIGN.md §6). The pre-CSR
+//! adjacency-list implementation survives as
+//! [`crate::reference::ReferenceGraph`], the property-test oracle and bench
+//! baseline.
 //!
 //! Vertex numbering (result order), the edge set and the component
 //! labeling are identical to the reference build, so simulation traces are
@@ -343,8 +345,8 @@ impl ResultGraph {
         units
     }
 
-    /// Passes 2–3 of the grid-hash build: the vertex-major pair list
-    /// in `scratch.cell_pairs` becomes the CSR adjacency in one *chain
+    /// Passes 2–3 of both builds: the vertex-major pair list in
+    /// `scratch.cell_pairs` becomes the CSR adjacency in one *chain
     /// pass*, a counting sort and one scatter, writing every target slot
     /// exactly once. Every loop is flat — over the pairs, the edges or the
     /// vertices — so none pays a mispredicted exit per row.
@@ -479,9 +481,13 @@ impl ResultGraph {
         units.graph_edge_inserts += self.edge_count as u64;
     }
 
-    /// Rebuilds this graph in place from an explicit dataset adjacency,
-    /// restricted to the result objects, reusing buffers like
+    /// Rebuilds this graph in place from an explicit dataset adjacency
+    /// (§4.1), restricted to the result objects, reusing buffers like
     /// [`ResultGraph::build_grid_hash`].
+    ///
+    /// Each entry from a result vertex `v` to another result vertex `w` is
+    /// a cell holding just the two, and the grid build's chain pass does the
+    /// rest (its stamp drops an entry listed on both ends or twice).
     ///
     /// Never looks at an object, so it cannot fill `scratch.frame`: a
     /// caller that goes on to predict gathers it
@@ -495,28 +501,39 @@ impl ResultGraph {
     ) -> CpuUnits {
         self.clear();
         let mut units = CpuUnits::default();
-        for &oid in result_ids {
-            self.object_ids.push(oid);
-            units.graph_object_inserts += 1;
-        }
+        self.object_ids.extend_from_slice(result_ids);
+        units.graph_object_inserts += result_ids.len() as u64;
         self.rebuild_remap(&mut scratch.edges);
-        scratch.edges.clear();
+        let QueryScratch { cell_pairs, edges, counts, .. } = scratch;
+        cell_pairs.clear();
+        counts.clear();
+        counts.resize(result_ids.len(), 0);
+        let mut cells = 0u32;
         for (v, &oid) in result_ids.iter().enumerate() {
             let v = v as u32;
             for &nb in adjacency.neighbors(oid) {
-                if let Some(w) = self.vertex_of(nb) {
-                    if w != v {
-                        // Both directions: the dataset adjacency may list
-                        // an edge on one endpoint only; dedup below makes
-                        // the result symmetric either way.
-                        scratch.edges.push((v, w));
-                        scratch.edges.push((w, v));
-                    }
+                if let Some(w) = self.vertex_of(nb).filter(|&w| w != v) {
+                    cell_pairs.extend([(cells, v), (cells, w)]);
+                    counts[v as usize] += 1;
+                    counts[w as usize] += 1;
+                    cells += 1;
                 }
             }
         }
-        self.finish_csr(scratch, &mut units);
-        self.unite_rows(&mut scratch.components);
+        // The chain pass reads the pairs vertex-major: one counting sort by
+        // vertex (a comparison sort of the pairs doubles the build), with
+        // `offsets` as the cursors until `assemble_csr` writes them.
+        Self::prefix_sum_offsets(&mut self.offsets, counts);
+        edges.clear();
+        edges.resize(cell_pairs.len(), (0, 0));
+        for &(c, v) in cell_pairs.iter() {
+            let at = &mut self.offsets[v as usize];
+            edges[*at as usize] = (c, v);
+            *at += 1;
+        }
+        std::mem::swap(cell_pairs, edges);
+        // The chain pass's `head` table needs at least one slot.
+        self.assemble_csr(scratch, cells.max(1) as usize, &mut units);
         units
     }
 
@@ -604,40 +621,10 @@ impl ResultGraph {
         );
     }
 
-    /// Lays the scratch edge multiset (both directions present) out as
-    /// CSR: degree histogram, scatter, then [`ResultGraph::dedup_rows`].
-    /// Used by the explicit-adjacency build; the grid build never
-    /// materializes an edge list ([`ResultGraph::assemble_csr`]).
-    fn finish_csr(&mut self, scratch: &mut QueryScratch, units: &mut CpuUnits) {
-        let n = self.object_ids.len();
-        let edges = &scratch.edges;
-        // Degree histogram (duplicates included).
-        scratch.counts.clear();
-        scratch.counts.resize(n, 0);
-        for &(a, _) in edges {
-            scratch.counts[a as usize] += 1;
-        }
-        let total = Self::prefix_sum_offsets(&mut self.offsets, &scratch.counts);
-        debug_assert_eq!(total, edges.len());
-        // Scatter, reusing the histogram as per-row write cursors.
-        self.targets.clear();
-        self.targets.resize(total, 0);
-        for c in scratch.counts.iter_mut() {
-            *c = 0;
-        }
-        for &(a, b) in edges {
-            let idx = self.offsets[a as usize] + scratch.counts[a as usize];
-            self.targets[idx as usize] = b;
-            scratch.counts[a as usize] += 1;
-        }
-        self.dedup_rows(units);
-    }
-
-    /// Prefix-sums the per-row incidence counts into `offsets` and
-    /// returns the total. Accumulates in `u64` — the counts include
-    /// duplicates, so on a pathologically coarse grid the total can
-    /// exceed `u32::MAX` even though the deduped graph would fit — and
-    /// fails loudly instead of wrapping into a corrupt layout.
+    /// Prefix-sums the row lengths into `offsets` and returns the total,
+    /// summed in `u64`: duplicate-free rows of a large enough result on a
+    /// coarse enough grid still overflow `u32` offsets, which must fail
+    /// loudly rather than wrap into a corrupt layout.
     fn prefix_sum_offsets(offsets: &mut Vec<u32>, counts: &[u32]) -> usize {
         let total: u64 = counts.iter().map(|&c| c as u64).sum();
         assert!(
@@ -654,39 +641,6 @@ impl ResultGraph {
             offsets.push(sum);
         }
         total as usize
-    }
-
-    /// Sorts + dedups every CSR row in place, compacting rows left as
-    /// they shrink (the write cursor never overtakes a row's old start),
-    /// and fixes up offsets and the edge counter. Each row is short —
-    /// O(Σ row·log row) total, no sort over the full edge list. Charges
-    /// one `graph_edge_inserts` unit per unique undirected edge — the
-    /// same count the seed's `add_edge` accumulated.
-    fn dedup_rows(&mut self, units: &mut CpuUnits) {
-        let n = self.object_ids.len();
-        let mut write = 0usize;
-        for v in 0..n {
-            let start = self.offsets[v] as usize;
-            let end = self.offsets[v + 1] as usize;
-            let row = &mut self.targets[start..end];
-            row.sort_unstable();
-            let mut unique = 0usize;
-            for i in 0..row.len() {
-                if unique == 0 || row[i] != row[unique - 1] {
-                    row[unique] = row[i];
-                    unique += 1;
-                }
-            }
-            debug_assert!(write <= start, "compaction cursor overtook row start");
-            self.offsets[v] = write as u32;
-            self.targets.copy_within(start..start + unique, write);
-            write += unique;
-        }
-        self.offsets[n] = write as u32;
-        self.targets.truncate(write);
-        debug_assert_eq!(self.targets.len() % 2, 0, "undirected edges appear twice");
-        self.edge_count = self.targets.len() / 2;
-        units.graph_edge_inserts += self.edge_count as u64;
     }
 }
 

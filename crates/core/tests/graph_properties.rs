@@ -129,40 +129,6 @@ proptest! {
         prop_assert_eq!(gu.graph_object_inserts, ru.graph_object_inserts);
         prop_assert_eq!(gu.graph_edge_inserts, ru.graph_edge_inserts);
     }
-
-    /// The CSR explicit-adjacency build is equivalent to the seed build
-    /// on random adjacencies and random result subsets.
-    #[test]
-    fn csr_explicit_matches_reference(
-        objects in arb_objects(),
-        raw_edges in prop::collection::vec((0usize..80, 0usize..80), 0..160),
-        keep_mask in prop::collection::vec(0u8..2, 80),
-    ) {
-        let n = objects.len();
-        // Symmetric adjacency lists from random pairs.
-        let mut lists: Vec<Vec<ObjectId>> = vec![Vec::new(); n];
-        for &(a, b) in &raw_edges {
-            let (a, b) = (a % n, b % n);
-            if a != b {
-                lists[a].push(ObjectId(b as u32));
-                lists[b].push(ObjectId(a as u32));
-            }
-        }
-        let adj = ObjectAdjacency::from_lists(&lists);
-        // A random result subset (never empty: keep object 0).
-        let mut ids: Vec<ObjectId> = objects
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| *i == 0 || keep_mask[*i % keep_mask.len()] == 1)
-            .map(|(_, o)| o.id)
-            .collect();
-        ids.dedup();
-        let (g, gu) = ResultGraph::from_explicit(&adj, &ids);
-        let (r, ru) = ReferenceGraph::from_explicit(&adj, &ids);
-        assert_graphs_equal(&g, &r)?;
-        prop_assert_eq!(gu.graph_object_inserts, ru.graph_object_inserts);
-        prop_assert_eq!(gu.graph_edge_inserts, ru.graph_edge_inserts);
-    }
 }
 
 /// Asserts the CSR graph and the reference graph are the same graph:
@@ -218,8 +184,9 @@ fn cylinder(i: usize, a: Vec3, b: Vec3) -> SpatialObject {
 }
 
 // The chain-pass assembly against the seed build, on the inputs that steer
-// it: both `head` tables, vertices without cells, crowded cells, and pairs
-// of vertices that meet in several cells.
+// it: both `head` tables, vertices without cells, crowded cells, pairs of
+// vertices that meet in several cells, and the explicit build's two-object
+// cells.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -309,6 +276,49 @@ proptest! {
             });
             prop_assert!(shared || g.edge_count() == 0 || objects.len() < 4);
         }
+    }
+
+    /// The CSR explicit-adjacency build is equivalent to the seed build
+    /// on random adjacencies and random result subsets. The adjacency is
+    /// as untidy as a dataset's may be: entries listed on one end only,
+    /// repeated entries and self-entries.
+    #[test]
+    fn csr_explicit_matches_reference(
+        objects in arb_objects(),
+        raw_edges in prop::collection::vec((0usize..80, 0usize..80), 0..160),
+        keep_mask in prop::collection::vec(0u8..2, 80),
+    ) {
+        let n = objects.len();
+        let mut lists: Vec<Vec<ObjectId>> = vec![Vec::new(); n];
+        for (i, &(a, b)) in raw_edges.iter().enumerate() {
+            let (a, b) = (a % n, b % n);
+            lists[a].push(ObjectId(b as u32));
+            // Every odd pair is listed on `a`'s end only, every fifth
+            // twice there, and every seventh adds a self-entry.
+            if i % 2 == 0 {
+                lists[b].push(ObjectId(a as u32));
+            }
+            if i % 5 == 0 {
+                lists[a].push(ObjectId(b as u32));
+            }
+            if i % 7 == 0 {
+                lists[a].push(ObjectId(a as u32));
+            }
+        }
+        let adj = ObjectAdjacency::from_lists(&lists);
+        // A random result subset (never empty: keep object 0).
+        let mut ids: Vec<ObjectId> = objects
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| *i == 0 || keep_mask[*i % keep_mask.len()] == 1)
+            .map(|(_, o)| o.id)
+            .collect();
+        ids.dedup();
+        let (g, gu) = ResultGraph::from_explicit(&adj, &ids);
+        let (r, ru) = ReferenceGraph::from_explicit(&adj, &ids);
+        assert_graphs_equal(&g, &r)?;
+        prop_assert_eq!(gu.graph_object_inserts, ru.graph_object_inserts);
+        prop_assert_eq!(gu.graph_edge_inserts, ru.graph_edge_inserts);
     }
 }
 

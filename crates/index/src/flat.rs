@@ -267,12 +267,6 @@ impl SpatialIndex for FlatIndex {
         self.rtree.layout()
     }
 
-    fn pages_in_region(&self, region: &Aabb) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.pages_in_region_into(region, &mut out);
-        out
-    }
-
     /// Natural retrieval order for FLAT is the crawl from the region
     /// center.
     fn pages_in_region_into(&self, region: &Aabb, out: &mut Vec<PageId>) {

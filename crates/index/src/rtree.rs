@@ -332,12 +332,6 @@ impl SpatialIndex for RTree {
         &self.layout
     }
 
-    fn pages_in_region(&self, region: &Aabb) -> Vec<PageId> {
-        let mut out = Vec::new();
-        self.pages_in_region_into(region, &mut out);
-        out
-    }
-
     /// Pages come out in ascending id order: every level was packed from
     /// consecutive entries, and every node is walked in slot order.
     fn pages_in_region_into(&self, region: &Aabb, out: &mut Vec<PageId>) {

@@ -46,15 +46,14 @@ pub trait SpatialIndex {
     fn layout(&self) -> &PageLayout;
 
     /// Pages whose MBR intersects `region`, in the index's natural
-    /// retrieval order.
-    fn pages_in_region(&self, region: &Aabb) -> Vec<PageId>;
+    /// retrieval order, into `out`, replacing its contents.
+    fn pages_in_region_into(&self, region: &Aabb, out: &mut Vec<PageId>);
 
-    /// [`SpatialIndex::pages_in_region`] into `out`, replacing its
-    /// contents. The default goes through the allocating call; an index
-    /// with a walk of its own overrides this and wraps it the other way.
-    fn pages_in_region_into(&self, region: &Aabb, out: &mut Vec<PageId>) {
-        out.clear();
-        out.extend(self.pages_in_region(region));
+    /// [`SpatialIndex::pages_in_region_into`] into a fresh vector.
+    fn pages_in_region(&self, region: &Aabb) -> Vec<PageId> {
+        let mut out = Vec::new();
+        self.pages_in_region_into(region, &mut out);
+        out
     }
 
     /// Executes a range query into `out`, replacing its contents: touches

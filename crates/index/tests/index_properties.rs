@@ -380,8 +380,8 @@ mod prefetched_scan {
             &self.layout
         }
 
-        fn pages_in_region(&self, _region: &Aabb) -> Vec<PageId> {
-            self.pages.clone()
+        fn pages_in_region_into(&self, _region: &Aabb, out: &mut Vec<PageId>) {
+            out.clone_from(&self.pages);
         }
     }
 

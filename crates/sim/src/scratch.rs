@@ -90,21 +90,20 @@ pub struct QueryScratch {
     /// Like the rest of the arena it is transient working memory, not
     /// prediction state: `PredictionStats::memory_bytes` does not count it.
     pub frame: ResultFrame,
-    /// `(cell, vertex)` pairs grid hashing emits, vertex-major, straight
-    /// off the cell walk (CSR build pass 1) and then links into per-cell
-    /// chains to find co-located objects.
+    /// `(cell, vertex)` pairs, vertex-major, that the graph build links
+    /// into per-cell chains to find co-located objects: grid hashing emits
+    /// them straight off the cell walk (CSR build pass 1), the explicit
+    /// build as one two-object cell per adjacency entry.
     pub cell_pairs: Vec<(u32, u32)>,
-    /// Directed edge list `(source, target)` of the explicit-adjacency
-    /// build. In the grid-hash build: the spare of the reverse index's
-    /// radix sort, then the `(vertex, pair before)` chain links, then the
-    /// chain pass's meetings sorted by their lower vertex.
+    /// In the graph build: the spare of the reverse index's radix sort,
+    /// then the `(vertex, pair before)` chain links, then the chain pass's
+    /// meetings sorted by their lower vertex.
     pub edges: Vec<(u32, u32)>,
     /// Connected components: the builds leave union-find parents here
     /// (every set rooted at its lowest vertex), labelling turns them into
     /// one label per vertex.
     pub components: Vec<u32>,
-    /// Per-vertex counters (degree histogram / scatter cursors of the
-    /// explicit build); per-cell chain heads of the grid-hash build.
+    /// The chain pass's per-cell chain heads (by cell id, or hashed).
     pub counts: Vec<u32>,
     /// Per-component centroid sums (exit-direction smoothing).
     pub centroid_sums: Vec<Vec3>,

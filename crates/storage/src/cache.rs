@@ -152,29 +152,6 @@ impl PrefetchCache {
         }
     }
 
-    /// Zeroes the counters while keeping the cached pages (measure a run
-    /// over a warm cache without the warm-up skewing the numbers).
-    pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
-        self.insertions = 0;
-        self.evictions = 0;
-    }
-
-    /// Empties the cache and zeroes all counters (run between sequences,
-    /// §7.1).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.nodes.clear();
-        self.free.clear();
-        self.head = NIL;
-        self.tail = NIL;
-        self.hits = 0;
-        self.misses = 0;
-        self.insertions = 0;
-        self.evictions = 0;
-    }
-
     fn unlink(&mut self, slot: u32) {
         let (prev, next) = {
             let n = &self.nodes[slot as usize];
@@ -279,35 +256,6 @@ mod tests {
         assert_eq!(c.insert(PageId(2)), Some(PageId(1)));
         assert_eq!(c.len(), 1);
         assert!(c.contains(PageId(2)));
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let mut c = PrefetchCache::new(2);
-        c.insert(PageId(1));
-        c.access(PageId(1));
-        c.access(PageId(9));
-        c.clear();
-        assert!(c.is_empty());
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.evictions), (0, 0, 0));
-        assert!(!c.contains(PageId(1)));
-    }
-
-    #[test]
-    fn reset_stats_keeps_contents() {
-        let mut c = PrefetchCache::new(2);
-        c.insert(PageId(1));
-        c.insert(PageId(2));
-        c.insert(PageId(3)); // evicts 1
-        c.access(PageId(2));
-        c.access(PageId(9));
-        c.reset_stats();
-        let s = c.stats();
-        assert_eq!((s.hits, s.misses, s.insertions, s.evictions), (0, 0, 0, 0));
-        assert_eq!(s.len, 2);
-        assert_eq!(s.capacity, 2);
-        assert!(c.contains(PageId(2)) && c.contains(PageId(3)));
     }
 
     #[test]

@@ -270,9 +270,6 @@ impl DiskModel {
         policy: &RetryPolicy,
         deadline_us: &mut f64,
     ) -> Result<f64, FailedRead> {
-        if self.faults.is_none() {
-            return Ok(self.read_page_raw(page));
-        }
         // Attempt 1 here; everything after a failed first attempt is the
         // continuation the batched waiters also run, so the ladder
         // (backoff, deadline, exhaustion, counters) exists once.

@@ -128,22 +128,6 @@ impl ShardedCache {
         self.len() == 0
     }
 
-    /// Empties every shard and zeroes all counters.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.borrow_mut().clear();
-        }
-        self.coalesced_hits.set(0);
-    }
-
-    /// Zeroes every shard's counters while keeping the cached pages.
-    pub fn reset_stats(&self) {
-        for shard in &self.shards {
-            shard.borrow_mut().reset_stats();
-        }
-        self.coalesced_hits.set(0);
-    }
-
     /// Aggregate snapshot: the shards' counters summed.
     pub fn stats(&self) -> CacheStats {
         let mut total = CacheStats {
@@ -303,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_reset_stats() {
+    fn coalesced_waiters_join_the_access_count() {
         let c = ShardedCache::new(16, 4);
         c.insert(PageId(1));
         c.access(PageId(1));
@@ -311,12 +295,6 @@ mod tests {
         c.note_coalesced_hits(3);
         assert_eq!(c.stats().coalesced_hits, 3);
         assert_eq!(c.stats().accesses(), 5);
-        c.reset_stats();
-        assert_eq!(c.stats().accesses(), 0);
-        assert!(c.contains(PageId(1)), "reset_stats must keep contents");
-        c.clear();
-        assert!(c.is_empty());
-        assert!(!c.contains(PageId(1)));
     }
 
     #[test]

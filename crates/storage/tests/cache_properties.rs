@@ -50,13 +50,6 @@ impl OracleLru {
         self.pages.insert(0, p);
         evicted
     }
-    fn reset_stats(&mut self) {
-        self.stats = CacheStats { capacity: self.cap, ..CacheStats::default() };
-    }
-    fn clear(&mut self) {
-        self.pages.clear();
-        self.reset_stats();
-    }
     fn stats(&self) -> CacheStats {
         CacheStats { len: self.pages.len(), ..self.stats }
     }
@@ -67,14 +60,11 @@ enum Op {
     Access(PageId),
     Insert(PageId),
     Contains(PageId),
-    ResetStats,
-    Clear,
 }
 
 /// Operation streams over 64 page ids spaced `stride` apart — stride 1
 /// is a narrow dense range, a larger one a wide range up to `u32::MAX`.
-/// Of 100 ops, 40 access, 40 insert, 14 probe, 5 reset the counters and 1
-/// clears.
+/// Of 100 ops, 40 access, 40 insert and 20 probe.
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     let ops = prop::collection::vec((0u32..100, 0u32..64), 0..400);
     (prop_oneof![Just(1u32), 2u32..=u32::MAX / 64], ops).prop_map(|(stride, ops)| {
@@ -84,9 +74,7 @@ fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
                 match kind {
                     0..40 => Op::Access(page),
                     40..80 => Op::Insert(page),
-                    80..94 => Op::Contains(page),
-                    94..99 => Op::ResetStats,
-                    _ => Op::Clear,
+                    _ => Op::Contains(page),
                 }
             })
             .collect()
@@ -109,14 +97,6 @@ proptest! {
                 Op::Contains(p) => {
                     prop_assert_eq!(cache.contains(p), oracle.pages.contains(&p), "contains({:?})", p)
                 }
-                Op::ResetStats => {
-                    cache.reset_stats();
-                    oracle.reset_stats();
-                }
-                Op::Clear => {
-                    cache.clear();
-                    oracle.clear();
-                }
             }
             prop_assert_eq!(cache.pages_mru_order(), oracle.pages.clone());
             prop_assert_eq!(cache.stats(), oracle.stats());
@@ -138,14 +118,6 @@ proptest! {
                 Op::Access(p) => prop_assert_eq!(sharded.access(p), lru.access(p), "access({:?})", p),
                 Op::Insert(p) => prop_assert_eq!(sharded.insert(p), lru.insert(p), "insert({:?})", p),
                 Op::Contains(p) => prop_assert_eq!(sharded.contains(p), lru.contains(p)),
-                Op::ResetStats => {
-                    sharded.reset_stats();
-                    lru.reset_stats();
-                }
-                Op::Clear => {
-                    sharded.clear();
-                    lru.clear();
-                }
             }
             prop_assert_eq!(sharded.len(), lru.len());
         }
