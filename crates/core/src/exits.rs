@@ -7,8 +7,8 @@
 //! yield better results" — §4.4.)
 
 use crate::graph::{ResultGraph, VertexId};
+use crate::ResultFrame;
 use scout_geometry::{Aabb, QueryRegion, Segment, Simplification, Simplified, SpatialObject, Vec3};
-use scout_sim::ResultFrame;
 
 /// A location where a candidate structure leaves the query region.
 #[derive(Debug, Clone, Copy)]
@@ -81,7 +81,7 @@ fn exit_of_segment(seg: &Segment, region: &QueryRegion) -> Option<(Vec3, Vec3)> 
 /// `component_of` labels the vertices `0..comp_count`. `out` receives the
 /// exits (cleared first); `centroid_sum` and `component_tally` are
 /// per-component accumulator scratch — on the hot path all of them come
-/// from the stepping thread's [`scout_sim::QueryScratch`] arena plus the
+/// from the thread's [`ScoutScratch`](crate::ScoutScratch) plus the
 /// prefetcher's exit buffer. Returns the number of traversal steps
 /// performed — the DFS over candidate structures whose cost Figure 16
 /// measures: one per examined vertex plus one per incident edge, summed

@@ -22,8 +22,8 @@
 //! sort of those pairs — no sort within a row, no dedup (see
 //! `ResultGraph::assemble_csr`). The explicit build makes each adjacency
 //! entry a cell holding just its two objects and shares everything after
-//! pass 1. All of it runs over scratch buffers borrowed from a
-//! [`scout_sim::QueryScratch`] arena, so a warmed thread rebuilds a graph
+//! pass 1. All of it runs over the buffers of the [`ScoutScratch`] part of
+//! a [`scout_sim::QueryScratch`] arena, so a warmed thread rebuilds a graph
 //! every query without touching the allocator (DESIGN.md §6). The pre-CSR
 //! adjacency-list implementation survives as
 //! [`crate::reference::ReferenceGraph`], the property-test oracle and bench
@@ -34,6 +34,7 @@
 //! unchanged; only the neighbor ordering is now canonical (ascending)
 //! instead of hash-map incidental.
 
+use crate::scratch::ScoutScratch;
 use scout_geometry::{
     ObjectAdjacency, ObjectId, QueryRegion, Simplification, SpatialObject, UniformGrid,
 };
@@ -127,8 +128,6 @@ pub struct ResultGraph {
     /// Sparse fallback: `(object id, vertex)` pairs sorted by object id,
     /// used (empty `remap_dense`) when the id range is too spread out.
     remap_pairs: Vec<(u32, VertexId)>,
-    /// Undirected edge count, fixed at construction (was an O(V) fold).
-    edge_count: usize,
 }
 
 impl ResultGraph {
@@ -140,7 +139,7 @@ impl ResultGraph {
     /// Number of undirected edges.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.targets.len() / 2
     }
 
     /// The dataset object behind a vertex.
@@ -191,24 +190,13 @@ impl ResultGraph {
     /// index), for the §8.2 memory measurements. Exact for the flat
     /// layout: no hash-bucket overhead, no per-vertex `Vec` headers. The
     /// graph holds nothing else — the build's working buffers belong to
-    /// the caller's [`QueryScratch`] and are not counted.
+    /// the caller's [`ScoutScratch`] and are not counted.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.object_ids.len() * std::mem::size_of::<ObjectId>()
             + self.offsets.len() * std::mem::size_of::<u32>()
             + self.targets.len() * std::mem::size_of::<VertexId>()
             + self.remap_dense.len() * std::mem::size_of::<u32>()
             + self.remap_pairs.len() * std::mem::size_of::<(u32, VertexId)>()
-    }
-
-    /// Empties the graph, retaining every buffer's capacity.
-    pub(crate) fn clear(&mut self) {
-        self.object_ids.clear();
-        self.offsets.clear();
-        self.targets.clear();
-        self.remap_dense.clear();
-        self.remap_base = 0;
-        self.remap_pairs.clear();
-        self.edge_count = 0;
     }
 
     /// Connected components; returns (component id per vertex, count).
@@ -227,7 +215,7 @@ impl ResultGraph {
     /// ids, so the labeling depends only on the edge *set* — identical to
     /// the reference implementation's DFS. Union-find over each row's
     /// backward part, then the labelling sweep. The hot path skips the
-    /// unions: both builds leave them done in `QueryScratch::components`.
+    /// unions: both builds leave them done in `ScoutScratch::components`.
     pub fn components_into(&self, comp: &mut Vec<u32>) -> usize {
         self.unite_rows(comp);
         label_components(comp)
@@ -306,10 +294,10 @@ impl ResultGraph {
     /// `HashMap` entries and O(degree) `contains` checks.
     ///
     /// Pass 1 is the one place the prediction loads the object records, so
-    /// it also leaves `scratch.frame` describing exactly this graph's
-    /// vertices. The chain pass unites each pair it finds, so
-    /// `scratch.components` comes back holding the union-find parents
-    /// the labelling sweep turns into labels.
+    /// it also leaves the arena's [`ScoutScratch::frame`] describing
+    /// exactly this graph's vertices. The chain pass unites each pair it
+    /// finds, so [`ScoutScratch::components`] comes back holding the
+    /// union-find parents the labelling sweep turns into labels.
     pub fn build_grid_hash(
         &mut self,
         scratch: &mut QueryScratch,
@@ -319,7 +307,8 @@ impl ResultGraph {
         resolution: u32,
         simplification: scout_geometry::Simplification,
     ) -> CpuUnits {
-        self.clear();
+        self.object_ids.clear();
+        let scratch = scratch.part::<ScoutScratch>();
         let mut units = CpuUnits::default();
         let grid = UniformGrid::with_resolution(*region.aabb(), resolution);
         scratch.frame.clear();
@@ -334,7 +323,7 @@ impl ResultGraph {
         self.object_ids.extend_from_slice(result_ids);
         units.graph_object_inserts += n as u64;
         {
-            let QueryScratch { frame, cell_pairs, .. } = scratch;
+            let ScoutScratch { frame, cell_pairs, .. } = scratch;
             for (v, &oid) in result_ids.iter().enumerate() {
                 let simplified = frame.push(&objects[oid.index()], simplification);
                 grid.for_each_simplified_cell(&simplified, |c| cell_pairs.push((c, v as u32)));
@@ -376,14 +365,14 @@ impl ResultGraph {
     /// both parts of every row in ascending order.
     fn assemble_csr(
         &mut self,
-        scratch: &mut QueryScratch,
+        scratch: &mut ScoutScratch,
         cell_count: usize,
         units: &mut CpuUnits,
     ) {
         let n = self.object_ids.len();
-        let QueryScratch {
+        let ScoutScratch {
             cell_pairs: pairs,
-            counts: head,
+            heads: head,
             edges: links,
             components: parent,
             met_stamp: stamp,
@@ -477,8 +466,7 @@ impl ResultGraph {
             (0..n).all(|v| self.targets[self.row(v as u32)].windows(2).all(|w| w[0] < w[1])),
             "rows must come out ascending and duplicate-free"
         );
-        self.edge_count = total / 2;
-        units.graph_edge_inserts += self.edge_count as u64;
+        units.graph_edge_inserts += (total / 2) as u64;
     }
 
     /// Rebuilds this graph in place from an explicit dataset adjacency
@@ -489,22 +477,23 @@ impl ResultGraph {
     /// a cell holding just the two, and the grid build's chain pass does the
     /// rest (its stamp drops an entry listed on both ends or twice).
     ///
-    /// Never looks at an object, so it cannot fill `scratch.frame`: a
-    /// caller that goes on to predict gathers it
-    /// ([`ResultFrame::gather`](scout_sim::ResultFrame::gather)). Like the
-    /// grid build it leaves union-find parents in `scratch.components`.
+    /// Never looks at an object, so it cannot fill [`ScoutScratch::frame`]:
+    /// a caller that goes on to predict gathers it
+    /// ([`ResultFrame::gather`](crate::ResultFrame::gather)). Like the grid
+    /// build it leaves union-find parents in [`ScoutScratch::components`].
     pub fn build_explicit(
         &mut self,
         scratch: &mut QueryScratch,
         adjacency: &ObjectAdjacency,
         result_ids: &[ObjectId],
     ) -> CpuUnits {
-        self.clear();
+        self.object_ids.clear();
+        let scratch = scratch.part::<ScoutScratch>();
         let mut units = CpuUnits::default();
         self.object_ids.extend_from_slice(result_ids);
         units.graph_object_inserts += result_ids.len() as u64;
         self.rebuild_remap(&mut scratch.edges);
-        let QueryScratch { cell_pairs, edges, counts, .. } = scratch;
+        let ScoutScratch { cell_pairs, edges, heads: counts, .. } = scratch;
         cell_pairs.clear();
         counts.clear();
         counts.resize(result_ids.len(), 0);
@@ -755,10 +744,11 @@ mod tests {
                         &mut scratch, &objects, &ids, &region, res, Simplification::Segment,
                     );
                 }
-                let count = label_components(&mut scratch.components);
+                let parents = &mut scratch.part::<ScoutScratch>().components;
+                let count = label_components(parents);
                 let (comp, expected) = graph.components();
                 prop_assert_eq!(count, expected);
-                prop_assert_eq!(&scratch.components, &comp);
+                prop_assert_eq!(&*parents, &comp);
             }
         }
     }

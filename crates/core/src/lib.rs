@@ -22,8 +22,10 @@ mod opt;
 mod prefetcher;
 pub mod reference;
 pub mod scoring;
+mod scratch;
 
 pub use config::{ScoutConfig, Strategy};
 pub use graph::ResultGraph;
 pub use opt::ScoutOpt;
 pub use prefetcher::Scout;
+pub use scratch::{ResultFrame, ScoutScratch};

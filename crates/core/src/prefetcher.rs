@@ -14,6 +14,7 @@ use crate::exits::{extrapolate, find_exits_into, Exit};
 use crate::graph::{label_components, ResultGraph};
 use crate::kmeans::kmeans_into;
 use crate::scoring::{score_exits, ScoringScratch};
+use crate::scratch::ScoutScratch;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scout_geometry::{QueryRegion, Vec3};
@@ -250,9 +251,10 @@ impl Scout {
     /// graph build (§4.1/§4.2) + prediction.
     ///
     /// Transient structures (component labels, centroid accumulators,
-    /// candidate flags, staged predictions) live in `scratch`, whose result
-    /// frame the graph build fills for exactly this graph's vertices:
-    /// nothing after the build goes back to the dataset's object array.
+    /// candidate flags, staged predictions) live in the arena's
+    /// [`ScoutScratch`], whose result frame the graph build fills for
+    /// exactly this graph's vertices: nothing after the build goes back to
+    /// the dataset's object array.
     fn observe_impl(
         &mut self,
         ctx: &SimContext<'_>,
@@ -266,7 +268,8 @@ impl Scout {
         // nothing.
         let mut units = match ctx.adjacency {
             Some(adj) => {
-                scratch.frame.gather(ctx.objects, &result.objects, self.config.simplification);
+                let frame = &mut scratch.part::<ScoutScratch>().frame;
+                frame.gather(ctx.objects, &result.objects, self.config.simplification);
                 self.graph.build_explicit(scratch, adj, &result.objects)
             }
             None => self.graph.build_grid_hash(
@@ -278,22 +281,23 @@ impl Scout {
                 self.config.simplification,
             ),
         };
-        debug_assert_eq!(scratch.frame.len(), self.graph.vertex_count(), "frame of another result");
+        let s = scratch.part::<ScoutScratch>();
+        debug_assert_eq!(s.frame.len(), self.graph.vertex_count(), "frame of another result");
         self.update_motion(region);
 
         // Both builds leave the components united; label them.
-        let comp_count = label_components(&mut scratch.components);
+        let comp_count = label_components(&mut s.components);
         units.traversal_steps += self.graph.vertex_count() as u64; // labeling pass
 
         // §4.3 iterative candidate pruning.
         let tolerance = CONTINUITY_TOLERANCE_FRAC * region.side() + self.gap_estimate;
         let cont = self.tracker.continuing_components(
-            &scratch.frame.centroids,
+            &s.frame.centroids,
             &self.graph,
-            &scratch.components,
+            &s.components,
             comp_count,
             tolerance,
-            &mut scratch.candidate_flags,
+            &mut s.candidate_flags,
         );
         units.traversal_steps += cont.steps;
 
@@ -305,14 +309,14 @@ impl Scout {
             was_reset = true;
         } else {
             let steps = find_exits_into(
-                &scratch.frame,
+                &s.frame,
                 &self.graph,
-                &scratch.components,
+                &s.components,
                 comp_count,
                 region,
-                Some(&scratch.candidate_flags),
-                &mut scratch.centroid_sums,
-                &mut scratch.component_tally,
+                Some(&s.candidate_flags),
+                &mut s.centroid_sums,
+                &mut s.component_tally,
                 &mut exits,
             );
             units.traversal_steps += steps;
@@ -325,18 +329,18 @@ impl Scout {
             // §4.3 reset: candidates = all structures of this result (those
             // that exit the query are the only ones that can be followed).
             let steps = find_exits_into(
-                &scratch.frame,
+                &s.frame,
                 &self.graph,
-                &scratch.components,
+                &s.components,
                 comp_count,
                 region,
                 None,
-                &mut scratch.centroid_sums,
-                &mut scratch.component_tally,
+                &mut s.centroid_sums,
+                &mut s.component_tally,
                 &mut exits,
             );
             units.traversal_steps += steps;
-            let flags = &mut scratch.candidate_flags;
+            let flags = &mut s.candidate_flags;
             flags.fill(false);
             candidates = exits.iter().map(|e| flag_component(flags, e.component)).sum();
         }
@@ -344,18 +348,16 @@ impl Scout {
         self.forward_filter(&mut exits);
 
         // Build the plan now (so its CPU is charged to this prediction).
-        scratch.predictions.clear();
+        s.predictions.clear();
         let (plan, kmeans_us) = if exits.is_empty() {
             self.last_locations.clear();
             (self.fallback_plan(), 0.0)
         } else {
             let (kmeans_us, score_steps) =
-                self.choose_locations(&scratch.frame.centroids, region, &exits);
+                self.choose_locations(&s.frame.centroids, region, &exits);
             units.traversal_steps += score_steps;
             let predict_dist = self.gap_estimate + region.side() / 2.0;
-            scratch
-                .predictions
-                .extend(self.last_locations.iter().map(|e| extrapolate(e, predict_dist)));
+            s.predictions.extend(self.last_locations.iter().map(|e| extrapolate(e, predict_dist)));
             (self.incremental_plan(&self.last_locations, self.gap_estimate), kmeans_us)
         };
         units.extra_us += kmeans_us;
@@ -365,13 +367,13 @@ impl Scout {
         // objects of this query's candidate structures. Committed through
         // the tracker's recycled set, so no per-query set is built.
         self.tracker
-            .commit_ids(exits.iter().map(|e| self.graph.object_id(e.vertex)), &scratch.predictions);
+            .commit_ids(exits.iter().map(|e| self.graph.object_id(e.vertex)), &s.predictions);
 
         // Prediction *state* only (§8.2): the graph, the labels and the
         // exits. The scratch arena — result frame included — is working
         // memory any prefetcher would hand back, and stays out.
         let memory_bytes = self.graph.memory_bytes()
-            + scratch.components.len() * std::mem::size_of::<u32>()
+            + s.components.len() * std::mem::size_of::<u32>()
             + exits.len() * std::mem::size_of::<Exit>();
         let stats = PredictionStats {
             cpu: units,

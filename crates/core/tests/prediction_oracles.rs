@@ -16,7 +16,7 @@ use scout_core::candidates::CandidateTracker;
 use scout_core::exits::{find_exits_into, Exit};
 use scout_core::kmeans::kmeans;
 use scout_core::scoring::{score_exits, ScoringScratch};
-use scout_core::{reference, ResultGraph};
+use scout_core::{reference, ResultFrame, ResultGraph, ScoutScratch};
 use scout_geometry::{
     Aspect, ObjectAdjacency, ObjectId, QueryRegion, Segment, Shape, Simplification, SpatialObject,
     StructureId, Vec3,
@@ -54,7 +54,7 @@ fn beds() -> &'static [Bed; 2] {
 }
 
 /// One random query over one of the beds, its graph built and labeled,
-/// the frame in `scratch` describing exactly its vertices.
+/// the frame describing exactly its vertices.
 struct Case {
     objects: &'static [SpatialObject],
     region: QueryRegion,
@@ -62,7 +62,7 @@ struct Case {
     graph: ResultGraph,
     component_of: Vec<u32>,
     comp_count: usize,
-    scratch: QueryScratch,
+    frame: ResultFrame,
     rng: SmallRng,
 }
 
@@ -86,19 +86,22 @@ fn case(seed: u64) -> Case {
 
     let mut scratch = QueryScratch::new();
     let mut graph = ResultGraph::default();
-    match &bed.dataset.adjacency {
+    let frame = match &bed.dataset.adjacency {
         // The explicit build has no per-object loop: its caller gathers.
         Some(adjacency) if rng.random_bool(0.5) => {
-            scratch.frame.gather(objects, &ids, simplification);
+            let mut frame = ResultFrame::default();
+            frame.gather(objects, &ids, simplification);
             graph.build_explicit(&mut scratch, adjacency, &ids);
+            frame
         }
         _ => {
             let resolution = [512, 4_096, 32_768][rng.random_range(0..3usize)];
             graph.build_grid_hash(&mut scratch, objects, &ids, &region, resolution, simplification);
+            std::mem::take(&mut scratch.part::<ScoutScratch>().frame)
         }
-    }
+    };
     let (component_of, comp_count) = graph.components();
-    Case { objects, region, simplification, graph, component_of, comp_count, scratch, rng }
+    Case { objects, region, simplification, graph, component_of, comp_count, frame, rng }
 }
 
 impl Case {
@@ -106,14 +109,14 @@ impl Case {
     fn exits(&mut self) -> Vec<Exit> {
         let mut exits = Vec::new();
         find_exits_into(
-            &self.scratch.frame,
+            &self.frame,
             &self.graph,
             &self.component_of,
             self.comp_count,
             &self.region,
             None,
-            &mut self.scratch.centroid_sums,
-            &mut self.scratch.component_tally,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut exits,
         );
         exits
@@ -137,10 +140,10 @@ fn assert_scores_match(
     side: f64,
     movement: Option<Vec3>,
     exits: &[Exit],
-    scratch: &QueryScratch,
+    frame: &ResultFrame,
 ) -> Result<u64, TestCaseError> {
     let mut scoring = ScoringScratch::default();
-    let centroids = &scratch.frame.centroids;
+    let centroids = &frame.centroids;
     let steps = score_exits(graph, centroids, center, side, movement, exits, &mut scoring);
     prop_assert_eq!(scoring.scores.len(), exits.len());
     let mut oracle_steps = 0u64;
@@ -174,14 +177,14 @@ proptest! {
 
         let mut exits = vec![Exit { point: Vec3::ZERO, dir: Vec3::ZERO, vertex: 9, component: 9 }];
         let steps = find_exits_into(
-            &c.scratch.frame,
+            &c.frame,
             &c.graph,
             &c.component_of,
             c.comp_count,
             &c.region,
             filter.as_deref(),
-            &mut c.scratch.centroid_sums,
-            &mut c.scratch.component_tally,
+            &mut Vec::new(),
+            &mut Vec::new(),
             &mut exits,
         );
         let (oracle, oracle_steps) = reference::find_exits(
@@ -216,7 +219,7 @@ proptest! {
         // The query center, or somewhere off it.
         let center = c.region.center() + Vec3::splat(c.rng.random_range(-0.3..0.3) * c.region.side());
         assert_scores_match(
-            &c.graph, c.objects, center, c.region.side(), movement, &exits, &c.scratch,
+            &c.graph, c.objects, center, c.region.side(), movement, &exits, &c.frame,
         )?;
     }
 
@@ -245,7 +248,7 @@ proptest! {
             let anchor = c.objects[c.rng.random_range(0..c.objects.len())].centroid();
             let on_result = n > 0 && c.rng.random_bool(0.7);
             let anchor = if on_result {
-                c.scratch.frame.centroids[c.rng.random_range(0..n)]
+                c.frame.centroids[c.rng.random_range(0..n)]
             } else {
                 anchor
             };
@@ -258,7 +261,7 @@ proptest! {
 
         let mut flags = vec![true; 3];
         let cont = tracker.continuing_components(
-            &c.scratch.frame.centroids,
+            &c.frame.centroids,
             &c.graph,
             &c.component_of,
             c.comp_count,
@@ -284,7 +287,7 @@ proptest! {
         let mut c = case(seed);
         let mut points: Vec<Vec3> = c.exits().iter().map(|e| e.point).collect();
         for _ in 0..c.rng.random_range(0..40usize) {
-            let p = c.scratch.frame.centroids[c.rng.random_range(0..c.graph.vertex_count())];
+            let p = c.frame.centroids[c.rng.random_range(0..c.graph.vertex_count())];
             points.push(p);
             if c.rng.random_bool(0.3) {
                 points.push(p); // coinciding locations
@@ -315,7 +318,7 @@ proptest! {
 
 /// A straight chain of `n` unit segments along x with its explicit
 /// adjacency, fully inside a region whose +x face cuts the last segment.
-fn chain(n: u32) -> (Vec<SpatialObject>, ResultGraph, QueryScratch, QueryRegion) {
+fn chain(n: u32) -> (Vec<SpatialObject>, ResultGraph, ResultFrame, QueryRegion) {
     let objects: Vec<SpatialObject> = (0..n)
         .map(|i| {
             let a = Vec3::new(i as f64, 50.0, 50.0);
@@ -333,24 +336,24 @@ fn chain(n: u32) -> (Vec<SpatialObject>, ResultGraph, QueryScratch, QueryRegion)
         })
         .collect();
     let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
-    let mut scratch = QueryScratch::new();
-    scratch.frame.gather(&objects, &ids, Simplification::Segment);
+    let mut frame = ResultFrame::default();
+    frame.gather(&objects, &ids, Simplification::Segment);
     let mut graph = ResultGraph::default();
-    graph.build_explicit(&mut scratch, &ObjectAdjacency::from_lists(&lists), &ids);
+    graph.build_explicit(&mut QueryScratch::new(), &ObjectAdjacency::from_lists(&lists), &ids);
     // x spans [-0.5, n - 0.5]: the last segment crosses the +x face.
     let side = n as f64;
     let center = Vec3::new(side / 2.0 - 0.5, 50.0, 50.0);
     let region = QueryRegion::new(center, side * side * side, Aspect::Cube);
-    (objects, graph, scratch, region)
+    (objects, graph, frame, region)
 }
 
 /// The exit of the chain's last segment, walked through both paths.
 fn chain_walk_steps(n: u32) -> u64 {
-    let (objects, graph, scratch, region) = chain(n);
+    let (objects, graph, frame, region) = chain(n);
     let (component_of, comp_count) = graph.components();
     let mut exits = Vec::new();
     find_exits_into(
-        &scratch.frame,
+        &frame,
         &graph,
         &component_of,
         comp_count,
@@ -364,16 +367,9 @@ fn chain_walk_steps(n: u32) -> u64 {
     assert_eq!(exits[0].vertex, n - 1);
     // The same exit twice: the second walk runs entirely off the memo.
     let exits = [exits[0], exits[0]];
-    let steps = assert_scores_match(
-        &graph,
-        &objects,
-        region.center(),
-        region.side(),
-        None,
-        &exits,
-        &scratch,
-    )
-    .unwrap();
+    let steps =
+        assert_scores_match(&graph, &objects, region.center(), region.side(), None, &exits, &frame)
+            .unwrap();
     assert_eq!(steps % 2, 0);
     steps / 2
 }
@@ -402,7 +398,7 @@ fn memoised_walk_stops_at_dead_ends() {
 fn fixture(
     centroids: &[Vec3],
     edges: &[(u32, u32)],
-) -> (Vec<SpatialObject>, ResultGraph, QueryScratch) {
+) -> (Vec<SpatialObject>, ResultGraph, ResultFrame) {
     let objects: Vec<SpatialObject> = centroids
         .iter()
         .enumerate()
@@ -414,11 +410,11 @@ fn fixture(
         lists[b as usize].push(ObjectId(a));
     }
     let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
-    let mut scratch = QueryScratch::new();
-    scratch.frame.gather(&objects, &ids, Simplification::Segment);
+    let mut frame = ResultFrame::default();
+    frame.gather(&objects, &ids, Simplification::Segment);
     let mut graph = ResultGraph::default();
-    graph.build_explicit(&mut scratch, &ObjectAdjacency::from_lists(&lists), &ids);
-    (objects, graph, scratch)
+    graph.build_explicit(&mut QueryScratch::new(), &ObjectAdjacency::from_lists(&lists), &ids);
+    (objects, graph, frame)
 }
 
 /// An exit at `vertex` whose walk sets off against `dir`.
@@ -429,13 +425,13 @@ fn exit_at(vertex: u32, dir: Vec3) -> Exit {
 /// Scores `exits` on the fixture through both paths (side 1, no movement)
 /// and returns the hot path's scores.
 fn fixture_scores(
-    (objects, graph, scratch): &(Vec<SpatialObject>, ResultGraph, QueryScratch),
+    (objects, graph, frame): &(Vec<SpatialObject>, ResultGraph, ResultFrame),
     center: Vec3,
     exits: &[Exit],
 ) -> Vec<f64> {
-    assert_scores_match(graph, objects, center, 1.0, None, exits, scratch).unwrap();
+    assert_scores_match(graph, objects, center, 1.0, None, exits, frame).unwrap();
     let mut scoring = ScoringScratch::default();
-    score_exits(graph, &scratch.frame.centroids, center, 1.0, None, exits, &mut scoring);
+    score_exits(graph, &frame.centroids, center, 1.0, None, exits, &mut scoring);
     scoring.scores.iter().map(|&(s, _)| s).collect()
 }
 
@@ -466,7 +462,7 @@ fn equally_aligned_neighbours_go_to_the_first_slot() {
         &[x(0.0, 0.0), x(1.0, 1.0), x(1.0, -1.0), x(2.0, 2.0), x(2.0, -2.0)],
         &[(0, 1), (0, 2), (1, 3), (2, 4)],
     );
-    let centroids = &bed.2.frame.centroids;
+    let centroids = &bed.2.centroids;
     let align = |v: usize| (centroids[v] - centroids[0]).normalized_or_x().dot(x(1.0, 0.0));
     assert_eq!(align(1).to_bits(), align(2).to_bits(), "the fixture must tie");
     let center = x(2.0, -2.0);

@@ -28,7 +28,7 @@
 //! decorrelate sessions without adding schedule sensitivity.
 
 use crate::feedback::{FeedbackConfig, FeedbackController};
-use crate::markov::{MarkovConfig, TransitionPredictor};
+use crate::markov::{HistoryScratch, MarkovConfig, TransitionPredictor};
 use scout_core::{Scout, ScoutConfig};
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
@@ -152,8 +152,8 @@ impl HybridPrefetcher {
     /// zero-allocation suite can measure it in isolation from SCOUT's plan
     /// assembly. Returns the work units charged as prediction CPU.
     ///
-    /// Allocation contract: works entirely out of `scratch` and the
-    /// hybrid's reusable buffers; performs zero heap allocations once
+    /// Allocation contract: works entirely out of the arena's history part
+    /// and the hybrid's reusable buffers; performs zero heap allocations once
     /// their capacity has warmed to the workload.
     pub fn digest_history(
         &mut self,
@@ -165,16 +165,17 @@ impl HybridPrefetcher {
 
         // 1. How much of this query did each source's staged prediction
         //    cover? (The per-source hit-rate signal of the feedback loop.)
-        scratch.pages_sorted.clear();
-        scratch.pages_sorted.extend(pages.iter().map(|p| p.0));
-        scratch.pages_sorted.sort_unstable();
+        let pages_sorted = &mut scratch.part::<HistoryScratch>().pages_sorted;
+        pages_sorted.clear();
+        pages_sorted.extend(pages.iter().map(|p| p.0));
+        pages_sorted.sort_unstable();
         let markov_cov = if self.markov_predicted.is_empty() || pages.is_empty() {
             None
         } else {
             let hits = self
                 .markov_predicted
                 .iter()
-                .filter(|p| scratch.pages_sorted.binary_search(p).is_ok())
+                .filter(|p| pages_sorted.binary_search(p).is_ok())
                 .count();
             Some(hits as f64 / pages.len() as f64)
         };

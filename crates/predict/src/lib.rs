@@ -14,8 +14,8 @@
 //!
 //! * `TransitionPredictor` — an online, bounded-memory page-level Markov
 //!   model (order 1–2, frequency-decayed counts, deterministic top-k
-//!   extraction through the stepping thread's `QueryScratch`), trained from the
-//!   pages each query actually touched.
+//!   extraction through its part of the stepping thread's `QueryScratch`),
+//!   trained from the pages each query actually touched.
 //! * [`MarkovPrefetcher`] — the model as a standalone history-only
 //!   baseline for comparisons.
 //! * [`HybridPrefetcher`] — SCOUT and the Markov model merged under a

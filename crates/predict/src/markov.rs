@@ -22,10 +22,10 @@
 //! * **Prediction** — a best-first expansion from the current tail context:
 //!   emit the strongest successors, descend into their contexts with
 //!   multiplied scores, stop at the page budget. The expansion works out of
-//!   the stepping thread's [`QueryScratch`] buffers and a reusable output vector,
-//!   so the extraction is allocation-free after warmup too. An order-2
-//!   context that was never seen backs off to its order-1 suffix at a
-//!   score penalty.
+//!   the [`HistoryScratch`] part of the stepping thread's [`QueryScratch`]
+//!   and a reusable output vector, so the extraction is allocation-free
+//!   after warmup too. An order-2 context that was never seen backs off to
+//!   its order-1 suffix at a score penalty.
 //! * **Determinism** — no randomness on any query path. The seed only
 //!   perturbs the context hash, so per-session instances built
 //!   from [`MarkovConfig::with_seed`] place their contexts differently
@@ -34,6 +34,17 @@
 
 use scout_sim::QueryScratch;
 use scout_storage::PageId;
+
+/// The history side's part of the stepping thread's [`QueryScratch`].
+#[derive(Default)]
+pub(crate) struct HistoryScratch {
+    /// Sorted copy of the query's result pages (the hybrid's coverage probes).
+    pub(crate) pages_sorted: Vec<u32>,
+    /// The extraction's best-first frontier of `(score, prev, last page)`.
+    frontier: Vec<(f64, u32, u32)>,
+    /// Sorted pages one extraction has emitted (dedup).
+    emitted: Vec<u32>,
+}
 
 /// Context key marking an empty table slot / an unset history register.
 const NONE: u32 = u32::MAX;
@@ -324,8 +335,9 @@ impl TransitionPredictor {
 
     /// Extracts up to `budget` predicted pages, most plausible first, by
     /// best-first expansion from the current tail context (see the module
-    /// docs). Works entirely out of `scratch` and `out`; allocation-free
-    /// once their capacity has warmed to the workload.
+    /// docs). Works entirely out of the arena's [`HistoryScratch`] and
+    /// `out`; allocation-free once their capacity has warmed to the
+    /// workload.
     pub(crate) fn predict_into(
         &self,
         budget: usize,
@@ -333,13 +345,14 @@ impl TransitionPredictor {
         out: &mut Vec<PageId>,
     ) {
         out.clear();
-        scratch.markov_frontier.clear();
-        scratch.markov_emitted.clear();
+        let HistoryScratch { frontier, emitted, .. } = scratch.part::<HistoryScratch>();
+        frontier.clear();
+        emitted.clear();
         if budget == 0 || self.h1 == NONE {
             return;
         }
         let start_prev = if self.config.order == 2 { self.h2 } else { NONE };
-        scratch.markov_frontier.push((1.0, start_prev, self.h1));
+        frontier.push((1.0, start_prev, self.h1));
         // Bound the frontier so one query's expansion stays O(budget), and
         // bound the pops outright: a cyclic chain whose pages are all
         // emitted already would otherwise re-feed the frontier forever
@@ -348,14 +361,14 @@ impl TransitionPredictor {
         let max_pops = budget.saturating_mul(4).max(64);
         let mut pops = 0usize;
 
-        while out.len() < budget && !scratch.markov_frontier.is_empty() && pops < max_pops {
+        while out.len() < budget && !frontier.is_empty() && pops < max_pops {
             pops += 1;
             // Pop the highest-scored context (ties break on the smaller
             // context key — fully deterministic).
             let mut best = 0;
-            for i in 1..scratch.markov_frontier.len() {
-                let a = scratch.markov_frontier[i];
-                let b = scratch.markov_frontier[best];
+            for i in 1..frontier.len() {
+                let a = frontier[i];
+                let b = frontier[best];
                 let cmp = a.0.total_cmp(&b.0);
                 if cmp == std::cmp::Ordering::Greater
                     || (cmp == std::cmp::Ordering::Equal && (a.1, a.2) < (b.1, b.2))
@@ -363,7 +376,7 @@ impl TransitionPredictor {
                     best = i;
                 }
             }
-            let (score, prev, last) = scratch.markov_frontier.swap_remove(best);
+            let (score, prev, last) = frontier.swap_remove(best);
             // Order-2 context never seen: back off to the order-1 suffix
             // at a score penalty.
             let (slot, score) = match self.find(prev, last) {
@@ -400,17 +413,17 @@ impl TransitionPredictor {
                 let Some(i) = pick else { break };
                 visited |= 1 << i;
                 let (page, w) = row[i];
-                if let Err(at) = scratch.markov_emitted.binary_search(&page) {
-                    scratch.markov_emitted.insert(at, page);
+                if let Err(at) = emitted.binary_search(&page) {
+                    emitted.insert(at, page);
                     out.push(PageId(page));
                     if out.len() >= budget {
                         return;
                     }
                 }
                 let child = score * (w / total).clamp(0.0, 1.0) as f64;
-                if child > 1e-6 && scratch.markov_frontier.len() < frontier_cap {
+                if child > 1e-6 && frontier.len() < frontier_cap {
                     let child_prev = if self.config.order == 2 { last } else { NONE };
-                    scratch.markov_frontier.push((child, child_prev, page));
+                    frontier.push((child, child_prev, page));
                 }
             }
         }

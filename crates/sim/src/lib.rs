@@ -34,6 +34,6 @@ pub use multi::{
 };
 pub use prefetcher::{NoPrefetch, PredictionStats, PrefetchPlan, PrefetchRequest, Prefetcher};
 pub use scheduler::SchedulerReport;
-pub use scratch::{QueryScratch, ResultFrame};
+pub use scratch::QueryScratch;
 pub use session::Session;
 pub use telemetry::TelemetryReport;

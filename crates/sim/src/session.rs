@@ -39,20 +39,18 @@ use std::ops::DerefMut;
 use std::sync::Arc;
 
 // The buffers a step fills and forgets — `serve_observe`'s query result,
-// the batched serve's fan-in of demand outcomes, the page list a window
-// resolves a `Region` request into, and the query scratch arena a
-// prefetcher's digest fills (DESIGN.md §6) — belong to the thread, not to
-// the session: a fleet is thousands of sessions, and only the stepping
-// thread needs them. (The engine's own serves keep their results in a
-// block-sized pool, in `scheduler.rs`.) A step takes the buffer out and
-// puts it back when done. Under `QueryScratch`'s contract — capacity
+// the page list a window resolves a `Region` request into, and the query
+// scratch arena a prefetcher's digest fills (DESIGN.md §6) — belong to
+// the thread, not to the session: a fleet is thousands of sessions, and
+// only the stepping thread needs them. (The engine's own serves keep
+// their results in a block-sized pool, in `scheduler.rs`.) A step takes
+// the buffer out and puts it back when done. Under `QueryScratch`'s contract — capacity
 // carries over, contents never do — a step that panics, or one that runs
 // inside another on the same thread, costs the thread its warmed
 // capacity and nothing else.
 thread_local! {
     static SERVE_RESULT: Cell<QueryResult> =
         const { Cell::new(QueryResult { pages: Vec::new(), objects: Vec::new() }) };
-    static FAN_IN: Cell<Vec<(PageId, Result<f64, FailedRead>)>> = const { Cell::new(Vec::new()) };
     static WINDOW_PAGES: Cell<Vec<PageId>> = const { Cell::new(Vec::new()) };
     static SCRATCH: Cell<QueryScratch> = const { Cell::new(QueryScratch::new()) };
 }
@@ -336,13 +334,10 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             };
             (q.window_us - prediction_delay).max(0.0)
         };
-        if self.telem.is_some() {
-            let faults = self.disk.fault_report();
-            if let Some(tm) = &mut self.telem {
-                tm.note_query_served(t_us, self.next as u32, &q);
-                tm.note_retries(t_us, faults);
-                tm.note_window_opened(t_us, budget_us);
-            }
+        if let Some(tm) = &mut self.telem {
+            tm.note_query_served(t_us, self.next as u32, &q);
+            tm.note_retries(t_us, self.disk.fault_report());
+            tm.note_window_opened(t_us, budget_us);
         }
         self.open = Some(OpenWindow { q, budget_us });
     }
@@ -401,15 +396,13 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             window.q
         };
         self.disk.end_query();
-        if self.telem.is_some() {
-            let t = self.now_us();
-            if let Some(tm) = &mut self.telem {
-                if allowed {
-                    tm.note_window_closed(t, q.prefetch_pages, q.gap_pages);
-                } else {
-                    let trips = self.disk.fault_report().map_or(0, |f| f.breaker_trips);
-                    tm.note_window_shed(t, trips);
-                }
+        if let Some(tm) = &mut self.telem {
+            let t = self.disk.clock().map_or(0.0, |c| c.now_us());
+            if allowed {
+                tm.note_window_closed(t, q.prefetch_pages, q.gap_pages);
+            } else {
+                let trips = self.disk.fault_report().map_or(0, |f| f.breaker_trips);
+                tm.note_window_shed(t, trips);
             }
         }
         self.trace.queries.push(q);
@@ -471,19 +464,17 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         let Some(PendingServe { mut q, result }) = self.pending.take() else {
             return;
         };
-        let mut fetched = FAN_IN.take();
-        demand.copy_outcomes(&self.staged_slots, &mut fetched);
         let retry = &config.faults.retry;
         let mut deadline_us = retry.deadline_us;
-        for &(page, outcome) in &fetched {
-            let served = outcome.or_else(|first| {
+        for &slot in &self.staged_slots {
+            let page = demand.page_at(slot);
+            let served = demand.outcome_at(slot).or_else(|first| {
                 self.disk.resume_read_retrying(page, first, retry, &mut deadline_us)
             });
             if !charge_demand(served, &mut q, &mut self.trace.io) {
                 break;
             }
         }
-        FAN_IN.set(fetched);
         let t_us = self.now_us();
         self.observe(ctx, &result, config, q, t_us);
     }

@@ -155,7 +155,8 @@ impl IoBatcher {
         self.pages[slot as usize]
     }
 
-    /// The submitted outcome of a slot. Panics before `submit`.
+    /// The submitted outcome of a slot. Panics before `submit`. One failed
+    /// physical read fans its `IoError` out to every waiter of its slot.
     pub fn outcome_at(&self, slot: u32) -> Result<f64, FailedRead> {
         self.outcomes[slot as usize]
     }
@@ -190,16 +191,6 @@ impl IoBatcher {
         self.report.batches += 1;
         self.report.failed_reads += self.outcomes.iter().filter(|o| o.is_err()).count() as u64;
         us
-    }
-
-    /// Copies the outcomes of a waiter's recorded slots (with their
-    /// pages) into `out`, clearing it first. One failed physical read
-    /// fans its `IoError` out to every waiter that recorded its slot.
-    pub fn copy_outcomes(&self, slots: &[u32], out: &mut Vec<(PageId, Result<f64, FailedRead>)>) {
-        out.clear();
-        for &slot in slots {
-            out.push((self.pages[slot as usize], self.outcomes[slot as usize]));
-        }
     }
 
     /// Forgets the staged phase, keeping every buffer's capacity.
@@ -351,12 +342,10 @@ mod tests {
         }
         b.submit(1, 0);
         assert_eq!(b.report().failed_reads, 1, "one physical read failed");
-        let mut out = Vec::new();
-        b.copy_outcomes(&slots, &mut out);
-        assert_eq!(out.len(), 3, "every waiter sees the outcome");
-        for (page, outcome) in out {
-            assert_eq!(page, PageId(42));
-            let failed = outcome.expect_err("fanned-out failure");
+        assert_eq!(slots.len(), 3, "every waiter sees the outcome");
+        for slot in slots {
+            assert_eq!(b.page_at(slot), PageId(42));
+            let failed = b.outcome_at(slot).expect_err("fanned-out failure");
             assert_eq!(failed.error, IoError::Transient { page: PageId(42) });
         }
         // The device attempted the page once, not once per waiter.

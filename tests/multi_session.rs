@@ -345,6 +345,48 @@ fn fleet_predictions_equal_solo_predictions() {
 }
 
 #[test]
+fn prefetchers_sharing_one_arena_match_fresh_arenas() {
+    // The arena holds one part per type — SCOUT's graph buffers, the
+    // history side's frontier — and every part's contents die with the
+    // call that filled them. SCOUT, SCOUT-OPT and the hybrid take turns
+    // query by query on one arena; each one's prediction stats and plan
+    // must be what the same prefetcher computes on a fresh arena every
+    // query: on a grid-hashed neuron bed and on a road bed whose explicit
+    // adjacency takes the other build. Each stream is walked twice so the
+    // hybrid's history side predicts too.
+    let neurons = TestBed::new(generate_neurons(&NeuronParams::with_target_objects(20_000), 11));
+    let roads = TestBed::new(generate_roads(&RoadParams { grid_n: 24, ..Default::default() }, 21));
+    for bed in [&neurons, &roads] {
+        let volume = 400.0 / bed.dataset.density();
+        let params = SequenceParams { length: 8, volume, ..SequenceParams::sensitivity_default() };
+        let regions =
+            generate_sequences(&bed.dataset, &params, 1, WORKLOAD_SEED)[0].regions.repeat(2);
+        let make = || -> [Box<dyn Prefetcher>; 3] {
+            [
+                Box::new(Scout::with_seed(5)),
+                Box::new(ScoutOpt::with_defaults()),
+                Box::new(HybridPrefetcher::with_seed(5)),
+            ]
+        };
+        let contexts = [bed.ctx_rtree(), bed.ctx_flat(), bed.ctx_rtree()];
+        let (mut shared, mut fresh) = (make(), make());
+        let mut arena = QueryScratch::new();
+        for (n, region) in regions.iter().enumerate() {
+            for (i, ctx) in contexts.iter().enumerate() {
+                let result = ctx.index.range_query(ctx.objects, region);
+                let a = shared[i].observe_with_scratch(ctx, region, &result, &mut arena);
+                let b =
+                    fresh[i].observe_with_scratch(ctx, region, &result, &mut QueryScratch::new());
+                let name = shared[i].name();
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name} query {n}: stats");
+                let (a, b) = (shared[i].plan(ctx), fresh[i].plan(ctx));
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "{name} query {n}: plan");
+            }
+        }
+    }
+}
+
+#[test]
 fn tenant_labels_do_not_reorder_the_fleet() {
     // Tenants are report labels: a fleet that spans two of them runs in
     // slot order like an unlabelled one, so under eviction pressure —

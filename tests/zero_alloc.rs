@@ -34,7 +34,7 @@
 //! process-global, so a concurrently running sibling test would pollute
 //! the measured window.
 
-use scout::core::ResultGraph;
+use scout::core::{ResultGraph, ScoutScratch};
 use scout::geometry::{Aspect, ObjectAdjacency, QueryRegion, UniformGrid};
 use scout::index::{RTree, SpatialIndex};
 use scout::predict::HybridPrefetcher;
@@ -120,9 +120,9 @@ fn steady_state_graph_build_allocates_nothing() {
     let simplification = scout::geometry::Simplification::Segment;
     for (region, ids) in regions.iter().zip(&results) {
         graph.build_grid_hash(&mut scratch, objects, ids, region, resolution, simplification);
-        graph.components_into(&mut scratch.components);
+        graph.components_into(&mut scratch.part::<ScoutScratch>().components);
         graph.build_explicit(&mut scratch, &adjacency, ids);
-        graph.components_into(&mut scratch.components);
+        graph.components_into(&mut scratch.part::<ScoutScratch>().components);
     }
 
     // Steady state: the same tour must not allocate at all.
@@ -130,10 +130,10 @@ fn steady_state_graph_build_allocates_nothing() {
     for _ in 0..3 {
         for (region, ids) in regions.iter().zip(&results) {
             graph.build_grid_hash(&mut scratch, objects, ids, region, resolution, simplification);
-            let n = graph.components_into(&mut scratch.components);
+            let n = graph.components_into(&mut scratch.part::<ScoutScratch>().components);
             std::hint::black_box(n);
             graph.build_explicit(&mut scratch, &adjacency, ids);
-            let n = graph.components_into(&mut scratch.components);
+            let n = graph.components_into(&mut scratch.part::<ScoutScratch>().components);
             std::hint::black_box(n);
         }
     }
@@ -205,12 +205,12 @@ fn steady_state_graph_build_allocates_nothing() {
             simplification,
         );
         let cells = UniformGrid::with_resolution(*viewport.aabb(), res).cell_count() as usize;
+        let pairs = scratch.part::<ScoutScratch>().cell_pairs.len();
         assert_eq!(
-            cells <= scratch.cell_pairs.len().max(1024) * 4,
+            cells <= pairs.max(1024) * 4,
             direct,
             "resolution {res} is on the wrong side of the `head`-table switch: \
-             {cells} cells, {} pairs",
-            scratch.cell_pairs.len()
+             {cells} cells, {pairs} pairs"
         );
     }
 
@@ -219,7 +219,7 @@ fn steady_state_graph_build_allocates_nothing() {
             for ids in [win, sparse.as_slice()] {
                 for res in [resolution, coarse] {
                     graph.build_grid_hash(scratch, objects, ids, &viewport, res, simplification);
-                    let c = graph.components_into(&mut scratch.components);
+                    let c = graph.components_into(&mut scratch.part::<ScoutScratch>().components);
                     std::hint::black_box(c);
                 }
             }
@@ -415,18 +415,14 @@ fn steady_state_graph_build_allocates_nothing() {
     //
     // One round of the batched I/O lane — stage a phase's pages (unique
     // misses, coalesced duplicates, and window requests),
-    // submit in elevator order, fan outcomes back out, recycle — must
+    // submit in elevator order, read each waiter's slot, recycle — must
     // allocate nothing once the slot/waiter/outcome buffers and the
     // single-flight page table have warmed to the phase's high-water
     // occupancy.
     use scout::storage::{DiskModel, DiskProfile, IoBatcher, PageId};
     let mut batcher = IoBatcher::new(DiskModel::new(DiskProfile::default()));
-    let mut fetched: Vec<(PageId, Result<f64, scout::storage::FailedRead>)> = Vec::new();
     let mut slots: Vec<u32> = Vec::new();
-    let round = |batcher: &mut IoBatcher,
-                 slots: &mut Vec<u32>,
-                 fetched: &mut Vec<(PageId, Result<f64, scout::storage::FailedRead>)>,
-                 epoch: u64| {
+    let round = |batcher: &mut IoBatcher, slots: &mut Vec<u32>, epoch: u64| {
         slots.clear();
         // Staged in descending order so the elevator sort does real work;
         // every page staged twice, so the coalescing table fans out.
@@ -442,14 +438,14 @@ fn steady_state_graph_build_allocates_nothing() {
         }
         let io_us = batcher.submit(1, epoch);
         std::hint::black_box(io_us);
-        batcher.copy_outcomes(slots, fetched);
-        assert_eq!(fetched.len(), 96);
+        let fetched = slots.iter().filter(|&&slot| batcher.outcome_at(slot).is_ok()).count();
+        assert_eq!(fetched, 96);
         batcher.begin_phase();
     };
-    round(&mut batcher, &mut slots, &mut fetched, 0);
+    round(&mut batcher, &mut slots, 0);
     let before = allocations();
     for epoch in 1..4u64 {
-        round(&mut batcher, &mut slots, &mut fetched, epoch);
+        round(&mut batcher, &mut slots, epoch);
     }
     let after = allocations();
     assert_eq!(
