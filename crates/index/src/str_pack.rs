@@ -5,15 +5,40 @@
 //! run by z and emit pages of B objects. Consecutive page ids end up
 //! spatially coherent, which is also how we model physical adjacency on
 //! the simulated disk.
+//!
+//! Each sort is a stable bucketed sort ([`sort_ids_by_key`]): a counting
+//! sort by a monotone bucket of the key, then a comparison sort inside each
+//! bucket. It gives exactly the permutation of a stable comparison sort, so
+//! the pages are those of the plain pack, but each id's key is loaded a few
+//! times instead of on both sides of ~log₂ N comparisons.
 
-use scout_geometry::{Aabb, SpatialObject};
+use crate::traits::PREFETCH_DISTANCE;
+use scout_geometry::{prefetch_read, Aabb, SpatialObject};
 use scout_storage::{Page, PageId, PageLayout};
 
 /// Default objects per 4 KB page, from §7.1 ("a fanout of 87 objects per
 /// page … bulk loaded using a fill factor of 100%").
 pub const DEFAULT_PAGE_CAPACITY: usize = 87;
 
+/// Keys per bucket, on average, in [`sort_ids_by_key`]. The bucket starts
+/// cost one `u32` per 4 ids; the comparison sort inside a bucket of a few
+/// ids is an insertion sort.
+const KEYS_PER_BUCKET: usize = 4;
+
+/// Slices at most this long are sorted by comparison alone: a comparison
+/// sort of a few dozen ids needs no heap scratch, and bucketing would add
+/// three passes to save a handful of comparisons.
+const SMALL_SLICE: usize = 64;
+
 /// Packs objects into pages with STR and returns the physical layout.
+///
+/// The order is settled first, over one reused `Vec<f64>` of keys (x, then
+/// y, then z, each checked finite as it is filled): `order` is sorted by x,
+/// every slab by y, then every run by z. Slabs and runs are disjoint, and a
+/// stable sort's output depends only on its input and its comparator, so
+/// this equals the interleaved pack. The key buffer, the sort's spare buffer
+/// and its bucket starts are freed before the page pass cuts `order` into
+/// pages.
 ///
 /// # Panics
 /// Panics when `objects` is empty, `capacity` is zero or a centroid has a
@@ -27,47 +52,53 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
     // Tiles per axis: ⌈P^(1/3)⌉ vertical slabs, each sliced into ⌈√(P/Sx)⌉
     // runs, each cut into pages.
     let sx = (page_count as f64).cbrt().ceil() as usize;
+    let slab_len = n.div_ceil(sx).max(1);
+    let run_len = |slab: usize| {
+        let sy = (slab.div_ceil(capacity) as f64).sqrt().ceil() as usize;
+        slab.div_ceil(sy.max(1)).max(1)
+    };
 
-    // The comparators read one centroid coordinate per object from `key`
-    // (x, then y, then z) rather than recomputing centroids from the object
-    // records. Slabs are disjoint, so sorting every slab by y before any run
-    // by z gives the order of the interleaved sorts: each stable sort's
-    // output depends only on its own input and comparator. Every key is
-    // checked as it is filled, before a sort reads it: an infinite one
-    // would sort, but give its page an infinite MBR.
+    // An infinite key would sort, but give its page an infinite MBR.
     let finite = |v: f64| {
         assert!(v.is_finite(), "non-finite coordinate in dataset");
         v
     };
-    let mut key: Vec<f64> = objects.iter().map(|o| finite(o.centroid().x)).collect();
-    let by_key = |key: &[f64], a: &u32, b: &u32| {
-        key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys")
-    };
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by(|a, b| by_key(&key, a, b));
+    {
+        let mut key: Vec<f64> = objects.iter().map(|o| finite(o.centroid().x)).collect();
+        let mut spare = vec![0u32; n];
+        let mut starts = Vec::new();
+        sort_ids_by_key(&mut order, &key, &mut spare, &mut starts);
+        for (k, o) in key.iter_mut().zip(objects) {
+            *k = finite(o.centroid().y);
+        }
+        for slab in order.chunks_mut(slab_len) {
+            sort_ids_by_key(slab, &key, &mut spare, &mut starts);
+        }
+        for (k, o) in key.iter_mut().zip(objects) {
+            *k = finite(o.centroid().z);
+        }
+        for slab in order.chunks_mut(slab_len) {
+            for run in slab.chunks_mut(run_len(slab.len())) {
+                sort_ids_by_key(run, &key, &mut spare, &mut starts);
+            }
+        }
+    }
 
-    let slab_len = n.div_ceil(sx).max(1);
-    for (k, o) in key.iter_mut().zip(objects) {
-        *k = finite(o.centroid().y);
-    }
-    for slab in order.chunks_mut(slab_len) {
-        slab.sort_by(|a, b| by_key(&key, a, b));
-    }
-
-    for (k, o) in key.iter_mut().zip(objects) {
-        *k = finite(o.centroid().z);
-    }
+    // The ids point all over the object array: ask for the record
+    // `PREFETCH_DISTANCE` places ahead in `order` before it is needed.
     let mut pages: Vec<Page> = Vec::with_capacity(page_count);
-    for slab in order.chunks_mut(slab_len) {
-        let slab_pages = slab.len().div_ceil(capacity);
-        let sy = (slab_pages as f64).sqrt().ceil() as usize;
-        let run_len = slab.len().div_ceil(sy.max(1));
-        for run in slab.chunks_mut(run_len.max(1)) {
-            run.sort_by(|a, b| by_key(&key, a, b));
+    let mut at = 0;
+    for slab in order.chunks(slab_len) {
+        for run in slab.chunks(run_len(slab.len())) {
             for chunk in run.chunks(capacity) {
                 let mut mbr = Aabb::EMPTY;
                 let mut ids = Vec::with_capacity(chunk.len());
                 for &i in chunk {
+                    if let Some(&ahead) = order.get(at + PREFETCH_DISTANCE) {
+                        prefetch_read(&objects[ahead as usize]);
+                    }
+                    at += 1;
                     let obj = &objects[i as usize];
                     mbr = mbr.union(&obj.aabb());
                     ids.push(obj.id);
@@ -78,6 +109,69 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
     }
 
     PageLayout::new(pages, n)
+}
+
+/// Sorts `ids` by `key[id]` with the permutation of a stable `sort_by` on
+/// `partial_cmp`, using `spare` (at least `ids.len()` long) and `starts` as
+/// scratch.
+///
+/// An id's bucket is `⌊(k − lo) · B/(hi − lo)⌋`, clamped to `B − 1`. It is
+/// monotone in `k`: IEEE subtraction and multiplication by a non-negative
+/// scale never reverse an order, and the saturating cast floors. `−0.0` and
+/// `+0.0` give equal differences, so equal keys share a bucket. An
+/// overflowing `hi − lo` gives scale 0, and every key lands in bucket 0
+/// (`∞ · 0` is NaN, which casts to 0 too). A spread so small that
+/// `B/(hi − lo)` overflows gives scale `∞`: `k = lo` lands in bucket 0
+/// (`0 · ∞` is NaN), every other key in `B − 1`. So every key of a lower
+/// bucket is strictly below every key of a higher one, and a stable
+/// counting sort by bucket, then a stable sort by key inside each bucket,
+/// orders the ids by key with ties in input order: the stable sort's
+/// permutation.
+fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut Vec<u32>) {
+    let by_key =
+        |a: &u32, b: &u32| key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys");
+    if ids.len() <= SMALL_SLICE {
+        ids.sort_by(by_key);
+        return;
+    }
+    let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    for &i in ids.iter() {
+        let k = key[i as usize];
+        lo = lo.min(k);
+        hi = hi.max(k);
+    }
+    if lo == hi {
+        return; // every key ties: the stable order is the input order
+    }
+    let buckets = ids.len() / KEYS_PER_BUCKET;
+    let scale = buckets as f64 / (hi - lo);
+    let bucket = |i: u32| (((key[i as usize] - lo) * scale) as usize).min(buckets - 1);
+
+    starts.clear();
+    starts.resize(buckets, 0);
+    let src = &mut spare[..ids.len()];
+    src.copy_from_slice(ids);
+    for &i in src.iter() {
+        starts[bucket(i)] += 1;
+    }
+    let mut sum = 0;
+    for s in starts.iter_mut() {
+        (*s, sum) = (sum, sum + *s);
+    }
+    for &i in src.iter() {
+        let s = &mut starts[bucket(i)];
+        ids[*s as usize] = i;
+        *s += 1;
+    }
+    // Each start now ends its bucket.
+    let mut begin = 0;
+    for &end in starts.iter() {
+        let end = end as usize;
+        if end - begin > 1 {
+            ids[begin..end].sort_by(by_key);
+        }
+        begin = end;
+    }
 }
 
 #[cfg(test)]
@@ -197,5 +291,40 @@ mod tests {
     #[should_panic(expected = "empty dataset")]
     fn empty_dataset_rejected() {
         let _ = str_pack(&[], 87);
+    }
+
+    /// FNV-1a digest of a layout: every page's id, its object ids and its
+    /// MBR bits, in page order.
+    fn layout_digest(layout: &PageLayout) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for page in layout.pages() {
+            eat(&page.id.0.to_le_bytes());
+            for oid in &page.objects {
+                eat(&oid.0.to_le_bytes());
+            }
+            let b = page.mbr;
+            for c in [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z] {
+                eat(&c.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn layout_is_pinned() {
+        // Recorded from the comparison-sort pack: a pack that moves one
+        // object between pages, or one MBR bit, moves a digest.
+        use scout_synth::{generate_neurons, generate_roads, NeuronParams, RoadParams};
+        let neurons = generate_neurons(&NeuronParams::with_target_objects(40_000), 42);
+        let layout = str_pack(&neurons.objects, 87);
+        assert_eq!((layout.page_count(), layout_digest(&layout)), (512, 0xaabd_b954_8ac3_6b6b));
+        let roads = generate_roads(&RoadParams { grid_n: 32, ..Default::default() }, 42);
+        let layout = str_pack(&roads.objects, 4);
+        assert_eq!((layout.page_count(), layout_digest(&layout)), (1870, 0x21d4_36b4_3f20_ccf8));
     }
 }

@@ -17,7 +17,7 @@ use scout_storage::{PageId, PageLayout};
 /// each) cover a memory load's latency; a page holds 87 ids, so the
 /// distance is a small fraction of a page and shorter pages simply
 /// prefetch nothing beyond their head.
-const PREFETCH_DISTANCE: usize = 8;
+pub(crate) const PREFETCH_DISTANCE: usize = 8;
 
 /// The result of a range query.
 #[derive(Debug, Clone, Default)]

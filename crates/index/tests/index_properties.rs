@@ -504,10 +504,11 @@ mod prefetched_scan {
     }
 }
 
-/// `str_pack` sorts over one reused key buffer (x, then y, then z) and
-/// finishes every slab's y-sort before any run's z-sort. Neither may show:
-/// pages, their objects and their MBR bits come out as from the plain
-/// interleaved pack that recomputes centroids in every comparison.
+/// `str_pack` sorts over one reused key buffer (x, then y, then z), with a
+/// bucketed sort in place of a comparison sort, and finishes every slab's
+/// y-sort before any run's z-sort. None of it may show: pages, their
+/// objects and their MBR bits come out as from the plain interleaved pack
+/// that recomputes centroids in every comparison.
 mod str_pack_oracle {
     use super::*;
     use scout_index::str_pack;
@@ -557,6 +558,84 @@ mod str_pack_oracle {
         [b.min.x, b.min.y, b.min.z, b.max.x, b.max.y, b.max.z].map(f64::to_bits)
     }
 
+    fn assert_plain_pack(objects: &[SpatialObject], capacity: usize) -> Result<(), TestCaseError> {
+        let layout = str_pack(objects, capacity);
+        let want = plain_pack(objects, capacity);
+        prop_assert_eq!(layout.page_count(), want.len());
+        for (i, (page, (ids, mbr))) in layout.pages().iter().zip(&want).enumerate() {
+            prop_assert_eq!(page.id, PageId(i as u32));
+            prop_assert_eq!(&page.objects, ids);
+            prop_assert_eq!(mbr_bits(&page.mbr), mbr_bits(mbr));
+        }
+        Ok(())
+    }
+
+    /// How one axis's keys are drawn, each a corner of the bucket
+    /// arithmetic `⌊(k − lo) · B/(hi − lo)⌋`.
+    #[derive(Clone, Copy, Debug)]
+    enum AxisKeys {
+        /// `−0.0` and `+0.0` mixed with ±1: equal keys of two bit patterns.
+        SignedZeros,
+        /// Every key equal.
+        Constant,
+        /// Keys near `±f64::MAX`: `hi − lo` overflows to `∞`.
+        Overflowing,
+        /// A few ulps above 1: a huge scale, cast results past `B`.
+        FewUlps,
+        /// Subnormals of either sign: `B/(hi − lo)` overflows to `∞`.
+        Subnormal,
+    }
+
+    fn axis_key(keys: AxisKeys, raw: u8) -> f64 {
+        let pick = |vals: &[f64]| vals[usize::from(raw) % vals.len()];
+        match keys {
+            AxisKeys::SignedZeros => pick(&[0.0, -0.0, 0.0, -0.0, 1.0, -1.0]),
+            AxisKeys::Constant => 3.5,
+            AxisKeys::Overflowing => pick(&[f64::MAX, -f64::MAX, 1e308, -1e308, 0.0, -0.0]),
+            AxisKeys::FewUlps => f64::from_bits(1.0f64.to_bits() + u64::from(raw % 4)),
+            AxisKeys::Subnormal => {
+                let v = f64::from_bits(u64::from(raw % 8));
+                if raw & 8 == 0 {
+                    v
+                } else {
+                    -v
+                }
+            }
+        }
+    }
+
+    fn arb_axis_keys() -> impl Strategy<Value = AxisKeys> {
+        prop_oneof![
+            Just(AxisKeys::SignedZeros),
+            Just(AxisKeys::Constant),
+            Just(AxisKeys::Overflowing),
+            Just(AxisKeys::FewUlps),
+            Just(AxisKeys::Subnormal),
+        ]
+    }
+
+    /// Points whose three axes each draw their keys one adversarial way,
+    /// at lengths on both sides of the pack's small-slice cutoff (64).
+    fn arb_adversarial_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
+        let short = prop::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 1..=64);
+        let long = prop::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 65..=600);
+        (prop_oneof![short, long], (arb_axis_keys(), arb_axis_keys(), arb_axis_keys())).prop_map(
+            |(raw, axes)| {
+                raw.into_iter()
+                    .enumerate()
+                    .map(|(i, (x, y, z))| {
+                        let p = Vec3::new(
+                            axis_key(axes.0, x),
+                            axis_key(axes.1, y),
+                            axis_key(axes.2, z),
+                        );
+                        SpatialObject::new(ObjectId(i as u32), StructureId(0), Shape::Point(p))
+                    })
+                    .collect()
+            },
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -565,14 +644,19 @@ mod str_pack_oracle {
             objects in arb_grid_objects(),
             capacity in prop_oneof![Just(1usize), Just(4), Just(7), Just(87)],
         ) {
-            let layout = str_pack(&objects, capacity);
-            let want = plain_pack(&objects, capacity);
-            prop_assert_eq!(layout.page_count(), want.len());
-            for (i, (page, (ids, mbr))) in layout.pages().iter().zip(&want).enumerate() {
-                prop_assert_eq!(page.id, PageId(i as u32));
-                prop_assert_eq!(&page.objects, ids);
-                prop_assert_eq!(mbr_bits(&page.mbr), mbr_bits(mbr));
-            }
+            assert_plain_pack(&objects, capacity)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn str_pack_equals_the_plain_pack_on_adversarial_keys(
+            objects in arb_adversarial_objects(),
+            capacity in prop_oneof![Just(1usize), Just(4), Just(87)],
+        ) {
+            assert_plain_pack(&objects, capacity)?;
         }
     }
 

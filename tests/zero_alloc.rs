@@ -30,6 +30,9 @@
 //! ten guide nodes: the guide's adjacency is one CSR array, not a list per
 //! node.
 //!
+//! The STR bulk load is held to a peak heap: no more than the
+//! comparison-sort pack held at once on the same bed.
+//!
 //! This binary holds exactly one `#[test]` on purpose: the counter is
 //! process-global, so a concurrently running sibling test would pollute
 //! the measured window.
@@ -46,14 +49,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested and not yet freed, and the most that ever were.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn grow_live(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        grow_live(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         System.dealloc(ptr, layout)
     }
 
@@ -61,6 +74,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
         // A realloc acquires memory too: growing a Vec in the measured
         // window must count.
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        grow_live(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -505,5 +520,23 @@ fn steady_state_graph_build_allocates_nothing() {
     assert!(
         blocks * 10 < nodes,
         "generating {nodes} guide nodes allocated {blocks} blocks, not fewer than one per ten"
+    );
+
+    // --- STR bulk load transient heap ---------------------------------------
+    //
+    // Not a count but a ceiling: the most heap `str_pack` holds at once,
+    // above what was in use before the call, result included. The figure
+    // is the comparison-sort pack's: its key buffer and order held beside
+    // the finished pages. A faster pack may not buy its speed with memory.
+    let tissue = generate_neurons(&NeuronParams::with_target_objects(60_000), 29);
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    PEAK_BYTES.store(before, Ordering::Relaxed);
+    let layout = scout::index::str_pack(&tissue.objects, scout::index::DEFAULT_PAGE_CAPACITY);
+    let transient = PEAK_BYTES.load(Ordering::Relaxed) - before;
+    assert_eq!(layout.object_count(), tissue.objects.len());
+    assert!(
+        transient <= 1_057_264,
+        "str_pack of {} objects held {transient} B at its peak",
+        tissue.objects.len()
     );
 }
