@@ -25,10 +25,13 @@ pub const DEFAULT_PAGE_CAPACITY: usize = 87;
 /// ids is an insertion sort.
 const KEYS_PER_BUCKET: usize = 4;
 
-/// Slices at most this long are sorted by comparison alone: a comparison
-/// sort of a few dozen ids needs no heap scratch, and bucketing would add
-/// three passes to save a handful of comparisons.
-const SMALL_SLICE: usize = 64;
+/// Buckets longer than this are bucketed again rather than sorted by
+/// `sort_by`. Only skewed keys fill one: when a far key sends the rest of a
+/// slice into one bucket, the recursive call sorts it in the spare buffer
+/// instead of in `sort_by`'s own heap scratch. No bucket of the benchmark's
+/// 1.3 M-neuron bed is this long, and limits of 8 to 128 pack it in the
+/// same time.
+const SMALL_BUCKET: usize = 32;
 
 /// Packs objects into pages with STR and returns the physical layout.
 ///
@@ -127,23 +130,30 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
 /// counting sort by bucket, then a stable sort by key inside each bucket,
 /// orders the ids by key with ties in input order: the stable sort's
 /// permutation.
+///
+/// A bucket longer than [`SMALL_BUCKET`] is sorted by a recursive call
+/// once every short bucket is sorted. Its bounds wait at the top of
+/// `spare`, two slots a bucket; the call gets the slots below them. That is
+/// room enough: the buckets still waiting hold more than `SMALL_BUCKET`
+/// ids each, more than the two slots each takes. With a finite, positive
+/// scale and `B ≥ 2` (a slice with a long bucket has `B ≥ 8`), `lo` and
+/// `hi` land in different buckets, so every bucket is shorter than `ids`
+/// and the recursion ends. At scale 0 or `∞`
+/// a long bucket goes to `sort_by`, which allocates its own scratch; only
+/// keys near `±f64::MAX` or a few subnormals apart get there.
 fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut Vec<u32>) {
     let by_key =
         |a: &u32, b: &u32| key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys");
-    if ids.len() <= SMALL_SLICE {
-        ids.sort_by(by_key);
-        return;
-    }
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for &i in ids.iter() {
         let k = key[i as usize];
         lo = lo.min(k);
         hi = hi.max(k);
     }
-    if lo == hi {
-        return; // every key ties: the stable order is the input order
+    if lo >= hi {
+        return; // at most one id, or every key ties: the input order stands
     }
-    let buckets = ids.len() / KEYS_PER_BUCKET;
+    let buckets = (ids.len() / KEYS_PER_BUCKET).max(1);
     let scale = buckets as f64 / (hi - lo);
     let bucket = |i: u32| (((key[i as usize] - lo) * scale) as usize).min(buckets - 1);
 
@@ -164,13 +174,23 @@ fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut
         *s += 1;
     }
     // Each start now ends its bucket.
+    let rebucket = scale > 0.0 && scale.is_finite();
+    let mut top = ids.len();
     let mut begin = 0;
     for &end in starts.iter() {
         let end = end as usize;
-        if end - begin > 1 {
+        if rebucket && end - begin > SMALL_BUCKET {
+            top -= 2;
+            spare[top..top + 2].copy_from_slice(&[begin as u32, end as u32]);
+        } else if end - begin > 1 {
             ids[begin..end].sort_by(by_key);
         }
         begin = end;
+    }
+    while top < ids.len() {
+        let (begin, end) = (spare[top] as usize, spare[top + 1] as usize);
+        top += 2;
+        sort_ids_by_key(&mut ids[begin..end], key, &mut spare[..top], starts);
     }
 }
 

@@ -584,6 +584,12 @@ mod str_pack_oracle {
         FewUlps,
         /// Subnormals of either sign: `B/(hi − lo)` overflows to `∞`.
         Subnormal,
+        /// Most keys in `[0, 1)`, a few at `1e9`: one bucket holds nearly
+        /// every id and is bucketed again.
+        OneFar,
+        /// Powers of two over 2⁻¹²⁸..2¹²⁷: buckets bucketed again many
+        /// levels deep.
+        Geometric,
     }
 
     fn axis_key(keys: AxisKeys, raw: u8) -> f64 {
@@ -601,6 +607,9 @@ mod str_pack_oracle {
                     -v
                 }
             }
+            AxisKeys::OneFar if raw >= 252 => 1e9,
+            AxisKeys::OneFar => f64::from(raw) / 256.0,
+            AxisKeys::Geometric => 2f64.powi(i32::from(raw) - 128),
         }
     }
 
@@ -611,11 +620,14 @@ mod str_pack_oracle {
             Just(AxisKeys::Overflowing),
             Just(AxisKeys::FewUlps),
             Just(AxisKeys::Subnormal),
+            Just(AxisKeys::OneFar),
+            Just(AxisKeys::Geometric),
         ]
     }
 
     /// Points whose three axes each draw their keys one adversarial way,
-    /// at lengths on both sides of the pack's small-slice cutoff (64).
+    /// at lengths on both sides of the pack's re-bucketing cutoff (32 ids
+    /// in a bucket).
     fn arb_adversarial_objects() -> impl Strategy<Value = Vec<SpatialObject>> {
         let short = prop::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 1..=64);
         let long = prop::collection::vec((0u8..=255, 0u8..=255, 0u8..=255), 65..=600);

@@ -525,18 +525,36 @@ fn steady_state_graph_build_allocates_nothing() {
     // --- STR bulk load transient heap ---------------------------------------
     //
     // Not a count but a ceiling: the most heap `str_pack` holds at once,
-    // above what was in use before the call, result included. The figure
-    // is the comparison-sort pack's: its key buffer and order held beside
+    // above what was in use before the call, result included. The figures
+    // are the comparison-sort pack's: its key buffer and order held beside
     // the finished pages. A faster pack may not buy its speed with memory.
+    // The second bed adds one object far out on each axis, so one bucket
+    // holds nearly a whole slice: it must be bucketed again in the spare
+    // buffer, not handed to a comparison sort with scratch of its own.
+    let str_peak = |objects: &[scout::geometry::SpatialObject]| {
+        let before = LIVE_BYTES.load(Ordering::Relaxed);
+        PEAK_BYTES.store(before, Ordering::Relaxed);
+        let layout = scout::index::str_pack(objects, scout::index::DEFAULT_PAGE_CAPACITY);
+        let transient = PEAK_BYTES.load(Ordering::Relaxed) - before;
+        assert_eq!(layout.object_count(), objects.len());
+        transient
+    };
     let tissue = generate_neurons(&NeuronParams::with_target_objects(60_000), 29);
-    let before = LIVE_BYTES.load(Ordering::Relaxed);
-    PEAK_BYTES.store(before, Ordering::Relaxed);
-    let layout = scout::index::str_pack(&tissue.objects, scout::index::DEFAULT_PAGE_CAPACITY);
-    let transient = PEAK_BYTES.load(Ordering::Relaxed) - before;
-    assert_eq!(layout.object_count(), tissue.objects.len());
-    assert!(
-        transient <= 1_057_264,
-        "str_pack of {} objects held {transient} B at its peak",
-        tissue.objects.len()
-    );
+    let mut skewed = tissue.objects.clone();
+    for far in [(1e12, 0.0, 0.0), (0.0, 1e12, 0.0), (0.0, 0.0, 1e12)] {
+        use scout::geometry::{ObjectId, Shape, SpatialObject, StructureId, Vec3};
+        let point = Shape::Point(Vec3::new(far.0, far.1, far.2));
+        let id = ObjectId(skewed.len() as u32);
+        skewed.push(SpatialObject::new(id, StructureId(0), point));
+    }
+    for (bed, objects, ceiling) in
+        [("even", &tissue.objects, 1_057_264), ("skewed", &skewed, 1_057_312)]
+    {
+        let transient = str_peak(objects);
+        assert!(
+            transient <= ceiling,
+            "str_pack of the {bed} bed's {} objects held {transient} B at its peak, over {ceiling}",
+            objects.len()
+        );
+    }
 }
