@@ -26,11 +26,33 @@
 //! every page, so no model output moves. On a 2-core Xeon at seed 42 the
 //! probe settles 47 719 of the roads bed's 47 734 pages and all 15 000 of
 //! the 1.3 M-neuron bed's.
+//!
+//! The directed lists of different pages are independent, so the pass
+//! splits them over one scoped thread per core (see `crate::split`), in
+//! contiguous page chunks joined in order; the back links are added on
+//! the caller. Every list equals the serial pass's, and one thread is the
+//! serial pass. Beds of fewer than [`MIN_PAGES_PER_THREAD`] pages a thread
+//! spawn nothing. A helper allocates nothing: its probe and k-NN buffers
+//! are reserved by the caller to their bounds, and it writes its lists
+//! into a flat buffer the caller owns.
 
 use crate::rtree::{KnnScratch, RTree};
+use crate::split::{join_parts, ranges, split_lengths, width};
 use crate::traits::{OrderedSpatialIndex, SpatialIndex};
 use scout_geometry::{Aabb, SpatialObject, Vec3};
 use scout_storage::{Page, PageId, PageLayout};
+use std::ops::Range;
+
+/// Pages a thread must have before the neighbourhood pass spreads to one
+/// more. A page's directed list takes about 3 µs on a 2-core Xeon, so 512
+/// pages take some twenty-five times a thread's spawn and join.
+const MIN_PAGES_PER_THREAD: usize = 512;
+
+/// Directed-list entries a page, on average, that the caller's flat
+/// buffer holds for a helper's chunk of pages. The benchmark's beds list
+/// about 33 (1.3 M neurons) and 19 (roads) a page, at most 96. The buffer
+/// is zeroed by the allocator, so only the entries written take memory.
+const LIST_ROOM: usize = 48;
 
 /// Tuning parameters for neighborhood construction.
 #[derive(Debug, Clone, Copy)]
@@ -76,16 +98,56 @@ impl FlatIndex {
     /// that took `index.bulk_load_s` from 0.43–0.57 s to 0.17–0.21 s and
     /// the median `setup_s` from 0.477 s to 0.225 s.
     pub fn from_rtree(rtree: RTree, config: FlatConfig) -> FlatIndex {
-        let mut pass = DirectedPass::new(&rtree, config);
-        let mut neighbors: Vec<Vec<PageId>> = rtree
-            .layout()
-            .pages()
-            .iter()
-            .map(|page| {
+        let threads = width(rtree.layout().page_count(), MIN_PAGES_PER_THREAD);
+        Self::from_rtree_on(rtree, config, threads)
+    }
+
+    /// [`FlatIndex::from_rtree`] on `threads` threads (at least one),
+    /// whatever the size.
+    ///
+    /// The directed lists are found over page chunks, one a thread, each
+    /// with a [`DirectedPass`] of its own. The caller's chunk allocates its
+    /// lists where they end up. A helper writes its lists one after another
+    /// into a flat buffer the caller allocated with [`LIST_ROOM`] entries a
+    /// page; if it runs out of room it stops, and the caller finds the rest
+    /// of its lists itself.
+    pub(crate) fn from_rtree_on(rtree: RTree, config: FlatConfig, threads: usize) -> FlatIndex {
+        let pages = rtree.layout().pages();
+        let chunks: Vec<Range<usize>> = ranges(pages.len(), threads).collect();
+        let mut passes: Vec<DirectedPass<'_>> = Vec::with_capacity(chunks.len());
+        passes.push(DirectedPass::new(&rtree, config));
+        while passes.len() < chunks.len() {
+            passes.push(passes[0].with_buffers());
+        }
+        let (own, helped) = (chunks[0].len(), &chunks[1..]);
+        let mut neighbors: Vec<Vec<PageId>> = Vec::with_capacity(pages.len());
+        let mut lists = vec![0u32; (pages.len() - own) * LIST_ROOM];
+        let mut lens = vec![0u32; pages.len() - own];
+        let flat = split_lengths(&mut lists, helped.iter().map(|r| r.len() * LIST_ROOM))
+            .zip(split_lengths(&mut lens, helped.iter().map(Range::len)))
+            .map(|(out, lens)| Lists::Flat(out, lens));
+        let outputs = std::iter::once(Lists::Own(&mut neighbors)).chain(flat);
+        let parts = chunks.iter().zip(passes.iter_mut()).zip(outputs);
+        let done =
+            join_parts(parts, |((range, pass), lists)| pass.fill(&pages[range.clone()], lists));
+
+        let pass = &mut passes[0];
+        for (range, &done) in helped.iter().zip(&done[1..]) {
+            let base = range.start - own;
+            let mut out = &lists[base * LIST_ROOM..];
+            for &len in &lens[base..base + done] {
+                let (list, rest) = out.split_at(len as usize);
+                neighbors.push(list.iter().copied().map(PageId).collect());
+                out = rest;
+            }
+            for page in &pages[range.start + done..range.end] {
                 pass.run(page);
-                pass.near.clone()
-            })
-            .collect();
+                neighbors.push(pass.near.clone());
+            }
+        }
+        drop(passes);
+        drop(lists);
+
         let n = neighbors.len();
         // Symmetrize: k-NN links are directed; neighborhoods must not be.
         // Page `p` gains, in ascending `i`, every `i` that lists `p` but is
@@ -181,6 +243,14 @@ impl FlatIndex {
     }
 }
 
+/// Where a chunk of the neighborhood pass writes its directed lists.
+enum Lists<'a> {
+    /// The caller's chunk: one list a page, allocated where it ends up.
+    Own(&'a mut Vec<Vec<PageId>>),
+    /// A helper's chunk: the lists one after another, and their lengths.
+    Flat(&'a mut [u32], &'a mut [u32]),
+}
+
 /// The directed half of the neighborhood pass, one page at a time, with
 /// the buffers it reuses across pages.
 struct DirectedPass<'a> {
@@ -218,6 +288,47 @@ impl<'a> DirectedPass<'a> {
             near: Vec::new(),
             knn_scratch: KnnScratch::new(),
             knn_out: Vec::new(),
+        }
+        .with_buffers()
+    }
+
+    /// The same pass with buffers of its own, reserved so that no page
+    /// grows them: a probe meets at most every page, and the walk adds `k`.
+    fn with_buffers(&self) -> Self {
+        let pages = self.rtree.layout().page_count();
+        DirectedPass {
+            near: Vec::with_capacity(pages + self.k),
+            knn_scratch: KnnScratch::reserved(self.rtree, self.k),
+            knn_out: Vec::with_capacity(self.k),
+            ..*self
+        }
+    }
+
+    /// Writes the directed lists of `pages` to `lists`, in order, and
+    /// returns how many it wrote: all of them, unless a flat buffer runs
+    /// out of room for the next.
+    fn fill(&mut self, pages: &[Page], lists: Lists<'_>) -> usize {
+        match lists {
+            Lists::Own(neighbors) => {
+                for page in pages {
+                    self.run(page);
+                    neighbors.push(self.near.clone());
+                }
+                pages.len()
+            }
+            Lists::Flat(out, lens) => {
+                let mut used = 0;
+                for (done, page) in pages.iter().enumerate() {
+                    self.run(page);
+                    let Some(room) = out.get_mut(used..used + self.near.len()) else {
+                        return done;
+                    };
+                    room.iter_mut().zip(&self.near).for_each(|(slot, p)| *slot = p.0);
+                    lens[done] = self.near.len() as u32;
+                    used += self.near.len();
+                }
+                pages.len()
+            }
         }
     }
 
@@ -293,6 +404,8 @@ impl OrderedSpatialIndex for FlatIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracles::{arb_grid_objects, arb_objects, plain_neighbors};
+    use proptest::prelude::*;
     use scout_geometry::{ObjectId, QueryRegion, Segment, Shape, StructureId};
 
     fn grid_objects(n_per_axis: usize, spacing: f64) -> Vec<SpatialObject> {
@@ -458,5 +571,97 @@ mod tests {
         let p = Vec3::new(2.5, 2.5, 2.5);
         let seed = flat.seed_page(p).unwrap();
         assert_eq!(flat.layout().page(seed).mbr.distance_sq_to_point(p), 0.0);
+    }
+
+    /// The widths every split is checked at (as the STR pack's).
+    const WIDTHS: [usize; 4] = [1, 2, 3, 8];
+
+    fn assert_plain_neighbors(tree: &RTree, config: FlatConfig) -> Result<(), TestCaseError> {
+        let want = plain_neighbors(tree, config);
+        for threads in WIDTHS {
+            let flat = FlatIndex::from_rtree_on(tree.clone(), config, threads);
+            for page in flat.layout().pages() {
+                prop_assert_eq!(flat.page_neighbors(page.id), want[page.id.index()].as_slice());
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The directed lists are found over page chunks, one
+        /// `DirectedPass` a thread, and joined in order: every list must
+        /// come out as the plain pass builds it, at every width.
+        #[test]
+        fn neighbors_equal_the_plain_pass_at_every_width(
+            objects in prop_oneof![arb_objects(), arb_grid_objects()],
+            epsilon_factor in 0.0..0.5f64,
+            knn in 0usize..5,
+        ) {
+            let tree = RTree::bulk_load_with_capacity(&objects, 4);
+            assert_plain_neighbors(&tree, FlatConfig { epsilon_factor, knn })?;
+        }
+    }
+
+    /// Lists longer than the room a chunk is given: every probe meets
+    /// every page, so each chunk stops part way through and the caller
+    /// finds the rest.
+    #[test]
+    fn neighbors_equal_the_plain_pass_when_lists_outgrow_their_room() {
+        let tree = RTree::bulk_load_with_capacity(&grid_objects(8, 1.0), 4);
+        let config = FlatConfig { epsilon_factor: 100.0, knn: 4 };
+        assert_plain_neighbors(&tree, config).unwrap();
+        let pages = tree.layout().page_count();
+        let flat = FlatIndex::from_rtree_on(tree, config, 1);
+        assert_eq!(flat.mean_neighbor_count(), (pages - 1) as f64);
+        assert!(pages > 2 * LIST_ROOM);
+    }
+
+    /// Realistic lists, long and short: the 512 pages of a 40 k-object
+    /// neuron bed.
+    #[test]
+    fn neighbors_equal_the_plain_pass_at_every_width_on_a_neuron_bed() {
+        use scout_synth::{generate_neurons, NeuronParams};
+        let neurons = generate_neurons(&NeuronParams::with_target_objects(40_000), 42);
+        let tree = RTree::bulk_load_with_capacity(&neurons.objects, 87);
+        assert_plain_neighbors(&tree, FlatConfig::default()).unwrap();
+    }
+
+    /// FNV-1a digest of every page's neighbour list, its length first.
+    fn neighbors_digest(flat: &FlatIndex) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for page in flat.layout().pages() {
+            let list = flat.page_neighbors(page.id);
+            eat(&(list.len() as u32).to_le_bytes());
+            for p in list {
+                eat(&p.0.to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn neighbors_are_pinned() {
+        // Recorded from the serial pass, on the beds of the STR pack's
+        // `layout_is_pinned`: a pass that moves one link moves a digest.
+        use scout_synth::{generate_neurons, generate_roads, NeuronParams, RoadParams};
+        let neurons = generate_neurons(&NeuronParams::with_target_objects(40_000), 42);
+        let flat = FlatIndex::bulk_load_with(&neurons.objects, 87, FlatConfig::default());
+        assert_eq!(
+            (flat.layout().page_count(), neighbors_digest(&flat)),
+            (512, 0x3cb2_03c6_468a_e1dd)
+        );
+        let roads = generate_roads(&RoadParams { grid_n: 32, ..Default::default() }, 42);
+        let flat = FlatIndex::bulk_load_with(&roads.objects, 4, FlatConfig::default());
+        assert_eq!(
+            (flat.layout().page_count(), neighbors_digest(&flat)),
+            (1870, 0xee2f_3a32_de80_0af5)
+        );
     }
 }

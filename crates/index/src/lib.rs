@@ -7,8 +7,12 @@
 #![forbid(unsafe_code)]
 
 mod flat;
+#[cfg(test)]
+#[path = "../tests/oracles/mod.rs"]
+mod oracles;
 pub mod reference;
 mod rtree;
+mod split;
 mod str_pack;
 mod traits;
 

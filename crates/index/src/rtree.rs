@@ -138,6 +138,16 @@ impl KnnScratch {
     pub const fn new() -> KnnScratch {
         KnnScratch { frontier: BinaryHeap::new(), best: BinaryHeap::new() }
     }
+
+    /// A scratch that no search of `tree` for at most `k` pages grows: the
+    /// frontier holds each node and page at most once, and the best set
+    /// `k + 1` distances.
+    pub(crate) fn reserved(tree: &RTree, k: usize) -> KnnScratch {
+        KnnScratch {
+            frontier: BinaryHeap::with_capacity(tree.children.len() + 1),
+            best: BinaryHeap::with_capacity(k + 1),
+        }
+    }
 }
 
 // `nearest_page`'s search state belongs to the thread, as the serve buffers

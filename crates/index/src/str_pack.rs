@@ -11,10 +11,23 @@
 //! bucket. It gives exactly the permutation of a stable comparison sort, so
 //! the pages are those of the plain pack, but each id's key is loaded a few
 //! times instead of on both sides of ~log₂ N comparisons.
+//!
+//! The pack splits over one scoped thread per core (see `crate::split`),
+//! each phase over disjoint slices joined in order: the key fills over
+//! object chunks, the x sort's counts over id halves and its scatter and
+//! bucket sorts over bucket ranges, the y and z sorts over groups of
+//! whole slabs, and the page pass over page chunks. Every sort is stable
+//! and every part is written by one thread, so the pages equal the serial
+//! pack's bit for bit; one thread is the serial pack. Packs of fewer than
+//! [`MIN_OBJECTS_PER_THREAD`] objects a thread spawn nothing. The caller
+//! allocates every buffer, the pages' object lists included, and a helper
+//! only fills what it is handed.
 
+use crate::split::{join_parts, ranges, split_lengths, width};
 use crate::traits::PREFETCH_DISTANCE;
 use scout_geometry::{prefetch_read, Aabb, SpatialObject};
 use scout_storage::{Page, PageId, PageLayout};
+use std::ops::Range;
 
 /// Default objects per 4 KB page, from §7.1 ("a fanout of 87 objects per
 /// page … bulk loaded using a fill factor of 100%").
@@ -33,6 +46,11 @@ const KEYS_PER_BUCKET: usize = 4;
 /// same time.
 const SMALL_BUCKET: usize = 32;
 
+/// Objects a thread must have before the pack spreads to one more. A
+/// 1.3 M-object pack takes about 0.25 s on one core; 16 384 objects take
+/// about 3 ms, some fifty times a thread's spawn and join.
+const MIN_OBJECTS_PER_THREAD: usize = 16_384;
+
 /// Packs objects into pages with STR and returns the physical layout.
 ///
 /// The order is settled first, over one reused `Vec<f64>` of keys (x, then
@@ -47,10 +65,20 @@ const SMALL_BUCKET: usize = 32;
 /// Panics when `objects` is empty, `capacity` is zero or a centroid has a
 /// non-finite coordinate.
 pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
+    str_pack_on(objects, capacity, width(objects.len(), MIN_OBJECTS_PER_THREAD))
+}
+
+/// [`str_pack`] on `threads` threads (at least one), whatever the size.
+pub(crate) fn str_pack_on(
+    objects: &[SpatialObject],
+    capacity: usize,
+    threads: usize,
+) -> PageLayout {
     assert!(!objects.is_empty(), "cannot bulk load an empty dataset");
     assert!(capacity >= 1, "page capacity must be >= 1");
 
     let n = objects.len();
+    let threads = threads.max(1);
     let page_count = n.div_ceil(capacity);
     // Tiles per axis: ⌈P^(1/3)⌉ vertical slabs, each sliced into ⌈√(P/Sx)⌉
     // runs, each cut into pages.
@@ -61,62 +89,175 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
         slab.div_ceil(sy.max(1)).max(1)
     };
 
-    // An infinite key would sort, but give its page an infinite MBR.
-    let finite = |v: f64| {
-        assert!(v.is_finite(), "non-finite coordinate in dataset");
-        v
-    };
-    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut order = vec![0u32; n];
     {
-        let mut key: Vec<f64> = objects.iter().map(|o| finite(o.centroid().x)).collect();
+        let mut key = vec![0.0; n];
         let mut spare = vec![0u32; n];
-        let mut starts = Vec::new();
-        sort_ids_by_key(&mut order, &key, &mut spare, &mut starts);
-        for (k, o) in key.iter_mut().zip(objects) {
-            *k = finite(o.centroid().y);
-        }
-        for slab in order.chunks_mut(slab_len) {
-            sort_ids_by_key(slab, &key, &mut spare, &mut starts);
-        }
-        for (k, o) in key.iter_mut().zip(objects) {
-            *k = finite(o.centroid().z);
-        }
-        for slab in order.chunks_mut(slab_len) {
-            for run in slab.chunks_mut(run_len(slab.len())) {
-                sort_ids_by_key(run, &key, &mut spare, &mut starts);
-            }
-        }
+        // Room for the x sort's bucket counts, or for one slab group's
+        // starts a thread.
+        let mut starts = vec![0u32; n / KEYS_PER_BUCKET + threads];
+        let x_range = fill_keys(objects, &mut key, threads, |o| o.centroid().x);
+        sort_identity_by_key(&mut order, &key, x_range, &mut spare, &mut starts, threads);
+        fill_keys(objects, &mut key, threads, |o| o.centroid().y);
+        for_each_slab(
+            &mut order,
+            &mut spare,
+            &mut starts,
+            slab_len,
+            threads,
+            |slab, spare, starts| {
+                sort_ids_by_key(slab, &key, spare, starts);
+            },
+        );
+        fill_keys(objects, &mut key, threads, |o| o.centroid().z);
+        for_each_slab(
+            &mut order,
+            &mut spare,
+            &mut starts,
+            slab_len,
+            threads,
+            |slab, spare, starts| {
+                for run in slab.chunks_mut(run_len(slab.len())) {
+                    sort_ids_by_key(run, &key, spare, starts);
+                }
+            },
+        );
     }
 
-    // The ids point all over the object array: ask for the record
-    // `PREFETCH_DISTANCE` places ahead in `order` before it is needed.
+    // Every page's object list, allocated here at its final length and
+    // filled with the page's MBR by the page pass.
     let mut pages: Vec<Page> = Vec::with_capacity(page_count);
-    let mut at = 0;
     for slab in order.chunks(slab_len) {
         for run in slab.chunks(run_len(slab.len())) {
             for chunk in run.chunks(capacity) {
-                let mut mbr = Aabb::EMPTY;
-                let mut ids = Vec::with_capacity(chunk.len());
-                for &i in chunk {
-                    if let Some(&ahead) = order.get(at + PREFETCH_DISTANCE) {
-                        prefetch_read(&objects[ahead as usize]);
-                    }
-                    at += 1;
-                    let obj = &objects[i as usize];
-                    mbr = mbr.union(&obj.aabb());
-                    ids.push(obj.id);
-                }
-                pages.push(Page { id: PageId(0), mbr, objects: ids });
+                let objects = Vec::with_capacity(chunk.len());
+                pages.push(Page { id: PageId(0), mbr: Aabb::EMPTY, objects });
             }
         }
     }
+    let page_parts: Vec<Range<usize>> = ranges(pages.len(), threads).collect();
+    let id_lens: Vec<usize> = page_parts.iter().map(|r| held(&pages[r.clone()])).collect();
+    let part_lens = page_parts.iter().map(Range::len);
+    let parts = split_lengths(&mut pages, part_lens).zip(split_lengths(&mut order, id_lens));
+    join_parts(parts, |(pages, order)| fill_pages(objects, pages, order));
 
     PageLayout::new(pages, n)
 }
 
+/// How many ids `pages` hold once filled: each page's object list was
+/// allocated at its length, and `Vec::with_capacity` gives exactly the
+/// capacity it is asked for.
+fn held(pages: &[Page]) -> usize {
+    pages.iter().map(|p| p.objects.capacity()).sum()
+}
+
+/// Fills `pages` with the objects `order` lists, in turn, and each page's
+/// MBR with theirs.
+///
+/// The ids point all over the object array: the record `PREFETCH_DISTANCE`
+/// places ahead in `order` is asked for before it is needed.
+fn fill_pages(objects: &[SpatialObject], pages: &mut [Page], order: &[u32]) {
+    let mut at = 0;
+    for page in pages {
+        let mut mbr = Aabb::EMPTY;
+        for _ in 0..page.objects.capacity() {
+            if let Some(&ahead) = order.get(at + PREFETCH_DISTANCE) {
+                prefetch_read(&objects[ahead as usize]);
+            }
+            let obj = &objects[order[at] as usize];
+            at += 1;
+            mbr = mbr.union(&obj.aabb());
+            page.objects.push(obj.id);
+        }
+        page.mbr = mbr;
+    }
+}
+
+/// Sets `key[i]` to `axis(objects[i])` over object chunks, one a thread,
+/// and returns the least and the greatest key.
+///
+/// # Panics
+/// Panics when a key is not finite: an infinite one would sort, but give
+/// its page an infinite MBR.
+fn fill_keys(
+    objects: &[SpatialObject],
+    key: &mut [f64],
+    threads: usize,
+    axis: impl Fn(&SpatialObject) -> f64 + Sync,
+) -> (f64, f64) {
+    let chunks: Vec<Range<usize>> = ranges(objects.len(), threads).collect();
+    let parts = chunks.iter().zip(split_lengths(key, chunks.iter().map(Range::len)));
+    let extremes = join_parts(parts, |(range, keys)| {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        for (k, o) in keys.iter_mut().zip(&objects[range.clone()]) {
+            *k = axis(o);
+            assert!(k.is_finite(), "non-finite coordinate in dataset");
+            lo = lo.min(*k);
+            hi = hi.max(*k);
+        }
+        (lo, hi)
+    });
+    extremes
+        .into_iter()
+        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
+}
+
+/// Runs `sort` on every slab of `order`, with groups of whole slabs
+/// spread over the threads. Each group gets the matching piece of `spare`
+/// and a piece of `starts` of its own: a group's slices are no longer than
+/// the group, so neither piece runs short.
+fn for_each_slab(
+    order: &mut [u32],
+    spare: &mut [u32],
+    starts: &mut [u32],
+    slab_len: usize,
+    threads: usize,
+    sort: impl Fn(&mut [u32], &mut [u32], &mut [u32]) + Sync,
+) {
+    let n = order.len();
+    let lens: Vec<usize> = ranges(n.div_ceil(slab_len), threads)
+        .map(|slabs| (slabs.end * slab_len).min(n) - slabs.start * slab_len)
+        .collect();
+    let start_lens = lens.iter().map(|len| len / KEYS_PER_BUCKET + 1);
+    let parts = split_lengths(order, lens.iter().copied())
+        .zip(split_lengths(spare, lens.iter().copied()))
+        .zip(split_lengths(starts, start_lens));
+    join_parts(parts, |((group, spare), starts)| {
+        for slab in group.chunks_mut(slab_len) {
+            sort(slab, spare, starts);
+        }
+    });
+}
+
+/// The bucket map of [`sort_ids_by_key`] over keys in `[lo, hi]`.
+#[derive(Clone, Copy)]
+struct Buckets {
+    lo: f64,
+    scale: f64,
+    count: usize,
+}
+
+impl Buckets {
+    /// The map for `len` ids whose keys span `lo < hi`.
+    fn new(lo: f64, hi: f64, len: usize) -> Buckets {
+        let count = (len / KEYS_PER_BUCKET).max(1);
+        Buckets { lo, scale: count as f64 / (hi - lo), count }
+    }
+
+    fn of(&self, k: f64) -> usize {
+        (((k - self.lo) * self.scale) as usize).min(self.count - 1)
+    }
+
+    /// Whether `lo` and `hi` land in different buckets, so that a bucket
+    /// bucketed again is shorter than its slice (see [`sort_ids_by_key`]).
+    fn splits(&self) -> bool {
+        self.scale > 0.0 && self.scale.is_finite()
+    }
+}
+
 /// Sorts `ids` by `key[id]` with the permutation of a stable `sort_by` on
-/// `partial_cmp`, using `spare` (at least `ids.len()` long) and `starts` as
-/// scratch.
+/// `partial_cmp`, using `spare` (at least `ids.len()` long) and `starts`
+/// (at least `ids.len() / KEYS_PER_BUCKET` long, and one) as scratch.
 ///
 /// An id's bucket is `⌊(k − lo) · B/(hi − lo)⌋`, clamped to `B − 1`. It is
 /// monotone in `k`: IEEE subtraction and multiplication by a non-negative
@@ -130,20 +271,7 @@ pub fn str_pack(objects: &[SpatialObject], capacity: usize) -> PageLayout {
 /// counting sort by bucket, then a stable sort by key inside each bucket,
 /// orders the ids by key with ties in input order: the stable sort's
 /// permutation.
-///
-/// A bucket longer than [`SMALL_BUCKET`] is sorted by a recursive call
-/// once every short bucket is sorted. Its bounds wait at the top of
-/// `spare`, two slots a bucket; the call gets the slots below them. That is
-/// room enough: the buckets still waiting hold more than `SMALL_BUCKET`
-/// ids each, more than the two slots each takes. With a finite, positive
-/// scale and `B ≥ 2` (a slice with a long bucket has `B ≥ 8`), `lo` and
-/// `hi` land in different buckets, so every bucket is shorter than `ids`
-/// and the recursion ends. At scale 0 or `∞`
-/// a long bucket goes to `sort_by`, which allocates its own scratch; only
-/// keys near `±f64::MAX` or a few subnormals apart get there.
-fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut Vec<u32>) {
-    let by_key =
-        |a: &u32, b: &u32| key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys");
+fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut [u32]) {
     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
     for &i in ids.iter() {
         let k = key[i as usize];
@@ -153,37 +281,151 @@ fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut
     if lo >= hi {
         return; // at most one id, or every key ties: the input order stands
     }
-    let buckets = (ids.len() / KEYS_PER_BUCKET).max(1);
-    let scale = buckets as f64 / (hi - lo);
-    let bucket = |i: u32| (((key[i as usize] - lo) * scale) as usize).min(buckets - 1);
-
-    starts.clear();
-    starts.resize(buckets, 0);
+    let buckets = Buckets::new(lo, hi, ids.len());
+    let ends = &mut starts[..buckets.count];
+    ends.fill(0);
     let src = &mut spare[..ids.len()];
     src.copy_from_slice(ids);
     for &i in src.iter() {
-        starts[bucket(i)] += 1;
+        ends[buckets.of(key[i as usize])] += 1;
     }
     let mut sum = 0;
-    for s in starts.iter_mut() {
+    for s in ends.iter_mut() {
         (*s, sum) = (sum, sum + *s);
     }
     for &i in src.iter() {
-        let s = &mut starts[bucket(i)];
+        let s = &mut ends[buckets.of(key[i as usize])];
         ids[*s as usize] = i;
         *s += 1;
     }
     // Each start now ends its bucket.
-    let rebucket = scale > 0.0 && scale.is_finite();
+    sort_short_buckets(ids, 0, ends, key);
+    sort_long_buckets(ids, key, spare, starts, buckets);
+}
+
+/// Sorts the identity permutation `order` by key like [`sort_ids_by_key`],
+/// on `threads` threads; `(lo, hi)` are the least and greatest key.
+///
+/// The counting sort runs in two split passes. Each thread counts the
+/// buckets of one chunk of ids into counts of its own (the first thread's
+/// in `starts`, the others' in `order`, which is not written yet), and
+/// stores every id's bucket in `spare`. The caller sums the counts into
+/// each bucket's start. Then each thread takes a range of buckets holding
+/// about `n / threads` ids, scans every stored bucket in id order, places
+/// the ids of its own buckets (in id order, so the scatter is stable) and
+/// sorts those buckets no longer than [`SMALL_BUCKET`]. The caller sorts
+/// the long ones. No scratch but `spare`'s is needed for the sources: an id
+/// is its own position in the identity.
+fn sort_identity_by_key(
+    order: &mut [u32],
+    key: &[f64],
+    (lo, hi): (f64, f64),
+    spare: &mut [u32],
+    starts: &mut [u32],
+    threads: usize,
+) {
+    let n = order.len();
+    if lo >= hi {
+        order.iter_mut().zip(0..).for_each(|(o, i)| *o = i);
+        return;
+    }
+    let buckets = Buckets::new(lo, hi, n);
+    let count = buckets.count;
+    // `order` holds the counts of up to `n / count` threads besides the
+    // caller's.
+    let counters = threads.min(1 + n / count);
+    let chunks: Vec<Range<usize>> = ranges(n, counters).collect();
+    let counts = std::iter::once(&mut starts[..count]).chain(order.chunks_mut(count));
+    let parts = chunks.iter().zip(split_lengths(spare, chunks.iter().map(Range::len))).zip(counts);
+    join_parts(parts, |((range, slots), counts)| {
+        counts.fill(0);
+        for (i, slot) in range.clone().zip(slots) {
+            let b = buckets.of(key[i]);
+            *slot = b as u32;
+            counts[b] += 1;
+        }
+    });
+    let mut sum = 0;
+    for b in 0..count {
+        let total = starts[b] + (1..counters).map(|t| order[(t - 1) * count + b]).sum::<u32>();
+        (starts[b], sum) = (sum, sum + total);
+    }
+
+    // Cut the buckets where their starts pass each thread's share of ids.
+    let ends = &mut starts[..count];
+    let cuts: Vec<usize> =
+        (0..=threads).map(|t| ends.partition_point(|&s| (s as usize) < t * n / threads)).collect();
+    let position = |b: usize| ends.get(b).map_or(n, |&s| s as usize);
+    let bases: Vec<usize> = cuts.iter().map(|&b| position(b)).collect();
+    let stored: &[u32] = spare;
+    let parts = cuts
+        .windows(2)
+        .zip(&bases)
+        .zip(split_lengths(order, bases.windows(2).map(|w| w[1] - w[0])))
+        .zip(split_lengths(ends, cuts.windows(2).map(|w| w[1] - w[0])));
+    join_parts(parts, |(((cut, &base), out), cursors)| {
+        let first = cut[0];
+        for (i, &b) in (0..).zip(stored) {
+            let at = (b as usize).wrapping_sub(first);
+            if let Some(s) = cursors.get_mut(at) {
+                out[*s as usize - base] = i;
+                *s += 1;
+            }
+        }
+        sort_short_buckets(out, base, cursors, key);
+    });
+    sort_long_buckets(order, key, spare, starts, buckets);
+}
+
+/// Sorts by key, with `sort_by`, every bucket of 2 to [`SMALL_BUCKET`]
+/// ids. `ends` ends each bucket of `ids`, as a position in a slice that
+/// `ids` starts `base` into.
+fn sort_short_buckets(ids: &mut [u32], base: usize, ends: &[u32], key: &[f64]) {
+    let by_key =
+        |a: &u32, b: &u32| key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys");
+    let mut begin = 0;
+    for &end in ends {
+        let end = end as usize - base;
+        if (2..=SMALL_BUCKET).contains(&(end - begin)) {
+            ids[begin..end].sort_by(by_key);
+        }
+        begin = end;
+    }
+}
+
+/// Sorts every bucket of `ids` longer than [`SMALL_BUCKET`];
+/// `starts[..buckets.count]` ends each bucket.
+///
+/// A long bucket is sorted by a recursive [`sort_ids_by_key`] once the
+/// buckets have been scanned. Its bounds wait at the top of `spare`, two
+/// slots a bucket; the call gets the slots below them. That is room
+/// enough: the buckets still waiting hold more than `SMALL_BUCKET` ids
+/// each, more than the two slots each takes. With a finite, positive scale
+/// and `B ≥ 2` (a slice with a long bucket has `B ≥ 8`), `lo` and `hi`
+/// land in different buckets, so every bucket is shorter than `ids` and
+/// the recursion ends. At scale 0 or `∞` a long bucket goes to `sort_by`,
+/// which allocates its own scratch past 1 024 ids; only keys near
+/// `±f64::MAX` or a few subnormals apart get there.
+fn sort_long_buckets(
+    ids: &mut [u32],
+    key: &[f64],
+    spare: &mut [u32],
+    starts: &mut [u32],
+    buckets: Buckets,
+) {
+    let by_key =
+        |a: &u32, b: &u32| key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys");
     let mut top = ids.len();
     let mut begin = 0;
-    for &end in starts.iter() {
+    for &end in &starts[..buckets.count] {
         let end = end as usize;
-        if rebucket && end - begin > SMALL_BUCKET {
-            top -= 2;
-            spare[top..top + 2].copy_from_slice(&[begin as u32, end as u32]);
-        } else if end - begin > 1 {
-            ids[begin..end].sort_by(by_key);
+        if end - begin > SMALL_BUCKET {
+            if buckets.splits() {
+                top -= 2;
+                spare[top..top + 2].copy_from_slice(&[begin as u32, end as u32]);
+            } else {
+                ids[begin..end].sort_by(by_key);
+            }
         }
         begin = end;
     }
@@ -197,6 +439,8 @@ fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracles::{arb_adversarial_objects, arb_grid_objects, assert_plain_pack};
+    use proptest::prelude::*;
     use scout_geometry::{ObjectId, Shape, StructureId, Vec3};
 
     fn point_objects(points: &[(f64, f64, f64)]) -> Vec<SpatialObject> {
@@ -346,5 +590,58 @@ mod tests {
         let roads = generate_roads(&RoadParams { grid_n: 32, ..Default::default() }, 42);
         let layout = str_pack(&roads.objects, 4);
         assert_eq!((layout.page_count(), layout_digest(&layout)), (1870, 0x21d4_36b4_3f20_ccf8));
+    }
+
+    /// The widths every split is checked at: the serial pack, an even and
+    /// an odd split, and more threads than most slices have slabs.
+    const WIDTHS: [usize; 4] = [1, 2, 3, 8];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every phase cut into parts and joined in order must leave no
+        /// trace: grid keys tie across the cuts, and adversarial keys (one
+        /// key, signed zeros, spreads that overflow, one far key, powers of
+        /// two) send every part's ids to one bucket or to far-apart ones.
+        #[test]
+        fn str_pack_equals_the_plain_pack_at_every_width(
+            objects in prop_oneof![arb_grid_objects(), arb_adversarial_objects()],
+            capacity in prop_oneof![Just(1usize), Just(4), Just(87)],
+        ) {
+            for threads in WIDTHS {
+                assert_plain_pack(&str_pack_on(&objects, capacity, threads), &objects, capacity)?;
+            }
+        }
+    }
+
+    /// A bed the size the default width splits: 40 k objects in 8 slabs.
+    #[test]
+    fn str_pack_equals_the_plain_pack_at_every_width_on_a_neuron_bed() {
+        use scout_synth::{generate_neurons, NeuronParams};
+        let neurons = generate_neurons(&NeuronParams::with_target_objects(40_000), 42);
+        for threads in WIDTHS {
+            let layout = str_pack_on(&neurons.objects, 87, threads);
+            assert_plain_pack(&layout, &neurons.objects, 87).unwrap();
+        }
+    }
+
+    /// Objects on a line, the last `bad` on the z axis: the z keys of the
+    /// second half are filled by a helper thread at width 2.
+    fn with_last_z(bad: f64) -> Vec<SpatialObject> {
+        let mut pts: Vec<(f64, f64, f64)> = (0..1000).map(|i| (f64::from(i), 0.0, 0.0)).collect();
+        pts[999].2 = bad;
+        point_objects(&pts)
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate in dataset")]
+    fn nan_centroid_in_a_helper_part_rejected() {
+        let _ = str_pack_on(&with_last_z(f64::NAN), 4, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-finite coordinate in dataset")]
+    fn infinite_centroid_in_a_helper_part_rejected() {
+        let _ = str_pack_on(&with_last_z(f64::NEG_INFINITY), 4, 2);
     }
 }

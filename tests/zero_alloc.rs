@@ -31,7 +31,10 @@
 //! node.
 //!
 //! The STR bulk load is held to a peak heap: no more than the
-//! comparison-sort pack held at once on the same bed.
+//! comparison-sort pack held at once on the same bed. It and FLAT's
+//! neighbourhood pass split over one thread a core, and no thread but the
+//! caller may allocate while they run: an allocation on a helper opens a
+//! glibc arena of its own, which the process's resident set keeps.
 //!
 //! This binary holds exactly one `#[test]` on purpose: the counter is
 //! process-global, so a concurrently running sibling test would pollute
@@ -44,7 +47,8 @@ use scout::predict::HybridPrefetcher;
 use scout::sim::{ExecutorConfig, NoPrefetch, Prefetcher, QueryScratch, Session, SimContext};
 use scout_synth::{generate_neurons, NeuronParams};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 struct CountingAllocator;
 
@@ -53,6 +57,23 @@ static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
 
+/// While set, allocations on any thread but the one marked as the caller
+/// are counted in `OFF_CALLER`.
+static WATCH_THREADS: AtomicBool = AtomicBool::new(false);
+static OFF_CALLER: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    // Constant and without a destructor: reading it never allocates.
+    static IS_CALLER: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if WATCH_THREADS.load(Ordering::Relaxed) && !IS_CALLER.with(Cell::get) {
+        OFF_CALLER.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 fn grow_live(bytes: usize) {
     let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
     PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
@@ -60,7 +81,7 @@ fn grow_live(bytes: usize) {
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         grow_live(layout.size());
         System.alloc(layout)
     }
@@ -73,7 +94,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc acquires memory too: growing a Vec in the measured
         // window must count.
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         grow_live(new_size);
         System.realloc(ptr, layout, new_size)
@@ -557,4 +578,27 @@ fn steady_state_graph_build_allocates_nothing() {
             objects.len()
         );
     }
+
+    // --- Bulk loads allocate on the caller only ------------------------------
+    //
+    // The STR pack and FLAT's neighbourhood pass hand every helper thread
+    // buffers the caller allocated: sort scratch, the pages' object lists,
+    // each helper's probe and k-NN buffers, reserved to their bounds, and
+    // the directed lists' flat buffer. Both beds are large enough to split
+    // on two cores or more (60 k objects; about 4 000 pages); on one core
+    // nothing is spawned and this holds trivially.
+    IS_CALLER.with(|caller| caller.set(true));
+    WATCH_THREADS.store(true, Ordering::Relaxed);
+    let tree = RTree::bulk_load_with_capacity(&tissue.objects, 16);
+    let pages = tree.layout().page_count();
+    let flat = FlatIndex::from_rtree(tree, FlatConfig::default());
+    WATCH_THREADS.store(false, Ordering::Relaxed);
+    assert!(pages >= 2 * 1024, "the FLAT bed is too small to split: {pages} pages");
+    assert!(flat.mean_neighbor_count() > 0.0);
+    assert_eq!(
+        OFF_CALLER.load(Ordering::Relaxed),
+        0,
+        "the STR pack of {} objects and FLAT's pass over {pages} pages allocated off the caller",
+        tissue.objects.len()
+    );
 }
