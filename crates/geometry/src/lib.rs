@@ -3,7 +3,8 @@
 //! Geometry substrate for the SCOUT reproduction: 3-D vectors, axis-aligned
 //! boxes, the shape primitives spatial datasets are modeled with, exact
 //! intersection predicates, query regions, uniform grids for grid hashing,
-//! and Hilbert space-filling curves.
+//! Hilbert space-filling curves, and the fork-join that splits the
+//! workspace's parallel work across cores.
 //!
 //! All coordinates are `f64` micrometers, matching the units of the paper's
 //! evaluation (query volumes in µm³, gap distances in µm).
@@ -18,6 +19,7 @@ pub mod intersect;
 mod object;
 mod region;
 mod shapes;
+pub mod split;
 mod vec3;
 
 pub use aabb::Aabb;

@@ -28,7 +28,7 @@
 //! the 1.3 M-neuron bed's.
 //!
 //! The directed lists of different pages are independent, so the pass
-//! splits them over one scoped thread per core (see `crate::split`), in
+//! splits them over one scoped thread per core (see `scout_geometry::split`), in
 //! contiguous page chunks joined in order; the back links are added on
 //! the caller. Every list equals the serial pass's, and one thread is the
 //! serial pass. Beds of fewer than [`MIN_PAGES_PER_THREAD`] pages a thread
@@ -37,8 +37,8 @@
 //! into a flat buffer the caller owns.
 
 use crate::rtree::{KnnScratch, RTree};
-use crate::split::{join_parts, ranges, split_lengths, width};
 use crate::traits::{OrderedSpatialIndex, SpatialIndex};
+use scout_geometry::split::{join_parts, ranges, split_lengths, width};
 use scout_geometry::{Aabb, SpatialObject, Vec3};
 use scout_storage::{Page, PageId, PageLayout};
 use std::ops::Range;
@@ -119,7 +119,8 @@ impl FlatIndex {
         while passes.len() < chunks.len() {
             passes.push(passes[0].with_buffers());
         }
-        let (own, helped) = (chunks[0].len(), &chunks[1..]);
+        // An empty tree has no chunk at all.
+        let (own, helped) = chunks.split_first().map_or((0, &[][..]), |(c, rest)| (c.len(), rest));
         let mut neighbors: Vec<Vec<PageId>> = Vec::with_capacity(pages.len());
         let mut lists = vec![0u32; (pages.len() - own) * LIST_ROOM];
         let mut lens = vec![0u32; pages.len() - own];
@@ -132,7 +133,7 @@ impl FlatIndex {
             join_parts(parts, |((range, pass), lists)| pass.fill(&pages[range.clone()], lists));
 
         let pass = &mut passes[0];
-        for (range, &done) in helped.iter().zip(&done[1..]) {
+        for (range, &done) in helped.iter().zip(done.iter().skip(1)) {
             let base = range.start - own;
             let mut out = &lists[base * LIST_ROOM..];
             for &len in &lens[base..base + done] {
@@ -428,6 +429,17 @@ mod tests {
             }
         }
         out
+    }
+
+    #[test]
+    fn a_tree_without_pages_builds_the_empty_index() {
+        for threads in [1, 2] {
+            let tree = RTree::from_layout(PageLayout::new(Vec::new(), 0));
+            let flat = FlatIndex::from_rtree_on(tree, FlatConfig::default(), threads);
+            assert_eq!(flat.layout().page_count(), 0, "{threads} threads");
+            let all = Aabb::new(Vec3::splat(-1e9), Vec3::splat(1e9));
+            assert!(flat.pages_in_region(&all).is_empty(), "{threads} threads");
+        }
     }
 
     #[test]

@@ -12,7 +12,6 @@ mod flat;
 mod oracles;
 pub mod reference;
 mod rtree;
-mod split;
 mod str_pack;
 mod traits;
 

@@ -12,7 +12,7 @@
 //! the pages are those of the plain pack, but each id's key is loaded a few
 //! times instead of on both sides of ~log₂ N comparisons.
 //!
-//! The pack splits over one scoped thread per core (see `crate::split`),
+//! The pack splits over one scoped thread per core (see `scout_geometry::split`),
 //! each phase over disjoint slices joined in order: the key fills over
 //! object chunks, the x sort's counts over id halves and its scatter and
 //! bucket sorts over bucket ranges, the y and z sorts over groups of
@@ -23,8 +23,8 @@
 //! allocates every buffer, the pages' object lists included, and a helper
 //! only fills what it is handed.
 
-use crate::split::{join_parts, ranges, split_lengths, width};
 use crate::traits::PREFETCH_DISTANCE;
+use scout_geometry::split::{join_parts, ranges, split_lengths, width};
 use scout_geometry::{prefetch_read, Aabb, SpatialObject};
 use scout_storage::{Page, PageId, PageLayout};
 use std::ops::Range;
@@ -125,15 +125,15 @@ pub(crate) fn str_pack_on(
     }
 
     // Every page's object list, allocated here at its final length and
-    // filled with the page's MBR by the page pass.
-    let mut pages: Vec<Page> = Vec::with_capacity(page_count);
-    for slab in order.chunks(slab_len) {
-        for run in slab.chunks(run_len(slab.len())) {
-            for chunk in run.chunks(capacity) {
-                let objects = Vec::with_capacity(chunk.len());
-                pages.push(Page { id: PageId(0), mbr: Aabb::EMPTY, objects });
-            }
-        }
+    // filled with the page's MBR by the page pass. The last page of a run
+    // may be short, so the tiling holds more than ⌈n/B⌉ pages: count them
+    // first.
+    let runs = || order.chunks(slab_len).flat_map(|slab| slab.chunks(run_len(slab.len())));
+    let tiled = runs().map(|run| run.len().div_ceil(capacity)).sum();
+    let mut pages: Vec<Page> = Vec::with_capacity(tiled);
+    for chunk in runs().flat_map(|run| run.chunks(capacity)) {
+        let objects = Vec::with_capacity(chunk.len());
+        pages.push(Page { id: PageId(0), mbr: Aabb::EMPTY, objects });
     }
     let page_parts: Vec<Range<usize>> = ranges(pages.len(), threads).collect();
     let id_lens: Vec<usize> = page_parts.iter().map(|r| held(&pages[r.clone()])).collect();

@@ -46,11 +46,10 @@ use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::{ExecutorConfig, QueryTrace};
 use crate::session::Session;
+use scout_geometry::split::{join_parts, ranges, split_lengths};
 use scout_index::QueryResult;
 use scout_storage::ShardedCache;
 use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer};
-use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Active sessions per block: the passes of a serve alternate block by
 /// block, so the fleet holds this many query results in flight, not one
@@ -169,28 +168,13 @@ impl RoundBody<'_, '_> {
 // A pure pass: contiguous chunks over scoped threads
 // ---------------------------------------------------------------------------
 
-/// The position ranges a pure pass over `len` positions hands out at
-/// `width`: at most `min(width, len)` of them, non-empty, contiguous and
-/// in order, covering `0..len`, their lengths at most one apart. The
-/// first is the caller's.
-fn chunk_ranges(len: usize, width: usize) -> impl Iterator<Item = Range<usize>> {
-    let n = width.clamp(1, len.max(1));
-    let (base, extra) = (len / n, len % n);
-    let ranges = (0..n).scan(0, move |start, i| {
-        let range = *start..*start + base + usize::from(i < extra);
-        *start = range.end;
-        Some(range)
-    });
-    ranges.filter(|range| !range.is_empty())
-}
-
-/// Runs `step` on every position of `a` and `b` (zipped), the chunks of
-/// [`chunk_ranges`] spread over the caller and one scoped helper thread
-/// each. Returns how many positions the helpers ran. Every helper is
-/// joined before the first panic payload (the caller's own first) is
-/// re-raised, so one panic leaves the pass, never two. The scope would
-/// join on its own; keeping the payloads fixes *which* one leaves, which
-/// `thread::scope` does not document.
+/// Runs `step` on every position of `a` and `b` (zipped), cut by
+/// `scout_geometry::split::ranges` into at most `width` contiguous chunks:
+/// the caller runs the first, one scoped helper thread each other one.
+/// Returns how many positions the helpers ran. `join_parts` joins every
+/// helper before it re-raises the first panic payload (the caller's own
+/// first), so one panic leaves the pass, never two, and always the same
+/// one.
 fn pure_pass<A: Send, B: Send>(
     width: usize,
     a: &mut [A],
@@ -198,39 +182,12 @@ fn pure_pass<A: Send, B: Send>(
     step: &(dyn Fn(&mut A, &mut B) + Sync),
 ) -> u64 {
     debug_assert_eq!(a.len(), b.len());
-    let run = |a: &mut [A], b: &mut [B]| a.iter_mut().zip(b).for_each(|(x, y)| step(x, y));
-    let mut ranges = chunk_ranges(a.len(), width);
-    let own = ranges.next().unwrap_or_default();
-    let (own_a, mut rest_a) = a.split_at_mut(own.end);
-    let (own_b, mut rest_b) = b.split_at_mut(own.end);
-    if rest_a.is_empty() {
-        run(own_a, own_b);
-        return 0;
-    }
-    let helped = rest_a.len() as u64;
-    let outcome = std::thread::scope(|scope| {
-        let helpers: Vec<_> = ranges
-            .enumerate()
-            .map(|(w, range)| {
-                let (chunk_a, tail_a) = std::mem::take(&mut rest_a).split_at_mut(range.len());
-                let (chunk_b, tail_b) = std::mem::take(&mut rest_b).split_at_mut(range.len());
-                (rest_a, rest_b) = (tail_a, tail_b);
-                std::thread::Builder::new()
-                    .name(format!("scout-sched-{}", w + 1))
-                    .spawn_scoped(scope, move || run(chunk_a, chunk_b))
-                    .expect("the OS refused a pure-pass helper thread")
-            })
-            .collect();
-        let mut first = catch_unwind(AssertUnwindSafe(|| run(own_a, own_b)));
-        for helper in helpers {
-            first = first.and(helper.join());
-        }
-        first
-    });
-    if let Err(payload) = outcome {
-        resume_unwind(payload);
-    }
-    helped
+    let len = a.len();
+    let lens = || ranges(len, width).map(|range| range.len());
+    let helped = len - lens().next().unwrap_or(0);
+    let parts = split_lengths(a, lens()).zip(split_lengths(b, lens()));
+    join_parts(parts, |(a, b)| a.iter_mut().zip(b).for_each(|(x, y)| step(x, y)));
+    helped as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -307,33 +264,45 @@ pub(crate) fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::thread::ThreadId;
-
-    #[test]
-    fn chunk_ranges_cover_every_position_in_order() {
-        // Pure arithmetic: no thread starts here, whatever the width.
-        for len in [0usize, 1, 2, 3, 7, 255, 256, 1_000] {
-            for width in [1usize, 2, 3, 4, 8, 300, usize::MAX] {
-                let ranges: Vec<Range<usize>> = chunk_ranges(len, width).collect();
-                let at = format!("len {len}, width {width}: {ranges:?}");
-                assert_eq!(ranges.len(), width.min(len), "{at}");
-                assert!(ranges.iter().all(|r| !r.is_empty()), "{at}");
-                let mut next = 0;
-                for range in &ranges {
-                    assert_eq!(range.start, next, "{at}");
-                    next = range.end;
-                }
-                assert_eq!(next, len, "{at}");
-                let lens = ranges.iter().map(Range::len);
-                let (lo, hi) = (lens.clone().min(), lens.max());
-                assert!(hi.zip(lo).is_none_or(|(hi, lo)| hi - lo <= 1), "{at}");
-            }
-        }
-    }
 
     /// What one position's step saw: how often it ran, its verdict, and
     /// the thread that ran it.
     type Visit = (u32, bool, Option<ThreadId>);
+
+    #[test]
+    fn chunk_ranges_cover_every_position_in_order() {
+        // The chunks a pass hands out, read back from the thread that ran
+        // each position: `min(width, len)` runs of one thread each,
+        // contiguous and in order, the caller's first, their lengths at
+        // most one apart. Widths stay small: each chunk past the first
+        // starts a thread.
+        let step = |_: &mut usize, (calls, _, on): &mut Visit| {
+            *calls += 1;
+            *on = Some(std::thread::current().id());
+        };
+        let caller = Some(std::thread::current().id());
+        for len in [0usize, 1, 2, 3, 7, 255, 256, 1_000] {
+            for width in [1usize, 2, 3, 4] {
+                let mut slots: Vec<usize> = (0..len).collect();
+                let mut visits: Vec<Visit> = vec![(0, false, None); len];
+                let helped = pure_pass(width, &mut slots, &mut visits, &step);
+                let at = format!("len {len}, width {width}");
+                assert!(visits.iter().all(|v| v.0 == 1), "{at}");
+                let chunks: Vec<&[Visit]> = visits.chunk_by(|x, y| x.2 == y.2).collect();
+                assert_eq!(chunks.len(), width.min(len), "{at}");
+                let threads: std::collections::HashSet<_> = chunks.iter().map(|c| c[0].2).collect();
+                assert_eq!(threads.len(), chunks.len(), "{at}: a thread ran two chunks");
+                assert!(chunks.first().is_none_or(|c| c[0].2 == caller), "{at}");
+                let lens = chunks.iter().map(|c| c.len());
+                let (lo, hi) = (lens.clone().min(), lens.max());
+                assert!(hi.zip(lo).is_none_or(|(hi, lo)| hi - lo <= 1), "{at}");
+                let own = chunks.first().map_or(0, |c| c.len());
+                assert_eq!(helped, (len - own) as u64, "{at}");
+            }
+        }
+    }
 
     #[test]
     fn phase_steps_every_position_exactly_once() {
@@ -376,18 +345,19 @@ mod tests {
         // threads panic, every time.
         let mut slots: Vec<usize> = (0..64).collect();
         let mut verdicts = vec![false; 64];
-        let name = || std::thread::current().name().unwrap_or("?").to_owned();
+        // Helpers are unnamed: a step tells them from the caller by id.
+        let caller = std::thread::current().id();
         let mut run = |spare_caller: bool| {
             let all_in = std::sync::Barrier::new(4);
             let caught = catch_unwind(AssertUnwindSafe(|| {
                 pure_pass(4, &mut slots, &mut verdicts, &|idx: &mut usize, _: &mut bool| {
                     // Position 0 is the caller's first step.
-                    let helper = name().starts_with("scout-sched-");
+                    let helper = std::thread::current().id() != caller;
                     if helper || *idx == 0 {
                         all_in.wait();
                     }
                     if helper || !spare_caller {
-                        panic!("step {idx} on {}", name());
+                        panic!("step {idx} on {}", if helper { "a helper" } else { "the caller" });
                     }
                 })
             }));
@@ -397,9 +367,9 @@ mod tests {
         // One payload comes out, a step's own: a helper's when only
         // helpers died, the caller's whenever the caller died too.
         let message = run(true);
-        assert!(message.starts_with("step ") && message.contains("scout-sched-"), "{message}");
+        assert!(message.starts_with("step ") && message.ends_with(" on a helper"), "{message}");
         let message = run(false);
-        assert!(message.starts_with("step ") && !message.contains("scout-sched-"), "{message}");
+        assert!(message.starts_with("step ") && message.ends_with(" on the caller"), "{message}");
         // The same positions then run cleanly, all 64.
         pure_pass(4, &mut slots, &mut verdicts, &|idx: &mut usize, more: &mut bool| {
             *more = idx.is_multiple_of(2);

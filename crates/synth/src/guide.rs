@@ -64,6 +64,42 @@ impl GuideGraph {
         let n = n as usize;
         &self.targets[self.offsets[n] as usize..self.offsets[n + 1] as usize]
     }
+
+    /// The forest whose node `n` sits at `positions[n]` and hangs from
+    /// `parents[n]` (a root names itself): the graph a [`GuideBuilder`]
+    /// finishes to when it was given the edge from each non-root's parent,
+    /// in node order. A generator that knows its sizes fills both arrays in
+    /// place; a parent a node costs half an edge list, and a tree has no
+    /// repeats to find.
+    pub(crate) fn from_forest(positions: Vec<Vec3>, parents: Vec<GuideNodeId>) -> GuideGraph {
+        let n = positions.len();
+        assert_eq!(parents.len(), n, "one parent a node");
+        assert!(n * 2 <= u32::MAX as usize, "guide rows overflow u32 offsets");
+        let edges = || {
+            let links = parents.iter().enumerate().map(|(c, &p)| (p, c as GuideNodeId));
+            links.filter(|&(p, c)| p != c)
+        };
+        let mut offsets = vec![0u32; n + 1];
+        for (p, c) in edges() {
+            offsets[p as usize + 1] += 1;
+            offsets[c as usize + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        // `offsets[i]` is row `i`'s cursor until the scatter leaves it at
+        // the row's end, which is where row `i + 1` starts.
+        let mut targets = vec![0 as GuideNodeId; offsets[n] as usize];
+        for (p, c) in edges() {
+            for (row, nb) in [(p, c), (c, p)] {
+                targets[offsets[row as usize] as usize] = nb;
+                offsets[row as usize] += 1;
+            }
+        }
+        offsets.copy_within(0..n, 1);
+        offsets[0] = 0;
+        GuideGraph { positions, offsets, targets }
+    }
 }
 
 /// Grows a [`GuideGraph`]: nodes and edges are appended to two flat lists
@@ -263,6 +299,35 @@ mod tests {
                 prop_assert_eq!(g.neighbors(i as GuideNodeId), list.as_slice());
                 prop_assert_eq!(g.position(i as GuideNodeId), Vec3::splat(i as f64));
             }
+        }
+
+        // Random forests, each node hanging from an earlier one or rooting
+        // a tree: `from_forest` is the builder given each parent edge in
+        // node order, row for row.
+        #[test]
+        fn forest_rows_equal_the_builders(
+            picks in prop::collection::vec((0u8..4, 0u32..1_000), 0..120),
+        ) {
+            let parents: Vec<GuideNodeId> = picks
+                .iter()
+                .enumerate()
+                .map(|(c, &(root, at))| if c == 0 || root == 0 { c as u32 } else { at % c as u32 })
+                .collect();
+            let positions: Vec<Vec3> = (0..parents.len()).map(|i| Vec3::splat(i as f64)).collect();
+            let mut builder = GuideBuilder::new();
+            for &p in &positions {
+                builder.add_node(p);
+            }
+            for (c, &p) in parents.iter().enumerate() {
+                if p != c as u32 {
+                    builder.add_edge(p, c as u32);
+                }
+            }
+            let want = builder.finish();
+            let got = GuideGraph::from_forest(positions, parents);
+            prop_assert_eq!(got.digest(), want.digest());
+            prop_assert_eq!(got.edge_count(), want.edge_count());
+            prop_assert_eq!(got.offsets, want.offsets);
         }
     }
 

@@ -9,14 +9,51 @@
 //! higher probability that the structure being followed bifurcates or
 //! bends, leading to a jagged query trace that cannot be interpolated
 //! well").
+//!
+//! ## Generated on every core
+//!
+//! Neurons are grown one after another from one generator, yet they are
+//! grown in parallel, bit for bit. Two facts make that exact:
+//!
+//! - A neuron's draws depend only on drawn values, never on geometry. Each
+//!   rejection loop tests only what it drew (the normal sample's `u1`, the
+//!   unit vector's norm); reflection and clamping draw nothing; the
+//!   bifurcation test compares one draw with a constant, gated by a step
+//!   count.
+//! - Every fiber subtree spends its whole `fiber_steps` budget, so neuron
+//!   `k` always owns objects and guide nodes `k·(1 + F·S) ..`, for `F`
+//!   fibers of `S` steps ([`NeuronParams::object_count`] is exact).
+//!
+//! So generation is two passes through one growth code path
+//! (`grow_neuron`, generic over the skeleton's `Sink`). A draw-only pass,
+//! whose sink places nothing and computes no geometry, records the
+//! generator's state at the start of every neuron (about 10 ms at 1.3 M
+//! objects). Then the neurons are split in contiguous ranges over one
+//! scoped thread per core (`scout_geometry::split`); each part grows its
+//! neurons from their recorded states straight into its slices of the
+//! object, node-position and node-parent arrays, which the caller
+//! allocated at their exact lengths, and checks after every neuron that its
+//! generator equals the next neuron's recorded state. The guide's rows are
+//! built from the parents on the caller: a neuron is a tree, so a parent a
+//! node is all its edges, in half the memory of an edge list. One thread is
+//! the serial generator; fewer than [`MIN_NEURONS_PER_THREAD`] neurons a
+//! thread spawn nothing, and a helper allocates nothing (its tip queue is
+//! reserved by the caller).
 
 use crate::dataset::{Dataset, Domain};
-use crate::guide::GuideBuilder;
-use crate::rng_util::{point_in_box, unit_vector};
-use crate::skeleton::{grow_subtree, GrowthParams};
+use crate::guide::{GuideGraph, GuideNodeId};
+use crate::rng_util::{point_in_box, unit_vector, Turn};
+use crate::skeleton::{advance, fork, grow_subtree, Draws, GrowthParams, Sink, Tips};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use scout_geometry::split::{join_parts, ranges, split_lengths, width};
 use scout_geometry::{Aabb, Cylinder, ObjectId, Shape, SpatialObject, Sphere, StructureId, Vec3};
+use std::ops::Range;
+
+/// Neurons a thread must have before generation spreads to one more. A
+/// default neuron (1 201 objects) grows in about 0.3 ms on one core, so 16
+/// take some eighty times a thread's spawn and join.
+const MIN_NEURONS_PER_THREAD: usize = 16;
 
 /// Parameters of the neuron-tissue generator.
 #[derive(Debug, Clone, Copy)]
@@ -27,7 +64,7 @@ pub struct NeuronParams {
     pub bounds_side: f64,
     /// Branching fiber subtrees per neuron.
     pub fibers_per_neuron: usize,
-    /// Step budget per fiber subtree (≈ cylinders per subtree).
+    /// Step budget per fiber subtree (= cylinders per subtree).
     pub fiber_steps: usize,
     /// Skeleton step length, µm (= cylinder length).
     pub step_len: f64,
@@ -68,73 +105,188 @@ impl NeuronParams {
     /// default volume (used by the Figure 13b density sweep).
     pub fn with_target_objects(target: usize) -> NeuronParams {
         let base = NeuronParams::default();
-        let per_neuron = 1 + base.fibers_per_neuron * base.fiber_steps;
-        NeuronParams { neuron_count: (target / per_neuron).max(1), ..base }
+        NeuronParams { neuron_count: (target / base.objects_per_neuron()).max(1), ..base }
     }
 
-    /// Approximate number of objects this configuration will generate.
-    pub(crate) fn approx_objects(&self) -> usize {
-        self.neuron_count * (1 + self.fibers_per_neuron * self.fiber_steps)
+    /// Number of objects this configuration generates: a soma and one
+    /// cylinder per fiber step, for every neuron. Exact, since every fiber
+    /// subtree spends its whole step budget.
+    pub(crate) fn object_count(&self) -> usize {
+        self.neuron_count * self.objects_per_neuron()
+    }
+
+    /// Objects, and guide nodes, of one neuron.
+    fn objects_per_neuron(&self) -> usize {
+        1 + self.fibers_per_neuron * self.fiber_steps
+    }
+
+    /// The tissue block.
+    fn bounds(&self) -> Aabb {
+        Aabb::new(Vec3::ZERO, Vec3::splat(self.bounds_side))
+    }
+
+    /// How each fiber subtree grows.
+    fn growth(&self) -> GrowthParams {
+        GrowthParams {
+            angle_sigma: self.angle_sigma,
+            bifurcation_prob: self.bifurcation_prob,
+            bifurcation_angle: self.bifurcation_angle,
+            min_steps_before_split: self.min_steps_before_split,
+            max_total_steps: self.fiber_steps,
+        }
     }
 }
 
-/// Generates a neuron tissue dataset. Deterministic in `seed`.
+/// Generates a neuron tissue dataset. Deterministic in `seed`, and the same
+/// on any number of cores (module docs).
 pub fn generate_neurons(params: &NeuronParams, seed: u64) -> Dataset {
+    generate_neurons_on(params, seed, width(params.neuron_count, MIN_NEURONS_PER_THREAD))
+}
+
+/// [`generate_neurons`] on `threads` threads (at least one), whatever the
+/// size.
+pub(crate) fn generate_neurons_on(params: &NeuronParams, seed: u64, threads: usize) -> Dataset {
     assert!(params.neuron_count >= 1);
+    let n = params.neuron_count;
+    let tip_bound = params.fiber_steps + 1;
+
+    // The draw-only pass: each neuron's starting state, then the last's end.
     let mut rng = StdRng::seed_from_u64(seed);
-    let bounds = Aabb::new(Vec3::ZERO, Vec3::splat(params.bounds_side));
-    let mut guide = GuideBuilder::new();
-    let mut objects: Vec<SpatialObject> = Vec::with_capacity(params.approx_objects());
+    let mut tips = Tips::with_capacity(tip_bound);
+    let mut starts = Vec::with_capacity(n + 1);
+    for _ in 0..n {
+        starts.push(rng.clone());
+        grow_neuron(&mut Draws, &mut rng, params, &mut tips);
+    }
+    starts.push(rng);
 
-    let push = |objects: &mut Vec<SpatialObject>, structure: u32, shape: Shape| {
-        let id = ObjectId(objects.len() as u32);
-        objects.push(SpatialObject::new(id, StructureId(structure), shape));
-    };
-
-    let growth = GrowthParams {
-        step_len: params.step_len,
-        angle_sigma: params.angle_sigma,
-        bifurcation_prob: params.bifurcation_prob,
-        bifurcation_angle: params.bifurcation_angle,
-        min_steps_before_split: params.min_steps_before_split,
-        max_total_steps: params.fiber_steps,
-    };
-
-    for neuron in 0..params.neuron_count {
-        let soma = point_in_box(
-            &mut rng,
-            bounds.min + Vec3::splat(params.soma_radius),
-            bounds.max - Vec3::splat(params.soma_radius),
-        );
-        push(&mut objects, neuron as u32, Shape::Sphere(Sphere::new(soma, params.soma_radius)));
-        let soma_node = guide.add_node(soma);
-
-        for _ in 0..params.fibers_per_neuron {
-            let dir = unit_vector(&mut rng);
-            let edges = grow_subtree(&mut guide, &mut rng, soma_node, dir, &growth, &bounds);
-            for e in &edges {
-                // Radius tapers slightly with depth, like real fibers.
-                let taper = 1.0 / (1.0 + 0.002 * e.depth as f64);
-                push(
-                    &mut objects,
-                    neuron as u32,
-                    Shape::Cylinder(Cylinder::new(
-                        guide.position(e.from),
-                        guide.position(e.to),
-                        params.fiber_radius * taper * 1.02,
-                        params.fiber_radius * taper,
-                    )),
-                );
-            }
+    let per_neuron = params.objects_per_neuron();
+    let unset = SpatialObject::new(ObjectId(0), StructureId(0), Shape::Point(Vec3::ZERO));
+    let mut objects = vec![unset; params.object_count()];
+    let mut positions = vec![Vec3::ZERO; params.object_count()];
+    let mut parents = vec![0 as GuideNodeId; params.object_count()];
+    let parts: Vec<Range<usize>> = ranges(n, threads).collect();
+    let mut queues: Vec<Tips<Vec3>> =
+        parts.iter().map(|_| Tips::with_capacity(tip_bound)).collect();
+    let lens = |per: usize| parts.iter().map(move |neurons| neurons.len() * per);
+    let slices = split_lengths(&mut objects, lens(per_neuron))
+        .zip(split_lengths(&mut positions, lens(per_neuron)))
+        .zip(split_lengths(&mut parents, lens(per_neuron)));
+    join_parts(parts.iter().zip(slices).zip(&mut queues), |((neurons, slices), tips)| {
+        let ((objects, positions), parents) = slices;
+        let base = (neurons.start * per_neuron) as GuideNodeId;
+        let mut tissue = Tissue::new(params, base, objects, positions, parents);
+        let mut rng = starts[neurons.start].clone();
+        for k in neurons.clone() {
+            tissue.neuron = StructureId(k as u32);
+            grow_neuron(&mut tissue, &mut rng, params, tips);
+            assert_eq!(rng, starts[k + 1], "neuron {k} drew other than its draw-only pass did");
         }
+        // Every slot was written: no placeholder is left.
+        assert_eq!(tissue.nodes, tissue.positions.len());
+    });
+
+    let guide = GuideGraph::from_forest(positions, parents);
+    Dataset { domain: Domain::Neuron, objects, bounds: params.bounds(), guide, adjacency: None }
+}
+
+/// Grows one neuron into `sink`: its soma at a uniform point of the block
+/// (inset by the soma radius), then each fiber subtree from it in turn,
+/// on a uniform direction. Both passes of [`generate_neurons_on`] run it.
+fn grow_neuron<S: Sink>(
+    sink: &mut S,
+    rng: &mut StdRng,
+    params: &NeuronParams,
+    tips: &mut Tips<S::Heading>,
+) {
+    let bounds = params.bounds();
+    let inset = Vec3::splat(params.soma_radius);
+    let soma = sink.root(point_in_box(rng, bounds.min + inset, bounds.max - inset));
+    let growth = params.growth();
+    for _ in 0..params.fibers_per_neuron {
+        let dir = unit_vector(rng);
+        grow_subtree(sink, rng, (soma, dir), &growth, tips);
+    }
+}
+
+/// One part's neurons, written in place into the slices of the object,
+/// node-position and node-parent arrays they own. An object's id is its
+/// guide node's: a soma is its neuron's first node (and root), a fiber
+/// cylinder the node its step adds (hanging from the node it steps from).
+struct Tissue<'a> {
+    params: &'a NeuronParams,
+    bounds: Aabb,
+    /// The id of the part's first node.
+    base: GuideNodeId,
+    /// The neuron being grown.
+    neuron: StructureId,
+    objects: &'a mut [SpatialObject],
+    positions: &'a mut [Vec3],
+    parents: &'a mut [GuideNodeId],
+    /// Nodes written so far.
+    nodes: usize,
+}
+
+impl<'a> Tissue<'a> {
+    fn new(
+        params: &'a NeuronParams,
+        base: GuideNodeId,
+        objects: &'a mut [SpatialObject],
+        positions: &'a mut [Vec3],
+        parents: &'a mut [GuideNodeId],
+    ) -> Tissue<'a> {
+        let bounds = params.bounds();
+        let neuron = StructureId(0);
+        Tissue { params, bounds, base, neuron, objects, positions, parents, nodes: 0 }
     }
 
-    Dataset { domain: Domain::Neuron, objects, bounds, guide: guide.finish(), adjacency: None }
+    /// Writes the next node at `pos`, hanging from `parent` (a root when
+    /// none), with its object, and returns its id.
+    fn place(&mut self, pos: Vec3, parent: Option<GuideNodeId>, shape: Shape) -> GuideNodeId {
+        let id = self.base + self.nodes as GuideNodeId;
+        self.positions[self.nodes] = pos;
+        self.parents[self.nodes] = parent.unwrap_or(id);
+        self.objects[self.nodes] = SpatialObject::new(ObjectId(id), self.neuron, shape);
+        self.nodes += 1;
+        id
+    }
+}
+
+impl Sink for Tissue<'_> {
+    type Heading = Vec3;
+
+    fn heading(dir: Vec3) -> Vec3 {
+        dir.normalized_or_x()
+    }
+
+    fn root(&mut self, pos: Vec3) -> GuideNodeId {
+        self.place(pos, None, Shape::Sphere(Sphere::new(pos, self.params.soma_radius)))
+    }
+
+    fn step(
+        &mut self,
+        from: GuideNodeId,
+        dir: Vec3,
+        turn: Option<Turn>,
+        depth: u32,
+    ) -> (GuideNodeId, Vec3) {
+        let pos = self.positions[(from - self.base) as usize];
+        let (next, d) = advance(pos, dir, turn, self.params.step_len, &self.bounds);
+        // Radius tapers slightly with depth, like real fibers.
+        let radius = self.params.fiber_radius * (1.0 / (1.0 + 0.002 * depth as f64));
+        let cylinder = Cylinder::new(pos, next, radius * 1.02, radius);
+        (self.place(next, Some(from), Shape::Cylinder(cylinder)), d)
+    }
+
+    fn fork(dir: Vec3, phi: f64, half_angle: f64) -> (Vec3, Vec3) {
+        fork(dir, phi, half_angle)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn small() -> NeuronParams {
         NeuronParams { neuron_count: 5, fiber_steps: 150, ..Default::default() }
@@ -157,6 +309,65 @@ mod tests {
             (g.node_count(), g.edge_count(), g.digest()),
             (2255, 2250, 0x369c_5a6f_7a2f_1299)
         );
+    }
+
+    #[test]
+    fn neurons_are_pinned() {
+        // A bed that splits: 33 neurons, two or more threads' worth.
+        // Recorded on the serial generator before generation split.
+        let params = NeuronParams::with_target_objects(40_000);
+        for d in [generate_neurons(&params, 42), generate_neurons_on(&params, 42, 2)] {
+            let g = &d.guide;
+            assert_eq!((d.len(), d.digest()), (39_633, 0x3ea4_43ac_90d1_35d4));
+            assert_eq!(
+                (g.node_count(), g.edge_count(), g.digest()),
+                (39_633, 39_600, 0x6323_42ed_0fe4_ac84)
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Neurons grown in parallel from the states the draw-only pass
+        // recorded are the single-thread generator's, bit for bit: every
+        // object, node position and guide row. The draws reach the corners
+        // the draw-only argument rests on: subtrees of no steps, branches
+        // that split at their first step or at every one or never, still
+        // and jagged headings, and blocks small enough that most steps
+        // reflect.
+        #[test]
+        fn neurons_equal_the_serial_generator_at_every_width(
+            seed in 0u64..u64::MAX,
+            neuron_count in 1usize..=80,
+            fibers_per_neuron in 1usize..=4,
+            fiber_steps in prop_oneof![Just(0usize), 1usize..=60],
+            min_steps_before_split in prop_oneof![Just(0usize), 1usize..=20],
+            bifurcation_prob in prop_oneof![Just(0.0), Just(1.0), 0.0..1.0],
+            angle_sigma in prop_oneof![Just(0.0), 0.0..1.5],
+            bounds_side in 20.0..300.0,
+        ) {
+            let params = NeuronParams {
+                neuron_count,
+                fibers_per_neuron,
+                fiber_steps,
+                min_steps_before_split,
+                bifurcation_prob,
+                angle_sigma,
+                bounds_side,
+                ..NeuronParams::default()
+            };
+            let serial = generate_neurons_on(&params, seed, 1);
+            prop_assert_eq!(serial.len(), params.object_count());
+            let guide = serial.guide.digest();
+            for threads in [2, 3, 8] {
+                let wide = generate_neurons_on(&params, seed, threads);
+                // The guide digest holds every position's bits; each object
+                // is made of two of them.
+                prop_assert!(wide.objects == serial.objects, "{} threads", threads);
+                prop_assert_eq!(wide.guide.digest(), guide, "{} threads", threads);
+            }
+        }
     }
 
     #[test]
@@ -231,7 +442,8 @@ mod tests {
     #[test]
     fn target_objects_close() {
         let p = NeuronParams::with_target_objects(50_000);
-        let approx = p.approx_objects();
-        assert!(approx as f64 > 40_000.0 && (approx as f64) < 60_000.0, "{approx}");
+        let count = p.object_count();
+        assert!(count as f64 > 40_000.0 && (count as f64) < 60_000.0, "{count}");
+        assert_eq!(generate_neurons(&p, 1).len(), count);
     }
 }

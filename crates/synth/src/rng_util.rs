@@ -3,17 +3,23 @@
 use rand::Rng;
 use scout_geometry::Vec3;
 
-/// Standard-normal sample via Box–Muller (keeps the dependency set to
-/// `rand` alone; `rand_distr` is not needed for this).
-pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+/// The two uniforms of one standard-normal sample by Box–Muller (keeps the
+/// dependency set to `rand` alone; `rand_distr` is not needed for this):
+/// `u1` is drawn again until its log is finite.
+fn gaussian_draws<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
     loop {
         let u1: f64 = rng.random::<f64>();
         if u1 <= f64::MIN_POSITIVE {
             continue;
         }
         let u2: f64 = rng.random::<f64>();
-        return (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+        return (u1, u2);
     }
+}
+
+/// The standard-normal sample of [`gaussian_draws`]' uniforms.
+fn box_muller((u1, u2): (f64, f64)) -> f64 {
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 /// Uniform point inside an axis-aligned box.
@@ -40,19 +46,37 @@ pub(crate) fn unit_vector<R: Rng + ?Sized>(rng: &mut R) -> Vec3 {
     }
 }
 
-/// Perturbs a unit direction by a random rotation with angular magnitude
-/// drawn from `N(0, sigma)`; result is renormalized.
-pub(crate) fn perturb_direction<R: Rng + ?Sized>(rng: &mut R, dir: Vec3, sigma: f64) -> Vec3 {
-    if sigma <= 0.0 {
-        return dir;
+/// What one random turn of a heading draws: a rotation whose angle is
+/// drawn from `N(0, sigma)`, about an axis orthogonal to the heading at a
+/// uniform roll. It holds the draws, not the rotation: a pass that only
+/// needs the generator's state after the turn computes no trigonometry.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Turn {
+    normal: (f64, f64),
+    phi: f64,
+    sigma: f64,
+}
+
+impl Turn {
+    /// Draws a turn of angular scale `sigma`; none, drawing nothing, when
+    /// `sigma` is not positive.
+    pub(crate) fn draw<R: Rng + ?Sized>(rng: &mut R, sigma: f64) -> Option<Turn> {
+        if sigma <= 0.0 {
+            return None;
+        }
+        let normal = gaussian_draws(rng);
+        let phi = rng.random_range(0.0..std::f64::consts::TAU);
+        Some(Turn { normal, phi, sigma })
     }
-    let angle = gaussian(rng) * sigma;
-    // Rotate around a random axis orthogonal to dir.
-    let ortho = dir.any_orthogonal();
-    let phi = rng.random_range(0.0..std::f64::consts::TAU);
-    let axis_in_plane = ortho * phi.cos() + dir.cross(ortho) * phi.sin();
-    let rotated = dir * angle.cos() + axis_in_plane * angle.sin();
-    rotated.normalized_or_x()
+
+    /// The unit direction `dir` turned: renormalized after the rotation.
+    pub(crate) fn apply(self, dir: Vec3) -> Vec3 {
+        let angle = box_muller(self.normal) * self.sigma;
+        let ortho = dir.any_orthogonal();
+        let axis_in_plane = ortho * self.phi.cos() + dir.cross(ortho) * self.phi.sin();
+        let rotated = dir * angle.cos() + axis_in_plane * angle.sin();
+        rotated.normalized_or_x()
+    }
 }
 
 #[cfg(test)]
@@ -65,7 +89,7 @@ mod tests {
     fn gaussian_moments() {
         let mut rng = StdRng::seed_from_u64(7);
         let n = 20_000;
-        let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
+        let samples: Vec<f64> = (0..n).map(|_| box_muller(gaussian_draws(&mut rng))).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
@@ -78,6 +102,10 @@ mod tests {
         for _ in 0..100 {
             assert!((unit_vector(&mut rng).norm() - 1.0).abs() < 1e-9);
         }
+    }
+
+    fn perturb_direction(rng: &mut StdRng, dir: Vec3, sigma: f64) -> Vec3 {
+        Turn::draw(rng, sigma).map_or(dir, |turn| turn.apply(dir))
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //!
 //! Generating a neuron dataset is held to fewer allocations than one per
 //! ten guide nodes: the guide's adjacency is one CSR array, not a list per
-//! node.
+//! node. Generation splits over one thread a core, and no thread but the
+//! caller may allocate while it runs.
 //!
 //! The STR bulk load is held to a peak heap: no more than the
 //! comparison-sort pack held at once on the same bed. It and FLAT's
@@ -560,7 +561,31 @@ fn steady_state_graph_build_allocates_nothing() {
         assert_eq!(layout.object_count(), objects.len());
         transient
     };
+    // --- Neuron generation allocates on the caller only ---------------------
+    //
+    // The 60 k-object bed has 49 neurons, enough to split on two cores or
+    // more: the caller reserves every part's tip queue and allocates the
+    // object, position and parent arrays the parts fill, so a helper
+    // allocates nothing. The guide's budget holds at this width too.
+    IS_CALLER.with(|caller| caller.set(true));
+    WATCH_THREADS.store(true, Ordering::Relaxed);
+    let before = allocations();
     let tissue = generate_neurons(&NeuronParams::with_target_objects(60_000), 29);
+    let blocks = allocations() - before;
+    WATCH_THREADS.store(false, Ordering::Relaxed);
+    let nodes = tissue.guide.node_count() as u64;
+    assert!(
+        blocks * 10 < nodes,
+        "generating {nodes} guide nodes allocated {blocks} blocks, not fewer than one per ten"
+    );
+    assert_eq!(
+        OFF_CALLER.load(Ordering::Relaxed),
+        0,
+        "generating {} neurons' {} objects allocated off the caller",
+        NeuronParams::with_target_objects(60_000).neuron_count,
+        tissue.objects.len()
+    );
+
     let mut skewed = tissue.objects.clone();
     for far in [(1e12, 0.0, 0.0), (0.0, 1e12, 0.0), (0.0, 0.0, 1e12)] {
         use scout::geometry::{ObjectId, Shape, SpatialObject, StructureId, Vec3};
@@ -587,7 +612,6 @@ fn steady_state_graph_build_allocates_nothing() {
     // the directed lists' flat buffer. Both beds are large enough to split
     // on two cores or more (60 k objects; about 4 000 pages); on one core
     // nothing is spawned and this holds trivially.
-    IS_CALLER.with(|caller| caller.set(true));
     WATCH_THREADS.store(true, Ordering::Relaxed);
     let tree = RTree::bulk_load_with_capacity(&tissue.objects, 16);
     let pages = tree.layout().page_count();
