@@ -8,6 +8,8 @@
 //! ([`split_lengths`]) and runs them with [`join_parts`]. Joining the parts
 //! in order gives exactly what one thread doing them in turn gives, and one
 //! thread *is* that: a single part runs on the caller and spawns nothing.
+//! [`width`] picks how many, from the core count it reads once, at the
+//! process's first split.
 //!
 //! Helpers should allocate nothing: a helper thread's first allocation
 //! opens a glibc arena of its own, and what lands there outlives the work
@@ -17,17 +19,22 @@
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 
-/// How many threads `work` units should run on: one per available core,
-/// but no more than leave every thread `min_per_thread` units. A thread
-/// costs a spawn and a join (about 60 µs at the median, near 1 ms at the
-/// 99th percentile on a 2-core Xeon), so a small load runs on the caller.
-///
-/// The cores are the process's CPU affinity: `taskset -c 0` runs every
-/// split on one thread.
+/// The cores this process may run on, read once, at the first split, and
+/// kept for the life of the process. They are the process's CPU affinity
+/// at that moment: under `taskset -c 0` every split runs on one thread.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// How many threads `work` units should run on: one per core, but no more
+/// than leave every thread `min_per_thread` units. A thread costs a spawn
+/// and a join (about 40 µs on a 2-core Xeon), so a small load runs on the
+/// caller. `width(usize::MAX, 1)` is the core count.
 pub fn width(work: usize, min_per_thread: usize) -> usize {
-    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    cores.min(work / min_per_thread).max(1)
+    cores().min(work / min_per_thread).max(1)
 }
 
 /// `len` cut into `min(parts, len)` contiguous ranges (at least one part),
@@ -126,6 +133,23 @@ mod tests {
                 let (longest, shortest) =
                     (got.first().map_or(0, Range::len), got.last().map_or(0, Range::len));
                 assert!(longest - shortest <= 1, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn width_clamps_the_core_count() {
+        // Pure arithmetic over the cached core count: no thread starts.
+        let cores = width(usize::MAX, 1);
+        assert!(cores >= 1);
+        assert_eq!(width(usize::MAX, 1), cores);
+        for work in [0usize, 1, 2, 3, 7, 100, 16_383, 16_384, 32_768, 1 << 20, usize::MAX] {
+            for min in [1usize, 2, 512, 16_384] {
+                let w = width(work, min);
+                assert!((1..=cores).contains(&w), "width({work}, {min}) = {w}");
+                if work < 2 * min {
+                    assert_eq!(w, 1, "width({work}, {min})");
+                }
             }
         }
     }

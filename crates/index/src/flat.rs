@@ -33,8 +33,9 @@
 //! the caller. Every list equals the serial pass's, and one thread is the
 //! serial pass. Beds of fewer than [`MIN_PAGES_PER_THREAD`] pages a thread
 //! spawn nothing. A helper allocates nothing: its probe and k-NN buffers
-//! are reserved by the caller to their bounds, and it writes its lists
-//! into a flat buffer the caller owns.
+//! are reserved by the caller to their bounds. Every chunk, the caller's
+//! too, writes its lists into one flat buffer the caller owns, and the
+//! caller alone turns them into the pages' lists: one writer, one reader.
 
 use crate::rtree::{KnnScratch, RTree};
 use crate::traits::{OrderedSpatialIndex, SpatialIndex};
@@ -49,9 +50,10 @@ use std::ops::Range;
 const MIN_PAGES_PER_THREAD: usize = 512;
 
 /// Directed-list entries a page, on average, that the caller's flat
-/// buffer holds for a helper's chunk of pages. The benchmark's beds list
-/// about 33 (1.3 M neurons) and 19 (roads) a page, at most 96. The buffer
-/// is zeroed by the allocator, so only the entries written take memory.
+/// buffer holds for a chunk of pages, the caller's own included. The
+/// benchmark's beds list about 33 (1.3 M neurons) and 19 (roads) a page,
+/// at most 96, so no chunk of theirs runs out. The buffer is zeroed by the
+/// allocator, so only the entries written take memory.
 const LIST_ROOM: usize = 48;
 
 /// Tuning parameters for neighborhood construction.
@@ -106,11 +108,11 @@ impl FlatIndex {
     /// whatever the size.
     ///
     /// The directed lists are found over page chunks, one a thread, each
-    /// with a [`DirectedPass`] of its own. The caller's chunk allocates its
-    /// lists where they end up. A helper writes its lists one after another
-    /// into a flat buffer the caller allocated with [`LIST_ROOM`] entries a
-    /// page; if it runs out of room it stops, and the caller finds the rest
-    /// of its lists itself.
+    /// with a [`DirectedPass`] of its own. Every chunk, the caller's
+    /// included, writes its lists one after another into a flat buffer the
+    /// caller allocated with [`LIST_ROOM`] entries a page; if it runs out of
+    /// room it stops. Then the caller builds every page's list in page
+    /// order, and finds the lists of any chunk that stopped short itself.
     pub(crate) fn from_rtree_on(rtree: RTree, config: FlatConfig, threads: usize) -> FlatIndex {
         let pages = rtree.layout().pages();
         let chunks: Vec<Range<usize>> = ranges(pages.len(), threads).collect();
@@ -119,24 +121,22 @@ impl FlatIndex {
         while passes.len() < chunks.len() {
             passes.push(passes[0].with_buffers());
         }
-        // An empty tree has no chunk at all.
-        let (own, helped) = chunks.split_first().map_or((0, &[][..]), |(c, rest)| (c.len(), rest));
+        // Allocated before the flat buffer, or `follow`'s `peak_rss_mb`
+        // reads 4 MB more: where glibc puts the buffer (DESIGN §6).
         let mut neighbors: Vec<Vec<PageId>> = Vec::with_capacity(pages.len());
-        let mut lists = vec![0u32; (pages.len() - own) * LIST_ROOM];
-        let mut lens = vec![0u32; pages.len() - own];
-        let flat = split_lengths(&mut lists, helped.iter().map(|r| r.len() * LIST_ROOM))
-            .zip(split_lengths(&mut lens, helped.iter().map(Range::len)))
-            .map(|(out, lens)| Lists::Flat(out, lens));
-        let outputs = std::iter::once(Lists::Own(&mut neighbors)).chain(flat);
+        let mut lists = vec![0u32; pages.len() * LIST_ROOM];
+        let mut lens = vec![0u32; pages.len()];
+        let outputs = split_lengths(&mut lists, chunks.iter().map(|r| r.len() * LIST_ROOM))
+            .zip(split_lengths(&mut lens, chunks.iter().map(Range::len)));
         let parts = chunks.iter().zip(passes.iter_mut()).zip(outputs);
-        let done =
-            join_parts(parts, |((range, pass), lists)| pass.fill(&pages[range.clone()], lists));
+        let done = join_parts(parts, |((range, pass), (out, lens))| {
+            pass.fill(&pages[range.clone()], out, lens)
+        });
 
         let pass = &mut passes[0];
-        for (range, &done) in helped.iter().zip(done.iter().skip(1)) {
-            let base = range.start - own;
-            let mut out = &lists[base * LIST_ROOM..];
-            for &len in &lens[base..base + done] {
+        for (range, &done) in chunks.iter().zip(&done) {
+            let mut out = &lists[range.start * LIST_ROOM..];
+            for &len in &lens[range.start..range.start + done] {
                 let (list, rest) = out.split_at(len as usize);
                 neighbors.push(list.iter().copied().map(PageId).collect());
                 out = rest;
@@ -244,14 +244,6 @@ impl FlatIndex {
     }
 }
 
-/// Where a chunk of the neighborhood pass writes its directed lists.
-enum Lists<'a> {
-    /// The caller's chunk: one list a page, allocated where it ends up.
-    Own(&'a mut Vec<Vec<PageId>>),
-    /// A helper's chunk: the lists one after another, and their lengths.
-    Flat(&'a mut [u32], &'a mut [u32]),
-}
-
 /// The directed half of the neighborhood pass, one page at a time, with
 /// the buffers it reuses across pages.
 struct DirectedPass<'a> {
@@ -305,32 +297,21 @@ impl<'a> DirectedPass<'a> {
         }
     }
 
-    /// Writes the directed lists of `pages` to `lists`, in order, and
-    /// returns how many it wrote: all of them, unless a flat buffer runs
-    /// out of room for the next.
-    fn fill(&mut self, pages: &[Page], lists: Lists<'_>) -> usize {
-        match lists {
-            Lists::Own(neighbors) => {
-                for page in pages {
-                    self.run(page);
-                    neighbors.push(self.near.clone());
-                }
-                pages.len()
-            }
-            Lists::Flat(out, lens) => {
-                let mut used = 0;
-                for (done, page) in pages.iter().enumerate() {
-                    self.run(page);
-                    let Some(room) = out.get_mut(used..used + self.near.len()) else {
-                        return done;
-                    };
-                    room.iter_mut().zip(&self.near).for_each(|(slot, p)| *slot = p.0);
-                    lens[done] = self.near.len() as u32;
-                    used += self.near.len();
-                }
-                pages.len()
-            }
+    /// Writes the directed lists of `pages` one after another into `out`,
+    /// and their lengths into `lens`, and returns how many it wrote: all
+    /// of them, unless `out` runs out of room for the next.
+    fn fill(&mut self, pages: &[Page], out: &mut [u32], lens: &mut [u32]) -> usize {
+        let mut used = 0;
+        for (done, page) in pages.iter().enumerate() {
+            self.run(page);
+            let Some(room) = out.get_mut(used..used + self.near.len()) else {
+                return done;
+            };
+            room.iter_mut().zip(&self.near).for_each(|(slot, p)| *slot = p.0);
+            lens[done] = self.near.len() as u32;
+            used += self.near.len();
         }
+        pages.len()
     }
 
     /// Sets `near` to `page`'s directed list — the pages its ε-probe
@@ -618,16 +599,18 @@ mod tests {
 
     /// Lists longer than the room a chunk is given: every probe meets
     /// every page, so each chunk stops part way through and the caller
-    /// finds the rest.
+    /// finds the rest. At width 1 the one chunk is the caller's own.
     #[test]
     fn neighbors_equal_the_plain_pass_when_lists_outgrow_their_room() {
         let tree = RTree::bulk_load_with_capacity(&grid_objects(8, 1.0), 4);
         let config = FlatConfig { epsilon_factor: 100.0, knn: 4 };
+        let pages = tree.layout().pages();
+        let (mut out, mut lens) = (vec![0; pages.len() * LIST_ROOM], vec![0; pages.len()]);
+        let done = DirectedPass::new(&tree, config).fill(pages, &mut out, &mut lens);
+        assert!(done > 0 && 2 * done < pages.len(), "{done} of {} lists fit", pages.len());
         assert_plain_neighbors(&tree, config).unwrap();
-        let pages = tree.layout().page_count();
-        let flat = FlatIndex::from_rtree_on(tree, config, 1);
-        assert_eq!(flat.mean_neighbor_count(), (pages - 1) as f64);
-        assert!(pages > 2 * LIST_ROOM);
+        let flat = FlatIndex::from_rtree_on(tree.clone(), config, 1);
+        assert_eq!(flat.mean_neighbor_count(), (pages.len() - 1) as f64);
     }
 
     /// Realistic lists, long and short: the 512 pages of a 40 k-object

@@ -14,10 +14,12 @@
 //!
 //! The pack splits over one scoped thread per core (see `scout_geometry::split`),
 //! each phase over disjoint slices joined in order: the key fills over
-//! object chunks, the x sort's counts over id halves and its scatter and
-//! bucket sorts over bucket ranges, the y and z sorts over groups of
-//! whole slabs, and the page pass over page chunks. Every sort is stable
-//! and every part is written by one thread, so the pages equal the serial
+//! object chunks, the y and z sorts over groups of whole slabs, and the
+//! page pass over page chunks. The x sort is one sort of every id, and it
+//! runs on the caller with the y and z sorts' code: splitting its counting
+//! sort took about 80 lines and saved 9–23 ms of the 1.3 M-object bed's
+//! 0.4 s setup (DESIGN §6 *The price list*). Every sort is stable and
+//! every part is written by one thread, so the pages equal the serial
 //! pack's bit for bit; one thread is the serial pack. Packs of fewer than
 //! [`MIN_OBJECTS_PER_THREAD`] objects a thread spawn nothing. The caller
 //! allocates every buffer, the pages' object lists included, and a helper
@@ -93,11 +95,12 @@ pub(crate) fn str_pack_on(
     {
         let mut key = vec![0.0; n];
         let mut spare = vec![0u32; n];
-        // Room for the x sort's bucket counts, or for one slab group's
+        // Room for the x sort's bucket starts, or for one slab group's
         // starts a thread.
         let mut starts = vec![0u32; n / KEYS_PER_BUCKET + threads];
-        let x_range = fill_keys(objects, &mut key, threads, |o| o.centroid().x);
-        sort_identity_by_key(&mut order, &key, x_range, &mut spare, &mut starts, threads);
+        fill_keys(objects, &mut key, threads, |o| o.centroid().x);
+        order.iter_mut().zip(0..).for_each(|(o, i)| *o = i);
+        sort_ids_by_key(&mut order, &key, &mut spare, &mut starts);
         fill_keys(objects, &mut key, threads, |o| o.centroid().y);
         for_each_slab(
             &mut order,
@@ -173,8 +176,7 @@ fn fill_pages(objects: &[SpatialObject], pages: &mut [Page], order: &[u32]) {
     }
 }
 
-/// Sets `key[i]` to `axis(objects[i])` over object chunks, one a thread,
-/// and returns the least and the greatest key.
+/// Sets `key[i]` to `axis(objects[i])` over object chunks, one a thread.
 ///
 /// # Panics
 /// Panics when a key is not finite: an infinite one would sort, but give
@@ -184,22 +186,15 @@ fn fill_keys(
     key: &mut [f64],
     threads: usize,
     axis: impl Fn(&SpatialObject) -> f64 + Sync,
-) -> (f64, f64) {
+) {
     let chunks: Vec<Range<usize>> = ranges(objects.len(), threads).collect();
     let parts = chunks.iter().zip(split_lengths(key, chunks.iter().map(Range::len)));
-    let extremes = join_parts(parts, |(range, keys)| {
-        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+    join_parts(parts, |(range, keys)| {
         for (k, o) in keys.iter_mut().zip(&objects[range.clone()]) {
             *k = axis(o);
             assert!(k.is_finite(), "non-finite coordinate in dataset");
-            lo = lo.min(*k);
-            hi = hi.max(*k);
         }
-        (lo, hi)
     });
-    extremes
-        .into_iter()
-        .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (l, h)| (lo.min(l), hi.max(h)))
 }
 
 /// Runs `sort` on every slab of `order`, with groups of whole slabs
@@ -299,93 +294,18 @@ fn sort_ids_by_key(ids: &mut [u32], key: &[f64], spare: &mut [u32], starts: &mut
         *s += 1;
     }
     // Each start now ends its bucket.
-    sort_short_buckets(ids, 0, ends, key);
+    sort_short_buckets(ids, ends, key);
     sort_long_buckets(ids, key, spare, starts, buckets);
 }
 
-/// Sorts the identity permutation `order` by key like [`sort_ids_by_key`],
-/// on `threads` threads; `(lo, hi)` are the least and greatest key.
-///
-/// The counting sort runs in two split passes. Each thread counts the
-/// buckets of one chunk of ids into counts of its own (the first thread's
-/// in `starts`, the others' in `order`, which is not written yet), and
-/// stores every id's bucket in `spare`. The caller sums the counts into
-/// each bucket's start. Then each thread takes a range of buckets holding
-/// about `n / threads` ids, scans every stored bucket in id order, places
-/// the ids of its own buckets (in id order, so the scatter is stable) and
-/// sorts those buckets no longer than [`SMALL_BUCKET`]. The caller sorts
-/// the long ones. No scratch but `spare`'s is needed for the sources: an id
-/// is its own position in the identity.
-fn sort_identity_by_key(
-    order: &mut [u32],
-    key: &[f64],
-    (lo, hi): (f64, f64),
-    spare: &mut [u32],
-    starts: &mut [u32],
-    threads: usize,
-) {
-    let n = order.len();
-    if lo >= hi {
-        order.iter_mut().zip(0..).for_each(|(o, i)| *o = i);
-        return;
-    }
-    let buckets = Buckets::new(lo, hi, n);
-    let count = buckets.count;
-    // `order` holds the counts of up to `n / count` threads besides the
-    // caller's.
-    let counters = threads.min(1 + n / count);
-    let chunks: Vec<Range<usize>> = ranges(n, counters).collect();
-    let counts = std::iter::once(&mut starts[..count]).chain(order.chunks_mut(count));
-    let parts = chunks.iter().zip(split_lengths(spare, chunks.iter().map(Range::len))).zip(counts);
-    join_parts(parts, |((range, slots), counts)| {
-        counts.fill(0);
-        for (i, slot) in range.clone().zip(slots) {
-            let b = buckets.of(key[i]);
-            *slot = b as u32;
-            counts[b] += 1;
-        }
-    });
-    let mut sum = 0;
-    for b in 0..count {
-        let total = starts[b] + (1..counters).map(|t| order[(t - 1) * count + b]).sum::<u32>();
-        (starts[b], sum) = (sum, sum + total);
-    }
-
-    // Cut the buckets where their starts pass each thread's share of ids.
-    let ends = &mut starts[..count];
-    let cuts: Vec<usize> =
-        (0..=threads).map(|t| ends.partition_point(|&s| (s as usize) < t * n / threads)).collect();
-    let position = |b: usize| ends.get(b).map_or(n, |&s| s as usize);
-    let bases: Vec<usize> = cuts.iter().map(|&b| position(b)).collect();
-    let stored: &[u32] = spare;
-    let parts = cuts
-        .windows(2)
-        .zip(&bases)
-        .zip(split_lengths(order, bases.windows(2).map(|w| w[1] - w[0])))
-        .zip(split_lengths(ends, cuts.windows(2).map(|w| w[1] - w[0])));
-    join_parts(parts, |(((cut, &base), out), cursors)| {
-        let first = cut[0];
-        for (i, &b) in (0..).zip(stored) {
-            let at = (b as usize).wrapping_sub(first);
-            if let Some(s) = cursors.get_mut(at) {
-                out[*s as usize - base] = i;
-                *s += 1;
-            }
-        }
-        sort_short_buckets(out, base, cursors, key);
-    });
-    sort_long_buckets(order, key, spare, starts, buckets);
-}
-
 /// Sorts by key, with `sort_by`, every bucket of 2 to [`SMALL_BUCKET`]
-/// ids. `ends` ends each bucket of `ids`, as a position in a slice that
-/// `ids` starts `base` into.
-fn sort_short_buckets(ids: &mut [u32], base: usize, ends: &[u32], key: &[f64]) {
+/// ids; `ends` ends each bucket of `ids`.
+fn sort_short_buckets(ids: &mut [u32], ends: &[u32], key: &[f64]) {
     let by_key =
         |a: &u32, b: &u32| key[*a as usize].partial_cmp(&key[*b as usize]).expect("finite keys");
     let mut begin = 0;
     for &end in ends {
-        let end = end as usize - base;
+        let end = end as usize;
         if (2..=SMALL_BUCKET).contains(&(end - begin)) {
             ids[begin..end].sort_by(by_key);
         }

@@ -24,9 +24,10 @@ use crate::batch::BatchCtl;
 use crate::context::SimContext;
 use crate::executor::ExecutorConfig;
 use crate::report::{pct, pct_or_na, percentiles_mut, LatencyPercentiles, Table};
-use crate::scheduler::{default_parallelism, run_fleet, RoundBody, SchedulerReport};
+use crate::scheduler::{run_fleet, RoundBody, SchedulerReport};
 use crate::session::Session;
 use crate::telemetry::TelemetryReport;
+use scout_geometry::split;
 use scout_storage::{
     hit_ratio, BatchPlan, BatchReport, CacheStats, FaultReport, ShardedCache, SharedClock,
 };
@@ -40,15 +41,15 @@ pub enum Schedule {
     /// stealing, without the scheduler counters.
     #[default]
     RoundRobin,
-    /// `workers` threads (0 = `default_parallelism`) share the range
-    /// queries and predictions of each serve, in contiguous chunks of the
-    /// active sessions; everything else stays on the calling thread, so
-    /// the run is byte-identical to round-robin. (The name predates the
-    /// chunks; nothing is stolen from a queue.) Scales to tens of
-    /// thousands of sessions.
+    /// `workers` threads (0 = one a core) share the range queries and
+    /// predictions of each serve, in contiguous chunks of the active
+    /// sessions; everything else stays on the calling thread, so the run
+    /// is byte-identical to round-robin. (The name predates the chunks;
+    /// nothing is stolen from a queue.) Scales to tens of thousands of
+    /// sessions.
     WorkStealing {
-        /// Threads per pure pass; 0 picks the machine's available
-        /// parallelism.
+        /// Threads per pure pass; 0 picks one a core, the count the
+        /// bulk loads' splits read.
         workers: usize,
     },
 }
@@ -123,7 +124,8 @@ impl MultiSessionExecutor {
         let mut body = RoundBody { ctx, exec, batch: batch.as_mut() };
         let width = match self.config.schedule {
             Schedule::RoundRobin => 1,
-            Schedule::WorkStealing { workers: 0 } => default_parallelism(),
+            // The core count, as the bulk loads' splits read it.
+            Schedule::WorkStealing { workers: 0 } => split::width(usize::MAX, 1),
             Schedule::WorkStealing { workers } => workers,
         };
         let (mut sessions, report) =

@@ -38,9 +38,10 @@
 //!
 //! ## Thread count
 //!
-//! [`default_parallelism`] resolves the width
-//! [`Schedule::WorkStealing { workers: 0 }`](crate::Schedule) runs at:
-//! `std::thread::available_parallelism`.
+//! [`Schedule::WorkStealing { workers: 0 }`](crate::Schedule) runs at
+//! `scout_geometry::split::width(usize::MAX, 1)`: the process's core count,
+//! read once, at its first split, by the same function that sizes the
+//! bulk loads' splits.
 
 use crate::batch::BatchCtl;
 use crate::context::SimContext;
@@ -55,12 +56,6 @@ use scout_telemetry::{HistogramId, MetricsRegistry, SpanTimer};
 /// block, so the fleet holds this many query results in flight, not one
 /// per session.
 const BLOCK: usize = 256;
-
-/// The width a work-stealing fleet defaults to: the machine's available
-/// parallelism (1 when it cannot be determined).
-pub(crate) fn default_parallelism() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
 
 // ---------------------------------------------------------------------------
 // Scheduler counters
@@ -375,10 +370,5 @@ mod tests {
             *more = idx.is_multiple_of(2);
         });
         assert_eq!(verdicts.iter().filter(|&&more| more).count(), 32);
-    }
-
-    #[test]
-    fn default_parallelism_is_positive() {
-        assert!(default_parallelism() >= 1);
     }
 }
