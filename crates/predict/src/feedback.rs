@@ -21,90 +21,31 @@
 //! The controller is plain deterministic state: same observation sequence,
 //! same decisions, on every schedule.
 
-/// Tuning knobs of the feedback loop.
-#[derive(Debug, Clone, Copy)]
-pub struct FeedbackConfig {
-    /// EWMA smoothing factor for the per-source coverage signals, in
-    /// (0, 1]. Higher adapts faster; 1 keeps only the latest query.
-    pub(crate) alpha: f64,
-    /// Lower bound of the Markov budget share — keeps a small exploration
-    /// budget flowing to the history side even when it has not scored yet
-    /// (it cannot earn precision on zero predictions).
-    pub(crate) min_markov_share: f64,
-    /// Upper bound of the Markov budget share — SCOUT's structural
-    /// predictions are never starved completely.
-    pub(crate) max_markov_share: f64,
-    /// Aggressiveness when nothing is landing (scales staged page volume).
-    pub(crate) min_aggressiveness: f64,
-    /// Aggressiveness when predictions land reliably.
-    pub(crate) max_aggressiveness: f64,
-    /// Initial (prior) coverage credited to SCOUT: optimistic, because the
-    /// structural method works from the very first query.
-    pub(crate) initial_scout: f64,
-    /// Initial coverage credited to the Markov side: pessimistic, because
-    /// a cold history model cannot predict anything yet.
-    pub(crate) initial_markov: f64,
-}
-
-impl Default for FeedbackConfig {
-    fn default() -> Self {
-        FeedbackConfig {
-            alpha: 0.35,
-            min_markov_share: 0.15,
-            max_markov_share: 0.9,
-            min_aggressiveness: 0.5,
-            max_aggressiveness: 1.5,
-            initial_scout: 0.5,
-            initial_markov: 0.05,
-        }
-    }
-}
-
-impl FeedbackConfig {
-    /// Checks the knobs are usable: `alpha` in (0, 1], shares ordered
-    /// within [0, 1], aggressiveness bounds positive and ordered, priors
-    /// in [0, 1].
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(self.alpha > 0.0 && self.alpha <= 1.0) {
-            return Err(format!("FeedbackConfig.alpha must be in (0, 1], got {}", self.alpha));
-        }
-        if !(0.0 <= self.min_markov_share && self.min_markov_share <= self.max_markov_share) {
-            return Err(format!(
-                "FeedbackConfig markov share bounds must satisfy 0 <= min <= max, got {} / {}",
-                self.min_markov_share, self.max_markov_share
-            ));
-        }
-        if self.max_markov_share > 1.0 {
-            return Err(format!(
-                "FeedbackConfig.max_markov_share must be <= 1, got {}",
-                self.max_markov_share
-            ));
-        }
-        if !(self.min_aggressiveness > 0.0
-            && self.min_aggressiveness <= self.max_aggressiveness
-            && self.max_aggressiveness.is_finite())
-        {
-            return Err(format!(
-                "FeedbackConfig aggressiveness bounds must satisfy 0 < min <= max, got {} / {}",
-                self.min_aggressiveness, self.max_aggressiveness
-            ));
-        }
-        for (name, v) in
-            [("initial_scout", self.initial_scout), ("initial_markov", self.initial_markov)]
-        {
-            if !(v.is_finite() && (0.0..=1.0).contains(&v)) {
-                return Err(format!("FeedbackConfig.{name} must be in [0, 1], got {v}"));
-            }
-        }
-        Ok(())
-    }
-}
+/// EWMA smoothing factor for the per-source coverage signals, in (0, 1].
+/// Higher adapts faster; 1 would keep only the latest query.
+const ALPHA: f64 = 0.35;
+/// Lower bound of the Markov budget share: keeps a small exploration
+/// budget flowing to the history side even when it has not scored yet
+/// (it cannot earn precision on zero predictions).
+const MIN_MARKOV_SHARE: f64 = 0.15;
+/// Upper bound of the Markov budget share: SCOUT's structural predictions
+/// are never starved completely.
+const MAX_MARKOV_SHARE: f64 = 0.9;
+/// Aggressiveness when nothing is landing (scales staged page volume).
+const MIN_AGGRESSIVENESS: f64 = 0.5;
+/// Aggressiveness when predictions land reliably.
+pub(crate) const MAX_AGGRESSIVENESS: f64 = 1.5;
+/// Prior coverage credited to SCOUT: optimistic, because the structural
+/// method works from the very first query.
+const INITIAL_SCOUT: f64 = 0.5;
+/// Prior coverage credited to the Markov side: pessimistic, because a
+/// cold history model cannot predict anything yet.
+const INITIAL_MARKOV: f64 = 0.05;
 
 /// The online controller: per-source coverage EWMAs plus the derived
 /// budget split, ordering and aggressiveness.
 #[derive(Debug, Clone)]
 pub struct FeedbackController {
-    config: FeedbackConfig,
     scout_ewma: f64,
     markov_ewma: f64,
     /// EWMA of the better source's coverage — how predictable the workload
@@ -114,16 +55,12 @@ pub struct FeedbackController {
 }
 
 impl FeedbackController {
-    /// A controller with the given knobs (validated here).
-    pub(crate) fn new(config: FeedbackConfig) -> FeedbackController {
-        if let Err(e) = config.validate() {
-            panic!("invalid FeedbackConfig: {e}");
-        }
+    /// A controller at the priors.
+    pub(crate) fn new() -> FeedbackController {
         FeedbackController {
-            config,
-            scout_ewma: config.initial_scout,
-            markov_ewma: config.initial_markov,
-            overall_ewma: config.initial_scout,
+            scout_ewma: INITIAL_SCOUT,
+            markov_ewma: INITIAL_MARKOV,
+            overall_ewma: INITIAL_SCOUT,
             observations: 0,
         }
     }
@@ -133,7 +70,7 @@ impl FeedbackController {
     /// the source staged no prediction for this query — its EWMA is left
     /// untouched rather than punished for abstaining.
     pub(crate) fn observe(&mut self, scout_coverage: Option<f64>, markov_coverage: Option<f64>) {
-        let a = self.config.alpha;
+        let a = ALPHA;
         let clamp = |x: f64| if x.is_finite() { x.clamp(0.0, 1.0) } else { 0.0 };
         if let Some(s) = scout_coverage {
             self.scout_ewma = a * clamp(s) + (1.0 - a) * self.scout_ewma;
@@ -164,12 +101,12 @@ impl FeedbackController {
     }
 
     /// Fraction of the explicit page budget handed to the Markov side:
-    /// its share of the two sources' recent precision, clamped to the
-    /// configured bounds.
+    /// its share of the two sources' recent precision, clamped to
+    /// [0.15, 0.9].
     pub fn markov_share(&self) -> f64 {
         let total = self.scout_ewma + self.markov_ewma;
         let share = if total <= 1e-12 { 0.5 } else { self.markov_ewma / total };
-        share.clamp(self.config.min_markov_share, self.config.max_markov_share)
+        share.clamp(MIN_MARKOV_SHARE, MAX_MARKOV_SHARE)
     }
 
     /// Whether the history side's staged pages should spend the prefetch
@@ -178,11 +115,10 @@ impl FeedbackController {
         self.markov_ewma > self.scout_ewma
     }
 
-    /// Scale on the staged page volume, interpolated between the
-    /// configured bounds by how well the better source has been landing.
+    /// Scale on the staged page volume, interpolated between 0.5 and 1.5
+    /// by how well the better source has been landing.
     pub fn aggressiveness(&self) -> f64 {
-        let c = &self.config;
-        c.min_aggressiveness + self.overall_ewma * (c.max_aggressiveness - c.min_aggressiveness)
+        MIN_AGGRESSIVENESS + self.overall_ewma * (MAX_AGGRESSIVENESS - MIN_AGGRESSIVENESS)
     }
 
     /// Queries observed since the last reset.
@@ -192,10 +128,7 @@ impl FeedbackController {
 
     /// Back to the priors (start of a fresh sequence).
     pub(crate) fn reset(&mut self) {
-        self.scout_ewma = self.config.initial_scout;
-        self.markov_ewma = self.config.initial_markov;
-        self.overall_ewma = self.config.initial_scout;
-        self.observations = 0;
+        *self = FeedbackController::new();
     }
 }
 
@@ -205,7 +138,7 @@ mod tests {
 
     #[test]
     fn starts_with_scout_leading() {
-        let c = FeedbackController::new(FeedbackConfig::default());
+        let c = FeedbackController::new();
         assert!(!c.markov_leads());
         assert!(c.markov_share() < 0.5);
         assert_eq!(c.observations(), 0);
@@ -213,7 +146,7 @@ mod tests {
 
     #[test]
     fn sustained_markov_hits_shift_share_and_lead() {
-        let mut c = FeedbackController::new(FeedbackConfig::default());
+        let mut c = FeedbackController::new();
         for _ in 0..12 {
             c.observe(Some(0.2), Some(0.95));
         }
@@ -225,29 +158,29 @@ mod tests {
 
     #[test]
     fn absent_source_is_not_punished() {
-        let mut c = FeedbackController::new(FeedbackConfig::default());
+        let mut c = FeedbackController::new();
         let before = c.markov_precision();
         c.observe(Some(0.8), None);
         assert_eq!(c.markov_precision(), before);
-        assert!(c.scout_precision() > FeedbackConfig::default().initial_scout);
+        assert!(c.scout_precision() > INITIAL_SCOUT);
     }
 
     #[test]
     fn share_respects_bounds() {
-        let mut c = FeedbackController::new(FeedbackConfig::default());
+        let mut c = FeedbackController::new();
         for _ in 0..50 {
             c.observe(Some(0.0), Some(1.0));
         }
-        assert!(c.markov_share() <= FeedbackConfig::default().max_markov_share + 1e-12);
+        assert!(c.markov_share() <= MAX_MARKOV_SHARE + 1e-12);
         for _ in 0..100 {
             c.observe(Some(1.0), Some(0.0));
         }
-        assert!(c.markov_share() >= FeedbackConfig::default().min_markov_share - 1e-12);
+        assert!(c.markov_share() >= MIN_MARKOV_SHARE - 1e-12);
     }
 
     #[test]
     fn unpredictable_phase_lowers_aggressiveness() {
-        let mut c = FeedbackController::new(FeedbackConfig::default());
+        let mut c = FeedbackController::new();
         for _ in 0..20 {
             c.observe(Some(0.0), Some(0.0));
         }
@@ -256,25 +189,19 @@ mod tests {
 
     #[test]
     fn reset_restores_priors() {
-        let mut c = FeedbackController::new(FeedbackConfig::default());
+        let mut c = FeedbackController::new();
         c.observe(Some(1.0), Some(1.0));
         c.reset();
-        assert_eq!(c.scout_precision(), FeedbackConfig::default().initial_scout);
-        assert_eq!(c.markov_precision(), FeedbackConfig::default().initial_markov);
+        assert_eq!(c.scout_precision(), INITIAL_SCOUT);
+        assert_eq!(c.markov_precision(), INITIAL_MARKOV);
         assert_eq!(c.observations(), 0);
     }
 
     #[test]
     fn non_finite_coverage_is_clamped() {
-        let mut c = FeedbackController::new(FeedbackConfig::default());
+        let mut c = FeedbackController::new();
         c.observe(Some(f64::NAN), Some(f64::INFINITY));
         assert!(c.scout_precision().is_finite());
         assert!(c.markov_precision().is_finite() && c.markov_precision() <= 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha")]
-    fn zero_alpha_rejected() {
-        let _ = FeedbackController::new(FeedbackConfig { alpha: 0.0, ..Default::default() });
     }
 }

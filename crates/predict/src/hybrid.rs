@@ -15,8 +15,8 @@
 //!   the next window into reusable buffers. The adaptive layer performs no
 //!   heap allocation in steady state (asserted by `tests/zero_alloc.rs`).
 //! * **plan** — the staged predictions merge under the hybrid's page
-//!   budget: the Markov side receives `page_budget × share ×
-//!   aggressiveness` explicit pages, SCOUT's incremental region series is
+//!   budget: the Markov side receives `256 × share × aggressiveness`
+//!   explicit pages, SCOUT's incremental region series is
 //!   kept intact (it is already window-bounded by construction), and the
 //!   source with the higher recent precision spends the prefetch window
 //!   first. The window budget is the truly shared resource — leading it is
@@ -27,9 +27,9 @@
 //! state, so fleets are byte-reproducible and per-session seeds
 //! decorrelate sessions without adding schedule sensitivity.
 
-use crate::feedback::{FeedbackConfig, FeedbackController};
-use crate::markov::{HistoryScratch, MarkovConfig, TransitionPredictor};
-use scout_core::{Scout, ScoutConfig};
+use crate::feedback::{FeedbackController, MAX_AGGRESSIVENESS};
+use crate::markov::{HistoryScratch, TransitionPredictor, DEFAULT_SEED};
+use scout_core::Scout;
 use scout_geometry::QueryRegion;
 use scout_index::QueryResult;
 use scout_sim::{
@@ -37,58 +37,13 @@ use scout_sim::{
 };
 use scout_storage::PageId;
 
-/// Tuning knobs of the hybrid.
-#[derive(Debug, Clone, Copy)]
-pub struct HybridConfig {
-    /// SCOUT's knobs (structure side).
-    pub scout: ScoutConfig,
-    /// The Markov model's knobs (history side).
-    pub markov: MarkovConfig,
-    /// The feedback loop's knobs.
-    pub feedback: FeedbackConfig,
-    /// Explicit history pages stageable per window before the controller's
-    /// share and aggressiveness scale it down — the hybrid's page budget.
-    pub page_budget: usize,
-}
-
-impl Default for HybridConfig {
-    fn default() -> Self {
-        HybridConfig {
-            scout: ScoutConfig::default(),
-            markov: MarkovConfig::default(),
-            feedback: FeedbackConfig::default(),
-            page_budget: 256,
-        }
-    }
-}
-
-impl HybridConfig {
-    /// The default configuration with a per-instance seed driving both the
-    /// SCOUT RNG and the Markov hash (decorrelated multi-session fleets).
-    pub fn with_seed(seed: u64) -> HybridConfig {
-        HybridConfig {
-            scout: ScoutConfig::with_seed(seed),
-            markov: MarkovConfig::with_seed(seed ^ 0x9E37_79B9),
-            ..HybridConfig::default()
-        }
-    }
-
-    /// Checks the knobs are usable (delegates to each side; the budget
-    /// must allow at least one page).
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        self.markov.validate()?;
-        self.feedback.validate()?;
-        if self.page_budget == 0 {
-            return Err("HybridConfig.page_budget must be >= 1".to_string());
-        }
-        Ok(())
-    }
-}
+/// Explicit history pages stageable per window before the controller's
+/// share and aggressiveness scale it down: the hybrid's page budget.
+const PAGE_BUDGET: usize = 256;
 
 /// The adaptive structure + history prefetcher (see the module docs).
 #[derive(Debug, Clone)]
 pub struct HybridPrefetcher {
-    config: HybridConfig,
     scout: Scout,
     markov: TransitionPredictor,
     controller: FeedbackController,
@@ -105,20 +60,17 @@ pub struct HybridPrefetcher {
 }
 
 impl HybridPrefetcher {
-    /// A hybrid with explicit configuration (validated here).
-    pub fn new(config: HybridConfig) -> HybridPrefetcher {
-        if let Err(e) = config.validate() {
-            panic!("invalid HybridConfig: {e}");
-        }
-        // The extraction budget is bounded by page_budget × the maximum
+    /// A hybrid over the given structure side, its history model hashed
+    /// with `markov_seed`.
+    fn new(scout: Scout, markov_seed: u64) -> HybridPrefetcher {
+        // The extraction budget is bounded by the page budget × the maximum
         // aggressiveness; reserving that up front keeps the observe path
         // off the allocator from the very first query.
-        let cap = (config.page_budget as f64 * config.feedback.max_aggressiveness).ceil() as usize;
+        let cap = (PAGE_BUDGET as f64 * MAX_AGGRESSIVENESS).ceil() as usize;
         HybridPrefetcher {
-            config,
-            scout: Scout::new(config.scout),
-            markov: TransitionPredictor::new(config.markov),
-            controller: FeedbackController::new(config.feedback),
+            scout,
+            markov: TransitionPredictor::new(markov_seed),
+            controller: FeedbackController::new(),
             markov_pages: Vec::with_capacity(cap),
             markov_predicted: Vec::with_capacity(cap),
             scout_regions: Vec::new(),
@@ -126,14 +78,15 @@ impl HybridPrefetcher {
         }
     }
 
-    /// A hybrid with the default knobs.
+    /// The hybrid: SCOUT at its default configuration and seed.
     pub fn with_defaults() -> HybridPrefetcher {
-        HybridPrefetcher::new(HybridConfig::default())
+        HybridPrefetcher::new(Scout::with_defaults(), DEFAULT_SEED)
     }
 
-    /// Default knobs with a per-instance seed (both sources seeded).
+    /// The hybrid with a per-instance seed driving both the SCOUT RNG and
+    /// the Markov hash (decorrelated multi-session fleets).
     pub fn with_seed(seed: u64) -> HybridPrefetcher {
-        HybridPrefetcher::new(HybridConfig::with_seed(seed))
+        HybridPrefetcher::new(Scout::with_seed(seed), seed ^ 0x9E37_79B9)
     }
 
     /// The feedback controller (inspect the learned share/precision).
@@ -199,7 +152,7 @@ impl HybridPrefetcher {
 
         // 3. Extract the history prediction for the coming window under
         //    the controller's budget split.
-        let budget = (self.config.page_budget as f64
+        let budget = (PAGE_BUDGET as f64
             * self.controller.aggressiveness()
             * self.controller.markov_share())
         .round() as usize;
@@ -350,8 +303,7 @@ mod tests {
         let config = ExecutorConfig { window_ratio: 3.0, ..ExecutorConfig::default() };
         let _ = run_sequence(&ctx, &mut hybrid, &loop_regions, &config);
         assert!(
-            hybrid.controller().markov_precision()
-                > HybridConfig::default().feedback.initial_markov,
+            hybrid.controller().markov_precision() > FeedbackController::new().markov_precision(),
             "history precision never rose: {}",
             hybrid.controller().markov_precision()
         );
@@ -437,11 +389,5 @@ mod tests {
         assert!(has_regions, "structure requests missing from the merged plan");
         assert!(has_pages, "history pages missing from the merged plan");
         assert!(hybrid.plan(&ctx).requests.is_empty(), "plan must be consumed once");
-    }
-
-    #[test]
-    #[should_panic(expected = "page_budget")]
-    fn zero_budget_rejected() {
-        let _ = HybridPrefetcher::new(HybridConfig { page_budget: 0, ..Default::default() });
     }
 }

@@ -13,7 +13,7 @@
 //! with page-transition history. This crate brings both worlds together:
 //!
 //! * `TransitionPredictor` — an online, bounded-memory page-level Markov
-//!   model (order 1–2, frequency-decayed counts, deterministic top-k
+//!   model (order 2, frequency-decayed counts, deterministic top-k
 //!   extraction through its part of the stepping thread's `QueryScratch`),
 //!   trained from the pages each query actually touched.
 //! * [`MarkovPrefetcher`] — the model as a standalone history-only
@@ -24,10 +24,13 @@
 //! * `FeedbackController` — per-source hit-rate EWMAs adapting the
 //!   budget split and prefetch aggressiveness across the run.
 //!
-//! All three prefetchers implement `scout_sim::Prefetcher`, so they drop
-//! into `run_sequence`, the experiment grid, and the multi-session engine
-//! (`Session` + `MultiSessionExecutor`) unchanged. Determinism and the
-//! zero-allocation observe contract are documented in DESIGN.md §8.
+//! Both prefetchers implement `scout_sim::Prefetcher`, so they drop into
+//! `run_sequence`, the experiment grid, and the multi-session engine
+//! (`Session` + `MultiSessionExecutor`) unchanged. Each has one
+//! configuration: its tuning values are named constants in the module
+//! that uses them, and the only choice a caller makes is the seed
+//! ([`HybridPrefetcher::with_seed`]). Determinism and the zero-allocation
+//! observe contract are documented in DESIGN.md §8.
 
 #![forbid(unsafe_code)]
 
@@ -35,5 +38,5 @@ mod feedback;
 mod hybrid;
 mod markov;
 
-pub use hybrid::{HybridConfig, HybridPrefetcher};
-pub use markov::{MarkovConfig, MarkovPrefetcher};
+pub use hybrid::HybridPrefetcher;
+pub use markov::MarkovPrefetcher;

@@ -10,15 +10,16 @@
 //!
 //! * **Training** — the pages each query actually touched, in retrieval
 //!   order, form one continuous page stream across the whole session. Every
-//!   consecutive pair is a transition sample; an order-2 model additionally
-//!   conditions on the page before last, which disambiguates the repeated
-//!   pages revisit loops produce. Counts are frequency-decayed on every
-//!   context update, so stale habits fade instead of accumulating forever.
-//! * **Bounded memory** — contexts live in a fixed open-addressed table
-//!   (linear probing, deterministic weakest-entry eviction within the probe
-//!   window), each holding a fixed number of successor slots. All storage
-//!   is allocated at construction; steady-state updates never touch the
-//!   allocator.
+//!   consecutive pair is a transition sample, and every consecutive triple
+//!   is one more, conditioned on the page before last too: that order-2
+//!   context disambiguates the repeated pages revisit loops produce. Counts
+//!   are frequency-decayed on every context update, so stale habits fade
+//!   instead of accumulating forever.
+//! * **Bounded memory** — contexts live in a fixed open-addressed table of
+//!   8 192 slots (linear probing, deterministic weakest-entry eviction
+//!   within the probe window), each holding four successor slots: about
+//!   0.4 MiB. All storage is allocated at construction; steady-state
+//!   updates never touch the allocator.
 //! * **Prediction** — a best-first expansion from the current tail context:
 //!   emit the strongest successors, descend into their contexts with
 //!   multiplied scores, stop at the page budget. The expansion works out of
@@ -27,10 +28,10 @@
 //!   after warmup too. An order-2 context that was never seen backs off to
 //!   its order-1 suffix at a score penalty.
 //! * **Determinism** — no randomness on any query path. The seed only
-//!   perturbs the context hash, so per-session instances built
-//!   from [`MarkovConfig::with_seed`] place their contexts differently
-//!   under table pressure (decorrelated eviction) while any one instance
-//!   remains bit-reproducible.
+//!   perturbs the context hash, so per-session instances with their own
+//!   seeds place their contexts differently under table pressure
+//!   (decorrelated eviction) while any one instance remains
+//!   bit-reproducible.
 
 use scout_sim::QueryScratch;
 use scout_storage::PageId;
@@ -51,88 +52,36 @@ const NONE: u32 = u32::MAX;
 /// Linear-probe window; a context lives within `PROBES` slots of its hash.
 const PROBES: usize = 8;
 
-/// Tuning knobs of the transition predictor.
-#[derive(Debug, Clone, Copy)]
-pub struct MarkovConfig {
-    /// Model order: 1 conditions on the last page, 2 on the last two.
-    /// Order 2 disambiguates the repeated pages of overlapping queries and
-    /// revisit loops; order 1 halves the table pressure.
-    pub(crate) order: usize,
-    /// Context-table capacity in slots (rounded up to a power of two).
-    /// Together with `successors` this bounds the model's memory.
-    pub(crate) contexts: usize,
-    /// Successor slots per context; the weakest successor is evicted when
-    /// a context sees more distinct followers than slots.
-    pub(crate) successors: usize,
-    /// Multiplicative weight decay applied to a context's successors on
-    /// each of its updates, in (0, 1]. 1 disables decay (pure counts).
-    pub(crate) decay: f64,
-    /// Branching factor of the best-first extraction: how many successors
-    /// of each popped context are emitted/descended into.
-    pub(crate) top_k: usize,
-    /// Hash seed (decorrelates eviction across per-session instances).
-    pub(crate) seed: u64,
-}
-
-impl Default for MarkovConfig {
-    fn default() -> Self {
-        MarkovConfig {
-            order: 2,
-            contexts: 8_192,
-            successors: 4,
-            decay: 0.9,
-            top_k: 3,
-            seed: 0x5EED,
-        }
-    }
-}
-
-impl MarkovConfig {
-    /// The default configuration with a specific hash seed.
-    pub fn with_seed(seed: u64) -> MarkovConfig {
-        MarkovConfig { seed, ..MarkovConfig::default() }
-    }
-
-    /// Checks the knobs are usable: order 1 or 2, at least a probe window
-    /// of contexts, at least one successor slot, decay in (0, 1], top-k of
-    /// at least one.
-    pub(crate) fn validate(&self) -> Result<(), String> {
-        if !(1..=2).contains(&self.order) {
-            return Err(format!("MarkovConfig.order must be 1 or 2, got {}", self.order));
-        }
-        if self.contexts < PROBES {
-            return Err(format!(
-                "MarkovConfig.contexts must be >= {PROBES} (the probe window), got {}",
-                self.contexts
-            ));
-        }
-        if self.successors == 0 || self.successors > 32 {
-            // The extraction's visited set is a u32 bitmask over the row.
-            return Err(format!(
-                "MarkovConfig.successors must be in 1..=32, got {}",
-                self.successors
-            ));
-        }
-        if !(self.decay > 0.0 && self.decay <= 1.0) {
-            return Err(format!("MarkovConfig.decay must be in (0, 1], got {}", self.decay));
-        }
-        if self.top_k == 0 {
-            return Err("MarkovConfig.top_k must be >= 1".to_string());
-        }
-        Ok(())
-    }
-}
+/// Context-table capacity in slots, a power of two. Together with
+/// `SUCCESSORS` it bounds the model's memory.
+const CONTEXTS: usize = 8_192;
+const _: () = assert!(CONTEXTS.is_power_of_two());
+/// Slot count minus one: the hash's mask.
+const MASK: usize = CONTEXTS - 1;
+/// Successor slots per context; the weakest successor is evicted when a
+/// context sees more distinct followers than slots. At most 32: the
+/// extraction's visited set is a `u32` bitmask over the row.
+const SUCCESSORS: usize = 4;
+/// Multiplicative weight decay applied to a context's successors on each
+/// of its updates.
+const DECAY: f64 = 0.9;
+/// Branching factor of the best-first extraction: how many successors of
+/// each popped context are emitted/descended into.
+const TOP_K: usize = 3;
+/// The hash seed of an instance built without one.
+pub(crate) const DEFAULT_SEED: u64 = 0x5EED;
+/// Pages the standalone history prefetcher stages per prefetch window.
+const PAGE_BUDGET: usize = 192;
 
 /// Online bounded-memory page-level Markov model (see the module docs).
 #[derive(Debug, Clone)]
 pub struct TransitionPredictor {
-    config: MarkovConfig,
-    /// Slot count minus one; slot count is a power of two.
-    mask: usize,
+    /// Hash seed (decorrelates eviction across per-session instances).
+    seed: u64,
     /// Context key per slot: `(prev, last)` pages, `prev == NONE` for
     /// order-1 contexts, `(NONE, NONE)` for empty slots.
     keys: Vec<(u32, u32)>,
-    /// Flattened successor rows, `successors` entries per slot:
+    /// Flattened successor rows, `SUCCESSORS` entries per slot:
     /// `(page, weight)`, `page == NONE` for unused entries.
     succ: Vec<(u32, f32)>,
     /// Total successor weight per slot (eviction victim choice).
@@ -151,20 +100,15 @@ pub struct TransitionPredictor {
 }
 
 impl TransitionPredictor {
-    /// A predictor with explicit configuration (validated here). All table
-    /// storage is allocated now; no later call touches the allocator.
-    pub(crate) fn new(config: MarkovConfig) -> TransitionPredictor {
-        if let Err(e) = config.validate() {
-            panic!("invalid MarkovConfig: {e}");
-        }
-        let slots = config.contexts.next_power_of_two();
+    /// A predictor with the given hash seed. All table storage is
+    /// allocated now; no later call touches the allocator.
+    pub(crate) fn new(seed: u64) -> TransitionPredictor {
         TransitionPredictor {
-            config,
-            mask: slots - 1,
-            keys: vec![(NONE, NONE); slots],
-            succ: vec![(NONE, 0.0); slots * config.successors],
-            weight: vec![0.0; slots],
-            stamp: vec![0; slots],
+            seed,
+            keys: vec![(NONE, NONE); CONTEXTS],
+            succ: vec![(NONE, 0.0); CONTEXTS * SUCCESSORS],
+            weight: vec![0.0; CONTEXTS],
+            stamp: vec![0; CONTEXTS],
             clock: 0,
             used: 0,
             h1: NONE,
@@ -208,12 +152,12 @@ impl TransitionPredictor {
 
     #[inline]
     fn hash(&self, prev: u32, last: u32) -> usize {
-        let mut h = self.config.seed ^ (((prev as u64) << 32) | last as u64);
+        let mut h = self.seed ^ (((prev as u64) << 32) | last as u64);
         h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         h ^= h >> 29;
         h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
         h ^= h >> 32;
-        h as usize & self.mask
+        h as usize & MASK
     }
 
     /// The slot of `(prev, last)` if present. Lookups may stop at the
@@ -222,7 +166,7 @@ impl TransitionPredictor {
     fn find(&self, prev: u32, last: u32) -> Option<usize> {
         let h = self.hash(prev, last);
         for i in 0..PROBES {
-            let slot = (h + i) & self.mask;
+            let slot = (h + i) & MASK;
             match self.keys[slot] {
                 k if k == (prev, last) => return Some(slot),
                 (NONE, NONE) => return None,
@@ -237,10 +181,10 @@ impl TransitionPredictor {
     fn find_or_insert(&mut self, prev: u32, last: u32) -> usize {
         let h = self.hash(prev, last);
         let mut empty: Option<usize> = None;
-        let mut victim = h & self.mask;
+        let mut victim = h & MASK;
         let mut victim_key = (self.weight[victim], self.stamp[victim], victim);
         for i in 0..PROBES {
-            let slot = (h + i) & self.mask;
+            let slot = (h + i) & MASK;
             if self.keys[slot] == (prev, last) {
                 return slot;
             }
@@ -265,19 +209,18 @@ impl TransitionPredictor {
         };
         self.keys[slot] = (prev, last);
         self.weight[slot] = 0.0;
-        let base = slot * self.config.successors;
-        self.succ[base..base + self.config.successors].fill((NONE, 0.0));
+        let base = slot * SUCCESSORS;
+        self.succ[base..base + SUCCESSORS].fill((NONE, 0.0));
         slot
     }
 
     /// Records one transition sample `(prev, last) → page`.
     fn record_transition(&mut self, prev: u32, last: u32, page: u32) {
-        let s = self.config.successors;
-        let decay = self.config.decay as f32;
+        let decay = DECAY as f32;
         let slot = self.find_or_insert(prev, last);
         self.clock += 1;
         self.stamp[slot] = self.clock;
-        let row = &mut self.succ[slot * s..slot * s + s];
+        let row = &mut self.succ[slot * SUCCESSORS..(slot + 1) * SUCCESSORS];
         let mut hit = None;
         for (i, e) in row.iter_mut().enumerate() {
             if e.0 != NONE {
@@ -307,14 +250,13 @@ impl TransitionPredictor {
         self.transitions += 1;
     }
 
-    /// Feeds one page of the stream: records the order-1 transition (and,
-    /// for an order-2 model, the order-2 transition) from the current
-    /// history registers, then shifts them.
+    /// Feeds one page of the stream: records the order-1 and the order-2
+    /// transition from the current history registers, then shifts them.
     pub(crate) fn record_page(&mut self, page: PageId) {
         let p = page.0;
         if self.h1 != NONE {
             self.record_transition(NONE, self.h1, p);
-            if self.config.order == 2 && self.h2 != NONE {
+            if self.h2 != NONE {
                 self.record_transition(self.h2, self.h1, p);
             }
         }
@@ -351,8 +293,7 @@ impl TransitionPredictor {
         if budget == 0 || self.h1 == NONE {
             return;
         }
-        let start_prev = if self.config.order == 2 { self.h2 } else { NONE };
-        frontier.push((1.0, start_prev, self.h1));
+        frontier.push((1.0, self.h2, self.h1));
         // Bound the frontier so one query's expansion stays O(budget), and
         // bound the pops outright: a cyclic chain whose pages are all
         // emitted already would otherwise re-feed the frontier forever
@@ -387,8 +328,7 @@ impl TransitionPredictor {
                 },
                 None => continue,
             };
-            let s = self.config.successors;
-            let row = &self.succ[slot * s..slot * s + s];
+            let row = &self.succ[slot * SUCCESSORS..(slot + 1) * SUCCESSORS];
             let total: f32 = self.weight[slot];
             if total <= 0.0 {
                 continue;
@@ -396,7 +336,7 @@ impl TransitionPredictor {
             // Visit the row's successors strongest-first (ties on the
             // smaller page id); rows are tiny, selection is cheapest.
             let mut visited = 0u32;
-            for _ in 0..self.config.top_k.min(s) {
+            for _ in 0..TOP_K {
                 let mut pick: Option<usize> = None;
                 for (i, e) in row.iter().enumerate() {
                     if e.0 == NONE || visited & (1 << i) != 0 {
@@ -422,26 +362,10 @@ impl TransitionPredictor {
                 }
                 let child = score * (w / total).clamp(0.0, 1.0) as f64;
                 if child > 1e-6 && frontier.len() < frontier_cap {
-                    let child_prev = if self.config.order == 2 { last } else { NONE };
-                    frontier.push((child, child_prev, page));
+                    frontier.push((child, last, page));
                 }
             }
         }
-    }
-}
-
-/// Knobs of the standalone history-only prefetcher.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct MarkovPrefetcherConfig {
-    /// The underlying transition model.
-    pub(crate) model: MarkovConfig,
-    /// Pages staged per prefetch window.
-    pub(crate) page_budget: usize,
-}
-
-impl Default for MarkovPrefetcherConfig {
-    fn default() -> Self {
-        MarkovPrefetcherConfig { model: MarkovConfig::default(), page_budget: 192 }
     }
 }
 
@@ -454,31 +378,21 @@ impl Default for MarkovPrefetcherConfig {
 /// revisit-heavy workloads and how it collapses on fresh exploration.
 #[derive(Debug, Clone)]
 pub struct MarkovPrefetcher {
-    config: MarkovPrefetcherConfig,
     model: TransitionPredictor,
     /// Pages staged for the coming window, most plausible first.
     predicted: Vec<PageId>,
 }
 
 impl MarkovPrefetcher {
-    /// A history prefetcher with explicit configuration.
-    pub(crate) fn new(config: MarkovPrefetcherConfig) -> MarkovPrefetcher {
-        MarkovPrefetcher {
-            config,
-            model: TransitionPredictor::new(config.model),
-            predicted: Vec::new(),
-        }
-    }
-
-    /// A history prefetcher with the default knobs.
+    /// The history prefetcher.
     pub fn with_defaults() -> MarkovPrefetcher {
-        MarkovPrefetcher::new(MarkovPrefetcherConfig::default())
+        MarkovPrefetcher { model: TransitionPredictor::new(DEFAULT_SEED), predicted: Vec::new() }
     }
 }
 
 impl scout_sim::Prefetcher for MarkovPrefetcher {
     fn name(&self) -> String {
-        format!("Markov (order {})", self.config.model.order)
+        "Markov (order 2)".to_string()
     }
 
     fn observe_with_scratch(
@@ -489,7 +403,7 @@ impl scout_sim::Prefetcher for MarkovPrefetcher {
         scratch: &mut QueryScratch,
     ) -> scout_sim::PredictionStats {
         let updates = self.model.record_result(&result.pages);
-        self.model.predict_into(self.config.page_budget, scratch, &mut self.predicted);
+        self.model.predict_into(PAGE_BUDGET, scratch, &mut self.predicted);
         let work = updates + self.predicted.len() as u64;
         scout_sim::PredictionStats {
             cpu: scout_sim::CpuUnits { traversal_steps: work, ..Default::default() },
@@ -535,7 +449,7 @@ mod tests {
     fn learns_a_revisited_tour() {
         // A tour is walked once, then the user teleports back to its
         // start: the chain from the tail context replays the tour.
-        let mut m = TransitionPredictor::new(MarkovConfig::default());
+        let mut m = TransitionPredictor::new(DEFAULT_SEED);
         m.record_result(&pages(&[3, 4, 5, 9, 10, 11]));
         m.record_result(&pages(&[3, 4]));
         // Tail is ... 3, 4 → the continuation is 5, 9, 10, 11.
@@ -546,7 +460,7 @@ mod tests {
     #[test]
     fn order2_disambiguates_shared_pages() {
         // Page 7 is followed by 8 after 1 but by 9 after 2.
-        let mut m = TransitionPredictor::new(MarkovConfig { order: 2, ..Default::default() });
+        let mut m = TransitionPredictor::new(DEFAULT_SEED);
         for _ in 0..6 {
             m.record_result(&pages(&[1, 7, 8, 2, 7, 9]));
         }
@@ -558,41 +472,43 @@ mod tests {
 
     #[test]
     fn decay_prefers_recent_habits() {
-        let mut m =
-            TransitionPredictor::new(MarkovConfig { order: 1, decay: 0.5, ..Default::default() });
-        // Old habit: 1 → 2, many times. New habit: 1 → 3, fewer but recent.
+        let mut m = TransitionPredictor::new(DEFAULT_SEED);
+        // Old habit: 0, 1 → 2, twenty times. New habit: 0, 1 → 3, eight
+        // times but recent. Page 1 follows page 0 in both, so the order-2
+        // context (0, 1) sees both habits and cannot tell them apart.
+        for _ in 0..20 {
+            m.record_result(&pages(&[0, 1, 2]));
+        }
+        m.record_result(&pages(&[0, 1]));
+        assert_eq!(predict(&m, 1), vec![2], "the old habit must be learned first");
+        m.record_page(PageId(2));
         for _ in 0..8 {
-            m.record_result(&pages(&[1, 2]));
+            m.record_result(&pages(&[0, 1, 3]));
         }
-        for _ in 0..4 {
-            m.record_result(&pages(&[1, 3]));
-        }
-        m.record_page(PageId(1));
+        m.record_result(&pages(&[0, 1]));
         let got = predict(&m, 1);
         assert_eq!(got, vec![3], "recent habit must win under decay, got {got:?}");
     }
 
     #[test]
     fn memory_is_bounded_and_fixed() {
-        let mut m = TransitionPredictor::new(MarkovConfig {
-            contexts: 64,
-            successors: 2,
-            ..Default::default()
-        });
+        let mut m = TransitionPredictor::new(DEFAULT_SEED);
         let before = m.memory_bytes();
+        // Keys, successor rows, weights and stamps: about 0.4 MiB.
+        assert_eq!(before, CONTEXTS * (8 + SUCCESSORS * 8 + 4 + 8));
         // Stream far more distinct contexts than the table holds.
-        for i in 0..10_000u32 {
-            m.record_page(PageId(i % 997));
+        for i in 0..40_000u32 {
+            m.record_page(PageId(i % 19_997));
         }
         assert_eq!(m.memory_bytes(), before, "table must never grow");
-        assert!(m.contexts_used() <= 64usize.next_power_of_two());
-        assert!(m.transitions() > 0);
+        assert!(m.contexts_used() <= CONTEXTS);
+        assert!(m.transitions() > 2 * CONTEXTS as u64);
     }
 
     #[test]
     fn deterministic_and_seed_independent_without_pressure() {
         let run = |seed: u64| {
-            let mut m = TransitionPredictor::new(MarkovConfig::with_seed(seed));
+            let mut m = TransitionPredictor::new(seed);
             for _ in 0..3 {
                 m.record_result(&pages(&[5, 6, 7, 8, 5, 6]));
             }
@@ -606,16 +522,16 @@ mod tests {
 
     #[test]
     fn empty_model_predicts_nothing() {
-        let m = TransitionPredictor::new(MarkovConfig::default());
+        let m = TransitionPredictor::new(DEFAULT_SEED);
         assert!(predict(&m, 8).is_empty());
-        let mut m = TransitionPredictor::new(MarkovConfig::default());
+        let mut m = TransitionPredictor::new(DEFAULT_SEED);
         m.record_page(PageId(1)); // a single page: no transition yet
         assert!(predict(&m, 0).is_empty());
     }
 
     #[test]
     fn reset_forgets_history_but_keeps_the_table() {
-        let mut m = TransitionPredictor::new(MarkovConfig::default());
+        let mut m = TransitionPredictor::new(DEFAULT_SEED);
         m.record_result(&pages(&[1, 2, 3, 1, 2, 3]));
         assert!(!predict(&m, 2).is_empty());
         let bytes = m.memory_bytes();
@@ -627,7 +543,7 @@ mod tests {
 
     #[test]
     fn predictions_do_not_repeat_pages() {
-        let mut m = TransitionPredictor::new(MarkovConfig::default());
+        let mut m = TransitionPredictor::new(DEFAULT_SEED);
         for _ in 0..5 {
             m.record_result(&pages(&[1, 2, 1, 2, 1, 2]));
         }
@@ -636,18 +552,5 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), got.len(), "duplicate emissions in {got:?}");
-    }
-
-    #[test]
-    #[should_panic(expected = "order must be 1 or 2")]
-    fn bad_order_rejected() {
-        let _ = TransitionPredictor::new(MarkovConfig { order: 3, ..Default::default() });
-    }
-
-    #[test]
-    #[should_panic(expected = "successors must be in 1..=32")]
-    fn oversized_successor_rows_rejected() {
-        // The extraction's visited set is a u32 bitmask over the row.
-        let _ = TransitionPredictor::new(MarkovConfig { successors: 33, ..Default::default() });
     }
 }

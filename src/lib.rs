@@ -47,7 +47,7 @@
 //! | [`scout_index`] | `scout::index` | STR R-tree and FLAT-style neighborhood index |
 //! | [`scout_synth`] | `prelude` | synthetic datasets + guided query sequences |
 //! | [`scout_core`] | `scout::core` | SCOUT and SCOUT-OPT |
-//! | [`scout_predict`] | `scout::predict` | Markov history prefetcher, SCOUT hybrid, feedback control |
+//! | [`scout_predict`] | `scout::predict` | Markov history prefetcher, SCOUT hybrid, feedback control; one configuration each |
 //! | [`scout_baselines`] | `prelude` | EWMA, straight line, polynomial, velocity, Hilbert, layered |
 //! | [`scout_sim`] | `scout::sim` | prefetcher trait, Figure-2 executor, workloads, experiments |
 //! | [`scout_telemetry`] | `scout::telemetry` | span histograms, span timers, flight recorder |
@@ -68,7 +68,7 @@ pub mod prelude {
     pub use scout_core::{Scout, ScoutConfig, ScoutOpt, Strategy};
     pub use scout_geometry::{Aabb, Aspect, QueryRegion, Shape, SpatialObject, Vec3};
     pub use scout_index::{FlatIndex, RTree, SpatialIndex};
-    pub use scout_predict::{HybridConfig, HybridPrefetcher, MarkovPrefetcher};
+    pub use scout_predict::{HybridPrefetcher, MarkovPrefetcher};
     pub use scout_sim::report::{percentiles, LatencyPercentiles};
     pub use scout_sim::{
         evaluate, region_lists, run_sequence, run_sequences, ExecutorConfig, MultiSessionConfig,

@@ -12,7 +12,10 @@
 //!   `ShardedCache`;
 //! * `fleet_degraded` — the same fleet, batched, on a faulty device;
 //! * `sequence_faults` — `follow`'s streams through `run_sequences` on a
-//!   faulty device, the immediate serve path's fault ladder.
+//!   faulty device, the immediate serve path's fault ladder;
+//! * `adaptive` — the SCOUT + Markov hybrid and the Markov baseline on
+//!   `follow`- and `gaps`-shaped streams, and the hybrid on a revisit
+//!   loop. No benchmark workload runs them; this file is their pin.
 //!
 //! Each query writes one line holding every field the benchmark's
 //! `model_digest` hashes per query, `f64`s as `{:?}` (which round-trips
@@ -28,7 +31,7 @@
 //! functions differently.
 
 use scout::prelude::*;
-use scout::sim::workloads::{ADHOC_PATTERN, VIS_GAPS_HIGH};
+use scout::sim::workloads::{revisit_loop, ADHOC_PATTERN, VIS_GAPS_HIGH};
 use scout::sim::QueryTrace;
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -175,6 +178,47 @@ fn gaps_matches_its_golden_trace() {
     let actual =
         single_client(&bed.ctx_flat(), &exec, &streams, || Box::new(ScoutOpt::with_defaults()));
     check("gaps", &actual);
+}
+
+/// The adaptive prefetchers: the hybrid and the history-only baseline
+/// over the first of `follow`'s streams (R-tree) and of `gaps`' streams
+/// (FLAT), then a seeded hybrid over a revisit loop whose history side
+/// takes the lead from the third lap on.
+#[test]
+fn adaptive_matches_its_golden_trace() {
+    let bed = neuron_bed();
+    let mut actual = String::new();
+    for (workload, micro, ctx, seed) in [
+        ("follow", &ADHOC_PATTERN, bed.ctx_rtree(), 7),
+        ("gaps", &VIS_GAPS_HIGH, bed.ctx_flat(), 8),
+    ] {
+        let streams = region_lists(&generate_sequences(&bed.dataset, &micro.sequence, 1, seed));
+        let exec = ExecutorConfig {
+            window_ratio: micro.window_ratio,
+            cache_pages: 4096,
+            ..ExecutorConfig::default()
+        };
+        for name in ["hybrid", "markov"] {
+            let _ = writeln!(actual, "{name} {workload}");
+            actual.push_str(&single_client(&ctx, &exec, &streams, || -> Box<dyn Prefetcher> {
+                match name {
+                    "hybrid" => Box::new(HybridPrefetcher::with_defaults()),
+                    _ => Box::new(MarkovPrefetcher::with_defaults()),
+                }
+            }));
+        }
+    }
+    // A cache that held every lap would make later laps free; 192 pages
+    // keeps old laps evicting, so the order the sources spend the window
+    // in shows.
+    let params = SequenceParams { volume: 250.0 / bed.dataset.density(), ..ADHOC_PATTERN.sequence };
+    let stream = revisit_loop(&bed.dataset, &params, 4, 6, 5);
+    let exec = ExecutorConfig { window_ratio: 1.6, cache_pages: 192, ..ExecutorConfig::default() };
+    actual.push_str("hybrid revisit\n");
+    actual.push_str(&single_client(&bed.ctx_rtree(), &exec, &[stream], || {
+        Box::new(HybridPrefetcher::with_seed(5))
+    }));
+    check("adaptive", &actual);
 }
 
 /// Sessions of the smoke fleet, cycling over its streams.

@@ -280,12 +280,14 @@ fn fleet_predictions_equal_solo_predictions() {
     // of it depends on the shared cache.
     //
     // Each stream is walked twice, so the hybrid's history side predicts
-    // on the second lap, and its page budget is small enough to bind: only
-    // then does the coverage it scores from the arena reach its stats.
+    // on the second lap. Queries of about 1 000 objects give its model
+    // more pages than its budget on some queries: only when the budget
+    // binds does the coverage it scores from the arena reach its stats.
     let bed = TestBed::new(generate_neurons(&NeuronParams::with_target_objects(20_000), 11));
-    let params = SequenceParams { length: 8, ..SequenceParams::sensitivity_default() };
+    let volume = 1000.0 / bed.dataset.density();
+    let params = SequenceParams { length: 8, volume, ..SequenceParams::sensitivity_default() };
     let streams: Vec<Vec<QueryRegion>> =
-        generate_sequences(&bed.dataset, &params, 4, WORKLOAD_SEED)
+        generate_sequences(&bed.dataset, &params, 2, WORKLOAD_SEED)
             .iter()
             .map(|s| s.regions.repeat(2))
             .collect();
@@ -293,10 +295,7 @@ fn fleet_predictions_equal_solo_predictions() {
     let exec = ExecutorConfig { window_ratio: 1.6, cache_pages: 24, ..ExecutorConfig::default() };
     let seeded: [fn(u64) -> Box<dyn Prefetcher>; 2] = [
         |seed| Box::new(Scout::with_seed(seed)),
-        |seed| {
-            let config = HybridConfig { page_budget: 32, ..HybridConfig::with_seed(seed) };
-            Box::new(HybridPrefetcher::new(config))
-        },
+        |seed| Box::new(HybridPrefetcher::with_seed(seed)),
     ];
     // `Debug` prints every field, each `f64` round-trip exact.
     let signature = |q: &QueryTrace| {
