@@ -35,6 +35,7 @@
 //! instead of hash-map incidental.
 
 use crate::scratch::ScoutScratch;
+use crate::split_filter::SplitFilter;
 use scout_geometry::{
     ObjectAdjacency, ObjectId, QueryRegion, Simplification, SpatialObject, UniformGrid,
 };
@@ -307,6 +308,23 @@ impl ResultGraph {
         resolution: u32,
         simplification: scout_geometry::Simplification,
     ) -> CpuUnits {
+        let grid = (resolution, simplification);
+        self.build_grid_hash_from(scratch, objects, result_ids, region, grid, None)
+    }
+
+    /// [`ResultGraph::build_grid_hash`] with `grid`'s resolution and
+    /// simplification, taking pass 1 from `split`'s stash when it holds
+    /// this result's (the split filter's frame and pairs are exactly pass
+    /// 1's). The stash is empty afterwards.
+    pub(crate) fn build_grid_hash_from(
+        &mut self,
+        scratch: &mut QueryScratch,
+        objects: &[SpatialObject],
+        result_ids: &[ObjectId],
+        region: &QueryRegion,
+        (resolution, simplification): (u32, Simplification),
+        split: Option<&mut SplitFilter>,
+    ) -> CpuUnits {
         self.object_ids.clear();
         let scratch = scratch.part::<ScoutScratch>();
         let mut units = CpuUnits::default();
@@ -324,9 +342,14 @@ impl ResultGraph {
         units.graph_object_inserts += n as u64;
         {
             let ScoutScratch { frame, cell_pairs, .. } = scratch;
-            for (v, &oid) in result_ids.iter().enumerate() {
-                let simplified = frame.push(&objects[oid.index()], simplification);
-                grid.for_each_simplified_cell(&simplified, |c| cell_pairs.push((c, v as u32)));
+            let stashed = split.is_some_and(|split| {
+                split.join_into(n, region, (resolution, simplification), frame, cell_pairs)
+            });
+            if !stashed {
+                for (v, &oid) in result_ids.iter().enumerate() {
+                    let simplified = frame.push(&objects[oid.index()], simplification);
+                    grid.for_each_simplified_cell(&simplified, |c| cell_pairs.push((c, v as u32)));
+                }
             }
         }
         self.rebuild_remap(&mut scratch.edges);

@@ -23,6 +23,7 @@ mod prefetcher;
 pub mod reference;
 pub mod scoring;
 mod scratch;
+mod split_filter;
 
 pub use config::{ScoutConfig, Strategy};
 pub use graph::ResultGraph;

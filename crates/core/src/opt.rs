@@ -244,6 +244,15 @@ impl Prefetcher for ScoutOpt {
         self.refine_through_gap(ctx, region, result, stats)
     }
 
+    fn filter_result(
+        &mut self,
+        ctx: &SimContext<'_>,
+        region: &QueryRegion,
+        result: &mut QueryResult,
+    ) {
+        self.inner.filter_result(ctx, region, result);
+    }
+
     fn plan(&mut self, ctx: &SimContext<'_>) -> PrefetchPlan {
         self.inner.plan(ctx)
     }

@@ -15,6 +15,7 @@ use crate::graph::{label_components, ResultGraph};
 use crate::kmeans::kmeans_into;
 use crate::scoring::{score_exits, ScoringScratch};
 use crate::scratch::ScoutScratch;
+use crate::split_filter::SplitFilter;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use scout_geometry::{QueryRegion, Vec3};
@@ -49,6 +50,9 @@ pub struct Scout {
     exits_buf: Vec<Exit>,
     /// Reusable scoring and clustering buffers.
     scoring: ScoringScratch,
+    /// The split range filter's buffers, and pass 1 of the result it
+    /// filtered, waiting for that result's observe.
+    split: SplitFilter,
 }
 
 impl Scout {
@@ -66,6 +70,7 @@ impl Scout {
             graph: ResultGraph::default(),
             exits_buf: Vec::new(),
             scoring: ScoringScratch::default(),
+            split: SplitFilter::default(),
         }
     }
 
@@ -268,17 +273,18 @@ impl Scout {
         // nothing.
         let mut units = match ctx.adjacency {
             Some(adj) => {
+                self.split.clear();
                 let frame = &mut scratch.part::<ScoutScratch>().frame;
                 frame.gather(ctx.objects, &result.objects, self.config.simplification);
                 self.graph.build_explicit(scratch, adj, &result.objects)
             }
-            None => self.graph.build_grid_hash(
+            None => self.graph.build_grid_hash_from(
                 scratch,
                 ctx.objects,
                 &result.objects,
                 region,
-                self.config.grid_resolution,
-                self.config.simplification,
+                (self.config.grid_resolution, self.config.simplification),
+                Some(&mut self.split),
             ),
         };
         let s = scratch.part::<ScoutScratch>();
@@ -403,11 +409,25 @@ impl Prefetcher for Scout {
         self.observe_impl(ctx, region, result, scratch)
     }
 
+    /// On the grid-hash path, the filter splits across cores when the
+    /// pages hold enough objects, and each thread also runs pass 1 of the
+    /// graph build for the objects it kept (`split_filter`).
+    fn filter_result(
+        &mut self,
+        ctx: &SimContext<'_>,
+        region: &QueryRegion,
+        result: &mut QueryResult,
+    ) {
+        let grid = (self.config.grid_resolution, self.config.simplification);
+        self.split.fill(ctx, region, grid, result);
+    }
+
     fn plan(&mut self, _ctx: &SimContext<'_>) -> PrefetchPlan {
         std::mem::take(&mut self.pending)
     }
 
     fn reset(&mut self) {
+        self.split.clear();
         self.tracker.clear();
         self.centers.clear();
         self.last_region = None;

@@ -41,6 +41,12 @@ impl ResultFrame {
         self.simplified.clear();
     }
 
+    /// Makes room for `additional` more objects.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.centroids.reserve(additional);
+        self.simplified.reserve(additional);
+    }
+
     /// Appends one object's facts and hands back its simplification (what
     /// the caller is about to hash).
     #[inline]

@@ -11,15 +11,27 @@
 //! [`width`] picks how many, from the core count it reads once, at the
 //! process's first split.
 //!
+//! A part never splits again: while a thread runs a part of a fork (the
+//! caller around its own part, a helper for its whole life), [`width`]
+//! reads 1 on it. So a large SCOUT query served inside the fleet's pure
+//! pass runs on its part's thread alone, and no fork nests in another.
+//!
 //! Helpers should allocate nothing: a helper thread's first allocation
 //! opens a glibc arena of its own, and what lands there outlives the work
 //! in the process's resident set. So the caller allocates every buffer a
 //! part needs, reserved to its bound, before the parts start.
 
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
+
+thread_local! {
+    // Constant and without a destructor: a helper that sets it registers
+    // nothing, so it allocates nothing.
+    static IN_PART: Cell<bool> = const { Cell::new(false) };
+}
 
 /// The cores this process may run on, read once, at the first split, and
 /// kept for the life of the process. They are the process's CPU affinity
@@ -32,9 +44,26 @@ fn cores() -> usize {
 /// How many threads `work` units should run on: one per core, but no more
 /// than leave every thread `min_per_thread` units. A thread costs a spawn
 /// and a join (about 40 µs on a 2-core Xeon), so a small load runs on the
-/// caller. `width(usize::MAX, 1)` is the core count.
+/// caller. `width(usize::MAX, 1)` is the core count, and 1 on a thread
+/// that runs a part of a fork (module docs).
 pub fn width(work: usize, min_per_thread: usize) -> usize {
+    if IN_PART.with(Cell::get) {
+        return 1;
+    }
     cores().min(work / min_per_thread).max(1)
+}
+
+/// Runs `f` with this thread marked as running a part, and restores the
+/// mark it had, also when `f` panics.
+fn in_part<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            IN_PART.with(|mark| mark.set(self.0));
+        }
+    }
+    let _restore = Restore(IN_PART.with(|mark| mark.replace(true)));
+    f()
 }
 
 /// `len` cut into `min(parts, len)` contiguous ranges (at least one part),
@@ -53,7 +82,8 @@ pub fn ranges(len: usize, parts: usize) -> impl Iterator<Item = Range<usize>> {
 
 /// Runs `work` on every part, the first on the caller and each other on a
 /// scoped helper thread, and returns the results in part order. A single
-/// part runs on the caller without entering a thread scope.
+/// part runs on the caller without entering a thread scope, and without
+/// the part mark: it is no fork, so what it runs may still split.
 ///
 /// Every helper is joined before the first panic payload (the caller's own
 /// first) is re-raised, so a panic in any part reaches the caller as it
@@ -76,9 +106,10 @@ pub fn join_parts<P: Send, R: Send>(
     }
     let work = &work;
     let outcome = std::thread::scope(|scope| {
-        let helpers: Vec<_> = parts.map(|part| scope.spawn(move || work(part))).collect();
+        let helpers: Vec<_> =
+            parts.map(|part| scope.spawn(move || in_part(|| work(part)))).collect();
         let mut results = Vec::with_capacity(helpers.len() + 1);
-        let mut first = catch_unwind(AssertUnwindSafe(|| results.push(work(own))));
+        let mut first = catch_unwind(AssertUnwindSafe(|| results.push(in_part(|| work(own)))));
         for helper in helpers {
             match helper.join() {
                 Ok(result) => results.push(result),
@@ -168,6 +199,26 @@ mod tests {
         let caller = std::thread::current().id();
         assert_eq!(join_parts([7], |part| (part, std::thread::current().id())), [(7, caller)]);
         assert!(join_parts(std::iter::empty::<u32>(), |part| part).is_empty());
+    }
+
+    #[test]
+    fn a_part_never_splits_again() {
+        // Three parts: the caller and two helpers, the only threads this
+        // test starts.
+        let cores = width(usize::MAX, 1);
+        let inside = join_parts([0, 1, 2], |_| width(usize::MAX, 1));
+        assert_eq!(inside, [1, 1, 1]);
+        assert_eq!(width(usize::MAX, 1), cores, "the caller's mark outlived its part");
+        // A single part is no fork: it runs unmarked.
+        assert_eq!(join_parts([0], |_| width(usize::MAX, 1)), [cores]);
+    }
+
+    #[test]
+    fn a_panicking_part_unmarks_the_caller() {
+        let cores = width(usize::MAX, 1);
+        let unwound = catch_unwind(|| join_parts([0, 1], |part| assert!(part != 0, "boom")));
+        assert!(unwound.is_err());
+        assert_eq!(width(usize::MAX, 1), cores, "a panicking part left the caller marked");
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! after FLAT \[27\] and DLS \[21\].
 
 use scout_geometry::intersect::shape_intersects_aabb;
-use scout_geometry::{prefetch_read, Aabb, QueryRegion, SpatialObject, Vec3};
+use scout_geometry::{prefetch_read, Aabb, ObjectId, QueryRegion, SpatialObject, Vec3};
 use scout_storage::{PageId, PageLayout};
 
-/// How many ids ahead of the one under test [`SpatialIndex::range_query`]
+/// How many ids ahead of the one under test [`SpatialIndex::filter_pages_into`]
 /// requests an object record. Eight predicate tests (~10 ns of arithmetic
 /// each) cover a memory load's latency; a page holds 87 ids, so the
 /// distance is a small fraction of a page and shorter pages simply
@@ -57,16 +57,10 @@ pub trait SpatialIndex {
     }
 
     /// Executes a range query into `out`, replacing its contents: touches
-    /// every page overlapping the region and filters the contained objects
-    /// with exact geometry tests.
-    ///
-    /// The id lists point all over the dataset array, so the scan is
-    /// bound by the latency of loading each object record, not by the
-    /// predicate's arithmetic. It therefore asks for the record
-    /// `PREFETCH_DISTANCE` ids ahead in the page's list, and for the
-    /// first records of the next page, before it needs them
-    /// ([`prefetch_read`] — a hint; pages and objects come out in exactly
-    /// the order of the plain loop).
+    /// every page overlapping the region
+    /// ([`SpatialIndex::pages_in_region_into`]) and filters the contained
+    /// objects with exact geometry tests
+    /// ([`SpatialIndex::filter_pages_into`]).
     fn range_query_into(
         &self,
         objects: &[SpatialObject],
@@ -74,18 +68,41 @@ pub trait SpatialIndex {
         out: &mut QueryResult,
     ) {
         self.pages_in_region_into(region.aabb(), &mut out.pages);
-        out.objects.clear();
+        self.filter_pages_into(objects, region, &out.pages, &mut out.objects);
+    }
+
+    /// The range query's object filter: the objects on `pages` whose
+    /// geometry intersects `region`, page by page in list order, into
+    /// `out`, replacing its contents. Filtering a page list cut into
+    /// consecutive pieces and appending the pieces' outputs in order gives
+    /// exactly the output for the whole list.
+    ///
+    /// The id lists point all over the dataset array, so the scan is
+    /// bound by the latency of loading each object record, not by the
+    /// predicate's arithmetic. It therefore asks for the record
+    /// `PREFETCH_DISTANCE` ids ahead in the page's list, and for the
+    /// first records of the next page, before it needs them
+    /// ([`prefetch_read`] — a hint; objects come out in exactly the order
+    /// of the plain loop).
+    fn filter_pages_into(
+        &self,
+        objects: &[SpatialObject],
+        region: &QueryRegion,
+        pages: &[PageId],
+        out: &mut Vec<ObjectId>,
+    ) {
+        out.clear();
         let layout = self.layout();
         let prefetch_head = |pid: PageId| {
             for &oid in layout.page(pid).objects.iter().take(PREFETCH_DISTANCE) {
                 prefetch_read(&objects[oid.index()]);
             }
         };
-        if let Some(&first) = out.pages.first() {
+        if let Some(&first) = pages.first() {
             prefetch_head(first);
         }
-        for (i, &pid) in out.pages.iter().enumerate() {
-            if let Some(&next) = out.pages.get(i + 1) {
+        for (i, &pid) in pages.iter().enumerate() {
+            if let Some(&next) = pages.get(i + 1) {
                 prefetch_head(next);
             }
             let ids = &layout.page(pid).objects[..];
@@ -94,7 +111,7 @@ pub trait SpatialIndex {
                     prefetch_read(&objects[ahead.index()]);
                 }
                 if shape_intersects_aabb(&objects[oid.index()].shape, region.aabb()) {
-                    out.objects.push(oid);
+                    out.push(oid);
                 }
             }
         }

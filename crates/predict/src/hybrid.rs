@@ -191,6 +191,15 @@ impl Prefetcher for HybridPrefetcher {
         stats
     }
 
+    fn filter_result(
+        &mut self,
+        ctx: &SimContext<'_>,
+        region: &QueryRegion,
+        result: &mut QueryResult,
+    ) {
+        self.scout.filter_result(ctx, region, result);
+    }
+
     fn plan(&mut self, ctx: &SimContext<'_>) -> PrefetchPlan {
         let scout_plan = self.scout.plan(ctx);
         // Capture the structure side's targets for the next coverage round.

@@ -22,7 +22,9 @@
 //!   updates never touch the allocator.
 //! * **Prediction** — a best-first expansion from the current tail context:
 //!   emit the strongest successors, descend into their contexts with
-//!   multiplied scores, stop at the page budget. The expansion works out of
+//!   multiplied scores, stop at the page budget. The frontier of contexts
+//!   to expand is a binary heap, so a pop costs a logarithm of the
+//!   frontier, not a scan of it. The expansion works out of
 //!   the [`HistoryScratch`] part of the stepping thread's [`QueryScratch`]
 //!   and a reusable output vector, so the extraction is allocation-free
 //!   after warmup too. An order-2 context that was never seen backs off to
@@ -35,17 +37,51 @@
 
 use scout_sim::QueryScratch;
 use scout_storage::PageId;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// The history side's part of the stepping thread's [`QueryScratch`].
 #[derive(Default)]
 pub(crate) struct HistoryScratch {
     /// Sorted copy of the query's result pages (the hybrid's coverage probes).
     pub(crate) pages_sorted: Vec<u32>,
-    /// The extraction's best-first frontier of `(score, prev, last page)`.
-    frontier: Vec<(f64, u32, u32)>,
+    /// The extraction's best-first frontier of contexts.
+    frontier: BinaryHeap<Frontier>,
     /// Sorted pages one extraction has emitted (dedup).
     emitted: Vec<u32>,
 }
+
+/// One context on the extraction's frontier: its score and its
+/// `(prev, last page)` key. A higher score ranks higher (`total_cmp`), and
+/// on a tie the smaller key does, so the max-heap pops the context a scan
+/// for the best would pick.
+#[derive(Debug, Clone, Copy)]
+struct Frontier {
+    score: f64,
+    prev: u32,
+    last: u32,
+}
+
+impl Ord for Frontier {
+    fn cmp(&self, other: &Self) -> Ordering {
+        let key = |f: &Self| (f.prev, f.last);
+        self.score.total_cmp(&other.score).then_with(|| key(other).cmp(&key(self)))
+    }
+}
+
+impl PartialOrd for Frontier {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Frontier {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Frontier {}
 
 /// Context key marking an empty table slot / an unset history register.
 const NONE: u32 = u32::MAX;
@@ -293,7 +329,7 @@ impl TransitionPredictor {
         if budget == 0 || self.h1 == NONE {
             return;
         }
-        frontier.push((1.0, self.h2, self.h1));
+        frontier.push(Frontier { score: 1.0, prev: self.h2, last: self.h1 });
         // Bound the frontier so one query's expansion stays O(budget), and
         // bound the pops outright: a cyclic chain whose pages are all
         // emitted already would otherwise re-feed the frontier forever
@@ -302,22 +338,13 @@ impl TransitionPredictor {
         let max_pops = budget.saturating_mul(4).max(64);
         let mut pops = 0usize;
 
-        while out.len() < budget && !frontier.is_empty() && pops < max_pops {
+        while out.len() < budget && pops < max_pops {
+            // The highest-scored context (ties on the smaller context key —
+            // fully deterministic).
+            let Some(Frontier { score, prev, last }) = frontier.pop() else {
+                break;
+            };
             pops += 1;
-            // Pop the highest-scored context (ties break on the smaller
-            // context key — fully deterministic).
-            let mut best = 0;
-            for i in 1..frontier.len() {
-                let a = frontier[i];
-                let b = frontier[best];
-                let cmp = a.0.total_cmp(&b.0);
-                if cmp == std::cmp::Ordering::Greater
-                    || (cmp == std::cmp::Ordering::Equal && (a.1, a.2) < (b.1, b.2))
-                {
-                    best = i;
-                }
-            }
-            let (score, prev, last) = frontier.swap_remove(best);
             // Order-2 context never seen: back off to the order-1 suffix
             // at a score penalty.
             let (slot, score) = match self.find(prev, last) {
@@ -362,7 +389,7 @@ impl TransitionPredictor {
                 }
                 let child = score * (w / total).clamp(0.0, 1.0) as f64;
                 if child > 1e-6 && frontier.len() < frontier_cap {
-                    frontier.push((child, last, page));
+                    frontier.push(Frontier { score: child, prev: last, last: page });
                 }
             }
         }

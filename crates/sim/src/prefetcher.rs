@@ -99,6 +99,23 @@ pub trait Prefetcher: Send {
         scratch: &mut QueryScratch,
     ) -> PredictionStats;
 
+    /// The range query's object filter, for the query being served: fills
+    /// `result.objects`, replacing its contents, with the objects on
+    /// `result.pages` that intersect `region`, exactly as
+    /// [`SpatialIndex::filter_pages_into`](scout_index::SpatialIndex::filter_pages_into)
+    /// writes them. The session calls it between the page walk and the
+    /// demand reads, so a prefetcher that will digest the result can do
+    /// its own per-object work while the filter has each record loaded.
+    /// The default is the index's scan, serial.
+    fn filter_result(
+        &mut self,
+        ctx: &SimContext<'_>,
+        region: &QueryRegion,
+        result: &mut QueryResult,
+    ) {
+        ctx.index.filter_pages_into(ctx.objects, region, &result.pages, &mut result.objects);
+    }
+
     /// Produces the prioritized prefetch plan for the coming window.
     fn plan(&mut self, ctx: &SimContext<'_>) -> PrefetchPlan;
 

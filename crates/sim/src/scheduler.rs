@@ -13,7 +13,8 @@
 //!
 //! ## Parallel where pure, serial where shared
 //!
-//! A serve is three pieces. The range query (`Session::begin_serve`) and
+//! A serve is three pieces. The range query (`Session::begin_serve`: the
+//! index's page walk, then the session prefetcher's object filter) and
 //! the prediction (`Session::observe`) read nothing but their own session
 //! and the read-only context; the demand reads between them touch the
 //! shared cache, the disk clock and the batch lanes. So the serves of a
@@ -27,7 +28,9 @@
 //! every width replays width 1 byte for byte — under eviction, faults
 //! and batching alike — and nothing shared needs a lock. Width 1, and a
 //! pass over a single session, runs on the caller alone and starts no
-//! thread.
+//! thread. A pass that does fork marks each chunk's thread as a part, so
+//! a SCOUT filter inside it runs unsplit (`scout_geometry::split::width`
+//! reads 1 there): no fork nests in another.
 //!
 //! ## Panics
 //!

@@ -15,6 +15,13 @@
 //! session stepped to its end over a fresh cache. These steps are the
 //! timeline itself; no other module keeps a copy of it.
 //!
+//! The range query is two calls: the index walks the pages that overlap
+//! the region, and the session's prefetcher filters their objects
+//! ([`Prefetcher::filter_result`]). Every prefetcher but SCOUT's family
+//! runs the index's own filter; SCOUT splits a large result's filter
+//! across cores and builds pass 1 of its graph on the way (DESIGN.md §6,
+//! "One fork per large query").
+//!
 //! The multi-session engine takes the serve apart (DESIGN.md §10): the
 //! range query (`begin_serve`) and the prediction (`observe`) touch only
 //! the session and the read-only context, so any thread may run them; the
@@ -231,9 +238,11 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     /// query's range query into `result` (replacing its contents),
     /// returning the query's trace stamped with the result's size and the
     /// paper's `d`, or `None` when the stream is exhausted. Reads only the
-    /// session's stream and the read-only context.
+    /// session's stream and the read-only context, and writes only the
+    /// session's prefetcher: the index walks the pages, and the
+    /// prefetcher's [`Prefetcher::filter_result`] filters their objects.
     pub(crate) fn begin_serve(
-        &self,
+        &mut self,
         ctx: &SimContext<'_>,
         config: &ExecutorConfig,
         result: &mut QueryResult,
@@ -243,7 +252,8 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             "a serve began with a query still in flight"
         );
         let region = self.regions.get(self.next)?;
-        ctx.index.range_query_into(ctx.objects, region, result);
+        ctx.index.pages_in_region_into(region.aabb(), &mut result.pages);
+        self.prefetcher.filter_result(ctx, region, result);
         // The paper's d: reading the whole result from disk in retrieval
         // order with a fresh head (independent of cache state). Measured on
         // a clock-less disk — it is a hypothetical, not actual device time.

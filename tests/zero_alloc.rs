@@ -31,6 +31,10 @@
 //! node. Generation splits over one thread a core, and no thread but the
 //! caller may allocate while it runs.
 //!
+//! A large query splits SCOUT's range filter and pass 1 across cores, and
+//! no thread but the caller may allocate while it runs; the caller
+//! allocates the plan and the fork's own bookkeeping.
+//!
 //! The STR bulk load is held to a peak heap: no more than the
 //! comparison-sort pack held at once on the same bed. It and FLAT's
 //! neighbourhood pass split over one thread a core, and no thread but the
@@ -624,5 +628,74 @@ fn steady_state_graph_build_allocates_nothing() {
         0,
         "the STR pack of {} objects and FLAT's pass over {pages} pages allocated off the caller",
         tissue.objects.len()
+    );
+
+    // --- A large query's split filter allocates on the caller only ---------
+    //
+    // A query whose pages hold more than 6 144 objects splits SCOUT's range
+    // filter and pass 1 across two cores or more. The caller reserves every
+    // buffer a helper writes, so a warmed query allocates nothing off the
+    // caller. On the caller it allocates the plan it hands out (one block)
+    // and the fork's own bookkeeping: `join_parts`' handle and result lists
+    // (two), and per helper the blocks of std's scoped spawn — four, six
+    // while the test harness captures output. On two cores that is 7 blocks
+    // a query (9 captured); on one core nothing forks, and a query
+    // allocates its plan.
+    let tree = RTree::bulk_load_with_capacity(&tissue.objects, 87);
+    let ctx = SimContext::new(&tissue.objects, &tree, tissue.bounds);
+    let centre = tissue.bounds.min + tissue.bounds.extent() * 0.5;
+    let side = tissue.bounds.extent().x * 0.5;
+    let large: Vec<QueryRegion> = [0.9, 1.0, 1.1]
+        .iter()
+        .map(|&f| QueryRegion::new(centre, (side * f).powi(3), Aspect::Cube))
+        .collect();
+    for region in &large {
+        let pages = tree.pages_in_region(region.aabb());
+        let on_pages: usize = pages.iter().map(|&p| tree.layout().page(p).objects.len()).sum();
+        assert!(on_pages >= 2 * 3_072, "{on_pages} objects on the pages is below the gate");
+    }
+    let mut scout = Scout::with_defaults();
+    let mut result = scout::index::QueryResult::default();
+    let mut lap = |scout: &mut Scout, result: &mut scout::index::QueryResult| {
+        for region in &large {
+            tree.pages_in_region_into(region.aabb(), &mut result.pages);
+            scout.filter_result(&ctx, region, result);
+            let stats = scout.observe_with_scratch(&ctx, region, result, &mut scratch);
+            let plan = scout.plan(&ctx);
+            std::hint::black_box((stats.graph_edges, plan.requests.len()));
+        }
+    };
+    for _ in 0..3 {
+        lap(&mut scout, &mut result);
+    }
+    let fork_blocks: u64 = large
+        .iter()
+        .map(|region| {
+            let pages = tree.pages_in_region(region.aabb());
+            let on_pages = pages.iter().map(|&p| tree.layout().page(p).objects.len()).sum();
+            let helpers = scout::geometry::split::width(on_pages, 3_072) as u64 - 1;
+            if helpers == 0 {
+                0
+            } else {
+                2 + 6 * helpers
+            }
+        })
+        .sum();
+    WATCH_THREADS.store(true, Ordering::Relaxed);
+    let before = allocations();
+    for _ in 0..3 {
+        lap(&mut scout, &mut result);
+    }
+    let on_caller = allocations() - before;
+    WATCH_THREADS.store(false, Ordering::Relaxed);
+    assert_eq!(
+        OFF_CALLER.load(Ordering::Relaxed),
+        0,
+        "a warmed split filter and observe allocated off the caller"
+    );
+    let queries = 3 * large.len() as u64;
+    assert!(
+        on_caller <= queries + 3 * fork_blocks,
+        "{queries} warmed split queries allocated {on_caller} times on the caller"
     );
 }
