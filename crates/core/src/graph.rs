@@ -108,6 +108,127 @@ pub(crate) fn label_components(parent: &mut [u32]) -> usize {
     next as usize
 }
 
+/// The chain pass's running state (see `ResultGraph::assemble_csr`): the
+/// `head` table, the links, the stamps, the degree counts and the first
+/// meetings of the pairs linked so far. The union-find parents it unites
+/// into are the caller's, passed to each call. The pass can stop after any
+/// vertex's last pair and resume at the next: the split filter's caller
+/// links its own part's pairs inside the fork, and the build links the
+/// rest (DESIGN.md §6, "One fork per large query").
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Chain {
+    /// Whether `head` is indexed by cell id; otherwise it is an
+    /// open-addressed table of a power-of-two slots, kept at least twice
+    /// the pairs linked.
+    direct: bool,
+    /// Each cell's newest pair, or [`NONE`].
+    head: Vec<u32>,
+    /// Per pair, its vertex and the pair before it on its cell's chain;
+    /// after the pass, the meetings in `(u, v)` order.
+    links: Vec<(u32, u32)>,
+    /// The last vertex each vertex was met by (one count per neighbour).
+    stamp: Vec<u32>,
+    /// Forward degree per vertex, then each row's forward write cursor.
+    forward: Vec<u32>,
+    /// Backward degree per vertex, then each row's backward write cursor.
+    backward: Vec<u32>,
+    /// Each first meeting `(lower, higher vertex)`, by the higher vertex.
+    met: Vec<(u32, u32)>,
+    /// How many pairs are linked.
+    linked: usize,
+}
+
+impl Chain {
+    /// Empties the pass for a grid of `cells` cells and about `pairs`
+    /// pairs: `head` is indexed by cell id when the grid is small against
+    /// them ([`CELL_HISTOGRAM_SLACK`]), hashed into 2 × `pairs` slots
+    /// otherwise. The graph does not depend on the choice.
+    pub(crate) fn start(&mut self, cells: usize, pairs: usize, parent: &mut Vec<u32>) {
+        self.direct = cells <= pairs.max(1024) * CELL_HISTOGRAM_SLACK;
+        let slots = if self.direct { cells } else { (2 * pairs).next_power_of_two().max(2) };
+        self.head.clear();
+        self.head.resize(slots, NONE);
+        for buffer in [&mut self.stamp, &mut self.forward, &mut self.backward, parent] {
+            buffer.clear();
+        }
+        self.links.clear();
+        self.met.clear();
+        self.linked = 0;
+    }
+
+    /// Makes room for `vertices` vertices, and for `pairs` pairs and as
+    /// many first meetings.
+    pub(crate) fn reserve(&mut self, vertices: usize, pairs: usize, parent: &mut Vec<u32>) {
+        for buffer in [&mut self.stamp, &mut self.forward, &mut self.backward, parent] {
+            buffer.reserve(vertices);
+        }
+        self.links.reserve(pairs);
+        self.met.reserve(pairs);
+    }
+
+    /// The slot of `cell` in the hashed `head` table: its own, or the empty
+    /// one its probe ends at (Fibonacci hashing by the top bits, `shift`
+    /// being 32 − log2 of the slots; linear probing).
+    #[inline]
+    fn probe(head: &[u32], shift: u32, pairs: &[(u32, u32)], cell: u32) -> usize {
+        let mut slot = (cell.wrapping_mul(0x9E37_79B9) >> shift) as usize;
+        while head[slot] != NONE && pairs[head[slot] as usize].0 != cell {
+            slot = (slot + 1) & (head.len() - 1);
+        }
+        slot
+    }
+
+    /// Links `pairs[linked..]` — vertex-major, each `(cell, vertex)` once,
+    /// every vertex below `n` and none of the linked ones' vertices among
+    /// them — onto their cells' chains, uniting each first meeting in
+    /// `parent`. A hashed `head` table that would end up more than half
+    /// full first moves to twice the pairs' slots.
+    pub(crate) fn link(&mut self, pairs: &[(u32, u32)], n: usize, parent: &mut Vec<u32>) {
+        assert!(pairs.len() < NONE as usize, "pair list overflows the u32 chain links");
+        let Chain { direct, head, links, stamp, forward, backward, met, linked } = self;
+        stamp.resize(n, NONE);
+        forward.resize(n, 0);
+        backward.resize(n, 0);
+        parent.extend(parent.len() as u32..n as u32);
+        let shift = |head: &[u32]| u32::BITS - head.len().trailing_zeros();
+        if !*direct && 2 * pairs.len() > head.len() {
+            let old = std::mem::replace(head, vec![NONE; (2 * pairs.len()).next_power_of_two()]);
+            for p in old.into_iter().filter(|&p| p != NONE) {
+                let slot = Self::probe(head, shift(head), pairs, pairs[p as usize].0);
+                head[slot] = p;
+            }
+        }
+        links.resize(pairs.len(), (0, NONE));
+        let (direct, hash_shift) = (*direct, shift(head));
+        let (head, links, parent) = (&mut head[..], &mut links[..], &mut parent[..]);
+        let (stamp, forward, backward) = (&mut stamp[..], &mut forward[..], &mut backward[..]);
+        let (mut last, mut root) = (NONE, NONE);
+        for (p, &(cell, v)) in pairs.iter().enumerate().skip(*linked) {
+            debug_assert!(last == NONE || last <= v, "pairs must be vertex-major");
+            let slot =
+                if direct { cell as usize } else { Self::probe(head, hash_shift, pairs, cell) };
+            let mut q = head[slot];
+            head[slot] = p as u32;
+            links[p] = (v, q);
+            root = select_unpredictable(v == last, root, v);
+            last = v;
+            while q != NONE {
+                let (u, before) = links[q as usize];
+                debug_assert!(u < v, "pairs must be vertex-major, each (cell, vertex) once");
+                if stamp[u as usize] != v {
+                    stamp[u as usize] = v;
+                    met.push((u, v));
+                    forward[u as usize] += 1;
+                    backward[v as usize] += 1;
+                    root = unite(parent, root, u);
+                }
+                q = before;
+            }
+        }
+        *linked = pairs.len();
+    }
+}
+
 /// The per-query-result object graph, in CSR form.
 #[derive(Debug, Clone, Default)]
 pub struct ResultGraph {
@@ -313,9 +434,12 @@ impl ResultGraph {
     }
 
     /// [`ResultGraph::build_grid_hash`] with `grid`'s resolution and
-    /// simplification, taking pass 1 from `split`'s stash when it holds
-    /// this result's (the split filter's frame and pairs are exactly pass
-    /// 1's). The stash is empty afterwards.
+    /// simplification, taking pass 1 and the chain pass over the split
+    /// filter caller's part from `split`'s stash when it holds this
+    /// result's (the split filter's frame and pairs are exactly pass 1's,
+    /// and its chain state is the chain pass's up to its caller's last
+    /// pair). The chain pass then resumes at the first helper pair. The
+    /// stash is empty afterwards.
     pub(crate) fn build_grid_hash_from(
         &mut self,
         scratch: &mut QueryScratch,
@@ -340,28 +464,27 @@ impl ResultGraph {
         let n = result_ids.len();
         self.object_ids.extend_from_slice(result_ids);
         units.graph_object_inserts += n as u64;
-        {
-            let ScoutScratch { frame, cell_pairs, .. } = scratch;
-            let stashed = split.is_some_and(|split| {
-                split.join_into(n, region, (resolution, simplification), frame, cell_pairs)
-            });
-            if !stashed {
-                for (v, &oid) in result_ids.iter().enumerate() {
-                    let simplified = frame.push(&objects[oid.index()], simplification);
-                    grid.for_each_simplified_cell(&simplified, |c| cell_pairs.push((c, v as u32)));
-                }
+        let stashed = split
+            .is_some_and(|split| split.join_into(n, region, (resolution, simplification), scratch));
+        if !stashed {
+            let ScoutScratch { frame, cell_pairs, chain, components, .. } = &mut *scratch;
+            for (v, &oid) in result_ids.iter().enumerate() {
+                let simplified = frame.push(&objects[oid.index()], simplification);
+                grid.for_each_simplified_cell(&simplified, |c| cell_pairs.push((c, v as u32)));
             }
+            chain.start(grid.cell_count() as usize, cell_pairs.len(), components);
         }
         self.rebuild_remap(&mut scratch.edges);
-        self.assemble_csr(scratch, grid.cell_count() as usize, &mut units);
+        self.assemble_csr(scratch, &mut units);
         units
     }
 
     /// Passes 2–3 of both builds: the vertex-major pair list in
     /// `scratch.cell_pairs` becomes the CSR adjacency in one *chain
-    /// pass*, a counting sort and one scatter, writing every target slot
-    /// exactly once. Every loop is flat — over the pairs, the edges or the
-    /// vertices — so none pays a mispredicted exit per row.
+    /// pass* ([`Chain::link`], from the pairs `scratch.chain` has not
+    /// linked yet), a counting sort and one scatter, writing every target
+    /// slot exactly once. Every loop is flat — over the pairs, the edges or
+    /// the vertices — so none pays a mispredicted exit per row.
     ///
     /// **Chain pass.** Each pair is linked onto its cell's chain: `head`
     /// names the cell's newest pair, a link is `(vertex, pair before)`.
@@ -377,79 +500,27 @@ impl ResultGraph {
     ///
     /// `head` is indexed by cell id when the grid is small against the pair
     /// list ([`CELL_HISTOGRAM_SLACK`]); otherwise it is an open-addressed
-    /// table of 2 × pairs slots keyed by the head pair's own cell
+    /// table of at least 2 × pairs slots keyed by the head pair's own cell
     /// (Fibonacci hashing, linear probing) — the side small results take
-    /// (`gaps`: ≈ 1.7 k objects a query against 32 768 cells).
+    /// (`gaps`: ≈ 1.7 k objects a query against 32 768 cells). The table is
+    /// laid out by [`Chain::start`] before the first pair is linked.
     ///
     /// **Sort and scatter.** Row `v` is its backward part then its forward
     /// part. The first meetings arrive sorted by `v`; a stable counting
     /// sort by `u` orders them by `(u, v)`. Scattering them in that order —
     /// `v` into `u`'s forward part, `u` into `v`'s backward part — fills
     /// both parts of every row in ascending order.
-    fn assemble_csr(
-        &mut self,
-        scratch: &mut ScoutScratch,
-        cell_count: usize,
-        units: &mut CpuUnits,
-    ) {
+    fn assemble_csr(&mut self, scratch: &mut ScoutScratch, units: &mut CpuUnits) {
         let n = self.object_ids.len();
         let ScoutScratch {
             cell_pairs: pairs,
-            heads: head,
-            edges: links,
+            chain,
             components: parent,
-            met_stamp: stamp,
-            met_pairs: met,
             met_cursor: sort_cursor,
-            back_cursor: backward,
-            forward_cursor: forward,
             ..
         } = scratch;
-        assert!(pairs.len() < NONE as usize, "pair list overflows the u32 chain links");
-        let direct = cell_count <= pairs.len().max(1024) * CELL_HISTOGRAM_SLACK;
-        let slots = if direct { cell_count } else { (2 * pairs.len()).next_power_of_two().max(2) };
-        let hash_shift = u32::BITS - slots.trailing_zeros();
-        head.clear();
-        head.resize(slots, NONE);
-        links.clear();
-        links.resize(pairs.len(), (0, NONE));
-        stamp.clear();
-        stamp.resize(n, NONE);
-        forward.clear();
-        forward.resize(n, 0);
-        backward.clear();
-        backward.resize(n, 0);
-        parent.clear();
-        parent.extend(0..n as u32);
-        met.clear();
-        let (mut last, mut root) = (NONE, NONE);
-        for (p, &(cell, v)) in pairs.iter().enumerate() {
-            debug_assert!(last == NONE || last <= v, "pairs must be vertex-major");
-            let mut slot = cell as usize;
-            if !direct {
-                slot = (cell.wrapping_mul(0x9E37_79B9) >> hash_shift) as usize;
-                while head[slot] != NONE && pairs[head[slot] as usize].0 != cell {
-                    slot = (slot + 1) & (slots - 1);
-                }
-            }
-            let mut q = head[slot];
-            head[slot] = p as u32;
-            links[p] = (v, q);
-            root = select_unpredictable(v == last, root, v);
-            last = v;
-            while q != NONE {
-                let (u, before) = links[q as usize];
-                debug_assert!(u < v, "pairs must be vertex-major, each (cell, vertex) once");
-                if stamp[u as usize] != v {
-                    stamp[u as usize] = v;
-                    met.push((u, v));
-                    forward[u as usize] += 1;
-                    backward[v as usize] += 1;
-                    root = unite(parent, root, u);
-                }
-                q = before;
-            }
-        }
+        chain.link(pairs, n, parent);
+        let Chain { links, forward, backward, met, .. } = chain;
 
         // Where each `u`'s first meetings start in `(u, v)` order; then row
         // lengths → offsets, and the write cursor of each row's forward
@@ -516,7 +587,7 @@ impl ResultGraph {
         self.object_ids.extend_from_slice(result_ids);
         units.graph_object_inserts += result_ids.len() as u64;
         self.rebuild_remap(&mut scratch.edges);
-        let ScoutScratch { cell_pairs, edges, heads: counts, .. } = scratch;
+        let ScoutScratch { cell_pairs, edges, met_cursor: counts, chain, components, .. } = scratch;
         cell_pairs.clear();
         counts.clear();
         counts.resize(result_ids.len(), 0);
@@ -545,7 +616,8 @@ impl ResultGraph {
         }
         std::mem::swap(cell_pairs, edges);
         // The chain pass's `head` table needs at least one slot.
-        self.assemble_csr(scratch, cells.max(1) as usize, &mut units);
+        chain.start(cells.max(1) as usize, cell_pairs.len(), components);
+        self.assemble_csr(scratch, &mut units);
         units
     }
 
@@ -773,6 +845,62 @@ mod tests {
                 prop_assert_eq!(count, expected);
                 prop_assert_eq!(&*parents, &comp);
             }
+        }
+    }
+
+    // The chain pass stopped after any vertex's last pair and resumed —
+    // as the split filter's caller and the build run it — on a `head`
+    // table laid out by cell, or hashed for too few pairs and grown on the
+    // way, ends where one pass over the build's own layout ends: links,
+    // stamps, degrees, meetings and union-find parents.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn a_resumed_chain_pass_equals_one_pass(
+            raw in prop::collection::vec(
+                ((0.0..40.0f64, 0.0..40.0f64, 0.0..40.0f64), (-4.0..4.0f64, -4.0..4.0f64, -4.0..4.0f64)),
+                1..120,
+            ),
+            res in prop_oneof![8u32..512, 512u32..40_000, 40_000u32..3_000_000],
+            cut in 0.0..=1.0f64,
+            laid_out_for in 0usize..600,
+        ) {
+            let objects: Vec<SpatialObject> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, &((x, y, z), (dx, dy, dz)))| {
+                    let a = Vec3::new(x, y, z);
+                    let shape = Shape::Segment(Segment::new(a, a + Vec3::new(dx, dy, dz)));
+                    SpatialObject::new(ObjectId(i as u32), StructureId(0), shape)
+                })
+                .collect();
+            let ids: Vec<ObjectId> = objects.iter().map(|o| o.id).collect();
+            let region = QueryRegion::new(Vec3::splat(20.0), 64_000.0, Aspect::Cube);
+            let mut scratch = QueryScratch::new();
+            let mut graph = ResultGraph::default();
+            graph.build_grid_hash(&mut scratch, &objects, &ids, &region, res, Simplification::Segment);
+            let pairs = scratch.part::<ScoutScratch>().cell_pairs.clone();
+            let cells = UniformGrid::with_resolution(*region.aabb(), res).cell_count() as usize;
+            let n = ids.len();
+
+            let (mut one, mut one_parent) = (Chain::default(), Vec::new());
+            one.start(cells, pairs.len(), &mut one_parent);
+            one.link(&pairs, n, &mut one_parent);
+            let k = (cut * n as f64) as u32;
+            let at = pairs.partition_point(|&(_, v)| v < k);
+            let (mut two, mut two_parent) = (Chain::default(), Vec::new());
+            two.start(cells, laid_out_for, &mut two_parent);
+            two.link(&pairs[..at], k as usize, &mut two_parent);
+            prop_assert_eq!(two.linked, at);
+            two.link(&pairs, n, &mut two_parent);
+            prop_assert_eq!(&two.links, &one.links);
+            prop_assert_eq!(&two.stamp, &one.stamp);
+            prop_assert_eq!(&two.forward, &one.forward);
+            prop_assert_eq!(&two.backward, &one.backward);
+            prop_assert_eq!(&two.met, &one.met);
+            prop_assert_eq!(&two_parent, &one_parent);
+            prop_assert!(two.direct || 2 * pairs.len() <= two.head.len(), "the table never grew");
         }
     }
 

@@ -410,8 +410,9 @@ impl Prefetcher for Scout {
     }
 
     /// On the grid-hash path, the filter splits across cores when the
-    /// pages hold enough objects, and each thread also runs pass 1 of the
-    /// graph build for the objects it kept (`split_filter`).
+    /// pages hold enough objects: each thread also runs pass 1 of the
+    /// graph build for the objects it kept, and the caller the chain pass
+    /// over its own (`split_filter`).
     fn filter_result(
         &mut self,
         ctx: &SimContext<'_>,

@@ -7,6 +7,7 @@
 //! (DESIGN.md §6). Contents never carry meaning across calls, only
 //! capacity does.
 
+use crate::graph::Chain;
 use scout_geometry::{ObjectId, Simplification, Simplified, SpatialObject, Vec3};
 
 /// What one query's prediction needs to know about each result object,
@@ -88,22 +89,14 @@ pub struct ScoutScratch {
     /// The builds leave union-find parents here (every set rooted at its
     /// lowest vertex); labelling turns them into one label per vertex.
     pub components: Vec<u32>,
-    /// The reverse index's radix-sort spare, then the chain links, then the
-    /// meetings sorted by their lower vertex.
+    /// The reverse index's radix-sort spare; the explicit build's pairs
+    /// sorted by vertex.
     pub(crate) edges: Vec<(u32, u32)>,
-    /// The chain pass's per-cell chain heads (by cell id, or hashed); the
-    /// explicit build's per-vertex pair counts before that.
-    pub(crate) heads: Vec<u32>,
-    /// The last vertex each vertex was met by (one count per neighbour).
-    pub(crate) met_stamp: Vec<u32>,
-    /// Each first meeting `(lower, higher vertex)`, by the higher vertex.
-    pub(crate) met_pairs: Vec<(u32, u32)>,
-    /// Where each lower vertex's meetings go in `(lower, higher)` order.
+    /// The chain pass's state (heads, links, stamps, degrees, meetings).
+    pub(crate) chain: Chain,
+    /// Where each lower vertex's meetings go in `(lower, higher)` order;
+    /// the explicit build's per-vertex pair counts before that.
     pub(crate) met_cursor: Vec<u32>,
-    /// Backward degree per vertex, then each row's backward write cursor.
-    pub(crate) back_cursor: Vec<u32>,
-    /// Forward degree per vertex, then each row's forward write cursor.
-    pub(crate) forward_cursor: Vec<u32>,
     /// Per-component centroid sums (exit-direction smoothing).
     pub(crate) centroid_sums: Vec<Vec3>,
     /// Per-component member count and exit-detection steps.

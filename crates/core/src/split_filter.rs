@@ -1,47 +1,56 @@
 //! SCOUT's range-query filter, fused with pass 1 of the grid-hash build
-//! and split across cores (DESIGN.md §6, "One fork per large query").
+//! and the chain pass over the caller's part, split across cores
+//! (DESIGN.md §6, "One fork per large query").
 //!
-//! A large result's pages are cut into consecutive parts by how many
-//! objects they hold, the caller's part first. Each thread filters its
-//! part's objects against the region, then loads each kept object's
-//! record again, while it is still in that core's cache, to write the
-//! result frame and the `(cell, vertex)` pairs pass 1 would write. The
-//! parts join in page order, so the result ids, the frame and the pairs
-//! are exactly what the serial scan and pass 1 write.
+//! A large result's pages are cut into chunks of [`PAGES_PER_CHUNK`]
+//! pages. The caller claims chunks from the front of the page list and
+//! each helper from the back, through one shared atomic ([`Claims`]), so
+//! no thread idles while a chunk is left. For each chunk it claims, a
+//! thread filters the chunk's objects against the region, then loads each
+//! kept object's record again, while it is still in that core's cache, to
+//! write the result frame and the `(cell, vertex)` pairs pass 1 would
+//! write. The caller's chunks are a prefix of the pages, so its vertices
+//! are the result's first: it also links each chunk's pairs into the
+//! chain pass ([`Chain::link`]) as soon as it has hashed them. The
+//! helpers' chunks, put back in page order at the join, are the suffix, so
+//! the result ids, the frame and the pairs are exactly what the serial
+//! scan and pass 1 write.
 //!
-//! The joined frame and pairs wait in the [`SplitFilter`] (the *stash*)
-//! for the observe of the same result, which takes them instead of
-//! running pass 1. The stash is keyed by the result's length, the
-//! region's bits, the grid resolution and the simplification; every
-//! filter writes or clears it, and every observe clears it. A `Scout`
-//! that was never asked to filter runs pass 1 itself.
+//! The joined frame and pairs and the caller's chain state wait in the
+//! [`SplitFilter`] (the *stash*) for the observe of the same result, which
+//! takes them instead of running pass 1 and resumes the chain pass at the
+//! first helper pair. The stash is keyed by the result's length, the
+//! region's bits, the grid resolution and the simplification; every filter
+//! writes or clears it, and every observe clears it. A `Scout` that was
+//! never asked to filter runs pass 1 and the whole chain pass itself.
 
-use crate::scratch::ResultFrame;
+use crate::graph::Chain;
+use crate::scratch::{ResultFrame, ScoutScratch};
 use scout_geometry::split::{join_parts, width};
-use scout_geometry::{
-    ObjectId, QueryRegion, Simplification, Simplified, SpatialObject, UniformGrid,
-};
+use scout_geometry::{ObjectId, QueryRegion, Simplification, Simplified, UniformGrid};
 use scout_index::QueryResult;
 use scout_sim::SimContext;
-use scout_storage::PageId;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Objects on the result pages per thread: a split runs on
 /// `width(objects on pages, MIN_OBJECTS_PER_THREAD)` threads, so it fires
-/// at 6 144 objects on two cores. A fork costs 28 µs and the helper starts
-/// 55–95 µs late on the 2-core host; a `fleet` query holds about 170.
+/// at 6 144 objects on two cores, enough to buy back what a fork costs
+/// (DESIGN.md §6, "The host"); a `fleet` query holds about 170.
 const MIN_OBJECTS_PER_THREAD: usize = 3_072;
 
-/// The caller's part holds `CALLER_SHARE / HELPER_SHARE` times the objects
-/// of a helper's part, to cover the helper's late start: at two threads,
-/// the first 60 % (0.5 read 800–864 `follow` queries a second, 0.6 read
-/// 833–890).
-const CALLER_SHARE: usize = 3;
-const HELPER_SHARE: usize = 2;
+/// Result pages a claim takes: a `follow` result's ≈ 100 pages make about
+/// 50 chunks, so the threads end within a chunk of each other (within
+/// 2 µs on `follow`).
+/// Chunks of 1, 4 and 8 pages read slower on `follow` (DESIGN.md §6,
+/// "Variants").
+const PAGES_PER_CHUNK: usize = 2;
 
-/// Pair slots a helper's buffer holds per object on its pages, besides one
-/// segment's worst case. A `follow` helper's part writes 1.8 pairs per
-/// object on its pages on average and 3.0 at most (seeds 42 and 7), so a
-/// helper seldom hands objects back to the caller.
+/// Pair slots a helper's buffer holds per object on the result pages,
+/// besides one segment's worst case. A `follow` helper writes 1.8 pairs
+/// per object on its pages on average and 3.0 at most (seeds 42 and 7), so
+/// a helper seldom hands objects back to the caller. The chain pass's
+/// `head` table is laid out for as many pairs.
 const PAIRS_PER_PAGE_OBJECT: usize = 4;
 
 /// What the stash belongs to: the filtered result's length and region,
@@ -66,27 +75,100 @@ impl StashKey {
     }
 }
 
-/// One helper's part: the ids it kept, their frame, and their pairs with
-/// vertices numbered from 0 at the part's first kept object.
+/// Chunks `0..n` claimed from both ends through one atomic word: the low
+/// half counts the front's claims, the high half the back's. A claim
+/// succeeds when the claims before it, both ends' together, number fewer
+/// than `n`, so every chunk goes to exactly one claim: the front's are
+/// `0, 1, …` in order, the back's `n − 1, n − 2, …`, and the two meet. A
+/// claim publishes no data (what a part writes reaches the caller through
+/// the join), so the word is `Relaxed`.
+struct Claims {
+    word: AtomicU64,
+    n: u64,
+}
+
+impl Claims {
+    fn new(n: usize) -> Self {
+        Claims { word: AtomicU64::new(0), n: n as u64 }
+    }
+
+    /// The front's next chunk, or `None` once every chunk is taken.
+    fn front(&self) -> Option<usize> {
+        let before = self.word.fetch_add(1, Ordering::Relaxed);
+        let (front, back) = (before & u64::from(u32::MAX), before >> 32);
+        (front + back < self.n).then_some(front as usize)
+    }
+
+    /// The back's next chunk, or `None` once every chunk is taken.
+    fn back(&self) -> Option<usize> {
+        let before = self.word.fetch_add(1 << 32, Ordering::Relaxed);
+        let (front, back) = (before & u64::from(u32::MAX), before >> 32);
+        (front + back < self.n).then(|| (self.n - 1 - back) as usize)
+    }
+}
+
+/// One chunk a helper filtered: where its ids (and their frame) and its
+/// pairs sit in the helper's buffers, and how many of its objects, a
+/// prefix, the helper hashed. Its pairs number its vertices from 0.
+#[derive(Debug, Clone, Default)]
+struct Piece {
+    chunk: usize,
+    ids: Range<usize>,
+    pairs: Range<usize>,
+    hashed: usize,
+}
+
+/// One helper's buffers: the ids it kept, their frame and pairs, and one
+/// [`Piece`] a chunk it claimed, in claim order (back to front).
 #[derive(Debug, Clone, Default)]
 struct HelperPart {
     ids: Vec<ObjectId>,
     frame: ResultFrame,
     pairs: Vec<(u32, u32)>,
+    pieces: Vec<Piece>,
 }
 
-/// The split filter's buffers and its stash: the caller's part's frame and
-/// pairs, and one [`HelperPart`] per helper. The caller reserves every
-/// buffer a helper writes before the fork, so helpers allocate nothing.
+/// One thread's share of a split.
+enum Part<'a> {
+    /// The caller's: chunks from the front, chained as they are hashed.
+    Caller {
+        ids: &'a mut Vec<ObjectId>,
+        frame: &'a mut ResultFrame,
+        pairs: &'a mut Vec<(u32, u32)>,
+        chain: &'a mut Chain,
+        parent: &'a mut Vec<u32>,
+    },
+    /// A helper's: chunks from the back.
+    Helper(&'a mut HelperPart),
+}
+
+/// The split filter's buffers and its stash: the caller's part's frame,
+/// pairs and chain state (union-find parents included), and one
+/// [`HelperPart`] per helper. The caller reserves every buffer a helper
+/// writes before the fork, so helpers allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SplitFilter {
     key: Option<StashKey>,
     frame: ResultFrame,
     pairs: Vec<(u32, u32)>,
+    chain: Chain,
+    parent: Vec<u32>,
     helpers: Vec<HelperPart>,
-    /// Where each helper's part of the latest split starts, as an index
-    /// into its page list: one entry a helper.
-    cuts: Vec<usize>,
+    /// The helpers' pieces of the latest split in page order, as
+    /// `(helper, piece)` indexes.
+    order: Vec<(usize, usize)>,
+}
+
+/// How a split runs: on at most `threads` threads, each helper's pair
+/// buffer holding `pairs_per_page_object` slots per object on the result
+/// pages plus one segment's worst case. `helpers_first` runs the parts on
+/// the caller, one after another, the helpers first and the caller last:
+/// the first helper then claims every chunk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Split {
+    pub(crate) threads: usize,
+    pub(crate) pairs_per_page_object: usize,
+    pub(crate) helpers_first: bool,
 }
 
 /// The most cells the grid walk can emit for one simplified object.
@@ -104,33 +186,19 @@ fn segment_cells(grid: &UniformGrid) -> usize {
     grid.dims().iter().map(|&d| d as usize).sum()
 }
 
-/// Pass 1 over a part's kept `ids`: the frame for every one, and pairs
-/// for as many as fit in `room`, in order, with vertices numbered from 0.
-/// Stops hashing before the first object whose worst case no longer fits
-/// and returns how many it hashed.
-fn hash_part(
-    objects: &[SpatialObject],
-    ids: &[ObjectId],
-    grid: &UniformGrid,
-    simplification: Simplification,
-    room: usize,
-    frame: &mut ResultFrame,
-    pairs: &mut Vec<(u32, u32)>,
-) -> usize {
-    frame.clear();
-    pairs.clear();
-    let mut hashed = ids.len();
-    for (v, &oid) in ids.iter().enumerate() {
-        let simplified = frame.push(&objects[oid.index()], simplification);
-        if hashed == ids.len() {
-            if pairs.len() + most_cells(grid, &simplified) > room {
-                hashed = v;
-            } else {
-                grid.for_each_simplified_cell(&simplified, |c| pairs.push((c, v as u32)));
-            }
-        }
+impl HelperPart {
+    /// Empties the buffers and makes room for `objects` objects, `pairs`
+    /// pairs and `chunks` pieces.
+    fn reserve(&mut self, objects: usize, pairs: usize, chunks: usize) {
+        self.ids.clear();
+        self.ids.reserve(objects);
+        self.frame.clear();
+        self.frame.reserve(objects);
+        self.pairs.clear();
+        self.pairs.reserve(pairs);
+        self.pieces.clear();
+        self.pieces.reserve(chunks);
     }
-    hashed
 }
 
 impl SplitFilter {
@@ -156,132 +224,171 @@ impl SplitFilter {
             let on_pages = result.pages.iter().map(|&p| layout.page(p).objects.len()).sum();
             width(on_pages, MIN_OBJECTS_PER_THREAD)
         };
-        self.fill_on(threads, PAIRS_PER_PAGE_OBJECT, ctx, region, grid, result);
+        let split =
+            Split { threads, pairs_per_page_object: PAIRS_PER_PAGE_OBJECT, helpers_first: false };
+        self.fill_on(split, ctx, region, grid, result);
     }
 
-    /// [`SplitFilter::fill`] on at most `threads` threads, with `grid`'s
-    /// resolution and simplification, each helper's pair buffer holding
-    /// `pairs_per_page_object` slots per object on its pages plus one
-    /// segment's worst case. One thread is the index's scan, and stashes
-    /// nothing.
+    /// [`SplitFilter::fill`] as `split` says, with `grid`'s resolution and
+    /// simplification. One thread, or pages for one chunk only, is the
+    /// index's scan, and stashes nothing.
     pub(crate) fn fill_on(
         &mut self,
-        threads: usize,
-        pairs_per_page_object: usize,
+        split: Split,
         ctx: &SimContext<'_>,
         region: &QueryRegion,
         (resolution, simplification): (u32, Simplification),
         result: &mut QueryResult,
     ) {
         let SimContext { index, objects, .. } = *ctx;
-        let SplitFilter { key, frame, pairs, helpers, cuts } = self;
+        let SplitFilter { key, frame, pairs, chain, parent, helpers, order } = self;
         *key = None;
         let QueryResult { pages, objects: ids } = result;
-        let layout = index.layout();
-        let on_pages =
-            |part: &[PageId]| -> usize { part.iter().map(|&p| layout.page(p).objects.len()).sum() };
-        cut_pages(threads, pages, |p| layout.page(p).objects.len(), cuts);
-        if cuts.is_empty() {
+        let chunks = pages.len().div_ceil(PAGES_PER_CHUNK);
+        let threads = split.threads.min(chunks);
+        if threads <= 1 {
             index.filter_pages_into(objects, region, pages, ids);
             return;
         }
-        let used = cuts.len();
+        let used = threads - 1;
         if helpers.len() < used {
             helpers.resize_with(used, HelperPart::default);
         }
-        let part_pages =
-            |i: usize| &pages[cuts[i]..cuts.get(i + 1).map_or(pages.len(), |&end| end)];
+        let layout = index.layout();
+        let on_pages: usize = pages.iter().map(|&p| layout.page(p).objects.len()).sum();
         let grid = UniformGrid::with_resolution(*region.aabb(), resolution);
-        let room = |on_pages: usize| on_pages * pairs_per_page_object + segment_cells(&grid);
+        let room = on_pages * split.pairs_per_page_object + segment_cells(&grid);
 
-        // Every buffer a helper writes, reserved to its bound on the caller.
-        for (i, h) in helpers[..used].iter_mut().enumerate() {
-            let n = on_pages(part_pages(i));
-            h.ids.clear();
-            h.ids.reserve(n);
-            h.frame.clear();
-            h.frame.reserve(n);
-            h.pairs.clear();
-            h.pairs.reserve(room(n));
+        // Every buffer a part writes, reserved to its bound on the caller:
+        // a helper may claim every chunk. The `head` table's layout is
+        // fixed here, for `room` pairs.
+        for h in &mut helpers[..used] {
+            h.reserve(on_pages, room, chunks);
         }
+        ids.clear();
+        ids.reserve(on_pages);
+        frame.clear();
+        frame.reserve(on_pages);
+        pairs.clear();
+        pairs.reserve(room);
+        chain.start(grid.cell_count() as usize, room, parent);
+        chain.reserve(on_pages, room, parent);
+        order.clear();
+        order.reserve(chunks);
 
-        let own = (&pages[..cuts[0]], &mut *ids, &mut *frame, &mut *pairs, usize::MAX);
-        let rest = helpers[..used].iter_mut().enumerate().map(|(i, h)| {
-            let room = room(on_pages(part_pages(i)));
-            (part_pages(i), &mut h.ids, &mut h.frame, &mut h.pairs, room)
-        });
-        let hashed =
-            join_parts(std::iter::once(own).chain(rest), |(part, ids, frame, pairs, room)| {
-                index.filter_pages_into(objects, region, part, ids);
-                hash_part(objects, ids, &grid, simplification, room, frame, pairs)
-            });
+        // Pass 1 over `ids`: the frame for every one, and pairs with
+        // vertices numbered from `base` for as many as fit in `room`, in
+        // order. Stops hashing before the first object whose most cells no
+        // longer fit and returns how many it hashed.
+        let hash = |ids: &[ObjectId],
+                    base: usize,
+                    room: usize,
+                    frame: &mut ResultFrame,
+                    pairs: &mut Vec<(u32, u32)>| {
+            let mut hashed = ids.len();
+            for (v, &oid) in ids.iter().enumerate() {
+                let simplified = frame.push(&objects[oid.index()], simplification);
+                if hashed == ids.len() {
+                    if pairs.len() + most_cells(&grid, &simplified) > room {
+                        hashed = v;
+                    } else {
+                        let v = (base + v) as u32;
+                        grid.for_each_simplified_cell(&simplified, |c| pairs.push((c, v)));
+                    }
+                }
+            }
+            hashed
+        };
+        let pages: &[_] = pages;
+        let chunk_pages =
+            |c: usize| &pages[c * PAGES_PER_CHUNK..pages.len().min((c + 1) * PAGES_PER_CHUNK)];
+        let claims = Claims::new(chunks);
+        let work = |part: Part<'_>| -> usize {
+            let mut claimed = 0;
+            match part {
+                Part::Caller { ids, frame, pairs, chain, parent } => {
+                    while let Some(c) = claims.front() {
+                        let from = ids.len();
+                        index.filter_pages_onto(objects, region, chunk_pages(c), ids);
+                        hash(&ids[from..], from, usize::MAX, frame, pairs);
+                        chain.link(pairs, ids.len(), parent);
+                        claimed += 1;
+                    }
+                }
+                Part::Helper(h) => {
+                    while let Some(chunk) = claims.back() {
+                        let (from, pairs_from) = (h.ids.len(), h.pairs.len());
+                        index.filter_pages_onto(objects, region, chunk_pages(chunk), &mut h.ids);
+                        let hashed = hash(&h.ids[from..], 0, room, &mut h.frame, &mut h.pairs);
+                        let (ids, pairs) = (from..h.ids.len(), pairs_from..h.pairs.len());
+                        h.pieces.push(Piece { chunk, ids, pairs, hashed });
+                        claimed += 1;
+                    }
+                }
+            }
+            claimed
+        };
+        let caller = Part::Caller { ids: &mut *ids, frame, pairs, chain, parent };
+        let parts = std::iter::once(caller).chain(helpers[..used].iter_mut().map(Part::Helper));
+        let claimed = if split.helpers_first {
+            let mut claimed: Vec<usize> = parts.rev().map(work).collect();
+            claimed.reverse();
+            claimed
+        } else {
+            join_parts(parts, work)
+        };
 
-        // What a helper had no room for, the caller hashes now, in order.
-        for (h, &done) in helpers.iter_mut().zip(&hashed[1..]) {
-            for (v, simplified) in h.frame.simplified.iter().enumerate().skip(done) {
-                grid.for_each_simplified_cell(simplified, |c| h.pairs.push((c, v as u32)));
+        // The helpers' pieces in page order: the chunks after the caller's.
+        order.resize(chunks - claimed[0], (0, 0));
+        for (i, h) in helpers[..used].iter().enumerate() {
+            for (j, piece) in h.pieces.iter().enumerate() {
+                order[piece.chunk - claimed[0]] = (i, j);
             }
         }
-        for h in &helpers[..used] {
-            ids.extend_from_slice(&h.ids);
+        for &(i, j) in order.iter() {
+            let h = &helpers[i];
+            ids.extend_from_slice(&h.ids[h.pieces[j].ids.clone()]);
         }
         *key = Some(StashKey::new(ids.len(), region, (resolution, simplification)));
     }
 
-    /// Pass 1 from the stash, when it belongs to this build's result:
-    /// `frame` and `pairs` (cleared) take the caller's part, then each
-    /// helper's, its vertices offset by the objects before it. Returns
-    /// whether it did; either way the stash is empty afterwards.
+    /// Pass 1 and the caller's part of the chain pass from the stash, when
+    /// it belongs to this build's result: `scratch` swaps in the caller's
+    /// frame, pairs, chain state and union-find parents, then takes each
+    /// helper piece's frame and pairs in page order, its vertices offset by
+    /// the objects before it, and the pairs of the objects the helper had
+    /// no room to hash. Returns whether it did; either way the stash is
+    /// empty afterwards.
     pub(crate) fn join_into(
         &mut self,
         len: usize,
         region: &QueryRegion,
-        grid: (u32, Simplification),
-        frame: &mut ResultFrame,
-        pairs: &mut Vec<(u32, u32)>,
+        (resolution, simplification): (u32, Simplification),
+        scratch: &mut ScoutScratch,
     ) -> bool {
-        if self.key.take() != Some(StashKey::new(len, region, grid)) {
+        if self.key.take() != Some(StashKey::new(len, region, (resolution, simplification))) {
             return false;
         }
+        let ScoutScratch { frame, cell_pairs: pairs, chain, components: parent, .. } = scratch;
         std::mem::swap(frame, &mut self.frame);
         std::mem::swap(pairs, &mut self.pairs);
-        for h in &self.helpers[..self.cuts.len()] {
-            let base = frame.len() as u32;
-            frame.centroids.extend_from_slice(&h.frame.centroids);
-            frame.simplified.extend_from_slice(&h.frame.simplified);
-            pairs.extend(h.pairs.iter().map(|&(c, v)| (c, v + base)));
+        std::mem::swap(chain, &mut self.chain);
+        std::mem::swap(parent, &mut self.parent);
+        let grid = UniformGrid::with_resolution(*region.aabb(), resolution);
+        for &(i, j) in &self.order {
+            let (h, piece) = (&self.helpers[i], &self.helpers[i].pieces[j]);
+            let base = frame.len();
+            let simplified = &h.frame.simplified[piece.ids.clone()];
+            frame.centroids.extend_from_slice(&h.frame.centroids[piece.ids.clone()]);
+            frame.simplified.extend_from_slice(simplified);
+            pairs.extend(h.pairs[piece.pairs.clone()].iter().map(|&(c, v)| (c, v + base as u32)));
+            for (v, simplified) in simplified.iter().enumerate().skip(piece.hashed) {
+                let v = (base + v) as u32;
+                grid.for_each_simplified_cell(simplified, |c| pairs.push((c, v)));
+            }
         }
         debug_assert_eq!(frame.len(), len, "the stash does not cover the result");
         true
-    }
-}
-
-/// Cuts `pages` for `threads` threads by object count (`len` per page),
-/// the caller's part first and `CALLER_SHARE / HELPER_SHARE` times a
-/// helper's, into `cuts`: the page where each non-empty part after the
-/// caller's starts. Empty when one thread does it all.
-fn cut_pages(
-    threads: usize,
-    pages: &[PageId],
-    len: impl Fn(PageId) -> usize,
-    cuts: &mut Vec<usize>,
-) {
-    cuts.clear();
-    if threads <= 1 {
-        return;
-    }
-    let total: usize = pages.iter().map(|&p| len(p)).sum();
-    let weight = CALLER_SHARE + HELPER_SHARE * (threads - 1);
-    let (mut at, mut seen) = (0, 0);
-    for k in 0..threads - 1 {
-        let target = total * (CALLER_SHARE + HELPER_SHARE * k) / weight;
-        while at < pages.len() && (seen < target || at == 0) {
-            seen += len(pages[at]);
-            at += 1;
-        }
-        if at < pages.len() && cuts.last() != Some(&at) {
-            cuts.push(at);
-        }
     }
 }
 
@@ -289,9 +396,8 @@ fn cut_pages(
 mod tests {
     use super::*;
     use crate::graph::ResultGraph;
-    use crate::scratch::ScoutScratch;
     use proptest::prelude::*;
-    use scout_geometry::{Aabb, Vec3};
+    use scout_geometry::{Aabb, SpatialObject, Vec3};
     use scout_index::{RTree, SpatialIndex};
     use scout_sim::{QueryScratch, SimContext};
     use scout_synth::{generate_neurons, NeuronParams};
@@ -316,8 +422,12 @@ mod tests {
 
     const GRID: (u32, Simplification) = (32_768, Simplification::Segment);
 
+    /// 128³ cells: few pairs against many cells, so the chain pass hashes
+    /// its `head` table, as it does for `gaps`' results.
+    const FINE: (u32, Simplification) = (1 << 21, Simplification::Segment);
+
     /// The widths the split is checked at: the serial scan, an even and an
-    /// odd split, and more threads than a small result has pages.
+    /// odd split, and more threads than a small result has chunks.
     const WIDTHS: [usize; 4] = [1, 2, 3, 8];
 
     /// What the serial scan and pass 1 write for `region`, and the graph
@@ -330,12 +440,12 @@ mod tests {
         parents: Vec<u32>,
     }
 
-    fn serial(region: &QueryRegion) -> Serial {
+    fn serial(region: &QueryRegion, grid: (u32, Simplification)) -> Serial {
         let (objects, tree, _) = bed();
         let result = tree.range_query(objects, region);
         let mut scratch = QueryScratch::new();
         let mut graph = ResultGraph::default();
-        graph.build_grid_hash(&mut scratch, objects, &result.objects, region, GRID.0, GRID.1);
+        graph.build_grid_hash(&mut scratch, objects, &result.objects, region, grid.0, grid.1);
         let s = scratch.part::<ScoutScratch>();
         let (frame, pairs, parents) = (s.frame.clone(), s.cell_pairs.clone(), s.components.clone());
         Serial { result, frame, pairs, graph, parents }
@@ -350,41 +460,34 @@ mod tests {
         Ok(())
     }
 
-    /// The split filter, then the build from its stash, against the serial
-    /// scan and pass 1: ids, frame, pairs, the CSR rows and the union-find
-    /// parents, bit for bit. Returns whether a helper ran out of pair room.
+    /// The split filter run as `split` says, then the build from its
+    /// stash, against the serial scan and pass 1: ids, frame, pairs, the
+    /// CSR rows and the union-find parents, bit for bit. Returns whether a
+    /// helper ran out of pair room and handed objects back.
     fn assert_split_is_serial(
         region: &QueryRegion,
-        threads: usize,
-        pairs_per_page_object: usize,
+        grid: (u32, Simplification),
+        split: Split,
     ) -> Result<bool, TestCaseError> {
         let (objects, tree, _) = bed();
-        let want = serial(region);
-        let mut split = SplitFilter::default();
+        let want = serial(region, grid);
+        let mut filter = SplitFilter::default();
         let mut result = QueryResult::default();
         tree.pages_in_region_into(region.aabb(), &mut result.pages);
         let ctx = SimContext::new(objects, tree, bed().2);
-        split.fill_on(threads, pairs_per_page_object, &ctx, region, GRID, &mut result);
+        filter.fill_on(split, &ctx, region, grid, &mut result);
         prop_assert_eq!(&result.objects, &want.result.objects);
-        prop_assert!(threads > 1 || split.key.is_none(), "one thread stashed a split");
-        // Each kept segment leaves at least one pair, so with room for one
-        // segment's cells only, a helper that kept more objects than that
-        // handed the rest back to the caller.
-        let segment = 3 * 32;
-        let overflowed = pairs_per_page_object == 0
-            && split.key.is_some()
-            && split.helpers[..split.cuts.len()].iter().any(|h| h.ids.len() > segment);
+        prop_assert!(split.threads > 1 || filter.key.is_none(), "one thread stashed a split");
+        let overflowed = filter.key.is_some()
+            && filter.order.iter().any(|&(i, j)| {
+                let piece = &filter.helpers[i].pieces[j];
+                piece.hashed < piece.ids.len()
+            });
         let mut scratch = QueryScratch::new();
         let mut graph = ResultGraph::default();
-        graph.build_grid_hash_from(
-            &mut scratch,
-            objects,
-            &result.objects,
-            region,
-            GRID,
-            Some(&mut split),
-        );
-        prop_assert!(split.key.is_none(), "the build left the stash full");
+        let ids = &result.objects;
+        graph.build_grid_hash_from(&mut scratch, objects, ids, region, grid, Some(&mut filter));
+        prop_assert!(filter.key.is_none(), "the build left the stash full");
         let s = scratch.part::<ScoutScratch>();
         prop_assert_eq!(&s.frame.centroids, &want.frame.centroids);
         prop_assert_eq!(&s.frame.simplified, &want.frame.simplified);
@@ -394,21 +497,64 @@ mod tests {
         Ok(overflowed)
     }
 
+    fn on_threads(threads: usize, pairs_per_page_object: usize) -> Split {
+        Split { threads, pairs_per_page_object, helpers_first: false }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Regions from a few pages to most of the bed, split at every
         /// width, with the production pair room and with room for one
-        /// object only (helpers overflow and the caller hashes the rest).
+        /// object only (helpers overflow and the caller hashes the rest),
+        /// on a grid whose chain pass indexes its `head` table by cell and
+        /// on one that hashes it. Room for one object also lays the table
+        /// out too small, so the caller's chain pass grows it. Run on
+        /// threads, or with the helpers first, which take every chunk.
         #[test]
         fn the_split_filter_equals_the_serial_scan_and_pass_1(
             at in (0.2f64..0.8, 0.2f64..0.8, 0.2f64..0.8),
             side in 0.05f64..0.6,
             pairs_per_page_object in prop_oneof![Just(0usize), Just(PAIRS_PER_PAGE_OBJECT)],
+            grid in prop_oneof![Just(GRID), Just(FINE)],
+            helpers_first in prop_oneof![Just(false), Just(true)],
         ) {
             let region = region_in(&bed().2, at, side);
             for threads in WIDTHS {
-                assert_split_is_serial(&region, threads, pairs_per_page_object)?;
+                let split = Split { threads, pairs_per_page_object, helpers_first };
+                assert_split_is_serial(&region, grid, split)?;
+            }
+        }
+    }
+
+    /// Every interleaving of front and back claims over 0–8 chunks, each
+    /// end claiming on after its first miss: every chunk is claimed once,
+    /// the front's `0..m` in order and the back's `n − 1` down to `m`.
+    #[test]
+    fn claims_from_both_ends_take_every_chunk_once() {
+        for n in 0..=8 {
+            let calls = n + 2;
+            for fronts in 0u32..1 << calls {
+                let claims = Claims::new(n);
+                let (mut front, mut back) = (Vec::new(), Vec::new());
+                let (mut front_missed, mut back_missed) = (false, false);
+                for k in 0..calls {
+                    let (claim, got, missed) = if fronts >> k & 1 == 1 {
+                        (claims.front(), &mut front, &mut front_missed)
+                    } else {
+                        (claims.back(), &mut back, &mut back_missed)
+                    };
+                    match claim {
+                        Some(chunk) => {
+                            assert!(!*missed, "n {n}, {fronts:b}: a claim after a miss");
+                            got.push(chunk);
+                        }
+                        None => *missed = true,
+                    }
+                }
+                let m = front.len();
+                assert_eq!(front, (0..m).collect::<Vec<_>>(), "n {n}, {fronts:b}");
+                assert_eq!(back, (m..n).rev().collect::<Vec<_>>(), "n {n}, {fronts:b}");
             }
         }
     }
@@ -420,14 +566,19 @@ mod tests {
         let pages = tree.pages_in_region(region.aabb());
         let on_pages: usize = pages.iter().map(|&p| tree.layout().page(p).objects.len()).sum();
         assert!(on_pages >= 2 * MIN_OBJECTS_PER_THREAD, "{on_pages} objects on pages");
-        let mut split = SplitFilter::default();
+        let mut filter = SplitFilter::default();
         let mut result = QueryResult { pages, objects: Vec::new() };
-        split.fill(&SimContext::new(&bed().0, tree, *bounds), &region, GRID, &mut result);
+        filter.fill(&SimContext::new(&bed().0, tree, *bounds), &region, GRID, &mut result);
         let cores = scout_geometry::split::width(usize::MAX, 1);
-        assert_eq!(split.key.is_some(), cores > 1, "{cores} cores");
+        assert_eq!(filter.key.is_some(), cores > 1, "{cores} cores");
         for threads in WIDTHS {
-            assert_split_is_serial(&region, threads, PAIRS_PER_PAGE_OBJECT).unwrap();
-            let overflowed = assert_split_is_serial(&region, threads, 0).unwrap();
+            assert_split_is_serial(&region, GRID, on_threads(threads, PAIRS_PER_PAGE_OBJECT))
+                .unwrap();
+            // The helpers first, with room for one segment only: the first
+            // takes every chunk, runs out of room and hands the objects it
+            // did not hash back, in page order.
+            let split = Split { threads, pairs_per_page_object: 0, helpers_first: true };
+            let overflowed = assert_split_is_serial(&region, GRID, split).unwrap();
             assert_eq!(overflowed, threads > 1, "{threads} threads");
         }
     }
@@ -443,7 +594,7 @@ mod tests {
         let mut result = QueryResult::default();
         tree.pages_in_region_into(a.aabb(), &mut result.pages);
         let ctx = SimContext::new(objects, tree, *bounds);
-        split.fill_on(2, PAIRS_PER_PAGE_OBJECT, &ctx, &a, GRID, &mut result);
+        split.fill_on(on_threads(2, PAIRS_PER_PAGE_OBJECT), &ctx, &a, GRID, &mut result);
         assert!(split.key.is_some(), "query A did not split");
         let mut ids_b = tree.range_query(objects, &b).objects;
         assert!(ids_b.len() >= result.objects.len(), "B is smaller than A");
@@ -461,6 +612,7 @@ mod tests {
         let (got, want) = (scratch.part::<ScoutScratch>(), serial_scratch.part::<ScoutScratch>());
         assert_eq!(got.frame.centroids, want.frame.centroids);
         assert_eq!(got.cell_pairs, want.cell_pairs);
+        assert_eq!(got.components, want.components);
 
         // Nor does the stash outlive its observe: A again, unsplit, is A.
         graph.build_grid_hash_from(

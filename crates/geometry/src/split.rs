@@ -43,7 +43,7 @@ fn cores() -> usize {
 
 /// How many threads `work` units should run on: one per core, but no more
 /// than leave every thread `min_per_thread` units. A thread costs a spawn
-/// and a join (about 40 µs on a 2-core Xeon), so a small load runs on the
+/// and a join (DESIGN.md §6, "The host"), so a small load runs on the
 /// caller. `width(usize::MAX, 1)` is the core count, and 1 on a thread
 /// that runs a part of a fork (module docs).
 pub fn width(work: usize, min_per_thread: usize) -> usize {

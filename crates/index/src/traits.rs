@@ -12,7 +12,7 @@ use scout_geometry::intersect::shape_intersects_aabb;
 use scout_geometry::{prefetch_read, Aabb, ObjectId, QueryRegion, SpatialObject, Vec3};
 use scout_storage::{PageId, PageLayout};
 
-/// How many ids ahead of the one under test [`SpatialIndex::filter_pages_into`]
+/// How many ids ahead of the one under test [`SpatialIndex::filter_pages_onto`]
 /// requests an object record. Eight predicate tests (~10 ns of arithmetic
 /// each) cover a memory load's latency; a page holds 87 ids, so the
 /// distance is a small fraction of a page and shorter pages simply
@@ -73,17 +73,7 @@ pub trait SpatialIndex {
 
     /// The range query's object filter: the objects on `pages` whose
     /// geometry intersects `region`, page by page in list order, into
-    /// `out`, replacing its contents. Filtering a page list cut into
-    /// consecutive pieces and appending the pieces' outputs in order gives
-    /// exactly the output for the whole list.
-    ///
-    /// The id lists point all over the dataset array, so the scan is
-    /// bound by the latency of loading each object record, not by the
-    /// predicate's arithmetic. It therefore asks for the record
-    /// `PREFETCH_DISTANCE` ids ahead in the page's list, and for the
-    /// first records of the next page, before it needs them
-    /// ([`prefetch_read`] — a hint; objects come out in exactly the order
-    /// of the plain loop).
+    /// `out`, replacing its contents.
     fn filter_pages_into(
         &self,
         objects: &[SpatialObject],
@@ -92,6 +82,27 @@ pub trait SpatialIndex {
         out: &mut Vec<ObjectId>,
     ) {
         out.clear();
+        self.filter_pages_onto(objects, region, pages, out);
+    }
+
+    /// [`SpatialIndex::filter_pages_into`] appending to `out`: filtering a
+    /// page list cut into consecutive pieces onto one list, the pieces in
+    /// order, gives exactly the output for the whole list.
+    ///
+    /// The id lists point all over the dataset array, so the scan is
+    /// bound by the latency of loading each object record, not by the
+    /// predicate's arithmetic. It therefore asks for the record
+    /// `PREFETCH_DISTANCE` ids ahead in the page's list, and for the
+    /// first records of the next page, before it needs them
+    /// ([`prefetch_read`] — a hint; objects come out in exactly the order
+    /// of the plain loop).
+    fn filter_pages_onto(
+        &self,
+        objects: &[SpatialObject],
+        region: &QueryRegion,
+        pages: &[PageId],
+        out: &mut Vec<ObjectId>,
+    ) {
         let layout = self.layout();
         let prefetch_head = |pid: PageId| {
             for &oid in layout.page(pid).objects.iter().take(PREFETCH_DISTANCE) {

@@ -19,8 +19,8 @@
 //! the region, and the session's prefetcher filters their objects
 //! ([`Prefetcher::filter_result`]). Every prefetcher but SCOUT's family
 //! runs the index's own filter; SCOUT splits a large result's filter
-//! across cores and builds pass 1 of its graph on the way (DESIGN.md §6,
-//! "One fork per large query").
+//! across cores and builds pass 1 and part of the chain pass of its graph
+//! on the way (DESIGN.md §6, "One fork per large query").
 //!
 //! The multi-session engine takes the serve apart (DESIGN.md §10): the
 //! range query (`begin_serve`) and the prediction (`observe`) touch only

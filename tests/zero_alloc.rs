@@ -31,9 +31,10 @@
 //! node. Generation splits over one thread a core, and no thread but the
 //! caller may allocate while it runs.
 //!
-//! A large query splits SCOUT's range filter and pass 1 across cores, and
-//! no thread but the caller may allocate while it runs; the caller
-//! allocates the plan and the fork's own bookkeeping.
+//! A large query splits SCOUT's range filter, pass 1 and the chain pass
+//! over the caller's chunks across cores, and no thread but the caller may
+//! allocate while it runs; the caller allocates the plan and the fork's own
+//! bookkeeping.
 //!
 //! The STR bulk load is held to a peak heap: no more than the
 //! comparison-sort pack held at once on the same bed. It and FLAT's
@@ -633,8 +634,10 @@ fn steady_state_graph_build_allocates_nothing() {
     // --- A large query's split filter allocates on the caller only ---------
     //
     // A query whose pages hold more than 6 144 objects splits SCOUT's range
-    // filter and pass 1 across two cores or more. The caller reserves every
-    // buffer a helper writes, so a warmed query allocates nothing off the
+    // filter and pass 1 across two cores or more, and the caller links its
+    // own chunks' pairs into the chain pass inside the fork. The caller
+    // reserves every buffer a helper writes and the chain buffers it links
+    // into before the fork, so a warmed query allocates nothing off the
     // caller. On the caller it allocates the plan it hands out (one block)
     // and the fork's own bookkeeping: `join_parts`' handle and result lists
     // (two), and per helper the blocks of std's scoped spawn — four, six
