@@ -30,3 +30,4 @@ pub use graph::ResultGraph;
 pub use opt::ScoutOpt;
 pub use prefetcher::Scout;
 pub use scratch::{ResultFrame, ScoutScratch};
+pub use split_filter::split_threads;

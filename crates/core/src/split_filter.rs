@@ -30,14 +30,24 @@ use scout_geometry::split::{join_parts, width};
 use scout_geometry::{ObjectId, QueryRegion, Simplification, Simplified, UniformGrid};
 use scout_index::QueryResult;
 use scout_sim::SimContext;
+use scout_storage::{PageId, PageLayout};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Objects on the result pages per thread: a split runs on
-/// `width(objects on pages, MIN_OBJECTS_PER_THREAD)` threads, so it fires
-/// at 6 144 objects on two cores, enough to buy back what a fork costs
-/// (DESIGN.md §6, "The host"); a `fleet` query holds about 170.
-const MIN_OBJECTS_PER_THREAD: usize = 3_072;
+/// Objects on the result pages per thread of a two-thread split: the gate.
+/// A result splits once its pages hold 2 048 objects, on two cores or more,
+/// since with the claims a late helper takes fewer chunks and the caller
+/// does not wait for it. The sweep in DESIGN.md §6 ("Variants") read 1 024
+/// and 768 alike on `gaps`, both ahead of 1 536 and above; 1 024 forks the
+/// fewer queries. About 98 % of `gaps` queries and every `follow` one pass
+/// it; a `fleet` query holds about 170 (DESIGN.md §6, "The gate").
+const MIN_OBJECTS_PER_THREAD: usize = 1_024;
+
+/// Objects on the result pages per thread of a split on more than two
+/// threads: the gate before it came down. The caller spawns each helper in
+/// turn before its own part starts, and no host with more than two cores
+/// was measured, so a wider host adds helpers as it did under that gate.
+const MIN_OBJECTS_PER_THREAD_BEYOND_TWO: usize = 3_072;
 
 /// Result pages a claim takes: a `follow` result's ≈ 100 pages make about
 /// 50 chunks, so the threads end within a chunk of each other (within
@@ -201,6 +211,22 @@ impl HelperPart {
     }
 }
 
+/// How many threads SCOUT's split filter runs a grid-hash result on, from
+/// the objects on its pages: two once they hold two threads' worth, more
+/// on a wider host only when each thread keeps 3 072, and one on a single
+/// core or inside a part of another fork ([`width`]).
+pub fn split_threads(on_pages: usize) -> usize {
+    match width(on_pages, MIN_OBJECTS_PER_THREAD) {
+        1 => 1,
+        _ => width(on_pages, MIN_OBJECTS_PER_THREAD_BEYOND_TWO).max(2),
+    }
+}
+
+/// The objects on `pages`, the filter's work.
+fn objects_on(layout: &PageLayout, pages: &[PageId]) -> usize {
+    pages.iter().map(|&p| layout.page(p).objects.len()).sum()
+}
+
 impl SplitFilter {
     /// Empties the stash.
     pub(crate) fn clear(&mut self) {
@@ -217,24 +243,26 @@ impl SplitFilter {
         grid: (u32, Simplification),
         result: &mut QueryResult,
     ) {
-        let layout = ctx.index.layout();
-        let threads = if ctx.adjacency.is_some() {
-            1
-        } else {
-            let on_pages = result.pages.iter().map(|&p| layout.page(p).objects.len()).sum();
-            width(on_pages, MIN_OBJECTS_PER_THREAD)
+        // An explicit adjacency builds no grid hash: counted as no work, its
+        // result never splits.
+        let on_pages = match ctx.adjacency {
+            Some(_) => 0,
+            None => objects_on(ctx.index.layout(), &result.pages),
         };
+        let threads = split_threads(on_pages);
         let split =
             Split { threads, pairs_per_page_object: PAIRS_PER_PAGE_OBJECT, helpers_first: false };
-        self.fill_on(split, ctx, region, grid, result);
+        self.fill_on(split, on_pages, ctx, region, grid, result);
     }
 
-    /// [`SplitFilter::fill`] as `split` says, with `grid`'s resolution and
-    /// simplification. One thread, or pages for one chunk only, is the
-    /// index's scan, and stashes nothing.
+    /// [`SplitFilter::fill`] as `split` says, for pages that hold
+    /// `on_pages` objects, with `grid`'s resolution and simplification. One
+    /// thread, or pages for one chunk only, is the index's scan, and
+    /// stashes nothing.
     pub(crate) fn fill_on(
         &mut self,
         split: Split,
+        on_pages: usize,
         ctx: &SimContext<'_>,
         region: &QueryRegion,
         (resolution, simplification): (u32, Simplification),
@@ -254,8 +282,6 @@ impl SplitFilter {
         if helpers.len() < used {
             helpers.resize_with(used, HelperPart::default);
         }
-        let layout = index.layout();
-        let on_pages: usize = pages.iter().map(|&p| layout.page(p).objects.len()).sum();
         let grid = UniformGrid::with_resolution(*region.aabb(), resolution);
         let room = on_pages * split.pairs_per_page_object + segment_cells(&grid);
 
@@ -398,13 +424,14 @@ mod tests {
     use crate::graph::ResultGraph;
     use proptest::prelude::*;
     use scout_geometry::{Aabb, SpatialObject, Vec3};
-    use scout_index::{RTree, SpatialIndex};
+    use scout_index::{FlatConfig, FlatIndex, RTree, SpatialIndex};
     use scout_sim::{QueryScratch, SimContext};
     use scout_synth::{generate_neurons, NeuronParams};
     use std::sync::OnceLock;
 
-    /// A 40 k-object neuron bed: a region half its side wide holds more
-    /// than the 6 144 objects that pass the gate on two cores.
+    /// A 40 k-object neuron bed: a region half its side wide has more than
+    /// 6 144 objects on its pages, three times what the gate asks of a
+    /// split on two cores.
     fn bed() -> &'static (Vec<SpatialObject>, RTree, Aabb) {
         static BED: OnceLock<(Vec<SpatialObject>, RTree, Aabb)> = OnceLock::new();
         BED.get_or_init(|| {
@@ -412,6 +439,30 @@ mod tests {
             let tree = RTree::bulk_load_with_capacity(&neurons.objects, 87);
             (neurons.objects, tree, neurons.bounds)
         })
+    }
+
+    /// The bed on its R-tree.
+    fn tree_ctx() -> SimContext<'static> {
+        let (objects, tree, bounds) = bed();
+        SimContext::new(objects, tree, *bounds)
+    }
+
+    /// The bed on FLAT over the same pages, as `gaps` runs it: its pages
+    /// come in crawl order.
+    fn flat_ctx() -> SimContext<'static> {
+        static FLAT: OnceLock<FlatIndex> = OnceLock::new();
+        let flat =
+            FLAT.get_or_init(|| FlatIndex::from_rtree(bed().1.clone(), FlatConfig::default()));
+        let (objects, _, bounds) = bed();
+        SimContext::new(objects, flat, *bounds).with_ordered(flat)
+    }
+
+    /// `region`'s pages, unfiltered, and the objects on them.
+    fn pages_of(ctx: &SimContext<'_>, region: &QueryRegion) -> (QueryResult, usize) {
+        let mut result = QueryResult::default();
+        ctx.index.pages_in_region_into(region.aabb(), &mut result.pages);
+        let on_pages = objects_on(ctx.index.layout(), &result.pages);
+        (result, on_pages)
     }
 
     fn region_in(bounds: &Aabb, at: (f64, f64, f64), side: f64) -> QueryRegion {
@@ -440,9 +491,9 @@ mod tests {
         parents: Vec<u32>,
     }
 
-    fn serial(region: &QueryRegion, grid: (u32, Simplification)) -> Serial {
-        let (objects, tree, _) = bed();
-        let result = tree.range_query(objects, region);
+    fn serial(ctx: &SimContext<'_>, region: &QueryRegion, grid: (u32, Simplification)) -> Serial {
+        let objects = ctx.objects;
+        let result = ctx.index.range_query(objects, region);
         let mut scratch = QueryScratch::new();
         let mut graph = ResultGraph::default();
         graph.build_grid_hash(&mut scratch, objects, &result.objects, region, grid.0, grid.1);
@@ -461,40 +512,51 @@ mod tests {
     }
 
     /// The split filter run as `split` says, then the build from its
-    /// stash, against the serial scan and pass 1: ids, frame, pairs, the
-    /// CSR rows and the union-find parents, bit for bit. Returns whether a
-    /// helper ran out of pair room and handed objects back.
+    /// stash, against the serial scan and pass 1 (`assert_build_is_serial`).
+    /// Returns whether a helper ran out of pair room and handed objects
+    /// back.
     fn assert_split_is_serial(
+        ctx: &SimContext<'_>,
         region: &QueryRegion,
         grid: (u32, Simplification),
         split: Split,
     ) -> Result<bool, TestCaseError> {
-        let (objects, tree, _) = bed();
-        let want = serial(region, grid);
         let mut filter = SplitFilter::default();
-        let mut result = QueryResult::default();
-        tree.pages_in_region_into(region.aabb(), &mut result.pages);
-        let ctx = SimContext::new(objects, tree, bed().2);
-        filter.fill_on(split, &ctx, region, grid, &mut result);
-        prop_assert_eq!(&result.objects, &want.result.objects);
+        let (mut result, on_pages) = pages_of(ctx, region);
+        filter.fill_on(split, on_pages, ctx, region, grid, &mut result);
         prop_assert!(split.threads > 1 || filter.key.is_none(), "one thread stashed a split");
         let overflowed = filter.key.is_some()
             && filter.order.iter().any(|&(i, j)| {
                 let piece = &filter.helpers[i].pieces[j];
                 piece.hashed < piece.ids.len()
             });
+        assert_build_is_serial(ctx, region, grid, &result, &mut filter)?;
+        Ok(overflowed)
+    }
+
+    /// A filtered `result`, then the build from `filter`'s stash, against
+    /// the serial scan and pass 1: ids, frame, pairs, the CSR rows and the
+    /// union-find parents, bit for bit.
+    fn assert_build_is_serial(
+        ctx: &SimContext<'_>,
+        region: &QueryRegion,
+        grid: (u32, Simplification),
+        result: &QueryResult,
+        filter: &mut SplitFilter,
+    ) -> Result<(), TestCaseError> {
+        let want = serial(ctx, region, grid);
+        prop_assert_eq!(&result.objects, &want.result.objects);
         let mut scratch = QueryScratch::new();
         let mut graph = ResultGraph::default();
         let ids = &result.objects;
-        graph.build_grid_hash_from(&mut scratch, objects, ids, region, grid, Some(&mut filter));
+        graph.build_grid_hash_from(&mut scratch, ctx.objects, ids, region, grid, Some(filter));
         prop_assert!(filter.key.is_none(), "the build left the stash full");
         let s = scratch.part::<ScoutScratch>();
         prop_assert_eq!(&s.frame.centroids, &want.frame.centroids);
         prop_assert_eq!(&s.frame.simplified, &want.frame.simplified);
         prop_assert_eq!(&s.cell_pairs, &want.pairs);
         prop_assert_eq!(&s.components, &want.parents);
-        assert_same_graph(&graph, &want.graph)?;
-        Ok(overflowed)
+        assert_same_graph(&graph, &want.graph)
     }
 
     fn on_threads(threads: usize, pairs_per_page_object: usize) -> Split {
@@ -522,7 +584,7 @@ mod tests {
             let region = region_in(&bed().2, at, side);
             for threads in WIDTHS {
                 let split = Split { threads, pairs_per_page_object, helpers_first };
-                assert_split_is_serial(&region, grid, split)?;
+                assert_split_is_serial(&tree_ctx(), &region, grid, split)?;
             }
         }
     }
@@ -559,27 +621,84 @@ mod tests {
         }
     }
 
+    /// The cores a split may use: 1 under `taskset -c 0`.
+    fn cores() -> usize {
+        width(usize::MAX, 1)
+    }
+
     #[test]
     fn a_bed_region_passes_the_gate() {
-        let (_, tree, bounds) = bed();
-        let region = region_in(bounds, (0.5, 0.5, 0.5), 0.5);
-        let pages = tree.pages_in_region(region.aabb());
-        let on_pages: usize = pages.iter().map(|&p| tree.layout().page(p).objects.len()).sum();
+        let ctx = tree_ctx();
+        let region = region_in(&ctx.bounds, (0.5, 0.5, 0.5), 0.5);
+        let (mut result, on_pages) = pages_of(&ctx, &region);
         assert!(on_pages >= 2 * MIN_OBJECTS_PER_THREAD, "{on_pages} objects on pages");
         let mut filter = SplitFilter::default();
-        let mut result = QueryResult { pages, objects: Vec::new() };
-        filter.fill(&SimContext::new(&bed().0, tree, *bounds), &region, GRID, &mut result);
-        let cores = scout_geometry::split::width(usize::MAX, 1);
-        assert_eq!(filter.key.is_some(), cores > 1, "{cores} cores");
+        filter.fill(&ctx, &region, GRID, &mut result);
+        assert_eq!(filter.key.is_some(), cores() > 1, "{} cores", cores());
         for threads in WIDTHS {
-            assert_split_is_serial(&region, GRID, on_threads(threads, PAIRS_PER_PAGE_OBJECT))
-                .unwrap();
+            let split = on_threads(threads, PAIRS_PER_PAGE_OBJECT);
+            assert_split_is_serial(&ctx, &region, GRID, split).unwrap();
             // The helpers first, with room for one segment only: the first
             // takes every chunk, runs out of room and hands the objects it
             // did not hash back, in page order.
             let split = Split { threads, pairs_per_page_object: 0, helpers_first: true };
-            let overflowed = assert_split_is_serial(&region, GRID, split).unwrap();
+            let overflowed = assert_split_is_serial(&ctx, &region, GRID, split).unwrap();
             assert_eq!(overflowed, threads > 1, "{threads} threads");
+        }
+    }
+
+    /// A region whose pages hold fewer objects than two threads' worth is
+    /// the index's scan on any core count: `fill` clears a stash a split
+    /// left and stashes nothing.
+    #[test]
+    fn a_region_below_the_gate_is_not_split() {
+        let ctx = tree_ctx();
+        let large = region_in(&ctx.bounds, (0.5, 0.5, 0.5), 0.5);
+        let small = region_in(&ctx.bounds, (0.5, 0.5, 0.5), 0.15);
+        let mut filter = SplitFilter::default();
+        let (mut result, on_pages) = pages_of(&ctx, &large);
+        filter.fill_on(
+            on_threads(2, PAIRS_PER_PAGE_OBJECT),
+            on_pages,
+            &ctx,
+            &large,
+            GRID,
+            &mut result,
+        );
+        assert!(filter.key.is_some(), "the large region did not split");
+
+        let (mut result, on_pages) = pages_of(&ctx, &small);
+        assert!(
+            (1..2 * MIN_OBJECTS_PER_THREAD).contains(&on_pages),
+            "{on_pages} objects on the pages"
+        );
+        assert!(result.pages.len() > PAGES_PER_CHUNK, "pages for one chunk only");
+        assert_eq!(split_threads(on_pages), 1);
+        filter.fill(&ctx, &small, GRID, &mut result);
+        assert!(filter.key.is_none(), "a region below the gate left a stash");
+        assert_eq!(result.objects, ctx.index.range_query(ctx.objects, &small).objects);
+    }
+
+    /// A `gaps`-shaped query: FLAT's crawl order, on `gaps`' grid, with
+    /// more objects on its pages than two threads' worth and fewer than
+    /// 6 144, where the gate stood before the claims. It splits on two
+    /// cores or more, and the build from its stash is the serial one.
+    #[test]
+    fn a_gaps_shaped_region_splits() {
+        let ctx = flat_ctx();
+        let region = region_in(&ctx.bounds, (0.5, 0.5, 0.5), 0.3);
+        let (mut result, on_pages) = pages_of(&ctx, &region);
+        assert!(
+            (2 * MIN_OBJECTS_PER_THREAD..2 * MIN_OBJECTS_PER_THREAD_BEYOND_TWO).contains(&on_pages),
+            "{on_pages} objects on the pages"
+        );
+        let mut filter = SplitFilter::default();
+        filter.fill(&ctx, &region, GRID, &mut result);
+        assert_eq!(filter.key.is_some(), cores() > 1, "{} cores", cores());
+        assert_build_is_serial(&ctx, &region, GRID, &result, &mut filter).unwrap();
+        for threads in WIDTHS {
+            let split = on_threads(threads, PAIRS_PER_PAGE_OBJECT);
+            assert_split_is_serial(&ctx, &region, GRID, split).unwrap();
         }
     }
 
@@ -591,10 +710,9 @@ mod tests {
         let a = region_in(bounds, (0.45, 0.5, 0.5), 0.5);
         let b = region_in(bounds, (0.55, 0.5, 0.5), 0.6);
         let mut split = SplitFilter::default();
-        let mut result = QueryResult::default();
-        tree.pages_in_region_into(a.aabb(), &mut result.pages);
-        let ctx = SimContext::new(objects, tree, *bounds);
-        split.fill_on(on_threads(2, PAIRS_PER_PAGE_OBJECT), &ctx, &a, GRID, &mut result);
+        let ctx = tree_ctx();
+        let (mut result, on_pages) = pages_of(&ctx, &a);
+        split.fill_on(on_threads(2, PAIRS_PER_PAGE_OBJECT), on_pages, &ctx, &a, GRID, &mut result);
         assert!(split.key.is_some(), "query A did not split");
         let mut ids_b = tree.range_query(objects, &b).objects;
         assert!(ids_b.len() >= result.objects.len(), "B is smaller than A");

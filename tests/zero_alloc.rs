@@ -46,7 +46,7 @@
 //! process-global, so a concurrently running sibling test would pollute
 //! the measured window.
 
-use scout::core::{ResultGraph, ScoutScratch};
+use scout::core::{split_threads, ResultGraph, ScoutScratch};
 use scout::geometry::{Aspect, ObjectAdjacency, QueryRegion, UniformGrid};
 use scout::index::{RTree, SpatialIndex};
 use scout::predict::HybridPrefetcher;
@@ -633,9 +633,11 @@ fn steady_state_graph_build_allocates_nothing() {
 
     // --- A large query's split filter allocates on the caller only ---------
     //
-    // A query whose pages hold more than 6 144 objects splits SCOUT's range
-    // filter and pass 1 across two cores or more, and the caller links its
-    // own chunks' pairs into the chain pass inside the fork. The caller
+    // A query whose pages hold enough objects (`split_threads`) splits
+    // SCOUT's range filter and pass 1 across two cores or more, and the
+    // caller links its own chunks' pairs into the chain pass inside the
+    // fork. The smallest region holds fewer than 6 144, where the gate stood
+    // before the claims, and splits on two threads only. The caller
     // reserves every buffer a helper writes and the chain buffers it links
     // into before the fork, so a warmed query allocates nothing off the
     // caller. On the caller it allocates the plan it hands out (one block)
@@ -648,15 +650,22 @@ fn steady_state_graph_build_allocates_nothing() {
     let ctx = SimContext::new(&tissue.objects, &tree, tissue.bounds);
     let centre = tissue.bounds.min + tissue.bounds.extent() * 0.5;
     let side = tissue.bounds.extent().x * 0.5;
-    let large: Vec<QueryRegion> = [0.9, 1.0, 1.1]
+    let large: Vec<QueryRegion> = [0.5, 0.9, 1.0, 1.1]
         .iter()
         .map(|&f| QueryRegion::new(centre, (side * f).powi(3), Aspect::Cube))
         .collect();
-    for region in &large {
+    let objects_on = |region: &QueryRegion| -> usize {
         let pages = tree.pages_in_region(region.aabb());
-        let on_pages: usize = pages.iter().map(|&p| tree.layout().page(p).objects.len()).sum();
-        assert!(on_pages >= 2 * 3_072, "{on_pages} objects on the pages is below the gate");
+        pages.iter().map(|&p| tree.layout().page(p).objects.len()).sum()
+    };
+    let cores = scout::geometry::split::width(usize::MAX, 1);
+    for region in &large {
+        let on_pages = objects_on(region);
+        let threads = split_threads(on_pages);
+        assert!(threads > 1 || cores == 1, "{on_pages} objects on the pages is below the gate");
     }
+    let smallest = objects_on(&large[0]);
+    assert!(smallest < 2 * 3_072, "{smallest} objects on the pages passed the old gate");
     let mut scout = Scout::with_defaults();
     let mut result = scout::index::QueryResult::default();
     let mut lap = |scout: &mut Scout, result: &mut scout::index::QueryResult| {
@@ -674,9 +683,7 @@ fn steady_state_graph_build_allocates_nothing() {
     let fork_blocks: u64 = large
         .iter()
         .map(|region| {
-            let pages = tree.pages_in_region(region.aabb());
-            let on_pages = pages.iter().map(|&p| tree.layout().page(p).objects.len()).sum();
-            let helpers = scout::geometry::split::width(on_pages, 3_072) as u64 - 1;
+            let helpers = split_threads(objects_on(region)) as u64 - 1;
             if helpers == 0 {
                 0
             } else {
