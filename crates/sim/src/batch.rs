@@ -15,7 +15,7 @@
 //! teardown.
 
 use crate::executor::ExecutorConfig;
-use crate::telemetry::RING_CAPACITY;
+use crate::telemetry::{now_us, RING_CAPACITY};
 use scout_storage::{BatchReport, DiskModel, FaultReport, IoBatcher, ShardedCache, SharedClock};
 use scout_telemetry::{
     Event, FlightRecorder, HistogramId, Lane, MetricsRegistry, SpanTimer, ENGINE_STREAM,
@@ -102,10 +102,9 @@ impl BatchCtl {
         if let Some(t) = &mut self.telem {
             let total = lane.report().coalesced;
             let coalesced = total - std::mem::replace(&mut t.demand_coalesced, total);
-            let now = lane.disk().clock().map_or(0.0, |c| c.now_us());
             let event =
                 Event::BatchSubmitted { lane: Lane::Demand, pages, coalesced: coalesced as u32 };
-            t.recorder.record(now, event);
+            t.recorder.record(now_us(lane.disk()), event);
         }
     }
 
@@ -137,9 +136,8 @@ impl BatchCtl {
         if let Some(t) = &mut self.telem {
             // The window lane skips duplicates at staging, so nothing
             // coalesces here by construction.
-            let now = lane.disk().clock().map_or(0.0, |c| c.now_us());
-            t.recorder
-                .record(now, Event::BatchSubmitted { lane: Lane::Window, pages, coalesced: 0 });
+            let event = Event::BatchSubmitted { lane: Lane::Window, pages, coalesced: 0 };
+            t.recorder.record(now_us(lane.disk()), event);
         }
     }
 

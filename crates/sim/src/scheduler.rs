@@ -108,8 +108,6 @@ struct Step {
     result: QueryResult,
     /// The begun query's trace; `None` when the stream was exhausted.
     q: Option<QueryTrace>,
-    /// The clock the serve read, stamped on the observe's events.
-    t_us: f64,
 }
 
 impl RoundBody<'_, '_> {
@@ -117,11 +115,11 @@ impl RoundBody<'_, '_> {
     /// opened in `step`. False = its stream was exhausted and the call
     /// did nothing.
     fn serve(&mut self, session: &mut Session, step: &mut Step, cache: &mut ShardedCache) -> bool {
-        let Step { result, q: Some(q), t_us } = step else {
+        let Step { result, q: Some(q) } = step else {
             return false;
         };
         match &mut self.batch {
-            None => *t_us = session.serve(result, cache, self.exec, q),
+            None => session.serve(result, cache, self.exec, q),
             // The query waits in the session for its demand batch, result
             // and all; the pool slot's next begin overwrites what is left.
             Some(b) => {
@@ -221,7 +219,7 @@ pub(crate) fn run_fleet(
     };
     let observe = |(_, session): &mut (usize, Session), step: &mut Step| {
         if let Some(q) = step.q.take() {
-            session.observe(ctx, &step.result, exec, q, step.t_us);
+            session.observe(ctx, &step.result, exec, q);
         }
     };
     // The edges — batch submits — are one of the profiled hot phases

@@ -206,12 +206,6 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         self.telem.take()
     }
 
-    /// The simulated now for event timestamps: the shared clock when one
-    /// is attached (every multi-session run), 0 otherwise.
-    fn now_us(&self) -> f64 {
-        self.disk.clock().map_or(0.0, |c| c.now_us())
-    }
-
     /// Serves the next query and lets the prefetcher digest it (timeline
     /// phases 1–2), leaving the prefetch window open. Returns false when
     /// the stream is exhausted (the call is then a no-op, so mixed-length
@@ -226,8 +220,8 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
         let begun = self.begin_serve(ctx, config, &mut result);
         let served = begun.is_some();
         if let Some(mut q) = begun {
-            let t_us = self.serve(&result, cache, config, &mut q);
-            self.observe(ctx, &result, config, q, t_us);
+            self.serve(&result, cache, config, &mut q);
+            self.observe(ctx, &result, config, q);
         }
         SERVE_RESULT.set(result);
         served
@@ -275,16 +269,16 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     /// incidental query overlap. Demand reads go through the retrying
     /// verified path: with fault injection disabled that is bit-for-bit a
     /// plain `read_page`; with it enabled, one per-query deadline budget
-    /// spans all of the query's retries. Returns the clock reading its
-    /// telemetry events carry.
+    /// spans all of the query's retries, and telemetry records the retry
+    /// ladder they climbed.
     pub(crate) fn serve<C: PageCache>(
         &mut self,
         result: &QueryResult,
         cache: &mut C,
         config: &ExecutorConfig,
         q: &mut QueryTrace,
-    ) -> f64 {
-        let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
+    ) {
+        let span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanServeUs));
         self.disk.begin_query(self.next as u64);
         let retry = &config.faults.retry;
         let mut deadline_us = retry.deadline_us;
@@ -299,21 +293,23 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
                 }
             }
         }
-        self.now_us()
+        drop(span);
+        if let Some(tm) = &mut self.telem {
+            tm.note_retries(&self.disk);
+        }
     }
 
     /// The serve's last, pure piece (phase 2 plus the window budget), the
     /// tail of every serve path: with every demand read booked, the
     /// result's processing cost lands on the response, the prefetcher
-    /// digests the served result and the window opens; telemetry stamps
-    /// the serve's events with `t_us`, the clock its shared piece read.
+    /// digests the served result and the window opens. Records nothing:
+    /// the window's event waits for the window to close.
     pub(crate) fn observe(
         &mut self,
         ctx: &SimContext<'_>,
         result: &QueryResult,
         config: &ExecutorConfig,
         mut q: QueryTrace,
-        t_us: f64,
     ) {
         // CPU cost of processing the result pages (charged to response).
         q.residual_us += q.pages_total as f64 * config.costs.page_process_us;
@@ -344,11 +340,6 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             };
             (q.window_us - prediction_delay).max(0.0)
         };
-        if let Some(tm) = &mut self.telem {
-            tm.note_query_served(t_us, self.next as u32, &q);
-            tm.note_retries(t_us, self.disk.fault_report());
-            tm.note_window_opened(t_us, budget_us);
-        }
         self.open = Some(OpenWindow { q, budget_us });
     }
 
@@ -372,8 +363,8 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
 
     /// The window sub-phase around `run` (which walks the plan through
     /// one submission mode): the disk's breaker gate before it, the end of
-    /// the disk's query and the telemetry epilogue after it, then the
-    /// query's trace is committed. No-op when no window is open.
+    /// the disk's query and the window's telemetry event after it, then
+    /// the query's trace is committed. No-op when no window is open.
     fn close_window(
         &mut self,
         run: impl FnOnce(
@@ -382,16 +373,17 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
             &mut DiskModel,
             &mut IoStats,
             &mut Vec<PageId>,
-        ) -> QueryTrace,
+        ) -> (QueryTrace, usize, usize),
     ) {
         let Some(window) = self.open.take() else {
             return;
         };
+        let budget_us = window.budget_us;
         let allowed = self.disk.allow_prefetch(window.q.outcome.is_failed());
-        let q = if allowed {
+        let (q, requests, unserved) = if allowed {
             let _span = self.telem.as_ref().map(|t| t.span(HistogramId::SpanWindowUs));
             let mut region_pages = WINDOW_PAGES.take();
-            let q = run(
+            let ran = run(
                 &mut *self.prefetcher,
                 window,
                 &mut self.disk,
@@ -399,21 +391,15 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
                 &mut region_pages,
             );
             WINDOW_PAGES.set(region_pages);
-            q
+            ran
         } else {
             // Breaker open: prefetching (optional work) is shed for this
             // query; demand serving continues unchanged.
-            window.q
+            (window.q, 0, 0)
         };
         self.disk.end_query();
         if let Some(tm) = &mut self.telem {
-            let t = self.disk.clock().map_or(0.0, |c| c.now_us());
-            if allowed {
-                tm.note_window_closed(t, q.prefetch_pages, q.gap_pages);
-            } else {
-                let trips = self.disk.fault_report().map_or(0, |f| f.breaker_trips);
-                tm.note_window_shed(t, trips);
-            }
+            tm.note_window(&self.disk, self.next, budget_us, requests, unserved, !allowed);
         }
         self.trace.queries.push(q);
         self.next += 1;
@@ -463,8 +449,9 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
     /// Batched phase 1b, after the demand batch resolved: fans this
     /// session's outcomes back in — a failed physical read is retried on
     /// the session's *own* disk (per-waiter retries, per-waiter deadline)
-    /// — charges the residual, digests the result, and opens the prefetch
-    /// window. No-op when nothing is pending.
+    /// — records the retry ladder, charges the residual, digests the
+    /// result, and opens the prefetch window. No-op when nothing is
+    /// pending.
     pub(crate) fn serve_complete(
         &mut self,
         ctx: &SimContext<'_>,
@@ -485,8 +472,10 @@ impl<'p, P: DerefMut<Target = dyn Prefetcher + 'p>> Session<P> {
                 break;
             }
         }
-        let t_us = self.now_us();
-        self.observe(ctx, &result, config, q, t_us);
+        if let Some(tm) = &mut self.telem {
+            tm.note_retries(&self.disk);
+        }
+        self.observe(ctx, &result, config, q);
     }
 
     /// Batched phase 3: stages the open window's prefetch plan into the
@@ -661,24 +650,28 @@ impl WindowIo for StagedIo<'_> {
 
 /// Phase (3): walks the prefetcher's prioritized plan, issuing reads
 /// through `io` until the window budget runs out, completing the query's
-/// trace. `region_pages` is where a [`PrefetchRequest::Region`] is
-/// resolved to pages: caller-owned so its capacity outlives the window,
-/// its contents mean nothing on entry or exit.
+/// trace. Returns the trace, the plan's length, and how many of its
+/// requests the budget cut left unread or part-read: those from the one
+/// the walk stopped in to the end. `region_pages` is where a
+/// [`PrefetchRequest::Region`] is resolved to pages: caller-owned so its
+/// capacity outlives the window, its contents mean nothing on entry or
+/// exit.
 fn run_prefetch_window(
     ctx: &SimContext<'_>,
     prefetcher: &mut dyn Prefetcher,
     window: OpenWindow,
     io: &mut impl WindowIo,
     region_pages: &mut Vec<PageId>,
-) -> QueryTrace {
+) -> (QueryTrace, usize, usize) {
     let OpenWindow { mut q, budget_us: mut budget } = window;
     if q.outcome.is_failed() {
         // The serve phase aborted the query; there is no prediction state
         // to plan from.
-        return q;
+        return (q, 0, 0);
     }
     let plan = prefetcher.plan(ctx);
-    'window: for request in &plan.requests {
+    let requests = plan.requests.len();
+    for (at, request) in plan.requests.iter().enumerate() {
         let (pages, is_gap) = match request {
             PrefetchRequest::Region(r) => {
                 ctx.index.pages_in_region_into(r.aabb(), region_pages);
@@ -696,7 +689,7 @@ fn run_prefetch_window(
             // a device read, or advance the shared clock (which would
             // inflate the multi-session disk-busy metric).
             if io.peek_us(page) > budget {
-                break 'window; // the user issued the next query
+                return (q, requests, requests - at); // the user issued the next query
             }
             match io.issue(page, is_gap) {
                 Ok(t) => {
@@ -709,13 +702,13 @@ fn run_prefetch_window(
                 Err(t) => {
                     budget -= t;
                     if budget <= 0.0 {
-                        break 'window;
+                        return (q, requests, requests - at);
                     }
                 }
             }
         }
     }
-    q
+    (q, requests, 0)
 }
 
 /// Sessions cross threads in the engine's pure passes. (Compile-time

@@ -13,8 +13,7 @@
 //! every engine path is byte-identical to an untelemetered run — the same
 //! contract `FaultPlan` and `BatchPlan` honor.
 
-use crate::executor::QueryTrace;
-use scout_storage::FaultReport;
+use scout_storage::DiskModel;
 use scout_telemetry::{
     Event, FlightLog, FlightRecorder, HistogramId, MetricsRegistry, SpanTimer, TimedEvent,
 };
@@ -25,10 +24,10 @@ use std::sync::Arc;
 pub(crate) const RING_CAPACITY: usize = 1024;
 
 /// One session's telemetry arm: the fleet's shared span registry plus a
-/// private event ring (stream = session id). Sessions record into it at
-/// the same timeline points at every width, stamped with the clock their
-/// shared serve or window step read, so the event stream is a pure
-/// function of the workload.
+/// private event ring (stream = session id). A session records into it
+/// only in its shared serve and window steps, on the fleet's calling
+/// thread, stamped with the clock that step left, so the event stream is
+/// a pure function of the workload at every width.
 pub(crate) struct SessionTelemetry {
     registry: Arc<MetricsRegistry>,
     pub(crate) recorder: FlightRecorder,
@@ -51,51 +50,51 @@ impl SessionTelemetry {
         SpanTimer::start(self.registry.histogram(id))
     }
 
-    /// The serve phase of query `query` completed with trace `q`.
-    pub(crate) fn note_query_served(&mut self, t_us: f64, query: u32, q: &QueryTrace) {
-        self.recorder.record(
-            t_us,
-            Event::QueryServed {
-                query,
-                pages: q.pages_total as u32,
-                hits: q.pages_hit as u32,
-                failed: q.outcome.is_failed(),
-            },
-        );
-    }
-
     /// Folds the session disk's retry counters since the last call into a
-    /// [`Event::RetryLadder`] step (no event when nothing retried).
-    /// `faults` is the disk's running report; `None` (injection disabled)
-    /// is a no-op.
-    pub(crate) fn note_retries(&mut self, t_us: f64, faults: Option<FaultReport>) {
-        let Some(report) = faults else { return };
+    /// [`Event::RetryLadder`] step, stamped with the disk's clock (no
+    /// event when nothing retried, or while injection is disabled).
+    pub(crate) fn note_retries(&mut self, disk: &DiskModel) {
+        let Some(report) = disk.fault_report() else { return };
         let attempts = report.retries - self.retry_mark.0;
         let recovered = report.recovered - self.retry_mark.1;
         self.retry_mark = (report.retries, report.recovered);
         if attempts > 0 {
             self.recorder.record(
-                t_us,
+                now_us(disk),
                 Event::RetryLadder { attempts: attempts as u32, recovered: recovered as u32 },
             );
         }
     }
 
-    /// A prefetch window opened with the given budget.
-    pub(crate) fn note_window_opened(&mut self, t_us: f64, budget_us: f64) {
-        self.recorder.record(t_us, Event::WindowOpened { budget_us });
+    /// Query `query`'s prefetch window closed, stamped with the disk's
+    /// clock: the budget it opened with, the plan's `requests`, the
+    /// `unserved` ones the budget cut, and whether the breaker `shed` it.
+    pub(crate) fn note_window(
+        &mut self,
+        disk: &DiskModel,
+        query: usize,
+        budget_us: f64,
+        requests: usize,
+        unserved: usize,
+        shed: bool,
+    ) {
+        self.recorder.record(
+            now_us(disk),
+            Event::Window {
+                query: query as u32,
+                budget_us,
+                requests: requests as u32,
+                unserved: unserved as u32,
+                shed,
+            },
+        );
     }
+}
 
-    /// The circuit breaker shed this query's prefetch window.
-    pub(crate) fn note_window_shed(&mut self, t_us: f64, trips: u64) {
-        self.recorder.record(t_us, Event::WindowShed { trips: trips as u32 });
-    }
-
-    /// A prefetch window ran (or staged) to completion.
-    pub(crate) fn note_window_closed(&mut self, t_us: f64, prefetched: usize, gaps: usize) {
-        self.recorder
-            .record(t_us, Event::WindowClosed { prefetched: prefetched as u32, gaps: gaps as u32 });
-    }
+/// The simulated now an event is stamped with: the shared clock when
+/// `disk` has one (every multi-session run), 0 otherwise.
+pub(crate) fn now_us(disk: &DiskModel) -> f64 {
+    disk.clock().map_or(0.0, |c| c.now_us())
 }
 
 /// The telemetry view of one armed run, attached to

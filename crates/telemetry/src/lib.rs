@@ -8,8 +8,9 @@
 //! events with a deterministic JSONL export.
 //!
 //! The registry holds measurements only. Model outputs (counts, hit
-//! rates, simulated latencies) live in the engine's reports and, per
-//! event, in the flight log.
+//! rates, simulated latencies) live in the engine's reports; the flight
+//! log records the decisions they cannot show, such as how far down its
+//! plan each prefetch window's budget reached.
 //!
 //! Everything is `std`-only and allocation-free on the record path: a
 //! span record is two relaxed `fetch_add`s, and an event record writes

@@ -27,38 +27,27 @@ impl Lane {
     }
 }
 
-/// One typed engine event. Variants mirror the engine's observable
-/// transitions; every payload field is a small integer so an event is
-/// `Copy` and a ring slot stays fixed-size.
+/// One typed engine event, recorded where the engine decided it: what a
+/// query's prefetch window bought, the retry ladder its demand reads
+/// climbed, a batch the lanes submitted. Counts the reports already hold
+/// are not repeated here. Every payload field is a small number, so an
+/// event is `Copy` and a ring slot stays fixed-size.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
-    /// A query's serve phase completed.
-    QueryServed {
+    /// A query's prefetch window closed: the budget it opened with and
+    /// how far down the plan that budget reached. A failed query, and a
+    /// window the circuit breaker shed, record no requests.
+    Window {
         /// Sequence position of the query within its session.
         query: u32,
-        /// Result pages the serve touched.
-        pages: u32,
-        /// Of those, pages already cached.
-        hits: u32,
-        /// Whether the serve surfaced an unrecoverable I/O error.
-        failed: bool,
-    },
-    /// A prefetch window opened after a serve.
-    WindowOpened {
-        /// Think-time budget granted to the window, µs.
+        /// Think-time budget left after prediction, µs.
         budget_us: f64,
-    },
-    /// The circuit breaker shed a prefetch window.
-    WindowShed {
-        /// Breaker trips observed by this session so far.
-        trips: u32,
-    },
-    /// A prefetch window closed.
-    WindowClosed {
-        /// Pages prefetched within budget.
-        prefetched: u32,
-        /// Overhead pages read for gap traversal.
-        gaps: u32,
+        /// Requests in the prefetcher's plan.
+        requests: u32,
+        /// Of those, the requests the budget cut left unread or part-read.
+        unserved: u32,
+        /// Whether the circuit breaker shed the window.
+        shed: bool,
     },
     /// Demand reads climbed the retry ladder during a serve.
     RetryLadder {
@@ -82,10 +71,7 @@ impl Event {
     /// The event's stable snake_case type tag.
     pub(crate) fn tag(&self) -> &'static str {
         match self {
-            Event::QueryServed { .. } => "query_served",
-            Event::WindowOpened { .. } => "window_opened",
-            Event::WindowShed { .. } => "window_shed",
-            Event::WindowClosed { .. } => "window_closed",
+            Event::Window { .. } => "window",
             Event::RetryLadder { .. } => "retry_ladder",
             Event::BatchSubmitted { .. } => "batch_submitted",
         }
@@ -94,21 +80,12 @@ impl Event {
     fn payload_json(&self, out: &mut String) {
         use std::fmt::Write;
         match *self {
-            Event::QueryServed { query, pages, hits, failed } => {
+            Event::Window { query, budget_us, requests, unserved, shed } => {
                 let _ = write!(
                     out,
-                    ", \"query\": {query}, \"pages\": {pages}, \"hits\": {hits}, \
-                     \"failed\": {failed}"
+                    ", \"query\": {query}, \"budget_us\": {budget_us:.3}, \
+                     \"requests\": {requests}, \"unserved\": {unserved}, \"shed\": {shed}"
                 );
-            }
-            Event::WindowOpened { budget_us } => {
-                let _ = write!(out, ", \"budget_us\": {budget_us:.3}");
-            }
-            Event::WindowShed { trips } => {
-                let _ = write!(out, ", \"trips\": {trips}");
-            }
-            Event::WindowClosed { prefetched, gaps } => {
-                let _ = write!(out, ", \"prefetched\": {prefetched}, \"gaps\": {gaps}");
             }
             Event::RetryLadder { attempts, recovered } => {
                 let _ = write!(out, ", \"attempts\": {attempts}, \"recovered\": {recovered}");
@@ -134,11 +111,16 @@ pub struct TimedEvent {
     pub(crate) stream: u32,
     /// Monotonic per-stream sequence number, counted from 0 across the
     /// stream's lifetime — dropped events leave gaps at the front, never
-    /// in the middle.
-    pub(crate) seq: u64,
+    /// in the middle. A session records at most two events a query and
+    /// the batch lanes two a round, so 32 bits outlast any run.
+    pub(crate) seq: u32,
     /// The event itself.
     pub(crate) event: Event,
 }
+
+// A ring slot is 40 bytes: `seq` is 32 bits, so it and `stream` share one
+// word beside the time and the 24-byte `Event`.
+const _: () = assert!(std::mem::size_of::<TimedEvent>() <= 40);
 
 impl TimedEvent {
     /// One deterministic JSON line (no trailing newline).
@@ -170,7 +152,7 @@ pub struct FlightRecorder {
     stream: u32,
     ring: Vec<TimedEvent>,
     head: usize,
-    seq: u64,
+    seq: u32,
     dropped: u64,
 }
 
@@ -266,21 +248,21 @@ mod tests {
     fn ring_retains_newest_and_counts_drops() {
         let mut rec = FlightRecorder::with_capacity(3, 2);
         for i in 0..5u32 {
-            rec.record(i as f64, Event::WindowClosed { prefetched: i, gaps: 0 });
+            rec.record(i as f64, Event::RetryLadder { attempts: i, recovered: 0 });
         }
         assert_eq!(rec.ring.len(), 2);
         assert_eq!(rec.dropped(), 3);
         assert_eq!(rec.seq, 5);
         let events = rec.drain();
         assert_eq!(events.len(), 2);
-        // Oldest-first, newest retained: windows 3 and 4, seq 3 and 4.
-        assert!(matches!(events[0].event, Event::WindowClosed { prefetched: 3, .. }));
-        assert!(matches!(events[1].event, Event::WindowClosed { prefetched: 4, .. }));
+        // Oldest-first, newest retained: events 3 and 4, seq 3 and 4.
+        assert!(matches!(events[0].event, Event::RetryLadder { attempts: 3, .. }));
+        assert!(matches!(events[1].event, Event::RetryLadder { attempts: 4, .. }));
         assert_eq!(events[0].seq, 3);
         assert_eq!(events[1].seq, 4);
         assert!(rec.ring.is_empty());
         // Sequence numbering continues after a drain.
-        rec.record(9.0, Event::WindowClosed { prefetched: 9, gaps: 0 });
+        rec.record(9.0, Event::RetryLadder { attempts: 9, recovered: 0 });
         assert_eq!(rec.drain()[0].seq, 5);
     }
 
@@ -288,25 +270,27 @@ mod tests {
     fn merge_orders_by_time_then_stream_then_seq() {
         let mut a = FlightRecorder::with_capacity(1, 8);
         let mut b = FlightRecorder::with_capacity(0, 8);
-        let opened = Event::WindowOpened { budget_us: 0.0 };
-        a.record(5.0, opened);
-        a.record(5.0, opened);
-        b.record(5.0, opened);
-        b.record(2.0, opened);
+        let retried = Event::RetryLadder { attempts: 1, recovered: 1 };
+        a.record(5.0, retried);
+        a.record(5.0, retried);
+        b.record(5.0, retried);
+        b.record(2.0, retried);
         let mut log = FlightLog::default();
         log.absorb(&mut a);
         log.absorb(&mut b);
         log.seal();
-        let order: Vec<(f64, u32, u64)> =
+        let order: Vec<(f64, u32, u32)> =
             log.events().iter().map(|e| (e.t_us, e.stream, e.seq)).collect();
         assert_eq!(order, vec![(2.0, 0, 1), (5.0, 0, 0), (5.0, 1, 0), (5.0, 1, 1)]);
     }
 
     #[test]
     fn jsonl_is_deterministic_and_tagged() {
+        let window =
+            Event::Window { query: 0, budget_us: 800.0, requests: 5, unserved: 2, shed: false };
         let mut rec = FlightRecorder::with_capacity(7, 8);
-        rec.record(1.5, Event::QueryServed { query: 0, pages: 12, hits: 9, failed: false });
-        rec.record(2.25, Event::WindowOpened { budget_us: 800.0 });
+        rec.record(1.5, Event::RetryLadder { attempts: 2, recovered: 1 });
+        rec.record(2.25, window);
         rec.record(3.0, Event::BatchSubmitted { lane: Lane::Window, pages: 64, coalesced: 3 });
         let mut log = FlightLog::default();
         log.absorb(&mut rec);
@@ -314,17 +298,18 @@ mod tests {
         let jsonl = log.to_jsonl();
         assert_eq!(
             jsonl,
-            "{\"t_us\": 1.500, \"stream\": 7, \"seq\": 0, \"type\": \"query_served\", \
-             \"query\": 0, \"pages\": 12, \"hits\": 9, \"failed\": false}\n\
-             {\"t_us\": 2.250, \"stream\": 7, \"seq\": 1, \"type\": \"window_opened\", \
-             \"budget_us\": 800.000}\n\
+            "{\"t_us\": 1.500, \"stream\": 7, \"seq\": 0, \"type\": \"retry_ladder\", \
+             \"attempts\": 2, \"recovered\": 1}\n\
+             {\"t_us\": 2.250, \"stream\": 7, \"seq\": 1, \"type\": \"window\", \
+             \"query\": 0, \"budget_us\": 800.000, \"requests\": 5, \"unserved\": 2, \
+             \"shed\": false}\n\
              {\"t_us\": 3.000, \"stream\": 7, \"seq\": 2, \"type\": \"batch_submitted\", \
              \"lane\": \"window\", \"pages\": 64, \"coalesced\": 3}\n"
         );
         // Rebuilding the identical stream reproduces the bytes exactly.
         let mut rec2 = FlightRecorder::with_capacity(7, 8);
-        rec2.record(1.5, Event::QueryServed { query: 0, pages: 12, hits: 9, failed: false });
-        rec2.record(2.25, Event::WindowOpened { budget_us: 800.0 });
+        rec2.record(1.5, Event::RetryLadder { attempts: 2, recovered: 1 });
+        rec2.record(2.25, window);
         rec2.record(3.0, Event::BatchSubmitted { lane: Lane::Window, pages: 64, coalesced: 3 });
         let mut log2 = FlightLog::default();
         log2.absorb(&mut rec2);
@@ -335,15 +320,12 @@ mod tests {
     #[test]
     fn every_event_variant_serializes() {
         let variants = [
-            Event::QueryServed { query: 1, pages: 2, hits: 1, failed: true },
-            Event::WindowOpened { budget_us: 1.0 },
-            Event::WindowShed { trips: 2 },
-            Event::WindowClosed { prefetched: 5, gaps: 1 },
+            Event::Window { query: 1, budget_us: 1.0, requests: 0, unserved: 0, shed: true },
             Event::RetryLadder { attempts: 2, recovered: 1 },
             Event::BatchSubmitted { lane: Lane::Demand, pages: 8, coalesced: 0 },
         ];
         for (i, event) in variants.into_iter().enumerate() {
-            let line = TimedEvent { t_us: i as f64, stream: 0, seq: i as u64, event }.to_json();
+            let line = TimedEvent { t_us: i as f64, stream: 0, seq: i as u32, event }.to_json();
             assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
             assert!(line.contains(&format!("\"type\": \"{}\"", event.tag())), "{line}");
         }

@@ -9,7 +9,9 @@
 //!    report is byte-identical to an untelemetered engine,
 //! 2. armed — the same run attaches a registry of wall-clock span
 //!    histograms (measurements) and a flight log of typed,
-//!    simulated-clock-stamped events; the counts stay in the report,
+//!    simulated-clock-stamped events: one `window` event a query, with
+//!    the budget the window opened with and how many of the plan's
+//!    requests that budget cut; the counts stay in the report,
 //!
 //! then reruns the armed fleet to show the width-1 event stream is
 //! byte-identical, and prints the tail of the JSONL export.
@@ -86,12 +88,17 @@ fn main() {
     }
 
     // The flight log: every session's ring, merged and sealed into one
-    // timeline ordered by (t_us, stream, seq).
+    // timeline ordered by (t_us, stream, seq). It records decisions, not
+    // counts: each query's window, the retry ladders, the batches.
     let jsonl = telem.to_jsonl();
+    let windows: Vec<&str> = jsonl.lines().filter(|l| l.contains("\"type\": \"window\"")).collect();
+    assert_eq!(windows.len(), queries, "one window event per query");
+    let cut = windows.iter().filter(|l| !l.contains("\"unserved\": 0,")).count();
     println!(
-        "== flight log: {} events ({} dropped) ==",
+        "== flight log: {} events ({} dropped), {} windows, {cut} cut by their budget ==",
         telem.events().len(),
-        telem.dropped_events()
+        telem.dropped_events(),
+        windows.len()
     );
     for line in jsonl.lines().rev().take(6).collect::<Vec<_>>().into_iter().rev() {
         println!("  {line}");

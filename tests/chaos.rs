@@ -7,7 +7,10 @@
 
 mod common;
 
-use common::{bed_and_streams, chaos_matrix_seed, fnv1a, scout_sessions, WORKLOAD_SEED};
+use common::{
+    bed_and_streams, chaos_matrix_seed, field, fnv1a, lines_of, one_window_per_query,
+    scout_sessions, WORKLOAD_SEED,
+};
 use scout::prelude::*;
 
 /// Eviction-free fleet config (see DESIGN.md §5) with the given fault
@@ -299,6 +302,47 @@ fn batched_any_fault_seed_survives_every_width() {
             assert!(report.batch.expect("batch report").batches > 0);
         }
     }
+}
+
+#[test]
+fn armed_flight_log_matches_every_sessions_fault_report() {
+    // The armed flight log under the same 8 seeds × widths 1/2/4,
+    // immediate and batched: one `window` line per query, a `shed` one
+    // for every window the breakers shed, and `retry_ladder` lines that
+    // add up to the sessions' retries. The oracle is each session's fault
+    // report: `total_shed()` counts admission sheds, which never happen.
+    let (bed, streams) = bed_and_streams(4, chaos_matrix_seed());
+    let ctx = bed.ctx_rtree();
+    let mut shed_any = false;
+    for seed in [1u64, 2, 3, 5, 8, 13, 0xDEAD, 0xC0FFEE] {
+        for batched in [false, true] {
+            for workers in [1usize, 2, 4] {
+                let plan = FaultPlan::injecting(rough_weather(seed));
+                let mut config = chaos_config(&bed, Schedule::WorkStealing { workers }, plan);
+                config.exec.telemetry = Some(TelemetryPlan);
+                config.batch.enabled = batched;
+                let report = MultiSessionExecutor::new(config).run(&ctx, scout_sessions(&streams));
+                let at = format!("seed {seed:#x}, batched {batched}, width {workers}");
+                let telem = report.telemetry.as_ref().expect("armed");
+                assert_eq!(telem.dropped_events(), 0, "{at}: the ring wrapped");
+                let jsonl = telem.to_jsonl();
+                let windows = one_window_per_query(&jsonl, &report, &at);
+                let faults: Vec<FaultReport> =
+                    report.sessions.iter().map(|s| s.faults.expect("injecting")).collect();
+                let shed = windows.iter().filter(|line| line.contains("\"shed\": true")).count();
+                let degraded: u64 = faults.iter().map(|f| f.degraded_windows).sum();
+                assert_eq!(shed as u64, degraded, "{at}: shed window lines");
+                let ladder = lines_of(&jsonl, "retry_ladder");
+                let sum = |key| ladder.iter().map(|line| field(line, key)).sum::<u64>();
+                let retries: u64 = faults.iter().map(|f| f.retries).sum();
+                let recovered: u64 = faults.iter().map(|f| f.recovered).sum();
+                assert_eq!(sum("attempts"), retries, "{at}: retry attempts");
+                assert_eq!(sum("recovered"), recovered, "{at}: recovered reads");
+                shed_any |= shed > 0;
+            }
+        }
+    }
+    assert!(shed_any, "no seed shed a window, so no shed line was checked");
 }
 
 #[test]

@@ -52,3 +52,40 @@ pub(crate) fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
         .into_iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
 }
+
+/// The integer value of `"key": <n>` in one flight-log JSONL line.
+pub(crate) fn field(line: &str, key: &str) -> u64 {
+    let tag = format!("\"{key}\": ");
+    let rest = &line[line.find(&tag).unwrap_or_else(|| panic!("no {key} in {line}")) + tag.len()..];
+    let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+    rest[..digits].parse().unwrap_or_else(|_| panic!("{key} is not an integer in {line}"))
+}
+
+/// The flight log's lines of event type `kind`.
+pub(crate) fn lines_of<'a>(jsonl: &'a str, kind: &str) -> Vec<&'a str> {
+    let tag = format!("\"type\": \"{kind}\"");
+    jsonl.lines().filter(|line| line.contains(&tag)).collect()
+}
+
+/// Asserts that each session's stream in `jsonl` holds exactly one
+/// `window` line per query the report counts, its `query` running 0.. in
+/// order, and returns every `window` line.
+pub(crate) fn one_window_per_query<'a>(
+    jsonl: &'a str,
+    report: &MultiSessionReport,
+    at: &str,
+) -> Vec<&'a str> {
+    let windows = lines_of(jsonl, "window");
+    for session in &report.sessions {
+        let queries: Vec<u64> = windows
+            .iter()
+            .filter(|line| field(line, "stream") == session.id as u64)
+            .map(|line| field(line, "query"))
+            .collect();
+        let expected: Vec<u64> = (0..session.queries as u64).collect();
+        assert_eq!(queries, expected, "{at}: session {}'s window lines", session.id);
+    }
+    let queries: usize = report.sessions.iter().map(|s| s.queries).sum();
+    assert_eq!(windows.len(), queries, "{at}: a window line names no session");
+    windows
+}

@@ -1,11 +1,12 @@
 //! Acceptance tests of the flight-recorder telemetry layer: the disarmed
 //! byte-identity contract (telemetry `None` must be invisible
-//! everywhere), armed event-stream determinism at every width, and a
-//! flight log that accounts for every query the report counts.
+//! everywhere), armed event-stream determinism at every width, a flight
+//! log that holds one window event for every query the report counts, and
+//! the budget cut those events record.
 
 mod common;
 
-use common::{bed_and_streams, fnv1a, scout_sessions, WORKLOAD_SEED};
+use common::{bed_and_streams, field, fnv1a, one_window_per_query, scout_sessions, WORKLOAD_SEED};
 use scout::prelude::*;
 use scout_storage::BatchPlan;
 
@@ -89,7 +90,7 @@ fn armed_width1_flight_log_replays_its_pinned_digest() {
     // The armed width-1 timeline's exact bytes, unbatched and batched:
     // every event, its simulated timestamp and its order.
     let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
-    for (batched, pinned) in [(false, 0x00a0_3c3d_a125_94fb), (true, 0xd77d_90ba_ff7c_e54e)] {
+    for (batched, pinned) in [(false, 0xe7dc_a23d_7d61_eade), (true, 0x2f41_b540_168a_d5c3)] {
         for schedule in [Schedule::RoundRobin, Schedule::WorkStealing { workers: 2 }] {
             let report = run(&bed, &streams, schedule, batched, true);
             let jsonl = report.telemetry.as_ref().expect("armed").to_jsonl();
@@ -99,18 +100,11 @@ fn armed_width1_flight_log_replays_its_pinned_digest() {
     }
 }
 
-/// The integer value of `"key": <n>` in one JSONL line.
-fn field(line: &str, key: &str) -> u64 {
-    let tag = format!("\"{key}\": ");
-    let rest = &line[line.find(&tag).unwrap_or_else(|| panic!("no {key} in {line}")) + tag.len()..];
-    let digits = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..digits].parse().unwrap_or_else(|_| panic!("{key} is not an integer in {line}"))
-}
-
 #[test]
 fn flight_log_sees_every_query_at_every_width() {
-    // Every event is stamped with the clock its shared step read on the
-    // fleet's calling thread, so widths 2 and 4 export width 1's JSONL.
+    // Every event is recorded on the fleet's calling thread, in the step
+    // that decided it, stamped with the clock that step left, so widths 2
+    // and 4 export width 1's JSONL: one `window` line per query.
     let (bed, streams) = bed_and_streams(6, WORKLOAD_SEED);
     let mut width_one = None;
     for workers in [1usize, 2, 4] {
@@ -120,15 +114,39 @@ fn flight_log_sees_every_query_at_every_width() {
         let jsonl = telem.to_jsonl();
         let expected = width_one.get_or_insert_with(|| jsonl.clone());
         assert_eq!(&jsonl, expected, "width {workers} exported another timeline");
-        let served: Vec<&str> =
-            jsonl.lines().filter(|l| l.contains("\"type\": \"query_served\"")).collect();
-        let queries: usize = report.sessions.iter().map(|s| s.queries).sum();
-        assert_eq!(served.len(), queries, "one query_served line per query (w={workers})");
-        let pages: u64 = served.iter().map(|l| field(l, "pages")).sum();
-        let hits: u64 = served.iter().map(|l| field(l, "hits")).sum();
-        assert_eq!(pages, report.total_pages(), "w={workers}");
-        assert_eq!(hits, report.total_pages_hit(), "w={workers}");
-        let opened = jsonl.lines().filter(|l| l.contains("\"type\": \"window_opened\"")).count();
-        assert_eq!(opened, queries, "one window_opened line per query (w={workers})");
+        one_window_per_query(&jsonl, &report, &format!("width {workers}"));
     }
+}
+
+#[test]
+fn window_events_record_the_budget_cut() {
+    // An ample window (a large ratio over an eviction-free cache) reads
+    // every plan to its end; a zero window prefetches nothing, so the
+    // budget cuts every plan that asks for a page.
+    let (bed, streams) = bed_and_streams(4, WORKLOAD_SEED);
+    let run_at = |window_ratio: f64| {
+        let mut config = config(Schedule::RoundRobin, false, true);
+        config.exec.window_ratio = window_ratio;
+        config.exec.cache_pages = bed.rtree.layout().page_count();
+        let report =
+            MultiSessionExecutor::new(config).run(&bed.ctx_rtree(), scout_sessions(&streams));
+        let jsonl = report.telemetry.as_ref().expect("armed").to_jsonl();
+        let at = format!("window_ratio {window_ratio}");
+        let cuts: Vec<(u64, u64)> = one_window_per_query(&jsonl, &report, &at)
+            .iter()
+            .map(|line| (field(line, "requests"), field(line, "unserved")))
+            .collect();
+        assert!(cuts.iter().all(|&(requests, unserved)| unserved <= requests), "{at}: {cuts:?}");
+        (report.cache.insertions, cuts)
+    };
+    let (inserted, cuts) = run_at(1e6);
+    assert!(inserted > 0, "an ample window prefetched nothing");
+    assert!(cuts.iter().any(|&(requests, _)| requests > 0), "no plan asked for anything");
+    assert!(cuts.iter().all(|&(_, unserved)| unserved == 0), "an ample window cut: {cuts:?}");
+    let (inserted, cuts) = run_at(0.0);
+    assert_eq!(inserted, 0, "a zero window prefetched");
+    assert!(
+        cuts.iter().any(|&(requests, unserved)| requests > 0 && unserved > 0),
+        "a zero window cut no plan: {cuts:?}"
+    );
 }

@@ -513,16 +513,18 @@ fn steady_state_graph_build_allocates_nothing() {
     let mut ring = FlightRecorder::with_capacity(7, 64);
     // Warmup: wrap the ring once, so every later record is an overwrite.
     for i in 0..96u32 {
-        ring.record(i as f64, Event::QueryServed { query: i, pages: 3, hits: 1, failed: false });
+        ring.record(i as f64, Event::RetryLadder { attempts: i, recovered: 1 });
     }
     let before = allocations();
-    for i in 0..1_000u64 {
+    for i in 0..1_000u32 {
         {
             // Timed the way a session times its serve sub-phase.
             let _span = SpanTimer::start(registry.histogram(HistogramId::SpanServeUs));
-            ring.record(i as f64, Event::WindowOpened { budget_us: i as f64 });
+            ring.record(i as f64, Event::RetryLadder { attempts: 2, recovered: 1 });
         }
-        ring.record(i as f64, Event::WindowClosed { prefetched: (i % 4) as u32, gaps: 0 });
+        let (budget_us, requests, unserved) = (i as f64, i % 7, i % 7 / 2);
+        let window = Event::Window { query: i, budget_us, requests, unserved, shed: i % 5 == 0 };
+        ring.record(i as f64, window);
     }
     let after = allocations();
     assert_eq!(
